@@ -46,52 +46,6 @@ fn bench_dispatch(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ablation (DESIGN.md #5): the snapshot raise path vs the locked-clone
-/// baseline it replaced. `raise` resolves through the handle's cached weak
-/// reference and clones one `Arc` snapshot; `raise_locked_baseline`
-/// re-emulates the old path — global-table lookup, handler-vector deep
-/// clone under the event mutex, a second lock for statistics. Identical
-/// semantics and virtual-time charges; the wall-clock gap is the payoff.
-fn bench_dispatch_snapshot(c: &mut Criterion) {
-    let mut g = c.benchmark_group("dispatch_snapshot");
-    g.measurement_time(Duration::from_millis(400))
-        .warm_up_time(Duration::from_millis(150));
-
-    // Fast path: one unguarded synchronous handler.
-    let d = Dispatcher::unmetered();
-    let (ev, owner) = d.define::<u64, u64>("fast", Identity::kernel("b"));
-    owner.set_primary(|x| x + 1).expect("fresh");
-    g.bench_function("snapshot/fast_path", |b| {
-        b.iter(|| ev.raise(black_box(1)).expect("ok"))
-    });
-    g.bench_function("locked_clone/fast_path", |b| {
-        b.iter(|| d.raise_locked_baseline(&ev, black_box(1)).expect("ok"))
-    });
-
-    // Slow path with guard load: the deep clone the baseline pays per
-    // raise grows with installed handlers; the snapshot does not.
-    for guards in [10usize, 50] {
-        let d = Dispatcher::unmetered();
-        let (ev, owner) = d.define::<u64, u64>("guarded", Identity::kernel("b"));
-        owner.set_primary(|x| x + 1).expect("fresh");
-        for _ in 0..guards {
-            ev.install_guarded(Identity::extension("w"), |_| false, |x| *x)
-                .expect("ok");
-        }
-        g.bench_with_input(
-            BenchmarkId::new("snapshot/guards", guards),
-            &guards,
-            |b, _| b.iter(|| ev.raise(black_box(1)).expect("ok")),
-        );
-        g.bench_with_input(
-            BenchmarkId::new("locked_clone/guards", guards),
-            &guards,
-            |b, _| b.iter(|| d.raise_locked_baseline(&ev, black_box(1)).expect("ok")),
-        );
-    }
-    g.finish();
-}
-
 fn bench_linking(c: &mut Criterion) {
     let mut g = c.benchmark_group("linking");
     g.measurement_time(Duration::from_millis(400))
@@ -403,7 +357,6 @@ fn bench_quota(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_dispatch,
-    bench_dispatch_snapshot,
     bench_linking,
     bench_capabilities,
     bench_gc,

@@ -32,15 +32,16 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{digest, mix, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::{Dispatcher, QuotaLedger, QuotaSnapshot, QuotaSpec};
+use spin_core::{QuotaLedger, QuotaSnapshot, QuotaSpec};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_net::{
-    AddressMap, Bytes, HttpConfig, HttpServer, HttpStats, IpAddr, Medium, NetStack, NetStats,
-    Request, Response, TcpStack,
+    Bytes, HttpConfig, HttpServer, HttpStats, Medium, NetStats, Request, Response, ShardRig,
+    TcpStack,
 };
-use spin_sal::{MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, Multicore};
+use spin_sal::Nanos;
+use spin_sched::{IdleOutcome, MulticoreStats};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,15 +81,6 @@ const SLOW_HOLD: Nanos = 800_000_000;
 /// so the storm itself never stalls the server strand on disk I/O.
 const WARM_AT: Nanos = 250_000_000;
 const STORM_AT: Nanos = 400_000_000;
-
-/// splitmix64 — deterministic heavy-tail draws and order-independent
-/// latency checksums.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Heavy-tailed think gap: mostly 40–200 µs, every 16th a 2 ms pause.
 fn think_gap(seq: u64) -> Nanos {
@@ -131,37 +123,6 @@ fn parse_status(resp: &[u8]) -> u16 {
         .unwrap_or(0)
 }
 
-/// Order-independent digest plus the percentiles of one latency stream.
-#[derive(Debug, PartialEq, Eq)]
-struct LatencyDigest {
-    count: u64,
-    sum: Nanos,
-    xor: u64,
-    p50: Nanos,
-    p99: Nanos,
-    max: Nanos,
-}
-
-fn digest(latencies: &[Nanos]) -> LatencyDigest {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    let pct = |p: usize| -> Nanos {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
-        }
-    };
-    LatencyDigest {
-        count: latencies.len() as u64,
-        sum: latencies.iter().sum(),
-        xor: latencies.iter().fold(0, |acc, &l| acc ^ mix(l)),
-        p50: pct(50),
-        p99: pct(99),
-        max: pct(100),
-    }
-}
-
 /// One client shard's view of the storm.
 #[derive(Debug, PartialEq, Eq)]
 struct ShardOut {
@@ -181,17 +142,8 @@ struct VirtualOutputs {
     warm_ok: u64,
     net: Vec<NetStats>,
     clocks: Vec<Nanos>,
-    epochs: u64,
-    shard_runs: u64,
-    mail_posted: u64,
-    mail_drained: u64,
-    mail_dropped: u64,
+    barrier: MulticoreStats,
     wires: [(u64, u64); 3],
-}
-
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
 }
 
 #[derive(Default)]
@@ -203,34 +155,11 @@ struct Counters {
     connect_failed: AtomicU64,
 }
 
-fn run(workers: usize, per_shard: u64) -> RunResult {
-    let board = MulticoreBoard::new();
-    let mut mc = Multicore::new(workers, board.lookahead());
-    let addrs = AddressMap::new();
-
-    let mut stacks = Vec::new();
-    let mut execs = Vec::new();
-    let mut tcps = Vec::new();
-    for n in 0..=(CLIENT_SHARDS as u8) {
-        let host = board.new_host(256);
-        let exec = mc.add_host(host.clone());
-        let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-        mc.wire_dispatcher(&disp, host.id);
-        let stack = NetStack::install(
-            &host,
-            &exec,
-            &disp,
-            &addrs,
-            IpAddr::new(10, 0, 0, n + 1),
-            IpAddr::new(10, 1, 0, n + 1),
-            IpAddr::new(10, 2, 0, n + 1),
-        );
-        tcps.push(TcpStack::install(&stack));
-        stacks.push((host, stack));
-        execs.push(exec);
-    }
-    let (host0, stack0) = stacks[0].clone();
-    let exec0 = execs[0].clone();
+fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
+    let rig = ShardRig::new(workers, CLIENT_SHARDS as u8 + 1);
+    let (board, mc, shards) = (&rig.board, &rig.mc, &rig.shards);
+    let tcps: Vec<_> = shards.iter().map(|s| TcpStack::install(&s.stack)).collect();
+    let (host0, stack0, exec0) = (&shards[0].host, &shards[0].stack, &shards[0].exec);
     let server_ip = stack0.ip_on(Medium::Atm);
 
     // The server's file system: uncached (§5.4 — the web cache fronts
@@ -266,7 +195,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
         },
     );
     let server = HttpServer::start_with(
-        &stack0,
+        stack0,
         &tcps[0],
         fs,
         cache,
@@ -292,7 +221,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
     {
         let tcp = tcps[1].clone();
         let wk = warm_ok.clone();
-        execs[1].spawn("warmup", move |ctx| {
+        shards[1].exec.spawn("warmup", move |ctx| {
             ctx.sleep(WARM_AT);
             for path in ["/f6", "/f7"] {
                 let conn = tcp.connect(ctx, server_ip, SERVER_PORT).expect("warm up");
@@ -318,9 +247,10 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
         let ctr = Arc::new(Counters::default());
         for slot in 0..POOL {
             let tcp = tcps[shard].clone();
-            let clock = execs[shard].clock().clone();
+            let clock = shards[shard].exec.clock().clone();
             let (lat2, ctr2) = (lat.clone(), ctr.clone());
-            execs[shard].spawn(&format!("client-{shard}-{slot}"), move |ctx| {
+            let name = format!("client-{shard}-{slot}");
+            shards[shard].exec.spawn(&name, move |ctx| {
                 ctx.sleep(STORM_AT);
                 let mut i = slot as u64;
                 while i < per_shard {
@@ -364,9 +294,7 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
         counters.push(ctr);
     }
 
-    let t0 = Instant::now();
     assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     // The books close exactly, per shard and globally.
     let shards_out: Vec<ShardOut> = latencies
@@ -436,23 +364,35 @@ fn run(workers: usize, per_shard: u64) -> RunResult {
     let stats = mc.stats();
     assert_eq!(stats.mail_dropped, 0, "zero dropped cross-shard envelopes");
 
-    RunResult {
-        virt: VirtualOutputs {
-            shards: shards_out,
-            http,
-            quota,
-            warm_ok: 2,
-            net: stacks.iter().map(|(_, s)| s.stats()).collect(),
-            clocks: mc.shards().iter().map(|sh| sh.host.clock.now()).collect(),
-            epochs: stats.epochs,
-            shard_runs: stats.shard_runs,
-            mail_posted: stats.mail_posted,
-            mail_drained: stats.mail_drained,
-            mail_dropped: stats.mail_dropped,
-            wires,
-        },
-        wall_ms,
+    VirtualOutputs {
+        shards: shards_out,
+        http,
+        quota,
+        warm_ok: 2,
+        net: shards.iter().map(|s| s.stack.stats()).collect(),
+        clocks: rig.clocks(),
+        barrier: stats,
+        wires,
     }
+}
+
+/// Runs one storm, prints its wall-clock line and returns the virtual
+/// outputs with the wall-clock milliseconds of the whole run — set-up and
+/// tear-down included: the flat-cost criterion prices a connection end to
+/// end.
+fn timed_run(label: &str, workers: usize, per_shard: u64) -> (VirtualOutputs, f64) {
+    let t0 = Instant::now();
+    let v = run(workers, per_shard);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let total = per_shard * CLIENT_SHARDS as u64;
+    println!(
+        "{label}: {total} conns, wall {wall_ms:.0} ms ({:.1} µs/conn), \
+         virt clock0 {:.0} ms, epochs {}",
+        wall_ms * 1e3 / total as f64,
+        v.clocks[0] as f64 / 1e6,
+        v.barrier.epochs,
+    );
+    (v, wall_ms)
 }
 
 fn main() {
@@ -460,53 +400,17 @@ fn main() {
     // total): the flat-cost criterion compares wall-clock per connection
     // at the bottom and top rungs.
     let ladder = [("1e3", 91u64), ("1e4", 909), ("1e5", 9091)];
-    let mut rungs: Vec<(&str, u64, RunResult, f64)> = Vec::new();
-    for &(label, per_shard) in &ladder {
-        let t0 = Instant::now();
-        let r = run(1, per_shard);
-        let total = per_shard * CLIENT_SHARDS as u64;
-        let us_per_conn = t0.elapsed().as_secs_f64() * 1e6 / total as f64;
-        println!(
-            "{label}: {total} conns, wall {:.0} ms ({us_per_conn:.1} µs/conn), \
-             virt clock0 {:.0} ms, epochs {}",
-            r.wall_ms,
-            r.virt.clocks[0] as f64 / 1e6,
-            r.virt.epochs,
-        );
-        rungs.push((label, total, r, us_per_conn));
-    }
+    let rungs = ladder.map(|(label, per_shard)| timed_run(label, 1, per_shard));
 
     // The storm: ~10^6 connections, swept at 1, 2 and 4 workers — every
     // virtual output must be byte-identical; only the wall clock moves.
     const STORM_PER_SHARD: u64 = 90_910;
     let storm_total = STORM_PER_SHARD * CLIENT_SHARDS as u64;
-    let storm_runs: Vec<(usize, RunResult, f64)> = [1usize, 2, 4]
-        .iter()
-        .map(|&w| {
-            let t0 = Instant::now();
-            let r = run(w, STORM_PER_SHARD);
-            let us_per_conn = t0.elapsed().as_secs_f64() * 1e6 / storm_total as f64;
-            println!(
-                "1e6 ({w}w): {storm_total} conns, wall {:.0} ms ({us_per_conn:.1} µs/conn), \
-                 virt clock0 {:.0} ms, epochs {}",
-                r.wall_ms,
-                r.virt.clocks[0] as f64 / 1e6,
-                r.virt.epochs,
-            );
-            (w, r, us_per_conn)
-        })
-        .collect();
-    let storm = &storm_runs[0].1;
-    for (w, r, _) in &storm_runs[1..] {
-        assert_eq!(
-            r.virt, storm.virt,
-            "virtual outputs diverged at {w} workers — the barrier is broken"
-        );
-    }
+    let storm = sweep_workers(|w| timed_run(&format!("1e6 ({w}w)"), w, STORM_PER_SHARD));
 
     // Flat cost: per-connection wall-clock at 10^6 within 2× of 10^3.
-    let base = rungs[0].3;
-    let top = storm_runs[0].2;
+    let base = rungs[0].1 * 1e3 / (ladder[0].1 * CLIENT_SHARDS as u64) as f64;
+    let top = storm.wall_ms[0] * 1e3 / storm_total as f64;
     assert!(
         top <= 2.0 * base,
         "per-connection wall-clock grew {top:.1} µs vs {base:.1} µs at 10^3 \
@@ -528,7 +432,7 @@ fn main() {
         Row::extra("client p50, shard 1 (µs)", us(p50)),
         Row::extra("client p99, worst shard (µs)", us(p99_max)),
         Row::extra("frames received (all NICs)", frames as f64),
-        Row::extra("barrier epochs", v.epochs as f64),
+        Row::extra("barrier epochs", v.barrier.epochs as f64),
         Row::extra("virtual server seconds", v.clocks[0] as f64 / 1e9),
     ];
     print!(
@@ -543,11 +447,7 @@ fn main() {
         "\nBooks close exactly (client/server/quota/wire); outputs byte-identical \
          at 1/2/4 workers."
     );
-    let walls: Vec<String> = storm_runs
-        .iter()
-        .map(|(w, r, _)| format!("{w}w {:.1}ms", r.wall_ms))
-        .collect();
-    println!("wall-clock (storm): {}", walls.join(", "));
+    println!("wall-clock (storm): {}", storm.walls());
 
     JsonReport::new(
         "webscale",
@@ -561,9 +461,9 @@ fn main() {
     .number("server_timeouts", v.http.timeouts as f64)
     .number("quota_attempts", v.quota.attempts as f64)
     .number("quota_admitted", v.quota.admitted as f64)
-    .number("ladder_1e3_virt_ms", rungs[0].2.virt.clocks[0] as f64 / 1e6)
-    .number("ladder_1e4_virt_ms", rungs[1].2.virt.clocks[0] as f64 / 1e6)
-    .number("ladder_1e5_virt_ms", rungs[2].2.virt.clocks[0] as f64 / 1e6)
+    .number("ladder_1e3_virt_ms", rungs[0].0.clocks[0] as f64 / 1e6)
+    .number("ladder_1e4_virt_ms", rungs[1].0.clocks[0] as f64 / 1e6)
+    .number("ladder_1e5_virt_ms", rungs[2].0.clocks[0] as f64 / 1e6)
     .text("workers_checked", "1/2/4 byte-identical at 10^6")
     .text(
         "reconciliation",

@@ -15,6 +15,10 @@
 //!   stack's shared destination-port key), which the guard-set compiler
 //!   folds into a hash lookup.
 //!
+//! The watcher round trips are `spin_bench::scenario::watcher_rtt`; a
+//! keyed watcher guarding an unused port is a logically-false guard, like
+//! the paper's "all guards evaluate to false" configuration.
+//!
 //! Virtual time is charged per *logically evaluated* guard, so the two
 //! columns are identical by construction (asserted below): compilation is
 //! a wall-clock optimisation, not a cost-model change. The wall-clock side
@@ -24,59 +28,13 @@
 
 use std::time::Instant;
 
+use spin_bench::scenario::{s1_scaling, watcher_rtt, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{Dispatcher, Identity, KeyFn};
-use spin_net::{udp_round_trip, Medium, TwoHosts, UdpPacket};
 use spin_sal::Nanos;
 
 /// Guard counts for the scaling sweep.
 const GUARD_COUNTS: [usize; 6] = [1, 10, 50, 100, 250, 500];
-
-/// The echo service's port in [`udp_round_trip`]; keyed watchers guarding
-/// on a different port are logically-false guards, like the paper's "all
-/// guards evaluate to false" configuration.
-const ECHO_PORT: u64 = 7;
-const UNUSED_PORT: u64 = 9;
-
-/// RTT with `extra` opaque (sequentially evaluated) watcher guards on the
-/// server's UDP-arrival event.
-fn rtt_with_guards(extra: usize, guards_pass: bool) -> Nanos {
-    let rig = TwoHosts::new();
-    for i in 0..extra {
-        rig.b
-            .events()
-            .udp_arrived
-            .install_guarded(
-                Identity::extension(&format!("watcher-{i}")),
-                move |_p: &UdpPacket| guards_pass,
-                |_p: &UdpPacket| {},
-            )
-            .expect("install watcher");
-    }
-    udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16)
-}
-
-/// RTT with `extra` keyed (compiled) watcher guards on the same event.
-/// The guards share the stack's destination-port key, so the compiler
-/// indexes all of them; `guards_pass` picks the echo port (every guard
-/// matches) or an unused one (every guard misses).
-fn rtt_with_keyed_guards(extra: usize, guards_pass: bool) -> Nanos {
-    let rig = TwoHosts::new();
-    let port = if guards_pass { ECHO_PORT } else { UNUSED_PORT };
-    for i in 0..extra {
-        rig.b
-            .events()
-            .udp_arrived
-            .install_keyed(
-                Identity::extension(&format!("watcher-{i}")),
-                &rig.b.events().udp_port_key,
-                port,
-                |_p: &UdpPacket| {},
-            )
-            .expect("install keyed watcher");
-    }
-    udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16)
-}
 
 /// A raw-dispatcher event with `n` watcher guards of which exactly one
 /// (the `n/2`-th) matches the raised argument. `keyed` selects compiled
@@ -201,9 +159,12 @@ fn batch64_speedup() -> f64 {
 }
 
 fn main() {
-    let base = rtt_with_guards(0, false);
-    let false_guards = rtt_with_guards(50, false);
-    let true_guards = rtt_with_guards(50, true);
+    let opaque = Wiring::bare();
+    let keyed = Wiring {
+        keyed: true,
+        ..Wiring::bare()
+    };
+    let [base, false_guards, true_guards] = s1_scaling(&opaque);
 
     let mut rows = vec![
         Row::new("Ethernet RTT, no extra handlers", 565.0, us(base)),
@@ -214,8 +175,8 @@ fn main() {
     // (sequential scan) and as keyed guards (compiled index). Virtual
     // time must agree pairwise — compilation is invisible to the clock.
     for n in GUARD_COUNTS {
-        let seq = rtt_with_guards(n, false);
-        let comp = rtt_with_keyed_guards(n, false);
+        let (seq, _) = watcher_rtt(&opaque, n, false);
+        let (comp, _) = watcher_rtt(&keyed, n, false);
         assert_eq!(
             seq, comp,
             "keyed watchers must charge the same RTT as opaque watchers at {n} guards"

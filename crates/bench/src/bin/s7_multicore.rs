@@ -17,14 +17,13 @@
 //! `BENCH_multicore.json` says which basis was used.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{run_to_completion, sweep_workers, WORKERS};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::Dispatcher;
-use spin_net::{AddressMap, Forwarder, IpAddr, Medium, NetStack};
-use spin_sal::{MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, Multicore};
+use spin_net::{Forwarder, Medium, ShardRig};
+use spin_sal::Nanos;
+use spin_sched::MulticoreStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 const CHAINS: u64 = 4;
 const ROUNDS: u64 = 10;
@@ -53,50 +52,22 @@ struct VirtualOutputs {
     chains: Vec<(u64, u64, Nanos)>,
     /// Final clock of every shard, in shard order.
     clocks: Vec<Nanos>,
-    epochs: u64,
-    shard_runs: u64,
-    mail_posted: u64,
-    mail_drained: u64,
+    barrier: MulticoreStats,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize) -> RunResult {
-    let board = MulticoreBoard::new();
-    let mut mc = Multicore::new(workers, board.lookahead());
-    let addrs = AddressMap::new();
+fn run(workers: usize) -> (VirtualOutputs, f64) {
+    let rig = ShardRig::new(workers, (CHAINS * 3) as u8);
     let mut forwarders = Vec::new();
     let mut chains = Vec::new();
-    for c in 0..CHAINS {
-        let mut stacks = Vec::new();
-        for n in 1..=3u8 {
-            let host = board.new_host(256);
-            let exec = mc.add_host(host.clone());
-            let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-            mc.wire_dispatcher(&disp, host.id);
-            let stack = NetStack::install(
-                &host,
-                &exec,
-                &disp,
-                &addrs,
-                IpAddr::new(10, 0, c as u8, n),
-                IpAddr::new(10, 1, c as u8, n),
-                IpAddr::new(10, 2, c as u8, n),
-            );
-            stacks.push((host, exec, stack));
-        }
-        let (host_a, exec_a, a) = stacks.remove(0);
-        let (_host_b, _exec_b, b) = stacks.remove(0);
-        let (_host_c, _exec_c, cstk) = stacks.remove(0);
+    for (c, chain) in (0..CHAINS).zip(rig.shards.chunks(3)) {
+        let (host_a, exec_a, a) = (&chain[0].host, &chain[0].exec, chain[0].stack.clone());
+        let (b, cstk) = (&chain[1].stack, &chain[2].stack);
 
-        forwarders.push(Forwarder::install_udp(&b, 7, cstk.ip_on(Medium::Ethernet)));
+        forwarders.push(Forwarder::install_udp(b, 7, cstk.ip_on(Medium::Ethernet)));
         let echo_sum = Arc::new(AtomicU64::new(0));
         let es = echo_sum.clone();
         let c2 = cstk.clone();
-        spin_net::UdpSocket::bind_with(&cstk, 7, "echo", move |p| {
+        spin_net::UdpSocket::bind_with(cstk, 7, "echo", move |p| {
             // xor-fold is order-independent, so the sum is deterministic
             // even though handler ordering across packets is not a
             // contract here.
@@ -131,53 +102,32 @@ fn run(workers: usize) -> RunResult {
         chains.push((result, echo_sum));
     }
 
-    let t0 = Instant::now();
-    assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let st = mc.stats();
-    RunResult {
-        virt: VirtualOutputs {
-            chains: chains
-                .iter()
-                .map(|(res, echo)| {
-                    let (sum, rtt) = *res.lock();
-                    (sum, echo.load(Ordering::Relaxed), rtt) // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                })
-                .collect(),
-            clocks: mc.shards().iter().map(|sh| sh.host.clock.now()).collect(),
-            epochs: st.epochs,
-            shard_runs: st.shard_runs,
-            mail_posted: st.mail_posted,
-            mail_drained: st.mail_drained,
-        },
-        wall_ms,
-    }
+    let wall_ms = run_to_completion(&rig.mc);
+    let virt = VirtualOutputs {
+        chains: chains
+            .iter()
+            .map(|(res, echo)| {
+                let (sum, rtt) = *res.lock();
+                (sum, echo.load(Ordering::Relaxed), rtt) // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            })
+            .collect(),
+        clocks: rig.clocks(),
+        barrier: rig.mc.stats(),
+    };
+    (virt, wall_ms)
 }
 
 fn main() {
-    let sweep: Vec<(usize, RunResult)> = [1usize, 2, 4].iter().map(|&w| (w, run(w))).collect();
-    let base = &sweep[0].1;
-    for (w, r) in &sweep[1..] {
-        assert_eq!(
-            r.virt, base.virt,
-            "virtual outputs diverged at {w} workers — the barrier is broken"
-        );
-    }
+    let sweep = sweep_workers(run);
+    let base = &sweep.virt;
+    let [wall_1w, wall_2w, wall_4w] = sweep.wall_ms;
 
-    let rtt = base.virt.chains[0].2;
-    let avg_par = base.virt.shard_runs as f64 / base.virt.epochs as f64;
+    let rtt = base.chains[0].2;
+    let avg_par = base.barrier.shard_runs as f64 / base.barrier.epochs as f64;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let wall = |w: usize| {
-        sweep
-            .iter()
-            .find(|(sw, _)| *sw == w)
-            .map(|(_, r)| r.wall_ms)
-            .expect("swept")
-    };
     let (speedup_4w, basis) = if cores >= 2 {
         (
-            wall(1) / wall(4),
+            wall_1w / wall_4w,
             format!("measured wall-clock ({cores} cores)"),
         )
     } else {
@@ -192,11 +142,8 @@ fn main() {
         1344.0,
         us(rtt),
     )];
-    for (w, r) in &sweep {
-        rows.push(Row::extra(
-            &format!("wall-clock, {w} worker(s) (ms)"),
-            r.wall_ms,
-        ));
+    for (w, ms) in WORKERS.iter().zip(sweep.wall_ms) {
+        rows.push(Row::extra(&format!("wall-clock, {w} worker(s) (ms)"), ms));
     }
     rows.push(Row::extra("speedup, 4 workers vs 1", speedup_4w));
     rows.push(Row::extra("avg shards runnable per epoch", avg_par));
@@ -219,11 +166,11 @@ fn main() {
     .number("chains", CHAINS as f64)
     .number("shards", (CHAINS * 3) as f64)
     .number("cores", cores as f64)
-    .number("epochs", base.virt.epochs as f64)
+    .number("epochs", base.barrier.epochs as f64)
     .number("avg_parallelism", avg_par)
-    .number("wall_ms_1w", wall(1))
-    .number("wall_ms_2w", wall(2))
-    .number("wall_ms_4w", wall(4))
+    .number("wall_ms_1w", wall_1w)
+    .number("wall_ms_2w", wall_2w)
+    .number("wall_ms_4w", wall_4w)
     .number("speedup_4w", speedup_4w)
     .text("speedup_basis", &basis)
     .write_if_requested();

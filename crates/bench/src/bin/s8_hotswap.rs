@@ -27,15 +27,15 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{mix, run_to_completion, sweep_workers};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::{Dispatcher, GatedEvent};
-use spin_net::{AddressMap, Forwarder, IpAddr, Medium, NetStack};
-use spin_sal::{MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, Multicore};
+use spin_core::GatedEvent;
+use spin_net::{Forwarder, Medium, ShardRig};
+use spin_sal::Nanos;
+use spin_sched::MulticoreStats;
 use spin_swap::{SwapCoordinator, SwapReport, SwapSession, UndoAction};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 const ECHO_PORT: u16 = 7;
 const CLIENT_PORT: u16 = 9000;
@@ -50,14 +50,6 @@ const T_QUIESCE: Nanos = 200_000_000;
 const T_COMMIT: Nanos = 1_500_000_000;
 /// The "mid-storm" gate from the acceptance bar.
 const MIN_IN_FLIGHT: u64 = 10_000;
-
-/// splitmix64 — order-independent payload checksum ingredient.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Outputs that must match between the hot-swapped and uninterrupted
 /// runs: counts, order-independent checksums, flow-table totals. No
@@ -80,10 +72,7 @@ struct VirtualOutputs {
     rtt_sum: Nanos,
     last_reply: Nanos,
     clocks: Vec<Nanos>,
-    epochs: u64,
-    shard_runs: u64,
-    mail_posted: u64,
-    mail_drained: u64,
+    barrier: MulticoreStats,
     held: u64,
     replayed: u64,
     overflowed: u64,
@@ -91,35 +80,16 @@ struct VirtualOutputs {
     generation: u64,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize, swap: bool) -> RunResult {
-    let board = MulticoreBoard::new();
-    let mut mc = Multicore::new(workers, board.lookahead());
-    let addrs = AddressMap::new();
-    let mut stacks = Vec::new();
-    for n in 1..=3u8 {
-        let host = board.new_host(256);
-        let exec = mc.add_host(host.clone());
-        let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-        mc.wire_dispatcher(&disp, host.id);
-        let stack = NetStack::install(
-            &host,
-            &exec,
-            &disp,
-            &addrs,
-            IpAddr::new(10, 0, 0, n),
-            IpAddr::new(10, 1, 0, n),
-            IpAddr::new(10, 2, 0, n),
-        );
-        stacks.push((host, exec, stack));
-    }
-    let (host_a, exec_a, a) = stacks.remove(0);
-    let (host_b, _exec_b, b) = stacks.remove(0);
-    let (_host_c, _exec_c, c) = stacks.remove(0);
+fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
+    let rig = ShardRig::new(workers, 3);
+    let mc = &rig.mc;
+    let (host_a, exec_a, a) = (
+        &rig.shards[0].host,
+        &rig.shards[0].exec,
+        rig.shards[0].stack.clone(),
+    );
+    let (host_b, b) = (&rig.shards[1].host, rig.shards[1].stack.clone());
+    let c = rig.shards[2].stack.clone();
 
     let medium = Medium::Ethernet;
     let target = c.ip_on(medium);
@@ -237,9 +207,7 @@ fn run(workers: usize, swap: bool) -> RunResult {
         }
     }
 
-    let t0 = Instant::now();
-    assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let wall_ms = run_to_completion(mc);
 
     let ev = &b.events().udp_arrived;
     let hold = ev.hold_stats().expect("event alive");
@@ -272,52 +240,35 @@ fn run(workers: usize, swap: bool) -> RunResult {
         assert_eq!(hold.held, 0, "nothing parks without a swap");
     }
 
-    RunResult {
-        virt: VirtualOutputs {
-            sem: Semantics {
-                echo_count: echo_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                echo_xor: echo_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                reply_count: reply_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                reply_xor: reply_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                forwarded: fwd_stats.forwarded,
-                replies: fwd_stats.replies,
-                flows: fwd_stats.flows,
-            },
-            rtt_sum: rtt_sum.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            last_reply: last_reply.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            clocks: mc.shards().iter().map(|sh| sh.host.clock.now()).collect(),
-            epochs: mc.stats().epochs,
-            shard_runs: mc.stats().shard_runs,
-            mail_posted: mc.stats().mail_posted,
-            mail_drained: mc.stats().mail_drained,
-            held: hold.held,
-            replayed: hold.replayed,
-            overflowed: hold.overflowed,
-            drain_ns: report.as_ref().map_or(0, |r| r.drain_ns),
-            generation: ev.generation().expect("event alive"),
+    let virt = VirtualOutputs {
+        sem: Semantics {
+            echo_count: echo_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            echo_xor: echo_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            reply_count: reply_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            reply_xor: reply_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            forwarded: fwd_stats.forwarded,
+            replies: fwd_stats.replies,
+            flows: fwd_stats.flows,
         },
-        wall_ms,
-    }
+        rtt_sum: rtt_sum.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        last_reply: last_reply.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        clocks: rig.clocks(),
+        barrier: mc.stats(),
+        held: hold.held,
+        replayed: hold.replayed,
+        overflowed: hold.overflowed,
+        drain_ns: report.as_ref().map_or(0, |r| r.drain_ns),
+        generation: ev.generation().expect("event alive"),
+    };
+    (virt, wall_ms)
 }
 
 fn main() {
     // Each scenario sweeps 1/2/4 workers and must be byte-identical.
-    let sweep = |swap: bool| -> Vec<(usize, RunResult)> {
-        [1usize, 2, 4].iter().map(|&w| (w, run(w, swap))).collect()
-    };
-    let plain = sweep(false);
-    let swapped = sweep(true);
-    for runs in [&plain, &swapped] {
-        let base = &runs[0].1;
-        for (w, r) in &runs[1..] {
-            assert_eq!(
-                r.virt, base.virt,
-                "virtual outputs diverged at {w} workers — the barrier is broken"
-            );
-        }
-    }
-    let base = &plain[0].1.virt;
-    let hot = &swapped[0].1.virt;
+    let plain = sweep_workers(|w| run(w, false));
+    let swapped = sweep_workers(|w| run(w, true));
+    let base = &plain.virt;
+    let hot = &swapped.virt;
 
     // The online-upgrade promise: the hot-swapped storm's packet counts,
     // checksums and flow totals match the uninterrupted run exactly.
@@ -348,12 +299,8 @@ fn main() {
         "\nZero dropped packets; semantics identical to the uninterrupted run; \
          outputs byte-identical at 1/2/4 workers."
     );
-    for (label, runs) in [("uninterrupted", &plain), ("hot-swapped", &swapped)] {
-        let walls: Vec<String> = runs
-            .iter()
-            .map(|(w, r)| format!("{w}w {:.1}ms", r.wall_ms))
-            .collect();
-        println!("wall-clock ({label}): {}", walls.join(", "));
+    for (label, sweep) in [("uninterrupted", &plain), ("hot-swapped", &swapped)] {
+        println!("wall-clock ({label}): {}", sweep.walls());
     }
 
     JsonReport::new(

@@ -43,17 +43,18 @@
 //! and is golden-diffed byte-for-byte by `scripts/verify.sh`.
 
 use parking_lot::Mutex;
+use spin_bench::storm::{digest, mix, run_to_completion, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{
-    post_with_backpressure, BackoffPolicy, Constraints, Containment, ContainmentPolicy, Dispatcher,
-    Identity, InstallSpec, PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
+    post_with_backpressure, BackoffPolicy, Constraints, Containment, ContainmentPolicy, Identity,
+    InstallSpec, PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
 };
-use spin_sal::{MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, Multicore};
+use spin_net::ShardRig;
+use spin_sal::Nanos;
+use spin_sched::MulticoreStats;
 use spin_swap::{SwapCoordinator, SwapSupervisor, UndoAction};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Well-behaved tenant shards (1..=TENANTS on the board).
 const TENANTS: usize = 9;
@@ -113,15 +114,6 @@ const P99_SLACK: Nanos = 4_000_000;
 /// Damage bar: the unarmed storm at least quadruples the tenant p99.
 const UNARMED_BLOWUP: u64 = 4;
 
-/// splitmix64 — deterministic heavy-tail draws and order-independent
-/// latency checksums.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Heavy-tailed tenant inter-arrival gap: mostly 100–184 µs, every 16th
 /// a 1.2 ms pause.
 fn tenant_gap(tenant: usize, req: u64) -> Nanos {
@@ -138,37 +130,6 @@ enum Scenario {
     Calm,
     StormUnarmed,
     StormArmed,
-}
-
-/// Order-independent digest plus the percentiles of one latency stream.
-#[derive(Debug, PartialEq, Eq)]
-struct LatencyDigest {
-    count: u64,
-    sum: Nanos,
-    xor: u64,
-    p50: Nanos,
-    p99: Nanos,
-    max: Nanos,
-}
-
-fn digest(latencies: &[Nanos]) -> LatencyDigest {
-    let mut sorted = latencies.to_vec();
-    sorted.sort_unstable();
-    let pct = |p: usize| -> Nanos {
-        if sorted.is_empty() {
-            0
-        } else {
-            sorted[(sorted.len() * p / 100).min(sorted.len() - 1)]
-        }
-    };
-    LatencyDigest {
-        count: latencies.len() as u64,
-        sum: latencies.iter().sum(),
-        xor: latencies.iter().fold(0, |acc, &l| acc ^ mix(l)),
-        p50: pct(50),
-        p99: pct(99),
-        max: pct(100),
-    }
 }
 
 /// Everything a scenario must reproduce exactly at any worker count.
@@ -189,35 +150,19 @@ struct VirtualOutputs {
     swaps_committed: u64,
     snapshots: Vec<(String, QuotaSnapshot)>,
     clocks: Vec<Nanos>,
-    epochs: u64,
-    shard_runs: u64,
-    mail_posted: u64,
-    mail_drained: u64,
-    mail_dropped: u64,
+    barrier: MulticoreStats,
 }
 
-struct RunResult {
-    virt: VirtualOutputs,
-    wall_ms: f64,
-}
-
-fn run(workers: usize, scenario: Scenario) -> RunResult {
+fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
     let armed = scenario == Scenario::StormArmed;
     let storm = scenario != Scenario::Calm;
 
-    let board = MulticoreBoard::new();
-    let mut mc = Multicore::new(workers, board.lookahead());
-
     // Shard 0: the server. Shards 1..=9: tenants. 10: greedy. 11: slow.
-    let mut shards = Vec::new();
-    for _ in 0..(TENANTS + 3) {
-        let host = board.new_host(64);
-        let exec = mc.add_host(host.clone());
-        let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
-        mc.wire_dispatcher(&disp, host.id);
-        shards.push((host, exec, disp));
-    }
-    let (host0, exec0, d0) = shards[0].clone();
+    // The storm is raises over the cross-call mailboxes; the rig's
+    // network stacks stay idle.
+    let rig = ShardRig::new(workers, (TENANTS + 3) as u8);
+    let (mc, shards) = (&rig.mc, &rig.shards);
+    let (host0, exec0, d0) = (&shards[0].host, &shards[0].exec, &shards[0].dispatcher);
     let clock0 = host0.clock.clone();
 
     // The server's per-domain events, each a nameable service on D0.
@@ -320,7 +265,7 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
 
         // Escalations feed the containment breaker; `Core.DomainFault`
         // wakes the supervisor, whose pump runs the fallback swap.
-        let containment = Containment::install(&d0, None, ContainmentPolicy::default());
+        let containment = Containment::install(d0, None, ContainmentPolicy::default());
         ledger.wire_containment(&containment);
         let sup = SwapSupervisor::install(&containment).expect("install supervisor");
         {
@@ -429,9 +374,10 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
 
     // Tenant senders: heavy-tailed storms of timestamped raises.
     for t in 0..TENANTS {
-        let (host, exec, disp) = shards[t + 1].clone();
+        let tenant = &shards[t + 1];
+        let (host, disp) = (tenant.host.clone(), tenant.dispatcher.clone());
         let (ev, h0) = (tenant_events[t].clone(), host0.id);
-        exec.spawn(&format!("tenant-{t}"), move |ctx| {
+        tenant.exec.spawn(&format!("tenant-{t}"), move |ctx| {
             for i in 0..TENANT_REQS {
                 let sent = host.clock.now();
                 disp.raise_on(h0, &ev, sent).expect("routed");
@@ -446,7 +392,8 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
     if storm {
         // The greedy flood (and, armed, the bulk-mail burst against the
         // lane gate first — sender-side backpressure in action).
-        let (host_g, exec_g, disp_g) = shards[TENANTS + 1].clone();
+        let greedy = &shards[TENANTS + 1];
+        let (host_g, disp_g) = (greedy.host.clone(), greedy.dispatcher.clone());
         let (ev, h0) = (ev_greedy.clone(), host0.id);
         let gate = armed.then(|| {
             (
@@ -459,7 +406,7 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
             bulk_shed.clone(),
             bulk_delivered.clone(),
         );
-        exec_g.spawn("greedy-flood", move |ctx| {
+        greedy.exec.spawn("greedy-flood", move |ctx| {
             if let Some((cell, mailbox)) = gate {
                 for _ in 0..BULK_POSTS {
                     let d2 = delivered.clone();
@@ -488,9 +435,10 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
         });
 
         // The slowloris.
-        let (host_s, exec_s, disp_s) = shards[TENANTS + 2].clone();
+        let slow = &shards[TENANTS + 2];
+        let (host_s, disp_s) = (slow.host.clone(), slow.dispatcher.clone());
         let (ev, h0) = (ev_slow.clone(), host0.id);
-        exec_s.spawn("slowloris", move |ctx| {
+        slow.exec.spawn("slowloris", move |ctx| {
             for _ in 0..SLOW_REQS {
                 let sent = host_s.clock.now();
                 disp_s.raise_on(h0, &ev, sent).expect("routed");
@@ -499,9 +447,7 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
         });
     }
 
-    let t0 = Instant::now();
-    assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let wall_ms = run_to_completion(mc);
 
     // Exact reconciliation: every metered domain's books close.
     let snapshots: Vec<(String, QuotaSnapshot)> = cells
@@ -518,58 +464,33 @@ fn run(workers: usize, scenario: Scenario) -> RunResult {
         assert_eq!(s.admitted, s.completed, "{name}: every admission completed");
     }
 
-    let stats = mc.stats();
     let tenant = digest(&tenant_latencies.lock());
-    RunResult {
-        virt: VirtualOutputs {
-            tenant,
-            slow_served: slow_served.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            greedy_heavy: greedy_heavy.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            greedy_degraded: greedy_degraded.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            bulk_posted: bulk_posted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            bulk_shed: bulk_shed.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            bulk_delivered: bulk_delivered.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            demoted: demoted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            cruncher_done: cruncher_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            sweeper_done: sweeper_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            pumped: pumped.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            quarantined_at_pump: quarantined_at_pump.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            swaps_committed: coord.stats().committed,
-            snapshots,
-            clocks: mc.shards().iter().map(|sh| sh.host.clock.now()).collect(),
-            epochs: stats.epochs,
-            shard_runs: stats.shard_runs,
-            mail_posted: stats.mail_posted,
-            mail_drained: stats.mail_drained,
-            mail_dropped: stats.mail_dropped,
-        },
-        wall_ms,
-    }
+    let virt = VirtualOutputs {
+        tenant,
+        slow_served: slow_served.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        greedy_heavy: greedy_heavy.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        greedy_degraded: greedy_degraded.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        bulk_posted: bulk_posted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        bulk_shed: bulk_shed.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        bulk_delivered: bulk_delivered.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        demoted: demoted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        cruncher_done: cruncher_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        sweeper_done: sweeper_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        pumped: pumped.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        quarantined_at_pump: quarantined_at_pump.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        swaps_committed: coord.stats().committed,
+        snapshots,
+        clocks: rig.clocks(),
+        barrier: mc.stats(),
+    };
+    (virt, wall_ms)
 }
 
 fn main() {
     // Each scenario sweeps 1/2/4 workers and must be byte-identical.
-    let sweep = |scenario: Scenario| -> Vec<(usize, RunResult)> {
-        [1usize, 2, 4]
-            .iter()
-            .map(|&w| (w, run(w, scenario)))
-            .collect()
-    };
-    let calm_runs = sweep(Scenario::Calm);
-    let unarmed_runs = sweep(Scenario::StormUnarmed);
-    let armed_runs = sweep(Scenario::StormArmed);
-    for runs in [&calm_runs, &unarmed_runs, &armed_runs] {
-        let base = &runs[0].1;
-        for (w, r) in &runs[1..] {
-            assert_eq!(
-                r.virt, base.virt,
-                "virtual outputs diverged at {w} workers — the barrier is broken"
-            );
-        }
-    }
-    let calm = &calm_runs[0].1;
-    let unarmed = &unarmed_runs[0].1;
-    let armed = &armed_runs[0].1;
+    let calm = sweep_workers(|w| run(w, Scenario::Calm));
+    let unarmed = sweep_workers(|w| run(w, Scenario::StormUnarmed));
+    let armed = sweep_workers(|w| run(w, Scenario::StormArmed));
 
     // Every tenant raise served in every scenario — no collateral drops.
     let all_tenant = TENANTS as u64 * TENANT_REQS;
@@ -653,8 +574,8 @@ fn main() {
     // Unarmed: everything admitted, nothing refused, v1 serves it all.
     assert_eq!(unarmed.virt.greedy_heavy, GREEDY_REQS);
     assert_eq!(unarmed.virt.slow_served, SLOW_REQS);
-    assert_eq!(unarmed.virt.mail_dropped, 0);
-    assert_eq!(calm.virt.mail_dropped, 0);
+    assert_eq!(unarmed.virt.barrier.mail_dropped, 0);
+    assert_eq!(calm.virt.barrier.mail_dropped, 0);
 
     // Backpressure: the burst saturates the 8-deep lane and the sender's
     // occupancy probe refuses *before* the mailbox — every refusal is a
@@ -671,7 +592,10 @@ fn main() {
     assert_eq!(armed.virt.bulk_delivered, armed.virt.bulk_posted);
     assert!(g.mail_refused > 0, "refusals charged the sender's backoff");
     assert_eq!(g.mail_shed, armed.virt.bulk_shed);
-    assert_eq!(armed.virt.mail_dropped, 0, "nothing vanished in flight");
+    assert_eq!(
+        armed.virt.barrier.mail_dropped, 0,
+        "nothing vanished in flight"
+    );
 
     // Deferred-lane demotion: armed, the greedy strand re-enqueued at
     // the deferred priority and finished strictly after the sweeper.
@@ -714,16 +638,12 @@ fn main() {
         "\nLedger reconciles exactly in every scenario; outputs byte-identical \
          at 1/2/4 workers."
     );
-    for (label, runs) in [
-        ("calm", &calm_runs),
-        ("storm unarmed", &unarmed_runs),
-        ("storm armed", &armed_runs),
+    for (label, sweep) in [
+        ("calm", &calm),
+        ("storm unarmed", &unarmed),
+        ("storm armed", &armed),
     ] {
-        let walls: Vec<String> = runs
-            .iter()
-            .map(|(w, r)| format!("{w}w {:.1}ms", r.wall_ms))
-            .collect();
-        println!("wall-clock ({label}): {}", walls.join(", "));
+        println!("wall-clock ({label}): {}", sweep.walls());
     }
 
     JsonReport::new(

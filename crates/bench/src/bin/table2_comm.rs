@@ -2,64 +2,29 @@
 //!
 //! "Protected in-kernel call", "System call" and "Cross-address space
 //! call" on DEC OSF/1, Mach and SPIN. SPIN's rows are *measured* on the
-//! simulated paths; OSF/1's and Mach's come from the structural models.
+//! simulated paths (`spin_bench::scenario`); OSF/1's and Mach's come from
+//! the structural models.
 
 use spin_baseline::{MachModel, Osf1Model};
+use spin_bench::scenario::{in_kernel_call, syscall, xas, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_core::{Dispatcher, Identity, Kernel};
-use spin_sal::{Clock, MachineProfile, SimBoard};
-use spin_sched::{measure_xas_call, Executor};
+use spin_sal::MachineProfile;
 use std::sync::Arc;
-
-fn spin_in_kernel_call() -> u64 {
-    let clock = Clock::new();
-    let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let d = Dispatcher::new(clock.clone(), profile);
-    let (ev, owner) = d.define::<(), ()>("Null", Identity::kernel("bench"));
-    owner.set_primary(|_| ()).expect("fresh");
-    let t0 = clock.now();
-    const N: u64 = 1000;
-    for _ in 0..N {
-        ev.raise(()).expect("handler installed");
-    }
-    (clock.now() - t0) / N
-}
-
-fn spin_syscall() -> u64 {
-    let board = SimBoard::new();
-    let kernel = Kernel::boot(board.new_host(64));
-    kernel
-        .register_syscalls(Identity::extension("null"), 0..1, |_| 0)
-        .expect("install");
-    let clock = kernel.host().clock.clone();
-    let t0 = clock.now();
-    const N: u64 = 100;
-    for _ in 0..N {
-        kernel.syscall(0, [0; 6]);
-    }
-    (clock.now() - t0) / N
-}
-
-fn spin_xas() -> u64 {
-    let board = SimBoard::new();
-    let host = board.new_host(64);
-    let exec = Executor::for_host(&host);
-    measure_xas_call(&exec)
-}
 
 fn main() {
     let p = Arc::new(MachineProfile::alpha_axp_3000_400());
     let osf1 = Osf1Model::new(p.clone());
     let mach = MachModel::new(p);
+    let bare = Wiring::bare();
 
     let rows = vec![
         Row::new(
             "SPIN: protected in-kernel call",
             0.13,
-            us(spin_in_kernel_call()),
+            us(in_kernel_call(&bare)),
         ),
-        Row::new("SPIN: system call", 4.0, us(spin_syscall())),
-        Row::new("SPIN: cross-address space call", 89.0, us(spin_xas())),
+        Row::new("SPIN: system call", 4.0, us(syscall(&bare))),
+        Row::new("SPIN: cross-address space call", 89.0, us(xas(&bare))),
         Row::new("DEC OSF/1: system call", 5.0, us(osf1.null_syscall())),
         Row::new(
             "DEC OSF/1: cross-address space call",

@@ -6,8 +6,8 @@
 //! modelled user-level crossings and copies.
 
 use spin_baseline::Osf1Model;
+use spin_bench::scenario::{table5_net, Table5, Wiring, ATM_BW_PAYLOAD, ETH_BW_PAYLOAD};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_net::{reliable_bandwidth, udp_round_trip, Medium, TwoHosts};
 use spin_sal::MachineProfile;
 use std::sync::Arc;
 
@@ -15,18 +15,12 @@ fn main() {
     let p = Arc::new(MachineProfile::alpha_axp_3000_400());
     let osf1 = Osf1Model::new(p);
 
-    // Latency: fresh rig per medium.
-    let rig = TwoHosts::new();
-    let spin_eth_rtt = udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 16, 16);
-    let rig = TwoHosts::new();
-    let spin_atm_rtt = udp_round_trip(&rig.exec, &rig.a, &rig.b, Medium::Atm, 16, 16);
-
-    // Bandwidth: payload sizes chosen so the on-wire packets are the
-    // paper's 1500 (Ethernet) and 8132 (ATM).
-    let rig = TwoHosts::new();
-    let spin_eth_bw = reliable_bandwidth(&rig.exec, &rig.a, &rig.b, Medium::Ethernet, 1458, 80, 16);
-    let rig = TwoHosts::new();
-    let spin_atm_bw = reliable_bandwidth(&rig.exec, &rig.a, &rig.b, Medium::Atm, 8104, 80, 16);
+    let Table5 {
+        eth_rtt: spin_eth_rtt,
+        atm_rtt: spin_atm_rtt,
+        eth_bw: spin_eth_bw,
+        atm_bw: spin_atm_bw,
+    } = table5_net(&Wiring::bare());
 
     let rows = vec![
         Row::new(
@@ -52,13 +46,13 @@ fn main() {
         Row::new(
             "Bandwidth Ethernet: DEC OSF/1",
             8.9,
-            osf1.receive_bandwidth_mbps(spin_eth_bw, 1458),
+            osf1.receive_bandwidth_mbps(spin_eth_bw, ETH_BW_PAYLOAD),
         ),
         Row::new("Bandwidth Ethernet: SPIN", 8.9, spin_eth_bw),
         Row::new(
             "Bandwidth ATM: DEC OSF/1",
             27.9,
-            osf1.receive_bandwidth_mbps(spin_atm_bw, 8104),
+            osf1.receive_bandwidth_mbps(spin_atm_bw, ATM_BW_PAYLOAD),
         ),
         Row::new("Bandwidth ATM: SPIN", 33.0, spin_atm_bw),
     ];

@@ -5,119 +5,27 @@
 //! is a user-level process splicing sockets, which adds boundary crossings
 //! and copies per forwarded packet (and cannot forward control packets).
 
-use parking_lot::Mutex;
 use spin_baseline::Osf1Model;
+use spin_bench::scenario::{table6_forward, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_net::{Forwarder, Medium, TcpStack, ThreeHosts};
-use spin_sal::{MachineProfile, Nanos};
+use spin_sal::MachineProfile;
 use std::sync::Arc;
-
-/// UDP: client on A sends to forwarder B, spliced to echo server C.
-fn spin_udp_forward_rtt(medium: Medium) -> Nanos {
-    let rig = ThreeHosts::new();
-    let _fwd = Forwarder::install_udp(&rig.b, 7, rig.c.ip_on(medium));
-    let c2 = rig.c.clone();
-    spin_net::UdpSocket::bind_with(&rig.c, 7, "echo", move |p| {
-        let _ = c2.udp_send(7, p.ip.src, p.header.src_port, &p.payload);
-    })
-    .expect("bind echo");
-    let reply = spin_net::UdpSocket::bind(&rig.a, 9000, "client", 4).expect("bind client");
-    let b_ip = rig.b.ip_on(medium);
-    let a = rig.a.clone();
-    let clock = rig.exec.clock().clone();
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = out.clone();
-    const ROUNDS: u64 = 8;
-    rig.exec.spawn("driver", move |ctx| {
-        a.udp_send(9000, b_ip, 7, &[0u8; 16]).unwrap();
-        reply.recv(ctx); // warm-up
-        let t0 = clock.now();
-        for _ in 0..ROUNDS {
-            a.udp_send(9000, b_ip, 7, &[0u8; 16]).unwrap();
-            reply.recv(ctx);
-        }
-        *o2.lock() = (clock.now() - t0) / ROUNDS;
-    });
-    rig.exec.run_until_idle();
-    let r = *out.lock();
-    r
-}
-
-/// TCP: an established connection through the splice; 16-byte request,
-/// 16-byte reply.
-fn spin_tcp_forward_rtt(medium: Medium) -> Nanos {
-    let rig = ThreeHosts::new();
-    let _fwd = Forwarder::install_tcp(&rig.b, 80, rig.c.ip_on(medium));
-    let tcp_a = TcpStack::install(&rig.a);
-    let tcp_c = TcpStack::install(&rig.c);
-    let listener = tcp_c.listen(80);
-    rig.exec.spawn("server", move |ctx| {
-        if let Some(conn) = listener.accept(ctx) {
-            while let Some(req) = conn.recv(ctx) {
-                if conn.send(ctx, &req).is_err() {
-                    break;
-                }
-            }
-        }
-    });
-    let b_ip = rig.b.ip_on(medium);
-    let clock = rig.exec.clock().clone();
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = out.clone();
-    const ROUNDS: u64 = 8;
-    rig.exec.spawn("client", move |ctx| {
-        let conn = tcp_a.connect(ctx, b_ip, 80).expect("splice handshake");
-        conn.send(ctx, &[0u8; 16]).unwrap();
-        conn.recv(ctx); // warm-up
-        let t0 = clock.now();
-        for _ in 0..ROUNDS {
-            conn.send(ctx, &[0u8; 16]).unwrap();
-            conn.recv(ctx);
-        }
-        *o2.lock() = (clock.now() - t0) / ROUNDS;
-        conn.close(ctx);
-    });
-    rig.exec.run_until_idle();
-    let r = *out.lock();
-    r
-}
 
 fn main() {
     let p = Arc::new(MachineProfile::alpha_axp_3000_400());
     let osf1 = Osf1Model::new(p);
 
-    let spin_rows = [
-        (
-            "TCP Ethernet",
-            Medium::Ethernet,
-            spin_tcp_forward_rtt(Medium::Ethernet),
-            1420.0,
-            2080.0,
-        ),
-        (
-            "TCP ATM",
-            Medium::Atm,
-            spin_tcp_forward_rtt(Medium::Atm),
-            1067.0,
-            1730.0,
-        ),
-        (
-            "UDP Ethernet",
-            Medium::Ethernet,
-            spin_udp_forward_rtt(Medium::Ethernet),
-            1344.0,
-            1607.0,
-        ),
-        (
-            "UDP ATM",
-            Medium::Atm,
-            spin_udp_forward_rtt(Medium::Atm),
-            1024.0,
-            1389.0,
-        ),
+    // (label, SPIN paper µs, OSF/1 paper µs), in `table6_forward`'s order.
+    let paper = [
+        ("TCP Ethernet", 1420.0, 2080.0),
+        ("TCP ATM", 1067.0, 1730.0),
+        ("UDP Ethernet", 1344.0, 1607.0),
+        ("UDP ATM", 1024.0, 1389.0),
     ];
     let mut rows = Vec::new();
-    for (label, _medium, spin_ns, spin_paper, osf_paper) in spin_rows {
+    for ((label, spin_paper, osf_paper), spin_ns) in
+        paper.into_iter().zip(table6_forward(&Wiring::bare()))
+    {
         rows.push(Row::new(&format!("{label}: SPIN"), spin_paper, us(spin_ns)));
         rows.push(Row::new(
             &format!("{label}: DEC OSF/1 (user-level)"),

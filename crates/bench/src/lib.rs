@@ -2,11 +2,16 @@
 //! the paper's evaluation (§5).
 //!
 //! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §3 for
-//! the index) and prints a paper-vs-measured table. Criterion benches in
+//! the index) and prints a paper-vs-measured table. The measured Table
+//! 2/4/5/6 and §5.5 workloads are defined once, in [`scenario`], for the
+//! bins and the invariance matrix alike. Criterion benches in
 //! `benches/` measure the *real* (wall-clock) overhead of the dispatcher,
 //! linker and collector, independent of the virtual-time calibration.
 
 #![forbid(unsafe_code)]
+
+pub mod scenario;
+pub mod storm;
 
 use std::fmt::Write as _;
 

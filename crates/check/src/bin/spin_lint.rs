@@ -18,5 +18,5 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    spin_check::lint::cli_run("spin-lint", std::env::args().skip(1))
+    spin_check::lint::cli_run(std::env::args().skip(1))
 }

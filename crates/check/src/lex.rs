@@ -1,7 +1,7 @@
 //! A token-level Rust lexer for the static safety rules in [`crate::lint`].
 //!
-//! Grown from the line-splitter that backed the original `spin-audit`
-//! substring scanner: where that pass could only blank string literals and
+//! Grown from the line-splitter that backed the original substring
+//! scanner: where that pass could only blank string literals and
 //! strip comments per line, this one produces a real token stream —
 //! identifiers, punctuation (with `::` fused), and literals — each stamped
 //! with its 1-based source line, alongside the per-line comment text the

@@ -18,10 +18,9 @@
 //!   operation is a schedule point, weak-memory visibility is modeled with
 //!   vector clocks so stale values are actually observable, and failing
 //!   schedules print a seed that replays the exact interleaving.
-//! - [`lint`] is the static gate behind `spin-lint` (and its back-compat
-//!   alias `spin-audit`, see [`audit`]): a token-level verifier over the
-//!   whole workspace built on the lexer in [`lex`]. Six rules — D1
-//!   determinism (no wall clock / ambient randomness / env reads), D2
+//! - [`lint`] is the static gate behind `spin-lint`: a token-level
+//!   verifier over the whole workspace built on the lexer in [`lex`]. Six
+//!   rules — D1 determinism (no wall clock / ambient randomness / env reads), D2
 //!   hash-iteration order, F1 facade enforcement, O1 `// ordering:`
 //!   justifications, U1 unsafe containment with `// SAFETY:` comments,
 //!   C1 charge coverage in the hot-path modules — with a declarative
@@ -34,7 +33,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod audit;
 pub mod hooks;
 pub mod instr;
 pub mod lex;

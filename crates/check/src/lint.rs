@@ -984,11 +984,11 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     lint_workspace_with(root, &cfg)
 }
 
-/// The CLI driver shared by the `spin-lint` binary and its `spin-audit`
-/// back-compat alias: `[--root <dir>] [--json]`, exit 0 clean / 1
-/// findings / 2 usage-or-IO error.
-pub fn cli_run(tool: &str, args: impl Iterator<Item = String>) -> std::process::ExitCode {
+/// The `spin-lint` CLI driver: `[--root <dir>] [--json]`, exit 0 clean /
+/// 1 findings / 2 usage-or-IO error.
+pub fn cli_run(args: impl Iterator<Item = String>) -> std::process::ExitCode {
     use std::process::ExitCode;
+    let tool = "spin-lint";
     let mut args = args;
     let mut root = None;
     let mut json = false;

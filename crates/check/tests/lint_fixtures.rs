@@ -126,8 +126,7 @@ fn allowlisted_unsafe_still_needs_its_safety_comment() {
 }
 
 /// The regression gate: the real workspace must stay lint-clean under its
-/// own `lint.toml`, through both the new API and the `spin_check::audit`
-/// back-compat alias.
+/// own `lint.toml`.
 #[test]
 fn real_workspace_is_lint_clean() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -146,6 +145,4 @@ fn real_workspace_is_lint_clean() {
             .collect::<Vec<_>>()
             .join("\n")
     );
-    let alias = spin_check::audit::audit_workspace(&root).expect("workspace is readable");
-    assert!(alias.is_empty(), "spin-audit alias must agree");
 }

@@ -824,9 +824,6 @@ struct DispatcherInner {
     /// Deterministic fault-injection hook (`core.dispatch` site): absent
     /// until wired; a disabled plan's draw is one relaxed load.
     faults: crate::hooks::HookSlot<FaultHook>,
-    /// Batch-edge fault hook (`core.dispatch.batch` site): one draw per
-    /// [`Dispatcher::raise_batch`] burst, before any item dispatches.
-    batch_faults: crate::hooks::HookSlot<FaultHook>,
     /// Invoked — outside every dispatcher lock — for each contained
     /// handler panic and time-bound abort.
     fault_sink: RwLock<Option<FaultSink>>,
@@ -853,7 +850,6 @@ impl Dispatcher {
                 xcall: crate::hooks::HookSlot::new(),
                 obs: crate::hooks::HookSlot::new(),
                 faults: crate::hooks::HookSlot::new(),
-                batch_faults: crate::hooks::HookSlot::new(),
                 fault_sink: RwLock::new(None),
             }),
         }
@@ -894,16 +890,6 @@ impl Dispatcher {
     // uncharged: one-shot control-plane wiring.
     pub fn set_fault_hook(&self, hook: FaultHook) {
         let _ = self.inner.faults.set(hook);
-    }
-
-    /// Wires deterministic fault injection at the batch edge (the
-    /// `core.dispatch.batch` site): one draw per [`Dispatcher::raise_batch`]
-    /// burst. A `Fail` (or contained `Panic`) drops the whole burst before
-    /// any item dispatches; a `Delay` charges its latency to the raiser
-    /// once, ahead of the burst. One-shot; charges zero virtual time.
-    // uncharged: one-shot control-plane wiring.
-    pub fn set_batch_fault_hook(&self, hook: FaultHook) {
-        let _ = self.inner.batch_faults.set(hook);
     }
 
     /// Installs the sink notified of every contained handler fault
@@ -1261,11 +1247,7 @@ impl Dispatcher {
     /// each item charges exactly the virtual time a lone [`raise`] would —
     /// but the per-raise constants amortize: the event resolves once, the
     /// plan snapshots once, the obs/fault hooks load once, and statistics
-    /// settle in one batched increment. Fault injection draws once at the
-    /// batch edge (the `core.dispatch.batch` site): a `Fail` or contained
-    /// `Panic` drops the whole burst before any item dispatches (every
-    /// item reports [`DispatchError::NoHandlerRan`] and no raise is
-    /// counted); a `Delay` charges the raiser once, ahead of the burst.
+    /// settle in one batched increment.
     ///
     /// The burst runs against *one* snapshot: a plan republished mid-batch
     /// (install/uninstall from a handler, fast-path demotion after a
@@ -1292,10 +1274,9 @@ impl Dispatcher {
         };
         let _flight = FlightGuard::enter(&state.in_flight);
         let quota = state.quota.get();
-        // A gated burst parks item by item — before the batch-edge fault
-        // draw, which belongs to dispatched bursts only. Parked items keep
-        // their burst order (consecutive hold-queue seqs) and replay as
-        // individual raises on resume.
+        // A gated burst parks item by item. Parked items keep their burst
+        // order (consecutive hold-queue seqs) and replay as individual
+        // raises on resume.
         // ordering: SeqCst — store-buffer pair with `quiesce`'s gate store; see FlightGuard::enter.
         if state.gate.load(Ordering::SeqCst) {
             return batch
@@ -1312,23 +1293,6 @@ impl Dispatcher {
         if state.destroyed.load(Ordering::Acquire) {
             let e = ev.unknown();
             return batch.iter().map(|_| Err(e.clone())).collect();
-        }
-        if let Some(hook) = self.inner.batch_faults.get() {
-            match hook.draw() {
-                Some(Injection::Delay(ns)) => self.inner.clock.advance(ns),
-                Some(fail @ (Injection::Fail | Injection::Panic)) => {
-                    if matches!(fail, Injection::Panic) {
-                        // Contained at the batch edge; the plan's own
-                        // counters record the injection.
-                        let _ = catch_unwind(AssertUnwindSafe(|| hook.fire_panic()));
-                    }
-                    let e = DispatchError::NoHandlerRan {
-                        name: ev.name.to_string(),
-                    };
-                    return batch.iter().map(|_| Err(e.clone())).collect();
-                }
-                None => {}
-            }
         }
         // An unmetered burst settles its statistics up front (the batched
         // fast path); a metered one counts only admitted items, after the
@@ -1836,80 +1800,6 @@ impl Dispatcher {
         }
     }
 
-    /// The pre-snapshot raise path, kept verbatim for the
-    /// `dispatch_snapshot` ablation bench: resolves through the global
-    /// table on every raise, deep-clones the handler vector under the
-    /// event mutex, and re-locks to update statistics. Semantics and
-    /// virtual-time charges match [`Dispatcher::raise`]; real-time cost
-    /// does not — that difference is the point of the ablation.
-    #[doc(hidden)]
-    pub fn raise_locked_baseline<A, R>(&self, ev: &Event<A, R>, args: A) -> Result<R, DispatchError>
-    where
-        A: Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        let state = self.lookup(ev)?;
-        let profile = &self.inner.profile;
-        let clock = &self.inner.clock;
-
-        let (entries, reducer) = {
-            let ws = state.write.lock();
-            state.stats.raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            (ws.handlers.clone(), ws.reducer.clone())
-        };
-
-        if entries.len() == 1
-            && entries[0].guards.is_empty()
-            && entries[0].constraints.mode == HandlerMode::Synchronous
-            && entries[0].constraints.time_bound.is_none()
-            && reducer.is_none()
-        {
-            clock.advance(profile.inter_module_call);
-            {
-                // The baseline's second lock acquisition for statistics.
-                let _ws = state.write.lock();
-                state.stats.fast_path_raises.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            }
-            return Ok((entries[0].handler)(&args));
-        }
-
-        clock.advance(profile.event_raise_base);
-        let args = Arc::new(args);
-        let mut results: Vec<R> = Vec::new();
-        for entry in &entries {
-            let mut pass = true;
-            for guard in &entry.guards {
-                clock.advance(profile.guard_eval);
-                state
-                    .stats
-                    .guard_evaluations
-                    .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                if !guard.eval(&args) {
-                    pass = false;
-                    break;
-                }
-            }
-            if !pass {
-                continue;
-            }
-            if entry.constraints.mode == HandlerMode::Synchronous {
-                clock.advance(profile.handler_invoke + profile.inter_module_call);
-                let r = (entry.handler)(&args);
-                state.stats.handlers_run.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                results.push(r);
-            }
-        }
-        if results.is_empty() {
-            return Err(DispatchError::NoHandlerRan {
-                name: ev.name.to_string(),
-            });
-        }
-        Ok(match reducer {
-            Some(reduce) => reduce(results),
-            None => results.pop().expect("non-empty checked above"),
-        })
-    }
-
     /// Statistics for an event.
     // uncharged: diagnostics snapshot.
     pub fn stats<A, R>(&self, ev: &Event<A, R>) -> Result<EventStats, DispatchError>
@@ -1996,7 +1886,7 @@ where
                 state
             }
         };
-        // ordering: Acquire — pairs with destroy's Release flag store; runs after the plan snapshot.
+        // ordering: Acquire — pairs with destroy's Release flag store; a destroyed event resolves to `UnknownEvent`.
         if state.destroyed.load(Ordering::Acquire) {
             return Err(self.unknown());
         }
@@ -2820,22 +2710,5 @@ mod tests {
         assert_eq!(ev.raise(()), Ok(1));
         // Second raise: the republished snapshot includes it.
         assert_eq!(ev.raise(()), Ok(99));
-    }
-
-    #[test]
-    fn baseline_raise_path_matches_semantics() {
-        let d = disp();
-        let (ev, owner) = d.define::<u32, u32>("E", Identity::kernel("k"));
-        owner.set_primary(|x| x + 1).unwrap();
-        assert_eq!(d.raise_locked_baseline(&ev, 1), Ok(2));
-        ev.install_guarded(
-            Identity::extension("g"),
-            |x| x.is_multiple_of(2),
-            |x| x * 10,
-        )
-        .unwrap();
-        assert_eq!(d.raise_locked_baseline(&ev, 4), Ok(40));
-        assert_eq!(d.raise_locked_baseline(&ev, 3), Ok(4));
-        assert_eq!(ev.raise(4), Ok(40), "snapshot path agrees");
     }
 }

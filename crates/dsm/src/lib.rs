@@ -524,7 +524,7 @@ mod tests {
     }
 
     struct ShardedDsm {
-        rig: spin_net::ShardedPair,
+        rig: spin_net::ShardRig,
         node_a: Arc<DsmNode>,
         node_b: Arc<DsmNode>,
         trans_a: TranslationService,
@@ -537,47 +537,48 @@ mod tests {
     /// its own executor and dispatcher; coherence traffic crosses the
     /// shard boundary through the wire mailboxes.
     fn sharded_dsm(pages: u64, workers: usize) -> ShardedDsm {
-        let rig = spin_net::ShardedPair::new(workers);
+        let rig = spin_net::ShardRig::new(workers, 2);
+        let (a, b) = (&rig.shards[0], &rig.shards[1]);
         let trans_a = TranslationService::new(
-            rig.host_a.mmu.clone(),
-            rig.host_a.clock.clone(),
-            rig.host_a.profile.clone(),
-            &rig.disp_a,
+            a.host.mmu.clone(),
+            a.host.clock.clone(),
+            a.host.profile.clone(),
+            &a.dispatcher,
         );
         let trans_b = TranslationService::new(
-            rig.host_b.mmu.clone(),
-            rig.host_b.clock.clone(),
-            rig.host_b.profile.clone(),
-            &rig.disp_b,
+            b.host.mmu.clone(),
+            b.host.clock.clone(),
+            b.host.profile.clone(),
+            &b.dispatcher,
         );
-        let phys_a = PhysAddrService::new(rig.host_a.mem.clone(), &rig.disp_a);
-        let phys_b = PhysAddrService::new(rig.host_b.mem.clone(), &rig.disp_b);
+        let phys_a = PhysAddrService::new(a.host.mem.clone(), &a.dispatcher);
+        let phys_b = PhysAddrService::new(b.host.mem.clone(), &b.dispatcher);
         let virt = spin_vm::VirtAddrService::new();
         let region = virt.allocate(pages).unwrap();
         let (ctx_a, ctx_b) = (trans_a.create(), trans_b.create());
         let node_a = DsmNode::install(
-            &rig.a,
-            &rig.exec_a,
+            &a.stack,
+            &a.exec,
             &trans_a,
             &phys_a,
-            &rig.host_a.mem,
+            &a.host.mem,
             ctx_a,
             region.clone(),
-            rig.b.ip_on(spin_net::Medium::Ethernet),
+            b.stack.ip_on(spin_net::Medium::Ethernet),
             true,
         );
         let node_b = DsmNode::install(
-            &rig.b,
-            &rig.exec_b,
+            &b.stack,
+            &b.exec,
             &trans_b,
             &phys_b,
-            &rig.host_b.mem,
+            &b.host.mem,
             ctx_b,
             region,
-            rig.a.ip_on(spin_net::Medium::Ethernet),
+            a.stack.ip_on(spin_net::Medium::Ethernet),
             false,
         );
-        let (mem_a, mem_b) = (rig.host_a.mem.clone(), rig.host_b.mem.clone());
+        let (mem_a, mem_b) = (a.host.mem.clone(), b.host.mem.clone());
         ShardedDsm {
             rig,
             node_a,
@@ -602,11 +603,11 @@ mod tests {
             let (tb, mb, cb) = (r.trans_b.clone(), r.mem_b.clone(), r.node_b.context());
             let seen = Arc::new(Mutex::new(Vec::new()));
             let s2 = seen.clone();
-            r.rig.exec_a.spawn("writer-a", move |ctx| {
+            r.rig.shards[0].exec.spawn("writer-a", move |ctx| {
                 ta.write(ca, base + 10, b"cross-shard!", &ma).unwrap();
                 ctx.sleep(1_000_000);
             });
-            r.rig.exec_b.spawn("reader-b", move |ctx| {
+            r.rig.shards[1].exec.spawn("reader-b", move |ctx| {
                 // B's write fetch migrates the page across the shard
                 // boundary, invalidating A's exclusive copy.
                 tb.write(cb, base + 64, b"B", &mb).unwrap();
@@ -622,8 +623,8 @@ mod tests {
                 seen,
                 r.node_a.stats(),
                 r.node_b.stats(),
-                r.rig.host_a.clock.now(),
-                r.rig.host_b.clock.now(),
+                r.rig.shards[0].host.clock.now(),
+                r.rig.shards[1].host.clock.now(),
             )
         };
         let base = run(1);

@@ -43,8 +43,6 @@ pub const SITE_RT_HEAP: &str = "rt.heap";
 pub const SITE_NET_STACK: &str = "net.stack";
 /// Cross-shard mailbox post (multicore mode).
 pub const SITE_MAILBOX: &str = "sal.mailbox";
-/// Batch edge of `raise_batch` bursts (one draw per burst).
-pub const SITE_DISPATCH_BATCH: &str = "core.dispatch.batch";
 /// Hot-swap state transfer (one draw per swap attempt, inside the
 /// transfer's unwind containment — a panic here exercises rollback).
 pub const SITE_SWAP: &str = "swap.transfer";

@@ -51,5 +51,5 @@ pub use stack::{
     SendRequest, SendVerdict, TcpSegment, Topology, UdpPacket,
 };
 pub use tcp::{TcpConn, TcpError, TcpListenerSocket, TcpStack, TcpState};
-pub use testrig::{ShardedPair, ThreeHosts, TwoHosts};
+pub use testrig::{RigShard, ShardRig, ThreeHosts, TwoHosts};
 pub use video::{VideoClient, VideoServer, MULTICAST_GROUP, VIDEO_PORT};

@@ -1,11 +1,12 @@
-//! The standard two-workstation testbed used throughout the networking
-//! tests and benchmarks: two hosts on one board (shared timeline), both
-//! attached to Ethernet, ATM and T3, each with an installed [`NetStack`].
+//! The standard testbeds used throughout the networking tests and
+//! benchmarks: two or three hosts on one board (shared timeline), or n
+//! kernel shards under the multicore barrier — every host attached to
+//! Ethernet, ATM and T3, each with an installed [`NetStack`].
 
 use crate::pkt::IpAddr;
 use crate::stack::{AddressMap, Medium, NetStack};
 use spin_core::Dispatcher;
-use spin_sal::{Host, MulticoreBoard, SimBoard};
+use spin_sal::{Host, MulticoreBoard, Nanos, SimBoard};
 use spin_sched::{Executor, Multicore};
 use std::sync::Arc;
 
@@ -91,82 +92,75 @@ impl TwoHosts {
     }
 }
 
-/// The two-workstation rig in multicore mode: each host is a kernel
-/// shard with its own executor, dispatcher, clock and timer queue, all
-/// pumped by the [`Multicore`] barrier. Wire frames cross shards through
+/// One kernel shard of a [`ShardRig`]: a host with its own executor,
+/// dispatcher and installed [`NetStack`].
+#[derive(Clone)]
+pub struct RigShard {
+    pub host: Host,
+    pub exec: Arc<Executor>,
+    pub dispatcher: Dispatcher,
+    pub stack: NetStack,
+}
+
+/// An n-workstation rig in multicore mode: each host is a kernel shard
+/// with its own executor, dispatcher, clock and timer queue, all pumped
+/// by the [`Multicore`] barrier. Wire frames cross shards through
 /// mailboxes; every virtual-time output is identical at any worker count.
-pub struct ShardedPair {
+pub struct ShardRig {
     pub board: MulticoreBoard,
     pub mc: Multicore,
     pub addrs: AddressMap,
-    pub host_a: Host,
-    pub host_b: Host,
-    pub exec_a: Arc<Executor>,
-    pub exec_b: Arc<Executor>,
-    pub disp_a: Dispatcher,
-    pub disp_b: Dispatcher,
-    pub a: NetStack,
-    pub b: NetStack,
+    pub shards: Vec<RigShard>,
 }
 
-impl ShardedPair {
-    /// Builds the sharded rig pumped by `workers` OS threads, with the
-    /// same conventional addresses as [`TwoHosts`].
-    pub fn new(workers: usize) -> ShardedPair {
+impl ShardRig {
+    /// Builds `shards` kernel shards pumped by `workers` OS threads. Shard
+    /// `i` is 10.x.0.`i+1` (x = 0 Ethernet, 1 ATM, 2 T3), as in
+    /// [`TwoHosts`]; every dispatcher can `raise_on` every shard.
+    pub fn new(workers: usize, shards: u8) -> ShardRig {
         let board = MulticoreBoard::new();
         let mut mc = Multicore::new(workers, board.lookahead());
         let addrs = AddressMap::new();
-        let mut built = Vec::new();
-        for n in 1..=2u8 {
-            let host = board.new_host(256);
-            let exec = mc.add_host(host.clone());
-            let dispatcher = Dispatcher::new(host.clock.clone(), host.profile.clone());
-            mc.wire_dispatcher(&dispatcher, host.id);
-            let stack = NetStack::install(
-                &host,
-                &exec,
-                &dispatcher,
-                &addrs,
-                IpAddr::new(10, 0, 0, n),
-                IpAddr::new(10, 1, 0, n),
-                IpAddr::new(10, 2, 0, n),
-            );
-            built.push((host, exec, dispatcher, stack));
-        }
-        let (host_b, exec_b, disp_b, b) = built.pop().expect("two shards");
-        let (host_a, exec_a, disp_a, a) = built.pop().expect("one shard");
-        ShardedPair {
+        let hosts: Vec<(Host, Arc<Executor>)> = (0..shards)
+            .map(|_| {
+                let host = board.new_host(256);
+                let exec = mc.add_host(host.clone());
+                (host, exec)
+            })
+            .collect();
+        let shards = (1..=shards)
+            .zip(hosts)
+            .map(|(n, (host, exec))| {
+                let dispatcher = Dispatcher::new(host.clock.clone(), host.profile.clone());
+                mc.wire_dispatcher(&dispatcher, host.id);
+                let stack = NetStack::install(
+                    &host,
+                    &exec,
+                    &dispatcher,
+                    &addrs,
+                    IpAddr::new(10, 0, 0, n),
+                    IpAddr::new(10, 1, 0, n),
+                    IpAddr::new(10, 2, 0, n),
+                );
+                RigShard {
+                    host,
+                    exec,
+                    dispatcher,
+                    stack,
+                }
+            })
+            .collect();
+        ShardRig {
             board,
             mc,
             addrs,
-            host_a,
-            host_b,
-            exec_a,
-            exec_b,
-            disp_a,
-            disp_b,
-            a,
-            b,
+            shards,
         }
     }
 
-    /// The IP of stack `b` on `medium` (the usual target).
-    pub fn b_ip(&self, medium: Medium) -> IpAddr {
-        self.b.ip_on(medium)
-    }
-
-    /// Wires an observability subsystem across the rig: shard metrics
-    /// from the barrier, per-stack net accounting, per-dispatcher lanes.
-    /// Trace stamps read shard A's clock (a diagnostic convenience — the
-    /// counters, not the stamps, are the worker-invariant surface).
-    pub fn wire_obs(&self, obs: &spin_obs::Obs) {
-        let clock = self.host_a.clock.clone();
-        obs.set_time_source(Arc::new(move || clock.now()));
-        self.mc.wire_obs(obs);
-        self.a.set_obs(obs.domain("net"));
-        self.b.set_obs(obs.domain("net"));
-        self.disp_a.set_obs(obs.domain("dispatcher"));
-        self.disp_b.set_obs(obs.domain("dispatcher"));
+    /// Every shard's clock, in shard order.
+    pub fn clocks(&self) -> Vec<Nanos> {
+        self.shards.iter().map(|s| s.host.clock.now()).collect()
     }
 }
 
@@ -245,7 +239,6 @@ impl ThreeHosts {
 mod tests {
     use super::*;
     use spin_check::sync::Mutex;
-    use spin_sal::Nanos;
     use spin_sched::IdleOutcome;
 
     /// UDP ping-pong across two kernel shards: every virtual arrival
@@ -254,9 +247,10 @@ mod tests {
     #[test]
     fn sharded_udp_ping_pong_is_worker_count_invariant() {
         let run = |workers: usize| -> (Vec<Nanos>, Nanos, u64) {
-            let rig = ShardedPair::new(workers);
-            let echo = rig.b.clone();
-            let _echo_sock = crate::socket::UdpSocket::bind_with(&rig.b, 7, "echo", move |p| {
+            let rig = ShardRig::new(workers, 2);
+            let (a, b) = (&rig.shards[0], &rig.shards[1]);
+            let echo = b.stack.clone();
+            let _echo_sock = crate::socket::UdpSocket::bind_with(&b.stack, 7, "echo", move |p| {
                 let src = p.ip.src;
                 let port = p.header.src_port;
                 echo.udp_send(7, src, port, &p.payload).unwrap();
@@ -264,16 +258,16 @@ mod tests {
             .unwrap();
             let arrivals: Arc<Mutex<Vec<Nanos>>> = Arc::new(Mutex::new(Vec::new()));
             let arr = arrivals.clone();
-            let clock_a = rig.host_a.clock.clone();
-            let _sink = crate::socket::UdpSocket::bind_with(&rig.a, 9, "pong-sink", move |_| {
+            let clock_a = a.host.clock.clone();
+            let _sink = crate::socket::UdpSocket::bind_with(&a.stack, 9, "pong-sink", move |_| {
                 arr.lock().push(clock_a.now())
             })
             .unwrap();
-            let a = rig.a.clone();
-            let dst = rig.b_ip(Medium::Ethernet);
-            rig.exec_a.spawn("pinger", move |ctx| {
+            let pinger = a.stack.clone();
+            let dst = b.stack.ip_on(Medium::Ethernet);
+            a.exec.spawn("pinger", move |ctx| {
                 for _ in 0..4 {
-                    a.udp_send(9, dst, 7, b"ping").unwrap();
+                    pinger.udp_send(9, dst, 7, b"ping").unwrap();
                     ctx.sleep(200_000);
                 }
             });
@@ -281,7 +275,7 @@ mod tests {
             let arrivals = arrivals.lock().clone();
             assert_eq!(arrivals.len(), 4, "all four pongs arrived");
             let st = rig.mc.stats();
-            (arrivals, rig.host_b.clock.now(), st.mail_posted)
+            (arrivals, b.host.clock.now(), st.mail_posted)
         };
         let base = run(1);
         assert_eq!(run(2), base, "2 workers diverged");

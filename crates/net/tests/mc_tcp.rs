@@ -8,23 +8,24 @@
 //! had already closed the session. The grant is now capped at
 //! `n_i + 2·lookahead`.
 
-use spin_net::{interest, Medium, NetPoller, ShardedPair, TcpStack};
+use spin_net::{interest, Medium, NetPoller, ShardRig, TcpStack};
 use spin_sched::IdleOutcome;
 
 #[test]
 fn mc_tcp_blocking_accept() {
-    let rig = ShardedPair::new(1);
-    let ta = TcpStack::install(&rig.a);
-    let tb = TcpStack::install(&rig.b);
+    let rig = ShardRig::new(1, 2);
+    let (a, b) = (&rig.shards[0], &rig.shards[1]);
+    let ta = TcpStack::install(&a.stack);
+    let tb = TcpStack::install(&b.stack);
     let listener = tb.listen(80);
-    rig.exec_b.spawn("server", move |ctx| {
+    b.exec.spawn("server", move |ctx| {
         let conn = listener.accept(ctx).unwrap();
         let _ = conn.recv(ctx);
         conn.send(ctx, b"pong").unwrap();
         conn.close(ctx);
     });
-    let dst = rig.b_ip(Medium::Ethernet);
-    rig.exec_a.spawn("client", move |ctx| {
+    let dst = b.stack.ip_on(Medium::Ethernet);
+    a.exec.spawn("client", move |ctx| {
         let conn = ta.connect(ctx, dst, 80).unwrap();
         conn.send(ctx, b"ping").unwrap();
         assert_eq!(conn.recv(ctx).as_deref(), Some(&b"pong"[..]));
@@ -35,13 +36,14 @@ fn mc_tcp_blocking_accept() {
 
 #[test]
 fn mc_tcp_poller_accept() {
-    let rig = ShardedPair::new(1);
-    let ta = TcpStack::install(&rig.a);
-    let tb = TcpStack::install(&rig.b);
+    let rig = ShardRig::new(1, 2);
+    let (a, b) = (&rig.shards[0], &rig.shards[1]);
+    let ta = TcpStack::install(&a.stack);
+    let tb = TcpStack::install(&b.stack);
     let listener = tb.listen(80);
-    let poller = NetPoller::new(&rig.b);
+    let poller = NetPoller::new(&b.stack);
     poller.add(listener.as_ref(), 0, interest::ACCEPT);
-    let server = rig.exec_b.spawn("server", move |ctx| {
+    let server = b.exec.spawn("server", move |ctx| {
         let mut conns = std::collections::BTreeMap::new();
         let mut next = 1u64;
         loop {
@@ -60,9 +62,9 @@ fn mc_tcp_poller_accept() {
             }
         }
     });
-    rig.exec_b.set_daemon(server);
-    let dst = rig.b_ip(Medium::Ethernet);
-    rig.exec_a.spawn("client", move |ctx| {
+    b.exec.set_daemon(server);
+    let dst = b.stack.ip_on(Medium::Ethernet);
+    a.exec.spawn("client", move |ctx| {
         let conn = ta.connect(ctx, dst, 80).unwrap();
         conn.send(ctx, b"ping").unwrap();
         assert_eq!(conn.recv(ctx).as_deref(), Some(&b"pong"[..]));
@@ -77,12 +79,13 @@ fn mc_http_server() {
     use spin_net::{Bytes, HttpConfig, HttpServer, Request, Response};
     use std::sync::Arc;
 
-    let rig = ShardedPair::new(1);
-    let ta = TcpStack::install(&rig.a);
-    let tb = TcpStack::install(&rig.b);
+    let rig = ShardRig::new(1, 2);
+    let (a, b) = (&rig.shards[0], &rig.shards[1]);
+    let ta = TcpStack::install(&a.stack);
+    let tb = TcpStack::install(&b.stack);
     let bc = BufferCache::new(
-        rig.host_b.disk.clone(),
-        rig.exec_b.clone(),
+        b.host.disk.clone(),
+        b.exec.clone(),
         64,
         Box::new(NoCachePolicy),
     );
@@ -94,7 +97,7 @@ fn mc_http_server() {
         }),
     ));
     let server = HttpServer::start_with(
-        &rig.b,
+        &b.stack,
         &tb,
         fs,
         cache,
@@ -110,8 +113,8 @@ fn mc_http_server() {
     server.route("/r0", |_req: &Request| {
         Response::ok(Bytes::from_static(b"hi"))
     });
-    let dst = rig.b_ip(Medium::Atm);
-    rig.exec_a.spawn("client", move |ctx| {
+    let dst = b.stack.ip_on(Medium::Atm);
+    a.exec.spawn("client", move |ctx| {
         ctx.sleep(250_000_000);
         let conn = ta.connect(ctx, dst, 80).expect("connect");
         let _ = conn.send(ctx, b"GET /r0 HTTP/1.0\r\n\r\n");

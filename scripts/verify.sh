@@ -1,210 +1,179 @@
 #!/usr/bin/env bash
-# Repo verification: the tier-1 gate (ROADMAP.md) plus lint and format
-# checks. Run from anywhere; operates on the repo root.
+# Repo verification: the tier-1 gate (ROADMAP.md), the virtual-time
+# goldens, the static and model-checking gates, lint and format.
+#
+#   scripts/verify.sh                 run every gate, fail fast
+#   scripts/verify.sh --list          print the gate names
+#   scripts/verify.sh --only <gate>   run one gate
+#
+# Every gate prints its wall-clock seconds; a summary table follows the
+# last gate that ran. Run from anywhere; operates on the repo root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> tier-1: cargo build --release"
-cargo build --release
+ONLY=""
+LIST=0
+while [ $# -gt 0 ]; do
+    case "$1" in
+        --list) LIST=1 ;;
+        --only)
+            ONLY="${2:?--only needs a gate name}"
+            shift
+            ;;
+        *)
+            echo "usage: $0 [--list | --only <gate>]" >&2
+            exit 2
+            ;;
+    esac
+    shift
+done
 
-echo "==> tier-1: cargo test -q"
-cargo test -q
-
-echo "==> cargo test --workspace -q (all crates)"
-cargo test --workspace -q
-
-echo "==> obs cost-model invariant (recorder on/off, capacity 1/64k)"
-cargo test -q -p spin-bench --test obs_invariance
-
-echo "==> chaos suite: seeded fault storm, quarantine budget, /metrics attribution"
-cargo test -q --test chaos_faults
-
-echo "==> fault-injection cost-model invariant (absent / disabled / armed-at-zero)"
-cargo test -q -p spin-bench --test fault_invariance
-
-echo "==> bench smoke: --json emission + virtual-time goldens"
 SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
-for bin in table1_sizes table2_comm fig5_stack; do
-    (cd "$SMOKE_DIR" && cargo run -q --manifest-path "$OLDPWD/Cargo.toml" \
-        -p spin-bench --bin "$bin" -- --json > /dev/null)
-    test -s "$SMOKE_DIR/BENCH_$bin.json" || {
-        echo "verify: $bin emitted no BENCH_$bin.json" >&2
-        exit 1
-    }
-done
-# table1 counts source lines (drifts with every commit): smoke-only.
-# table2_comm and fig5_stack are pure virtual-time / topology output and
-# must match the checked-in goldens byte-for-byte — this is the cost-model
-# invariant gate: instrumentation must never move a reported number.
-# Since fault containment landed, the same diff also gates the fault path:
-# catch_unwind isolation and the injection hooks are compiled in here (with
-# no plan armed), and must not move a golden by a single byte.
-for bin in table2_comm fig5_stack; do
-    diff -u "scripts/goldens/BENCH_$bin.json" "$SMOKE_DIR/BENCH_$bin.json" || {
-        echo "verify: $bin diverged from scripts/goldens/BENCH_$bin.json" >&2
-        exit 1
-    }
-done
+SUMMARY=()
+summary() {
+    rm -rf "$SMOKE_DIR"
+    if [ "${#SUMMARY[@]}" -gt 0 ]; then
+        printf '\n%-36s %10s\n' "gate" "seconds"
+        printf '%s\n' "${SUMMARY[@]}"
+    fi
+}
+trap summary EXIT
 
-echo "==> multicore invariance: shard barrier determinism at 1/2/4 workers"
-# The sharded suites re-run every scenario at worker counts 1, 2 and 4 and
-# assert byte-identical virtual outputs; s7_multicore does the same for the
-# Table 6 forwarding topology (exits nonzero on any divergence). The golden
-# diffs above stay the shared-timeline gate: those bins must not change by
-# a byte whether or not the shard machinery is compiled in.
-cargo test -q --test multicore_shards
-cargo test -q -p spin-net sharded
-cargo test -q -p spin-dsm sharded
-(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p spin-bench --bin s7_multicore -- --json > /dev/null)
-test -s "$SMOKE_DIR/BENCH_multicore.json" || {
-    echo "verify: s7_multicore emitted no BENCH_multicore.json" >&2
-    exit 1
+# gate <name> <cmd...>: runs one named gate and records its wall time. A
+# failing command exits the script (set -e), so nothing runs after it.
+gate() {
+    local name="$1"
+    shift
+    if [ "$LIST" = 1 ]; then
+        echo "$name"
+        return
+    fi
+    if [ -n "$ONLY" ] && [ "$ONLY" != "$name" ]; then
+        return
+    fi
+    echo "==> $name"
+    local start_ns
+    start_ns=$(date +%s%N)
+    "$@"
+    local ms=$((($(date +%s%N) - start_ns) / 1000000))
+    SUMMARY+=("$(printf '%-36s %6d.%03d' "$name" $((ms / 1000)) $((ms % 1000)))")
+    echo "    $name: $((ms / 1000)).$(printf '%03d' $((ms % 1000)))s"
 }
 
-echo "==> compiled dispatch: guard-set compilation invariance"
-# Keyed (compiled) vs opaque (sequential) installations must charge
-# identical virtual time on the real workloads, with observability absent
-# (coalesced miss charges) and wired (charge-by-charge replay) alike.
-cargo test -q -p spin-bench --test compiled_invariance
-# s1_dispatcher_scaling asserts in-binary that compiled and sequential
-# sweep columns are equal at every guard count, then measures the
-# wall-clock win; its virtual rows — and the keyed forwarder's Table 6
-# numbers — are golden-gated byte-for-byte with compilation enabled.
-for bin in table6_forward s1_dispatcher_scaling; do
+# emits <bin> <file...>: runs a bench bin with --json in the scratch dir
+# and requires each named report to be written.
+emits() {
+    local bin="$1"
+    shift
     (cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-        -p spin-bench --bin "$bin" -- --json > /dev/null)
-    diff -u "scripts/goldens/BENCH_$bin.json" "$SMOKE_DIR/BENCH_$bin.json" || {
-        echo "verify: $bin diverged from scripts/goldens/BENCH_$bin.json" >&2
-        exit 1
+        -p spin-bench --bin "$bin" -- --json >/dev/null)
+    local file
+    for file in "$@"; do
+        test -s "$SMOKE_DIR/$file" || {
+            echo "verify: $bin emitted no $file" >&2
+            return 1
+        }
+    done
+}
+
+# golden <bin> <name> [extra]: BENCH_<name>.json holds virtual-time numbers
+# only and must match the checked-in golden byte for byte — the cost-model
+# invariant: no instrumentation, containment, shard, swap or quota
+# machinery may move a reported number. The storm bins also exit nonzero
+# on a dropped packet, an unreconciled ledger or any divergence between
+# 1, 2 and 4 workers. `extra` names a second, wall-clock report that must
+# be emitted but is never diffed.
+golden() {
+    local bin="$1" name="$2" extra="${3:-}"
+    emits "$bin" "BENCH_$name.json" ${extra:+"BENCH_$extra.json"}
+    diff -u "scripts/goldens/BENCH_$name.json" "$SMOKE_DIR/BENCH_$name.json" || {
+        echo "verify: $bin diverged from scripts/goldens/BENCH_$name.json" >&2
+        return 1
     }
-done
-# The wall-clock report (nondeterministic, never golden-diffed) must still
-# be emitted; the concurrent raise-vs-plan-rebuild model runs in the
-# spin-check suite below (raise_vs_keyed_plan_rebuild_swap, bound 2).
-test -s "$SMOKE_DIR/BENCH_dispatch_compiled.json" || {
-    echo "verify: s1_dispatcher_scaling emitted no BENCH_dispatch_compiled.json" >&2
-    exit 1
 }
 
-echo "==> hot-swap invariance: idle machinery, mid-run swap, mid-storm bench"
-# Tables 2/5/6 must not move by a byte with the swap machinery compiled in
-# but idle — and a committed swap to a semantically identical forwarder
-# must be invisible in the Table 6 numbers.
-cargo test -q -p spin-bench --test swap_invariance
-# Hold-queue reconciliation under raise/swap/rollback churn, and the
-# seeded SITE_SWAP chaos storms (rollback restores the old version) run in
-# the chaos/stress suites above; s8_hotswap swaps the UDP forwarder with
-# >=10k packets in flight and exits nonzero on any dropped packet, any
-# semantic divergence from the uninterrupted run, or any worker-count
-# divergence. Its virtual outputs are golden-gated byte-for-byte.
-(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p spin-bench --bin s8_hotswap -- --json > /dev/null)
-diff -u "scripts/goldens/BENCH_hotswap.json" "$SMOKE_DIR/BENCH_hotswap.json" || {
-    echo "verify: s8_hotswap diverged from scripts/goldens/BENCH_hotswap.json" >&2
-    exit 1
-}
-
-echo "==> quota invariance: unlimited budgets, overload containment bench"
-# Metering events, installing the scheduler quota hook and gating a
-# mailbox lane with zero-valued (unlimited) budgets must not move a
-# virtual-time figure by a byte — admission is free until a budget
-# actually refuses.
-cargo test -q -p spin-bench --test quota_invariance
-# s9_overload drives a 12-shard storm (greedy flooder + slowloris +
-# nine tenants) through the full escalation ladder — throttle, shed,
-# quarantine, fallback swap to a degraded build — and exits nonzero if
-# the ledger fails to reconcile, the well-behaved tenants' p99 leaves
-# the containment bound, or any worker count diverges. Its virtual
-# outputs are golden-gated byte-for-byte.
-(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p spin-bench --bin s9_overload -- --json > /dev/null)
-diff -u "scripts/goldens/BENCH_overload.json" "$SMOKE_DIR/BENCH_overload.json" || {
-    echo "verify: s9_overload diverged from scripts/goldens/BENCH_overload.json" >&2
-    exit 1
-}
-
-echo "==> webscale: million-connection storm on the readiness/socket API"
-# The redesigned edge (DESIGN.md decision #14): readiness-equivalence
-# proptests, then the s10 storm — ~10^6 connections over 12 shards
-# against the single-strand poller-driven HTTP server, exiting nonzero
-# on any connect failure, dropped frame/envelope, ledger mismatch,
-# worker-count divergence, or super-2x per-connection wall-clock growth
-# from 10^3 to 10^6. Its virtual outputs are golden-gated byte-for-byte.
-cargo test -q -p spin-net --test readiness_props
-cargo test -q -p spin-net --test mc_tcp
-(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-    -p spin-bench --bin s10_webscale -- --json > /dev/null)
-diff -u "scripts/goldens/BENCH_webscale.json" "$SMOKE_DIR/BENCH_webscale.json" || {
-    echo "verify: s10_webscale diverged from scripts/goldens/BENCH_webscale.json" >&2
-    exit 1
-}
-# The pre-webscale entry points are removed, not deprecated: no in-tree
-# caller may use them (doc comments naming them for history are fine).
-if grep -rn '\.udp_bind(\|\.udp_channel(' crates/ examples/ --include='*.rs' \
-    | grep -v '^\s*//' ; then
-    echo "verify: removed pre-webscale socket API called in-tree" >&2
-    exit 1
-fi
-
-echo "==> spin-lint: token-level safety & determinism gate"
 # The six-rule verifier (D1 determinism, D2 hash iteration, F1 sync
 # facade, O1 ordering justifications, U1 unsafe containment, C1 charge
 # coverage) must report zero findings, and its machine-readable report
-# must match the golden byte-for-byte — so an allowlist entry can never
+# must match the golden byte for byte — so an allowlist entry can never
 # slip in silently.
-cargo build -q --release -p spin-check --bin spin-lint --bin spin-audit
-LINT_START_NS=$(date +%s%N)
-./target/release/spin-lint --json > "$SMOKE_DIR/lint_report.json"
-LINT_ELAPSED_MS=$(( ($(date +%s%N) - LINT_START_NS) / 1000000 ))
-diff -u scripts/goldens/lint_report.json "$SMOKE_DIR/lint_report.json" || {
-    echo "verify: spin-lint diverged from scripts/goldens/lint_report.json" >&2
-    exit 1
+lint_gate() {
+    cargo build -q --release -p spin-check --bin spin-lint
+    local start_ns
+    start_ns=$(date +%s%N)
+    ./target/release/spin-lint --json >"$SMOKE_DIR/lint_report.json"
+    local ms=$((($(date +%s%N) - start_ns) / 1000000))
+    diff -u scripts/goldens/lint_report.json "$SMOKE_DIR/lint_report.json" || {
+        echo "verify: spin-lint diverged from scripts/goldens/lint_report.json" >&2
+        return 1
+    }
+    local allow_entries
+    allow_entries=$(grep -c '^\[\[allow\]\]' lint.toml)
+    if [ "$allow_entries" -gt 10 ]; then
+        echo "verify: lint.toml has $allow_entries allow entries (cap: 10)" >&2
+        return 1
+    fi
+    # The full-workspace lint must stay an instant pre-commit check, or it
+    # stops being run.
+    if [ "$ms" -ge 2000 ]; then
+        echo "verify: spin-lint took ${ms}ms (budget: 2000ms)" >&2
+        return 1
+    fi
+    echo "    spin-lint: clean in ${ms}ms ($allow_entries allow entries)"
 }
-ALLOW_ENTRIES=$(grep -c '^\[\[allow\]\]' lint.toml)
-if [ "$ALLOW_ENTRIES" -gt 10 ]; then
-    echo "verify: lint.toml has $ALLOW_ENTRIES allow entries (cap: 10)" >&2
-    exit 1
-fi
-# Runtime budget: the full-workspace lint must stay an instant pre-commit
-# check (< 2s), or it stops being run.
-if [ "$LINT_ELAPSED_MS" -ge 2000 ]; then
-    echo "verify: spin-lint took ${LINT_ELAPSED_MS}ms (budget: 2000ms)" >&2
-    exit 1
-fi
-echo "    spin-lint: clean in ${LINT_ELAPSED_MS}ms ($ALLOW_ENTRIES allow entries)"
-# The back-compat alias must keep working for older scripts.
-./target/release/spin-audit > /dev/null
 
-echo "==> spin-check: model-check the lock-free kernel (--cfg spin_check)"
-RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
-    cargo test -q -p spin-check --tests
-
-echo "==> spin-check: planted mutants must be caught (--cfg spin_check_mutant)"
-RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
-    CARGO_TARGET_DIR=target/spin-check-mutant \
-    cargo test -q -p spin-check --test mutants
-
-echo "==> miri (best effort): cargo miri test -p spin-obs ring"
-if cargo miri --version >/dev/null 2>&1; then
-    # Miri needs its sysroot (a network fetch on first run); skip cleanly
-    # when it is not already set up (offline CI).
-    if MIRIFLAGS="-Zmiri-disable-isolation" \
-        cargo miri setup >/dev/null 2>&1; then
-        MIRIFLAGS="-Zmiri-disable-isolation" \
-            cargo miri test -q -p spin-obs ring
+# Miri needs its sysroot (a network fetch on first run); skip cleanly when
+# it is not already set up (offline CI).
+miri_gate() {
+    if ! cargo miri --version >/dev/null 2>&1; then
+        echo "    miri not installed; skipping"
+    elif MIRIFLAGS="-Zmiri-disable-isolation" cargo miri setup >/dev/null 2>&1; then
+        MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p spin-obs ring
     else
         echo "    miri sysroot unavailable (offline?); skipping"
     fi
-else
-    echo "    miri not installed; skipping"
+}
+
+gate tier1-build cargo build --release
+gate tier1-test cargo test -q
+# Every crate's suites, among them the invariance matrix, the chaos and
+# multicore storms, and the sharded net/dsm rigs.
+gate workspace-test cargo test --workspace -q
+
+# bin:golden[:extra]. table1_sizes counts source lines and s7_multicore
+# reports wall-clock speedup, so neither has a golden; they only have to
+# run clean and emit.
+for pair in \
+    table2_comm:table2_comm \
+    table4_vm:table4_vm \
+    table5_net:table5_net \
+    table6_forward:table6_forward \
+    fig5_stack:fig5_stack \
+    s1_dispatcher_scaling:s1_dispatcher_scaling:dispatch_compiled \
+    s8_hotswap:hotswap \
+    s9_overload:overload \
+    s10_webscale:webscale; do
+    IFS=: read -r bin name extra <<<"$pair"
+    gate "golden:$bin" golden "$bin" "$name" "$extra"
+done
+gate smoke:table1_sizes emits table1_sizes BENCH_table1_sizes.json
+gate smoke:s7_multicore emits s7_multicore BENCH_multicore.json
+
+gate spin-lint lint_gate
+# Model-check the lock-free kernel (bound 2, exhaustive), then require the
+# planted wrong orderings to be caught.
+gate spin-check env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
+    cargo test -q -p spin-check --tests
+gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
+    CARGO_TARGET_DIR=target/spin-check-mutant cargo test -q -p spin-check --test mutants
+gate miri miri_gate
+gate clippy cargo clippy --workspace -- -D warnings
+gate fmt cargo fmt --check
+
+if [ "$LIST" = 0 ]; then
+    if [ "${#SUMMARY[@]}" -eq 0 ]; then
+        echo "verify: no gate named '$ONLY' (see --list)" >&2
+        exit 2
+    fi
+    echo "verify: OK"
 fi
-
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
-
-echo "==> cargo fmt --check"
-cargo fmt --check
-
-echo "verify: OK"

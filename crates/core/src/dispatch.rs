@@ -103,7 +103,7 @@
 //! reported through the same sink. None of this charges virtual time.
 
 use crate::error::DispatchError;
-use crate::fault::{DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
+use crate::fault::{BlockedInStep, DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
 use crate::identity::Identity;
 use crate::quota::QuotaCell;
 use spin_check::sync::{Arc, OnceLock, Weak};
@@ -754,6 +754,8 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
         s.clone()
     } else if let Some(p) = payload.downcast_ref::<spin_fault::InjectedPanic>() {
         format!("injected panic at site {}", p.site)
+    } else if let Some(p) = payload.downcast_ref::<BlockedInStep>() {
+        format!("`{}` inside a run-to-completion strand", p.op)
     } else {
         "opaque panic payload".to_string()
     }

@@ -80,6 +80,18 @@ pub struct DeadlineExceeded {
     pub deadline: Nanos,
 }
 
+/// Panic payload used by the executor to refuse an operation that gives
+/// up the processor (`block`, `sleep`, `yield_now`, `join`,
+/// `preempt_point`) inside a run-to-completion strand, which has no stack
+/// to park. A handler that reaches one is unwound before the operation
+/// has any effect; the dispatcher's per-handler containment books it as a
+/// [`FaultKind::Panic`] against the handler's installer.
+#[derive(Debug, Clone, Copy)]
+pub struct BlockedInStep {
+    /// The refused `StrandCtx` operation.
+    pub op: &'static str,
+}
+
 /// The failure budget: how much misbehaviour a handler gets before the
 /// breaker trips, and how many trips a domain gets before quarantine.
 #[derive(Debug, Clone, Copy)]

@@ -53,8 +53,8 @@ pub use dispatch::{
 pub use domain::{Domain, ResolveReport};
 pub use error::{CoreError, DispatchError, SymbolConflict};
 pub use fault::{
-    Containment, ContainmentPolicy, DeadlineExceeded, DomainFaultInfo, FaultKind, FaultSink,
-    HandlerFault,
+    BlockedInStep, Containment, ContainmentPolicy, DeadlineExceeded, DomainFaultInfo, FaultKind,
+    FaultSink, HandlerFault,
 };
 pub use identity::{Identity, IdentityKind};
 pub use interface::{Interface, Symbol};

@@ -33,7 +33,7 @@ use spin_obs::{ObsHook, TraceKind};
 use spin_sal::board::vectors;
 use spin_sal::devices::nic::Nic;
 use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
-use spin_sched::{Executor, KChannel, StrandCtx, StrandId};
+use spin_sched::{Executor, KChannel, Step, StrandCtx, StrandId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -398,7 +398,7 @@ impl NetStack {
         addrs.register(atm_ip, Medium::Atm, host.atm.addr());
         addrs.register(t3_ip, Medium::T3, host.t3.addr());
 
-        // The protocol thread: drained by NIC interrupts.
+        // The protocol strand: drained by NIC interrupts.
         let nics: Vec<(Medium, Nic)> = vec![
             (Medium::Ethernet, host.ethernet.clone()),
             (Medium::Atm, host.atm.clone()),
@@ -412,8 +412,11 @@ impl NetStack {
         let obs2 = Arc::clone(&obs);
         let ready_hub = Arc::new(ReadyHub::new());
         let hub2 = ready_hub.clone();
+        // Run-to-completion: like the paper's interrupt-level protocol
+        // handlers it never blocks mid-burst, so it needs no thread of its
+        // own — a slice is one call on the pumping thread.
         let proto_thread =
-            exec.spawn_on(host.id, &format!("netin-{}", host.id.0), 12, move |ctx| {
+            exec.spawn_step_on(host.id, &format!("netin-{}", host.id.0), 12, move |_| {
                 loop {
                     let mut any = false;
                     for (medium, nic) in &nics {
@@ -464,7 +467,7 @@ impl NetStack {
                         // nothing and charges nothing.
                         hub2.flush(&ev2.net_ready);
                     } else {
-                        ctx.block();
+                        return Step::Block;
                     }
                 }
             });
@@ -974,6 +977,7 @@ mod tests {
     use super::*;
     use crate::socket::UdpSocket;
     use crate::testrig::TwoHosts;
+    use spin_sched::IdleOutcome;
 
     #[test]
     fn udp_datagram_crosses_the_ethernet() {
@@ -1065,6 +1069,80 @@ mod tests {
         rig.exec.run_until_idle();
         assert_eq!(*seen.lock(), 0, "port-5 traffic must be suppressed");
         assert!(rig.b.stats().frames_in >= 1, "port-6 traffic still flows");
+    }
+
+    /// `netin` is a run-to-completion strand: a `Net.*` handler that tries
+    /// to block it is refused before anything is charged, booked as that
+    /// handler's fault, and the burst carries on.
+    #[test]
+    fn a_handler_blocking_netin_is_a_contained_fault() {
+        // Virtual instants each handler was entered at, the faults
+        // delivered, and whether `netin` survived.
+        type Calls = Vec<(&'static str, Nanos)>;
+        let run = |blocking: bool| -> (Calls, Vec<spin_core::HandlerFault>) {
+            let rig = TwoHosts::new();
+            let faults = Arc::new(Mutex::new(Vec::new()));
+            let f2 = faults.clone();
+            rig.dispatcher
+                .set_fault_sink(Arc::new(move |f: &spin_core::HandlerFault| {
+                    f2.lock().push(f.clone())
+                }));
+            let calls = Arc::new(Mutex::new(Vec::new()));
+            let (e1, e2) = (calls.clone(), calls.clone());
+            let (exec, clock) = (rig.exec.clone(), rig.board.clock.clone());
+            let _blocker = UdpSocket::bind_with(&rig.b, 7, "blocker", move |_| {
+                e1.lock().push(("blocker", clock.now()));
+                if blocking {
+                    exec.current_ctx().expect("on netin").block();
+                    unreachable!("the block was refused");
+                }
+            })
+            .unwrap();
+            let clock = rig.board.clock.clone();
+            let _sibling = UdpSocket::bind_with(&rig.b, 7, "sibling", move |_| {
+                e2.lock().push(("sibling", clock.now()));
+            })
+            .unwrap();
+            let a = rig.a.clone();
+            let dst = rig.b.ip_on(Medium::Ethernet);
+            rig.exec.spawn("sender", move |ctx| {
+                a.udp_send(9, dst, 7, b"first").unwrap();
+                ctx.sleep(5_000_000);
+                a.udp_send(9, dst, 7, b"second").unwrap();
+            });
+            assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+            let netin = rig.b.inner.proto_thread;
+            assert!(!rig.exec.is_done(netin) && !rig.exec.panicked(netin));
+            let calls = calls.lock().clone();
+            let faults = faults.lock().clone();
+            (calls, faults)
+        };
+
+        let (calls, faults) = run(true);
+        let tags: Vec<_> = calls.iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(
+            tags,
+            ["blocker", "sibling", "blocker", "sibling"],
+            "the sibling ran after each fault, and the next frame was served"
+        );
+        assert_eq!(faults.len(), 2, "one per frame");
+        for f in &faults {
+            assert_eq!(f.installer.name(), "blocker");
+            match &f.kind {
+                spin_core::FaultKind::Panic { message } => {
+                    assert_eq!(message, "`block` inside a run-to-completion strand")
+                }
+                other => panic!("expected a contained panic, got {other:?}"),
+            }
+        }
+
+        let (twin_calls, twin_faults) = run(false);
+        assert!(twin_faults.is_empty());
+        assert_eq!(
+            calls[..2],
+            twin_calls[..2],
+            "up to and across the first fault the clock was charged what the twin charges"
+        );
     }
 
     #[test]

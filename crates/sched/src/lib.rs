@@ -3,7 +3,8 @@
 //! This crate implements §4.2 of the paper:
 //!
 //! * **strands** and the deterministic [`Executor`] that multiplexes them
-//!   on the virtual timeline (one real OS thread per strand, exactly one
+//!   on the virtual timeline (a real OS thread per strand that may block,
+//!   an inline call per slice for run-to-completion strands, exactly one
 //!   running at a time, preemption at safe points when the quantum
 //!   expires);
 //! * the **Strand interface events** — `Block`, `Unblock`, `Checkpoint`,
@@ -42,7 +43,8 @@ pub use async_runner::install_async_runner;
 pub use cthreads::{measure_fork_join, measure_ping_pong, CThreads, CThreadsImpl};
 pub use events::{StrandEvents, StrandRef};
 pub use executor::{
-    Executor, IdleOutcome, RoundRobinPriority, SchedQuotaHook, SchedulerPolicy, StrandCtx, StrandId,
+    Executor, IdleOutcome, RoundRobinPriority, SchedQuotaHook, SchedulerPolicy, Step, StrandCtx,
+    StrandId,
 };
 pub use group::{PackageStats, TaskPackage};
 pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong, M3Threads};

@@ -294,15 +294,16 @@ impl Multicore {
             return IdleOutcome::AllComplete;
         }
         let workers = self.workers.min(self.shards.len());
+        // The planner's buffers, reused by every epoch of this run.
+        let mut next = Vec::with_capacity(self.shards.len());
+        let mut plan = Vec::with_capacity(self.shards.len());
         if workers <= 1 {
             loop {
-                match self.plan_epoch(deadline) {
-                    EpochPlan::Done(outcome) => return outcome,
-                    EpochPlan::Run(plan) => {
-                        for &(idx, grant) in &plan {
-                            self.run_shard(idx, grant);
-                        }
-                    }
+                if let Some(outcome) = self.plan_epoch(deadline, &mut next, &mut plan) {
+                    return outcome;
+                }
+                for &(idx, grant) in &plan {
+                    self.run_shard(idx, grant);
                 }
             }
         }
@@ -320,111 +321,80 @@ impl Multicore {
                 let plan_cell = &plan_cell;
                 let stop = &stop;
                 let this = &*self;
-                scope.spawn(move || loop {
-                    barrier.wait(); // plan published
-                                    // ordering: Acquire — pairs with the coordinator's Release store; after it, no plan will follow.
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let plan = plan_cell.lock().clone();
-                    for (k, &(idx, grant)) in plan.iter().enumerate() {
-                        if k % workers == w {
-                            this.run_shard(idx, grant);
+                scope.spawn(move || {
+                    let mut plan = Vec::with_capacity(this.shards.len());
+                    loop {
+                        barrier.wait(); // plan published
+                                        // ordering: Acquire — pairs with the coordinator's Release store; after it, no plan will follow.
+                        if stop.load(Ordering::Acquire) {
+                            break;
                         }
+                        plan.clone_from(&*plan_cell.lock());
+                        for (k, &(idx, grant)) in plan.iter().enumerate() {
+                            if k % workers == w {
+                                this.run_shard(idx, grant);
+                            }
+                        }
+                        barrier.wait(); // epoch complete
                     }
-                    barrier.wait(); // epoch complete
                 });
             }
             loop {
-                match self.plan_epoch(deadline) {
-                    EpochPlan::Done(out) => {
-                        outcome = out;
-                        stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
-                        barrier.wait();
-                        break;
-                    }
-                    EpochPlan::Run(plan) => {
-                        *plan_cell.lock() = plan.clone();
-                        barrier.wait(); // release the plan
-                        for (k, &(idx, grant)) in plan.iter().enumerate() {
-                            if k % workers == 0 {
-                                self.run_shard(idx, grant);
-                            }
-                        }
-                        barrier.wait(); // wait for the epoch
+                if let Some(out) = self.plan_epoch(deadline, &mut next, &mut plan) {
+                    outcome = out;
+                    stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
+                    barrier.wait();
+                    break;
+                }
+                plan_cell.lock().clone_from(&plan);
+                barrier.wait(); // release the plan
+                for (k, &(idx, grant)) in plan.iter().enumerate() {
+                    if k % workers == 0 {
+                        self.run_shard(idx, grant);
                     }
                 }
+                barrier.wait(); // wait for the epoch
             }
         });
         outcome
     }
 
-    /// Computes one epoch's plan: `(shard index, grant)` for every shard
-    /// cleared to run. A pure function of deterministic virtual-time state.
-    fn plan_epoch(&self, deadline: Nanos) -> EpochPlan {
-        let l = self.lookahead;
-        let next: Vec<Option<Nanos>> = self
-            .shards
-            .iter()
-            .map(|sh| {
-                let local = sh.exec.next_event_time();
-                let mail = sh
-                    .host
-                    .mailbox
-                    .next_deadline()
-                    .map(|t| t.max(sh.host.clock.now()));
-                match (local, mail) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }
-            })
-            .collect();
+    /// Computes one epoch's plan into `plan`: `(shard index, grant)` for
+    /// every shard cleared to run. A pure function of deterministic
+    /// virtual-time state. Returns the run's outcome instead when there is
+    /// nothing left to plan. `next` is scratch (the shards' horizons).
+    fn plan_epoch(
+        &self,
+        deadline: Nanos,
+        next: &mut Vec<Option<Nanos>>,
+        plan: &mut Vec<(usize, Nanos)>,
+    ) -> Option<IdleOutcome> {
+        next.clear();
+        next.extend(self.shards.iter().map(|sh| {
+            let local = sh.exec.next_event_time();
+            let mail = sh
+                .host
+                .mailbox
+                .next_deadline()
+                .map(|t| t.max(sh.host.clock.now()));
+            match (local, mail) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            }
+        }));
         let Some(gvt) = next.iter().flatten().min().copied() else {
-            return EpochPlan::Done(self.final_outcome());
+            return Some(self.final_outcome());
         };
         if gvt >= deadline {
-            return EpochPlan::Done(IdleOutcome::DeadlineReached);
+            return Some(IdleOutcome::DeadlineReached);
         }
         self.epochs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.obs.get() {
             obs.trace(TraceKind::ShardEpoch, gvt, 0);
         }
-        // An idle shard can first *send* no earlier than GVT + L (it must
-        // first be woken by mail).
-        let eff: Vec<Nanos> = next
-            .iter()
-            .map(|n| n.unwrap_or_else(|| gvt.saturating_add(l)))
-            .collect();
-        let mut plan = Vec::new();
-        for (i, n_i) in next.iter().enumerate() {
-            let Some(n_i) = *n_i else { continue };
-            let grant = match eff
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, &e)| e)
-                .min()
-            {
-                // Beyond the peers' own horizons, a peer can also be woken
-                // by mail *this* shard sends (earliest at `n_i`); its
-                // reply lands no sooner than `n_i + 2L` — one lookahead
-                // out, one back. Running past that point would deliver
-                // the reply into this shard's simulated past (observed as
-                // a TCP segment arriving tens of milliseconds stale when
-                // the peer's only local horizon was a distant
-                // retransmission timer).
-                Some(m) => l
-                    .saturating_add(m)
-                    .min(n_i.saturating_add(2 * l))
-                    .min(deadline),
-                None => deadline, // single shard: no one to wait for
-            };
-            if n_i < grant {
-                plan.push((i, grant));
-            }
-        }
+        fill_grants(next, gvt, self.lookahead, deadline, plan);
         debug_assert!(!plan.is_empty(), "the GVT shard always qualifies");
-        EpochPlan::Run(plan)
+        None
     }
 
     /// Runs one shard for one epoch: move due mail to the local timer
@@ -461,15 +431,150 @@ impl Multicore {
     }
 }
 
-enum EpochPlan {
-    Done(IdleOutcome),
-    Run(Vec<(usize, Nanos)>),
+/// The grant rule of the module docs: fills `plan` with `(i, grant_i)` for
+/// every shard whose horizon `next[i]` lies before its grant. `gvt` is the
+/// smallest `Some` horizon and `l` the lookahead.
+fn fill_grants(
+    next: &[Option<Nanos>],
+    gvt: Nanos,
+    l: Nanos,
+    deadline: Nanos,
+    plan: &mut Vec<(usize, Nanos)>,
+) {
+    // `min over j≠i of ñ_j` is the smallest ñ unless shard `i` holds it,
+    // and then the second smallest: one pass finds both.
+    // An idle shard can first *send* no earlier than GVT + L (it must
+    // first be woken by mail).
+    let idle = gvt.saturating_add(l);
+    let mut least: Option<(usize, Nanos)> = None;
+    let mut second: Option<Nanos> = None;
+    for (j, n) in next.iter().enumerate() {
+        let eff = n.unwrap_or(idle);
+        match least {
+            Some((_, m)) if eff >= m => second = Some(second.map_or(eff, |s| s.min(eff))),
+            _ => {
+                second = least.map(|(_, m)| m);
+                least = Some((j, eff));
+            }
+        }
+    }
+    plan.clear();
+    for (i, n_i) in next.iter().enumerate() {
+        let Some(n_i) = *n_i else { continue };
+        let peers = match least {
+            Some((j, m)) if j != i => Some(m),
+            _ => second,
+        };
+        let grant = match peers {
+            // Beyond the peers' own horizons, a peer can also be woken
+            // by mail *this* shard sends (earliest at `n_i`); its
+            // reply lands no sooner than `n_i + 2L` — one lookahead
+            // out, one back. Running past that point would deliver
+            // the reply into this shard's simulated past (observed as
+            // a TCP segment arriving tens of milliseconds stale when
+            // the peer's only local horizon was a distant
+            // retransmission timer).
+            Some(m) => l
+                .saturating_add(m)
+                .min(n_i.saturating_add(2 * l))
+                .min(deadline),
+            None => deadline, // single shard: no one to wait for
+        };
+        if n_i < grant {
+            plan.push((i, grant));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spin_sal::MulticoreBoard;
+
+    /// The grant rule as first written — a filtered min over the peers for
+    /// every shard — kept as the reference [`fill_grants`] must equal.
+    fn reference_grants(
+        next: &[Option<Nanos>],
+        gvt: Nanos,
+        l: Nanos,
+        deadline: Nanos,
+    ) -> Vec<(usize, Nanos)> {
+        let eff: Vec<Nanos> = next
+            .iter()
+            .map(|n| n.unwrap_or_else(|| gvt.saturating_add(l)))
+            .collect();
+        let mut plan = Vec::new();
+        for (i, n_i) in next.iter().enumerate() {
+            let Some(n_i) = *n_i else { continue };
+            let grant = match eff
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &e)| e)
+                .min()
+            {
+                Some(m) => l
+                    .saturating_add(m)
+                    .min(n_i.saturating_add(2 * l))
+                    .min(deadline),
+                None => deadline,
+            };
+            if n_i < grant {
+                plan.push((i, grant));
+            }
+        }
+        plan
+    }
+
+    /// Horizons that collide often (ties), sit at the far end of the
+    /// timeline (saturation), or are absent (idle shards).
+    fn horizon() -> impl Strategy<Value = Option<Nanos>> {
+        prop_oneof![
+            Just(None),
+            (0u64..6).prop_map(|k| Some(k * 10_000)),
+            (0u64..5_000_000).prop_map(Some),
+            (0u64..3).prop_map(|k| Some(Nanos::MAX - k)),
+        ]
+    }
+
+    fn assert_grants_match(next: &[Option<Nanos>], l: Nanos, deadline: Nanos) {
+        let Some(gvt) = next.iter().flatten().min().copied() else {
+            return; // all idle: `plan_epoch` never reaches the grant rule
+        };
+        let mut plan = vec![(usize::MAX, 0)]; // stale content must not survive
+        fill_grants(next, gvt, l, deadline, &mut plan);
+        assert_eq!(
+            plan,
+            reference_grants(next, gvt, l, deadline),
+            "{next:?} l={l}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn grants_equal_the_reference_formula(
+            next in prop::collection::vec(horizon(), 1..10),
+            l in 1u64..200_000,
+            deadline in prop_oneof![Just(Nanos::MAX), 0u64..6_000_000],
+        ) {
+            assert_grants_match(&next, l, deadline);
+        }
+
+        #[test]
+        fn grants_equal_the_reference_with_one_busy_shard(
+            shards in 1usize..10,
+            busy in any::<prop::sample::Index>(),
+            at in 0u64..5_000_000,
+            l in 1u64..200_000,
+        ) {
+            let mut next = vec![None; shards];
+            next[busy.index(shards)] = Some(at);
+            assert_grants_match(&next, l, Nanos::MAX);
+        }
+    }
 
     fn rig(workers: usize, hosts: usize) -> (MulticoreBoard, Multicore) {
         let board = MulticoreBoard::new();

@@ -139,6 +139,9 @@ gate tier1-test cargo test -q
 # Every crate's suites, among them the invariance matrix, the chaos and
 # multicore storms, and the sharded net/dsm rigs.
 gate workspace-test cargo test --workspace -q
+# `perf/` is a package of its own, so nothing above builds it: without
+# this a kernel-crate API change breaks the benchmark unnoticed.
+gate perf-tests cargo test -q --manifest-path perf/Cargo.toml
 
 # bin:golden[:extra]. table1_sizes counts source lines and s7_multicore
 # reports wall-clock speedup, so neither has a golden; they only have to

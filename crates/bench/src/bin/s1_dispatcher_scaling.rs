@@ -23,8 +23,10 @@
 //! columns are identical by construction (asserted below): compilation is
 //! a wall-clock optimisation, not a cost-model change. The wall-clock side
 //! of the story — sublinear compiled raises and `raise_batch` amortisation
-//! — is measured on a raw dispatcher and lands in
-//! `BENCH_dispatch_compiled.json`.
+//! — is measured on a raw dispatcher. `--json` writes it to
+//! `BENCH_dispatch_compiled.json` in the working directory: an emitted,
+//! ungated report (`scripts/verify.sh` requires the file to be written;
+//! nothing diffs it and no copy is checked in).
 
 use std::time::Instant;
 
@@ -204,7 +206,7 @@ fn main() {
         "Virtual dispatch cost is linear in installed guards/handlers and\n\
          identical for sequential and compiled columns, matching the paper's\n\
          reported cost model; guard-set compilation changes wall-clock cost\n\
-         only (see BENCH_dispatch_compiled.json)."
+         only (`--json` emits the ungated BENCH_dispatch_compiled.json)."
     );
     JsonReport::new(
         "s1_dispatcher_scaling",

@@ -258,13 +258,27 @@ fn breaker_trip_and_quarantine_vs_concurrent_raises() {
 /// (post-resume, or parked-then-unparked under the hold lock), or parked
 /// and was replayed by resume. Exactly one version runs exactly once.
 ///
+/// The raiser is modelled twice: a lone `raise`, and a 2-item
+/// `raise_batch`. A burst runs against one snapshot, so both items see v1
+/// or neither does, and every item is accounted exactly once — delivered
+/// through the burst (`batched_raises`) or parked (`held`), including the
+/// item that finds the gate reopened between the burst's gate load and
+/// `park`'s re-check.
+///
 /// `drain_in_flight` is exercised only after the raiser joins: its spin
 /// loop terminates under every *fair* schedule, but bounded DFS explores
 /// unfair ones too, where a spinning drain would never yield to the
 /// raiser it waits for.
 #[test]
 fn raise_vs_quiesce_rebind_resume() {
-    let report = checker().check(|| {
+    assert_clean("hot-swap-gate", &hot_swap_race(None));
+    assert_clean("hot-swap-gate-burst", &hot_swap_race(Some(2)));
+}
+
+/// One exploration of the hot-swap race with a lone raise (`None`) or a
+/// `raise_batch` of the given size as the raiser.
+fn hot_swap_race(burst: Option<u64>) -> spin_check::model::Report {
+    checker().check(move || {
         let d = Dispatcher::unmetered();
         let (ev, _owner) = d.define::<u64, u64>("chk.hotswap", Identity::kernel("chk"));
         let v1 = Identity::extension("v1");
@@ -277,7 +291,10 @@ fn raise_vs_quiesce_rebind_resume() {
         .expect("install v1");
 
         let ev2 = ev.clone();
-        let t = thread::spawn(move || ev2.raise(5));
+        let t = thread::spawn(move || match burst {
+            None => vec![ev2.raise(5)],
+            Some(n) => ev2.raise_batch(vec![5; n as usize]),
+        });
 
         ev.quiesce().expect("event alive");
         let r2 = Arc::clone(&runs);
@@ -299,24 +316,45 @@ fn raise_vs_quiesce_rebind_resume() {
 
         let raised = t.join().expect("raiser thread");
         ev.drain_in_flight().expect("event alive");
-        match raised {
-            Ok(6) => assert_eq!(replayed, 0, "a completed v1 raise never parked"),
-            Ok(7) => {}
-            Err(DispatchError::Held { .. }) => {
-                assert_eq!(replayed, 1, "a parked raise must be replayed by resume")
+        let items = raised.len() as u64;
+        let mut parked = 0;
+        for item in &raised {
+            match item {
+                Ok(6) => assert_eq!(replayed, 0, "a completed v1 raise never parked"),
+                Ok(7) => {}
+                Err(DispatchError::Held { .. }) => parked += 1,
+                other => panic!("raise racing a hot-swap leaked: {other:?}"),
             }
-            other => panic!("raise racing a hot-swap leaked: {other:?}"),
+        }
+        assert_eq!(
+            replayed, parked,
+            "a parked raise must be replayed by resume"
+        );
+        if raised.contains(&Ok(6)) {
+            assert!(
+                raised.iter().all(|r| *r == Ok(6)),
+                "a burst runs against one snapshot: {raised:?}"
+            );
         }
         assert_eq!(
             runs.load(Ordering::Relaxed), // ordering: Relaxed — raiser joined; no concurrent writers remain.
-            1,
-            "exactly one version ran exactly once"
+            items,
+            "exactly one version ran exactly once per raise"
         );
         let hold = ev.hold_stats().expect("event alive");
         assert_eq!(hold.held, hold.replayed, "nothing stays parked");
         assert_eq!(hold.overflowed, 0);
-    });
-    assert_clean("hot-swap-gate", &report);
+        let stats = d.stats(&ev).expect("event alive");
+        assert_eq!(stats.raises, items, "direct and replayed dispatches");
+        match burst {
+            None => assert_eq!(stats.batched_raises, 0, "a lone raise is not a burst"),
+            Some(n) => assert_eq!(
+                stats.batched_raises + hold.held,
+                n,
+                "every burst item is delivered through the burst or parked"
+            ),
+        }
+    })
 }
 
 /// The quota admission gate racing a concurrent budget release: with a

@@ -27,8 +27,11 @@ use spin_core::{DispatchError, Dispatcher, Identity};
 /// gained two scheduling points with the hot-swap quiesce gate (the
 /// in-flight count increment and the gate load) and one more with the
 /// overload ledger (the quota-cell bind load at the admission edge),
-/// which shifted the DFS enumeration by three serial steps in total.
-const PINNED_SEED: &str = "pb2-0-0-0-0-0-0-0-0-1-1-1-1-0-1";
+/// which shifted the DFS enumeration by three serial steps in total. The
+/// one-raise-path merge took three back out: the handle holds its weak
+/// reference directly (no resolve-once cache load) and the prologue loads
+/// the quota cell after the destroyed re-check, not before the gate.
+const PINNED_SEED: &str = "pb2-0-0-0-0-0-0-1-1-1-0-1";
 
 const HARVEST: &str = "HARVEST: raise lost the race";
 

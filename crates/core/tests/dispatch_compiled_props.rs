@@ -6,8 +6,11 @@
 //! stream.
 
 use proptest::prelude::*;
-use spin_core::{Dispatcher, Event, GuardSpec, Identity, KeyFn};
-use std::sync::Arc;
+use spin_core::{
+    DispatchError, Dispatcher, Event, EventStats, GuardSpec, Identity, KeyFn, QuotaLedger,
+    QuotaSpec,
+};
+use std::sync::{Arc, Mutex};
 
 /// One handler's guard in model form; `to_spec` produces the structured
 /// (compilable) guard and `matches` is the reference predicate.
@@ -116,8 +119,8 @@ proptest! {
         remove_mask in any::<u16>(),
         late_guard in guard_model(),
     ) {
-        let (compiled, compiled_ids) = build_rig(&models, true);
-        let (opaque, opaque_ids) = build_rig(&models, false);
+        let (compiled, mut compiled_ids) = build_rig(&models, true);
+        let (opaque, mut opaque_ids) = build_rig(&models, false);
         let mut live = vec![true; models.len()];
         let mut models = models;
         let churn_at = churn_at.min(stream.len());
@@ -139,20 +142,24 @@ proptest! {
                 }
                 let bit = 1u64 << models.len();
                 let key = KeyFn::new(|x: &u64| *x);
-                compiled.ev
-                    .install_specs(
-                        Identity::extension("h"),
-                        vec![late_guard.to_spec(&key)],
-                        move |_: &u64| bit,
-                    )
-                    .expect("allowed");
-                opaque.ev
-                    .install_specs(
-                        Identity::extension("h"),
-                        vec![late_guard.to_opaque()],
-                        move |_: &u64| bit,
-                    )
-                    .expect("allowed");
+                compiled_ids.push(
+                    compiled.ev
+                        .install_specs(
+                            Identity::extension("h"),
+                            vec![late_guard.to_spec(&key)],
+                            move |_: &u64| bit,
+                        )
+                        .expect("allowed"),
+                );
+                opaque_ids.push(
+                    opaque.ev
+                        .install_specs(
+                            Identity::extension("h"),
+                            vec![late_guard.to_opaque()],
+                            move |_: &u64| bit,
+                        )
+                        .expect("allowed"),
+                );
                 models.push(late_guard.clone());
                 live.push(true);
             }
@@ -182,14 +189,51 @@ proptest! {
         }
         // The all-opaque rig never compiles.
         prop_assert_eq!(os.compiled_raises, 0);
+
+        // A plan that loses its last keyed handler is an all-scan plan
+        // again: same results and charges as the sequential rig, and
+        // neither compiled statistic advances any further.
+        for i in 0..models.len() {
+            if live[i] && !matches!(models[i], GuardModel::OpaqueMod(_)) {
+                live[i] = false;
+                compiled.d
+                    .uninstall(&compiled.ev, compiled_ids[i], &Identity::extension("h"))
+                    .expect("installer may remove");
+                opaque.d
+                    .uninstall(&opaque.ev, opaque_ids[i], &Identity::extension("h"))
+                    .expect("installer may remove");
+            }
+        }
+        for &value in &stream {
+            let expected = model_sum(&models, &live, value);
+            let t_c = compiled.d.clock().now();
+            let t_o = opaque.d.clock().now();
+            prop_assert_eq!(compiled.ev.raise(value), Ok(expected));
+            prop_assert_eq!(opaque.ev.raise(value), Ok(expected));
+            prop_assert_eq!(
+                compiled.d.clock().now() - t_c,
+                opaque.d.clock().now() - t_o
+            );
+        }
+        let after = compiled.d.stats(&compiled.ev).expect("stats");
+        prop_assert_eq!(after.raises, cs.raises + stream.len() as u64);
+        prop_assert_eq!(after.compiled_raises, cs.compiled_raises);
+        prop_assert_eq!(after.guards_elided, cs.guards_elided);
+        prop_assert_eq!(
+            after.guard_evaluations,
+            opaque.d.stats(&opaque.ev).expect("stats").guard_evaluations
+        );
     }
 
     /// `raise_batch` returns item-for-item what looped `raise` returns
-    /// and charges the same virtual time, for any burst.
+    /// and charges the same virtual time, for any burst — also when a
+    /// quota budget refuses part of the burst, and when a closed quiesce
+    /// gate parks all of it.
     #[test]
     fn batched_raises_match_looped_raises(
         models in prop::collection::vec(guard_model(), 1..8),
         burst in prop::collection::vec(0u64..40, 1..16),
+        vt_budget in 1u64..8_000,
     ) {
         let (batched, _) = build_rig(&models, true);
         let (looped, _) = build_rig(&models, true);
@@ -214,5 +258,67 @@ proptest! {
         prop_assert_eq!(bs.raises, ls.raises);
         prop_assert_eq!(bs.batched_raises, burst.len() as u64);
         prop_assert_eq!(ls.batched_raises, 0);
+
+        // Metered: a window budget that runs out mid-burst. Refusals
+        // surface in place, and the ledger cannot tell a burst from a loop.
+        let spec = QuotaSpec {
+            window: 1_000_000_000,
+            window_vt_budget: vt_budget,
+            shed_after_trips: 2,
+            ..QuotaSpec::default()
+        };
+        let (batched, _) = build_rig(&models, true);
+        let (looped, _) = build_rig(&models, true);
+        let batched_cell = QuotaLedger::new().register("tenant", spec);
+        let looped_cell = QuotaLedger::new().register("tenant", spec);
+        prop_assert_eq!(batched.ev.bind_quota(batched_cell.clone()), Ok(true));
+        prop_assert_eq!(looped.ev.bind_quota(looped_cell.clone()), Ok(true));
+        let (t_b, t_l) = (batched.d.clock().now(), looped.d.clock().now());
+        let got = batched.ev.raise_batch(burst.clone());
+        let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(batched.d.clock().now() - t_b, looped.d.clock().now() - t_l);
+        let bs = batched.d.stats(&batched.ev).expect("stats");
+        let ls = looped.d.stats(&looped.ev).expect("stats");
+        prop_assert_eq!(bs.batched_raises, bs.raises);
+        prop_assert_eq!(EventStats { batched_raises: 0, ..bs }, ls);
+        prop_assert_eq!(bs.raises, got.iter().filter(|r| r.is_ok()).count() as u64);
+        prop_assert_eq!(batched_cell.snapshot(), looped_cell.snapshot());
+        prop_assert_eq!(batched_cell.snapshot().attempts, burst.len() as u64);
+
+        // Quiesced: both sides park everything, in burst order, and a
+        // resume replays the same raises with the same charges.
+        let (batched, _) = build_rig(&models, true);
+        let (looped, _) = build_rig(&models, true);
+        let logs = [&batched, &looped].map(|rig| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let sink = log.clone();
+            rig.ev
+                .install(Identity::extension("log"), move |x: &u64| {
+                    sink.lock().expect("log").push(*x);
+                    0
+                })
+                .expect("allowed");
+            rig.ev.quiesce().expect("alive");
+            log
+        });
+        let (t_b, t_l) = (batched.d.clock().now(), looped.d.clock().now());
+        let got = batched.ev.raise_batch(burst.clone());
+        let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
+        prop_assert_eq!(&got, &want);
+        prop_assert!(got.iter().all(|r| matches!(r, Err(DispatchError::Held { .. }))));
+        prop_assert_eq!(batched.d.clock().now(), t_b);
+        prop_assert_eq!(batched.ev.hold_stats(), looped.ev.hold_stats());
+        prop_assert_eq!(batched.ev.held_len(), Ok(burst.len()));
+        prop_assert_eq!(batched.ev.resume(), Ok(burst.len() as u64));
+        prop_assert_eq!(looped.ev.resume(), Ok(burst.len() as u64));
+        prop_assert_eq!(batched.d.clock().now() - t_b, looped.d.clock().now() - t_l);
+        prop_assert_eq!(batched.ev.hold_stats(), looped.ev.hold_stats());
+        prop_assert_eq!(
+            batched.d.stats(&batched.ev).expect("stats"),
+            looped.d.stats(&looped.ev).expect("stats")
+        );
+        prop_assert_eq!(&*logs[0].lock().expect("log"), &burst);
+        prop_assert_eq!(&*logs[1].lock().expect("log"), &burst);
     }
 }

@@ -170,7 +170,9 @@ gate spin-check env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-ch
 gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
     CARGO_TARGET_DIR=target/spin-check-mutant cargo test -q -p spin-check --test mutants
 gate miri miri_gate
-gate clippy cargo clippy --workspace -- -D warnings
+# --all-targets: the Criterion bench and the examples are compiled by no
+# other gate, so without it a kernel-crate refactor can rot them unseen.
+gate clippy cargo clippy --workspace --all-targets -- -D warnings
 gate fmt cargo fmt --check
 
 if [ "$LIST" = 0 ]; then

@@ -105,15 +105,6 @@ impl<T: Clone> HookRegistry<T> {
         id
     }
 
-    /// Replaces every registered hook with `hook`.
-    pub fn replace_all(&self, hook: T) -> HookId {
-        let id = HookId(self.next.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — id allocation only needs uniqueness, not synchronization.
-        let mut entries = self.entries.write();
-        *entries = Arc::new(vec![(id, hook)]);
-        self.armed.store(true, Ordering::Release); // ordering: Release — pairs with the Acquire in is_armed/snapshot so a reader that sees the flag also sees the list.
-        id
-    }
-
     /// Removes one hook. Returns `false` if the id was never registered
     /// or was already removed.
     pub fn remove(&self, id: HookId) -> bool {
@@ -133,17 +124,10 @@ impl<T: Clone> HookRegistry<T> {
         removed
     }
 
-    /// Removes every hook.
-    pub fn clear(&self) {
-        let mut entries = self.entries.write();
-        self.armed.store(false, Ordering::Release); // ordering: Release — disarm before publishing the empty list; a stale armed=true only costs a snapshot of an empty vec.
-        *entries = Arc::new(Vec::new());
-    }
-
     /// The fast path: one atomic load when nothing is registered.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        self.armed.load(Ordering::Acquire) // ordering: Acquire — pairs with the Release in add/replace_all; seeing true implies the list write is visible.
+        self.armed.load(Ordering::Acquire) // ordering: Acquire — pairs with the Release in add; seeing true implies the list write is visible.
     }
 
     /// An immutable snapshot of the subscriber list, or `None` (after one
@@ -214,17 +198,5 @@ mod tests {
         assert!(reg.remove(b));
         assert!(reg.snapshot().is_none(), "disarmed when empty");
         assert!(reg.is_empty());
-    }
-
-    #[test]
-    fn registry_replace_all_and_clear() {
-        let reg: HookRegistry<&'static str> = HookRegistry::new();
-        reg.add("a");
-        reg.add("b");
-        let id = reg.replace_all("only");
-        let snap = reg.snapshot().expect("armed");
-        assert_eq!(snap.as_ref(), &vec![(id, "only")]);
-        reg.clear();
-        assert!(reg.snapshot().is_none());
     }
 }

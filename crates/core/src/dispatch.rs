@@ -598,22 +598,13 @@ pub struct HoldStats {
     pub overflowed: u64,
 }
 
-/// One parked raise: the virtual instant it arrived plus its total-order
-/// key, mirroring the mailbox `(deliver_at, lane, seq)` order so a resume
-/// replays exactly the sequence an uninterrupted run would have seen.
-struct HeldRaise<A> {
-    deliver_at: Nanos,
-    lane: u64,
-    seq: u64,
-    args: A,
-}
-
 /// The hold queue proper, guarded by a mutex the raise hot path never
-/// touches (parking is reached only behind the quiesce gate).
+/// touches (parking is reached only behind the quiesce gate). A plain
+/// FIFO: raises park under the lock, so queue order is arrival order —
+/// the order an uninterrupted run would have dispatched them in.
 struct HoldSide<A> {
-    queue: Vec<HeldRaise<A>>,
+    queue: Vec<A>,
     capacity: usize,
-    seq: u64,
 }
 
 impl<A> Default for HoldSide<A> {
@@ -621,7 +612,6 @@ impl<A> Default for HoldSide<A> {
         HoldSide {
             queue: Vec::new(),
             capacity: 65_536,
-            seq: 0,
         }
     }
 }
@@ -1486,14 +1476,7 @@ where
                 name: ev.name.to_string(),
             });
         }
-        let seq = held.seq;
-        held.seq += 1;
-        held.queue.push(HeldRaise {
-            deliver_at: clock.now(),
-            lane: 0,
-            seq,
-            args,
-        });
+        held.queue.push(args);
         count(&state.held_total, 1);
         if let Some(q) = self.quota {
             q.note_held();
@@ -1971,15 +1954,15 @@ where
         Ok(self.resolved()?.in_flight.load(Ordering::SeqCst))
     }
 
-    /// Reopens the gate and replays every parked raise in
-    /// `(deliver_at, lane, seq)` order — the mailbox total order, so the
-    /// replayed timeline is exactly the one an uninterrupted run would
-    /// have dispatched. Replayed results are unobservable (like the
-    /// paper's asynchronous handlers); each replay charges full dispatch
-    /// cost at the *current* virtual instant. Returns how many replayed.
+    /// Reopens the gate and replays every parked raise in the order it
+    /// parked, so the replayed timeline is exactly the one an
+    /// uninterrupted run would have dispatched. Replayed results are
+    /// unobservable (like the paper's asynchronous handlers); each replay
+    /// charges full dispatch cost at the *current* virtual instant.
+    /// Returns how many replayed.
     pub fn resume(&self) -> Result<u64, DispatchError> {
         let state = self.resolved()?;
-        let mut parked = {
+        let parked = {
             let mut held = state.held.lock();
             // Clear the gate *under* the hold lock: a parker acquiring
             // the lock after us sees the open gate and dispatches
@@ -1988,10 +1971,9 @@ where
             state.gate.store(false, Ordering::SeqCst);
             std::mem::take(&mut held.queue)
         };
-        parked.sort_by_key(|h| (h.deliver_at, h.lane, h.seq));
         let n = parked.len() as u64;
-        for h in parked {
-            let _ = self.dispatcher.raise(self, h.args);
+        for args in parked {
+            let _ = self.dispatcher.raise(self, args);
         }
         state.replayed_total.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         Ok(n)

@@ -135,8 +135,8 @@ pub enum DispatchError {
     /// No handler with that id is installed.
     NoSuchHandler,
     /// The event is quiesced for a hot swap: the raise was parked in the
-    /// hold queue and will be dispatched — in `(deliver_at, lane, seq)`
-    /// order — when the swap resumes the event.
+    /// hold queue and will be dispatched — in the order raises parked —
+    /// when the swap resumes the event.
     Held { name: String },
     /// The event is quiesced and its hold queue is full; the raise was
     /// dropped (counted in [`crate::HoldStats::overflowed`]).

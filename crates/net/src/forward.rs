@@ -423,6 +423,14 @@ mod tests {
             u64::from(crate::stack::RETRY_MAX),
             "budget fully consumed"
         );
+        // The last attempt ran 1 + 2 + 4 + 8 ms after the first (which the
+        // datagram's own trip puts under a millisecond in).
+        let backoff = 15 * crate::stack::RETRY_BASE;
+        let ended = rig.board.clock.now();
+        assert!(
+            (backoff..backoff + crate::stack::RETRY_BASE).contains(&ended),
+            "doubling backoff capped at RETRY_CAP, idle at {ended}"
+        );
     }
 
     #[test]

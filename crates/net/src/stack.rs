@@ -31,7 +31,7 @@ use spin_check::sync::{Mutex, RwLock};
 use spin_core::{Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::board::vectors;
-use spin_sal::devices::nic::Nic;
+use spin_sal::devices::nic::{Nic, NicError};
 use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
 use spin_sched::{Executor, KChannel, Step, StrandCtx, StrandId};
 use std::collections::HashMap;
@@ -703,17 +703,12 @@ impl NetStack {
         segment: impl Into<BufChain>,
     ) -> Result<(), NetError> {
         let segment = segment.into();
-        let verdict = self
-            .inner
-            .events
-            .send_packet
-            .raise(SendRequest {
-                dst,
-                protocol,
-                payload: segment.clone(),
-            })
-            .unwrap_or(SendVerdict::Transmit);
-        if verdict == SendVerdict::Suppressed {
+        let verdict = self.inner.events.send_packet.raise(SendRequest {
+            dst,
+            protocol,
+            payload: segment.clone(),
+        });
+        if suppressed(&verdict) {
             return Ok(());
         }
         self.transmit(dst, protocol, segment)
@@ -739,10 +734,11 @@ impl NetStack {
             })
             .collect();
         let verdicts = self.inner.events.send_packet.raise_batch(reqs);
+        // Consecutive frames for one medium leave as one NIC burst.
         let mut per_nic: Vec<(Medium, Vec<(WireEndpoint, Bytes)>)> = Vec::new();
-        let mut first_err = None;
+        let mut outcome = Ok(());
         for ((dst, protocol, chain), verdict) in items.into_iter().zip(verdicts) {
-            if verdict.unwrap_or(SendVerdict::Transmit) == SendVerdict::Suppressed {
+            if suppressed(&verdict) {
                 continue;
             }
             match self.prepare_frame(dst, protocol, chain) {
@@ -750,18 +746,13 @@ impl NetStack {
                     Some((m, batch)) if *m == medium => batch.push((endpoint, frame)),
                     _ => per_nic.push((medium, vec![(endpoint, frame)])),
                 },
-                Err(e) => first_err = first_err.or(Some(e)),
+                Err(e) => outcome = outcome.and(Err(e)),
             }
         }
         for (medium, batch) in per_nic {
-            if let Err(e) = self.nic_for(medium).send_burst(batch) {
-                first_err = first_err.or(Some(NetError::TooLarge(format!("{e:?}"))));
-            }
+            outcome = outcome.and(handed_off(self.nic_for(medium).send_burst(batch)));
         }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        outcome
     }
 
     /// Transmits without consulting `SendPacket` (used by handlers that
@@ -775,9 +766,7 @@ impl NetStack {
         segment: impl Into<BufChain>,
     ) -> Result<(), NetError> {
         let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment.into())?;
-        self.nic_for(medium)
-            .send(endpoint, frame)
-            .map_err(|e| NetError::TooLarge(format!("{e:?}")))
+        handed_off(self.nic_for(medium).send(endpoint, frame))
     }
 
     /// Transmits, retrying on failure with capped exponential backoff on
@@ -789,25 +778,16 @@ impl NetStack {
     // charged: each attempt pays the full transmit charge; retries fire
     // from virtual timers so the caller pays nothing extra.
     pub fn transmit_with_retry(&self, dst: IpAddr, protocol: u8, segment: impl Into<BufChain>) {
-        let segment = segment.into();
-        if self.transmit(dst, protocol, segment.clone()).is_ok() {
-            return;
-        }
-        self.schedule_retry(dst, protocol, segment, 1, RETRY_BASE);
+        self.attempt(dst, protocol, segment.into(), 0, RETRY_BASE);
     }
 
-    // charged: each retry pays the full transmit charge at its timer
-    // instant; the bookkeeping itself is a counter write.
-    fn schedule_retry(
-        &self,
-        dst: IpAddr,
-        protocol: u8,
-        segment: BufChain,
-        attempt: u32,
-        delay: Nanos,
-    ) {
-        if attempt > RETRY_MAX {
-            return; // budget exhausted: drop, as a datagram service may
+    /// One attempt: transmit, and on failure — while the budget lasts —
+    /// count a retry and make the next attempt `delay` later.
+    // charged: the transmit charge, at this attempt's virtual instant; the
+    // retry bookkeeping itself is a counter write.
+    fn attempt(&self, dst: IpAddr, protocol: u8, segment: BufChain, retries: u32, delay: Nanos) {
+        if self.transmit(dst, protocol, segment.clone()).is_ok() || retries == RETRY_MAX {
+            return; // sent, or budget exhausted: drop, as a datagram service may
         }
         self.inner.stats.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.inner.obs.get() {
@@ -816,15 +796,13 @@ impl NetStack {
         let at = self.inner.exec.clock().now() + delay;
         let me = self.clone();
         self.inner.exec.timers().schedule_at(at, move |_| {
-            if me.transmit(dst, protocol, segment.clone()).is_err() {
-                me.schedule_retry(
-                    dst,
-                    protocol,
-                    segment,
-                    attempt + 1,
-                    (delay * 2).min(RETRY_CAP),
-                );
-            }
+            me.attempt(
+                dst,
+                protocol,
+                segment,
+                retries + 1,
+                (delay * 2).min(RETRY_CAP),
+            )
         });
     }
 
@@ -956,6 +934,17 @@ impl NetStack {
     pub fn stats(&self) -> NetStats {
         self.inner.stats.snapshot()
     }
+}
+
+/// Whether `SendPacket`'s handlers took the packet over. A raise that
+/// failed outright transmits, as the default implementation would.
+fn suppressed(verdict: &Result<SendVerdict, spin_core::DispatchError>) -> bool {
+    matches!(verdict, Ok(SendVerdict::Suppressed))
+}
+
+/// The NIC's answer to a hand-off, as the stack reports it.
+fn handed_off(sent: Result<(), NicError>) -> Result<(), NetError> {
+    sent.map_err(|e| NetError::TooLarge(format!("{e:?}")))
 }
 
 /// Errors from the network stack.

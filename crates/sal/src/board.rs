@@ -1,10 +1,14 @@
-//! Assembling the simulated testbed: a board (shared timeline + wire) and
-//! hosts (CPU-local hardware).
+//! Assembling the simulated testbed: a board (the media and the machine
+//! profile) and hosts (CPU-local hardware).
 //!
 //! The paper's experiments run on one or two DEC Alpha workstations joined
-//! by Ethernet and ATM. [`SimBoard::new_host`] builds a fully-populated
-//! workstation; multi-host experiments share one [`SimBoard`], hence one
-//! virtual timeline, one timer queue and one wire per medium.
+//! by Ethernet and ATM. There are two boards and one way to build a host.
+//! On a [`SimBoard`] every host shares the board's clock and timer queue —
+//! one virtual timeline, which is what Tables 2/5/6 are calibrated on — and
+//! frames arrive as timers. On a [`MulticoreBoard`] every host is a shard
+//! with a clock, a timer queue and a [`Mailbox`] of its own, and frames
+//! arrive as mail. That [`Timeline`] is all the two `new_host`s differ in;
+//! the workstation around it comes from one builder.
 
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::cost::MachineProfile;
@@ -15,7 +19,7 @@ use crate::irq::IrqController;
 use crate::mailbox::{lanes, Mailbox};
 use crate::mem::PhysMem;
 use crate::mmu::Mmu;
-use crate::wire::{Wire, WireEndpoint};
+use crate::wire::{Receiver, Sink, Wire, WireEndpoint};
 use spin_check::sync::Mutex;
 use std::sync::Arc;
 
@@ -32,6 +36,82 @@ pub mod vectors {
     pub const ATM: IrqVector = IrqVector(3);
     pub const T3: IrqVector = IrqVector(4);
     pub const TIMER: IrqVector = IrqVector(5);
+}
+
+/// The three media of a board. One-way latency is dominated by the
+/// switch/segment, a few µs.
+fn media() -> (Wire, Wire, Wire) {
+    (
+        Wire::new(5_000, lanes::ETHERNET_BASE),
+        Wire::new(3_000, lanes::ATM_BASE),
+        Wire::new(3_000, lanes::T3_BASE),
+    )
+}
+
+/// Whose time a new host runs on, and how frames reach it.
+struct Timeline {
+    clock: Clock,
+    timers: TimerQueue,
+    mailbox: Mailbox,
+    sink: Sink,
+}
+
+/// Builds a complete workstation on `on`, attached to all three media.
+/// Wire addresses are deterministic: host *i* gets endpoint *i* on every
+/// medium.
+fn build_host(
+    profile: &Arc<MachineProfile>,
+    media: [&Wire; 3],
+    next_host: &Mutex<u32>,
+    memory_frames: usize,
+    on: Timeline,
+) -> Host {
+    let id = {
+        let mut n = next_host.lock();
+        let id = HostId(*n);
+        *n += 1;
+        id
+    };
+    let irqs = IrqController::new(on.clock.clone(), profile.clone());
+    let nic = |model: NicModel, wire: &Wire, vector| {
+        let port = Receiver {
+            rx: Arc::default(),
+            irqs: irqs.clone(),
+            vector,
+            clock: on.clock.clone(),
+            sink: on.sink.clone(),
+        };
+        Nic::new(
+            model,
+            WireEndpoint(id.0),
+            wire.clone(),
+            profile.clone(),
+            port,
+        )
+    };
+    let [ethernet, atm, t3] = media;
+    Host {
+        id,
+        mem: PhysMem::new(memory_frames),
+        mmu: Mmu::new(on.clock.clone(), profile.clone()),
+        console: Console::new(on.clock.clone(), profile.clone()),
+        disk: Disk::new(
+            DiskGeometry::default(),
+            on.clock.clone(),
+            on.timers.clone(),
+            irqs.clone(),
+            vectors::DISK,
+            profile.clone(),
+        ),
+        ethernet: nic(NicModel::lance_ethernet(), ethernet, vectors::ETHERNET),
+        atm: nic(NicModel::fore_atm(), atm, vectors::ATM),
+        t3: nic(NicModel::t3_dma(), t3, vectors::T3),
+        irqs,
+        clock: on.clock,
+        timers: on.timers,
+        profile: profile.clone(),
+        mailbox: on.mailbox,
+    }
 }
 
 /// The shared simulation backplane.
@@ -57,15 +137,10 @@ impl SimBoard {
 
     /// Creates a board with a custom profile (used by ablation benches).
     pub fn with_profile(profile: MachineProfile) -> Self {
-        let clock = Clock::new();
-        let timers = TimerQueue::new();
-        // One-way latency: dominated by the switch/segment, a few µs.
-        let ethernet = Wire::new(clock.clone(), timers.clone(), 5_000);
-        let atm = Wire::new(clock.clone(), timers.clone(), 3_000);
-        let t3 = Wire::new(clock.clone(), timers.clone(), 3_000);
+        let (ethernet, atm, t3) = media();
         SimBoard {
-            clock,
-            timers,
+            clock: Clock::new(),
+            timers: TimerQueue::new(),
             profile: Arc::new(profile),
             ethernet,
             atm,
@@ -74,65 +149,17 @@ impl SimBoard {
         }
     }
 
-    /// Builds a complete workstation attached to all three media.
-    ///
-    /// Wire addresses are deterministic: host *i* gets endpoint *i* on every
-    /// medium.
+    /// Builds a workstation on the board's timeline: frames arrive as
+    /// timers on the shared queue.
     pub fn new_host(&self, memory_frames: usize) -> Host {
-        let id = {
-            let mut n = self.next_host.lock();
-            let id = HostId(*n);
-            *n += 1;
-            id
-        };
-        let irqs = IrqController::new(self.clock.clone(), self.profile.clone());
-        let endpoint = WireEndpoint(id.0);
-        Host {
-            id,
-            mem: PhysMem::new(memory_frames),
-            mmu: Mmu::new(self.clock.clone(), self.profile.clone()),
-            console: Console::new(self.clock.clone(), self.profile.clone()),
-            disk: Disk::new(
-                DiskGeometry::default(),
-                self.clock.clone(),
-                self.timers.clone(),
-                irqs.clone(),
-                vectors::DISK,
-                self.profile.clone(),
-            ),
-            ethernet: Nic::new(
-                NicModel::lance_ethernet(),
-                endpoint,
-                self.ethernet.clone(),
-                irqs.clone(),
-                vectors::ETHERNET,
-                self.clock.clone(),
-                self.profile.clone(),
-            ),
-            atm: Nic::new(
-                NicModel::fore_atm(),
-                endpoint,
-                self.atm.clone(),
-                irqs.clone(),
-                vectors::ATM,
-                self.clock.clone(),
-                self.profile.clone(),
-            ),
-            t3: Nic::new(
-                NicModel::t3_dma(),
-                endpoint,
-                self.t3.clone(),
-                irqs.clone(),
-                vectors::T3,
-                self.clock.clone(),
-                self.profile.clone(),
-            ),
-            irqs,
+        let on = Timeline {
             clock: self.clock.clone(),
             timers: self.timers.clone(),
-            profile: self.profile.clone(),
             mailbox: Mailbox::new(),
-        }
+            sink: Sink::Timers(self.timers.clone()),
+        };
+        let media = [&self.ethernet, &self.atm, &self.t3];
+        build_host(&self.profile, media, &self.next_host, memory_frames, on)
     }
 }
 
@@ -170,23 +197,7 @@ impl MulticoreBoard {
 
     /// Creates a multicore board with a custom profile.
     pub fn with_profile(profile: MachineProfile) -> Self {
-        // The wires' fallback clock/timers are never used: every endpoint
-        // on a multicore board attaches shard-style.
-        let idle_clock = Clock::new();
-        let idle_timers = TimerQueue::new();
-        let ethernet = Wire::with_lane_base(
-            idle_clock.clone(),
-            idle_timers.clone(),
-            5_000,
-            lanes::ETHERNET_BASE,
-        );
-        let atm = Wire::with_lane_base(
-            idle_clock.clone(),
-            idle_timers.clone(),
-            3_000,
-            lanes::ATM_BASE,
-        );
-        let t3 = Wire::with_lane_base(idle_clock, idle_timers, 3_000, lanes::T3_BASE);
+        let (ethernet, atm, t3) = media();
         MulticoreBoard {
             profile: Arc::new(profile),
             ethernet,
@@ -207,59 +218,18 @@ impl MulticoreBoard {
             .min(self.t3.propagation())
     }
 
-    /// Builds a workstation shard with its own timeline and mailbox,
-    /// attached to all three media. Endpoints are deterministic: host *i*
-    /// gets endpoint *i* on every medium.
+    /// Builds a workstation shard on a timeline of its own: frames arrive
+    /// as mail, drained at the shard's next epoch.
     pub fn new_host(&self, memory_frames: usize) -> Host {
-        let id = {
-            let mut n = self.next_host.lock();
-            let id = HostId(*n);
-            *n += 1;
-            id
-        };
-        let clock = Clock::new();
-        let timers = TimerQueue::new();
         let mailbox = Mailbox::new();
-        let irqs = IrqController::new(clock.clone(), self.profile.clone());
-        let endpoint = WireEndpoint(id.0);
-        let nic = |model: NicModel, wire: &Wire, vector| {
-            Nic::new_sharded(
-                model,
-                endpoint,
-                wire.clone(),
-                irqs.clone(),
-                vector,
-                clock.clone(),
-                self.profile.clone(),
-                mailbox.clone(),
-            )
+        let on = Timeline {
+            clock: Clock::new(),
+            timers: TimerQueue::new(),
+            mailbox: mailbox.clone(),
+            sink: Sink::Mailbox(mailbox),
         };
-        Host {
-            id,
-            mem: PhysMem::new(memory_frames),
-            mmu: Mmu::new(clock.clone(), self.profile.clone()),
-            console: Console::new(clock.clone(), self.profile.clone()),
-            disk: Disk::new(
-                DiskGeometry::default(),
-                clock.clone(),
-                timers.clone(),
-                irqs.clone(),
-                vectors::DISK,
-                self.profile.clone(),
-            ),
-            ethernet: nic(
-                NicModel::lance_ethernet(),
-                &self.ethernet,
-                vectors::ETHERNET,
-            ),
-            atm: nic(NicModel::fore_atm(), &self.atm, vectors::ATM),
-            t3: nic(NicModel::t3_dma(), &self.t3, vectors::T3),
-            irqs,
-            clock,
-            timers,
-            profile: self.profile.clone(),
-            mailbox,
-        }
+        let media = [&self.ethernet, &self.atm, &self.t3];
+        build_host(&self.profile, media, &self.next_host, memory_frames, on)
     }
 }
 
@@ -316,6 +286,25 @@ mod tests {
         b.irqs.dispatch_pending();
         let f = b.ethernet.receive().unwrap();
         assert_eq!(&f.payload[..], b"hello");
+    }
+
+    /// The frame books close on both boards: a frame for an endpoint nobody
+    /// attached occupies its sender's link and is counted `dropped`. (With
+    /// a second receiver table the multicore wire parked such a frame on a
+    /// timer queue nothing pumped, counted nowhere.)
+    #[test]
+    fn a_frame_to_an_unattached_endpoint_is_an_attributed_drop() {
+        let (shared, sharded) = (SimBoard::new(), MulticoreBoard::new());
+        let hosts = [shared.new_host(8), sharded.new_host(8)];
+        for (host, wire) in hosts.iter().zip([&shared.ethernet, &sharded.ethernet]) {
+            host.ethernet
+                .send(WireEndpoint(99), Bytes::from_static(b"anyone?"))
+                .unwrap();
+            assert_eq!(wire.stats(), (0, 1));
+            assert!(wire.sender_busy_until(host.endpoint()) > host.clock.now());
+            assert_eq!(host.timers.pending(), 0);
+            assert!(host.mailbox.is_empty());
+        }
     }
 
     #[test]

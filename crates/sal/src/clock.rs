@@ -108,18 +108,6 @@ impl Clock {
         self.inner.hooks.remove(id)
     }
 
-    /// Installs `hook` as the *only* subscriber, replacing any previous
-    /// hooks. Single-subscriber convenience kept for tests and simple rigs;
-    /// components that must coexist use [`Clock::add_advance_hook`].
-    pub fn set_advance_hook(&self, hook: AdvanceHook) {
-        self.inner.hooks.replace_all(Arc::from(hook));
-    }
-
-    /// Removes every advance hook.
-    pub fn clear_advance_hook(&self) {
-        self.inner.hooks.clear();
-    }
-
     /// Whether any advance hook is installed — i.e. whether the *number and
     /// granularity* of individual charges is observable, not just their
     /// total. Charge-coalescing optimisations (the dispatcher's compiled
@@ -243,7 +231,7 @@ mod tests {
         let c = Clock::new();
         let total = Arc::new(AtomicU64::new(0));
         let t2 = total.clone();
-        c.set_advance_hook(Box::new(move |ns| {
+        c.add_advance_hook(Box::new(move |ns| {
             t2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         }));
         c.advance(30);
@@ -282,26 +270,6 @@ mod tests {
         assert!(c.remove_advance_hook(exec_id));
         c.advance(5); // no subscribers: single relaxed-flag check, no calls
         assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-    }
-
-    #[test]
-    fn set_advance_hook_replaces_all_subscribers() {
-        let c = Clock::new();
-        let a = Arc::new(AtomicU64::new(0));
-        let b = Arc::new(AtomicU64::new(0));
-        let (a2, b2) = (a.clone(), b.clone());
-        c.add_advance_hook(Box::new(move |ns| {
-            a2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        }));
-        c.set_advance_hook(Box::new(move |ns| {
-            b2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        }));
-        c.advance(7);
-        assert_eq!(a.load(Ordering::Relaxed), 0); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        assert_eq!(b.load(Ordering::Relaxed), 7); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        c.clear_advance_hook();
-        c.advance(7);
-        assert_eq!(b.load(Ordering::Relaxed), 7); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
     }
 
     #[test]

@@ -9,8 +9,7 @@
 
 use crate::clock::Clock;
 use crate::cost::MachineProfile;
-use crate::irq::{IrqController, IrqVector};
-use crate::wire::{Wire, WireEndpoint};
+use crate::wire::{Receiver, Wire, WireEndpoint};
 use bytes::Bytes;
 use spin_check::sync::Mutex;
 use std::collections::VecDeque;
@@ -49,6 +48,7 @@ pub struct NicModel {
 
 impl NicModel {
     /// The 10 Mb/s Lance Ethernet interface.
+    // uncharged: constructor.
     pub fn lance_ethernet() -> Self {
         NicModel {
             name: "Lance Ethernet",
@@ -62,6 +62,7 @@ impl NicModel {
     }
 
     /// The FORE TCA-100 ATM adapter (programmed I/O).
+    // uncharged: constructor.
     pub fn fore_atm() -> Self {
         NicModel {
             name: "FORE TCA-100 ATM",
@@ -75,6 +76,7 @@ impl NicModel {
     }
 
     /// The experimental Digital T3PKT adapter (45 Mb/s, DMA).
+    // uncharged: constructor.
     pub fn t3_dma() -> Self {
         NicModel {
             name: "Digital T3PKT",
@@ -124,46 +126,20 @@ pub struct Nic {
 }
 
 impl Nic {
-    /// Creates a NIC, attaching it to `wire` at address `addr`; received
-    /// frames post `vector` on `irqs`.
-    pub fn new(
+    /// Creates a NIC and attaches it to `wire` at address `addr`. `port`
+    /// is the host side of the attachment: the interrupt line received
+    /// frames post, the host's clock, and the sink that carries frames to
+    /// their arrival instant.
+    // uncharged: constructor.
+    pub(crate) fn new(
         model: NicModel,
         addr: WireEndpoint,
         wire: Wire,
-        irqs: IrqController,
-        vector: IrqVector,
-        clock: Clock,
         profile: Arc<MachineProfile>,
+        port: Receiver,
     ) -> Self {
-        let rx = Arc::new(Mutex::new(VecDeque::new()));
-        wire.attach(addr, rx.clone(), irqs, vector);
-        Nic {
-            model,
-            addr,
-            wire,
-            rx,
-            clock,
-            profile,
-            stats: Arc::new(Mutex::new(NicStats::default())),
-        }
-    }
-
-    /// [`Nic::new`] for a card living on a kernel shard (multicore mode):
-    /// inbound frames are posted into the shard's mailbox, and the wire
-    /// times this sender against the shard's own clock.
-    #[allow(clippy::too_many_arguments)] // mirrors `new` plus the shard mailbox
-    pub fn new_sharded(
-        model: NicModel,
-        addr: WireEndpoint,
-        wire: Wire,
-        irqs: IrqController,
-        vector: IrqVector,
-        clock: Clock,
-        profile: Arc<MachineProfile>,
-        mailbox: crate::mailbox::Mailbox,
-    ) -> Self {
-        let rx = Arc::new(Mutex::new(VecDeque::new()));
-        wire.attach_shard(addr, rx.clone(), irqs, vector, mailbox, clock.clone());
+        let (rx, clock) = (port.rx.clone(), port.clock.clone());
+        wire.attach(addr, port);
         Nic {
             model,
             addr,
@@ -176,11 +152,13 @@ impl Nic {
     }
 
     /// The card model.
+    // uncharged: accessor.
     pub fn model(&self) -> &NicModel {
         &self.model
     }
 
     /// This card's wire address.
+    // uncharged: accessor.
     pub fn addr(&self) -> WireEndpoint {
         self.addr
     }
@@ -188,94 +166,73 @@ impl Nic {
     /// Transmits `payload` to `dst`, charging driver and I/O costs and
     /// handing the frame to the wire.
     pub fn send(&self, dst: WireEndpoint, payload: Bytes) -> Result<(), NicError> {
+        let frame = self.stage(dst, payload)?;
+        self.wire
+            .transmit([frame], self.model.bandwidth_bps, self.model.staging_ns);
+        Ok(())
+    }
+
+    /// Transmits a burst of payloads: exactly [`Nic::send`] for each in
+    /// order, with the whole burst handed to the wire at once. Stops at
+    /// the first oversized payload (frames before it are already
+    /// committed).
+    pub fn send_burst(&self, frames: Vec<(WireEndpoint, Bytes)>) -> Result<(), NicError> {
+        let mut staged = Vec::with_capacity(frames.len());
+        let mut outcome = Ok(());
+        for (dst, payload) in frames {
+            match self.stage(dst, payload) {
+                Ok(frame) => staged.push(frame),
+                Err(e) => {
+                    outcome = Err(e);
+                    break;
+                }
+            }
+        }
+        self.wire
+            .transmit(staged, self.model.bandwidth_bps, self.model.staging_ns);
+        outcome
+    }
+
+    /// The per-frame transmit step: MTU check, driver and I/O charge,
+    /// counters, and the frame with its size on the wire in bits.
+    fn stage(&self, dst: WireEndpoint, payload: Bytes) -> Result<(Frame, u64), NicError> {
         if payload.len() > self.model.mtu {
             return Err(NicError::TooLarge {
                 len: payload.len(),
                 mtu: self.model.mtu,
             });
         }
-        let p = &self.profile;
-        self.clock.advance(self.model.driver_ns);
-        match self.model.io {
-            IoKind::Pio => self.clock.advance(p.pio(payload.len())),
-            IoKind::Dma => self.clock.advance(p.dma_setup),
-        }
+        self.charge_io(payload.len());
         {
             let mut st = self.stats.lock();
             st.tx_frames += 1;
             st.tx_bytes += payload.len() as u64;
         }
         let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
-        self.wire.transmit_delayed(
-            Frame {
-                src: self.addr,
-                dst,
-                payload,
-            },
-            bits,
-            self.model.bandwidth_bps,
-            self.model.staging_ns,
-        );
-        Ok(())
+        let frame = Frame {
+            src: self.addr,
+            dst,
+            payload,
+        };
+        Ok((frame, bits))
     }
 
-    /// Transmits a burst of payloads, charging per-frame driver and I/O
-    /// costs exactly as [`Nic::send`] would, then handing the whole burst
-    /// to the wire under one wire-lock acquisition. Stops at the first
-    /// oversized payload (frames before it are already committed).
-    pub fn send_burst(&self, frames: Vec<(WireEndpoint, Bytes)>) -> Result<(), NicError> {
-        if frames.is_empty() {
-            return Ok(());
-        }
-        let p = &self.profile;
-        let mut wire_frames = Vec::with_capacity(frames.len());
-        for (dst, payload) in frames {
-            if payload.len() > self.model.mtu {
-                self.wire.transmit_burst(
-                    wire_frames,
-                    self.model.bandwidth_bps,
-                    self.model.staging_ns,
-                );
-                return Err(NicError::TooLarge {
-                    len: payload.len(),
-                    mtu: self.model.mtu,
-                });
-            }
-            self.clock.advance(self.model.driver_ns);
-            match self.model.io {
-                IoKind::Pio => self.clock.advance(p.pio(payload.len())),
-                IoKind::Dma => self.clock.advance(p.dma_setup),
-            }
-            {
-                let mut st = self.stats.lock();
-                st.tx_frames += 1;
-                st.tx_bytes += payload.len() as u64;
-            }
-            let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
-            wire_frames.push((
-                Frame {
-                    src: self.addr,
-                    dst,
-                    payload,
-                },
-                bits,
-            ));
-        }
-        self.wire
-            .transmit_burst(wire_frames, self.model.bandwidth_bps, self.model.staging_ns);
-        Ok(())
-    }
-
-    /// Pulls the next received frame, charging the driver and the inbound
-    /// copy (PIO cards burn CPU per byte here too).
-    pub fn receive(&self) -> Option<Frame> {
-        let frame = self.rx.lock().pop_front()?;
+    /// Charges the driver plus moving `len` bytes across the card (PIO
+    /// cards burn CPU per byte, in both directions).
+    fn charge_io(&self, len: usize) {
         let p = &self.profile;
         self.clock.advance(self.model.driver_ns);
         match self.model.io {
-            IoKind::Pio => self.clock.advance(p.pio(frame.payload.len())),
+            IoKind::Pio => self.clock.advance(p.pio(len)),
             IoKind::Dma => self.clock.advance(p.dma_setup),
         }
+    }
+
+    /// Pulls the next received frame, charging the driver and the inbound
+    /// copy.
+    pub fn receive(&self) -> Option<Frame> {
+        let frame = self.rx.lock().pop_front()?;
+        self.charge_io(frame.payload.len());
         {
             let mut st = self.stats.lock();
             st.rx_frames += 1;
@@ -285,11 +242,13 @@ impl Nic {
     }
 
     /// Number of frames waiting in the receive queue.
+    // uncharged: diagnostics accessor.
     pub fn rx_pending(&self) -> usize {
         self.rx.lock().len()
     }
 
     /// (tx frames, tx bytes, rx frames, rx bytes).
+    // uncharged: diagnostics accessor.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         let st = self.stats.lock();
         (st.tx_frames, st.tx_bytes, st.rx_frames, st.rx_bytes)
@@ -300,31 +259,32 @@ impl Nic {
 mod tests {
     use super::*;
     use crate::clock::TimerQueue;
+    use crate::irq::{IrqController, IrqVector};
+    use crate::wire::Sink;
 
     fn rig(model: NicModel) -> (Nic, Nic, Clock, TimerQueue, IrqController) {
         let clock = Clock::new();
         let timers = TimerQueue::new();
         let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let wire = Wire::new(clock.clone(), timers.clone(), 1_000);
+        let wire = Wire::new(1_000, 0);
         let irqs = IrqController::new(clock.clone(), profile.clone());
-        let a = Nic::new(
-            model.clone(),
-            WireEndpoint(1),
-            wire.clone(),
-            irqs.clone(),
-            IrqVector(10),
-            clock.clone(),
-            profile.clone(),
-        );
-        let b = Nic::new(
-            model,
-            WireEndpoint(2),
-            wire,
-            irqs.clone(),
-            IrqVector(11),
-            clock.clone(),
-            profile,
-        );
+        let nic = |model: NicModel, addr, vector| {
+            let port = Receiver {
+                rx: Arc::default(),
+                irqs: irqs.clone(),
+                vector: IrqVector(vector),
+                clock: clock.clone(),
+                sink: Sink::Timers(timers.clone()),
+            };
+            Nic::new(
+                model,
+                WireEndpoint(addr),
+                wire.clone(),
+                profile.clone(),
+                port,
+            )
+        };
+        let (a, b) = (nic(model.clone(), 1, 10), nic(model, 2, 11));
         (a, b, clock, timers, irqs)
     }
 
@@ -354,6 +314,33 @@ mod tests {
                 mtu: 1500
             })
         );
+    }
+
+    #[test]
+    fn a_burst_stops_at_the_first_oversized_payload() {
+        let (a, b, clock, timers, _) = rig(NicModel::lance_ethernet());
+        let burst = vec![
+            (WireEndpoint(2), Bytes::from_static(b"fits")),
+            (WireEndpoint(2), Bytes::from(vec![0u8; 1501])),
+            (WireEndpoint(2), Bytes::from_static(b"never staged")),
+        ];
+        assert_eq!(
+            a.send_burst(burst),
+            Err(NicError::TooLarge {
+                len: 1501,
+                mtu: 1500
+            })
+        );
+        // The frame before it was charged, counted and sent as by `send`.
+        let (lone, _, lone_clock, _, _) = rig(NicModel::lance_ethernet());
+        lone.send(WireEndpoint(2), Bytes::from_static(b"fits"))
+            .unwrap();
+        assert_eq!(clock.now(), lone_clock.now());
+        assert_eq!(a.counters(), lone.counters());
+        clock.skip_to(clock.now() + 10_000_000);
+        timers.fire_due(clock.now());
+        assert_eq!(&b.receive().expect("committed frame").payload[..], b"fits");
+        assert!(b.receive().is_none());
     }
 
     #[test]

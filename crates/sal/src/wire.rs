@@ -1,44 +1,57 @@
-//! The wire: a point-to-point/switched medium connecting simulated NICs.
+//! The wire: a switched medium joining simulated NICs, and the one frame
+//! hand-off below the protocol graph.
+//!
+//! Every attached NIC is a [`Receiver`]: its `rx` ring, its interrupt line,
+//! its host's clock, and the *sink* that carries a frame to its arrival
+//! instant — the host's [`TimerQueue`] on a shared-timeline `SimBoard`, the
+//! host's [`Mailbox`] when the host is a `MulticoreBoard` shard. There is
+//! one receiver table, one [`Wire::transmit`] and one delivery action; the
+//! sink is the only thing the two boards differ in.
 //!
 //! Transmission is serialized per sender (a 10 Mb/s Ethernet can only push
 //! one frame at a time), so saturating workloads see real queueing delay —
-//! that is what bends the OSF/1 curve in the Figure 6 reproduction. Delivery
-//! happens through the shared timer queue: at arrival time the frame lands
-//! in the receiver's queue and the receiver's interrupt vector is posted.
+//! that is what bends the OSF/1 curve in the Figure 6 reproduction. Wire
+//! time is the *sender's* clock (on a `SimBoard` that is the board clock).
+//! At arrival the frame lands in the receiver's ring and the receiver's
+//! interrupt vector is posted. A frame for an endpoint nobody attached is
+//! counted `dropped` when it is sent, after occupying the sender's link:
+//! `delivered + dropped` always catches up with the frames transmitted.
 
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::devices::nic::Frame;
 use crate::irq::{IrqController, IrqVector};
-use crate::mailbox::Mailbox;
+use crate::mailbox::{MailAction, Mailbox};
 use spin_check::sync::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// An address on the wire (one per attached NIC).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WireEndpoint(pub u32);
 
+/// What carries a frame from transmission to its arrival instant.
+#[derive(Clone)]
+pub(crate) enum Sink {
+    /// Shared timeline: the arrival is a timer on the host's queue.
+    Timers(TimerQueue),
+    /// Shard: the arrival is an envelope in the host's mailbox, drained
+    /// onto the shard's own timers at its next epoch.
+    Mailbox(Mailbox),
+}
+
+/// One attached NIC, as the wire sees it.
 pub(crate) struct Receiver {
     pub rx: Arc<Mutex<VecDeque<Frame>>>,
     pub irqs: IrqController,
     pub vector: IrqVector,
+    /// The host's clock: wire time for everything this endpoint sends.
+    pub clock: Clock,
+    pub sink: Sink,
 }
 
-/// A shard-attached receiver: frames land in the destination shard's
-/// mailbox (multicore mode) instead of the shared timer queue.
-struct ShardReceiver {
-    rx: Arc<Mutex<VecDeque<Frame>>>,
-    irqs: IrqController,
-    vector: IrqVector,
-    mailbox: Mailbox,
-}
-
+#[derive(Default)]
 struct WireState {
-    receivers: HashMap<WireEndpoint, Receiver>,
-    shard_receivers: HashMap<WireEndpoint, ShardReceiver>,
-    /// Multicore mode: each sender's *own* clock tells wire time (there is
-    /// no shared timeline to ask).
-    shard_senders: HashMap<WireEndpoint, Clock>,
+    receivers: HashMap<WireEndpoint, Arc<Receiver>>,
     busy_until: HashMap<WireEndpoint, Nanos>,
     delivered: u64,
     dropped: u64,
@@ -52,8 +65,6 @@ struct WireState {
 #[derive(Clone)]
 pub struct Wire {
     state: Arc<Mutex<WireState>>,
-    clock: Clock,
-    timers: TimerQueue,
     /// Fixed propagation + switch latency per frame.
     propagation: Nanos,
     /// Mailbox lane namespace for this medium: a frame from endpoint `e`
@@ -63,73 +74,21 @@ pub struct Wire {
 }
 
 impl Wire {
-    /// Creates a wire with the given one-way propagation/switch delay.
-    pub fn new(clock: Clock, timers: TimerQueue, propagation: Nanos) -> Self {
-        Self::with_lane_base(clock, timers, propagation, 0)
-    }
-
-    /// [`Wire::new`] with a mailbox lane namespace (multicore boards give
-    /// each medium a disjoint base).
-    pub fn with_lane_base(
-        clock: Clock,
-        timers: TimerQueue,
-        propagation: Nanos,
-        lane_base: u64,
-    ) -> Self {
+    /// Creates a wire with the given one-way propagation/switch delay and
+    /// mailbox lane namespace (each medium of a board gets a disjoint one).
+    pub fn new(propagation: Nanos, lane_base: u64) -> Self {
         Wire {
-            state: Arc::new(Mutex::new(WireState {
-                receivers: HashMap::new(),
-                shard_receivers: HashMap::new(),
-                shard_senders: HashMap::new(),
-                busy_until: HashMap::new(),
-                delivered: 0,
-                dropped: 0,
-                drop_filter: None,
-                tx_index: 0,
-            })),
-            clock,
-            timers,
+            state: Arc::default(),
             propagation,
             lane_base,
         }
     }
 
-    pub(crate) fn attach(
-        &self,
-        endpoint: WireEndpoint,
-        rx: Arc<Mutex<VecDeque<Frame>>>,
-        irqs: IrqController,
-        vector: IrqVector,
-    ) {
+    pub(crate) fn attach(&self, endpoint: WireEndpoint, receiver: Receiver) {
         self.state
             .lock()
             .receivers
-            .insert(endpoint, Receiver { rx, irqs, vector });
-    }
-
-    /// Attaches a shard-resident NIC: inbound frames are posted to the
-    /// shard's mailbox and outbound transmissions are timed against the
-    /// shard's own clock.
-    pub(crate) fn attach_shard(
-        &self,
-        endpoint: WireEndpoint,
-        rx: Arc<Mutex<VecDeque<Frame>>>,
-        irqs: IrqController,
-        vector: IrqVector,
-        mailbox: Mailbox,
-        clock: Clock,
-    ) {
-        let mut st = self.state.lock();
-        st.shard_receivers.insert(
-            endpoint,
-            ShardReceiver {
-                rx,
-                irqs,
-                vector,
-                mailbox,
-            },
-        );
-        st.shard_senders.insert(endpoint, clock);
+            .insert(endpoint, Arc::new(receiver));
     }
 
     /// The minimum cross-shard delivery delay over this medium (its
@@ -138,119 +97,76 @@ impl Wire {
         self.propagation
     }
 
-    /// Queues `frame` for transmission at the sender's link rate.
+    /// Queues `frames` — each with its size on the wire in bits, framing
+    /// included — for transmission from attached endpoints at the sender's
+    /// link rate. A frame occupies its sender's link until it has left;
+    /// it arrives `propagation + staging_ns` later (`staging_ns` is adapter
+    /// staging, which occupies neither the link nor the CPU).
     ///
-    /// `bits_on_wire` includes framing overhead. The sender's link is busy
-    /// until the frame has left; delivery fires `propagation` later.
-    #[cfg_attr(not(test), allow(dead_code))] // exercised by unit tests
-    pub(crate) fn transmit(&self, frame: Frame, bits_on_wire: u64, bandwidth_bps: u64) {
-        self.transmit_delayed(frame, bits_on_wire, bandwidth_bps, 0)
-    }
-
-    /// [`Wire::transmit`] with an extra fixed delivery delay (adapter
-    /// staging) that occupies neither the link nor the CPU.
-    pub(crate) fn transmit_delayed(
+    /// A burst is exactly its frames transmitted one by one in order —
+    /// drop filter, link serialization, arrival time, mailbox lane — with
+    /// the state lock taken once and consecutive frames for one mailbox
+    /// posted as one batch.
+    pub(crate) fn transmit(
         &self,
-        frame: Frame,
-        bits_on_wire: u64,
-        bandwidth_bps: u64,
-        staging_ns: Nanos,
-    ) {
-        self.transmit_burst(vec![(frame, bits_on_wire)], bandwidth_bps, staging_ns)
-    }
-
-    /// Queues a burst of frames under one state-lock acquisition.
-    ///
-    /// Per-frame semantics — drop filter, per-sender link serialization,
-    /// arrival time, mailbox lane — are exactly those of sequential
-    /// [`Wire::transmit_delayed`] calls in slice order; only the locking
-    /// and (in multicore mode) the mailbox posts are amortized.
-    pub(crate) fn transmit_burst(
-        &self,
-        frames: Vec<(Frame, u64)>,
+        frames: impl IntoIterator<Item = (Frame, u64)>,
         bandwidth_bps: u64,
         staging_ns: Nanos,
     ) {
         // Phase 1 (one lock): serialize each frame on its sender's link
         // and resolve its destination.
-        let mut deliveries: Vec<(Nanos, Frame, bool)> = Vec::with_capacity(frames.len());
+        let frames = frames.into_iter();
+        let mut due: Vec<(Nanos, Frame, Arc<Receiver>)> = Vec::with_capacity(frames.size_hint().0);
         {
             let mut st = self.state.lock();
             for (frame, bits_on_wire) in frames {
                 let tx_time = bits_on_wire.saturating_mul(1_000_000_000) / bandwidth_bps.max(1);
                 let idx = st.tx_index;
                 st.tx_index += 1;
-                if let Some(f) = st.drop_filter.as_ref() {
-                    if f(idx) {
-                        st.dropped += 1;
-                        continue;
+                if st.drop_filter.as_ref().is_some_and(|f| f(idx)) {
+                    st.dropped += 1;
+                    continue;
+                }
+                let sender = st.receivers.get(&frame.src);
+                let now = sender
+                    .expect("frames are sent by attached NICs")
+                    .clock
+                    .now();
+                let busy = st.busy_until.entry(frame.src).or_insert(0);
+                let done = (*busy).max(now) + tx_time;
+                *busy = done;
+                match st.receivers.get(&frame.dst) {
+                    Some(to) => due.push((done + self.propagation + staging_ns, frame, to.clone())),
+                    None => st.dropped += 1,
+                }
+            }
+        }
+        // Phase 2 (no lock): give each arrival to its receiver's sink, in
+        // frame order (equal-deadline timers fire FIFO; a mailbox lane's
+        // seq is its post order).
+        let mut mail: Vec<(Nanos, u64, MailAction)> = Vec::new();
+        let mut due = due.into_iter().peekable();
+        while let Some((arrival, frame, to)) = due.next() {
+            let lane = self.lane_base + frame.src.0 as u64;
+            let (state, at) = (self.state.clone(), to.clone());
+            let deliver = move |_: Nanos| {
+                at.rx.lock().push_back(frame);
+                state.lock().delivered += 1;
+                at.irqs.post(at.vector);
+            };
+            match &to.sink {
+                Sink::Timers(timers) => {
+                    timers.schedule_at(arrival, deliver);
+                }
+                Sink::Mailbox(mailbox) => {
+                    mail.push((arrival, lane, Box::new(deliver)));
+                    if !due
+                        .peek()
+                        .is_some_and(|(_, _, next)| Arc::ptr_eq(next, &to))
+                    {
+                        mailbox.post_batch(std::mem::take(&mut mail));
                     }
                 }
-                // Multicore mode: wire time is the *sender's* virtual time.
-                let now = st
-                    .shard_senders
-                    .get(&frame.src)
-                    .map(|c| c.now())
-                    .unwrap_or_else(|| self.clock.now());
-                let busy = st.busy_until.get(&frame.src).copied().unwrap_or(0);
-                let start = busy.max(now);
-                let done = start + tx_time;
-                st.busy_until.insert(frame.src, done);
-                let arrival = done + self.propagation + staging_ns;
-                let sharded = st.shard_receivers.contains_key(&frame.dst);
-                deliveries.push((arrival, frame, sharded));
-            }
-        }
-        // Phase 2 (no lock): post deliveries. Shard-resident destinations
-        // get their mailbox posts batched per destination, preserving
-        // slice order (and so per-lane seq order); shared-timeline frames
-        // go straight onto the timer queue.
-        let mut batches: BTreeMap<u32, Vec<(Nanos, u64, crate::mailbox::MailAction)>> =
-            BTreeMap::new();
-        for (arrival, frame, sharded) in deliveries {
-            let state = self.state.clone();
-            let dst = frame.dst;
-            if sharded {
-                let lane = self.lane_base + frame.src.0 as u64;
-                batches.entry(dst.0).or_default().push((
-                    arrival,
-                    lane,
-                    Box::new(move |_| {
-                        let mut st = state.lock();
-                        if let Some(r) = st.shard_receivers.get(&dst) {
-                            r.rx.lock().push_back(frame);
-                            let (irqs, vector) = (r.irqs.clone(), r.vector);
-                            st.delivered += 1;
-                            drop(st);
-                            irqs.post(vector);
-                        }
-                    }),
-                ));
-            } else {
-                self.timers.schedule_at(arrival, move |_| {
-                    let mut st = state.lock();
-                    match st.receivers.get(&dst) {
-                        Some(r) => {
-                            r.rx.lock().push_back(frame);
-                            let (irqs, vector) = (r.irqs.clone(), r.vector);
-                            st.delivered += 1;
-                            drop(st);
-                            irqs.post(vector);
-                        }
-                        None => st.dropped += 1,
-                    }
-                });
-            }
-        }
-        for (dst, entries) in batches {
-            let mbox = self
-                .state
-                .lock()
-                .shard_receivers
-                .get(&WireEndpoint(dst))
-                .map(|r| r.mailbox.clone());
-            if let Some(mbox) = mbox {
-                mbox.post_batch(entries);
             }
         }
     }
@@ -289,69 +205,166 @@ mod tests {
     use crate::cost::MachineProfile;
     use bytes::Bytes;
 
-    fn rig() -> (
-        Wire,
-        Clock,
-        TimerQueue,
-        IrqController,
-        Arc<Mutex<VecDeque<Frame>>>,
-    ) {
-        let clock = Clock::new();
-        let timers = TimerQueue::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let wire = Wire::new(clock.clone(), timers.clone(), 1_000);
-        let irqs = IrqController::new(clock.clone(), profile);
-        let rx = Arc::new(Mutex::new(VecDeque::new()));
-        wire.attach(WireEndpoint(2), rx.clone(), irqs.clone(), IrqVector(7));
-        (wire, clock, timers, irqs, rx)
+    /// Endpoint 1 sends, endpoint 2 receives through the sink under test.
+    struct Rig {
+        wire: Wire,
+        clock: Clock,
+        timers: TimerQueue,
+        mailbox: Mailbox,
+        irqs: IrqController,
+        rx: Arc<Mutex<VecDeque<Frame>>>,
     }
 
-    fn frame(payload: &[u8]) -> Frame {
+    fn rig(shard: bool) -> Rig {
+        let (clock, timers, mailbox) = (Clock::new(), TimerQueue::new(), Mailbox::new());
+        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
+        let wire = Wire::new(1_000, 0);
+        let irqs = IrqController::new(clock.clone(), profile);
+        let attach = |endpoint, vector| {
+            let rx = Arc::new(Mutex::new(VecDeque::new()));
+            let sink = if shard {
+                Sink::Mailbox(mailbox.clone())
+            } else {
+                Sink::Timers(timers.clone())
+            };
+            wire.attach(
+                WireEndpoint(endpoint),
+                Receiver {
+                    rx: rx.clone(),
+                    irqs: irqs.clone(),
+                    vector: IrqVector(vector),
+                    clock: clock.clone(),
+                    sink,
+                },
+            );
+            rx
+        };
+        attach(1, 6);
+        let rx = attach(2, 7);
+        Rig {
+            wire,
+            clock,
+            timers,
+            mailbox,
+            irqs,
+            rx,
+        }
+    }
+
+    impl Rig {
+        /// 1000 bits at 10 Mb/s: 100 µs on the wire per frame.
+        fn transmit(&self, frames: impl IntoIterator<Item = Frame>) {
+            let frames = frames.into_iter().map(|f| (f, 1000));
+            self.wire.transmit(frames, 10_000_000, 0);
+        }
+
+        /// Runs a shard epoch (mail drains onto the timers in mailbox
+        /// order) and then every timer; returns `(arrival, payload)` in
+        /// `rx` order.
+        fn arrivals(&self) -> Vec<(Nanos, Bytes)> {
+            for env in self.mailbox.drain() {
+                self.timers.schedule_at(env.deliver_at, env.action);
+            }
+            let mut out = Vec::new();
+            while let Some(at) = self.timers.next_deadline() {
+                self.timers.fire_due(at);
+                out.extend(self.rx.lock().drain(..).map(|f| (at, f.payload)));
+            }
+            out
+        }
+    }
+
+    fn frame_to(dst: u32, payload: &[u8]) -> Frame {
         Frame {
             src: WireEndpoint(1),
-            dst: WireEndpoint(2),
+            dst: WireEndpoint(dst),
             payload: Bytes::copy_from_slice(payload),
         }
     }
 
+    fn frame(payload: &[u8]) -> Frame {
+        frame_to(2, payload)
+    }
+
     #[test]
     fn frame_arrives_after_tx_time_plus_propagation() {
-        let (wire, clock, timers, irqs, rx) = rig();
-        // 1000 bits at 10 Mb/s = 100 µs on the wire.
-        wire.transmit(frame(&[0u8; 125]), 1000, 10_000_000);
-        clock.skip_to(100_999);
-        timers.fire_due(clock.now());
-        assert!(rx.lock().is_empty(), "too early");
-        clock.skip_to(101_000);
-        timers.fire_due(clock.now());
-        assert_eq!(rx.lock().len(), 1);
-        assert!(irqs.has_pending());
+        let r = rig(false);
+        r.transmit([frame(&[0u8; 125])]);
+        r.clock.skip_to(100_999);
+        r.timers.fire_due(r.clock.now());
+        assert!(r.rx.lock().is_empty(), "too early");
+        r.clock.skip_to(101_000);
+        r.timers.fire_due(r.clock.now());
+        assert_eq!(r.rx.lock().len(), 1);
+        assert!(r.irqs.has_pending());
     }
 
     #[test]
     fn sender_link_serializes_back_to_back_frames() {
-        let (wire, clock, timers, _irqs, rx) = rig();
-        wire.transmit(frame(b"a"), 1000, 10_000_000);
-        wire.transmit(frame(b"b"), 1000, 10_000_000);
+        let r = rig(false);
+        r.transmit([frame(b"a")]);
+        r.transmit([frame(b"b")]);
         // Second frame cannot start until the first is done: arrival at
         // 200_000 + 1_000 propagation.
-        assert_eq!(wire.sender_busy_until(WireEndpoint(1)), 200_000);
-        clock.skip_to(201_000);
-        timers.fire_due(clock.now());
-        assert_eq!(rx.lock().len(), 2);
+        assert_eq!(r.wire.sender_busy_until(WireEndpoint(1)), 200_000);
+        r.clock.skip_to(201_000);
+        r.timers.fire_due(r.clock.now());
+        assert_eq!(r.rx.lock().len(), 2);
     }
 
     #[test]
     fn frames_to_unknown_endpoints_are_dropped() {
-        let (wire, clock, timers, _, _) = rig();
-        let f = Frame {
-            src: WireEndpoint(1),
-            dst: WireEndpoint(99),
-            payload: Bytes::new(),
+        for shard in [false, true] {
+            let r = rig(shard);
+            r.transmit([frame_to(99, b"")]);
+            assert_eq!(r.wire.stats(), (0, 1), "shard sink: {shard}");
+            assert_eq!(
+                r.wire.sender_busy_until(WireEndpoint(1)),
+                100_000,
+                "the frame still occupied its sender's link"
+            );
+            assert!(r.arrivals().is_empty());
+        }
+    }
+
+    /// The merged path's contract, for both sinks: a burst is its frames
+    /// transmitted one by one — same arrival instants, same `rx` order,
+    /// same counters — with a filtered frame and an unknown destination
+    /// in the middle of it.
+    #[test]
+    fn a_burst_equals_its_frames_sent_one_by_one() {
+        let burst = || {
+            [
+                frame(b"a"),
+                frame(b"filtered"),
+                frame(b"c"),
+                frame_to(99, b"nobody"),
+                frame(b"e"),
+            ]
         };
-        wire.transmit(f, 8, 10_000_000);
-        clock.skip_to(1_000_000);
-        timers.fire_due(clock.now());
-        assert_eq!(wire.stats(), (0, 1));
+        for shard in [false, true] {
+            let run = |one_by_one: bool| {
+                let r = rig(shard);
+                r.wire.set_drop_filter(|idx| idx == 1);
+                r.clock.advance(7_000);
+                if one_by_one {
+                    burst().into_iter().for_each(|f| r.transmit([f]));
+                } else {
+                    r.transmit(burst());
+                }
+                let busy = r.wire.sender_busy_until(WireEndpoint(1));
+                (r.arrivals(), r.wire.stats(), busy, r.mailbox.stats())
+            };
+            let (arrivals, stats, busy, mail) = run(false);
+            assert_eq!((arrivals.clone(), stats, busy, mail), run(true));
+            // The filtered frame never reached the link; the undeliverable
+            // one did.
+            let at = |n: u64| 7_000 + n * 100_000 + 1_000;
+            let expect = [(at(1), "a"), (at(2), "c"), (at(4), "e")];
+            let expect = expect.map(|(t, p)| (t, Bytes::from_static(p.as_bytes())));
+            assert_eq!(arrivals, expect, "shard sink: {shard}");
+            assert_eq!(stats, (3, 2));
+            assert_eq!(mail.0, if shard { 3 } else { 0 }, "posted envelopes");
+        }
     }
 }

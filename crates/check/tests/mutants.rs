@@ -8,10 +8,10 @@
 //! 1. `obs::ring::Ring::push` publishes the slot sequence with `Relaxed`
 //!    instead of `Release` — a reader can validate the sequence before
 //!    the record words are visible and return a torn record.
-//! 2. `core::dispatch::Dispatcher::destroy` stores the destroyed flag
-//!    *after* publishing the cleared plan — a racing raise can snapshot
-//!    the empty plan while the flag still reads false and settle to
-//!    `NoHandlerRan` instead of `UnknownEvent`.
+//! 2. `core::dispatch::Dispatcher::destroy` publishes twice — the
+//!    cleared plan, then the tombstone — a racing raise can snapshot the
+//!    live-but-empty record in between and settle to `NoHandlerRan`
+//!    instead of `UnknownEvent`.
 //!
 //! Each test runs the same scenario as the corresponding trunk check in
 //! `tests/checks.rs`, asserts the checker reports a failure with a

@@ -1,7 +1,7 @@
 //! Seed-replay regression: pins the PR 3 raise-vs-destroy schedule.
 //!
 //! Build with `RUSTFLAGS="--cfg spin_check"`. The scenario is the exact
-//! race PR 3 hardened: a raise snapshots the published plan while the
+//! race PR 3 hardened: a raise snapshots the published record while the
 //! owner destroys the event, and must settle to `UnknownEvent`. Here the
 //! *harvest closure* deliberately panics on that (legitimate) outcome so
 //! the checker hands back the schedule that produces it — giving us a
@@ -23,15 +23,18 @@ use spin_check::thread;
 use spin_core::{DispatchError, Dispatcher, Identity};
 
 /// First schedule (bounded DFS order, preemption bound 2) in which the
-/// raise loses the race and observes the destroyed flag. The raise path
+/// raise loses the race and snapshots the tombstone. The raise path
 /// gained two scheduling points with the hot-swap quiesce gate (the
 /// in-flight count increment and the gate load) and one more with the
-/// overload ledger (the quota-cell bind load at the admission edge),
-/// which shifted the DFS enumeration by three serial steps in total. The
-/// one-raise-path merge took three back out: the handle holds its weak
-/// reference directly (no resolve-once cache load) and the prologue loads
-/// the quota cell after the destroyed re-check, not before the gate.
-const PINNED_SEED: &str = "pb2-0-0-0-0-0-0-1-1-1-0-1";
+/// overload ledger (the quota-cell bind load at the admission edge); the
+/// one-raise-path merge took three back out (no resolve-once cache load,
+/// quota cell loaded after the destroyed re-check). Folding gate,
+/// tombstone, quota binding and generation into the one published record
+/// took four more: a serial raise is 10 scheduling points where it was 14
+/// (the destroyed load in `resolved`, the gate load, the destroyed
+/// re-check and the quota-cell load are gone), and `destroy` is one
+/// publish, so the losing schedule is four decisions shorter.
+const PINNED_SEED: &str = "pb2-0-0-1-1-1-1-0";
 
 const HARVEST: &str = "HARVEST: raise lost the race";
 

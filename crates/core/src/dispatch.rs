@@ -39,19 +39,16 @@
 //!
 //! 1. **One prologue per call** (`Raise::enter`). The [`Event`] handle
 //!    upgrades its weak reference to the event state — no global table, no
-//!    lock; a destroyed event fails the upgrade or shows its destroyed
-//!    flag and resolves to [`DispatchError::UnknownEvent`]. The call then
-//!    counts itself in flight, loads the quiesce gate, snapshots the plan,
-//!    re-checks the destroyed flag and loads the quota cell and the
-//!    obs/fault hooks. Handlers, guards and the reducer live in an
-//!    immutable `RaisePlan` behind `RwLock<Arc<RaisePlan>>`: the snapshot
-//!    is one refcount increment, never a deep copy, and raisers never
-//!    block other raisers.
-//! 2. **One step per item** (`Raise::item`): park behind a closed gate,
-//!    pass admission control, count, trace, dispatch, release the
-//!    admission. A burst amortizes the prologue and settles its raise
-//!    counters in one increment; every item charges exactly the virtual
-//!    time a lone raise would.
+//!    lock. The call then counts itself in flight and takes **one
+//!    snapshot** of the event's published record (`Published`, below) —
+//!    one refcount increment under a read lock, never a deep copy, and
+//!    raisers never block other raisers — and loads the obs/fault hooks.
+//! 2. **One step per item** (`Raise::item`): answer a tombstone with
+//!    [`DispatchError::UnknownEvent`], park behind a closed gate, pass
+//!    admission control, count, trace, dispatch, release the admission. A
+//!    burst amortizes the prologue and settles its raise counters in one
+//!    increment; every item charges exactly the virtual time a lone raise
+//!    would.
 //! 3. **One dispatch** (`Raise::dispatch`): the paper's direct call when
 //!    the plan holds a single synchronous unguarded unbounded handler and
 //!    no reducer (precomputed at plan build), otherwise one walk over the
@@ -60,10 +57,25 @@
 //!    handler, fast path included, runs in the same unwind-isolated
 //!    region with the same fault-site draw.
 //!
+//! # One published record
+//!
+//! Everything a raise must know about its event is one value, `Published`,
+//! behind one `RwLock`: whether the event is live or a tombstone, whether
+//! the quiesce gate is closed, the plan generation, and the immutable
+//! `Arc`'d `RaisePlan` — handlers, guards, reducer, compiled tables and
+//! the bound [`QuotaCell`]. Each writer publishes under the write lock and
+//! each raise reads it exactly once, so no raise can combine one moment's
+//! gate with another moment's plan: there is no seam between independently
+//! published facts to reason about.
+//!
 //! The write side is as single: install, uninstall, rebind, restore,
-//! purge, reducer and destroy each hand `EventState::edit` a change to the
-//! handler list; it rebuilds the plan, swaps the `Arc` and bumps the
-//! generation. [`EventStats`] counters are atomics, settled once per raise.
+//! purge and reducer each hand `EventState::edit` a change to the handler
+//! list; it rebuilds the plan and publishes it with the generation bumped
+//! by one. `quiesce`, `resume` and `bind_quota` publish their one field
+//! and leave the generation alone (it versions the handler set), and
+//! `destroy` is one publish of the tombstone. Locks nest write side →
+//! record and hold queue → record, never the other way. [`EventStats`]
+//! counters are atomics, settled once per raise.
 //!
 //! The virtual-time cost model is charged independently of all of this
 //! (see DESIGN.md: "cost-model charges are independent of the real-time
@@ -116,16 +128,15 @@
 //! None of this charges virtual time.
 
 use crate::error::DispatchError;
-use crate::fault::{BlockedInStep, DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
+use crate::fault::{panic_message, DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
 use crate::identity::Identity;
 use crate::quota::QuotaCell;
-use spin_check::sync::{Arc, OnceLock, Weak};
+use spin_check::sync::{Arc, Weak};
 use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Clock, HostId, MachineProfile, Nanos};
-use std::any::Any;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -517,11 +528,16 @@ impl<A> Compiled<A> {
     }
 }
 
-/// The immutable per-raise snapshot: everything a raise needs, built once
-/// per mutation instead of once per raise.
+/// The immutable part of an event's published record: everything a
+/// dispatch needs, built once per mutation instead of once per raise.
 struct RaisePlan<A, R> {
     entries: Box<[Entry<A, R>]>,
     reducer: Option<Reducer<R>>,
+    /// Quota cell the event's raises are metered under (see
+    /// [`crate::quota`]). It rides the plan's `Arc`, so a metered raise
+    /// pays no refcount bump of its own; absent — the overwhelming default
+    /// — no admission logic runs.
+    quota: Option<Arc<QuotaCell>>,
     /// Whether the event qualifies for the paper's direct-call fast path:
     /// exactly one synchronous, unguarded, unbounded handler (`entries[0]`)
     /// and no reducer. Precomputed here so the raise checks a single flag.
@@ -531,23 +547,24 @@ struct RaisePlan<A, R> {
 }
 
 impl<A, R> RaisePlan<A, R> {
-    fn build(handlers: &[Entry<A, R>], reducer: &Option<Reducer<R>>) -> Arc<RaisePlan<A, R>> {
+    fn build(ws: &WriteSide<A, R>) -> Arc<RaisePlan<A, R>> {
         let fast = matches!(
-            handlers,
+            &ws.handlers[..],
             [only] if only.guards.is_empty()
                 && only.constraints.mode == HandlerMode::Synchronous
                 && only.constraints.time_bound.is_none()
-                && reducer.is_none()
+                && ws.reducer.is_none()
                 // A handler that has ever faulted is permanently
                 // demoted to the guarded slow path.
                 // ordering: Relaxed — demotion hint; the rebuild lock is the real barrier.
                 && !only.fault_flag.load(Ordering::Relaxed)
         );
         Arc::new(RaisePlan {
-            entries: handlers.to_vec().into_boxed_slice(),
-            reducer: reducer.clone(),
+            entries: ws.handlers.to_vec().into_boxed_slice(),
+            reducer: ws.reducer.clone(),
+            quota: ws.quota.clone(),
             fast,
-            compiled: Compiled::build(handlers),
+            compiled: Compiled::build(&ws.handlers),
         })
     }
 }
@@ -574,6 +591,7 @@ struct WriteSide<A, R> {
     handlers: Vec<Entry<A, R>>,
     auth: Option<AuthFn<A>>,
     reducer: Option<Reducer<R>>,
+    quota: Option<Arc<QuotaCell>>,
 }
 
 impl<A, R> WriteSide<A, R> {
@@ -598,13 +616,15 @@ pub struct HoldStats {
     pub overflowed: u64,
 }
 
-/// The hold queue proper, guarded by a mutex the raise hot path never
-/// touches (parking is reached only behind the quiesce gate). A plain
-/// FIFO: raises park under the lock, so queue order is arrival order —
-/// the order an uninterrupted run would have dispatched them in.
+/// The hold queue proper and its counters, guarded by a mutex the raise
+/// hot path never touches (parking is reached only behind the quiesce
+/// gate). A plain FIFO: raises park under the lock, so queue order is
+/// arrival order — the order an uninterrupted run would have dispatched
+/// them in.
 struct HoldSide<A> {
     queue: Vec<A>,
     capacity: usize,
+    stats: HoldStats,
 }
 
 impl<A> Default for HoldSide<A> {
@@ -612,6 +632,7 @@ impl<A> Default for HoldSide<A> {
         HoldSide {
             queue: Vec::new(),
             capacity: 65_536,
+            stats: HoldStats::default(),
         }
     }
 }
@@ -667,11 +688,13 @@ struct FlightGuard(Arc<AtomicU64>);
 
 impl FlightGuard {
     fn enter(counter: &Arc<AtomicU64>) -> FlightGuard {
-        // The quiesce protocol is a store-buffer pair (increment-then-
-        // load-gate vs store-gate-then-load-count); both sides need the
-        // single total order or both can miss each other and a raise
-        // neither parks nor drains. See `Event::quiesce`.
-        // ordering: SeqCst — the store-buffer pair's single total order.
+        // The quiesce protocol pairs increment-then-snapshot (here, then
+        // `Raise::enter`) with publish-then-load-count (`Event::quiesce`,
+        // then `Event::drain_in_flight`), and the record's lock orders the
+        // pair: a snapshot that precedes the publish leaves its increment
+        // visible to the drain, and one that follows it sees the closed
+        // gate and parks. Either way no raise slips past the drain.
+        // ordering: SeqCst — kept from the lock-free gate: the hot-swap models drain only after the raiser has joined, so spin-check cannot vouch for anything weaker.
         counter.fetch_add(1, Ordering::SeqCst);
         FlightGuard(counter.clone())
     }
@@ -685,54 +708,72 @@ impl Drop for FlightGuard {
     }
 }
 
+/// An event's published record: the one fact a raise reads, once, to know
+/// what state its event is in. Writers change it under the write lock of
+/// [`EventState::plan`]; a raise copies what it needs out under the read
+/// lock — one refcount bump — and never looks at the event again.
+struct Published<A, R> {
+    /// What a raise dispatches against; `None` is the tombstone `destroy`
+    /// leaves, which nothing ever replaces.
+    plan: Option<Arc<RaisePlan<A, R>>>,
+    /// Quiesce gate: while closed, raises park in `held` instead of
+    /// dispatching. Ignored on a tombstone.
+    gated: bool,
+    /// Version of the handler set: bumped once per [`EventState::edit`]
+    /// (so one rebind — or one rollback — is exactly one bump) and by
+    /// nothing else.
+    generation: u64,
+}
+
+impl<A, R> Published<A, R> {
+    /// Whether a raise that finds this record parks: a live event behind a
+    /// closed gate.
+    fn parks(&self) -> bool {
+        self.gated && self.plan.is_some()
+    }
+}
+
 struct EventState<A, R> {
     owner: Identity,
     write: Mutex<WriteSide<A, R>>,
-    plan: RwLock<Arc<RaisePlan<A, R>>>,
+    /// The published record (see [`Published`]). Taken after `write` or
+    /// `held`, never before either.
+    plan: RwLock<Published<A, R>>,
     stats: AtomicEventStats,
-    destroyed: AtomicBool,
-    /// Quiesce gate: while set, raises park in `held` instead of
-    /// dispatching. Checked (one atomic load) on every raise.
-    gate: AtomicBool,
     /// Dispatches currently between snapshot and settle, plus async
     /// invocations posted but not finished. `Arc` so [`FlightGuard`]s can
     /// outlive the borrow that created them (async runners).
     in_flight: Arc<AtomicU64>,
-    /// Parked raises; only touched behind the gate.
+    /// Parked raises and their counters; only touched behind the gate.
     held: Mutex<HoldSide<A>>,
-    /// Plan generation: bumped once per [`EventState::edit`] (so one rebind — or
-    /// one rollback — is exactly one bump).
-    generation: AtomicU64,
-    held_total: AtomicU64,
-    replayed_total: AtomicU64,
-    overflowed_total: AtomicU64,
-    /// Quota cell the event's raises are metered under (see
-    /// [`crate::quota`]). Absent — the overwhelming default — every raise
-    /// pays exactly one relaxed load here and no admission logic runs.
-    quota: OnceLock<Arc<QuotaCell>>,
 }
 
 impl<A, R> EventState<A, R> {
-    /// The one write path: locks the write side, applies `change` and — if
-    /// it went through — publishes the rebuilt [`RaisePlan`], bumping the
-    /// generation. An `Err` from `change` means nothing was changed and
-    /// nothing is republished.
+    /// The one write path for the handler set: locks the write side,
+    /// applies `change` and — if it went through — publishes the rebuilt
+    /// [`RaisePlan`], bumping the generation. An `Err` from `change` means
+    /// nothing was changed and nothing is republished.
     fn edit<T>(
         &self,
         change: impl FnOnce(&mut WriteSide<A, R>) -> Result<T, DispatchError>,
     ) -> Result<T, DispatchError> {
         let mut ws = self.write.lock();
         let out = change(&mut ws)?;
-        *self.plan.write() = RaisePlan::build(&ws.handlers, &ws.reducer);
-        self.generation.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic plan version; the plan RwLock is the real publication barrier.
+        self.republish(&ws, 1);
         Ok(out)
     }
 
-    fn hold_stats(&self) -> HoldStats {
-        HoldStats {
-            held: self.held_total.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            replayed: self.replayed_total.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            overflowed: self.overflowed_total.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+    /// Publishes the plan rebuilt from the (locked) write side, moving the
+    /// generation on by `edits`. A tombstone stays a tombstone: a writer
+    /// that lost the race to `destroy` publishes nothing.
+    fn republish(&self, ws: &WriteSide<A, R>, edits: u64) {
+        // Built before the record's lock is taken: raisers wait out a
+        // pointer store, never a guard-set compilation.
+        let plan = RaisePlan::build(ws);
+        let mut published = self.plan.write();
+        if published.plan.is_some() {
+            published.plan = Some(plan);
+            published.generation += edits;
         }
     }
 }
@@ -774,22 +815,6 @@ where
     }
 }
 
-/// Best-effort extraction of a panic payload's message for the
-/// [`HandlerFault`] record.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(p) = payload.downcast_ref::<spin_fault::InjectedPanic>() {
-        format!("injected panic at site {}", p.site)
-    } else if let Some(p) = payload.downcast_ref::<BlockedInStep>() {
-        format!("`{}` inside a run-to-completion strand", p.op)
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 /// A typed event. Holding an `Event` value is the right to raise it; the
 /// value can be exported through interfaces and passed across domains.
 pub struct Event<A, R> {
@@ -797,8 +822,9 @@ pub struct Event<A, R> {
     name: Arc<str>,
     dispatcher: Dispatcher,
     /// A weak reference to the event state, so raises never touch the
-    /// dispatcher's global table; it stops upgrading once `destroy` drops
-    /// the table's strong reference.
+    /// dispatcher's global table; it stops upgrading once `destroy` has
+    /// dropped the table's strong reference and the last raise still
+    /// holding one has returned.
     state: Weak<EventState<A, R>>,
 }
 
@@ -963,24 +989,23 @@ impl Dispatcher {
     {
         let id = self.inner.next_event.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
         let name: Arc<str> = name.into();
+        let ws = WriteSide {
+            handlers: Vec::new(),
+            auth: None,
+            reducer: None,
+            quota: None,
+        };
         let state: Arc<EventState<A, R>> = Arc::new(EventState {
             owner: owner.clone(),
-            write: Mutex::new(WriteSide {
-                handlers: Vec::new(),
-                auth: None,
-                reducer: None,
+            plan: RwLock::new(Published {
+                plan: Some(RaisePlan::build(&ws)),
+                gated: false,
+                generation: 0,
             }),
-            plan: RwLock::new(RaisePlan::build(&[], &None)),
+            write: Mutex::new(ws),
             stats: AtomicEventStats::default(),
-            destroyed: AtomicBool::new(false),
-            gate: AtomicBool::new(false),
             in_flight: Arc::new(AtomicU64::new(0)),
             held: Mutex::new(HoldSide::default()),
-            generation: AtomicU64::new(0),
-            held_total: AtomicU64::new(0),
-            replayed_total: AtomicU64::new(0),
-            overflowed_total: AtomicU64::new(0),
-            quota: OnceLock::new(),
         });
         self.inner
             .events
@@ -1043,7 +1068,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let state = ev.resolved()?;
+        let state = ev.live()?;
         // The authorizer runs outside the write lock: it is arbitrary
         // owner code and may re-enter the dispatcher.
         let auth = state.write.lock().auth.clone();
@@ -1114,7 +1139,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let state = ev.resolved()?;
+        let state = ev.live()?;
         state.edit(|ws| {
             let pos = ws.position(id)?;
             if ws.handlers[pos].installer != *caller && state.owner != *caller {
@@ -1188,8 +1213,9 @@ impl Dispatcher {
     /// constraints, and reduces the synchronous results.
     ///
     /// This is the hot path. It performs no handler copies and takes no
-    /// mutex: one weak-pointer upgrade (cached resolution), one `Arc`
-    /// clone under a read lock (the snapshot), and atomic counter updates.
+    /// mutex: one weak-pointer upgrade, one `Arc` clone under a read lock
+    /// (the snapshot of the event's published record), and atomic counter
+    /// updates.
     pub fn raise<A, R>(&self, ev: &Event<A, R>, args: A) -> Result<R, DispatchError>
     where
         A: Send + Sync + 'static,
@@ -1240,7 +1266,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        Ok(ev.resolved()?.stats.snapshot())
+        Ok(ev.live()?.stats.snapshot())
     }
 
     /// Number of handlers currently installed on an event.
@@ -1250,7 +1276,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        Ok(ev.resolved()?.plan.read().entries.len())
+        Ok(ev.live()?.write.lock().handlers.len())
     }
 
     /// Destroys an event: later raises, installs and queries on any handle
@@ -1263,33 +1289,25 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let state = ev.resolved()?;
+        let state = ev.live()?;
         if state.owner != *caller {
             return Err(DispatchError::NotOwner);
         }
-        // Order matters for raisers that already hold a strong reference:
-        // the flag flips first, then the published plan is cleared, then
-        // the table's strong reference drops. A raise that snapshots the
-        // cleared plan is guaranteed to observe the flag (its re-check
-        // runs after the snapshot), so racing raises settle to
-        // `UnknownEvent` — never a result from a destroyed event's plan.
-        // ordering: Release pairs with the Acquire re-check in `raise`;
-        // the flag must be visible before the cleared plan is published.
-        #[cfg(not(spin_check_mutant))]
-        state.destroyed.store(true, Ordering::Release); // ordering: Release — pairs with the raise path's Acquire re-check.
+        // Planted bug for the model checker (`--cfg spin_check_mutant`):
+        // destroying in two publishes — the cleared plan, then the
+        // tombstone — lets a racing raise snapshot a live event with no
+        // handlers and run zero of them instead of settling to
+        // `UnknownEvent`. The raise-vs-destroy check must catch this.
+        #[cfg(spin_check_mutant)]
         state.edit(|ws| {
             ws.handlers.clear();
-            ws.reducer = None;
             Ok(())
         })?;
-        // Planted bug for the model checker (`--cfg spin_check_mutant`):
-        // publishing the cleared plan *before* the destroyed flag lets a
-        // racing raise snapshot the empty plan while the flag still reads
-        // false — it then runs zero handlers instead of settling to
-        // `UnknownEvent`. The raise-vs-destroy check must catch this.
-        // ordering: deliberately misplaced (mutant under test).
-        #[cfg(spin_check_mutant)]
-        state.destroyed.store(true, Ordering::Release);
+        // A raiser may already hold a strong reference, so the tombstone —
+        // not the table entry dropped below — is what ends the event: one
+        // publish, after which every snapshot resolves to `UnknownEvent`.
+        // There is no intermediate record for a racing raise to see.
+        state.plan.write().plan = None;
         self.inner.events.lock().remove(&ev.id);
         Ok(())
     }
@@ -1309,16 +1327,13 @@ struct Raise<'a, A, R> {
     state: &'a Arc<EventState<A, R>>,
     /// Counts the call in-flight for the quiesce drain until it returns.
     _flight: FlightGuard,
-    /// The quiesce gate as the call found it: closed, its items park.
-    gated: bool,
-    /// The plan snapshot every item dispatches against; `None` when the
-    /// event turned out destroyed. A gated call never reads it: its items
-    /// park, or re-enter once the gate has reopened.
+    /// The event's published record as the call found it — `plan` and
+    /// `gated` are one reading, the only one the call takes. `None` is
+    /// the tombstone of a destroyed event; otherwise every item
+    /// dispatches against this plan, metered by its quota cell.
     plan: Option<Arc<RaisePlan<A, R>>>,
-    /// Quota: absent (the default) this is one relaxed load and the
-    /// rest of the raise is untouched — the unarmed path charges the
-    /// identical virtual time.
-    quota: Option<&'a Arc<QuotaCell>>,
+    /// The quiesce gate in that same reading: closed, the items park.
+    gated: bool,
     obs: Option<&'a ObsHook>,
     faults: Option<&'a FaultHook>,
     /// Whether the items are a `raise_batch` burst, whose counters the
@@ -1343,31 +1358,22 @@ where
         state: &'a Arc<EventState<A, R>>,
         batched: bool,
     ) -> Self {
-        // Count this call in-flight *before* consulting the quiesce gate
-        // (SeqCst on both sides): a quiescer that misses the increment
-        // sees a raiser that saw the closed gate and parked; one that
-        // sees it waits for the dispatch to settle. Either way no raise
-        // slips past the drain.
+        // Count this call in-flight *before* the snapshot: a quiescer
+        // whose publish the snapshot missed will see the count and wait
+        // for the dispatch to settle (see `FlightGuard::enter`).
         let flight = FlightGuard::enter(&state.in_flight);
-        // ordering: SeqCst — store-buffer pair with `quiesce`'s gate store; see FlightGuard::enter.
-        let gated = state.gate.load(Ordering::SeqCst);
-        // Snapshot: one refcount bump; handlers run outside any lock
+        // The snapshot: one refcount bump; handlers run outside any lock
         // (they may install/uninstall or re-raise).
-        let plan = state.plan.read().clone();
-        // Re-check after snapshotting: `destroy` flips the flag before it
-        // clears the plan, so a raise racing a destroy settles to
-        // `UnknownEvent` — never a stale result, never `NoHandlerRan`
-        // from the cleared plan.
-        // ordering: Acquire — pairs with destroy's Release flag store; runs after the plan snapshot.
-        let destroyed = state.destroyed.load(Ordering::Acquire);
+        let published = state.plan.read();
+        let (plan, gated) = (published.plan.clone(), published.gated);
+        drop(published);
         Raise {
             inner,
             ev,
             state,
             _flight: flight,
+            plan,
             gated,
-            plan: (!destroyed).then_some(plan),
-            quota: state.quota.get(),
             obs: inner.obs.get(),
             faults: inner.faults.get(),
             batched,
@@ -1375,23 +1381,28 @@ where
         }
     }
 
-    /// One raise of the call, start to finish: park behind a closed gate,
-    /// admit, count, trace, dispatch against the call's snapshot, release
-    /// the admission.
+    /// One raise of the call, start to finish: answer a tombstone, park
+    /// behind a closed gate, admit, count, trace, dispatch against the
+    /// call's snapshot, release the admission.
     #[inline(always)]
     fn item(&self, args: A) -> Result<R, DispatchError> {
         let clock = &self.inner.clock;
-        if self.gated {
-            // Parked items of a burst keep their order (consecutive
-            // hold-queue seqs) and replay as individual raises on resume.
-            return self.park(args);
-        }
+        // Tombstone before gate: a destroyed event has no hold queue
+        // anybody will ever resume, so a raise that saw it destroyed is
+        // `UnknownEvent` whatever the gate said — and never `NoHandlerRan`
+        // or a stale result, because a tombstone carries no plan.
         let plan = self.plan.as_ref().ok_or_else(|| self.ev.unknown())?;
+        let quota = plan.quota.as_ref();
+        if self.gated {
+            // Parked items of a burst keep their order in the hold queue
+            // and replay as individual raises on resume.
+            return self.park(quota, args);
+        }
         // Admission control: an over-budget domain gets a typed refusal
         // *before* any virtual time is charged or stats are counted —
         // throttled raises never dispatched, so they are ledger entries,
         // not event raises, and a burst's refused items surface in place.
-        if let Some(q) = self.quota {
+        if let Some(q) = quota {
             if let Err(verdict) = q.admit(clock.now()) {
                 return Err(verdict.into_error(&self.ev.name, q.name()));
             }
@@ -1403,7 +1414,7 @@ where
         if let Some(obs) = self.obs {
             obs.trace(TraceKind::EventRaise, self.ev.id, plan.entries.len() as u64);
         }
-        let Some(q) = self.quota else {
+        let Some(q) = quota else {
             return self.dispatch(plan, args);
         };
         // Bracket the dispatch so the synchronous virtual time it
@@ -1438,47 +1449,49 @@ where
 
     /// Parks one raise behind the quiesce gate: [`DispatchError::Held`]
     /// with the raise queued, or [`DispatchError::HoldOverflow`] with it
-    /// dropped and counted. If the gate cleared between the call's gate
-    /// load and the hold lock, the raise is dispatched instead.
+    /// dropped and counted. If the record changed between the call's
+    /// snapshot and the hold lock — gate reopened, or event destroyed —
+    /// the raise is taken again from the top instead.
     ///
     /// Parking charges no virtual time — the full dispatch cost is
     /// charged when the raise replays, so a resumed timeline carries
     /// exactly the charges an uninterrupted run would.
-    fn park(&self, args: A) -> Result<R, DispatchError> {
+    fn park(&self, quota: Option<&Arc<QuotaCell>>, args: A) -> Result<R, DispatchError> {
         let (ev, state, clock) = (self.ev, self.state, &self.inner.clock);
         let mut held = state.held.lock();
-        // Re-check under the hold lock: `resume` clears the gate under
-        // this same lock, so seeing it still set here proves the queue
+        // Re-read the record under the hold lock (hold → record, the one
+        // order these two nest in): `resume` reopens the gate under this
+        // same lock, so a record that still parks here proves the queue
         // has not been taken yet and this raise cannot be stranded.
-        // ordering: SeqCst — part of the quiesce protocol's total order; see FlightGuard::enter.
-        if !state.gate.load(Ordering::SeqCst) {
-            // The resume that cleared the gate already replayed everything
+        if !state.plan.read().parks() {
+            // The resume that reopened the gate already replayed everything
             // parked before us, so dispatch normally — as a call of its
-            // own, whose snapshot postdates the reopening.
+            // own, whose snapshot postdates the reopening (or shows the
+            // tombstone, and answers `UnknownEvent`).
             drop(held);
-            let reopened = Raise::enter(self.inner, ev, state, self.batched);
-            let out = reopened.item(args);
-            reopened.settle();
+            let again = Raise::enter(self.inner, ev, state, self.batched);
+            let out = again.item(args);
+            again.settle();
             return out;
         }
         // The hold-queue budget: a metered domain may not flood the gate's
         // queue past its `max_held` — refusals walk the ladder (throttle,
         // then shed) instead of parking.
-        if let Some(q) = self.quota {
+        if let Some(q) = quota {
             if q.hold_over_budget(held.queue.len()) {
                 let verdict = q.refuse(clock.now());
                 return Err(verdict.into_error(&ev.name, q.name()));
             }
         }
         if held.queue.len() >= held.capacity {
-            count(&state.overflowed_total, 1);
+            held.stats.overflowed += 1;
             return Err(DispatchError::HoldOverflow {
                 name: ev.name.to_string(),
             });
         }
         held.queue.push(args);
-        count(&state.held_total, 1);
-        if let Some(q) = self.quota {
+        held.stats.held += 1;
+        if let Some(q) = quota {
             q.note_held();
         }
         Err(DispatchError::Held {
@@ -1822,11 +1835,18 @@ where
         &self.name
     }
 
-    /// Resolves this handle to its event state: one weak upgrade.
+    /// Resolves this handle to its event state: one weak upgrade. Whether
+    /// the event is still live is the snapshot's to say (`Raise::item`).
     fn resolved(&self) -> Result<Arc<EventState<A, R>>, DispatchError> {
-        let state = self.state.upgrade().ok_or_else(|| self.unknown())?;
-        // ordering: Acquire — pairs with destroy's Release flag store; a destroyed event resolves to `UnknownEvent`.
-        if state.destroyed.load(Ordering::Acquire) {
+        self.state.upgrade().ok_or_else(|| self.unknown())
+    }
+
+    /// [`Event::resolved`] for the control plane, which takes no snapshot
+    /// of its own: a state some raise or posted async invocation still
+    /// keeps alive past `destroy` is `UnknownEvent` here too.
+    fn live(&self) -> Result<Arc<EventState<A, R>>, DispatchError> {
+        let state = self.resolved()?;
+        if state.plan.read().plan.is_none() {
             return Err(self.unknown());
         }
         Ok(state)
@@ -1847,11 +1867,19 @@ where
     /// subsequent raises pass admission control against the cell's
     /// [`crate::QuotaSpec`] budgets and charge their dispatch virtual time
     /// to its window ledger. One-shot; returns `false` if a cell was
-    /// already bound (the original binding stays). Unbound events pay one
-    /// relaxed pointer load per raise and no admission logic runs.
+    /// already bound (the original binding stays). The cell is published
+    /// inside the plan, so unbound events run no admission logic and the
+    /// generation — the handler set's version — does not move.
     // uncharged: control-plane wiring.
     pub fn bind_quota(&self, cell: Arc<QuotaCell>) -> Result<bool, DispatchError> {
-        Ok(self.resolved()?.quota.set(cell).is_ok())
+        let state = self.live()?;
+        let mut ws = state.write.lock();
+        if ws.quota.is_some() {
+            return Ok(false);
+        }
+        ws.quota = Some(cell);
+        state.republish(&ws, 0);
+        Ok(true)
     }
 
     /// Installs a handler (authorized by the owner's policy).
@@ -1923,12 +1951,11 @@ where
     /// drain, transfer/rebind at a deterministic virtual instant, resume.
     // uncharged: hot-swap control plane.
     pub fn quiesce(&self) -> Result<(), DispatchError> {
-        let state = self.resolved()?;
-        // Store-buffer pair with the raise path's increment-then-gate-
-        // load; both sides need the single total order or a racing
-        // raise could neither park nor be drained.
-        // ordering: SeqCst — the store-buffer pair's single total order.
-        state.gate.store(true, Ordering::SeqCst);
+        // Publish-then-load-count against the raise path's increment-
+        // then-snapshot: every snapshot taken after this write parks, and
+        // every one taken before it is already counted in flight (see
+        // `FlightGuard::enter`).
+        self.live()?.plan.write().gated = true;
         Ok(())
     }
 
@@ -1939,8 +1966,8 @@ where
     /// thread.
     // uncharged: hot-swap control plane.
     pub fn drain_in_flight(&self) -> Result<(), DispatchError> {
-        let state = self.resolved()?;
-        // ordering: SeqCst — pairs with FlightGuard's SeqCst increment (store-buffer pair, see FlightGuard::enter) and observes its Release decrement.
+        let state = self.live()?;
+        // ordering: SeqCst — pairs with FlightGuard's SeqCst increment (see FlightGuard::enter) and observes its Release decrement.
         while state.in_flight.load(Ordering::SeqCst) != 0 {
             spin_check::thread::yield_now();
         }
@@ -1951,7 +1978,7 @@ where
     // uncharged: diagnostics accessor.
     pub fn in_flight(&self) -> Result<u64, DispatchError> {
         // ordering: SeqCst — same protocol as drain_in_flight's probe.
-        Ok(self.resolved()?.in_flight.load(Ordering::SeqCst))
+        Ok(self.live()?.in_flight.load(Ordering::SeqCst))
     }
 
     /// Reopens the gate and replays every parked raise in the order it
@@ -1961,50 +1988,50 @@ where
     /// charges full dispatch cost at the *current* virtual instant.
     /// Returns how many replayed.
     pub fn resume(&self) -> Result<u64, DispatchError> {
-        let state = self.resolved()?;
+        let state = self.live()?;
         let parked = {
             let mut held = state.held.lock();
-            // Clear the gate *under* the hold lock: a parker acquiring
-            // the lock after us sees the open gate and dispatches
-            // itself; one that got in before us is in the queue we take.
-            // ordering: SeqCst — part of the quiesce protocol's total order; see FlightGuard::enter.
-            state.gate.store(false, Ordering::SeqCst);
+            // Reopen the gate *under* the hold lock (hold → record): a
+            // parker acquiring the lock after us re-reads an open gate
+            // and dispatches itself; one that got in before us is in the
+            // queue we take.
+            state.plan.write().gated = false;
+            held.stats.replayed += held.queue.len() as u64;
             std::mem::take(&mut held.queue)
         };
         let n = parked.len() as u64;
         for args in parked {
             let _ = self.dispatcher.raise(self, args);
         }
-        state.replayed_total.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         Ok(n)
     }
 
     /// Raises currently parked in the hold queue.
     // uncharged: diagnostics accessor.
     pub fn held_len(&self) -> Result<usize, DispatchError> {
-        Ok(self.resolved()?.held.lock().queue.len())
+        Ok(self.live()?.held.lock().queue.len())
     }
 
     /// Hold-queue counters (see [`HoldStats`]).
     // uncharged: diagnostics accessor.
     pub fn hold_stats(&self) -> Result<HoldStats, DispatchError> {
-        Ok(self.resolved()?.hold_stats())
+        Ok(self.live()?.held.lock().stats)
     }
 
     /// Bounds the hold queue (default 65 536 parked raises); raises
     /// beyond it are dropped with [`DispatchError::HoldOverflow`].
     // uncharged: control-plane configuration.
     pub fn set_hold_capacity(&self, capacity: usize) -> Result<(), DispatchError> {
-        self.resolved()?.held.lock().capacity = capacity;
+        self.live()?.held.lock().capacity = capacity;
         Ok(())
     }
 
-    /// The plan generation: bumped once per republish, so one rebind (or
-    /// one rollback) is exactly one observable bump.
+    /// The plan generation: bumped once per republished handler set, so
+    /// one rebind (or one rollback) is exactly one observable bump;
+    /// `quiesce`, `resume` and `bind_quota` leave it alone.
     // uncharged: diagnostics accessor.
     pub fn generation(&self) -> Result<u64, DispatchError> {
-        // ordering: Relaxed — monotonic plan version; the plan RwLock is the real publication barrier.
-        Ok(self.resolved()?.generation.load(Ordering::Relaxed))
+        Ok(self.live()?.plan.read().generation)
     }
 
     /// Atomically replaces every handler installed by `old_installer`
@@ -2025,7 +2052,7 @@ where
         old_installer: &Identity,
         installs: Vec<InstallSpec<A, R>>,
     ) -> Result<RebindReceipt<A, R>, DispatchError> {
-        let state = self.resolved()?;
+        let state = self.live()?;
         if state.owner != *caller && old_installer != caller {
             return Err(DispatchError::NotOwner);
         }
@@ -2066,7 +2093,7 @@ where
         caller: &Identity,
         receipt: RebindReceipt<A, R>,
     ) -> Result<(), DispatchError> {
-        let state = self.resolved()?;
+        let state = self.live()?;
         if state.owner != *caller && receipt.old_installer != *caller {
             return Err(DispatchError::NotOwner);
         }
@@ -2164,7 +2191,7 @@ where
         &self,
         handler: impl Fn(&A) -> R + Send + Sync + 'static,
     ) -> Result<HandlerId, DispatchError> {
-        let state = self.event.resolved()?;
+        let state = self.event.live()?;
         let spec = InstallSpec {
             installer: self.token.clone(),
             handler: Arc::new(handler),
@@ -2185,8 +2212,7 @@ where
         &self,
         auth: impl Fn(&InstallRequest) -> InstallDecision<A> + Send + Sync + 'static,
     ) -> Result<(), DispatchError> {
-        let state = self.event.resolved()?;
-        state.write.lock().auth = Some(Arc::new(auth));
+        self.event.live()?.write.lock().auth = Some(Arc::new(auth));
         Ok(())
     }
 
@@ -2196,7 +2222,7 @@ where
         &self,
         reduce: impl Fn(Vec<R>) -> R + Send + Sync + 'static,
     ) -> Result<(), DispatchError> {
-        self.event.resolved()?.edit(|ws| {
+        self.event.live()?.edit(|ws| {
             ws.reducer = Some(Arc::new(reduce));
             Ok(())
         })
@@ -2205,7 +2231,7 @@ where
     /// Removes the primary handler ("or even remove the primary handler").
     // uncharged: owner control-plane operation; only raises are metered.
     pub fn remove_primary(&self) -> Result<(), DispatchError> {
-        self.event.resolved()?.edit(|ws| {
+        self.event.live()?.edit(|ws| {
             let before = ws.handlers.len();
             ws.handlers.retain(|e| !e.is_primary);
             if ws.handlers.len() == before {
@@ -2611,6 +2637,85 @@ mod tests {
         let stats = d.stats(&ev2).unwrap();
         assert_eq!(stats.raises, 1, "fresh statistics after redefinition");
         assert!(ev.raise(()).is_err(), "stale handles stay unknown");
+    }
+
+    #[test]
+    fn a_destroyed_event_is_unknown_even_behind_a_closed_gate() {
+        // A posted, unrun async invocation keeps the event state alive
+        // past `destroy`, so the handle still upgrades and the published
+        // record — gate closed, tombstone — is all that answers.
+        let d = disp();
+        let posted: Arc<Mutex<Vec<AsyncInvocation>>> = Arc::new(Mutex::new(Vec::new()));
+        let p2 = posted.clone();
+        d.set_async_runner(Arc::new(move |inv| p2.lock().push(inv)));
+        let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
+        owner.set_primary(|_| 1).unwrap();
+        owner
+            .set_auth(|_| InstallDecision::Allow {
+                owner_guard: None,
+                constraints: Some(Constraints {
+                    mode: HandlerMode::Asynchronous,
+                    time_bound: None,
+                }),
+            })
+            .unwrap();
+        ev.install(Identity::extension("monitor"), |_| 0).unwrap();
+        assert_eq!(ev.raise(()), Ok(1));
+        ev.quiesce().unwrap();
+        owner.destroy().unwrap();
+        assert_eq!(posted.lock().len(), 1, "the invocation pins the state");
+        // Tombstone before gate: not `Held` in a queue nobody will resume.
+        assert_eq!(ev.raise(()), Err(ev.unknown()));
+        assert_eq!(ev.raise_batch(vec![(), ()]), vec![Err(ev.unknown()); 2]);
+        // The control plane reads the same tombstone.
+        assert_eq!(ev.held_len(), Err(ev.unknown()));
+        assert_eq!(ev.resume(), Err(ev.unknown()));
+        assert_eq!(
+            ev.install(Identity::extension("late"), |_| 2),
+            Err(ev.unknown())
+        );
+    }
+
+    #[test]
+    fn generation_moves_only_on_handler_set_edits() {
+        let d = disp();
+        let owner_id = Identity::kernel("k");
+        let (ev, owner) = d.define::<(), u32>("E", owner_id.clone());
+        let v1 = Identity::extension("v1");
+        owner.set_primary(|_| 1).unwrap();
+        ev.install(v1.clone(), |_| 2).unwrap();
+        let g = ev.generation().unwrap();
+        assert_eq!(g, 2, "one bump per install");
+
+        // The gate, the quota binding and a refused destroy publish their
+        // own field of the record and leave the handler set's version be.
+        ev.quiesce().unwrap();
+        assert!(matches!(ev.raise(()), Err(DispatchError::Held { .. })));
+        assert_eq!(ev.resume(), Ok(1));
+        let cell = crate::quota::QuotaLedger::new().register("t", Default::default());
+        assert_eq!(ev.bind_quota(cell.clone()), Ok(true));
+        assert_eq!(ev.bind_quota(cell.clone()), Ok(false), "one-shot");
+        assert_eq!(
+            d.destroy(&ev, &Identity::extension("rogue")),
+            Err(DispatchError::NotOwner)
+        );
+        assert_eq!(ev.generation(), Ok(g));
+        assert_eq!(ev.raise(()), Ok(2), "and the bound event still dispatches");
+        assert_eq!(cell.snapshot().admitted, 1, "through the republished cell");
+
+        // One rebind is one bump; one restore is one bump.
+        let spec = InstallSpec {
+            installer: Identity::extension("v2"),
+            handler: Arc::new(|_: &()| 3),
+            guards: Vec::new(),
+            constraints: Constraints::default(),
+        };
+        let receipt = ev.rebind(&owner_id, &v1, vec![spec]).unwrap();
+        assert_eq!(ev.generation(), Ok(g + 1));
+        assert_eq!(ev.raise(()), Ok(3));
+        ev.restore(&owner_id, receipt).unwrap();
+        assert_eq!(ev.generation(), Ok(g + 2));
+        assert_eq!(ev.raise(()), Ok(2));
     }
 
     #[test]

@@ -29,6 +29,7 @@ use spin_check::sync::{Arc, OnceLock, Weak};
 use spin_check::sync::{Mutex, Ordering};
 use spin_obs::Obs;
 use spin_sal::Nanos;
+use std::any::Any;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 
 /// What went wrong inside one handler invocation.
@@ -90,6 +91,24 @@ pub struct DeadlineExceeded {
 pub struct BlockedInStep {
     /// The refused `StrandCtx` operation.
     pub op: &'static str,
+}
+
+/// Best-effort extraction of a contained panic's message, for
+/// [`FaultKind::Panic`] and every other record of an unwind caught at a
+/// containment boundary.
+// uncharged: runs only after a fault has been contained; never on the fault-free path.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else if let Some(p) = payload.downcast_ref::<spin_fault::InjectedPanic>() {
+        format!("injected panic at site {}", p.site)
+    } else if let Some(p) = payload.downcast_ref::<BlockedInStep>() {
+        format!("`{}` inside a run-to-completion strand", p.op)
+    } else {
+        "opaque panic payload".to_string()
+    }
 }
 
 /// The failure budget: how much misbehaviour a handler gets before the

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 use spin_core::{
-    DispatchError, Dispatcher, Event, EventStats, GuardSpec, Identity, KeyFn, QuotaLedger,
-    QuotaSpec,
+    DispatchError, Dispatcher, Event, EventStats, GuardSpec, HoldStats, Identity, KeyFn,
+    QuotaLedger, QuotaSpec,
 };
 use std::sync::{Arc, Mutex};
 
@@ -320,5 +320,39 @@ proptest! {
         );
         prop_assert_eq!(&*logs[0].lock().expect("log"), &burst);
         prop_assert_eq!(&*logs[1].lock().expect("log"), &burst);
+
+        // Quiesced behind a two-slot hold queue: the burst overflows it
+        // mid-way exactly where the loop does, and the hold counters —
+        // kept under the hold lock — cannot tell the two apart.
+        let (batched, _) = build_rig(&models, true);
+        let (looped, _) = build_rig(&models, true);
+        for rig in [&batched, &looped] {
+            rig.ev.set_hold_capacity(2).expect("alive");
+            rig.ev.quiesce().expect("alive");
+        }
+        let got = batched.ev.raise_batch(burst.clone());
+        let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
+        prop_assert_eq!(&got, &want);
+        let parked = burst.len().min(2) as u64;
+        let overflowed = burst.len() as u64 - parked;
+        for (i, result) in got.iter().enumerate() {
+            if i < 2 {
+                prop_assert!(matches!(result, Err(DispatchError::Held { .. })));
+            } else {
+                prop_assert!(matches!(result, Err(DispatchError::HoldOverflow { .. })));
+            }
+        }
+        let parked_stats = HoldStats { held: parked, replayed: 0, overflowed };
+        prop_assert_eq!(batched.ev.hold_stats(), Ok(parked_stats));
+        prop_assert_eq!(looped.ev.hold_stats(), Ok(parked_stats));
+        prop_assert_eq!(batched.ev.resume(), Ok(parked));
+        prop_assert_eq!(looped.ev.resume(), Ok(parked));
+        let replayed_stats = HoldStats { replayed: parked, ..parked_stats };
+        prop_assert_eq!(batched.ev.hold_stats(), Ok(replayed_stats));
+        prop_assert_eq!(looped.ev.hold_stats(), Ok(replayed_stats));
+        prop_assert_eq!(
+            batched.d.stats(&batched.ev).expect("stats"),
+            looped.d.stats(&looped.ev).expect("stats")
+        );
     }
 }

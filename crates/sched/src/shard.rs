@@ -297,19 +297,10 @@ impl Multicore {
         // The planner's buffers, reused by every epoch of this run.
         let mut next = Vec::with_capacity(self.shards.len());
         let mut plan = Vec::with_capacity(self.shards.len());
-        if workers <= 1 {
-            loop {
-                if let Some(outcome) = self.plan_epoch(deadline, &mut next, &mut plan) {
-                    return outcome;
-                }
-                for &(idx, grant) in &plan {
-                    self.run_shard(idx, grant);
-                }
-            }
-        }
-        // Parallel mode: worker 0 (this thread) coordinates; all workers,
-        // coordinator included, execute their round-robin share of each
-        // epoch's plan between two barriers.
+        // Worker 0 (this thread) coordinates; all workers, coordinator
+        // included, execute their round-robin share of each epoch's plan
+        // between two barriers. One worker is the coordinator with nobody
+        // to wait for.
         let barrier = SpinBarrier::new(workers as u64);
         let plan_cell: spin_check::sync::Mutex<Vec<(usize, Nanos)>> =
             spin_check::sync::Mutex::new(Vec::new());
@@ -345,6 +336,16 @@ impl Multicore {
                     stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
                     barrier.wait();
                     break;
+                }
+                if workers.min(plan.len()) == 1 {
+                    // The whole epoch is this thread's share: run it
+                    // without publishing the plan or crossing a barrier.
+                    // The other workers stay parked at "plan published",
+                    // which orders this epoch before their next one.
+                    for &(idx, grant) in &plan {
+                        self.run_shard(idx, grant);
+                    }
+                    continue;
                 }
                 plan_cell.lock().clone_from(&plan);
                 barrier.wait(); // release the plan

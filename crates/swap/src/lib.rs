@@ -39,12 +39,11 @@
 #![forbid(unsafe_code)]
 
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
-use spin_core::fault::{Containment, DomainFaultInfo};
+use spin_core::fault::{panic_message, Containment, DomainFaultInfo};
 use spin_core::{DispatchError, GatedEvent, Identity};
 use spin_fault::{FaultHook, FaultPlan, Injection, SITE_SWAP};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_sal::clock::{Clock, Nanos};
-use std::any::Any;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -436,19 +435,6 @@ impl SwapCoordinator {
     }
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(p) = payload.downcast_ref::<spin_fault::InjectedPanic>() {
-        format!("injected panic at site {}", p.site)
-    } else {
-        "opaque panic payload".to_string()
-    }
-}
-
 type Fallback = Box<dyn FnMut() + Send>;
 
 struct SupervisorInner {
@@ -526,7 +512,7 @@ impl SwapSupervisor {
 mod tests {
     use super::*;
     use spin_core::fault::ContainmentPolicy;
-    use spin_core::{Constraints, DispatchError, Dispatcher, Event, InstallSpec};
+    use spin_core::{BlockedInStep, Constraints, DispatchError, Dispatcher, Event, InstallSpec};
     use spin_fault::SiteConfig;
     use spin_sal::MachineProfile;
 
@@ -642,6 +628,25 @@ mod tests {
         assert_eq!(stats.held_replayed, 1);
         assert_eq!(containment.faults_seen(), 1);
         assert_eq!(plan.injected_panics(), 1);
+    }
+
+    #[test]
+    fn a_transfer_that_blocks_in_a_step_is_reported_by_name() {
+        let (clock, _d, ev, owner_id, v1) = rig();
+        let blocks = |_: &u32| -> u32 { std::panic::panic_any(BlockedInStep { op: "sleep" }) };
+        let err = SwapCoordinator::new(clock)
+            .swap(
+                "fwd",
+                vec![Arc::new(ev.clone())],
+                &v1,
+                &0u32,
+                blocks,
+                None,
+                |bias| rebind_to_v2(&ev, &owner_id, &v1, bias),
+            )
+            .unwrap_err();
+        let message = "`sleep` inside a run-to-completion strand".to_string();
+        assert_eq!(err, SwapError::TransferPanicked { message });
     }
 
     #[test]

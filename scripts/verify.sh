@@ -167,6 +167,10 @@ gate spin-lint lint_gate
 # planted wrong orderings to be caught.
 gate spin-check env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
     cargo test -q -p spin-check --tests
+# The raise-prologue models again at preemption bound 3 (well under a
+# second; same build as spin-check, selected by test name).
+gate spin-check-b3 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
+    cargo test -q -p spin-check --test checks raise_prologue_models_at_bound3 -- --ignored
 gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
     CARGO_TARGET_DIR=target/spin-check-mutant cargo test -q -p spin-check --test mutants
 gate miri miri_gate

@@ -400,6 +400,40 @@ impl<T: ?Sized> Drop for MutexGuard<'_, T> {
 }
 
 // ---------------------------------------------------------------------------
+// Condvar
+// ---------------------------------------------------------------------------
+
+/// Drop-in for `parking_lot::Condvar`, so that code which parks real OS
+/// threads (the executor's baton) still builds against the instrumented
+/// facade. It is **not modeled**: the bounded-DFS explorer never blocks a
+/// real thread, so waiting from a model-controlled thread is a bug in the
+/// check and panics; outside a model run it is the real primitive.
+#[derive(Default)]
+pub struct Condvar {
+    inner: parking_lot::Condvar,
+}
+
+impl Condvar {
+    pub const fn new() -> Self {
+        Self {
+            inner: parking_lot::Condvar::new(),
+        }
+    }
+
+    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+        assert!(
+            guard.ctx.is_none(),
+            "spin-check: Condvar::wait on a model-controlled thread (condition variables are not modeled)"
+        );
+        self.inner.wait(guard.inner.as_mut().expect("guard live"));
+    }
+
+    pub fn notify_one(&self) {
+        self.inner.notify_one();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // RwLock
 // ---------------------------------------------------------------------------
 
@@ -593,6 +627,13 @@ impl<T> OnceLock<T> {
         }
         let _ = self.set(f());
         self.get().expect("initialized by set")
+    }
+
+    /// Empties the cell. Exclusive access is no schedule point; the cell
+    /// becomes a new model object, as empty in the model as it is for real.
+    pub fn take(&mut self) -> Option<T> {
+        self.id = ObjId::new();
+        self.real.take()
     }
 }
 

@@ -17,10 +17,6 @@ pub use std::sync::{Arc, Weak};
 
 #[cfg(not(spin_check))]
 mod imp {
-    // `Condvar` is facade-only (no instrumented twin): the executor's baton
-    // handoff blocks real OS threads, which the bounded-DFS explorer never
-    // does — `sched` is outside the `--cfg spin_check` build graph and the
-    // audit gate still wants it importing through this facade.
     pub use parking_lot::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
     pub use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize};
     pub use std::sync::OnceLock;
@@ -28,9 +24,13 @@ mod imp {
 
 #[cfg(spin_check)]
 mod imp {
+    // `Condvar` is unmodeled (see `instr::Condvar`): the executor's baton
+    // hand-off blocks real OS threads, which the bounded-DFS explorer never
+    // does. It is here so `sched` builds under this cfg and the checks can
+    // drive an `Executor` through strands that never park.
     pub use crate::instr::{
-        AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Mutex, MutexGuard, OnceLock,
-        RwLock, RwLockReadGuard, RwLockWriteGuard,
+        AtomicBool, AtomicU16, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard,
+        OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard,
     };
 }
 

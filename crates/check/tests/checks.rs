@@ -15,8 +15,9 @@
 
 #![cfg(all(spin_check, not(spin_check_mutant)))]
 
+use spin_check::hooks::HookRegistry;
 use spin_check::model::Checker;
-use spin_check::sync::{Arc, AtomicU64, Mutex, Ordering};
+use spin_check::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use spin_check::thread;
 use spin_core::fault::{Containment, ContainmentPolicy};
 use spin_core::{
@@ -26,7 +27,8 @@ use spin_core::{
 use spin_fault::{FaultPlan, Injection, SiteConfig};
 use spin_obs::account::DomainId;
 use spin_obs::ring::{Ring, TraceKind, TraceRecord};
-use spin_sal::Clock;
+use spin_sal::{Clock, HostId, MachineProfile, TimerQueue};
+use spin_sched::{Executor, IdleOutcome, Step};
 
 /// Preemption bound used by every check. Two preemptions cover every bug
 /// class this suite targets (each planted mutant needs at most one), and
@@ -491,6 +493,219 @@ fn clock_hook_arming_vs_advance_draw() {
         assert_eq!(*v.last().expect("armed hook draws"), 2);
     });
     assert_clean("clock-hook", &report);
+}
+
+/// The hooks one walk of the registry calls, in call order.
+fn walk(reg: &HookRegistry<u64>) -> Vec<u64> {
+    let mut seen = Vec::new();
+    reg.for_each(|v| seen.push(*v));
+    seen
+}
+
+/// Two racing `add`s on one registry: the writer lock serialises the
+/// appends, so both subscriptions end up linked, under distinct ids, and a
+/// later walk calls both — exactly once each, in whichever order they were
+/// linked. No node is lost to a racing append.
+#[test]
+fn registry_racing_adds_both_link() {
+    let report = checker().check(|| {
+        let reg: Arc<HookRegistry<u64>> = Arc::new(HookRegistry::new());
+        let reg2 = Arc::clone(&reg);
+        let t = thread::spawn(move || reg2.add(2));
+        let mine = reg.add(1);
+        let theirs = t.join().expect("adder thread");
+        assert_ne!(mine, theirs, "ids are unique");
+        let mut seen = walk(&reg);
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2], "a later walk calls both subscriptions");
+        assert!(reg.remove(mine) && reg.remove(theirs));
+        assert!(reg.is_empty());
+    });
+    assert_clean("registry-adds", &report);
+}
+
+/// `remove` racing a walker. The walk calls the removed hook at most once
+/// (it is one node), never once the remover's `remove` has returned before
+/// the walk began, and the hook that stays is called exactly once either
+/// way — a tombstone does not cut the chain behind it.
+#[test]
+fn registry_remove_vs_walker() {
+    let report = checker().check(|| {
+        let reg: Arc<HookRegistry<u64>> = Arc::new(HookRegistry::new());
+        let going = reg.add(1);
+        reg.add(2);
+        let removed = Arc::new(AtomicBool::new(false));
+        let (reg2, removed2) = (Arc::clone(&reg), Arc::clone(&removed));
+        let t = thread::spawn(move || {
+            assert!(reg2.remove(going), "removed exactly once");
+            removed2.store(true, Ordering::Release); // ordering: Release — publishes "remove has returned" to the walker's Acquire load.
+        });
+        let after_remove = removed.load(Ordering::Acquire); // ordering: Acquire — pairs with the remover's Release store.
+        let seen = walk(&reg);
+        assert!(
+            seen == [2] || (seen == [1, 2] && !after_remove),
+            "walk saw {seen:?} (began after remove returned: {after_remove})"
+        );
+        t.join().expect("remover thread");
+        assert_eq!(walk(&reg), [2], "a later walk never calls the removed hook");
+    });
+    assert_clean("registry-remove", &report);
+}
+
+/// The presence flag is published after the node: a reader that sees the
+/// registry armed finds the hook on its walk. (`Clock::charges_observed`
+/// is this flag — the dispatcher replays coalesced charges one by one on
+/// its word that somebody will see them.) The `spin_check_mutant` build
+/// counts the subscription live before linking it and must be caught.
+#[test]
+fn registry_armed_implies_walk_finds_the_hook() {
+    let report = checker().check(|| {
+        let reg: Arc<HookRegistry<u64>> = Arc::new(HookRegistry::new());
+        let reg2 = Arc::clone(&reg);
+        let t = thread::spawn(move || {
+            reg2.add(7);
+        });
+        if reg.is_armed() {
+            assert_eq!(walk(&reg), [7], "armed, but the walk found no hook");
+        }
+        t.join().expect("adder thread");
+    });
+    assert_clean("registry-armed", &report);
+}
+
+/// An install racing `destroy`: whichever wins, the destroyed event ends up
+/// owning nothing — the handler's captures are dropped although handles to
+/// the event (strong ones) are still alive. An install that loses the race
+/// after passing its liveness check publishes nothing and releases what it
+/// wrote.
+#[test]
+fn install_vs_destroy_releases_the_handler() {
+    let report = checker().check(|| {
+        let d = Dispatcher::unmetered();
+        let (ev, owner) = d.define::<u64, u64>("chk.release", Identity::kernel("chk"));
+        let probe = Arc::new(());
+        let (ev2, probe2) = (ev.clone(), Arc::clone(&probe));
+        let t = thread::spawn(move || {
+            let installed = ev2.install(Identity::extension("late"), move |_| {
+                Arc::strong_count(&probe2) as u64
+            });
+            assert!(
+                matches!(installed, Ok(_) | Err(DispatchError::UnknownEvent { .. })),
+                "install racing destroy leaked: {installed:?}"
+            );
+        });
+        owner.destroy().expect("owner destroys once");
+        t.join().expect("installer thread");
+        assert_eq!(Arc::strong_count(&probe), 1, "the destroyed event kept it");
+        assert!(matches!(
+            ev.raise(0),
+            Err(DispatchError::UnknownEvent { .. })
+        ));
+    });
+    assert_clean("install-vs-destroy", &report);
+}
+
+/// What one more operation costs in facade operations. A single-threaded
+/// check has exactly one execution, and its `Report::steps` is the number
+/// of instrumented atomics and lock operations it touched; running the
+/// scenario with two operations and with one, the difference is the
+/// operation's own — set-up and teardown cancel.
+fn marginal_steps(name: &str, scenario: fn(u64)) -> u64 {
+    let steps = |n: u64| {
+        let report = checker().check(move || scenario(n));
+        assert_clean(name, &report);
+        assert_eq!(report.executions, 1, "{name}: one thread, one schedule");
+        report.steps
+    };
+    let (one, two, three) = (steps(1), steps(2), steps(3));
+    assert_eq!(two - one, three - two, "{name}: not linear in the count");
+    two - one
+}
+
+/// The raise's atomics budget (DESIGN.md decision 18), pinned in facade
+/// operations so that the next atomic added to the path fails a test with a
+/// name instead of moving `core.dispatch.fast_ns` by 7 ns unnoticed. `Arc`
+/// and `Weak` traffic is invisible to the facade; DESIGN's inventory table
+/// covers it.
+///
+/// * A fast-path raise: **9** (10 at the parent of the PR that wrote this
+///   budget). In-flight count up; record read-locked and released; obs and
+///   fault hook slots loaded; one raise counter; the clock's `fetch_add`
+///   and its subscriber-count load; in-flight count down. Gone: the second
+///   raise counter.
+/// * A keyed raise — two handlers keyed on 5 and 6, raised with 5, so one
+///   table hit and one miss: **22** (25 at that parent). The same prologue
+///   and epilogue (7); four charges at two operations each (raise base,
+///   the hit's guard, the handler invocation, the miss's guard) and one
+///   `charges_observed` load before the miss; two time reads around the
+///   handler for its time bound; and the four walk counters that moved
+///   (guard evaluations, handlers run, compiled raises, guards elided).
+///   Gone: the three counters that moved by zero (aborted, asynchronous,
+///   faulted).
+#[test]
+fn a_raise_stays_within_its_budget() {
+    fn raises(ev: &spin_core::Event<u64, u64>, n: u64) {
+        for _ in 0..n {
+            assert_eq!(ev.raise(5), Ok(6));
+        }
+    }
+    let fast = marginal_steps("budget-fast-raise", |n| {
+        let d = Dispatcher::unmetered();
+        let (ev, owner) = d.define::<u64, u64>("chk.budget", Identity::kernel("chk"));
+        owner.set_primary(|x| *x + 1).expect("fresh event");
+        raises(&ev, n);
+        assert_eq!(d.stats(&ev).expect("alive").fast_path_raises, n);
+    });
+    assert_eq!(fast, 9, "facade operations per fast-path raise");
+
+    let keyed = marginal_steps("budget-keyed-raise", |n| {
+        let d = Dispatcher::unmetered();
+        let (ev, _owner) = d.define::<u64, u64>("chk.budget", Identity::kernel("chk"));
+        let key = KeyFn::new(|x: &u64| *x);
+        for k in [5, 6] {
+            ev.install_keyed(Identity::extension("k"), &key, k, |x| *x + 1)
+                .expect("install allowed");
+        }
+        raises(&ev, n);
+        let stats = d.stats(&ev).expect("alive");
+        assert_eq!((stats.compiled_raises, stats.guards_elided), (n, 2 * n));
+    });
+    assert_eq!(keyed, 22, "facade operations per keyed-hit raise");
+}
+
+/// The charge's budget: one `Clock::advance` made by a running strand on a
+/// clock its executor subscribes to is **9** facade operations, of which
+/// **2** are locked — the clock's `fetch_add` and the meter's on the
+/// quantum. The other seven are loads: the registry walk's four
+/// (subscriber count, head, the node's tombstone, its `next`) and the
+/// meter's three (obs slot, current strand, quantum). At the parent of the
+/// PR that wrote this budget the count was 8 with **4** locked: the
+/// registry's read lock, taken and released, stood where three of the
+/// walk's loads stand now — so this total went up by one while every lock
+/// went out of it — and under the facade's view (DESIGN's table) four more
+/// locked operations went with them: the `Arc` clone and drop of the
+/// subscriber list and the `Weak` upgrade and drop of the executor.
+#[test]
+fn an_observed_charge_stays_within_its_budget() {
+    let charge = marginal_steps("budget-observed-charge", |n| {
+        let clock = Clock::new();
+        let exec = Executor::new(
+            clock.clone(),
+            TimerQueue::new(),
+            Arc::new(MachineProfile::alpha_axp_3000_400()),
+        );
+        assert!(clock.charges_observed());
+        let charged = clock.clone();
+        let strand = exec.spawn_step_on(HostId(0), "charger", 8, move |_| {
+            for _ in 0..n {
+                charged.advance(10);
+            }
+            Step::Done
+        });
+        assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(exec.cpu_time(strand), 10 * n, "the meter saw every charge");
+    });
+    assert_eq!(charge, 9, "facade operations per observed charge");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

@@ -3,7 +3,7 @@
 //!
 //! Build with `RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant"` (and
 //! its own `CARGO_TARGET_DIR`, e.g. `target/spin-check-mutant`). That cfg
-//! plants two known-wrong orderings in the kernel:
+//! plants three known-wrong orderings in the kernel:
 //!
 //! 1. `obs::ring::Ring::push` publishes the slot sequence with `Relaxed`
 //!    instead of `Release` — a reader can validate the sequence before
@@ -12,6 +12,10 @@
 //!    cleared plan, then the tombstone — a racing raise can snapshot the
 //!    live-but-empty record in between and settle to `NoHandlerRan`
 //!    instead of `UnknownEvent`.
+//! 3. `check::hooks::HookRegistry::add` counts the subscription live
+//!    before its node is linked — a reader can see the registry armed
+//!    (`Clock::charges_observed`) and then walk a chain that does not
+//!    hold the hook yet.
 //!
 //! Each test runs the same scenario as the corresponding trunk check in
 //! `tests/checks.rs`, asserts the checker reports a failure with a
@@ -20,6 +24,7 @@
 
 #![cfg(all(spin_check, spin_check_mutant))]
 
+use spin_check::hooks::HookRegistry;
 use spin_check::model::Checker;
 use spin_check::sync::Arc;
 use spin_check::thread;
@@ -70,6 +75,20 @@ fn destroy_scenario() {
     t.join().expect("destroyer thread");
 }
 
+fn registry_scenario() {
+    let reg: Arc<HookRegistry<u64>> = Arc::new(HookRegistry::new());
+    let reg2 = Arc::clone(&reg);
+    let t = thread::spawn(move || {
+        reg2.add(7);
+    });
+    if reg.is_armed() {
+        let mut seen = Vec::new();
+        reg.for_each(|v| seen.push(*v));
+        assert_eq!(seen, [7], "armed, but the walk found no hook");
+    }
+    t.join().expect("adder thread");
+}
+
 /// Runs `scenario` under the checker, asserts the mutant is caught, and
 /// replays the reported seed to prove the schedule is deterministic.
 fn assert_caught(name: &str, scenario: fn()) {
@@ -105,4 +124,9 @@ fn relaxed_seq_publish_mutant_is_caught() {
 #[test]
 fn destroyed_flag_after_plan_clear_mutant_is_caught() {
     assert_caught("destroy-mutant", destroy_scenario);
+}
+
+#[test]
+fn live_before_link_mutant_is_caught() {
+    assert_caught("registry-mutant", registry_scenario);
 }

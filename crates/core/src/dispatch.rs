@@ -38,21 +38,24 @@
 //! code:
 //!
 //! 1. **One prologue per call** (`Raise::enter`). The [`Event`] handle
-//!    upgrades its weak reference to the event state — no global table, no
-//!    lock. The call then counts itself in flight and takes **one
-//!    snapshot** of the event's published record (`Published`, below) —
-//!    one refcount increment under a read lock, never a deep copy, and
-//!    raisers never block other raisers — and loads the obs/fault hooks.
+//!    holds the event state — no global table, no lock, no refcount. The
+//!    call counts itself in flight and takes **one snapshot** of the
+//!    event's published record (`Published`, below) — one refcount
+//!    increment under a read lock, never a deep copy, and raisers never
+//!    block other raisers — and loads the obs/fault hooks.
 //! 2. **One step per item** (`Raise::item`): answer a tombstone with
 //!    [`DispatchError::UnknownEvent`], park behind a closed gate, pass
 //!    admission control, count, trace, dispatch, release the admission. A
-//!    burst amortizes the prologue and settles its raise counters in one
-//!    increment; every item charges exactly the virtual time a lone raise
-//!    would.
+//!    burst amortizes the prologue and settles its raises in one increment
+//!    of one counter; every item charges exactly the virtual time a lone
+//!    raise would.
 //! 3. **One dispatch** (`Raise::dispatch`): the paper's direct call when
 //!    the plan holds a single synchronous unguarded unbounded handler and
 //!    no reducer (precomputed at plan build), otherwise one walk over the
-//!    compiled plan (below).
+//!    compiled plan (below). The walk stays off the heap: handlers borrow
+//!    the arguments unless an asynchronous one must outlive the raise, the
+//!    default reduction keeps one result, and the selected entries sit in
+//!    a small inline buffer.
 //! 4. **One contained call** (`Raise::contained`): every synchronous
 //!    handler, fast path included, runs in the same unwind-isolated
 //!    region with the same fault-site draw.
@@ -73,9 +76,12 @@
 //! list; it rebuilds the plan and publishes it with the generation bumped
 //! by one. `quiesce`, `resume` and `bind_quota` publish their one field
 //! and leave the generation alone (it versions the handler set), and
-//! `destroy` is one publish of the tombstone. Locks nest write side →
-//! record and hold queue → record, never the other way. [`EventStats`]
-//! counters are atomics, settled once per raise.
+//! `destroy` is one publish of the tombstone — and, because every handle
+//! holds the event state, the moment the state gives up what it owns
+//! (handlers, reducer, authorizer, quota binding, parked raises). Locks
+//! nest write side → record and hold queue → record, never the other way.
+//! [`EventStats`] counters are atomics, settled once per raise, and a
+//! counter that would move by zero is not touched.
 //!
 //! The virtual-time cost model is charged independently of all of this
 //! (see DESIGN.md: "cost-model charges are independent of the real-time
@@ -131,7 +137,7 @@ use crate::error::DispatchError;
 use crate::fault::{panic_message, DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
 use crate::identity::Identity;
 use crate::quota::QuotaCell;
-use spin_check::sync::{Arc, Weak};
+use spin_check::sync::Arc;
 use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_fault::{FaultHook, Injection};
@@ -139,6 +145,8 @@ use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Clock, HostId, MachineProfile, Nanos};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A handler procedure for an event with arguments `A` and result `R`.
@@ -381,7 +389,10 @@ pub struct EventStats {
 /// Lock-free counters backing [`EventStats`].
 #[derive(Default)]
 struct AtomicEventStats {
-    raises: AtomicU64,
+    /// Raises that took the walk. A call settles its raises into this or
+    /// into `fast_path_raises` — one counter, by its plan's `fast` flag —
+    /// and [`EventStats::raises`] is their sum.
+    slow_raises: AtomicU64,
     fast_path_raises: AtomicU64,
     guard_evaluations: AtomicU64,
     handlers_run: AtomicU64,
@@ -395,9 +406,10 @@ struct AtomicEventStats {
 
 impl AtomicEventStats {
     fn snapshot(&self) -> EventStats {
+        let fast_path_raises = self.fast_path_raises.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         EventStats {
-            raises: self.raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            fast_path_raises: self.fast_path_raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            raises: fast_path_raises + self.slow_raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            fast_path_raises,
             guard_evaluations: self.guard_evaluations.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             handlers_run: self.handlers_run.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             handlers_aborted: self.handlers_aborted.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -410,13 +422,39 @@ impl AtomicEventStats {
     }
 }
 
+/// Hashes a dispatch-table key by one multiplication (Fibonacci hashing,
+/// the high half folded down for the table's bucket index) where the
+/// default SipHash, seeded per process, cost more than the rest of a keyed
+/// lookup. The tables are only ever looked up, never iterated, so nothing
+/// observable depends on the hash; their keys are the guard values that
+/// installed handlers chose, which the event owner already authorizes.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        let h = k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// One key space's dispatch table inside a [`Compiled`] plan: every entry
 /// whose first guard keys off the same [`KeyFn`] (by identity).
 struct KeyGroup<A> {
     key: KeyFn<A>,
     /// Exact-match table: key value → entry indices (`KeyEq` and each
     /// deduplicated `KeyIn` value), in install order.
-    eq: HashMap<u64, Vec<u32>>,
+    eq: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
     /// Inclusive `KeyRange` intervals, scanned after the map lookup.
     ranges: Vec<(u64, u64, u32)>,
 }
@@ -459,7 +497,7 @@ impl<A> Compiled<A> {
                         None => {
                             groups.push(KeyGroup {
                                 key: kf.clone(),
-                                eq: HashMap::new(),
+                                eq: HashMap::default(),
                                 ranges: Vec::new(),
                             });
                             groups.len() - 1
@@ -498,13 +536,15 @@ impl<A> Compiled<A> {
     /// The entries a raise of `args` must visit, in install order: the
     /// scan list plus each group's table hits (one key extraction and
     /// lookup per group).
-    fn select(&self, args: &A) -> Vec<u32> {
-        let mut active: Vec<u32> = Vec::with_capacity(self.scan.len() + 4);
-        active.extend_from_slice(&self.scan);
+    fn select(&self, args: &A) -> Selection {
+        let mut active = Selection::Inline([0; SELECT_INLINE], 0);
+        for &idx in &self.scan {
+            active.push(idx);
+        }
         for group in &self.groups {
             let k = group.key.extract(args);
-            if let Some(hits) = group.eq.get(&k) {
-                active.extend_from_slice(hits);
+            for &idx in group.eq.get(&k).map_or(&[][..], Vec::as_slice) {
+                active.push(idx);
             }
             for &(lo, hi, idx) in &group.ranges {
                 if lo <= k && k <= hi {
@@ -512,7 +552,7 @@ impl<A> Compiled<A> {
                 }
             }
         }
-        active.sort_unstable();
+        active.sort();
         active
     }
 
@@ -525,6 +565,55 @@ impl<A> Compiled<A> {
     /// when the table rules that whole range out.
     fn misses_in(&self, from: usize, to: usize) -> u64 {
         u64::from(self.indexed_prefix[to] - self.indexed_prefix[from])
+    }
+}
+
+/// How many selected entries a raise holds on its stack before it takes to
+/// the heap. The protocol graph's keyed events select one or two; the walk
+/// runs on every strand thread's stack, so the buffer is kept to 32 bytes.
+const SELECT_INLINE: usize = 7;
+
+/// What [`Compiled::select`] selected: entry indices, ascending once
+/// sorted. Inline up to [`SELECT_INLINE`] of them, so the common keyed
+/// raise allocates nothing.
+enum Selection {
+    Inline([u32; SELECT_INLINE], u8),
+    Spilled(Vec<u32>),
+}
+
+impl Selection {
+    fn push(&mut self, idx: u32) {
+        match self {
+            Selection::Inline(buf, len) if usize::from(*len) < SELECT_INLINE => {
+                buf[usize::from(*len)] = idx;
+                *len += 1;
+            }
+            Selection::Inline(buf, _) => {
+                let mut spilled = Vec::with_capacity(4 * SELECT_INLINE);
+                spilled.extend_from_slice(buf);
+                spilled.push(idx);
+                *self = Selection::Spilled(spilled);
+            }
+            Selection::Spilled(spilled) => spilled.push(idx),
+        }
+    }
+
+    fn sort(&mut self) {
+        match self {
+            Selection::Inline(buf, len) => buf[..usize::from(*len)].sort_unstable(),
+            Selection::Spilled(spilled) => spilled.sort_unstable(),
+        }
+    }
+}
+
+impl Deref for Selection {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        match self {
+            Selection::Inline(buf, len) => &buf[..usize::from(*len)],
+            Selection::Spilled(spilled) => spilled,
+        }
     }
 }
 
@@ -542,6 +631,10 @@ struct RaisePlan<A, R> {
     /// exactly one synchronous, unguarded, unbounded handler (`entries[0]`)
     /// and no reducer. Precomputed here so the raise checks a single flag.
     fast: bool,
+    /// Whether any entry is asynchronous. Only then does a raise put its
+    /// arguments behind an `Arc` for the invocations that outlive it;
+    /// otherwise handlers borrow them from the raiser's stack.
+    has_async: bool,
     /// The guard-set compiler's output (see the module docs).
     compiled: Compiled<A>,
 }
@@ -564,6 +657,10 @@ impl<A, R> RaisePlan<A, R> {
             reducer: ws.reducer.clone(),
             quota: ws.quota.clone(),
             fast,
+            has_async: ws
+                .handlers
+                .iter()
+                .any(|e| e.constraints.mode == HandlerMode::Asynchronous),
             compiled: Compiled::build(&ws.handlers),
         })
     }
@@ -573,7 +670,11 @@ impl<A, R> RaisePlan<A, R> {
 /// statistics in a single batch after the walk (one `fetch_add` per
 /// counter per raise, not per entry).
 struct SlowAcc<R> {
-    results: Vec<R>,
+    /// Every synchronous result, for the reducer — `Some` iff the plan has
+    /// one; the default reduction keeps only `last`.
+    reduced: Option<Vec<R>>,
+    /// "The result of the final handler executed".
+    last: Option<R>,
     guard_evals: u64,
     /// Guard closure calls avoided by the compiled plan (key hits resolved
     /// by lookup + key misses ruled out by it). Always `<= guard_evals`.
@@ -592,6 +693,17 @@ struct WriteSide<A, R> {
     auth: Option<AuthFn<A>>,
     reducer: Option<Reducer<R>>,
     quota: Option<Arc<QuotaCell>>,
+}
+
+impl<A, R> Default for WriteSide<A, R> {
+    fn default() -> Self {
+        WriteSide {
+            handlers: Vec::new(),
+            auth: None,
+            reducer: None,
+            quota: None,
+        }
+    }
 }
 
 impl<A, R> WriteSide<A, R> {
@@ -683,11 +795,24 @@ impl<A, R> RebindReceipt<A, R> {
 }
 
 /// RAII marker counting one raise (or one posted async invocation) as
-/// in-flight for the quiesce drain.
-struct FlightGuard(Arc<AtomicU64>);
+/// in-flight for the quiesce drain. `S` is how the marker reaches the
+/// event state: a synchronous raise borrows it, a posted invocation owns
+/// the `Arc` it needs anyway — neither pays a refcount for the count.
+struct FlightGuard<S: Deref<Target: InFlight>>(S);
 
-impl FlightGuard {
-    fn enter(counter: &Arc<AtomicU64>) -> FlightGuard {
+/// What a [`FlightGuard`] counts on: an event state of any type.
+trait InFlight {
+    fn in_flight(&self) -> &AtomicU64;
+}
+
+impl<A, R> InFlight for EventState<A, R> {
+    fn in_flight(&self) -> &AtomicU64 {
+        &self.in_flight
+    }
+}
+
+impl<S: Deref<Target: InFlight>> FlightGuard<S> {
+    fn enter(state: S) -> Self {
         // The quiesce protocol pairs increment-then-snapshot (here, then
         // `Raise::enter`) with publish-then-load-count (`Event::quiesce`,
         // then `Event::drain_in_flight`), and the record's lock orders the
@@ -695,16 +820,16 @@ impl FlightGuard {
         // visible to the drain, and one that follows it sees the closed
         // gate and parks. Either way no raise slips past the drain.
         // ordering: SeqCst — kept from the lock-free gate: the hot-swap models drain only after the raiser has joined, so spin-check cannot vouch for anything weaker.
-        counter.fetch_add(1, Ordering::SeqCst);
-        FlightGuard(counter.clone())
+        state.in_flight().fetch_add(1, Ordering::SeqCst);
+        FlightGuard(state)
     }
 }
 
-impl Drop for FlightGuard {
+impl<S: Deref<Target: InFlight>> Drop for FlightGuard<S> {
     fn drop(&mut self) {
         // ordering: Release — publishes the dispatch's effects before the
         // drain's zero-read (Acquire-or-stronger) can observe the count.
-        self.0.fetch_sub(1, Ordering::Release);
+        self.0.in_flight().fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -741,9 +866,8 @@ struct EventState<A, R> {
     plan: RwLock<Published<A, R>>,
     stats: AtomicEventStats,
     /// Dispatches currently between snapshot and settle, plus async
-    /// invocations posted but not finished. `Arc` so [`FlightGuard`]s can
-    /// outlive the borrow that created them (async runners).
-    in_flight: Arc<AtomicU64>,
+    /// invocations posted but not finished (see [`FlightGuard`]).
+    in_flight: AtomicU64,
     /// Parked raises and their counters; only touched behind the gate.
     held: Mutex<HoldSide<A>>,
 }
@@ -759,14 +883,21 @@ impl<A, R> EventState<A, R> {
     ) -> Result<T, DispatchError> {
         let mut ws = self.write.lock();
         let out = change(&mut ws)?;
-        self.republish(&ws, 1);
+        let orphaned = self.republish(&mut ws, 1);
+        // Whatever was released drops outside the write lock.
+        drop(ws);
+        drop(orphaned);
         Ok(out)
     }
 
     /// Publishes the plan rebuilt from the (locked) write side, moving the
     /// generation on by `edits`. A tombstone stays a tombstone: a writer
-    /// that lost the race to `destroy` publishes nothing.
-    fn republish(&self, ws: &WriteSide<A, R>, edits: u64) {
+    /// that lost the race to `destroy` publishes nothing, and hands back
+    /// what it wrote for the caller to drop once it has let go of the
+    /// write side — a destroyed event owns no closures, however long its
+    /// handles live.
+    #[must_use]
+    fn republish(&self, ws: &mut WriteSide<A, R>, edits: u64) -> Option<WriteSide<A, R>> {
         // Built before the record's lock is taken: raisers wait out a
         // pointer store, never a guard-set compilation.
         let plan = RaisePlan::build(ws);
@@ -774,9 +905,36 @@ impl<A, R> EventState<A, R> {
         if published.plan.is_some() {
             published.plan = Some(plan);
             published.generation += edits;
+            None
+        } else {
+            Some(std::mem::take(ws))
         }
     }
+
+    /// Ends the event: publishes the tombstone — one publish, after which
+    /// every snapshot resolves to `UnknownEvent` — and takes everything the
+    /// state owns out of it: the plan, the handlers, reducer, authorizer
+    /// and quota binding, and the raises parked behind a closed gate. The
+    /// caller drops them with no lock held. Handles are strong, so this —
+    /// not the last handle going away — is when an event's closures die;
+    /// only a raise still in flight keeps the plan it snapshotted.
+    #[must_use]
+    fn release(&self) -> Released<A, R> {
+        let (plan, ws) = {
+            let mut ws = self.write.lock();
+            let plan = self.plan.write().plan.take();
+            (plan, std::mem::take(&mut *ws))
+        };
+        // After the tombstone: a parker that takes the hold lock from here
+        // on re-reads the record, finds it does not park, and leaves.
+        let parked = std::mem::take(&mut self.held.lock().queue);
+        (plan, ws, parked)
+    }
 }
+
+/// What a destroyed event gave up: its last plan, its write side and the
+/// raises it had parked.
+type Released<A, R> = (Option<Arc<RaisePlan<A, R>>>, WriteSide<A, R>, Vec<A>);
 
 /// Type-erased event state: what the dispatcher's global table stores.
 /// It carries the operations quarantine needs to act across events of
@@ -821,11 +979,11 @@ pub struct Event<A, R> {
     id: u64,
     name: Arc<str>,
     dispatcher: Dispatcher,
-    /// A weak reference to the event state, so raises never touch the
-    /// dispatcher's global table; it stops upgrading once `destroy` has
-    /// dropped the table's strong reference and the last raise still
-    /// holding one has returned.
-    state: Weak<EventState<A, R>>,
+    /// The event state itself, so a raise touches neither the dispatcher's
+    /// global table nor a refcount. Whether the event still exists is the
+    /// published record's to say (its tombstone), and `destroy` empties
+    /// the state, so a handle kept past it pins a husk, not closures.
+    state: Arc<EventState<A, R>>,
 }
 
 impl<A, R> Clone for Event<A, R> {
@@ -989,12 +1147,7 @@ impl Dispatcher {
     {
         let id = self.inner.next_event.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
         let name: Arc<str> = name.into();
-        let ws = WriteSide {
-            handlers: Vec::new(),
-            auth: None,
-            reducer: None,
-            quota: None,
-        };
+        let ws = WriteSide::default();
         let state: Arc<EventState<A, R>> = Arc::new(EventState {
             owner: owner.clone(),
             plan: RwLock::new(Published {
@@ -1004,7 +1157,7 @@ impl Dispatcher {
             }),
             write: Mutex::new(ws),
             stats: AtomicEventStats::default(),
-            in_flight: Arc::new(AtomicU64::new(0)),
+            in_flight: AtomicU64::new(0),
             held: Mutex::new(HoldSide::default()),
         });
         self.inner
@@ -1015,7 +1168,7 @@ impl Dispatcher {
             id,
             name,
             dispatcher: self.clone(),
-            state: Arc::downgrade(&state),
+            state,
         };
         let owner = EventOwner {
             event: event.clone(),
@@ -1212,17 +1365,21 @@ impl Dispatcher {
     /// Raises an event: evaluates guards, runs handlers under their
     /// constraints, and reduces the synchronous results.
     ///
-    /// This is the hot path. It performs no handler copies and takes no
-    /// mutex: one weak-pointer upgrade, one `Arc` clone under a read lock
-    /// (the snapshot of the event's published record), and atomic counter
-    /// updates.
+    /// This is the hot path, and it has a budget (DESIGN.md decision 18,
+    /// pinned by `spin-check`'s `a_raise_stays_within_its_budget`). It
+    /// copies no handler and takes no mutex; on the direct-call path it
+    /// makes eight locked read-modify-writes — the in-flight count up and
+    /// down, the record's read lock taken and released, the plan's refcount
+    /// up and down (together: the snapshot), one raise counter and the
+    /// clock charge — and, unless the plan holds an asynchronous handler or
+    /// a reducer or the key selects more than a handful of entries, no heap
+    /// allocation.
     pub fn raise<A, R>(&self, ev: &Event<A, R>, args: A) -> Result<R, DispatchError>
     where
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let state = ev.resolved()?;
-        Raise::enter(&self.inner, ev, &state, false).item(args)
+        Raise::enter(&self.inner, ev, false).item(args)
     }
 
     /// Raises a burst of events against a single plan snapshot.
@@ -1249,11 +1406,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let state = match ev.resolved() {
-            Ok(state) => state,
-            Err(e) => return batch.iter().map(|_| Err(e.clone())).collect(),
-        };
-        let call = Raise::enter(&self.inner, ev, &state, true);
+        let call = Raise::enter(&self.inner, ev, true);
         let out = batch.into_iter().map(|args| call.item(args)).collect();
         call.settle();
         out
@@ -1303,19 +1456,23 @@ impl Dispatcher {
             ws.handlers.clear();
             Ok(())
         })?;
-        // A raiser may already hold a strong reference, so the tombstone —
-        // not the table entry dropped below — is what ends the event: one
-        // publish, after which every snapshot resolves to `UnknownEvent`.
-        // There is no intermediate record for a racing raise to see.
-        state.plan.write().plan = None;
+        // Every handle holds the state, so the tombstone — not the table
+        // entry dropped below — is what ends the event. There is no
+        // intermediate record for a racing raise to see.
+        let released = state.release();
         self.inner.events.lock().remove(&ev.id);
+        drop(released);
         Ok(())
     }
 }
 
-/// Adds to a monotonic statistic.
+/// Adds to a monotonic statistic. Most of a raise's counters move by zero
+/// on most raises, and a `lock xadd` of zero costs what one of one does.
+#[inline]
 fn count(counter: &AtomicU64, n: u64) {
-    counter.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+    if n != 0 {
+        counter.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+    }
 }
 
 /// One `raise` or `raise_batch` call in progress: what the call resolves
@@ -1324,9 +1481,8 @@ fn count(counter: &AtomicU64, n: u64) {
 struct Raise<'a, A, R> {
     inner: &'a DispatcherInner,
     ev: &'a Event<A, R>,
-    state: &'a Arc<EventState<A, R>>,
     /// Counts the call in-flight for the quiesce drain until it returns.
-    _flight: FlightGuard,
+    _flight: FlightGuard<&'a EventState<A, R>>,
     /// The event's published record as the call found it — `plan` and
     /// `gated` are one reading, the only one the call takes. `None` is
     /// the tombstone of a destroyed event; otherwise every item
@@ -1352,25 +1508,19 @@ where
     /// their callers: as calls of their own the per-call state travels
     /// through memory, measured at ≈4 % of a fast-path raise.
     #[inline(always)]
-    fn enter(
-        inner: &'a DispatcherInner,
-        ev: &'a Event<A, R>,
-        state: &'a Arc<EventState<A, R>>,
-        batched: bool,
-    ) -> Self {
+    fn enter(inner: &'a DispatcherInner, ev: &'a Event<A, R>, batched: bool) -> Self {
         // Count this call in-flight *before* the snapshot: a quiescer
         // whose publish the snapshot missed will see the count and wait
         // for the dispatch to settle (see `FlightGuard::enter`).
-        let flight = FlightGuard::enter(&state.in_flight);
+        let flight = FlightGuard::enter(&*ev.state);
         // The snapshot: one refcount bump; handlers run outside any lock
         // (they may install/uninstall or re-raise).
-        let published = state.plan.read();
+        let published = ev.state.plan.read();
         let (plan, gated) = (published.plan.clone(), published.gated);
         drop(published);
         Raise {
             inner,
             ev,
-            state,
             _flight: flight,
             plan,
             gated,
@@ -1428,14 +1578,21 @@ where
 
     /// Settles the admitted items into the raise counters: a lone raise
     /// right after its admission, a burst in one increment after its last
-    /// item.
+    /// item. Every item of a call shares its plan, so one counter takes
+    /// them all — the direct-call one or the walk's.
     fn settle(&self) {
-        let n = self.admitted.take();
-        if n == 0 {
+        // A tombstone admitted nothing.
+        let Some(plan) = self.plan.as_ref() else {
             return;
-        }
-        let stats = &self.state.stats;
-        count(&stats.raises, n);
+        };
+        let n = self.admitted.take();
+        let stats = &self.ev.state.stats;
+        let raises = if plan.fast {
+            &stats.fast_path_raises
+        } else {
+            &stats.slow_raises
+        };
+        count(raises, n);
         if self.batched {
             count(&stats.batched_raises, n);
         }
@@ -1457,7 +1614,7 @@ where
     /// charged when the raise replays, so a resumed timeline carries
     /// exactly the charges an uninterrupted run would.
     fn park(&self, quota: Option<&Arc<QuotaCell>>, args: A) -> Result<R, DispatchError> {
-        let (ev, state, clock) = (self.ev, self.state, &self.inner.clock);
+        let (ev, state, clock) = (self.ev, &self.ev.state, &self.inner.clock);
         let mut held = state.held.lock();
         // Re-read the record under the hold lock (hold → record, the one
         // order these two nest in): `resume` reopens the gate under this
@@ -1469,7 +1626,7 @@ where
             // own, whose snapshot postdates the reopening (or shows the
             // tombstone, and answers `UnknownEvent`).
             drop(held);
-            let again = Raise::enter(self.inner, ev, state, self.batched);
+            let again = Raise::enter(self.inner, ev, self.batched);
             let out = again.item(args);
             again.settle();
             return out;
@@ -1503,7 +1660,7 @@ where
     /// direct call when the plan is fast, otherwise the walk. All
     /// virtual-time charges happen here.
     fn dispatch(&self, plan: &RaisePlan<A, R>, args: A) -> Result<R, DispatchError> {
-        let (ev, state, obs) = (self.ev, self.state, self.obs);
+        let (ev, state, obs) = (self.ev, &self.ev.state, self.obs);
         let profile = &self.inner.profile;
         let clock = &self.inner.clock;
         let stats = &state.stats;
@@ -1514,7 +1671,6 @@ where
         // this path for good.
         if plan.fast {
             clock.advance(profile.inter_module_call);
-            count(&stats.fast_path_raises, 1);
             let entry = &plan.entries[0];
             return match self.contained(entry, &args) {
                 Ok(r) => {
@@ -1538,9 +1694,19 @@ where
         }
 
         clock.advance(profile.event_raise_base);
-        let args = Arc::new(args);
+        // Handlers borrow the arguments from this frame; only invocations
+        // that may outlive it (asynchronous entries) need them shared.
+        let (owned, shared);
+        let args: &A = if plan.has_async {
+            shared = Some(Arc::new(args));
+            shared.as_deref().expect("just shared")
+        } else {
+            (owned, shared) = (args, None);
+            &owned
+        };
         let mut acc = SlowAcc::<R> {
-            results: Vec::new(),
+            reduced: plan.reducer.as_ref().map(|_| Vec::new()),
+            last: None,
             guard_evals: 0,
             elided: 0,
             run: 0,
@@ -1575,7 +1741,7 @@ where
         let compiled = !c.groups.is_empty();
         let selected;
         let active: &[u32] = if compiled {
-            selected = c.select(&args);
+            selected = c.select(args);
             &selected
         } else {
             &c.scan
@@ -1594,7 +1760,7 @@ where
             } else {
                 0
             };
-            self.run_entry(entry, &args, skip, &mut acc);
+            self.run_entry(entry, args, shared.as_ref(), skip, &mut acc);
             cursor = idx + 1;
         }
         charge_misses(&mut acc, c.misses_in(cursor, plan.entries.len()));
@@ -1617,15 +1783,13 @@ where
             }
         }
 
-        if acc.results.is_empty() {
-            return Err(DispatchError::NoHandlerRan {
-                name: ev.name.to_string(),
-            });
-        }
-        Ok(match plan.reducer.as_ref() {
-            Some(reduce) => reduce(acc.results),
+        let out = match plan.reducer.as_ref().zip(acc.reduced) {
+            Some((reduce, all)) => (!all.is_empty()).then(|| reduce(all)),
             // Default: "returns the result of the final handler executed".
-            None => acc.results.pop().expect("non-empty checked above"),
+            None => acc.last,
+        };
+        out.ok_or_else(|| DispatchError::NoHandlerRan {
+            name: ev.name.to_string(),
         })
     }
 
@@ -1649,7 +1813,8 @@ where
     fn run_entry(
         &self,
         entry: &Entry<A, R>,
-        args: &Arc<A>,
+        args: &A,
+        shared: Option<&Arc<A>>,
         skip_guards: usize,
         acc: &mut SlowAcc<R>,
     ) {
@@ -1667,6 +1832,7 @@ where
                 // execute in a separate thread from the raiser."
                 let runner = self.inner.async_runner.read().clone();
                 acc.async_count += 1;
+                let args = shared.expect("a plan with an asynchronous entry shares its arguments");
                 runner(self.async_invocation(entry, args));
             }
             HandlerMode::Synchronous => {
@@ -1687,7 +1853,10 @@ where
                                 self.fault_report(entry)
                                     .deliver(FaultKind::TimeBound { bound, elapsed });
                             }
-                            _ => acc.results.push(r),
+                            _ => match acc.reduced.as_mut() {
+                                Some(all) => all.push(r),
+                                None => acc.last = Some(r),
+                            },
                         }
                     }
                     Err(kind) => {
@@ -1745,18 +1914,17 @@ where
     fn async_invocation(&self, entry: &Entry<A, R>, args: &Arc<A>) -> AsyncInvocation {
         let handler = entry.handler.clone();
         let args = args.clone();
-        let state = self.state.clone();
         let report = self.fault_report(entry);
         let fault_flag = entry.fault_flag.clone();
         let bound = entry.constraints.time_bound;
         // The invocation stays in-flight for the quiesce drain until the
         // runner finishes it (or drops it unrun — the guard's Drop still
         // settles the count).
-        let flight = FlightGuard::enter(&state.in_flight);
+        let flight = FlightGuard::enter(self.ev.state.clone());
         AsyncInvocation {
             time_bound: bound,
             run: Box::new(move || {
-                let _flight = flight;
+                let state = &flight.0;
                 let t0 = report.clock.now();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     let _ = handler(&args);
@@ -1835,21 +2003,14 @@ where
         &self.name
     }
 
-    /// Resolves this handle to its event state: one weak upgrade. Whether
-    /// the event is still live is the snapshot's to say (`Raise::item`).
-    fn resolved(&self) -> Result<Arc<EventState<A, R>>, DispatchError> {
-        self.state.upgrade().ok_or_else(|| self.unknown())
-    }
-
-    /// [`Event::resolved`] for the control plane, which takes no snapshot
-    /// of its own: a state some raise or posted async invocation still
-    /// keeps alive past `destroy` is `UnknownEvent` here too.
-    fn live(&self) -> Result<Arc<EventState<A, R>>, DispatchError> {
-        let state = self.resolved()?;
-        if state.plan.read().plan.is_none() {
+    /// The event state, for the control plane — which, unlike a raise,
+    /// takes no snapshot of its own: a destroyed event's handle still
+    /// holds its (emptied) state, and is `UnknownEvent` here too.
+    fn live(&self) -> Result<&Arc<EventState<A, R>>, DispatchError> {
+        if self.state.plan.read().plan.is_none() {
             return Err(self.unknown());
         }
-        Ok(state)
+        Ok(&self.state)
     }
 
     fn unknown(&self) -> DispatchError {
@@ -1878,7 +2039,9 @@ where
             return Ok(false);
         }
         ws.quota = Some(cell);
-        state.republish(&ws, 0);
+        let orphaned = state.republish(&mut ws, 0);
+        drop(ws);
+        drop(orphaned);
         Ok(true)
     }
 
@@ -2674,6 +2837,63 @@ mod tests {
             ev.install(Identity::extension("late"), |_| 2),
             Err(ev.unknown())
         );
+    }
+
+    #[test]
+    fn destroy_releases_the_state_while_handles_survive() {
+        // Handles are strong: what frees an event's closures and parked
+        // arguments is `destroy`, not the last handle going away.
+        let d = disp();
+        let (ev, owner) = d.define::<Arc<()>, u32>("E", Identity::kernel("k"));
+        let probe = Arc::new(());
+        let (in_handler, in_guard, in_reducer, in_auth) =
+            (probe.clone(), probe.clone(), probe.clone(), probe.clone());
+        owner
+            .set_primary(move |_| Arc::strong_count(&in_handler) as u32)
+            .unwrap();
+        owner
+            .set_auth(move |_| {
+                let _held = &in_auth;
+                InstallDecision::allow()
+            })
+            .unwrap();
+        ev.install_guarded(
+            Identity::extension("x"),
+            move |_| Arc::strong_count(&in_guard) > 0,
+            |_| 0,
+        )
+        .unwrap();
+        owner
+            .set_reducer(move |rs| {
+                rs.into_iter().sum::<u32>() + Arc::strong_count(&in_reducer) as u32
+            })
+            .unwrap();
+        let ledger = crate::quota::QuotaLedger::new();
+        let cell = ledger.register("t", Default::default());
+        assert_eq!(ev.bind_quota(cell.clone()), Ok(true));
+        assert_eq!(ev.raise(Arc::new(())), Ok(10), "every closure is live");
+
+        // An argument parked behind a gate that closed before the destroy.
+        let parked = Arc::new(());
+        ev.quiesce().unwrap();
+        assert!(matches!(
+            ev.raise(parked.clone()),
+            Err(DispatchError::Held { .. })
+        ));
+        assert_eq!(Arc::strong_count(&parked), 2);
+
+        let kept = ev.clone();
+        owner.destroy().unwrap();
+        assert_eq!(
+            Arc::strong_count(&probe),
+            1,
+            "handler, guard, reducer, auth"
+        );
+        assert_eq!(Arc::strong_count(&parked), 1, "the hold queue");
+        assert_eq!(Arc::strong_count(&cell), 2, "ours and the ledger's");
+        for handle in [&ev, &kept] {
+            assert_eq!(handle.raise(Arc::new(())), Err(handle.unknown()));
+        }
     }
 
     #[test]

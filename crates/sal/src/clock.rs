@@ -13,6 +13,14 @@
 //! that is how the paper's preemptive kernel ("the kernel is preemptive,
 //! ensuring that a handler cannot take over the processor", §3.2) is
 //! reproduced deterministically.
+//!
+//! [`Clock::advance`] is the one primitive every layer of the packet path
+//! pays, many times per packet, so it has an atomics budget (DESIGN.md
+//! decision 18): one `fetch_add` on the time, then a walk of the
+//! subscribers that only loads. With no subscriber that is one more load;
+//! with the executor subscribed it is the executor's one `fetch_add` on its
+//! quantum — two locked read-modify-writes per charge, pinned by
+//! `an_observed_charge_stays_within_its_budget` in `spin-check`.
 
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
@@ -40,12 +48,11 @@ pub struct Clock {
 #[derive(Default)]
 struct ClockInner {
     now: AtomicU64,
-    /// Charge subscribers. The registry publishes an immutable snapshot
-    /// and keeps an atomic presence flag, so the per-charge path pays one
-    /// relaxed load when no subscriber is installed and calls hooks with
-    /// no lock held (a hook may deschedule the calling thread to effect
-    /// preemption).
-    hooks: HookRegistry<Arc<dyn Fn(Nanos) + Send + Sync>>,
+    /// Charge subscribers. The registry is walked with loads only, so the
+    /// per-charge path pays one load when no subscriber is installed and
+    /// calls hooks with no lock held (a hook may deschedule the calling
+    /// thread to effect preemption).
+    hooks: HookRegistry<AdvanceHook>,
 }
 
 impl Clock {
@@ -69,11 +76,7 @@ impl Clock {
             return;
         }
         self.inner.now.fetch_add(ns, Ordering::AcqRel); // ordering: AcqRel — every charge is ordered with every other charge and with now().
-        if let Some(hooks) = self.inner.hooks.snapshot() {
-            for (_, hook) in hooks.iter() {
-                hook(ns);
-            }
-        }
+        self.inner.hooks.for_each(|hook| hook(ns));
     }
 
     /// Moves the clock directly to `t` without charging any context.
@@ -100,10 +103,13 @@ impl Clock {
     /// returned id removes exactly this subscription via
     /// [`Clock::remove_advance_hook`].
     pub fn add_advance_hook(&self, hook: AdvanceHook) -> AdvanceHookId {
-        self.inner.hooks.add(Arc::from(hook))
+        self.inner.hooks.add(hook)
     }
 
-    /// Removes one subscription. Returns `true` if it was still installed.
+    /// Removes one subscription: no charge that starts after this returns
+    /// calls the hook. Returns `true` if it was still installed. The hook
+    /// itself is dropped with the clock, not here (see
+    /// [`HookRegistry`]).
     pub fn remove_advance_hook(&self, id: AdvanceHookId) -> bool {
         self.inner.hooks.remove(id)
     }

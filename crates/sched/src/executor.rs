@@ -32,7 +32,7 @@ use spin_check::sync::{Condvar, Mutex};
 use spin_core::{BlockedInStep, DeadlineExceeded};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
-use spin_sal::{Clock, HostId, IrqController, MachineProfile, Nanos, TimerQueue};
+use spin_sal::{AdvanceHookId, Clock, HostId, IrqController, MachineProfile, Nanos, TimerQueue};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
@@ -168,7 +168,7 @@ struct StrandInfo {
     state: RunState,
     body: Body,
     /// Settled at the end of each slice; the running slice's charge is
-    /// still in `Executor::quantum_used`.
+    /// still in `Meter::quantum_used`.
     cpu_ns: Nanos,
     joiners: Vec<StrandId>,
     panicked: bool,
@@ -227,6 +227,43 @@ struct Hooks {
     resume: TransitionHook,
 }
 
+/// What a charge on the executor's clock touches — the slice meter. It
+/// sits apart from the rest of the executor so the clock's advance hook can
+/// own it by a plain `Arc`: a charge takes no `Weak` upgrade, and with the
+/// registry walk lock-free its only locked read-modify-write is the
+/// `quantum_used` add (DESIGN.md decision 18).
+struct Meter {
+    /// Observability hook (scheduler domain): absent until wired, and the
+    /// per-charge/per-switch fast path is then a single atomic load.
+    obs: spin_core::hooks::HookSlot<ObsHook>,
+    /// Id of the strand whose slice is running, 0 between slices (ids start
+    /// at 1). Written under the state lock; a charge reads it without.
+    current: AtomicU64,
+    quantum: AtomicU64,
+    /// Virtual time charged to the running slice so far: the quantum
+    /// consumed, and the strand's and host's CPU time not yet settled.
+    quantum_used: AtomicU64,
+    preempt_pending: AtomicBool,
+}
+
+impl Meter {
+    fn on_advance(&self, ns: Nanos) {
+        if let Some(obs) = self.obs.get() {
+            obs.counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        }
+        // ordering: Relaxed — a slice's charges come from the thread running it, which the baton (or being the coordinator) already ordered after the store.
+        if self.current.load(Ordering::Relaxed) != 0 {
+            // Stays a read-modify-write: "only the slice's thread charges"
+            // is this module's convention, not something the clock proves.
+            let used = self.quantum_used.fetch_add(ns, Ordering::Relaxed) + ns; // ordering: Relaxed — charged on the executor thread; atomic only for &self.
+            if used > self.quantum.load(Ordering::Relaxed) {
+                // ordering: Relaxed — charged on the executor thread; atomic only for &self.
+                self.preempt_pending.store(true, Ordering::Relaxed); // ordering: Relaxed — consumed by the same thread at the next safepoint.
+            }
+        }
+    }
+}
+
 /// The executor.
 pub struct Executor {
     /// Handed (upgraded) to a run-to-completion slice as its
@@ -239,24 +276,17 @@ pub struct Executor {
     irqs: Mutex<Vec<IrqController>>,
     main_baton: Arc<Baton>,
     next_id: AtomicU64,
-    /// Id of the strand whose slice is running, 0 between slices (ids start
-    /// at 1). Written under the state lock; the clock's advance hook reads
-    /// it without.
-    current: AtomicU64,
     /// Whether the running slice is a run-to-completion one, which may not
     /// give up the processor mid-call.
     stepping: AtomicBool,
-    quantum: AtomicU64,
-    /// Virtual time charged to the running slice so far: the quantum
-    /// consumed, and the strand's and host's CPU time not yet settled.
-    quantum_used: AtomicU64,
-    preempt_pending: AtomicBool,
+    /// Shared with the clock's advance hook, which charges the running
+    /// slice through it.
+    meter: Arc<Meter>,
+    /// That hook's subscription, removed when the executor drops.
+    advance_hook: AdvanceHookId,
     /// Transition hooks: absent until `events` wires them, and each of a
     /// slice's four transitions then costs one atomic load.
     hooks: spin_core::hooks::HookSlot<Hooks>,
-    /// Observability hook (scheduler domain): absent until wired, and the
-    /// per-charge/per-switch fast path is then a single atomic load.
-    obs: spin_core::hooks::HookSlot<ObsHook>,
     /// Fault-injection hook (`sched.executor` site): absent until wired;
     /// drawn once at each strand body's entry, inside the containment
     /// `catch_unwind`, so an injected panic never kills the process.
@@ -269,7 +299,19 @@ pub struct Executor {
 impl Executor {
     /// Creates an executor on the shared timeline.
     pub fn new(clock: Clock, timers: TimerQueue, profile: Arc<MachineProfile>) -> Arc<Executor> {
-        let exec = Arc::new_cyclic(|me| Executor {
+        let meter = Arc::new(Meter {
+            obs: spin_core::hooks::HookSlot::new(),
+            current: AtomicU64::new(0),
+            quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
+            quantum_used: AtomicU64::new(0),
+            preempt_pending: AtomicBool::new(false),
+        });
+        // Charge the running strand and arm preemption at quantum expiry.
+        // Subscribes alongside other clock observers (the obs accounting
+        // layer) rather than replacing them.
+        let charged = meter.clone();
+        let advance_hook = clock.add_advance_hook(Box::new(move |ns| charged.on_advance(ns)));
+        Arc::new_cyclic(|me| Executor {
             me: me.clone(),
             clock: clock.clone(),
             timers,
@@ -284,26 +326,13 @@ impl Executor {
             irqs: Mutex::new(Vec::new()),
             main_baton: Baton::new(),
             next_id: AtomicU64::new(1),
-            current: AtomicU64::new(0),
             stepping: AtomicBool::new(false),
-            quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
-            quantum_used: AtomicU64::new(0),
-            preempt_pending: AtomicBool::new(false),
+            meter,
+            advance_hook,
             hooks: spin_core::hooks::HookSlot::new(),
-            obs: spin_core::hooks::HookSlot::new(),
             faults: spin_core::hooks::HookSlot::new(),
             quota: spin_core::hooks::HookSlot::new(),
-        });
-        // Charge the running strand and arm preemption at quantum expiry.
-        // Subscribes alongside other clock observers (the obs accounting
-        // layer) rather than replacing them.
-        let weak = Arc::downgrade(&exec);
-        clock.add_advance_hook(Box::new(move |ns| {
-            if let Some(exec) = weak.upgrade() {
-                exec.on_advance(ns);
-            }
-        }));
-        exec
+        })
     }
 
     /// Convenience: an executor for a single simulated host.
@@ -343,7 +372,7 @@ impl Executor {
 
     /// Sets the preemption quantum (virtual nanoseconds).
     pub fn set_quantum(&self, ns: Nanos) {
-        self.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next charge.
+        self.meter.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next charge.
     }
 
     /// Installs transition hooks (used by `events` to raise dispatcher
@@ -367,7 +396,7 @@ impl Executor {
     /// switches are accounted to the scheduler domain. One-shot; charges
     /// zero virtual time.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.obs.set(hook);
+        let _ = self.meter.obs.set(hook);
     }
 
     /// Wires the deterministic fault-injection plan's `sched.executor`
@@ -391,20 +420,6 @@ impl Executor {
         match self.quota.get() {
             Some(hook) => hook(name, base, self.clock.now()),
             None => base,
-        }
-    }
-
-    fn on_advance(&self, ns: Nanos) {
-        if let Some(obs) = self.obs.get() {
-            obs.counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-        // ordering: Relaxed — a slice's charges come from the thread running it, which the baton (or being the coordinator) already ordered after the store.
-        if self.current.load(Ordering::Relaxed) != 0 {
-            let used = self.quantum_used.fetch_add(ns, Ordering::Relaxed) + ns; // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-            if used > self.quantum.load(Ordering::Relaxed) {
-                // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-                self.preempt_pending.store(true, Ordering::Relaxed); // ordering: Relaxed — consumed by the same thread at the next safepoint.
-            }
         }
     }
 
@@ -534,8 +549,8 @@ impl Executor {
     /// baton, which it parks on next.
     fn leave_current(&self, to: RunState, panicked: bool) -> Option<Arc<Baton>> {
         let mut st = self.state.lock();
-        let cur = StrandId(self.current.swap(0, Ordering::Relaxed)); // ordering: Relaxed — written under the state lock by the thread that ran the slice; the next reader is ordered by the baton or is this thread.
-        let charge = self.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — only this slice's own thread added to it.
+        let cur = StrandId(self.meter.current.swap(0, Ordering::Relaxed)); // ordering: Relaxed — written under the state lock by the thread that ran the slice; the next reader is ordered by the baton or is this thread.
+        let charge = self.meter.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — only this slice's own thread added to it.
         let info = st
             .strands
             .get_mut(&cur)
@@ -690,9 +705,9 @@ impl Executor {
                     if let Some(h) = self.hooks.get() {
                         (h.resume)(id);
                     }
-                    self.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
-                    self.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
-                    if let Some(obs) = self.obs.get() {
+                    self.meter.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
+                    self.meter.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
+                    if let Some(obs) = self.meter.obs.get() {
                         obs.counters
                             .context_switches
                             .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -704,7 +719,7 @@ impl Executor {
                         st.ready -= 1;
                         let info = st.strands.get_mut(&id).expect("dequeued strand exists");
                         info.state = RunState::Running;
-                        self.current.store(id.0, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
+                        self.meter.current.store(id.0, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
                         info.body.clone()
                     };
                     match body {
@@ -809,7 +824,7 @@ impl Executor {
     /// The running slice's strand, host and so-far-unsettled charge.
     fn live_slice(&self, st: &ExecState) -> Option<(StrandId, HostId, Nanos)> {
         let cur = self.current()?;
-        let used = self.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — a mid-slice reader is the slice's own thread.
+        let used = self.meter.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — a mid-slice reader is the slice's own thread.
         Some((cur, st.strands.get(&cur)?.host, used))
     }
 
@@ -857,7 +872,7 @@ impl Executor {
     /// The currently running strand, if called from strand context.
     pub fn current(&self) -> Option<StrandId> {
         // ordering: Relaxed — a strand asking is ordered after the store by its baton, or is the coordinator that made it.
-        match self.current.load(Ordering::Relaxed) {
+        match self.meter.current.load(Ordering::Relaxed) {
             0 => None,
             id => Some(StrandId(id)),
         }
@@ -875,6 +890,14 @@ impl Executor {
             id,
             deadline,
         })
+    }
+}
+
+impl Drop for Executor {
+    fn drop(&mut self) {
+        // Unsubscribe, or every later charge on this clock would still
+        // walk past (and into) a dead executor's meter.
+        self.clock.remove_advance_hook(self.advance_hook);
     }
 }
 
@@ -962,8 +985,9 @@ impl StrandCtx {
     /// expired.
     pub fn preempt_point(&self) {
         self.refuse_in_step("preempt_point");
+        let pending = &self.exec.meter.preempt_pending;
         // ordering: Relaxed — set and consumed on the executor thread.
-        if self.exec.preempt_pending.swap(false, Ordering::Relaxed) {
+        if pending.swap(false, Ordering::Relaxed) {
             self.exec.yield_current();
         }
         self.check_deadline();
@@ -1012,6 +1036,32 @@ mod tests {
         e.spawn("worker", move |_| f2.store(true, Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert!(flag.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+    }
+
+    #[test]
+    fn a_dropped_executor_unsubscribes_from_its_clock() {
+        let board = SimBoard::new();
+        let obs = spin_obs::Obs::new(16);
+        let hook = obs.domain("sched");
+        for _ in 0..3 {
+            let e = Executor::new(
+                board.clock.clone(),
+                board.timers.clone(),
+                board.profile.clone(),
+            );
+            e.set_obs(hook.clone());
+            assert!(board.clock.charges_observed());
+            board.clock.advance(7);
+        }
+        let charged = hook.counters.cpu_ns.load(Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
+        assert_eq!(charged, 21, "each executor saw the charge made in its life");
+        assert!(!board.clock.charges_observed(), "nobody is subscribed");
+        board.clock.advance(1_000);
+        assert_eq!(
+            hook.counters.cpu_ns.load(Ordering::Relaxed), // ordering: Relaxed — test plumbing; single-threaded.
+            charged,
+            "a charge after the drops reaches no executor's hook"
+        );
     }
 
     #[test]

@@ -142,6 +142,18 @@ gate workspace-test cargo test --workspace -q
 # `perf/` is a package of its own, so nothing above builds it: without
 # this a kernel-crate API change breaks the benchmark unnoticed.
 gate perf-tests cargo test -q --manifest-path perf/Cargo.toml
+# One short untraced run of every benchmark workload at full size: exit 0
+# means `correct: true` and, at the default seed, the virtual digest pinned
+# in perf/digests.json — perf-tests only runs miniature instances. Never a
+# timing assertion: shared CI cannot resolve one.
+perf_smoke() {
+    local workload
+    for workload in http_storm udp_forward dispatch_steady dispatch_churn; do
+        cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
+            run --workload "$workload" --seconds 3 --trace 0 >/dev/null
+    done
+}
+gate perf-smoke perf_smoke
 
 # bin:golden[:extra]. table1_sizes counts source lines and s7_multicore
 # reports wall-clock speedup, so neither has a golden; they only have to

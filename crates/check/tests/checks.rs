@@ -27,7 +27,7 @@ use spin_core::{
 use spin_fault::{FaultPlan, Injection, SiteConfig};
 use spin_obs::account::DomainId;
 use spin_obs::ring::{Ring, TraceKind, TraceRecord};
-use spin_sal::{Clock, HostId, MachineProfile, TimerQueue};
+use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, TimerQueue};
 use spin_sched::{Executor, IdleOutcome, Step};
 
 /// Preemption bound used by every check. Two preemptions cover every bug
@@ -706,6 +706,56 @@ fn an_observed_charge_stays_within_its_budget() {
         assert_eq!(exec.cpu_time(strand), 10 * n, "the meter saw every charge");
     });
     assert_eq!(charge, 9, "facade operations per observed charge");
+}
+
+/// The frame hop's lock traffic (DESIGN.md decision 19), pinned so that the
+/// heap budget was not bought with locks — and so the lock budget that
+/// follows it has a number to start from. Allocations cannot be pinned
+/// here: counting them needs a `GlobalAlloc`, an `unsafe impl` rule U1 does
+/// not admit; DESIGN's table is measured on a scratch allocator.
+///
+/// * One timer scheduled and fired: **6**, as at the parent. `schedule_at`
+///   locks and unlocks once; `fire_due` does so once to take the timer and
+///   once to find nothing else due. The slab replaced a hash map under the
+///   same lock, not the lock.
+/// * One frame across a two-shard board — `Nic::send`, the receiving
+///   shard's `drain` onto its timers, the timer's fire, `Nic::receive`:
+///   **40**, as at the parent. Send 13 (two charges at two operations
+///   each, the NIC's stats lock pair, the wire's, one time read, the
+///   mailbox's pair and its two counters); drain 5; schedule 2; the
+///   deadline probe 2; fire 10 (the queue's two pairs around the
+///   delivery's three: `rx` ring, the wire-wide delivered count, the
+///   interrupt post); receive 8 (the ring's pair, two charges, the stats
+///   pair). The single-frame path lost its `Vec`s and its second box, and
+///   every lock, charge and counter is where it was.
+#[test]
+fn the_frame_hop_stays_within_its_lock_budget() {
+    let timer = marginal_steps("budget-timer", |n| {
+        let q = TimerQueue::new();
+        for now in 1..=n {
+            q.schedule_at(now, |_| {});
+            assert_eq!(q.fire_due(now), 1);
+        }
+    });
+    assert_eq!(timer, 6, "facade operations per timer scheduled and fired");
+
+    let hop = marginal_steps("budget-frame-hop", |n| {
+        let board = MulticoreBoard::new();
+        let (a, b) = (board.new_host(1), board.new_host(1));
+        for _ in 0..n {
+            a.ethernet
+                .send(b.endpoint(), (&b"frame"[..]).into())
+                .expect("within the MTU");
+            for env in b.mailbox.drain() {
+                b.timers.schedule_boxed(env.deliver_at, env.action);
+            }
+            let due = b.timers.next_deadline().expect("the frame is in flight");
+            assert_eq!(b.timers.fire_due(due), 1);
+            assert!(b.ethernet.receive().is_some(), "delivered");
+        }
+        assert_eq!(board.ethernet.stats(), (n, 0));
+    });
+    assert_eq!(hop, 40, "facade operations per frame hop");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

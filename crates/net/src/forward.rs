@@ -10,11 +10,12 @@
 //!
 //! The forwarder rewrites addresses NAT-style and keeps a flow table so
 //! replies from the secondary host retrace the path to the original
-//! client.
+//! client. It hands the stack a rewritten header in front of the payload it
+//! received — still a view into the arriving frame — so a forwarded byte is
+//! copied once, into the departing frame.
 
-use crate::pkt::{proto, IpAddr, TcpHeader, UdpHeader};
+use crate::pkt::{proto, IpAddr, UdpHeader};
 use crate::stack::{NetStack, TcpSegment, UdpPacket};
-use bytes::Bytes;
 use spin_check::sync::Mutex;
 use spin_core::{Constraints, GuardSpec, Identity, InstallSpec};
 use std::collections::BTreeMap;
@@ -89,7 +90,7 @@ fn udp_out_handler(
             st.stats.forwarded += 1;
             st.translate((p.ip.src, p.header.src_port))
         };
-        let datagram = UdpHeader::encode(rewritten, port, &p.payload);
+        let datagram = UdpHeader::encode_chain(rewritten, port, p.payload.clone());
         stack.transmit_with_retry(target, proto::UDP, datagram);
     }
 }
@@ -114,7 +115,7 @@ fn udp_back_handler(
                 None => return,
             }
         };
-        let datagram = UdpHeader::encode(port, client.1, &p.payload);
+        let datagram = UdpHeader::encode_chain(port, client.1, p.payload.clone());
         stack.transmit_with_retry(client.0, proto::UDP, datagram);
     }
 }
@@ -247,7 +248,11 @@ impl Forwarder {
                     };
                     let mut h = s.header;
                     h.src_port = rewritten;
-                    stack2.transmit_with_retry(target, proto::TCP, reencode(&h, &s.payload));
+                    stack2.transmit_with_retry(
+                        target,
+                        proto::TCP,
+                        h.encode_chain(s.payload.clone()),
+                    );
                 },
             )
             .expect("install TCP forwarder (out)");
@@ -279,7 +284,11 @@ impl Forwarder {
                     let mut h = s.header;
                     h.src_port = port;
                     h.dst_port = client.1;
-                    stack3.transmit_with_retry(client.0, proto::TCP, reencode(&h, &s.payload));
+                    stack3.transmit_with_retry(
+                        client.0,
+                        proto::TCP,
+                        h.encode_chain(s.payload.clone()),
+                    );
                 },
             )
             .expect("install TCP forwarder (back)");
@@ -314,10 +323,6 @@ impl Forwarder {
             stats: st.stats,
         }
     }
-}
-
-fn reencode(h: &TcpHeader, payload: &Bytes) -> Bytes {
-    h.encode(payload)
 }
 
 #[cfg(test)]

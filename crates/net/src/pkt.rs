@@ -3,8 +3,17 @@
 //! Real wire formats with real encode/decode and the Internet checksum, so
 //! the protocol graph of Figure 5 pushes genuine byte frames between
 //! layers and hosts.
+//!
+//! A header encodes to a fixed array on the caller's stack
+//! (`header_bytes`): nothing on the way down allocates for a header. The
+//! send path puts those arrays in front of a shared payload
+//! (`encode_chain`, into a [`BufChain`]'s inline room) and the stack writes
+//! them straight into the frame; `encode(payload)` is for callers that want
+//! one contiguous packet and builds exactly one buffer, copying the payload
+//! once.
 
 use bytes::{Bytes, BytesMut};
+use spin_sal::BufChain;
 
 /// An IPv4 address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,6 +59,23 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
+/// `header` followed by `payload` as one buffer: one allocation, each byte
+/// copied once.
+fn packet(header: &[u8], payload: &[u8]) -> Bytes {
+    let mut b = BytesMut::zeroed(header.len() + payload.len());
+    let (head, body) = b.split_at_mut(header.len());
+    head.copy_from_slice(header);
+    body.copy_from_slice(payload);
+    b.freeze()
+}
+
+/// `header` in front of a shared `payload`: no allocation, no payload copy.
+fn chain(header: &[u8], payload: Bytes) -> BufChain {
+    let mut c = BufChain::from_bytes(payload);
+    c.push_header(header);
+    c
+}
+
 /// A 14-byte Ethernet header (addresses abbreviated to the simulation's
 /// wire endpoints, padded to MAC width on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,22 +90,16 @@ impl EtherHeader {
 
     /// Serializes the header followed by `payload`.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::LEN + payload.len());
-        b.extend_from_slice(&self.encode_header());
-        b.extend_from_slice(payload);
-        b.freeze()
+        packet(&self.header_bytes(), payload)
     }
 
-    /// Serializes just the 14 header bytes — the chain path prepends this
-    /// segment without copying the payload.
-    pub fn encode_header(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::LEN);
-        b.extend_from_slice(&[0, 0]); // dst MAC padding to 6 bytes
-        b.extend_from_slice(&self.dst.to_be_bytes());
-        b.extend_from_slice(&[0, 0]); // src MAC padding to 6 bytes
-        b.extend_from_slice(&self.src.to_be_bytes());
-        b.extend_from_slice(&self.ethertype.to_be_bytes());
-        b.freeze()
+    /// The 14 header bytes (each MAC is the endpoint padded to 6 bytes).
+    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+        let mut h = [0u8; Self::LEN];
+        h[2..6].copy_from_slice(&self.dst.to_be_bytes());
+        h[8..12].copy_from_slice(&self.src.to_be_bytes());
+        h[12..14].copy_from_slice(&self.ethertype.to_be_bytes());
+        h
     }
 
     /// Parses a frame into (header, payload).
@@ -116,23 +136,19 @@ impl Ipv4Header {
 
     /// Serializes the header (checksum computed) followed by `payload`.
     pub fn encode(src: IpAddr, dst: IpAddr, protocol: u8, ttl: u8, payload: &[u8]) -> Bytes {
-        let header = Self::encode_header(src, dst, protocol, ttl, payload.len());
-        let mut b = BytesMut::with_capacity(Self::LEN + payload.len());
-        b.extend_from_slice(&header);
-        b.extend_from_slice(payload);
-        b.freeze()
+        let header = Self::header_bytes(src, dst, protocol, ttl, payload.len());
+        packet(&header, payload)
     }
 
-    /// Serializes just the 20 header bytes (checksum computed) for a
-    /// payload of `payload_len` bytes — the chain path prepends this
-    /// segment without copying the payload.
-    pub fn encode_header(
+    /// The 20 header bytes (checksum computed) for a payload of
+    /// `payload_len` bytes.
+    pub fn header_bytes(
         src: IpAddr,
         dst: IpAddr,
         protocol: u8,
         ttl: u8,
         payload_len: usize,
-    ) -> Bytes {
+    ) -> [u8; Self::LEN] {
         let total_len = (Self::LEN + payload_len) as u16;
         let mut h = [0u8; Self::LEN];
         h[0] = 0x45; // v4, IHL 5
@@ -143,7 +159,7 @@ impl Ipv4Header {
         h[16..20].copy_from_slice(&dst.0.to_be_bytes());
         let csum = internet_checksum(&h);
         h[10..12].copy_from_slice(&csum.to_be_bytes());
-        Bytes::copy_from_slice(&h)
+        h
     }
 
     /// Parses and checksum-verifies a packet into (header, payload).
@@ -182,24 +198,29 @@ impl UdpHeader {
 
     /// Serializes header + payload.
     pub fn encode(src_port: u16, dst_port: u16, payload: &[u8]) -> Bytes {
-        let header = Self::encode_header(src_port, dst_port, payload.len());
-        let mut b = BytesMut::with_capacity(Self::LEN + payload.len());
-        b.extend_from_slice(&header);
-        b.extend_from_slice(payload);
-        b.freeze()
+        packet(
+            &Self::header_bytes(src_port, dst_port, payload.len()),
+            payload,
+        )
     }
 
-    /// Serializes just the 8 header bytes for a payload of `payload_len`
-    /// bytes — the chain path prepends this segment without copying the
-    /// payload.
-    pub fn encode_header(src_port: u16, dst_port: u16, payload_len: usize) -> Bytes {
+    /// The 8 header bytes for a payload of `payload_len` bytes (the
+    /// checksum, optional over the simulated wire, stays zero).
+    pub fn header_bytes(src_port: u16, dst_port: u16, payload_len: usize) -> [u8; Self::LEN] {
         let len = (Self::LEN + payload_len) as u16;
-        let mut b = BytesMut::with_capacity(Self::LEN);
-        b.extend_from_slice(&src_port.to_be_bytes());
-        b.extend_from_slice(&dst_port.to_be_bytes());
-        b.extend_from_slice(&len.to_be_bytes());
-        b.extend_from_slice(&[0, 0]); // checksum optional over simulated wire
-        b.freeze()
+        let mut h = [0u8; Self::LEN];
+        h[0..2].copy_from_slice(&src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&dst_port.to_be_bytes());
+        h[4..6].copy_from_slice(&len.to_be_bytes());
+        h
+    }
+
+    /// Builds the datagram as header + shared payload, byte-identical to
+    /// [`UdpHeader::encode`]: what a forwarder hands down for a payload it
+    /// received.
+    pub fn encode_chain(src_port: u16, dst_port: u16, payload: Bytes) -> BufChain {
+        let header = Self::header_bytes(src_port, dst_port, payload.len());
+        chain(&header, payload)
     }
 
     /// Parses a datagram into (header, payload).
@@ -232,7 +253,7 @@ impl TcpFlags {
     fn to_byte(self) -> u8 {
         (self.fin as u8) | (self.syn as u8) << 1 | (self.rst as u8) << 2 | (self.ack as u8) << 4
     }
-    fn from_byte(b: u8) -> TcpFlags {
+    pub(crate) fn from_byte(b: u8) -> TcpFlags {
         TcpFlags {
             fin: b & 0x01 != 0,
             syn: b & 0x02 != 0,
@@ -258,32 +279,26 @@ impl TcpHeader {
 
     /// Serializes header + payload.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::LEN + payload.len());
-        b.extend_from_slice(&self.encode_header());
-        b.extend_from_slice(payload);
-        b.freeze()
+        packet(&self.header_bytes(), payload)
     }
 
-    /// Serializes just the 20 header bytes — the chain path prepends this
-    /// segment without copying the payload.
-    pub fn encode_header(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::LEN);
-        b.extend_from_slice(&self.src_port.to_be_bytes());
-        b.extend_from_slice(&self.dst_port.to_be_bytes());
-        b.extend_from_slice(&self.seq.to_be_bytes());
-        b.extend_from_slice(&self.ack.to_be_bytes());
-        b.extend_from_slice(&[0x50, self.flags.to_byte()]); // offset 5, flags
-        b.extend_from_slice(&self.window.to_be_bytes());
-        b.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
-        b.freeze()
+    /// The 20 header bytes (checksum and urgent pointer stay zero).
+    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+        let mut h = [0u8; Self::LEN];
+        h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
+        h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
+        h[4..8].copy_from_slice(&self.seq.to_be_bytes());
+        h[8..12].copy_from_slice(&self.ack.to_be_bytes());
+        h[12] = 0x50; // data offset 5
+        h[13] = self.flags.to_byte();
+        h[14..16].copy_from_slice(&self.window.to_be_bytes());
+        h
     }
 
-    /// Builds the wire segment as a zero-copy chain: header segment +
-    /// payload segment, byte-identical to [`TcpHeader::encode`].
-    pub fn encode_chain(&self, payload: Bytes) -> spin_sal::BufChain {
-        let mut c = spin_sal::BufChain::from_bytes(payload);
-        c.prepend(self.encode_header());
-        c
+    /// Builds the wire segment as header + shared payload, byte-identical
+    /// to [`TcpHeader::encode`].
+    pub fn encode_chain(&self, payload: Bytes) -> BufChain {
+        chain(&self.header_bytes(), payload)
     }
 
     /// Parses a segment into (header, payload).
@@ -325,20 +340,19 @@ impl IcmpHeader {
 
     /// Serializes header + payload.
     pub fn encode(&self, payload: &[u8]) -> Bytes {
-        let mut b = BytesMut::with_capacity(Self::LEN + payload.len());
-        b.extend_from_slice(&[
-            match self.kind {
-                IcmpKind::EchoRequest => 8,
-                IcmpKind::EchoReply => 0,
-            },
-            0,
-            0,
-            0,
-        ]);
-        b.extend_from_slice(&self.ident.to_be_bytes());
-        b.extend_from_slice(&self.seq.to_be_bytes());
-        b.extend_from_slice(payload);
-        b.freeze()
+        packet(&self.header_bytes(), payload)
+    }
+
+    /// The 8 header bytes (code and checksum stay zero).
+    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+        let mut h = [0u8; Self::LEN];
+        h[0] = match self.kind {
+            IcmpKind::EchoRequest => 8,
+            IcmpKind::EchoReply => 0,
+        };
+        h[4..6].copy_from_slice(&self.ident.to_be_bytes());
+        h[6..8].copy_from_slice(&self.seq.to_be_bytes());
+        h
     }
 
     /// Parses a message into (header, payload).
@@ -362,9 +376,70 @@ impl IcmpHeader {
     }
 }
 
+/// The `Bytes`-returning header encoders this module had before headers
+/// became stack arrays, verbatim: the reference the wire-format proptests
+/// (here and in `stack.rs`) compare against.
+#[cfg(test)]
+pub(crate) mod retired {
+    use super::*;
+
+    pub fn ether_header(h: &EtherHeader) -> Bytes {
+        let mut b = BytesMut::with_capacity(EtherHeader::LEN);
+        b.extend_from_slice(&[0, 0]); // dst MAC padding to 6 bytes
+        b.extend_from_slice(&h.dst.to_be_bytes());
+        b.extend_from_slice(&[0, 0]); // src MAC padding to 6 bytes
+        b.extend_from_slice(&h.src.to_be_bytes());
+        b.extend_from_slice(&h.ethertype.to_be_bytes());
+        b.freeze()
+    }
+
+    pub fn ipv4_header(
+        src: IpAddr,
+        dst: IpAddr,
+        protocol: u8,
+        ttl: u8,
+        payload_len: usize,
+    ) -> Bytes {
+        let total_len = (Ipv4Header::LEN + payload_len) as u16;
+        let mut h = [0u8; Ipv4Header::LEN];
+        h[0] = 0x45; // v4, IHL 5
+        h[2..4].copy_from_slice(&total_len.to_be_bytes());
+        h[8] = ttl;
+        h[9] = protocol;
+        h[12..16].copy_from_slice(&src.0.to_be_bytes());
+        h[16..20].copy_from_slice(&dst.0.to_be_bytes());
+        let csum = internet_checksum(&h);
+        h[10..12].copy_from_slice(&csum.to_be_bytes());
+        Bytes::copy_from_slice(&h)
+    }
+
+    pub fn udp_header(src_port: u16, dst_port: u16, payload_len: usize) -> Bytes {
+        let len = (UdpHeader::LEN + payload_len) as u16;
+        let mut b = BytesMut::with_capacity(UdpHeader::LEN);
+        b.extend_from_slice(&src_port.to_be_bytes());
+        b.extend_from_slice(&dst_port.to_be_bytes());
+        b.extend_from_slice(&len.to_be_bytes());
+        b.extend_from_slice(&[0, 0]); // checksum optional over simulated wire
+        b.freeze()
+    }
+
+    pub fn tcp_header(h: &TcpHeader) -> Bytes {
+        let mut b = BytesMut::with_capacity(TcpHeader::LEN);
+        b.extend_from_slice(&h.src_port.to_be_bytes());
+        b.extend_from_slice(&h.dst_port.to_be_bytes());
+        b.extend_from_slice(&h.seq.to_be_bytes());
+        b.extend_from_slice(&h.ack.to_be_bytes());
+        b.extend_from_slice(&[0x50, h.flags.to_byte()]); // offset 5, flags
+        b.extend_from_slice(&h.window.to_be_bytes());
+        b.extend_from_slice(&[0, 0, 0, 0]); // checksum + urgent
+        b.freeze()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn ip_addr_display() {
@@ -447,34 +522,6 @@ mod tests {
 
     #[test]
     fn chain_encoders_match_copy_encoders_byte_for_byte() {
-        let eth = EtherHeader {
-            src: 3,
-            dst: 9,
-            ethertype: ETHERTYPE_IPV4,
-        };
-        let mut chain = spin_sal::BufChain::from_bytes(Bytes::from_static(b"inner"));
-        chain.prepend(eth.encode_header());
-        assert_eq!(chain.to_bytes(), eth.encode(b"inner"));
-
-        let src = IpAddr::new(10, 0, 0, 1);
-        let dst = IpAddr::new(10, 0, 0, 2);
-        let mut ip = spin_sal::BufChain::from_bytes(Bytes::from_static(b"datagram"));
-        ip.prepend(Ipv4Header::encode_header(
-            src,
-            dst,
-            proto::UDP,
-            64,
-            ip.len(),
-        ));
-        assert_eq!(
-            ip.to_bytes(),
-            Ipv4Header::encode(src, dst, proto::UDP, 64, b"datagram")
-        );
-
-        let mut udp = spin_sal::BufChain::from_bytes(Bytes::from_static(b"ping"));
-        udp.prepend(UdpHeader::encode_header(1000, 2000, udp.len()));
-        assert_eq!(udp.to_bytes(), UdpHeader::encode(1000, 2000, b"ping"));
-
         let tcp = TcpHeader {
             src_port: 80,
             dst_port: 1234,
@@ -486,10 +533,56 @@ mod tests {
             },
             window: 4096,
         };
+        let seg = Bytes::from_static(b"seg");
+        let chained = tcp.encode_chain(seg.clone());
+        assert_eq!(chained.to_bytes(), tcp.encode(b"seg"));
+        assert_eq!(chained.len(), TcpHeader::LEN + 3);
+
+        let ping = Bytes::from_static(b"ping");
         assert_eq!(
-            tcp.encode_chain(Bytes::from_static(b"seg")).to_bytes(),
-            tcp.encode(b"seg")
+            UdpHeader::encode_chain(1000, 2000, ping.clone()).to_bytes(),
+            UdpHeader::encode(1000, 2000, b"ping")
         );
+    }
+
+    proptest! {
+        /// The array encoders against the retired `Bytes`-returning ones,
+        /// byte for byte, for arbitrary field values; and `encode` is the
+        /// header followed by the payload.
+        #[test]
+        fn header_arrays_equal_the_retired_encoders(
+            words in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
+            bytes in (any::<u8>(), any::<u8>(), any::<u8>()),
+            payload in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let ((a, b, c, d), (proto, ttl, flags)) = (words, bytes);
+            let eth = EtherHeader { src: a, dst: b, ethertype: c };
+            prop_assert_eq!(&eth.header_bytes()[..], &retired::ether_header(&eth)[..]);
+            prop_assert_eq!(
+                &eth.encode(&payload)[..],
+                &[&eth.header_bytes()[..], &payload[..]].concat()[..]
+            );
+
+            let ip = Ipv4Header::header_bytes(IpAddr(a), IpAddr(b), proto, ttl, payload.len());
+            let old = retired::ipv4_header(IpAddr(a), IpAddr(b), proto, ttl, payload.len());
+            prop_assert_eq!(&ip[..], &old[..]);
+
+            let udp = UdpHeader::header_bytes(c, d, payload.len());
+            prop_assert_eq!(&udp[..], &retired::udp_header(c, d, payload.len())[..]);
+
+            let tcp = TcpHeader {
+                src_port: c,
+                dst_port: d,
+                seq: a,
+                ack: b,
+                flags: TcpFlags::from_byte(flags),
+                window: d ^ c,
+            };
+            prop_assert_eq!(&tcp.header_bytes()[..], &retired::tcp_header(&tcp)[..]);
+            let (back, rest) = TcpHeader::decode(&tcp.encode(&payload)).unwrap();
+            prop_assert_eq!(back, tcp);
+            prop_assert_eq!(&rest[..], &payload[..]);
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ use crate::pkt::{
     ETHERTYPE_IPV4,
 };
 use crate::poll::{ReadyBatch, ReadyHub};
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use spin_check::sync::{AtomicU16, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_core::{Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn};
@@ -126,8 +126,11 @@ pub struct IcmpPacket {
 pub struct SendRequest {
     pub dst: IpAddr,
     pub protocol: u8,
-    /// The transport-layer segment (UDP/TCP/ICMP bytes) as a zero-copy
-    /// chain; inspectors flatten with [`BufChain::to_bytes`].
+    /// The transport-layer segment (UDP/TCP/ICMP bytes): the sender's
+    /// chain, sharing its payload (cloning it for the raise allocates
+    /// nothing). Inspectors flatten with [`BufChain::to_bytes`], which is
+    /// the segment itself when the sender passed one buffer and a copy
+    /// into a new one when it passed header + payload.
     pub payload: BufChain,
 }
 
@@ -711,7 +714,7 @@ impl NetStack {
         if suppressed(&verdict) {
             return Ok(());
         }
-        self.transmit(dst, protocol, segment)
+        self.transmit_chain(dst, protocol, &segment)
     }
 
     /// Sends a burst of transport segments: one batched `SendPacket`
@@ -741,7 +744,7 @@ impl NetStack {
             if suppressed(&verdict) {
                 continue;
             }
-            match self.prepare_frame(dst, protocol, chain) {
+            match self.prepare_frame(dst, protocol, &chain) {
                 Ok((medium, endpoint, frame)) => match per_nic.last_mut() {
                     Some((m, batch)) if *m == medium => batch.push((endpoint, frame)),
                     _ => per_nic.push((medium, vec![(endpoint, frame)])),
@@ -757,15 +760,27 @@ impl NetStack {
 
     /// Transmits without consulting `SendPacket` (used by handlers that
     /// have already claimed the packet, e.g. multicast fan-out).
-    // charged: header assembly is uncharged chain surgery; the NIC charges
-    // driver/PIO/DMA costs on handoff.
+    // charged: frame assembly is uncharged; the NIC charges driver/PIO/DMA
+    // costs on handoff.
     pub fn transmit(
         &self,
         dst: IpAddr,
         protocol: u8,
         segment: impl Into<BufChain>,
     ) -> Result<(), NetError> {
-        let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment.into())?;
+        self.transmit_chain(dst, protocol, &segment.into())
+    }
+
+    /// [`NetStack::transmit`] of a chain the caller keeps (a retry sends
+    /// the same one again).
+    // charged: as `transmit`.
+    fn transmit_chain(
+        &self,
+        dst: IpAddr,
+        protocol: u8,
+        segment: &BufChain,
+    ) -> Result<(), NetError> {
+        let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment)?;
         handed_off(self.nic_for(medium).send(endpoint, frame))
     }
 
@@ -786,7 +801,7 @@ impl NetStack {
     // charged: the transmit charge, at this attempt's virtual instant; the
     // retry bookkeeping itself is a counter write.
     fn attempt(&self, dst: IpAddr, protocol: u8, segment: BufChain, retries: u32, delay: Nanos) {
-        if self.transmit(dst, protocol, segment.clone()).is_ok() || retries == RETRY_MAX {
+        if self.transmit_chain(dst, protocol, &segment).is_ok() || retries == RETRY_MAX {
             return; // sent, or budget exhausted: drop, as a datagram service may
         }
         self.inner.stats.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -806,16 +821,17 @@ impl NetStack {
         });
     }
 
-    /// Per-frame transmit bookkeeping: fault draw, route resolution,
-    /// header-chain assembly and stats. The returned frame is the
-    /// flattened chain — the single device-boundary copy.
-    // charged: the flatten is the device-boundary copy; the NIC charges
-    // driver/PIO/DMA costs when the frame is handed over.
+    /// Per-frame transmit bookkeeping: fault draw, route resolution, frame
+    /// assembly and stats. The returned frame is the one buffer this path
+    /// allocates ([`frame_bytes`]); writing the segment into it is the
+    /// device-boundary copy.
+    // charged: assembly is uncharged; the NIC charges driver/PIO/DMA costs
+    // when the frame is handed over.
     fn prepare_frame(
         &self,
         dst: IpAddr,
         protocol: u8,
-        segment: BufChain,
+        segment: &BufChain,
     ) -> Result<(Medium, WireEndpoint, Bytes), NetError> {
         if let Some(h) = self.inner.faults.get() {
             match h.draw() {
@@ -831,26 +847,12 @@ impl NetStack {
             .resolve(dst)
             .ok_or(NetError::NoRoute { dst })?;
         let src = self.inner.my_ips[&medium];
-        let mut chain = segment;
-        chain.prepend(Ipv4Header::encode_header(
-            src,
-            dst,
-            protocol,
-            64,
-            chain.len(),
-        ));
-        if medium == Medium::Ethernet {
-            let nic = self.nic_for(medium);
-            chain.prepend(
-                EtherHeader {
-                    src: nic.addr().0,
-                    dst: endpoint.0,
-                    ethertype: ETHERTYPE_IPV4,
-                }
-                .encode_header(),
-            );
-        }
-        let frame = chain.to_bytes();
+        let link = (medium == Medium::Ethernet).then(|| EtherHeader {
+            src: self.nic_for(medium).addr().0,
+            dst: endpoint.0,
+            ethertype: ETHERTYPE_IPV4,
+        });
+        let frame = frame_bytes(link, src, dst, protocol, segment);
         let stats = &self.inner.stats;
         stats.frames_out.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         stats
@@ -936,6 +938,35 @@ impl NetStack {
     }
 }
 
+/// Assembles the frame for `segment`: the link header (Ethernet only; ATM
+/// and T3 carry raw IP), the IPv4 header and the segment's bytes, written
+/// once each into the one buffer allocated here.
+// uncharged: frame assembly; the NIC charges for moving the bytes.
+fn frame_bytes(
+    link: Option<EtherHeader>,
+    src: IpAddr,
+    dst: IpAddr,
+    protocol: u8,
+    segment: &BufChain,
+) -> Bytes {
+    let link_len = if link.is_some() { EtherHeader::LEN } else { 0 };
+    let mut frame = BytesMut::zeroed(link_len + Ipv4Header::LEN + segment.len());
+    let (link_room, packet) = frame.split_at_mut(link_len);
+    if let Some(ether) = link {
+        link_room.copy_from_slice(&ether.header_bytes());
+    }
+    let (ip_room, rest) = packet.split_at_mut(Ipv4Header::LEN);
+    ip_room.copy_from_slice(&Ipv4Header::header_bytes(
+        src,
+        dst,
+        protocol,
+        64,
+        segment.len(),
+    ));
+    segment.copy_to_slice(rest);
+    frame.freeze()
+}
+
 /// Whether `SendPacket`'s handlers took the packet over. A raise that
 /// failed outright transmits, as the default implementation would.
 fn suppressed(verdict: &Result<SendVerdict, spin_core::DispatchError>) -> bool {
@@ -964,9 +995,120 @@ pub enum NetError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pkt::{retired, TcpFlags};
     use crate::socket::UdpSocket;
     use crate::testrig::TwoHosts;
+    use proptest::prelude::*;
     use spin_sched::IdleOutcome;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The wire format did not move: for any medium, addresses, ports,
+        /// seq/ack/flags and a payload handed down in one to three
+        /// segments, the frame assembled in one buffer is the composition
+        /// of the retired `Bytes`-returning encoders, byte for byte, and
+        /// decodes back to the same headers and payload.
+        #[test]
+        fn the_frame_is_the_retired_encoders_composed(
+            addrs in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            ports in (any::<u16>(), any::<u16>(), any::<u16>()),
+            tcp_words in (any::<u32>(), any::<u32>(), any::<u8>()),
+            shape in (0u8..3, any::<bool>()),
+            payload in proptest::collection::vec(any::<u8>(), 0..200),
+            cuts in (any::<proptest::sample::Index>(), any::<proptest::sample::Index>()),
+        ) {
+            let ((src, dst, mac_src, mac_dst), (sp, dp, window)) = (addrs, ports);
+            let ((seq, ack, flags), (medium, tcp)) = (tcp_words, shape);
+            let (src, dst) = (IpAddr(src), IpAddr(dst));
+            // Ethernet carries a link header; ATM and T3 are raw IP.
+            let link = (medium == 0).then_some(EtherHeader {
+                src: mac_src,
+                dst: mac_dst,
+                ethertype: ETHERTYPE_IPV4,
+            });
+            let (a, b) = (cuts.0.index(payload.len() + 1), cuts.1.index(payload.len() + 1));
+            let (a, b) = (a.min(b), a.max(b));
+            let pieces: Vec<Bytes> = [&payload[..a], &payload[a..b], &payload[b..]]
+                .iter()
+                .filter(|p| !p.is_empty())
+                .map(|p| Bytes::copy_from_slice(p))
+                .collect();
+            let header = TcpHeader {
+                src_port: sp,
+                dst_port: dp,
+                seq,
+                ack,
+                flags: TcpFlags::from_byte(flags),
+                window,
+            };
+            let (protocol, transport, old_transport) = if tcp {
+                (proto::TCP, header.header_bytes().to_vec(), retired::tcp_header(&header))
+            } else {
+                let h = UdpHeader::header_bytes(sp, dp, payload.len());
+                (proto::UDP, h.to_vec(), retired::udp_header(sp, dp, payload.len()))
+            };
+            let mut segment = BufChain::new();
+            pieces.iter().for_each(|p| segment.append(p.clone()));
+            segment.push_header(&transport);
+
+            let frame = frame_bytes(link, src, dst, protocol, &segment);
+
+            let mut want = Vec::new();
+            if let Some(ether) = &link {
+                want.extend_from_slice(&retired::ether_header(ether));
+            }
+            let old_ip = retired::ipv4_header(src, dst, protocol, 64, segment.len());
+            want.extend_from_slice(&old_ip);
+            want.extend_from_slice(&old_transport);
+            want.extend_from_slice(&payload);
+            prop_assert_eq!(&frame[..], &want[..]);
+
+            let packet = match link {
+                Some(ether) => {
+                    let (back, packet) = EtherHeader::decode(&frame).unwrap();
+                    prop_assert_eq!(back, ether);
+                    packet
+                }
+                None => frame,
+            };
+            let (ip, body) = Ipv4Header::decode(&packet).unwrap();
+            prop_assert_eq!((ip.src, ip.dst, ip.protocol, ip.ttl), (src, dst, protocol, 64));
+            prop_assert_eq!(ip.total_len as usize, packet.len());
+            let got = if tcp {
+                let (back, got) = TcpHeader::decode(&body).unwrap();
+                prop_assert_eq!(back, header);
+                got
+            } else {
+                let (back, got) = UdpHeader::decode(&body).unwrap();
+                prop_assert_eq!((back.src_port, back.dst_port), (sp, dp));
+                got
+            };
+            prop_assert_eq!(&got[..], &payload[..]);
+        }
+    }
+
+    /// What the proptest above cannot see: `prepare_frame` feeds
+    /// [`frame_bytes`] the host's own addresses, and a transport header +
+    /// shared payload leaves as the same frame the one-buffer datagram does.
+    #[test]
+    fn a_chained_datagram_leaves_as_the_same_frame() {
+        let rig = TwoHosts::new();
+        let dst = rig.b.ip_on(Medium::Ethernet);
+        let flat: BufChain = UdpHeader::encode(9, 7, b"same bytes").into();
+        let chained = UdpHeader::encode_chain(9, 7, Bytes::from_static(b"same bytes"));
+        let (medium, endpoint, one) = rig.a.prepare_frame(dst, proto::UDP, &flat).unwrap();
+        let (_, _, other) = rig.a.prepare_frame(dst, proto::UDP, &chained).unwrap();
+        assert_eq!(one, other);
+        assert_eq!(
+            (medium, endpoint),
+            (Medium::Ethernet, rig.b.inner.host.ethernet.addr())
+        );
+        let (ether, packet) = EtherHeader::decode(&one).unwrap();
+        assert_eq!(ether.src, rig.a.inner.host.ethernet.addr().0);
+        assert_eq!(ether.dst, endpoint.0);
+        let (ip, _) = Ipv4Header::decode(&packet).unwrap();
+        assert_eq!((ip.src, ip.dst), (rig.a.ip_on(Medium::Ethernet), dst));
+    }
 
     #[test]
     fn udp_datagram_crosses_the_ethernet() {

@@ -164,7 +164,9 @@ impl TcpConn {
         self.incoming.len()
     }
 
-    fn send_segment(&self, flags: TcpFlags, seq: u32, payload: &[u8]) {
+    /// Sends one segment: the header in front of `payload`, which is shared
+    /// with the retransmit queue, not copied (empty for control segments).
+    fn send_segment(&self, flags: TcpFlags, seq: u32, payload: Bytes) {
         let st = self.state.lock();
         let header = TcpHeader {
             src_port: self.key.local_port,
@@ -175,7 +177,7 @@ impl TcpConn {
             window: RECV_WINDOW,
         };
         drop(st);
-        let seg = header.encode(payload);
+        let seg = header.encode_chain(payload);
         let _ = self.stack.send_ip(self.key.peer, proto::TCP, seg);
     }
 
@@ -216,7 +218,7 @@ impl TcpConn {
                 ..Default::default()
             },
             seq,
-            &data,
+            data,
         );
         let mut st = self.state.lock();
         self.arm_rto(&mut st);
@@ -228,10 +230,12 @@ impl TcpConn {
         self.send_buf(ctx, Bytes::copy_from_slice(data))
     }
 
-    /// Sends `data` zero-copy: segments are cheap `Bytes` slices of the
-    /// buffer, prepended with headers as [`BufChain`]s, and each window's
-    /// worth goes to the stack as one burst (`send_ip_burst`), amortizing
-    /// the `SendPacket` raise across the window.
+    /// Sends `data` without copying it above the device boundary: each
+    /// segment is a `Bytes` slice of the buffer behind a header held inline
+    /// in its [`BufChain`] (no allocation per segment here; the retransmit
+    /// queue shares the same slice), and each window's worth goes to the
+    /// stack as one burst (`send_ip_burst`), amortizing the `SendPacket`
+    /// raise across the window. The one copy a byte pays is into its frame.
     pub fn send_buf(self: &Arc<Self>, ctx: &StrandCtx, data: Bytes) -> Result<(), TcpError> {
         let mut offset = 0;
         while offset < data.len() {
@@ -353,7 +357,7 @@ impl TcpConn {
                 ..Default::default()
             },
             fin_seq,
-            &[],
+            Bytes::new(),
         );
         {
             let mut st = self.state.lock();
@@ -516,7 +520,7 @@ impl TcpConn {
                     ..Default::default()
                 },
                 seq,
-                &[],
+                Bytes::new(),
             );
         }
         for w in wake_senders {
@@ -714,7 +718,7 @@ impl TcpStack {
                     ..Default::default()
                 },
                 isn,
-                &[],
+                Bytes::new(),
             );
             // Wait for establishment, refusal, or a timeout tick.
             let exec = self.exec.clone();
@@ -775,7 +779,7 @@ impl TcpStack {
                         ..Default::default()
                     },
                     isn,
-                    &[],
+                    Bytes::new(),
                 );
                 listener.accept_ch.try_push(conn);
                 if let Some(r) = listener.reg.lock().as_ref() {
@@ -798,7 +802,7 @@ impl TcpStack {
                 },
                 window: 0,
             }
-            .encode(&[]);
+            .encode_chain(Bytes::new());
             let _ = self.stack.send_ip(key.peer, proto::TCP, reply);
         }
     }

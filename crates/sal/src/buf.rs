@@ -1,20 +1,58 @@
-//! Zero-copy buffer chains for the protocol graph.
+//! Buffer chains for the protocol graph: headers in front of a shared
+//! payload, flattened once.
 //!
-//! A [`BufChain`] is an ordered list of reference-counted [`Bytes`]
-//! segments. Protocol layers prepend headers (and append trailers) without
-//! copying the payload; the chain is flattened into one contiguous buffer
-//! exactly once, at the device boundary, where the NIC needs a single
-//! frame. This mirrors the mbuf/skbuff discipline real stacks use and is
-//! what makes the webscale send path one-copy instead of one-copy-per-layer.
+//! A [`BufChain`] is what one layer hands the next on the way down: the
+//! payload as a reference-counted [`Bytes`], and the header bytes the
+//! layers above have put in front of it. Like an mbuf's leading space or an
+//! skbuff's headroom, the headers live *inline* in the chain — room for a
+//! link, an IP and a transport header — so building, cloning and
+//! prepending allocate nothing and never touch the payload. The chain is
+//! flattened into one contiguous buffer once, at the device boundary,
+//! where the NIC needs a single frame: that is the one copy the payload
+//! pays on its way out, however many layers it crossed.
+//!
+//! Anything that does not fit that shape — a header larger than the room
+//! left, a segment appended behind the payload — spills to the heap and
+//! stays correct; none of the stack's own paths do.
 
 use bytes::{Bytes, BytesMut};
 
-/// An ordered chain of byte segments, cheap to clone and to extend at
-/// either end.
-#[derive(Debug, Clone, Default)]
+/// Inline room for header bytes: link (14) + IPv4 (20) + TCP (20).
+const HEADROOM: usize = 54;
+
+/// Header bytes in front of a shared payload, cheap to clone and to extend
+/// at either end.
+#[derive(Debug, Clone)]
 pub struct BufChain {
-    segs: Vec<Bytes>,
+    /// Header bytes, filled from the back: `room[start..]` is live.
+    room: [u8; HEADROOM],
+    start: u8,
+    /// The payload: the first segment the chain was given.
+    body: Bytes,
+    /// Segments outside the inline shape (`None` on the stack's paths).
+    spill: Option<Box<Spill>>,
     len: usize,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Spill {
+    /// Segments in front of the inline headers, last prepended last (so a
+    /// prepend is a push and shifts nothing).
+    front: Vec<Bytes>,
+    /// Segments behind the payload, in order.
+    back: Vec<Bytes>,
+}
+
+impl Default for BufChain {
+    fn default() -> Self {
+        BufChain {
+            room: [0; HEADROOM],
+            start: HEADROOM as u8,
+            body: Bytes::new(),
+            spill: None,
+            len: 0,
+        }
+    }
 }
 
 impl BufChain {
@@ -25,23 +63,64 @@ impl BufChain {
 
     /// A chain holding one segment.
     pub fn from_bytes(b: Bytes) -> Self {
-        let len = b.len();
-        BufChain { segs: vec![b], len }
+        BufChain {
+            len: b.len(),
+            body: b,
+            ..Self::default()
+        }
     }
 
-    /// Prepends a segment (a header) before the current contents.
+    /// Whether `n` more header bytes fit the inline room — they do not
+    /// once a spilled segment sits in front of it.
+    fn has_room(&self, n: usize) -> bool {
+        n <= self.start as usize && self.spill.as_ref().is_none_or(|s| s.front.is_empty())
+    }
+
+    fn write_header(&mut self, header: &[u8]) {
+        let end = self.start as usize;
+        self.room[end - header.len()..end].copy_from_slice(header);
+        self.start -= header.len() as u8;
+    }
+
+    /// Prepends raw header bytes before the current contents: a copy into
+    /// the inline room, no allocation (a header beyond the room spills to
+    /// a segment of its own).
+    pub fn push_header(&mut self, header: &[u8]) {
+        self.len += header.len();
+        if self.has_room(header.len()) {
+            self.write_header(header);
+        } else {
+            let spill = self.spill.get_or_insert_default();
+            spill.front.push(Bytes::copy_from_slice(header));
+        }
+    }
+
+    /// Prepends a segment (a header) before the current contents. The
+    /// first bytes a chain is given, at either end, are its payload.
     pub fn prepend(&mut self, b: Bytes) {
+        let first = self.is_empty();
         self.len += b.len();
-        self.segs.insert(0, b);
+        if first {
+            self.body = b;
+        } else if self.has_room(b.len()) {
+            self.write_header(&b);
+        } else {
+            self.spill.get_or_insert_default().front.push(b);
+        }
     }
 
     /// Appends a segment (payload or trailer) after the current contents.
     pub fn append(&mut self, b: Bytes) {
+        let first = self.is_empty();
         self.len += b.len();
-        self.segs.push(b);
+        if first {
+            self.body = b;
+        } else {
+            self.spill.get_or_insert_default().back.push(b);
+        }
     }
 
-    /// Total byte length across all segments.
+    /// Total byte length across headers and segments.
     pub fn len(&self) -> usize {
         self.len
     }
@@ -51,26 +130,43 @@ impl BufChain {
         self.len == 0
     }
 
-    /// The underlying segments, in order.
-    pub fn segments(&self) -> &[Bytes] {
-        &self.segs
+    /// Copies the chain's bytes, in order, into `out` — the flatten, for a
+    /// caller assembling a frame behind headers of its own.
+    ///
+    /// # Panics
+    /// If `out` is not exactly [`BufChain::len`] bytes long.
+    pub fn copy_to_slice(&self, out: &mut [u8]) {
+        assert_eq!(
+            out.len(),
+            self.len,
+            "flatten into a buffer of the chain's length"
+        );
+        let (front, back) = match &self.spill {
+            Some(spill) => (&spill.front[..], &spill.back[..]),
+            None => (&[][..], &[][..]),
+        };
+        let mut rest = out;
+        let mut put = |piece: &[u8]| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(piece.len());
+            head.copy_from_slice(piece);
+            rest = tail;
+        };
+        front.iter().rev().for_each(|s| put(s));
+        put(&self.room[self.start as usize..]);
+        put(&self.body);
+        back.iter().for_each(|s| put(s));
     }
 
-    /// Flattens the chain into one contiguous buffer. A single-segment
-    /// chain is returned as-is (no copy); multi-segment chains pay exactly
-    /// one copy — the device-boundary copy.
+    /// Flattens the chain into one contiguous buffer. A chain that is one
+    /// segment is returned as that segment (no copy); anything more is one
+    /// new buffer and one copy — the device-boundary copy.
     pub fn to_bytes(&self) -> Bytes {
-        match self.segs.as_slice() {
-            [] => Bytes::new(),
-            [one] => one.clone(),
-            many => {
-                let mut b = BytesMut::with_capacity(self.len);
-                for s in many {
-                    b.extend_from_slice(s);
-                }
-                b.freeze()
-            }
+        if self.len == self.body.len() {
+            return self.body.clone();
         }
+        let mut flat = BytesMut::zeroed(self.len);
+        self.copy_to_slice(&mut flat);
+        flat.freeze()
     }
 }
 
@@ -95,16 +191,20 @@ impl From<&'static [u8]> for BufChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     #[test]
     fn prepend_append_flatten_in_order() {
         let mut c = BufChain::from_bytes(Bytes::from_static(b"payload"));
         c.prepend(Bytes::from_static(b"ip|"));
-        c.prepend(Bytes::from_static(b"eth|"));
+        c.push_header(b"eth|");
         c.append(Bytes::from_static(b"|crc"));
         assert_eq!(c.len(), 18);
-        assert_eq!(c.segments().len(), 4);
         assert_eq!(&c.to_bytes()[..], b"eth|ip|payload|crc");
+        let mut flat = [0u8; 18];
+        c.copy_to_slice(&mut flat);
+        assert_eq!(&flat, b"eth|ip|payload|crc");
     }
 
     #[test]
@@ -122,5 +222,95 @@ mod tests {
         assert!(c.is_empty());
         assert_eq!(c.len(), 0);
         assert_eq!(c.to_bytes().len(), 0);
+    }
+
+    #[test]
+    fn the_stacks_own_shape_stays_inline() {
+        // Transport, IP and link headers in front of a payload: no spill,
+        // and a clone shares the payload.
+        let payload = Bytes::from(vec![7u8; 256]);
+        let mut c = BufChain::from_bytes(payload.clone());
+        c.push_header(&[3; 20]);
+        c.push_header(&[2; 20]);
+        c.prepend(Bytes::from(vec![1; 14]));
+        assert!(c.spill.is_none());
+        assert_eq!(c.start, 0);
+        assert_eq!(c.clone().body.as_ptr(), payload.as_ptr());
+        // One byte more than the room holds spills, in order.
+        c.push_header(b"!");
+        assert_eq!(c.spill.as_ref().map(|s| s.front.len()), Some(1));
+        let flat = c.to_bytes();
+        assert_eq!(flat.len(), 1 + 54 + 256);
+        assert_eq!(
+            &flat[..16],
+            b"!\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x01\x02"
+        );
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        Prepend(Vec<u8>),
+        Header(Vec<u8>),
+        Append(Vec<u8>),
+        Clone,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Sizes straddle the inline room: several small headers fit, one
+        // 60-byte header never does.
+        let seg = || proptest::collection::vec(any::<u8>(), 0..60);
+        prop_oneof![
+            seg().prop_map(Op::Prepend),
+            seg().prop_map(Op::Header),
+            seg().prop_map(Op::Append),
+            Just(Op::Clone),
+        ]
+    }
+
+    proptest! {
+        /// Against a list-of-segments model — the retired representation —
+        /// over up to 8 segments, inline and spilled: same `len`, same
+        /// `to_bytes`, same `copy_to_slice`; a chain of one segment
+        /// flattens to that segment's own storage, and a clone shares
+        /// the payload's.
+        #[test]
+        fn chain_matches_a_segment_list(ops in proptest::collection::vec(op(), 0..9)) {
+            let mut chain = BufChain::new();
+            let mut model: VecDeque<Bytes> = VecDeque::new();
+            for op in ops {
+                match op {
+                    Op::Prepend(v) => {
+                        let b = Bytes::from(v);
+                        chain.prepend(b.clone());
+                        model.push_front(b);
+                    }
+                    Op::Header(v) => {
+                        chain.push_header(&v);
+                        model.push_front(Bytes::from(v));
+                    }
+                    Op::Append(v) => {
+                        let b = Bytes::from(v);
+                        chain.append(b.clone());
+                        model.push_back(b);
+                    }
+                    Op::Clone => {
+                        let twin = chain.clone();
+                        prop_assert_eq!(twin.body.as_ptr(), chain.body.as_ptr());
+                        chain = twin;
+                    }
+                }
+                let want: Vec<u8> = model.iter().flat_map(|s| s.iter().copied()).collect();
+                prop_assert_eq!(chain.len(), want.len());
+                prop_assert_eq!(chain.is_empty(), want.is_empty());
+                prop_assert_eq!(&chain.to_bytes()[..], &want[..]);
+                let mut flat = vec![0u8; want.len()];
+                chain.copy_to_slice(&mut flat);
+                prop_assert_eq!(&flat, &want);
+                let alone = model.len() == 1 && chain.start as usize == HEADROOM;
+                if alone && !model[0].is_empty() {
+                    prop_assert_eq!(chain.to_bytes().as_ptr(), model[0].as_ptr());
+                }
+            }
+        }
     }
 }

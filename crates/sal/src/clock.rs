@@ -25,7 +25,7 @@
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Virtual nanoseconds since simulation boot.
@@ -123,25 +123,74 @@ impl Clock {
     }
 }
 
-/// Identifier of a scheduled timer, usable for cancellation.
+/// Identifier of a scheduled timer, usable for cancellation: the slot its
+/// callback waits in and the scheduling sequence number that tells this
+/// timer from the slot's earlier and later tenants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TimerId(u64);
+pub struct TimerId {
+    slot: u32,
+    seq: u64,
+}
 
-type TimerFn = Box<dyn FnOnce(Nanos) + Send>;
+/// A boxed timer callback: fired with the virtual time it ran at.
+pub type TimerFn = Box<dyn FnOnce(Nanos) + Send>;
+
+/// One slab entry. `seq` names the tenant; the callback is there until the
+/// timer fires or is cancelled, and the slot is free again from then on.
+struct Slot {
+    seq: u64,
+    callback: Option<TimerFn>,
+}
 
 #[derive(Default)]
 struct TimerState {
-    /// Min-heap of (deadline, id); ids give FIFO order among equal deadlines.
-    heap: BinaryHeap<Reverse<(Nanos, TimerId)>>,
-    /// Live callbacks; cancelled timers are simply absent.
-    callbacks: HashMap<TimerId, TimerFn>,
-    next_id: u64,
+    /// Min-heap of (deadline, seq, slot): seqs are handed out in
+    /// scheduling order, so equal deadlines fire FIFO. An entry whose slot
+    /// no longer holds its seq's callback is residue of a cancel.
+    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    /// Callbacks, found by index: no hashing on schedule, fire or cancel.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    /// Timers scheduled and neither fired nor cancelled.
+    live: usize,
+    next_seq: u64,
+}
+
+impl TimerState {
+    /// Takes the callback of timer (`slot`, `seq`) and frees the slot —
+    /// `None` if that timer has fired or been cancelled already, whoever
+    /// holds the slot now.
+    fn take(&mut self, slot: u32, seq: u64) -> Option<TimerFn> {
+        let entry = self.slots.get_mut(slot as usize)?;
+        if entry.seq != seq {
+            return None;
+        }
+        let callback = entry.callback.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(callback)
+    }
+
+    /// Whether timer (`slot`, `seq`) is still waiting.
+    fn is_live(&self, slot: u32, seq: u64) -> bool {
+        let entry = &self.slots[slot as usize];
+        entry.seq == seq && entry.callback.is_some()
+    }
 }
 
 /// A deterministic discrete-event timer queue.
 ///
 /// Deadlines are absolute virtual times. Entries with equal deadlines fire
 /// in scheduling order, making multi-host experiments reproducible.
+///
+/// A timer's order lives in a binary heap and its callback in a slab slot
+/// the heap entry and the [`TimerId`] both name, so scheduling, firing and
+/// cancelling hash nothing and — once the heap and the slab have grown to
+/// the number of timers in flight — allocate nothing beyond the callback's
+/// own box. A slot is reused as soon as its timer fires or is cancelled;
+/// the sequence number in the id and in the heap entry is the generation
+/// check that keeps a stale id, or a cancelled timer's heap residue, from
+/// touching the next tenant.
 #[derive(Clone, Default)]
 pub struct TimerQueue {
     state: Arc<Mutex<TimerState>>,
@@ -157,25 +206,48 @@ impl TimerQueue {
     ///
     /// The callback receives the virtual time at which it actually fired.
     pub fn schedule_at(&self, at: Nanos, f: impl FnOnce(Nanos) + Send + 'static) -> TimerId {
+        self.schedule_boxed(at, Box::new(f))
+    }
+
+    /// [`TimerQueue::schedule_at`] for a callback that is boxed already (a
+    /// drained envelope's action): it is queued as that box, not wrapped
+    /// in a second one.
+    pub fn schedule_boxed(&self, at: Nanos, f: TimerFn) -> TimerId {
         let mut st = self.state.lock();
-        let id = TimerId(st.next_id);
-        st.next_id += 1;
-        st.heap.push(Reverse((at, id)));
-        st.callbacks.insert(id, Box::new(f));
-        id
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        let tenant = Slot {
+            seq,
+            callback: Some(f),
+        };
+        let slot = match st.free.pop() {
+            Some(slot) => {
+                st.slots[slot as usize] = tenant;
+                slot
+            }
+            None => {
+                st.slots.push(tenant);
+                (st.slots.len() - 1) as u32
+            }
+        };
+        st.heap.push(Reverse((at, seq, slot)));
+        st.live += 1;
+        TimerId { slot, seq }
     }
 
     /// Cancels a pending timer. Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
-        self.state.lock().callbacks.remove(&id).is_some()
+        // The callback is dropped after the lock is released.
+        let cancelled = self.state.lock().take(id.slot, id.seq);
+        cancelled.is_some()
     }
 
     /// Earliest pending deadline, if any.
     pub fn next_deadline(&self) -> Option<Nanos> {
         let mut st = self.state.lock();
         // Drop cancelled heap residue so the reported deadline is live.
-        while let Some(Reverse((at, id))) = st.heap.peek().copied() {
-            if st.callbacks.contains_key(&id) {
+        while let Some(Reverse((at, seq, slot))) = st.heap.peek().copied() {
+            if st.is_live(slot, seq) {
                 return Some(at);
             }
             st.heap.pop();
@@ -185,7 +257,7 @@ impl TimerQueue {
 
     /// Number of pending (uncancelled) timers.
     pub fn pending(&self) -> usize {
-        self.state.lock().callbacks.len()
+        self.state.lock().live
     }
 
     /// Fires every timer whose deadline is `<= now`. Returns how many ran.
@@ -198,9 +270,9 @@ impl TimerQueue {
             let cb = {
                 let mut st = self.state.lock();
                 match st.heap.peek().copied() {
-                    Some(Reverse((at, id))) if at <= now => {
+                    Some(Reverse((at, seq, slot))) if at <= now => {
                         st.heap.pop();
-                        match st.callbacks.remove(&id) {
+                        match st.take(slot, seq) {
                             Some(cb) => cb,
                             None => continue, // cancelled
                         }
@@ -218,7 +290,9 @@ impl TimerQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use spin_check::sync::AtomicUsize;
+    use std::collections::HashMap;
 
     #[test]
     fn clock_advances_and_skips() {
@@ -331,5 +405,233 @@ mod tests {
         q.schedule_at(100, |_| {});
         assert_eq!(q.fire_due(99), 0);
         assert_eq!(q.pending(), 1);
+    }
+
+    /// The one way a slab can be wrong where a map keyed by a never-reused
+    /// id could not: TCP cancels its RTO and connect timers by ids it has
+    /// held across other timers' lifetimes, and a stale one must not reach
+    /// whoever has the slot now — nor may the cancelled timer's heap
+    /// residue fire, or be reported as, the slot's next tenant.
+    #[test]
+    fn a_stale_id_cannot_cancel_the_slots_next_tenant() {
+        let q = TimerQueue::new();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let first = q.schedule_at(10, |_| panic!("cancelled"));
+        assert!(q.cancel(first));
+        let r2 = ran.clone();
+        let tenant = q.schedule_at(20, move |_| {
+            r2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        });
+        assert_eq!(tenant.slot, first.slot, "the vacated slot is reused");
+        assert_ne!(tenant, first);
+        assert!(!q.cancel(first), "a stale id cancels nothing");
+        assert_eq!(q.pending(), 1);
+        assert_eq!(q.fire_due(15), 0, "residue at 10 is not the tenant");
+        assert_eq!(q.next_deadline(), Some(20));
+        assert_eq!(q.fire_due(20), 1);
+        assert_eq!(ran.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+
+        // The same after a fire: the fired timer's id is stale too.
+        let next = q.schedule_at(30, |_| {});
+        assert_eq!(next.slot, tenant.slot);
+        assert!(!q.cancel(tenant), "a fired id cancels nothing");
+        assert!(q.cancel(next));
+        // And an id from another queue names no slot here.
+        let elsewhere = TimerQueue::new();
+        elsewhere.schedule_at(1, |_| {});
+        let foreign = elsewhere.schedule_at(2, |_| {});
+        assert!(!q.cancel(foreign));
+    }
+
+    /// The retired implementation — a heap of `(deadline, id)` plus a
+    /// `HashMap` from id to callback, ids never reused — kept verbatim as
+    /// the reference the slab is checked against.
+    #[derive(Clone, Default)]
+    struct Retired {
+        state: Arc<Mutex<RetiredState>>,
+    }
+
+    #[derive(Default)]
+    struct RetiredState {
+        heap: BinaryHeap<Reverse<(Nanos, u64)>>,
+        callbacks: HashMap<u64, TimerFn>,
+        next_id: u64,
+    }
+
+    /// What the comparison drives: both queues behind one face.
+    trait Queue: Clone + Send + 'static {
+        type Id: Copy + Send + 'static;
+        fn schedule(&self, at: Nanos, f: TimerFn) -> Self::Id;
+        fn cancel(&self, id: Self::Id) -> bool;
+        fn next_deadline(&self) -> Option<Nanos>;
+        fn pending(&self) -> usize;
+        fn fire_due(&self, now: Nanos) -> usize;
+    }
+
+    impl Queue for TimerQueue {
+        type Id = TimerId;
+        fn schedule(&self, at: Nanos, f: TimerFn) -> TimerId {
+            self.schedule_boxed(at, f)
+        }
+        fn cancel(&self, id: TimerId) -> bool {
+            TimerQueue::cancel(self, id)
+        }
+        fn next_deadline(&self) -> Option<Nanos> {
+            TimerQueue::next_deadline(self)
+        }
+        fn pending(&self) -> usize {
+            TimerQueue::pending(self)
+        }
+        fn fire_due(&self, now: Nanos) -> usize {
+            TimerQueue::fire_due(self, now)
+        }
+    }
+
+    impl Queue for Retired {
+        type Id = u64;
+        fn schedule(&self, at: Nanos, f: TimerFn) -> u64 {
+            let mut st = self.state.lock();
+            let id = st.next_id;
+            st.next_id += 1;
+            st.heap.push(Reverse((at, id)));
+            st.callbacks.insert(id, f);
+            id
+        }
+        fn cancel(&self, id: u64) -> bool {
+            self.state.lock().callbacks.remove(&id).is_some()
+        }
+        fn next_deadline(&self) -> Option<Nanos> {
+            let mut st = self.state.lock();
+            while let Some(Reverse((at, id))) = st.heap.peek().copied() {
+                if st.callbacks.contains_key(&id) {
+                    return Some(at);
+                }
+                st.heap.pop();
+            }
+            None
+        }
+        fn pending(&self) -> usize {
+            self.state.lock().callbacks.len()
+        }
+        fn fire_due(&self, now: Nanos) -> usize {
+            let mut fired = 0;
+            loop {
+                let cb = {
+                    let mut st = self.state.lock();
+                    match st.heap.peek().copied() {
+                        Some(Reverse((at, id))) if at <= now => {
+                            st.heap.pop();
+                            match st.callbacks.remove(&id) {
+                                Some(cb) => cb,
+                                None => continue, // cancelled
+                            }
+                        }
+                        _ => break,
+                    }
+                };
+                cb(now);
+                fired += 1;
+            }
+            fired
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Schedule at `at`; with `Some(d)` the callback schedules a child
+        /// `d` after it fires (`0`: due at once, for the same `fire_due`).
+        Schedule(Nanos, Option<Nanos>),
+        /// Cancel the n-th id handed out so far (modulo how many).
+        Cancel(usize),
+        Fire(Nanos),
+        NextDeadline,
+        Pending,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..48, any::<bool>(), 0u64..12)
+                .prop_map(|(at, respawn, d)| Op::Schedule(at, respawn.then_some(d))),
+            (0u64..48, any::<bool>(), 0u64..12)
+                .prop_map(|(at, respawn, d)| Op::Schedule(at, respawn.then_some(d))),
+            (0usize..64).prop_map(Op::Cancel),
+            (0u64..64).prop_map(Op::Fire),
+            Just(Op::NextDeadline),
+            Just(Op::Pending),
+        ]
+    }
+
+    /// Runs `ops` on `q` and returns everything observable: each call's
+    /// return value and each callback's run (tag, fire time), in order;
+    /// then cancels every id ever handed out, twice.
+    fn transcript<Q: Queue>(q: Q, ops: &[Op]) -> Vec<String> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let ids: Arc<Mutex<Vec<Q::Id>>> = Arc::default();
+        for (tag, op) in ops.iter().enumerate() {
+            let note = match *op {
+                Op::Schedule(at, respawn) => {
+                    let (q2, log2, ids2) = (q.clone(), log.clone(), ids.clone());
+                    let id = q.schedule(
+                        at,
+                        Box::new(move |now| {
+                            log2.lock().push(format!("ran {tag} at {now}"));
+                            if let Some(delay) = respawn {
+                                let log3 = log2.clone();
+                                let child = q2.schedule(
+                                    now + delay,
+                                    Box::new(move |now| {
+                                        log3.lock().push(format!("ran child of {tag} at {now}"))
+                                    }),
+                                );
+                                ids2.lock().push(child);
+                            }
+                        }),
+                    );
+                    ids.lock().push(id);
+                    continue;
+                }
+                Op::Cancel(n) => {
+                    let id = {
+                        let ids = ids.lock();
+                        if ids.is_empty() {
+                            continue;
+                        }
+                        ids[n % ids.len()]
+                    };
+                    format!("cancel #{n} -> {}", q.cancel(id))
+                }
+                Op::Fire(now) => format!("fire_due({now}) -> {}", q.fire_due(now)),
+                Op::NextDeadline => format!("next_deadline -> {:?}", q.next_deadline()),
+                Op::Pending => format!("pending -> {}", q.pending()),
+            };
+            log.lock().push(note);
+        }
+        let issued = ids.lock().clone();
+        let still_pending: Vec<bool> = issued.iter().map(|&id| q.cancel(id)).collect();
+        let again = issued.iter().any(|&id| q.cancel(id));
+        let mut out = std::mem::take(&mut *log.lock());
+        out.push(format!(
+            "cancelled at the end: {still_pending:?}, again: {again}"
+        ));
+        out.push(format!("left: {} {:?}", q.pending(), q.next_deadline()));
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// `TimerQueue` against its own past: over random schedule /
+        /// cancel / fire / probe sequences, callbacks that reschedule
+        /// included, the slab answers exactly as the heap + `HashMap` it
+        /// replaced — same fire order, same return values, a fired or
+        /// cancelled id never cancels again, and a reused slot never
+        /// answers to a stale id (the reference never reuses one).
+        #[test]
+        fn the_slab_answers_as_the_map_did(ops in proptest::collection::vec(op(), 0..48)) {
+            let new = transcript(TimerQueue::new(), &ops);
+            let old = transcript(Retired::default(), &ops);
+            prop_assert_eq!(&new, &old);
+            prop_assert!(new[new.len() - 2].ends_with("again: false"));
+            prop_assert_eq!(new.last().map(String::as_str), Some("left: 0 None"));
+        }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::clock::Clock;
 use crate::cost::MachineProfile;
-use crate::wire::{Receiver, Wire, WireEndpoint};
+use crate::wire::{Outbound, Receiver, Wire, WireEndpoint};
 use bytes::Bytes;
 use spin_check::sync::Mutex;
 use std::collections::VecDeque;
@@ -195,7 +195,7 @@ impl Nic {
 
     /// The per-frame transmit step: MTU check, driver and I/O charge,
     /// counters, and the frame with its size on the wire in bits.
-    fn stage(&self, dst: WireEndpoint, payload: Bytes) -> Result<(Frame, u64), NicError> {
+    fn stage(&self, dst: WireEndpoint, payload: Bytes) -> Result<Outbound, NicError> {
         if payload.len() > self.model.mtu {
             return Err(NicError::TooLarge {
                 len: payload.len(),
@@ -214,7 +214,7 @@ impl Nic {
             dst,
             payload,
         };
-        Ok((frame, bits))
+        Ok(Outbound::new(frame, bits))
     }
 
     /// Charges the driver plus moving `len` bytes across the card (PIO

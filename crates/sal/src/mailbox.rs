@@ -11,6 +11,9 @@
 //! [`Mailbox::post_batch`] a batch of many; under one lock acquisition each
 //! envelope takes the same step — post hook, quota gate, lane sequence
 //! number, insert — so a batch is exactly its envelopes posted in order.
+//! An envelope's action is boxed once, by whoever posts it, and that box is
+//! what the drain hands on ([`Envelope::action`]) and the destination's
+//! timer queue fires: nothing re-wraps it on the way.
 //!
 //! Determinism does not come from the OS scheduler: entries are totally
 //! ordered by `(deliver_at, lane, seq)`. The *lane* is derived from the
@@ -20,7 +23,7 @@
 //! their program order. The drain order is therefore a pure function of
 //! virtual time, independent of which worker thread posted first.
 
-use crate::clock::Nanos;
+use crate::clock::{Nanos, TimerFn};
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -53,8 +56,8 @@ pub enum MailFate {
 }
 
 /// A boxed delivery action: fired with the delivery time on the
-/// destination shard.
-pub type MailAction = Box<dyn FnOnce(Nanos) + Send>;
+/// destination shard — by its timer queue, which takes it as the box it is.
+pub type MailAction = TimerFn;
 type PostHook = Box<dyn Fn(Nanos) -> MailFate + Send + Sync>;
 /// Per-lane occupancy gate (kernel resource quotas): consulted on every
 /// post with `(lane, entries already pending on that lane)`; returning
@@ -149,8 +152,13 @@ impl Mailbox {
     }
 
     /// The one way in: admits each envelope in order under one lock
-    /// acquisition and returns how many were accepted.
-    fn post_all(&self, entries: impl IntoIterator<Item = (Nanos, u64, MailAction)>) -> usize {
+    /// acquisition — `entries` is consumed under it, so the wire can build
+    /// a run's envelopes as they are taken, with no `Vec` to carry them —
+    /// and returns how many were accepted.
+    pub(crate) fn post_all(
+        &self,
+        entries: impl IntoIterator<Item = (Nanos, u64, MailAction)>,
+    ) -> usize {
         let mut st = self.state.lock();
         let mut accepted = 0u64;
         for (deliver_at, lane, action) in entries {

@@ -49,6 +49,28 @@ pub(crate) struct Receiver {
     pub sink: Sink,
 }
 
+/// A frame on its way through [`Wire::transmit`]. The caller's array or
+/// `Vec` of these is the only storage a transmission uses: the wire
+/// resolves each frame's route in place and then moves the frame into its
+/// delivery action.
+pub(crate) struct Outbound {
+    frame: Frame,
+    /// Size on the wire in bits, framing included.
+    bits_on_wire: u64,
+    /// Arrival instant and receiver, once resolved; `None` = dropped.
+    route: Option<(Nanos, Arc<Receiver>)>,
+}
+
+impl Outbound {
+    pub(crate) fn new(frame: Frame, bits_on_wire: u64) -> Self {
+        Outbound {
+            frame,
+            bits_on_wire,
+            route: None,
+        }
+    }
+}
+
 #[derive(Default)]
 struct WireState {
     receivers: HashMap<WireEndpoint, Arc<Receiver>>,
@@ -59,6 +81,38 @@ struct WireState {
     /// sequence index; `true` drops the frame on the floor.
     drop_filter: Option<Box<dyn Fn(u64) -> bool + Send + Sync>>,
     tx_index: u64,
+}
+
+impl WireState {
+    /// One frame's turn on the medium: the drop filter, `tx_time` on its
+    /// sender's link, and — `flight` after it has left — its arrival at
+    /// its receiver. `None`: the frame was dropped, and counted.
+    fn route(
+        &mut self,
+        frame: &Frame,
+        tx_time: Nanos,
+        flight: Nanos,
+    ) -> Option<(Nanos, Arc<Receiver>)> {
+        let idx = self.tx_index;
+        self.tx_index += 1;
+        if self.drop_filter.as_ref().is_some_and(|f| f(idx)) {
+            self.dropped += 1;
+            return None;
+        }
+        let sender = self.receivers.get(&frame.src);
+        let now = sender
+            .expect("frames are sent by attached NICs")
+            .clock
+            .now();
+        let busy = self.busy_until.entry(frame.src).or_insert(0);
+        let done = (*busy).max(now) + tx_time;
+        *busy = done;
+        let to = self.receivers.get(&frame.dst).cloned();
+        if to.is_none() {
+            self.dropped += 1;
+        }
+        Some((done + flight, to?))
+    }
 }
 
 /// The shared medium.
@@ -97,78 +151,68 @@ impl Wire {
         self.propagation
     }
 
-    /// Queues `frames` — each with its size on the wire in bits, framing
-    /// included — for transmission from attached endpoints at the sender's
-    /// link rate. A frame occupies its sender's link until it has left;
-    /// it arrives `propagation + staging_ns` later (`staging_ns` is adapter
-    /// staging, which occupies neither the link nor the CPU).
+    /// Queues `frames` for transmission from attached endpoints at the
+    /// sender's link rate. A frame occupies its sender's link until it has
+    /// left; it arrives `propagation + staging_ns` later (`staging_ns` is
+    /// adapter staging, which occupies neither the link nor the CPU).
     ///
     /// A burst is exactly its frames transmitted one by one in order —
     /// drop filter, link serialization, arrival time, mailbox lane — with
     /// the state lock taken once and consecutive frames for one mailbox
-    /// posted as one batch.
-    pub(crate) fn transmit(
-        &self,
-        frames: impl IntoIterator<Item = (Frame, u64)>,
-        bandwidth_bps: u64,
-        staging_ns: Nanos,
-    ) {
+    /// posted as one batch. Nothing here allocates but the one box per
+    /// delivery action: a lone frame (`Nic::send`'s one-element array)
+    /// reaches its sink without touching the heap otherwise.
+    pub(crate) fn transmit<B>(&self, mut frames: B, bandwidth_bps: u64, staging_ns: Nanos)
+    where
+        B: AsMut<[Outbound]> + IntoIterator<Item = Outbound>,
+    {
         // Phase 1 (one lock): serialize each frame on its sender's link
         // and resolve its destination.
-        let frames = frames.into_iter();
-        let mut due: Vec<(Nanos, Frame, Arc<Receiver>)> = Vec::with_capacity(frames.size_hint().0);
         {
             let mut st = self.state.lock();
-            for (frame, bits_on_wire) in frames {
-                let tx_time = bits_on_wire.saturating_mul(1_000_000_000) / bandwidth_bps.max(1);
-                let idx = st.tx_index;
-                st.tx_index += 1;
-                if st.drop_filter.as_ref().is_some_and(|f| f(idx)) {
-                    st.dropped += 1;
-                    continue;
-                }
-                let sender = st.receivers.get(&frame.src);
-                let now = sender
-                    .expect("frames are sent by attached NICs")
-                    .clock
-                    .now();
-                let busy = st.busy_until.entry(frame.src).or_insert(0);
-                let done = (*busy).max(now) + tx_time;
-                *busy = done;
-                match st.receivers.get(&frame.dst) {
-                    Some(to) => due.push((done + self.propagation + staging_ns, frame, to.clone())),
-                    None => st.dropped += 1,
-                }
+            for out in frames.as_mut() {
+                let tx_time = out.bits_on_wire.saturating_mul(1_000_000_000) / bandwidth_bps.max(1);
+                out.route = st.route(&out.frame, tx_time, self.propagation + staging_ns);
             }
         }
         // Phase 2 (no lock): give each arrival to its receiver's sink, in
         // frame order (equal-deadline timers fire FIFO; a mailbox lane's
         // seq is its post order).
-        let mut mail: Vec<(Nanos, u64, MailAction)> = Vec::new();
-        let mut due = due.into_iter().peekable();
+        let mut due = frames
+            .into_iter()
+            .filter_map(|out| out.route.map(|(arrival, to)| (arrival, out.frame, to)))
+            .peekable();
         while let Some((arrival, frame, to)) = due.next() {
-            let lane = self.lane_base + frame.src.0 as u64;
-            let (state, at) = (self.state.clone(), to.clone());
-            let deliver = move |_: Nanos| {
-                at.rx.lock().push_back(frame);
-                state.lock().delivered += 1;
-                at.irqs.post(at.vector);
-            };
             match &to.sink {
                 Sink::Timers(timers) => {
-                    timers.schedule_at(arrival, deliver);
+                    timers.schedule_boxed(arrival, self.delivery(frame, to.clone()));
                 }
+                // This frame and the frames right behind it for the same
+                // mailbox are one batch, boxed as the mailbox takes them.
                 Sink::Mailbox(mailbox) => {
-                    mail.push((arrival, lane, Box::new(deliver)));
-                    if !due
-                        .peek()
-                        .is_some_and(|(_, _, next)| Arc::ptr_eq(next, &to))
-                    {
-                        mailbox.post_batch(std::mem::take(&mut mail));
-                    }
+                    let behind = std::iter::from_fn(|| {
+                        let (arrival, frame, _) = due.next_if(|d| Arc::ptr_eq(&d.2, &to))?;
+                        Some((arrival, frame))
+                    });
+                    let run = std::iter::once((arrival, frame)).chain(behind);
+                    mailbox.post_all(run.map(|(arrival, frame)| {
+                        let lane = self.lane_base + frame.src.0 as u64;
+                        (arrival, lane, self.delivery(frame, to.clone()))
+                    }));
                 }
             }
         }
+    }
+
+    /// The one delivery action, boxed once: it travels as this box through
+    /// the mailbox and the timer queue to its arrival instant.
+    fn delivery(&self, frame: Frame, to: Arc<Receiver>) -> MailAction {
+        let state = self.state.clone();
+        Box::new(move |_: Nanos| {
+            to.rx.lock().push_back(frame);
+            state.lock().delivered += 1;
+            to.irqs.post(to.vector);
+        })
     }
 
     /// Installs a deterministic drop filter for fault injection (e.g.
@@ -254,7 +298,8 @@ mod tests {
     impl Rig {
         /// 1000 bits at 10 Mb/s: 100 µs on the wire per frame.
         fn transmit(&self, frames: impl IntoIterator<Item = Frame>) {
-            let frames = frames.into_iter().map(|f| (f, 1000));
+            let frames: Vec<Outbound> =
+                frames.into_iter().map(|f| Outbound::new(f, 1000)).collect();
             self.wire.transmit(frames, 10_000_000, 0);
         }
 

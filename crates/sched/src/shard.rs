@@ -408,7 +408,7 @@ impl Multicore {
             if let Some(obs) = obs {
                 obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
             }
-            sh.host.timers.schedule_at(env.deliver_at, env.action);
+            sh.host.timers.schedule_boxed(env.deliver_at, env.action);
         }
         // The per-shard outcome is not the system outcome: a "deadlocked"
         // shard may be woken by mail in a later epoch. `plan_epoch` decides.

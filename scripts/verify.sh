@@ -171,6 +171,19 @@ for pair in \
     IFS=: read -r bin name extra <<<"$pair"
     gate "golden:$bin" golden "$bin" "$name" "$extra"
 done
+# The eight examples put real frames on the wire and self-assert; clippy
+# compiles them and nothing else runs them.
+examples_gate() {
+    local example
+    for example in quickstart video_system protocol_forwarder fault_handling \
+        custom_scheduler dsm_counter unix_server web_server; do
+        cargo run --release -q --example "$example" | tail -n 1 | grep -q ' OK' || {
+            echo "verify: example $example did not finish with its OK line" >&2
+            return 1
+        }
+    done
+}
+gate examples examples_gate
 gate smoke:table1_sizes emits table1_sizes BENCH_table1_sizes.json
 gate smoke:s7_multicore emits s7_multicore BENCH_multicore.json
 

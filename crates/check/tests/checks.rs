@@ -720,14 +720,14 @@ fn an_observed_charge_stays_within_its_budget() {
 ///   same lock, not the lock.
 /// * One frame across a two-shard board — `Nic::send`, the receiving
 ///   shard's `drain` onto its timers, the timer's fire, `Nic::receive`:
-///   **40**, as at the parent. Send 13 (two charges at two operations
-///   each, the NIC's stats lock pair, the wire's, one time read, the
-///   mailbox's pair and its two counters); drain 5; schedule 2; the
-///   deadline probe 2; fire 10 (the queue's two pairs around the
-///   delivery's three: `rx` ring, the wire-wide delivered count, the
-///   interrupt post); receive 8 (the ring's pair, two charges, the stats
-///   pair). The single-frame path lost its `Vec`s and its second box, and
-///   every lock, charge and counter is where it was.
+///   **38**, down from 40. Send 13 (two charges at two operations each,
+///   the NIC's stats lock pair, the wire's, one time read, the mailbox's
+///   pair and its two counters); drain 5; schedule 2; the deadline probe
+///   2; fire 8, was 10 (the queue's two pairs around the delivery: the
+///   `rx` ring's pair, under which the delivery is now counted, and the
+///   interrupt post — the wire-wide lock pair that only bumped `delivered`
+///   is the 2 that went, and it was the one lock every shard's deliveries
+///   met on); receive 8 (the ring's pair, two charges, the stats pair).
 #[test]
 fn the_frame_hop_stays_within_its_lock_budget() {
     let timer = marginal_steps("budget-timer", |n| {
@@ -755,7 +755,7 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         }
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
-    assert_eq!(hop, 40, "facade operations per frame hop");
+    assert_eq!(hop, 38, "facade operations per frame hop");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

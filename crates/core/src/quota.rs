@@ -3,8 +3,8 @@
 //!
 //! SPIN's protection model isolates extension *namespaces*; nothing in the
 //! paper stops a greedy extension from exhausting the *shared* resources —
-//! dispatcher bandwidth, mailbox slots, handler virtual time, heap bytes —
-//! and collapsing latency for every other domain. This module is the
+//! dispatcher bandwidth, mailbox slots, handler virtual time — and
+//! collapsing latency for every other domain. This module is the
 //! reproduction's answer (in the spirit of Rex's runtime
 //! resource-exhaustion defenses and Tock's per-client grants): a
 //! per-domain ledger of atomic counter blocks (the same shape as
@@ -75,9 +75,6 @@ pub struct QuotaSpec {
     /// Cumulative synchronous handler virtual time the domain may charge
     /// per window.
     pub window_vt_budget: Nanos,
-    /// Live `spin_rt` heap bytes (read through the bound probe) above
-    /// which admission refuses.
-    pub max_heap_bytes: u64,
     /// Throttle trips within one window that escalate the domain to
     /// shedding. `0` = never shed.
     pub shed_after_trips: u32,
@@ -202,8 +199,6 @@ pub struct QuotaCell {
     vt_charged: AtomicU64,
     mail_refused: AtomicU64,
     mail_shed: AtomicU64,
-    /// Live-bytes probe for the heap budget (absent = axis unmetered).
-    heap_probe: OnceLock<Arc<dyn Fn() -> u64 + Send + Sync>>,
     ledger: Weak<LedgerInner>,
 }
 
@@ -222,12 +217,6 @@ impl QuotaCell {
     /// The budgets this cell enforces.
     pub fn spec(&self) -> &QuotaSpec {
         &self.spec
-    }
-
-    /// Binds the live-heap-bytes probe (typically
-    /// `move || heap.live_bytes() as u64`). One-shot.
-    pub fn bind_heap_probe(&self, probe: Arc<dyn Fn() -> u64 + Send + Sync>) {
-        let _ = self.heap_probe.set(probe);
     }
 
     /// Admission control for one raise at virtual time `now`. `Ok(())`
@@ -431,17 +420,7 @@ impl QuotaCell {
     }
 
     fn over_budget(&self, w: &Window) -> bool {
-        if self.spec.window_vt_budget > 0 && w.vt >= self.spec.window_vt_budget {
-            return true;
-        }
-        if self.spec.max_heap_bytes > 0 {
-            if let Some(probe) = self.heap_probe.get() {
-                if probe() > self.spec.max_heap_bytes {
-                    return true;
-                }
-            }
-        }
-        false
+        self.spec.window_vt_budget > 0 && w.vt >= self.spec.window_vt_budget
     }
 
     /// One step down the ladder, under the window lock: returns the
@@ -582,7 +561,6 @@ impl QuotaLedger {
             vt_charged: AtomicU64::new(0),
             mail_refused: AtomicU64::new(0),
             mail_shed: AtomicU64::new(0),
-            heap_probe: OnceLock::new(),
             ledger: Arc::downgrade(&self.inner),
         });
         reg.by_name.insert(name.to_string(), ord);
@@ -835,21 +813,6 @@ mod tests {
         assert!(cell.deferred(2));
         assert_eq!(cell.state(1_500), QuotaState::Normal, "window roll decays");
         assert!(!cell.deferred(1_500));
-    }
-
-    #[test]
-    fn heap_probe_gates_admission() {
-        let (_l, cell) = metered(QuotaSpec {
-            max_heap_bytes: 1_000,
-            ..QuotaSpec::default()
-        });
-        let live = Arc::new(AtomicU64::new(0));
-        let l2 = live.clone();
-        cell.bind_heap_probe(Arc::new(move || l2.load(Ordering::Relaxed))); // ordering: Relaxed — test plumbing; the assert sequencing is the sync.
-        assert_eq!(cell.admit(0), Ok(()));
-        cell.complete(0);
-        live.store(2_000, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the assert sequencing is the sync.
-        assert_eq!(cell.admit(1), Err(QuotaVerdict::Throttled));
     }
 
     #[test]

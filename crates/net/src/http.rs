@@ -148,9 +148,9 @@ impl Response {
 /// A dynamic in-kernel handler for one path.
 pub type RouteHandler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
-/// The immutable route snapshot published by the server (snapshot-swap
-/// like the dispatcher's plans: readers never hold a lock while a handler
-/// runs). BTree: deterministic iteration for diagnostics.
+/// The server's routes. A reader clones the one handler it found and
+/// calls it with no lock held. BTree: deterministic iteration for
+/// diagnostics.
 type RouteTable = BTreeMap<String, RouteHandler>;
 
 /// Server tuning knobs.
@@ -199,7 +199,7 @@ struct Session {
 pub struct HttpServer {
     stats: Arc<Mutex<HttpStats>>,
     cache: Arc<WebCache>,
-    routes: RwLock<Arc<RouteTable>>,
+    routes: RwLock<RouteTable>,
     quota: Option<Arc<QuotaCell>>,
 }
 
@@ -229,7 +229,7 @@ impl HttpServer {
         let server = Arc::new(HttpServer {
             stats: Arc::new(Mutex::new(HttpStats::default())),
             cache,
-            routes: RwLock::new(Arc::new(BTreeMap::new())),
+            routes: RwLock::default(),
             quota: cfg.quota.clone(),
         });
         stack.topology().note("TCP.PktArrived", "HTTP");
@@ -380,17 +380,16 @@ impl HttpServer {
         Response::ok(Bytes::copy_from_slice(&body))
     }
 
-    /// Installs a typed handler for `path` (rebuild-and-swap; replaces
-    /// any previous handler on the same path).
+    /// Installs a typed handler for `path` (replaces any previous handler
+    /// on the same path).
     pub fn route(
         &self,
         path: &str,
         handler: impl Fn(&Request) -> Response + Send + Sync + 'static,
     ) {
-        let mut slot = self.routes.write();
-        let mut next = RouteTable::clone(&slot);
-        next.insert(path.to_string(), Arc::new(handler));
-        *slot = Arc::new(next);
+        self.routes
+            .write()
+            .insert(path.to_string(), Arc::new(handler));
     }
 
     /// Server counters.

@@ -21,8 +21,9 @@ use crate::stack::NetStack;
 use spin_check::sync::Mutex;
 use spin_core::{Event, Identity};
 use spin_sal::Nanos;
-use spin_sched::{Executor, StrandCtx, StrandId};
+use spin_sched::{Executor, KChannel, StrandCtx, StrandId};
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Interest/readiness bit masks.
@@ -131,6 +132,80 @@ pub trait Pollable {
     /// Attaches `r` to this source and returns its *current* level mask,
     /// so readiness that predates the registration is not lost.
     fn register(&self, r: Registration) -> u8;
+}
+
+/// A bounded queue the packet path fills, that a strand blocks on or a
+/// poller watches: the channel, the readiness bit one queued item stands
+/// for, and the registration of whichever poller adopted it. A datagram
+/// socket, a listener's backlog and a connection's receive side are each
+/// one of these; it is the one place a source's level is computed and its
+/// notes are made. Dereferences to its channel for the reading half
+/// (`recv`, `try_recv`, `len`).
+pub struct ReadyQueue<T: Send> {
+    items: Arc<KChannel<T>>,
+    ready: u8,
+    reg: Mutex<Option<Registration>>,
+}
+
+impl<T: Send> ReadyQueue<T> {
+    /// An empty queue of up to `depth` items, each of which makes its
+    /// source ready for `ready`.
+    // uncharged: constructor.
+    pub fn new(exec: Arc<Executor>, depth: usize, ready: u8) -> Self {
+        ReadyQueue {
+            items: KChannel::new(exec, depth),
+            ready,
+            reg: Mutex::new(None),
+        }
+    }
+
+    /// Queues `item` — dropped if the queue is full or closed, as a
+    /// datagram service may — and notes the ready bit either way: a full
+    /// queue is as readable as one with room.
+    // charged: the push and the note are scoreboard writes; a reader
+    // blocked on the queue is unblocked at the scheduler's `sync_op`.
+    pub fn push(&self, item: T) {
+        self.items.try_push(item);
+        self.note(self.ready);
+    }
+
+    /// Ends the stream: readers drain what is queued and then see `None`,
+    /// and the poller is told `CLOSED`.
+    // charged: as `push` — every blocked reader is unblocked.
+    pub fn close(&self) {
+        self.items.close();
+        self.note(interest::CLOSED);
+    }
+
+    fn note(&self, what: u8) {
+        if let Some(r) = self.reg.lock().as_ref() {
+            r.note(what);
+        }
+    }
+}
+
+impl<T: Send> Deref for ReadyQueue<T> {
+    type Target = KChannel<T>;
+
+    fn deref(&self) -> &KChannel<T> {
+        &self.items
+    }
+}
+
+impl<T: Send> Pollable for ReadyQueue<T> {
+    // uncharged: registration is control-plane.
+    fn register(&self, r: Registration) -> u8 {
+        let (queued, closed) = self.items.level();
+        *self.reg.lock() = Some(r);
+        let mut level = 0;
+        if queued > 0 {
+            level |= self.ready;
+        }
+        if closed {
+            level |= interest::CLOSED;
+        }
+        level
+    }
 }
 
 struct PollInner {
@@ -271,6 +346,30 @@ impl NetPoller {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testrig::TwoHosts;
+    use spin_sched::IdleOutcome;
+
+    /// Takes everything noted in `hub` since the last call.
+    fn noted(hub: &ReadyHub) -> Vec<((u64, Token), u8)> {
+        std::mem::take(&mut *hub.pending.lock())
+            .into_iter()
+            .collect()
+    }
+
+    /// A two-deep queue whose items stand for `READABLE`, and the hub it
+    /// notes to as token 7 of poller 1.
+    fn watched_queue(rig: &TwoHosts) -> (Arc<ReadyQueue<u8>>, Arc<ReadyHub>) {
+        let q = ReadyQueue::new(rig.exec.clone(), 2, interest::READABLE);
+        let hub = Arc::new(ReadyHub::new());
+        let level = q.register(Registration {
+            hub: hub.clone(),
+            poller: 1,
+            token: 7,
+            mask: interest::READABLE,
+        });
+        assert_eq!(level, 0, "a fresh queue is ready for nothing");
+        (Arc::new(q), hub)
+    }
 
     #[test]
     fn hub_merges_and_groups_by_poller() {
@@ -279,10 +378,8 @@ mod tests {
         hub.note(1, 5, interest::READABLE);
         hub.note(2, 10, interest::CLOSED); // merges with the first note
         hub.note(2, 3, interest::ACCEPT);
-        let pending = std::mem::take(&mut *hub.pending.lock());
-        let flat: Vec<((u64, Token), u8)> = pending.into_iter().collect();
         assert_eq!(
-            flat,
+            noted(&hub),
             vec![
                 ((1, 5), interest::READABLE),
                 ((2, 3), interest::ACCEPT),
@@ -304,5 +401,67 @@ mod tests {
         assert!(hub.is_empty());
         reg.note(interest::CLOSED); // always delivered
         assert!(!hub.is_empty());
+    }
+
+    #[test]
+    fn a_queue_registers_at_its_level_and_the_poller_filters_it() {
+        const R: u8 = interest::READABLE;
+        const C: u8 = interest::CLOSED;
+        let rig = TwoHosts::new();
+        for (queued, closed, level) in [
+            (false, false, 0),
+            (true, false, R),
+            (false, true, C),
+            (true, true, R | C),
+        ] {
+            let q = ReadyQueue::new(rig.exec.clone(), 2, R);
+            if queued {
+                q.push(1u8); // nobody registered yet: queued, noted nowhere
+            }
+            if closed {
+                q.close();
+            }
+            let ready = |interest_mask: u8| {
+                let poller = NetPoller::new(&rig.b);
+                poller.add(&q, 7, interest_mask);
+                poller.try_wait().first().map_or(0, |&(_, mask)| mask)
+            };
+            assert_eq!(ready(R), level, "queued {queued}, closed {closed}");
+            // The poller still filters the level by interest, and `CLOSED`
+            // still passes any interest.
+            assert_eq!(ready(interest::ACCEPT), level & C);
+        }
+    }
+
+    #[test]
+    fn a_push_onto_a_full_queue_still_notes() {
+        let rig = TwoHosts::new();
+        let (q, hub) = watched_queue(&rig);
+        for i in 0..3 {
+            q.push(i);
+            assert_eq!(noted(&hub), [((1, 7), interest::READABLE)], "push {i}");
+        }
+        assert_eq!(q.len(), 2, "the third item found the queue full");
+    }
+
+    #[test]
+    fn close_wakes_a_blocked_reader_and_notes_closed_per_call() {
+        let rig = TwoHosts::new();
+        let (q, hub) = watched_queue(&rig);
+        let got = Arc::new(Mutex::new(None));
+        let (q2, g2) = (q.clone(), got.clone());
+        rig.exec
+            .spawn("reader", move |ctx| *g2.lock() = Some(q2.recv(ctx)));
+        assert!(matches!(
+            rig.exec.run_until_idle(),
+            IdleOutcome::Deadlock { .. }
+        ));
+        assert_eq!(*got.lock(), None, "blocked on the empty queue");
+        q.close();
+        assert_eq!(noted(&hub), [((1, 7), interest::CLOSED)]);
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(*got.lock(), Some(None), "woken to the end of the stream");
+        q.close();
+        assert_eq!(noted(&hub), [((1, 7), interest::CLOSED)], "one per call");
     }
 }

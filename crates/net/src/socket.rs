@@ -13,25 +13,20 @@
 //! handler as before, merely ending in a queue push plus an uncharged
 //! readiness note instead of user code.
 
-use crate::pkt::IpAddr;
-use crate::poll::{interest, Pollable, Registration};
-use crate::stack::{NetError, NetStack, UdpPacket};
-use spin_check::sync::Mutex;
+use crate::poll::{interest, Pollable, ReadyQueue, Registration};
+use crate::stack::{NetStack, UdpPacket};
 use spin_core::{DispatchError, Identity};
-use spin_sched::{KChannel, StrandCtx};
+use spin_sched::StrandCtx;
 use std::sync::Arc;
 
 /// A typed UDP endpoint: bound to a local port, optionally queueing
 /// inbound datagrams, registrable with a poller.
 pub struct UdpSocket {
-    stack: NetStack,
     port: u16,
-    /// Present in queue mode ([`UdpSocket::bind`]); absent in tap mode
-    /// ([`UdpSocket::bind_with`]), where the handler consumes datagrams.
-    queue: Option<Arc<KChannel<UdpPacket>>>,
-    /// The poller registration, shared with the delivery handler so
-    /// readiness notes reach whichever poller adopts this socket.
-    reg: Arc<Mutex<Option<Registration>>>,
+    /// Present in queue mode ([`UdpSocket::bind`]), shared with the
+    /// delivery handler; absent in tap mode ([`UdpSocket::bind_with`]),
+    /// where the handler consumes datagrams and nothing is ever ready.
+    queue: Option<Arc<ReadyQueue<UdpPacket>>>,
 }
 
 impl UdpSocket {
@@ -47,21 +42,16 @@ impl UdpSocket {
         label: &str,
         depth: usize,
     ) -> Result<Arc<UdpSocket>, DispatchError> {
-        let queue = KChannel::new(stack.executor().clone(), depth);
-        let reg: Arc<Mutex<Option<Registration>>> = Arc::new(Mutex::new(None));
+        let queue = Arc::new(ReadyQueue::new(
+            stack.executor().clone(),
+            depth,
+            interest::READABLE,
+        ));
         let q2 = queue.clone();
-        let r2 = reg.clone();
-        Self::install(stack, port, label, move |p| {
-            q2.try_push(p.clone());
-            if let Some(r) = r2.lock().as_ref() {
-                r.note(interest::READABLE);
-            }
-        })?;
+        Self::install(stack, port, label, move |p| q2.push(p.clone()))?;
         Ok(Arc::new(UdpSocket {
-            stack: stack.clone(),
             port,
             queue: Some(queue),
-            reg,
         }))
     }
 
@@ -76,12 +66,7 @@ impl UdpSocket {
         handler: impl Fn(&UdpPacket) + Send + Sync + 'static,
     ) -> Result<Arc<UdpSocket>, DispatchError> {
         Self::install(stack, port, label, handler)?;
-        Ok(Arc::new(UdpSocket {
-            stack: stack.clone(),
-            port,
-            queue: None,
-            reg: Arc::new(Mutex::new(None)),
-        }))
+        Ok(Arc::new(UdpSocket { port, queue: None }))
     }
 
     // uncharged: one keyed install on `UDP.PktArrived` — N bound ports
@@ -119,23 +104,12 @@ impl UdpSocket {
     pub fn try_recv(&self) -> Option<UdpPacket> {
         self.queue.as_ref()?.try_recv()
     }
-
-    /// Sends a datagram from this socket's port.
-    // charged: the full `SendPacket` + NIC transmit path.
-    pub fn send_to(&self, dst: IpAddr, dst_port: u16, payload: &[u8]) -> Result<(), NetError> {
-        self.stack.udp_send(self.port, dst, dst_port, payload)
-    }
 }
 
 impl Pollable for UdpSocket {
     // uncharged: registration is control-plane.
     fn register(&self, r: Registration) -> u8 {
-        let level = match &self.queue {
-            Some(q) if !q.is_empty() => interest::READABLE,
-            _ => 0,
-        };
-        *self.reg.lock() = Some(r);
-        level
+        self.queue.as_ref().map_or(0, |q| q.register(r))
     }
 }
 
@@ -144,6 +118,8 @@ mod tests {
     use super::*;
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
+    use spin_check::sync::Mutex;
+    use spin_sched::KChannel;
 
     #[test]
     fn queue_mode_matches_a_hand_rolled_channel_bind() {

@@ -33,7 +33,7 @@ use spin_obs::{ObsHook, TraceKind};
 use spin_sal::board::vectors;
 use spin_sal::devices::nic::{Nic, NicError};
 use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
-use spin_sched::{Executor, KChannel, Step, StrandCtx, StrandId};
+use spin_sched::{Executor, KChannel, Step, StrandCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -47,17 +47,14 @@ pub enum Medium {
 
 /// The simulation-wide IP → attachment registry (static ARP).
 ///
-/// Read-mostly: every transmitted packet resolves, registrations happen at
-/// host setup. Like the dispatcher's raise plan, the table is an immutable
-/// snapshot behind `RwLock<Arc<_>>`: resolvers share a read lock (never
-/// blocking each other), registrars rebuild-and-swap.
+/// The one table of this layer that every shard shares: each transmitted
+/// packet resolves against it, from whichever worker drives the sender,
+/// and registrations happen at host set-up. Resolvers share a read lock
+/// and never block each other.
 #[derive(Clone, Default)]
 pub struct AddressMap {
-    entries: Arc<RwLock<Arc<AddrTable>>>,
+    entries: Arc<RwLock<HashMap<IpAddr, (Medium, WireEndpoint)>>>,
 }
-
-/// The immutable routing snapshot published by [`AddressMap`].
-type AddrTable = HashMap<IpAddr, (Medium, WireEndpoint)>;
 
 impl AddressMap {
     /// An empty map.
@@ -66,13 +63,10 @@ impl AddressMap {
         Self::default()
     }
 
-    /// Registers an address (rebuilds and swaps the snapshot).
+    /// Registers an address.
     // uncharged: address registration is control-plane.
     pub fn register(&self, ip: IpAddr, medium: Medium, endpoint: WireEndpoint) {
-        let mut slot = self.entries.write();
-        let mut next = HashMap::clone(&slot);
-        next.insert(ip, (medium, endpoint));
-        *slot = Arc::new(next);
+        self.entries.write().insert(ip, (medium, endpoint));
     }
 
     /// Resolves an address (per-packet hot path; shared read access).
@@ -173,32 +167,24 @@ pub struct NetEvents {
 }
 
 /// Edges of the Figure 5 graph, recorded as extensions install handlers.
-///
-/// Snapshot-published like [`AddressMap`]: readers grab the current `Arc`
-/// and work on it with no lock held; writers rebuild-and-swap.
 #[derive(Clone, Default)]
 pub struct Topology {
-    edges: Arc<RwLock<Arc<EdgeList>>>,
+    edges: Arc<Mutex<Vec<(String, String)>>>,
 }
-
-/// The immutable edge snapshot published by [`Topology`].
-type EdgeList = Vec<(String, String)>;
 
 impl Topology {
     /// Records "`event` is handled by `handler`".
     // uncharged: Figure 5 diagnostics recorder.
     pub fn note(&self, event: &str, handler: &str) {
-        let mut slot = self.edges.write();
-        let mut next = Vec::clone(&slot);
-        next.push((event.to_string(), handler.to_string()));
-        *slot = Arc::new(next);
+        self.edges
+            .lock()
+            .push((event.to_string(), handler.to_string()));
     }
 
     /// All recorded edges, sorted.
     // uncharged: Figure 5 diagnostics recorder.
     pub fn edges(&self) -> Vec<(String, String)> {
-        let snapshot = self.edges.read().clone();
-        let mut e = Vec::clone(&snapshot);
+        let mut e = self.edges.lock().clone();
         e.sort();
         e.dedup();
         e
@@ -289,7 +275,6 @@ struct NetInner {
     /// stalls the sender on the virtual clock, `Panic` unwinds (contained
     /// by the dispatcher when transmitting from a handler).
     faults: Arc<spin_core::hooks::HookSlot<spin_fault::FaultHook>>,
-    proto_thread: StrandId,
     /// The readiness scoreboard, flushed by the protocol thread after
     /// each inbound burst.
     ready_hub: Arc<ReadyHub>,
@@ -493,7 +478,6 @@ impl NetStack {
             stats,
             obs,
             faults: Arc::new(spin_core::hooks::HookSlot::new()),
-            proto_thread,
             ready_hub,
             next_poller: AtomicU64::new(1),
             poller_bounds,
@@ -688,12 +672,6 @@ impl NetStack {
     // uncharged: accessor.
     pub fn ip_on(&self, medium: Medium) -> IpAddr {
         self.inner.my_ips[&medium]
-    }
-
-    /// The protocol thread (diagnostics).
-    // uncharged: accessor.
-    pub fn protocol_thread(&self) -> StrandId {
-        self.inner.proto_thread
     }
 
     /// Sends a transport segment to `dst`, running the `SendPacket`
@@ -1221,10 +1199,14 @@ mod tests {
             let calls = Arc::new(Mutex::new(Vec::new()));
             let (e1, e2) = (calls.clone(), calls.clone());
             let (exec, clock) = (rig.exec.clone(), rig.board.clock.clone());
+            let netin = Arc::new(Mutex::new(None));
+            let n2 = netin.clone();
             let _blocker = UdpSocket::bind_with(&rig.b, 7, "blocker", move |_| {
                 e1.lock().push(("blocker", clock.now()));
+                let ctx = exec.current_ctx().expect("on netin");
+                *n2.lock() = Some(ctx.id());
                 if blocking {
-                    exec.current_ctx().expect("on netin").block();
+                    ctx.block();
                     unreachable!("the block was refused");
                 }
             })
@@ -1242,7 +1224,7 @@ mod tests {
                 a.udp_send(9, dst, 7, b"second").unwrap();
             });
             assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
-            let netin = rig.b.inner.proto_thread;
+            let netin = netin.lock().expect("the blocker ran");
             assert!(!rig.exec.is_done(netin) && !rig.exec.panicked(netin));
             let calls = calls.lock().clone();
             let faults = faults.lock().clone();

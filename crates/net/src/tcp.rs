@@ -19,14 +19,14 @@
 //! caller's strand.
 
 use crate::pkt::{proto, IpAddr, TcpFlags, TcpHeader};
-use crate::poll::{interest, Pollable, Registration};
+use crate::poll::{interest, Pollable, ReadyQueue, Registration};
 use crate::stack::{NetStack, TcpSegment};
 use bytes::Bytes;
+use spin_check::sync::Mutex;
 use spin_check::sync::{AtomicU32, Ordering};
-use spin_check::sync::{Mutex, RwLock};
 use spin_core::Identity;
 use spin_sal::{BufChain, Nanos};
-use spin_sched::{Executor, KChannel, StrandCtx, StrandId};
+use spin_sched::{Executor, StrandCtx, StrandId};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -41,10 +41,6 @@ const RTO: Nanos = 150_000_000;
 
 /// SYN retry limit before `connect` fails.
 const SYN_RETRIES: u32 = 4;
-
-/// Connection-table shards: webscale churn means install/teardown from
-/// every worker, so the table is striped rather than a single mutex.
-const CONN_SHARDS: usize = 16;
 
 /// Ephemeral port range base (ports wrap within `30_000..58_000`; a port
 /// is only recycled after ~28k intervening connects, long after the
@@ -85,17 +81,6 @@ struct ConnKey {
     peer_port: u16,
 }
 
-/// Deterministic shard assignment (splitmix64 finalizer over the key).
-fn shard_of(key: &ConnKey) -> usize {
-    let mut x = (u64::from(key.local_port) << 48)
-        ^ (u64::from(key.peer_port) << 32)
-        ^ u64::from(key.peer.0);
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    ((x ^ (x >> 31)) % CONN_SHARDS as u64) as usize
-}
-
 struct SendEntry {
     seq: u32,
     data: Bytes,
@@ -116,26 +101,27 @@ struct ConnState {
     retransmit: VecDeque<SendEntry>,
     /// Strands blocked waiting for window space.
     send_waiters: Vec<StrandId>,
+    /// Strands blocked in [`TcpConn::close`] until the state is `Closed`.
+    /// Not `send_waiters`: the ACK that takes `FinWait1` to `FinWait2`
+    /// drains that list, and a closer must sleep through it.
+    close_waiters: Vec<StrandId>,
     rto_timer: Option<spin_sal::clock::TimerId>,
     retransmissions: u64,
-    fin_received: bool,
 }
 
-/// One TCP connection.
+/// One TCP connection. Its host's protocol strand and the strands using
+/// it run one at a time, so `state` is never contended: the lock is there
+/// for `Sync`. An inbound segment takes it once; a send takes it to slice
+/// the window and again, after the burst has left, to arm the timer.
 pub struct TcpConn {
     key: ConnKey,
     stack: NetStack,
     exec: Arc<Executor>,
     state: Mutex<ConnState>,
-    /// In-order data delivered to the application.
-    incoming: Arc<KChannel<Bytes>>,
-    /// Signaled when the handshake completes (or fails: payload false).
-    established: Arc<KChannel<bool>>,
-    /// Signaled when the close handshake fully completes.
-    closed: Arc<KChannel<()>>,
-    /// Poller registration: data arrival notes `READABLE`, end-of-stream
-    /// notes `CLOSED` (see [`crate::poll`]).
-    reg: Mutex<Option<Registration>>,
+    /// In-order data delivered to the application: arrival notes
+    /// `READABLE`; the queue closes, noting `CLOSED`, at end of stream
+    /// (the peer's FIN, or the state reaching `Closed`).
+    incoming: ReadyQueue<Bytes>,
 }
 
 impl TcpConn {
@@ -164,20 +150,26 @@ impl TcpConn {
         self.incoming.len()
     }
 
-    /// Sends one segment: the header in front of `payload`, which is shared
-    /// with the retransmit queue, not copied (empty for control segments).
-    fn send_segment(&self, flags: TcpFlags, seq: u32, payload: Bytes) {
-        let st = self.state.lock();
-        let header = TcpHeader {
+    /// One segment: the header in front of `payload`, which is shared with
+    /// the retransmit queue, not copied (empty for control segments).
+    /// `rcv_nxt` is the caller's reading of the state it already holds the
+    /// lock on; nothing here locks.
+    fn segment(&self, flags: TcpFlags, seq: u32, rcv_nxt: u32, payload: Bytes) -> BufChain {
+        TcpHeader {
             src_port: self.key.local_port,
             dst_port: self.key.peer_port,
             seq,
-            ack: if flags.ack { st.rcv_nxt } else { 0 },
+            ack: if flags.ack { rcv_nxt } else { 0 },
             flags,
             window: RECV_WINDOW,
-        };
-        drop(st);
-        let seg = header.encode_chain(payload);
+        }
+        .encode_chain(payload)
+    }
+
+    /// Sends [`TcpConn::segment`] — with the state lock released: the send
+    /// runs the `SendPacket` graph.
+    fn send_segment(&self, flags: TcpFlags, seq: u32, rcv_nxt: u32, payload: Bytes) {
+        let seg = self.segment(flags, seq, rcv_nxt, payload);
         let _ = self.stack.send_ip(self.key.peer, proto::TCP, seg);
     }
 
@@ -186,7 +178,11 @@ impl TcpConn {
         st.peer_window.min(st.cwnd).saturating_sub(in_flight)
     }
 
-    fn arm_rto(self: &Arc<Self>, st: &mut ConnState) {
+    /// Arms the retransmission timer, unless it is armed or nothing is in
+    /// flight. Called after the send it covers, whose charges set the
+    /// instant it counts from.
+    fn arm_rto(self: &Arc<Self>) {
+        let mut st = self.state.lock();
         if st.rto_timer.is_some() || st.retransmit.is_empty() {
             return;
         }
@@ -196,7 +192,7 @@ impl TcpConn {
     }
 
     fn on_rto(self: &Arc<Self>) {
-        let front = {
+        let (seq, data, fin, rcv_nxt) = {
             let mut st = self.state.lock();
             st.rto_timer = None;
             if st.retransmit.is_empty() || st.state == TcpState::Closed {
@@ -208,9 +204,8 @@ impl TcpConn {
             st.cwnd = MSS as u32;
             st.retransmissions += 1;
             let e = st.retransmit.front().expect("checked non-empty");
-            (e.seq, e.data.clone(), e.fin)
+            (e.seq, e.data.clone(), e.fin, st.rcv_nxt)
         };
-        let (seq, data, fin) = front;
         self.send_segment(
             TcpFlags {
                 ack: true,
@@ -218,10 +213,10 @@ impl TcpConn {
                 ..Default::default()
             },
             seq,
+            rcv_nxt,
             data,
         );
-        let mut st = self.state.lock();
-        self.arm_rto(&mut st);
+        self.arm_rto();
     }
 
     /// Sends `data`, blocking for window space as needed (copies once
@@ -237,77 +232,55 @@ impl TcpConn {
     /// stack as one burst (`send_ip_burst`), amortizing the `SendPacket`
     /// raise across the window. The one copy a byte pays is into its frame.
     pub fn send_buf(self: &Arc<Self>, ctx: &StrandCtx, data: Bytes) -> Result<(), TcpError> {
+        let ack = TcpFlags {
+            ack: true,
+            ..Default::default()
+        };
         let mut offset = 0;
         while offset < data.len() {
-            // Wait for window space.
-            loop {
+            // Wait for window space; the lock it is found under is kept.
+            let mut st = loop {
                 let mut st = self.state.lock();
                 match st.state {
                     TcpState::Established | TcpState::CloseWait => {}
                     _ => return Err(TcpError::Closed),
                 }
                 if Self::usable_window(&st) >= 1 {
-                    break;
+                    break st;
                 }
                 st.send_waiters.push(ctx.id());
                 drop(st);
                 ctx.block();
-            }
-            // Slice as many segments as the window permits in one burst.
-            let batch = {
-                let mut st = self.state.lock();
-                let mut window = Self::usable_window(&st) as usize;
-                let mut batch: Vec<(IpAddr, u8, BufChain)> = Vec::new();
-                while offset < data.len() && window > 0 {
-                    let n = (data.len() - offset).min(MSS).min(window);
-                    let chunk = data.slice(offset..offset + n);
-                    let seq = st.snd_nxt;
-                    st.snd_nxt = st.snd_nxt.wrapping_add(n as u32);
-                    st.retransmit.push_back(SendEntry {
-                        seq,
-                        data: chunk.clone(),
-                        fin: false,
-                    });
-                    let header = TcpHeader {
-                        src_port: self.key.local_port,
-                        dst_port: self.key.peer_port,
-                        seq,
-                        ack: st.rcv_nxt,
-                        flags: TcpFlags {
-                            ack: true,
-                            ..Default::default()
-                        },
-                        window: RECV_WINDOW,
-                    };
-                    batch.push((self.key.peer, proto::TCP, header.encode_chain(chunk)));
-                    offset += n;
-                    window -= n;
-                }
-                batch
             };
-            let _ = self.stack.send_ip_burst(batch);
-            {
-                let mut st = self.state.lock();
-                self.arm_rto(&mut st);
+            // Slice as many segments as the window permits in one burst.
+            let mut window = Self::usable_window(&st) as usize;
+            let mut batch: Vec<(IpAddr, u8, BufChain)> = Vec::new();
+            while offset < data.len() && window > 0 {
+                let n = (data.len() - offset).min(MSS).min(window);
+                let chunk = data.slice(offset..offset + n);
+                let seq = st.snd_nxt;
+                st.snd_nxt = st.snd_nxt.wrapping_add(n as u32);
+                st.retransmit.push_back(SendEntry {
+                    seq,
+                    data: chunk.clone(),
+                    fin: false,
+                });
+                let seg = self.segment(ack, seq, st.rcv_nxt, chunk);
+                batch.push((self.key.peer, proto::TCP, seg));
+                offset += n;
+                window -= n;
             }
+            drop(st);
+            let _ = self.stack.send_ip_burst(batch);
+            self.arm_rto();
         }
         Ok(())
     }
 
-    /// Receives the next in-order chunk; `None` once the peer has closed
-    /// and all data is drained.
+    /// Receives the next in-order chunk, blocking until the protocol
+    /// thread delivers one; `None` once the peer has closed and all data
+    /// is drained.
     pub fn recv(&self, ctx: &StrandCtx) -> Option<Bytes> {
-        if let Some(b) = self.incoming.try_recv() {
-            return Some(b);
-        }
-        {
-            let st = self.state.lock();
-            if st.fin_received || st.state == TcpState::Closed {
-                // Drain anything that raced in.
-                return self.incoming.try_recv();
-            }
-        }
-        // Block until the protocol thread delivers or the peer closes.
         self.incoming.recv(ctx)
     }
 
@@ -317,24 +290,12 @@ impl TcpConn {
         self.incoming.try_recv()
     }
 
-    /// Receives exactly `n` bytes (concatenating chunks).
-    pub fn recv_exact(&self, ctx: &StrandCtx, n: usize) -> Result<Vec<u8>, TcpError> {
-        let mut out = Vec::with_capacity(n);
-        while out.len() < n {
-            match self.recv(ctx) {
-                Some(b) => out.extend_from_slice(&b),
-                None => return Err(TcpError::Closed),
-            }
-        }
-        Ok(out)
-    }
-
     /// Fires the FIN without waiting for the close handshake — the
     /// poller-driven close: the caller (a server strand multiplexing many
     /// connections) must not block per connection. Returns whether a FIN
     /// was actually sent.
     pub fn begin_close(self: &Arc<Self>) -> bool {
-        let fin_seq = {
+        let (fin_seq, rcv_nxt) = {
             let mut st = self.state.lock();
             match st.state {
                 TcpState::Established => st.state = TcpState::FinWait1,
@@ -348,7 +309,7 @@ impl TcpConn {
                 data: Bytes::new(),
                 fin: true,
             });
-            seq
+            (seq, st.rcv_nxt)
         };
         self.send_segment(
             TcpFlags {
@@ -357,39 +318,45 @@ impl TcpConn {
                 ..Default::default()
             },
             fin_seq,
+            rcv_nxt,
             Bytes::new(),
         );
-        {
-            let mut st = self.state.lock();
-            self.arm_rto(&mut st);
-        }
+        self.arm_rto();
         true
     }
 
-    /// Closes the send side and waits for the close handshake.
+    /// Closes the send side and waits for the close handshake: until the
+    /// final ACK, the peer's FIN or an RST takes the state to `Closed`.
     pub fn close(self: &Arc<Self>, ctx: &StrandCtx) {
         if !self.begin_close() {
             return;
         }
-        // Wait until fully closed (bounded by the channel close).
-        let _ = self.closed.recv(ctx);
+        loop {
+            let mut st = self.state.lock();
+            if st.state == TcpState::Closed {
+                return;
+            }
+            st.close_waiters.push(ctx.id());
+            drop(st);
+            ctx.block();
+        }
     }
 
     /// Handles an inbound segment (protocol-thread context; must not
-    /// block).
-    fn on_segment(self: &Arc<Self>, seg: &TcpSegment) {
+    /// block) under one taking of the state lock. Returns whether the
+    /// segment closed the connection, which the stack then reaps.
+    fn on_segment(self: &Arc<Self>, seg: &TcpSegment) -> bool {
         let h = &seg.header;
         let mut wake_senders = Vec::new();
+        let mut closers = Vec::new();
         let mut deliver: Vec<Bytes> = Vec::new();
         let mut send_ack = false;
-        let mut now_established = false;
         let mut now_closed = false;
         let mut fin_arrived = false;
-        {
+        let (snd_nxt, rcv_nxt) = {
             let mut st = self.state.lock();
             if h.flags.rst {
                 st.state = TcpState::Closed;
-                st.fin_received = true;
                 now_closed = true;
                 wake_senders.append(&mut st.send_waiters);
             } else {
@@ -399,14 +366,12 @@ impl TcpConn {
                         st.rcv_nxt = h.seq.wrapping_add(1);
                         st.snd_una = h.ack;
                         st.state = TcpState::Established;
-                        now_established = true;
                         send_ack = true;
                         wake_senders.append(&mut st.send_waiters);
                     }
                     TcpState::SynReceived if h.flags.ack && !h.flags.syn => {
                         st.snd_una = h.ack;
                         st.state = TcpState::Established;
-                        now_established = true;
                     }
                     _ => {}
                 }
@@ -471,7 +436,6 @@ impl TcpConn {
                         }
                         if h.flags.fin {
                             st.rcv_nxt = st.rcv_nxt.wrapping_add(1);
-                            st.fin_received = true;
                             fin_arrived = true;
                             match st.state {
                                 TcpState::Established => st.state = TcpState::CloseWait,
@@ -491,74 +455,56 @@ impl TcpConn {
                     }
                 }
             }
-        }
-        let mut note_mask = 0u8;
-        if !deliver.is_empty() {
-            note_mask |= interest::READABLE;
-        }
+            if now_closed {
+                closers.append(&mut st.close_waiters);
+            }
+            (st.snd_nxt, st.rcv_nxt)
+        };
+        // The order below is the order of the wake-ups and sends it makes:
+        // each `unblock` charges and takes a place in the ready queue.
         for b in deliver {
-            self.incoming.try_push(b);
+            self.incoming.push(b);
         }
         if fin_arrived {
             // No more data will arrive: wake any blocked receiver. Queued
             // chunks are still drained before `recv` reports end-of-stream.
             self.incoming.close();
         }
-        if fin_arrived || now_closed {
-            note_mask |= interest::CLOSED;
-        }
-        if note_mask != 0 {
-            if let Some(r) = self.reg.lock().as_ref() {
-                r.note(note_mask);
-            }
-        }
         if send_ack {
-            let seq = self.state.lock().snd_nxt;
             self.send_segment(
                 TcpFlags {
                     ack: true,
                     ..Default::default()
                 },
-                seq,
+                snd_nxt,
+                rcv_nxt,
                 Bytes::new(),
             );
         }
         for w in wake_senders {
             self.exec.unblock(w);
         }
-        if now_established {
-            self.established.try_push(true);
-        }
         if now_closed {
             self.incoming.close();
-            self.closed.close();
+            for w in closers {
+                self.exec.unblock(w);
+            }
         }
+        now_closed
     }
 }
 
 impl Pollable for TcpConn {
     fn register(&self, r: Registration) -> u8 {
-        let mut level = 0;
-        if !self.incoming.is_empty() {
-            level |= interest::READABLE;
-        }
-        {
-            let st = self.state.lock();
-            if st.fin_received || st.state == TcpState::Closed {
-                level |= interest::CLOSED;
-            }
-        }
-        *self.reg.lock() = Some(r);
-        level
+        self.incoming.register(r)
     }
 }
 
 /// A passive listener: pollable (readiness `ACCEPT`), with a bounded
 /// backlog of established-but-unaccepted connections.
 pub struct TcpListenerSocket {
-    accept_ch: Arc<KChannel<Arc<TcpConn>>>,
+    accept_ch: ReadyQueue<Arc<TcpConn>>,
     pub port: u16,
-    reg: Mutex<Option<Registration>>,
 }
 
 impl TcpListenerSocket {
@@ -581,32 +527,26 @@ impl TcpListenerSocket {
 
 impl Pollable for TcpListenerSocket {
     fn register(&self, r: Registration) -> u8 {
-        let level = if self.accept_ch.is_empty() {
-            0
-        } else {
-            interest::ACCEPT
-        };
-        *self.reg.lock() = Some(r);
-        level
+        self.accept_ch.register(r)
     }
 }
 
-/// The listener snapshot: read-mostly (every SYN resolves a port),
-/// rebuilt-and-swapped on `listen`.
-type ListenerMap = BTreeMap<u16, Arc<TcpListenerSocket>>;
-
-/// One stripe of the connection table (see [`shard_of`]).
-type ConnShard = Mutex<BTreeMap<ConnKey, Arc<TcpConn>>>;
+/// A stack's connections and listeners. Everything that reads or writes
+/// them — the host's protocol strand routing a segment, a client strand in
+/// `connect`, set-up calling `listen` — runs on the host's executor one at
+/// a time, so one plain lock covers both maps (DESIGN.md decision 20).
+#[derive(Default)]
+struct Tables {
+    conns: BTreeMap<ConnKey, Arc<TcpConn>>,
+    listeners: BTreeMap<u16, Arc<TcpListenerSocket>>,
+}
 
 /// The per-host TCP extension.
 #[derive(Clone)]
 pub struct TcpStack {
     stack: NetStack,
     exec: Arc<Executor>,
-    /// Connection table, striped by [`shard_of`]: webscale install and
-    /// teardown never contend on a single stack-wide lock.
-    conns: Arc<Vec<ConnShard>>,
-    listeners: Arc<RwLock<Arc<ListenerMap>>>,
+    tables: Arc<Mutex<Tables>>,
     next_port: Arc<AtomicU32>,
     isn: Arc<AtomicU32>,
 }
@@ -618,12 +558,7 @@ impl TcpStack {
         let tcp = TcpStack {
             stack: stack.clone(),
             exec: stack.executor().clone(),
-            conns: Arc::new(
-                (0..CONN_SHARDS)
-                    .map(|_| Mutex::new(BTreeMap::new()))
-                    .collect(),
-            ),
-            listeners: Arc::new(RwLock::new(Arc::new(BTreeMap::new()))),
+            tables: Arc::default(),
             next_port: Arc::new(AtomicU32::new(0)),
             isn: Arc::new(AtomicU32::new(1_000)),
         };
@@ -655,14 +590,11 @@ impl TcpStack {
                 reassembly: BTreeMap::new(),
                 retransmit: VecDeque::new(),
                 send_waiters: Vec::new(),
+                close_waiters: Vec::new(),
                 rto_timer: None,
                 retransmissions: 0,
-                fin_received: false,
             }),
-            incoming: KChannel::new(self.exec.clone(), 1024),
-            established: KChannel::new(self.exec.clone(), 1),
-            closed: KChannel::new(self.exec.clone(), 1),
-            reg: Mutex::new(None),
+            incoming: ReadyQueue::new(self.exec.clone(), 1024, interest::READABLE),
         })
     }
 
@@ -676,17 +608,10 @@ impl TcpStack {
     /// recovers), so storm-scale servers size this to their drain rate.
     pub fn listen_backlog(&self, port: u16, depth: usize) -> Arc<TcpListenerSocket> {
         let listener = Arc::new(TcpListenerSocket {
-            accept_ch: KChannel::new(self.exec.clone(), depth),
+            accept_ch: ReadyQueue::new(self.exec.clone(), depth, interest::ACCEPT),
             port,
-            reg: Mutex::new(None),
         });
-        // Rebuild-and-swap: SYN routing reads the snapshot lock-free of
-        // any listen in progress.
-        let mut lk = self.listeners.write();
-        let mut map = (**lk).clone();
-        map.insert(port, listener.clone());
-        *lk = Arc::new(map);
-        drop(lk);
+        self.tables.lock().listeners.insert(port, listener.clone());
         listener
     }
 
@@ -706,7 +631,7 @@ impl TcpStack {
             peer_port: port,
         };
         let conn = self.new_conn(key, TcpState::SynSent, isn.wrapping_add(1), 0);
-        self.conns[shard_of(&key)].lock().insert(key, conn.clone());
+        self.tables.lock().conns.insert(key, conn.clone());
 
         for _attempt in 0..SYN_RETRIES {
             // Register for the establishment/RST wakeup before the SYN can
@@ -718,6 +643,7 @@ impl TcpStack {
                     ..Default::default()
                 },
                 isn,
+                0,
                 Bytes::new(),
             );
             // Wait for establishment, refusal, or a timeout tick.
@@ -733,14 +659,12 @@ impl TcpStack {
             self.exec.timers().cancel(timer);
             match conn.state() {
                 TcpState::Established => return Ok(conn),
-                TcpState::Closed => {
-                    self.conns[shard_of(&key)].lock().remove(&key);
-                    return Err(TcpError::Refused);
-                }
+                // The RST that closed it has had it reaped already.
+                TcpState::Closed => return Err(TcpError::Refused),
                 _ => {}
             }
         }
-        self.conns[shard_of(&key)].lock().remove(&key);
+        self.tables.lock().conns.remove(&key);
         Err(TcpError::Timeout)
     }
 
@@ -750,28 +674,23 @@ impl TcpStack {
             peer: seg.ip.src,
             peer_port: seg.header.src_port,
         };
-        let shard = shard_of(&key);
-        let existing = self.conns[shard].lock().get(&key).cloned();
-        if let Some(conn) = existing {
-            conn.on_segment(seg);
+        let mut tables = self.tables.lock();
+        if let Some(conn) = tables.conns.get(&key).cloned() {
+            drop(tables);
             // Reap fully closed connections.
-            if conn.state() == TcpState::Closed {
-                self.conns[shard].lock().remove(&key);
+            if conn.on_segment(seg) {
+                self.tables.lock().conns.remove(&key);
             }
             return;
         }
         if seg.header.flags.syn && !seg.header.flags.ack {
-            let listener = self.listeners.read().get(&key.local_port).cloned();
-            if let Some(listener) = listener {
+            if let Some(listener) = tables.listeners.get(&key.local_port).cloned() {
                 // Passive open: SYN-RECEIVED, send SYN-ACK.
                 let isn = self.isn.fetch_add(64_000, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
-                let conn = self.new_conn(
-                    key,
-                    TcpState::SynReceived,
-                    isn.wrapping_add(1),
-                    seg.header.seq.wrapping_add(1),
-                );
-                self.conns[shard].lock().insert(key, conn.clone());
+                let rcv_nxt = seg.header.seq.wrapping_add(1);
+                let conn = self.new_conn(key, TcpState::SynReceived, isn.wrapping_add(1), rcv_nxt);
+                tables.conns.insert(key, conn.clone());
+                drop(tables);
                 conn.send_segment(
                     TcpFlags {
                         syn: true,
@@ -779,15 +698,14 @@ impl TcpStack {
                         ..Default::default()
                     },
                     isn,
+                    rcv_nxt,
                     Bytes::new(),
                 );
-                listener.accept_ch.try_push(conn);
-                if let Some(r) = listener.reg.lock().as_ref() {
-                    r.note(interest::ACCEPT);
-                }
+                listener.accept_ch.push(conn);
                 return;
             }
         }
+        drop(tables);
         // No connection, no listener: refuse.
         if !seg.header.flags.rst {
             let reply = TcpHeader {
@@ -809,7 +727,7 @@ impl TcpStack {
 
     /// Open connections (diagnostics).
     pub fn connection_count(&self) -> usize {
-        self.conns.iter().map(|s| s.lock().len()).sum()
+        self.tables.lock().conns.len()
     }
 }
 
@@ -826,8 +744,10 @@ fn seq_le(a: u32, b: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::poll::NetPoller;
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
+    use spin_sched::IdleOutcome;
 
     fn tcp_rig() -> (TwoHosts, TcpStack, TcpStack) {
         let rig = TwoHosts::new();
@@ -956,6 +876,139 @@ mod tests {
         rig.exec.run_until_idle();
         assert_eq!(a.connection_count(), 0);
         assert_eq!(b.connection_count(), 0);
+    }
+
+    #[test]
+    fn a_blocked_close_is_released_by_the_final_ack() {
+        let (rig, a, b) = tcp_rig();
+        let listener = b.listen(80);
+        let clock = rig.exec.clock().clone();
+        let closes = Arc::new(Mutex::new(Vec::new()));
+        let (c2, b2) = (closes.clone(), b.clone());
+        rig.exec.spawn("server", move |ctx| {
+            let conn = listener.accept(ctx).expect("client");
+            while conn.recv(ctx).is_some() {}
+            // The peer's FIN is in: `close` sends ours from CLOSE-WAIT and
+            // sleeps in LAST-ACK until the ACK that answers it.
+            let t0 = clock.now();
+            conn.close(ctx);
+            c2.lock()
+                .push((conn.state(), clock.now() > t0, b2.connection_count()));
+            // Closed already: nothing to send, nothing to wait for.
+            let t1 = clock.now();
+            conn.close(ctx);
+            assert_eq!(clock.now(), t1, "a second close returns at once");
+        });
+        let dst = rig.b_ip(Medium::Ethernet);
+        rig.exec.spawn("client", move |ctx| {
+            let conn = a.connect(ctx, dst, 80).unwrap();
+            conn.send(ctx, b"bye").unwrap();
+            conn.close(ctx);
+            assert_eq!(conn.state(), TcpState::Closed);
+        });
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(*closes.lock(), [(TcpState::Closed, true, 0)]);
+    }
+
+    #[test]
+    fn a_blocked_close_is_released_by_a_reset() {
+        const RESET_AFTER: Nanos = 1_000_000_000;
+        let (rig, a, b) = tcp_rig();
+        let _listener = b.listen(80);
+        let (src, dst) = (rig.a.ip_on(Medium::Ethernet), rig.b_ip(Medium::Ethernet));
+        let (stack, wire, a2) = (rig.a.clone(), rig.board.ethernet.clone(), a.clone());
+        let released = Arc::new(Mutex::new(None));
+        let r2 = released.clone();
+        rig.exec.spawn("client", move |ctx| {
+            let conn = a2.connect(ctx, dst, 80).unwrap();
+            // From here the wire eats every frame: the FIN is retransmitted
+            // and never answered, so only the reset can end the wait.
+            wire.set_drop_filter(|_| true);
+            let exec = ctx.executor().clone();
+            let reset = TcpSegment {
+                ip: crate::pkt::Ipv4Header {
+                    src: dst,
+                    dst: src,
+                    protocol: proto::TCP,
+                    ttl: 64,
+                    total_len: 40,
+                },
+                header: TcpHeader {
+                    src_port: 80,
+                    dst_port: conn.local_port(),
+                    seq: 0,
+                    ack: 0,
+                    flags: TcpFlags {
+                        rst: true,
+                        ..Default::default()
+                    },
+                    window: 0,
+                },
+                payload: Bytes::new(),
+            };
+            let t0 = exec.clock().now();
+            exec.timers().schedule_at(t0 + RESET_AFTER, move |_| {
+                let _ = stack.events().tcp_arrived.raise(reset);
+            });
+            conn.close(ctx);
+            *r2.lock() = Some((conn.state(), exec.clock().now() - t0));
+        });
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        let (state, waited) = released.lock().expect("close returned");
+        assert_eq!(state, TcpState::Closed);
+        assert!(waited >= RESET_AFTER, "released after {waited} ns");
+        assert_eq!(a.connection_count(), 0, "the reset reaped it");
+    }
+
+    #[test]
+    fn churn_of_every_connect_outcome_leaves_the_table_empty() {
+        let (rig, a, b) = tcp_rig();
+        let listener = b.listen(80);
+        rig.exec.spawn("server", move |ctx| {
+            while let Some(conn) = listener.accept(ctx) {
+                while conn.recv(ctx).is_some() {}
+                conn.close(ctx);
+            }
+        });
+        let dst = rig.b_ip(Medium::Ethernet);
+        let (a2, wire) = (a.clone(), rig.board.ethernet.clone());
+        let outcomes = Arc::new(Mutex::new(Vec::new()));
+        let o2 = outcomes.clone();
+        let client = rig.exec.spawn("client", move |ctx| {
+            for _ in 0..3 {
+                let conn = a2.connect(ctx, dst, 80).expect("listening");
+                conn.send(ctx, b"hello").unwrap();
+                conn.close(ctx);
+                o2.lock().push(a2.connect(ctx, dst, 81).err());
+            }
+            // Every SYN from here on is lost: the attempts time out.
+            wire.set_drop_filter(|_| true);
+            for _ in 0..2 {
+                o2.lock().push(a2.connect(ctx, dst, 80).err());
+            }
+        });
+        // The server strand is left in `accept`; the client must finish.
+        rig.exec.run_until_idle();
+        assert!(rig.exec.is_done(client) && !rig.exec.panicked(client));
+        let (refused, timed_out) = (Some(TcpError::Refused), Some(TcpError::Timeout));
+        let expect = [&refused, &refused, &refused, &timed_out, &timed_out];
+        assert!(outcomes.lock().iter().eq(expect), "{outcomes:?}");
+        assert_eq!((a.connection_count(), b.connection_count()), (0, 0));
+    }
+
+    #[test]
+    fn a_listener_registered_after_connections_queued_reports_accept() {
+        let (rig, a, b) = tcp_rig();
+        let listener = b.listen(80);
+        let dst = rig.b_ip(Medium::Ethernet);
+        rig.exec.spawn("client", move |ctx| {
+            a.connect(ctx, dst, 80).expect("handshake");
+        });
+        rig.exec.run_until_idle();
+        assert_eq!(listener.backlog(), 1);
+        let poller = NetPoller::new(&rig.b);
+        poller.add(listener.as_ref(), 3, interest::ACCEPT);
+        assert_eq!(poller.try_wait(), [(3, interest::ACCEPT)]);
     }
 
     #[test]

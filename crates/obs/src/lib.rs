@@ -28,7 +28,7 @@
 //! through the nameserver (the `ObsService` domain registered by
 //! `Kernel::install_obs`) and as the `Obs.Snapshot` dispatcher event.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod account;
 pub mod render;

@@ -29,14 +29,6 @@
 //! its `WRITING` sentinel (stored earlier in program order) on the second
 //! validation. The `spin-check` model checker explores exactly this
 //! interleaving (see `crates/check/tests/checks.rs`, seqlock check).
-//!
-//! # Safety
-//!
-//! This module contains the kernel's only `unsafe` blocks: bounds-check
-//! elision on the hot-path slot lookup. The invariant is local and
-//! unconditional — `slots` is allocated with exactly `cap` elements in
-//! [`Ring::new`] and never reallocated, and every index is computed as
-//! `pos % cap`, which is `< cap` for any `pos` because `cap >= 1`.
 
 use crate::account::DomainId;
 use crate::Nanos;
@@ -191,9 +183,7 @@ impl Ring {
         // ordering: Relaxed suffices for the claim — the cursor only
         // allocates positions; publication is carried by the slot seqlock.
         let pos = self.write.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `slots` holds exactly `cap` elements (allocated in
-        // `new`, never resized) and `pos % cap < cap` since `cap >= 1`.
-        let slot = unsafe { self.slots.get_unchecked((pos % self.cap) as usize) };
+        let slot = &self.slots[(pos % self.cap) as usize];
         // The sentinel orders the *previous* record's words before
         // `WRITING` becomes visible, so a reader that saw the old sequence
         // cannot blame this writer for a torn old record.
@@ -278,9 +268,7 @@ impl Ring {
     /// Seqlock-validated read of position `pos`; `None` if the slot no
     /// longer (or does not yet stably) hold that position's record.
     fn read_slot(&self, pos: u64) -> Option<TraceRecord> {
-        // SAFETY: `slots` holds exactly `cap` elements (allocated in
-        // `new`, never resized) and `pos % cap < cap` since `cap >= 1`.
-        let slot = unsafe { self.slots.get_unchecked((pos % self.cap) as usize) };
+        let slot = &self.slots[(pos % self.cap) as usize];
         // The first validation pairs with the writer's Release publish of
         // `pos + 1`; the record words are visible once the sequence is.
         // ordering: Acquire — pairs with the Release sequence publish.

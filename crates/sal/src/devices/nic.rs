@@ -9,10 +9,9 @@
 
 use crate::clock::Clock;
 use crate::cost::MachineProfile;
-use crate::wire::{Outbound, Receiver, Wire, WireEndpoint};
+use crate::wire::{Outbound, Receiver, RxRing, Wire, WireEndpoint};
 use bytes::Bytes;
 use spin_check::sync::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How the card moves bytes between memory and the wire.
@@ -119,7 +118,7 @@ pub struct Nic {
     model: NicModel,
     addr: WireEndpoint,
     wire: Wire,
-    rx: Arc<Mutex<VecDeque<Frame>>>,
+    rx: Arc<Mutex<RxRing>>,
     clock: Clock,
     profile: Arc<MachineProfile>,
     stats: Arc<Mutex<NicStats>>,
@@ -231,7 +230,7 @@ impl Nic {
     /// Pulls the next received frame, charging the driver and the inbound
     /// copy.
     pub fn receive(&self) -> Option<Frame> {
-        let frame = self.rx.lock().pop_front()?;
+        let frame = self.rx.lock().frames.pop_front()?;
         self.charge_io(frame.payload.len());
         {
             let mut st = self.stats.lock();
@@ -244,7 +243,7 @@ impl Nic {
     /// Number of frames waiting in the receive queue.
     // uncharged: diagnostics accessor.
     pub fn rx_pending(&self) -> usize {
-        self.rx.lock().len()
+        self.rx.lock().frames.len()
     }
 
     /// (tx frames, tx bytes, rx frames, rx bytes).

@@ -62,10 +62,6 @@ pub trait SchedulerPolicy: Send {
     fn enqueue(&mut self, strand: StrandId, priority: u8);
     /// Picks the next strand to run.
     fn dequeue(&mut self) -> Option<StrandId>;
-    /// Removes a strand wherever it is queued.
-    fn remove(&mut self, strand: StrandId);
-    /// Policy name for diagnostics.
-    fn name(&self) -> &'static str;
 }
 
 /// The default global scheduler: "a round-robin, preemptive, priority
@@ -85,14 +81,6 @@ impl SchedulerPolicy for RoundRobinPriority {
         let (&prio, _) = self.queues.iter().rev().find(|(_, q)| !q.is_empty())?;
         let q = self.queues.get_mut(&prio).expect("found above");
         q.pop_front()
-    }
-    fn remove(&mut self, strand: StrandId) {
-        for q in self.queues.values_mut() {
-            q.retain(|&s| s != strand);
-        }
-    }
-    fn name(&self) -> &'static str {
-        "round-robin preemptive priority"
     }
 }
 
@@ -1554,12 +1542,6 @@ mod tests {
             fn dequeue(&mut self) -> Option<StrandId> {
                 self.0.pop_front()
             }
-            fn remove(&mut self, s: StrandId) {
-                self.0.retain(|&x| x != s);
-            }
-            fn name(&self) -> &'static str {
-                "doubling"
-            }
         }
         let e = exec();
         e.set_policy(Box::<Doubling>::default());
@@ -1633,12 +1615,6 @@ mod tests {
             }
             fn dequeue(&mut self) -> Option<StrandId> {
                 self.0.pop()
-            }
-            fn remove(&mut self, s: StrandId) {
-                self.0.retain(|&x| x != s);
-            }
-            fn name(&self) -> &'static str {
-                "lifo"
             }
         }
         let e = exec();

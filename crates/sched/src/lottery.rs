@@ -77,14 +77,6 @@ impl SchedulerPolicy for LotteryPolicy {
         }
         unreachable!("draw bounded by total tickets");
     }
-
-    fn remove(&mut self, strand: StrandId) {
-        self.ready.retain(|&s| s != strand);
-    }
-
-    fn name(&self) -> &'static str {
-        "lottery (proportional share)"
-    }
 }
 
 #[cfg(test)]

@@ -265,6 +265,13 @@ impl<T: Send> KChannel<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Items queued and whether the channel is closed, in one reading (a
+    /// poller's level for the channel at registration).
+    pub fn level(&self) -> (usize, bool) {
+        let st = self.state.lock();
+        (st.queue.len(), st.closed)
+    }
 }
 
 #[cfg(test)]

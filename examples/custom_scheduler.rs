@@ -38,12 +38,6 @@ impl SchedulerPolicy for ShortestJobFirst {
             .min_by_key(|(_, s)| declared.get(s).copied().unwrap_or(u64::MAX))?;
         Some(self.ready.remove(i))
     }
-    fn remove(&mut self, strand: StrandId) {
-        self.ready.retain(|&s| s != strand);
-    }
-    fn name(&self) -> &'static str {
-        "shortest-job-first"
-    }
 }
 
 fn main() {

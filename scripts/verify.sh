@@ -109,8 +109,8 @@ lint_gate() {
     }
     local allow_entries
     allow_entries=$(grep -c '^\[\[allow\]\]' lint.toml)
-    if [ "$allow_entries" -gt 10 ]; then
-        echo "verify: lint.toml has $allow_entries allow entries (cap: 10)" >&2
+    if [ "$allow_entries" -gt 2 ]; then
+        echo "verify: lint.toml has $allow_entries allow entries (cap: 2)" >&2
         return 1
     fi
     # The full-workspace lint must stay an instant pre-commit check, or it
@@ -120,18 +120,6 @@ lint_gate() {
         return 1
     fi
     echo "    spin-lint: clean in ${ms}ms ($allow_entries allow entries)"
-}
-
-# Miri needs its sysroot (a network fetch on first run); skip cleanly when
-# it is not already set up (offline CI).
-miri_gate() {
-    if ! cargo miri --version >/dev/null 2>&1; then
-        echo "    miri not installed; skipping"
-    elif MIRIFLAGS="-Zmiri-disable-isolation" cargo miri setup >/dev/null 2>&1; then
-        MIRIFLAGS="-Zmiri-disable-isolation" cargo miri test -q -p spin-obs ring
-    else
-        echo "    miri sysroot unavailable (offline?); skipping"
-    fi
 }
 
 gate tier1-build cargo build --release
@@ -198,7 +186,6 @@ gate spin-check-b3 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin
     cargo test -q -p spin-check --test checks raise_prologue_models_at_bound3 -- --ignored
 gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
     CARGO_TARGET_DIR=target/spin-check-mutant cargo test -q -p spin-check --test mutants
-gate miri miri_gate
 # --all-targets: the Criterion bench and the examples are compiled by no
 # other gate, so without it a kernel-crate refactor can rot them unseen.
 gate clippy cargo clippy --workspace --all-targets -- -D warnings

@@ -86,11 +86,50 @@ pub fn sweep_workers<V: PartialEq + Debug>(mut run: impl FnMut(usize) -> (V, f64
     let mut wall_ms = [base_ms; 3];
     for (slot, &w) in wall_ms.iter_mut().zip(&WORKERS).skip(1) {
         let (v, ms) = run(w);
-        assert_eq!(
-            v, virt,
-            "virtual outputs diverged at {w} workers — the barrier is broken"
-        );
+        if v != virt {
+            // The outputs are multi-kilobyte structs of one shape: show
+            // only the lines of their pretty forms that differ.
+            let (one, many) = (format!("{virt:#?}"), format!("{v:#?}"));
+            let mut report =
+                format!("virtual outputs diverged at {w} workers — the barrier is broken");
+            for (n, (a, b)) in one.lines().zip(many.lines()).enumerate() {
+                if a != b {
+                    let (a, b) = (a.trim(), b.trim());
+                    report += &format!("\n  line {}: `{a}` at 1 worker, `{b}` at {w}", n + 1);
+                }
+            }
+            panic!("{report}");
+        }
         *slot = ms;
     }
     Swept { virt, wall_ms }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[derive(Debug, PartialEq)]
+    struct Out {
+        frames: u64,
+        sum: u64,
+    }
+
+    #[test]
+    fn a_divergence_names_the_worker_count_and_only_the_differing_lines() {
+        let panic = std::panic::catch_unwind(|| {
+            sweep_workers(|w| {
+                let sum = if w == 4 { 7 } else { 9 };
+                (Out { frames: 5, sum }, 0.0)
+            })
+        })
+        .err()
+        .expect("the sweep must refuse a divergence");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert_eq!(
+            msg,
+            "virtual outputs diverged at 4 workers — the barrier is broken\n  \
+             line 3: `sum: 9,` at 1 worker, `sum: 7,` at 4"
+        );
+    }
 }

@@ -141,18 +141,6 @@ macro_rules! instrumented_atomic {
                 }
             }
 
-            /// Modeled without spurious failure (a sound subset of the
-            /// weak variant's behaviors).
-            pub fn compare_exchange_weak(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                self.compare_exchange(current, new, success, failure)
-            }
-
             fn rmw(
                 &self,
                 ord: Ordering,

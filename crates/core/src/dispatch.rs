@@ -781,12 +781,6 @@ impl<A, R> RebindReceipt<A, R> {
         &self.installed
     }
 
-    /// How many of the old version's handlers the rebind removed.
-    // uncharged: receipt accessor.
-    pub fn removed_count(&self) -> usize {
-        self.removed.len()
-    }
-
     /// The identity whose handlers were removed.
     // uncharged: receipt accessor.
     pub fn old_installer(&self) -> &Identity {

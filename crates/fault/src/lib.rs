@@ -174,11 +174,6 @@ impl FaultPlan {
         self.inner.enabled.store(on, Ordering::Release); // ordering: Release — publishes plan edits made before the toggle.
     }
 
-    /// Whether draws may inject.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled.load(Ordering::Relaxed) // ordering: Relaxed — advisory read for reporting only.
-    }
-
     fn site(&self, name: &'static str) -> Arc<SiteState> {
         {
             let sites = self.inner.sites.read();

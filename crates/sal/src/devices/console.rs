@@ -35,12 +35,6 @@ impl Console {
         }
     }
 
-    /// Writes one character to the console.
-    pub fn put_char(&self, c: u8) {
-        self.clock.advance(self.profile.pio(1));
-        self.state.lock().output.push(c);
-    }
-
     /// Writes a whole string.
     pub fn put_str(&self, s: &str) {
         self.clock.advance(self.profile.pio(s.len()));

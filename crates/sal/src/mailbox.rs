@@ -20,8 +20,17 @@
 //! sender (wire lane base + source endpoint, or the cross-call base + the
 //! sending host), so concurrent posts from different senders never share a
 //! lane, and `seq` is a per-lane counter, so posts from one sender keep
-//! their program order. The drain order is therefore a pure function of
-//! virtual time, independent of which worker thread posted first.
+//! their program order. One drain's order is therefore a pure function of
+//! virtual time, independent of which worker thread posted first — and
+//! *which* envelopes one drain takes is too, because of who drains and
+//! when: `Multicore`'s coordinator alone, between the two barriers of an
+//! epoch, when no shard is running and so nobody can post (the mailboxes
+//! of exactly the shards it has just planned). A drain racing its posters
+//! is a legal use of this type — every operation is under the lock, and
+//! spin-check's `mailbox_model` explores exactly that race — but the
+//! kernel does not make it: a drain in the parallel phase would take
+//! whatever the host had let the peers post so far, and equal-instant
+//! envelopes from two lanes would then fire in drain-batch order.
 
 use crate::clock::{Nanos, TimerFn};
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
@@ -190,10 +199,10 @@ impl Mailbox {
 
     /// Drains every pending envelope in `(deliver_at, lane, seq)` order.
     ///
-    /// Called by the shard loop at an epoch boundary; the caller schedules
-    /// each envelope on the local timer queue (scheduling in ascending
-    /// order preserves the total order for equal deadlines, because timer
-    /// ids break ties FIFO).
+    /// Called by the epoch coordinator at the barrier; the caller
+    /// schedules each envelope on the local timer queue (scheduling in
+    /// ascending order preserves the total order for equal deadlines,
+    /// because timer ids break ties FIFO).
     pub fn drain(&self) -> Vec<Envelope> {
         // ordering: Acquire — pairs with the Release in `post`; an empty probe means nothing to drain.
         if self.pending.load(Ordering::Acquire) == 0 {

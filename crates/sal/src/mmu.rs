@@ -377,16 +377,6 @@ impl Mmu {
         let st = self.state.lock();
         (st.tlb.hits, st.tlb.misses)
     }
-
-    /// Number of translations installed in a context.
-    pub fn mapping_count(&self, ctx: ContextId) -> Result<usize, MmuFault> {
-        let st = self.state.lock();
-        Ok(st
-            .contexts
-            .get(&ctx)
-            .ok_or(MmuFault::NoSuchContext(ctx))?
-            .len())
-    }
 }
 
 #[cfg(test)]

@@ -10,13 +10,12 @@
 //!
 //! [`StrandEvents::attach`] defines `Strand.Block`, `Strand.Unblock`,
 //! `Strand.Checkpoint` and `Strand.Resume` on a dispatcher and wires the
-//! executor to raise them at the corresponding transitions. The owner
-//! authorization installs a guard restricting each handler to the set of
-//! strands its installer presents capabilities for.
+//! executor to raise them at the corresponding transitions. A thread
+//! package limits a handler to the strands it holds capabilities for by
+//! installing it behind a guard (`Event::install_guarded`).
 
 use crate::executor::{Executor, StrandId};
-use spin_core::{Dispatcher, Event, Identity, InstallDecision};
-use std::collections::HashSet;
+use spin_core::{Dispatcher, Event, Identity};
 use std::sync::Arc;
 
 /// Event argument: the strand a scheduling transition concerns.
@@ -80,21 +79,6 @@ impl StrandEvents {
         );
         ev
     }
-
-    /// An owner-style authorizer restricting handlers to a capability set
-    /// of strands: installs get a guard comparing the event's strand
-    /// against `owned`.
-    pub fn capability_guard(
-        owned: HashSet<StrandId>,
-    ) -> impl Fn(&spin_core::InstallRequest) -> InstallDecision<StrandRef> + Send + Sync {
-        move |_req| InstallDecision::Allow {
-            owner_guard: Some({
-                let owned = owned.clone();
-                Arc::new(move |s: &StrandRef| owned.contains(&s.0))
-            }),
-            constraints: None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -102,6 +86,7 @@ mod tests {
     use super::*;
     use spin_check::sync::Mutex;
     use spin_sal::SimBoard;
+    use std::collections::HashSet;
 
     fn rig() -> (Arc<Executor>, Dispatcher, StrandEvents) {
         let board = SimBoard::new();

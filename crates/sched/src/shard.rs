@@ -32,6 +32,22 @@
 //! which shard is irrelevant: the plan is a pure function of virtual-time
 //! state, all of it deterministic.
 //!
+//! An epoch is **plan → deliver → run**. Between the two barriers, with
+//! every worker parked, the coordinator plans and then moves the mail of
+//! exactly the shards it planned from their mailboxes onto their timer
+//! queues; only then do the workers run their shares. The coordinator is
+//! every mailbox's only reader and nothing in the parallel phase reads
+//! one, so what a shard's timer queue holds when its share starts is a
+//! function of the plan history alone, at every worker count. (A shard
+//! draining its own mailbox while peers are still posting into it would
+//! take whatever the host had let them post so far.) An unplanned shard
+//! keeps its mail: only its earliest deadline is read, for its horizon.
+//! The tie rule as it stands: equal-instant envelopes delivered at the
+//! same barrier fire in `(lane, seq)` order; delivered at different
+//! barriers, in barrier order — deterministic, but a function of the plan
+//! history; a timer queue ordered `(deadline, lane, seq)` throughout
+//! would drop the second clause (DESIGN.md decision #9).
+//!
 //! A shard may overshoot its grant (a strand charges a big slice of work
 //! in one `work()` call); mail that then lands "in its past" is delivered
 //! at the shard's — deterministic — local clock instead, exactly as a real
@@ -40,7 +56,7 @@
 //! rollback.
 
 use crate::executor::{Executor, IdleOutcome};
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use spin_check::sync::{AtomicU64, Ordering};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
@@ -300,76 +316,67 @@ impl Multicore {
         // Worker 0 (this thread) coordinates; all workers, coordinator
         // included, execute their round-robin share of each epoch's plan
         // between two barriers. One worker is the coordinator with nobody
-        // to wait for.
+        // to wait for. An empty published plan tells the workers to stop:
+        // a real plan always holds the GVT shard.
         let barrier = SpinBarrier::new(workers as u64);
         let plan_cell: spin_check::sync::Mutex<Vec<(usize, Nanos)>> =
             spin_check::sync::Mutex::new(Vec::new());
-        let stop = AtomicBool::new(false);
-        let mut outcome = IdleOutcome::AllComplete;
         std::thread::scope(|scope| {
             for w in 1..workers {
-                let barrier = &barrier;
-                let plan_cell = &plan_cell;
-                let stop = &stop;
-                let this = &*self;
+                let (barrier, plan_cell) = (&barrier, &plan_cell);
                 scope.spawn(move || {
-                    let mut plan = Vec::with_capacity(this.shards.len());
+                    let mut plan = Vec::with_capacity(self.shards.len());
                     loop {
                         barrier.wait(); // plan published
-                                        // ordering: Acquire — pairs with the coordinator's Release store; after it, no plan will follow.
-                        if stop.load(Ordering::Acquire) {
+                        plan.clone_from(&*plan_cell.lock());
+                        if plan.is_empty() {
                             break;
                         }
-                        plan.clone_from(&*plan_cell.lock());
-                        for (k, &(idx, grant)) in plan.iter().enumerate() {
-                            if k % workers == w {
-                                this.run_shard(idx, grant);
-                            }
-                        }
+                        self.run_share(&plan, w, workers);
                         barrier.wait(); // epoch complete
                     }
                 });
             }
             loop {
-                if let Some(out) = self.plan_epoch(deadline, &mut next, &mut plan) {
-                    outcome = out;
-                    stop.store(true, Ordering::Release); // ordering: Release — published before the barrier opens so workers observing the open barrier see the stop flag.
-                    barrier.wait();
-                    break;
-                }
-                if workers.min(plan.len()) == 1 {
+                let done = self.plan_epoch(deadline, &mut next, &mut plan);
+                if done.is_none() && workers.min(plan.len()) == 1 {
                     // The whole epoch is this thread's share: run it
                     // without publishing the plan or crossing a barrier.
                     // The other workers stay parked at "plan published",
                     // which orders this epoch before their next one.
-                    for &(idx, grant) in &plan {
-                        self.run_shard(idx, grant);
-                    }
+                    self.run_share(&plan, 0, 1);
                     continue;
                 }
                 plan_cell.lock().clone_from(&plan);
                 barrier.wait(); // release the plan
-                for (k, &(idx, grant)) in plan.iter().enumerate() {
-                    if k % workers == 0 {
-                        self.run_shard(idx, grant);
-                    }
+                if let Some(outcome) = done {
+                    return outcome;
                 }
+                self.run_share(&plan, 0, workers);
                 barrier.wait(); // wait for the epoch
             }
-        });
-        outcome
+        })
     }
 
-    /// Computes one epoch's plan into `plan`: `(shard index, grant)` for
-    /// every shard cleared to run. A pure function of deterministic
-    /// virtual-time state. Returns the run's outcome instead when there is
-    /// nothing left to plan. `next` is scratch (the shards' horizons).
+    /// Computes one epoch's plan into `plan` — `(shard index, grant)` for
+    /// every shard cleared to run, a pure function of deterministic
+    /// virtual-time state — and delivers those shards' mail to their timer
+    /// queues. Returns the run's outcome instead, and leaves `plan` empty,
+    /// when there is nothing left to plan. `next` is scratch (the shards'
+    /// horizons).
+    ///
+    /// Runs only between the two barriers, when no worker is running and
+    /// nobody can post. The unplanned shards' mailboxes are left alone on
+    /// purpose: draining all of them every epoch would break ties among
+    /// equal-instant envelopes by posting epoch instead of by lane while a
+    /// shard sits out (it moved `http_storm`'s digest; DESIGN.md #9).
     fn plan_epoch(
         &self,
         deadline: Nanos,
         next: &mut Vec<Option<Nanos>>,
         plan: &mut Vec<(usize, Nanos)>,
     ) -> Option<IdleOutcome> {
+        plan.clear();
         next.clear();
         next.extend(self.shards.iter().map(|sh| {
             let local = sh.exec.next_event_time();
@@ -390,29 +397,35 @@ impl Multicore {
             return Some(IdleOutcome::DeadlineReached);
         }
         self.epochs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        if let Some(obs) = self.obs.get() {
+        let obs = self.obs.get();
+        if let Some(obs) = obs {
             obs.trace(TraceKind::ShardEpoch, gvt, 0);
         }
         fill_grants(next, gvt, self.lookahead, deadline, plan);
-        debug_assert!(!plan.is_empty(), "the GVT shard always qualifies");
+        assert!(!plan.is_empty(), "the GVT shard always qualifies");
+        // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.shard_runs
+            .fetch_add(plan.len() as u64, Ordering::Relaxed);
+        for &(idx, _) in plan.iter() {
+            let sh = &self.shards[idx];
+            for env in sh.host.mailbox.drain() {
+                if let Some(obs) = obs {
+                    obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
+                }
+                sh.host.timers.schedule_boxed(env.deliver_at, env.action);
+            }
+        }
         None
     }
 
-    /// Runs one shard for one epoch: move due mail to the local timer
-    /// queue, then execute up to the grant.
-    fn run_shard(&self, idx: usize, grant: Nanos) {
-        self.shard_runs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        let sh = &self.shards[idx];
-        let obs = self.obs.get();
-        for env in sh.host.mailbox.drain() {
-            if let Some(obs) = obs {
-                obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
-            }
-            sh.host.timers.schedule_boxed(env.deliver_at, env.action);
+    /// Runs one worker's share of an epoch — every `stride`-th planned
+    /// shard from the `first` — each up to its grant.
+    fn run_share(&self, plan: &[(usize, Nanos)], first: usize, stride: usize) {
+        for &(idx, grant) in plan.iter().skip(first).step_by(stride) {
+            // The per-shard outcome is not the system outcome: a "deadlocked"
+            // shard may be woken by mail in a later epoch. `plan_epoch` decides.
+            let _ = self.shards[idx].exec.run_until(grant);
         }
-        // The per-shard outcome is not the system outcome: a "deadlocked"
-        // shard may be woken by mail in a later epoch. `plan_epoch` decides.
-        let _ = sh.exec.run_until(grant);
     }
 
     /// All shards idle and no mail in flight: done. Blocked non-daemon
@@ -589,14 +602,14 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_run_until_idle() {
         let (_board, mc) = rig(1, 1);
-        let done = Arc::new(AtomicBool::new(false));
+        let done = Arc::new(AtomicU64::new(0));
         let d = done.clone();
         mc.shards()[0].exec.spawn("solo", move |ctx| {
             ctx.work(10_000);
-            d.store(true, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            d.store(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         });
         assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(done.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(done.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
     }
 
     /// Cross-shard ping over the wire: virtual arrival identical at 1, 2

@@ -41,11 +41,6 @@ impl UnixAddressSpace {
     pub fn context(&self) -> ContextId {
         self.ctx
     }
-
-    /// Number of mapped segments.
-    pub fn segment_count(&self) -> usize {
-        self.segments.lock().len()
-    }
 }
 
 /// A copy-on-write share: one frame referenced by several spaces.

@@ -60,12 +60,25 @@ gate() {
     echo "    $name: $((ms / 1000)).$(printf '%03d' $((ms % 1000)))s"
 }
 
+# one_cpu <cmd...>: runs a command pinned to CPU 0. On one CPU the host
+# runs a Multicore's workers one after another in an order of its own
+# choosing — the schedule on which worker-count identity failed every time
+# while shards drained their own mailboxes (DESIGN.md decision #9). Without
+# `taskset` it says so and passes: never a silent skip.
+one_cpu() {
+    if ! command -v taskset >/dev/null; then
+        echo "    skipped, taskset is not on the PATH: $*" >&2
+        return 0
+    fi
+    taskset -c 0 "$@"
+}
+
 # emits <bin> <file...>: runs a bench bin with --json in the scratch dir
-# and requires each named report to be written.
+# (under $PIN, if set) and requires each named report to be written.
 emits() {
     local bin="$1"
     shift
-    (cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
+    (cd "$SMOKE_DIR" && ${PIN:-} cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
         -p spin-bench --bin "$bin" -- --json >/dev/null)
     local file
     for file in "$@"; do
@@ -82,14 +95,17 @@ emits() {
 # machinery may move a reported number. The storm bins also exit nonzero
 # on a dropped packet, an unreconciled ledger or any divergence between
 # 1, 2 and 4 workers. `extra` names a second, wall-clock report that must
-# be emitted but is never diffed.
+# be emitted but is never diffed; `again` names a wrapper (`one_cpu`) under
+# which the bin is run and diffed a second time.
 golden() {
-    local bin="$1" name="$2" extra="${3:-}"
-    emits "$bin" "BENCH_$name.json" ${extra:+"BENCH_$extra.json"}
-    diff -u "scripts/goldens/BENCH_$name.json" "$SMOKE_DIR/BENCH_$name.json" || {
-        echo "verify: $bin diverged from scripts/goldens/BENCH_$name.json" >&2
-        return 1
-    }
+    local bin="$1" name="$2" extra="${3:-}" again="${4:-}" pin
+    for pin in "" $again; do
+        PIN="$pin" emits "$bin" "BENCH_$name.json" ${extra:+"BENCH_$extra.json"}
+        diff -u "scripts/goldens/BENCH_$name.json" "$SMOKE_DIR/BENCH_$name.json" || {
+            echo "verify: $bin diverged from scripts/goldens/BENCH_$name.json" >&2
+            return 1
+        }
+    done
 }
 
 # The six-rule verifier (D1 determinism, D2 hash iteration, F1 sync
@@ -127,6 +143,7 @@ gate tier1-test cargo test -q
 # Every crate's suites, among them the invariance matrix, the chaos and
 # multicore storms, and the sharded net/dsm rigs.
 gate workspace-test cargo test --workspace -q
+gate multicore-1cpu one_cpu cargo test -q --test multicore_shards
 # `perf/` is a package of its own, so nothing above builds it: without
 # this a kernel-crate API change breaks the benchmark unnoticed.
 gate perf-tests cargo test -q --manifest-path perf/Cargo.toml
@@ -143,9 +160,9 @@ perf_smoke() {
 }
 gate perf-smoke perf_smoke
 
-# bin:golden[:extra]. table1_sizes counts source lines and s7_multicore
-# reports wall-clock speedup, so neither has a golden; they only have to
-# run clean and emit.
+# bin:golden[:extra[:again]]. table1_sizes counts source lines and
+# s7_multicore reports wall-clock speedup, so neither has a golden; they
+# only have to run clean and emit.
 for pair in \
     table2_comm:table2_comm \
     table4_vm:table4_vm \
@@ -154,10 +171,10 @@ for pair in \
     fig5_stack:fig5_stack \
     s1_dispatcher_scaling:s1_dispatcher_scaling:dispatch_compiled \
     s8_hotswap:hotswap \
-    s9_overload:overload \
+    s9_overload:overload::one_cpu \
     s10_webscale:webscale; do
-    IFS=: read -r bin name extra <<<"$pair"
-    gate "golden:$bin" golden "$bin" "$name" "$extra"
+    IFS=: read -r bin name extra again <<<"$pair"
+    gate "golden:$bin" golden "$bin" "$name" "$extra" "$again"
 done
 # The eight examples put real frames on the wire and self-assert; clippy
 # compiles them and nothing else runs them.

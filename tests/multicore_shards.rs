@@ -6,7 +6,8 @@ use spin_core::{Dispatcher, Identity};
 use spin_sal::{MulticoreBoard, Nanos};
 use spin_sched::{IdleOutcome, Multicore};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Cross-shard raises from shard A race a handler install/uninstall churn
 /// loop on shard B. Every raise is delivered on B's timeline at a
@@ -164,6 +165,62 @@ fn mailbox_delay_injection_stays_worker_count_invariant() {
     let base = run(1);
     assert_eq!(base.0, 8, "delays shift deliveries, never lose them");
     assert!(base.2 >= 1, "the plan actually injected delays");
+    assert_eq!(run(2), base, "2 workers diverged");
+    assert_eq!(run(4), base, "4 workers diverged");
+}
+
+/// Two envelopes with the same `deliver_at` from different lanes fire in
+/// lane order at every worker count, whichever worker's host thread posts
+/// first. The host sleeps force the schedule that used to tell them apart:
+/// at four workers shard 4 is worker 0's second shard (after slow shard
+/// 0), so it starts its share of the first epoch after shard 3 has posted
+/// and long before shard 1 has. Mail is delivered by the coordinator at
+/// the barrier, so neither envelope reaches shard 4's timer queue before
+/// both are in its mailbox.
+#[test]
+fn equal_deadline_mail_fires_in_lane_order_whatever_the_host_timing() {
+    let run = |workers: usize| -> Vec<u64> {
+        let board = MulticoreBoard::new();
+        let mut mc = Multicore::new(workers, board.lookahead());
+        let shards: Vec<_> = (0..6)
+            .map(|_| {
+                let host = board.new_host(16);
+                let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
+                (host.id, disp, mc.add_host(host))
+            })
+            .collect();
+        for (id, disp, _) in &shards {
+            mc.wire_dispatcher(disp, *id);
+        }
+        let target = shards[4].0;
+        let (ev, owner) = shards[4]
+            .1
+            .define::<u64, u64>("Tie.Break", Identity::kernel("t"));
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let seen = order.clone();
+        owner
+            .set_primary(move |x| {
+                seen.lock().expect("no poisoning").push(*x);
+                *x
+            })
+            .expect("fresh event");
+        for (i, (_, disp, exec)) in shards.into_iter().enumerate() {
+            let ev = ev.clone();
+            exec.spawn("poster", move |ctx| {
+                std::thread::sleep(Duration::from_millis([40, 120, 0, 0, 0, 0][i]));
+                if i == 1 || i == 3 {
+                    let posted = disp.raise_on(target, &ev, i as u64).expect("routed");
+                    assert!(posted.is_none(), "cross-shard raises are async");
+                }
+                ctx.sleep(50_000);
+            });
+        }
+        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        let fired = order.lock().expect("no poisoning").clone();
+        fired
+    };
+    let base = run(1);
+    assert_eq!(base, [1, 3], "equal instants fire in lane order");
     assert_eq!(run(2), base, "2 workers diverged");
     assert_eq!(run(4), base, "4 workers diverged");
 }

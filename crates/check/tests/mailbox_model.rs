@@ -81,8 +81,11 @@ fn racing_posts_and_drain_lose_nothing_and_stay_sorted() {
 /// conservative barrier tolerates (the second envelope is picked up at
 /// the next safe point). It is DFS schedule zero: the root thread posts
 /// and drains before the spawned poster ever runs. Pinned by seed so
-/// schedule enumeration changes are deliberate.
-const PINNED_SEED: &str = "pb2-0-0-0-0-0-0-0-0-0-0";
+/// schedule enumeration changes are deliberate. PR 26 moved the `posted`
+/// and `drained` counters under the mailbox's lock, so the root thread's
+/// post and drain are one scheduling point shorter each: ten decisions
+/// became eight (`pb2-0-0-0-0-0-0-0-0-0-0` before).
+const PINNED_SEED: &str = "pb2-0-0-0-0-0-0-0-0";
 
 const HARVEST: &str = "HARVEST: drain saw a partial mailbox";
 

@@ -7,8 +7,8 @@
 //! collapsing latency for every other domain. This module is the
 //! reproduction's answer (in the spirit of Rex's runtime
 //! resource-exhaustion defenses and Tock's per-client grants): a
-//! per-domain ledger of atomic counter blocks (the same shape as
-//! `spin_obs::Accounting`) with declarative [`QuotaSpec`] budgets,
+//! per-domain ledger of counter blocks, each behind the one lock its
+//! domain's window already needed, with declarative [`QuotaSpec`] budgets,
 //! enforced at the kernel's existing choke points:
 //!
 //! * **`Dispatcher::raise` / `raise_batch`** — admission control. An event
@@ -36,19 +36,27 @@
 //! fallback swap).
 //!
 //! **The cost-model invariant.** An event with no quota cell bound pays
-//! one relaxed atomic load per raise (the `OnceLock` presence check) and
-//! *nothing* touches the virtual clock; Tables 2/5/6 are byte-identical
-//! with the machinery compiled in but unarmed (`quota_invariance` in
-//! `spin-bench`). Every armed decision — window rolls, trips, shedding,
-//! demotion — is a pure function of virtual-time state, so 1/2/4-worker
-//! multicore runs stay byte-identical (`s9_overload`).
+//! nothing for the ledger (the cell is a field of the plan it snapshots
+//! anyway) and *nothing* touches the virtual clock; Tables 2/5/6 are
+//! byte-identical with the machinery compiled in but unarmed
+//! (`invariance_matrix` in `spin-bench`). Every armed decision — window
+//! rolls, trips, shedding, demotion — is a pure function of virtual-time
+//! state, so 1/2/4-worker multicore runs stay byte-identical
+//! (`s9_overload`).
+//!
+//! **One lock per cell.** A cell's counts and its window are one value
+//! behind one mutex: every operation counts and decides in one critical
+//! section, so a [`QuotaCell::snapshot`] — one lock and a copy — closes
+//! its books exactly at every instant, not only between operations. Side
+//! effects stay outside the lock: the fault draw before it, the
+//! `QuotaBreach` trace and the escalation sink after it (DESIGN.md
+//! decision 21).
 
 use crate::error::DispatchError;
 use crate::fault::Containment;
 use crate::hooks::HookSlot;
 use crate::identity::Identity;
-use spin_check::sync::{Arc, Mutex, OnceLock, Weak};
-use spin_check::sync::{AtomicU64, Ordering};
+use spin_check::sync::{Arc, Mutex, Weak};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_sal::{Clock, Mailbox, Nanos};
@@ -135,12 +143,13 @@ pub struct QuotaBreach {
     pub entered: QuotaState,
 }
 
-/// The ledger's escalation callback, invoked with no quota locks held.
+/// The ledger's escalation callback, invoked with no quota lock held.
 pub type EscalationSink = Arc<dyn Fn(&QuotaBreach) + Send + Sync>;
 
 /// A point-in-time copy of one domain's ledger counters. The
 /// reconciliation identity the proptest and the `s9_overload` bench hold
-/// exact: `attempts == admitted + throttled + shed + held` and
+/// exact — in every snapshot, because a snapshot and every operation take
+/// the same lock: `attempts == admitted + throttled + shed + held` and
 /// `admitted == completed + in_flight`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuotaSnapshot {
@@ -179,26 +188,41 @@ struct Window {
     state: QuotaState,
 }
 
-/// One domain's resource ledger: the atomic counter block plus the
-/// windowed escalation state. Created by [`QuotaLedger::register`]; bound
-/// to events with `Event::bind_quota`.
+impl Window {
+    /// A fresh window opening at `start`: nothing charged, on the ladder's
+    /// first rung.
+    fn starting(start: Nanos) -> Window {
+        Window {
+            start,
+            vt: 0,
+            trips: 0,
+            sheds: 0,
+            state: QuotaState::Normal,
+        }
+    }
+}
+
+/// Everything a cell counts and decides, behind its one lock.
+struct CellState {
+    counts: QuotaSnapshot,
+    window: Window,
+}
+
+/// One domain's resource ledger: its counters and windowed escalation
+/// state under one lock. Created by [`QuotaLedger::register`]; bound to
+/// events with `Event::bind_quota`.
+///
+/// A cell holds strongly only what can never hold a cell: the fault site
+/// every admission draws from, shared with its ledger. The trace domain
+/// and the escalation sink can (the obs gauges hold cells, a containment
+/// sink holds the dispatcher whose plans do), so the ledger owns them and
+/// a refusal reaches them through `ledger`.
 pub struct QuotaCell {
     name: Arc<str>,
     ord: u32,
     spec: QuotaSpec,
-    in_flight: AtomicU64,
-    window: Mutex<Window>,
-    attempts: AtomicU64,
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    throttled: AtomicU64,
-    shed: AtomicU64,
-    held: AtomicU64,
-    trips: AtomicU64,
-    breaches: AtomicU64,
-    vt_charged: AtomicU64,
-    mail_refused: AtomicU64,
-    mail_shed: AtomicU64,
+    state: Mutex<CellState>,
+    faults: Arc<HookSlot<FaultHook>>,
     ledger: Weak<LedgerInner>,
 }
 
@@ -224,66 +248,40 @@ impl QuotaCell {
     /// [`QuotaCell::complete`]; `Err` is a refusal already counted on the
     /// ladder. Pure function of virtual-time state — no clock charge.
     pub fn admit(&self, now: Nanos) -> Result<(), QuotaVerdict> {
-        self.attempts.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                                                       // The `core.quota` injection site: a Fail is a spurious throttle,
-                                                       // a Delay holds the window's charge longer (delayed budget
-                                                       // release), a Panic is contained right here at the admission edge
-                                                       // and then counted as a throttle.
-        let mut forced = false;
-        if let Some(hook) = self.fault_hook() {
+        // The `core.quota` injection site, drawn before the lock: a Fail
+        // is a spurious throttle, a Delay holds the window's charge longer
+        // (delayed budget release), a Panic is contained right here at the
+        // admission edge and then counted as a throttle.
+        let (mut forced, mut delay) = (false, 0);
+        if let Some(hook) = self.faults.get() {
             match hook.draw() {
                 Some(Injection::Fail) => forced = true,
                 Some(Injection::Panic) => {
                     let _ = catch_unwind(AssertUnwindSafe(|| hook.fire_panic()));
                     forced = true;
                 }
-                Some(Injection::Delay(ns)) => {
-                    let mut w = self.window.lock();
-                    w.vt = w.vt.saturating_add(ns);
-                }
+                Some(Injection::Delay(ns)) => delay = ns,
                 None => {}
             }
         }
-        let decision = {
-            let mut w = self.window.lock();
-            self.roll(&mut w, now);
-            if w.state != QuotaState::Normal || forced || self.over_budget(&w) {
-                Some(self.ladder_refuse(&mut w))
+        let refused = {
+            let mut st = self.state.lock();
+            st.counts.attempts += 1;
+            st.window.vt = st.window.vt.saturating_add(delay);
+            self.roll(&mut st.window, now);
+            let max = self.spec.max_in_flight;
+            if forced || self.restricted(&st.window) || (max > 0 && st.counts.in_flight >= max) {
+                Some(self.ladder_refuse(&mut st))
             } else {
-                // Take the in-flight slot by CAS so a racing release
-                // (`complete`) can never be double-spent past the budget:
-                // a stale load either re-loops or refuses, never admits
-                // over the cap.
-                let max = self.spec.max_in_flight;
-                let took = loop {
-                    // ordering: Acquire — pairs with complete's Release sub; an observed release implies its dispatch settled.
-                    let cur = self.in_flight.load(Ordering::Acquire);
-                    if max > 0 && cur >= max {
-                        break false;
-                    }
-                    if self
-                        .in_flight
-                        // ordering: AcqRel — the slot take is both an acquire of prior releases and a publication to racing admits.
-                        .compare_exchange(cur, cur + 1, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        break true;
-                    }
-                };
-                if took {
-                    None
-                } else {
-                    Some(self.ladder_refuse(&mut w))
-                }
+                st.counts.admitted += 1;
+                st.counts.in_flight += 1;
+                None
             }
         };
-        match decision {
-            None => {
-                self.admitted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                Ok(())
-            }
+        match refused {
+            None => Ok(()),
             Some((verdict, entered)) => {
-                self.settle_refusal(verdict, entered, now);
+                self.report(entered, now);
                 Err(verdict)
             }
         }
@@ -294,21 +292,19 @@ impl QuotaCell {
     ///
     /// [`admit`]: QuotaCell::admit
     pub fn complete(&self, vt: Nanos) {
-        self.completed.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.vt_charged.fetch_add(vt, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        {
-            let mut w = self.window.lock();
-            w.vt = w.vt.saturating_add(vt);
-        }
-        // ordering: Release — the budget release publishes the settled dispatch before an admit's Acquire can reuse the slot.
-        self.in_flight.fetch_sub(1, Ordering::Release);
+        let mut st = self.state.lock();
+        st.counts.completed += 1;
+        st.counts.in_flight -= 1;
+        st.counts.vt_charged += vt;
+        st.window.vt = st.window.vt.saturating_add(vt);
     }
 
     /// Books one raise parked in a quiesce hold queue (it replays as a
     /// fresh attempt on resume).
     pub fn note_held(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.held.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        let mut st = self.state.lock();
+        st.counts.attempts += 1;
+        st.counts.held += 1;
     }
 
     /// Whether the hold-queue budget refuses parking another raise on top
@@ -323,13 +319,13 @@ impl QuotaCell {
     ///
     /// [`admit`]: QuotaCell::admit
     pub fn refuse(&self, now: Nanos) -> QuotaVerdict {
-        self.attempts.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         let (verdict, entered) = {
-            let mut w = self.window.lock();
-            self.roll(&mut w, now);
-            self.ladder_refuse(&mut w)
+            let mut st = self.state.lock();
+            st.counts.attempts += 1;
+            self.roll(&mut st.window, now);
+            self.ladder_refuse(&mut st)
         };
-        self.settle_refusal(verdict, entered, now);
+        self.report(entered, now);
         verdict
     }
 
@@ -337,66 +333,43 @@ impl QuotaCell {
     /// on its deferred lane (over the window's virtual-time budget, or
     /// shedding/quarantined). Pure function of virtual-time state.
     pub fn deferred(&self, now: Nanos) -> bool {
-        let mut w = self.window.lock();
-        self.roll(&mut w, now);
-        w.state != QuotaState::Normal
-            || (self.spec.window_vt_budget > 0 && w.vt >= self.spec.window_vt_budget)
+        let mut st = self.state.lock();
+        self.roll(&mut st.window, now);
+        self.restricted(&st.window)
     }
 
     /// Mailbox-gate probe: whether a post on a lane already holding
     /// `pending` envelopes is admitted. Refusals are counted.
     pub fn admit_post(&self, pending: u64) -> bool {
-        if self.spec.max_lane_occupancy > 0 && pending >= self.spec.max_lane_occupancy {
-            self.mail_refused.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            false
-        } else {
-            true
+        let max = self.spec.max_lane_occupancy;
+        let refused = max > 0 && pending >= max;
+        if refused {
+            self.state.lock().counts.mail_refused += 1;
         }
+        !refused
     }
 
     /// Books a post abandoned after the sender's backoff budget.
     pub fn note_mail_shed(&self) {
-        self.mail_shed.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.state.lock().counts.mail_shed += 1;
     }
 
     /// The ladder position at virtual time `now`.
     pub fn state(&self, now: Nanos) -> QuotaState {
-        let mut w = self.window.lock();
-        self.roll(&mut w, now);
-        w.state
+        let mut st = self.state.lock();
+        self.roll(&mut st.window, now);
+        st.window.state
     }
 
     /// Supervisor override: lifts a quarantine (or shedding) back to
     /// normal and restarts the window at `now`.
     pub fn release(&self, now: Nanos) {
-        let mut w = self.window.lock();
-        w.state = QuotaState::Normal;
-        w.start = now;
-        w.vt = 0;
-        w.trips = 0;
-        w.sheds = 0;
+        self.state.lock().window = Window::starting(now);
     }
 
     /// A copy of the counters (see [`QuotaSnapshot`] for the identity).
     pub fn snapshot(&self) -> QuotaSnapshot {
-        QuotaSnapshot {
-            attempts: self.attempts.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            admitted: self.admitted.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            completed: self.completed.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            throttled: self.throttled.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            shed: self.shed.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            held: self.held.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            trips: self.trips.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            breaches: self.breaches.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            in_flight: self.in_flight.load(Ordering::Acquire), // ordering: Acquire — pairs with complete's Release so a settled dispatch is visible before its slot reads free.
-            vt_charged: self.vt_charged.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            mail_refused: self.mail_refused.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            mail_shed: self.mail_shed.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-    }
-
-    fn fault_hook(&self) -> Option<FaultHook> {
-        self.ledger.upgrade().and_then(|l| l.faults.get().cloned())
+        self.state.lock().counts
     }
 
     /// Rolls the window forward to cover `now`, resetting the per-window
@@ -419,15 +392,19 @@ impl QuotaCell {
         }
     }
 
-    fn over_budget(&self, w: &Window) -> bool {
-        self.spec.window_vt_budget > 0 && w.vt >= self.spec.window_vt_budget
+    /// Whether the window holds the domain back: shedding or quarantined,
+    /// or over its virtual-time budget.
+    fn restricted(&self, w: &Window) -> bool {
+        w.state != QuotaState::Normal
+            || (self.spec.window_vt_budget > 0 && w.vt >= self.spec.window_vt_budget)
     }
 
-    /// One step down the ladder, under the window lock: returns the
+    /// One step down the ladder, counted, under the cell lock: returns the
     /// verdict and the state entered (if this refusal crossed a
     /// boundary).
-    fn ladder_refuse(&self, w: &mut Window) -> (QuotaVerdict, Option<QuotaState>) {
-        match w.state {
+    fn ladder_refuse(&self, st: &mut CellState) -> (QuotaVerdict, Option<QuotaState>) {
+        let w = &mut st.window;
+        let (verdict, entered) = match w.state {
             QuotaState::Quarantined => (QuotaVerdict::Shed, None),
             QuotaState::Shedding => {
                 w.sheds += 1;
@@ -450,21 +427,24 @@ impl QuotaCell {
                     (QuotaVerdict::Throttled, None)
                 }
             }
-        }
-    }
-
-    /// Counter, trace and escalation bookkeeping for one refusal; runs
-    /// with no quota locks held.
-    fn settle_refusal(&self, verdict: QuotaVerdict, entered: Option<QuotaState>, now: Nanos) {
+        };
+        let c = &mut st.counts;
         match verdict {
             QuotaVerdict::Throttled => {
-                self.throttled.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                self.trips.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                c.throttled += 1;
+                c.trips += 1;
             }
-            QuotaVerdict::Shed => {
-                self.shed.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            }
+            QuotaVerdict::Shed => c.shed += 1,
         }
+        if entered.is_some() {
+            c.breaches += 1;
+        }
+        (verdict, entered)
+    }
+
+    /// The side effects of one refusal, with no quota lock held: its
+    /// `QuotaBreach` trace and, for a crossing, the escalation sink.
+    fn report(&self, entered: Option<QuotaState>, now: Nanos) {
         let ledger = self.ledger.upgrade();
         if let Some(obs) = ledger.as_ref().and_then(|l| l.obs.get()) {
             let level = match entered {
@@ -475,7 +455,6 @@ impl QuotaCell {
             obs.trace(TraceKind::QuotaBreach, self.ord as u64, level);
         }
         let Some(entered) = entered else { return };
-        self.breaches.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(sink) = ledger.as_ref().and_then(|l| l.escalation.get()) {
             sink(&QuotaBreach {
                 domain: self.name.to_string(),
@@ -493,11 +472,11 @@ struct CellRegistry {
 
 struct LedgerInner {
     cells: Mutex<CellRegistry>,
-    obs: OnceLock<ObsHook>,
-    escalation: OnceLock<EscalationSink>,
+    obs: HookSlot<ObsHook>,
+    escalation: HookSlot<EscalationSink>,
     /// The `core.quota` fault-injection site (spurious throttles,
-    /// delayed releases).
-    faults: HookSlot<FaultHook>,
+    /// delayed releases), shared with every cell.
+    faults: Arc<HookSlot<FaultHook>>,
 }
 
 /// The kernel-wide quota registry: one [`QuotaCell`] per metered domain,
@@ -522,9 +501,9 @@ impl QuotaLedger {
                     list: Vec::new(),
                     by_name: HashMap::new(),
                 }),
-                obs: OnceLock::new(),
-                escalation: OnceLock::new(),
-                faults: HookSlot::new(),
+                obs: HookSlot::new(),
+                escalation: HookSlot::new(),
+                faults: Arc::default(),
             }),
         }
     }
@@ -542,25 +521,11 @@ impl QuotaLedger {
             name: Arc::from(name),
             ord,
             spec,
-            in_flight: AtomicU64::new(0),
-            window: Mutex::new(Window {
-                start: 0,
-                vt: 0,
-                trips: 0,
-                sheds: 0,
-                state: QuotaState::Normal,
+            state: Mutex::new(CellState {
+                counts: QuotaSnapshot::default(),
+                window: Window::starting(0),
             }),
-            attempts: AtomicU64::new(0),
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            throttled: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            held: AtomicU64::new(0),
-            trips: AtomicU64::new(0),
-            breaches: AtomicU64::new(0),
-            vt_charged: AtomicU64::new(0),
-            mail_refused: AtomicU64::new(0),
-            mail_shed: AtomicU64::new(0),
+            faults: self.inner.faults.clone(),
             ledger: Arc::downgrade(&self.inner),
         });
         reg.by_name.insert(name.to_string(), ord);
@@ -587,20 +552,20 @@ impl QuotaLedger {
 
     /// Installs the escalation sink. One-shot.
     pub fn set_escalation_sink(&self, sink: EscalationSink) {
-        let _ = self.inner.escalation.set(sink);
+        self.inner.escalation.set(sink);
     }
 
     /// Wires the `core.quota` fault-injection site. One-shot; with the
     /// plan disabled each metered admission pays one relaxed load.
     pub fn set_fault_hook(&self, hook: FaultHook) {
-        let _ = self.inner.faults.set(hook);
+        self.inner.faults.set(hook);
     }
 
     /// Wires observability: `QuotaBreach` trace records under the
     /// `quota` domain, plus per-domain `spin_quota_*` gauges for every
     /// cell (current and future). One-shot; charges zero virtual time.
     pub fn wire_obs(&self, obs: &Obs) {
-        if self.inner.obs.set(obs.domain("quota")).is_err() {
+        if !self.inner.obs.set(obs.domain("quota")) {
             return;
         }
         for cell in self.cells() {
@@ -704,9 +669,7 @@ pub fn post_with_backpressure(
     let mut penalty = policy.base_penalty;
     let mut action = Some(action);
     for attempt in 1..=attempts {
-        let pending = mailbox.lane_pending(lane);
-        let admit = cell.spec.max_lane_occupancy == 0 || pending < cell.spec.max_lane_occupancy;
-        if admit {
+        if cell.admit_post(mailbox.lane_pending(lane)) {
             let a = action.take().expect("action unconsumed until first post");
             if mailbox.post(clock.now() + deliver_gap, lane, a) {
                 return PostOutcome::Posted { attempts: attempt };
@@ -716,8 +679,8 @@ pub fn post_with_backpressure(
             cell.note_mail_shed();
             return PostOutcome::Shed { attempts: attempt };
         }
-        // Refused: the sender pays the penalty and retries later.
-        cell.mail_refused.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        // Refused, and counted: the sender pays the penalty and retries
+        // later.
         clock.advance(penalty);
         penalty = (penalty * 2).min(policy.max_penalty.max(policy.base_penalty));
     }

@@ -4,11 +4,11 @@
 //! and extended through typed interfaces (§3–§4). This crate is how the
 //! reproduction watches itself do that:
 //!
-//! * a **flight recorder** ([`ring::Ring`]) — a fixed-capacity, lock-free
-//!   MPSC ring of typed [`TraceRecord`]s (event raises, handler and guard
-//!   outcomes, context switches, VM faults, GC pauses, packet rx/tx,
-//!   syscall traps), each stamped with virtual time and the originating
-//!   [`DomainId`];
+//! * a **flight recorder** ([`ring::Ring`]) — a fixed-capacity,
+//!   drop-oldest ring behind one lock, of typed [`TraceRecord`]s (event
+//!   raises, handler and guard outcomes, context switches, VM faults, GC
+//!   pauses, packet rx/tx, syscall traps), each stamped with virtual time
+//!   and the originating [`DomainId`];
 //! * **per-domain accounting** ([`account::Accounting`]) — atomic counters
 //!   and histograms keyed by `DomainId`, fed by hook points in the
 //!   dispatcher, executor, VM, GC, network stack and UNIX server;

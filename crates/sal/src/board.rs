@@ -75,7 +75,7 @@ fn build_host(
     let irqs = IrqController::new(on.clock.clone(), profile.clone());
     let nic = |model: NicModel, wire: &Wire, vector| {
         let port = Receiver {
-            rx: Arc::default(),
+            nic: Arc::default(),
             irqs: irqs.clone(),
             vector,
             clock: on.clock.clone(),

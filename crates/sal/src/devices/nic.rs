@@ -9,9 +9,10 @@
 
 use crate::clock::Clock;
 use crate::cost::MachineProfile;
-use crate::wire::{Outbound, Receiver, RxRing, Wire, WireEndpoint};
+use crate::wire::{Outbound, Receiver, Wire, WireEndpoint};
 use bytes::Bytes;
 use spin_check::sync::Mutex;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How the card moves bytes between memory and the wire.
@@ -104,8 +105,14 @@ pub enum NicError {
     TooLarge { len: usize, mtu: usize },
 }
 
+/// A NIC's one locked state, shared by the wire's `Receiver` for it (which
+/// fills the ring) and the `Nic` (which drains it): the receive ring, the
+/// frames ever delivered into it, and the driver's counters — each counted
+/// under the lock its path holds anyway.
 #[derive(Default)]
-struct NicStats {
+pub(crate) struct NicState {
+    pub frames: VecDeque<Frame>,
+    pub delivered: u64,
     tx_frames: u64,
     tx_bytes: u64,
     rx_frames: u64,
@@ -118,10 +125,9 @@ pub struct Nic {
     model: NicModel,
     addr: WireEndpoint,
     wire: Wire,
-    rx: Arc<Mutex<RxRing>>,
+    state: Arc<Mutex<NicState>>,
     clock: Clock,
     profile: Arc<MachineProfile>,
-    stats: Arc<Mutex<NicStats>>,
 }
 
 impl Nic {
@@ -137,16 +143,15 @@ impl Nic {
         profile: Arc<MachineProfile>,
         port: Receiver,
     ) -> Self {
-        let (rx, clock) = (port.rx.clone(), port.clock.clone());
+        let (state, clock) = (port.nic.clone(), port.clock.clone());
         wire.attach(addr, port);
         Nic {
             model,
             addr,
             wire,
-            rx,
+            state,
             clock,
             profile,
-            stats: Arc::new(Mutex::new(NicStats::default())),
         }
     }
 
@@ -203,7 +208,7 @@ impl Nic {
         }
         self.charge_io(payload.len());
         {
-            let mut st = self.stats.lock();
+            let mut st = self.state.lock();
             st.tx_frames += 1;
             st.tx_bytes += payload.len() as u64;
         }
@@ -228,28 +233,29 @@ impl Nic {
     }
 
     /// Pulls the next received frame, charging the driver and the inbound
-    /// copy.
+    /// copy. The pop and its count are one critical section.
     pub fn receive(&self) -> Option<Frame> {
-        let frame = self.rx.lock().frames.pop_front()?;
-        self.charge_io(frame.payload.len());
-        {
-            let mut st = self.stats.lock();
+        let frame = {
+            let mut st = self.state.lock();
+            let frame = st.frames.pop_front()?;
             st.rx_frames += 1;
             st.rx_bytes += frame.payload.len() as u64;
-        }
+            frame
+        };
+        self.charge_io(frame.payload.len());
         Some(frame)
     }
 
     /// Number of frames waiting in the receive queue.
     // uncharged: diagnostics accessor.
     pub fn rx_pending(&self) -> usize {
-        self.rx.lock().frames.len()
+        self.state.lock().frames.len()
     }
 
     /// (tx frames, tx bytes, rx frames, rx bytes).
     // uncharged: diagnostics accessor.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
-        let st = self.stats.lock();
+        let st = self.state.lock();
         (st.tx_frames, st.tx_bytes, st.rx_frames, st.rx_bytes)
     }
 }
@@ -269,7 +275,7 @@ mod tests {
         let irqs = IrqController::new(clock.clone(), profile.clone());
         let nic = |model: NicModel, addr, vector| {
             let port = Receiver {
-                rx: Arc::default(),
+                nic: Arc::default(),
                 irqs: irqs.clone(),
                 vector: IrqVector(vector),
                 clock: clock.clone(),

@@ -73,20 +73,25 @@ impl IrqController {
 
     /// Dispatches all pending interrupts in posting order, charging the
     /// profile's interrupt overhead for each. Returns how many ran.
+    ///
+    /// One critical section per interrupt pops it and finds its handler
+    /// (or counts it dropped); the charge and the handler run outside it,
+    /// so a handler may post further IRQs or register others.
     pub fn dispatch_pending(&self) -> usize {
         let mut dispatched = 0;
         loop {
-            let irq = match self.state.lock().pending.pop_front() {
-                Some(i) => i,
-                None => break,
+            let handler = {
+                let mut st = self.state.lock();
+                let Some(irq) = st.pending.pop_front() else {
+                    break;
+                };
+                let handler = st.handlers.get(&irq.vector).cloned();
+                st.dropped += u64::from(handler.is_none());
+                handler
             };
             self.clock.advance(self.profile.interrupt_overhead);
-            // Clone the Arc out so the handler runs without holding the
-            // state lock; handlers may post further IRQs or register others.
-            let handler = self.state.lock().handlers.get(&irq.vector).cloned();
-            match handler {
-                Some(f) => f(),
-                None => self.state.lock().dropped += 1,
+            if let Some(f) = handler {
+                f();
             }
             dispatched += 1;
         }

@@ -15,6 +15,14 @@
 //! what the drain hands on ([`Envelope::action`]) and the destination's
 //! timer queue fires: nothing re-wraps it on the way.
 //!
+//! Everything is one locked `MailboxState`, counters included: a post
+//! and a drain count themselves under the lock they hold anyway. The one
+//! field outside it is `pending`, an atomic mirror of the entry count,
+//! because the epoch planner probes every shard's mailbox every epoch and
+//! an empty one must cost it a load, not a lock. The quota gate runs under
+//! this lock, so the lock order is mailbox → quota cell, never the reverse
+//! (DESIGN.md decision 21).
+//!
 //! Determinism does not come from the OS scheduler: entries are totally
 //! ordered by `(deliver_at, lane, seq)`. The *lane* is derived from the
 //! sender (wire lane base + source endpoint, or the cross-call base + the
@@ -94,6 +102,10 @@ struct MailboxState {
     /// installed (the ungated path does no occupancy bookkeeping).
     lane_pending: HashMap<u64, u64>,
     quota_gate: Option<QuotaGate>,
+    /// Envelope counters, counted under the lock their path holds.
+    posted: u64,
+    drained: u64,
+    dropped: u64,
 }
 
 impl MailboxState {
@@ -125,12 +137,10 @@ impl MailboxState {
 #[derive(Clone, Default)]
 pub struct Mailbox {
     state: Arc<Mutex<MailboxState>>,
-    /// Pending-entry count mirrored outside the lock so the per-epoch
-    /// emptiness probe is one atomic load.
+    /// Pending-entry count mirrored outside the lock: the planner probes
+    /// every shard's mailbox every epoch, and an empty one must cost it
+    /// one atomic load, not a lock.
     pending: Arc<AtomicU64>,
-    posted: Arc<AtomicU64>,
-    drained: Arc<AtomicU64>,
-    dropped: Arc<AtomicU64>,
 }
 
 impl Mailbox {
@@ -174,11 +184,11 @@ impl Mailbox {
             if st.admit(deliver_at, lane, action) {
                 accepted += 1;
             } else {
-                self.dropped.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                st.dropped += 1;
             }
         }
+        st.posted += accepted;
         self.pending.fetch_add(accepted, Ordering::Release); // ordering: Release — pairs with the Acquire emptiness probe so a probe that sees the count also sees the entries under the lock.
-        self.posted.fetch_add(accepted, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         accepted as usize
     }
 
@@ -219,8 +229,8 @@ impl Mailbox {
             })
             .collect();
         st.lane_pending.clear();
+        st.drained += out.len() as u64;
         self.pending.store(0, Ordering::Release); // ordering: Release — the drain emptied the queue under the lock; publish before the next probe.
-        self.drained.fetch_add(out.len() as u64, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         out
     }
 
@@ -269,11 +279,8 @@ impl Mailbox {
 
     /// (posted, drained, dropped) envelope counters.
     pub fn stats(&self) -> (u64, u64, u64) {
-        (
-            self.posted.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            self.drained.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            self.dropped.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        )
+        let st = self.state.lock();
+        (st.posted, st.drained, st.dropped)
     }
 }
 

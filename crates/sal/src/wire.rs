@@ -1,28 +1,33 @@
 //! The wire: a switched medium joining simulated NICs, and the one frame
 //! hand-off below the protocol graph.
 //!
-//! Every attached NIC is a [`Receiver`]: its `rx` ring, its interrupt line,
-//! its host's clock, and the *sink* that carries a frame to its arrival
-//! instant — the host's [`TimerQueue`] on a shared-timeline `SimBoard`, the
-//! host's [`Mailbox`] when the host is a `MulticoreBoard` shard. There is
-//! one receiver table, one [`Wire::transmit`] and one delivery action; the
-//! sink is the only thing the two boards differ in.
+//! Every attached NIC is a [`Receiver`]: the NIC's one locked state (its
+//! `rx` ring and counters), its interrupt line, its host's clock, and the
+//! *sink* that carries a frame to its arrival instant — the host's
+//! [`TimerQueue`] on a shared-timeline `SimBoard`, the host's [`Mailbox`]
+//! when the host is a `MulticoreBoard` shard. There is one receiver table,
+//! one [`Wire::transmit`] and one delivery action; the sink is the only
+//! thing the two boards differ in.
 //!
 //! Transmission is serialized per sender (a 10 Mb/s Ethernet can only push
 //! one frame at a time), so saturating workloads see real queueing delay —
 //! that is what bends the OSF/1 curve in the Figure 6 reproduction. Wire
 //! time is the *sender's* clock (on a `SimBoard` that is the board clock).
-//! At arrival the frame lands in the receiver's ring and the receiver's
-//! interrupt vector is posted. A frame for an endpoint nobody attached is
-//! counted `dropped` when it is sent, after occupying the sender's link:
-//! `delivered + dropped` always catches up with the frames transmitted.
+//! At arrival the frame lands in the receiver's ring, counted `delivered`
+//! under the NIC's lock, and the receiver's interrupt vector is posted. A
+//! frame for an endpoint nobody attached is counted `dropped` when it is
+//! sent, after occupying the sender's link: `delivered + dropped` always
+//! catches up with the frames transmitted. The wire's own lock guards only
+//! what senders share — link serialisation, the drop filter, `dropped` —
+//! and is, with the mailbox's, the one lock on the hop that two shards'
+//! senders can meet on (DESIGN.md decisions 20, 21).
 
 use crate::clock::{Clock, Nanos, TimerQueue};
-use crate::devices::nic::Frame;
+use crate::devices::nic::{Frame, NicState};
 use crate::irq::{IrqController, IrqVector};
 use crate::mailbox::{MailAction, Mailbox};
 use spin_check::sync::Mutex;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// An address on the wire (one per attached NIC).
@@ -39,18 +44,11 @@ pub(crate) enum Sink {
     Mailbox(Mailbox),
 }
 
-/// A NIC's receive side, shared by the [`Receiver`] the wire fills and the
-/// `Nic` the driver drains: the ring, and the frames ever delivered into
-/// it — counted under the lock the delivery holds for the push anyway.
-#[derive(Default)]
-pub(crate) struct RxRing {
-    pub frames: VecDeque<Frame>,
-    pub delivered: u64,
-}
-
 /// One attached NIC, as the wire sees it.
 pub(crate) struct Receiver {
-    pub rx: Arc<Mutex<RxRing>>,
+    /// The NIC's one locked state: a delivery pushes onto its ring and
+    /// counts itself there, under the one lock.
+    pub nic: Arc<Mutex<NicState>>,
     pub irqs: IrqController,
     pub vector: IrqVector,
     /// The host's clock: wire time for everything this endpoint sends.
@@ -219,9 +217,9 @@ impl Wire {
     fn delivery(frame: Frame, to: Arc<Receiver>) -> MailAction {
         Box::new(move |_: Nanos| {
             {
-                let mut rx = to.rx.lock();
-                rx.frames.push_back(frame);
-                rx.delivered += 1;
+                let mut nic = to.nic.lock();
+                nic.frames.push_back(frame);
+                nic.delivered += 1;
             }
             to.irqs.post(to.vector);
         })
@@ -234,10 +232,10 @@ impl Wire {
     }
 
     /// (delivered, dropped) frame counters: deliveries are summed over the
-    /// receivers' rings, where they are counted.
+    /// receivers' NICs, where they are counted.
     pub fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
-        let delivered = st.receivers.values().map(|r| r.rx.lock().delivered).sum();
+        let delivered = st.receivers.values().map(|r| r.nic.lock().delivered).sum();
         (delivered, st.dropped)
     }
 
@@ -265,7 +263,7 @@ mod tests {
         timers: TimerQueue,
         mailbox: Mailbox,
         irqs: IrqController,
-        rx: Arc<Mutex<RxRing>>,
+        rx: Arc<Mutex<NicState>>,
     }
 
     fn rig(shard: bool) -> Rig {
@@ -274,7 +272,7 @@ mod tests {
         let wire = Wire::new(1_000, 0);
         let irqs = IrqController::new(clock.clone(), profile);
         let attach = |endpoint, vector| {
-            let rx: Arc<Mutex<RxRing>> = Arc::default();
+            let rx: Arc<Mutex<NicState>> = Arc::default();
             let sink = if shard {
                 Sink::Mailbox(mailbox.clone())
             } else {
@@ -283,7 +281,7 @@ mod tests {
             wire.attach(
                 WireEndpoint(endpoint),
                 Receiver {
-                    rx: rx.clone(),
+                    nic: rx.clone(),
                     irqs: irqs.clone(),
                     vector: IrqVector(vector),
                     clock: clock.clone(),

@@ -193,12 +193,12 @@ gate smoke:table1_sizes emits table1_sizes BENCH_table1_sizes.json
 gate smoke:s7_multicore emits s7_multicore BENCH_multicore.json
 
 gate spin-lint lint_gate
-# Model-check the lock-free kernel (bound 2, exhaustive), then require the
-# planted wrong orderings to be caught.
+# Model-check the kernel's concurrent paths (bound 2, exhaustive), then
+# require the two planted publication-order bugs to be caught.
 gate spin-check env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
     cargo test -q -p spin-check --tests
-# The raise-prologue models again at preemption bound 3 (well under a
-# second; same build as spin-check, selected by test name).
+# The raise-prologue and quota-cell models again at preemption bound 3
+# (well under a second; same build as spin-check, selected by test name).
 gate spin-check-b3 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
     cargo test -q -p spin-check --test checks raise_prologue_models_at_bound3 -- --ignored
 gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \

@@ -28,7 +28,7 @@ use spin_fault::{FaultPlan, Injection, SiteConfig};
 use spin_obs::account::DomainId;
 use spin_obs::ring::{Ring, TraceKind, TraceRecord};
 use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, TimerQueue};
-use spin_sched::{Executor, IdleOutcome, Step};
+use spin_sched::{Executor, IdleOutcome, Multicore, Step};
 
 /// Preemption bound used by every check. Two preemptions cover every bug
 /// class this suite targets (each planted mutant needs at most one), and
@@ -830,6 +830,35 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
     assert_eq!(hop, 34, "facade operations per frame hop");
+}
+
+/// The planner's budget (DESIGN.md decision 22): one epoch of a 12-shard
+/// board on which only shard 0 has anything to do — one timer, armed every
+/// `10·L`, so each fires in an epoch of its own — is **58** facade
+/// operations, 157 at the parent of the PR that wrote this budget. The
+/// planner keeps every shard's local horizon and re-reads only the shard it
+/// ran; each of the eleven that did not run costs the one load of its
+/// mailbox's empty probe, where it cost ten: that probe, a clock read and
+/// four lock pairs (the executor's state, its list of interrupt lines, the
+/// line, the timer queue) — 11 × 9 = 99 fewer. The rest is shard 0's own
+/// horizon read, the epoch counters, its drain probe, its `run_until` with
+/// the timer's fire in it, and the timer the scenario arms.
+#[test]
+fn an_epoch_reads_only_the_shards_that_ran() {
+    let epoch = marginal_steps("budget-epoch", |n| {
+        let board = MulticoreBoard::new();
+        let l = board.lookahead();
+        let mut mc = Multicore::new(1, l);
+        for _ in 0..12 {
+            mc.add_host(board.new_host(1));
+        }
+        for k in 1..=n {
+            mc.shards()[0].host.timers.schedule_at(10 * l * k, |_| {});
+        }
+        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(mc.stats().epochs, n, "one epoch per timer");
+    });
+    assert_eq!(epoch, 58, "facade operations per epoch");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

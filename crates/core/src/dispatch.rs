@@ -74,7 +74,11 @@
 //! The write side is as single: install, uninstall, rebind, restore,
 //! purge and reducer each hand `EventState::edit` a change to the handler
 //! list; it rebuilds the plan and publishes it with the generation bumped
-//! by one. `quiesce`, `resume` and `bind_quota` publish their one field
+//! by one. An installed entry is immutable but for its sticky fault flag,
+//! so the write side and every plan share it by `Arc`: a rebuild copies
+//! one pointer per handler and re-derives only the compiled tables, and
+//! the plan it replaces is dropped after the locks are released, never
+//! under them. `quiesce`, `resume` and `bind_quota` publish their one field
 //! and leave the generation alone (it versions the handler set), and
 //! `destroy` is one publish of the tombstone — and, because every handle
 //! holds the event state, the moment the state gives up what it owns
@@ -334,6 +338,8 @@ impl<A> InstallDecision<A> {
 
 type AuthFn<A> = Arc<dyn Fn(&InstallRequest) -> InstallDecision<A> + Send + Sync>;
 
+/// One installed handler: immutable once installed, except for its fault
+/// flag, which is what lets every holder share one `Arc` of it.
 struct Entry<A, R> {
     id: HandlerId,
     handler: Handler<A, R>,
@@ -341,25 +347,10 @@ struct Entry<A, R> {
     constraints: Constraints,
     installer: Identity,
     is_primary: bool,
-    /// Sticky "has ever panicked" flag. Shared (via `Arc`) between the
-    /// write side and every plan snapshot, so a fault observed mid-raise
-    /// is seen by the next plan build and demotes the handler off the
-    /// fast path.
-    fault_flag: Arc<AtomicBool>,
-}
-
-impl<A, R> Clone for Entry<A, R> {
-    fn clone(&self) -> Self {
-        Self {
-            id: self.id,
-            handler: self.handler.clone(),
-            guards: self.guards.clone(),
-            constraints: self.constraints,
-            installer: self.installer.clone(),
-            is_primary: self.is_primary,
-            fault_flag: self.fault_flag.clone(),
-        }
-    }
+    /// Sticky "has ever panicked" flag. Every plan holds this same entry,
+    /// so a fault observed mid-raise is seen by the next plan build and
+    /// demotes the handler off the fast path.
+    fault_flag: AtomicBool,
 }
 
 /// Per-event dispatch statistics.
@@ -483,7 +474,7 @@ struct Compiled<A> {
 }
 
 impl<A> Compiled<A> {
-    fn build<R>(entries: &[Entry<A, R>]) -> Compiled<A> {
+    fn build<R>(entries: &[Arc<Entry<A, R>>]) -> Compiled<A> {
         let mut groups: Vec<KeyGroup<A>> = Vec::new();
         let mut scan: Vec<u32> = Vec::new();
         let mut indexed_prefix: Vec<u32> = Vec::with_capacity(entries.len() + 1);
@@ -495,9 +486,21 @@ impl<A> Compiled<A> {
                     let gi = match groups.iter().position(|g| g.key.id == kf.id) {
                         Some(gi) => gi,
                         None => {
+                            // Sized from a count of its keys before it is
+                            // filled, so no insert below rehashes it.
+                            let keys = entries[i..]
+                                .iter()
+                                .filter_map(|e| e.guards.first())
+                                .filter(|spec| spec.key_fn().is_some_and(|k| k.id == kf.id))
+                                .map(|spec| match spec {
+                                    GuardSpec::KeyEq(..) => 1,
+                                    GuardSpec::KeyIn(_, vs) => vs.len(),
+                                    _ => 0,
+                                })
+                                .sum();
                             groups.push(KeyGroup {
                                 key: kf.clone(),
-                                eq: HashMap::default(),
+                                eq: HashMap::with_capacity_and_hasher(keys, Default::default()),
                                 ranges: Vec::new(),
                             });
                             groups.len() - 1
@@ -618,9 +621,11 @@ impl Deref for Selection {
 }
 
 /// The immutable part of an event's published record: everything a
-/// dispatch needs, built once per mutation instead of once per raise.
+/// dispatch needs, built once per mutation instead of once per raise. It
+/// shares its entries with the write side and with every other plan that
+/// holds them: what a build copies is one pointer per handler.
 struct RaisePlan<A, R> {
-    entries: Box<[Entry<A, R>]>,
+    entries: Box<[Arc<Entry<A, R>>]>,
     reducer: Option<Reducer<R>>,
     /// Quota cell the event's raises are metered under (see
     /// [`crate::quota`]). It rides the plan's `Arc`, so a metered raise
@@ -687,9 +692,10 @@ struct SlowAcc<R> {
 
 /// The mutable write side of an event: mutated under a mutex by the rare
 /// install/uninstall/configure operations, then republished as a fresh
-/// [`RaisePlan`].
+/// [`RaisePlan`]. An edit moves `Arc`s of entries in and out of the list;
+/// no edit changes an entry.
 struct WriteSide<A, R> {
-    handlers: Vec<Entry<A, R>>,
+    handlers: Vec<Arc<Entry<A, R>>>,
     auth: Option<AuthFn<A>>,
     reducer: Option<Reducer<R>>,
     quota: Option<Arc<QuotaCell>>,
@@ -765,12 +771,13 @@ pub struct InstallSpec<A, R> {
     pub constraints: Constraints,
 }
 
-/// Undo record for one [`Event::rebind`]: the removed entries with their
-/// plan positions and the ids the rebind installed. Feeding it to
+/// Undo record for one [`Event::rebind`]: the removed entries themselves
+/// (their sticky fault flags with them) with their plan positions, and the
+/// ids the rebind installed. Feeding it to
 /// [`Event::restore`] reverses the rebind in one plan swap.
 pub struct RebindReceipt<A, R> {
     old_installer: Identity,
-    removed: Vec<(usize, Entry<A, R>)>,
+    removed: Vec<(usize, Arc<Entry<A, R>>)>,
     installed: Vec<HandlerId>,
 }
 
@@ -877,31 +884,34 @@ impl<A, R> EventState<A, R> {
     ) -> Result<T, DispatchError> {
         let mut ws = self.write.lock();
         let out = change(&mut ws)?;
-        let orphaned = self.republish(&mut ws, 1);
+        let displaced = self.republish(&mut ws, 1);
         // Whatever was released drops outside the write lock.
         drop(ws);
-        drop(orphaned);
+        drop(displaced);
         Ok(out)
     }
 
     /// Publishes the plan rebuilt from the (locked) write side, moving the
-    /// generation on by `edits`. A tombstone stays a tombstone: a writer
-    /// that lost the race to `destroy` publishes nothing, and hands back
-    /// what it wrote for the caller to drop once it has let go of the
-    /// write side — a destroyed event owns no closures, however long its
-    /// handles live.
-    #[must_use]
-    fn republish(&self, ws: &mut WriteSide<A, R>, edits: u64) -> Option<WriteSide<A, R>> {
-        // Built before the record's lock is taken: raisers wait out a
-        // pointer store, never a guard-set compilation.
+    /// generation on by `edits`, and hands back the plan it replaced. A
+    /// tombstone stays a tombstone: a writer that lost the race to
+    /// `destroy` publishes nothing and hands back what it wrote instead —
+    /// a destroyed event owns no closures, however long its handles live.
+    /// Either way the caller drops it once it has let go of the write
+    /// side: the replaced plan may be the last owner of an uninstalled
+    /// handler, whose closure may raise or install on this very event.
+    fn republish(&self, ws: &mut WriteSide<A, R>, edits: u64) -> Displaced<A, R> {
+        // Built before the record's lock is taken, and the old plan dropped
+        // after it is released: raisers wait out a pointer store, never a
+        // guard-set compilation or a handler's destruction.
         let plan = RaisePlan::build(ws);
         let mut published = self.plan.write();
-        if published.plan.is_some() {
-            published.plan = Some(plan);
-            published.generation += edits;
-            None
-        } else {
-            Some(std::mem::take(ws))
+        match published.plan.take() {
+            Some(old) => {
+                published.plan = Some(plan);
+                published.generation += edits;
+                Ok(old)
+            }
+            None => Err(std::mem::take(ws)),
         }
     }
 
@@ -929,6 +939,10 @@ impl<A, R> EventState<A, R> {
 /// What a destroyed event gave up: its last plan, its write side and the
 /// raises it had parked.
 type Released<A, R> = (Option<Arc<RaisePlan<A, R>>>, WriteSide<A, R>, Vec<A>);
+
+/// What a republish displaced: the plan it replaced, or — the event was
+/// destroyed under it — the write side it could not publish.
+type Displaced<A, R> = Result<Arc<RaisePlan<A, R>>, WriteSide<A, R>>;
 
 /// Type-erased event state: what the dispatcher's global table stores.
 /// It carries the operations quarantine needs to act across events of
@@ -1261,16 +1275,16 @@ impl Dispatcher {
 
     /// Makes a write-side entry under a freshly allocated handler id — the
     /// one place an [`Entry`] is built.
-    fn new_entry<A, R>(&self, spec: InstallSpec<A, R>, is_primary: bool) -> Entry<A, R> {
-        Entry {
+    fn new_entry<A, R>(&self, spec: InstallSpec<A, R>, is_primary: bool) -> Arc<Entry<A, R>> {
+        Arc::new(Entry {
             id: HandlerId(self.inner.next_handler.fetch_add(1, Ordering::Relaxed)), // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
             handler: spec.handler,
             guards: spec.guards,
             constraints: spec.constraints,
             installer: spec.installer,
             is_primary,
-            fault_flag: Arc::new(AtomicBool::new(false)),
-        }
+            fault_flag: AtomicBool::new(false),
+        })
     }
 
     /// Removes a handler. Allowed for the handler's installer and for the
@@ -1806,7 +1820,7 @@ where
     /// into `acc`.
     fn run_entry(
         &self,
-        entry: &Entry<A, R>,
+        entry: &Arc<Entry<A, R>>,
         args: &A,
         shared: Option<&Arc<A>>,
         skip_guards: usize,
@@ -1905,11 +1919,10 @@ where
     /// chooses, and fault/abort accounting is settled here after the
     /// fact — whether the runner preempted the handler at its deadline
     /// (the unwind carries [`DeadlineExceeded`]) or let it finish late.
-    fn async_invocation(&self, entry: &Entry<A, R>, args: &Arc<A>) -> AsyncInvocation {
-        let handler = entry.handler.clone();
+    fn async_invocation(&self, entry: &Arc<Entry<A, R>>, args: &Arc<A>) -> AsyncInvocation {
+        let entry = entry.clone();
         let args = args.clone();
-        let report = self.fault_report(entry);
-        let fault_flag = entry.fault_flag.clone();
+        let report = self.fault_report(&entry);
         let bound = entry.constraints.time_bound;
         // The invocation stays in-flight for the quiesce drain until the
         // runner finishes it (or drops it unrun — the guard's Drop still
@@ -1921,7 +1934,7 @@ where
                 let state = &flight.0;
                 let t0 = report.clock.now();
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    let _ = handler(&args);
+                    let _ = (entry.handler)(&args);
                 }));
                 let elapsed = report.clock.now().saturating_sub(t0);
                 let fault = match outcome {
@@ -1945,7 +1958,7 @@ where
                     }
                     Err(payload) => {
                         count(&state.stats.handler_faults, 1);
-                        fault_flag.store(true, Ordering::Relaxed); // ordering: Relaxed — demotion hint; the plan-rebuild lock is the real barrier.
+                        entry.fault_flag.store(true, Ordering::Relaxed); // ordering: Relaxed — demotion hint; the plan-rebuild lock is the real barrier.
                         Some(FaultKind::Panic {
                             message: panic_message(payload.as_ref()),
                         })
@@ -2033,9 +2046,9 @@ where
             return Ok(false);
         }
         ws.quota = Some(cell);
-        let orphaned = state.republish(&mut ws, 0);
+        let displaced = state.republish(&mut ws, 0);
         drop(ws);
-        drop(orphaned);
+        drop(displaced);
         Ok(true)
     }
 
@@ -2930,6 +2943,90 @@ mod tests {
         ev.restore(&owner_id, receipt).unwrap();
         assert_eq!(ev.generation(), Ok(g + 2));
         assert_eq!(ev.raise(()), Ok(2));
+    }
+
+    /// The entries of the event's published plan, as the plan holds them.
+    fn plan_entries<A, R>(ev: &Event<A, R>) -> Vec<Arc<Entry<A, R>>> {
+        let published = ev.state.plan.read();
+        published
+            .plan
+            .as_ref()
+            .expect("live event")
+            .entries
+            .to_vec()
+    }
+
+    /// Whether two entry lists hold the very same entries, in order.
+    fn same_entries<A, R>(a: &[Arc<Entry<A, R>>], b: &[Arc<Entry<A, R>>]) -> bool {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| Arc::ptr_eq(x, y))
+    }
+
+    #[test]
+    fn consecutive_plans_share_every_untouched_entry() {
+        let d = disp();
+        let owner_id = Identity::kernel("k");
+        let (ev, owner) = d.define::<u32, u32>("E", owner_id.clone());
+        let (v1, v2) = (Identity::extension("v1"), Identity::extension("v2"));
+        owner.set_primary(|x| *x).unwrap();
+        let key = KeyFn::new(|x: &u32| u64::from(*x));
+        ev.install_keyed(v1.clone(), &key, 5, |_| 50).unwrap();
+        let base = plan_entries(&ev);
+
+        let id = ev.install(v2.clone(), |_| 2).unwrap();
+        let installed = plan_entries(&ev);
+        assert!(same_entries(&installed[..2], &base), "install");
+        assert_eq!(installed[2].id, id);
+
+        d.uninstall(&ev, id, &v2).unwrap();
+        assert!(same_entries(&plan_entries(&ev), &base), "uninstall");
+
+        let spec = InstallSpec {
+            installer: v2,
+            handler: Arc::new(|_: &u32| 7),
+            guards: Vec::new(),
+            constraints: Constraints::default(),
+        };
+        let receipt = ev.rebind(&owner_id, &v1, vec![spec]).unwrap();
+        let rebound = plan_entries(&ev);
+        assert!(
+            same_entries(&rebound[..1], &base[..1]),
+            "rebind keeps the primary"
+        );
+        assert!(
+            Arc::ptr_eq(&receipt.removed[0].1, &base[1]),
+            "the receipt holds v1's"
+        );
+        assert_eq!(ev.raise(5), Ok(7));
+
+        ev.restore(&owner_id, receipt).unwrap();
+        assert!(same_entries(&plan_entries(&ev), &base), "restore");
+        assert_eq!(ev.raise(5), Ok(50));
+    }
+
+    #[test]
+    fn a_sticky_fault_flag_survives_rebind_and_restore() {
+        let d = disp();
+        let owner_id = Identity::kernel("k");
+        let (ev, _owner) = d.define::<(), u32>("E", owner_id.clone());
+        let v1 = Identity::extension("v1");
+        ev.install(v1.clone(), |_| -> u32 { panic!("v1 bug") })
+            .unwrap();
+        assert!(ev.raise(()).is_err(), "faults on the fast path");
+        let spec = InstallSpec {
+            installer: Identity::extension("v2"),
+            handler: Arc::new(|_: &()| 2),
+            guards: Vec::new(),
+            constraints: Constraints::default(),
+        };
+        let receipt = ev.rebind(&owner_id, &v1, vec![spec]).unwrap();
+        assert_eq!(ev.raise(()), Ok(2), "v2 takes the fast path");
+        ev.restore(&owner_id, receipt).unwrap();
+        assert!(ev.raise(()).is_err());
+        let stats = d.stats(&ev).unwrap();
+        assert_eq!(stats.fast_path_raises, 2, "the restored v1 stays demoted");
+        assert_eq!(stats.handler_faults, 2);
+        // ordering: Relaxed — test plumbing; the raises above are sequential.
+        assert!(plan_entries(&ev)[0].fault_flag.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 
 use spin_core::{DispatchError, Dispatcher, Event, Identity, KeyFn};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
+use std::time::Duration;
 
 const RAISERS: usize = 4;
 const RAISES_PER_THREAD: u64 = 20_000;
@@ -473,4 +474,55 @@ fn parallel_fast_path_raises_reconcile() {
         "a lone unguarded synchronous handler stays on the fast path"
     );
     assert_eq!(stats.handlers_run, 0, "fast path bypasses the slow loop");
+}
+
+/// A probe whose drop raises `ev` from another thread and waits up to
+/// 500 ms for that raise to finish, recording whether it did.
+struct RaiseOnDrop {
+    ev: Event<u64, u64>,
+    raised: Arc<AtomicBool>,
+}
+
+impl Drop for RaiseOnDrop {
+    fn drop(&mut self) {
+        let (tx, rx) = mpsc::channel();
+        let ev = self.ev.clone();
+        thread::spawn(move || {
+            let _ = tx.send(ev.raise(1));
+        });
+        let raised = rx.recv_timeout(Duration::from_millis(500)).is_ok();
+        self.raised.store(raised, Ordering::SeqCst);
+    }
+}
+
+/// An uninstall whose replaced plan is the last owner of the handler it
+/// removed drops that handler — and everything it captured — once the
+/// write side and the event's record are both unlocked. Dropped under the
+/// record's write lock, as it was before this test was written, a raise of
+/// the same event waits out the drop, and a closure whose `Drop` waited for
+/// such a raise (or installed on the event) would deadlock.
+#[test]
+fn a_replaced_plan_drops_outside_the_record_lock() {
+    let d = Dispatcher::unmetered();
+    let (ev, owner) = d.define::<u64, u64>("Stress.DropProbe", Identity::kernel("stress"));
+    owner.set_primary(|x| *x).expect("fresh event");
+    let raised = Arc::new(AtomicBool::new(false));
+    let probe = RaiseOnDrop {
+        ev: ev.clone(),
+        raised: raised.clone(),
+    };
+    let ext = Identity::extension("probe");
+    let id = ev
+        .install(ext.clone(), move |x| {
+            let _captured = &probe;
+            *x + 1
+        })
+        .expect("install allowed");
+    assert_eq!(ev.raise(1), Ok(2));
+    d.uninstall(&ev, id, &ext).expect("uninstall own handler");
+    assert!(
+        raised.load(Ordering::SeqCst),
+        "a raise waited out the old plan's drop"
+    );
+    assert_eq!(ev.raise(1), Ok(1));
 }

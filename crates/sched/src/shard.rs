@@ -17,6 +17,12 @@
 //! * `n_i` — the shard's next event time: *now* if a strand is runnable or
 //!   an interrupt is pending, else the earliest local timer or pending
 //!   mailbox deadline, clamped to the local clock; `None` if fully idle.
+//!   The local half (`Executor::next_event_time`) changes only when the
+//!   shard runs, since nothing but mail crosses shards, so the coordinator
+//!   keeps it across epochs and re-reads it only for the shards it ran;
+//!   the mail half is read for every shard, every epoch — one load when
+//!   the mailbox is empty. Debug builds re-read every shard as well and
+//!   panic, naming the shard, if a kept horizon moved without a run.
 //! * `GVT = min over the Some n_j` — the global virtual time floor. When
 //!   every shard is `None`, the system is done.
 //! * `ñ_j = n_j`, or `GVT + L` for idle shards — an idle shard can be
@@ -60,6 +66,7 @@ use spin_check::sync::{AtomicU64, Ordering};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// One kernel shard: a host plus the executor pumping it.
@@ -310,6 +317,13 @@ impl Multicore {
             return IdleOutcome::AllComplete;
         }
         let workers = self.workers.min(self.shards.len());
+        // Every shard's local horizon, read once here and from then on
+        // only for the shards an epoch ran (see `plan_epoch`).
+        let mut local: Vec<Option<Nanos>> = self
+            .shards
+            .iter()
+            .map(|sh| sh.exec.next_event_time())
+            .collect();
         // The planner's buffers, reused by every epoch of this run.
         let mut next = Vec::with_capacity(self.shards.len());
         let mut plan = Vec::with_capacity(self.shards.len());
@@ -338,7 +352,16 @@ impl Multicore {
                 });
             }
             loop {
-                let done = self.plan_epoch(deadline, &mut next, &mut plan);
+                let planned = catch_unwind(AssertUnwindSafe(|| {
+                    self.plan_epoch(deadline, &mut local, &mut next, &mut plan)
+                }));
+                let done = planned.unwrap_or_else(|panic| {
+                    // Stop the workers before unwinding: the scope would
+                    // otherwise wait for them at "plan published" forever.
+                    plan_cell.lock().clear();
+                    barrier.wait();
+                    resume_unwind(panic)
+                });
                 if done.is_none() && workers.min(plan.len()) == 1 {
                     // The whole epoch is this thread's share: run it
                     // without publishing the plan or crossing a barrier.
@@ -362,8 +385,16 @@ impl Multicore {
     /// every shard cleared to run, a pure function of deterministic
     /// virtual-time state — and delivers those shards' mail to their timer
     /// queues. Returns the run's outcome instead, and leaves `plan` empty,
-    /// when there is nothing left to plan. `next` is scratch (the shards'
-    /// horizons).
+    /// when there is nothing left to plan. `plan` comes in holding the
+    /// previous epoch's; `local` holds each shard's local horizon
+    /// (`Executor::next_event_time`) and `next` is scratch (the horizons
+    /// with mail folded in).
+    ///
+    /// Only the shards the previous epoch ran have their local horizon
+    /// re-read: nothing but mail crosses shards (DESIGN.md #9), so a shard
+    /// that did not run has the horizon it had, and mail is read for every
+    /// shard, every epoch — a load when its mailbox is empty (#22). Debug
+    /// builds re-read every shard and name the one whose horizon moved.
     ///
     /// Runs only between the two barriers, when no worker is running and
     /// nobody can post. The unplanned shards' mailboxes are left alone on
@@ -373,13 +404,25 @@ impl Multicore {
     fn plan_epoch(
         &self,
         deadline: Nanos,
+        local: &mut [Option<Nanos>],
         next: &mut Vec<Option<Nanos>>,
         plan: &mut Vec<(usize, Nanos)>,
     ) -> Option<IdleOutcome> {
+        for &(idx, _) in plan.iter() {
+            local[idx] = self.shards[idx].exec.next_event_time();
+        }
+        #[cfg(all(debug_assertions, not(spin_check)))]
+        for (sh, &cached) in self.shards.iter().zip(local.iter()) {
+            let now = sh.exec.next_event_time();
+            assert_eq!(
+                now, cached,
+                "shard {} moved its horizon without running: only mail may cross shards",
+                sh.host.id.0
+            );
+        }
         plan.clear();
         next.clear();
-        next.extend(self.shards.iter().map(|sh| {
-            let local = sh.exec.next_event_time();
+        next.extend(self.shards.iter().zip(local.iter()).map(|(sh, &local)| {
             let mail = sh
                 .host
                 .mailbox
@@ -597,6 +640,55 @@ mod tests {
             mc.add_host(board.new_host(16));
         }
         (board, mc)
+    }
+
+    /// A strand on shard 0 has an action fire on shard 1 one lookahead
+    /// later: through `post_control` — mail, the one channel between
+    /// shards — or, when `legal` is false, by arming shard 1's timer queue
+    /// directly. Returns shard 1's clock when the action fired (0: never).
+    fn cross_shard_action(workers: usize, legal: bool) -> Nanos {
+        let (board, mc) = rig(workers, 2);
+        let mc = Arc::new(mc);
+        let fired = Arc::new(AtomicU64::new(0));
+        let (a, b) = (&mc.shards()[0].host, &mc.shards()[1].host);
+        let (clock_a, clock_b, timers_b) = (a.clock.clone(), b.clock.clone(), b.timers.clone());
+        let (f, target, l, runtime) = (fired.clone(), b.id, board.lookahead(), Arc::downgrade(&mc));
+        mc.shards()[0].exec.spawn("poster", move |ctx| {
+            ctx.work(5_000);
+            let at = clock_a.now() + l;
+            let action = move |_| f.store(clock_b.now(), Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            if legal {
+                assert!(runtime
+                    .upgrade()
+                    .expect("running")
+                    .post_control(target, at, action));
+            } else {
+                timers_b.schedule_at(at, action);
+            }
+        });
+        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        fired.load(Ordering::Relaxed) // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+    }
+
+    /// The planner re-reads only the shards it ran (DESIGN.md #22); a debug
+    /// build checks that nothing else moved, and names the shard that did.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn a_timer_armed_across_shards_trips_the_horizon_check() {
+        for workers in [1, 2] {
+            let panic = std::panic::catch_unwind(|| cross_shard_action(workers, false))
+                .expect_err("the horizon check fires");
+            let msg = panic.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("shard 1 moved its horizon"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn the_same_action_through_the_mailbox_is_worker_count_invariant() {
+        let base = cross_shard_action(1, true);
+        assert!(base > 5_000, "fired on shard 1 after the post");
+        assert_eq!(cross_shard_action(2, true), base, "2 workers diverged");
+        assert_eq!(cross_shard_action(4, true), base, "4 workers diverged");
     }
 
     #[test]

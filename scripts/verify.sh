@@ -165,10 +165,13 @@ gate perf-smoke perf_smoke
 # only have to run clean and emit.
 for pair in \
     table2_comm:table2_comm \
+    table3_threads:table3_threads \
     table4_vm:table4_vm \
     table5_net:table5_net \
     table6_forward:table6_forward \
     fig5_stack:fig5_stack \
+    fig6_video:fig6_video \
+    s3_web:s3_web \
     s1_dispatcher_scaling:s1_dispatcher_scaling:dispatch_compiled \
     s8_hotswap:hotswap \
     s9_overload:overload::one_cpu \

@@ -135,18 +135,10 @@ impl BufferCache {
     fn wait_disk(&self, ctx: &StrandCtx, req: DiskRequest) -> Vec<u8> {
         let done: Arc<KChannel<Vec<u8>>> = KChannel::new(self.exec.clone(), 1);
         let d2 = done.clone();
-        let exec = self.exec.clone();
-        let me = ctx.id();
         self.disk.submit(req, move |r| {
             d2.try_push(r.expect("fs issues valid requests"));
-            exec.unblock(me);
         });
-        loop {
-            if let Some(data) = done.try_recv() {
-                return data;
-            }
-            ctx.block();
-        }
+        done.recv(ctx).expect("the completion is never closed")
     }
 
     /// Charges the CPU cost of moving `n` bytes to/from a caller's buffer

@@ -21,10 +21,11 @@ use crate::stack::NetStack;
 use spin_check::sync::Mutex;
 use spin_core::{Event, Identity};
 use spin_sal::Nanos;
-use spin_sched::{Executor, KChannel, StrandCtx, StrandId};
+use spin_sched::{Executor, KChannel, StrandCtx, WaitQueue};
 use std::collections::BTreeMap;
 use std::ops::Deref;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// Interest/readiness bit masks.
 pub mod interest {
@@ -211,8 +212,8 @@ impl<T: Send> Pollable for ReadyQueue<T> {
 struct PollInner {
     /// Accumulated readiness, drained by `wait`/`try_wait` in token order.
     ready: BTreeMap<Token, u8>,
-    /// The strand parked in `wait`, if any.
-    waiter: Option<StrandId>,
+    /// The strands parked in `wait`.
+    waiters: WaitQueue,
 }
 
 /// An epoll-style poller: sources are added with a token and an interest
@@ -248,7 +249,7 @@ impl NetPoller {
             hub: stack.ready_hub().clone(),
             inner: Mutex::new(PollInner {
                 ready: BTreeMap::new(),
-                waiter: None,
+                waiters: WaitQueue::default(),
             }),
         });
         let me = poller.clone();
@@ -292,30 +293,26 @@ impl NetPoller {
     // charged: runs inside the `Net.Ready` raise, which pays the
     // dispatcher's per-raise costs for the whole batch.
     fn deliver(&self, batch: &ReadyBatch) {
-        let waiter = {
-            let mut inner = self.inner.lock();
-            for &(token, mask) in &batch.tokens {
-                *inner.ready.entry(token).or_insert(0) |= mask;
-            }
-            inner.waiter.take()
-        };
-        if let Some(w) = waiter {
-            self.exec.unblock(w);
-        }
+        self.mark(&batch.tokens);
     }
 
     /// Posts local readiness (timer ticks, user wakeups) directly into
     /// this poller, bypassing the hub (no raise, no charge).
     // uncharged: local scoreboard write; no event is raised.
     pub fn post(&self, token: Token, mask: u8) {
-        let waiter = {
+        self.mark(&[(token, mask)]);
+    }
+
+    /// Folds `tokens` into the ready set and wakes every waiter.
+    fn mark(&self, tokens: &[(Token, u8)]) {
+        let waiters = {
             let mut inner = self.inner.lock();
-            *inner.ready.entry(token).or_insert(0) |= mask;
-            inner.waiter.take()
+            for &(token, mask) in tokens {
+                *inner.ready.entry(token).or_insert(0) |= mask;
+            }
+            inner.waiters.wake_all()
         };
-        if let Some(w) = waiter {
-            self.exec.unblock(w);
-        }
+        waiters.unblock(&self.exec);
     }
 
     /// Blocks until at least one source is ready, then drains and returns
@@ -323,16 +320,17 @@ impl NetPoller {
     // uncharged: blocking costs virtual time on the scheduler's account;
     // the readiness delivery itself was charged at the raise.
     pub fn wait(&self, ctx: &StrandCtx) -> Vec<(Token, u8)> {
-        loop {
-            {
-                let mut inner = self.inner.lock();
-                if !inner.ready.is_empty() {
-                    return std::mem::take(&mut inner.ready).into_iter().collect();
+        ctx.wait(
+            &self.inner,
+            |inner| &mut inner.waiters,
+            |inner| {
+                if inner.ready.is_empty() {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(std::mem::take(&mut inner.ready).into_iter().collect())
                 }
-                inner.waiter = Some(ctx.id());
-            }
-            ctx.block();
-        }
+            },
+        )
     }
 
     /// Drains the ready set without blocking (possibly empty).
@@ -347,7 +345,10 @@ impl NetPoller {
 mod tests {
     use super::*;
     use crate::testrig::TwoHosts;
-    use spin_sched::IdleOutcome;
+    use spin_core::BlockedInStep;
+    use spin_sal::HostId;
+    use spin_sched::{IdleOutcome, Step};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// Takes everything noted in `hub` since the last call.
     fn noted(hub: &ReadyHub) -> Vec<((u64, Token), u8)> {
@@ -463,5 +464,57 @@ mod tests {
         assert_eq!(*got.lock(), Some(None), "woken to the end of the stream");
         q.close();
         assert_eq!(noted(&hub), [((1, 7), interest::CLOSED)], "one per call");
+    }
+
+    #[test]
+    fn two_strands_waiting_on_one_poller_both_wake() {
+        let rig = TwoHosts::new();
+        let poller = NetPoller::new(&rig.b);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        for name in ["first", "second"] {
+            let (p, g) = (poller.clone(), got.clone());
+            rig.exec.spawn(name, move |ctx| {
+                let ready = p.wait(ctx);
+                g.lock().push((name, ready));
+            });
+        }
+        let p = poller.clone();
+        rig.exec.spawn("poster", move |ctx| {
+            p.post(1, interest::READABLE);
+            ctx.yield_now(); // both waiters run: "first" drains token 1
+            p.post(2, interest::READABLE);
+        });
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(
+            *got.lock(),
+            [
+                ("first", vec![(1, interest::READABLE)]),
+                ("second", vec![(2, interest::READABLE)]),
+            ]
+        );
+    }
+
+    #[test]
+    fn an_idle_poller_wait_refused_in_a_step_leaves_nothing_queued() {
+        let rig = TwoHosts::new();
+        let poller = NetPoller::new(&rig.b);
+        let refused = Arc::new(Mutex::new(None));
+        let (p, r2) = (poller.clone(), refused.clone());
+        let mut slices = 0;
+        let stepper = rig.exec.spawn_step_on(HostId(0), "stepper", 8, move |ctx| {
+            slices += 1;
+            assert_eq!(slices, 1, "no wake runs the stepper again");
+            let unwound = catch_unwind(AssertUnwindSafe(|| p.wait(ctx))).expect_err("refused");
+            *r2.lock() = unwound.downcast_ref::<BlockedInStep>().map(|b| b.op);
+            Step::Done
+        });
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        let clock = rig.exec.clock();
+        let t0 = clock.now();
+        poller.post(1, interest::READABLE);
+        assert_eq!(clock.now(), t0, "the post woke nobody");
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert!(!rig.exec.panicked(stepper));
+        assert_eq!(*refused.lock(), Some("wait"));
     }
 }

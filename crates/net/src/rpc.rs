@@ -196,7 +196,6 @@ impl Rpc {
         b.extend_from_slice(args);
         let request = b.freeze();
 
-        let exec = self.stack.executor().clone();
         self.stats.calls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         let result = (|| {
             let mut timeout = self.config.base_timeout;
@@ -208,24 +207,11 @@ impl Rpc {
                     }
                 }
                 let _ = self.stack.udp_send(RPC_PORT, dst, RPC_PORT, &request);
-                let waiter = ctx.id();
-                let e2 = exec.clone();
-                let timer = exec
-                    .timers()
-                    .schedule_at(exec.clock().now() + timeout, move |_| e2.unblock(waiter));
+                // Either the reply or the timeout wakes us.
+                let got = ch.recv_deadline(ctx, ctx.executor().clock().now() + timeout);
                 // Capped exponential backoff: each retransmission waits
                 // twice as long, up to the configured ceiling.
                 timeout = (timeout * 2).min(self.config.max_timeout);
-                let got = match ch.try_recv() {
-                    Some(r) => Some(r),
-                    None => {
-                        // Either the reply or the timeout wakes us; an
-                        // empty channel after waking means timeout.
-                        ctx.block();
-                        ch.try_recv()
-                    }
-                };
-                exec.timers().cancel(timer);
                 match got {
                     Some((TAG_REPLY, body)) => return Ok(body.to_vec()),
                     Some((_, body)) => {
@@ -276,6 +262,27 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_wakes_the_caller_before_its_timeout() {
+        let (rig, a, b) = rig();
+        b.register("echo", |args| args.to_vec());
+        let dst = rig.b_ip(Medium::Ethernet);
+        let clock = rig.exec.clock().clone();
+        let elapsed = Arc::new(Mutex::new(0));
+        let e2 = elapsed.clone();
+        rig.exec.spawn("caller", move |ctx| {
+            let t0 = clock.now();
+            assert_eq!(a.call(ctx, dst, "echo", b"ping").unwrap(), b"ping");
+            *e2.lock() = clock.now() - t0;
+        });
+        assert_eq!(
+            rig.exec.run_until_idle(),
+            spin_sched::IdleOutcome::AllComplete
+        );
+        let e = *elapsed.lock();
+        assert!(e < RPC_TIMEOUT / 100, "one round trip, not a timeout: {e}");
+    }
+
+    #[test]
     fn unknown_procedure_is_reported() {
         let (rig, a, _b) = rig();
         let dst = rig.b_ip(Medium::Ethernet);
@@ -323,15 +330,11 @@ mod tests {
         assert_eq!(stats.calls, 1);
         assert_eq!(stats.retries, 2, "two retransmissions before success");
         assert_eq!(stats.timeouts, 0);
-        // The caller wakes at each attempt's timer: 100 ms, then 200 ms,
-        // then 400 ms for the successful third attempt — 700 ms total.
-        // (A fixed 100 ms timeout would have finished at 300 ms.)
+        // Two timed-out waits, 100 ms and then a doubled 200 ms, and then
+        // the reply to the third attempt wakes the caller.
         let e = *elapsed.lock();
-        assert!(
-            e >= 700_000_000,
-            "backoff doubled the second and third waits, got {e}"
-        );
-        assert!(e < 800_000_000, "the call converged, got {e}");
+        assert!(e >= 300_000_000, "backoff doubled the second wait, got {e}");
+        assert!(e < 400_000_000, "the reply ended the third wait, got {e}");
     }
 
     #[test]

@@ -1181,7 +1181,7 @@ mod tests {
     }
 
     /// `netin` is a run-to-completion strand: a `Net.*` handler that tries
-    /// to block it is refused before anything is charged, booked as that
+    /// to wait on it is refused before anything is charged, booked as that
     /// handler's fault, and the burst carries on.
     #[test]
     fn a_handler_blocking_netin_is_a_contained_fault() {
@@ -1201,13 +1201,14 @@ mod tests {
             let (exec, clock) = (rig.exec.clone(), rig.board.clock.clone());
             let netin = Arc::new(Mutex::new(None));
             let n2 = netin.clone();
+            let never_sent = KChannel::<()>::new(rig.exec.clone(), 1);
             let _blocker = UdpSocket::bind_with(&rig.b, 7, "blocker", move |_| {
                 e1.lock().push(("blocker", clock.now()));
                 let ctx = exec.current_ctx().expect("on netin");
                 *n2.lock() = Some(ctx.id());
                 if blocking {
-                    ctx.block();
-                    unreachable!("the block was refused");
+                    never_sent.recv(&ctx);
+                    unreachable!("the wait was refused");
                 }
             })
             .unwrap();
@@ -1243,7 +1244,7 @@ mod tests {
             assert_eq!(f.installer.name(), "blocker");
             match &f.kind {
                 spin_core::FaultKind::Panic { message } => {
-                    assert_eq!(message, "`block` inside a run-to-completion strand")
+                    assert_eq!(message, "`wait` inside a run-to-completion strand")
                 }
                 other => panic!("expected a contained panic, got {other:?}"),
             }

@@ -26,9 +26,10 @@ use spin_check::sync::Mutex;
 use spin_check::sync::{AtomicU32, Ordering};
 use spin_core::Identity;
 use spin_sal::{BufChain, Nanos};
-use spin_sched::{Executor, StrandCtx, StrandId};
+use spin_sched::{Executor, StrandCtx, WaitQueue};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
+use std::task::Poll;
 
 /// Maximum segment size (fits the Ethernet MTU under IP + TCP headers).
 pub const MSS: usize = 1400;
@@ -99,12 +100,13 @@ struct ConnState {
     reassembly: BTreeMap<u32, Bytes>,
     /// Sent but unacknowledged segments, oldest first.
     retransmit: VecDeque<SendEntry>,
-    /// Strands blocked waiting for window space.
-    send_waiters: Vec<StrandId>,
+    /// Strands blocked waiting for window space, and in `connect` for the
+    /// handshake's end.
+    send_waiters: WaitQueue,
     /// Strands blocked in [`TcpConn::close`] until the state is `Closed`.
     /// Not `send_waiters`: the ACK that takes `FinWait1` to `FinWait2`
     /// drains that list, and a closer must sleep through it.
-    close_waiters: Vec<StrandId>,
+    close_waiters: WaitQueue,
     rto_timer: Option<spin_sal::clock::TimerId>,
     retransmissions: u64,
 }
@@ -238,39 +240,39 @@ impl TcpConn {
         };
         let mut offset = 0;
         while offset < data.len() {
-            // Wait for window space; the lock it is found under is kept.
-            let mut st = loop {
-                let mut st = self.state.lock();
-                match st.state {
-                    TcpState::Established | TcpState::CloseWait => {}
-                    _ => return Err(TcpError::Closed),
-                }
-                if Self::usable_window(&st) >= 1 {
-                    break st;
-                }
-                st.send_waiters.push(ctx.id());
-                drop(st);
-                ctx.block();
-            };
-            // Slice as many segments as the window permits in one burst.
-            let mut window = Self::usable_window(&st) as usize;
-            let mut batch: Vec<(IpAddr, u8, BufChain)> = Vec::new();
-            while offset < data.len() && window > 0 {
-                let n = (data.len() - offset).min(MSS).min(window);
-                let chunk = data.slice(offset..offset + n);
-                let seq = st.snd_nxt;
-                st.snd_nxt = st.snd_nxt.wrapping_add(n as u32);
-                st.retransmit.push_back(SendEntry {
-                    seq,
-                    data: chunk.clone(),
-                    fin: false,
-                });
-                let seg = self.segment(ack, seq, st.rcv_nxt, chunk);
-                batch.push((self.key.peer, proto::TCP, seg));
-                offset += n;
-                window -= n;
-            }
-            drop(st);
+            // Wait for window space, and under the lock it is found under
+            // slice as many segments as it permits into one burst.
+            let batch = ctx.wait(
+                &self.state,
+                |st| &mut st.send_waiters,
+                |st| {
+                    match st.state {
+                        TcpState::Established | TcpState::CloseWait => {}
+                        _ => return Poll::Ready(Err(TcpError::Closed)),
+                    }
+                    let mut window = Self::usable_window(st) as usize;
+                    if window == 0 {
+                        return Poll::Pending;
+                    }
+                    let mut batch: Vec<(IpAddr, u8, BufChain)> = Vec::new();
+                    while offset < data.len() && window > 0 {
+                        let n = (data.len() - offset).min(MSS).min(window);
+                        let chunk = data.slice(offset..offset + n);
+                        let seq = st.snd_nxt;
+                        st.snd_nxt = st.snd_nxt.wrapping_add(n as u32);
+                        st.retransmit.push_back(SendEntry {
+                            seq,
+                            data: chunk.clone(),
+                            fin: false,
+                        });
+                        let seg = self.segment(ack, seq, st.rcv_nxt, chunk);
+                        batch.push((self.key.peer, proto::TCP, seg));
+                        offset += n;
+                        window -= n;
+                    }
+                    Poll::Ready(Ok(batch))
+                },
+            )?;
             let _ = self.stack.send_ip_burst(batch);
             self.arm_rto();
         }
@@ -331,15 +333,14 @@ impl TcpConn {
         if !self.begin_close() {
             return;
         }
-        loop {
-            let mut st = self.state.lock();
-            if st.state == TcpState::Closed {
-                return;
-            }
-            st.close_waiters.push(ctx.id());
-            drop(st);
-            ctx.block();
-        }
+        ctx.wait(
+            &self.state,
+            |st| &mut st.close_waiters,
+            |st| match st.state {
+                TcpState::Closed => Poll::Ready(()),
+                _ => Poll::Pending,
+            },
+        );
     }
 
     /// Handles an inbound segment (protocol-thread context; must not
@@ -347,18 +348,17 @@ impl TcpConn {
     /// segment closed the connection, which the stack then reaps.
     fn on_segment(self: &Arc<Self>, seg: &TcpSegment) -> bool {
         let h = &seg.header;
-        let mut wake_senders = Vec::new();
-        let mut closers = Vec::new();
+        let mut wake_senders = false;
         let mut deliver: Vec<Bytes> = Vec::new();
         let mut send_ack = false;
         let mut now_closed = false;
         let mut fin_arrived = false;
-        let (snd_nxt, rcv_nxt) = {
+        let (snd_nxt, rcv_nxt, senders, closers) = {
             let mut st = self.state.lock();
             if h.flags.rst {
                 st.state = TcpState::Closed;
                 now_closed = true;
-                wake_senders.append(&mut st.send_waiters);
+                wake_senders = true;
             } else {
                 // Handshake transitions.
                 match st.state {
@@ -367,7 +367,7 @@ impl TcpConn {
                         st.snd_una = h.ack;
                         st.state = TcpState::Established;
                         send_ack = true;
-                        wake_senders.append(&mut st.send_waiters);
+                        wake_senders = true;
                     }
                     TcpState::SynReceived if h.flags.ack && !h.flags.syn => {
                         st.snd_una = h.ack;
@@ -402,7 +402,7 @@ impl TcpConn {
                         if let Some(t) = st.rto_timer.take() {
                             self.exec.timers().cancel(t);
                         }
-                        wake_senders.append(&mut st.send_waiters);
+                        wake_senders = true;
                         // Close-handshake progress.
                         if st.retransmit.is_empty() {
                             match st.state {
@@ -455,10 +455,9 @@ impl TcpConn {
                     }
                 }
             }
-            if now_closed {
-                closers.append(&mut st.close_waiters);
-            }
-            (st.snd_nxt, st.rcv_nxt)
+            let senders = wake_senders.then(|| st.send_waiters.wake_all());
+            let closers = now_closed.then(|| st.close_waiters.wake_all());
+            (st.snd_nxt, st.rcv_nxt, senders, closers)
         };
         // The order below is the order of the wake-ups and sends it makes:
         // each `unblock` charges and takes a place in the ready queue.
@@ -481,14 +480,12 @@ impl TcpConn {
                 Bytes::new(),
             );
         }
-        for w in wake_senders {
-            self.exec.unblock(w);
+        if let Some(senders) = senders {
+            senders.unblock(&self.exec);
         }
-        if now_closed {
+        if let Some(closers) = closers {
             self.incoming.close();
-            for w in closers {
-                self.exec.unblock(w);
-            }
+            closers.unblock(&self.exec);
         }
         now_closed
     }
@@ -589,8 +586,8 @@ impl TcpStack {
                 rcv_nxt,
                 reassembly: BTreeMap::new(),
                 retransmit: VecDeque::new(),
-                send_waiters: Vec::new(),
-                close_waiters: Vec::new(),
+                send_waiters: WaitQueue::default(),
+                close_waiters: WaitQueue::default(),
                 rto_timer: None,
                 retransmissions: 0,
             }),
@@ -634,9 +631,6 @@ impl TcpStack {
         self.tables.lock().conns.insert(key, conn.clone());
 
         for _attempt in 0..SYN_RETRIES {
-            // Register for the establishment/RST wakeup before the SYN can
-            // possibly be answered.
-            conn.state.lock().send_waiters.push(ctx.id());
             conn.send_segment(
                 TcpFlags {
                     syn: true,
@@ -646,21 +640,22 @@ impl TcpStack {
                 0,
                 Bytes::new(),
             );
-            // Wait for establishment, refusal, or a timeout tick.
-            let exec = self.exec.clone();
-            let waiter = ctx.id();
-            let deadline = exec.clock().now() + RTO;
-            let timer = self.exec.timers().schedule_at(deadline, move |_| {
-                exec.unblock(waiter);
-            });
-            if conn.state() == TcpState::SynSent {
-                ctx.block();
-            }
-            self.exec.timers().cancel(timer);
-            match conn.state() {
-                TcpState::Established => return Ok(conn),
+            // Wait for establishment, refusal, or the attempt's timeout. A
+            // timed-out attempt's entry stays queued; the SYN-ACK wakes it too.
+            let deadline = self.exec.clock().now() + RTO;
+            let answer = ctx.wait_deadline(
+                &conn.state,
+                |st| &mut st.send_waiters,
+                deadline,
+                |st| match st.state {
+                    TcpState::SynSent => Poll::Pending,
+                    state => Poll::Ready(state),
+                },
+            );
+            match answer {
+                Poll::Ready(TcpState::Established) => return Ok(conn),
                 // The RST that closed it has had it reaped already.
-                TcpState::Closed => return Err(TcpError::Refused),
+                Poll::Ready(TcpState::Closed) => return Err(TcpError::Refused),
                 _ => {}
             }
         }

@@ -121,7 +121,7 @@ impl Baton {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
     /// Not runnable until [`Executor::unblock`]: raises the Block hook and
-    /// charges `sync_op`, exactly as [`StrandCtx::block`] does.
+    /// charges `sync_op`, exactly as a thread strand's park does.
     Block,
     /// Still runnable: back of its priority's queue, as
     /// [`StrandCtx::yield_now`].
@@ -867,9 +867,9 @@ impl Executor {
     }
 
     /// A [`StrandCtx`] for the currently running strand. Used by trusted
-    /// code (fault handlers, interrupt bottom halves) that must block the
-    /// strand it happens to be running on — e.g. a demand pager waiting
-    /// for disk I/O inside a `Translation.PageNotPresent` handler.
+    /// code (fault handlers, interrupt bottom halves) that must wait on
+    /// the strand it happens to be running on — e.g. a demand pager
+    /// waiting for disk I/O inside a `Translation.PageNotPresent` handler.
     pub fn current_ctx(self: &Arc<Self>) -> Option<StrandCtx> {
         let id = self.current()?;
         let deadline = self.state.lock().strands.get(&id)?.deadline.clone();
@@ -937,7 +937,7 @@ impl StrandCtx {
     /// handler, the dispatcher's containment books it as that handler's
     /// fault and the slice carries on; raised from the strand's own body,
     /// it finishes the strand as panicked.
-    fn refuse_in_step(&self, op: &'static str) {
+    pub(crate) fn refuse_in_step(&self, op: &'static str) {
         // ordering: Relaxed — set by the thread now running the slice, or cleared before the baton reached this strand.
         if self.exec.stepping.load(Ordering::Relaxed) {
             std::panic::panic_any(BlockedInStep { op });
@@ -951,8 +951,9 @@ impl StrandCtx {
         self.check_deadline();
     }
 
-    /// Blocks until another context unblocks this strand.
-    pub fn block(&self) {
+    /// Blocks until another context unblocks this strand: the park under
+    /// [`StrandCtx::wait`] and `TaskPackage`'s carrier.
+    pub(crate) fn block(&self) {
         self.refuse_in_step("block");
         self.exec.block_current();
         self.check_deadline();

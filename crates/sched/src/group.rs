@@ -111,7 +111,9 @@ impl TaskPackage {
                                                              // package honest with the global quantum.
                         ctx.preempt_point();
                     }
-                    None => ctx.block(), // wait for submissions
+                    // Only this package wakes its carrier, and it does so
+                    // unconditionally: the kernel's one hand-rolled park.
+                    None => ctx.block(),
                 }
             }
         });

@@ -7,6 +7,10 @@
 //!   an inline call per slice for run-to-completion strands, exactly one
 //!   running at a time, preemption at safe points when the quantum
 //!   expires);
+//! * **one way to wait** ([`WaitQueue`], [`StrandCtx::wait`]): every
+//!   blocking wait in the kernel polls its state under that state's lock
+//!   and parks on a queue inside it, so a wakeup cannot be lost and a
+//!   wait refused inside a run-to-completion slice leaves nothing queued;
 //! * the **Strand interface events** — `Block`, `Unblock`, `Checkpoint`,
 //!   `Resume` — raised through the central dispatcher so stacked
 //!   schedulers and thread packages can observe control flow
@@ -38,6 +42,7 @@ pub mod osf_threads;
 pub mod shard;
 pub mod sync;
 pub mod user;
+pub mod wait;
 
 pub use async_runner::install_async_runner;
 pub use cthreads::{measure_fork_join, measure_ping_pong, CThreads, CThreadsImpl};
@@ -53,3 +58,4 @@ pub use osf_threads::{OsfThreads, WaitChannel};
 pub use shard::{Multicore, MulticoreStats, Shard};
 pub use sync::{KChannel, KCondition, KMutex};
 pub use user::{measure_xas_call, UserProcess, XasClient, XasService};
+pub use wait::{WaitQueue, Wakeups};

@@ -8,6 +8,7 @@
 //! directly from strands and not layered on top of others".
 
 use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::wait::{woken_once, WaitQueue};
 use spin_check::sync::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -19,7 +20,7 @@ pub type WaitChannel = u64;
 #[derive(Clone)]
 pub struct OsfThreads {
     exec: Arc<Executor>,
-    channels: Arc<Mutex<HashMap<WaitChannel, Vec<StrandId>>>>,
+    channels: Arc<Mutex<HashMap<WaitChannel, WaitQueue>>>,
 }
 
 impl OsfThreads {
@@ -42,37 +43,31 @@ impl OsfThreads {
 
     /// `thread_sleep`: blocks the calling thread on `chan`.
     pub fn thread_sleep(&self, ctx: &StrandCtx, chan: WaitChannel) {
-        self.channels.lock().entry(chan).or_default().push(ctx.id());
-        ctx.block();
+        ctx.wait(
+            &self.channels,
+            |ch| ch.entry(chan).or_default(),
+            woken_once(),
+        );
     }
 
     /// `thread_wakeup`: wakes every thread sleeping on `chan`. Returns how
     /// many were woken.
     pub fn thread_wakeup(&self, chan: WaitChannel) -> usize {
-        let sleepers = self.channels.lock().remove(&chan).unwrap_or_default();
+        let mut sleepers = self.channels.lock().remove(&chan).unwrap_or_default();
         let n = sleepers.len();
-        for s in sleepers {
-            self.exec.unblock(s);
-        }
+        sleepers.wake_all().unblock(&self.exec);
         n
     }
 
     /// `thread_wakeup_one`: wakes the first sleeper only.
     pub fn thread_wakeup_one(&self, chan: WaitChannel) -> bool {
-        let woken = {
-            let mut ch = self.channels.lock();
-            match ch.get_mut(&chan) {
-                Some(v) if !v.is_empty() => Some(v.remove(0)),
-                _ => None,
-            }
+        let woken = match self.channels.lock().get_mut(&chan) {
+            Some(q) => q.wake_one(),
+            None => return false,
         };
-        match woken {
-            Some(s) => {
-                self.exec.unblock(s);
-                true
-            }
-            None => false,
-        }
+        let any = !woken.is_empty();
+        woken.unblock(&self.exec);
+        any
     }
 }
 

@@ -1,20 +1,26 @@
-//! In-kernel synchronization: mutexes and condition variables on strands.
+//! In-kernel synchronization: mutexes, condition variables and channels
+//! on strands.
 //!
 //! These are the "locks with condition variables in SPIN" used by Table 3's
 //! kernel-thread measurements. They operate on the virtual timeline: a
 //! contended lock blocks the strand (raising the Block hook) and unlock
 //! hands off through the scheduler. Because exactly one strand runs at a
-//! time, the implementations are simple state machines guarded by a host
-//! lock — the executor provides the atomicity.
+//! time, each is a state machine guarded by a host lock — the executor
+//! provides the atomicity — whose waiters are [`WaitQueue`]s inside that
+//! state: every blocking call here is one [`StrandCtx::wait`], and every
+//! wake is [`Wakeups`] taken under the lock and unblocked after it.
 
 use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::wait::{woken_once, WaitQueue, Wakeups};
 use spin_check::sync::Mutex;
+use spin_sal::Nanos;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::task::Poll;
 
 struct MutexState {
     owner: Option<StrandId>,
-    waiters: VecDeque<StrandId>,
+    waiters: WaitQueue,
 }
 
 /// A kernel mutex (Modula-3 `MUTEX` analogue).
@@ -30,7 +36,7 @@ impl KMutex {
             exec,
             state: Mutex::new(MutexState {
                 owner: None,
-                waiters: VecDeque::new(),
+                waiters: WaitQueue::default(),
             }),
         })
     }
@@ -38,17 +44,17 @@ impl KMutex {
     /// Acquires the mutex, blocking the strand while contended.
     pub fn lock(&self, ctx: &StrandCtx) {
         self.exec.clock().advance(self.exec.profile().sync_op);
-        loop {
-            {
-                let mut st = self.state.lock();
-                if st.owner.is_none() {
+        ctx.wait(
+            &self.state,
+            |st| &mut st.waiters,
+            |st| match st.owner {
+                Some(_) => Poll::Pending,
+                None => {
                     st.owner = Some(ctx.id());
-                    return;
+                    Poll::Ready(())
                 }
-                st.waiters.push_back(ctx.id());
-            }
-            ctx.block();
-        }
+            },
+        );
     }
 
     /// Releases the mutex and wakes the first waiter.
@@ -63,11 +69,9 @@ impl KMutex {
             let mut st = self.state.lock();
             assert_eq!(st.owner, Some(ctx.id()), "unlock by non-owner");
             st.owner = None;
-            st.waiters.pop_front()
+            st.waiters.wake_one()
         };
-        if let Some(w) = next {
-            self.exec.unblock(w);
-        }
+        next.unblock(&self.exec);
     }
 
     /// Runs `f` with the mutex held.
@@ -87,7 +91,7 @@ impl KMutex {
 /// A condition variable tied to a [`KMutex`] at wait time.
 pub struct KCondition {
     exec: Arc<Executor>,
-    waiters: Mutex<VecDeque<StrandId>>,
+    waiters: Mutex<WaitQueue>,
 }
 
 impl KCondition {
@@ -95,33 +99,30 @@ impl KCondition {
     pub fn new(exec: Arc<Executor>) -> Arc<Self> {
         Arc::new(KCondition {
             exec,
-            waiters: Mutex::new(VecDeque::new()),
+            waiters: Mutex::new(WaitQueue::default()),
         })
     }
 
     /// Atomically releases `mutex` and waits for a signal; reacquires the
-    /// mutex before returning.
+    /// mutex before returning. Exactly one strand runs at a time, so
+    /// nothing can signal between the release and the park.
     pub fn wait(&self, ctx: &StrandCtx, mutex: &KMutex) {
-        self.waiters.lock().push_back(ctx.id());
+        ctx.refuse_in_step("wait");
         mutex.unlock(ctx);
-        ctx.block();
+        ctx.wait(&self.waiters, |q| q, woken_once());
         mutex.lock(ctx);
     }
 
     /// Wakes one waiter.
     pub fn signal(&self, _ctx: &StrandCtx) {
-        let next = self.waiters.lock().pop_front();
-        if let Some(w) = next {
-            self.exec.unblock(w);
-        }
+        let next = self.waiters.lock().wake_one();
+        next.unblock(&self.exec);
     }
 
     /// Wakes every waiter.
     pub fn broadcast(&self, _ctx: &StrandCtx) {
-        let all: Vec<StrandId> = self.waiters.lock().drain(..).collect();
-        for w in all {
-            self.exec.unblock(w);
-        }
+        let all = self.waiters.lock().wake_all();
+        all.unblock(&self.exec);
     }
 
     /// Number of strands currently waiting.
@@ -139,9 +140,25 @@ pub struct KChannel<T: Send> {
 struct ChannelState<T> {
     queue: VecDeque<T>,
     capacity: usize,
-    recv_waiters: VecDeque<StrandId>,
-    send_waiters: VecDeque<StrandId>,
+    recv_waiters: WaitQueue,
+    send_waiters: WaitQueue,
     closed: bool,
+}
+
+impl<T> ChannelState<T> {
+    fn receivers(&mut self) -> &mut WaitQueue {
+        &mut self.recv_waiters
+    }
+
+    /// A receive's poll: the next item (or `None` once closed and
+    /// drained), and the sender the space it leaves wakes.
+    fn take(&mut self) -> Poll<(Option<T>, Wakeups)> {
+        match self.queue.pop_front() {
+            Some(item) => Poll::Ready((Some(item), self.send_waiters.wake_one())),
+            None if self.closed => Poll::Ready((None, Wakeups::default())),
+            None => Poll::Pending,
+        }
+    }
 }
 
 impl<T: Send> KChannel<T> {
@@ -152,8 +169,8 @@ impl<T: Send> KChannel<T> {
             state: Mutex::new(ChannelState {
                 queue: VecDeque::new(),
                 capacity,
-                recv_waiters: VecDeque::new(),
-                send_waiters: VecDeque::new(),
+                recv_waiters: WaitQueue::default(),
+                send_waiters: WaitQueue::default(),
                 closed: false,
             }),
         })
@@ -163,53 +180,42 @@ impl<T: Send> KChannel<T> {
     /// if the channel is closed.
     pub fn send(&self, ctx: &StrandCtx, item: T) -> bool {
         let mut item = Some(item);
-        loop {
-            let wake = {
-                let mut st = self.state.lock();
+        let (sent, wake) = ctx.wait(
+            &self.state,
+            |st| &mut st.send_waiters,
+            |st| {
                 if st.closed {
-                    return false;
-                }
-                if st.queue.len() < st.capacity {
+                    Poll::Ready((false, Wakeups::default()))
+                } else if st.queue.len() < st.capacity {
                     st.queue.push_back(item.take().expect("item pending"));
-                    st.recv_waiters.pop_front()
+                    Poll::Ready((true, st.recv_waiters.wake_one()))
                 } else {
-                    st.send_waiters.push_back(ctx.id());
-                    None
+                    Poll::Pending
                 }
-            };
-            if item.is_none() {
-                if let Some(w) = wake {
-                    self.exec.unblock(w);
-                }
-                return true;
-            }
-            ctx.block();
-        }
+            },
+        );
+        wake.unblock(&self.exec);
+        sent
     }
 
     /// Receives an item, blocking while the channel is empty. Returns
     /// `None` once the channel is closed and drained.
     pub fn recv(&self, ctx: &StrandCtx) -> Option<T> {
-        loop {
-            let (item, wake) = {
-                let mut st = self.state.lock();
-                match st.queue.pop_front() {
-                    Some(item) => (Some(item), st.send_waiters.pop_front()),
-                    None if st.closed => return None,
-                    None => {
-                        st.recv_waiters.push_back(ctx.id());
-                        (None, None)
-                    }
-                }
-            };
-            if let Some(w) = wake {
-                self.exec.unblock(w);
-            }
-            match item {
-                Some(item) => return Some(item),
-                None => ctx.block(),
-            }
-        }
+        let (item, wake) = ctx.wait(&self.state, ChannelState::receivers, ChannelState::take);
+        wake.unblock(&self.exec);
+        item
+    }
+
+    /// [`KChannel::recv`] for one attempt that gives up at the virtual
+    /// time `at` (see [`StrandCtx::wait_deadline`]): `None` if it timed
+    /// out or the channel is closed and drained.
+    pub fn recv_deadline(&self, ctx: &StrandCtx, at: Nanos) -> Option<T> {
+        let (queue, take) = (ChannelState::receivers, ChannelState::take);
+        let Poll::Ready((item, wake)) = ctx.wait_deadline(&self.state, queue, at, take) else {
+            return None;
+        };
+        wake.unblock(&self.exec);
+        item
     }
 
     /// Tries to send without blocking. Usable from non-strand contexts
@@ -222,11 +228,9 @@ impl<T: Send> KChannel<T> {
                 return false;
             }
             st.queue.push_back(item);
-            st.recv_waiters.pop_front()
+            st.recv_waiters.wake_one()
         };
-        if let Some(w) = wake {
-            self.exec.unblock(w);
-        }
+        wake.unblock(&self.exec);
         true
     }
 
@@ -234,26 +238,21 @@ impl<T: Send> KChannel<T> {
     pub fn try_recv(&self) -> Option<T> {
         let (item, wake) = {
             let mut st = self.state.lock();
-            (st.queue.pop_front(), st.send_waiters.pop_front())
+            (st.queue.pop_front(), st.send_waiters.wake_one())
         };
-        if let Some(w) = wake {
-            self.exec.unblock(w);
-        }
+        wake.unblock(&self.exec);
         item
     }
 
-    /// Closes the channel, waking all waiters.
+    /// Closes the channel, waking all waiters: receivers, then senders.
     pub fn close(&self) {
-        let waiters: Vec<StrandId> = {
+        let (receivers, senders) = {
             let mut st = self.state.lock();
             st.closed = true;
-            let mut v: Vec<StrandId> = st.recv_waiters.drain(..).collect();
-            v.extend(st.send_waiters.drain(..));
-            v
+            (st.recv_waiters.wake_all(), st.send_waiters.wake_all())
         };
-        for w in waiters {
-            self.exec.unblock(w);
-        }
+        receivers.unblock(&self.exec);
+        senders.unblock(&self.exec);
     }
 
     /// Items currently queued.
@@ -277,8 +276,10 @@ impl<T: Send> KChannel<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::IdleOutcome;
-    use spin_sal::SimBoard;
+    use crate::executor::{IdleOutcome, Step};
+    use spin_core::BlockedInStep;
+    use spin_sal::{HostId, SimBoard};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
@@ -415,5 +416,99 @@ mod tests {
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(*produced.lock(), 3);
+    }
+
+    /// A thread strand runs `setup` and yields; a run-to-completion slice
+    /// then tries `wait`, which must be refused; then the thread strand
+    /// runs `wake`. Returns what refused the wait and what `wake` charged.
+    fn refuse_then_wake(
+        e: &Arc<Executor>,
+        setup: impl FnOnce(&StrandCtx) + Send + 'static,
+        wait: impl FnOnce(&StrandCtx) + Send + 'static,
+        wake: impl FnOnce(&StrandCtx) + Send + 'static,
+    ) -> (Option<&'static str>, Nanos) {
+        let charged = Arc::new(Mutex::new(None));
+        let c2 = charged.clone();
+        e.spawn("waker", move |ctx| {
+            setup(ctx);
+            ctx.yield_now();
+            let clock = ctx.executor().clock().clone();
+            let t0 = clock.now();
+            wake(ctx);
+            *c2.lock() = Some(clock.now() - t0);
+        });
+        let refused = Arc::new(Mutex::new(None));
+        let r2 = refused.clone();
+        let mut wait = Some(wait);
+        let stepper = e.spawn_step_on(HostId(0), "stepper", 8, move |ctx| {
+            let wait = wait.take().expect("the stepper runs one slice");
+            let unwound = catch_unwind(AssertUnwindSafe(|| wait(ctx))).expect_err("refused");
+            *r2.lock() = unwound.downcast_ref::<BlockedInStep>().map(|b| b.op);
+            Step::Done
+        });
+        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        assert!(!e.panicked(stepper), "no wake ran the stepper again");
+        let charged = charged.lock().expect("the waker ran");
+        let refused = *refused.lock();
+        (refused, charged)
+    }
+
+    #[test]
+    fn a_wait_refused_in_a_step_leaves_nothing_queued() {
+        let sync_op = exec().profile().sync_op;
+
+        let e = exec();
+        let m = KMutex::new(e.clone());
+        let (m1, m2, m3) = (m.clone(), m.clone(), m.clone());
+        let got = refuse_then_wake(
+            &e,
+            move |ctx| m1.lock(ctx),
+            move |ctx| m2.lock(ctx),
+            move |ctx| m3.unlock(ctx),
+        );
+        assert_eq!(got, (Some("wait"), sync_op), "contended KMutex::lock");
+
+        let e = exec();
+        let (m, c) = (KMutex::new(e.clone()), KCondition::new(e.clone()));
+        let (m1, c1, c2) = (m.clone(), c.clone(), c.clone());
+        let got = refuse_then_wake(
+            &e,
+            |_| {},
+            move |ctx| {
+                m1.lock(ctx);
+                c1.wait(ctx, &m1);
+            },
+            move |ctx| c2.signal(ctx),
+        );
+        assert_eq!(got, (Some("wait"), 0), "KCondition::wait");
+        assert!(m.is_locked(), "refused before the mutex was released");
+        assert_eq!(c.waiter_count(), 0);
+
+        let e = exec();
+        let ch = KChannel::new(e.clone(), 1);
+        assert!(ch.try_push(0));
+        let (ch1, ch2) = (ch.clone(), ch.clone());
+        let got = refuse_then_wake(
+            &e,
+            |_| {},
+            move |ctx| {
+                ch1.send(ctx, 1);
+            },
+            move |_| assert_eq!(ch2.try_recv(), Some(0)),
+        );
+        assert_eq!(got, (Some("wait"), 0), "KChannel::send on a full channel");
+
+        let e = exec();
+        let ch = KChannel::new(e.clone(), 1);
+        let (ch1, ch2) = (ch.clone(), ch.clone());
+        let got = refuse_then_wake(
+            &e,
+            |_| {},
+            move |ctx| {
+                ch1.recv(ctx);
+            },
+            move |_| assert!(ch2.try_push(1)),
+        );
+        assert_eq!(got, (Some("wait"), 0), "KChannel::recv on an empty channel");
     }
 }

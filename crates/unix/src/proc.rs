@@ -1,6 +1,7 @@
 //! Process-table types for the UNIX server.
 
 use crate::pipe::Pipe;
+use spin_sched::WaitQueue;
 use spin_vm::UnixAddressSpace;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,7 +37,7 @@ pub(crate) struct Proc {
     pub next_fd: i32,
     pub state: ProcState,
     /// Strands blocked in waitpid on this process's children.
-    pub waiters: Vec<spin_sched::StrandId>,
+    pub waiters: WaitQueue,
 }
 
 impl Proc {
@@ -48,7 +49,7 @@ impl Proc {
             fds: HashMap::new(),
             next_fd: 3, // 0/1/2 reserved for stdio
             state: ProcState::Running,
-            waiters: Vec::new(),
+            waiters: WaitQueue::default(),
         }
     }
 

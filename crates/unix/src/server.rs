@@ -23,6 +23,7 @@ use spin_sched::{Executor, StrandCtx};
 use spin_vm::{UnixAsExtension, VmError};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// First system-call number of the server's band on `Trap.SystemCall`.
 pub const SYSCALL_BASE: u64 = 1000;
@@ -200,16 +201,14 @@ impl UnixServer {
             };
             let waiters = parent
                 .and_then(|pp| st.procs.get_mut(&pp))
-                .map(|pp| std::mem::take(&mut pp.waiters))
+                .map(|pp| pp.waiters.wake_all())
                 .unwrap_or_default();
             (waiters, fds)
         };
         for fd in fds {
             self.release_fd(fd);
         }
-        for w in waiters {
-            self.exec.unblock(w);
-        }
+        waiters.unblock(&self.exec);
     }
 
     fn release_fd(&self, fd: Fd) {
@@ -223,11 +222,12 @@ impl UnixServer {
     /// `waitpid(-1)`: blocks until any child of `parent` exits; reaps it.
     pub fn waitpid(&self, ctx: &StrandCtx, parent: Pid) -> Result<(Pid, i32), UnixError> {
         self.note(calls::WAITPID, parent);
-        loop {
-            {
-                let mut st = self.state.lock();
+        ctx.wait(
+            &self.state,
+            |st| &mut st.procs.get_mut(&parent).expect("polled above").waiters,
+            |st| {
                 if !st.procs.contains_key(&parent) {
-                    return Err(UnixError::NoSuchProcess);
+                    return Poll::Ready(Err(UnixError::NoSuchProcess));
                 }
                 let zombie = st
                     .procs
@@ -239,20 +239,15 @@ impl UnixServer {
                         Some(ProcState::Zombie(s)) => s,
                         _ => 0,
                     };
-                    return Ok((child, status));
+                    return Poll::Ready(Ok((child, status)));
                 }
-                let any_children = st.procs.values().any(|p| p.parent == Some(parent));
-                if !any_children {
-                    return Err(UnixError::NoChildren);
+                if st.procs.values().any(|p| p.parent == Some(parent)) {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(Err(UnixError::NoChildren))
                 }
-                st.procs
-                    .get_mut(&parent)
-                    .expect("checked above")
-                    .waiters
-                    .push(ctx.id());
-            }
-            ctx.block();
-        }
+            },
+        )
     }
 
     /// `brk`-style allocation: extends the process image by `pages`,

@@ -95,21 +95,16 @@ impl DiskPager {
                     // Read the backing block, blocking this strand.
                     let page_index = (info.va - region.base()) >> PAGE_SHIFT;
                     let block = BlockId(base_block + page_index);
-                    let done: Arc<KChannel<Vec<u8>>> = KChannel::new(exec.clone(), 1);
+                    let done: Arc<KChannel<Option<Vec<u8>>>> = KChannel::new(exec.clone(), 1);
                     let d2 = done.clone();
-                    let exec2 = exec.clone();
-                    let waiter = sctx.id();
                     disk.submit(DiskRequest::Read(block), move |r| {
-                        if let Ok(data) = r {
-                            // Stash the data and wake the faulting strand.
-                            d2.try_push(data);
-                        }
-                        exec2.unblock(waiter);
+                        // Hand over the data (or the failure) and wake the
+                        // faulting strand.
+                        d2.try_push(r.ok());
                     });
-                    sctx.block();
-                    let data = match done.try_recv() {
-                        Some(d) => d,
-                        None => return FaultAction::Fail,
+                    let data = match done.recv(&sctx) {
+                        Some(Some(d)) => d,
+                        _ => return FaultAction::Fail,
                     };
                     phys.memory().write(frame, 0, &data);
                     let vpn = info.va >> PAGE_SHIFT;
@@ -176,17 +171,14 @@ mod tests {
             exec.spawn("writer", move |ctx| {
                 let done: Arc<KChannel<()>> = KChannel::new(ctx.executor().clone(), 1);
                 let d2 = done.clone();
-                let e3 = ctx.executor().clone();
-                let me = ctx.id();
                 d.submit(
                     DiskRequest::Write(BlockId(i), vec![fill; BLOCK_SIZE]),
                     move |r| {
                         r.unwrap();
                         d2.try_push(());
-                        e3.unblock(me);
                     },
                 );
-                ctx.block();
+                done.recv(ctx);
             });
         }
         exec.run_until_idle();

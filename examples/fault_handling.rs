@@ -7,7 +7,7 @@
 use parking_lot::Mutex;
 use spin_os::core::Kernel;
 use spin_os::sal::{Protection, SimBoard};
-use spin_os::sched::Executor;
+use spin_os::sched::{Executor, KChannel};
 use spin_os::vm::{DiskPager, UnixAsExtension, VmService};
 use std::sync::Arc;
 
@@ -59,16 +59,16 @@ fn main() {
     for (b, fill) in [(50u64, b'S'), (51, b'P')] {
         let disk = host.disk.clone();
         exec.spawn("stage", move |ctx| {
-            let exec = ctx.executor().clone();
-            let me = ctx.id();
+            let done = KChannel::new(ctx.executor().clone(), 1);
+            let d2 = done.clone();
             disk.submit(
                 DiskRequest::Write(BlockId(b), vec![fill; BLOCK_SIZE]),
                 move |r| {
                     r.unwrap();
-                    exec.unblock(me);
+                    d2.try_push(());
                 },
             );
-            ctx.block();
+            done.recv(ctx);
         });
     }
     exec.run_until_idle();

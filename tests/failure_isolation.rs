@@ -4,12 +4,14 @@
 //! catastrophic than the failure of code executing in the runtime
 //! libraries".
 
+use parking_lot::Mutex;
 use spin_os::core::{Constraints, HandlerMode, Identity, InstallDecision, Kernel};
 use spin_os::rt::GcError;
 use spin_os::sal::SimBoard;
-use spin_os::sched::{Executor, IdleOutcome};
+use spin_os::sched::{Executor, IdleOutcome, WaitQueue};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
+use std::task::Poll;
 
 fn kernel() -> Kernel {
     let board = SimBoard::new();
@@ -66,8 +68,12 @@ fn a_thread_package_ignoring_unblock_only_harms_its_own_application() {
         board.profile.clone(),
     );
 
-    // The victim application blocks and its (buggy) package never wakes it.
-    let victim = exec.spawn("victim-app", |ctx| ctx.block());
+    // The victim application waits on its (buggy) package, which never
+    // wakes it.
+    let package = Mutex::new(WaitQueue::default());
+    let victim = exec.spawn("victim-app", move |ctx| {
+        ctx.wait(&package, |q| q, |_| Poll::<()>::Pending)
+    });
     // An unrelated application gets on with its life.
     let healthy_done = Arc::new(AtomicU32::new(0));
     let h2 = healthy_done.clone();

@@ -4,7 +4,7 @@
 
 use spin_core::{Dispatcher, Identity};
 use spin_sal::{MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, Multicore};
+use spin_sched::{IdleOutcome, KChannel, Multicore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -99,7 +99,10 @@ fn global_deadlock_aggregates_blocked_strands_across_shards() {
     let ea = mc.add_host(board.new_host(16));
     let eb = mc.add_host(board.new_host(16));
     ea.spawn("worker", |ctx| ctx.work(50_000));
-    eb.spawn("stuck", |ctx| ctx.block());
+    let never_sent = KChannel::<()>::new(eb.clone(), 1);
+    eb.spawn("stuck", move |ctx| {
+        never_sent.recv(ctx);
+    });
     match mc.run_until_idle() {
         IdleOutcome::Deadlock { blocked } => assert_eq!(blocked, vec!["stuck".to_string()]),
         other => panic!("expected a global deadlock, got {other:?}"),

@@ -7,7 +7,7 @@
 //! [`Multicore::post_control`] — arrivals park in the hold queue — and at
 //! `T_COMMIT` it transfers the live flow table into a freshly built v2,
 //! rebinds the handlers in one generation bump and replays the parked
-//! packets in `(deliver_at, lane, seq)` order.
+//! packets in the order they parked.
 //!
 //! Three properties are asserted, all exit-nonzero on failure:
 //!

@@ -791,17 +791,16 @@ fn an_observed_charge_stays_within_its_budget() {
 ///   same lock, not the lock.
 /// * One frame across a two-shard board — `Nic::send`, the receiving
 ///   shard's `drain` onto its timers, the timer's fire, `Nic::receive`:
-///   **34** (38 at the parent of PR 26, 40 before PR 19). Send 12, was 13
-///   (two charges at two operations each, the NIC's lock pair for its tx
-///   counters, the wire's pair, one time read, the mailbox's pair and its
-///   `pending` add — the `posted` add went under the mailbox's lock);
-///   drain 4, was 5 (the `pending` probe, the lock pair, the `pending`
-///   store — `drained` went under the lock); schedule 2; the deadline
+///   **32** (34 before DESIGN.md decision 24, 38 before 21, 40 before 19).
+///   Send 10, was 12 (two charges at two operations each, the wire's pair,
+///   under which the frame is counted on its sender's link, one time read,
+///   the mailbox's pair and its `pending` add — the NIC's lock pair for
+///   its tx counters went); drain 4 (the `pending`
+///   probe, the lock pair, the `pending` store); schedule 2; the deadline
 ///   probe 2; fire 8 (the queue's two pairs around the delivery: the NIC's
-///   pair, under which the delivery is counted, and the interrupt post);
-///   receive 6, was 8 (the NIC's pair, under which the pop and the rx
-///   count are one critical section, and two charges — `NicStats`' own
-///   lock pair went).
+///   pair, under which the frame joins the ring, and the interrupt post);
+///   receive 6 (the NIC's pair, under which the pop and the rx count are
+///   one critical section, and two charges).
 #[test]
 fn the_frame_hop_stays_within_its_lock_budget() {
     let timer = marginal_steps("budget-timer", |n| {
@@ -829,7 +828,36 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         }
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
-    assert_eq!(hop, 34, "facade operations per frame hop");
+    assert_eq!(hop, 32, "facade operations per frame hop");
+}
+
+/// A slice's budget (DESIGN.md decision 24): one slice of a
+/// run-to-completion strand that yields is **30** facade operations, 32 at
+/// the parent of the PR that wrote this budget. `run_until` dequeues the
+/// strand and marks it Running in one critical section of the executor's
+/// state, where it took the lock once for each: one lock pair went. The
+/// slice's switch charge, the Resume hook, the meter reset and the
+/// `current` store follow it in the order they had.
+#[test]
+fn a_slice_stays_within_its_lock_budget() {
+    let slice = marginal_steps("budget-slice", |n| {
+        let exec = Executor::new(
+            Clock::new(),
+            TimerQueue::new(),
+            Arc::new(MachineProfile::alpha_axp_3000_400()),
+        );
+        let mut yields = n;
+        exec.spawn_step_on(HostId(0), "yielder", 8, move |_| {
+            if yields == 0 {
+                return Step::Done;
+            }
+            yields -= 1;
+            Step::Yield
+        });
+        assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(exec.switches(), n + 1, "one slice per yield, and the last");
+    });
+    assert_eq!(slice, 30, "facade operations per slice");
 }
 
 /// The planner's budget (DESIGN.md decision 22): one epoch of a 12-shard

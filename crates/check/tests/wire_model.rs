@@ -1,5 +1,5 @@
 //! Bound-2 model of the frame hand-off into a shard: two senders' bursts
-//! (`Nic::send_burst` → `Wire::transmit` → `Mailbox::post_batch`) race the
+//! (`Nic::send_burst` → `Wire::transmit` → `Mailbox::post_all`) race the
 //! receiving shard's epoch drain. This is the hop every cross-shard frame
 //! takes, so "frames sent == received + attributed drops" rests on it.
 //!

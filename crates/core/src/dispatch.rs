@@ -98,14 +98,14 @@
 //! installed handler and calls each opaque guard closure in turn, so
 //! per-raise cost grows linearly with installed guards (§5.5). Production
 //! in-kernel event systems (eBPF, Rex) compile predicates instead.
-//! [`GuardSpec`] introduces *structured* guards — [`GuardSpec::KeyEq`],
-//! [`GuardSpec::KeyIn`] and [`GuardSpec::KeyRange`] over a shared [`KeyFn`]
+//! [`GuardSpec`] introduces *structured* guards — [`GuardSpec::KeyEq`] and
+//! [`GuardSpec::KeyRange`] over a shared [`KeyFn`]
 //! key extractor (e.g. a packet's destination port), with
 //! [`GuardSpec::Opaque`] as the catch-all — and every plan build
 //! partitions the handlers:
 //!
 //! * entries whose **first** guard is key-matchable go into a per-`KeyFn`
-//!   dispatch table (hash map for `KeyEq`/`KeyIn`, a short list for
+//!   dispatch table (hash map for `KeyEq`, a short list for
 //!   `KeyRange`); a raise extracts the key once and selects the matching
 //!   subset with one lookup;
 //! * everything else (unguarded entries, opaque-guarded entries) stays on
@@ -214,8 +214,6 @@ impl<A> KeyFn<A> {
 pub enum GuardSpec<A> {
     /// Passes iff the extracted key equals the value.
     KeyEq(KeyFn<A>, u64),
-    /// Passes iff the extracted key is one of the listed values.
-    KeyIn(KeyFn<A>, Vec<u64>),
     /// Passes iff `lo <= key <= hi` (inclusive).
     KeyRange(KeyFn<A>, u64, u64),
     /// An arbitrary predicate; never indexed.
@@ -226,7 +224,6 @@ impl<A> Clone for GuardSpec<A> {
     fn clone(&self) -> Self {
         match self {
             GuardSpec::KeyEq(f, v) => GuardSpec::KeyEq(f.clone(), *v),
-            GuardSpec::KeyIn(f, vs) => GuardSpec::KeyIn(f.clone(), vs.clone()),
             GuardSpec::KeyRange(f, lo, hi) => GuardSpec::KeyRange(f.clone(), *lo, *hi),
             GuardSpec::Opaque(g) => GuardSpec::Opaque(g.clone()),
         }
@@ -239,7 +236,6 @@ impl<A> GuardSpec<A> {
         match self {
             GuardSpec::Opaque(g) => g(args),
             GuardSpec::KeyEq(f, v) => f.extract(args) == *v,
-            GuardSpec::KeyIn(f, vs) => vs.contains(&f.extract(args)),
             GuardSpec::KeyRange(f, lo, hi) => {
                 let k = f.extract(args);
                 *lo <= k && k <= *hi
@@ -250,9 +246,7 @@ impl<A> GuardSpec<A> {
     /// The key function, when this guard is indexable.
     fn key_fn(&self) -> Option<&KeyFn<A>> {
         match self {
-            GuardSpec::KeyEq(f, _) | GuardSpec::KeyIn(f, _) | GuardSpec::KeyRange(f, _, _) => {
-                Some(f)
-            }
+            GuardSpec::KeyEq(f, _) | GuardSpec::KeyRange(f, _, _) => Some(f),
             GuardSpec::Opaque(_) => None,
         }
     }
@@ -443,8 +437,8 @@ impl Hasher for KeyHasher {
 /// whose first guard keys off the same [`KeyFn`] (by identity).
 struct KeyGroup<A> {
     key: KeyFn<A>,
-    /// Exact-match table: key value → entry indices (`KeyEq` and each
-    /// deduplicated `KeyIn` value), in install order.
+    /// Exact-match table: key value → `KeyEq` entry indices, in install
+    /// order.
     eq: HashMap<u64, Vec<u32>, BuildHasherDefault<KeyHasher>>,
     /// Inclusive `KeyRange` intervals, scanned after the map lookup.
     ranges: Vec<(u64, u64, u32)>,
@@ -492,12 +486,8 @@ impl<A> Compiled<A> {
                                 .iter()
                                 .filter_map(|e| e.guards.first())
                                 .filter(|spec| spec.key_fn().is_some_and(|k| k.id == kf.id))
-                                .map(|spec| match spec {
-                                    GuardSpec::KeyEq(..) => 1,
-                                    GuardSpec::KeyIn(_, vs) => vs.len(),
-                                    _ => 0,
-                                })
-                                .sum();
+                                .filter(|spec| matches!(spec, GuardSpec::KeyEq(..)))
+                                .count();
                             groups.push(KeyGroup {
                                 key: kf.clone(),
                                 eq: HashMap::with_capacity_and_hasher(keys, Default::default()),
@@ -508,14 +498,6 @@ impl<A> Compiled<A> {
                     };
                     match &entry.guards[0] {
                         GuardSpec::KeyEq(_, v) => groups[gi].eq.entry(*v).or_default().push(idx),
-                        GuardSpec::KeyIn(_, vs) => {
-                            let mut vals = vs.clone();
-                            vals.sort_unstable();
-                            vals.dedup();
-                            for v in vals {
-                                groups[gi].eq.entry(v).or_default().push(idx);
-                            }
-                        }
                         GuardSpec::KeyRange(_, lo, hi) => groups[gi].ranges.push((*lo, *hi, idx)),
                         GuardSpec::Opaque(_) => unreachable!("key_fn() returned Some"),
                     }

@@ -19,7 +19,6 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone)]
 enum GuardModel {
     Eq(u64),
-    In(Vec<u64>),
     Range(u64, u64),
     /// `value % divisor == 0` — never expressible as a key guard.
     OpaqueMod(u64),
@@ -29,7 +28,6 @@ impl GuardModel {
     fn matches(&self, value: u64) -> bool {
         match self {
             GuardModel::Eq(v) => value == *v,
-            GuardModel::In(vs) => vs.contains(&value),
             GuardModel::Range(lo, hi) => {
                 let (lo, hi) = (*lo.min(hi), *lo.max(hi));
                 lo <= value && value <= hi
@@ -41,7 +39,6 @@ impl GuardModel {
     fn to_spec(&self, key: &KeyFn<u64>) -> GuardSpec<u64> {
         match self {
             GuardModel::Eq(v) => GuardSpec::KeyEq(key.clone(), *v),
-            GuardModel::In(vs) => GuardSpec::KeyIn(key.clone(), vs.clone()),
             GuardModel::Range(lo, hi) => GuardSpec::KeyRange(key.clone(), *lo.min(hi), *lo.max(hi)),
             GuardModel::OpaqueMod(d) => {
                 let d = *d;
@@ -60,7 +57,6 @@ impl GuardModel {
 fn guard_model() -> impl Strategy<Value = GuardModel> {
     prop_oneof![
         (0u64..32).prop_map(GuardModel::Eq),
-        prop::collection::vec(0u64..32, 0..4).prop_map(GuardModel::In),
         (0u64..32, 0u64..32).prop_map(|(a, b)| GuardModel::Range(a, b)),
         (1u64..7).prop_map(GuardModel::OpaqueMod),
     ]

@@ -156,8 +156,8 @@ fn concurrent_raises_survive_swap_and_rollback_churn() {
     );
 }
 
-/// Parked raises replay in `(deliver_at, lane, seq)` order — FIFO here,
-/// since parking charges no virtual time.
+/// Parked raises replay in the order they parked: the hold queue is an
+/// arrival-order FIFO.
 #[test]
 fn hold_queue_replays_in_park_order() {
     let d = Dispatcher::unmetered();

@@ -31,7 +31,7 @@ use spin_sched::{Executor, KChannel};
 use spin_vm::{
     FaultAction, FaultInfo, PhysAddrService, PhysAttrib, PhysRegion, TranslationService, VirtRegion,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The UDP port the DSM protocol uses.
@@ -81,8 +81,11 @@ struct NodeState {
     stats: DsmStats,
 }
 
-/// Strands parked waiting for a page's inbound DATA, keyed by page index.
-type PageWaiters = HashMap<u32, Arc<KChannel<Option<Vec<u8>>>>>;
+/// Strands parked waiting for answers about a page, keyed by page index,
+/// in the order they sent their requests. The peer answers one page's
+/// requests in the order they arrive and its answers travel one link in
+/// order, so each answer goes to the oldest waiter.
+type Waiters<T> = Mutex<HashMap<u32, VecDeque<Arc<KChannel<T>>>>>;
 
 /// Partial page images being reassembled, keyed by page index.
 type Reassembly = HashMap<u32, Vec<Option<Vec<u8>>>>;
@@ -98,12 +101,12 @@ pub struct DsmNode {
     region: Arc<VirtRegion>,
     peer: IpAddr,
     state: Arc<Mutex<NodeState>>,
-    /// Waiters for inbound DATA, keyed by page index.
-    waiters: Arc<Mutex<PageWaiters>>,
+    /// Waiters for a fetch's DATA (`Some`) or NACK (`None`).
+    waiters: Waiters<Option<Vec<u8>>>,
     /// Partial page images being reassembled, keyed by page index.
     reassembly: Arc<Mutex<Reassembly>>,
     /// Waiters for invalidation acknowledgements.
-    inval_waiters: Arc<Mutex<HashMap<u32, Arc<KChannel<()>>>>>,
+    inval_waiters: Waiters<()>,
 }
 
 impl DsmNode {
@@ -156,9 +159,9 @@ impl DsmNode {
                 pages,
                 stats: DsmStats::default(),
             })),
-            waiters: Arc::new(Mutex::new(HashMap::new())),
+            waiters: Mutex::default(),
             reassembly: Arc::new(Mutex::new(HashMap::new())),
-            inval_waiters: Arc::new(Mutex::new(HashMap::new())),
+            inval_waiters: Mutex::default(),
         });
 
         // Protocol handler: non-blocking, runs on the protocol thread.
@@ -219,19 +222,8 @@ impl DsmNode {
             want_write && p.owner && p.state == PageState::Shared
         };
         if owner_upgrade {
-            let ch: Arc<KChannel<()>> = KChannel::new(self.exec.clone(), 1);
-            self.inval_waiters.lock().insert(page, ch.clone());
-            let mut msg = BytesMut::with_capacity(5);
-            msg.put_u8(MSG_INVALIDATE);
-            msg.put_u32(page);
-            if self
-                .stack
-                .udp_send(DSM_PORT, self.peer, DSM_PORT, &msg)
-                .is_err()
-            {
-                return FaultAction::Fail;
-            }
-            if ch.recv(&sctx).is_none() {
+            let ack = self.ask(&self.inval_waiters, MSG_INVALIDATE, page);
+            if ack.and_then(|ch| ch.recv(&sctx)).is_none() {
                 return FaultAction::Fail;
             }
             let va = self.region.base() + ((page as u64) << PAGE_SHIFT);
@@ -246,23 +238,20 @@ impl DsmNode {
             return FaultAction::Resolved;
         }
         for _attempt in 0..64 {
-            let ch: Arc<KChannel<Option<Vec<u8>>>> = KChannel::new(self.exec.clone(), 1);
-            self.waiters.lock().insert(page, ch.clone());
-            let mut msg = BytesMut::with_capacity(5);
-            msg.put_u8(if want_write {
+            // Another strand's fetch may have brought the page in while
+            // this one waited out a NACK.
+            if self.resident(page, want_write) {
+                return FaultAction::Resolved;
+            }
+            let kind = if want_write {
                 MSG_FETCH_WRITE
             } else {
                 MSG_FETCH_READ
-            });
-            msg.put_u32(page);
-            if self
-                .stack
-                .udp_send(DSM_PORT, self.peer, DSM_PORT, &msg)
-                .is_err()
+            };
+            match self
+                .ask(&self.waiters, kind, page)
+                .and_then(|ch| ch.recv(&sctx))
             {
-                return FaultAction::Fail;
-            }
-            match ch.recv(&sctx) {
                 Some(Some(data)) => {
                     // Install the page locally.
                     let mut st = self.state.lock();
@@ -310,6 +299,42 @@ impl DsmNode {
             }
         }
         FaultAction::Fail
+    }
+
+    /// Whether the local copy of `page` serves the access.
+    fn resident(&self, page: u32, want_write: bool) -> bool {
+        match self.state.lock().pages[page as usize].state {
+            PageState::Exclusive => true,
+            PageState::Shared => !want_write,
+            PageState::Invalid => false,
+        }
+    }
+
+    /// Sends the peer a `kind` message about `page` and queues the caller
+    /// for its answer, behind the waiters that asked before it; `None` if
+    /// the send failed.
+    fn ask<T: Send>(&self, waiters: &Waiters<T>, kind: u8, page: u32) -> Option<Arc<KChannel<T>>> {
+        let mut msg = BytesMut::with_capacity(5);
+        msg.put_u8(kind);
+        msg.put_u32(page);
+        self.stack
+            .udp_send(DSM_PORT, self.peer, DSM_PORT, &msg)
+            .ok()?;
+        let ch = KChannel::new(self.exec.clone(), 1);
+        waiters
+            .lock()
+            .entry(page)
+            .or_default()
+            .push_back(ch.clone());
+        Some(ch)
+    }
+
+    /// Hands `answer` to the oldest waiter on `page`, if any.
+    fn answer<T: Send>(waiters: &Waiters<T>, page: u32, answer: T) {
+        let oldest = waiters.lock().get_mut(&page).and_then(VecDeque::pop_front);
+        if let Some(ch) = oldest {
+            ch.try_push(answer);
+        }
     }
 
     /// Protocol-thread handler for peer messages. Never blocks.
@@ -367,16 +392,10 @@ impl DsmNode {
                     }
                 };
                 if let Some(full) = complete {
-                    if let Some(ch) = self.waiters.lock().remove(&page) {
-                        ch.try_push(Some(full));
-                    }
+                    Self::answer(&self.waiters, page, Some(full));
                 }
             }
-            MSG_NACK => {
-                if let Some(ch) = self.waiters.lock().remove(&page) {
-                    ch.try_push(None);
-                }
-            }
+            MSG_NACK => Self::answer(&self.waiters, page, None),
             MSG_INVALIDATE => {
                 // The owner is upgrading: drop our read copy and ack.
                 {
@@ -392,11 +411,7 @@ impl DsmNode {
                 msg.put_u32(page);
                 let _ = self.stack.udp_send(DSM_PORT, p.ip.src, DSM_PORT, &msg);
             }
-            MSG_INVALIDATE_ACK => {
-                if let Some(ch) = self.inval_waiters.lock().remove(&page) {
-                    ch.try_push(());
-                }
-            }
+            MSG_INVALIDATE_ACK => Self::answer(&self.inval_waiters, page, ()),
             _ => {}
         }
     }
@@ -694,6 +709,56 @@ mod tests {
             "A's grant invalidated its copy"
         );
         assert!(r.node_a.stats().read_fetches >= 1, "A had to fetch back");
+    }
+
+    /// Two strands on one node touch the same invalid page, both before
+    /// either fetch is answered. Each gets its own answer: the readers both
+    /// read the page, and of the writers, the one whose fetch was NACKed
+    /// finds the page its sibling brought in. At the parent the second
+    /// faulter's wait replaced the first's, which never woke:
+    /// `Deadlock { blocked: ["b-1"] }`.
+    #[test]
+    fn two_strands_faulting_on_one_page_both_resolve() {
+        for write in [false, true] {
+            let r = dsm_rig(1);
+            let (ta, ma, ca, base) = (
+                r.trans_a.clone(),
+                r.mem_a.clone(),
+                r.node_a.context(),
+                r.node_a.base(),
+            );
+            r.rig.exec.spawn("a-fills", move |_| {
+                ta.write(ca, base, b"page one", &ma).unwrap();
+            });
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            for (name, at) in [("b-1", 0u64), ("b-2", 8)] {
+                let (tb, mb, cb) = (r.trans_b.clone(), r.mem_b.clone(), r.node_b.context());
+                let s2 = seen.clone();
+                r.rig.exec.spawn(name, move |_| {
+                    if write {
+                        tb.write(cb, base + 16 + at, name.as_bytes(), &mb).unwrap();
+                    }
+                    let mut buf = [0u8; 8];
+                    tb.read(cb, base, &mut buf, &mb).unwrap();
+                    s2.lock().push(buf);
+                });
+            }
+            let outcome = r.rig.exec.run_until_idle();
+            assert_eq!(
+                outcome,
+                spin_sched::IdleOutcome::AllComplete,
+                "write: {write}"
+            );
+            assert_eq!(*seen.lock(), [*b"page one"; 2], "write: {write}");
+            let fetches = r.node_b.stats();
+            let fetched = if write {
+                fetches.write_fetches
+            } else {
+                fetches.read_fetches
+            };
+            assert_eq!(fetched, 2, "one fault each");
+            assert_eq!(r.node_a.stats().nacks, u64::from(write));
+        }
     }
 
     #[test]

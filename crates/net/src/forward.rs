@@ -28,6 +28,7 @@ use std::sync::Arc;
 pub struct ForwardStats {
     pub forwarded: u64,
     pub replies: u64,
+    /// Flows are never removed: this is the flow table's length.
     pub flows: u64,
 }
 
@@ -37,7 +38,8 @@ struct FlowTable {
     /// rewritten source port → client (ip, port).
     back: BTreeMap<u16, (IpAddr, u16)>,
     next_port: u16,
-    stats: ForwardStats,
+    forwarded: u64,
+    replies: u64,
 }
 
 /// A deterministic export of a forwarder's flow table — the `Old` state a
@@ -55,6 +57,29 @@ pub struct FlowSnapshot {
 }
 
 impl FlowTable {
+    /// A table holding `flows`, with the counters `stats` carries.
+    fn shared(
+        flows: &[(IpAddr, u16, u16)],
+        next_port: u16,
+        stats: ForwardStats,
+    ) -> Arc<Mutex<Self>> {
+        Arc::new(Mutex::new(FlowTable {
+            out: flows.iter().map(|&(ip, port, p)| ((ip, port), p)).collect(),
+            back: flows.iter().map(|&(ip, port, p)| (p, (ip, port))).collect(),
+            next_port,
+            forwarded: stats.forwarded,
+            replies: stats.replies,
+        }))
+    }
+
+    fn stats(&self) -> ForwardStats {
+        ForwardStats {
+            forwarded: self.forwarded,
+            replies: self.replies,
+            flows: self.out.len() as u64,
+        }
+    }
+
     fn translate(&mut self, client: (IpAddr, u16)) -> u16 {
         if let Some(&p) = self.out.get(&client) {
             return p;
@@ -63,7 +88,6 @@ impl FlowTable {
         self.next_port += 1;
         self.out.insert(client, p);
         self.back.insert(p, client);
-        self.stats.flows += 1;
         p
     }
 }
@@ -87,7 +111,7 @@ fn udp_out_handler(
     move |p: &UdpPacket| {
         let rewritten = {
             let mut st = state.lock();
-            st.stats.forwarded += 1;
+            st.forwarded += 1;
             st.translate((p.ip.src, p.header.src_port))
         };
         let datagram = UdpHeader::encode_chain(rewritten, port, p.payload.clone());
@@ -109,7 +133,7 @@ fn udp_back_handler(
             let mut st = state.lock();
             match st.back.get(&p.header.dst_port).copied() {
                 Some(c) => {
-                    st.stats.replies += 1;
+                    st.replies += 1;
                     c
                 }
                 None => return,
@@ -125,12 +149,7 @@ impl Forwarder {
     /// redirected to `target`; replies retrace to the original client.
     pub fn install_udp(stack: &NetStack, port: u16, target: IpAddr) -> Forwarder {
         let identity = Identity::extension("Forward");
-        let state = Arc::new(Mutex::new(FlowTable {
-            out: BTreeMap::new(),
-            back: BTreeMap::new(),
-            next_port: 40_000,
-            stats: ForwardStats::default(),
-        }));
+        let state = FlowTable::shared(&[], 40_000, ForwardStats::default());
 
         // Outbound traffic is keyed on the shared UDP port key, so the
         // forwarder joins the port binds in one compiled dispatch-table
@@ -183,18 +202,7 @@ impl Forwarder {
         snapshot: FlowSnapshot,
     ) -> (Forwarder, Vec<InstallSpec<UdpPacket, ()>>) {
         let identity = Identity::extension(version);
-        let mut out = BTreeMap::new();
-        let mut back = BTreeMap::new();
-        for &(ip, client_port, rewritten) in &snapshot.flows {
-            out.insert((ip, client_port), rewritten);
-            back.insert(rewritten, (ip, client_port));
-        }
-        let state = Arc::new(Mutex::new(FlowTable {
-            out,
-            back,
-            next_port: snapshot.next_port,
-            stats: snapshot.stats,
-        }));
+        let state = FlowTable::shared(&snapshot.flows, snapshot.next_port, snapshot.stats);
         let specs = vec![
             InstallSpec {
                 installer: identity.clone(),
@@ -224,12 +232,7 @@ impl Forwarder {
     /// preserves end-to-end semantics.
     pub fn install_tcp(stack: &NetStack, port: u16, target: IpAddr) -> Forwarder {
         let identity = Identity::extension("Forward");
-        let state = Arc::new(Mutex::new(FlowTable {
-            out: BTreeMap::new(),
-            back: BTreeMap::new(),
-            next_port: 40_000,
-            stats: ForwardStats::default(),
-        }));
+        let state = FlowTable::shared(&[], 40_000, ForwardStats::default());
 
         let st2 = state.clone();
         let stack2 = stack.clone();
@@ -243,7 +246,7 @@ impl Forwarder {
                 move |s: &TcpSegment| {
                     let rewritten = {
                         let mut st = st2.lock();
-                        st.stats.forwarded += 1;
+                        st.forwarded += 1;
                         st.translate((s.ip.src, s.header.src_port))
                     };
                     let mut h = s.header;
@@ -275,7 +278,7 @@ impl Forwarder {
                         let mut st = st3.lock();
                         match st.back.get(&s.header.dst_port).copied() {
                             Some(c) => {
-                                st.stats.replies += 1;
+                                st.replies += 1;
                                 c
                             }
                             None => return,
@@ -298,7 +301,7 @@ impl Forwarder {
 
     /// Counters so far.
     pub fn stats(&self) -> ForwardStats {
-        self.state.lock().stats
+        self.state.lock().stats()
     }
 
     /// The identity this forwarder's handlers are installed under — the
@@ -320,7 +323,7 @@ impl Forwarder {
         FlowSnapshot {
             flows,
             next_port: st.next_port,
-            stats: st.stats,
+            stats: st.stats(),
         }
     }
 }

@@ -32,6 +32,9 @@ use std::sync::Arc;
 /// Server counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HttpStats {
+    /// Every request ends in exactly one of `ok`, `not_found`,
+    /// `bad_requests` and `shed`: this is their sum, taken when the stats
+    /// are read.
     pub requests: u64,
     pub ok: u64,
     pub not_found: u64,
@@ -324,7 +327,6 @@ impl HttpServer {
     /// Serves one parsed request and fires the close (non-blocking: the
     /// FIN handshake completes on the protocol thread).
     fn respond(&self, ctx: &StrandCtx, conn: &Arc<TcpConn>, req: &Request, fs: &FileSystem) {
-        self.stats.lock().requests += 1;
         let t0 = ctx.executor().clock().now();
         let admitted = match &self.quota {
             Some(cell) => cell.admit(t0).is_ok(),
@@ -394,7 +396,11 @@ impl HttpServer {
 
     /// Server counters.
     pub fn stats(&self) -> HttpStats {
-        *self.stats.lock()
+        let st = *self.stats.lock();
+        HttpStats {
+            requests: st.ok + st.not_found + st.bad_requests + st.shed,
+            ..st
+        }
     }
 
     /// The object cache (for policy inspection in benches).
@@ -603,6 +609,41 @@ mod tests {
         let text = String::from_utf8_lossy(&response).into_owned();
         assert!(text.starts_with("HTTP/1.0 200 OK\r\n"), "{text}");
         assert!(text.ends_with("POST spin 5"), "{text}");
+    }
+
+    /// Each request ends in one outcome, so the request count is their sum:
+    /// here a 200, a 404, a 400 (no leading `/`), a 503 from a route and a
+    /// 400 for a non-GET of a file.
+    #[test]
+    fn requests_are_the_sum_of_their_outcomes() {
+        let (rig, tcp_a, server) = web_rig();
+        server.route("/busy", |_| Response::unavailable());
+        let dst = rig.b_ip(Medium::Ethernet);
+        rig.exec.spawn("client", move |ctx| {
+            for request in [
+                "GET /index.html",
+                "GET /nope",
+                "GET index.html",
+                "GET /busy",
+                "PUT /index.html",
+            ] {
+                let conn = tcp_a.connect(ctx, dst, 80).unwrap();
+                conn.send(ctx, format!("{request} HTTP/1.0\r\n\r\n").as_bytes())
+                    .unwrap();
+                while conn.recv(ctx).is_some() {}
+                conn.close(ctx);
+            }
+        });
+        rig.exec.run_until_idle();
+        let st = server.stats();
+        assert_eq!(
+            (st.ok, st.not_found, st.bad_requests, st.shed),
+            (1, 1, 3, 0)
+        );
+        assert_eq!(
+            st.requests,
+            st.ok + st.not_found + st.bad_requests + st.shed
+        );
     }
 
     #[test]

@@ -209,42 +209,18 @@ impl Topology {
     }
 }
 
-/// Network statistics for one stack.
+/// Network statistics for one stack. The frame and byte counts are its
+/// host's NICs' books, summed ([`Nic::counters`]): a frame is counted out
+/// when the wire takes it and in when netin takes it off a ring.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
     pub frames_in: u64,
     pub frames_out: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
-    pub parse_errors: u64,
     /// Transmit retries scheduled by [`NetStack::transmit_with_retry`] —
     /// the single authoritative retry count (obs mirrors it).
     pub retries: u64,
-}
-
-/// Lock-free counters backing [`NetStats`]: updated per frame on the
-/// receive and transmit paths, so no mutex.
-#[derive(Default)]
-struct AtomicNetStats {
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    parse_errors: AtomicU64,
-    retries: AtomicU64,
-}
-
-impl AtomicNetStats {
-    fn snapshot(&self) -> NetStats {
-        NetStats {
-            frames_in: self.frames_in.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            frames_out: self.frames_out.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            bytes_in: self.bytes_in.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            bytes_out: self.bytes_out.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            parse_errors: self.parse_errors.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            retries: self.retries.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-    }
 }
 
 /// Retry backoff floor for [`NetStack::transmit_with_retry`].
@@ -266,7 +242,8 @@ struct NetInner {
     topology: Topology,
     ping_waiters: Mutex<PingWaiters>,
     ping_seq: AtomicU16,
-    stats: Arc<AtomicNetStats>,
+    /// The one count this layer keeps itself: retries scheduled.
+    retries: AtomicU64,
     /// Observability hook (net domain): absent until wired; the per-frame
     /// paths then pay one atomic load each.
     obs: Arc<spin_core::hooks::HookSlot<ObsHook>>,
@@ -393,8 +370,6 @@ impl NetStack {
             (Medium::T3, host.t3.clone()),
         ];
         let ev2 = events.clone();
-        let stats = Arc::new(AtomicNetStats::default());
-        let stats2 = stats.clone();
         let obs: Arc<spin_core::hooks::HookSlot<ObsHook>> =
             Arc::new(spin_core::hooks::HookSlot::new());
         let obs2 = Arc::clone(&obs);
@@ -417,10 +392,6 @@ impl NetStack {
                         let mut burst: Vec<LinkFrame> = Vec::new();
                         while let Some(frame) = nic.receive() {
                             any = true;
-                            stats2.frames_in.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                            stats2
-                                .bytes_in
-                                .fetch_add(frame.payload.len() as u64, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                             if let Some(obs) = obs2.get() {
                                 obs.counters
                                     .packets_received
@@ -475,7 +446,7 @@ impl NetStack {
             topology: Topology::default(),
             ping_waiters: Mutex::new(HashMap::new()),
             ping_seq: AtomicU16::new(1),
-            stats,
+            retries: AtomicU64::new(0),
             obs,
             faults: Arc::new(spin_core::hooks::HookSlot::new()),
             ready_hub,
@@ -782,7 +753,7 @@ impl NetStack {
         if self.transmit_chain(dst, protocol, &segment).is_ok() || retries == RETRY_MAX {
             return; // sent, or budget exhausted: drop, as a datagram service may
         }
-        self.inner.stats.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.inner.obs.get() {
             obs.counters.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         }
@@ -800,9 +771,9 @@ impl NetStack {
     }
 
     /// Per-frame transmit bookkeeping: fault draw, route resolution, frame
-    /// assembly and stats. The returned frame is the one buffer this path
-    /// allocates ([`frame_bytes`]); writing the segment into it is the
-    /// device-boundary copy.
+    /// assembly and the obs count. The returned frame is the one buffer
+    /// this path allocates ([`frame_bytes`]); writing the segment into it
+    /// is the device-boundary copy.
     // charged: assembly is uncharged; the NIC charges driver/PIO/DMA costs
     // when the frame is handed over.
     fn prepare_frame(
@@ -831,11 +802,6 @@ impl NetStack {
             ethertype: ETHERTYPE_IPV4,
         });
         let frame = frame_bytes(link, src, dst, protocol, segment);
-        let stats = &self.inner.stats;
-        stats.frames_out.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        stats
-            .bytes_out
-            .fetch_add(frame.len() as u64, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.inner.obs.get() {
             obs.counters.packets_sent.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             obs.counters
@@ -909,10 +875,22 @@ impl NetStack {
         Some(arrived - t0)
     }
 
-    /// Stack counters.
+    /// Stack counters: the host's three NICs' books and the retry count.
     // uncharged: diagnostics snapshot.
     pub fn stats(&self) -> NetStats {
-        self.inner.stats.snapshot()
+        let host = &self.inner.host;
+        let mut stats = NetStats {
+            retries: self.inner.retries.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            ..NetStats::default()
+        };
+        for nic in [&host.ethernet, &host.atm, &host.t3] {
+            let (frames_out, bytes_out, frames_in, bytes_in) = nic.counters();
+            stats.frames_out += frames_out;
+            stats.bytes_out += bytes_out;
+            stats.frames_in += frames_in;
+            stats.bytes_in += bytes_in;
+        }
+        stats
     }
 }
 
@@ -1257,6 +1235,204 @@ mod tests {
             twin_calls[..2],
             "up to and across the first fault the clock was charged what the twin charges"
         );
+    }
+
+    /// The size of the frame a UDP datagram of `len` bytes leaves as.
+    fn udp_frame_len(medium: Medium, len: usize) -> usize {
+        let link = if medium == Medium::Ethernet {
+            EtherHeader::LEN
+        } else {
+            0
+        };
+        link + Ipv4Header::LEN + UdpHeader::LEN + len
+    }
+
+    fn datagram(len: usize) -> BufChain {
+        UdpHeader::encode(9, 7, &vec![0u8; len]).into()
+    }
+
+    /// `stats` is its host's NICs' books, summed.
+    fn assert_stats_are_the_nics(stack: &NetStack) {
+        let host = &stack.inner.host;
+        let mut books = [0u64; 4];
+        for nic in [&host.ethernet, &host.atm, &host.t3] {
+            let (a, b, c, d) = nic.counters();
+            for (sum, n) in books.iter_mut().zip([a, b, c, d]) {
+                *sum += n;
+            }
+        }
+        let s = stack.stats();
+        assert_eq!([s.frames_out, s.bytes_out, s.frames_in, s.bytes_in], books);
+    }
+
+    /// A datagram the NIC refuses as oversized is not counted sent: at the
+    /// parent of this test `frames_out` and `bytes_out` grew while the NIC
+    /// and the wire saw nothing.
+    #[test]
+    fn an_oversized_datagram_is_not_counted_sent() {
+        let rig = TwoHosts::new();
+        let dst = rig.b.ip_on(Medium::Ethernet);
+        let sent = rig.a.udp_send(9, dst, 7, &[0u8; 1500]);
+        assert!(matches!(sent, Err(NetError::TooLarge(_))), "{sent:?}");
+        assert_eq!(rig.a.stats(), NetStats::default());
+        assert_eq!(rig.host_a.ethernet.counters(), (0, 0, 0, 0));
+        assert_eq!(rig.board.ethernet.stats(), (0, 0));
+    }
+
+    /// A burst whose middle item is oversized: the NIC stops there, and
+    /// the stack counts only the item before it. At the parent of this
+    /// test the item behind it was counted out but never staged.
+    #[test]
+    fn a_burst_counts_only_what_its_nic_staged() {
+        let rig = TwoHosts::new();
+        let dst = rig.b.ip_on(Medium::Ethernet);
+        let burst = [10, 1500, 20].map(|len| (dst, proto::UDP, datagram(len)));
+        let sent = rig.a.send_ip_burst(burst.to_vec());
+        assert!(matches!(sent, Err(NetError::TooLarge(_))), "{sent:?}");
+        rig.exec.run_until_idle();
+        let first = udp_frame_len(Medium::Ethernet, 10) as u64;
+        let (a, b) = (rig.a.stats(), rig.b.stats());
+        assert_eq!((a.frames_out, a.bytes_out), (1, first));
+        assert_eq!((b.frames_in, b.bytes_in), (1, first));
+        assert_eq!(rig.board.ethernet.stats(), (1, 0));
+        assert_stats_are_the_nics(&rig.a);
+        assert_stats_are_the_nics(&rig.b);
+    }
+
+    /// One send in [`the_books_close_on_both_sinks`]: a datagram of `len`
+    /// bytes to `dst` on `medium`, where `dst` 0 is the receiving host, 1
+    /// an address bound to no endpoint, and 2 no route.
+    type Op = (u8, u8, usize);
+
+    /// The sending stack's transmit books as the ops predict them: a frame
+    /// is counted when its NIC stages it, so not at all when it has no
+    /// route or is oversized, nor when it follows an oversized item of its
+    /// burst on the same NIC.
+    fn predicted_out(ops: &[(bool, Vec<Op>)]) -> (u64, u64) {
+        let medium = |m: u8| [Medium::Ethernet, Medium::Atm, Medium::T3][m as usize];
+        let mtu = |m: Medium| match m {
+            Medium::Ethernet => 1500,
+            Medium::Atm => 8132,
+            Medium::T3 => 8192,
+        };
+        let (mut frames, mut bytes) = (0, 0);
+        for (burst, items) in ops {
+            // Each lone send is a batch of one; a burst's routed items
+            // leave as runs of one medium.
+            let routed = items.iter().filter(|(dst, _, _)| *dst != 2);
+            let mut runs: Vec<(Medium, Vec<usize>)> = Vec::new();
+            for &(_, m, len) in routed {
+                let m = medium(m);
+                match runs.last_mut() {
+                    Some((last, run)) if *burst && *last == m => run.push(len),
+                    _ => runs.push((m, vec![len])),
+                }
+            }
+            for (m, run) in runs {
+                let sizes = run.iter().map(|&len| udp_frame_len(m, len));
+                for size in sizes.take_while(|&size| size <= mtu(m)) {
+                    frames += 1;
+                    bytes += size as u64;
+                }
+            }
+        }
+        (frames, bytes)
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let len = prop_oneof![0usize..1600, 7000usize..8300];
+        (0u8..3, 0u8..3, len)
+    }
+
+    /// Sends `ops` from `from` towards `to` (lone sends and bursts), with
+    /// `nowhere` registered on every medium at an endpoint nobody attached.
+    fn send_all(from: &NetStack, to: &NetStack, ops: &[(bool, Vec<Op>)]) {
+        let media = [Medium::Ethernet, Medium::Atm, Medium::T3];
+        let dst = |(d, m, _): Op| match d {
+            0 => to.ip_on(media[m as usize]),
+            1 => IpAddr::new(10, m, 9, 9),
+            _ => IpAddr::new(10, m, 8, 8),
+        };
+        for (burst, items) in ops {
+            let items = items
+                .iter()
+                .map(|&op| (dst(op), proto::UDP, datagram(op.2)));
+            if *burst {
+                let _ = from.send_ip_burst(items.collect());
+            } else {
+                items.for_each(|(dst, protocol, chain)| {
+                    let _ = from.send_ip(dst, protocol, chain);
+                });
+            }
+        }
+    }
+
+    /// After the ops drain: each wire's transmitted frames (its senders'
+    /// link records) equal its delivered plus dropped, the receiver took
+    /// off its rings all that was delivered, and each stack's `NetStats`
+    /// is its NICs' books.
+    fn assert_books_close(
+        wires: [&spin_sal::Wire; 3],
+        (from, to): (&NetStack, &NetStack),
+        ops: &[(bool, Vec<Op>)],
+    ) {
+        let (from_host, to_host) = (&from.inner.host, &to.inner.host);
+        let pairs = [
+            (&from_host.ethernet, &to_host.ethernet),
+            (&from_host.atm, &to_host.atm),
+            (&from_host.t3, &to_host.t3),
+        ];
+        let mut delivered_total = 0;
+        for (wire, (tx, rx)) in wires.into_iter().zip(pairs) {
+            let (delivered, dropped) = wire.stats();
+            assert_eq!(tx.counters().0 + rx.counters().0, delivered + dropped);
+            assert_eq!(rx.counters().2, delivered, "the receiver drained its ring");
+            delivered_total += delivered;
+        }
+        let out = from.stats();
+        assert_eq!((out.frames_out, out.bytes_out), predicted_out(ops));
+        assert_eq!(to.stats().frames_in, delivered_total);
+        assert_stats_are_the_nics(from);
+        assert_stats_are_the_nics(to);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+        /// Random lone sends and bursts — oversized payloads, unbound and
+        /// unrouted destinations, a drop filter — close the frame books on
+        /// both sinks: a shared-timeline board's timers and two kernel
+        /// shards' mailboxes.
+        #[test]
+        fn the_books_close_on_both_sinks(
+            ops in proptest::collection::vec(
+                (any::<bool>(), proptest::collection::vec(op(), 1..5)),
+                1..6,
+            ),
+            drop_every in 2u64..6,
+        ) {
+            let unbound = |addrs: &AddressMap| {
+                for (m, medium) in [Medium::Ethernet, Medium::Atm, Medium::T3].into_iter().enumerate() {
+                    addrs.register(IpAddr::new(10, m as u8, 9, 9), medium, WireEndpoint(999));
+                }
+            };
+
+            let rig = TwoHosts::new();
+            unbound(&rig.addrs);
+            let wires = [&rig.board.ethernet, &rig.board.atm, &rig.board.t3];
+            wires[0].set_drop_filter(move |idx| idx % drop_every == 1);
+            send_all(&rig.a, &rig.b, &ops);
+            prop_assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+            assert_books_close(wires, (&rig.a, &rig.b), &ops);
+
+            let rig = crate::testrig::ShardRig::new(1, 2);
+            unbound(&rig.addrs);
+            let wires = [&rig.board.ethernet, &rig.board.atm, &rig.board.t3];
+            wires[0].set_drop_filter(move |idx| idx % drop_every == 1);
+            let (a, b) = (&rig.shards[0].stack, &rig.shards[1].stack);
+            send_all(a, b, &ops);
+            prop_assert_eq!(rig.mc.run_until_idle(), IdleOutcome::AllComplete);
+            assert_books_close(wires, (a, b), &ops);
+        }
     }
 
     #[test]

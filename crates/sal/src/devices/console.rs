@@ -56,11 +56,6 @@ impl Console {
     pub fn output(&self) -> String {
         String::from_utf8_lossy(&self.state.lock().output).into_owned()
     }
-
-    /// Clears the output buffer (useful between test phases).
-    pub fn clear_output(&self) {
-        self.state.lock().output.clear();
-    }
 }
 
 #[cfg(test)]
@@ -77,8 +72,6 @@ mod tests {
         c.put_str("Intruder ");
         c.put_str("Alert");
         assert_eq!(c.output(), "Intruder Alert");
-        c.clear_output();
-        assert_eq!(c.output(), "");
     }
 
     #[test]

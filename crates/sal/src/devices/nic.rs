@@ -106,17 +106,37 @@ pub enum NicError {
 }
 
 /// A NIC's one locked state, shared by the wire's `Receiver` for it (which
-/// fills the ring) and the `Nic` (which drains it): the receive ring, the
-/// frames ever delivered into it, and the driver's counters — each counted
-/// under the lock its path holds anyway.
+/// fills the ring) and the `Nic` (which drains it): the receive ring and
+/// the frames and bytes ever taken off it, counted in the critical section
+/// that takes them. What the NIC transmitted is its link's record on the
+/// wire (`Wire::transmitted`), and what was delivered into the ring is
+/// what was taken off it plus what is still on it — each fact has one
+/// book.
 #[derive(Default)]
 pub(crate) struct NicState {
-    pub frames: VecDeque<Frame>,
-    pub delivered: u64,
-    tx_frames: u64,
-    tx_bytes: u64,
+    frames: VecDeque<Frame>,
     rx_frames: u64,
     rx_bytes: u64,
+}
+
+impl NicState {
+    /// A delivery: the frame joins the ring.
+    pub(crate) fn push(&mut self, frame: Frame) {
+        self.frames.push_back(frame);
+    }
+
+    /// The one way off the ring: the pop and its count.
+    pub(crate) fn pop(&mut self) -> Option<Frame> {
+        let frame = self.frames.pop_front()?;
+        self.rx_frames += 1;
+        self.rx_bytes += frame.payload.len() as u64;
+        Some(frame)
+    }
+
+    /// Frames ever delivered into the ring.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.rx_frames + self.frames.len() as u64
+    }
 }
 
 /// One installed network interface.
@@ -197,8 +217,8 @@ impl Nic {
         outcome
     }
 
-    /// The per-frame transmit step: MTU check, driver and I/O charge,
-    /// counters, and the frame with its size on the wire in bits.
+    /// The per-frame transmit step: MTU check, driver and I/O charge, and
+    /// the frame with its size on the wire in bits. The wire counts it.
     fn stage(&self, dst: WireEndpoint, payload: Bytes) -> Result<Outbound, NicError> {
         if payload.len() > self.model.mtu {
             return Err(NicError::TooLarge {
@@ -207,11 +227,6 @@ impl Nic {
             });
         }
         self.charge_io(payload.len());
-        {
-            let mut st = self.state.lock();
-            st.tx_frames += 1;
-            st.tx_bytes += payload.len() as u64;
-        }
         let bits = ((payload.len() + self.model.framing_bytes) * 8) as u64;
         let frame = Frame {
             src: self.addr,
@@ -235,13 +250,7 @@ impl Nic {
     /// Pulls the next received frame, charging the driver and the inbound
     /// copy. The pop and its count are one critical section.
     pub fn receive(&self) -> Option<Frame> {
-        let frame = {
-            let mut st = self.state.lock();
-            let frame = st.frames.pop_front()?;
-            st.rx_frames += 1;
-            st.rx_bytes += frame.payload.len() as u64;
-            frame
-        };
+        let frame = self.state.lock().pop()?;
         self.charge_io(frame.payload.len());
         Some(frame)
     }
@@ -252,11 +261,13 @@ impl Nic {
         self.state.lock().frames.len()
     }
 
-    /// (tx frames, tx bytes, rx frames, rx bytes).
+    /// (tx frames, tx bytes, rx frames, rx bytes): the transmit half is
+    /// this card's link record on the wire.
     // uncharged: diagnostics accessor.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
+        let (tx_frames, tx_bytes) = self.wire.transmitted(self.addr);
         let st = self.state.lock();
-        (st.tx_frames, st.tx_bytes, st.rx_frames, st.rx_bytes)
+        (tx_frames, tx_bytes, st.rx_frames, st.rx_bytes)
     }
 }
 

@@ -7,10 +7,11 @@
 //! onto the destination's timer queue at the next conservative-PDES safe
 //! point (see `spin_sched::Multicore`).
 //!
-//! There is one way in. [`Mailbox::post`] is a batch of one and
-//! [`Mailbox::post_batch`] a batch of many; under one lock acquisition each
-//! envelope takes the same step — post hook, quota gate, lane sequence
-//! number, insert — so a batch is exactly its envelopes posted in order.
+//! There is one way in, `Mailbox::post_all`: [`Mailbox::post`] is a batch
+//! of one and the wire posts a run of frames as a batch of many; under one
+//! lock acquisition each envelope takes the same step — post hook, quota
+//! gate, lane sequence number, insert — so a batch is exactly its
+//! envelopes posted in order.
 //! An envelope's action is boxed once, by whoever posts it, and that box is
 //! what the drain hands on ([`Envelope::action`]) and the destination's
 //! timer queue fires: nothing re-wraps it on the way.
@@ -162,12 +163,6 @@ impl Mailbox {
         action: impl FnOnce(Nanos) + Send + 'static,
     ) -> bool {
         self.post_all([(deliver_at, lane, Box::new(action) as MailAction)]) == 1
-    }
-
-    /// Posts a batch of envelopes: exactly [`Mailbox::post`] for each in
-    /// order, under one lock acquisition. Returns how many were accepted.
-    pub fn post_batch(&self, entries: Vec<(Nanos, u64, MailAction)>) -> usize {
-        self.post_all(entries)
     }
 
     /// The one way in: admits each envelope in order under one lock
@@ -353,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn post_batch_drains_identically_to_sequential_posts() {
+    fn post_all_drains_identically_to_sequential_posts() {
         let log_a = Arc::new(Mutex::new(Vec::new()));
         let log_b = Arc::new(Mutex::new(Vec::new()));
         let tag = |log: &Arc<Mutex<Vec<&'static str>>>, s: &'static str| {
@@ -373,10 +368,9 @@ mod tests {
             a.post(at, lane, tag(&log_a, s));
         }
         let b = Mailbox::new();
-        b.post_batch(
+        b.post_all(
             seq.iter()
-                .map(|&(at, lane, s)| (at, lane, Box::new(tag(&log_b, s)) as MailAction))
-                .collect(),
+                .map(|&(at, lane, s)| (at, lane, Box::new(tag(&log_b, s)) as MailAction)),
         );
         assert_eq!(a.stats(), b.stats(), "before the drain");
         for lane in [2, 7, 9] {
@@ -392,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn post_batch_respects_hook_and_gate() {
+    fn post_all_respects_hook_and_gate() {
         let guarded = || {
             let mb = Mailbox::new();
             mb.set_post_hook(|at| {
@@ -412,11 +406,10 @@ mod tests {
             (400, 4), // admitted
         ];
         let batched = guarded();
-        let accepted = batched.post_batch(
+        let accepted = batched.post_all(
             entries
                 .iter()
-                .map(|&(at, lane)| (at, lane, Box::new(|_| {}) as MailAction))
-                .collect(),
+                .map(|&(at, lane)| (at, lane, Box::new(|_| {}) as MailAction)),
         );
         assert_eq!(accepted, 2);
         assert_eq!(batched.stats(), (2, 0, 2));

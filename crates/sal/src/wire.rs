@@ -13,14 +13,15 @@
 //! one frame at a time), so saturating workloads see real queueing delay —
 //! that is what bends the OSF/1 curve in the Figure 6 reproduction. Wire
 //! time is the *sender's* clock (on a `SimBoard` that is the board clock).
-//! At arrival the frame lands in the receiver's ring, counted `delivered`
-//! under the NIC's lock, and the receiver's interrupt vector is posted. A
-//! frame for an endpoint nobody attached is counted `dropped` when it is
-//! sent, after occupying the sender's link: `delivered + dropped` always
-//! catches up with the frames transmitted. The wire's own lock guards only
-//! what senders share — link serialisation, the drop filter, `dropped` —
-//! and is, with the mailbox's, the one lock on the hop that two shards'
-//! senders can meet on (DESIGN.md decisions 20, 21).
+//! Each frame is counted on its sender's link as it is sent, before the
+//! drop filter; at arrival it joins the receiver's ring, the book of what
+//! was delivered, and the receiver's interrupt vector is posted. A filtered
+//! frame, or one for an endpoint nobody attached (after occupying the
+//! sender's link), is counted `dropped` when it is sent: `delivered +
+//! dropped` always catches up with the frames transmitted. The wire's own
+//! lock guards only what senders share — the links, the drop filter,
+//! `dropped` — and is, with the mailbox's, the one lock on the hop that two
+//! shards' senders can meet on (DESIGN.md decisions 20, 21, 24).
 
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::devices::nic::{Frame, NicState};
@@ -46,8 +47,7 @@ pub(crate) enum Sink {
 
 /// One attached NIC, as the wire sees it.
 pub(crate) struct Receiver {
-    /// The NIC's one locked state: a delivery pushes onto its ring and
-    /// counts itself there, under the one lock.
+    /// The NIC's one locked state: a delivery pushes onto its ring.
     pub nic: Arc<Mutex<NicState>>,
     pub irqs: IrqController,
     pub vector: IrqVector,
@@ -78,12 +78,20 @@ impl Outbound {
     }
 }
 
+/// One sender's link: when it is next free, and what it has transmitted.
+#[derive(Default)]
+struct Link {
+    busy_until: Nanos,
+    frames: u64,
+    bytes: u64,
+}
+
 #[derive(Default)]
 struct WireState {
     /// Ordered, so that [`Wire::stats`] may walk it (spin-lint's D2 admits
     /// no walk over a hash table, order-free sum or not).
     receivers: BTreeMap<WireEndpoint, Arc<Receiver>>,
-    busy_until: HashMap<WireEndpoint, Nanos>,
+    links: HashMap<WireEndpoint, Link>,
     dropped: u64,
     /// Deterministic fault injection: called with the frame's global
     /// sequence index; `true` drops the frame on the floor.
@@ -92,9 +100,10 @@ struct WireState {
 }
 
 impl WireState {
-    /// One frame's turn on the medium: the drop filter, `tx_time` on its
-    /// sender's link, and — `flight` after it has left — its arrival at
-    /// its receiver. `None`: the frame was dropped, and counted.
+    /// One frame's turn on the medium: its count on its sender's link, the
+    /// drop filter, `tx_time` on the link, and — `flight` after it has left
+    /// — its arrival at its receiver. `None`: the frame was dropped, and
+    /// counted.
     fn route(
         &mut self,
         frame: &Frame,
@@ -103,6 +112,9 @@ impl WireState {
     ) -> Option<(Nanos, Arc<Receiver>)> {
         let idx = self.tx_index;
         self.tx_index += 1;
+        let link = self.links.entry(frame.src).or_default();
+        link.frames += 1;
+        link.bytes += frame.payload.len() as u64;
         if self.drop_filter.as_ref().is_some_and(|f| f(idx)) {
             self.dropped += 1;
             return None;
@@ -112,9 +124,8 @@ impl WireState {
             .expect("frames are sent by attached NICs")
             .clock
             .now();
-        let busy = self.busy_until.entry(frame.src).or_insert(0);
-        let done = (*busy).max(now) + tx_time;
-        *busy = done;
+        let done = link.busy_until.max(now) + tx_time;
+        link.busy_until = done;
         let to = self.receivers.get(&frame.dst).cloned();
         if to.is_none() {
             self.dropped += 1;
@@ -216,11 +227,7 @@ impl Wire {
     /// the mailbox and the timer queue to its arrival instant.
     fn delivery(frame: Frame, to: Arc<Receiver>) -> MailAction {
         Box::new(move |_: Nanos| {
-            {
-                let mut nic = to.nic.lock();
-                nic.frames.push_back(frame);
-                nic.delivered += 1;
-            }
+            to.nic.lock().push(frame);
             to.irqs.post(to.vector);
         })
     }
@@ -232,21 +239,29 @@ impl Wire {
     }
 
     /// (delivered, dropped) frame counters: deliveries are summed over the
-    /// receivers' NICs, where they are counted.
+    /// receivers' rings, where they are kept.
     pub fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
-        let delivered = st.receivers.values().map(|r| r.nic.lock().delivered).sum();
+        let delivered = st
+            .receivers
+            .values()
+            .map(|r| r.nic.lock().delivered())
+            .sum();
         (delivered, st.dropped)
+    }
+
+    /// (frames, bytes) transmitted from `endpoint`: its link's record.
+    pub(crate) fn transmitted(&self, endpoint: WireEndpoint) -> (u64, u64) {
+        let st = self.state.lock();
+        st.links
+            .get(&endpoint)
+            .map_or((0, 0), |l| (l.frames, l.bytes))
     }
 
     /// Virtual time at which the sender's link becomes free.
     pub fn sender_busy_until(&self, endpoint: WireEndpoint) -> Nanos {
-        self.state
-            .lock()
-            .busy_until
-            .get(&endpoint)
-            .copied()
-            .unwrap_or(0)
+        let st = self.state.lock();
+        st.links.get(&endpoint).map_or(0, |l| l.busy_until)
     }
 }
 
@@ -320,7 +335,8 @@ mod tests {
             let mut out = Vec::new();
             while let Some(at) = self.timers.next_deadline() {
                 self.timers.fire_due(at);
-                out.extend(self.rx.lock().frames.drain(..).map(|f| (at, f.payload)));
+                let mut rx = self.rx.lock();
+                out.extend(std::iter::from_fn(|| rx.pop()).map(|f| (at, f.payload)));
             }
             out
         }
@@ -344,10 +360,10 @@ mod tests {
         r.transmit([frame(&[0u8; 125])]);
         r.clock.skip_to(100_999);
         r.timers.fire_due(r.clock.now());
-        assert!(r.rx.lock().frames.is_empty(), "too early");
+        assert_eq!(r.rx.lock().delivered(), 0, "too early");
         r.clock.skip_to(101_000);
         r.timers.fire_due(r.clock.now());
-        assert_eq!(r.rx.lock().frames.len(), 1);
+        assert_eq!(r.rx.lock().delivered(), 1);
         assert!(r.irqs.has_pending());
     }
 
@@ -361,7 +377,7 @@ mod tests {
         assert_eq!(r.wire.sender_busy_until(WireEndpoint(1)), 200_000);
         r.clock.skip_to(201_000);
         r.timers.fire_due(r.clock.now());
-        assert_eq!(r.rx.lock().frames.len(), 2);
+        assert_eq!(r.rx.lock().delivered(), 2);
     }
 
     #[test]
@@ -405,10 +421,11 @@ mod tests {
                     r.transmit(burst());
                 }
                 let busy = r.wire.sender_busy_until(WireEndpoint(1));
-                (r.arrivals(), r.wire.stats(), busy, r.mailbox.stats())
+                let sent = r.wire.transmitted(WireEndpoint(1));
+                (r.arrivals(), r.wire.stats(), busy, r.mailbox.stats(), sent)
             };
-            let (arrivals, stats, busy, mail) = run(false);
-            assert_eq!((arrivals.clone(), stats, busy, mail), run(true));
+            let (arrivals, stats, busy, mail, sent) = run(false);
+            assert_eq!((arrivals.clone(), stats, busy, mail, sent), run(true));
             // The filtered frame never reached the link; the undeliverable
             // one did.
             let at = |n: u64| 7_000 + n * 100_000 + 1_000;
@@ -416,6 +433,8 @@ mod tests {
             let expect = expect.map(|(t, p)| (t, Bytes::from_static(p.as_bytes())));
             assert_eq!(arrivals, expect, "shard sink: {shard}");
             assert_eq!(stats, (3, 2));
+            // Every frame is on its sender's link, the filtered one too.
+            assert_eq!(sent, (5, 1 + 8 + 1 + 6 + 1), "the link's record");
             assert_eq!(mail.0, if shard { 3 } else { 0 }, "posted envelopes");
         }
     }

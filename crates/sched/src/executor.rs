@@ -176,7 +176,6 @@ struct ExecState {
     /// (spawn, unblock, yield, dispatch) so the barrier's per-epoch horizon
     /// query does not scan `strands`.
     ready: usize,
-    host_busy: BTreeMap<HostId, Nanos>,
     switches: u64,
 }
 
@@ -225,11 +224,13 @@ struct Meter {
     /// per-charge/per-switch fast path is then a single atomic load.
     obs: spin_core::hooks::HookSlot<ObsHook>,
     /// Id of the strand whose slice is running, 0 between slices (ids start
-    /// at 1). Written under the state lock; a charge reads it without.
+    /// at 1). Stored by the coordinator once the slice's switch is charged
+    /// and cleared under the state lock when the slice ends; a charge reads
+    /// it without.
     current: AtomicU64,
     quantum: AtomicU64,
     /// Virtual time charged to the running slice so far: the quantum
-    /// consumed, and the strand's and host's CPU time not yet settled.
+    /// consumed, and the strand's CPU time not yet settled.
     quantum_used: AtomicU64,
     preempt_pending: AtomicBool,
 }
@@ -308,7 +309,6 @@ impl Executor {
                 strands: BTreeMap::new(),
                 policy: Box::new(RoundRobinPriority::default()),
                 ready: 0,
-                host_busy: BTreeMap::new(),
                 switches: 0,
             }),
             irqs: Mutex::new(Vec::new()),
@@ -531,7 +531,7 @@ impl Executor {
     }
 
     /// Ends the running slice, whichever kind of strand ran it: settles the
-    /// slice's charge into the strand's and its host's CPU time, moves the
+    /// slice's charge into the strand's CPU time, moves the
     /// strand to `to` (back on the ready queue for Ready, waking joiners
     /// for Done) and leaves no strand current. Returns a thread strand's
     /// baton, which it parks on next.
@@ -546,7 +546,6 @@ impl Executor {
         info.state = to;
         info.panicked = panicked;
         info.cpu_ns += charge;
-        let host = info.host;
         let baton = match &info.body {
             Body::Thread(baton) => Some(baton.clone()),
             Body::Step(_) => None,
@@ -558,7 +557,6 @@ impl Executor {
         };
         let requeue =
             (to == RunState::Ready).then(|| self.effective_priority(&info.name, info.priority));
-        *st.host_busy.entry(host).or_insert(0) += charge;
         if let Some(prio) = requeue {
             st.policy.enqueue(cur, prio);
             st.ready += 1;
@@ -671,23 +669,31 @@ impl Executor {
                 irqs.dispatch_pending();
             }
 
+            // One critical section starts the slice: dequeue the next Ready
+            // strand and mark it Running.
             let next = {
                 let mut st = self.state.lock();
+                let st = &mut *st;
                 loop {
                     match st.policy.dequeue() {
-                        Some(id)
-                            if st.strands.get(&id).map(|i| i.state) == Some(RunState::Ready) =>
-                        {
-                            break Some(id)
-                        }
-                        Some(_) => continue, // stale queue entry
+                        Some(id) => match st.strands.get_mut(&id) {
+                            Some(info) if info.state == RunState::Ready => {
+                                info.state = RunState::Running;
+                                st.switches += 1;
+                                st.ready -= 1;
+                                break Some((id, info.body.clone()));
+                            }
+                            _ => continue, // stale queue entry
+                        },
                         None => break None,
                     }
                 }
             };
 
             match next {
-                Some(id) => {
+                Some((id, body)) => {
+                    // No strand is current yet, so the switch's charge does
+                    // not land on the slice's quantum.
                     self.clock
                         .advance(self.profile.sched_decision + self.profile.context_switch);
                     if let Some(h) = self.hooks.get() {
@@ -701,15 +707,7 @@ impl Executor {
                             .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                         obs.trace(TraceKind::ContextSwitch, id.0, 0);
                     }
-                    let body = {
-                        let mut st = self.state.lock();
-                        st.switches += 1;
-                        st.ready -= 1;
-                        let info = st.strands.get_mut(&id).expect("dequeued strand exists");
-                        info.state = RunState::Running;
-                        self.meter.current.store(id.0, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
-                        info.body.clone()
-                    };
+                    self.meter.current.store(id.0, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
                     match body {
                         Body::Thread(baton) => {
                             baton.signal();
@@ -827,10 +825,16 @@ impl Executor {
     }
 
     /// Virtual CPU time consumed on a host (the Figure 6 utilization
-    /// numerator), the running slice included.
+    /// numerator), the running slice included: the sum of its strands'
+    /// CPU time (strands are never removed from the table).
     pub fn host_busy(&self, host: HostId) -> Nanos {
         let st = self.state.lock();
-        let settled = st.host_busy.get(&host).copied().unwrap_or(0);
+        let settled = st
+            .strands
+            .values()
+            .filter(|i| i.host == host)
+            .map(|i| i.cpu_ns)
+            .sum();
         match self.live_slice(&st) {
             Some((_, h, used)) if h == host => settled + used,
             _ => settled,
@@ -916,11 +920,6 @@ impl StrandCtx {
     /// it as an abort, so the strand itself is not marked panicked.
     pub fn set_deadline(&self, at: Nanos) {
         self.deadline.store(at, Ordering::Relaxed); // ordering: Relaxed — read back on the executor thread at safepoints.
-    }
-
-    /// Disarms the deadline.
-    pub fn clear_deadline(&self) {
-        self.deadline.store(u64::MAX, Ordering::Relaxed); // ordering: Relaxed — read back on the executor thread at safepoints.
     }
 
     /// Unwinds with [`DeadlineExceeded`] if the armed deadline has passed.
@@ -1179,9 +1178,24 @@ mod tests {
     fn cpu_time_is_attributed_to_strands_and_hosts() {
         let e = exec();
         let s = e.spawn("worker", |ctx| ctx.work(5_000));
+        let strands = [(0, 3_000), (1, 4_000), (1, 6_000), (2, 0)].map(|(host, ns)| {
+            let id = e.spawn_on(HostId(host), "hosted", 8, move |ctx| {
+                ctx.work(ns);
+                ctx.yield_now();
+                ctx.work(ns);
+            });
+            (HostId(host), id)
+        });
         e.run_until_idle();
         assert_eq!(e.cpu_time(s), 5_000);
-        assert!(e.host_busy(HostId(0)) >= 5_000);
+        // A host's CPU time is its strands' CPU time, summed.
+        for host in [0, 1, 2, 3].map(HostId) {
+            let mine = strands.iter().filter(|(h, _)| *h == host);
+            let sum: Nanos = mine.map(|&(_, id)| e.cpu_time(id)).sum::<Nanos>()
+                + if host == HostId(0) { e.cpu_time(s) } else { 0 };
+            assert_eq!(e.host_busy(host), sum, "{host:?}");
+        }
+        assert_eq!(e.host_busy(HostId(1)), 20_000);
     }
 
     #[test]
@@ -1229,19 +1243,6 @@ mod tests {
                                                        // panicked (an async handler's containment wrapper would have
                                                        // caught it first and classified it as an abort).
         assert!(e.panicked(s));
-    }
-
-    #[test]
-    fn cleared_deadline_never_fires() {
-        let e = exec();
-        let clock = e.clock().clone();
-        let s = e.spawn("unbounded", move |ctx| {
-            ctx.set_deadline(clock.now() + 1_000);
-            ctx.clear_deadline();
-            ctx.work(10_000_000);
-        });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(!e.panicked(s));
     }
 
     #[test]

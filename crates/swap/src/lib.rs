@@ -18,10 +18,10 @@
 //!    ([`spin_core::Event::rebind`] — one generation bump per event) and
 //!    nameserver exports ([`spin_core::NameServer::rebind_exports`]).
 //!    The rebind closure returns undo actions that make it reversible.
-//! 4. **Resume** — reopen the gates; parked raises replay in
-//!    `(deliver_at, lane, seq)` order through the new version, so virtual
-//!    outputs are byte-identical to an uninterrupted run wherever the new
-//!    version is semantically identical.
+//! 4. **Resume** — reopen the gates; parked raises replay in the order
+//!    they parked (each hold queue is an arrival-order FIFO) through the
+//!    new version, so virtual outputs are byte-identical to an
+//!    uninterrupted run wherever the new version is semantically identical.
 //! 5. **Rollback** — if the transfer panics, fails, or blows its virtual
 //!    `time_bound`, run the undo actions in reverse, resume through the
 //!    *old* version, and attribute the fault to the old domain via the

@@ -320,6 +320,21 @@ mod tests {
         assert!(b.mmu.examine(ctx, 0).is_err());
     }
 
+    /// A host costs what it touches: its 256 frames and its 1 GB drive are
+    /// bounds, and a new host on either board holds no bytes of either.
+    #[test]
+    fn a_new_host_holds_no_frame_bytes_and_no_disk_block() {
+        for host in [
+            SimBoard::new().new_host(256),
+            MulticoreBoard::new().new_host(256),
+        ] {
+            assert_eq!(host.mem.frame_count(), 256);
+            assert_eq!(host.mem.resident_frames(), 0);
+            assert_eq!(host.disk.geometry().blocks, DiskGeometry::default().blocks);
+            assert_eq!(host.disk.resident_blocks(), 0);
+        }
+    }
+
     #[test]
     fn endpoints_are_deterministic() {
         let board = SimBoard::new();

@@ -5,11 +5,16 @@
 //! timer callback which hands the data to the submitted continuation and
 //! posts the disk's interrupt vector. Blocking reads are layered on top by
 //! the file system using strands.
+//!
+//! Only written blocks hold bytes. The drive's size bounds the block
+//! numbers a request may name; it allocates nothing (DESIGN.md decision
+//! #25).
 
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::cost::MachineProfile;
 use crate::irq::{IrqController, IrqVector};
 use spin_check::sync::Mutex;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Disk block size (one 8 KB page, so paging I/O is one block per page).
@@ -52,7 +57,7 @@ pub enum DiskError {
 }
 
 struct DiskState {
-    blocks: Vec<Option<Box<[u8]>>>, // None = still zero (never written)
+    blocks: BTreeMap<u64, Box<[u8]>>, // absent = still zero (never written)
     head: u64,
     in_flight: u64,
     completed: u64,
@@ -80,10 +85,9 @@ impl Disk {
         vector: IrqVector,
         profile: Arc<MachineProfile>,
     ) -> Self {
-        let blocks = (0..geometry.blocks).map(|_| None).collect();
         Disk {
             state: Arc::new(Mutex::new(DiskState {
-                blocks,
+                blocks: BTreeMap::new(),
                 head: 0,
                 in_flight: 0,
                 completed: 0,
@@ -132,6 +136,7 @@ impl Disk {
         let block = match &req {
             DiskRequest::Read(b) | DiskRequest::Write(b, _) => *b,
         };
+        // The only bound: the sparse table would take any block number.
         if block.0 >= self.geometry.blocks {
             done(Err(DiskError::OutOfRange(block)));
             return;
@@ -159,15 +164,12 @@ impl Disk {
                 st.in_flight -= 1;
                 st.completed += 1;
                 match req {
-                    DiskRequest::Read(b) => {
-                        let data = match &st.blocks[b.0 as usize] {
-                            Some(d) => d.to_vec(),
-                            None => vec![0u8; BLOCK_SIZE],
-                        };
-                        Ok(data)
-                    }
+                    DiskRequest::Read(b) => Ok(match st.blocks.get(&b.0) {
+                        Some(d) => d.to_vec(),
+                        None => vec![0u8; BLOCK_SIZE],
+                    }),
                     DiskRequest::Write(b, buf) => {
-                        st.blocks[b.0 as usize] = Some(buf.into_boxed_slice());
+                        st.blocks.insert(b.0, buf.into_boxed_slice());
                         Ok(Vec::new())
                     }
                 }
@@ -182,19 +184,26 @@ impl Disk {
         let st = self.state.lock();
         (st.in_flight, st.completed)
     }
+
+    /// How many blocks hold bytes of their own.
+    #[cfg(test)]
+    pub(crate) fn resident_blocks(&self) -> usize {
+        self.state.lock().blocks.len()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn rig() -> (Disk, Clock, TimerQueue, IrqController) {
+    fn rig_with(blocks: u64) -> (Disk, Clock, TimerQueue, IrqController) {
         let clock = Clock::new();
         let timers = TimerQueue::new();
         let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
         let irqs = IrqController::new(clock.clone(), profile.clone());
         let disk = Disk::new(
-            DiskGeometry { blocks: 16 },
+            DiskGeometry { blocks },
             clock.clone(),
             timers.clone(),
             irqs.clone(),
@@ -204,43 +213,43 @@ mod tests {
         (disk, clock, timers, irqs)
     }
 
+    fn rig() -> (Disk, Clock, TimerQueue, IrqController) {
+        rig_with(16)
+    }
+
+    /// Submits `req`, runs the clock past its completion and returns what
+    /// the completion was handed.
+    fn complete(
+        disk: &Disk,
+        clock: &Clock,
+        timers: &TimerQueue,
+        req: DiskRequest,
+    ) -> Result<Vec<u8>, DiskError> {
+        let got = Arc::new(Mutex::new(None));
+        let g2 = got.clone();
+        disk.submit(req, move |r| *g2.lock() = Some(r));
+        clock.skip_to(clock.now() + 60_000_000);
+        timers.fire_due(clock.now());
+        let result = got.lock().take();
+        result.expect("the request completed")
+    }
+
     #[test]
     fn write_then_read_round_trips() {
         let (disk, clock, timers, _irqs) = rig();
         let mut data = vec![0u8; BLOCK_SIZE];
         data[0] = 0xAB;
-        let wrote = Arc::new(Mutex::new(false));
-        let w2 = wrote.clone();
-        disk.submit(DiskRequest::Write(BlockId(5), data), move |r| {
-            r.unwrap();
-            *w2.lock() = true;
-        });
-        clock.skip_to(clock.now() + 60_000_000);
-        timers.fire_due(clock.now());
-        assert!(*wrote.lock());
-
-        let read = Arc::new(Mutex::new(Vec::new()));
-        let r2 = read.clone();
-        disk.submit(DiskRequest::Read(BlockId(5)), move |r| {
-            *r2.lock() = r.unwrap();
-        });
-        clock.skip_to(clock.now() + 60_000_000);
-        timers.fire_due(clock.now());
-        assert_eq!(read.lock()[0], 0xAB);
+        let write = DiskRequest::Write(BlockId(5), data);
+        assert_eq!(complete(&disk, &clock, &timers, write), Ok(Vec::new()));
+        let read = complete(&disk, &clock, &timers, DiskRequest::Read(BlockId(5)));
+        assert_eq!(read.unwrap()[0], 0xAB);
     }
 
     #[test]
     fn unwritten_blocks_read_zero() {
         let (disk, clock, timers, _) = rig();
-        let read = Arc::new(Mutex::new(Vec::new()));
-        let r2 = read.clone();
-        disk.submit(DiskRequest::Read(BlockId(0)), move |r| {
-            *r2.lock() = r.unwrap();
-        });
-        clock.skip_to(60_000_000);
-        timers.fire_due(clock.now());
-        assert_eq!(read.lock().len(), BLOCK_SIZE);
-        assert!(read.lock().iter().all(|&b| b == 0));
+        let read = complete(&disk, &clock, &timers, DiskRequest::Read(BlockId(0))).unwrap();
+        assert_eq!(read, vec![0u8; BLOCK_SIZE]);
     }
 
     #[test]
@@ -252,6 +261,46 @@ mod tests {
             *e2.lock() = Some(r.unwrap_err());
         });
         assert_eq!(*err.lock(), Some(DiskError::OutOfRange(BlockId(999))));
+    }
+
+    /// The last block of the default 1 GB drive is as real as the first.
+    #[test]
+    fn the_last_block_of_a_default_drive_round_trips() {
+        let blocks = DiskGeometry::default().blocks;
+        let (disk, clock, timers, _) = rig_with(blocks);
+        let last = BlockId(blocks - 1);
+        let data = vec![0x5Au8; BLOCK_SIZE];
+        let write = DiskRequest::Write(last, data.clone());
+        assert_eq!(complete(&disk, &clock, &timers, write), Ok(Vec::new()));
+        let read = complete(&disk, &clock, &timers, DiskRequest::Read(last));
+        assert_eq!(read, Ok(data));
+    }
+
+    /// A sparse table would take any block number: the geometry check is
+    /// what refuses the block one past the end of the default drive.
+    #[test]
+    fn the_block_past_a_default_drive_is_out_of_range() {
+        let blocks = DiskGeometry::default().blocks;
+        let (disk, clock, timers, _) = rig_with(blocks);
+        let past = BlockId(blocks);
+        let write = DiskRequest::Write(past, vec![1; BLOCK_SIZE]);
+        for req in [DiskRequest::Read(past), write] {
+            let got = complete(&disk, &clock, &timers, req);
+            assert_eq!(got, Err(DiskError::OutOfRange(past)));
+        }
+    }
+
+    #[test]
+    fn a_fresh_drive_holds_no_block() {
+        let (disk, _, _, _) = rig_with(DiskGeometry::default().blocks);
+        assert_eq!(disk.resident_blocks(), 0);
+    }
+
+    #[test]
+    fn a_read_does_not_allocate_the_block_it_reads() {
+        let (disk, clock, timers, _) = rig();
+        complete(&disk, &clock, &timers, DiskRequest::Read(BlockId(3))).unwrap();
+        assert_eq!(disk.resident_blocks(), 0);
     }
 
     #[test]
@@ -280,5 +329,59 @@ mod tests {
             *e2.lock() = Some(r.unwrap_err());
         });
         assert_eq!(*err.lock(), Some(DiskError::BadLength(3)));
+    }
+
+    /// Block numbers run past the end of the 16-block test drive.
+    fn request() -> impl Strategy<Value = DiskRequest> {
+        let block = || (0..20u64).prop_map(BlockId);
+        let len = prop_oneof![Just(BLOCK_SIZE), Just(BLOCK_SIZE), 0..BLOCK_SIZE + 2];
+        prop_oneof![
+            block().prop_map(DiskRequest::Read),
+            (block(), any::<u8>(), len).prop_map(|(b, fill, len)| {
+                let data = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+                DiskRequest::Write(b, data)
+            }),
+        ]
+    }
+
+    /// What a dense drive of `dense.len()` zero-filled blocks answers.
+    fn dense_answer(dense: &mut [Vec<u8>], req: DiskRequest) -> Result<Vec<u8>, DiskError> {
+        match req {
+            DiskRequest::Read(b) => dense
+                .get(b.0 as usize)
+                .cloned()
+                .ok_or(DiskError::OutOfRange(b)),
+            DiskRequest::Write(b, buf) => {
+                let block = dense
+                    .get_mut(b.0 as usize)
+                    .ok_or(DiskError::OutOfRange(b))?;
+                if buf.len() != BLOCK_SIZE {
+                    return Err(DiskError::BadLength(buf.len()));
+                }
+                *block = buf;
+                Ok(Vec::new())
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Against a dense `Vec` of blocks: every completion is equal —
+        /// data, error and which error — and exactly the blocks a write
+        /// reached hold bytes.
+        #[test]
+        fn a_sparse_drive_answers_as_a_dense_one(reqs in proptest::collection::vec(request(), 0..24)) {
+            let (disk, clock, timers, _) = rig();
+            let mut dense = vec![vec![0u8; BLOCK_SIZE]; 16];
+            let mut written = std::collections::BTreeSet::new();
+            for req in reqs {
+                let want = dense_answer(&mut dense, req.clone());
+                if let (DiskRequest::Write(b, _), Ok(_)) = (&req, &want) {
+                    written.insert(b.0);
+                }
+                prop_assert_eq!(complete(&disk, &clock, &timers, req), want);
+                prop_assert_eq!(disk.resident_blocks(), written.len());
+            }
+        }
     }
 }

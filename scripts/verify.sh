@@ -150,12 +150,19 @@ gate perf-tests cargo test -q --manifest-path perf/Cargo.toml
 # One short untraced run of every benchmark workload at full size: exit 0
 # means `correct: true` and, at the default seed, the virtual digest pinned
 # in perf/digests.json — perf-tests only runs miniature instances. Never a
-# timing assertion: shared CI cannot resolve one.
+# timing assertion: shared CI cannot resolve one. Each run's result line
+# (`correct`, `attempted`, `failed` and the four end-to-end metrics) is
+# printed, so a memory or set-up regression shows in every verify log; a
+# failed run prints all of its output.
 perf_smoke() {
-    local workload
+    local workload out
     for workload in http_storm udp_forward dispatch_steady dispatch_churn; do
-        cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
-            run --workload "$workload" --seconds 3 --trace 0 >/dev/null
+        out=$(cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
+            run --workload "$workload" --seconds 3 --trace 0) || {
+            printf '%s\n' "$out"
+            return 1
+        }
+        echo "    $workload: ${out##*$'\n'}"
     done
 }
 gate perf-smoke perf_smoke

@@ -162,10 +162,7 @@ fn batch64_speedup() -> f64 {
 
 fn main() {
     let opaque = Wiring::bare();
-    let keyed = Wiring {
-        keyed: true,
-        ..Wiring::bare()
-    };
+    let keyed = Wiring::new(None, None, false, false, true);
     let [base, false_guards, true_guards] = s1_scaling(&opaque);
 
     let mut rows = vec![

@@ -81,6 +81,11 @@ pub struct Wiring {
     /// Watchers and the echo service install through keyed (compilable)
     /// guards instead of opaque closures.
     pub keyed: bool,
+    /// A bare counting subscriber on every wired dispatcher's and
+    /// executor's clock, as `perf/`'s traced rounds install: it makes each
+    /// charge observed one by one, so the dispatcher's compiled walk stops
+    /// coalescing its misses. Set only by this module's tests.
+    charges: Option<Arc<AtomicU64>>,
 }
 
 impl Wiring {
@@ -118,6 +123,7 @@ impl Wiring {
             quota,
             swap: swap.then(SwapWiring::default),
             keyed,
+            charges: None,
         }
     }
 
@@ -154,6 +160,7 @@ impl Wiring {
     /// Obs accounting, the `core.dispatch` fault site and the standard
     /// containment sink.
     pub fn wire_dispatcher(&self, d: &Dispatcher) {
+        self.count_charges(d.clock());
         if let Some(obs) = &self.obs {
             d.set_obs(obs.domain("dispatcher"));
         }
@@ -166,6 +173,7 @@ impl Wiring {
     /// Obs accounting (trace records stamp this executor's clock), the
     /// `sched.executor` fault site and a pass-through quota hook.
     pub fn wire_exec(&self, exec: &Arc<Executor>) {
+        self.count_charges(exec.clock());
         if let Some(obs) = &self.obs {
             let clock = exec.clock().clone();
             obs.set_time_source(Arc::new(move || clock.now()));
@@ -215,6 +223,16 @@ impl Wiring {
             kernel.install_fault_containment(ContainmentPolicy::default());
         }
         self.meter(kernel.trap_syscall(), "trap-syscall");
+    }
+
+    /// Subscribes the charge counter, if one is wired, to `clock`.
+    fn count_charges(&self, clock: &Clock) {
+        if let Some(counter) = &self.charges {
+            let counter = counter.clone();
+            clock.add_advance_hook(Box::new(move |_| {
+                counter.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — a statistic read after the suite returns.
+            }));
+        }
     }
 
     /// A swap coordinator reporting to `obs` and drawing at the
@@ -684,5 +702,24 @@ mod tests {
             "every workload completes: {first:?}"
         );
         assert_eq!(first, suite(&Wiring::bare()));
+    }
+
+    /// An executor no longer subscribes to its clock, so with nothing else
+    /// wired the dispatcher's compiled walk charges a run of misses in one
+    /// `advance`. A counting subscriber makes every charge observed, and
+    /// the walk charges them one by one: the totals, and so every virtual
+    /// number, must be the same.
+    #[test]
+    fn a_counting_clock_subscriber_moves_no_virtual_number() {
+        let counter = Arc::new(AtomicU64::new(0));
+        let mut bare_counted = Wiring::bare();
+        bare_counted.charges = Some(counter.clone());
+        let keyed = Wiring::new(None, None, false, false, true);
+        let mut keyed_counted = Wiring::new(None, None, false, false, true);
+        keyed_counted.charges = Some(counter.clone());
+        assert_eq!(suite(&bare_counted), suite(&Wiring::bare()));
+        assert_eq!(suite(&keyed_counted), suite(&keyed));
+        let counted = counter.load(Ordering::Relaxed); // ordering: Relaxed — read after the suites return.
+        assert!(counted > 0, "the subscriber counted");
     }
 }

@@ -160,6 +160,22 @@ pub(crate) enum Op {
     },
 }
 
+impl Op {
+    /// Whether the operation is a locked instruction or a lock operation:
+    /// a read-modify-write (swap, fetch_*, compare-exchange) or a lock
+    /// taken, tried or released. Plain loads and stores are `mov`s on
+    /// x86-64 and are not.
+    fn is_locked(&self) -> bool {
+        matches!(
+            self,
+            Op::AtomicRmw { .. }
+                | Op::LockAcquire { .. }
+                | Op::TryLock { .. }
+                | Op::LockRelease { .. }
+        )
+    }
+}
+
 /// Object-granularity independence: used both to wake sleeping threads and
 /// to keep the sleep sets sound. Conservative where it is cheap to be.
 fn dependent(a: &Op, b: &Op) -> bool {
@@ -306,6 +322,8 @@ struct ExecState {
     done: bool,
     failure: Option<Failure>,
     steps: u64,
+    /// Of `steps`, the locked ones (see `Op::is_locked`).
+    locked: u64,
     /// Persistent DFS stack (survives `reset`).
     stack: Vec<Node>,
     /// Replay plan: decision values to follow verbatim.
@@ -436,6 +454,7 @@ impl Execution {
                 done: false,
                 failure: None,
                 steps: 0,
+                locked: 0,
                 stack: Vec::new(),
                 replay: None,
                 bound,
@@ -467,6 +486,7 @@ impl Execution {
         g.done = false;
         g.failure = None;
         g.steps = 0;
+        g.locked = 0;
         g.replay = replay;
     }
 
@@ -546,6 +566,7 @@ impl Execution {
             drop(g);
             abort_execution();
         }
+        let locked = op.is_locked();
         g.threads[me].pending = Some(op);
         self.schedule(&mut g);
         if g.active != me || g.poisoned || g.done {
@@ -563,6 +584,7 @@ impl Execution {
             abort_execution();
         }
         g.steps += 1;
+        g.locked += u64::from(locked);
         if g.steps > STEP_LIMIT {
             self.fail(
                 &mut g,
@@ -798,6 +820,7 @@ impl Execution {
             return;
         }
         g.steps += 1;
+        g.locked += 1;
         g.threads[me].vc.inc(me);
         let vc = g.threads[me].vc.clone();
         if let Some(lock) = g.locks.get_mut(&id) {
@@ -922,6 +945,9 @@ pub struct Report {
     pub max_depth: usize,
     /// Total instrumented operations executed across all interleavings.
     pub steps: u64,
+    /// Of `steps`, the locked ones: read-modify-writes and lock
+    /// acquisitions, tries and releases.
+    pub locked: u64,
 }
 
 /// Bounded-DFS model checker entry point.
@@ -1012,6 +1038,7 @@ impl Checker {
             report.executions += 1;
             let mut g = exec.mx.lock();
             report.steps += g.steps;
+            report.locked += g.locked;
             report.max_depth = report.max_depth.max(g.taken.len());
             if let Some(fl) = g.failure.clone() {
                 report.failure = Some(fl);

@@ -12,6 +12,13 @@
 //! closure, races them from model-registered threads, and panics on any
 //! outcome outside the allowed set. The checker turns that panic into a
 //! [`spin_check::model::Failure`] carrying a replayable schedule seed.
+//!
+//! The dispatcher models raise on one `Dispatcher::unmetered()` from two
+//! model threads with no hand-off, outside the clock's one-writer contract
+//! (DESIGN.md decision 26), so that clock may lose a charge; those models
+//! check plans, drains, statistics and quota books and never read it. The
+//! contract itself is checked by
+//! `a_clock_handed_across_a_lock_keeps_every_charge`.
 
 #![cfg(all(spin_check, not(spin_check_mutant)))]
 
@@ -188,18 +195,61 @@ fn quiesce_destroy_race(bound: u32) -> spin_check::model::Report {
 /// The four raise-prologue models once more at preemption bound 3 — what
 /// folding the event's status into one published record was the
 /// precondition for (ROADMAP item 1) — and the two quota-cell models,
-/// which one lock per cell made small enough to join them.
+/// which one lock per cell made small enough to join them — and the
+/// clock's one-writer hand-off, on which every charge relies.
 /// `scripts/verify.sh` selects this test by name as `gate spin-check-b3`,
 /// with its own line in the timing table; the bound-2 suite skips it.
 #[test]
 #[ignore = "run by scripts/verify.sh as gate spin-check-b3"]
 fn raise_prologue_models_at_bound3() {
+    assert_clean("clock-hand-off@3", &clock_writers(3, true));
     assert_clean("raise-vs-destroy@3", &destroy_race(3));
     assert_clean("quiesce-then-destroy@3", &quiesce_destroy_race(3));
     assert_clean("hot-swap-gate@3", &hot_swap_race(3, None));
     assert_clean("hot-swap-gate-burst@3", &hot_swap_race(3, Some(2)));
     assert_clean("throttle-release@3", &throttle_release_race(3));
     assert_clean("ledger-books@3", &ledger_books_race(3));
+}
+
+/// Two model threads charge one `Clock`, the first 10 and the second 3 and
+/// 4; with `hand_off` each takes its turn under one facade `Mutex`, the
+/// way the kernel's writers hand a clock over (DESIGN.md decision 26).
+/// Asserts that the clock holds every charge.
+fn clock_writers(bound: u32, hand_off: bool) -> spin_check::model::Report {
+    Checker::with_bound(bound).check(move || {
+        let clock = Clock::new();
+        let turn = Arc::new(Mutex::new(()));
+        let (clock2, turn2) = (clock.clone(), Arc::clone(&turn));
+        let t = thread::spawn(move || {
+            let _held = hand_off.then(|| turn2.lock());
+            clock2.advance(3);
+            clock2.advance(4);
+        });
+        {
+            let _held = hand_off.then(|| turn.lock());
+            clock.advance(10);
+        }
+        t.join().expect("second writer");
+        assert_eq!(clock.now(), 17, "a charge was lost");
+    })
+}
+
+/// The clock's contract, checked: a charge is a load and a store, not a
+/// read-modify-write, and that is exact as long as successive writers are
+/// ordered by a lock or barrier. Clean at bound 2 here and at bound 3 in
+/// `raise_prologue_models_at_bound3`.
+#[test]
+fn a_clock_handed_across_a_lock_keeps_every_charge() {
+    assert_clean("clock-hand-off", &clock_writers(BOUND, true));
+}
+
+/// The mirror: the same two writers with no hand-off break the contract,
+/// and the checker must see it — a charge stored over the other's is lost.
+#[test]
+fn two_writers_without_a_hand_off_lose_a_charge() {
+    let report = clock_writers(BOUND, false);
+    let failure = report.failure.expect("the checker reports the lost charge");
+    assert!(failure.message.contains("a charge was lost"), "{failure:?}");
 }
 
 fn ring_rec(t: u64) -> TraceRecord {
@@ -647,43 +697,55 @@ fn install_vs_destroy_releases_the_handler() {
     assert_clean("install-vs-destroy", &report);
 }
 
-/// What one more operation costs in facade operations. A single-threaded
-/// check has exactly one execution, and its `Report::steps` is the number
-/// of instrumented atomics and lock operations it touched; running the
-/// scenario with two operations and with one, the difference is the
-/// operation's own — set-up and teardown cancel.
-fn marginal_steps(name: &str, scenario: fn(u64)) -> u64 {
+/// What one more operation costs in facade operations, as `(total,
+/// locked)`. A single-threaded check has exactly one execution; its
+/// `Report::steps` is the number of instrumented atomics and lock
+/// operations it touched, and `Report::locked` how many of those were
+/// locked — read-modify-writes and lock operations, what DESIGN.md
+/// decision 18's inventory counts (a plain load or store is a `mov`).
+/// Running the scenario with two operations and with one, the difference
+/// is the operation's own — set-up and teardown cancel.
+fn marginal_steps(name: &str, scenario: fn(u64)) -> (u64, u64) {
     let steps = |n: u64| {
         let report = checker().check(move || scenario(n));
         assert_clean(name, &report);
         assert_eq!(report.executions, 1, "{name}: one thread, one schedule");
-        report.steps
+        (report.steps, report.locked)
     };
     let (one, two, three) = (steps(1), steps(2), steps(3));
-    assert_eq!(two - one, three - two, "{name}: not linear in the count");
-    two - one
+    let step = |a: (u64, u64), b: (u64, u64)| (b.0 - a.0, b.1 - a.1);
+    assert_eq!(
+        step(one, two),
+        step(two, three),
+        "{name}: not linear in the count"
+    );
+    step(one, two)
 }
 
 /// The raise's atomics budget (DESIGN.md decision 18), pinned in facade
-/// operations so that the next atomic added to the path fails a test with a
-/// name instead of moving `core.dispatch.fast_ns` by 7 ns unnoticed. `Arc`
-/// and `Weak` traffic is invisible to the facade; DESIGN's inventory table
-/// covers it.
+/// operations `(total, locked)` so that the next atomic added to the path
+/// fails a test with a name instead of moving `core.dispatch.fast_ns` by
+/// 7 ns unnoticed. `Arc` and `Weak` traffic is invisible to the facade;
+/// DESIGN's inventory table covers it. Since DESIGN.md decision 26 a
+/// charge is three operations and none locked — a load and a store of the
+/// time and the subscriber-count load — where it was a `fetch_add` and
+/// that load, so each charge adds one to a total and takes one locked
+/// operation out.
 ///
-/// * A fast-path raise: **9** (10 at the parent of the PR that wrote this
-///   budget). In-flight count up; record read-locked and released; obs and
-///   fault hook slots loaded; one raise counter; the clock's `fetch_add`
-///   and its subscriber-count load; in-flight count down. Gone: the second
-///   raise counter.
+/// * A fast-path raise: **(10, 5)**, (9, 6) before decision 26 (10 in
+///   total at the parent of the PR that wrote this budget). In-flight count
+///   up; record read-locked and released; obs and fault hook slots loaded;
+///   one raise counter; the clock's charge; in-flight count down. Gone:
+///   the second raise counter.
 /// * A keyed raise — two handlers keyed on 5 and 6, raised with 5, so one
-///   table hit and one miss: **22** (25 at that parent). The same prologue
-///   and epilogue (7); four charges at two operations each (raise base,
-///   the hit's guard, the handler invocation, the miss's guard) and one
-///   `charges_observed` load before the miss; two time reads around the
-///   handler for its time bound; and the four walk counters that moved
-///   (guard evaluations, handlers run, compiled raises, guards elided).
-///   Gone: the three counters that moved by zero (aborted, asynchronous,
-///   faulted).
+///   table hit and one miss: **(26, 9)**, (22, 13) before decision 26 (25 in
+///   total at that parent). The same prologue and epilogue (7); four
+///   charges at three operations each (raise base, the hit's guard, the
+///   handler invocation, the miss's guard) and one `charges_observed` load
+///   before the miss; two time reads around the handler for its time
+///   bound; and the four walk counters that moved (guard evaluations,
+///   handlers run, compiled raises, guards elided). Gone: the three
+///   counters that moved by zero (aborted, asynchronous, faulted).
 #[test]
 fn a_raise_stays_within_its_budget() {
     fn raises(ev: &spin_core::Event<u64, u64>, n: u64) {
@@ -698,7 +760,7 @@ fn a_raise_stays_within_its_budget() {
         raises(&ev, n);
         assert_eq!(d.stats(&ev).expect("alive").fast_path_raises, n);
     });
-    assert_eq!(fast, 9, "facade operations per fast-path raise");
+    assert_eq!(fast, (10, 5), "facade operations per fast-path raise");
 
     let keyed = marginal_steps("budget-keyed-raise", |n| {
         let d = Dispatcher::unmetered();
@@ -712,12 +774,13 @@ fn a_raise_stays_within_its_budget() {
         let stats = d.stats(&ev).expect("alive");
         assert_eq!((stats.compiled_raises, stats.guards_elided), (n, 2 * n));
     });
-    assert_eq!(keyed, 22, "facade operations per keyed-hit raise");
+    assert_eq!(keyed, (26, 9), "facade operations per keyed-hit raise");
 }
 
 /// A metered raise's budget (DESIGN.md decision 21): a fast-path raise of
-/// an event bound to an unlimited quota cell is **17** facade operations,
-/// 24 at the parent of PR 26. The raise's own 9 (above); 3 time reads —
+/// an event bound to an unlimited quota cell is **(18, 9)** facade
+/// operations — (17, 10) before decision 26 made its charge a store, 24 in
+/// total at the parent of PR 26. The raise's own (above); 3 time reads —
 /// the admission's `now` and the two that bracket the dispatch for the
 /// window's charge (ISSUE 26 counted two of the three and so predicted
 /// 23 → 16; the −7 is as it predicted); `admit` 3, was 7 — the fault
@@ -741,31 +804,31 @@ fn a_metered_raise_stays_within_its_budget() {
         assert_eq!((s.admitted, s.completed, s.in_flight), (n, n, 0));
         assert_eq!(d.stats(&ev).expect("alive").fast_path_raises, n);
     });
-    assert_eq!(metered, 17, "facade operations per metered fast-path raise");
+    assert_eq!(
+        metered,
+        (18, 9),
+        "facade operations per metered fast-path raise"
+    );
 }
 
-/// The charge's budget: one `Clock::advance` made by a running strand on a
-/// clock its executor subscribes to is **9** facade operations, of which
-/// **2** are locked — the clock's `fetch_add` and the meter's on the
-/// quantum. The other seven are loads: the registry walk's four
-/// (subscriber count, head, the node's tombstone, its `next`) and the
-/// meter's three (obs slot, current strand, quantum). At the parent of the
-/// PR that wrote this budget the count was 8 with **4** locked: the
-/// registry's read lock, taken and released, stood where three of the
-/// walk's loads stand now — so this total went up by one while every lock
-/// went out of it — and under the facade's view (DESIGN's table) four more
-/// locked operations went with them: the `Arc` clone and drop of the
-/// subscriber list and the `Weak` upgrade and drop of the executor.
+/// The charge's budget: one `Clock::advance` made by a running strand on
+/// its executor's clock is **(3, 0)** facade operations — a load and a
+/// Release store of the time, and the subscriber-count load that finds
+/// nobody subscribed. The executor does not subscribe (DESIGN.md decision
+/// 26): it reads the clock where the slice starts and where its charge is
+/// wanted. Before that decision the charge was (9, 2): the clock's
+/// `fetch_add` and the meter's on the quantum, the registry walk's four
+/// loads and the meter's three; before decision 18 it was 8 with 4 locked.
 #[test]
-fn an_observed_charge_stays_within_its_budget() {
-    let charge = marginal_steps("budget-observed-charge", |n| {
+fn a_charge_on_an_executors_clock_stays_within_its_budget() {
+    let charge = marginal_steps("budget-executor-charge", |n| {
         let clock = Clock::new();
         let exec = Executor::new(
             clock.clone(),
             TimerQueue::new(),
             Arc::new(MachineProfile::alpha_axp_3000_400()),
         );
-        assert!(clock.charges_observed());
+        assert!(!clock.charges_observed(), "the executor reads its clock");
         let charged = clock.clone();
         let strand = exec.spawn_step_on(HostId(0), "charger", 8, move |_| {
             for _ in 0..n {
@@ -776,7 +839,7 @@ fn an_observed_charge_stays_within_its_budget() {
         assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(exec.cpu_time(strand), 10 * n, "the meter saw every charge");
     });
-    assert_eq!(charge, 9, "facade operations per observed charge");
+    assert_eq!(charge, (3, 0), "facade operations per charge");
 }
 
 /// The frame hop's lock traffic (DESIGN.md decision 19), pinned so that the
@@ -785,21 +848,23 @@ fn an_observed_charge_stays_within_its_budget() {
 /// here: counting them needs a `GlobalAlloc`, an `unsafe impl` rule U1 does
 /// not admit; DESIGN's table is measured on a scratch allocator.
 ///
-/// * One timer scheduled and fired: **6**, as at the parent. `schedule_at`
+/// * One timer scheduled and fired: **(6, 6)**, as at the parent. `schedule_at`
 ///   locks and unlocks once; `fire_due` does so once to take the timer and
 ///   once to find nothing else due. The slab replaced a hash map under the
 ///   same lock, not the lock.
 /// * One frame across a two-shard board — `Nic::send`, the receiving
 ///   shard's `drain` onto its timers, the timer's fire, `Nic::receive`:
-///   **32** (34 before DESIGN.md decision 24, 38 before 21, 40 before 19).
-///   Send 10, was 12 (two charges at two operations each, the wire's pair,
-///   under which the frame is counted on its sender's link, one time read,
-///   the mailbox's pair and its `pending` add — the NIC's lock pair for
-///   its tx counters went); drain 4 (the `pending`
-///   probe, the lock pair, the `pending` store); schedule 2; the deadline
+///   **(36, 21)**: (32, 25) before DESIGN.md decision 26 made each of its
+///   four charges a load and a store, 34 in total before 24, 38 before 21,
+///   40 before 19. Send 12, was 14 before 24 (two charges at three
+///   operations each, the wire's pair, under which the frame is counted on
+///   its sender's link, one time read, the mailbox's pair and its
+///   `pending` add — the NIC's lock pair for its tx counters went); drain
+///   4 (the `pending` probe, the lock pair, the `pending` store); schedule
+///   2; the deadline
 ///   probe 2; fire 8 (the queue's two pairs around the delivery: the NIC's
 ///   pair, under which the frame joins the ring, and the interrupt post);
-///   receive 6 (the NIC's pair, under which the pop and the rx count are
+///   receive 8 (the NIC's pair, under which the pop and the rx count are
 ///   one critical section, and two charges).
 #[test]
 fn the_frame_hop_stays_within_its_lock_budget() {
@@ -810,7 +875,11 @@ fn the_frame_hop_stays_within_its_lock_budget() {
             assert_eq!(q.fire_due(now), 1);
         }
     });
-    assert_eq!(timer, 6, "facade operations per timer scheduled and fired");
+    assert_eq!(
+        timer,
+        (6, 6),
+        "facade operations per timer scheduled and fired"
+    );
 
     let hop = marginal_steps("budget-frame-hop", |n| {
         let board = MulticoreBoard::new();
@@ -828,16 +897,18 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         }
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
-    assert_eq!(hop, 32, "facade operations per frame hop");
+    assert_eq!(hop, (36, 21), "facade operations per frame hop");
 }
 
-/// A slice's budget (DESIGN.md decision 24): one slice of a
-/// run-to-completion strand that yields is **30** facade operations, 32 at
-/// the parent of the PR that wrote this budget. `run_until` dequeues the
-/// strand and marks it Running in one critical section of the executor's
-/// state, where it took the lock once for each: one lock pair went. The
-/// slice's switch charge, the Resume hook, the meter reset and the
-/// `current` store follow it in the order they had.
+/// A slice's budget (DESIGN.md decisions 24 and 26): one slice of a
+/// run-to-completion strand that yields is **(27, 11)** facade operations.
+/// It was (30, 12) before decision 26 and 32 in total before 24, when
+/// `run_until` took the executor's state lock once to dequeue the strand
+/// and once to mark it Running. Decision 26 made the switch charge a store
+/// (one locked operation fewer, one load more) and replaced the meter's
+/// two resets with one clock read and the `slice_start` store; the charge
+/// walks no executor hook, so the meter's three loads went too. The slice
+/// ends with one more clock read, where its charge is settled.
 #[test]
 fn a_slice_stays_within_its_lock_budget() {
     let slice = marginal_steps("budget-slice", |n| {
@@ -857,13 +928,15 @@ fn a_slice_stays_within_its_lock_budget() {
         assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(exec.switches(), n + 1, "one slice per yield, and the last");
     });
-    assert_eq!(slice, 30, "facade operations per slice");
+    assert_eq!(slice, (27, 11), "facade operations per slice");
 }
 
 /// The planner's budget (DESIGN.md decision 22): one epoch of a 12-shard
 /// board on which only shard 0 has anything to do — one timer, armed every
-/// `10·L`, so each fires in an epoch of its own — is **58** facade
-/// operations, 157 at the parent of the PR that wrote this budget. The
+/// `10·L`, so each fires in an epoch of its own — is **(58, 34)** facade
+/// operations: (58, 36) before DESIGN.md decision 26 made the idle skip a
+/// load and a store where it was a load and a compare-exchange, and 157 in
+/// total at the parent of the PR that wrote this budget. The
 /// planner keeps every shard's local horizon and re-reads only the shard it
 /// ran; each of the eleven that did not run costs the one load of its
 /// mailbox's empty probe, where it cost ten: that probe, a clock read and
@@ -886,7 +959,7 @@ fn an_epoch_reads_only_the_shards_that_ran() {
         assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(mc.stats().epochs, n, "one epoch per timer");
     });
-    assert_eq!(epoch, 58, "facade operations per epoch");
+    assert_eq!(epoch, (58, 34), "facade operations per epoch");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

@@ -18,6 +18,11 @@
 //! `tests/checks.rs`, asserts the checker reports a failure with a
 //! non-empty schedule seed, and replays the seed to prove the failing
 //! interleaving is deterministic.
+//!
+//! The dispatcher models raise on one `Dispatcher::unmetered()` from two
+//! model threads with no hand-off, outside the clock's one-writer contract
+//! (DESIGN.md decision 26), so that clock may lose a charge; no model here
+//! reads it.
 
 #![cfg(all(spin_check, spin_check_mutant))]
 

@@ -15,6 +15,11 @@
 //!      if a model change legitimately reorders it, update the literal
 //!      and say so in the commit);
 //!   3. a replay is a single execution, not a re-exploration.
+//!
+//! The raise and the destroy share one `Dispatcher::unmetered()` clock
+//! with no hand-off, outside the clock's one-writer contract (DESIGN.md
+//! decision 26), so that clock may lose a charge; the scenario never
+//! reads it.
 
 #![cfg(all(spin_check, not(spin_check_mutant)))]
 

@@ -6,6 +6,10 @@
 //! real threads — raisers racing handler churn and racing event
 //! destruction/redefinition — and then reconcile every counter:
 //! no lost raises, no panics, statistics that add up exactly.
+//!
+//! These raisers share one `Dispatcher::unmetered()` clock with no hand-off
+//! between them, outside the clock's one-writer contract (DESIGN.md
+//! decision 26), so that clock may lose a charge; nothing here reads it.
 
 use spin_core::{DispatchError, Dispatcher, Event, Identity, KeyFn};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

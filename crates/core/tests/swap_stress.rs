@@ -7,6 +7,10 @@
 //! hold queue (and was replayed), or bounced off a full hold queue.
 //!
 //!     attempts = (raises − replayed) + held + overflowed
+//!
+//! These raisers share one `Dispatcher::unmetered()` clock with no hand-off
+//! between them, outside the clock's one-writer contract (DESIGN.md
+//! decision 26), so that clock may lose a charge; nothing here reads it.
 
 use spin_core::{Constraints, DispatchError, Dispatcher, Identity, InstallSpec};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

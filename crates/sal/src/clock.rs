@@ -8,19 +8,37 @@
 //! the [`TimerQueue`] and fired by the executor when the clock passes their
 //! deadline.
 //!
-//! The executor in `spin-sched` installs an *advance hook* on the clock so
-//! that every charge is also accounted against the running strand's quantum;
-//! that is how the paper's preemptive kernel ("the kernel is preemptive,
-//! ensuring that a handler cannot take over the processor", §3.2) is
-//! reproduced deterministically.
+//! Advance hooks let a layer observe every charge: the observability
+//! subsystem subscribes one to account the scheduler domain's CPU time,
+//! and a traced benchmark round subscribes a counter. The executor in
+//! `spin-sched` does not subscribe: it reads the clock where a slice
+//! starts and where its charge is wanted, and preempts at safe points on
+//! that difference — how the paper's preemptive kernel ("the kernel is
+//! preemptive, ensuring that a handler cannot take over the processor",
+//! §3.2) is reproduced deterministically.
 //!
-//! [`Clock::advance`] is the one primitive every layer of the packet path
-//! pays, many times per packet, so it has an atomics budget (DESIGN.md
-//! decision 18): one `fetch_add` on the time, then a walk of the
-//! subscribers that only loads. With no subscriber that is one more load;
-//! with the executor subscribed it is the executor's one `fetch_add` on its
-//! quantum — two locked read-modify-writes per charge, pinned by
-//! `an_observed_charge_stays_within_its_budget` in `spin-check`.
+//! **One writer at a time.** A clock has one writer at a time, and
+//! successive writers are ordered by a lock or barrier the kernel already
+//! takes (DESIGN.md decision 26). The writers and their hand-offs:
+//!
+//! 1. the coordinator and a thread strand hand the processor over through
+//!    the executor's baton (`Mutex` + `Condvar`) and its state lock;
+//! 2. timer callbacks and interrupt bottom halves run on the coordinator,
+//!    between slices;
+//! 3. a `Multicore` worker owns its shards between the epoch barrier's two
+//!    phases, and the planner reads their clocks only after the barrier;
+//! 4. a `SimBoard`'s hosts share one clock, and they share one executor
+//!    too.
+//!
+//! So [`Clock::advance`] — the one primitive every layer of the packet
+//! path pays, many times per packet, with an atomics budget (DESIGN.md
+//! decision 18) — is a load and a Release store, no locked instruction,
+//! then a walk of the subscribers that only loads. A charge on an
+//! executor's clock is pinned at zero locked operations by
+//! `a_charge_on_an_executors_clock_stays_within_its_budget` in
+//! `spin-check`, and `a_clock_handed_across_a_lock_keeps_every_charge`
+//! checks the contract itself. Two writers with no hand-off between them
+//! may lose a charge.
 
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
@@ -39,7 +57,11 @@ pub type AdvanceHookId = spin_check::hooks::HookId;
 
 /// The shared virtual clock.
 ///
-/// Cheap to clone (`Arc` inside); reads are lock-free.
+/// Cheap to clone (`Arc` inside); reads are lock-free. Any thread may read
+/// it, but it has **one writer at a time**: whoever charges or skips it
+/// next must be ordered after the last writer by a lock or barrier (the
+/// module docs list the kernel's hand-offs). Charges made by two threads
+/// with no hand-off between them may be lost.
 #[derive(Clone, Default)]
 pub struct Clock {
     inner: Arc<ClockInner>,
@@ -64,36 +86,31 @@ impl Clock {
     /// Current virtual time.
     #[inline]
     pub fn now(&self) -> Nanos {
-        self.inner.now.load(Ordering::Acquire) // ordering: Acquire — a time read orders after the charge that produced it.
+        self.inner.now.load(Ordering::Acquire) // ordering: Acquire — pairs with the one writer's Release store: a time read orders after the charge that produced it.
     }
 
     /// Advances the clock by `ns`, charging the running context.
     ///
-    /// The executor's advance hook (if installed) runs after the time is
-    /// added; it may deschedule the calling thread to effect preemption.
+    /// Advance hooks (if installed) run after the time is added. The
+    /// caller must be the clock's one writer (see [`Clock`]).
     pub fn advance(&self, ns: Nanos) {
         if ns == 0 {
             return;
         }
-        self.inner.now.fetch_add(ns, Ordering::AcqRel); // ordering: AcqRel — every charge is ordered with every other charge and with now().
+        let t = self.inner.now.load(Ordering::Relaxed); // ordering: Relaxed — one writer at a time: the last charge is this thread's own or was handed over by a lock or barrier.
+        self.inner.now.store(t + ns, Ordering::Release); // ordering: Release — one writer at a time, so a store, not an RMW; pairs with now()'s Acquire.
         self.inner.hooks.for_each(|hook| hook(ns));
     }
 
     /// Moves the clock directly to `t` without charging any context.
     ///
     /// Used by the executor when the system is idle and the next work item
-    /// is a timer in the future. Does nothing if `t` is in the past.
+    /// is a timer in the future. Does nothing if `t` is in the past. The
+    /// caller must be the clock's one writer, as for a charge.
     pub fn skip_to(&self, t: Nanos) {
-        let mut cur = self.inner.now.load(Ordering::Acquire); // ordering: Acquire — starts the CAS loop from a charge-ordered view.
-        while t > cur {
-            match self
-                .inner
-                .now
-                .compare_exchange(cur, t, Ordering::AcqRel, Ordering::Acquire) // ordering: AcqRel success orders the jump like a charge; Acquire failure re-reads.
-            {
-                Ok(_) => break,
-                Err(observed) => cur = observed,
-            }
+        let cur = self.inner.now.load(Ordering::Relaxed); // ordering: Relaxed — one writer at a time: the last write is this thread's own or was handed over by a lock or barrier.
+        if t > cur {
+            self.inner.now.store(t, Ordering::Release); // ordering: Release — one writer at a time, so a store, not a CAS; pairs with now()'s Acquire.
         }
     }
 

@@ -20,12 +20,12 @@
 //! skips the virtual clock forward to the next timer deadline.
 //!
 //! Preemption reproduces the paper's "the kernel is preemptive, ensuring
-//! that a handler cannot take over the processor": the clock's advance hook
-//! charges the running strand's quantum, and the strand is descheduled at
-//! its next *safe point* ([`StrandCtx::preempt_point`], and every blocking
-//! or yielding operation). Safe-point preemption keeps the simulation
-//! deadlock-free while preserving quantum semantics on the virtual
-//! timeline.
+//! that a handler cannot take over the processor": a slice's charge is the
+//! clock's advance since the slice started, and the strand is descheduled
+//! at its next *safe point* ([`StrandCtx::preempt_point`], and every
+//! blocking or yielding operation) once that charge exceeds the quantum.
+//! Safe-point preemption keeps the simulation deadlock-free while
+//! preserving quantum semantics on the virtual timeline.
 
 use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
 use spin_check::sync::{Condvar, Mutex};
@@ -156,7 +156,7 @@ struct StrandInfo {
     state: RunState,
     body: Body,
     /// Settled at the end of each slice; the running slice's charge is
-    /// still in `Meter::quantum_used`.
+    /// the clock's advance since `Meter::slice_start`.
     cpu_ns: Nanos,
     joiners: Vec<StrandId>,
     panicked: bool,
@@ -214,42 +214,32 @@ struct Hooks {
     resume: TransitionHook,
 }
 
-/// What a charge on the executor's clock touches — the slice meter. It
-/// sits apart from the rest of the executor so the clock's advance hook can
-/// own it by a plain `Arc`: a charge takes no `Weak` upgrade, and with the
-/// registry walk lock-free its only locked read-modify-write is the
-/// `quantum_used` add (DESIGN.md decision 18).
+/// The slice meter. It does not subscribe to the clock: a slice's charge
+/// is `clock.now() - slice_start`, computed where it is read — when the
+/// slice ends, when a reader asks for CPU time mid-slice, and at a safe
+/// point. Within a slice only charges move the clock (`skip_to` runs in
+/// `run_until`'s idle branch), so that difference is the sum of the
+/// slice's charges (DESIGN.md decision 26).
 struct Meter {
     /// Observability hook (scheduler domain): absent until wired, and the
-    /// per-charge/per-switch fast path is then a single atomic load.
+    /// per-switch fast path is then a single atomic load.
     obs: spin_core::hooks::HookSlot<ObsHook>,
     /// Id of the strand whose slice is running, 0 between slices (ids start
     /// at 1). Stored by the coordinator once the slice's switch is charged
-    /// and cleared under the state lock when the slice ends; a charge reads
-    /// it without.
+    /// and cleared under the state lock when the slice ends.
     current: AtomicU64,
     quantum: AtomicU64,
-    /// Virtual time charged to the running slice so far: the quantum
-    /// consumed, and the strand's CPU time not yet settled.
-    quantum_used: AtomicU64,
-    preempt_pending: AtomicBool,
+    /// The clock when the running slice began: stored just before
+    /// `current`, after the switch charge and the Resume hook, so neither
+    /// lands on the slice.
+    slice_start: AtomicU64,
 }
 
 impl Meter {
-    fn on_advance(&self, ns: Nanos) {
-        if let Some(obs) = self.obs.get() {
-            obs.counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-        // ordering: Relaxed — a slice's charges come from the thread running it, which the baton (or being the coordinator) already ordered after the store.
-        if self.current.load(Ordering::Relaxed) != 0 {
-            // Stays a read-modify-write: "only the slice's thread charges"
-            // is this module's convention, not something the clock proves.
-            let used = self.quantum_used.fetch_add(ns, Ordering::Relaxed) + ns; // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-            if used > self.quantum.load(Ordering::Relaxed) {
-                // ordering: Relaxed — charged on the executor thread; atomic only for &self.
-                self.preempt_pending.store(true, Ordering::Relaxed); // ordering: Relaxed — consumed by the same thread at the next safepoint.
-            }
-        }
+    /// The running slice's charge so far: the quantum consumed, and the
+    /// strand's CPU time not yet settled. Read on the slice's own thread.
+    fn charge(&self, clock: &Clock) -> Nanos {
+        clock.now() - self.slice_start.load(Ordering::Relaxed) // ordering: Relaxed — stored by the coordinator before the baton hand-off (or on this thread); the clock's one-writer hand-off orders it.
     }
 }
 
@@ -268,11 +258,12 @@ pub struct Executor {
     /// Whether the running slice is a run-to-completion one, which may not
     /// give up the processor mid-call.
     stepping: AtomicBool,
-    /// Shared with the clock's advance hook, which charges the running
-    /// slice through it.
-    meter: Arc<Meter>,
-    /// That hook's subscription, removed when the executor drops.
-    advance_hook: AdvanceHookId,
+    /// What the running slice has charged, read off the clock.
+    meter: Meter,
+    /// The subscription that accounts every charge to the scheduler's obs
+    /// domain, made by [`Executor::set_obs`] and removed when the executor
+    /// drops.
+    obs_charges: spin_core::hooks::HookSlot<AdvanceHookId>,
     /// Transition hooks: absent until `events` wires them, and each of a
     /// slice's four transitions then costs one atomic load.
     hooks: spin_core::hooks::HookSlot<Hooks>,
@@ -288,21 +279,9 @@ pub struct Executor {
 impl Executor {
     /// Creates an executor on the shared timeline.
     pub fn new(clock: Clock, timers: TimerQueue, profile: Arc<MachineProfile>) -> Arc<Executor> {
-        let meter = Arc::new(Meter {
-            obs: spin_core::hooks::HookSlot::new(),
-            current: AtomicU64::new(0),
-            quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
-            quantum_used: AtomicU64::new(0),
-            preempt_pending: AtomicBool::new(false),
-        });
-        // Charge the running strand and arm preemption at quantum expiry.
-        // Subscribes alongside other clock observers (the obs accounting
-        // layer) rather than replacing them.
-        let charged = meter.clone();
-        let advance_hook = clock.add_advance_hook(Box::new(move |ns| charged.on_advance(ns)));
         Arc::new_cyclic(|me| Executor {
             me: me.clone(),
-            clock: clock.clone(),
+            clock,
             timers,
             profile,
             state: Mutex::new(ExecState {
@@ -315,8 +294,13 @@ impl Executor {
             main_baton: Baton::new(),
             next_id: AtomicU64::new(1),
             stepping: AtomicBool::new(false),
-            meter,
-            advance_hook,
+            meter: Meter {
+                obs: spin_core::hooks::HookSlot::new(),
+                current: AtomicU64::new(0),
+                quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
+                slice_start: AtomicU64::new(0),
+            },
+            obs_charges: spin_core::hooks::HookSlot::new(),
             hooks: spin_core::hooks::HookSlot::new(),
             faults: spin_core::hooks::HookSlot::new(),
             quota: spin_core::hooks::HookSlot::new(),
@@ -360,7 +344,7 @@ impl Executor {
 
     /// Sets the preemption quantum (virtual nanoseconds).
     pub fn set_quantum(&self, ns: Nanos) {
-        self.meter.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next charge.
+        self.meter.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next safe point.
     }
 
     /// Installs transition hooks (used by `events` to raise dispatcher
@@ -382,9 +366,16 @@ impl Executor {
 
     /// Wires the observability subsystem: virtual CPU charges and context
     /// switches are accounted to the scheduler domain. One-shot; charges
-    /// zero virtual time.
+    /// zero virtual time. Subscribes to the clock, so its charges become
+    /// observed one by one.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.meter.obs.set(hook);
+        let counters = hook.counters.clone();
+        if self.meter.obs.set(hook) {
+            let id = self.clock.add_advance_hook(Box::new(move |ns| {
+                counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            }));
+            let _ = self.obs_charges.set(id);
+        }
     }
 
     /// Wires the deterministic fault-injection plan's `sched.executor`
@@ -538,7 +529,7 @@ impl Executor {
     fn leave_current(&self, to: RunState, panicked: bool) -> Option<Arc<Baton>> {
         let mut st = self.state.lock();
         let cur = StrandId(self.meter.current.swap(0, Ordering::Relaxed)); // ordering: Relaxed — written under the state lock by the thread that ran the slice; the next reader is ordered by the baton or is this thread.
-        let charge = self.meter.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — only this slice's own thread added to it.
+        let charge = self.meter.charge(&self.clock);
         let info = st
             .strands
             .get_mut(&cur)
@@ -699,14 +690,14 @@ impl Executor {
                     if let Some(h) = self.hooks.get() {
                         (h.resume)(id);
                     }
-                    self.meter.quantum_used.store(0, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
-                    self.meter.preempt_pending.store(false, Ordering::Relaxed); // ordering: Relaxed — quantum bookkeeping on the executor thread.
                     if let Some(obs) = self.meter.obs.get() {
                         obs.counters
                             .context_switches
                             .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                         obs.trace(TraceKind::ContextSwitch, id.0, 0);
                     }
+                    let start = self.clock.now();
+                    self.meter.slice_start.store(start, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
                     self.meter.current.store(id.0, Ordering::Relaxed); // ordering: Relaxed — the slice's thread reads it after the baton hand-off below, or is this thread.
                     match body {
                         Body::Thread(baton) => {
@@ -810,8 +801,11 @@ impl Executor {
     /// The running slice's strand, host and so-far-unsettled charge.
     fn live_slice(&self, st: &ExecState) -> Option<(StrandId, HostId, Nanos)> {
         let cur = self.current()?;
-        let used = self.meter.quantum_used.load(Ordering::Relaxed); // ordering: Relaxed — a mid-slice reader is the slice's own thread.
-        Some((cur, st.strands.get(&cur)?.host, used))
+        Some((
+            cur,
+            st.strands.get(&cur)?.host,
+            self.meter.charge(&self.clock),
+        ))
     }
 
     /// Virtual CPU time consumed by a strand, its running slice included.
@@ -888,8 +882,10 @@ impl Executor {
 impl Drop for Executor {
     fn drop(&mut self) {
         // Unsubscribe, or every later charge on this clock would still
-        // walk past (and into) a dead executor's meter.
-        self.clock.remove_advance_hook(self.advance_hook);
+        // walk past (and into) a dead executor's obs accounting.
+        if let Some(&id) = self.obs_charges.get() {
+            self.clock.remove_advance_hook(id);
+        }
     }
 }
 
@@ -973,9 +969,9 @@ impl StrandCtx {
     /// expired.
     pub fn preempt_point(&self) {
         self.refuse_in_step("preempt_point");
-        let pending = &self.exec.meter.preempt_pending;
-        // ordering: Relaxed — set and consumed on the executor thread.
-        if pending.swap(false, Ordering::Relaxed) {
+        let meter = &self.exec.meter;
+        // ordering: Relaxed — set before this slice began and read on the slice's own thread.
+        if meter.charge(&self.exec.clock) > meter.quantum.load(Ordering::Relaxed) {
             self.exec.yield_current();
         }
         self.check_deadline();

@@ -861,11 +861,16 @@ fn a_charge_on_an_executors_clock_stays_within_its_budget() {
 ///   its sender's link, one time read, the mailbox's pair and its
 ///   `pending` add — the NIC's lock pair for its tx counters went); drain
 ///   4 (the `pending` probe, the lock pair, the `pending` store); schedule
-///   2; the deadline
-///   probe 2; fire 8 (the queue's two pairs around the delivery: the NIC's
+///   2 (the drain is handed over as one run, as `plan_epoch` does since
+///   DESIGN.md decision 27; a one-frame run costs what one
+///   `schedule_boxed` did, so that decision moved neither pin); the
+///   deadline probe 2; fire 8 (the queue's two pairs around the delivery: the NIC's
 ///   pair, under which the frame joins the ring, and the interrupt post);
 ///   receive 8 (the NIC's pair, under which the pop and the rx count are
 ///   one critical section, and two charges).
+/// * A drain of N frames delivered as one run: **(6, 4)** whatever N — the
+///   drain's 4 and one timer-queue lock pair — where scheduling each
+///   envelope took one pair per frame.
 #[test]
 fn the_frame_hop_stays_within_its_lock_budget() {
     let timer = marginal_steps("budget-timer", |n| {
@@ -888,9 +893,7 @@ fn the_frame_hop_stays_within_its_lock_budget() {
             a.ethernet
                 .send(b.endpoint(), (&b"frame"[..]).into())
                 .expect("within the MTU");
-            for env in b.mailbox.drain() {
-                b.timers.schedule_boxed(env.deliver_at, env.action);
-            }
+            b.timers.schedule_run(b.mailbox.drain());
             let due = b.timers.next_deadline().expect("the frame is in flight");
             assert_eq!(b.timers.fire_due(due), 1);
             assert!(b.ethernet.receive().is_some(), "delivered");
@@ -898,6 +901,42 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
     assert_eq!(hop, (36, 21), "facade operations per frame hop");
+
+    // A drain of N frames, as the planner delivers it: the drain's four
+    // operations and one timer-queue lock pair for the whole run, not one
+    // pair per frame (DESIGN.md decision 27).
+    let steps = |scenario: Box<dyn Fn() + Send + Sync>| {
+        let report = checker().check(scenario);
+        assert_clean("budget-drain", &report);
+        (report.steps, report.locked)
+    };
+    let drain = |n: u64| {
+        let frames = move |deliver: bool| {
+            move || {
+                let board = MulticoreBoard::new();
+                let (a, b) = (board.new_host(1), board.new_host(1));
+                for _ in 0..n {
+                    a.ethernet
+                        .send(b.endpoint(), (&b"frame"[..]).into())
+                        .expect("within the MTU");
+                }
+                if deliver {
+                    b.timers.schedule_run(b.mailbox.drain());
+                }
+                let pending = if deliver { n as usize } else { 0 };
+                assert_eq!(b.timers.pending(), pending, "the run holds every frame");
+            }
+        };
+        let (sent, delivered) = (
+            steps(Box::new(frames(false))),
+            steps(Box::new(frames(true))),
+        );
+        (delivered.0 - sent.0, delivered.1 - sent.1)
+    };
+    for n in [2, 16] {
+        assert_eq!(drain(n), drain(1), "a drain of {n} frames");
+    }
+    assert_eq!(drain(1), (6, 4), "facade operations per drain delivered");
 }
 
 /// A slice's budget (DESIGN.md decisions 24 and 26): one slice of a

@@ -40,9 +40,11 @@
 //! checks the contract itself. Two writers with no hand-off between them
 //! may lose a charge.
 
+use crate::mailbox::Envelope;
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -159,21 +161,57 @@ struct Slot {
     callback: Option<TimerFn>,
 }
 
+/// A heap entry's index with this bit set names a run, not a slot.
+const RUN: u32 = 1 << 31;
+
 #[derive(Default)]
 struct TimerState {
-    /// Min-heap of (deadline, seq, slot): seqs are handed out in
-    /// scheduling order, so equal deadlines fire FIFO. An entry whose slot
-    /// no longer holds its seq's callback is residue of a cancel.
+    /// Min-heap of (deadline, seq, index): seqs are handed out in
+    /// scheduling order, so equal deadlines fire FIFO. The index names a
+    /// slot, or with [`RUN`] set a run, whose entry is its head's. A slot
+    /// entry whose slot no longer holds its seq's callback is residue of a
+    /// cancel; a run is never cancelled.
     heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
     /// Callbacks, found by index: no hashing on schedule, fire or cancel.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// Timers scheduled and neither fired nor cancelled.
+    /// What is left of each run, in order; an exhausted run's index is
+    /// free for the next.
+    runs: Vec<std::vec::IntoIter<Envelope>>,
+    free_runs: Vec<u32>,
+    /// Timers scheduled and neither fired nor cancelled, run items
+    /// included.
     live: usize,
     next_seq: u64,
 }
 
 impl TimerState {
+    /// Takes the head of the heap, which is due: the callback of a slot
+    /// timer (`None` if it was cancelled), or the next item of a run,
+    /// whose following item then takes the head's place in the heap.
+    fn pop_head(&mut self) -> Option<TimerFn> {
+        let mut head = self.heap.peek_mut()?;
+        let Reverse((_, seq, index)) = *head;
+        if index & RUN == 0 {
+            PeekMut::pop(head);
+            return self.take(index, seq);
+        }
+        let run = &mut self.runs[(index & !RUN) as usize];
+        let item = run.next().expect("a run in the heap has an item left");
+        match run.as_slice().first() {
+            // The run's next item has the next seq and no earlier deadline,
+            // so it sifts down from where its predecessor was.
+            Some(next) => *head = Reverse((next.deliver_at, seq + 1, index)),
+            None => {
+                PeekMut::pop(head);
+                *run = Default::default(); // frees the drain's buffer
+                self.free_runs.push(index & !RUN);
+            }
+        }
+        self.live -= 1;
+        Some(item.action)
+    }
+
     /// Takes the callback of timer (`slot`, `seq`) and frees the slot —
     /// `None` if that timer has fired or been cancelled already, whoever
     /// holds the slot now.
@@ -188,9 +226,13 @@ impl TimerState {
         Some(callback)
     }
 
-    /// Whether timer (`slot`, `seq`) is still waiting.
-    fn is_live(&self, slot: u32, seq: u64) -> bool {
-        let entry = &self.slots[slot as usize];
+    /// Whether the heap entry (`index`, `seq`) is still waiting: a run
+    /// always is, a slot timer until it fires or is cancelled.
+    fn is_live(&self, index: u32, seq: u64) -> bool {
+        if index & RUN != 0 {
+            return true;
+        }
+        let entry = &self.slots[index as usize];
         entry.seq == seq && entry.callback.is_some()
     }
 }
@@ -208,6 +250,11 @@ impl TimerState {
 /// the sequence number in the id and in the heap entry is the generation
 /// check that keeps a stale id, or a cancelled timer's heap residue, from
 /// touching the next tenant.
+///
+/// A drained mailbox is ordered already, so it is scheduled as one run
+/// ([`TimerQueue::schedule_run`]): the run keeps its items in the drain's
+/// own buffer and only its head waits in the heap, so a backlog of mail
+/// costs the heap one entry, not one per envelope (DESIGN.md decision 27).
 #[derive(Clone, Default)]
 pub struct TimerQueue {
     state: Arc<Mutex<TimerState>>,
@@ -252,6 +299,42 @@ impl TimerQueue {
         TimerId { slot, seq }
     }
 
+    /// Schedules a run of mail: each envelope's action fires when the
+    /// clock reaches its `deliver_at`, exactly as if each had been passed
+    /// to [`TimerQueue::schedule_boxed`] in order — the run takes the next
+    /// `run.len()` sequence numbers, so equal deadlines fire in run order
+    /// and after every timer scheduled before it. Run items are not
+    /// cancellable.
+    ///
+    /// The deadlines must never decrease along the run (a drain's order).
+    /// The run is kept as the buffer it came in, and only its head waits
+    /// in the heap.
+    pub fn schedule_run(&self, run: Vec<Envelope>) {
+        assert!(
+            run.is_sorted_by_key(|env| env.deliver_at),
+            "a run's deadlines never decrease"
+        );
+        let Some(head) = run.first().map(|env| env.deliver_at) else {
+            return;
+        };
+        let mut st = self.state.lock();
+        let seq = st.next_seq;
+        st.next_seq += run.len() as u64;
+        st.live += run.len();
+        let run = run.into_iter();
+        let index = match st.free_runs.pop() {
+            Some(index) => {
+                st.runs[index as usize] = run;
+                index
+            }
+            None => {
+                st.runs.push(run);
+                (st.runs.len() - 1) as u32
+            }
+        };
+        st.heap.push(Reverse((head, seq, index | RUN)));
+    }
+
     /// Cancels a pending timer. Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
         // The callback is dropped after the lock is released.
@@ -263,8 +346,8 @@ impl TimerQueue {
     pub fn next_deadline(&self) -> Option<Nanos> {
         let mut st = self.state.lock();
         // Drop cancelled heap residue so the reported deadline is live.
-        while let Some(Reverse((at, seq, slot))) = st.heap.peek().copied() {
-            if st.is_live(slot, seq) {
+        while let Some(Reverse((at, seq, index))) = st.heap.peek().copied() {
+            if st.is_live(index, seq) {
                 return Some(at);
             }
             st.heap.pop();
@@ -286,14 +369,11 @@ impl TimerQueue {
         loop {
             let cb = {
                 let mut st = self.state.lock();
-                match st.heap.peek().copied() {
-                    Some(Reverse((at, seq, slot))) if at <= now => {
-                        st.heap.pop();
-                        match st.take(slot, seq) {
-                            Some(cb) => cb,
-                            None => continue, // cancelled
-                        }
-                    }
+                match st.heap.peek() {
+                    Some(&Reverse((at, _, _))) if at <= now => match st.pop_head() {
+                        Some(cb) => cb,
+                        None => continue, // cancelled
+                    },
                     _ => break,
                 }
             };
@@ -301,6 +381,13 @@ impl TimerQueue {
             fired += 1;
         }
         fired
+    }
+
+    /// Entries in the heap: one per slot timer (cancel residue included)
+    /// and one per run.
+    #[cfg(test)]
+    fn heap_len(&self) -> usize {
+        self.state.lock().heap.len()
     }
 }
 
@@ -416,6 +503,70 @@ mod tests {
         assert_eq!(count.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
     }
 
+    /// A run fires as its items scheduled one by one would: in deadline
+    /// order, equal deadlines in run order and after the timers scheduled
+    /// before the run, before those scheduled after it.
+    #[test]
+    fn a_run_fires_as_its_items_scheduled_in_order() {
+        let q = TimerQueue::new();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let tagged = |tag: &'static str| {
+            let log = log.clone();
+            move |now: Nanos| log.lock().push((tag, now))
+        };
+        q.schedule_at(20, tagged("before"));
+        let run = [(10, "r0"), (20, "r1"), (20, "r2"), (30, "r3")]
+            .into_iter()
+            .enumerate()
+            .map(|(i, (at, tag))| Envelope {
+                deliver_at: at,
+                lane: 0,
+                seq: i as u64,
+                action: Box::new(tagged(tag)),
+            })
+            .collect();
+        q.schedule_run(run);
+        q.schedule_at(20, tagged("after"));
+        q.schedule_run(Vec::new());
+        assert_eq!((q.pending(), q.next_deadline()), (6, Some(10)));
+        assert_eq!(q.fire_due(20), 5);
+        assert_eq!(q.next_deadline(), Some(30));
+        assert_eq!(q.fire_due(30), 1);
+        let order: Vec<_> = log.lock().iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(order, ["r0", "before", "r1", "r2", "after", "r3"]);
+        assert_eq!((q.pending(), q.next_deadline()), (0, None));
+    }
+
+    /// A deep backlog of mail costs the heap one entry, not one per
+    /// envelope: while a 10 000-item run fires, its next head is the only
+    /// entry in the heap. A regression to one heap push per envelope fails
+    /// here, not only in the benchmark.
+    #[test]
+    fn a_deep_run_occupies_one_heap_entry_while_it_fires() {
+        const ITEMS: u64 = 10_000;
+        let q = TimerQueue::new();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let run = (0..ITEMS)
+            .map(|i| {
+                let (q2, seen) = (q.clone(), seen.clone());
+                Envelope {
+                    deliver_at: i / 4, // four-way ties
+                    lane: 0,
+                    seq: i,
+                    action: Box::new(move |_| seen.lock().push((i, q2.heap_len()))),
+                }
+            })
+            .collect();
+        q.schedule_run(run);
+        assert_eq!((q.heap_len(), q.pending()), (1, ITEMS as usize));
+        assert_eq!(q.fire_due(ITEMS), ITEMS as usize);
+        let seen = seen.lock();
+        assert!(seen.iter().map(|&(i, _)| i).eq(0..ITEMS), "run order");
+        assert!(seen[..seen.len() - 1].iter().all(|&(_, depth)| depth == 1));
+        assert_eq!(seen.last().map(|&(_, depth)| depth), Some(0));
+        assert_eq!(q.heap_len(), 0);
+    }
+
     #[test]
     fn fire_due_ignores_future_timers() {
         let q = TimerQueue::new();
@@ -479,6 +630,7 @@ mod tests {
     trait Queue: Clone + Send + 'static {
         type Id: Copy + Send + 'static;
         fn schedule(&self, at: Nanos, f: TimerFn) -> Self::Id;
+        fn schedule_run(&self, run: Vec<Envelope>);
         fn cancel(&self, id: Self::Id) -> bool;
         fn next_deadline(&self) -> Option<Nanos>;
         fn pending(&self) -> usize;
@@ -489,6 +641,9 @@ mod tests {
         type Id = TimerId;
         fn schedule(&self, at: Nanos, f: TimerFn) -> TimerId {
             self.schedule_boxed(at, f)
+        }
+        fn schedule_run(&self, run: Vec<Envelope>) {
+            TimerQueue::schedule_run(self, run)
         }
         fn cancel(&self, id: TimerId) -> bool {
             TimerQueue::cancel(self, id)
@@ -513,6 +668,12 @@ mod tests {
             st.heap.push(Reverse((at, id)));
             st.callbacks.insert(id, f);
             id
+        }
+        /// The reference has no runs: one `schedule` per item, in order.
+        fn schedule_run(&self, run: Vec<Envelope>) {
+            for env in run {
+                self.schedule(env.deliver_at, env.action);
+            }
         }
         fn cancel(&self, id: u64) -> bool {
             self.state.lock().callbacks.remove(&id).is_some()
@@ -553,11 +714,23 @@ mod tests {
         }
     }
 
+    /// What a callback does when it fires, besides logging its run.
+    #[derive(Debug, Clone, Copy)]
+    enum Then {
+        Nothing,
+        /// Schedule a child this long after the fire (`0`: due at once,
+        /// for the same `fire_due`).
+        Respawn(Nanos),
+        /// Cancel the n-th id handed out so far (modulo how many).
+        Cancel(usize),
+    }
+
     #[derive(Debug, Clone)]
     enum Op {
-        /// Schedule at `at`; with `Some(d)` the callback schedules a child
-        /// `d` after it fires (`0`: due at once, for the same `fire_due`).
-        Schedule(Nanos, Option<Nanos>),
+        /// Schedule at `at`, doing `Then` when fired.
+        Schedule(Nanos, Then),
+        /// Schedule a run: deadlines that never decrease, ties allowed.
+        Run(Vec<(Nanos, Then)>),
         /// Cancel the n-th id handed out so far (modulo how many).
         Cancel(usize),
         Fire(Nanos),
@@ -565,12 +738,32 @@ mod tests {
         Pending,
     }
 
+    fn then() -> impl Strategy<Value = Then> {
+        prop_oneof![
+            Just(Then::Nothing),
+            Just(Then::Nothing),
+            (0u64..12).prop_map(Then::Respawn),
+            (0usize..64).prop_map(Then::Cancel),
+        ]
+    }
+
     fn op() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0u64..48, any::<bool>(), 0u64..12)
-                .prop_map(|(at, respawn, d)| Op::Schedule(at, respawn.then_some(d))),
-            (0u64..48, any::<bool>(), 0u64..12)
-                .prop_map(|(at, respawn, d)| Op::Schedule(at, respawn.then_some(d))),
+            (0u64..48, then()).prop_map(|(at, then)| Op::Schedule(at, then)),
+            (0u64..48, then()).prop_map(|(at, then)| Op::Schedule(at, then)),
+            (0u64..48, proptest::collection::vec((0u64..3, then()), 0..9)).prop_map(
+                |(mut at, items)| {
+                    Op::Run(
+                        items
+                            .into_iter()
+                            .map(|(step, then)| {
+                                at += step; // a step of 0 is a tie
+                                (at, then)
+                            })
+                            .collect(),
+                    )
+                }
+            ),
             (0usize..64).prop_map(Op::Cancel),
             (0u64..64).prop_map(Op::Fire),
             Just(Op::NextDeadline),
@@ -578,33 +771,72 @@ mod tests {
         ]
     }
 
+    /// The callback `tag` schedules: it logs its run and then does `then`
+    /// on `q` — a child it schedules joins `ids`, and a cancel names one of
+    /// `ids`.
+    fn callback<Q: Queue>(
+        q: &Q,
+        log: &Arc<Mutex<Vec<String>>>,
+        ids: &Arc<Mutex<Vec<Q::Id>>>,
+        tag: String,
+        then: Then,
+    ) -> TimerFn {
+        let (q, log, ids) = (q.clone(), log.clone(), ids.clone());
+        Box::new(move |now| {
+            log.lock().push(format!("ran {tag} at {now}"));
+            match then {
+                Then::Nothing => {}
+                Then::Respawn(delay) => {
+                    let log2 = log.clone();
+                    let child = q.schedule(
+                        now + delay,
+                        Box::new(move |now| {
+                            log2.lock().push(format!("ran child of {tag} at {now}"))
+                        }),
+                    );
+                    ids.lock().push(child);
+                }
+                Then::Cancel(n) => {
+                    let id = {
+                        let ids = ids.lock();
+                        (!ids.is_empty()).then(|| ids[n % ids.len()])
+                    };
+                    if let Some(id) = id {
+                        let cancelled = q.cancel(id);
+                        log.lock()
+                            .push(format!("{tag} cancels #{n} -> {cancelled}"));
+                    }
+                }
+            }
+        })
+    }
+
     /// Runs `ops` on `q` and returns everything observable: each call's
     /// return value and each callback's run (tag, fire time), in order;
-    /// then cancels every id ever handed out, twice.
+    /// then cancels every id ever handed out, twice, and fires what is
+    /// left — run items, which no id names.
     fn transcript<Q: Queue>(q: Q, ops: &[Op]) -> Vec<String> {
         let log = Arc::new(Mutex::new(Vec::new()));
         let ids: Arc<Mutex<Vec<Q::Id>>> = Arc::default();
         for (tag, op) in ops.iter().enumerate() {
             let note = match *op {
-                Op::Schedule(at, respawn) => {
-                    let (q2, log2, ids2) = (q.clone(), log.clone(), ids.clone());
-                    let id = q.schedule(
-                        at,
-                        Box::new(move |now| {
-                            log2.lock().push(format!("ran {tag} at {now}"));
-                            if let Some(delay) = respawn {
-                                let log3 = log2.clone();
-                                let child = q2.schedule(
-                                    now + delay,
-                                    Box::new(move |now| {
-                                        log3.lock().push(format!("ran child of {tag} at {now}"))
-                                    }),
-                                );
-                                ids2.lock().push(child);
-                            }
-                        }),
-                    );
+                Op::Schedule(at, then) => {
+                    let id = q.schedule(at, callback(&q, &log, &ids, tag.to_string(), then));
                     ids.lock().push(id);
+                    continue;
+                }
+                Op::Run(ref items) => {
+                    let run = items
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &(at, then))| Envelope {
+                            deliver_at: at,
+                            lane: 0,
+                            seq: i as u64,
+                            action: callback(&q, &log, &ids, format!("{tag}.{i}"), then),
+                        })
+                        .collect();
+                    q.schedule_run(run);
                     continue;
                 }
                 Op::Cancel(n) => {
@@ -626,28 +858,38 @@ mod tests {
         let issued = ids.lock().clone();
         let still_pending: Vec<bool> = issued.iter().map(|&id| q.cancel(id)).collect();
         let again = issued.iter().any(|&id| q.cancel(id));
-        let mut out = std::mem::take(&mut *log.lock());
-        out.push(format!(
+        log.lock().push(format!(
             "cancelled at the end: {still_pending:?}, again: {again}"
         ));
+        // Past every deadline, then past every child the first pass spawns.
+        let flushed = q.fire_due(FLUSH) + q.fire_due(2 * FLUSH);
+        let mut out = std::mem::take(&mut *log.lock());
+        out.push(format!("flushed {flushed}"));
         out.push(format!("left: {} {:?}", q.pending(), q.next_deadline()));
         out
     }
 
+    /// Later than any deadline or child the ops can make.
+    const FLUSH: Nanos = 1 << 20;
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// `TimerQueue` against its own past: over random schedule /
-        /// cancel / fire / probe sequences, callbacks that reschedule
-        /// included, the slab answers exactly as the heap + `HashMap` it
-        /// replaced — same fire order, same return values, a fired or
-        /// cancelled id never cancels again, and a reused slot never
-        /// answers to a stale id (the reference never reuses one).
+        /// run / cancel / fire / probe sequences, callbacks that reschedule
+        /// or cancel included, the slab answers exactly as the heap +
+        /// `HashMap` it replaced — same fire order, same return values, a
+        /// fired or cancelled id never cancels again, and a reused slot
+        /// never answers to a stale id (the reference never reuses one).
+        /// The reference schedules a run's items one by one, so a run
+        /// keeps the tie order of the items it stands for.
         #[test]
         fn the_slab_answers_as_the_map_did(ops in proptest::collection::vec(op(), 0..48)) {
             let new = transcript(TimerQueue::new(), &ops);
             let old = transcript(Retired::default(), &ops);
             prop_assert_eq!(&new, &old);
-            prop_assert!(new[new.len() - 2].ends_with("again: false"));
+            prop_assert!(new
+                .iter()
+                .any(|line| line.starts_with("cancelled at the end") && line.ends_with("again: false")));
             prop_assert_eq!(new.last().map(String::as_str), Some("left: 0 None"));
         }
     }

@@ -10,11 +10,17 @@
 //! There is one way in, `Mailbox::post_all`: [`Mailbox::post`] is a batch
 //! of one and the wire posts a run of frames as a batch of many; under one
 //! lock acquisition each envelope takes the same step — post hook, quota
-//! gate, lane sequence number, insert — so a batch is exactly its
+//! gate, lane sequence number, append — so a batch is exactly its
 //! envelopes posted in order.
 //! An envelope's action is boxed once, by whoever posts it, and that box is
 //! what the drain hands on ([`Envelope::action`]) and the destination's
 //! timer queue fires: nothing re-wraps it on the way.
+//!
+//! A post appends its envelope to a plain `Vec` and keeps the earliest
+//! delivery time beside it; the drain sorts the batch once, into the total
+//! order below, and that sorted buffer is what the destination's timer
+//! queue keeps as one run ([`crate::TimerQueue::schedule_run`]): a frame
+//! is ordered once between its post and its fire (DESIGN.md decision 27).
 //!
 //! Everything is one locked `MailboxState`, counters included: a post
 //! and a drain count themselves under the lock they hold anyway. The one
@@ -43,7 +49,7 @@
 
 use crate::clock::{Nanos, TimerFn};
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Disjoint lane namespaces: one base per traffic class, plus the sender's
@@ -94,8 +100,11 @@ pub struct Envelope {
 
 #[derive(Default)]
 struct MailboxState {
-    /// Total order `(deliver_at, lane, seq)` — see the module docs.
-    entries: BTreeMap<(Nanos, u64, u64), MailAction>,
+    /// Admitted envelopes in admission order; the drain sorts them into
+    /// the total order `(deliver_at, lane, seq)` — see the module docs.
+    entries: Vec<Envelope>,
+    /// The least `deliver_at` in `entries`.
+    earliest: Option<Nanos>,
     /// Per-lane sequence counters (program order within one sender).
     lane_seq: HashMap<u64, u64>,
     hook: Option<PostHook>,
@@ -128,8 +137,14 @@ impl MailboxState {
             *occupancy += 1;
         }
         let seq = self.lane_seq.entry(lane).or_insert(0);
-        self.entries.insert((deliver_at, lane, *seq), action);
+        self.entries.push(Envelope {
+            deliver_at,
+            lane,
+            seq: *seq,
+            action,
+        });
         *seq += 1;
+        self.earliest = Some(self.earliest.map_or(deliver_at, |at| at.min(deliver_at)));
         true
     }
 }
@@ -194,38 +209,32 @@ impl Mailbox {
         if self.pending.load(Ordering::Acquire) == 0 {
             return None;
         }
-        self.state
-            .lock()
-            .entries
-            .keys()
-            .next()
-            .map(|&(at, _, _)| at)
+        self.state.lock().earliest
     }
 
     /// Drains every pending envelope in `(deliver_at, lane, seq)` order.
     ///
-    /// Called by the epoch coordinator at the barrier; the caller
-    /// schedules each envelope on the local timer queue (scheduling in
-    /// ascending order preserves the total order for equal deadlines,
-    /// because timer ids break ties FIFO).
+    /// Called by the epoch coordinator at the barrier, which hands the
+    /// result to the local timer queue as one run
+    /// ([`crate::TimerQueue::schedule_run`]): the run's sequence numbers
+    /// follow this order, so equal deadlines fire in `(lane, seq)` order.
+    /// The keys are unique, so the sort's result does not depend on the
+    /// order the posts arrived in; it runs after the lock is released.
     pub fn drain(&self) -> Vec<Envelope> {
         // ordering: Acquire — pairs with the Release in `post`; an empty probe means nothing to drain.
         if self.pending.load(Ordering::Acquire) == 0 {
             return Vec::new();
         }
-        let mut st = self.state.lock();
-        let out: Vec<Envelope> = std::mem::take(&mut st.entries)
-            .into_iter()
-            .map(|((deliver_at, lane, seq), action)| Envelope {
-                deliver_at,
-                lane,
-                seq,
-                action,
-            })
-            .collect();
-        st.lane_pending.clear();
-        st.drained += out.len() as u64;
-        self.pending.store(0, Ordering::Release); // ordering: Release — the drain emptied the queue under the lock; publish before the next probe.
+        let mut out = {
+            let mut st = self.state.lock();
+            let out = std::mem::take(&mut st.entries);
+            st.earliest = None;
+            st.lane_pending.clear();
+            st.drained += out.len() as u64;
+            self.pending.store(0, Ordering::Release); // ordering: Release — the drain emptied the queue under the lock; publish before the next probe.
+            out
+        };
+        out.sort_unstable_by_key(|env| (env.deliver_at, env.lane, env.seq));
         out
     }
 
@@ -243,8 +252,8 @@ impl Mailbox {
     pub fn set_quota_gate(&self, gate: impl Fn(u64, u64) -> bool + Send + Sync + 'static) {
         let mut st = self.state.lock();
         let mut counts: HashMap<u64, u64> = HashMap::new();
-        for &(_, lane, _) in st.entries.keys() {
-            *counts.entry(lane).or_insert(0) += 1;
+        for env in &st.entries {
+            *counts.entry(env.lane).or_insert(0) += 1;
         }
         st.lane_pending = counts;
         st.quota_gate = Some(Box::new(gate));
@@ -258,7 +267,7 @@ impl Mailbox {
         if st.quota_gate.is_some() {
             st.lane_pending.get(&lane).copied().unwrap_or(0)
         } else {
-            st.entries.keys().filter(|&&(_, l, _)| l == lane).count() as u64
+            st.entries.iter().filter(|env| env.lane == lane).count() as u64
         }
     }
 
@@ -282,6 +291,8 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn drains_in_time_lane_seq_order() {
@@ -421,6 +432,231 @@ mod tests {
             assert_eq!(single.lane_pending(lane), batched.lane_pending(lane));
         }
         assert_eq!(batched.lane_pending(3), 1);
+    }
+
+    /// The retired mailbox — every post inserted into a `BTreeMap` keyed by
+    /// `(deliver_at, lane, seq)` — kept as the reference the `Vec` and its
+    /// one sort per drain are checked against. Single-threaded: it has no
+    /// lock and no `pending` mirror.
+    #[derive(Default)]
+    struct Retired {
+        entries: BTreeMap<(Nanos, u64, u64), MailAction>,
+        lane_seq: HashMap<u64, u64>,
+        hook: Option<PostHook>,
+        lane_pending: HashMap<u64, u64>,
+        quota_gate: Option<QuotaGate>,
+        posted: u64,
+        drained: u64,
+        dropped: u64,
+    }
+
+    impl Retired {
+        fn post(&mut self, deliver_at: Nanos, lane: u64, action: MailAction) -> bool {
+            let deliver_at = match self.hook.as_ref().map(|h| h(deliver_at)) {
+                Some(MailFate::Drop) => {
+                    self.dropped += 1;
+                    return false;
+                }
+                Some(MailFate::Deliver(at)) => at,
+                None => deliver_at,
+            };
+            if let Some(gate) = self.quota_gate.as_ref() {
+                let occupancy = self.lane_pending.entry(lane).or_insert(0);
+                if !gate(lane, *occupancy) {
+                    self.dropped += 1;
+                    return false;
+                }
+                *occupancy += 1;
+            }
+            let seq = self.lane_seq.entry(lane).or_insert(0);
+            self.entries.insert((deliver_at, lane, *seq), action);
+            *seq += 1;
+            self.posted += 1;
+            true
+        }
+
+        fn next_deadline(&self) -> Option<Nanos> {
+            self.entries.keys().next().map(|&(at, _, _)| at)
+        }
+
+        fn drain(&mut self) -> Vec<Envelope> {
+            let out: Vec<Envelope> = std::mem::take(&mut self.entries)
+                .into_iter()
+                .map(|((deliver_at, lane, seq), action)| Envelope {
+                    deliver_at,
+                    lane,
+                    seq,
+                    action,
+                })
+                .collect();
+            self.lane_pending.clear();
+            self.drained += out.len() as u64;
+            out
+        }
+
+        fn set_quota_gate(&mut self, gate: QuotaGate) {
+            let mut counts: HashMap<u64, u64> = HashMap::new();
+            for &(_, lane, _) in self.entries.keys() {
+                *counts.entry(lane).or_insert(0) += 1;
+            }
+            self.lane_pending = counts;
+            self.quota_gate = Some(gate);
+        }
+
+        fn lane_pending(&self, lane: u64) -> u64 {
+            if self.quota_gate.is_some() {
+                self.lane_pending.get(&lane).copied().unwrap_or(0)
+            } else {
+                self.entries.keys().filter(|&&(_, l, _)| l == lane).count() as u64
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum MailOp {
+        Post(Nanos, u64),
+        PostAll(Vec<(Nanos, u64)>),
+        Drain,
+        NextDeadline,
+        LanePending(u64),
+        Stats,
+        /// Shifts some envelopes by an amount that depends on their time,
+        /// so one lane's deadlines stop being monotone, and drops others.
+        InstallHook,
+        /// Bounds each lane's occupancy at 1 + lane % 3.
+        InstallGate,
+    }
+
+    fn shifting_hook(at: Nanos) -> MailFate {
+        match at % 7 {
+            3 => MailFate::Drop,
+            r => MailFate::Deliver(at + r * 3),
+        }
+    }
+
+    fn lane_bound(lane: u64, pending: u64) -> bool {
+        pending < 1 + lane % 3
+    }
+
+    fn mail_op() -> impl Strategy<Value = MailOp> {
+        // Few instants and few lanes: ties on `deliver_at` are frequent, and
+        // one lane's posts come in any time order.
+        let post = || (0u64..16, 0u64..6);
+        let one = || post().prop_map(|(at, lane)| MailOp::Post(at, lane));
+        prop_oneof![
+            one(),
+            one(),
+            one(),
+            one(),
+            one(),
+            one(),
+            proptest::collection::vec(post(), 0..8).prop_map(MailOp::PostAll),
+            Just(MailOp::Drain),
+            Just(MailOp::NextDeadline),
+            (0u64..6).prop_map(MailOp::LanePending),
+            Just(MailOp::Stats),
+            Just(MailOp::InstallHook),
+            Just(MailOp::InstallGate),
+        ]
+    }
+
+    /// Runs `ops` on both mailboxes and returns the two transcripts: every
+    /// return value, and for each drain the keys it returned and the tags
+    /// of the posts whose actions they are.
+    fn mail_transcripts(ops: &[MailOp]) -> (Vec<String>, Vec<String>) {
+        let mb = Mailbox::new();
+        let mut old = Retired::default();
+        let (mut new_log, mut old_log) = (Vec::new(), Vec::new());
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let action = |tag: usize| -> MailAction {
+            let ran = ran.clone();
+            Box::new(move |_| ran.lock().push(tag))
+        };
+        let drained = |envs: Vec<Envelope>| {
+            let keys: Vec<_> = envs.iter().map(|e| (e.deliver_at, e.lane, e.seq)).collect();
+            for env in envs {
+                (env.action)(env.deliver_at);
+            }
+            format!(
+                "drain -> {keys:?} ran {:?}",
+                std::mem::take(&mut *ran.lock())
+            )
+        };
+        let mut tag = 0;
+        for op in ops {
+            let (new, old) = match op {
+                &MailOp::Post(at, lane) => {
+                    tag += 1;
+                    let new = mb.post(at, lane, action(tag));
+                    let old = old.post(at, lane, action(tag));
+                    (format!("post -> {new}"), format!("post -> {old}"))
+                }
+                MailOp::PostAll(posts) => {
+                    let tags = tag + 1..=tag + posts.len();
+                    tag += posts.len();
+                    let new = mb.post_all(
+                        posts
+                            .iter()
+                            .zip(tags.clone())
+                            .map(|(&(at, lane), tag)| (at, lane, action(tag))),
+                    );
+                    let old = posts
+                        .iter()
+                        .zip(tags)
+                        .filter(|&(&(at, lane), tag)| old.post(at, lane, action(tag)))
+                        .count();
+                    (format!("post_all -> {new}"), format!("post_all -> {old}"))
+                }
+                MailOp::Drain => (drained(mb.drain()), drained(old.drain())),
+                MailOp::NextDeadline => (
+                    format!("next_deadline -> {:?}", mb.next_deadline()),
+                    format!("next_deadline -> {:?}", old.next_deadline()),
+                ),
+                &MailOp::LanePending(lane) => (
+                    format!("lane_pending({lane}) -> {}", mb.lane_pending(lane)),
+                    format!("lane_pending({lane}) -> {}", old.lane_pending(lane)),
+                ),
+                MailOp::Stats => (
+                    format!("stats -> {:?} len {}", mb.stats(), mb.len()),
+                    format!(
+                        "stats -> {:?} len {}",
+                        (old.posted, old.drained, old.dropped),
+                        old.entries.len()
+                    ),
+                ),
+                MailOp::InstallHook => {
+                    mb.set_post_hook(shifting_hook);
+                    old.hook = Some(Box::new(shifting_hook));
+                    continue;
+                }
+                MailOp::InstallGate => {
+                    mb.set_quota_gate(lane_bound);
+                    old.set_quota_gate(Box::new(lane_bound));
+                    continue;
+                }
+            };
+            new_log.push(new);
+            old_log.push(old);
+        }
+        new_log.push(drained(mb.drain()));
+        old_log.push(drained(old.drain()));
+        (new_log, old_log)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// The `Vec` mailbox against the `BTreeMap` it replaced: over posts
+        /// on up to six lanes with frequent equal instants and lanes whose
+        /// times go backwards, with and without a post hook that shifts and
+        /// drops and a quota gate installed mid-stream, every drain returns
+        /// the same envelopes in the same `(deliver_at, lane, seq)` order
+        /// with the same actions, and `next_deadline`, `lane_pending` and
+        /// `stats` answer the same throughout.
+        #[test]
+        fn the_vec_drains_as_the_map_did(ops in proptest::collection::vec(mail_op(), 0..64)) {
+            let (new, old) = mail_transcripts(&ops);
+            prop_assert_eq!(new, old);
+        }
     }
 
     #[test]

@@ -384,11 +384,11 @@ impl Multicore {
     /// Computes one epoch's plan into `plan` — `(shard index, grant)` for
     /// every shard cleared to run, a pure function of deterministic
     /// virtual-time state — and delivers those shards' mail to their timer
-    /// queues. Returns the run's outcome instead, and leaves `plan` empty,
-    /// when there is nothing left to plan. `plan` comes in holding the
-    /// previous epoch's; `local` holds each shard's local horizon
-    /// (`Executor::next_event_time`) and `next` is scratch (the horizons
-    /// with mail folded in).
+    /// queues, each drain as one run. Returns the run's outcome instead,
+    /// and leaves `plan` empty, when there is nothing left to plan. `plan`
+    /// comes in holding the previous epoch's; `local` holds each shard's
+    /// local horizon (`Executor::next_event_time`) and `next` is scratch
+    /// (the horizons with mail folded in).
     ///
     /// Only the shards the previous epoch ran have their local horizon
     /// re-read: nothing but mail crosses shards (DESIGN.md #9), so a shard
@@ -451,12 +451,13 @@ impl Multicore {
             .fetch_add(plan.len() as u64, Ordering::Relaxed);
         for &(idx, _) in plan.iter() {
             let sh = &self.shards[idx];
-            for env in sh.host.mailbox.drain() {
-                if let Some(obs) = obs {
+            let run = sh.host.mailbox.drain();
+            if let Some(obs) = obs {
+                for env in &run {
                     obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
                 }
-                sh.host.timers.schedule_boxed(env.deliver_at, env.action);
             }
+            sh.host.timers.schedule_run(run);
         }
         None
     }

@@ -1,9 +1,11 @@
 //! Multicore shard integration: cross-shard raises racing handler churn,
-//! global deadlock aggregation, and deterministic fault injection on the
-//! mailbox edge — all byte-identical at 1, 2 and 4 worker threads.
+//! global deadlock aggregation, deterministic fault injection on the
+//! mailbox edge and a deep backlog of equal-instant frames — all
+//! byte-identical at 1, 2 and 4 worker threads.
 
 use spin_core::{Dispatcher, Identity};
-use spin_sal::{MulticoreBoard, Nanos};
+use spin_net::{Forwarder, Medium, ShardRig, UdpSocket};
+use spin_sal::{MailFate, MulticoreBoard, Nanos};
 use spin_sched::{IdleOutcome, KChannel, Multicore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -226,4 +228,85 @@ fn equal_deadline_mail_fires_in_lane_order_whatever_the_host_timing() {
     assert_eq!(base, [1, 3], "equal instants fire in lane order");
     assert_eq!(run(2), base, "2 workers diverged");
     assert_eq!(run(4), base, "4 workers diverged");
+}
+
+/// Two open-loop senders at the two ends of a three-shard chain each push
+/// `FRAMES` datagrams through the middle shard, which forwards each flow to
+/// the far end. The senders start together and pace alike, so the middle
+/// shard's mailbox holds a deep backlog in which the two senders' lanes
+/// tie on most instants (at least half, asserted). Every virtual output — each sink's
+/// arrival order and times, the shards' clocks and the barrier's counters —
+/// is identical at 1, 2 and 4 workers, and hashes to the digest pinned
+/// here, which the per-envelope delivery path produced before drains were
+/// scheduled as runs (DESIGN.md decision 27).
+#[test]
+fn a_deep_backlog_of_equal_instant_frames_is_worker_count_invariant() {
+    const FRAMES: u64 = 2_500;
+    const GAP: Nanos = 1_000;
+    const PINNED: u64 = 11_965_521_532_018_742_367;
+    let run = |workers: usize| -> String {
+        let rig = ShardRig::new(workers, 3);
+        let medium = Medium::Ethernet;
+        // Every post to the middle shard: its instant and how many
+        // envelopes were already waiting.
+        let posted = Arc::new(Mutex::new(Vec::new()));
+        let (seen, middle) = (posted.clone(), rig.shards[1].host.mailbox.clone());
+        rig.shards[1].host.mailbox.set_post_hook(move |at| {
+            seen.lock().expect("no poisoning").push((at, middle.len()));
+            MailFate::Deliver(at)
+        });
+        let stacks: Vec<_> = rig.shards.iter().map(|s| s.stack.clone()).collect();
+        // Port 7 flows 0 → 1 → 2 and port 8 flows 2 → 1 → 0.
+        let flows = [(0, 2, 7u16), (2, 0, 8u16)];
+        // Each sink's (sequence number, arrival time) log.
+        type Arrivals = Arc<Mutex<Vec<(u64, Nanos)>>>;
+        let arrivals: Vec<Arrivals> = flows.iter().map(|_| Arc::default()).collect();
+        for (&(from, to, port), log) in flows.iter().zip(&arrivals) {
+            let _ = Forwarder::install_udp(&stacks[1], port, stacks[to].ip_on(medium));
+            let (log, clock) = (log.clone(), rig.shards[to].host.clock.clone());
+            UdpSocket::bind_with(&stacks[to], port, "sink", move |p| {
+                let seq = u64::from_le_bytes(p.payload[..8].try_into().expect("8 bytes"));
+                log.lock().expect("no poisoning").push((seq, clock.now()));
+            })
+            .expect("bind sink");
+            let (sender, via) = (stacks[from].clone(), stacks[1].ip_on(medium));
+            rig.shards[from].exec.spawn("sender", move |ctx| {
+                for seq in 0..FRAMES {
+                    sender
+                        .udp_send(port, via, port, &seq.to_le_bytes())
+                        .expect("send");
+                    ctx.work(GAP);
+                }
+            });
+        }
+        assert_eq!(rig.mc.run_until_idle(), IdleOutcome::AllComplete);
+        let posted = posted.lock().expect("no poisoning").clone();
+        assert_eq!(posted.len() as u64, 2 * FRAMES, "both flows cross shard 1");
+        let depth = posted.iter().map(|&(_, waiting)| waiting).max();
+        assert!(
+            depth >= Some(FRAMES as usize),
+            "a deep backlog: {depth:?} envelopes waited at most"
+        );
+        let mut instants: Vec<Nanos> = posted.iter().map(|&(at, _)| at).collect();
+        instants.sort_unstable();
+        let ties = instants.windows(2).filter(|w| w[0] == w[1]).count() as u64;
+        assert!(ties >= FRAMES / 2, "only {ties} equal-instant pairs");
+        let mut out = format!("{:?} {:?}\n", rig.clocks(), rig.mc.stats());
+        for log in &arrivals {
+            let log = log.lock().expect("no poisoning");
+            assert!(
+                log.iter().map(|&(seq, _)| seq).eq(0..FRAMES),
+                "every frame arrives once, in order"
+            );
+            out += &format!("{log:?}\n");
+        }
+        out
+    };
+    let base = run(1);
+    let digest = base.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    });
+    assert_eq!(digest, PINNED, "the virtual outputs moved");
+    assert!(run(2) == base, "2 workers diverged");
+    assert!(run(4) == base, "4 workers diverged");
 }

@@ -15,26 +15,26 @@ mod c {
     /// One optimized mach_msg send+receive hand-off (port rights checks,
     /// message header processing) beyond the raw crossing. Calibrated to
     /// Table 2's 104 µs cross-address-space call.
-    pub const MACH_MSG: u64 = 14_000;
+    pub(super) const MACH_MSG: u64 = 14_000;
     /// Mach's syscall path is slightly longer than OSF/1's (7 vs 5 µs).
-    pub const SYSCALL_EXTRA: u64 = 2_000;
+    pub(super) const SYSCALL_EXTRA: u64 = 2_000;
     /// Kernel thread creation (lighter than OSF/1's: 101 µs Fork-Join).
-    pub const KTHREAD_CREATE: u64 = 75_000;
+    pub(super) const KTHREAD_CREATE: u64 = 75_000;
     /// C-Threads library descriptor setup.
-    pub const CTHREAD_CREATE_EXTRA: u64 = 180_000;
+    pub(super) const CTHREAD_CREATE_EXTRA: u64 = 180_000;
     /// One round trip through the external pager interface: the kernel
     /// builds a memory_object request message, the user pager replies.
     /// Calibrated to Table 4's Fault of 415 µs.
-    pub const PAGER_ROUND_TRIP: u64 = 190_000;
+    pub(super) const PAGER_ROUND_TRIP: u64 = 190_000;
     /// Fault-to-handler delivery via the exception port (Trap: 185 µs).
-    pub const EXCEPTION_MSG: u64 = 165_000;
+    pub(super) const EXCEPTION_MSG: u64 = 165_000;
     /// vm_protect fixed cost.
-    pub const VM_PROTECT_BASE: u64 = 90_000;
+    pub(super) const VM_PROTECT_BASE: u64 = 90_000;
     /// vm_protect per-page cost (Prot100: 1792 µs ⇒ ~17 µs/page).
-    pub const VM_PROTECT_PER_PAGE: u64 = 17_000;
+    pub(super) const VM_PROTECT_PER_PAGE: u64 = 17_000;
     /// Lazy unprotection: Mach defers the pmap update, so Unprot100 costs
     /// a base plus a small per-page bookkeeping charge (302 µs).
-    pub const VM_UNPROTECT_PER_PAGE: u64 = 2_000;
+    pub(super) const VM_UNPROTECT_PER_PAGE: u64 = 2_000;
 }
 
 /// The Mach 3.0 model over a machine profile.

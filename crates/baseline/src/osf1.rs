@@ -18,26 +18,26 @@ mod c {
     /// One traversal of the socket layer (buffer management, so_queue,
     /// selwakeup). Calibrated so the UDP RTT delta over SPIN matches
     /// Table 5 (789 vs 565 µs ⇒ ~56 µs per user-level crossing side).
-    pub const SOCKET_OP: u64 = 40_000;
+    pub(super) const SOCKET_OP: u64 = 40_000;
     /// SUN RPC marshal/unmarshal per message (XDR encode + decode).
-    pub const SUNRPC_MARSHAL: u64 = 120_000;
+    pub(super) const SUNRPC_MARSHAL: u64 = 120_000;
     /// Wakeup of a blocked user process: scheduler + run-queue latency.
-    pub const PROC_WAKEUP: u64 = 12_000;
+    pub(super) const PROC_WAKEUP: u64 = 12_000;
     /// OSF/1 kernel thread creation (kernel stack, proc glue); Table 3's
     /// Fork-Join of 198 µs is dominated by this.
-    pub const KTHREAD_CREATE: u64 = 165_000;
+    pub(super) const KTHREAD_CREATE: u64 = 165_000;
     /// P-threads user-level thread creation above kernel threads.
-    pub const PTHREAD_CREATE_EXTRA: u64 = 900_000;
+    pub(super) const PTHREAD_CREATE_EXTRA: u64 = 900_000;
     /// Delivering a UNIX signal to a user handler and returning
     /// (sigsave, upcall, sigreturn). Calibrated to Table 4's Trap row
     /// (260 µs from fault to handler).
-    pub const SIGNAL_UPCALL: u64 = 240_000;
+    pub(super) const SIGNAL_UPCALL: u64 = 240_000;
     /// Fixed cost of an mprotect system call (argument validation, map
     /// lookup). Table 4 Prot1 is 45 µs.
-    pub const MPROTECT_BASE: u64 = 32_000;
+    pub(super) const MPROTECT_BASE: u64 = 32_000;
     /// Per-page cost inside mprotect (pmap update). Table 4 Prot100:
     /// 1041 µs ⇒ ~10 µs/page.
-    pub const MPROTECT_PER_PAGE: u64 = 10_000;
+    pub(super) const MPROTECT_PER_PAGE: u64 = 10_000;
 }
 
 /// The OSF/1 model over a machine profile.
@@ -156,7 +156,7 @@ impl Osf1Model {
     /// Extra CPU on the OSF/1 path per packet *endpoint operation* (a user
     /// process sending or receiving one packet of `len` bytes): syscall,
     /// socket layer, copy across the user/kernel boundary, wakeup.
-    pub fn user_packet_overhead(&self, len: usize) -> Nanos {
+    fn user_packet_overhead(&self, len: usize) -> Nanos {
         self.null_syscall() + c::SOCKET_OP + self.p.copy(len) + c::PROC_WAKEUP
     }
 

@@ -1,10 +1,11 @@
 //! `spin-lint`: the workspace token-level safety & determinism gate.
 //!
 //! Walks `crates/*/src` (plus the root crate's `src/`) and fails on any
-//! violation of the six rules in `spin_check::lint` (determinism, hash
+//! violation of the eight rules in `spin_check::lint` (determinism, hash
 //! iteration, sync-facade enforcement, ordering justifications, unsafe
-//! containment, charge coverage), honoring the `lint.toml` allowlist at
-//! the workspace root.
+//! containment, charge coverage, dead `pub` surface, unused
+//! dependencies), honoring the `lint.toml` allowlist at the workspace
+//! root.
 //!
 //! Usage: `spin-lint [--root <workspace-dir>] [--json]`
 //!   (default root: walk up from the current directory to the first dir

@@ -13,10 +13,13 @@
 //! | `O1` | every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site carries an `// ordering:` justification within 2 lines |
 //! | `U1` | `unsafe` only in allowlisted files, each site with a `// SAFETY:` comment within 5 lines; crate roots declare the matching lint |
 //! | `C1` | public functions in the charged hot-path modules reach a `Clock` charge or document their charging story — `// uncharged:` (zero-cost by design) or `// charged:` (the charge lands behind a call the intra-file analysis can't see) — within 6 lines |
+//! | `P1` | every plain `pub` item under `crates/*/src` is named from some other file (its crate's other files, any crate's `src`/`tests`/`benches`/`examples`, the root crate's, or `perf/src`), unless its name is declared twice, a live item's signature in its file names it, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
+//! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples` |
 //!
 //! Rules run over the token stream from [`crate::lex`] (string literals,
 //! comments and lifetimes can't fool them), across `crates/*/src` plus the
-//! root crate's `src/`. Exemptions are declarative: a `lint.toml` at the
+//! root crate's `src/`; P1 and P2 also read the other places the crates
+//! are named from. Exemptions are declarative: a `lint.toml` at the
 //! workspace root lists `[[allow]]` entries (rule × path prefix × reason)
 //! and the `[charged]` module set. The gate in `scripts/verify.sh` diffs
 //! the `--json` report against a golden and caps the allowlist size.
@@ -31,12 +34,13 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::lex::{lex, Lexed, TokKind};
+use crate::lex::{lex, Lexed, Tok, TokKind};
 
 /// Rule identifiers, in report order.
-pub const RULES: [&str; 6] = ["C1", "D1", "D2", "F1", "O1", "U1"];
+pub const RULES: [&str; 8] = ["C1", "D1", "D2", "F1", "O1", "P1", "P2", "U1"];
 
 /// How far above a site its justification comment may sit (shared
 /// scanner in [`Lexed::justified`]; per-rule windows).
@@ -273,6 +277,11 @@ pub struct Report {
     /// Files scanned (human output only — not part of the JSON golden,
     /// which must not churn when an unrelated file is added).
     pub files_scanned: usize,
+    /// Plain `pub` items per crate, as P1 indexes them: surface growth
+    /// shows up in the golden's diff.
+    pub pub_items: BTreeMap<String, usize>,
+    /// Items kept by a `// paper:` exemption rather than a caller.
+    pub paper_exemptions: usize,
 }
 
 impl Report {
@@ -285,15 +294,17 @@ impl Report {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
         let mut s = String::from("{\n");
-        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 1,\n");
+        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 2,\n");
         s.push_str(&format!("  \"allow_entries\": {},\n", self.allow_entries));
-        s.push_str("  \"rules\": {");
-        let rules: Vec<String> = counts
-            .iter()
-            .map(|(r, c)| format!("\"{r}\": {c}"))
-            .collect();
-        s.push_str(&rules.join(", "));
-        s.push_str("},\n  \"findings\": [");
+        let rules = json_counts(counts.iter().map(|(r, c)| (*r, *c)));
+        s.push_str(&format!("  \"rules\": {rules},\n"));
+        let pub_items = json_counts(self.pub_items.iter().map(|(k, c)| (k.as_str(), *c)));
+        s.push_str(&format!("  \"pub_items\": {pub_items},\n"));
+        s.push_str(&format!(
+            "  \"paper_exemptions\": {},\n",
+            self.paper_exemptions
+        ));
+        s.push_str("  \"findings\": [");
         let items: Vec<String> = self
             .findings
             .iter()
@@ -316,6 +327,12 @@ impl Report {
         s.push_str("]\n}\n");
         s
     }
+}
+
+/// `{"key": count, ..}`, in the iterator's order.
+fn json_counts<'a>(entries: impl Iterator<Item = (&'a str, usize)>) -> String {
+    let body: Vec<String> = entries.map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!("{{{}}}", body.join(", "))
 }
 
 fn json_escape(s: &str) -> String {
@@ -370,7 +387,7 @@ const CHARGE_CALLS: [&str; 4] = ["advance", "raise", "raise_batch", "raise_on"];
 
 struct FileLint<'a> {
     rel: &'a str,
-    lx: Lexed,
+    lx: &'a Lexed,
     raw_lines: Vec<&'a str>,
     cfg: &'a Config,
     seen: BTreeSet<(usize, &'static str, &'static str)>,
@@ -404,7 +421,7 @@ impl<'a> FileLint<'a> {
     // D1: wall-clock, randomness, thread identity, ambient env/fs.
     fn rule_d1(&mut self) {
         let hits: Vec<(usize, &'static str, &'static str)> = {
-            let lx = &self.lx;
+            let lx = self.lx;
             let mut v = Vec::new();
             for (i, t) in lx.toks.iter().enumerate() {
                 if t.kind != TokKind::Ident {
@@ -648,7 +665,7 @@ impl<'a> FileLint<'a> {
     // F1: direct sync-primitive imports bypass the model checker.
     fn rule_f1(&mut self) {
         let hits: Vec<usize> = {
-            let lx = &self.lx;
+            let lx = self.lx;
             lx.toks
                 .iter()
                 .enumerate()
@@ -670,7 +687,7 @@ impl<'a> FileLint<'a> {
     fn rule_o1(&mut self) {
         const ORDS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
         let hits: Vec<usize> = {
-            let lx = &self.lx;
+            let lx = self.lx;
             (0..lx.toks.len())
                 .filter(|&i| {
                     lx.toks[i].text == "Ordering"
@@ -774,40 +791,13 @@ impl<'a> FileLint<'a> {
                 k -= 1;
             }
             let is_pub = k >= 0 && toks[k as usize].text == "pub";
-            // Find the body `{` (or `;` for trait declarations).
-            let mut j = i + 2;
-            let mut depth = 0i32;
-            let mut body = None;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "<" => depth += 1,
-                    ">" if toks[j - 1].text != "-" => depth -= 1,
-                    "{" if depth <= 0 => {
-                        body = Some(j);
-                        break;
-                    }
-                    ";" if depth <= 0 => break,
-                    _ => {}
-                }
-                j += 1;
-            }
-            let Some(open) = body else {
+            // The body `{` (a trait declaration ends at `;` and has none).
+            let open = fn_header_end(toks, i + 2);
+            if toks.get(open).map(|t| t.text.as_str()) != Some("{") {
                 i += 2;
                 continue;
-            };
-            // Brace-match the body.
-            let mut braces = 1i32;
-            let mut end = open + 1;
-            while end < toks.len() && braces > 0 {
-                match toks[end].text.as_str() {
-                    "{" => braces += 1,
-                    "}" => braces -= 1,
-                    _ => {}
-                }
-                end += 1;
             }
+            let end = brace_end(toks, open);
             let calls: BTreeSet<String> = toks[open + 1..end.saturating_sub(1)]
                 .iter()
                 .zip(&toks[open + 2..end])
@@ -860,9 +850,13 @@ const HINT_C1: &str = "hot-path API must charge the Clock (advance/raise) or car
 
 /// Lint one file's source text; `rel` is its workspace-relative path.
 pub fn lint_source(rel: &str, src: &str, cfg: &Config, findings: &mut Vec<Finding>) {
+    lint_lexed(rel, &lex(src), src, cfg, findings);
+}
+
+fn lint_lexed(rel: &str, lx: &Lexed, src: &str, cfg: &Config, findings: &mut Vec<Finding>) {
     let mut fl = FileLint {
         rel,
-        lx: lex(src),
+        lx,
         raw_lines: src.lines().collect(),
         cfg,
         seen: BTreeSet::new(),
@@ -870,6 +864,10 @@ pub fn lint_source(rel: &str, src: &str, cfg: &Config, findings: &mut Vec<Findin
     };
     fl.run();
 }
+
+/// The test crate's own fixture corpus: data, not code, so the reference
+/// walk skips it.
+const FIXTURE_DIR: &str = "lint_fixtures";
 
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)?
@@ -880,7 +878,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     entries.sort();
     for path in entries {
         if path.is_dir() {
-            walk(&path, out)?;
+            if !path.ends_with(FIXTURE_DIR) {
+                walk(&path, out)?;
+            }
         } else if path.extension().is_some_and(|e| e == "rs") {
             out.push(path);
         }
@@ -895,49 +895,81 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn crate_src_dirs(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Every `crates/<name>` directory, sorted.
+fn crate_dirs(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let crates_dir = root.join("crates");
     let mut dirs = Vec::new();
     if crates_dir.is_dir() {
-        let mut crate_dirs: Vec<_> = std::fs::read_dir(&crates_dir)?
+        dirs = std::fs::read_dir(&crates_dir)?
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .map(|e| e.path())
             .filter(|p| p.is_dir())
             .collect();
-        crate_dirs.sort();
-        for krate in crate_dirs {
-            let src = krate.join("src");
-            if src.is_dir() {
-                dirs.push(src);
-            }
-        }
+        dirs.sort();
     }
     Ok(dirs)
+}
+
+/// One lexed file of the workspace walk.
+struct SourceFile {
+    rel: String,
+    text: String,
+    lx: Lexed,
+}
+
+fn read_tree(root: &Path, dirs: &[PathBuf]) -> std::io::Result<Vec<SourceFile>> {
+    let mut paths = Vec::new();
+    for dir in dirs.iter().filter(|d| d.is_dir()) {
+        walk(dir, &mut paths)?;
+    }
+    paths
+        .iter()
+        .map(|p| {
+            let text = std::fs::read_to_string(p)?;
+            Ok(SourceFile {
+                rel: rel_path(root, p),
+                lx: lex(&text),
+                text,
+            })
+        })
+        .collect()
 }
 
 /// Run the full lint rooted at a workspace directory (the repo root or a
 /// fixture laid out the same way) with an explicit config.
 pub fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
-    let mut files = Vec::new();
-    for src in crate_src_dirs(root)? {
-        walk(&src, &mut files)?;
-    }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk(&root_src, &mut files)?;
-    }
+    let crates = crate_dirs(root)?;
+    // The per-file rules run over `crates/*/src` and the root `src/`; P1
+    // and P2 also read every other place the crates are named from.
+    let mut linted: Vec<PathBuf> = crates.iter().map(|c| c.join("src")).collect();
+    linted.push(root.join("src"));
+    let mut files = read_tree(root, &linted)?;
+    let files_scanned = files.len();
     let mut findings = Vec::new();
-    for file in &files {
-        let src = std::fs::read_to_string(file)?;
-        lint_source(&rel_path(root, file), &src, cfg, &mut findings);
+    for f in &files {
+        lint_lexed(&f.rel, &f.lx, &f.text, cfg, &mut findings);
+    }
+    let mut readers: Vec<PathBuf> = Vec::new();
+    for c in &crates {
+        readers.extend(TARGET_DIRS.iter().map(|d| c.join(d)));
+    }
+    readers.extend(TARGET_DIRS.iter().map(|d| root.join(d)));
+    readers.push(root.join("perf/src"));
+    files.extend(read_tree(root, &readers)?);
+
+    let surface = rule_p1(&files, cfg, &mut findings);
+    for manifest in crates.iter().map(|c| c.join("Cargo.toml")) {
+        if manifest.is_file() {
+            rule_p2(root, &manifest, &files, cfg, &mut findings)?;
+        }
     }
     // U1 crate-root check: every crate must pin its unsafe posture. A
     // crate containing an allowlisted unsafe island declares
     // `#![deny(unsafe_op_in_unsafe_fn)]`; every other crate forbids
     // unsafe outright. Fully-waived crates (the tool, the benches) are
     // skipped.
-    for src_dir in crate_src_dirs(root)? {
+    for src_dir in crates.iter().map(|c| c.join("src")) {
         let lib = src_dir.join("lib.rs");
         if !lib.is_file() {
             continue;
@@ -973,9 +1005,364 @@ pub fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report>
     Ok(Report {
         findings,
         allow_entries: cfg.allow.len(),
-        files_scanned: files.len(),
+        files_scanned,
+        pub_items: surface.pub_items,
+        paper_exemptions: surface.paper_exemptions,
     })
 }
+
+// ---------------------------------------------------------------------------
+// Workspace rules: P1 dead `pub` surface, P2 unused dependencies
+// ---------------------------------------------------------------------------
+
+/// The directories besides `src` that build against a crate's surface.
+const TARGET_DIRS: [&str; 3] = ["tests", "benches", "examples"];
+/// The item kinds P1 indexes after a plain `pub`.
+const ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const", "static"];
+/// How far above a `pub` item its `// paper:` exemption may sit.
+const PAPER_WINDOW: usize = 2;
+
+/// What P1 measured besides its findings: the report's surface counts.
+struct Surface {
+    pub_items: BTreeMap<String, usize>,
+    paper_exemptions: usize,
+}
+
+/// A plain `pub` item under `crates/*/src`, outside `#[cfg(test)]`.
+struct PubItem {
+    name: String,
+    file: usize,
+    line: usize,
+    /// The names other modules see through it.
+    sig: BTreeSet<String>,
+    paper: bool,
+}
+
+/// `crates/<name>/src/..` → `Some(name)`.
+fn src_crate(rel: &str) -> Option<&str> {
+    let mut parts = rel.split('/');
+    match (parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), Some(name), Some("src")) => Some(name),
+        _ => None,
+    }
+}
+
+/// Index after the `}` matching the `{` at `open`.
+fn brace_end(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(open) {
+        match t.text.as_str() {
+            "{" => depth += 1,
+            "}" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// Index after the item starting at `from`: its `;`, or its `{ .. }` body.
+fn item_end(toks: &[Tok], from: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.text.as_str() {
+            "(" | "[" => depth += 1,
+            ")" | "]" => depth -= 1,
+            ";" if depth == 0 => return j + 1,
+            "{" if depth == 0 => return brace_end(toks, j),
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// Index of the `{` or `;` ending the `fn` header at `from`.
+fn fn_header_end(toks: &[Tok], from: usize) -> usize {
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(from) {
+        match t.text.as_str() {
+            "(" | "[" | "<" => depth += 1,
+            ")" | "]" => depth -= 1,
+            ">" if toks[j - 1].text != "-" => depth -= 1,
+            "{" | ";" if depth <= 0 => return j,
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// The names a `pub` item exposes, from its kind keyword at `kind` (its
+/// body starts at `from`): a `fn` up to its body, a `const` or `static` up
+/// to its value, a struct's header and `pub` fields, any other item whole.
+fn signature(toks: &[Tok], kind: usize, from: usize) -> BTreeSet<String> {
+    let end = item_end(toks, from);
+    let names = |range: Range<usize>| {
+        toks[range]
+            .iter()
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.clone())
+    };
+    match toks[kind].text.as_str() {
+        "fn" => names(kind..fn_header_end(toks, from)).collect(),
+        "const" | "static" => {
+            let value = (from..end).find(|&j| toks[j].text == "=");
+            names(kind..value.unwrap_or(end)).collect()
+        }
+        "struct" => {
+            let mut angle = 0i32;
+            let Some(open) = (from..end).find(|&j| {
+                match toks[j].text.as_str() {
+                    "<" => angle += 1,
+                    ">" => angle -= 1,
+                    _ => {}
+                }
+                angle == 0 && matches!(toks[j].text.as_str(), "{" | "(" | ";")
+            }) else {
+                return names(kind..end).collect();
+            };
+            let mut out: BTreeSet<String> = names(kind..open).collect();
+            let (mut depth, mut field) = (0i32, open + 1);
+            for j in open + 1..end {
+                match toks[j].text.as_str() {
+                    "(" | "[" | "{" | "<" => depth += 1,
+                    ">" if toks[j - 1].text == "-" => {}
+                    ")" | "]" | "}" | ">" if depth > 0 => depth -= 1,
+                    "," | ")" | "}" => {
+                        let pub_field = (field..j).any(|k| {
+                            toks[k].text == "pub" && toks.get(k + 1).is_some_and(|t| t.text != "(")
+                        });
+                        if pub_field {
+                            out.extend(names(field..j));
+                        }
+                        field = j + 1;
+                    }
+                    _ => {}
+                }
+            }
+            out
+        }
+        _ => names(kind..end).collect(),
+    }
+}
+
+/// Which tokens lie inside a `#[cfg(test)]` item (all of them under a
+/// file-level `#![cfg(test)]`).
+fn test_mask(lx: &Lexed) -> Vec<bool> {
+    let mut mask = vec![false; lx.toks.len()];
+    let mut i = 0;
+    while i < lx.toks.len() {
+        if lx.seq_at(i, &["#", "!", "[", "cfg", "(", "test", ")", "]"]) {
+            mask.fill(true);
+            break;
+        }
+        if lx.seq_at(i, &["#", "[", "cfg", "(", "test", ")", "]"]) {
+            let end = item_end(&lx.toks, i + 7);
+            mask[i..end].fill(true);
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    mask
+}
+
+/// The plain `pub` items of file `file` (`pub(..)` and `pub use` are not
+/// items of this kind; a trait impl's members carry no `pub`).
+fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
+    let toks = &lx.toks;
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    let mask = test_mask(lx);
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if mask[i] || toks[i].kind != TokKind::Ident || toks[i].text != "pub" {
+            continue;
+        }
+        let mut j = i + 1;
+        if text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe" | "async" | "extern") {
+            j += 1;
+        }
+        while matches!(text(j), "async" | "unsafe") {
+            j += 1;
+        }
+        if text(j) == "extern" {
+            j += 1 + usize::from(toks.get(j + 1).is_some_and(|t| t.kind == TokKind::Lit));
+        }
+        let kind = j;
+        if !ITEM_KINDS.contains(&text(kind)) {
+            continue;
+        }
+        if text(j) == "static" && text(j + 1) == "mut" {
+            j += 1;
+        }
+        let Some(name) = toks.get(j + 1).filter(|t| t.kind == TokKind::Ident) else {
+            continue;
+        };
+        let line = toks[i].line;
+        let paper = (line.saturating_sub(1 + PAPER_WINDOW)..line).any(|n| {
+            lx.comments
+                .get(n)
+                .is_some_and(|c| c.trim().starts_with("paper:"))
+        });
+        out.push(PubItem {
+            name: name.text.clone(),
+            file,
+            line,
+            sig: signature(toks, kind, j + 2),
+            paper,
+        });
+    }
+    out
+}
+
+/// P1: a plain `pub` item under `crates/*/src` must be named from some
+/// other file — another file of its crate, another crate's targets, the
+/// root crate's `src`/`tests`/`examples`, or `perf/src`. Names declared
+/// more than once are skipped, not guessed; a type is also live when a
+/// live item of its file names it in its signature (narrowing it would
+/// not build); a `// paper:` comment in the two lines above exempts an
+/// interface the paper or README describes.
+fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> Surface {
+    let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut items = Vec::new();
+    for (f, file) in files.iter().enumerate() {
+        let toks = &file.lx.toks;
+        for (i, t) in toks.iter().enumerate() {
+            if t.kind != TokKind::Ident {
+                continue;
+            }
+            named_in.entry(t.text.as_str()).or_default().insert(f);
+            if ITEM_KINDS.contains(&t.text.as_str()) {
+                if let Some(n) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
+                    *declared.entry(n.text.as_str()).or_default() += 1;
+                }
+            }
+        }
+        if src_crate(&file.rel).is_some() {
+            items.extend(pub_items(f, &file.lx));
+        }
+    }
+    let mut live: Vec<bool> = items
+        .iter()
+        .map(|it| {
+            it.paper
+                || declared.get(it.name.as_str()) > Some(&1)
+                || named_in[it.name.as_str()].iter().any(|&f| f != it.file)
+        })
+        .collect();
+    // Fixpoint: a live item keeps the same-file items its signature names.
+    let mut changed = true;
+    while changed {
+        changed = false;
+        for a in 0..items.len() {
+            if !live[a] {
+                continue;
+            }
+            for b in 0..items.len() {
+                if !live[b]
+                    && items[b].file == items[a].file
+                    && items[a].sig.contains(&items[b].name)
+                {
+                    live[b] = true;
+                    changed = true;
+                }
+            }
+        }
+    }
+    let mut surface = Surface {
+        pub_items: BTreeMap::new(),
+        paper_exemptions: items.iter().filter(|it| it.paper).count(),
+    };
+    for (it, live) in items.iter().zip(live) {
+        let file = &files[it.file];
+        let krate = src_crate(&file.rel).expect("indexed under crates/*/src");
+        *surface.pub_items.entry(krate.to_string()).or_default() += 1;
+        if !live && !cfg.waived("P1", &file.rel) {
+            findings.push(Finding {
+                file: PathBuf::from(&file.rel),
+                line: it.line,
+                rule: "P1",
+                detail: "unreferenced-pub-item",
+                excerpt: file.text.lines().nth(it.line - 1).unwrap_or("").into(),
+                hint: HINT_P1,
+            });
+        }
+    }
+    surface
+}
+
+/// P2: every `[dependencies]` entry of a crate is named by its `src`, and
+/// every `[dev-dependencies]` entry by its `src`, `tests`, `benches` or
+/// `examples` (`spin-core` is written `spin_core`).
+fn rule_p2(
+    root: &Path,
+    manifest: &Path,
+    files: &[SourceFile],
+    cfg: &Config,
+    findings: &mut Vec<Finding>,
+) -> std::io::Result<()> {
+    let rel = rel_path(root, manifest);
+    if cfg.waived("P2", &rel) {
+        return Ok(());
+    }
+    let krate = rel.trim_end_matches("Cargo.toml");
+    let names = |dirs: &[&str]| -> BTreeSet<&str> {
+        files
+            .iter()
+            .filter(|f| {
+                dirs.iter()
+                    .any(|d| f.rel.starts_with(&format!("{krate}{d}/")))
+            })
+            .flat_map(|f| f.lx.toks.iter())
+            .filter(|t| t.kind == TokKind::Ident)
+            .map(|t| t.text.as_str())
+            .collect()
+    };
+    let src = names(&["src"]);
+    let all = names(&["src", "tests", "benches", "examples"]);
+    let text = std::fs::read_to_string(manifest)?;
+    let mut section = "";
+    for (n, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            section = line;
+            continue;
+        }
+        let (named, detail, hint) = match section {
+            "[dependencies]" => (&src, "unused-dependency", HINT_P2),
+            "[dev-dependencies]" => (&all, "unused-dev-dependency", HINT_P2_DEV),
+            _ => continue,
+        };
+        let Some(dep) = line
+            .split(['=', '.', ' '])
+            .next()
+            .filter(|d| !d.is_empty() && !d.starts_with('#'))
+        else {
+            continue;
+        };
+        if !named.contains(dep.replace('-', "_").as_str()) {
+            findings.push(Finding {
+                file: PathBuf::from(&rel),
+                line: n + 1,
+                rule: "P2",
+                detail,
+                excerpt: raw.into(),
+                hint,
+            });
+        }
+    }
+    Ok(())
+}
+
+const HINT_P1: &str = "nothing outside this file names it: delete it, or narrow it to private \
+    or pub(crate); a `// paper:` comment exempts only an interface PAPER.md or README.md describes";
+const HINT_P2: &str = "the crate's src never names this dependency: drop it from [dependencies]";
+const HINT_P2_DEV: &str =
+    "no src, test, bench or example names this dev-dependency: drop it from [dev-dependencies]";
 
 /// Run the full lint with the workspace's own `lint.toml`.
 pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
@@ -1223,10 +1610,14 @@ mod tests {
             findings: vec![],
             allow_entries: 3,
             files_scanned: 10,
+            pub_items: BTreeMap::from([("core".to_string(), 7)]),
+            paper_exemptions: 1,
         };
         let j = r.to_json();
         assert!(j.contains("\"allow_entries\": 3"));
         assert!(j.contains("\"findings\": []"));
+        assert!(j.contains("\"pub_items\": {\"core\": 7}"));
+        assert!(j.contains("\"paper_exemptions\": 1"));
         assert!(
             !j.contains("files_scanned"),
             "golden must not churn on file adds"

@@ -6,13 +6,26 @@
 
 use std::path::{Path, PathBuf};
 
-use spin_check::lint::{lint_source, lint_workspace, Config, Finding};
+use spin_check::lint::{lint_source, lint_workspace, Config, Finding, Report};
+
+fn fixture_path(rel: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/lint_fixtures")
+        .join(rel)
+}
 
 fn fixture(rel: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/lint_fixtures")
-        .join(rel);
+    let path = fixture_path(rel);
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// (file, line, rule) of every finding, in report order.
+fn located(report: &Report) -> Vec<(String, usize, &'static str)> {
+    report
+        .findings
+        .iter()
+        .map(|f| (f.file.to_string_lossy().into_owned(), f.line, f.rule))
+        .collect()
 }
 
 fn lint_str(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
@@ -68,36 +81,61 @@ fn clean_fixtures_are_silent() {
 }
 
 /// A workspace-shaped fixture with no `lint.toml`: the walk finds the
-/// determinism and unsafe violations, and the crate-root check demands
-/// `#![forbid(unsafe_code)]`.
+/// determinism and unsafe violations, the crate-root check demands
+/// `#![forbid(unsafe_code)]`, and P2 flags the dependency the crate's `src`
+/// never names, but not the dev-dependency only its `tests/` name.
 #[test]
 fn workspace_fixture_reports_all_violations() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures/ws_bad");
-    let report = lint_workspace(&root).expect("fixture is readable");
-    let got: Vec<(String, usize, &str)> = report
-        .findings
-        .iter()
-        .map(|f| (f.file.to_string_lossy().into_owned(), f.line, f.rule))
-        .collect();
+    let report = lint_workspace(&fixture_path("ws_bad")).expect("fixture is readable");
     let lib = "crates/kern/src/lib.rs".to_string();
     assert_eq!(
-        got,
+        located(&report),
         vec![
-            (lib.clone(), 1, "U1"), // missing #![forbid(unsafe_code)]
-            (lib.clone(), 2, "D1"), // thread_rng
-            (lib, 6, "U1"),         // unsafe outside any island
+            ("crates/kern/Cargo.toml".into(), 8, "P2"), // unused-dep
+            (lib.clone(), 1, "U1"),                     // missing #![forbid(unsafe_code)]
+            (lib.clone(), 2, "D1"),                     // thread_rng
+            (lib, 6, "U1"),                             // unsafe outside any island
         ],
         "{:#?}",
         report.findings
     );
 }
 
+/// P1 over workspace-shaped fixtures. In `bad/p1` an item named only by
+/// its own file's tests fires, and so does the type only its signature
+/// names. In `clean/p1` every item is named from another file of its crate,
+/// from the root `tests/` or from `perf/src`, skipped as a colliding name,
+/// kept by the fixpoint, or exempt by `// paper:`.
+#[test]
+fn p1_flags_exactly_the_unreferenced_pub_items() {
+    let bad = lint_workspace(&fixture_path("bad/p1")).expect("fixture is readable");
+    let lib = "crates/kern/src/lib.rs".to_string();
+    assert_eq!(
+        located(&bad),
+        vec![(lib.clone(), 8, "P1"), (lib, 13, "P1")],
+        "{:#?}",
+        bad.findings
+    );
+    assert_eq!(
+        bad.paper_exemptions, 0,
+        "a doc comment is not the exemption"
+    );
+
+    let clean = lint_workspace(&fixture_path("clean/p1")).expect("fixture is readable");
+    assert!(
+        clean.findings.is_empty(),
+        "false positives {:#?}",
+        clean.findings
+    );
+    assert_eq!(clean.paper_exemptions, 1);
+    assert_eq!(clean.pub_items.get("kern"), Some(&10));
+}
+
 /// A workspace-shaped fixture whose `lint.toml` waives a measurement
 /// crate outright and names one audited unsafe island: zero findings.
 #[test]
 fn workspace_fixture_honors_the_allowlist() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/lint_fixtures/ws_allow");
-    let report = lint_workspace(&root).expect("fixture is readable");
+    let report = lint_workspace(&fixture_path("ws_allow")).expect("fixture is readable");
     assert!(
         report.findings.is_empty(),
         "allowlisted fixture must be clean:\n{:#?}",

@@ -201,7 +201,7 @@ impl<A> KeyFn<A> {
 
     /// Extracts the key from an argument value.
     // uncharged: runs inside the raise path, whose per-handler charge covers key/guard evaluation.
-    pub fn extract(&self, args: &A) -> u64 {
+    fn extract(&self, args: &A) -> u64 {
         (self.f)(args)
     }
 }
@@ -1200,7 +1200,7 @@ impl Dispatcher {
     /// authorization protocol and semantics are exactly those of
     /// [`Dispatcher::install`].
     // uncharged: handler installation is control-plane; only raises are metered.
-    pub fn install_spec<A, R>(
+    fn install_spec<A, R>(
         &self,
         ev: &Event<A, R>,
         installer: Identity,
@@ -1604,7 +1604,7 @@ where
     /// charged when the raise replays, so a resumed timeline carries
     /// exactly the charges an uninterrupted run would.
     fn park(&self, quota: Option<&Arc<QuotaCell>>, args: A) -> Result<R, DispatchError> {
-        let (ev, state, clock) = (self.ev, &self.ev.state, &self.inner.clock);
+        let (ev, state) = (self.ev, &self.ev.state);
         let mut held = state.held.lock();
         // Re-read the record under the hold lock (hold → record, the one
         // order these two nest in): `resume` reopens the gate under this
@@ -1620,15 +1620,6 @@ where
             let out = again.item(args);
             again.settle();
             return out;
-        }
-        // The hold-queue budget: a metered domain may not flood the gate's
-        // queue past its `max_held` — refusals walk the ladder (throttle,
-        // then shed) instead of parking.
-        if let Some(q) = quota {
-            if q.hold_over_budget(held.queue.len()) {
-                let verdict = q.refuse(clock.now());
-                return Err(verdict.into_error(&ev.name, q.name()));
-            }
         }
         if held.queue.len() >= held.capacity {
             held.stats.overflowed += 1;
@@ -2381,6 +2372,7 @@ where
     }
 
     /// Removes the primary handler ("or even remove the primary handler").
+    // paper: the event owner's right to "even remove the primary handler".
     // uncharged: owner control-plane operation; only raises are metered.
     pub fn remove_primary(&self) -> Result<(), DispatchError> {
         self.event.live()?.edit(|ws| {

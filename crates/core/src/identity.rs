@@ -15,8 +15,6 @@ pub enum IdentityKind {
     KernelCore,
     /// A dynamically-loaded kernel extension.
     Extension,
-    /// A user-level application (outside the kernel address space).
-    Application,
 }
 
 /// A principal known to the kernel.
@@ -40,14 +38,6 @@ impl Identity {
         Identity {
             name: name.into(),
             kind: IdentityKind::Extension,
-        }
-    }
-
-    /// An application identity.
-    pub fn application(name: &str) -> Self {
-        Identity {
-            name: name.into(),
-            kind: IdentityKind::Application,
         }
     }
 

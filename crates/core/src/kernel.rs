@@ -15,7 +15,7 @@
 //!   to define *application-specific system calls*.
 
 use crate::capability::ExternTable;
-use crate::dispatch::{Dispatcher, Event, EventOwner, HandlerId};
+use crate::dispatch::{Dispatcher, Event, HandlerId};
 use crate::domain::Domain;
 use crate::error::{CoreError, DispatchError};
 use crate::fault::{Containment, ContainmentPolicy};
@@ -49,7 +49,6 @@ struct KernelInner {
     heap: KernelHeap,
     spin_public: Domain,
     trap_syscall: Event<Syscall, SysResult>,
-    trap_owner: EventOwner<Syscall, SysResult>,
     asserted_safe: AtomicU64,
     extensions: Mutex<Vec<Domain>>,
     /// Observability hook (kernel domain): absent until wired via
@@ -69,7 +68,7 @@ impl Kernel {
         let dispatcher = Dispatcher::new(host.clock.clone(), host.profile.clone());
         let nameserver = NameServer::new();
         let spin_public = Domain::combine("SpinPublic", &[]).expect("empty combine");
-        let (trap_syscall, trap_owner) =
+        let (trap_syscall, _owner) =
             dispatcher.define::<Syscall, SysResult>("Trap.SystemCall", Identity::kernel("Trap"));
         nameserver
             .register(
@@ -86,7 +85,6 @@ impl Kernel {
                 heap: KernelHeap::new(),
                 spin_public,
                 trap_syscall,
-                trap_owner,
                 asserted_safe: AtomicU64::new(0),
                 extensions: Mutex::new(Vec::new()),
                 obs: crate::hooks::HookSlot::new(),
@@ -197,11 +195,6 @@ impl Kernel {
         Ok(domain)
     }
 
-    /// Number of loaded extensions.
-    pub fn extension_count(&self) -> usize {
-        self.inner.extensions.lock().len()
-    }
-
     /// How many object files were trusted by assertion rather than by the
     /// compiler (the paper tracks these as disproportionate bug sources).
     pub fn asserted_safe_count(&self) -> u64 {
@@ -246,12 +239,6 @@ impl Kernel {
         clock.advance(profile.trap_exit);
         result
     }
-
-    /// The primary owner capability for `Trap.SystemCall` (used by trusted
-    /// services to set dispatch policy).
-    pub fn trap_owner(&self) -> &EventOwner<Syscall, SysResult> {
-        &self.inner.trap_owner
-    }
 }
 
 #[cfg(test)]
@@ -282,7 +269,7 @@ mod tests {
         let d = k.load_extension(b.sign()).unwrap();
         assert!(d.fully_resolved());
         assert_eq!(*slot.get().unwrap(), 42);
-        assert_eq!(k.extension_count(), 1);
+        assert_eq!(k.inner.extensions.lock().len(), 1);
     }
 
     #[test]
@@ -294,7 +281,7 @@ mod tests {
             k.load_extension(b.sign()),
             Err(CoreError::Unresolved { .. })
         ));
-        assert_eq!(k.extension_count(), 0);
+        assert_eq!(k.inner.extensions.lock().len(), 0);
     }
 
     #[test]

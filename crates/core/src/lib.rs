@@ -59,7 +59,7 @@ pub use fault::{
 pub use identity::{Identity, IdentityKind};
 pub use interface::{Interface, Symbol};
 pub use kernel::{Kernel, SysResult, Syscall, ENOSYS};
-pub use nameserver::{Authorizer, ExportRebind, NameServer, ServiceRef};
+pub use nameserver::{Authorizer, NameServer, ServiceRef};
 pub use objfile::{ImportDecl, ImportSlot, ObjectFile, ObjectFileBuilder, Provenance};
 pub use quota::{
     post_with_backpressure, BackoffPolicy, EscalationSink, PostOutcome, QuotaBreach, QuotaCell,

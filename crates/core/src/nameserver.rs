@@ -76,37 +76,6 @@ struct Registration {
     denials: u64,
 }
 
-/// Undo record for one [`NameServer::rebind_exports`]: the names that
-/// were re-pointed, each with the domain it pointed at before. Feeding it
-/// to [`NameServer::restore_exports`] reverses the rebind.
-pub struct ExportRebind {
-    old_exporter: Identity,
-    new_exporter: Identity,
-    rebound: Vec<(String, Domain)>,
-}
-
-impl ExportRebind {
-    /// The rebound names, sorted.
-    pub fn names(&self) -> Vec<&str> {
-        self.rebound.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// How many registrations were re-pointed.
-    pub fn len(&self) -> usize {
-        self.rebound.len()
-    }
-
-    /// `true` when the old exporter had no registrations.
-    pub fn is_empty(&self) -> bool {
-        self.rebound.is_empty()
-    }
-
-    /// The identity the rebind installed as exporter.
-    pub fn new_exporter(&self) -> &Identity {
-        &self.new_exporter
-    }
-}
-
 /// The kernel's name → domain registry.
 #[derive(Clone, Default)]
 pub struct NameServer {
@@ -228,24 +197,6 @@ impl NameServer {
         })
     }
 
-    /// Removes a registration; only the original exporter may do so.
-    pub fn unregister(&self, name: &str, caller: &Identity) -> Result<(), CoreError> {
-        let mut names = self.names.lock();
-        match names.get(name) {
-            Some(reg) if reg.exporter == *caller => {
-                names.remove(name);
-                Ok(())
-            }
-            Some(_) => Err(CoreError::AuthorizationDenied {
-                name: name.to_string(),
-                importer: caller.name().to_string(),
-            }),
-            None => Err(CoreError::NameNotFound {
-                name: name.to_string(),
-            }),
-        }
-    }
-
     /// Removes every registration exported by `exporter` and returns the
     /// revoked names, sorted. This is the quarantine primitive: a domain
     /// that has tripped its failure budget loses its exported interfaces
@@ -261,51 +212,6 @@ impl NameServer {
             names.remove(name);
         }
         revoked
-    }
-
-    /// Atomically re-points every registration exported by
-    /// `old_exporter` at `new_domain` under `new_exporter`, keeping the
-    /// names, authorizers and import/denial counters — under **one** lock
-    /// acquisition, so no importer ever observes a name revoked but not
-    /// yet re-registered. This is the hot-swap rebind: `import_typed`
-    /// holders resolving those names get the new version from the instant
-    /// the lock drops. Returns the undo record for
-    /// [`NameServer::restore_exports`]; its names are sorted.
-    pub fn rebind_exports(
-        &self,
-        old_exporter: &Identity,
-        new_domain: &Domain,
-        new_exporter: &Identity,
-    ) -> ExportRebind {
-        let mut names = self.names.lock();
-        let mut rebound: Vec<(String, Domain)> = Vec::new();
-        for (name, reg) in names.iter_mut() {
-            if reg.exporter == *old_exporter {
-                let old_domain = std::mem::replace(&mut reg.domain, new_domain.clone());
-                reg.exporter = new_exporter.clone();
-                rebound.push((name.clone(), old_domain));
-            }
-        }
-        ExportRebind {
-            old_exporter: old_exporter.clone(),
-            new_exporter: new_exporter.clone(),
-            rebound,
-        }
-    }
-
-    /// Reverses a [`NameServer::rebind_exports`]: restores the old domain
-    /// and exporter on every rebound name still registered — again under
-    /// one lock acquisition. Names unregistered in between are skipped.
-    /// Counters accumulated while the new version served stay (they are
-    /// per-name, not per-version).
-    pub fn restore_exports(&self, receipt: ExportRebind) {
-        let mut names = self.names.lock();
-        for (name, old_domain) in receipt.rebound {
-            if let Some(reg) = names.get_mut(&name) {
-                reg.domain = old_domain;
-                reg.exporter = receipt.old_exporter.clone();
-            }
-        }
     }
 
     /// All registered names, sorted (diagnostics).
@@ -370,50 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn rebind_exports_swaps_domain_atomically_and_restores() {
-        let ns = NameServer::new();
-        let v1 = Identity::extension("fwd-v1");
-        let v2 = Identity::extension("fwd-v2");
-        ns.register("Forward", console_domain(), v1.clone())
-            .unwrap();
-        let who = Identity::extension("client");
-        assert_eq!(*ns.import_typed::<u32>(&who).unwrap(), 1);
-
-        let new_domain = Domain::create_from_module(
-            "console2",
-            vec![Interface::new("Console").export("version", Arc::new(2u32))],
-        );
-        let receipt = ns.rebind_exports(&v1, &new_domain, &v2);
-        assert_eq!(receipt.names(), vec!["Forward"]);
-        assert_eq!(receipt.len(), 1);
-        assert_eq!(receipt.new_exporter(), &v2);
-        // Same name, new version — and the import counter carried over.
-        assert_eq!(*ns.import_typed::<u32>(&who).unwrap(), 2);
-        assert_eq!(ns.stats("Forward"), Some((2, 0)));
-        // The new exporter owns the name now; the old one cannot touch it.
-        assert!(ns.unregister("Forward", &v1).is_err());
-
-        ns.restore_exports(receipt);
-        assert_eq!(*ns.import_typed::<u32>(&who).unwrap(), 1);
-        assert!(ns.unregister("Forward", &v1).is_ok());
-    }
-
-    #[test]
-    fn rebind_exports_of_unknown_exporter_is_empty() {
-        let ns = NameServer::new();
-        ns.register("X", console_domain(), Identity::kernel("a"))
-            .unwrap();
-        let receipt = ns.rebind_exports(
-            &Identity::extension("nobody"),
-            &console_domain(),
-            &Identity::extension("new"),
-        );
-        assert!(receipt.is_empty());
-        ns.restore_exports(receipt);
-        assert_eq!(ns.names(), vec!["X".to_string()]);
-    }
-
-    #[test]
     fn typed_import_reports_missing_and_ambiguous_services() {
         let ns = NameServer::new();
         let who = Identity::kernel("probe");
@@ -462,19 +324,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, CoreError::AuthorizationDenied { .. }));
         assert_eq!(ns.stats("Device"), Some((1, 1)));
-    }
-
-    #[test]
-    fn only_exporter_may_unregister() {
-        let ns = NameServer::new();
-        let owner = Identity::kernel("console");
-        ns.register("C", console_domain(), owner.clone()).unwrap();
-        assert!(ns.unregister("C", &Identity::extension("evil")).is_err());
-        ns.unregister("C", &owner).unwrap();
-        assert!(matches!(
-            ns.import_typed::<u32>(&owner),
-            Err(CoreError::ServiceNotFound { .. })
-        ));
     }
 
     #[test]

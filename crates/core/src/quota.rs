@@ -71,9 +71,6 @@ pub struct QuotaSpec {
     /// Concurrent raises admitted (in-flight between admission and
     /// completion).
     pub max_in_flight: u64,
-    /// Parked hold-queue entries the domain may accumulate behind a
-    /// quiesce gate before admission refuses further parking.
-    pub max_held: u64,
     /// Pending mailbox envelopes per lane owned by the domain.
     pub max_lane_occupancy: u64,
     /// The budget window (virtual nanoseconds). `0` disables window
@@ -307,28 +304,6 @@ impl QuotaCell {
         st.counts.held += 1;
     }
 
-    /// Whether the hold-queue budget refuses parking another raise on top
-    /// of `queued` already-parked entries.
-    pub fn hold_over_budget(&self, queued: usize) -> bool {
-        self.spec.max_held > 0 && queued as u64 >= self.spec.max_held
-    }
-
-    /// Books an admission-stage refusal that happened *outside*
-    /// [`admit`] (the hold-queue budget check): counts the attempt and
-    /// walks the same ladder.
-    ///
-    /// [`admit`]: QuotaCell::admit
-    pub fn refuse(&self, now: Nanos) -> QuotaVerdict {
-        let (verdict, entered) = {
-            let mut st = self.state.lock();
-            st.counts.attempts += 1;
-            self.roll(&mut st.window, now);
-            self.ladder_refuse(&mut st)
-        };
-        self.report(entered, now);
-        verdict
-    }
-
     /// Executor-side throttle probe: `true` while the domain should run
     /// on its deferred lane (over the window's virtual-time budget, or
     /// shedding/quarantined). Pure function of virtual-time state.
@@ -340,7 +315,7 @@ impl QuotaCell {
 
     /// Mailbox-gate probe: whether a post on a lane already holding
     /// `pending` envelopes is admitted. Refusals are counted.
-    pub fn admit_post(&self, pending: u64) -> bool {
+    fn admit_post(&self, pending: u64) -> bool {
         let max = self.spec.max_lane_occupancy;
         let refused = max > 0 && pending >= max;
         if refused {
@@ -350,7 +325,7 @@ impl QuotaCell {
     }
 
     /// Books a post abandoned after the sender's backoff budget.
-    pub fn note_mail_shed(&self) {
+    fn note_mail_shed(&self) {
         self.state.lock().counts.mail_shed += 1;
     }
 
@@ -551,7 +526,7 @@ impl QuotaLedger {
     }
 
     /// Installs the escalation sink. One-shot.
-    pub fn set_escalation_sink(&self, sink: EscalationSink) {
+    fn set_escalation_sink(&self, sink: EscalationSink) {
         self.inner.escalation.set(sink);
     }
 

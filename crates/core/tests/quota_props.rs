@@ -1,6 +1,6 @@
 //! Property tests for the quota ledger: for ANY interleaving of raise
-//! admissions, completions, parked holds, hold-budget refusals, window
-//! advances and supervisor releases, the [`QuotaCell`] counters reconcile
+//! admissions, completions, parked holds, window advances and supervisor
+//! releases, the [`QuotaCell`] counters reconcile
 //! exactly against a reference model stepped op by op — the identity
 //! `attempts == admitted + throttled + shed + held` and
 //! `admitted == completed + in_flight` holds at every step, and the
@@ -25,9 +25,8 @@ const ADVANCE: u64 = 450;
 const OP_ADMIT: u8 = 0;
 const OP_COMPLETE: u8 = 1;
 const OP_HELD: u8 = 2;
-const OP_REFUSE: u8 = 3;
-const OP_ADVANCE: u8 = 4;
-const OP_RELEASE: u8 = 5;
+const OP_ADVANCE: u8 = 3;
+const OP_RELEASE: u8 = 4;
 
 fn spec() -> QuotaSpec {
     QuotaSpec {
@@ -136,12 +135,6 @@ impl Model {
         self.in_flight -= 1;
     }
 
-    fn refuse(&mut self) -> QuotaVerdict {
-        self.attempts += 1;
-        self.roll();
-        self.ladder_refuse().0
-    }
-
     fn release(&mut self) {
         self.state = 0;
         self.start = self.now;
@@ -184,7 +177,7 @@ proptest! {
     /// after every op.
     #[test]
     fn ledger_counters_reconcile_under_any_interleaving(
-        ops in prop::collection::vec(0u8..6, 1..80),
+        ops in prop::collection::vec(0u8..5, 1..80),
     ) {
         let ledger = QuotaLedger::new();
         let cell = ledger.register("tenant", spec());
@@ -208,11 +201,6 @@ proptest! {
                     m.attempts += 1;
                     m.held += 1;
                 }
-                OP_REFUSE => {
-                    let got = cell.refuse(m.now);
-                    let want = m.refuse();
-                    prop_assert_eq!(got, want);
-                }
                 OP_ADVANCE => {
                     m.now += ADVANCE;
                 }
@@ -220,7 +208,7 @@ proptest! {
                     cell.release(m.now);
                     m.release();
                 }
-                _ => unreachable!("op range is 0..6"),
+                _ => unreachable!("op range is 0..5"),
             }
             prop_assert_eq!(cell.state(m.now), m.state_enum());
             m.check(&cell);

@@ -35,7 +35,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// The UDP port the DSM protocol uses.
-pub const DSM_PORT: u16 = 5005;
+const DSM_PORT: u16 = 5005;
 
 const MSG_FETCH_READ: u8 = 1;
 const MSG_FETCH_WRITE: u8 = 2;

@@ -32,7 +32,7 @@ pub enum FsError {
 
 /// Inode number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Ino(u64);
+struct Ino(u64);
 
 enum Node {
     File { blocks: Vec<BlockId>, size: u64 },

@@ -131,11 +131,6 @@ impl WebCache {
     pub fn stats(&self) -> ObjectCacheStats {
         self.state.lock().stats
     }
-
-    /// Bytes currently cached.
-    pub fn cached_bytes(&self) -> usize {
-        self.state.lock().bytes
-    }
 }
 
 #[cfg(test)]
@@ -171,7 +166,7 @@ mod tests {
         assert!(!hit);
         assert!(loaded.get());
         assert_eq!(c.stats().bypasses, 2);
-        assert_eq!(c.cached_bytes(), 0);
+        assert_eq!(c.state.lock().bytes, 0);
         // Small object: cached.
         c.get_or_load("/small.html", || vec![0u8; 50]);
         let (_, hit) = c.get_or_load("/small.html", || panic!("cached"));
@@ -187,7 +182,7 @@ mod tests {
         c.get_or_load("c", || vec![0u8; 50]); // must evict b (LRU), not a... but 60+50>100, so a goes too
         let s = c.stats();
         assert!(s.evictions >= 1);
-        assert!(c.cached_bytes() <= 100);
+        assert!(c.state.lock().bytes <= 100);
     }
 
     #[test]

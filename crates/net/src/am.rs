@@ -19,7 +19,7 @@ pub const AM_PORT: u16 = 3000;
 
 /// An active-message handler: receives (source, four word arguments,
 /// bulk payload).
-pub type AmHandler = Arc<dyn Fn(IpAddr, [u64; 4], &[u8]) + Send + Sync>;
+type AmHandler = Arc<dyn Fn(IpAddr, [u64; 4], &[u8]) + Send + Sync>;
 
 /// The active-messages extension for one host.
 #[derive(Clone)]

@@ -2,15 +2,14 @@
 //! \[Redell 88\]" — Topaz-style teledebugging).
 //!
 //! A small kernel extension that answers debugging requests arriving over
-//! UDP: peek and poke physical memory (through capabilities the operator
-//! granted it), read kernel statistics, and list the event topology. A
+//! UDP: peek physical memory (through capabilities the operator granted
+//! it), read kernel statistics, and list the event topology. A
 //! remote workstation can debug this one even when its local console is
 //! wedged — the protocol thread and the stack are all that must survive.
 
 use crate::pkt::IpAddr;
 use crate::stack::NetStack;
 use bytes::{Bytes, BytesMut};
-use spin_check::sync::Mutex;
 use spin_core::DispatchError;
 use spin_sal::{FrameId, PhysMem};
 use spin_sched::StrandCtx;
@@ -20,7 +19,6 @@ use std::sync::Arc;
 pub const DEBUG_PORT: u16 = 2345;
 
 const OP_PEEK: u8 = 1;
-const OP_POKE: u8 = 2;
 const OP_STATS: u8 = 3;
 const OP_TOPOLOGY: u8 = 4;
 
@@ -28,30 +26,19 @@ const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
 /// The in-kernel debugger extension.
-pub struct NetDebugger {
-    requests_served: Arc<Mutex<u64>>,
-}
+pub struct NetDebugger;
 
 impl NetDebugger {
     /// Installs the debugger on `stack`, with access to `mem` limited to
     /// frames below `frame_limit` (the operator's grant).
-    pub fn install(
-        stack: &NetStack,
-        mem: PhysMem,
-        frame_limit: u32,
-    ) -> Result<Arc<NetDebugger>, DispatchError> {
-        let served = Arc::new(Mutex::new(0u64));
-        let s2 = served.clone();
+    pub fn install(stack: &NetStack, mem: PhysMem, frame_limit: u32) -> Result<(), DispatchError> {
         let stack2 = stack.clone();
         let topo = stack.topology().clone();
         crate::socket::UdpSocket::bind_with(stack, DEBUG_PORT, "NetDbg", move |p| {
-            *s2.lock() += 1;
             let reply = Self::handle(&stack2, &mem, frame_limit, &topo, &p.payload);
             let _ = stack2.udp_send(DEBUG_PORT, p.ip.src, p.header.src_port, &reply);
         })?;
-        Ok(Arc::new(NetDebugger {
-            requests_served: served,
-        }))
+        Ok(())
     }
 
     fn handle(
@@ -80,17 +67,6 @@ impl NetDebugger {
                     out.extend_from_slice(&buf);
                 }
             }
-            OP_POKE if req.len() >= 9 => {
-                let frame = u32::from_be_bytes(req[1..5].try_into().expect("len"));
-                let offset = u32::from_be_bytes(req[5..9].try_into().expect("len")) as usize;
-                let data = &req[9..];
-                if frame >= frame_limit || offset + data.len() > spin_sal::PAGE_SIZE {
-                    out.extend_from_slice(&[STATUS_ERR]);
-                } else {
-                    mem.write(FrameId(frame), offset, data);
-                    out.extend_from_slice(&[STATUS_OK]);
-                }
-            }
             OP_STATS => {
                 let s = stack.stats();
                 out.extend_from_slice(&[STATUS_OK]);
@@ -105,11 +81,6 @@ impl NetDebugger {
             _ => out.extend_from_slice(&[STATUS_ERR]),
         }
         out.freeze()
-    }
-
-    /// Requests handled so far.
-    pub fn requests_served(&self) -> u64 {
-        *self.requests_served.lock()
     }
 }
 
@@ -152,15 +123,6 @@ impl DebugClient {
         self.transact(ctx, &req).map(|b| b.to_vec())
     }
 
-    /// Writes bytes at (frame, offset) of the target's memory.
-    pub fn poke(&self, ctx: &StrandCtx, frame: u32, offset: u32, data: &[u8]) -> bool {
-        let mut req = vec![OP_POKE];
-        req.extend_from_slice(&frame.to_be_bytes());
-        req.extend_from_slice(&offset.to_be_bytes());
-        req.extend_from_slice(data);
-        self.transact(ctx, &req).is_some()
-    }
-
     /// Fetches the target's network counters (in, out, bytes in, bytes out).
     pub fn stats(&self, ctx: &StrandCtx) -> Option<[u64; 4]> {
         let b = self.transact(ctx, &[OP_STATS])?;
@@ -186,37 +148,31 @@ mod tests {
     use super::*;
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
+    use spin_check::sync::Mutex;
 
-    fn rig() -> (TwoHosts, Arc<NetDebugger>, DebugClient) {
+    fn rig() -> (TwoHosts, DebugClient) {
         let rig = TwoHosts::new();
-        let dbg = NetDebugger::install(&rig.b, rig.host_b.mem.clone(), 16).unwrap();
+        NetDebugger::install(&rig.b, rig.host_b.mem.clone(), 16).unwrap();
         let client = DebugClient::attach(&rig.a, rig.b.ip_on(Medium::Ethernet)).unwrap();
-        (rig, dbg, client)
+        (rig, client)
     }
 
     #[test]
-    fn peek_and_poke_target_memory_remotely() {
-        let (rig, dbg, client) = rig();
+    fn peek_reads_target_memory_remotely() {
+        let (rig, client) = rig();
         rig.host_b.mem.write(FrameId(3), 100, b"panic log here");
-        let got = Arc::new(Mutex::new((Vec::new(), false, Vec::new())));
+        let got = Arc::new(Mutex::new(Vec::new()));
         let g2 = got.clone();
         rig.exec.spawn("operator", move |ctx| {
-            let peeked = client.peek(ctx, 3, 100, 14).expect("granted frame");
-            let poked = client.poke(ctx, 3, 100, b"PATCHED");
-            let after = client.peek(ctx, 3, 100, 7).expect("granted frame");
-            *g2.lock() = (peeked, poked, after);
+            *g2.lock() = client.peek(ctx, 3, 100, 14).expect("granted frame");
         });
         rig.exec.run_until_idle();
-        let g = got.lock();
-        assert_eq!(&g.0, b"panic log here");
-        assert!(g.1);
-        assert_eq!(&g.2, b"PATCHED");
-        assert_eq!(dbg.requests_served(), 3);
+        assert_eq!(&*got.lock(), b"panic log here");
     }
 
     #[test]
     fn grants_are_enforced() {
-        let (rig, _dbg, client) = rig();
+        let (rig, client) = rig();
         let denied = Arc::new(Mutex::new(false));
         let d2 = denied.clone();
         rig.exec.spawn("attacker", move |ctx| {
@@ -229,7 +185,7 @@ mod tests {
 
     #[test]
     fn stats_and_topology_are_readable() {
-        let (rig, _dbg, client) = rig();
+        let (rig, client) = rig();
         let got = Arc::new(Mutex::new((None, None)));
         let g2 = got.clone();
         rig.exec.spawn("operator", move |ctx| {

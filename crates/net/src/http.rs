@@ -94,7 +94,7 @@ impl Response {
     }
 
     /// A bare 400.
-    pub fn bad_request() -> Response {
+    fn bad_request() -> Response {
         Response {
             status: 400,
             headers: Vec::new(),
@@ -103,7 +103,7 @@ impl Response {
     }
 
     /// A bare 503 (quota admission refused).
-    pub fn unavailable() -> Response {
+    fn unavailable() -> Response {
         Response {
             status: 503,
             headers: Vec::new(),
@@ -149,7 +149,7 @@ impl Response {
 }
 
 /// A dynamic in-kernel handler for one path.
-pub type RouteHandler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
+type RouteHandler = Arc<dyn Fn(&Request) -> Response + Send + Sync>;
 
 /// The server's routes. A reader clones the one handler it found and
 /// calls it with no lock held. BTree: deterministic iteration for

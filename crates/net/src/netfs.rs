@@ -226,6 +226,7 @@ pub struct NetFsClient {
 
 impl NetFsClient {
     /// Mounts the file system exported by `server`.
+    // paper: README.md, the network file system extension (its client's one constructor).
     pub fn mount(rpc: &Rpc, server: IpAddr) -> NetFsClient {
         NetFsClient {
             rpc: rpc.clone(),

@@ -6,7 +6,7 @@
 //! kernel, as in the paper.
 //!
 //! Degraded-mode operation: retransmissions back off exponentially on the
-//! virtual clock up to a configurable cap ([`RpcConfig`]), so a lossy or
+//! virtual clock up to a cap (`RpcConfig`), so a lossy or
 //! fault-injected wire converges instead of hammering. Every retransmit
 //! is counted in [`RpcStats`] and, when observability is wired on the
 //! stack, in the net domain's `retries` counter.
@@ -33,13 +33,13 @@ const RPC_RETRIES: u32 = 3;
 
 /// Retry and backoff policy for [`Rpc::call`]. All timing is virtual.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcConfig {
+struct RpcConfig {
     /// Reply timeout for the first attempt.
-    pub base_timeout: Nanos,
+    base_timeout: Nanos,
     /// Cap on the per-attempt timeout as backoff doubles it.
-    pub max_timeout: Nanos,
+    max_timeout: Nanos,
     /// Total attempts (the first transmission plus retransmissions).
-    pub attempts: u32,
+    attempts: u32,
 }
 
 impl Default for RpcConfig {
@@ -80,7 +80,7 @@ pub enum RpcError {
 }
 
 /// A server-side procedure.
-pub type Procedure = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
+type Procedure = Arc<dyn Fn(&[u8]) -> Vec<u8> + Send + Sync>;
 
 const TAG_CALL: u8 = 0;
 const TAG_REPLY: u8 = 1;
@@ -107,7 +107,7 @@ impl Rpc {
     }
 
     /// Installs the package with an explicit retry/backoff policy.
-    pub fn install_with(stack: &NetStack, config: RpcConfig) -> Result<Rpc, DispatchError> {
+    fn install_with(stack: &NetStack, config: RpcConfig) -> Result<Rpc, DispatchError> {
         let rpc = Rpc {
             stack: stack.clone(),
             procedures: Arc::new(Mutex::new(HashMap::new())),

@@ -226,7 +226,7 @@ pub struct NetStats {
 /// Retry backoff floor for [`NetStack::transmit_with_retry`].
 pub const RETRY_BASE: Nanos = 1_000_000;
 /// Retry backoff ceiling.
-pub const RETRY_CAP: Nanos = 8_000_000;
+const RETRY_CAP: Nanos = 8_000_000;
 /// Retry budget per packet.
 pub const RETRY_MAX: u32 = 4;
 
@@ -702,7 +702,7 @@ impl NetStack {
             }
         }
         for (medium, batch) in per_nic {
-            outcome = outcome.and(handed_off(self.nic_for(medium).send_burst(batch)));
+            outcome = outcome.and(self.hand_off(medium, |nic| nic.send_burst(batch)));
         }
         outcome
     }
@@ -730,12 +730,12 @@ impl NetStack {
         segment: &BufChain,
     ) -> Result<(), NetError> {
         let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment)?;
-        handed_off(self.nic_for(medium).send(endpoint, frame))
+        self.hand_off(medium, |nic| nic.send(endpoint, frame))
     }
 
     /// Transmits, retrying on failure with capped exponential backoff on
-    /// the virtual timers. Retries are counted in **one** place — the
-    /// stack's [`NetStats::retries`] and, when observability is wired,
+    /// the virtual timers. Each retry is counted in the stack's
+    /// [`NetStats::retries`] and, when observability is wired, mirrored in
     /// the net domain's `retries` counter. The caller (typically a packet
     /// handler) is never blocked: retries run from timer callbacks, so
     /// runs stay deterministic.
@@ -771,9 +771,10 @@ impl NetStack {
     }
 
     /// Per-frame transmit bookkeeping: fault draw, route resolution, frame
-    /// assembly and the obs count. The returned frame is the one buffer
-    /// this path allocates ([`frame_bytes`]); writing the segment into it
-    /// is the device-boundary copy.
+    /// assembly and the `PacketTx` trace; the frame is counted sent only
+    /// once its NIC takes it (`hand_off`). The returned frame is the one
+    /// buffer this path allocates ([`frame_bytes`]); writing the segment
+    /// into it is the device-boundary copy.
     // charged: assembly is uncharged; the NIC charges driver/PIO/DMA costs
     // when the frame is handed over.
     fn prepare_frame(
@@ -803,13 +804,38 @@ impl NetStack {
         });
         let frame = frame_bytes(link, src, dst, protocol, segment);
         if let Some(obs) = self.inner.obs.get() {
-            obs.counters.packets_sent.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            obs.counters
-                .bytes_sent
-                .fetch_add(frame.len() as u64, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             obs.trace(TraceKind::PacketTx, frame.len() as u64, medium as u64);
         }
         Ok((medium, endpoint, frame))
+    }
+
+    /// Hands frames to `medium`'s NIC. With observability wired, the net
+    /// domain's sent counts move by what the card's link record took
+    /// (DESIGN.md decision #24), so a frame the NIC refuses, and any frame
+    /// of a burst after it, is not counted sent.
+    // charged: the NIC charges each frame it stages.
+    fn hand_off(
+        &self,
+        medium: Medium,
+        send: impl FnOnce(&Nic) -> Result<(), NicError>,
+    ) -> Result<(), NetError> {
+        let nic = self.nic_for(medium);
+        let sent = match self.inner.obs.get() {
+            None => send(nic),
+            Some(obs) => {
+                let (frames, bytes, ..) = nic.counters();
+                let sent = send(nic);
+                let (frames_after, bytes_after, ..) = nic.counters();
+                obs.counters
+                    .packets_sent
+                    .fetch_add(frames_after - frames, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                obs.counters
+                    .bytes_sent
+                    .fetch_add(bytes_after - bytes, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                sent
+            }
+        };
+        sent.map_err(|e| NetError::TooLarge(format!("{e:?}")))
     }
 
     fn nic_for(&self, medium: Medium) -> &Nic {
@@ -927,11 +953,6 @@ fn frame_bytes(
 /// failed outright transmits, as the default implementation would.
 fn suppressed(verdict: &Result<SendVerdict, spin_core::DispatchError>) -> bool {
     matches!(verdict, Ok(SendVerdict::Suppressed))
-}
-
-/// The NIC's answer to a hand-off, as the stack reports it.
-fn handed_off(sent: Result<(), NicError>) -> Result<(), NetError> {
-    sent.map_err(|e| NetError::TooLarge(format!("{e:?}")))
 }
 
 /// Errors from the network stack.

@@ -32,7 +32,7 @@ use std::sync::Arc;
 use std::task::Poll;
 
 /// Maximum segment size (fits the Ethernet MTU under IP + TCP headers).
-pub const MSS: usize = 1400;
+const MSS: usize = 1400;
 
 /// Receive window advertised to the peer.
 const RECV_WINDOW: u16 = 32_768;
@@ -140,11 +140,6 @@ impl TcpConn {
     /// The peer address and port.
     pub fn peer(&self) -> (IpAddr, u16) {
         (self.key.peer, self.key.peer_port)
-    }
-
-    /// The local (bound) port.
-    pub fn local_port(&self) -> u16 {
-        self.key.local_port
     }
 
     /// Received chunks buffered and not yet read (diagnostics).
@@ -719,11 +714,6 @@ impl TcpStack {
             let _ = self.stack.send_ip(key.peer, proto::TCP, reply);
         }
     }
-
-    /// Open connections (diagnostics).
-    pub fn connection_count(&self) -> usize {
-        self.tables.lock().conns.len()
-    }
 }
 
 #[inline]
@@ -869,8 +859,8 @@ mod tests {
             conn.close(ctx);
         });
         rig.exec.run_until_idle();
-        assert_eq!(a.connection_count(), 0);
-        assert_eq!(b.connection_count(), 0);
+        assert_eq!(a.tables.lock().conns.len(), 0);
+        assert_eq!(b.tables.lock().conns.len(), 0);
     }
 
     #[test]
@@ -888,7 +878,7 @@ mod tests {
             let t0 = clock.now();
             conn.close(ctx);
             c2.lock()
-                .push((conn.state(), clock.now() > t0, b2.connection_count()));
+                .push((conn.state(), clock.now() > t0, b2.tables.lock().conns.len()));
             // Closed already: nothing to send, nothing to wait for.
             let t1 = clock.now();
             conn.close(ctx);
@@ -930,7 +920,7 @@ mod tests {
                 },
                 header: TcpHeader {
                     src_port: 80,
-                    dst_port: conn.local_port(),
+                    dst_port: conn.key.local_port,
                     seq: 0,
                     ack: 0,
                     flags: TcpFlags {
@@ -952,7 +942,7 @@ mod tests {
         let (state, waited) = released.lock().expect("close returned");
         assert_eq!(state, TcpState::Closed);
         assert!(waited >= RESET_AFTER, "released after {waited} ns");
-        assert_eq!(a.connection_count(), 0, "the reset reaped it");
+        assert_eq!(a.tables.lock().conns.len(), 0, "the reset reaped it");
     }
 
     #[test]
@@ -988,7 +978,10 @@ mod tests {
         let (refused, timed_out) = (Some(TcpError::Refused), Some(TcpError::Timeout));
         let expect = [&refused, &refused, &refused, &timed_out, &timed_out];
         assert!(outcomes.lock().iter().eq(expect), "{outcomes:?}");
-        assert_eq!((a.connection_count(), b.connection_count()), (0, 0));
+        assert_eq!(
+            (a.tables.lock().conns.len(), b.tables.lock().conns.len()),
+            (0, 0)
+        );
     }
 
     #[test]

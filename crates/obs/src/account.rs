@@ -19,20 +19,8 @@ use std::sync::Arc;
 pub struct DomainId(pub u32);
 
 impl DomainId {
-    /// The kernel core (trap entry/exit, nameserver).
-    pub const KERNEL: DomainId = DomainId(0);
-    /// The event dispatcher.
-    pub const DISPATCHER: DomainId = DomainId(1);
-    /// The strand executor / global scheduler.
-    pub const SCHED: DomainId = DomainId(2);
-    /// The virtual memory translation service.
-    pub const VM: DomainId = DomainId(3);
-    /// The garbage-collected kernel heap.
-    pub const GC: DomainId = DomainId(4);
     /// The network stack.
     pub const NET: DomainId = DomainId(5);
-    /// The UNIX server extension.
-    pub const UNIX: DomainId = DomainId(6);
 }
 
 /// Names for the pre-registered subsystems, in id order.
@@ -178,11 +166,6 @@ impl Histogram {
         self.sum.load(Ordering::Acquire) // ordering: Acquire — freshest value at render time.
     }
 
-    /// Exact integer mean (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum().checked_div(self.count()).unwrap_or(0)
-    }
-
     /// Smallest sample (0 when empty).
     pub fn min(&self) -> u64 {
         let m = self.min.load(Ordering::Acquire); // ordering: Acquire — freshest value at render time.
@@ -322,7 +305,6 @@ mod tests {
         }
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 18);
-        assert_eq!(h.mean(), 6);
         assert_eq!(h.min(), 3);
         assert_eq!(h.max(), 10);
     }

@@ -69,7 +69,7 @@ pub struct Obs {
 impl Obs {
     /// Creates the subsystem with a flight recorder of `capacity` records
     /// (recording starts enabled). The well-known kernel subsystems are
-    /// pre-registered so [`DomainId::DISPATCHER`] etc. are valid
+    /// pre-registered, so their ids (such as [`DomainId::NET`]) are valid
     /// immediately.
     pub fn new(capacity: usize) -> Obs {
         let obs = Obs {
@@ -167,12 +167,6 @@ impl Obs {
         render::dump(&self.inner.accounting, &records)
     }
 
-    /// Drains the recorder and renders the JSON trace.
-    pub fn dump_json(&self) -> String {
-        let records = self.inner.ring.drain();
-        render::trace_json(&self.inner.accounting, &records)
-    }
-
     /// Renders the Prometheus-style accounting exposition.
     pub fn render_prometheus(&self) -> String {
         render::prometheus(self)
@@ -254,14 +248,5 @@ mod tests {
         obs.set_recording(true);
         hook.trace(TraceKind::VmFault, 0x2000, 1);
         assert_eq!(obs.ring().pushed(), 1);
-    }
-
-    #[test]
-    fn dump_json_round_trips_through_the_ring() {
-        let obs = Obs::new(8);
-        obs.domain("gc").trace(TraceKind::GcPause, 4096, 3);
-        let json = obs.dump_json();
-        assert!(json.contains("\"kind\": \"gc_pause\""), "{json}");
-        assert!(json.contains("\"a\": 4096"), "{json}");
     }
 }

@@ -1,30 +1,11 @@
 //! Renderings of the recorder and accounting state: a human-readable trace
-//! dump, a JSON trace, and Prometheus-style exposition text for the
-//! `/metrics` in-kernel extension.
+//! dump and Prometheus-style exposition text for the `/metrics` in-kernel
+//! extension.
 
 use crate::account::Accounting;
 use crate::ring::TraceRecord;
 use crate::Obs;
 use std::fmt::Write;
-
-/// Escapes `s` as the body of a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 fn domain_label(accounting: &Accounting, rec: &TraceRecord) -> String {
     accounting
@@ -46,25 +27,6 @@ pub fn dump(accounting: &Accounting, records: &[TraceRecord]) -> String {
             rec.b,
         );
     }
-    out
-}
-
-/// JSON array of records, oldest first.
-pub fn trace_json(accounting: &Accounting, records: &[TraceRecord]) -> String {
-    let mut out = String::from("[\n");
-    for (i, rec) in records.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {{\"time_ns\": {}, \"domain\": \"{}\", \"kind\": \"{}\", \"a\": {}, \"b\": {}}}{}",
-            rec.time,
-            json_escape(&domain_label(accounting, rec)),
-            rec.kind.label(),
-            rec.a,
-            rec.b,
-            if i + 1 == records.len() { "" } else { "," },
-        );
-    }
-    out.push(']');
     out
 }
 
@@ -110,13 +72,7 @@ mod tests {
     use crate::ring::TraceKind;
 
     #[test]
-    fn json_escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn dump_and_json_name_known_domains() {
+    fn dump_names_known_domains() {
         let obs = Obs::new(16);
         obs.record(TraceRecord {
             time: 42,
@@ -129,8 +85,6 @@ mod tests {
         let text = dump(obs.accounting(), &records);
         assert!(text.contains("net"), "{text}");
         assert!(text.contains("packet_rx"), "{text}");
-        let json = trace_json(obs.accounting(), &records);
-        assert!(json.contains("\"domain\": \"net\""), "{json}");
     }
 
     #[test]

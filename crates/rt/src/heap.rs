@@ -29,7 +29,7 @@ use std::marker::PhantomData;
 use std::sync::{Arc, Weak};
 
 /// Bytes per heap page (collector granularity, not the MMU page size).
-pub const GC_PAGE_BYTES: usize = 4096;
+const GC_PAGE_BYTES: usize = 4096;
 
 /// Per-object header overhead charged against page capacity.
 const HEADER_BYTES: usize = 16;
@@ -86,7 +86,6 @@ pub enum GcError {
 trait Erased: Send {
     fn trace_mut(&mut self, tracer: &mut Tracer<'_>);
     fn as_any(&self) -> &dyn Any;
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<T: Trace> Erased for T {
@@ -94,9 +93,6 @@ impl<T: Trace> Erased for T {
         self.trace(tracer);
     }
     fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 }
@@ -360,27 +356,6 @@ impl KernelHeap {
         Ok(f(v))
     }
 
-    /// Mutates an object through its reference.
-    pub fn with_mut<T: Trace, R>(
-        &self,
-        gc: Gc<T>,
-        f: impl FnOnce(&mut T) -> R,
-    ) -> Result<R, GcError> {
-        let mut st = self.state.lock();
-        let slot = st
-            .pages
-            .get_mut(&gc.addr.page)
-            .and_then(|p| p.slots.get_mut(gc.addr.index as usize))
-            .and_then(|s| s.as_mut())
-            .ok_or(GcError::Dangling)?;
-        let v = slot
-            .obj
-            .as_any_mut()
-            .downcast_mut::<T>()
-            .ok_or(GcError::TypeMismatch)?;
-        Ok(f(v))
-    }
-
     /// Copies the object out (for `T: Clone`).
     pub fn get<T: Trace + Clone>(&self, gc: Gc<T>) -> Result<T, GcError> {
         self.with(gc, |v| v.clone())
@@ -616,8 +591,8 @@ mod tests {
     #[test]
     fn alloc_and_read_back() {
         let heap = KernelHeap::new();
-        let gc = heap.alloc(41u64).unwrap();
-        heap.with_mut(gc, |v| *v += 1).unwrap();
+        let gc = heap.alloc(42u64).unwrap();
+        assert_eq!(heap.with(gc, |v| v + 1), Ok(43));
         assert_eq!(heap.get(gc), Ok(42));
     }
 
@@ -712,22 +687,25 @@ mod tests {
         assert_eq!(stats.objects_copied, 2);
     }
 
+    /// A node whose edge is set after allocation, closing a cycle.
+    struct CycleNode {
+        next: std::cell::Cell<Option<Gc<CycleNode>>>,
+    }
+    impl Trace for CycleNode {
+        fn trace(&mut self, tracer: &mut Tracer<'_>) {
+            tracer.edge_opt(self.next.get_mut());
+        }
+    }
+
     #[test]
     fn cycles_are_collected_when_unrooted() {
         let heap = KernelHeap::new();
-        let a = heap
-            .alloc(Node {
-                value: 1,
-                next: None,
-            })
-            .unwrap();
-        let b = heap
-            .alloc(Node {
-                value: 2,
-                next: Some(a),
-            })
-            .unwrap();
-        heap.with_mut(a, |n| n.next = Some(b)).unwrap();
+        let node = |next| CycleNode {
+            next: std::cell::Cell::new(next),
+        };
+        let a = heap.alloc(node(None)).unwrap();
+        let b = heap.alloc(node(Some(a))).unwrap();
+        heap.with(a, |n| n.next.set(Some(b))).unwrap();
         heap.collect();
         assert!(!heap.is_live(a));
         assert!(!heap.is_live(b));

@@ -31,11 +31,10 @@ pub struct HostId(pub u32);
 pub mod vectors {
     use crate::irq::IrqVector;
 
-    pub const DISK: IrqVector = IrqVector(1);
+    pub(crate) const DISK: IrqVector = IrqVector(1);
     pub const ETHERNET: IrqVector = IrqVector(2);
     pub const ATM: IrqVector = IrqVector(3);
     pub const T3: IrqVector = IrqVector(4);
-    pub const TIMER: IrqVector = IrqVector(5);
 }
 
 /// The three media of a board. One-way latency is dominated by the
@@ -132,16 +131,11 @@ pub struct SimBoard {
 impl SimBoard {
     /// Creates a board with the paper's machine profile.
     pub fn new() -> Self {
-        Self::with_profile(MachineProfile::alpha_axp_3000_400())
-    }
-
-    /// Creates a board with a custom profile (used by ablation benches).
-    pub fn with_profile(profile: MachineProfile) -> Self {
         let (ethernet, atm, t3) = media();
         SimBoard {
             clock: Clock::new(),
             timers: TimerQueue::new(),
-            profile: Arc::new(profile),
+            profile: Arc::new(MachineProfile::alpha_axp_3000_400()),
             ethernet,
             atm,
             t3,
@@ -192,14 +186,9 @@ pub struct MulticoreBoard {
 impl MulticoreBoard {
     /// Creates a multicore board with the paper's machine profile.
     pub fn new() -> Self {
-        Self::with_profile(MachineProfile::alpha_axp_3000_400())
-    }
-
-    /// Creates a multicore board with a custom profile.
-    pub fn with_profile(profile: MachineProfile) -> Self {
         let (ethernet, atm, t3) = media();
         MulticoreBoard {
-            profile: Arc::new(profile),
+            profile: Arc::new(MachineProfile::alpha_axp_3000_400()),
             ethernet,
             atm,
             t3,

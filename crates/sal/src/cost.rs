@@ -33,8 +33,6 @@ pub fn cycles(n: u64) -> u64 {
 /// module documentation for the sources of each value.
 #[derive(Debug, Clone)]
 pub struct MachineProfile {
-    /// A call within one module (compiler fast path).
-    pub intra_module_call: u64,
     /// A call across a module/interface boundary. The paper notes its
     /// Modula-3 compiler made these "roughly twice as slow" as intra-module
     /// calls; this is also the cost of a protected in-kernel call (0.13 µs).
@@ -86,11 +84,6 @@ pub struct MachineProfile {
     pub dma_setup: u64,
     /// Fielding one device interrupt (dispatch to the handler, EOI).
     pub interrupt_overhead: u64,
-    /// Fixed per-packet device driver CPU overhead (buffer management,
-    /// descriptor handling, protocol glue). The paper's unoptimized Lance
-    /// and FORE drivers spend heavily here; this is what makes the video
-    /// server's CPU grow with client count (Figure 6).
-    pub driver_per_packet: u64,
     /// Disk: average seek time.
     pub disk_seek: u64,
     /// Disk: average rotational delay (5400 RPM class).
@@ -104,8 +97,6 @@ pub struct MachineProfile {
     pub guard_eval: u64,
     /// Dispatcher: invoking one handler (on top of the call itself).
     pub handler_invoke: u64,
-    /// Allocating a small object from the kernel heap fast path.
-    pub heap_alloc: u64,
     /// Number of CPUs on the board (multicore mode shards the kernel one
     /// executor per CPU; the shared-timeline mode ignores this).
     pub cpus: usize,
@@ -119,7 +110,6 @@ impl MachineProfile {
     /// The paper's testbed: a DEC Alpha AXP 3000/400 at 133 MHz.
     pub fn alpha_axp_3000_400() -> Self {
         MachineProfile {
-            intra_module_call: 65,  // ~9 cycles
             inter_module_call: 130, // 0.13 µs (Table 2)
             trap_entry: 1_700,
             trap_exit: 1_700,
@@ -140,14 +130,12 @@ impl MachineProfile {
             pio_per_byte_ns_x100: 15_000, // 150 ns/byte ≈ 53 Mb/s cap
             dma_setup: 2_000,
             interrupt_overhead: 4_000,
-            driver_per_packet: 60_000,
             disk_seek: 10_000_000,
             disk_rotation: 5_500_000,
             disk_block_transfer: 2_000_000, // 8 KB at ~4 MB/s
             event_raise_base: 260,
             guard_eval: 290,
             handler_invoke: 190,
-            heap_alloc: 400,
             cpus: 4,
             xcall_latency: 2_000,
         }

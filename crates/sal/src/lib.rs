@@ -56,12 +56,6 @@ pub const PAGE_SIZE: usize = 8192;
 /// Number of bits in the page offset (`log2(PAGE_SIZE)`).
 pub const PAGE_SHIFT: u32 = 13;
 
-/// Converts a virtual or physical address to its page number.
-#[inline]
-pub const fn page_of(addr: u64) -> u64 {
-    addr >> PAGE_SHIFT
-}
-
 /// Converts an address to its offset within a page.
 #[inline]
 pub const fn page_offset(addr: u64) -> usize {
@@ -73,9 +67,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn page_arithmetic_round_trips() {
+    fn page_offset_is_the_low_bits() {
         let addr = 3 * PAGE_SIZE as u64 + 17;
-        assert_eq!(page_of(addr), 3);
         assert_eq!(page_offset(addr), 17);
     }
 

@@ -45,12 +45,6 @@ impl Protection {
         write: true,
         execute: false,
     };
-    /// Read and execute access.
-    pub const READ_EXECUTE: Protection = Protection {
-        read: true,
-        write: false,
-        execute: true,
-    };
     /// Full access.
     pub const ALL: Protection = Protection {
         read: true,
@@ -60,7 +54,7 @@ impl Protection {
 
     /// Whether these bits permit the given access.
     #[inline]
-    pub fn allows(self, access: Access) -> bool {
+    fn allows(self, access: Access) -> bool {
         match access {
             Access::Read => self.read,
             Access::Write => self.write,
@@ -143,16 +137,12 @@ const TLB_SLOTS: usize = 64;
 #[derive(Debug)]
 pub struct Tlb {
     slots: Vec<Option<(ContextId, u64, Pte)>>,
-    pub hits: u64,
-    pub misses: u64,
 }
 
 impl Default for Tlb {
     fn default() -> Self {
         Tlb {
             slots: vec![None; TLB_SLOTS],
-            hits: 0,
-            misses: 0,
         }
     }
 }
@@ -164,14 +154,8 @@ impl Tlb {
 
     fn lookup(&mut self, ctx: ContextId, vpn: u64) -> Option<Pte> {
         match self.slots[Self::slot(vpn)] {
-            Some((c, v, pte)) if c == ctx && v == vpn => {
-                self.hits += 1;
-                Some(pte)
-            }
-            _ => {
-                self.misses += 1;
-                None
-            }
+            Some((c, v, pte)) if c == ctx && v == vpn => Some(pte),
+            _ => None,
         }
     }
 
@@ -371,12 +355,6 @@ impl Mmu {
             None => Err(MmuFault::Miss { ctx, vpn, access }),
         }
     }
-
-    /// TLB hit/miss counters, for benchmarks.
-    pub fn tlb_stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.tlb.hits, st.tlb.misses)
-    }
 }
 
 #[cfg(test)]
@@ -487,7 +465,5 @@ mod tests {
         let after_hit = clock.now();
         assert!(after_miss > before);
         assert_eq!(after_hit, after_miss, "TLB hit should be free");
-        let (hits, misses) = m.tlb_stats();
-        assert_eq!((hits, misses), (1, 1));
     }
 }

@@ -52,7 +52,6 @@ impl Ord for Task {
 struct PackageState {
     queue: BinaryHeap<Task>,
     next_seq: u64,
-    closed: bool,
 }
 
 /// Statistics observed through the strand events.
@@ -88,21 +87,13 @@ impl TaskPackage {
         let state = Arc::new(Mutex::new(PackageState {
             queue: BinaryHeap::new(),
             next_seq: 0,
-            closed: false,
         }));
         let tasks_run = Arc::new(AtomicU64::new(0));
         let st2 = state.clone();
         let tr2 = tasks_run.clone();
         let carrier = exec.spawn_on(spin_sal::HostId(0), name, priority, move |ctx| {
             loop {
-                let task = {
-                    let mut st = st2.lock();
-                    match st.queue.pop() {
-                        Some(t) => Some(t),
-                        None if st.closed => break,
-                        None => None,
-                    }
-                };
+                let task = st2.lock().queue.pop();
                 match task {
                     Some(t) => {
                         (t.body)(ctx);
@@ -172,12 +163,6 @@ impl TaskPackage {
         self.exec.unblock(self.carrier);
     }
 
-    /// Closes the package; the carrier exits once drained.
-    pub fn shutdown(&self) {
-        self.state.lock().closed = true;
-        self.exec.unblock(self.carrier);
-    }
-
     /// Event-observed statistics.
     pub fn stats(&self) -> PackageStats {
         PackageStats {
@@ -185,11 +170,6 @@ impl TaskPackage {
             checkpoints: self.checkpoints.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             tasks_run: self.tasks_run.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         }
-    }
-
-    /// The carrier strand the global scheduler sees.
-    pub fn carrier(&self) -> StrandId {
-        self.carrier
     }
 }
 
@@ -220,7 +200,6 @@ mod tests {
             let log = log.clone();
             pkg.submit(prio, move |_| log.lock().push(tag));
         }
-        pkg.shutdown();
         exec.run_until_idle();
         assert_eq!(*log.lock(), vec!["high", "mid", "low"]);
         assert_eq!(pkg.stats().tasks_run, 3);
@@ -241,7 +220,6 @@ mod tests {
         for _ in 0..5 {
             pkg.submit(5, |ctx| ctx.work(25_000)); // each exceeds the quantum
         }
-        pkg.shutdown();
         exec.run_until_idle();
         let stats = pkg.stats();
         assert!(
@@ -264,8 +242,6 @@ mod tests {
             let c = counts.clone();
             b.submit(1, move |_| c.lock().1 += 1);
         }
-        a.shutdown();
-        b.shutdown();
         exec.run_until_idle();
         assert_eq!(*counts.lock(), (10, 10));
         // Each package only observed its own carrier (the guard at work).

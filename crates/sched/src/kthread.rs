@@ -41,11 +41,6 @@ impl M3Threads {
         KCondition::new(self.exec.clone())
     }
 
-    /// `Thread.Pause`: sleeps in virtual time.
-    pub fn pause(&self, ctx: &StrandCtx, ns: u64) {
-        ctx.sleep(ns);
-    }
-
     /// The underlying executor.
     pub fn executor(&self) -> &Arc<Executor> {
         &self.exec

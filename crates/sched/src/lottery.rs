@@ -28,6 +28,7 @@ impl TicketBook {
     }
 
     /// Assigns `tickets` to a strand (minimum 1).
+    // paper: README.md, the lottery policy the replaceable scheduler ships with.
     pub fn assign(&self, strand: StrandId, tickets: u64) {
         self.tickets.lock().insert(strand, tickets.max(1));
     }

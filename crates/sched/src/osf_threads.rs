@@ -33,6 +33,7 @@ impl OsfThreads {
     }
 
     /// Creates a kernel thread (vendor drivers fork worker threads).
+    // paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
     pub fn kernel_thread(
         &self,
         name: &str,
@@ -42,6 +43,7 @@ impl OsfThreads {
     }
 
     /// `thread_sleep`: blocks the calling thread on `chan`.
+    // paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
     pub fn thread_sleep(&self, ctx: &StrandCtx, chan: WaitChannel) {
         ctx.wait(
             &self.channels,
@@ -52,6 +54,7 @@ impl OsfThreads {
 
     /// `thread_wakeup`: wakes every thread sleeping on `chan`. Returns how
     /// many were woken.
+    // paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
     pub fn thread_wakeup(&self, chan: WaitChannel) -> usize {
         let mut sleepers = self.channels.lock().remove(&chan).unwrap_or_default();
         let n = sleepers.len();
@@ -60,6 +63,7 @@ impl OsfThreads {
     }
 
     /// `thread_wakeup_one`: wakes the first sleeper only.
+    // paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
     pub fn thread_wakeup_one(&self, chan: WaitChannel) -> bool {
         let woken = match self.channels.lock().get_mut(&chan) {
             Some(q) => q.wake_one(),

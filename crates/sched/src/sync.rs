@@ -119,12 +119,6 @@ impl KCondition {
         next.unblock(&self.exec);
     }
 
-    /// Wakes every waiter.
-    pub fn broadcast(&self, _ctx: &StrandCtx) {
-        let all = self.waiters.lock().wake_all();
-        all.unblock(&self.exec);
-    }
-
     /// Number of strands currently waiting.
     pub fn waiter_count(&self) -> usize {
         self.waiters.lock().len()
@@ -339,7 +333,7 @@ mod tests {
             log2.lock().push("signal".into());
             c2.signal(ctx);
             m2.unlock(ctx);
-            c2.broadcast(ctx);
+            c2.signal(ctx);
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(log.lock().len(), 3);
@@ -362,7 +356,7 @@ mod tests {
                         c.wait(ctx, &m);
                     }
                     *turn.lock() += 1;
-                    c.broadcast(ctx);
+                    c.signal(ctx);
                     m.unlock(ctx);
                 }
             });

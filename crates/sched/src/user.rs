@@ -2,7 +2,7 @@
 //!
 //! Applications "can be written in any language and execute within their
 //! own virtual address space" (§1.2). A [`UserProcess`] owns an MMU
-//! addressing context and an externalized-reference table. This module
+//! addressing context. This module
 //! also implements the cross-address-space procedure call measured in
 //! Table 2: "SPIN's cross-address space procedure call is implemented as
 //! an extension that uses system calls to transfer control in and out of
@@ -11,7 +11,7 @@
 
 use crate::executor::{Executor, StrandCtx, StrandId};
 use crate::sync::KChannel;
-use spin_core::{ExternTable, Kernel};
+use spin_core::Kernel;
 use spin_sal::mmu::ContextId;
 use spin_sal::Nanos;
 use std::sync::Arc;
@@ -20,7 +20,6 @@ use std::sync::Arc;
 pub struct UserProcess {
     name: String,
     ctx_id: ContextId,
-    table: ExternTable,
     kernel: Kernel,
 }
 
@@ -30,7 +29,6 @@ impl UserProcess {
         UserProcess {
             name: name.to_string(),
             ctx_id: kernel.host().mmu.create_context(),
-            table: kernel.new_extern_table(),
             kernel: kernel.clone(),
         }
     }
@@ -43,11 +41,6 @@ impl UserProcess {
     /// The process's MMU addressing context.
     pub fn context(&self) -> ContextId {
         self.ctx_id
-    }
-
-    /// The process's externalized-reference table.
-    pub fn extern_table(&self) -> &ExternTable {
-        &self.table
     }
 
     /// Issues a system call from this process (user→kernel→user).
@@ -178,14 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn processes_have_distinct_contexts_and_tables() {
+    fn processes_have_distinct_contexts() {
         let (kernel, _exec) = rig();
         let a = UserProcess::new(&kernel, "a");
         let b = UserProcess::new(&kernel, "b");
         assert_ne!(a.context(), b.context());
-        let r = a.extern_table().externalize(Arc::new(5u32));
-        assert!(b.extern_table().recover::<u32>(r).is_err());
-        assert_eq!(*a.extern_table().recover::<u32>(r).unwrap(), 5);
     }
 
     #[test]

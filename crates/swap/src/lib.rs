@@ -15,8 +15,7 @@
 //!    at the quiesced instant, inside an unwind containment with a
 //!    deterministic fault-injection draw ([`spin_fault::SITE_SWAP`]).
 //! 3. **Rebind** — atomically replace the old version's handlers
-//!    ([`spin_core::Event::rebind`] — one generation bump per event) and
-//!    nameserver exports ([`spin_core::NameServer::rebind_exports`]).
+//!    ([`spin_core::Event::rebind`] — one generation bump per event).
 //!    The rebind closure returns undo actions that make it reversible.
 //! 4. **Resume** — reopen the gates; parked raises replay in the order
 //!    they parked (each hold queue is an arrival-order FIFO) through the
@@ -87,9 +86,8 @@ pub enum SwapError {
         elapsed: Nanos,
     },
     /// The rebind closure panicked. Undo actions from a partial rebind
-    /// are not available, so the closure must itself be atomic (the
-    /// building blocks — [`spin_core::Event::rebind`] and
-    /// [`spin_core::NameServer::rebind_exports`] — are).
+    /// are not available, so the closure must itself be atomic (its
+    /// building block, [`spin_core::Event::rebind`], is).
     RebindPanicked {
         /// Best-effort extraction of the panic payload.
         message: String,
@@ -114,8 +112,7 @@ impl std::fmt::Display for SwapError {
 impl std::error::Error for SwapError {}
 
 /// One reversal step returned by a rebind closure, run in reverse order
-/// on rollback (typically `Event::restore(receipt)` and
-/// `NameServer::restore_exports(receipt)` calls).
+/// on rollback (typically `Event::restore(receipt)` calls).
 pub type UndoAction = Box<dyn FnOnce() + Send>;
 
 /// What a committed swap did.
@@ -166,6 +163,7 @@ struct CoordinatorInner {
 pub struct SwapSession {
     domain: String,
     gates: Vec<Arc<dyn GatedEvent>>,
+    /// The virtual instant at which every gate was closed and drained.
     gated_at: Nanos,
 }
 
@@ -173,11 +171,6 @@ impl SwapSession {
     /// The domain under swap.
     pub fn domain(&self) -> &str {
         &self.domain
-    }
-
-    /// The virtual instant at which every gate was closed and drained.
-    pub fn gated_at(&self) -> Nanos {
-        self.gated_at
     }
 
     /// Raises currently parked across this session's hold queues.
@@ -294,7 +287,7 @@ impl SwapCoordinator {
     /// quiesced instant. `rebind` applies the replacement (handler rebinds,
     /// export rebinds) and returns the undo actions that reverse it.
     /// `time_bound` caps the whole swap in virtual nanoseconds measured
-    /// from [`SwapSession::gated_at`]; overruns roll back.
+    /// from the instant the session's gates closed; overruns roll back.
     ///
     /// On any rollback the undo actions run in reverse, the gates resume
     /// through the old version, and the fault is attributed to

@@ -4,8 +4,7 @@
 //! threads (strands via the executor), virtual memory (the UNIX
 //! address-space extension with copy-on-write fork), and storage (the file
 //! system) — behind a classic system-call surface: `fork`, `exit`,
-//! `waitpid`, `getpid`, `brk`, `open`, `close`, `read`, `write`, `lseek`,
-//! `pipe`, `dup`.
+//! `waitpid`, `getpid`, `brk`, `open`, `close`, `read`, `write`, `pipe`.
 //!
 //! Register-only calls are also installed on `Trap.SystemCall` in the
 //! number band starting at [`SYSCALL_BASE`], the way the paper's server
@@ -63,18 +62,16 @@ struct ServerState {
 
 /// Stable call numbers used when tracing server calls (the `a` word of a
 /// `SyscallTrap` record from the unix domain).
-pub mod calls {
-    pub const FORK: u64 = 1;
-    pub const EXIT: u64 = 2;
-    pub const WAITPID: u64 = 3;
-    pub const SBRK: u64 = 4;
-    pub const OPEN: u64 = 5;
-    pub const CLOSE: u64 = 6;
-    pub const DUP: u64 = 7;
-    pub const PIPE: u64 = 8;
-    pub const WRITE: u64 = 9;
-    pub const READ: u64 = 10;
-    pub const LSEEK: u64 = 11;
+mod calls {
+    pub(super) const FORK: u64 = 1;
+    pub(super) const EXIT: u64 = 2;
+    pub(super) const WAITPID: u64 = 3;
+    pub(super) const SBRK: u64 = 4;
+    pub(super) const OPEN: u64 = 5;
+    pub(super) const CLOSE: u64 = 6;
+    pub(super) const PIPE: u64 = 8;
+    pub(super) const WRITE: u64 = 9;
+    pub(super) const READ: u64 = 10;
 }
 
 /// The UNIX server.
@@ -317,20 +314,6 @@ impl UnixServer {
         Ok(())
     }
 
-    /// `dup`.
-    pub fn dup(&self, pid: Pid, fd: i32) -> Result<i32, UnixError> {
-        self.note(calls::DUP, pid);
-        let mut st = self.state.lock();
-        let p = st.procs.get_mut(&pid).ok_or(UnixError::NoSuchProcess)?;
-        let f = p.fds.get(&fd).ok_or(UnixError::BadFd)?.clone();
-        match &f {
-            Fd::PipeRead(p) => p.add_reader(),
-            Fd::PipeWrite(p) => p.add_writer(),
-            Fd::File { .. } => {}
-        }
-        Ok(p.alloc_fd(f))
-    }
-
     /// `pipe`: returns (read fd, write fd).
     pub fn pipe(&self, pid: Pid) -> Result<(i32, i32), UnixError> {
         self.note(calls::PIPE, pid);
@@ -416,20 +399,6 @@ impl UnixServer {
             }
             Fd::PipeRead(p) => Ok(p.read(ctx, max)),
             Fd::PipeWrite(_) => Err(UnixError::BadFd),
-        }
-    }
-
-    /// `lseek` (absolute).
-    pub fn lseek(&self, pid: Pid, fd: i32, pos: u64) -> Result<(), UnixError> {
-        self.note(calls::LSEEK, pid);
-        let mut st = self.state.lock();
-        match st.procs.get_mut(&pid).and_then(|p| p.fds.get_mut(&fd)) {
-            Some(Fd::File { offset, .. }) => {
-                *offset = pos;
-                Ok(())
-            }
-            Some(_) => Err(UnixError::BadFd),
-            None => Err(UnixError::BadFd),
         }
     }
 
@@ -536,7 +505,8 @@ mod tests {
             let p = srv.spawn_init();
             let fd = srv.open(p, "/etc/motd").unwrap();
             assert_eq!(srv.write(ctx, p, fd, b"welcome to SPIN").unwrap(), 15);
-            srv.lseek(p, fd, 0).unwrap();
+            srv.close(p, fd).unwrap();
+            let fd = srv.open(p, "/etc/motd").unwrap();
             assert_eq!(srv.read(ctx, p, fd, 7).unwrap(), b"welcome");
             assert_eq!(srv.read(ctx, p, fd, 100).unwrap(), b" to SPIN");
             srv.close(p, fd).unwrap();

@@ -31,11 +31,6 @@ impl MachTask {
     pub fn context(&self) -> ContextId {
         self.ctx
     }
-
-    /// Number of live regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.lock().len()
-    }
 }
 
 /// The Mach-task extension.
@@ -64,6 +59,7 @@ impl MachTaskExtension {
     }
 
     /// `task_create`.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn task_create(&self) -> Arc<MachTask> {
         Arc::new(MachTask {
             ctx: self.trans.create(),
@@ -73,6 +69,7 @@ impl MachTaskExtension {
 
     /// `vm_allocate`: maps `pages` of zero-filled memory, returning the
     /// base address.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn vm_allocate(&self, task: &MachTask, pages: u64) -> Result<u64, VmError> {
         let virt = self.virt.allocate(pages).map_err(|_| VmError::Stale)?;
         let phys = self
@@ -87,6 +84,7 @@ impl MachTaskExtension {
     }
 
     /// `vm_deallocate` by region base address.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn vm_deallocate(&self, task: &MachTask, base: u64) -> Result<(), VmError> {
         let region = task.regions.lock().remove(&base).ok_or(VmError::Stale)?;
         self.trans.remove_mapping(task.ctx, &region.virt)?;
@@ -97,6 +95,7 @@ impl MachTaskExtension {
     }
 
     /// `vm_protect` over a whole region.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn vm_protect(&self, task: &MachTask, base: u64, prot: Protection) -> Result<(), VmError> {
         let regions = task.regions.lock();
         let region = regions.get(&base).ok_or(VmError::Stale)?;
@@ -104,11 +103,13 @@ impl MachTaskExtension {
     }
 
     /// `vm_write`.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn vm_write(&self, task: &MachTask, va: u64, data: &[u8]) -> Result<(), VmError> {
         self.trans.write(task.ctx, va, data, &self.mem)
     }
 
     /// `vm_read`.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn vm_read(&self, task: &MachTask, va: u64, buf: &mut [u8]) -> Result<(), VmError> {
         self.trans.read(task.ctx, va, buf, &self.mem)
     }
@@ -146,7 +147,7 @@ mod tests {
         let mut buf = [0u8; 4];
         e.vm_read(&task, base + 100, &mut buf).unwrap();
         assert_eq!(&buf, b"mach");
-        assert_eq!(task.region_count(), 1);
+        assert_eq!(task.regions.lock().len(), 1);
     }
 
     #[test]
@@ -169,6 +170,6 @@ mod tests {
         let mut buf = [0u8; 1];
         assert!(e.vm_read(&task, base, &mut buf).is_err());
         assert!(e.vm_deallocate(&task, base).is_err());
-        assert_eq!(task.region_count(), 0);
+        assert_eq!(task.regions.lock().len(), 0);
     }
 }

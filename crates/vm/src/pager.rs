@@ -133,11 +133,6 @@ impl DiskPager {
     pub fn stats(&self) -> PagerStats {
         *self.stats.lock()
     }
-
-    /// Pages currently resident via this pager.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.lock().len()
-    }
 }
 
 #[cfg(test)]
@@ -219,6 +214,6 @@ mod tests {
         let stats = pager.stats();
         assert_eq!(stats.faults, 2, "one fault per page, none on re-touch");
         assert_eq!(stats.pages_read, 2);
-        assert_eq!(pager.resident_pages(), 2);
+        assert_eq!(pager.resident.lock().len(), 2);
     }
 }

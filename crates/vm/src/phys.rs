@@ -18,7 +18,7 @@
 
 use spin_check::sync::Mutex;
 use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
-use spin_core::{Dispatcher, Event, EventOwner, Identity};
+use spin_core::{Dispatcher, Event, Identity};
 use spin_sal::{FrameId, PhysMem};
 use std::sync::Arc;
 
@@ -119,7 +119,6 @@ pub struct PhysAddrService {
     next_id: Arc<AtomicU64>,
     /// `PhysAddr.Reclaim`.
     pub reclaim_event: Event<ReclaimRequest, Arc<PhysRegion>>,
-    reclaim_owner: Arc<EventOwner<ReclaimRequest, Arc<PhysRegion>>>,
 }
 
 impl PhysAddrService {
@@ -139,14 +138,7 @@ impl PhysAddrService {
             state: Arc::new(Mutex::new(FreeList { free })),
             next_id: Arc::new(AtomicU64::new(1)),
             reclaim_event,
-            reclaim_owner: Arc::new(reclaim_owner),
         }
-    }
-
-    /// The owner capability for `PhysAddr.Reclaim` (trusted services can
-    /// set authorization policy on it).
-    pub fn reclaim_owner(&self) -> &EventOwner<ReclaimRequest, Arc<PhysRegion>> {
-        &self.reclaim_owner
     }
 
     /// `PhysAddr.Allocate`: allocates `pages` frames with `attrib`.

@@ -108,11 +108,12 @@ golden() {
     done
 }
 
-# The six-rule verifier (D1 determinism, D2 hash iteration, F1 sync
+# The eight-rule verifier (D1 determinism, D2 hash iteration, F1 sync
 # facade, O1 ordering justifications, U1 unsafe containment, C1 charge
-# coverage) must report zero findings, and its machine-readable report
-# must match the golden byte for byte — so an allowlist entry can never
-# slip in silently.
+# coverage, P1 dead `pub` surface, P2 unused dependencies) must report
+# zero findings, and its machine-readable report (with the per-crate
+# `pub`-item counts) must match the golden byte for byte — so an
+# allowlist entry, or surface growth, can never slip in silently.
 lint_gate() {
     cargo build -q --release -p spin-check --bin spin-lint
     local start_ns

@@ -6,7 +6,8 @@
 use parking_lot::Mutex;
 use spin_core::{Identity, Kernel};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
-use spin_net::{http_get, install_metrics, HttpServer, Medium, TcpStack, TwoHosts};
+use spin_net::pkt::UdpHeader;
+use spin_net::{http_get, install_metrics, proto, HttpServer, Medium, TcpStack, TwoHosts};
 use spin_obs::Obs;
 use spin_vm::VmWorkbench;
 use std::sync::Arc;
@@ -238,4 +239,44 @@ fn obs_service_is_importable_from_the_nameserver() {
         .domain("profiler")
         .trace(spin_obs::TraceKind::EventRaise, 0, 0);
     assert_eq!(handle.ring().pushed(), 1);
+}
+
+/// The net domain counts a frame sent where the sending NIC's link record
+/// counts it: a datagram over the Ethernet MTU is refused and not counted,
+/// and neither is any frame of a burst from an oversized one on, since the
+/// NIC stops the burst there.
+#[test]
+fn obs_counts_only_the_frames_a_nic_took() {
+    let rig = TwoHosts::new();
+    let obs = Obs::new(1024);
+    rig.wire_obs(&obs);
+    let dst = rig.b.ip_on(Medium::Ethernet);
+    rig.a.udp_send(9, dst, 7, &[0u8; 10]).expect("fits the MTU");
+    assert!(rig.a.udp_send(9, dst, 7, &[0u8; 1500]).is_err());
+    let burst = [10, 1500, 20]
+        .map(|len| {
+            (
+                dst,
+                proto::UDP,
+                UdpHeader::encode(9, 7, &vec![0u8; len]).into(),
+            )
+        })
+        .to_vec();
+    assert!(rig.a.send_ip_burst(burst).is_err());
+    rig.exec.run_until_idle();
+
+    let (a, b) = (rig.a.stats(), rig.b.stats());
+    assert_eq!(
+        a.frames_out, 2,
+        "the lone datagram and the burst's first frame"
+    );
+    let body = obs.render_prometheus();
+    assert_eq!(
+        metric(&body, "packets_sent", "net"),
+        Some(a.frames_out + b.frames_out)
+    );
+    assert_eq!(
+        metric(&body, "bytes_sent", "net"),
+        Some(a.bytes_out + b.bytes_out)
+    );
 }

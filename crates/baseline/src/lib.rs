@@ -15,8 +15,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod mach;
-pub mod osf1;
+mod mach;
+mod osf1;
 
 pub use mach::MachModel;
 pub use osf1::Osf1Model;

@@ -56,7 +56,7 @@ fn osf1_utilization(model: &Osf1Model, clients: u32) -> f64 {
     // Per second: FPS frames, each read once (shared) and sent once per
     // client per packet through the same T3 driver SPIN uses.
     let packets = FRAME.div_ceil(PACKET) as u64;
-    let t3_driver = spin_sal::devices::nic::NicModel::t3_dma().driver_ns;
+    let t3_driver = spin_sal::NicModel::t3_dma().driver_ns;
     let reads = FPS * model.video_read_cpu(FRAME);
     let sends = FPS * clients as u64 * packets * model.video_send_cpu(PACKET, t3_driver);
     (reads + sends) as f64 / 1e9 * 100.0

@@ -7,7 +7,7 @@
 //! through short-lived TCP connections against it over the ATM wire.
 //! Every 512th connection is a *slowloris*: it sends a truncated request
 //! line and holds the socket, exercising the server's idle sweep (and,
-//! through the poller's `time_bound` and the bound [`QuotaCell`], the
+//! through the poller's `time_bound` and the bound [`spin_core::QuotaCell`], the
 //! PR-3/PR-8 containment machinery — over-budget requests get a
 //! deterministic 503).
 //!

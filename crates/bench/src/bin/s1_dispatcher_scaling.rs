@@ -9,9 +9,9 @@
 //! Beyond the paper's three data points, this binary sweeps 1–500 guards
 //! in two installations of the same watcher set:
 //!
-//! * **sequential** — opaque closure guards ([`Event::install_guarded`]),
+//! * **sequential** — opaque closure guards ([`spin_core::Event::install_guarded`]),
 //!   which the dispatcher must evaluate one by one;
-//! * **compiled** — key-indexed guards ([`Event::install_keyed`] on the
+//! * **compiled** — key-indexed guards ([`spin_core::Event::install_keyed`] on the
 //!   stack's shared destination-port key), which the guard-set compiler
 //!   folds into a hash lookup.
 //!
@@ -67,13 +67,13 @@ fn build_event(d: &Dispatcher, n: usize, keyed: bool) -> spin_core::Event<u64, (
 }
 
 /// Mean wall-clock nanoseconds per raise over `iters` raises.
-fn wall_ns_per_raise(d: &Dispatcher, ev: &spin_core::Event<u64, ()>, arg: u64, iters: u32) -> f64 {
+fn wall_ns_per_raise(ev: &spin_core::Event<u64, ()>, arg: u64, iters: u32) -> f64 {
     for _ in 0..200 {
-        let _ = d.raise(ev, arg);
+        let _ = ev.raise(arg);
     }
     let t0 = Instant::now();
     for _ in 0..iters {
-        let _ = d.raise(ev, arg);
+        let _ = ev.raise(arg);
     }
     t0.elapsed().as_nanos() as f64 / f64::from(iters)
 }
@@ -93,13 +93,13 @@ fn sweep_point(n: usize) -> SweepPoint {
     let seq_d = Dispatcher::unmetered();
     let seq_ev = build_event(&seq_d, n, false);
     let t0 = seq_d.clock().now();
-    seq_d.raise(&seq_ev, arg).expect("sequential raise");
+    seq_ev.raise(arg).expect("sequential raise");
     let seq_virtual = seq_d.clock().now() - t0;
 
     let comp_d = Dispatcher::unmetered();
     let comp_ev = build_event(&comp_d, n, true);
     let t0 = comp_d.clock().now();
-    comp_d.raise(&comp_ev, arg).expect("compiled raise");
+    comp_ev.raise(arg).expect("compiled raise");
     let comp_virtual = comp_d.clock().now() - t0;
 
     // The cost-model invariant: compilation changes which guards are
@@ -123,8 +123,8 @@ fn sweep_point(n: usize) -> SweepPoint {
     SweepPoint {
         n,
         virtual_ns: seq_virtual,
-        seq_wall_ns: wall_ns_per_raise(&seq_d, &seq_ev, arg, iters),
-        comp_wall_ns: wall_ns_per_raise(&comp_d, &comp_ev, arg, iters),
+        seq_wall_ns: wall_ns_per_raise(&seq_ev, arg, iters),
+        comp_wall_ns: wall_ns_per_raise(&comp_ev, arg, iters),
     }
 }
 

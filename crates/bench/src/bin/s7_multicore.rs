@@ -3,7 +3,7 @@
 //!
 //! Four independent client → forwarder → echo chains (the `table6_forward`
 //! UDP/Ethernet shape), each host a kernel shard, run under the
-//! [`Multicore`] barrier at 1, 2 and 4 worker threads. Every virtual-time
+//! [`spin_sched::Multicore`] barrier at 1, 2 and 4 worker threads. Every virtual-time
 //! output — per-chain checksums, round-trip means, shard clocks, mailbox
 //! and epoch counters — must be byte-identical across worker counts (the
 //! binary exits nonzero otherwise); only the wall clock is allowed to

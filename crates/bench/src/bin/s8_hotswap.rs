@@ -4,7 +4,7 @@
 //! each host a kernel shard) takes a storm of uniquely-numbered UDP
 //! packets. At virtual instant `T_QUIESCE` a [`SwapCoordinator`] closes
 //! the gate on the forwarder's `UDP.PktArrived` event via
-//! [`Multicore::post_control`] — arrivals park in the hold queue — and at
+//! [`spin_sched::Multicore::post_control`] — arrivals park in the hold queue — and at
 //! `T_COMMIT` it transfers the live flow table into a freshly built v2,
 //! rebinds the handlers in one generation bump and replays the parked
 //! packets in the order they parked.

@@ -13,7 +13,7 @@
 //! * **storm, unarmed** — all twelve domains, no quotas bound: the
 //!   greedy and slowloris load is admitted wholesale and the
 //!   well-behaved tenants' tail latency collapses.
-//! * **storm, armed** — every domain metered by a [`QuotaCell`]: the
+//! * **storm, armed** — every domain metered by a [`spin_core::QuotaCell`]: the
 //!   greedy domain trips its window budget, escalates throttle → shed →
 //!   quarantine (raising `Core.DomainFault` through the PR-3
 //!   containment ladder), and at `T_PUMP` the PR-7 [`SwapSupervisor`]

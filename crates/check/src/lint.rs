@@ -13,8 +13,8 @@
 //! | `O1` | every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site carries an `// ordering:` justification within 2 lines |
 //! | `U1` | `unsafe` only in allowlisted files, each site with a `// SAFETY:` comment within 5 lines; crate roots declare the matching lint |
 //! | `C1` | public functions in the charged hot-path modules reach a `Clock` charge or document their charging story — `// uncharged:` (zero-cost by design) or `// charged:` (the charge lands behind a call the intra-file analysis can't see) — within 6 lines |
-//! | `P1` | every plain `pub` item under `crates/*/src` is named from some other file (its crate's other files, any crate's `src`/`tests`/`benches`/`examples`, the root crate's, or `perf/src`), unless its name is declared twice, a live item's signature in its file names it, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
-//! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples` |
+//! | `P1` | every plain `pub` item under `crates/*/src` is named from some other file (its crate's other files, any crate's `src`/`tests`/`benches`/`examples`, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — unless its name is declared twice, a live item's signature in its file names it, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
+//! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples`; the root package's manifest included |
 //!
 //! Rules run over the token stream from [`crate::lex`] (string literals,
 //! comments and lifetimes can't fool them), across `crates/*/src` plus the
@@ -826,7 +826,7 @@ struct FnInfo {
 }
 
 const HINT_D1_TIME: &str =
-    "kernel time is virtual: charge spin_sal::clock::Clock, never read the wall clock";
+    "kernel time is virtual: charge spin_sal::Clock, never read the wall clock";
 const HINT_D1_RAND: &str =
     "randomness must be seeded and replayable: draw from spin_fault::FaultPlan / SplitMix64";
 const HINT_D1_TID: &str =
@@ -959,7 +959,10 @@ pub fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report>
     files.extend(read_tree(root, &readers)?);
 
     let surface = rule_p1(&files, cfg, &mut findings);
-    for manifest in crates.iter().map(|c| c.join("Cargo.toml")) {
+    // P2 reads the root package's manifest too: its prefix is "".
+    let mut manifests: Vec<PathBuf> = crates.iter().map(|c| c.join("Cargo.toml")).collect();
+    manifests.push(root.join("Cargo.toml"));
+    for manifest in manifests {
         if manifest.is_file() {
             rule_p2(root, &manifest, &files, cfg, &mut findings)?;
         }
@@ -1220,7 +1223,9 @@ fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
 
 /// P1: a plain `pub` item under `crates/*/src` must be named from some
 /// other file — another file of its crate, another crate's targets, the
-/// root crate's `src`/`tests`/`examples`, or `perf/src`. Names declared
+/// root crate's `src`/`tests`/`examples`, or `perf/src` — by something
+/// other than a `pub use`, which only passes a name on (a plain `use`,
+/// such as a trait import, is a use). Names declared
 /// more than once are skipped, not guessed; a type is also live when a
 /// live item of its file names it in its signature (narrowing it would
 /// not build); a `// paper:` comment in the two lines above exempts an
@@ -1231,8 +1236,20 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
     let mut items = Vec::new();
     for (f, file) in files.iter().enumerate() {
         let toks = &file.lx.toks;
+        // A `pub use` re-exports and does not use: nothing between it and
+        // its `;` counts as a reference.
+        let mut reexport = false;
         for (i, t) in toks.iter().enumerate() {
+            if t.text == ";" {
+                reexport = false;
+            }
             if t.kind != TokKind::Ident {
+                continue;
+            }
+            if t.text == "pub" && toks.get(i + 1).is_some_and(|n| n.text == "use") {
+                reexport = true;
+            }
+            if reexport {
                 continue;
             }
             named_in.entry(t.text.as_str()).or_default().insert(f);
@@ -1297,7 +1314,8 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
 
 /// P2: every `[dependencies]` entry of a crate is named by its `src`, and
 /// every `[dev-dependencies]` entry by its `src`, `tests`, `benches` or
-/// `examples` (`spin-core` is written `spin_core`).
+/// `examples` (`spin-core` is written `spin_core`). The root package's
+/// manifest is read the same way, its directories unprefixed.
 fn rule_p2(
     root: &Path,
     manifest: &Path,

@@ -26,14 +26,14 @@ use spin_check::hooks::HookRegistry;
 use spin_check::model::Checker;
 use spin_check::sync::{Arc, AtomicBool, AtomicU64, Mutex, Ordering};
 use spin_check::thread;
-use spin_core::fault::{Containment, ContainmentPolicy};
 use spin_core::{
     Constraints, DispatchError, Dispatcher, Identity, InstallSpec, KeyFn, QuotaLedger, QuotaSpec,
     QuotaVerdict,
 };
+use spin_core::{Containment, ContainmentPolicy};
 use spin_fault::{FaultPlan, Injection, SiteConfig};
-use spin_obs::account::DomainId;
-use spin_obs::ring::{Ring, TraceKind, TraceRecord};
+use spin_obs::DomainId;
+use spin_obs::{Ring, TraceKind, TraceRecord};
 use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, TimerQueue};
 use spin_sched::{Executor, IdleOutcome, Multicore, Step};
 
@@ -79,7 +79,7 @@ fn raise_vs_install_uninstall_plan_swap() {
             let id = ev2.install(ext.clone(), |_| 99).expect("install allowed");
             d2.uninstall(&ev2, id, &ext).expect("uninstall own handler");
         });
-        match d.raise(&ev, 5) {
+        match ev.raise(5) {
             // Primary alone (fast path) — or primary-then-secondary,
             // where the default reduction returns the final handler.
             Ok(6) | Ok(99) => {}
@@ -115,18 +115,18 @@ fn raise_vs_keyed_plan_rebuild_swap() {
             d2.uninstall(&ev2, id, &ext).expect("uninstall own handler");
         });
         // Key hit: primary alone, or primary-then-keyed (last wins).
-        match d.raise(&ev, 5) {
+        match ev.raise(5) {
             Ok(6) | Ok(99) => {}
             other => panic!("raise saw an unpublished or torn plan: {other:?}"),
         }
         // Key miss: the keyed handler must never run, compiled or not.
-        match d.raise(&ev, 3) {
+        match ev.raise(3) {
             Ok(4) => {}
             other => panic!("a key miss leaked a handler result: {other:?}"),
         }
         t.join().expect("keyer thread");
         assert_eq!(d.handler_count(&ev).expect("event alive"), 1);
-        assert_eq!(d.raise(&ev, 5), Ok(6), "plan decompiled after churn");
+        assert_eq!(ev.raise(5), Ok(6), "plan decompiled after churn");
     });
     assert_clean("keyed-plan-swap", &report);
 }
@@ -148,7 +148,7 @@ fn destroy_race(bound: u32) -> spin_check::model::Report {
         let t = thread::spawn(move || {
             owner.destroy().expect("owner destroys once");
         });
-        match d.raise(&ev, 0) {
+        match ev.raise(0) {
             Ok(7) => {}
             Err(DispatchError::UnknownEvent { .. }) => {}
             other => panic!("raise during destroy leaked: {other:?}"),
@@ -178,7 +178,7 @@ fn quiesce_destroy_race(bound: u32) -> spin_check::model::Report {
             ev2.quiesce().expect("event alive");
             owner.destroy().expect("owner destroys once");
         });
-        match d.raise(&ev, 0) {
+        match ev.raise(0) {
             Ok(7) => {}
             Err(DispatchError::Held { .. }) => {}
             Err(DispatchError::UnknownEvent { .. }) => {}
@@ -186,7 +186,7 @@ fn quiesce_destroy_race(bound: u32) -> spin_check::model::Report {
         }
         t.join().expect("destroyer thread");
         assert!(
-            matches!(d.raise(&ev, 0), Err(DispatchError::UnknownEvent { .. })),
+            matches!(ev.raise(0), Err(DispatchError::UnknownEvent { .. })),
             "a destroyed event is unknown even behind a closed gate"
         );
     })
@@ -322,10 +322,9 @@ fn breaker_trip_and_quarantine_vs_concurrent_raises() {
         let (ev, _owner) = d.define::<u64, u64>("chk.breaker", Identity::kernel("chk"));
         ev.install(Identity::extension("faulty"), |_| panic!("chk boom"))
             .expect("install allowed");
-        let d2 = d.clone();
         let ev2 = ev.clone();
-        let t = thread::spawn(move || d2.raise(&ev2, 1));
-        let here = d.raise(&ev, 1);
+        let t = thread::spawn(move || ev2.raise(1));
+        let here = ev.raise(1);
         let there = t.join().expect("raiser thread");
         // The handler always panics, so neither raise may produce Ok.
         for r in [&here, &there] {

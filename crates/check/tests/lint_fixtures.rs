@@ -83,7 +83,9 @@ fn clean_fixtures_are_silent() {
 /// A workspace-shaped fixture with no `lint.toml`: the walk finds the
 /// determinism and unsafe violations, the crate-root check demands
 /// `#![forbid(unsafe_code)]`, and P2 flags the dependency the crate's `src`
-/// never names, but not the dev-dependency only its `tests/` name.
+/// never names, but not the dev-dependency only its `tests/` name. P2 reads
+/// the root package's manifest too: the root `src` names `kern`, and
+/// nothing at the root names its `proptest` dev-dependency.
 #[test]
 fn workspace_fixture_reports_all_violations() {
     let report = lint_workspace(&fixture_path("ws_bad")).expect("fixture is readable");
@@ -91,6 +93,7 @@ fn workspace_fixture_reports_all_violations() {
     assert_eq!(
         located(&report),
         vec![
+            ("Cargo.toml".into(), 10, "P2"),            // the root's proptest
             ("crates/kern/Cargo.toml".into(), 8, "P2"), // unused-dep
             (lib.clone(), 1, "U1"),                     // missing #![forbid(unsafe_code)]
             (lib.clone(), 2, "D1"),                     // thread_rng
@@ -102,17 +105,23 @@ fn workspace_fixture_reports_all_violations() {
 }
 
 /// P1 over workspace-shaped fixtures. In `bad/p1` an item named only by
-/// its own file's tests fires, and so does the type only its signature
-/// names. In `clean/p1` every item is named from another file of its crate,
-/// from the root `tests/` or from `perf/src`, skipped as a colliding name,
-/// kept by the fixpoint, or exempt by `// paper:`.
+/// its own file's tests fires, so does the type only its signature names,
+/// and so does an item only `pub use` lines name — its crate root's and
+/// another crate's. In `clean/p1` every item is named from another file of
+/// its crate, from the root `tests/` or from `perf/src` (a trait through a
+/// plain `use` import), skipped as a colliding name, kept by the fixpoint,
+/// or exempt by `// paper:`.
 #[test]
 fn p1_flags_exactly_the_unreferenced_pub_items() {
     let bad = lint_workspace(&fixture_path("bad/p1")).expect("fixture is readable");
     let lib = "crates/kern/src/lib.rs".to_string();
     assert_eq!(
         located(&bad),
-        vec![(lib.clone(), 8, "P1"), (lib, 13, "P1")],
+        vec![
+            (lib.clone(), 9, "P1"),
+            (lib, 14, "P1"),
+            ("crates/kern/src/relayed.rs".into(), 4, "P1"), // only `pub use`s name it
+        ],
         "{:#?}",
         bad.findings
     );
@@ -128,7 +137,7 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
         clean.findings
     );
     assert_eq!(clean.paper_exemptions, 1);
-    assert_eq!(clean.pub_items.get("kern"), Some(&10));
+    assert_eq!(clean.pub_items.get("kern"), Some(&11));
 }
 
 /// A workspace-shaped fixture whose `lint.toml` waives a measurement

@@ -1,6 +1,7 @@
 //! P1 fixture: `orphan` is named only by this file's own tests and
-//! `Unseen` only by `orphan`'s signature, so both fire (lines 8 and 13),
-//! and only they do. A `///` doc line is not the `// paper:` exemption.
+//! `Unseen` only by `orphan`'s signature, so both fire (lines 9 and 14),
+//! and so does `Relayed` in `relayed.rs`, which only `pub use`s name. A
+//! `///` doc line is not the `// paper:` exemption.
 
 #![forbid(unsafe_code)]
 
@@ -16,6 +17,10 @@ pub struct Unseen;
 pub fn used() -> u32 {
     2
 }
+
+mod relayed;
+
+pub use relayed::Relayed;
 
 #[cfg(test)]
 mod tests {

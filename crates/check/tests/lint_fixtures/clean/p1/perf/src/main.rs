@@ -1,5 +1,5 @@
 //! The perf harness names `measured` and `square`.
 
 fn main() {
-    let _ = kern::measured() + u64::from(kern::shapes::square().sides);
+    let _ = kern::measured() + u64::from(kern::square().sides);
 }

@@ -41,7 +41,7 @@ fn destroy_scenario() {
     let t = thread::spawn(move || {
         owner.destroy().expect("owner destroys once");
     });
-    match d.raise(&ev, 0) {
+    match ev.raise(0) {
         Ok(7) => {}
         Err(DispatchError::UnknownEvent { .. }) => {}
         other => panic!("raise during destroy leaked: {other:?}"),

@@ -55,7 +55,7 @@ fn harvest_scenario() {
     let t = thread::spawn(move || {
         owner.destroy().expect("owner destroys once");
     });
-    let r = d.raise(&ev, 0);
+    let r = ev.raise(0);
     t.join().expect("destroyer thread");
     if matches!(r, Err(DispatchError::UnknownEvent { .. })) {
         panic!("{}", HARVEST);

@@ -17,8 +17,7 @@
 use spin_check::model::Checker;
 use spin_check::sync::{Arc, AtomicU64, Mutex, Ordering};
 use spin_check::thread;
-use spin_sal::clock::TimerFn;
-use spin_sal::{Envelope, TimerQueue};
+use spin_sal::{Envelope, Nanos, TimerQueue};
 
 const BOUND: u32 = 2;
 
@@ -111,7 +110,10 @@ fn a_timer_scheduled_due_by_a_callback_fires_in_the_same_pass() {
 }
 
 /// A callback that logs its tag.
-fn logging(log: &Arc<Mutex<Vec<&'static str>>>, tag: &'static str) -> TimerFn {
+fn logging(
+    log: &Arc<Mutex<Vec<&'static str>>>,
+    tag: &'static str,
+) -> Box<dyn FnOnce(Nanos) + Send> {
     let log = log.clone();
     Box::new(move |_| log.lock().push(tag))
 }

@@ -33,9 +33,8 @@
 //! Raising is the hot path of the whole reproduction — every packet in the
 //! §5.3 protocol graph, every VM fault and every scheduler transition goes
 //! through it — so there is exactly one way through it, as close to a
-//! direct procedure call as the language allows. [`Dispatcher::raise`] is
-//! one item and [`Dispatcher::raise_batch`] a loop of items over the same
-//! code:
+//! direct procedure call as the language allows. [`Event::raise`] is one
+//! item and [`Event::raise_batch`] a loop of items over the same code:
 //!
 //! 1. **One prologue per call** (`Raise::enter`). The [`Event`] handle
 //!    holds the event state — no global table, no lock, no refcount. The
@@ -253,9 +252,10 @@ impl<A> GuardSpec<A> {
 }
 
 /// Combines the results of all executed synchronous handlers.
-pub type Reducer<R> = Arc<dyn Fn(Vec<R>) -> R + Send + Sync>;
+type Reducer<R> = Arc<dyn Fn(Vec<R>) -> R + Send + Sync>;
 
-/// One asynchronous handler invocation, handed to the [`AsyncRunner`].
+/// One asynchronous handler invocation, handed to the dispatcher's
+/// asynchronous runner (`spin_sched::install_async_runner` wires one).
 pub struct AsyncInvocation {
     /// The contained handler body: runs the handler, catches panics and
     /// settles fault/abort accounting. The runner just calls it.
@@ -269,7 +269,7 @@ pub struct AsyncInvocation {
 
 /// Runs asynchronous handler invocations (injected by the scheduler so this
 /// crate does not depend on it; the default runs inline).
-pub type AsyncRunner = Arc<dyn Fn(AsyncInvocation) + Send + Sync>;
+pub(crate) type AsyncRunner = Arc<dyn Fn(AsyncInvocation) + Send + Sync>;
 
 /// How and under what trust a handler executes (§3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -366,7 +366,7 @@ pub struct EventStats {
     /// key guards resolved by the dispatch-table lookup instead of a
     /// predicate call. Always `<= guard_evaluations`.
     pub guards_elided: u64,
-    /// Raises delivered through [`Dispatcher::raise_batch`] (a subset of
+    /// Raises delivered through [`Event::raise_batch`] (a subset of
     /// `raises`).
     pub batched_raises: u64,
 }
@@ -747,7 +747,7 @@ pub struct InstallSpec<A, R> {
     pub installer: Identity,
     /// The handler procedure.
     pub handler: Handler<A, R>,
-    /// Structured guards, exactly as [`Dispatcher::install_spec`] takes.
+    /// Structured guards, exactly as [`Event::install_specs`] takes.
     pub guards: Vec<GuardSpec<A>>,
     /// Execution constraints.
     pub constraints: Constraints,
@@ -1002,13 +1002,13 @@ pub struct EventOwner<A, R> {
 /// Routes a cross-core raise to another shard (multicore mode): posts an
 /// action into the target shard's mailbox for delivery at a virtual time.
 /// Installed once by the multicore runtime; absent on a shared timeline.
-pub struct XcallRouter {
+struct XcallRouter {
     /// The shard this dispatcher lives on.
-    pub home: HostId,
+    home: HostId,
     /// `(target, deliver_at, action)` — returns `false` if the envelope was
     /// dropped (fault injection or unknown target).
     #[allow(clippy::type_complexity)]
-    pub post: Arc<dyn Fn(HostId, Nanos, Box<dyn FnOnce(Nanos) + Send>) -> bool + Send + Sync>,
+    post: Arc<dyn Fn(HostId, Nanos, Box<dyn FnOnce(Nanos) + Send>) -> bool + Send + Sync>,
 }
 
 struct DispatcherInner {
@@ -1020,14 +1020,14 @@ struct DispatcherInner {
     profile: Arc<MachineProfile>,
     /// Cross-core raise router: absent until the multicore runtime wires
     /// it, and the local-raise fast path is then a single atomic load.
-    xcall: crate::hooks::HookSlot<XcallRouter>,
+    xcall: spin_check::hooks::HookSlot<XcallRouter>,
     /// Observability hook (dispatcher domain): absent until wired, and the
     /// per-raise fast path is then a single atomic load. Nothing recorded
     /// through it charges virtual time.
-    obs: crate::hooks::HookSlot<ObsHook>,
+    obs: spin_check::hooks::HookSlot<ObsHook>,
     /// Deterministic fault-injection hook (`core.dispatch` site): absent
     /// until wired; a disabled plan's draw is one relaxed load.
-    faults: crate::hooks::HookSlot<FaultHook>,
+    faults: spin_check::hooks::HookSlot<FaultHook>,
     /// Invoked — outside every dispatcher lock — for each contained
     /// handler panic and time-bound abort.
     fault_sink: RwLock<Option<FaultSink>>,
@@ -1051,9 +1051,9 @@ impl Dispatcher {
                 async_runner: RwLock::new(Arc::new(|inv: AsyncInvocation| (inv.run)())),
                 clock,
                 profile,
-                xcall: crate::hooks::HookSlot::new(),
-                obs: crate::hooks::HookSlot::new(),
-                faults: crate::hooks::HookSlot::new(),
+                xcall: spin_check::hooks::HookSlot::new(),
+                obs: spin_check::hooks::HookSlot::new(),
+                faults: spin_check::hooks::HookSlot::new(),
                 fault_sink: RwLock::new(None),
             }),
         }
@@ -1295,7 +1295,7 @@ impl Dispatcher {
 
     /// Wires the cross-core raise router (multicore mode). One-shot; until
     /// wired — and always on a shared timeline — [`Dispatcher::raise_on`]
-    /// degenerates to a local [`Dispatcher::raise`].
+    /// degenerates to a local [`Event::raise`].
     // uncharged: one-shot control-plane wiring.
     pub fn set_xcall_router(
         &self,
@@ -1310,14 +1310,14 @@ impl Dispatcher {
 
     /// Raises `ev` on a target core. Call this on the *caller's* shard
     /// dispatcher: when `target` is its home core (or no router is
-    /// installed) this is a synchronous co-located [`Dispatcher::raise`]
-    /// returning `Some(result)`. Cross-core, the sender charges one sync
-    /// op to its own clock and posts the raise to the target shard's
-    /// mailbox for delivery one cross-call latency later; `None` is
-    /// returned — the result, like the paper's asynchronous handlers, is
-    /// not observable by the sender. The delivered raise goes through the
-    /// event's defining dispatcher, which must be homed on `target` for
-    /// costs to land on the right clock.
+    /// installed) this is a synchronous co-located raise, charged to this
+    /// dispatcher's clock and returning `Some(result)`. Cross-core, the
+    /// sender charges one sync op to its own clock and posts the raise to
+    /// the target shard's mailbox for delivery one cross-call latency
+    /// later; `None` is returned — the result, like the paper's
+    /// asynchronous handlers, is not observable by the sender. The
+    /// delivered raise goes through the event's defining dispatcher, which
+    /// must be homed on `target` for costs to land on the right clock.
     pub fn raise_on<A, R>(
         &self,
         target: HostId,
@@ -1348,58 +1348,8 @@ impl Dispatcher {
                 );
                 Ok(None)
             }
-            _ => self.raise(ev, args).map(Some),
+            _ => Raise::enter(&self.inner, ev, false).item(args).map(Some),
         }
-    }
-
-    /// Raises an event: evaluates guards, runs handlers under their
-    /// constraints, and reduces the synchronous results.
-    ///
-    /// This is the hot path, and it has a budget (DESIGN.md decision 18,
-    /// pinned by `spin-check`'s `a_raise_stays_within_its_budget`). It
-    /// copies no handler and takes no mutex; on the direct-call path it
-    /// makes eight locked read-modify-writes — the in-flight count up and
-    /// down, the record's read lock taken and released, the plan's refcount
-    /// up and down (together: the snapshot), one raise counter and the
-    /// clock charge — and, unless the plan holds an asynchronous handler or
-    /// a reducer or the key selects more than a handful of entries, no heap
-    /// allocation.
-    pub fn raise<A, R>(&self, ev: &Event<A, R>, args: A) -> Result<R, DispatchError>
-    where
-        A: Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        Raise::enter(&self.inner, ev, false).item(args)
-    }
-
-    /// Raises a burst of events against a single plan snapshot.
-    ///
-    /// Semantically this is `batch.into_iter().map(|a| raise(ev, a))` —
-    /// each item charges exactly the virtual time a lone [`raise`] would,
-    /// a metered item is admitted or refused in place, a gated item parks
-    /// in burst order — but the per-raise constants amortize: the event
-    /// resolves once, the plan snapshots once, the obs/fault hooks load
-    /// once, and the raise counters settle in one batched increment.
-    ///
-    /// The burst runs against *one* snapshot: a plan republished mid-batch
-    /// (install/uninstall from a handler, fast-path demotion after a
-    /// panic) is observed by the next call, not by later items of this
-    /// burst.
-    ///
-    /// [`raise`]: Dispatcher::raise
-    pub fn raise_batch<A, R>(
-        &self,
-        ev: &Event<A, R>,
-        batch: Vec<A>,
-    ) -> Vec<Result<R, DispatchError>>
-    where
-        A: Send + Sync + 'static,
-        R: Send + 'static,
-    {
-        let call = Raise::enter(&self.inner, ev, true);
-        let out = batch.into_iter().map(|args| call.item(args)).collect();
-        call.settle();
-        out
     }
 
     /// Statistics for an event.
@@ -1999,9 +1949,23 @@ where
         }
     }
 
-    /// Raises this event through its dispatcher.
+    /// Raises this event through its dispatcher: evaluates guards, runs
+    /// handlers under their constraints, and reduces the synchronous
+    /// results.
+    ///
+    /// This is the hot path, and it has a budget (DESIGN.md decision 18,
+    /// pinned by `spin-check`'s `a_raise_stays_within_its_budget` at
+    /// (10, 5) facade operations, total and locked). It copies no handler
+    /// and takes no mutex; on the direct-call path it makes seven locked
+    /// read-modify-writes — the in-flight count up and down, the record's
+    /// read lock taken and released, the plan's refcount up and down
+    /// (together: the snapshot; `Arc` traffic, which the facade does not
+    /// see) and one raise counter. The clock charge is a load and a store
+    /// (DESIGN.md decision 26). Unless the plan holds an asynchronous
+    /// handler or a reducer or the key selects more than a handful of
+    /// entries, it makes no heap allocation.
     pub fn raise(&self, args: A) -> Result<R, DispatchError> {
-        self.dispatcher.raise(self, args)
+        Raise::enter(&self.dispatcher.inner, self, false).item(args)
     }
 
     /// Binds the [`QuotaCell`] this event's raises are metered under:
@@ -2079,10 +2043,24 @@ where
         )
     }
 
-    /// Raises a burst through this event's dispatcher against one plan
-    /// snapshot (see [`Dispatcher::raise_batch`]).
+    /// Raises a burst of this event against a single plan snapshot.
+    ///
+    /// Semantically this is `batch.into_iter().map(|a| self.raise(a))` —
+    /// each item charges exactly the virtual time a lone [`Event::raise`]
+    /// would, a metered item is admitted or refused in place, a gated item
+    /// parks in burst order — but the per-raise constants amortize: the
+    /// plan snapshots once, the obs/fault hooks load once, and the raise
+    /// counters settle in one batched increment.
+    ///
+    /// The burst runs against *one* snapshot: a plan republished mid-batch
+    /// (install/uninstall from a handler, fast-path demotion after a
+    /// panic) is observed by the next call, not by later items of this
+    /// burst.
     pub fn raise_batch(&self, batch: Vec<A>) -> Vec<Result<R, DispatchError>> {
-        self.dispatcher.raise_batch(self, batch)
+        let call = Raise::enter(&self.dispatcher.inner, self, true);
+        let out = batch.into_iter().map(|args| call.item(args)).collect();
+        call.settle();
+        out
     }
 
     /// Closes the quiesce gate: subsequent raises park in the bounded
@@ -2144,7 +2122,7 @@ where
         };
         let n = parked.len() as u64;
         for args in parked {
-            let _ = self.dispatcher.raise(self, args);
+            let _ = self.raise(args);
         }
         Ok(n)
     }

@@ -265,7 +265,7 @@ impl Containment {
     }
 
     /// Reports a resource-overload escalation from the quota ledger
-    /// (see [`crate::quota`]): the breach is attributed to `domain` in
+    /// (see [`crate::QuotaLedger`]): the breach is attributed to `domain` in
     /// the obs accounting and counted as an external fault, a breaker
     /// trip is charged, and `Core.DomainFault` is raised so a supervisor
     /// (e.g. the swap supervisor's fallback machinery) can respond —

@@ -40,7 +40,7 @@ pub struct Syscall {
 pub type SysResult = i64;
 
 /// Returned by [`Kernel::syscall`] when no handler claimed the number.
-pub const ENOSYS: SysResult = -78;
+const ENOSYS: SysResult = -78;
 
 struct KernelInner {
     host: Host,
@@ -53,7 +53,7 @@ struct KernelInner {
     extensions: Mutex<Vec<Domain>>,
     /// Observability hook (kernel domain): absent until wired via
     /// [`Kernel::install_obs`]; the trap path then pays one atomic load.
-    obs: crate::hooks::HookSlot<ObsHook>,
+    obs: spin_check::hooks::HookSlot<ObsHook>,
 }
 
 /// One booted SPIN kernel.
@@ -87,7 +87,7 @@ impl Kernel {
                 trap_syscall,
                 asserted_safe: AtomicU64::new(0),
                 extensions: Mutex::new(Vec::new()),
-                obs: crate::hooks::HookSlot::new(),
+                obs: spin_check::hooks::HookSlot::new(),
             }),
         }
     }

@@ -24,44 +24,37 @@
 
 #![forbid(unsafe_code)]
 
-pub mod capability;
-pub mod dispatch;
-pub mod domain;
-pub mod error;
-pub mod fault;
-/// Hook registration primitives (API v2): every subsystem's observability /
-/// fault / clock hook point goes through [`hooks::HookSlot`] or
-/// [`hooks::HookRegistry`] instead of hand-rolled `OnceLock` patterns. The
-/// implementation lives in `spin-check` (the bottom of the dependency
-/// stack) so `sal` and `sched` share it; this is the kernel-facing name.
-pub mod hooks {
-    pub use spin_check::hooks::{HookId, HookRegistry, HookSlot};
-}
-pub mod identity;
-pub mod interface;
-pub mod kernel;
-pub mod nameserver;
-pub mod objfile;
-pub mod quota;
+mod capability;
+mod dispatch;
+mod domain;
+mod error;
+mod fault;
+mod identity;
+mod interface;
+mod kernel;
+mod nameserver;
+mod objfile;
+mod quota;
 
 pub use capability::{ExternRef, ExternTable};
 pub use dispatch::{
     AsyncInvocation, Constraints, Dispatcher, Event, EventOwner, EventStats, GatedEvent, Guard,
     GuardSpec, Handler, HandlerId, HandlerMode, HoldStats, InstallDecision, InstallRequest,
-    InstallSpec, KeyFn, RebindReceipt, Reducer, XcallRouter,
+    InstallSpec, KeyFn, RebindReceipt,
 };
 pub use domain::{Domain, ResolveReport};
 pub use error::{CoreError, DispatchError, SymbolConflict};
+pub use fault::panic_message;
 pub use fault::{
     BlockedInStep, Containment, ContainmentPolicy, DeadlineExceeded, DomainFaultInfo, FaultKind,
     FaultSink, HandlerFault,
 };
 pub use identity::{Identity, IdentityKind};
 pub use interface::{Interface, Symbol};
-pub use kernel::{Kernel, SysResult, Syscall, ENOSYS};
+pub use kernel::{Kernel, SysResult, Syscall};
 pub use nameserver::{Authorizer, NameServer, ServiceRef};
 pub use objfile::{ImportDecl, ImportSlot, ObjectFile, ObjectFileBuilder, Provenance};
 pub use quota::{
-    post_with_backpressure, BackoffPolicy, EscalationSink, PostOutcome, QuotaBreach, QuotaCell,
-    QuotaLedger, QuotaSnapshot, QuotaSpec, QuotaState, QuotaVerdict,
+    post_with_backpressure, BackoffPolicy, PostOutcome, QuotaBreach, QuotaCell, QuotaLedger,
+    QuotaSnapshot, QuotaSpec, QuotaState, QuotaVerdict,
 };

@@ -11,7 +11,7 @@
 //! domain's window already needed, with declarative [`QuotaSpec`] budgets,
 //! enforced at the kernel's existing choke points:
 //!
-//! * **`Dispatcher::raise` / `raise_batch`** — admission control. An event
+//! * **`Event::raise` / `raise_batch`** — admission control. An event
 //!   bound to a metered domain consults [`QuotaCell::admit`] before any
 //!   virtual time is charged; over-budget raises get a typed
 //!   [`DispatchError::Throttled`] (or [`DispatchError::Shed`]) instead of
@@ -54,8 +54,8 @@
 
 use crate::error::DispatchError;
 use crate::fault::Containment;
-use crate::hooks::HookSlot;
 use crate::identity::Identity;
+use spin_check::hooks::HookSlot;
 use spin_check::sync::{Arc, Mutex, Weak};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
@@ -141,7 +141,7 @@ pub struct QuotaBreach {
 }
 
 /// The ledger's escalation callback, invoked with no quota lock held.
-pub type EscalationSink = Arc<dyn Fn(&QuotaBreach) + Send + Sync>;
+type EscalationSink = Arc<dyn Fn(&QuotaBreach) + Send + Sync>;
 
 /// A point-in-time copy of one domain's ledger counters. The
 /// reconciliation identity the proptest and the `s9_overload` bench hold
@@ -264,8 +264,10 @@ impl QuotaCell {
         let refused = {
             let mut st = self.state.lock();
             st.counts.attempts += 1;
-            st.window.vt = st.window.vt.saturating_add(delay);
+            // Roll first: a delay drawn by the admission that opens a
+            // window is charged to that window, not the discarded one.
             self.roll(&mut st.window, now);
+            st.window.vt = st.window.vt.saturating_add(delay);
             let max = self.spec.max_in_flight;
             if forced || self.restricted(&st.window) || (max > 0 && st.counts.in_flight >= max) {
                 Some(self.ladder_refuse(&mut st))

@@ -10,7 +10,7 @@ use spin_core::{
     Constraints, DispatchError, Dispatcher, Event, EventStats, GuardSpec, HandlerMode, HoldStats,
     Identity, InstallDecision, KeyFn, QuotaLedger, QuotaSpec,
 };
-use spin_obs::ring::TraceRecord;
+use spin_obs::TraceRecord;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 

@@ -25,7 +25,7 @@ use bytes::{BufMut, BytesMut};
 use spin_check::sync::Mutex;
 use spin_core::Identity;
 use spin_net::{IpAddr, NetStack, UdpPacket};
-use spin_sal::mmu::ContextId;
+use spin_sal::ContextId;
 use spin_sal::{PhysMem, Protection, PAGE_SHIFT, PAGE_SIZE};
 use spin_sched::{Executor, KChannel};
 use spin_vm::{
@@ -208,7 +208,7 @@ impl DsmNode {
             None => return FaultAction::Fail,
         };
         let page = self.page_index(info.va);
-        let want_write = info.access == spin_sal::mmu::Access::Write;
+        let want_write = info.access == spin_sal::Access::Write;
         // Owner-side upgrade: a write fault on a page we own in the Shared
         // state does not fetch — it invalidates the peer's read copy.
         let owner_upgrade = {

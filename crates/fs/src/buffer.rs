@@ -9,7 +9,7 @@
 //! level), or with anything an extension supplies.
 
 use spin_check::sync::Mutex;
-use spin_sal::devices::disk::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
+use spin_sal::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
 use spin_sched::{Executor, KChannel, StrandCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -14,7 +14,7 @@
 
 use crate::buffer::BufferCache;
 use spin_check::sync::Mutex;
-use spin_sal::devices::disk::{BlockId, BLOCK_SIZE};
+use spin_sal::{BlockId, BLOCK_SIZE};
 use spin_sched::StrandCtx;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;

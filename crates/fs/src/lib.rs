@@ -15,10 +15,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod buffer;
-pub mod fs;
-pub mod webcache;
+mod buffer;
+mod fs;
+mod webcache;
 
 pub use buffer::{BufferCache, CachePolicy, CacheStats, LruPolicy, NoCachePolicy};
 pub use fs::{FileSystem, FsError};
-pub use webcache::{CacheAll, HybridBySize, ObjectCacheStats, ObjectPolicy, WebCache};
+pub use webcache::{HybridBySize, ObjectCacheStats, ObjectPolicy, WebCache};

@@ -19,18 +19,6 @@ pub trait ObjectPolicy: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Cache everything (subject to capacity).
-pub struct CacheAll;
-
-impl ObjectPolicy for CacheAll {
-    fn admit(&self, _size: usize) -> bool {
-        true
-    }
-    fn name(&self) -> &'static str {
-        "cache-all"
-    }
-}
-
 /// SPIN's hybrid: LRU for small objects, no caching for large ones.
 pub struct HybridBySize {
     /// Objects at or above this size are never cached.
@@ -136,6 +124,18 @@ impl WebCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Cache everything (subject to capacity).
+    struct CacheAll;
+
+    impl ObjectPolicy for CacheAll {
+        fn admit(&self, _size: usize) -> bool {
+            true
+        }
+        fn name(&self) -> &'static str {
+            "cache-all"
+        }
+    }
 
     #[test]
     fn hits_after_first_load() {

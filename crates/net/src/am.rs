@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The UDP port carrying active messages.
-pub const AM_PORT: u16 = 3000;
+const AM_PORT: u16 = 3000;
 
 /// An active-message handler: receives (source, four word arguments,
 /// bulk payload).

@@ -16,7 +16,7 @@ use spin_sched::StrandCtx;
 use std::sync::Arc;
 
 /// The UDP port the debugger listens on.
-pub const DEBUG_PORT: u16 = 2345;
+const DEBUG_PORT: u16 = 2345;
 
 const OP_PEEK: u8 = 1;
 const OP_STATS: u8 = 3;
@@ -26,6 +26,7 @@ const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
 
 /// The in-kernel debugger extension.
+// paper: README.md, the network debugger extension (§5.1's teledebugging).
 pub struct NetDebugger;
 
 impl NetDebugger {

@@ -13,38 +13,39 @@
 //! * [`HttpServer`] — HTTP directly in the kernel (§5.4),
 //! * [`VideoServer`]/[`VideoClient`] — the video system with the
 //!   `SendPacket` multicast extension (Figure 6),
-//! * [`measure`] — the Table 5 latency/bandwidth harnesses.
+//! * [`udp_round_trip`] and [`reliable_bandwidth`] — the Table 5
+//!   latency/bandwidth harnesses.
 
 #![forbid(unsafe_code)]
 
-pub mod am;
-pub mod debugger;
-pub mod forward;
-pub mod http;
-pub mod measure;
-pub mod metrics;
-pub mod netfs;
-pub mod pkt;
-pub mod poll;
-pub mod rpc;
-pub mod socket;
-pub mod stack;
-pub mod tcp;
-pub mod testrig;
-pub mod video;
+mod am;
+mod debugger;
+mod forward;
+mod http;
+mod measure;
+mod metrics;
+mod netfs;
+mod pkt;
+mod poll;
+mod rpc;
+mod socket;
+mod stack;
+mod tcp;
+mod testrig;
+mod video;
 
-pub use am::{ActiveMessages, AM_PORT};
+pub use am::ActiveMessages;
 pub use bytes::Bytes;
-pub use debugger::{DebugClient, NetDebugger, DEBUG_PORT};
+pub use debugger::{DebugClient, NetDebugger};
 pub use forward::{FlowSnapshot, ForwardStats, Forwarder};
 pub use http::{http_get, HttpConfig, HttpServer, HttpStats};
 pub use http::{Request, Response};
 pub use measure::{reliable_bandwidth, udp_round_trip};
 pub use metrics::install_metrics;
 pub use netfs::{NetFsClient, NetFsError, NetFsServer};
-pub use pkt::{proto, IpAddr};
+pub use pkt::{internet_checksum, proto, IpAddr, Ipv4Header, TcpFlags, TcpHeader, UdpHeader};
 pub use poll::{interest, NetPoller, Pollable, ReadyBatch, Registration, Token};
-pub use rpc::{Rpc, RpcError, RPC_PORT};
+pub use rpc::{Rpc, RpcError};
 pub use socket::UdpSocket;
 pub use stack::{
     AddressMap, IcmpPacket, IpPacket, LinkFrame, Medium, NetError, NetEvents, NetStack, NetStats,
@@ -52,4 +53,4 @@ pub use stack::{
 };
 pub use tcp::{TcpConn, TcpError, TcpListenerSocket, TcpStack, TcpState};
 pub use testrig::{RigShard, ShardRig, ThreeHosts, TwoHosts};
-pub use video::{VideoClient, VideoServer, MULTICAST_GROUP, VIDEO_PORT};
+pub use video::{VideoClient, VideoServer};

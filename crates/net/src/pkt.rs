@@ -41,7 +41,7 @@ pub mod proto {
 }
 
 /// EtherType for IPv4.
-pub const ETHERTYPE_IPV4: u16 = 0x0800;
+pub(crate) const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// The Internet checksum (RFC 1071) over `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {
@@ -79,22 +79,17 @@ fn chain(header: &[u8], payload: Bytes) -> BufChain {
 /// A 14-byte Ethernet header (addresses abbreviated to the simulation's
 /// wire endpoints, padded to MAC width on the wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EtherHeader {
-    pub src: u32,
-    pub dst: u32,
-    pub ethertype: u16,
+pub(crate) struct EtherHeader {
+    pub(crate) src: u32,
+    pub(crate) dst: u32,
+    pub(crate) ethertype: u16,
 }
 
 impl EtherHeader {
-    pub const LEN: usize = 14;
-
-    /// Serializes the header followed by `payload`.
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
-        packet(&self.header_bytes(), payload)
-    }
+    pub(crate) const LEN: usize = 14;
 
     /// The 14 header bytes (each MAC is the endpoint padded to 6 bytes).
-    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+    pub(crate) fn header_bytes(&self) -> [u8; Self::LEN] {
         let mut h = [0u8; Self::LEN];
         h[2..6].copy_from_slice(&self.dst.to_be_bytes());
         h[8..12].copy_from_slice(&self.src.to_be_bytes());
@@ -103,7 +98,7 @@ impl EtherHeader {
     }
 
     /// Parses a frame into (header, payload).
-    pub fn decode(frame: &Bytes) -> Option<(EtherHeader, Bytes)> {
+    pub(crate) fn decode(frame: &Bytes) -> Option<(EtherHeader, Bytes)> {
         if frame.len() < Self::LEN {
             return None;
         }
@@ -383,7 +378,7 @@ impl IcmpHeader {
 pub(crate) mod retired {
     use super::*;
 
-    pub fn ether_header(h: &EtherHeader) -> Bytes {
+    pub(crate) fn ether_header(h: &EtherHeader) -> Bytes {
         let mut b = BytesMut::with_capacity(EtherHeader::LEN);
         b.extend_from_slice(&[0, 0]); // dst MAC padding to 6 bytes
         b.extend_from_slice(&h.dst.to_be_bytes());
@@ -393,7 +388,7 @@ pub(crate) mod retired {
         b.freeze()
     }
 
-    pub fn ipv4_header(
+    pub(crate) fn ipv4_header(
         src: IpAddr,
         dst: IpAddr,
         protocol: u8,
@@ -413,7 +408,7 @@ pub(crate) mod retired {
         Bytes::copy_from_slice(&h)
     }
 
-    pub fn udp_header(src_port: u16, dst_port: u16, payload_len: usize) -> Bytes {
+    pub(crate) fn udp_header(src_port: u16, dst_port: u16, payload_len: usize) -> Bytes {
         let len = (UdpHeader::LEN + payload_len) as u16;
         let mut b = BytesMut::with_capacity(UdpHeader::LEN);
         b.extend_from_slice(&src_port.to_be_bytes());
@@ -423,7 +418,7 @@ pub(crate) mod retired {
         b.freeze()
     }
 
-    pub fn tcp_header(h: &TcpHeader) -> Bytes {
+    pub(crate) fn tcp_header(h: &TcpHeader) -> Bytes {
         let mut b = BytesMut::with_capacity(TcpHeader::LEN);
         b.extend_from_slice(&h.src_port.to_be_bytes());
         b.extend_from_slice(&h.dst_port.to_be_bytes());
@@ -469,7 +464,7 @@ mod tests {
             dst: 2,
             ethertype: ETHERTYPE_IPV4,
         };
-        let frame = h.encode(b"payload");
+        let frame = packet(&h.header_bytes(), b"payload");
         let (h2, p) = EtherHeader::decode(&frame).unwrap();
         assert_eq!(h, h2);
         assert_eq!(&p[..], b"payload");
@@ -547,8 +542,8 @@ mod tests {
 
     proptest! {
         /// The array encoders against the retired `Bytes`-returning ones,
-        /// byte for byte, for arbitrary field values; and `encode` is the
-        /// header followed by the payload.
+        /// byte for byte, for arbitrary field values; and a TCP segment
+        /// decodes back to its header and payload.
         #[test]
         fn header_arrays_equal_the_retired_encoders(
             words in (any::<u32>(), any::<u32>(), any::<u16>(), any::<u16>()),
@@ -558,10 +553,6 @@ mod tests {
             let ((a, b, c, d), (proto, ttl, flags)) = (words, bytes);
             let eth = EtherHeader { src: a, dst: b, ethertype: c };
             prop_assert_eq!(&eth.header_bytes()[..], &retired::ether_header(&eth)[..]);
-            prop_assert_eq!(
-                &eth.encode(&payload)[..],
-                &[&eth.header_bytes()[..], &payload[..]].concat()[..]
-            );
 
             let ip = Ipv4Header::header_bytes(IpAddr(a), IpAddr(b), proto, ttl, payload.len());
             let old = retired::ipv4_header(IpAddr(a), IpAddr(b), proto, ttl, payload.len());

@@ -142,7 +142,7 @@ pub trait Pollable {
 /// one of these; it is the one place a source's level is computed and its
 /// notes are made. Dereferences to its channel for the reading half
 /// (`recv`, `try_recv`, `len`).
-pub struct ReadyQueue<T: Send> {
+pub(crate) struct ReadyQueue<T: Send> {
     items: Arc<KChannel<T>>,
     ready: u8,
     reg: Mutex<Option<Registration>>,
@@ -152,7 +152,7 @@ impl<T: Send> ReadyQueue<T> {
     /// An empty queue of up to `depth` items, each of which makes its
     /// source ready for `ready`.
     // uncharged: constructor.
-    pub fn new(exec: Arc<Executor>, depth: usize, ready: u8) -> Self {
+    pub(crate) fn new(exec: Arc<Executor>, depth: usize, ready: u8) -> Self {
         ReadyQueue {
             items: KChannel::new(exec, depth),
             ready,
@@ -165,7 +165,7 @@ impl<T: Send> ReadyQueue<T> {
     /// queue is as readable as one with room.
     // charged: the push and the note are scoreboard writes; a reader
     // blocked on the queue is unblocked at the scheduler's `sync_op`.
-    pub fn push(&self, item: T) {
+    pub(crate) fn push(&self, item: T) {
         self.items.try_push(item);
         self.note(self.ready);
     }
@@ -173,7 +173,7 @@ impl<T: Send> ReadyQueue<T> {
     /// Ends the stream: readers drain what is queued and then see `None`,
     /// and the poller is told `CLOSED`.
     // charged: as `push` — every blocked reader is unblocked.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         self.items.close();
         self.note(interest::CLOSED);
     }

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The UDP port carrying RPC traffic.
-pub const RPC_PORT: u16 = 3001;
+const RPC_PORT: u16 = 3001;
 
 /// Reply timeout before a retransmission.
 const RPC_TIMEOUT: Nanos = 100_000_000;

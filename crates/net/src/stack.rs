@@ -30,9 +30,9 @@ use spin_check::sync::{AtomicU16, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_core::{Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn};
 use spin_obs::{ObsHook, TraceKind};
-use spin_sal::board::vectors;
-use spin_sal::devices::nic::{Nic, NicError};
+use spin_sal::vectors;
 use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
+use spin_sal::{Nic, NicError};
 use spin_sched::{Executor, KChannel, Step, StrandCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -224,11 +224,11 @@ pub struct NetStats {
 }
 
 /// Retry backoff floor for [`NetStack::transmit_with_retry`].
-pub const RETRY_BASE: Nanos = 1_000_000;
+pub(crate) const RETRY_BASE: Nanos = 1_000_000;
 /// Retry backoff ceiling.
 const RETRY_CAP: Nanos = 8_000_000;
 /// Retry budget per packet.
-pub const RETRY_MAX: u32 = 4;
+pub(crate) const RETRY_MAX: u32 = 4;
 
 /// Pingers parked on (ident, seq), woken by the matching echo reply.
 type PingWaiters = HashMap<(u16, u16), Arc<KChannel<Nanos>>>;
@@ -246,12 +246,12 @@ struct NetInner {
     retries: AtomicU64,
     /// Observability hook (net domain): absent until wired; the per-frame
     /// paths then pay one atomic load each.
-    obs: Arc<spin_core::hooks::HookSlot<ObsHook>>,
+    obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
     /// Fault-injection hook (`net.stack` site), drawn per transmitted
     /// frame: `Fail` drops the frame as [`NetError::Faulted`], `Delay`
     /// stalls the sender on the virtual clock, `Panic` unwinds (contained
     /// by the dispatcher when transmitting from a handler).
-    faults: Arc<spin_core::hooks::HookSlot<spin_fault::FaultHook>>,
+    faults: Arc<spin_check::hooks::HookSlot<spin_fault::FaultHook>>,
     /// The readiness scoreboard, flushed by the protocol thread after
     /// each inbound burst.
     ready_hub: Arc<ReadyHub>,
@@ -370,8 +370,8 @@ impl NetStack {
             (Medium::T3, host.t3.clone()),
         ];
         let ev2 = events.clone();
-        let obs: Arc<spin_core::hooks::HookSlot<ObsHook>> =
-            Arc::new(spin_core::hooks::HookSlot::new());
+        let obs: Arc<spin_check::hooks::HookSlot<ObsHook>> =
+            Arc::new(spin_check::hooks::HookSlot::new());
         let obs2 = Arc::clone(&obs);
         let ready_hub = Arc::new(ReadyHub::new());
         let hub2 = ready_hub.clone();
@@ -448,7 +448,7 @@ impl NetStack {
             ping_seq: AtomicU16::new(1),
             retries: AtomicU64::new(0),
             obs,
-            faults: Arc::new(spin_core::hooks::HookSlot::new()),
+            faults: Arc::new(spin_check::hooks::HookSlot::new()),
             ready_hub,
             next_poller: AtomicU64::new(1),
             poller_bounds,
@@ -858,7 +858,7 @@ impl NetStack {
         self.send_ip(dst, proto::UDP, datagram)
     }
 
-    /// The stack-wide readiness scoreboard (see [`crate::poll`]).
+    /// The stack-wide readiness scoreboard (see [`crate::NetPoller`]).
     // uncharged: accessor.
     pub fn ready_hub(&self) -> &Arc<ReadyHub> {
         &self.inner.ready_hub

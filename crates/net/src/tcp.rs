@@ -107,7 +107,7 @@ struct ConnState {
     /// Not `send_waiters`: the ACK that takes `FinWait1` to `FinWait2`
     /// drains that list, and a closer must sleep through it.
     close_waiters: WaitQueue,
-    rto_timer: Option<spin_sal::clock::TimerId>,
+    rto_timer: Option<spin_sal::TimerId>,
     retransmissions: u64,
 }
 
@@ -732,6 +732,7 @@ mod tests {
     use crate::poll::NetPoller;
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
+    use spin_check::sync::AtomicBool;
     use spin_sched::IdleOutcome;
 
     fn tcp_rig() -> (TwoHosts, TcpStack, TcpStack) {
@@ -997,6 +998,63 @@ mod tests {
         let poller = NetPoller::new(&rig.b);
         poller.add(listener.as_ref(), 3, interest::ACCEPT);
         assert_eq!(poller.try_wait(), [(3, interest::ACCEPT)]);
+    }
+
+    /// One data segment lost in a window of eight: the retransmission
+    /// timer halves the flight into `ssthresh` and restarts slow start from
+    /// one segment. Read right after the timer fires, before the
+    /// retransmitted segment's ACK grows the window again.
+    #[test]
+    fn a_lost_segment_halves_ssthresh_and_resets_cwnd_at_the_rto() {
+        const BURST: usize = 8 * MSS;
+        let (rig, a, b) = tcp_rig();
+        // Drops the first frame put on the Ethernet after `armed` is set.
+        let armed = Arc::new(AtomicBool::new(false));
+        let trigger = armed.clone();
+        rig.board.ethernet.set_drop_filter(move |_| {
+            // ordering: AcqRel — pairs with the client's Release arming store.
+            trigger.swap(false, Ordering::AcqRel)
+        });
+        let listener = b.listen(80);
+        rig.exec.spawn("server", move |ctx| {
+            let conn = listener.accept(ctx).expect("client");
+            while conn.recv(ctx).is_some() {}
+        });
+        let dst = rig.b_ip(Medium::Ethernet);
+        let seen = Arc::new(Mutex::new(None));
+        let s2 = seen.clone();
+        rig.exec.spawn("client", move |ctx| {
+            let conn = a.connect(ctx, dst, 80).unwrap();
+            // A loss-free burst first, so slow start opens the window past
+            // the eight segments the lossy one puts in flight.
+            conn.send(ctx, &[1; BURST]).unwrap();
+            ctx.sleep(RTO / 10);
+            let cwnd = conn.state.lock().cwnd;
+            assert!(cwnd >= BURST as u32, "slow start opened to {cwnd}");
+            // ordering: Release — pairs with the wire's AcqRel swap.
+            armed.store(true, Ordering::Release);
+            conn.send(ctx, &[2; BURST]).unwrap();
+            ctx.sleep(RTO - RTO / 100);
+            while conn.retransmissions() == 0 {
+                ctx.sleep(10_000);
+            }
+            let st = conn.state.lock();
+            *s2.lock() = Some((st.cwnd, st.ssthresh, st.snd_nxt.wrapping_sub(st.snd_una)));
+            drop(st);
+            conn.close(ctx);
+        });
+        rig.exec.run_until_idle();
+        let (cwnd, ssthresh, in_flight) = seen.lock().expect("the RTO fired");
+        assert_eq!(
+            in_flight, BURST as u32,
+            "nothing acknowledged past the hole"
+        );
+        assert_eq!(cwnd, MSS as u32, "slow start restarts from one segment");
+        assert_eq!(ssthresh, (in_flight / 2).max(2 * MSS as u32));
+        assert!(
+            ssthresh > 2 * MSS as u32,
+            "the halving, not the floor, set it"
+        );
     }
 
     #[test]

@@ -24,10 +24,10 @@ use spin_sched::StrandId;
 use std::sync::Arc;
 
 /// The UDP port video streams use.
-pub const VIDEO_PORT: u16 = 4000;
+const VIDEO_PORT: u16 = 4000;
 
 /// The sentinel "multicast group" address the server sends to.
-pub const MULTICAST_GROUP: IpAddr = IpAddr::new(239, 0, 0, 1);
+const MULTICAST_GROUP: IpAddr = IpAddr::new(239, 0, 0, 1);
 
 /// Per-byte CPU cost of software decompression on the client.
 const DECOMPRESS_NS_PER_BYTE_X100: u64 = 300; // 3 ns/byte

@@ -113,7 +113,7 @@ fn run(shape: Shape, plan: &Plan) -> (Outcome, Nanos) {
     (out, rig.exec.clock().now())
 }
 
-/// Groups raw notes the way [`spin_net::poll::ReadyHub`] does: OR-merged
+/// Groups raw notes the way [`spin_net::ReadyHub`] does: OR-merged
 /// masks, BTree order, one batch per poller.
 fn grouped(notes: &[(u64, Token, u8)]) -> Vec<ReadyBatch> {
     let mut merged: BTreeMap<(u64, Token), u8> = BTreeMap::new();

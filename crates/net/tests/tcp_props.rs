@@ -73,7 +73,7 @@ proptest! {
         flip_at in any::<prop::sample::Index>(),
         flip_bits in 1u8..=255,
     ) {
-        use spin_net::pkt::{internet_checksum, IpAddr, Ipv4Header};
+        use spin_net::{internet_checksum, IpAddr, Ipv4Header};
         let pkt = Ipv4Header::encode(
             IpAddr::new(10, 0, 0, 1),
             IpAddr::new(10, 0, 0, 2),
@@ -99,7 +99,7 @@ proptest! {
         window in any::<u16>(),
         payload in prop::collection::vec(any::<u8>(), 0..100),
     ) {
-        use spin_net::pkt::{TcpFlags, TcpHeader, UdpHeader};
+        use spin_net::{TcpFlags, TcpHeader, UdpHeader};
         let h = TcpHeader {
             src_port: sport,
             dst_port: dport,

@@ -4,16 +4,17 @@
 //! and extended through typed interfaces (§3–§4). This crate is how the
 //! reproduction watches itself do that:
 //!
-//! * a **flight recorder** ([`ring::Ring`]) — a fixed-capacity,
+//! * a **flight recorder** ([`Ring`]) — a fixed-capacity,
 //!   drop-oldest ring behind one lock, of typed [`TraceRecord`]s (event
 //!   raises, handler and guard outcomes, context switches, VM faults, GC
 //!   pauses, packet rx/tx, syscall traps), each stamped with virtual time
 //!   and the originating [`DomainId`];
-//! * **per-domain accounting** ([`account::Accounting`]) — atomic counters
+//! * **per-domain accounting** ([`Accounting`]) — atomic counters
 //!   and histograms keyed by `DomainId`, fed by hook points in the
 //!   dispatcher, executor, VM, GC, network stack and UNIX server;
-//! * **renderings** ([`render`]) — human dump, JSON trace, and the
-//!   Prometheus text served by the in-kernel `/metrics` HTTP extension.
+//! * **renderings** ([`Obs::dump`], [`Obs::render_prometheus`]) — the
+//!   human dump and the Prometheus text served by the in-kernel
+//!   `/metrics` HTTP extension.
 //!
 //! **The cost-model invariant.** Nothing in this crate touches the virtual
 //! clock. Hook points in the instrumented crates gate on a single relaxed
@@ -30,9 +31,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod account;
-pub mod render;
-pub mod ring;
+mod account;
+mod render;
+mod ring;
 
 pub use account::{Accounting, DomainCounters, DomainId, Histogram};
 pub use ring::{Ring, TraceKind, TraceRecord};

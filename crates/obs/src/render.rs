@@ -14,7 +14,7 @@ fn domain_label(accounting: &Accounting, rec: &TraceRecord) -> String {
 }
 
 /// Human-readable dump, one line per record, oldest first.
-pub fn dump(accounting: &Accounting, records: &[TraceRecord]) -> String {
+pub(crate) fn dump(accounting: &Accounting, records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for rec in records {
         let _ = writeln!(
@@ -32,7 +32,7 @@ pub fn dump(accounting: &Accounting, records: &[TraceRecord]) -> String {
 
 /// Prometheus-style exposition of the accounting tables and recorder
 /// state. Served by the in-kernel `/metrics` HTTP extension.
-pub fn prometheus(obs: &Obs) -> String {
+pub(crate) fn prometheus(obs: &Obs) -> String {
     let mut out = String::new();
     out.push_str("# SPIN reproduction: per-domain resource accounting\n");
     for (_, name, counters) in obs.accounting().domains() {

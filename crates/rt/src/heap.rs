@@ -36,7 +36,7 @@ const HEADER_BYTES: usize = 16;
 
 /// The location of an object in the heap. Never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Addr {
+pub(crate) struct Addr {
     pub(crate) page: u32,
     pub(crate) index: u32,
 }

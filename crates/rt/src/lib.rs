@@ -24,8 +24,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod heap;
-pub mod trace;
+mod heap;
+mod trace;
 
-pub use heap::{CollectionStats, Gc, GcError, HeapStats, KernelHeap, Root};
+pub use heap::{AmbiguousPin, CollectionStats, Gc, GcError, HeapStats, KernelHeap, Root};
 pub use trace::{Trace, Tracer};

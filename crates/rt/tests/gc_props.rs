@@ -38,7 +38,7 @@ proptest! {
     fn rooted_values_always_survive_with_identity(ops in prop::collection::vec(op_strategy(), 1..60)) {
         let heap = KernelHeap::new();
         let mut roots: Vec<(spin_rt::Root<u64>, u64)> = Vec::new();
-        let mut pins: Vec<(spin_rt::heap::AmbiguousPin<u64>, u64, Gc<u64>)> = Vec::new();
+        let mut pins: Vec<(spin_rt::AmbiguousPin<u64>, u64, Gc<u64>)> = Vec::new();
         let mut unrooted: Vec<Gc<u64>> = Vec::new();
 
         for op in ops {

@@ -52,7 +52,7 @@ use std::sync::Arc;
 pub type Nanos = u64;
 
 /// Observer invoked after every clock advance with the amount charged.
-pub type AdvanceHook = Box<dyn Fn(Nanos) + Send + Sync>;
+pub(crate) type AdvanceHook = Box<dyn Fn(Nanos) + Send + Sync>;
 
 /// Handle to an installed advance hook, usable for removal.
 pub type AdvanceHookId = spin_check::hooks::HookId;
@@ -152,7 +152,7 @@ pub struct TimerId {
 }
 
 /// A boxed timer callback: fired with the virtual time it ran at.
-pub type TimerFn = Box<dyn FnOnce(Nanos) + Send>;
+pub(crate) type TimerFn = Box<dyn FnOnce(Nanos) + Send>;
 
 /// One slab entry. `seq` names the tenant; the callback is there until the
 /// timer fires or is cancelled, and the slot is free again from then on.

@@ -18,7 +18,7 @@
 //!   ATM" (§5.3), which bounds wire plus interrupt costs.
 
 /// Nanoseconds per CPU cycle at 133 MHz.
-pub const CYCLE_NS: f64 = 7.52;
+const CYCLE_NS: f64 = 7.52;
 
 /// Converts a cycle count to virtual nanoseconds on the 133 MHz Alpha.
 #[inline]

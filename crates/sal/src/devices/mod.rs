@@ -7,10 +7,6 @@
 //! host's [`IrqController`](crate::IrqController), and charge the machine
 //! profile for driver, copy, PIO/DMA and media time.
 
-pub mod console;
-pub mod disk;
-pub mod nic;
-
-pub use console::Console;
-pub use disk::{BlockId, Disk, DiskGeometry, DiskRequest};
-pub use nic::{Frame, IoKind, Nic, NicModel};
+pub(crate) mod console;
+pub(crate) mod disk;
+pub(crate) mod nic;

@@ -21,8 +21,8 @@ pub struct IrqVector(pub u32);
 
 /// A posted interrupt awaiting dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Irq {
-    pub vector: IrqVector,
+struct Irq {
+    vector: IrqVector,
 }
 
 type IrqHandler = Arc<dyn Fn() + Send + Sync>;

@@ -27,27 +27,28 @@
 
 #![forbid(unsafe_code)]
 
-pub mod board;
-pub mod buf;
-pub mod clock;
-pub mod cost;
-pub mod devices;
-pub mod irq;
-pub mod mailbox;
-pub mod mem;
-pub mod mmu;
-pub mod trap;
-pub mod wire;
+mod board;
+mod buf;
+mod clock;
+mod cost;
+mod devices;
+mod irq;
+mod mailbox;
+mod mem;
+mod mmu;
+mod wire;
 
-pub use board::{Host, HostId, MulticoreBoard, SimBoard};
+pub use board::{vectors, Host, HostId, MulticoreBoard, SimBoard};
 pub use buf::BufChain;
-pub use clock::{AdvanceHookId, Clock, Nanos, TimerQueue};
-pub use cost::{cycles, MachineProfile, CYCLE_NS};
-pub use irq::{Irq, IrqController, IrqVector};
+pub use clock::{AdvanceHookId, Clock, Nanos, TimerId, TimerQueue};
+pub use cost::{cycles, MachineProfile};
+pub use devices::console::Console;
+pub use devices::disk::{BlockId, Disk, DiskGeometry, DiskRequest, BLOCK_SIZE};
+pub use devices::nic::{Frame, IoKind, Nic, NicError, NicModel};
+pub use irq::{IrqController, IrqVector};
 pub use mailbox::{lanes, Envelope, MailFate, Mailbox};
 pub use mem::{FrameId, PhysMem};
-pub use mmu::{ContextId, Mmu, MmuFault, PageTable, Protection, Tlb};
-pub use trap::Trap;
+pub use mmu::{Access, ContextId, Mmu, MmuFault, Protection, Pte};
 pub use wire::{Wire, WireEndpoint};
 
 /// The Alpha AXP page size used throughout the simulation (8 KB).

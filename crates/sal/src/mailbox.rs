@@ -81,7 +81,7 @@ pub enum MailFate {
 
 /// A boxed delivery action: fired with the delivery time on the
 /// destination shard — by its timer queue, which takes it as the box it is.
-pub type MailAction = TimerFn;
+pub(crate) type MailAction = TimerFn;
 type PostHook = Box<dyn Fn(Nanos) -> MailFate + Send + Sync>;
 /// Per-lane occupancy gate (kernel resource quotas): consulted on every
 /// post with `(lane, entries already pending on that lane)`; returning

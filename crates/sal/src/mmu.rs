@@ -111,20 +111,8 @@ pub struct Pte {
 /// A per-context page table (single flat level; the shape of the table is
 /// not observable through the sal interface).
 #[derive(Debug, Default, Clone)]
-pub struct PageTable {
+struct PageTable {
     entries: HashMap<u64, Pte>,
-}
-
-impl PageTable {
-    /// Number of installed translations.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table has no translations.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 const TLB_SLOTS: usize = 64;
@@ -135,7 +123,7 @@ const TLB_SLOTS: usize = 64;
 /// addressing context it was filled for. `spin-bench` reproduces the TLB
 /// fill cost of fault paths through this cache.
 #[derive(Debug)]
-pub struct Tlb {
+struct Tlb {
     slots: Vec<Option<(ContextId, u64, Pte)>>,
 }
 

@@ -20,6 +20,7 @@ use std::sync::Arc;
 /// points then unwind the handler with `DeadlineExceeded` once the bound
 /// is consumed, and the dispatcher's containment wrapper (inside
 /// `inv.run`) catches the unwind and counts the handler as aborted.
+// paper: §3.2, the asynchronous-handler runner ("execute in a separate thread").
 pub fn install_async_runner(exec: &Arc<Executor>, dispatcher: &Dispatcher) {
     let exec = exec.clone();
     dispatcher.set_async_runner(Arc::new(move |inv: AsyncInvocation| {

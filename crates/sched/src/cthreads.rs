@@ -37,20 +37,15 @@ pub enum CThreadsImpl {
 
 /// A user-level C-Threads package instance.
 #[derive(Clone)]
-pub struct CThreads {
+struct CThreads {
     exec: Arc<Executor>,
     style: CThreadsImpl,
 }
 
 impl CThreads {
     /// Creates a package of the given structure.
-    pub fn new(exec: Arc<Executor>, style: CThreadsImpl) -> Self {
+    fn new(exec: Arc<Executor>, style: CThreadsImpl) -> Self {
         CThreads { exec, style }
-    }
-
-    /// The structure in use.
-    pub fn style(&self) -> CThreadsImpl {
-        self.style
     }
 
     /// One user→kernel→user crossing (the extension's system call).
@@ -86,7 +81,7 @@ impl CThreads {
     }
 
     /// `cthread_fork`: creates a user thread.
-    pub fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
+    fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
         let p = self.exec.profile();
         self.charge_op();
         // Both structures must build a user context (stack, descriptor);
@@ -100,19 +95,13 @@ impl CThreads {
     }
 
     /// `cthread_join`.
-    pub fn join(&self, ctx: &StrandCtx, target: StrandId) {
+    fn join(&self, ctx: &StrandCtx, target: StrandId) {
         self.charge_op();
         ctx.join(target);
     }
 
-    /// `cthread_yield`.
-    pub fn yield_now(&self, ctx: &StrandCtx) {
-        self.charge_op();
-        ctx.yield_now();
-    }
-
     /// Allocates a C-Threads mutex.
-    pub fn mutex(&self) -> CMutex {
+    fn mutex(&self) -> CMutex {
         CMutex {
             inner: KMutex::new(self.exec.clone()),
             pkg: self.clone(),
@@ -120,7 +109,7 @@ impl CThreads {
     }
 
     /// Allocates a C-Threads condition.
-    pub fn condition(&self) -> CCondition {
+    fn condition(&self) -> CCondition {
         CCondition {
             inner: KCondition::new(self.exec.clone()),
             pkg: self.clone(),
@@ -129,7 +118,7 @@ impl CThreads {
 }
 
 /// A `mutex_t`.
-pub struct CMutex {
+struct CMutex {
     inner: Arc<KMutex>,
     pkg: CThreads,
 }
@@ -137,7 +126,7 @@ pub struct CMutex {
 impl CMutex {
     /// `mutex_lock`. Uncontended locks stay in user space for both
     /// structures; contended ones take the package's kernel path.
-    pub fn lock(&self, ctx: &StrandCtx) {
+    fn lock(&self, ctx: &StrandCtx) {
         if self.inner.is_locked() {
             self.pkg.charge_op();
         }
@@ -145,26 +134,26 @@ impl CMutex {
     }
 
     /// `mutex_unlock`.
-    pub fn unlock(&self, ctx: &StrandCtx) {
+    fn unlock(&self, ctx: &StrandCtx) {
         self.inner.unlock(ctx);
     }
 }
 
 /// A `condition_t`.
-pub struct CCondition {
+struct CCondition {
     inner: Arc<KCondition>,
     pkg: CThreads,
 }
 
 impl CCondition {
     /// `condition_wait`: always enters the kernel to block.
-    pub fn wait(&self, ctx: &StrandCtx, mutex: &CMutex) {
+    fn wait(&self, ctx: &StrandCtx, mutex: &CMutex) {
         self.pkg.charge_op();
         self.inner.wait(ctx, &mutex.inner);
     }
 
     /// `condition_signal`: enters the kernel when a waiter must be woken.
-    pub fn signal(&self, ctx: &StrandCtx) {
+    fn signal(&self, ctx: &StrandCtx) {
         if self.inner.waiter_count() > 0 {
             self.pkg.charge_op();
         }

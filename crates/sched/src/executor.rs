@@ -68,7 +68,7 @@ pub trait SchedulerPolicy: Send {
 /// policy" (§4.2). Higher priority runs first; equal priorities round-robin
 /// in FIFO order.
 #[derive(Default)]
-pub struct RoundRobinPriority {
+struct RoundRobinPriority {
     queues: std::collections::BTreeMap<u8, std::collections::VecDeque<StrandId>>,
 }
 
@@ -223,7 +223,7 @@ struct Hooks {
 struct Meter {
     /// Observability hook (scheduler domain): absent until wired, and the
     /// per-switch fast path is then a single atomic load.
-    obs: spin_core::hooks::HookSlot<ObsHook>,
+    obs: spin_check::hooks::HookSlot<ObsHook>,
     /// Id of the strand whose slice is running, 0 between slices (ids start
     /// at 1). Stored by the coordinator once the slice's switch is charged
     /// and cleared under the state lock when the slice ends.
@@ -263,17 +263,17 @@ pub struct Executor {
     /// The subscription that accounts every charge to the scheduler's obs
     /// domain, made by [`Executor::set_obs`] and removed when the executor
     /// drops.
-    obs_charges: spin_core::hooks::HookSlot<AdvanceHookId>,
+    obs_charges: spin_check::hooks::HookSlot<AdvanceHookId>,
     /// Transition hooks: absent until `events` wires them, and each of a
     /// slice's four transitions then costs one atomic load.
-    hooks: spin_core::hooks::HookSlot<Hooks>,
+    hooks: spin_check::hooks::HookSlot<Hooks>,
     /// Fault-injection hook (`sched.executor` site): absent until wired;
     /// drawn once at each strand body's entry, inside the containment
     /// `catch_unwind`, so an injected panic never kills the process.
-    faults: spin_core::hooks::HookSlot<FaultHook>,
+    faults: spin_check::hooks::HookSlot<FaultHook>,
     /// Quota demotion hook: absent until wired, and every enqueue then
     /// pays exactly one relaxed load (the unarmed cost-model invariant).
-    quota: spin_core::hooks::HookSlot<SchedQuotaHook>,
+    quota: spin_check::hooks::HookSlot<SchedQuotaHook>,
 }
 
 impl Executor {
@@ -295,15 +295,15 @@ impl Executor {
             next_id: AtomicU64::new(1),
             stepping: AtomicBool::new(false),
             meter: Meter {
-                obs: spin_core::hooks::HookSlot::new(),
+                obs: spin_check::hooks::HookSlot::new(),
                 current: AtomicU64::new(0),
                 quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
                 slice_start: AtomicU64::new(0),
             },
-            obs_charges: spin_core::hooks::HookSlot::new(),
-            hooks: spin_core::hooks::HookSlot::new(),
-            faults: spin_core::hooks::HookSlot::new(),
-            quota: spin_core::hooks::HookSlot::new(),
+            obs_charges: spin_check::hooks::HookSlot::new(),
+            hooks: spin_check::hooks::HookSlot::new(),
+            faults: spin_check::hooks::HookSlot::new(),
+            quota: spin_check::hooks::HookSlot::new(),
         })
     }
 

@@ -11,39 +11,34 @@ use std::sync::Arc;
 
 /// The Modula-3 `Thread` interface, bound to an executor.
 #[derive(Clone)]
-pub struct M3Threads {
+struct M3Threads {
     exec: Arc<Executor>,
 }
 
 impl M3Threads {
     /// Binds the package to an executor.
-    pub fn new(exec: Arc<Executor>) -> Self {
+    fn new(exec: Arc<Executor>) -> Self {
         M3Threads { exec }
     }
 
     /// `Thread.Fork`: creates a kernel thread running `f`.
-    pub fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
+    fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
         self.exec.spawn(name, f)
     }
 
     /// `Thread.Join`: blocks the calling thread until `target` completes.
-    pub fn join(&self, ctx: &StrandCtx, target: StrandId) {
+    fn join(&self, ctx: &StrandCtx, target: StrandId) {
         ctx.join(target);
     }
 
     /// Allocates a Modula-3 `MUTEX`.
-    pub fn mutex(&self) -> Arc<KMutex> {
+    fn mutex(&self) -> Arc<KMutex> {
         KMutex::new(self.exec.clone())
     }
 
     /// Allocates a `Thread.Condition`.
-    pub fn condition(&self) -> Arc<KCondition> {
+    fn condition(&self) -> Arc<KCondition> {
         KCondition::new(self.exec.clone())
-    }
-
-    /// The underlying executor.
-    pub fn executor(&self) -> &Arc<Executor> {
-        &self.exec
     }
 }
 
@@ -128,7 +123,7 @@ mod tests {
             t2.join(ctx, child);
             l2.lock().push("parent");
         });
-        assert_eq!(t.executor().run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(t.exec.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(*log.lock(), vec!["child", "parent"]);
     }
 
@@ -136,7 +131,7 @@ mod tests {
     fn fork_join_costs_match_table_3_band() {
         // Table 3: SPIN kernel Fork-Join is 22 µs.
         let t = pkg();
-        let clock = t.executor().clock().clone();
+        let clock = t.exec.clock().clone();
         let elapsed = Arc::new(Mutex::new(0u64));
         let (t2, e2, c2) = (t.clone(), elapsed.clone(), clock.clone());
         t.fork("driver", move |ctx| {
@@ -145,7 +140,7 @@ mod tests {
             t2.join(ctx, child);
             *e2.lock() = c2.now() - t0;
         });
-        t.executor().run_until_idle();
+        t.exec.run_until_idle();
         let us = *elapsed.lock() as f64 / 1000.0;
         assert!(
             (12.0..35.0).contains(&us),
@@ -158,7 +153,7 @@ mod tests {
         // Table 3: SPIN kernel Ping-Pong is 17 µs (one round trip of
         // signal/block between two threads).
         let t = pkg();
-        let clock = t.executor().clock().clone();
+        let clock = t.exec.clock().clone();
         let m = t.mutex();
         let c = t.condition();
         let turn = Arc::new(Mutex::new(0u32));
@@ -183,7 +178,7 @@ mod tests {
                 }
             });
         }
-        assert_eq!(t.executor().run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(t.exec.run_until_idle(), IdleOutcome::AllComplete);
         let per_round_us = *elapsed.lock() as f64 / 1000.0 / ROUNDS as f64;
         assert!(
             (9.0..30.0).contains(&per_round_us),

@@ -19,10 +19,10 @@
 //!   policy", replaceable through [`Executor::set_policy`] as a trusted
 //!   operation;
 //! * **thread packages** built directly on strands: the trusted in-kernel
-//!   Modula-3 package ([`M3Threads`]), the DEC OSF/1 kernel-thread
-//!   interface used by vendor drivers ([`OsfThreads`]), and the two
-//!   user-level C-Threads structures of Table 3 ([`CThreads`], layered vs
-//!   integrated);
+//!   Modula-3 package ([`measure_kernel_fork_join`]), the DEC OSF/1
+//!   kernel-thread interface used by vendor drivers ([`OsfThreads`]), and
+//!   the two user-level C-Threads structures of Table 3
+//!   ([`CThreadsImpl`], layered vs integrated);
 //! * **user-level contexts** and the protected cross-address-space call
 //!   path of Table 2 ([`UserProcess`], [`XasService`]);
 //! * **per-core kernel shards**: one executor per simulated host, pumped
@@ -31,28 +31,27 @@
 
 #![forbid(unsafe_code)]
 
-pub mod async_runner;
-pub mod cthreads;
-pub mod events;
-pub mod executor;
-pub mod group;
-pub mod kthread;
-pub mod lottery;
-pub mod osf_threads;
-pub mod shard;
-pub mod sync;
-pub mod user;
-pub mod wait;
+mod async_runner;
+mod cthreads;
+mod events;
+mod executor;
+mod group;
+mod kthread;
+mod lottery;
+mod osf_threads;
+mod shard;
+mod sync;
+mod user;
+mod wait;
 
 pub use async_runner::install_async_runner;
-pub use cthreads::{measure_fork_join, measure_ping_pong, CThreads, CThreadsImpl};
+pub use cthreads::{measure_fork_join, measure_ping_pong, CThreadsImpl};
 pub use events::{StrandEvents, StrandRef};
 pub use executor::{
-    Executor, IdleOutcome, RoundRobinPriority, SchedQuotaHook, SchedulerPolicy, Step, StrandCtx,
-    StrandId,
+    Executor, IdleOutcome, SchedQuotaHook, SchedulerPolicy, Step, StrandCtx, StrandId,
 };
 pub use group::{PackageStats, TaskPackage};
-pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong, M3Threads};
+pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong};
 pub use lottery::{LotteryPolicy, TicketBook};
 pub use osf_threads::{OsfThreads, WaitChannel};
 pub use shard::{Multicore, MulticoreStats, Shard};

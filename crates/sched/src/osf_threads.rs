@@ -17,6 +17,7 @@ use std::sync::Arc;
 pub type WaitChannel = u64;
 
 /// The OSF/1 kernel-thread compatibility package.
+// paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
 #[derive(Clone)]
 pub struct OsfThreads {
     exec: Arc<Executor>,

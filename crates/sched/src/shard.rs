@@ -141,7 +141,7 @@ pub struct Multicore {
     lookahead: Nanos,
     epochs: Arc<AtomicU64>,
     shard_runs: Arc<AtomicU64>,
-    obs: spin_core::hooks::HookSlot<ObsHook>,
+    obs: spin_check::hooks::HookSlot<ObsHook>,
 }
 
 impl Multicore {
@@ -158,7 +158,7 @@ impl Multicore {
             lookahead,
             epochs: Arc::new(AtomicU64::new(0)),
             shard_runs: Arc::new(AtomicU64::new(0)),
-            obs: spin_core::hooks::HookSlot::new(),
+            obs: spin_check::hooks::HookSlot::new(),
         }
     }
 

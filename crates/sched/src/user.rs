@@ -12,7 +12,7 @@
 use crate::executor::{Executor, StrandCtx, StrandId};
 use crate::sync::KChannel;
 use spin_core::Kernel;
-use spin_sal::mmu::ContextId;
+use spin_sal::ContextId;
 use spin_sal::Nanos;
 use std::sync::Arc;
 

@@ -24,7 +24,7 @@
 //! 5. **Rollback** — if the transfer panics, fails, or blows its virtual
 //!    `time_bound`, run the undo actions in reverse, resume through the
 //!    *old* version, and attribute the fault to the old domain via the
-//!    containment layer ([`spin_core::fault::Containment::note_external_fault`])
+//!    containment layer ([`spin_core::Containment::note_external_fault`])
 //!    — no breaker strike, because the rollback *is* the containment
 //!    action.
 //!
@@ -38,11 +38,11 @@
 #![forbid(unsafe_code)]
 
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
-use spin_core::fault::{panic_message, Containment, DomainFaultInfo};
+use spin_core::{panic_message, Containment, DomainFaultInfo};
 use spin_core::{DispatchError, GatedEvent, Identity};
 use spin_fault::{FaultHook, FaultPlan, Injection, SITE_SWAP};
 use spin_obs::{Obs, ObsHook, TraceKind};
-use spin_sal::clock::{Clock, Nanos};
+use spin_sal::{Clock, Nanos};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -504,7 +504,7 @@ impl SwapSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spin_core::fault::ContainmentPolicy;
+    use spin_core::ContainmentPolicy;
     use spin_core::{BlockedInStep, Constraints, DispatchError, Dispatcher, Event, InstallSpec};
     use spin_fault::SiteConfig;
     use spin_sal::MachineProfile;

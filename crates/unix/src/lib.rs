@@ -17,9 +17,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod pipe;
-pub mod proc;
-pub mod server;
+mod pipe;
+mod proc;
+mod server;
 
 pub use pipe::Pipe;
 pub use proc::{Fd, Pid, ProcState};

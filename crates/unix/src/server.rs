@@ -84,7 +84,7 @@ pub struct UnixServer {
     next_pid: Arc<AtomicU32>,
     /// Observability hook (unix domain): absent until wired; server calls
     /// then pay one atomic load each.
-    obs: Arc<spin_core::hooks::HookSlot<ObsHook>>,
+    obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
 }
 
 impl UnixServer {
@@ -104,7 +104,7 @@ impl UnixServer {
                 procs: BTreeMap::new(),
             })),
             next_pid: Arc::new(AtomicU32::new(1)),
-            obs: Arc::new(spin_core::hooks::HookSlot::new()),
+            obs: Arc::new(spin_check::hooks::HookSlot::new()),
         };
         // getpid(pid) and brk-query are pure register calls; install them
         // in the server's band as the paper's server does.

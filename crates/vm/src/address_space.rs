@@ -19,7 +19,7 @@ use crate::translation::{FaultAction, FaultInfo, TranslationService, VmError};
 use crate::virt::{VirtAddrService, VirtRegion};
 use spin_check::sync::Mutex;
 use spin_core::Identity;
-use spin_sal::mmu::ContextId;
+use spin_sal::ContextId;
 use spin_sal::{PhysMem, Protection, PAGE_SHIFT};
 use std::collections::HashMap;
 use std::sync::Arc;

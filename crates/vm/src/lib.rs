@@ -19,22 +19,22 @@
 
 #![forbid(unsafe_code)]
 
-pub mod address_space;
-pub mod mach_task;
-pub mod pager;
-pub mod phys;
-pub mod service;
-pub mod translation;
-pub mod virt;
-pub mod workloads;
+mod address_space;
+mod mach_task;
+mod pager;
+mod phys;
+mod service;
+mod translation;
+mod virt;
+mod workloads;
 
 pub use address_space::{UnixAddressSpace, UnixAsExtension};
 pub use mach_task::{MachTask, MachTaskExtension};
 pub use pager::{DiskPager, PagerStats};
-pub use phys::{PhysAddrService, PhysAttrib, PhysError, PhysRegion, ReclaimRequest, COLORS};
+pub use phys::{PhysAddrService, PhysAttrib, PhysError, PhysRegion, ReclaimRequest};
 pub use service::VmService;
 pub use translation::{
     FaultAction, FaultInfo, FaultKind, TranslationEvents, TranslationService, VmError,
 };
 pub use virt::{VirtAddrService, VirtError, VirtRegion};
-pub use workloads::{VmWorkbench, BENCH_PAGES};
+pub use workloads::VmWorkbench;

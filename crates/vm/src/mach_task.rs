@@ -10,7 +10,7 @@ use crate::phys::{PhysAddrService, PhysAttrib, PhysRegion};
 use crate::translation::{TranslationService, VmError};
 use crate::virt::{VirtAddrService, VirtRegion};
 use spin_check::sync::Mutex;
-use spin_sal::mmu::ContextId;
+use spin_sal::ContextId;
 use spin_sal::{PhysMem, Protection};
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -11,12 +11,12 @@
 use crate::phys::{PhysAddrService, PhysAttrib, PhysRegion};
 use crate::translation::{FaultAction, FaultInfo, TranslationService};
 use crate::virt::VirtRegion;
+use spin_check::hooks::HookSlot;
 use spin_check::sync::Mutex;
-use spin_core::hooks::HookSlot;
 use spin_core::Identity;
 use spin_fault::{FaultHook, Injection};
-use spin_sal::devices::disk::{BlockId, Disk, DiskRequest};
-use spin_sal::mmu::ContextId;
+use spin_sal::ContextId;
+use spin_sal::{BlockId, Disk, DiskRequest};
 use spin_sal::{Protection, PAGE_SHIFT};
 use spin_sched::{Executor, KChannel};
 use std::sync::Arc;
@@ -140,8 +140,8 @@ mod tests {
     use super::*;
     use crate::virt::VirtAddrService;
     use spin_core::Dispatcher;
-    use spin_sal::devices::disk::BLOCK_SIZE;
     use spin_sal::SimBoard;
+    use spin_sal::BLOCK_SIZE;
 
     #[test]
     fn faults_read_pages_from_disk_on_demand() {

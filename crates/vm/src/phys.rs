@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 /// Number of page colors the allocator distinguishes (cache-conscious
 /// allocation, as in the paper's citation of Romer et al.).
-pub const COLORS: u32 = 16;
+const COLORS: u32 = 16;
 
 /// Allocation preferences.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

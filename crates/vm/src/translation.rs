@@ -17,12 +17,12 @@
 
 use crate::phys::{PhysError, PhysRegion};
 use crate::virt::VirtRegion;
+use spin_check::hooks::HookSlot;
 use spin_check::sync::Mutex;
 use spin_check::sync::Ordering;
-use spin_core::hooks::HookSlot;
 use spin_core::{Dispatcher, Event, EventOwner, Identity};
 use spin_obs::{ObsHook, TraceKind};
-use spin_sal::mmu::{Access, ContextId, MmuFault, Pte};
+use spin_sal::{Access, ContextId, MmuFault, Pte};
 use spin_sal::{Clock, FrameId, MachineProfile, Mmu, Protection, PAGE_SHIFT};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;

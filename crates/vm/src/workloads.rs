@@ -24,7 +24,7 @@ use crate::translation::{FaultAction, FaultInfo, TranslationService};
 use crate::virt::{VirtAddrService, VirtRegion};
 use spin_check::sync::Mutex;
 use spin_core::{Dispatcher, Identity};
-use spin_sal::mmu::{Access, ContextId};
+use spin_sal::{Access, ContextId};
 use spin_sal::{Clock, MachineProfile, Nanos, PhysMem, Protection, SimBoard, PAGE_SHIFT};
 use std::sync::Arc;
 
@@ -44,7 +44,7 @@ pub struct VmWorkbench {
 }
 
 /// Pages in the benchmark region (the paper uses 100).
-pub const BENCH_PAGES: u64 = 100;
+const BENCH_PAGES: u64 = 100;
 
 impl Default for VmWorkbench {
     fn default() -> Self {

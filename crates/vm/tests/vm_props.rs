@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use spin_core::Dispatcher;
-use spin_sal::mmu::Access;
+use spin_sal::Access;
 use spin_sal::{Protection, SimBoard, PAGE_SHIFT};
 use spin_vm::{
     FaultKind, PhysAddrService, PhysAttrib, TranslationService, VirtAddrService, VmError,

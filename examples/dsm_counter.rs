@@ -4,8 +4,8 @@
 //!
 //! Run with: `cargo run --example dsm_counter`
 
-use spin_dsm::DsmNode;
 use spin_os::core::Dispatcher;
+use spin_os::dsm::DsmNode;
 use spin_os::net::{Medium, TwoHosts};
 use spin_os::vm::{PhysAddrService, TranslationService, VirtAddrService};
 

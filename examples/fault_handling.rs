@@ -55,7 +55,7 @@ fn main() {
 
     // --- Demand paging from disk. ---
     // Stage recognizable data on disk blocks 50..52.
-    use spin_os::sal::devices::disk::{BlockId, DiskRequest, BLOCK_SIZE};
+    use spin_os::sal::{BlockId, DiskRequest, BLOCK_SIZE};
     for (b, fill) in [(50u64, b'S'), (51, b'P')] {
         let disk = host.disk.clone();
         exec.spawn("stage", move |ctx| {

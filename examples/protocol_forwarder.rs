@@ -17,7 +17,7 @@ fn main() {
 
     // UDP echo service on C.
     let c2 = rig.c.clone();
-    spin_net::UdpSocket::bind_with(&rig.c, 7, "echo", move |p| {
+    spin_os::net::UdpSocket::bind_with(&rig.c, 7, "echo", move |p| {
         let _ = c2.udp_send(7, p.ip.src, p.header.src_port, &p.payload);
     })
     .unwrap();
@@ -25,8 +25,8 @@ fn main() {
     // TCP service on C: a single strand parked on a readiness poller —
     // the listener is token 0, each accepted connection gets its own.
     let listener = tcp_c.listen(80);
-    let poller = spin_net::NetPoller::new(&rig.c);
-    poller.add(listener.as_ref(), 0, spin_net::interest::ACCEPT);
+    let poller = spin_os::net::NetPoller::new(&rig.c);
+    poller.add(listener.as_ref(), 0, spin_os::net::interest::ACCEPT);
     let server_strand = rig.exec.spawn("tcp-server", move |ctx| {
         let mut conns = std::collections::BTreeMap::new();
         let mut next_token = 1u64;
@@ -34,7 +34,7 @@ fn main() {
             for (token, _mask) in poller.wait(ctx) {
                 if token == 0 {
                     while let Some(conn) = listener.try_accept() {
-                        poller.add(conn.as_ref(), next_token, spin_net::interest::READABLE);
+                        poller.add(conn.as_ref(), next_token, spin_os::net::interest::READABLE);
                         conns.insert(next_token, conn);
                         next_token += 1;
                     }
@@ -52,7 +52,7 @@ fn main() {
     // Client on A talks only to B — the forwarder is transparent.
     let b_ip = rig.b.ip_on(Medium::Ethernet);
     let a = rig.a.clone();
-    let reply_ch = spin_net::UdpSocket::bind(&rig.a, 9000, "client", 4).unwrap();
+    let reply_ch = spin_os::net::UdpSocket::bind(&rig.a, 9000, "client", 4).unwrap();
     let clock = rig.exec.clock().clone();
     rig.exec.spawn("client", move |ctx| {
         // UDP round trip through the splice.

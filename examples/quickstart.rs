@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 /// The opaque console capability (the paper's `Console.T`).
 struct ConsoleT {
-    device: spin_os::sal::devices::console::Console,
+    device: spin_os::sal::Console,
 }
 
 /// What the Console interface exports: typed procedures (which are also

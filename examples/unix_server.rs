@@ -7,8 +7,8 @@ use spin_os::core::Kernel;
 use spin_os::fs::{BufferCache, FileSystem, LruPolicy};
 use spin_os::sal::SimBoard;
 use spin_os::sched::Executor;
+use spin_os::unix::{UnixServer, SYSCALL_BASE};
 use spin_os::vm::{UnixAsExtension, VmService};
-use spin_unix::{UnixServer, SYSCALL_BASE};
 
 fn main() {
     let board = SimBoard::new();

@@ -217,6 +217,10 @@ gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant"
 # --all-targets: the Criterion bench and the examples are compiled by no
 # other gate, so without it a kernel-crate refactor can rot them unseen.
 gate clippy cargo clippy --workspace --all-targets -- -D warnings
+# Every public doc resolves: an intra-doc link to a moved or narrowed item
+# (or to a private module, now that each crate root is its interface)
+# fails here instead of rendering as plain text.
+gate rustdoc env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 gate fmt cargo fmt --check
 
 if [ "$LIST" = 0 ]; then

@@ -6,7 +6,9 @@
 //! testbed. See `DESIGN.md` for the system inventory and `EXPERIMENTS.md`
 //! for paper-vs-measured results for every table and figure.
 //!
-//! The facade re-exports each subsystem crate:
+//! The facade re-exports each subsystem crate, and it is the one path by
+//! which this package's tests, examples and docs name them. Each crate's
+//! modules are private: its root `pub use` list is its whole interface.
 //!
 //! * [`sal`] — simulated hardware: virtual clock, cost model, MMU,
 //!   devices, wire;
@@ -18,8 +20,13 @@
 //! * [`vm`] — the PhysAddr/VirtAddr/Translation services and extensions;
 //! * [`fs`] — the buffer cache and file system;
 //! * [`net`] — the extensible protocol stack and its extensions;
+//! * [`obs`] — the flight recorder and per-domain accounting;
 //! * [`fault`] — the deterministic fault-injection plan driving the
 //!   containment and quarantine machinery in [`core`];
+//! * [`swap`] — live domain hot-swap;
+//! * [`dsm`] — distributed shared memory over the fault events;
+//! * [`unix`] — a UNIX server on the thread, VM and file-system
+//!   extensions;
 //! * [`baseline`] — the DEC OSF/1 and Mach 3.0 comparison models.
 //!
 //! ## Quickstart
@@ -54,10 +61,14 @@
 
 pub use spin_baseline as baseline;
 pub use spin_core as core;
+pub use spin_dsm as dsm;
 pub use spin_fault as fault;
 pub use spin_fs as fs;
 pub use spin_net as net;
+pub use spin_obs as obs;
 pub use spin_rt as rt;
 pub use spin_sal as sal;
 pub use spin_sched as sched;
+pub use spin_swap as swap;
+pub use spin_unix as unix;
 pub use spin_vm as vm;

@@ -1,6 +1,6 @@
 //! The chaos suite: a seeded fault-injection storm across subsystems.
 //!
-//! A [`spin_fault::FaultPlan`] drives panics, delays and resource
+//! A [`spin_os::fault::FaultPlan`] drives panics, delays and resource
 //! failures into the dispatcher, the executor, the disk pager, the
 //! kernel heap and the network stack — well over a hundred injected
 //! handler panics per run — and the kernel must shrug: no process abort,
@@ -11,19 +11,19 @@
 //! on virtual time, two identical storms produce identical wreckage.
 
 use parking_lot::Mutex;
-use spin_core::{
+use spin_os::core::{
     Constraints, ContainmentPolicy, DispatchError, Domain, DomainFaultInfo, Event, Identity,
-    InstallSpec, Kernel, QuotaLedger, QuotaSnapshot, QuotaSpec,
+    InstallSpec, Kernel, QuotaLedger, QuotaSnapshot, QuotaSpec, QuotaVerdict,
 };
-use spin_fault::{
+use spin_os::fault::{
     FaultPlan, Injection, SiteConfig, SiteReport, SITE_DISPATCH, SITE_NET_STACK, SITE_QUOTA,
     SITE_RT_HEAP, SITE_SCHED, SITE_SWAP, SITE_VM_PAGER,
 };
-use spin_net::{Medium, TwoHosts};
-use spin_obs::Obs;
-use spin_sal::{SimBoard, PAGE_SHIFT};
-use spin_swap::{SwapCoordinator, SwapError, SwapSupervisor, UndoAction};
-use spin_vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService};
+use spin_os::net::{Medium, TwoHosts};
+use spin_os::obs::Obs;
+use spin_os::sal::{SimBoard, PAGE_SHIFT};
+use spin_os::swap::{SwapCoordinator, SwapError, SwapSupervisor, UndoAction};
+use spin_os::vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -611,6 +611,46 @@ fn quota_storm_is_contained_and_attributed() {
 #[test]
 fn quota_storms_are_deterministic_for_a_seed() {
     assert_eq!(quota_storm(1234), quota_storm(1234));
+}
+
+/// An injected `Delay` holds the window's charge longer, also when the
+/// admission that draws it opens a new window: the delay is charged to
+/// the window it lands in, not to the one the roll discards.
+#[test]
+fn a_quota_delay_drawn_at_a_window_roll_is_charged_to_the_new_window() {
+    const WINDOW: u64 = 1_000_000;
+    let ledger = QuotaLedger::new();
+    let plan = FaultPlan::new(1);
+    ledger.set_fault_hook(plan.hook(SITE_QUOTA));
+    let cell = ledger.register(
+        "late",
+        QuotaSpec {
+            window: WINDOW,
+            window_vt_budget: 100_000,
+            ..QuotaSpec::default()
+        },
+    );
+    assert_eq!(cell.admit(0), Ok(()), "the first window is empty");
+
+    // The next admission opens the second window and draws a 200 µs delay,
+    // twice the window's budget.
+    plan.configure(
+        SITE_QUOTA,
+        SiteConfig {
+            delay_every: 1,
+            delay_ns: 200_000,
+            ..SiteConfig::default()
+        },
+    );
+    assert_eq!(cell.admit(WINDOW + 1), Err(QuotaVerdict::Throttled));
+    plan.configure(SITE_QUOTA, SiteConfig::default());
+    assert_eq!(
+        cell.admit(WINDOW + 1),
+        Err(QuotaVerdict::Throttled),
+        "the delay still holds the second window"
+    );
+    let site = plan.report().into_iter().find(|r| r.site == SITE_QUOTA);
+    assert_eq!(site.map(|r| r.delays), Some(1));
 }
 
 /// The breaker under injected fire: with `strikes = 2` and

@@ -89,7 +89,7 @@ fn utilization_orders_spin_under_osf1_model() {
     let model = spin_os::baseline::Osf1Model::new(std::sync::Arc::new(
         spin_os::sal::MachineProfile::alpha_axp_3000_400(),
     ));
-    let t3 = spin_os::sal::devices::nic::NicModel::t3_dma().driver_ns;
+    let t3 = spin_os::sal::NicModel::t3_dma().driver_ns;
     let osf_per_second =
         30 * model.video_read_cpu(12_500) + 30 * 8 * 2 * model.video_send_cpu(8_000, t3);
     let osf_util = osf_per_second as f64 / 1e9;

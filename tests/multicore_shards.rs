@@ -3,10 +3,10 @@
 //! mailbox edge and a deep backlog of equal-instant frames — all
 //! byte-identical at 1, 2 and 4 worker threads.
 
-use spin_core::{Dispatcher, Identity};
-use spin_net::{Forwarder, Medium, ShardRig, UdpSocket};
-use spin_sal::{MailFate, MulticoreBoard, Nanos};
-use spin_sched::{IdleOutcome, KChannel, Multicore};
+use spin_os::core::{Dispatcher, Identity};
+use spin_os::net::{Forwarder, Medium, ShardRig, UdpSocket};
+use spin_os::sal::{MailFate, MulticoreBoard, Nanos};
+use spin_os::sched::{IdleOutcome, KChannel, Multicore};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -128,16 +128,16 @@ fn mailbox_delay_injection_stays_worker_count_invariant() {
         let _eb = mc.add_host(b);
         mc.wire_dispatcher(&disp_a, a_id);
         mc.wire_dispatcher(&disp_b, b_id);
-        let plan = spin_fault::FaultPlan::new(42);
+        let plan = spin_os::fault::FaultPlan::new(42);
         plan.configure(
-            spin_fault::SITE_MAILBOX,
-            spin_fault::SiteConfig {
+            spin_os::fault::SITE_MAILBOX,
+            spin_os::fault::SiteConfig {
                 delay_every: 2,
                 delay_ns: 500_000,
                 ..Default::default()
             },
         );
-        mc.set_fault_hook(plan.hook(spin_fault::SITE_MAILBOX));
+        mc.set_fault_hook(plan.hook(spin_os::fault::SITE_MAILBOX));
 
         let (ev, owner) = disp_b.define::<u64, u64>("Delayed.Tick", Identity::kernel("b"));
         let hits = Arc::new(AtomicU64::new(0));
@@ -158,7 +158,7 @@ fn mailbox_delay_injection_stays_worker_count_invariant() {
         let delays = plan
             .report()
             .into_iter()
-            .find(|r| r.site == spin_fault::SITE_MAILBOX)
+            .find(|r| r.site == spin_os::fault::SITE_MAILBOX)
             .expect("site configured")
             .delays;
         (

@@ -121,12 +121,12 @@ fn concurrent_flows_on_different_ports_do_not_cross() {
     let rig = TwoHosts::new();
     let sums = Arc::new(Mutex::new((0u64, 0u64)));
     let s1 = sums.clone();
-    spin_net::UdpSocket::bind_with(&rig.b, 100, "flow-a", move |p| {
+    spin_os::net::UdpSocket::bind_with(&rig.b, 100, "flow-a", move |p| {
         s1.lock().0 += p.payload.len() as u64
     })
     .unwrap();
     let s2 = sums.clone();
-    spin_net::UdpSocket::bind_with(&rig.b, 200, "flow-b", move |p| {
+    spin_os::net::UdpSocket::bind_with(&rig.b, 200, "flow-b", move |p| {
         s2.lock().1 += p.payload.len() as u64
     })
     .unwrap();

@@ -4,12 +4,12 @@
 //! event — observability dogfooding the paper's own machinery.
 
 use parking_lot::Mutex;
-use spin_core::{Identity, Kernel};
-use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
-use spin_net::pkt::UdpHeader;
-use spin_net::{http_get, install_metrics, proto, HttpServer, Medium, TcpStack, TwoHosts};
-use spin_obs::Obs;
-use spin_vm::VmWorkbench;
+use spin_os::core::{Identity, Kernel};
+use spin_os::fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
+use spin_os::net::UdpHeader;
+use spin_os::net::{http_get, install_metrics, proto, HttpServer, Medium, TcpStack, TwoHosts};
+use spin_os::obs::Obs;
+use spin_os::vm::VmWorkbench;
 use std::sync::Arc;
 
 /// Extracts `spin_<metric>{domain="<domain>"} <value>` from the body.
@@ -122,16 +122,16 @@ fn quota_gauges_scrape_end_to_end() {
     let kernel = Kernel::boot(rig.host_a.clone());
     let snapshot = kernel.install_obs(&obs);
 
-    let ledger = spin_core::QuotaLedger::new();
+    let ledger = spin_os::core::QuotaLedger::new();
     ledger.wire_obs(&obs);
     let cell = ledger.register(
         "greedy",
-        spin_core::QuotaSpec {
+        spin_os::core::QuotaSpec {
             window: 1_000_000,
             window_vt_budget: 1,
             shed_after_trips: 2,
             max_lane_occupancy: 1,
-            ..spin_core::QuotaSpec::default()
+            ..spin_os::core::QuotaSpec::default()
         },
     );
     let (ev, owner) = kernel
@@ -152,16 +152,16 @@ fn quota_gauges_scrape_end_to_end() {
     for _ in 0..2 {
         assert!(matches!(
             ev.raise(2),
-            Err(spin_core::DispatchError::Throttled { .. })
+            Err(spin_os::core::DispatchError::Throttled { .. })
         ));
     }
     assert!(matches!(
         ev.raise(3),
-        Err(spin_core::DispatchError::Shed { .. })
+        Err(spin_os::core::DispatchError::Shed { .. })
     ));
 
     // The mailbox gate refuses a post past the lane budget.
-    let mb = spin_sal::Mailbox::new();
+    let mb = spin_os::sal::Mailbox::new();
     ledger.install_mailbox_gate(&mb, vec![(5, cell.clone())]);
     assert!(mb.post(10, 5, |_| {}));
     assert!(!mb.post(11, 5, |_| {}), "lane occupancy budget refuses");
@@ -237,7 +237,7 @@ fn obs_service_is_importable_from_the_nameserver() {
     let handle: Arc<Obs> = svc.service().clone();
     handle
         .domain("profiler")
-        .trace(spin_obs::TraceKind::EventRaise, 0, 0);
+        .trace(spin_os::obs::TraceKind::EventRaise, 0, 0);
     assert_eq!(handle.ring().pushed(), 1);
 }
 

@@ -97,7 +97,7 @@ fn reclaim_invalidates_mappings_across_spaces() {
     assert_eq!(taken.id(), p.id());
     let invalidated = vm.trans.invalidate_phys(&p).unwrap();
     assert_eq!(invalidated, 2);
-    use spin_os::sal::mmu::Access;
+    use spin_os::sal::Access;
     assert!(vm.trans.access(ctx_a, v_a.base(), Access::Read).is_err());
     assert!(vm.trans.access(ctx_b, v_b.base(), Access::Read).is_err());
 }

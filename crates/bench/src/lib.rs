@@ -90,7 +90,7 @@ pub fn us(ns: u64) -> f64 {
 
 /// True when the binary was invoked with `--json`: emit `BENCH_<name>.json`
 /// beside the human table.
-pub fn json_requested() -> bool {
+fn json_requested() -> bool {
     std::env::args().any(|a| a == "--json")
 }
 

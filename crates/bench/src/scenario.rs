@@ -172,7 +172,7 @@ impl Wiring {
 
     /// Obs accounting (trace records stamp this executor's clock), the
     /// `sched.executor` fault site and a pass-through quota hook.
-    pub fn wire_exec(&self, exec: &Arc<Executor>) {
+    fn wire_exec(&self, exec: &Arc<Executor>) {
         self.count_charges(exec.clock());
         if let Some(obs) = &self.obs {
             let clock = exec.clock().clone();
@@ -194,7 +194,7 @@ impl Wiring {
     /// Per stack: obs accounting, the `net.stack` fault site and metered
     /// UDP/IP arrival events. Over the set: an idle swap coordinator,
     /// returned so a workload can also commit a swap through it.
-    pub fn wire_stacks(&self, stacks: &[(&str, &NetStack)]) -> Option<SwapCoordinator> {
+    fn wire_stacks(&self, stacks: &[(&str, &NetStack)]) -> Option<SwapCoordinator> {
         for (tag, s) in stacks {
             if let Some(obs) = &self.obs {
                 s.set_obs(obs.domain("net"));
@@ -213,7 +213,7 @@ impl Wiring {
 
     /// Kernel-wide obs, the `core.dispatch` and `rt.heap` fault sites with
     /// the kernel's containment policy, and a metered `Trap.SystemCall`.
-    pub fn wire_kernel(&self, kernel: &Kernel) {
+    fn wire_kernel(&self, kernel: &Kernel) {
         if let Some(obs) = &self.obs {
             kernel.install_obs(obs);
         }
@@ -322,7 +322,7 @@ pub fn xas(w: &Wiring) -> Nanos {
 /// Table 4's SPIN rows, in the paper's order: Dirty, Fault, Trap, Prot1,
 /// Prot100, Unprot100, Appel1, Appel2. A fresh workbench per measurement
 /// avoids handler interference. The workbench owns its dispatcher, so obs
-/// is the only feature it can carry; [`pager_demand`] covers the rest of
+/// is the only feature it can carry; `pager_demand` covers the rest of
 /// the VM path.
 pub fn table4_vm(w: &Wiring) -> [Nanos; 8] {
     let ops: [fn(&VmWorkbench) -> Nanos; 8] = [
@@ -347,7 +347,7 @@ pub fn table4_vm(w: &Wiring) -> [Nanos; 8] {
 /// Demand-pages a small disk-backed region and reports the elapsed
 /// virtual time — the workload whose handler crosses the `vm.pager`,
 /// `core.dispatch` and `sched.executor` hook points at once.
-pub fn pager_demand(w: &Wiring) -> Nanos {
+fn pager_demand(w: &Wiring) -> Nanos {
     const PAGES: u64 = 8;
     let board = SimBoard::new();
     let host = board.new_host(128);
@@ -524,7 +524,7 @@ pub fn table6_udp(w: &Wiring, medium: Medium, mid_run_swap: bool) -> (Nanos, Eve
 
 /// Table 6, TCP: an established connection through the splice; 16-byte
 /// request, 16-byte reply.
-pub fn table6_tcp(w: &Wiring, medium: Medium) -> Nanos {
+fn table6_tcp(w: &Wiring, medium: Medium) -> Nanos {
     let (rig, _idle) = w.three_hosts();
     let _fwd = Forwarder::install_tcp(&rig.b, 80, rig.c.ip_on(medium));
     let tcp_a = TcpStack::install(&rig.a);
@@ -616,7 +616,7 @@ pub fn s1_scaling(w: &Wiring) -> [Nanos; 3] {
 /// Round trip to an echo service bound through the keyed
 /// [`UdpSocket::bind_with`], or installed as the equivalent opaque
 /// port-comparison guard, per [`Wiring::keyed`].
-pub fn echo_rtt(w: &Wiring) -> Nanos {
+fn echo_rtt(w: &Wiring) -> Nanos {
     let rig = w.two_hosts();
     let server = rig.b.clone();
     let echo = move |p: &UdpPacket| {

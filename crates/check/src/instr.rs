@@ -97,14 +97,6 @@ macro_rules! instrumented_atomic {
                 )
             }
 
-            pub fn fetch_and(&self, v: $ty, ord: Ordering) -> $ty {
-                self.rmw(ord, move |old| old & v, |real, o| real.fetch_and(v, o))
-            }
-
-            pub fn fetch_or(&self, v: $ty, ord: Ordering) -> $ty {
-                self.rmw(ord, move |old| old | v, |real, o| real.fetch_or(v, o))
-            }
-
             pub fn fetch_min(&self, v: $ty, ord: Ordering) -> $ty {
                 self.rmw(ord, move |old| old.min(v), |real, o| real.fetch_min(v, o))
             }
@@ -317,25 +309,6 @@ impl<T: ?Sized> Mutex<T> {
             ctx,
             inner: Some(self.inner.lock()),
         }
-    }
-
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        let ctx = model::current_ctx();
-        if let Some(c) = &ctx {
-            if !c.exec.try_lock_acquire(c.tid, self.id.get(), false) {
-                return None;
-            }
-            return Some(MutexGuard {
-                id: self.id.get(),
-                ctx,
-                inner: Some(self.inner.lock()),
-            });
-        }
-        self.inner.try_lock().map(|g| MutexGuard {
-            id: self.id.get(),
-            ctx: None,
-            inner: Some(g),
-        })
     }
 
     pub fn get_mut(&mut self) -> &mut T {

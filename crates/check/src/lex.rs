@@ -22,7 +22,7 @@ use std::fmt;
 
 /// What a [`Tok`] is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// An identifier or keyword (`unsafe`, `for`, `HashMap`, ...).
     Ident,
     /// Punctuation. Single characters, except `::` which is fused into
@@ -36,10 +36,10 @@ pub enum TokKind {
 
 /// One lexed token with its 1-based source line.
 #[derive(Clone, Debug)]
-pub struct Tok {
-    pub line: usize,
-    pub kind: TokKind,
-    pub text: String,
+pub(crate) struct Tok {
+    pub(crate) line: usize,
+    pub(crate) kind: TokKind,
+    pub(crate) text: String,
 }
 
 impl fmt::Display for Tok {
@@ -50,12 +50,12 @@ impl fmt::Display for Tok {
 
 /// The lexer's output: the token stream plus per-line comment text.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Tokens in source order; multi-line constructs carry their start line.
-    pub toks: Vec<Tok>,
+    pub(crate) toks: Vec<Tok>,
     /// `comments[n]` is every comment character seen on 0-based line `n`
     /// (line, block and doc comments concatenated).
-    pub comments: Vec<String>,
+    pub(crate) comments: Vec<String>,
 }
 
 impl Lexed {
@@ -63,7 +63,7 @@ impl Lexed {
     /// present in a comment on 0-based line `at` or within the `window`
     /// lines above it? One implementation, per-rule windows — so the
     /// rules cannot drift apart on what "a nearby comment" means.
-    pub fn justified(&self, at: usize, window: usize, needle: &str) -> bool {
+    pub(crate) fn justified(&self, at: usize, window: usize, needle: &str) -> bool {
         let lo = at.saturating_sub(window);
         let hi = at.min(self.comments.len().saturating_sub(1));
         self.comments[lo..=hi].iter().any(|c| c.contains(needle))
@@ -72,7 +72,7 @@ impl Lexed {
     /// Does the token sequence starting at `i` spell `pat` exactly?
     /// (`::` is a single token, so `["std", "::", "time"]` matches the
     /// path `std::time` and nothing else.)
-    pub fn seq_at(&self, i: usize, pat: &[&str]) -> bool {
+    pub(crate) fn seq_at(&self, i: usize, pat: &[&str]) -> bool {
         pat.iter()
             .enumerate()
             .all(|(k, p)| self.toks.get(i + k).is_some_and(|t| t.text == *p))
@@ -90,7 +90,7 @@ fn is_ident_continue(c: char) -> bool {
 /// Lex `src` into tokens and per-line comments. Never fails: unterminated
 /// constructs end at EOF (the rules run on real, compiling source; fixture
 /// snippets are well-formed).
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     let chars: Vec<char> = src.chars().collect();
     let nlines = src.lines().count().max(1);
     let mut out = Lexed {
@@ -150,7 +150,11 @@ pub fn lex(src: &str) -> Lexed {
                 i += 1;
                 while i < chars.len() {
                     match chars[i] {
-                        '\\' => i += 2,
+                        '\\' => {
+                            // An escaped newline is a line-continuation.
+                            line += usize::from(chars.get(i + 1) == Some(&'\n'));
+                            i += 2;
+                        }
                         '"' => {
                             i += 1;
                             break;
@@ -178,7 +182,7 @@ pub fn lex(src: &str) -> Lexed {
                         }
                         i += 1;
                     } else {
-                        i += 3;
+                        i += 2;
                     }
                     push(&mut out, start, TokKind::Lit, "''".into());
                 } else {
@@ -201,7 +205,11 @@ pub fn lex(src: &str) -> Lexed {
                 i += 2;
                 while i < chars.len() {
                     match chars[i] {
-                        '\\' => i += 2,
+                        '\\' => {
+                            // An escaped newline is a line-continuation.
+                            line += usize::from(chars.get(i + 1) == Some(&'\n'));
+                            i += 2;
+                        }
                         '"' => {
                             i += 1;
                             break;
@@ -341,6 +349,14 @@ mod tests {
     #[test]
     fn multiline_string_keeps_line_numbers() {
         let l = lex("let s = \"a\nb\nc\";\nlet t = 2;");
+        let t = l.toks.iter().find(|t| t.text == "t").expect("t");
+        assert_eq!(t.line, 4);
+    }
+
+    #[test]
+    fn char_literals_and_escaped_newlines_keep_line_numbers() {
+        assert_eq!(texts("f('x')"), ["f", "(", "''", ")"]);
+        let l = lex("let c = '_'\nlet s = \"a\\\n b\";\nlet t = 2;");
         let t = l.toks.iter().find(|t| t.text == "t").expect("t");
         assert_eq!(t.line, 4);
     }

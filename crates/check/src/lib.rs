@@ -19,12 +19,12 @@
 //!   vector clocks so stale values are actually observable, and failing
 //!   schedules print a seed that replays the exact interleaving.
 //! - [`lint`] is the static gate behind `spin-lint`: a token-level
-//!   verifier over the whole workspace built on the lexer in [`lex`]. Eight
+//!   verifier over the whole workspace built on its own lexer (`lex.rs`). Eight
 //!   rules — D1 determinism (no wall clock / ambient randomness / env reads), D2
 //!   hash-iteration order, F1 facade enforcement, O1 `// ordering:`
 //!   justifications, U1 unsafe containment with `// SAFETY:` comments,
-//!   C1 charge coverage in the hot-path modules, P1 no `pub` item that no
-//!   other file names, P2 no dependency its crate never names — with a declarative
+//!   C1 charge coverage in the hot-path modules, P1 no `pub` item that
+//!   nothing outside its crate names, P2 no dependency its crate never names — with a declarative
 //!   `lint.toml` allowlist and a machine-readable `--json` report that
 //!   `scripts/verify.sh` gates on.
 //!
@@ -36,7 +36,7 @@
 
 pub mod hooks;
 pub mod instr;
-pub mod lex;
+mod lex;
 pub mod lint;
 pub mod model;
 pub mod sync;

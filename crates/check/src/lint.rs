@@ -13,10 +13,10 @@
 //! | `O1` | every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site carries an `// ordering:` justification within 2 lines |
 //! | `U1` | `unsafe` only in allowlisted files, each site with a `// SAFETY:` comment within 5 lines; crate roots declare the matching lint |
 //! | `C1` | public functions in the charged hot-path modules reach a `Clock` charge or document their charging story — `// uncharged:` (zero-cost by design) or `// charged:` (the charge lands behind a call the intra-file analysis can't see) — within 6 lines |
-//! | `P1` | every plain `pub` item under `crates/*/src` is named from some other file (its crate's other files, any crate's `src`/`tests`/`benches`/`examples`, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — unless its name is declared twice, a live item's signature in its file names it, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
+//! | `P1` | every plain `pub` item under `crates/*/src` is named from outside its crate (another crate's `src`, any crate's `tests`/`benches`/`examples`, a `src/bin/` file, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — unless its name is declared twice, a live item of its crate names it in its signature, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
 //! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples`; the root package's manifest included |
 //!
-//! Rules run over the token stream from [`crate::lex`] (string literals,
+//! Rules run over the token stream from the crate's lexer (string literals,
 //! comments and lifetimes can't fool them), across `crates/*/src` plus the
 //! root crate's `src/`; P1 and P2 also read the other places the crates
 //! are named from. Exemptions are declarative: a `lint.toml` at the
@@ -40,13 +40,13 @@ use std::path::{Path, PathBuf};
 use crate::lex::{lex, Lexed, Tok, TokKind};
 
 /// Rule identifiers, in report order.
-pub const RULES: [&str; 8] = ["C1", "D1", "D2", "F1", "O1", "P1", "P2", "U1"];
+const RULES: [&str; 8] = ["C1", "D1", "D2", "F1", "O1", "P1", "P2", "U1"];
 
 /// How far above a site its justification comment may sit (shared
 /// scanner in [`Lexed::justified`]; per-rule windows).
-pub const SAFETY_WINDOW: usize = 5;
-pub const ORDERING_WINDOW: usize = 2;
-pub const UNCHARGED_WINDOW: usize = 6;
+const SAFETY_WINDOW: usize = 5;
+const ORDERING_WINDOW: usize = 2;
+const UNCHARGED_WINDOW: usize = 6;
 
 /// One lint violation.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -938,7 +938,7 @@ fn read_tree(root: &Path, dirs: &[PathBuf]) -> std::io::Result<Vec<SourceFile>> 
 
 /// Run the full lint rooted at a workspace directory (the repo root or a
 /// fixture laid out the same way) with an explicit config.
-pub fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
+fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     let crates = crate_dirs(root)?;
     // The per-file rules run over `crates/*/src` and the root `src/`; P1
     // and P2 also read every other place the crates are named from.
@@ -1041,11 +1041,14 @@ struct PubItem {
     paper: bool,
 }
 
-/// `crates/<name>/src/..` → `Some(name)`.
-fn src_crate(rel: &str) -> Option<&str> {
+/// `crates/<name>/src/..` → `Some(name)`, the library crate the file
+/// belongs to; `None` for every other file, `src/bin/` included (each bin
+/// is a crate of its own, outside the library it calls).
+fn lib_crate(rel: &str) -> Option<&str> {
     let mut parts = rel.split('/');
-    match (parts.next(), parts.next(), parts.next()) {
-        (Some("crates"), Some(name), Some("src")) => Some(name),
+    match (parts.next(), parts.next(), parts.next(), parts.next()) {
+        (Some("crates"), _, Some("src"), Some("bin")) => None,
+        (Some("crates"), Some(name), Some("src"), _) => Some(name),
         _ => None,
     }
 }
@@ -1134,7 +1137,7 @@ fn signature(toks: &[Tok], kind: usize, from: usize) -> BTreeSet<String> {
                     "(" | "[" | "{" | "<" => depth += 1,
                     ">" if toks[j - 1].text == "-" => {}
                     ")" | "]" | "}" | ">" if depth > 0 => depth -= 1,
-                    "," | ")" | "}" => {
+                    "," | ")" | "}" if depth == 0 => {
                         let pub_field = (field..j).any(|k| {
                             toks[k].text == "pub" && toks.get(k + 1).is_some_and(|t| t.text != "(")
                         });
@@ -1221,15 +1224,15 @@ fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
     out
 }
 
-/// P1: a plain `pub` item under `crates/*/src` must be named from some
-/// other file — another file of its crate, another crate's targets, the
-/// root crate's `src`/`tests`/`examples`, or `perf/src` — by something
-/// other than a `pub use`, which only passes a name on (a plain `use`,
-/// such as a trait import, is a use). Names declared
-/// more than once are skipped, not guessed; a type is also live when a
-/// live item of its file names it in its signature (narrowing it would
-/// not build); a `// paper:` comment in the two lines above exempts an
-/// interface the paper or README describes.
+/// P1: a plain `pub` item under `crates/*/src` must be named from outside
+/// its crate — another crate's `src`, any crate's `tests`/`benches`/
+/// `examples` (its own included), a `src/bin/` file, the root package or
+/// `perf/src` — by something other than a `pub use`, which only passes a
+/// name on (a plain `use`, such as a trait import, is a use). Names
+/// declared more than once are skipped, not guessed; a type is also live
+/// when a live item of its crate names it in its signature (narrowing it
+/// would fail `private_interfaces`); a `// paper:` comment in the two
+/// lines above exempts an interface the paper or README describes.
 fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> Surface {
     let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
     let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
@@ -1259,19 +1262,22 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
                 }
             }
         }
-        if src_crate(&file.rel).is_some() {
+        if lib_crate(&file.rel).is_some() {
             items.extend(pub_items(f, &file.lx));
         }
     }
+    let krate = |f: usize| lib_crate(&files[f].rel);
     let mut live: Vec<bool> = items
         .iter()
         .map(|it| {
             it.paper
                 || declared.get(it.name.as_str()) > Some(&1)
-                || named_in[it.name.as_str()].iter().any(|&f| f != it.file)
+                || named_in[it.name.as_str()]
+                    .iter()
+                    .any(|&f| krate(f) != krate(it.file))
         })
         .collect();
-    // Fixpoint: a live item keeps the same-file items its signature names.
+    // Fixpoint: a live item keeps the same-crate items its signature names.
     let mut changed = true;
     while changed {
         changed = false;
@@ -1281,7 +1287,7 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
             }
             for b in 0..items.len() {
                 if !live[b]
-                    && items[b].file == items[a].file
+                    && krate(items[b].file) == krate(items[a].file)
                     && items[a].sig.contains(&items[b].name)
                 {
                     live[b] = true;
@@ -1296,8 +1302,8 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
     };
     for (it, live) in items.iter().zip(live) {
         let file = &files[it.file];
-        let krate = src_crate(&file.rel).expect("indexed under crates/*/src");
-        *surface.pub_items.entry(krate.to_string()).or_default() += 1;
+        let name = lib_crate(&file.rel).expect("indexed under crates/*/src");
+        *surface.pub_items.entry(name.to_string()).or_default() += 1;
         if !live && !cfg.waived("P1", &file.rel) {
             findings.push(Finding {
                 file: PathBuf::from(&file.rel),
@@ -1376,7 +1382,7 @@ fn rule_p2(
     Ok(())
 }
 
-const HINT_P1: &str = "nothing outside this file names it: delete it, or narrow it to private \
+const HINT_P1: &str = "nothing outside this crate names it: delete it, or narrow it to private \
     or pub(crate); a `// paper:` comment exempts only an interface PAPER.md or README.md describes";
 const HINT_P2: &str = "the crate's src never names this dependency: drop it from [dependencies]";
 const HINT_P2_DEV: &str =

@@ -67,7 +67,7 @@ pub(crate) fn current_ctx() -> Option<Ctx> {
 /// execution. Public so embedders' `catch_unwind` wrappers can rethrow it;
 /// any instrumented op re-raises it, so a kernel `catch_unwind` that
 /// swallows one cannot wedge the executor.
-pub struct AbortExecution;
+pub(crate) struct AbortExecution;
 
 fn abort_execution() -> ! {
     panic::panic_any(AbortExecution)
@@ -148,10 +148,6 @@ pub(crate) enum Op {
         obj: u64,
         shared: bool,
     },
-    TryLock {
-        obj: u64,
-        shared: bool,
-    },
     LockRelease {
         obj: u64,
     },
@@ -163,15 +159,12 @@ pub(crate) enum Op {
 impl Op {
     /// Whether the operation is a locked instruction or a lock operation:
     /// a read-modify-write (swap, fetch_*, compare-exchange) or a lock
-    /// taken, tried or released. Plain loads and stores are `mov`s on
+    /// taken or released. Plain loads and stores are `mov`s on
     /// x86-64 and are not.
     fn is_locked(&self) -> bool {
         matches!(
             self,
-            Op::AtomicRmw { .. }
-                | Op::LockAcquire { .. }
-                | Op::TryLock { .. }
-                | Op::LockRelease { .. }
+            Op::AtomicRmw { .. } | Op::LockAcquire { .. } | Op::LockRelease { .. }
         )
     }
 }
@@ -186,7 +179,7 @@ fn dependent(a: &Op, b: &Op) -> bool {
         _ => None,
     };
     let lock_obj = |op: &Op| match op {
-        LockAcquire { obj, shared } | TryLock { obj, shared } => Some((*obj, *shared, true)),
+        LockAcquire { obj, shared } => Some((*obj, *shared, true)),
         LockRelease { obj } => Some((*obj, false, false)),
         _ => None,
     };
@@ -775,24 +768,6 @@ impl Execution {
             }
             let lvc = lock.vc.clone();
             g.threads[me].vc.join(&lvc);
-        })
-    }
-
-    pub(crate) fn try_lock_acquire(&self, me: usize, id: u64, shared: bool) -> bool {
-        self.announce_and(me, Op::TryLock { obj: id, shared }, |g, me| {
-            g.threads[me].vc.inc(me);
-            let lock = g.locks.entry(id).or_default();
-            let free = lock.writer.is_none() && (shared || lock.readers.is_empty());
-            if free {
-                if shared {
-                    lock.readers.push(me);
-                } else {
-                    lock.writer = Some(me);
-                }
-                let lvc = lock.vc.clone();
-                g.threads[me].vc.join(&lvc);
-            }
-            free
         })
     }
 

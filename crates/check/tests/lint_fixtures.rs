@@ -106,21 +106,26 @@ fn workspace_fixture_reports_all_violations() {
 
 /// P1 over workspace-shaped fixtures. In `bad/p1` an item named only by
 /// its own file's tests fires, so does the type only its signature names,
-/// and so does an item only `pub use` lines name — its crate root's and
-/// another crate's. In `clean/p1` every item is named from another file of
-/// its crate, from the root `tests/` or from `perf/src` (a trait through a
-/// plain `use` import), skipped as a colliding name, kept by the fixpoint,
-/// or exempt by `// paper:`.
+/// an item only a sibling module of its crate calls, an item only
+/// `pub use` lines name (its crate root's and another crate's), and a
+/// re-exported type only its own crate names. In `clean/p1` every item is
+/// named from outside its crate — the root `tests/`, the crate's own
+/// `tests/`, a `src/bin/` file, or `perf/src` (a trait through a plain
+/// `use` import) — skipped as a colliding name, kept by the fixpoint
+/// (through a signature in another file of the crate, or a `pub` field's
+/// second type argument), or exempt by `// paper:`.
 #[test]
 fn p1_flags_exactly_the_unreferenced_pub_items() {
     let bad = lint_workspace(&fixture_path("bad/p1")).expect("fixture is readable");
-    let lib = "crates/kern/src/lib.rs".to_string();
+    let (lib, relayed) = ("crates/kern/src/lib.rs", "crates/kern/src/relayed.rs");
     assert_eq!(
         located(&bad),
         vec![
-            (lib.clone(), 9, "P1"),
-            (lib, 14, "P1"),
-            ("crates/kern/src/relayed.rs".into(), 4, "P1"), // only `pub use`s name it
+            (lib.into(), 11, "P1"),
+            (lib.into(), 16, "P1"),
+            (lib.into(), 24, "P1"),    // only a sibling module calls it
+            (relayed.into(), 5, "P1"), // only `pub use`s name it
+            (relayed.into(), 8, "P1"), // re-exported, named only in its crate
         ],
         "{:#?}",
         bad.findings
@@ -137,7 +142,7 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
         clean.findings
     );
     assert_eq!(clean.paper_exemptions, 1);
-    assert_eq!(clean.pub_items.get("kern"), Some(&11));
+    assert_eq!(clean.pub_items.get("kern"), Some(&16));
 }
 
 /// A workspace-shaped fixture whose `lint.toml` waives a measurement

@@ -1,7 +1,9 @@
 //! P1 fixture: `orphan` is named only by this file's own tests and
-//! `Unseen` only by `orphan`'s signature, so both fire (lines 9 and 14),
-//! and so does `Relayed` in `relayed.rs`, which only `pub use`s name. A
-//! `///` doc line is not the `// paper:` exemption.
+//! `Unseen` only by `orphan`'s signature, so both fire (lines 11 and 16).
+//! So does `sibling` (line 24), which only `relayed.rs`, a module of
+//! this crate, calls; and in `relayed.rs`, `Relayed`, which only
+//! `pub use`s name, and `Internal`, re-exported below but named only
+//! inside this crate. A `///` doc line is not the `// paper:` exemption.
 
 #![forbid(unsafe_code)]
 
@@ -18,14 +20,24 @@ pub fn used() -> u32 {
     2
 }
 
+/// Called only from `relayed.rs`: a caller in the same crate is no caller.
+pub fn sibling() -> u32 {
+    3
+}
+
 mod relayed;
 
-pub use relayed::Relayed;
+pub use relayed::{Internal, Relayed};
+
+fn internal() -> Internal {
+    Internal
+}
 
 #[cfg(test)]
 mod tests {
     #[test]
     fn orphan_builds() {
         let _ = super::orphan();
+        let _ = super::internal();
     }
 }

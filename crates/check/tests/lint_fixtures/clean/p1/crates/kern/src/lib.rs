@@ -1,13 +1,13 @@
-//! P1-clean fixture: every plain `pub` item is named from another file,
-//! skipped as a colliding name, kept by the fixpoint, or exempt. The
-//! `pub use` below names `square` and `Area` but is no use of them:
-//! `perf/src` and `tests/` are.
+//! P1-clean fixture: every plain `pub` item is named from outside its
+//! crate, skipped as a colliding name, kept by the fixpoint, or exempt.
+//! The `pub use` below names `square`, `corner` and `Area` but is no use
+//! of them: `perf/src` and `tests/` are.
 
 #![forbid(unsafe_code)]
 
 mod shapes;
 
-pub use shapes::{square, Area};
+pub use shapes::{corner, square, Area};
 
 /// Named by the root crate's `tests/`.
 pub fn tested() -> u64 {
@@ -19,8 +19,28 @@ pub fn measured() -> u64 {
     2
 }
 
-/// Named by `shapes.rs`, another file of this crate.
-pub const SIDES: u32 = 4;
+/// Named only by this crate's own `tests/`, which build against it from
+/// outside.
+pub fn own_tested() -> u64 {
+    5
+}
+
+/// Named only by `src/bin/tool.rs`, a crate of its own.
+pub fn for_the_bin() -> u64 {
+    6
+}
+
+/// Named by no other crate: the fixpoint keeps it because the signature
+/// of `corner` in `shapes.rs`, which `perf/src` names, mentions it.
+pub struct Corner;
+
+/// Named by `tests/`. Its field keeps `Second`, which only the field's
+/// second type argument names.
+pub struct Holder {
+    pub pair: Result<u8, Second>,
+}
+
+pub struct Second;
 
 /// Named by `tests/`; each has a `size`, declared twice in this file and
 /// so skipped, not guessed.

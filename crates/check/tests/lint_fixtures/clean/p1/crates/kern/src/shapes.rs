@@ -6,9 +6,11 @@ pub struct Outline {
 }
 
 pub fn square() -> Outline {
-    Outline {
-        sides: crate::SIDES,
-    }
+    Outline { sides: 4 }
+}
+
+pub fn corner() -> crate::Corner {
+    crate::Corner
 }
 
 /// Named only by `tests/`'s `use kern::Area;`, which imports the trait for

@@ -2237,8 +2237,6 @@ where
 /// (destroyed events) degrade to `false`/`0` — a destroyed event is
 /// trivially quiescent.
 pub trait GatedEvent: Send + Sync {
-    /// The event's qualified name.
-    fn gated_name(&self) -> &str;
     /// [`Event::quiesce`]; `false` if the event is gone.
     fn quiesce(&self) -> bool;
     /// [`Event::drain_in_flight`]; `false` if the event is gone.
@@ -2247,10 +2245,6 @@ pub trait GatedEvent: Send + Sync {
     fn resume(&self) -> u64;
     /// [`Event::held_len`].
     fn held_len(&self) -> usize;
-    /// [`Event::hold_stats`].
-    fn hold_stats(&self) -> HoldStats;
-    /// [`Event::generation`].
-    fn generation(&self) -> u64;
 }
 
 impl<A, R> GatedEvent for Event<A, R>
@@ -2258,10 +2252,6 @@ where
     A: Send + Sync + 'static,
     R: Send + 'static,
 {
-    fn gated_name(&self) -> &str {
-        self.name()
-    }
-
     fn quiesce(&self) -> bool {
         Event::quiesce(self).is_ok()
     }
@@ -2276,14 +2266,6 @@ where
 
     fn held_len(&self) -> usize {
         Event::held_len(self).unwrap_or(0)
-    }
-
-    fn hold_stats(&self) -> HoldStats {
-        Event::hold_stats(self).unwrap_or_default()
-    }
-
-    fn generation(&self) -> u64 {
-        Event::generation(self).unwrap_or(0)
     }
 }
 

@@ -141,7 +141,7 @@ impl Domain {
     /// constituents is collected and reported (API v2), so a failed
     /// combine names all offending domain pairs at once instead of
     /// aborting on the first.
-    pub fn combine(name: &str, domains: &[Domain]) -> Result<Domain, CoreError> {
+    pub(crate) fn combine(name: &str, domains: &[Domain]) -> Result<Domain, CoreError> {
         // Conflict check across constituents.
         let mut seen: Vec<(String, std::any::TypeId, String, &'static str)> = Vec::new();
         let mut conflicts: Vec<SymbolConflict> = Vec::new();
@@ -178,7 +178,7 @@ impl Domain {
     }
 
     /// Adds an interface to this domain's own exports.
-    pub fn add_export(&self, interface: Interface) {
+    pub(crate) fn add_export(&self, interface: Interface) {
         self.inner.exports.write().push(interface);
     }
 
@@ -246,7 +246,7 @@ impl Domain {
 
     /// Fails unless the domain is fully resolved (used before activating an
     /// extension).
-    pub fn require_resolved(&self) -> Result<(), CoreError> {
+    pub(crate) fn require_resolved(&self) -> Result<(), CoreError> {
         let u = self.unresolved();
         if u.is_empty() {
             Ok(())

@@ -273,7 +273,7 @@ impl Containment {
     /// `quarantine` set the domain is additionally quarantined: its
     /// handlers are purged and its exports revoked, exactly the breaker's
     /// own quarantine path. Idempotent for an already-quarantined domain.
-    pub fn report_overload(&self, domain: &Identity, at: Nanos, quarantine: bool) {
+    pub(crate) fn report_overload(&self, domain: &Identity, at: Nanos, quarantine: bool) {
         self.note_external_fault(domain);
         let trips = {
             let mut st = self.state.lock();

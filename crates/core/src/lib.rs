@@ -53,7 +53,7 @@ pub use identity::{Identity, IdentityKind};
 pub use interface::{Interface, Symbol};
 pub use kernel::{Kernel, SysResult, Syscall};
 pub use nameserver::{Authorizer, NameServer, ServiceRef};
-pub use objfile::{ImportDecl, ImportSlot, ObjectFile, ObjectFileBuilder, Provenance};
+pub use objfile::{ImportSlot, ObjectFile, ObjectFileBuilder, Provenance};
 pub use quota::{
     post_with_backpressure, BackoffPolicy, PostOutcome, QuotaBreach, QuotaCell, QuotaLedger,
     QuotaSnapshot, QuotaSpec, QuotaState, QuotaVerdict,

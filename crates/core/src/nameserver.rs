@@ -201,7 +201,7 @@ impl NameServer {
     /// revoked names, sorted. This is the quarantine primitive: a domain
     /// that has tripped its failure budget loses its exported interfaces
     /// so no further imports can bind to it.
-    pub fn revoke_exports(&self, exporter: &Identity) -> Vec<String> {
+    pub(crate) fn revoke_exports(&self, exporter: &Identity) -> Vec<String> {
         let mut names = self.names.lock();
         let revoked: Vec<String> = names
             .iter()

@@ -67,17 +67,11 @@ impl<T: Send + Sync + 'static> ImportSlot<T> {
                 symbols: vec![std::any::type_name::<T>().to_string()],
             })
     }
-
-    /// Whether the slot has been patched.
-    pub fn is_resolved(&self) -> bool {
-        self.cell.read().is_some()
-    }
 }
 
 /// Type-erased fill protocol used by the linker.
 pub(crate) trait SlotFill: Send + Sync {
     fn fill(&self, symbol: &Symbol) -> Result<(), CoreError>;
-    fn is_filled(&self) -> bool;
     fn expected_type_name(&self) -> &'static str;
 }
 
@@ -91,30 +85,22 @@ impl<T: Any + Send + Sync> SlotFill for TypedFill<T> {
         *self.slot.cell.write() = Some(value);
         Ok(())
     }
-    fn is_filled(&self) -> bool {
-        self.slot.is_resolved()
-    }
     fn expected_type_name(&self) -> &'static str {
         std::any::type_name::<T>()
     }
 }
 
 /// One declared import: `interface.symbol` at a specific type.
-pub struct ImportDecl {
-    pub interface: String,
-    pub symbol: String,
+pub(crate) struct ImportDecl {
+    pub(crate) interface: String,
+    pub(crate) symbol: String,
     pub(crate) fill: Arc<dyn SlotFill>,
 }
 
 impl ImportDecl {
     /// `Interface.Symbol`, for diagnostics.
-    pub fn qualified_name(&self) -> String {
+    pub(crate) fn qualified_name(&self) -> String {
         format!("{}.{}", self.interface, self.symbol)
-    }
-
-    /// Whether this import has been resolved.
-    pub fn is_resolved(&self) -> bool {
-        self.fill.is_filled()
     }
 }
 
@@ -242,7 +228,6 @@ mod tests {
     fn import_slots_start_unresolved() {
         let mut b = ObjectFileBuilder::new("m");
         let slot = b.import::<u32>("Math", "answer");
-        assert!(!slot.is_resolved());
         assert!(matches!(slot.get(), Err(CoreError::Unresolved { .. })));
         let f = b.sign();
         assert_eq!(f.imports.len(), 1);

@@ -761,6 +761,75 @@ mod tests {
         }
     }
 
+    /// Single writer, multiple readers, read from the page tables: after
+    /// a read share the owner's mapping is read-only, after the owner's
+    /// upgrade the invalidated reader has no mapping, after a write
+    /// takeover the old owner has none, and at no point is the page
+    /// writable on one node while the other maps it.
+    #[test]
+    fn a_writable_page_is_mapped_on_no_other_node() {
+        let r = dsm_rig(1);
+        let base = r.node_a.base();
+        let ptes = {
+            let (ta, tb) = (r.trans_a.clone(), r.trans_b.clone());
+            let (ca, cb) = (r.node_a.context(), r.node_b.context());
+            move || {
+                let prot = |t: &TranslationService, c| {
+                    let pte = t.mmu().examine(c, base >> PAGE_SHIFT).unwrap();
+                    pte.map(|p| p.prot)
+                };
+                (prot(&ta, ca), prot(&tb, cb))
+            }
+        };
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (ta, ma, ca) = (r.trans_a.clone(), r.mem_a.clone(), r.node_a.context());
+        let (s2, snap) = (seen.clone(), ptes.clone());
+        r.rig.exec.spawn("a", move |ctx| {
+            ctx.sleep(20_000_000); // after B's read share
+            ta.write(ca, base, b"A upgrades", &ma).unwrap();
+            s2.lock().push(("a upgraded", snap()));
+            ctx.sleep(20_000_000); // after B's write takeover
+            let mut buf = [0u8; 1];
+            ta.read(ca, base, &mut buf, &ma).unwrap();
+            s2.lock().push(("a read back", snap()));
+        });
+        let (tb, mb, cb) = (r.trans_b.clone(), r.mem_b.clone(), r.node_b.context());
+        let (s2, snap) = (seen.clone(), ptes.clone());
+        r.rig.exec.spawn("b", move |ctx| {
+            ctx.sleep(10_000_000);
+            let mut buf = [0u8; 1];
+            tb.read(cb, base, &mut buf, &mb).unwrap();
+            s2.lock().push(("b read", snap()));
+            ctx.sleep(20_000_000); // after A's upgrade
+            tb.write(cb, base, b"B takes over", &mb).unwrap();
+            s2.lock().push(("b took over", snap()));
+        });
+        seen.lock().push(("start", ptes()));
+        let outcome = r.rig.exec.run_until_idle();
+        assert_eq!(outcome, spin_sched::IdleOutcome::AllComplete);
+        // A writable mapping on one node leaves the other with none.
+        let exclusive = |w: &Option<Protection>, o: &Option<Protection>| {
+            !w.is_some_and(|p| p.write) || o.is_none()
+        };
+        for (step, (a, b)) in seen.lock().iter() {
+            assert!(
+                exclusive(a, b) && exclusive(b, a),
+                "{step}: writable on one node and mapped on the other"
+            );
+        }
+        let (read, rw) = (Some(Protection::READ), Some(Protection::READ_WRITE));
+        assert_eq!(
+            *seen.lock(),
+            [
+                ("start", (rw, None)),
+                ("b read", (read, read)),
+                ("a upgraded", (rw, None)),
+                ("b took over", (None, rw)),
+                ("a read back", (read, read)),
+            ]
+        );
+    }
+
     #[test]
     fn ping_pong_writes_stay_coherent() {
         let r = dsm_rig(1);

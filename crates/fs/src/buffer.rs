@@ -143,7 +143,7 @@ impl BufferCache {
 
     /// Charges the CPU cost of moving `n` bytes to/from a caller's buffer
     /// (callers that consume block data byte-for-byte account the copy).
-    pub fn charge_copy(&self, n: usize) {
+    pub(crate) fn charge_copy(&self, n: usize) {
         self.exec.clock().advance(self.exec.profile().copy(n));
     }
 

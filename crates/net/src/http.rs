@@ -112,7 +112,7 @@ impl Response {
     }
 
     /// Appends a header.
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
+    pub(crate) fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.to_string(), value.to_string()));
         self
     }

@@ -19,12 +19,10 @@
 #![forbid(unsafe_code)]
 
 mod am;
-mod debugger;
 mod forward;
 mod http;
 mod measure;
 mod metrics;
-mod netfs;
 mod pkt;
 mod poll;
 mod rpc;
@@ -36,13 +34,11 @@ mod video;
 
 pub use am::ActiveMessages;
 pub use bytes::Bytes;
-pub use debugger::{DebugClient, NetDebugger};
 pub use forward::{FlowSnapshot, ForwardStats, Forwarder};
 pub use http::{http_get, HttpConfig, HttpServer, HttpStats};
 pub use http::{Request, Response};
 pub use measure::{reliable_bandwidth, udp_round_trip};
 pub use metrics::install_metrics;
-pub use netfs::{NetFsClient, NetFsError, NetFsServer};
 pub use pkt::{internet_checksum, proto, IpAddr, Ipv4Header, TcpFlags, TcpHeader, UdpHeader};
 pub use poll::{interest, NetPoller, Pollable, ReadyBatch, Registration, Token};
 pub use rpc::{Rpc, RpcError};

@@ -35,8 +35,8 @@ impl std::fmt::Display for IpAddr {
 
 /// IP protocol numbers used in the stack.
 pub mod proto {
-    pub const ICMP: u8 = 1;
-    pub const TCP: u8 = 6;
+    pub(crate) const ICMP: u8 = 1;
+    pub(crate) const TCP: u8 = 6;
     pub const UDP: u8 = 17;
 }
 

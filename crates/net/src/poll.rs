@@ -34,7 +34,7 @@ pub mod interest {
     /// A connection is waiting to be accepted.
     pub const ACCEPT: u8 = 0b010;
     /// The peer closed (or the source otherwise reached end-of-stream).
-    pub const CLOSED: u8 = 0b100;
+    pub(crate) const CLOSED: u8 = 0b100;
 }
 
 /// An application-chosen identifier for one registered source.
@@ -237,7 +237,7 @@ impl NetPoller {
     /// handler: a delivery burning more virtual time than `bound` is
     /// aborted by the dispatcher (the PR-3 containment machinery).
     // uncharged: poller setup is control-plane; delivery charges per raise.
-    pub fn with_time_bound(stack: &NetStack, bound: Option<Nanos>) -> Arc<NetPoller> {
+    pub(crate) fn with_time_bound(stack: &NetStack, bound: Option<Nanos>) -> Arc<NetPoller> {
         let id = stack.alloc_poller_id();
         let label = format!("poller-{id}");
         if let Some(b) = bound {

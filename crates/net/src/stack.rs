@@ -218,7 +218,7 @@ pub struct NetStats {
     pub frames_out: u64,
     pub bytes_in: u64,
     pub bytes_out: u64,
-    /// Transmit retries scheduled by [`NetStack::transmit_with_retry`] —
+    /// Transmit retries scheduled by `NetStack::transmit_with_retry` —
     /// the single authoritative retry count (obs mirrors it).
     pub retries: u64,
 }
@@ -648,7 +648,7 @@ impl NetStack {
     /// Sends a transport segment to `dst`, running the `SendPacket`
     /// extension point first.
     // charged: one `SendPacket` raise plus the transmit path's NIC charges.
-    pub fn send_ip(
+    pub(crate) fn send_ip(
         &self,
         dst: IpAddr,
         protocol: u8,
@@ -670,7 +670,7 @@ impl NetStack {
     /// raise (one plan snapshot for the whole burst, per-item charges
     /// unchanged), then one per-NIC wire handoff for the surviving
     /// frames. Per-frame fault draws, routing and stats are exactly those
-    /// of sequential [`NetStack::send_ip`] calls; returns the first error.
+    /// of sequential `NetStack::send_ip` calls; returns the first error.
     // charged: one batched `SendPacket` raise (per-item charges identical
     // to lone raises) plus per-frame NIC charges via `send_burst`.
     pub fn send_ip_burst(&self, items: Vec<(IpAddr, u8, BufChain)>) -> Result<(), NetError> {
@@ -741,7 +741,12 @@ impl NetStack {
     /// runs stay deterministic.
     // charged: each attempt pays the full transmit charge; retries fire
     // from virtual timers so the caller pays nothing extra.
-    pub fn transmit_with_retry(&self, dst: IpAddr, protocol: u8, segment: impl Into<BufChain>) {
+    pub(crate) fn transmit_with_retry(
+        &self,
+        dst: IpAddr,
+        protocol: u8,
+        segment: impl Into<BufChain>,
+    ) {
         self.attempt(dst, protocol, segment.into(), 0, RETRY_BASE);
     }
 
@@ -866,14 +871,14 @@ impl NetStack {
 
     /// Allocates a fresh poller id (`Net.Ready` demux key).
     // uncharged: control-plane id allocation.
-    pub fn alloc_poller_id(&self) -> u64 {
+    pub(crate) fn alloc_poller_id(&self) -> u64 {
         self.inner.next_poller.fetch_add(1, Ordering::Relaxed) // ordering: Relaxed — allocates a unique id; the poller carrying it is published separately.
     }
 
     /// Grants a `time_bound` to the named poller's `Net.Ready` handler;
     /// the event's authorizer consults this table at install time.
     // uncharged: control-plane policy registration.
-    pub fn set_poller_bound(&self, label: &str, bound: Nanos) {
+    pub(crate) fn set_poller_bound(&self, label: &str, bound: Nanos) {
         self.inner
             .poller_bounds
             .lock()

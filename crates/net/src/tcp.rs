@@ -143,7 +143,7 @@ impl TcpConn {
     }
 
     /// Received chunks buffered and not yet read (diagnostics).
-    pub fn incoming_len(&self) -> usize {
+    pub(crate) fn incoming_len(&self) -> usize {
         self.incoming.len()
     }
 
@@ -217,7 +217,7 @@ impl TcpConn {
     }
 
     /// Sends `data`, blocking for window space as needed (copies once
-    /// into a [`Bytes`]; use [`TcpConn::send_buf`] to avoid that copy).
+    /// into a [`Bytes`]).
     pub fn send(self: &Arc<Self>, ctx: &StrandCtx, data: &[u8]) -> Result<(), TcpError> {
         self.send_buf(ctx, Bytes::copy_from_slice(data))
     }
@@ -228,7 +228,7 @@ impl TcpConn {
     /// queue shares the same slice), and each window's worth goes to the
     /// stack as one burst (`send_ip_burst`), amortizing the `SendPacket`
     /// raise across the window. The one copy a byte pays is into its frame.
-    pub fn send_buf(self: &Arc<Self>, ctx: &StrandCtx, data: Bytes) -> Result<(), TcpError> {
+    pub(crate) fn send_buf(self: &Arc<Self>, ctx: &StrandCtx, data: Bytes) -> Result<(), TcpError> {
         let ack = TcpFlags {
             ack: true,
             ..Default::default()
@@ -291,7 +291,7 @@ impl TcpConn {
     /// poller-driven close: the caller (a server strand multiplexing many
     /// connections) must not block per connection. Returns whether a FIN
     /// was actually sent.
-    pub fn begin_close(self: &Arc<Self>) -> bool {
+    pub(crate) fn begin_close(self: &Arc<Self>) -> bool {
         let (fin_seq, rcv_nxt) = {
             let mut st = self.state.lock();
             match st.state {
@@ -598,7 +598,7 @@ impl TcpStack {
     /// Starts listening on `port` with an explicit backlog depth. A SYN
     /// arriving with the backlog full is dropped (the client's SYN retry
     /// recovers), so storm-scale servers size this to their drain rate.
-    pub fn listen_backlog(&self, port: u16, depth: usize) -> Arc<TcpListenerSocket> {
+    pub(crate) fn listen_backlog(&self, port: u16, depth: usize) -> Arc<TcpListenerSocket> {
         let listener = Arc::new(TcpListenerSocket {
             accept_ch: ReadyQueue::new(self.exec.clone(), depth, interest::ACCEPT),
             port,

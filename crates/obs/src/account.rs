@@ -20,7 +20,8 @@ pub struct DomainId(pub u32);
 
 impl DomainId {
     /// The network stack.
-    pub const NET: DomainId = DomainId(5);
+    #[cfg(test)]
+    pub(crate) const NET: DomainId = DomainId(5);
 }
 
 /// Names for the pre-registered subsystems, in id order.
@@ -182,7 +183,7 @@ impl Histogram {
     }
 
     /// Occupied buckets as `(inclusive upper bound, count)`, smallest first.
-    pub fn buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn buckets(&self) -> Vec<(u64, u64)> {
         (0..BUCKETS)
             .filter_map(|i| {
                 let n = self.buckets[i].load(Ordering::Acquire); // ordering: Acquire — freshest value at render time.

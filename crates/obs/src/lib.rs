@@ -70,8 +70,7 @@ pub struct Obs {
 impl Obs {
     /// Creates the subsystem with a flight recorder of `capacity` records
     /// (recording starts enabled). The well-known kernel subsystems are
-    /// pre-registered, so their ids (such as [`DomainId::NET`]) are valid
-    /// immediately.
+    /// pre-registered, so their ids are valid immediately.
     pub fn new(capacity: usize) -> Obs {
         let obs = Obs {
             inner: Arc::new(ObsInner {
@@ -108,7 +107,7 @@ impl Obs {
 
     /// Whether the flight recorder accepts records — one relaxed load.
     #[inline]
-    pub fn is_recording(&self) -> bool {
+    pub(crate) fn is_recording(&self) -> bool {
         self.inner.recording.load(Ordering::Relaxed) // ordering: Relaxed — a stale read only delays or extends recording by one event.
     }
 

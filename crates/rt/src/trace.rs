@@ -26,7 +26,7 @@ pub struct Tracer<'a> {
 impl<'a> Tracer<'a> {
     /// Visits one `Gc` edge. The collector may update the reference to the
     /// object's new location.
-    pub fn edge<T: Trace>(&mut self, gc: &mut Gc<T>) {
+    pub(crate) fn edge<T: Trace>(&mut self, gc: &mut Gc<T>) {
         (self.visit)(&mut gc.addr);
     }
 

@@ -149,7 +149,7 @@ impl MachineProfile {
 
     /// CPU cost of pushing `n` bytes through programmed I/O.
     #[inline]
-    pub fn pio(&self, n: usize) -> u64 {
+    pub(crate) fn pio(&self, n: usize) -> u64 {
         (n as u64 * self.pio_per_byte_ns_x100) / 100
     }
 

@@ -49,7 +49,7 @@ pub struct NicModel {
 impl NicModel {
     /// The 10 Mb/s Lance Ethernet interface.
     // uncharged: constructor.
-    pub fn lance_ethernet() -> Self {
+    pub(crate) fn lance_ethernet() -> Self {
         NicModel {
             name: "Lance Ethernet",
             bandwidth_bps: 10_000_000,
@@ -63,7 +63,7 @@ impl NicModel {
 
     /// The FORE TCA-100 ATM adapter (programmed I/O).
     // uncharged: constructor.
-    pub fn fore_atm() -> Self {
+    pub(crate) fn fore_atm() -> Self {
         NicModel {
             name: "FORE TCA-100 ATM",
             bandwidth_bps: 155_000_000,

@@ -61,9 +61,9 @@ pub mod lanes {
     /// Ethernet frames: lane = base + the source wire endpoint.
     pub const ETHERNET_BASE: u64 = 0x2_0000;
     /// ATM frames: lane = base + the source wire endpoint.
-    pub const ATM_BASE: u64 = 0x3_0000;
+    pub(crate) const ATM_BASE: u64 = 0x3_0000;
     /// T3 frames: lane = base + the source wire endpoint.
-    pub const T3_BASE: u64 = 0x4_0000;
+    pub(crate) const T3_BASE: u64 = 0x4_0000;
     /// Control-plane actions (`Multicore::post_control` — hot-swap
     /// phases): lane = base + the target host id (one controller drives
     /// a target at a time).

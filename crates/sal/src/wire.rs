@@ -259,7 +259,8 @@ impl Wire {
     }
 
     /// Virtual time at which the sender's link becomes free.
-    pub fn sender_busy_until(&self, endpoint: WireEndpoint) -> Nanos {
+    #[cfg(test)]
+    pub(crate) fn sender_busy_until(&self, endpoint: WireEndpoint) -> Nanos {
         let st = self.state.lock();
         st.links.get(&endpoint).map_or(0, |l| l.busy_until)
     }

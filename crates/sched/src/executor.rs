@@ -746,7 +746,7 @@ impl Executor {
     /// timer is actionable immediately, not in the past). `None` means
     /// fully idle. This is a shard's event horizon in the conservative-PDES
     /// barrier (`Multicore`).
-    pub fn next_event_time(&self) -> Option<Nanos> {
+    pub(crate) fn next_event_time(&self) -> Option<Nanos> {
         let now = self.clock.now();
         if self.state.lock().has_ready() || self.irqs.lock().iter().any(|i| i.has_pending()) {
             return Some(now);
@@ -758,7 +758,7 @@ impl Executor {
     /// with a non-empty list is deadlocked *locally*; whether that is a
     /// system deadlock is decided by the multicore barrier, which also sees
     /// in-flight cross-shard mail.
-    pub fn blocked_strands(&self) -> Vec<String> {
+    pub(crate) fn blocked_strands(&self) -> Vec<String> {
         let st = self.state.lock();
         let mut v: Vec<String> = st
             .strands
@@ -914,7 +914,7 @@ impl StrandCtx {
     /// *during* an asynchronous handler rather than only after it returns;
     /// the dispatcher's containment wrapper catches the unwind and counts
     /// it as an abort, so the strand itself is not marked panicked.
-    pub fn set_deadline(&self, at: Nanos) {
+    pub(crate) fn set_deadline(&self, at: Nanos) {
         self.deadline.store(at, Ordering::Relaxed); // ordering: Relaxed — read back on the executor thread at safepoints.
     }
 

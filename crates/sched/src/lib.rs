@@ -55,6 +55,6 @@ pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong};
 pub use lottery::{LotteryPolicy, TicketBook};
 pub use osf_threads::{OsfThreads, WaitChannel};
 pub use shard::{Multicore, MulticoreStats, Shard};
-pub use sync::{KChannel, KCondition, KMutex};
+pub use sync::KChannel;
 pub use user::{measure_xas_call, UserProcess, XasClient, XasService};
 pub use wait::{WaitQueue, Wakeups};

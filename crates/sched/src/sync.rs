@@ -24,14 +24,14 @@ struct MutexState {
 }
 
 /// A kernel mutex (Modula-3 `MUTEX` analogue).
-pub struct KMutex {
+pub(crate) struct KMutex {
     exec: Arc<Executor>,
     state: Mutex<MutexState>,
 }
 
 impl KMutex {
     /// Creates an unlocked mutex.
-    pub fn new(exec: Arc<Executor>) -> Arc<Self> {
+    pub(crate) fn new(exec: Arc<Executor>) -> Arc<Self> {
         Arc::new(KMutex {
             exec,
             state: Mutex::new(MutexState {
@@ -42,7 +42,7 @@ impl KMutex {
     }
 
     /// Acquires the mutex, blocking the strand while contended.
-    pub fn lock(&self, ctx: &StrandCtx) {
+    pub(crate) fn lock(&self, ctx: &StrandCtx) {
         self.exec.clock().advance(self.exec.profile().sync_op);
         ctx.wait(
             &self.state,
@@ -63,7 +63,7 @@ impl KMutex {
     ///
     /// Panics if the calling strand does not hold the mutex — that is an
     /// extension bug the trusted package refuses to hide.
-    pub fn unlock(&self, ctx: &StrandCtx) {
+    pub(crate) fn unlock(&self, ctx: &StrandCtx) {
         self.exec.clock().advance(self.exec.profile().sync_op);
         let next = {
             let mut st = self.state.lock();
@@ -74,29 +74,21 @@ impl KMutex {
         next.unblock(&self.exec);
     }
 
-    /// Runs `f` with the mutex held.
-    pub fn with<R>(&self, ctx: &StrandCtx, f: impl FnOnce() -> R) -> R {
-        self.lock(ctx);
-        let r = f();
-        self.unlock(ctx);
-        r
-    }
-
     /// Whether the mutex is currently held.
-    pub fn is_locked(&self) -> bool {
+    pub(crate) fn is_locked(&self) -> bool {
         self.state.lock().owner.is_some()
     }
 }
 
 /// A condition variable tied to a [`KMutex`] at wait time.
-pub struct KCondition {
+pub(crate) struct KCondition {
     exec: Arc<Executor>,
     waiters: Mutex<WaitQueue>,
 }
 
 impl KCondition {
     /// Creates a condition with no waiters.
-    pub fn new(exec: Arc<Executor>) -> Arc<Self> {
+    pub(crate) fn new(exec: Arc<Executor>) -> Arc<Self> {
         Arc::new(KCondition {
             exec,
             waiters: Mutex::new(WaitQueue::default()),
@@ -106,7 +98,7 @@ impl KCondition {
     /// Atomically releases `mutex` and waits for a signal; reacquires the
     /// mutex before returning. Exactly one strand runs at a time, so
     /// nothing can signal between the release and the park.
-    pub fn wait(&self, ctx: &StrandCtx, mutex: &KMutex) {
+    pub(crate) fn wait(&self, ctx: &StrandCtx, mutex: &KMutex) {
         ctx.refuse_in_step("wait");
         mutex.unlock(ctx);
         ctx.wait(&self.waiters, |q| q, woken_once());
@@ -114,13 +106,13 @@ impl KCondition {
     }
 
     /// Wakes one waiter.
-    pub fn signal(&self, _ctx: &StrandCtx) {
+    pub(crate) fn signal(&self, _ctx: &StrandCtx) {
         let next = self.waiters.lock().wake_one();
         next.unblock(&self.exec);
     }
 
     /// Number of strands currently waiting.
-    pub fn waiter_count(&self) -> usize {
+    pub(crate) fn waiter_count(&self) -> usize {
         self.waiters.lock().len()
     }
 }

@@ -22,5 +22,5 @@ mod proc;
 mod server;
 
 pub use pipe::Pipe;
-pub use proc::{Fd, Pid, ProcState};
+pub use proc::Pid;
 pub use server::{UnixError, UnixServer, SYSCALL_BASE};

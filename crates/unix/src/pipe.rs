@@ -25,17 +25,17 @@ impl Pipe {
     }
 
     /// Duplicates an end (dup/fork semantics).
-    pub fn add_reader(&self) {
+    pub(crate) fn add_reader(&self) {
         self.readers.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — endpoint count; the pipe mutex orders the data path.
     }
 
     /// Duplicates the writer end.
-    pub fn add_writer(&self) {
+    pub(crate) fn add_writer(&self) {
         self.writers.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — endpoint count; the pipe mutex orders the data path.
     }
 
     /// Drops a reader reference.
-    pub fn drop_reader(&self) {
+    pub(crate) fn drop_reader(&self) {
         // ordering: Relaxed — endpoint count; the wake below resolves EOF races.
         if self.readers.fetch_sub(1, Ordering::Relaxed) == 1 {
             // Writers will see EPIPE via closed channel on next send.
@@ -44,7 +44,7 @@ impl Pipe {
     }
 
     /// Drops a writer reference; the last one signals EOF to readers.
-    pub fn drop_writer(&self) {
+    pub(crate) fn drop_writer(&self) {
         // ordering: Relaxed — endpoint count; the wake below resolves EPIPE races.
         if self.writers.fetch_sub(1, Ordering::Relaxed) == 1 {
             self.chunks.close();

@@ -12,7 +12,7 @@ pub struct Pid(pub u32);
 
 /// A file descriptor's referent.
 #[derive(Clone)]
-pub enum Fd {
+pub(crate) enum Fd {
     /// An open regular file with a cursor.
     File { path: String, offset: u64 },
     /// The read end of a pipe.
@@ -23,7 +23,7 @@ pub enum Fd {
 
 /// Lifecycle state of a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProcState {
+pub(crate) enum ProcState {
     Running,
     /// Exited with a status; waiting to be reaped.
     Zombie(i32),

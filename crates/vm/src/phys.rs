@@ -85,7 +85,7 @@ impl PhysRegion {
     /// translation service must be able to tear down mappings *after* the
     /// physical service has reclaimed the capability (§4.1's ordering:
     /// reclaim first, "ultimately invalidate" after).
-    pub fn with_frames_raw<R>(&self, f: impl FnOnce(&[FrameId]) -> R) -> R {
+    pub(crate) fn with_frames_raw<R>(&self, f: impl FnOnce(&[FrameId]) -> R) -> R {
         f(&self.frames)
     }
 

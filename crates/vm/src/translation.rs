@@ -321,7 +321,7 @@ impl TranslationService {
     }
 
     /// Changes the protection of a whole region.
-    pub fn protect_region(
+    pub(crate) fn protect_region(
         &self,
         ctx: ContextId,
         virt: &Arc<VirtRegion>,

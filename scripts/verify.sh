@@ -52,6 +52,7 @@ gate() {
         return
     fi
     echo "==> $name"
+    GATE="$name"
     local start_ns
     start_ns=$(date +%s%N)
     "$@"
@@ -60,17 +61,35 @@ gate() {
     echo "    $name: $((ms / 1000)).$(printf '%03d' $((ms % 1000)))s"
 }
 
+# bounded <seconds> <cmd...>: runs an executable under coreutils
+# `timeout`. A livelocked test prints nothing while it spins (a mutant
+# once did for 16 minutes), so on expiry this names the gate and fails.
+# Each bound is at least five times the gate's measured time.
+bounded() {
+    local secs="$1" status=0
+    shift
+    timeout "$secs" "$@" || status=$?
+    if [ "$status" -eq 124 ]; then
+        echo "verify: $GATE hung: no result after ${secs}s" >&2
+    fi
+    return "$status"
+}
+
 # one_cpu <cmd...>: runs a command pinned to CPU 0. On one CPU the host
 # runs a Multicore's workers one after another in an order of its own
 # choosing — the schedule on which worker-count identity failed every time
-# while shards drained their own mailboxes (DESIGN.md decision #9). Without
-# `taskset` it says so and passes: never a silent skip.
+# while shards drained their own mailboxes (DESIGN.md decision #9). The
+# command may be a function of this script: a subshell pins itself and
+# runs it. Without `taskset` it says so and passes: never a silent skip.
 one_cpu() {
     if ! command -v taskset >/dev/null; then
         echo "    skipped, taskset is not on the PATH: $*" >&2
         return 0
     fi
-    taskset -c 0 "$@"
+    (
+        taskset -cp 0 "$BASHPID" >/dev/null
+        "$@"
+    )
 }
 
 # emits <bin> <file...>: runs a bench bin with --json in the scratch dir
@@ -113,7 +132,9 @@ golden() {
 # coverage, P1 dead `pub` surface, P2 unused dependencies) must report
 # zero findings, and its machine-readable report (with the per-crate
 # `pub`-item counts) must match the golden byte for byte — so an
-# allowlist entry, or surface growth, can never slip in silently.
+# allowlist entry, or surface growth, can never slip in silently. P1 is
+# the ratchet: a new `pub` item that nothing outside its crate names,
+# and no `// paper:` line keeps, is a finding.
 lint_gate() {
     cargo build -q --release -p spin-check --bin spin-lint
     local start_ns
@@ -140,14 +161,16 @@ lint_gate() {
 }
 
 gate tier1-build cargo build --release
-gate tier1-test cargo test -q
+# The test gates' bounds are seconds, each at least five times the gate's
+# measured time (a cold build included) on a 2-vCPU guest.
+gate tier1-test bounded 600 cargo test -q
 # Every crate's suites, among them the invariance matrix, the chaos and
 # multicore storms, and the sharded net/dsm rigs.
-gate workspace-test cargo test --workspace -q
-gate multicore-1cpu one_cpu cargo test -q --test multicore_shards
+gate workspace-test bounded 600 cargo test --workspace -q
+gate multicore-1cpu one_cpu bounded 600 cargo test -q --test multicore_shards
 # `perf/` is a package of its own, so nothing above builds it: without
 # this a kernel-crate API change breaks the benchmark unnoticed.
-gate perf-tests cargo test -q --manifest-path perf/Cargo.toml
+gate perf-tests bounded 600 cargo test -q --manifest-path perf/Cargo.toml
 # One short untraced run of every benchmark workload at full size: exit 0
 # means `correct: true` and, at the default seed, the virtual digest pinned
 # in perf/digests.json — perf-tests only runs miniature instances. Never a
@@ -206,13 +229,13 @@ gate smoke:s7_multicore emits s7_multicore BENCH_multicore.json
 gate spin-lint lint_gate
 # Model-check the kernel's concurrent paths (bound 2, exhaustive), then
 # require the two planted publication-order bugs to be caught.
-gate spin-check env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
+gate spin-check bounded 300 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
     cargo test -q -p spin-check --tests
 # The raise-prologue and quota-cell models again at preemption bound 3
 # (well under a second; same build as spin-check, selected by test name).
-gate spin-check-b3 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
+gate spin-check-b3 bounded 300 env RUSTFLAGS="--cfg spin_check" CARGO_TARGET_DIR=target/spin-check \
     cargo test -q -p spin-check --test checks raise_prologue_models_at_bound3 -- --ignored
-gate spin-check-mutants env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
+gate spin-check-mutants bounded 300 env RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant" \
     CARGO_TARGET_DIR=target/spin-check-mutant cargo test -q -p spin-check --test mutants
 # --all-targets: the Criterion bench and the examples are compiled by no
 # other gate, so without it a kernel-crate refactor can rot them unseen.

@@ -162,8 +162,9 @@ fn bench_gc(c: &mut Criterion) {
 
 /// Ablation (DESIGN.md #6): the cost of *being observable*. The obs hook
 /// points compile to one relaxed atomic load when no hook is installed
-/// (`OnceLock::get`), one load plus a counter bump when wired with the
-/// recorder off, and additionally a ring push when recording. The
+/// (`OnceLock::get`), one load plus the recorder-state load when wired
+/// with the recorder off (accounting reads the subsystems' own books at
+/// render time), and additionally a ring push when recording. The
 /// unwired/wired-off gap is the price every dispatch pays for the
 /// subsystem existing; it must be noise-level for the cost-model
 /// invariant to be honest in wall-clock terms too.
@@ -197,13 +198,6 @@ fn bench_obs(c: &mut Criterion) {
     // The raw hook primitives, isolated from dispatch.
     let obs = spin_obs::Obs::new(65536);
     let hook = obs.domain("net");
-    g.bench_function("hook/counter_bump", |b| {
-        b.iter(|| {
-            hook.counters
-                .packets_sent
-                .fetch_add(black_box(1), std::sync::atomic::Ordering::Relaxed)
-        })
-    });
     g.bench_function("hook/trace_push", |b| {
         b.iter(|| hook.trace(spin_obs::TraceKind::PacketTx, black_box(60), 0))
     });

@@ -107,7 +107,7 @@ fn assert_non_trivial(w: &Wiring) {
     if let Some(obs) = &w.obs {
         let acct = obs.accounting();
         for name in ["dispatcher", "sched", "vm", "net", "kernel"] {
-            let (_, counters) = acct.register(name);
+            let counters = acct.tally(acct.register(name));
             assert!(
                 counters.activity() > 0,
                 "{label}: domain {name} recorded no activity"

@@ -145,9 +145,10 @@ pub(crate) fn lex(src: &str) -> Lexed {
                     }
                 }
             }
-            '"' => {
+            // `"..."`, and `b"..."`, whose escapes are an ordinary string's.
+            '"' | 'b' if c == '"' || chars.get(i + 1) == Some(&'"') => {
                 let start = line;
-                i += 1;
+                i += 1 + usize::from(c == 'b');
                 while i < chars.len() {
                     match chars[i] {
                         '\\' => {
@@ -198,30 +199,6 @@ pub(crate) fn lex(src: &str) -> Lexed {
             ':' if chars.get(i + 1) == Some(&':') => {
                 push(&mut out, line, TokKind::Punct, "::".into());
                 i += 2;
-            }
-            // `b"..."` byte strings escape like ordinary strings.
-            'b' if chars.get(i + 1) == Some(&'"') => {
-                let start = line;
-                i += 2;
-                while i < chars.len() {
-                    match chars[i] {
-                        '\\' => {
-                            // An escaped newline is a line-continuation.
-                            line += usize::from(chars.get(i + 1) == Some(&'\n'));
-                            i += 2;
-                        }
-                        '"' => {
-                            i += 1;
-                            break;
-                        }
-                        '\n' => {
-                            line += 1;
-                            i += 1;
-                        }
-                        _ => i += 1,
-                    }
-                }
-                push(&mut out, start, TokKind::Lit, "\"\"".into());
             }
             _ if is_ident_start(c) => {
                 // `r"..."` / `r#"..."#` / `br#"..."#` raw-string prefixes
@@ -356,9 +333,9 @@ mod tests {
     #[test]
     fn char_literals_and_escaped_newlines_keep_line_numbers() {
         assert_eq!(texts("f('x')"), ["f", "(", "''", ")"]);
-        let l = lex("let c = '_'\nlet s = \"a\\\n b\";\nlet t = 2;");
+        let l = lex("let c = '_'\nlet s = \"a\\\n b\";\nlet y = b\"c\\\n d\";\nlet t = 2;");
         let t = l.toks.iter().find(|t| t.text == "t").expect("t");
-        assert_eq!(t.line, 4);
+        assert_eq!(t.line, 6);
     }
 
     #[test]

@@ -92,8 +92,10 @@ pub struct AllowEntry {
 }
 
 impl AllowEntry {
+    /// Whether the entry waives `rule` at `rel`. A `"*"` entry covers
+    /// every rule but P1: the dead-`pub` ratchet holds in every crate.
     fn matches(&self, rule: &str, rel: &str) -> bool {
-        (self.rule == "*" || self.rule == rule)
+        (self.rule == rule || (self.rule == "*" && rule != "P1"))
             && (rel == self.path || rel.starts_with(&format!("{}/", self.path)))
     }
 }

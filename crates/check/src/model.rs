@@ -888,23 +888,8 @@ pub(crate) fn model_spawn(
 // Checker driver
 // ---------------------------------------------------------------------------
 
-/// Exploration configuration.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Context-switch budget per execution (Musuvathi/Qadeer bounding).
-    pub preemption_bound: u32,
-    /// Hard cap on explored executions (`complete` is false if hit).
-    pub max_executions: u64,
-}
-
-impl Default for Config {
-    fn default() -> Self {
-        Config {
-            preemption_bound: 2,
-            max_executions: 1_000_000,
-        }
-    }
-}
+/// Hard cap on explored executions (`complete` is false if hit).
+const MAX_EXECUTIONS: u64 = 1_000_000;
 
 /// Result of an exploration or replay.
 #[derive(Clone, Debug, Default)]
@@ -912,7 +897,7 @@ pub struct Report {
     /// Interleavings actually executed.
     pub executions: u64,
     /// True when the bounded schedule space was exhausted (or the replay
-    /// ran) without hitting `max_executions`.
+    /// ran) without hitting `MAX_EXECUTIONS`.
     pub complete: bool,
     /// First failure found, with its replay seed.
     pub failure: Option<Failure>,
@@ -926,9 +911,16 @@ pub struct Report {
 }
 
 /// Bounded-DFS model checker entry point.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Checker {
-    config: Config,
+    /// Context-switch budget per execution (Musuvathi/Qadeer bounding).
+    preemption_bound: u32,
+}
+
+impl Default for Checker {
+    fn default() -> Self {
+        Checker::with_bound(2)
+    }
 }
 
 impl Checker {
@@ -937,17 +929,7 @@ impl Checker {
     }
 
     pub fn with_bound(preemption_bound: u32) -> Self {
-        Checker {
-            config: Config {
-                preemption_bound,
-                ..Config::default()
-            },
-        }
-    }
-
-    pub fn max_executions(mut self, n: u64) -> Self {
-        self.config.max_executions = n;
-        self
+        Checker { preemption_bound }
     }
 
     /// Explore the bounded schedule space of `f`. Every execution runs `f`
@@ -960,13 +942,7 @@ impl Checker {
     /// Re-run the single interleaving a failure seed describes.
     pub fn replay(&self, seed: &str, f: impl Fn() + Send + Sync + 'static) -> Report {
         let (bound, plan) = parse_seed(seed).expect("malformed spin-check seed");
-        let checker = Checker {
-            config: Config {
-                preemption_bound: bound,
-                ..self.config.clone()
-            },
-        };
-        checker.run(Arc::new(f), Some(plan))
+        Checker::with_bound(bound).run(Arc::new(f), Some(plan))
     }
 
     fn run(&self, f: Arc<dyn Fn() + Send + Sync>, replay: Option<Vec<u64>>) -> Report {
@@ -975,7 +951,7 @@ impl Checker {
         // Failing and aborted executions unwind by design; keep the
         // default hook from spraying backtraces for every explored branch.
         panic::set_hook(Box::new(|_| {}));
-        let exec = Arc::new(Execution::new(self.config.preemption_bound));
+        let exec = Arc::new(Execution::new(self.preemption_bound));
         let replaying = replay.is_some();
         let mut report = Report::default();
         loop {
@@ -1029,7 +1005,7 @@ impl Checker {
                 report.complete = true;
                 break;
             }
-            if report.executions >= self.config.max_executions {
+            if report.executions >= MAX_EXECUTIONS {
                 break;
             }
         }

@@ -145,8 +145,22 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
     assert_eq!(clean.pub_items.get("kern"), Some(&16));
 }
 
+/// A `rule = "*"` entry waives every rule but P1: under it the wall-clock
+/// read is silent, and a `pub` item nothing outside its crate names is
+/// still a finding.
+#[test]
+fn a_star_entry_does_not_waive_p1() {
+    let report = lint_workspace(&fixture_path("bad/p1_waived")).expect("fixture is readable");
+    assert_eq!(
+        located(&report),
+        vec![("crates/meter/src/lib.rs".into(), 11, "P1")],
+        "{:#?}",
+        report.findings
+    );
+}
+
 /// A workspace-shaped fixture whose `lint.toml` waives a measurement
-/// crate outright and names one audited unsafe island: zero findings.
+/// crate and names one audited unsafe island: zero findings.
 #[test]
 fn workspace_fixture_honors_the_allowlist() {
     let report = lint_workspace(&fixture_path("ws_allow")).expect("fixture is readable");

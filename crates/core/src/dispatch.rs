@@ -371,6 +371,22 @@ pub struct EventStats {
     pub batched_raises: u64,
 }
 
+impl EventStats {
+    /// Adds another event's statistics to these.
+    fn absorb(&mut self, other: EventStats) {
+        self.raises += other.raises;
+        self.fast_path_raises += other.fast_path_raises;
+        self.guard_evaluations += other.guard_evaluations;
+        self.handlers_run += other.handlers_run;
+        self.handlers_aborted += other.handlers_aborted;
+        self.async_dispatches += other.async_dispatches;
+        self.handler_faults += other.handler_faults;
+        self.compiled_raises += other.compiled_raises;
+        self.guards_elided += other.guards_elided;
+        self.batched_raises += other.batched_raises;
+    }
+}
+
 /// Lock-free counters backing [`EventStats`].
 #[derive(Default)]
 struct AtomicEventStats {
@@ -934,6 +950,8 @@ trait AnyEventState: Send + Sync {
     fn purge_installer(&self, who: &Identity) -> usize;
     /// Removes one handler by id.
     fn remove_handler(&self, id: HandlerId) -> bool;
+    /// The event's statistics so far.
+    fn stats(&self) -> EventStats;
 }
 
 impl<A, R> AnyEventState for EventState<A, R>
@@ -960,6 +978,10 @@ where
             Ok(())
         })
         .is_ok()
+    }
+
+    fn stats(&self) -> EventStats {
+        self.stats.snapshot()
     }
 }
 
@@ -1013,6 +1035,8 @@ struct XcallRouter {
 
 struct DispatcherInner {
     events: Mutex<BTreeMap<u64, Arc<dyn AnyEventState>>>,
+    /// What destroyed events counted, folded in under the `events` lock.
+    retired: Mutex<EventStats>,
     next_event: AtomicU64,
     next_handler: AtomicU64,
     async_runner: RwLock<AsyncRunner>,
@@ -1046,6 +1070,7 @@ impl Dispatcher {
         Dispatcher {
             inner: Arc::new(DispatcherInner {
                 events: Mutex::new(BTreeMap::new()),
+                retired: Mutex::new(EventStats::default()),
                 next_event: AtomicU64::new(1),
                 next_handler: AtomicU64::new(1),
                 async_runner: RwLock::new(Arc::new(|inv: AsyncInvocation| (inv.run)())),
@@ -1079,11 +1104,28 @@ impl Dispatcher {
     }
 
     /// Wires the observability subsystem: raises, guard outcomes and
-    /// handler runs are traced and accounted to the dispatcher domain.
-    /// One-shot; charges zero virtual time.
+    /// handler runs are traced to the dispatcher domain, which reads every
+    /// event's [`EventStats`]. One-shot; charges zero virtual time.
     // uncharged: one-shot control-plane wiring.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.inner.obs.set(hook);
+        if self.inner.obs.set(hook.clone()) {
+            let book = Arc::downgrade(&self.inner);
+            hook.read(move |t| {
+                if let Some(inner) = book.upgrade() {
+                    // Under the lock `destroy` folds into `retired` under.
+                    let events = inner.events.lock();
+                    let mut s = *inner.retired.lock();
+                    events.values().for_each(|e| s.absorb(e.stats()));
+                    t.events_raised += s.raises;
+                    // A direct call counts even if it panicked.
+                    t.handlers_run += s.handlers_run + s.async_dispatches + s.fast_path_raises;
+                    t.guards_evaluated += s.guard_evaluations;
+                    t.dispatch_compiled_raises += s.compiled_raises;
+                    t.dispatch_compiled_elided += s.guards_elided;
+                    t.dispatch_batched += s.batched_raises;
+                }
+            });
+        }
     }
 
     /// Wires deterministic fault injection (the `core.dispatch` site):
@@ -1400,7 +1442,11 @@ impl Dispatcher {
         // entry dropped below — is what ends the event. There is no
         // intermediate record for a racing raise to see.
         let released = state.release();
-        self.inner.events.lock().remove(&ev.id);
+        {
+            let mut events = self.inner.events.lock();
+            events.remove(&ev.id);
+            self.inner.retired.lock().absorb(state.stats.snapshot());
+        }
         drop(released);
         Ok(())
     }
@@ -1536,12 +1582,6 @@ where
         if self.batched {
             count(&stats.batched_raises, n);
         }
-        if let Some(obs) = self.obs {
-            count(&obs.counters.events_raised, n);
-            if self.batched {
-                count(&obs.counters.dispatch_batched, n);
-            }
-        }
     }
 
     /// Parks one raise behind the quiesce gate: [`DispatchError::Held`]
@@ -1603,25 +1643,16 @@ where
         if plan.fast {
             clock.advance(profile.inter_module_call);
             let entry = &plan.entries[0];
-            return match self.contained(entry, &args) {
-                Ok(r) => {
-                    if let Some(obs) = obs {
-                        count(&obs.counters.handlers_run, 1);
-                    }
-                    Ok(r)
+            return self.contained(entry, &args).map_err(|kind| {
+                count(&stats.handler_faults, 1);
+                // Demote immediately: rebuild the plan (the entry's fault
+                // flag is set) so the very next raise takes the slow path.
+                let _ = state.edit(|_| Ok(()));
+                self.fault_report(entry).deliver(kind);
+                DispatchError::NoHandlerRan {
+                    name: ev.name.to_string(),
                 }
-                Err(kind) => {
-                    count(&stats.handler_faults, 1);
-                    // Demote immediately: rebuild the plan (the entry's
-                    // fault flag is set) so the very next raise takes the
-                    // slow path.
-                    let _ = state.edit(|_| Ok(()));
-                    self.fault_report(entry).deliver(kind);
-                    Err(DispatchError::NoHandlerRan {
-                        name: ev.name.to_string(),
-                    })
-                }
-            };
+            });
         }
 
         clock.advance(profile.event_raise_base);
@@ -1704,14 +1735,6 @@ where
         if compiled {
             count(&stats.compiled_raises, 1);
             count(&stats.guards_elided, acc.elided);
-        }
-        if let Some(obs) = obs {
-            count(&obs.counters.guards_evaluated, acc.guard_evals);
-            count(&obs.counters.handlers_run, acc.run + acc.async_count);
-            if compiled {
-                count(&obs.counters.dispatch_compiled_raises, 1);
-                count(&obs.counters.dispatch_compiled_elided, acc.elided);
-            }
         }
 
         let out = match plan.reducer.as_ref().zip(acc.reduced) {

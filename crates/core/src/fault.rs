@@ -25,12 +25,12 @@
 use crate::dispatch::{Dispatcher, Event, HandlerId};
 use crate::identity::Identity;
 use crate::nameserver::NameServer;
+use spin_check::sync::Mutex;
 use spin_check::sync::{Arc, OnceLock, Weak};
-use spin_check::sync::{Mutex, Ordering};
 use spin_obs::Obs;
 use spin_sal::Nanos;
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 /// What went wrong inside one handler invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,6 +172,8 @@ pub struct Containment {
     state: Mutex<BreakerState>,
     /// Per-domain fault attribution for `/metrics`, if wired.
     obs: OnceLock<Obs>,
+    /// Faults attributed to each domain since obs was wired.
+    attributed: Arc<Mutex<BTreeMap<String, u64>>>,
 }
 
 impl Containment {
@@ -196,6 +198,7 @@ impl Containment {
             domain_fault,
             state: Mutex::new(BreakerState::default()),
             obs: OnceLock::new(),
+            attributed: Arc::new(Mutex::new(BTreeMap::new())),
         });
         // Weak: the dispatcher holds the sink, the containment holds the
         // dispatcher — a strong capture would leak the pair.
@@ -208,11 +211,25 @@ impl Containment {
         containment
     }
 
-    /// Wires per-domain fault attribution: every delivered fault bumps the
-    /// installer domain's `faults` counter in the obs accounting (and so
-    /// the `/metrics` route). One-shot.
+    /// Wires per-domain fault attribution: every delivered fault counts
+    /// against its installer domain, which the obs accounting (and so the
+    /// `/metrics` route) reads as `faults`. One-shot.
     pub fn set_obs(&self, obs: &Obs) {
         let _ = self.obs.set(obs.clone());
+    }
+
+    /// Counts one fault against `domain`, if obs is wired; a domain's
+    /// first fault registers the reader of its count.
+    fn attribute(&self, domain: &str) {
+        if let Some(obs) = self.obs.get() {
+            let mut counts = self.attributed.lock();
+            if !counts.contains_key(domain) {
+                let (book, name) = (self.attributed.clone(), domain.to_string());
+                obs.domain(domain)
+                    .read(move |t| t.faults += book.lock()[&name]);
+            }
+            *counts.entry(domain.to_string()).or_default() += 1;
+        }
     }
 
     /// The `Core.DomainFault` event — supervisors install handlers here.
@@ -257,10 +274,7 @@ impl Containment {
     /// is no installed handler to strike, and the caller's rollback *is*
     /// the containment action.
     pub fn note_external_fault(&self, domain: &Identity) {
-        if let Some(obs) = self.obs.get() {
-            let (_, counters) = obs.accounting().register(domain.name());
-            counters.faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
+        self.attribute(domain.name());
         self.state.lock().faults_seen += 1;
     }
 
@@ -307,10 +321,7 @@ impl Containment {
     /// revoke, the `Core.DomainFault` raise) run *after* the breaker
     /// mutex is dropped, so supervisor handlers may re-enter freely.
     fn on_fault(&self, fault: &HandlerFault) {
-        if let Some(obs) = self.obs.get() {
-            let (_, counters) = obs.accounting().register(fault.installer.name());
-            counters.faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
+        self.attribute(fault.installer.name());
         let domain = fault.installer.name().to_string();
         let tripped = {
             let mut st = self.state.lock();

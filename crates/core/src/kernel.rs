@@ -50,6 +50,8 @@ struct KernelInner {
     spin_public: Domain,
     trap_syscall: Event<Syscall, SysResult>,
     asserted_safe: AtomicU64,
+    /// System calls trapped: the kernel domain's `syscalls` row.
+    syscalls: Arc<AtomicU64>,
     extensions: Mutex<Vec<Domain>>,
     /// Observability hook (kernel domain): absent until wired via
     /// [`Kernel::install_obs`]; the trap path then pays one atomic load.
@@ -86,6 +88,7 @@ impl Kernel {
                 spin_public,
                 trap_syscall,
                 asserted_safe: AtomicU64::new(0),
+                syscalls: Arc::new(AtomicU64::new(0)),
                 extensions: Mutex::new(Vec::new()),
                 obs: spin_check::hooks::HookSlot::new(),
             }),
@@ -112,7 +115,11 @@ impl Kernel {
         obs.set_time_source(Arc::new(move || clock.now()));
         self.inner.dispatcher.set_obs(obs.domain("dispatcher"));
         self.inner.heap.set_obs(obs.domain("gc"));
-        let _ = self.inner.obs.set(obs.domain("kernel"));
+        let kernel = obs.domain("kernel");
+        if self.inner.obs.set(kernel.clone()) {
+            let book = self.inner.syscalls.clone();
+            kernel.read(move |t| t.syscalls += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        }
 
         let (snapshot, snap_owner) = self
             .inner
@@ -226,8 +233,8 @@ impl Kernel {
     pub fn syscall(&self, number: u64, args: [u64; 6]) -> SysResult {
         let profile = &self.inner.host.profile;
         let clock = &self.inner.host.clock;
+        self.inner.syscalls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.inner.obs.get() {
-            obs.counters.syscalls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             obs.trace(TraceKind::SyscallTrap, number, 0);
         }
         clock.advance(profile.trap_entry);

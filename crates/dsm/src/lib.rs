@@ -873,7 +873,11 @@ mod tests {
                 l2.lock().push(2 * round + 2);
             }
         });
-        let outcome = r.rig.exec.run_until_idle();
+        // Both sides poll until their turn comes, so a coherence bug that
+        // leaves a stale mapping would spin forever. A correct run ends at
+        // ≈ 176 ms virtual; the horizon is over five times that.
+        let horizon = r.rig.exec.clock().now() + 1_000_000_000;
+        let outcome = r.rig.exec.run_until(horizon);
         assert_eq!(outcome, spin_sched::IdleOutcome::AllComplete);
         assert_eq!(*log.lock(), (1..=ROUNDS).map(|r| 2 * r).collect::<Vec<_>>());
         // Pages bounced back and forth.

@@ -8,8 +8,8 @@
 //! Degraded-mode operation: retransmissions back off exponentially on the
 //! virtual clock up to a cap (`RpcConfig`), so a lossy or
 //! fault-injected wire converges instead of hammering. Every retransmit
-//! is counted in [`RpcStats`] and, when observability is wired on the
-//! stack, in the net domain's `retries` counter.
+//! is counted in [`RpcStats`], which the net domain's `retries` row reads
+//! when observability is wired on the stack.
 
 use crate::pkt::IpAddr;
 use crate::stack::NetStack;
@@ -64,9 +64,9 @@ pub struct RpcStats {
 }
 
 #[derive(Default)]
-struct AtomicRpcStats {
+pub(crate) struct AtomicRpcStats {
     calls: AtomicU64,
-    retries: AtomicU64,
+    pub(crate) retries: AtomicU64,
     timeouts: AtomicU64,
 }
 
@@ -116,6 +116,7 @@ impl Rpc {
             config,
             stats: Arc::new(AtomicRpcStats::default()),
         };
+        stack.bind_rpc(rpc.stats.clone());
         let rpc2 = rpc.clone();
         crate::socket::UdpSocket::bind_with(stack, RPC_PORT, "RPC", move |p| {
             rpc2.on_datagram(p.ip.src, &p.payload);
@@ -202,9 +203,6 @@ impl Rpc {
             for attempt in 0..self.config.attempts {
                 if attempt > 0 {
                     self.stats.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                    if let Some(obs) = self.stack.obs() {
-                        obs.counters.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                    }
                 }
                 let _ = self.stack.udp_send(RPC_PORT, dst, RPC_PORT, &request);
                 // Either the reply or the timeout wakes us.

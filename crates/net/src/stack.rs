@@ -25,6 +25,7 @@ use crate::pkt::{
     ETHERTYPE_IPV4,
 };
 use crate::poll::{ReadyBatch, ReadyHub};
+use crate::rpc::AtomicRpcStats;
 use bytes::{Bytes, BytesMut};
 use spin_check::sync::{AtomicU16, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
@@ -219,7 +220,7 @@ pub struct NetStats {
     pub bytes_in: u64,
     pub bytes_out: u64,
     /// Transmit retries scheduled by `NetStack::transmit_with_retry` —
-    /// the single authoritative retry count (obs mirrors it).
+    /// the single authoritative retry count.
     pub retries: u64,
 }
 
@@ -244,6 +245,9 @@ struct NetInner {
     ping_seq: AtomicU16,
     /// The one count this layer keeps itself: retries scheduled.
     retries: AtomicU64,
+    /// The books of the RPC packages bound to this stack, whose
+    /// retransmits the net domain reads beside the stack's retries.
+    rpcs: Mutex<Vec<Arc<AtomicRpcStats>>>,
     /// Observability hook (net domain): absent until wired; the per-frame
     /// paths then pay one atomic load each.
     obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
@@ -393,12 +397,6 @@ impl NetStack {
                         while let Some(frame) = nic.receive() {
                             any = true;
                             if let Some(obs) = obs2.get() {
-                                obs.counters
-                                    .packets_received
-                                    .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                                obs.counters
-                                    .bytes_received
-                                    .fetch_add(frame.payload.len() as u64, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                                 obs.trace(
                                     TraceKind::PacketRx,
                                     frame.payload.len() as u64,
@@ -447,6 +445,7 @@ impl NetStack {
             ping_waiters: Mutex::new(HashMap::new()),
             ping_seq: AtomicU16::new(1),
             retries: AtomicU64::new(0),
+            rpcs: Mutex::new(Vec::new()),
             obs,
             faults: Arc::new(spin_check::hooks::HookSlot::new()),
             ready_hub,
@@ -601,10 +600,32 @@ impl NetStack {
     }
 
     /// Wires the observability subsystem: frames crossing this stack are
-    /// accounted to the net domain. One-shot; charges zero virtual time.
+    /// traced to the net domain, which reads [`NetStack::stats`] and the
+    /// retransmits of the stack's RPC packages. One-shot; charges zero
+    /// virtual time.
     // uncharged: one-shot control-plane wiring.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.inner.obs.set(hook);
+        if self.inner.obs.set(hook.clone()) {
+            let book = Arc::downgrade(&self.inner);
+            hook.read(move |t| {
+                if let Some(net) = book.upgrade() {
+                    let load = |r: &Arc<AtomicRpcStats>| r.retries.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    let rpc_retries: u64 = net.rpcs.lock().iter().map(load).sum();
+                    let s = NetStack { inner: net }.stats();
+                    t.packets_sent += s.frames_out;
+                    t.bytes_sent += s.bytes_out;
+                    t.packets_received += s.frames_in;
+                    t.bytes_received += s.bytes_in;
+                    t.retries += s.retries + rpc_retries;
+                }
+            });
+        }
+    }
+
+    /// Binds an RPC package's book to this stack (see [`NetStack::stats`]).
+    // uncharged: control-plane wiring.
+    pub(crate) fn bind_rpc(&self, book: Arc<AtomicRpcStats>) {
+        self.inner.rpcs.lock().push(book);
     }
 
     /// Wires the deterministic fault-injection plan's `net.stack` site.
@@ -735,8 +756,7 @@ impl NetStack {
 
     /// Transmits, retrying on failure with capped exponential backoff on
     /// the virtual timers. Each retry is counted in the stack's
-    /// [`NetStats::retries`] and, when observability is wired, mirrored in
-    /// the net domain's `retries` counter. The caller (typically a packet
+    /// [`NetStats::retries`]. The caller (typically a packet
     /// handler) is never blocked: retries run from timer callbacks, so
     /// runs stay deterministic.
     // charged: each attempt pays the full transmit charge; retries fire
@@ -759,9 +779,6 @@ impl NetStack {
             return; // sent, or budget exhausted: drop, as a datagram service may
         }
         self.inner.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        if let Some(obs) = self.inner.obs.get() {
-            obs.counters.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
         let at = self.inner.exec.clock().now() + delay;
         let me = self.clone();
         self.inner.exec.timers().schedule_at(at, move |_| {
@@ -814,33 +831,16 @@ impl NetStack {
         Ok((medium, endpoint, frame))
     }
 
-    /// Hands frames to `medium`'s NIC. With observability wired, the net
-    /// domain's sent counts move by what the card's link record took
-    /// (DESIGN.md decision #24), so a frame the NIC refuses, and any frame
-    /// of a burst after it, is not counted sent.
+    /// Hands frames to `medium`'s NIC, which counts what it takes
+    /// (DESIGN.md decision #24): a frame it refuses, and any frame of a
+    /// burst after it, is not counted sent.
     // charged: the NIC charges each frame it stages.
     fn hand_off(
         &self,
         medium: Medium,
         send: impl FnOnce(&Nic) -> Result<(), NicError>,
     ) -> Result<(), NetError> {
-        let nic = self.nic_for(medium);
-        let sent = match self.inner.obs.get() {
-            None => send(nic),
-            Some(obs) => {
-                let (frames, bytes, ..) = nic.counters();
-                let sent = send(nic);
-                let (frames_after, bytes_after, ..) = nic.counters();
-                obs.counters
-                    .packets_sent
-                    .fetch_add(frames_after - frames, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                obs.counters
-                    .bytes_sent
-                    .fetch_add(bytes_after - bytes, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                sent
-            }
-        };
-        sent.map_err(|e| NetError::TooLarge(format!("{e:?}")))
+        send(self.nic_for(medium)).map_err(|e| NetError::TooLarge(format!("{e:?}")))
     }
 
     fn nic_for(&self, medium: Medium) -> &Nic {

@@ -1,12 +1,12 @@
-//! Per-domain resource accounting: atomic counters and histograms keyed by
-//! [`DomainId`].
+//! Per-domain resource accounting: totals read from the subsystems' own
+//! books, keyed by [`DomainId`], and histograms.
 //!
 //! The paper argues that in-kernel extensions must be *accountable* — the
 //! kernel has to know what each logical protection domain is consuming.
-//! Here every instrumented subsystem registers a domain and bumps plain
-//! `AtomicU64` counters from its hook points. Nothing on these paths
-//! touches the virtual clock, so accounting is free on the simulated
-//! timeline (the cost-model invariant from DESIGN.md).
+//! Each subsystem already counts what it does, so a domain keeps no
+//! counters: each subsystem wired to it registers a `Reader` of its book,
+//! and a domain's row is the sum of its readers at render time. Nothing
+//! here touches the virtual clock (the cost-model invariant, DESIGN.md).
 
 use spin_check::sync::RwLock;
 use spin_check::sync::{AtomicU64, Ordering};
@@ -28,91 +28,87 @@ impl DomainId {
 pub(crate) const WELL_KNOWN: [&str; 7] =
     ["kernel", "dispatcher", "sched", "vm", "gc", "net", "unix"];
 
-/// The per-domain counter block. All fields are cumulative totals except
-/// `pages_held`, which is a gauge.
-#[derive(Default)]
-pub struct DomainCounters {
-    /// Virtual CPU nanoseconds charged while this domain ran.
-    pub cpu_ns: AtomicU64,
+/// One domain's totals at one reading: what its readers added. Each field
+/// is rendered as `spin_<field>{domain="..."}`, in declaration order; all
+/// are cumulative but `pages_held`, a gauge.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Tally {
+    /// Virtual nanoseconds charged to the clock since the domain was wired.
+    pub cpu_virtual_ns: u64,
     /// Events raised through the dispatcher.
-    pub events_raised: AtomicU64,
-    /// Handlers invoked.
-    pub handlers_run: AtomicU64,
+    pub events_raised: u64,
+    /// A walk's synchronous and asynchronous handler calls, and direct calls.
+    pub handlers_run: u64,
     /// Guards evaluated.
-    pub guards_evaluated: AtomicU64,
+    pub guards_evaluated: u64,
     /// Context switches performed.
-    pub context_switches: AtomicU64,
+    pub context_switches: u64,
     /// VM faults delivered.
-    pub vm_faults: AtomicU64,
+    pub vm_faults: u64,
     /// Garbage collections completed.
-    pub gc_collections: AtomicU64,
-    /// Bytes surviving garbage collections (cumulative).
-    pub gc_bytes_surviving: AtomicU64,
-    /// Pages currently held (gauge).
-    pub pages_held: AtomicU64,
+    pub gc_collections: u64,
+    /// Live bytes after each collection, summed over collections.
+    pub gc_bytes_surviving: u64,
+    /// Pages currently held.
+    pub pages_held: u64,
     /// Bytes sent on the wire.
-    pub bytes_sent: AtomicU64,
+    pub bytes_sent: u64,
     /// Bytes received from the wire.
-    pub bytes_received: AtomicU64,
+    pub bytes_received: u64,
     /// Frames sent.
-    pub packets_sent: AtomicU64,
+    pub packets_sent: u64,
     /// Frames received.
-    pub packets_received: AtomicU64,
+    pub packets_received: u64,
     /// Syscalls trapped.
-    pub syscalls: AtomicU64,
-    /// Handler faults (contained panics, time-bound aborts) attributed
-    /// to this domain by the containment layer.
-    pub faults: AtomicU64,
-    /// Deterministic retries performed on this domain's behalf (RPC
-    /// retransmits, forwarder transmit retries).
-    pub retries: AtomicU64,
-    /// Slow-path raises served by a compiled (key-indexed) guard plan.
-    pub dispatch_compiled_raises: AtomicU64,
-    /// Guard closure calls the compiled plan avoided (key hits resolved by
-    /// table lookup + key misses ruled out by it).
-    pub dispatch_compiled_elided: AtomicU64,
-    /// Raises delivered through `raise_batch` bursts.
-    pub dispatch_batched: AtomicU64,
+    pub syscalls: u64,
+    /// Handler faults the containment layer attributed to the domain.
+    pub faults: u64,
+    /// RPC retransmits and transmit retries.
+    pub retries: u64,
+    /// Slow-path raises a compiled (key-indexed) plan served.
+    pub dispatch_compiled_raises: u64,
+    /// Guard calls the compiled plan avoided.
+    pub dispatch_compiled_elided: u64,
+    /// Raises delivered in `raise_batch` bursts.
+    pub dispatch_batched: u64,
 }
 
-impl DomainCounters {
-    /// Snapshot as `(metric name, value)` pairs, in a stable order.
-    pub fn snapshot(&self) -> [(&'static str, u64); 19] {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed); // ordering: Relaxed — every recording site is a Relaxed add; a snapshot is not a sync point.
+impl Tally {
+    /// `(metric name, value)` pairs, in exposition order.
+    pub(crate) fn rows(&self) -> [(&'static str, u64); 19] {
         [
-            ("cpu_virtual_ns", ld(&self.cpu_ns)),
-            ("events_raised", ld(&self.events_raised)),
-            ("handlers_run", ld(&self.handlers_run)),
-            ("guards_evaluated", ld(&self.guards_evaluated)),
-            ("context_switches", ld(&self.context_switches)),
-            ("vm_faults", ld(&self.vm_faults)),
-            ("gc_collections", ld(&self.gc_collections)),
-            ("gc_bytes_surviving", ld(&self.gc_bytes_surviving)),
-            ("pages_held", ld(&self.pages_held)),
-            ("bytes_sent", ld(&self.bytes_sent)),
-            ("bytes_received", ld(&self.bytes_received)),
-            ("packets_sent", ld(&self.packets_sent)),
-            ("packets_received", ld(&self.packets_received)),
-            ("syscalls", ld(&self.syscalls)),
-            ("faults", ld(&self.faults)),
-            ("retries", ld(&self.retries)),
-            (
-                "dispatch_compiled_raises",
-                ld(&self.dispatch_compiled_raises),
-            ),
-            (
-                "dispatch_compiled_elided",
-                ld(&self.dispatch_compiled_elided),
-            ),
-            ("dispatch_batched", ld(&self.dispatch_batched)),
+            ("cpu_virtual_ns", self.cpu_virtual_ns),
+            ("events_raised", self.events_raised),
+            ("handlers_run", self.handlers_run),
+            ("guards_evaluated", self.guards_evaluated),
+            ("context_switches", self.context_switches),
+            ("vm_faults", self.vm_faults),
+            ("gc_collections", self.gc_collections),
+            ("gc_bytes_surviving", self.gc_bytes_surviving),
+            ("pages_held", self.pages_held),
+            ("bytes_sent", self.bytes_sent),
+            ("bytes_received", self.bytes_received),
+            ("packets_sent", self.packets_sent),
+            ("packets_received", self.packets_received),
+            ("syscalls", self.syscalls),
+            ("faults", self.faults),
+            ("retries", self.retries),
+            ("dispatch_compiled_raises", self.dispatch_compiled_raises),
+            ("dispatch_compiled_elided", self.dispatch_compiled_elided),
+            ("dispatch_batched", self.dispatch_batched),
         ]
     }
 
-    /// Sum of all counters — nonzero iff the domain saw any activity.
+    /// Sum of all totals — nonzero iff the domain saw any activity.
     pub fn activity(&self) -> u64 {
-        self.snapshot().iter().map(|(_, v)| v).sum()
+        self.rows().iter().map(|(_, v)| v).sum()
     }
 }
+
+/// Adds a domain's share of one subsystem's book into a [`Tally`]. It
+/// holds the book (an `Arc` the owner shares, or a `Weak`), never an owner
+/// that holds the [`Obs`](crate::Obs), so wiring makes no reference cycle.
+pub(crate) type Reader = Arc<dyn Fn(&mut Tally) + Send + Sync>;
 
 /// Number of power-of-two histogram buckets (`u64` value range).
 const BUCKETS: usize = 65;
@@ -205,7 +201,7 @@ impl Histogram {
 
 struct DomainEntry {
     name: String,
-    counters: Arc<DomainCounters>,
+    readers: Vec<Reader>,
 }
 
 /// The accounting registry: domains (dense by id) and named histograms.
@@ -216,44 +212,54 @@ pub struct Accounting {
 }
 
 impl Accounting {
-    /// Registers `name` (or finds it) and returns its id and counter block.
-    pub fn register(&self, name: &str) -> (DomainId, Arc<DomainCounters>) {
+    /// Registers `name` (or finds it) and returns its id.
+    pub fn register(&self, name: &str) -> DomainId {
         let mut domains = self.domains.write();
         if let Some(i) = domains.iter().position(|d| d.name == name) {
-            return (DomainId(i as u32), domains[i].counters.clone());
+            return DomainId(i as u32);
         }
-        let id = DomainId(domains.len() as u32);
-        let counters = Arc::new(DomainCounters::default());
         domains.push(DomainEntry {
             name: name.to_string(),
-            counters: counters.clone(),
+            readers: Vec::new(),
         });
-        (id, counters)
+        DomainId(domains.len() as u32 - 1)
     }
 
-    /// The counter block for `id`, if registered.
-    pub fn counters(&self, id: DomainId) -> Option<Arc<DomainCounters>> {
-        self.domains
+    /// Adds a reader to a registered domain.
+    pub(crate) fn add_reader(&self, id: DomainId, reader: Reader) {
+        self.domains.write()[id.0 as usize].readers.push(reader);
+    }
+
+    /// `id`'s totals now: the sum of its readers (zero if unregistered).
+    /// They run with no registry lock held: a reader takes its owner's
+    /// locks, and one that upgrades a `Weak` may be the last to drop it.
+    pub fn tally(&self, id: DomainId) -> Tally {
+        let readers = self
+            .domains
             .read()
             .get(id.0 as usize)
-            .map(|d| d.counters.clone())
+            .map(|d| d.readers.clone());
+        let mut tally = Tally::default();
+        readers.iter().flatten().for_each(|read| read(&mut tally));
+        tally
     }
 
     /// The name registered for `id`.
-    pub fn name(&self, id: DomainId) -> Option<String> {
+    pub(crate) fn name(&self, id: DomainId) -> Option<String> {
         self.domains
             .read()
             .get(id.0 as usize)
             .map(|d| d.name.clone())
     }
 
-    /// Every registered domain, in id order.
-    pub fn domains(&self) -> Vec<(DomainId, String, Arc<DomainCounters>)> {
-        self.domains
-            .read()
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (DomainId(i as u32), d.name.clone(), d.counters.clone()))
+    /// Every registered domain's name and totals, in id order.
+    pub(crate) fn domains(&self) -> Vec<(String, Tally)> {
+        let names: Vec<String> = self.domains.read().iter().map(|d| d.name.clone()).collect();
+        let ids = (0..).map(DomainId);
+        names
+            .into_iter()
+            .zip(ids)
+            .map(|(name, id)| (name, self.tally(id)))
             .collect()
     }
 
@@ -287,15 +293,14 @@ mod tests {
     #[test]
     fn registration_is_dense_and_idempotent() {
         let acc = Accounting::default();
-        let (a, ca) = acc.register("alpha");
-        let (b, _) = acc.register("beta");
-        let (a2, ca2) = acc.register("alpha");
+        let a = acc.register("alpha");
+        let b = acc.register("beta");
+        let a2 = acc.register("alpha");
         assert_eq!(a, DomainId(0));
         assert_eq!(b, DomainId(1));
         assert_eq!(a2, a);
-        assert!(Arc::ptr_eq(&ca, &ca2));
         assert_eq!(acc.name(a).as_deref(), Some("alpha"));
-        assert!(acc.counters(DomainId(9)).is_none());
+        assert_eq!(acc.tally(DomainId(9)), Tally::default());
     }
 
     #[test]
@@ -321,14 +326,27 @@ mod tests {
     }
 
     #[test]
-    fn counters_snapshot_reports_activity() {
-        let c = DomainCounters::default();
-        assert_eq!(c.activity(), 0);
-        c.vm_faults.fetch_add(3, Ordering::Relaxed); // ordering: Relaxed — test plumbing, as every recording site.
-        c.cpu_ns.fetch_add(100, Ordering::Relaxed); // ordering: Relaxed — test plumbing, as every recording site.
-        assert_eq!(c.activity(), 103);
-        let snap = c.snapshot();
-        assert!(snap.contains(&("vm_faults", 3)));
-        assert!(snap.contains(&("cpu_virtual_ns", 100)));
+    fn a_domain_reads_the_sum_of_its_readers() {
+        let acc = Accounting::default();
+        let id = acc.register("vm");
+        assert_eq!(acc.tally(id).activity(), 0);
+        let book = Arc::new(AtomicU64::new(3));
+        let b2 = book.clone();
+        acc.add_reader(
+            id,
+            Arc::new(move |t: &mut Tally| t.vm_faults += b2.load(Ordering::Relaxed)), // ordering: Relaxed — test plumbing; single-threaded.
+        );
+        acc.add_reader(id, Arc::new(|t: &mut Tally| t.vm_faults += 1));
+        acc.add_reader(
+            acc.register("vm"),
+            Arc::new(|t: &mut Tally| t.cpu_virtual_ns += 100),
+        );
+        assert_eq!(acc.tally(id).vm_faults, 4);
+        book.fetch_add(2, Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
+        let tally = acc.tally(id);
+        assert_eq!(tally.activity(), 106, "read at each reading, not copied");
+        let rows = tally.rows();
+        assert!(rows.contains(&("vm_faults", 6)));
+        assert!(rows.contains(&("cpu_virtual_ns", 100)));
     }
 }

@@ -9,19 +9,22 @@
 //!   raises, handler and guard outcomes, context switches, VM faults, GC
 //!   pauses, packet rx/tx, syscall traps), each stamped with virtual time
 //!   and the originating [`DomainId`];
-//! * **per-domain accounting** ([`Accounting`]) — atomic counters
-//!   and histograms keyed by `DomainId`, fed by hook points in the
-//!   dispatcher, executor, VM, GC, network stack and UNIX server;
+//! * **per-domain accounting** ([`Accounting`]) — per-`DomainId` totals
+//!   read from the books the dispatcher, executor, VM, GC, network stack
+//!   and UNIX server already keep (each registers a reader when it is
+//!   wired, [`ObsHook::read`]), and histograms;
 //! * **renderings** ([`Obs::dump`], [`Obs::render_prometheus`]) — the
 //!   human dump and the Prometheus text served by the in-kernel
 //!   `/metrics` HTTP extension.
 //!
 //! **The cost-model invariant.** Nothing in this crate touches the virtual
-//! clock. Hook points in the instrumented crates gate on a single relaxed
-//! atomic load (the same `has_hook` pattern as `Clock::advance`), so every
-//! table and scaling series in EXPERIMENTS.md is byte-identical with the
-//! recorder on or off — enforced by `obs_invariance` in `spin-bench` and
-//! by `scripts/verify.sh`.
+//! clock, and nothing counts on a subsystem's hot path: a domain's totals
+//! are read when `/metrics` renders. Trace points in the instrumented
+//! crates gate on a single relaxed atomic load (the same `has_hook`
+//! pattern as `Clock::advance`), so every table and scaling series in
+//! EXPERIMENTS.md is byte-identical with the recorder on or off —
+//! enforced by `obs_invariance` in `spin-bench` and by
+//! `scripts/verify.sh`.
 //!
 //! The crate sits *below* the kernel crates (it depends on nothing but
 //! `parking_lot`) so that every layer from the runtime up can be
@@ -35,7 +38,7 @@ mod account;
 mod render;
 mod ring;
 
-pub use account::{Accounting, DomainCounters, DomainId, Histogram};
+pub use account::{Accounting, DomainId, Histogram, Tally};
 pub use ring::{Ring, TraceKind, TraceRecord};
 
 use spin_check::sync::{Arc, OnceLock, RwLock};
@@ -82,7 +85,7 @@ impl Obs {
             }),
         };
         for (i, name) in account::WELL_KNOWN.iter().enumerate() {
-            let (id, _) = obs.inner.accounting.register(name);
+            let id = obs.inner.accounting.register(name);
             debug_assert_eq!(id, DomainId(i as u32));
         }
         obs
@@ -99,8 +102,8 @@ impl Obs {
         self.inner.time.get().map_or(0, |t| t())
     }
 
-    /// Turns the flight recorder on or off. Accounting counters are
-    /// unaffected; neither state charges virtual time.
+    /// Turns the flight recorder on or off. Accounting is unaffected;
+    /// neither state charges virtual time.
     pub fn set_recording(&self, on: bool) {
         self.inner.recording.store(on, Ordering::Release); // ordering: Release — ring/accounting setup is visible before recording flips on.
     }
@@ -109,13 +112,6 @@ impl Obs {
     #[inline]
     pub(crate) fn is_recording(&self) -> bool {
         self.inner.recording.load(Ordering::Relaxed) // ordering: Relaxed — a stale read only delays or extends recording by one event.
-    }
-
-    /// Appends a record if recording (stamps are the caller's).
-    pub fn record(&self, rec: TraceRecord) {
-        if self.is_recording() {
-            self.inner.ring.push(rec);
-        }
     }
 
     /// The flight recorder ring.
@@ -130,9 +126,9 @@ impl Obs {
 
     /// Registers an external metric read on demand at render time. `name`
     /// is the exposition suffix after `spin_` and may carry a label set
-    /// (e.g. `shard_mail_pending{shard="2"}`). Subsystems whose counters
-    /// do not fit the fixed [`DomainCounters`] block — the multicore
-    /// barrier, per-shard mailboxes — publish through this.
+    /// (e.g. `shard_mail_pending{shard="2"}`). Subsystems whose books do
+    /// not fit the per-domain [`Tally`] block — the multicore barrier,
+    /// per-shard mailboxes — publish through this.
     pub fn register_gauge(&self, name: &str, read: impl Fn() -> u64 + Send + Sync + 'static) {
         self.inner
             .gauges
@@ -140,24 +136,12 @@ impl Obs {
             .push((name.to_string(), Arc::new(read)));
     }
 
-    /// Snapshot of the registered external metrics, in registration order.
-    pub fn gauges(&self) -> Vec<(String, u64)> {
-        self.inner
-            .gauges
-            .read()
-            .iter()
-            .map(|(name, read)| (name.clone(), read()))
-            .collect()
-    }
-
     /// Registers (or finds) a domain and returns a hook handle for it —
     /// what the instrumented subsystems store in their `OnceLock`s.
     pub fn domain(&self, name: &str) -> ObsHook {
-        let (id, counters) = self.inner.accounting.register(name);
         ObsHook {
             obs: self.clone(),
-            domain: id,
-            counters,
+            domain: self.inner.accounting.register(name),
         }
     }
 
@@ -174,27 +158,28 @@ impl Obs {
 }
 
 /// A per-subsystem hook handle: the obs facade plus the subsystem's
-/// pre-resolved domain id and counter block, so the hot path does no
-/// registry lookups.
+/// pre-resolved domain id, so the hot path does no registry lookups.
 #[derive(Clone)]
 pub struct ObsHook {
     obs: Obs,
     /// The subsystem's domain id (stamped into its trace records).
     pub domain: DomainId,
-    /// The subsystem's counter block (bump with relaxed `fetch_add`s).
-    pub counters: Arc<DomainCounters>,
 }
 
 impl ObsHook {
+    /// Registers a reader of the subsystem's own book, which adds its share
+    /// into the domain's [`Tally`] at each rendering. Register one per
+    /// book: two readers of one book count it twice.
+    pub fn read(&self, reader: impl Fn(&mut Tally) + Send + Sync + 'static) {
+        self.obs
+            .inner
+            .accounting
+            .add_reader(self.domain, Arc::new(reader));
+    }
+
     /// The obs facade this hook feeds.
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// Whether trace records would currently be kept — one relaxed load.
-    #[inline]
-    pub fn recording(&self) -> bool {
-        self.obs.is_recording()
     }
 
     /// Writes a trace record stamped with the current virtual time, if
@@ -236,15 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn recording_toggle_gates_the_ring_but_not_counters() {
+    fn recording_toggle_gates_the_ring_but_not_accounting() {
         let obs = Obs::new(8);
         let hook = obs.domain("vm");
+        let faults = Arc::new(AtomicU64::new(0));
+        let book = faults.clone();
+        hook.read(move |t| t.vm_faults += book.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; single-threaded.
         obs.set_recording(false);
-        assert!(!hook.recording());
+        assert!(!obs.is_recording());
         hook.trace(TraceKind::VmFault, 0x1000, 1);
-        hook.counters.vm_faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing, as every recording site.
+        faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
         assert_eq!(obs.ring().pushed(), 0);
-        assert_eq!(hook.counters.vm_faults.load(Ordering::Acquire), 1); // ordering: test plumbing; mirrors the production pairing under test.
+        assert_eq!(obs.accounting().tally(hook.domain).vm_faults, 1);
         obs.set_recording(true);
         hook.trace(TraceKind::VmFault, 0x2000, 1);
         assert_eq!(obs.ring().pushed(), 1);

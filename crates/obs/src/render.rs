@@ -35,8 +35,8 @@ pub(crate) fn dump(accounting: &Accounting, records: &[TraceRecord]) -> String {
 pub(crate) fn prometheus(obs: &Obs) -> String {
     let mut out = String::new();
     out.push_str("# SPIN reproduction: per-domain resource accounting\n");
-    for (_, name, counters) in obs.accounting().domains() {
-        for (metric, value) in counters.snapshot() {
+    for (name, tally) in obs.accounting().domains() {
+        for (metric, value) in tally.rows() {
             let _ = writeln!(out, "spin_{metric}{{domain=\"{name}\"}} {value}");
         }
     }
@@ -59,8 +59,8 @@ pub(crate) fn prometheus(obs: &Obs) -> String {
     );
     let _ = writeln!(out, "spin_trace_pushed_total {}", obs.ring().pushed());
     let _ = writeln!(out, "spin_trace_dropped_total {}", obs.ring().dropped());
-    for (name, value) in obs.gauges() {
-        let _ = writeln!(out, "spin_{name} {value}");
+    for (name, read) in obs.inner.gauges.read().iter() {
+        let _ = writeln!(out, "spin_{name} {}", read());
     }
     out
 }
@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn dump_names_known_domains() {
         let obs = Obs::new(16);
-        obs.record(TraceRecord {
+        obs.ring().push(TraceRecord {
             time: 42,
             domain: DomainId::NET,
             kind: TraceKind::PacketRx,

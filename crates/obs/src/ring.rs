@@ -128,11 +128,6 @@ impl Ring {
         }
     }
 
-    /// Capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
     /// Appends a record; never fails. Drops (and counts) the oldest
     /// pending record when full.
     pub fn push(&self, rec: TraceRecord) {

@@ -139,6 +139,8 @@ struct HeapState {
     capacity_bytes: usize,
     enabled: bool,
     stats: HeapStats,
+    /// Live bytes after each collection, summed over collections.
+    bytes_surviving: u64,
 }
 
 /// Cumulative heap statistics.
@@ -244,6 +246,7 @@ impl KernelHeap {
                 capacity_bytes,
                 enabled: true,
                 stats: HeapStats::default(),
+                bytes_surviving: 0,
             })),
         }
     }
@@ -255,10 +258,18 @@ impl KernelHeap {
     }
 
     /// Wires the observability subsystem: completed collections are traced
-    /// and accounted to the gc domain. One-shot; charges zero virtual
-    /// time.
+    /// to the gc domain, which reads the heap's collections, surviving
+    /// bytes and pages. One-shot; charges zero virtual time.
     pub fn set_obs(&self, hook: spin_obs::ObsHook) {
-        let _ = self.obs.set(hook);
+        if self.obs.set(hook.clone()) {
+            let book = self.state.clone();
+            hook.read(move |t| {
+                let st = book.lock();
+                t.gc_collections += st.stats.collections;
+                t.gc_bytes_surviving += st.bytes_surviving;
+                t.pages_held += st.pages.len() as u64;
+            });
+        }
     }
 
     /// Wires the deterministic fault-injection plan's `rt.heap` site.
@@ -565,15 +576,8 @@ impl KernelHeap {
         st.stats.objects_promoted += cstats.objects_promoted;
         st.stats.bytes_freed += cstats.bytes_freed;
         st.stats.pages_pinned += cstats.pages_pinned;
+        st.bytes_surviving += cstats.live_bytes_after;
         if let Some(obs) = self.obs.get() {
-            use spin_check::sync::Ordering;
-            obs.counters.gc_collections.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            obs.counters
-                .gc_bytes_surviving
-                .fetch_add(cstats.live_bytes_after, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            obs.counters
-                .pages_held
-                .store(st.pages.len() as u64, Ordering::Relaxed); // ordering: Relaxed — gauge for reporting only.
             obs.trace(
                 spin_obs::TraceKind::GcPause,
                 cstats.live_bytes_after,

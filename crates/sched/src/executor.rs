@@ -364,17 +364,23 @@ impl Executor {
         });
     }
 
-    /// Wires the observability subsystem: virtual CPU charges and context
-    /// switches are accounted to the scheduler domain. One-shot; charges
-    /// zero virtual time. Subscribes to the clock, so its charges become
-    /// observed one by one.
+    /// Wires the observability subsystem: the scheduler domain traces
+    /// switches and reads [`Executor::switches`] and the CPU charged since
+    /// wiring. One-shot; charges zero virtual time. Subscribes to the
+    /// clock, so its charges become observed one by one.
     pub fn set_obs(&self, hook: ObsHook) {
-        let counters = hook.counters.clone();
-        if self.meter.obs.set(hook) {
+        if self.meter.obs.set(hook.clone()) {
+            let cpu_ns = Arc::new(AtomicU64::new(0));
+            let charged = cpu_ns.clone();
             let id = self.clock.add_advance_hook(Box::new(move |ns| {
-                counters.cpu_ns.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                charged.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             }));
             let _ = self.obs_charges.set(id);
+            let me = self.me.clone();
+            hook.read(move |t| {
+                t.cpu_virtual_ns += cpu_ns.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                t.context_switches += me.upgrade().map_or(0, |exec| exec.switches());
+            });
         }
     }
 
@@ -691,9 +697,6 @@ impl Executor {
                         (h.resume)(id);
                     }
                     if let Some(obs) = self.meter.obs.get() {
-                        obs.counters
-                            .context_switches
-                            .fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                         obs.trace(TraceKind::ContextSwitch, id.0, 0);
                     }
                     let start = self.clock.now();
@@ -1037,12 +1040,13 @@ mod tests {
             assert!(board.clock.charges_observed());
             board.clock.advance(7);
         }
-        let charged = hook.counters.cpu_ns.load(Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
+        let cpu_ns = || obs.accounting().tally(hook.domain).cpu_virtual_ns;
+        let charged = cpu_ns();
         assert_eq!(charged, 21, "each executor saw the charge made in its life");
         assert!(!board.clock.charges_observed(), "nobody is subscribed");
         board.clock.advance(1_000);
         assert_eq!(
-            hook.counters.cpu_ns.load(Ordering::Relaxed), // ordering: Relaxed — test plumbing; single-threaded.
+            cpu_ns(),
             charged,
             "a charge after the drops reaches no executor's hook"
         );
@@ -1373,7 +1377,7 @@ mod tests {
             700 + 3_000 + sync_op + 2_000 + 1_000,
             "entry delay once, the three slices, and the Block-time sync_op"
         );
-        let counters = &hook.counters;
+        let tally = obs.accounting().tally(hook.domain);
         let hooks = hooks.lock().clone();
         Observed {
             clock: e.clock().now(),
@@ -1382,8 +1386,8 @@ mod tests {
             switches: e.switches(),
             hooks,
             trace: obs.ring().drain(),
-            obs_cpu_ns: counters.cpu_ns.load(Ordering::Relaxed), // ordering: Relaxed — test plumbing; the run has ended.
-            obs_switches: counters.context_switches.load(Ordering::Relaxed), // ordering: Relaxed — test plumbing; the run has ended.
+            obs_cpu_ns: tally.cpu_virtual_ns,
+            obs_switches: tally.context_switches,
             fault_draws: plan.report().iter().map(|r| r.hits).sum(),
         }
     }

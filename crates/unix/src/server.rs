@@ -13,7 +13,7 @@
 use crate::pipe::Pipe;
 use crate::proc::{Fd, Pid, Proc, ProcState};
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU32, Ordering};
+use spin_check::sync::{AtomicU32, AtomicU64, Ordering};
 use spin_core::{Identity, Kernel};
 use spin_fs::{FileSystem, FsError};
 use spin_obs::{ObsHook, TraceKind};
@@ -85,6 +85,8 @@ pub struct UnixServer {
     /// Observability hook (unix domain): absent until wired; server calls
     /// then pay one atomic load each.
     obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
+    /// Server calls made: the unix domain's `syscalls` row.
+    calls: Arc<AtomicU64>,
 }
 
 impl UnixServer {
@@ -105,6 +107,7 @@ impl UnixServer {
             })),
             next_pid: Arc::new(AtomicU32::new(1)),
             obs: Arc::new(spin_check::hooks::HookSlot::new()),
+            calls: Arc::new(AtomicU64::new(0)),
         };
         // getpid(pid) and brk-query are pure register calls; install them
         // in the server's band as the paper's server does.
@@ -133,17 +136,20 @@ impl UnixServer {
         server
     }
 
-    /// Wires the observability subsystem: server calls are accounted to
-    /// the unix domain. One-shot; charges zero virtual time.
+    /// Wires the observability subsystem: server calls are traced and
+    /// counted to the unix domain. One-shot; charges zero virtual time.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.obs.set(hook);
+        if self.obs.set(hook.clone()) {
+            let book = self.calls.clone();
+            hook.read(move |t| t.syscalls += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        }
     }
 
-    /// Accounts one server call (see [`calls`]) to the unix domain.
+    /// Counts and traces one server call (see [`calls`]).
     #[inline]
     fn note(&self, call: u64, pid: Pid) {
+        self.calls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.obs.get() {
-            obs.counters.syscalls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             obs.trace(TraceKind::SyscallTrap, call, pid.0 as u64);
         }
     }

@@ -19,7 +19,7 @@ use crate::phys::{PhysError, PhysRegion};
 use crate::virt::VirtRegion;
 use spin_check::hooks::HookSlot;
 use spin_check::sync::Mutex;
-use spin_check::sync::Ordering;
+use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::{Dispatcher, Event, EventOwner, Identity};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Access, ContextId, MmuFault, Pte};
@@ -108,6 +108,8 @@ pub struct TranslationService {
     /// Observability hook (vm domain): absent until wired, and the fault
     /// path then pays one atomic load. Charges zero virtual time.
     obs: Arc<HookSlot<ObsHook>>,
+    /// Faults delivered to handlers: the vm domain's `vm_faults` row.
+    faults: Arc<AtomicU64>,
 }
 
 impl TranslationService {
@@ -152,6 +154,7 @@ impl TranslationService {
             },
             owners: Arc::new((pnp_o, bad_o, prot_o)),
             obs: Arc::new(HookSlot::new()),
+            faults: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -162,10 +165,13 @@ impl TranslationService {
     }
 
     /// Wires the observability subsystem: delivered faults are traced and
-    /// accounted to the vm domain. One-shot; charges zero virtual time.
+    /// counted to the vm domain. One-shot; charges zero virtual time.
     // uncharged: one-shot control-plane wiring.
     pub fn set_obs(&self, hook: ObsHook) {
-        let _ = self.obs.set(hook);
+        if self.obs.set(hook.clone()) {
+            let book = self.faults.clone();
+            hook.read(move |t| t.vm_faults += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        }
     }
 
     /// `Translation.Create`: a new addressing context.
@@ -390,8 +396,8 @@ impl TranslationService {
                     if attempt == 1 {
                         return Err(VmError::Unresolved { info, kind });
                     }
+                    self.faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                     if let Some(obs) = self.obs.get() {
-                        obs.counters.vm_faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
                         obs.trace(TraceKind::VmFault, va, kind as u64);
                     }
                     // Enter the kernel trap path and dispatch to handlers.

@@ -385,7 +385,102 @@ const BENIGN_METHODS: [&str; 8] = [
 /// Calls that constitute "reaching a Clock charge" for rule C1: a direct
 /// virtual-time advance, or a raise (every raise charges
 /// `event_raise_base` inside the dispatcher).
-const CHARGE_CALLS: [&str; 4] = ["advance", "raise", "raise_batch", "raise_on"];
+const CHARGE_CALLS: [&str; 6] = [
+    "advance",
+    "advance_pair",
+    "raise",
+    "raise_batch",
+    "raise_burst",
+    "raise_on",
+];
+/// The constructors that make a `let` binding a hash container when they
+/// are its whole initializer (`let m = HashMap::new();`).
+const HASH_CONSTRUCTORS: [&str; 3] = ["new", "with_capacity", "default"];
+
+/// The innermost receiver of the expression ending at `end`: the last
+/// plain name in a chain of field accesses and method calls (`events` in
+/// `self.events.lock()`), or `None` if the chain starts anywhere else (a
+/// free call, an index, a parenthesized expression).
+fn receiver_name(toks: &[Tok], mut end: usize) -> Option<usize> {
+    loop {
+        let t = &toks[end];
+        if t.kind == TokKind::Ident {
+            return Some(end);
+        }
+        if t.text != ")" {
+            return None;
+        }
+        // Skip a call's argument list backwards to its callee, which
+        // continues the chain only as a method (`.lock()`).
+        let mut depth = 1;
+        while depth > 0 {
+            end = end.checked_sub(1)?;
+            match toks[end].text.as_str() {
+                ")" => depth += 1,
+                "(" => depth -= 1,
+                _ => {}
+            }
+        }
+        let callee = end.checked_sub(1)?;
+        if toks[callee].kind != TokKind::Ident || callee < 2 || toks[callee - 1].text != "." {
+            return None;
+        }
+        end = callee - 2;
+    }
+}
+
+/// Whether the tokens from `at` are a hash container's constructor call
+/// and then `;`: `HashMap::new()`, `HashSet::with_capacity(n)`,
+/// `std::collections::HashMap::<K, V>::default()`, or the same through a
+/// local alias.
+fn constructed_hash(toks: &[Tok], mut at: usize, hash_words: &BTreeSet<String>) -> bool {
+    let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
+    // A leading path (`std::collections::`).
+    while !hash_words.contains(text(at)) && text(at + 1) == "::" {
+        at += 2;
+    }
+    if !hash_words.contains(text(at)) || text(at + 1) != "::" {
+        return false;
+    }
+    at += 2;
+    // A turbofish (`::<K, V>::`).
+    if text(at) == "<" {
+        let mut depth = 0;
+        loop {
+            match text(at) {
+                "<" => depth += 1,
+                ">" => depth -= 1,
+                "" => return false,
+                _ => {}
+            }
+            at += 1;
+            if depth == 0 {
+                break;
+            }
+        }
+        if text(at) != "::" {
+            return false;
+        }
+        at += 1;
+    }
+    if !HASH_CONSTRUCTORS.contains(&text(at)) || text(at + 1) != "(" {
+        return false;
+    }
+    at += 1;
+    let mut depth = 0;
+    loop {
+        match text(at) {
+            "(" => depth += 1,
+            ")" => depth -= 1,
+            "" => return false,
+            _ => {}
+        }
+        at += 1;
+        if depth == 0 {
+            return text(at) == ";";
+        }
+    }
+}
 
 struct FileLint<'a> {
     rel: &'a str,
@@ -460,52 +555,21 @@ impl<'a> FileLint<'a> {
         }
         let mut hits: Vec<usize> = Vec::new();
         let toks = &self.lx.toks;
-        // `name.iter()`-style calls, walking the dotted receiver chain
-        // backwards through benign adaptors (`events.lock().iter()`).
+        let iterates_tracked = |end: usize| {
+            receiver_name(toks, end).is_some_and(|r| tracked.contains(toks[r].text.as_str()))
+        };
+        // `name.iter()`-style calls, judged by the innermost receiver of
+        // the chain (`events` in `self.events.lock().iter()`).
         for i in 0..toks.len() {
             if toks[i].kind != TokKind::Ident
                 || !ITER_METHODS.contains(&toks[i].text.as_str())
                 || toks.get(i + 1).map(|t| t.text.as_str()) != Some("(")
-                || i == 0
+                || i < 2
                 || toks[i - 1].text != "."
             {
                 continue;
             }
-            let mut j = i as isize - 2;
-            let mut found = false;
-            while j >= 0 {
-                let t = &toks[j as usize];
-                match t.text.as_str() {
-                    ")" => {
-                        // Skip a call's argument list backwards.
-                        let mut depth = 1;
-                        j -= 1;
-                        while j >= 0 && depth > 0 {
-                            match toks[j as usize].text.as_str() {
-                                ")" => depth += 1,
-                                "(" => depth -= 1,
-                                _ => {}
-                            }
-                            j -= 1;
-                        }
-                    }
-                    "." => j -= 1,
-                    _ if t.kind == TokKind::Ident => {
-                        if tracked.contains(t.text.as_str()) {
-                            found = true;
-                            break;
-                        }
-                        // Continue only through a dotted chain.
-                        if j > 0 && toks[j as usize - 1].text == "." {
-                            j -= 1;
-                        } else {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-            if found {
+            if iterates_tracked(i - 2) {
                 hits.push(toks[i].line);
             }
         }
@@ -521,13 +585,10 @@ impl<'a> FileLint<'a> {
             let Some(body_at) = self.find_iterable_end(in_at + 1) else {
                 continue;
             };
-            let expr = &toks[in_at + 1..body_at];
-            let names_tracked = expr
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && tracked.contains(t.text.as_str()));
-            if !names_tracked {
+            if body_at <= in_at + 1 || !iterates_tracked(body_at - 1) {
                 continue;
             }
+            let expr = &toks[in_at + 1..body_at];
             let methods_benign = expr.windows(3).all(|w| {
                 // `.name(` is a method call; anything outside the benign +
                 // iteration sets (e.g. `.len()`, `.get()`) means the loop
@@ -548,8 +609,10 @@ impl<'a> FileLint<'a> {
     }
 
     /// Names declared (in this file) with a type mentioning `HashMap` /
-    /// `HashSet` or a local alias of one: struct fields, let bindings
-    /// (annotated or `= HashMap::new()`-initialized), fn params.
+    /// `HashSet` or a local alias of one: struct fields, fn params, let
+    /// bindings annotated so or initialized by a constructor call and
+    /// nothing else (`= HashMap::new();` — not a `Arc::new(Inner { ..
+    /// HashMap::new() .. })` that only holds one).
     fn hash_typed_names(&self) -> BTreeSet<String> {
         let toks = &self.lx.toks;
         let mut hash_words: BTreeSet<String> = HASH_TYPES.iter().map(|s| s.to_string()).collect();
@@ -608,7 +671,7 @@ impl<'a> FileLint<'a> {
                     j += 1;
                 }
             }
-            // `let [mut] name = <expr mentioning a hash word>;`
+            // `let [mut] name = HashMap::new();`
             if toks[i].kind == TokKind::Ident && toks[i].text == "let" {
                 let mut k = i + 1;
                 if toks.get(k).map(|t| t.text.as_str()) == Some("mut") {
@@ -616,15 +679,9 @@ impl<'a> FileLint<'a> {
                 }
                 if toks.get(k).is_some_and(|t| t.kind == TokKind::Ident)
                     && toks.get(k + 1).map(|t| t.text.as_str()) == Some("=")
+                    && constructed_hash(toks, k + 2, &hash_words)
                 {
-                    let mut j = k + 2;
-                    while j < toks.len() && toks[j].text != ";" {
-                        if toks[j].kind == TokKind::Ident && hash_words.contains(&toks[j].text) {
-                            tracked.insert(toks[k].text.clone());
-                            break;
-                        }
-                        j += 1;
-                    }
+                    tracked.insert(toks[k].text.clone());
                 }
             }
         }
@@ -1533,6 +1590,23 @@ mod tests {
         let f = run("crates/core/src/x.rs", src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].line, 5);
+    }
+
+    #[test]
+    fn d2_judges_a_chain_by_its_innermost_receiver() {
+        let src = "use std::collections::HashMap;\n\
+                   struct Inner { v: Mutex<Vec<u32>>, m: Mutex<HashMap<u32, u32>> }\n\
+                   fn a() {\n\
+                   let inner = Arc::new(Inner { v: Mutex::new(Vec::new()), m: Mutex::new(HashMap::new()) });\n\
+                   let _: u32 = inner.v.lock().iter().sum();\n\
+                   for x in inner.v.lock().iter() { let _ = x; }\n\
+                   for x in inner.m.lock().values() { let _ = x; }\n\
+                   let fresh = HashMap::<u32, Vec<u32>>::with_capacity(4);\n\
+                   let _ = fresh.keys().count();\n\
+                   }\n";
+        let f = run("crates/core/src/x.rs", src);
+        let lines: Vec<_> = f.iter().map(|f| (f.rule, f.line)).collect();
+        assert_eq!(lines, [("D2", 7), ("D2", 9)], "{f:?}");
     }
 
     #[test]

@@ -34,8 +34,9 @@ use spin_core::{Containment, ContainmentPolicy};
 use spin_fault::{FaultPlan, Injection, SiteConfig};
 use spin_obs::DomainId;
 use spin_obs::{Ring, TraceKind, TraceRecord};
-use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, TimerQueue};
+use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, Nanos, TimerQueue};
 use spin_sched::{Executor, IdleOutcome, Multicore, Step};
+use std::collections::VecDeque;
 
 /// Preemption bound used by every check. Two preemptions cover every bug
 /// class this suite targets (each planted mutant needs at most one), and
@@ -847,29 +848,43 @@ fn a_charge_on_an_executors_clock_stays_within_its_budget() {
 /// here: counting them needs a `GlobalAlloc`, an `unsafe impl` rule U1 does
 /// not admit; DESIGN's table is measured on a scratch allocator.
 ///
-/// * One timer scheduled and fired: **(6, 6)**, as at the parent. `schedule_at`
-///   locks and unlocks once; `fire_due` does so once to take the timer and
-///   once to find nothing else due. The slab replaced a hash map under the
-///   same lock, not the lock.
+/// * One timer scheduled and fired: **(8, 4)**, (6, 6) before DESIGN.md
+///   decision 32. `schedule_at` locks and unlocks once and publishes the
+///   new head deadline (a store); `fire_due` loads that head to see the
+///   timer due, takes it under one lock pair, publishes the emptied head
+///   and loads it once more to find nothing else due — where it took a
+///   second lock pair. The slab replaced a hash map under the same lock,
+///   not the lock.
 /// * One frame across a two-shard board — `Nic::send`, the receiving
-///   shard's `drain` onto its timers, the timer's fire, `Nic::receive`:
-///   **(36, 21)**: (32, 25) before DESIGN.md decision 26 made each of its
-///   four charges a load and a store, 34 in total before 24, 38 before 21,
-///   40 before 19. Send 12, was 14 before 24 (two charges at three
-///   operations each, the wire's pair, under which the frame is counted on
-///   its sender's link, one time read, the mailbox's pair and its
-///   `pending` add — the NIC's lock pair for its tx counters went); drain
-///   4 (the `pending` probe, the lock pair, the `pending` store); schedule
-///   2 (the drain is handed over as one run, as `plan_epoch` does since
-///   DESIGN.md decision 27; a one-frame run costs what one
-///   `schedule_boxed` did, so that decision moved neither pin); the
-///   deadline probe 2; fire 8 (the queue's two pairs around the delivery: the NIC's
-///   pair, under which the frame joins the ring, and the interrupt post);
-///   receive 8 (the NIC's pair, under which the pop and the rx count are
-///   one critical section, and two charges).
-/// * A drain of N frames delivered as one run: **(6, 4)** whatever N — the
-///   drain's 4 and one timer-queue lock pair — where scheduling each
-///   envelope took one pair per frame.
+///   shard's `drain` onto its timers, the deadline probe, the timer's fire,
+///   the burst drain of the ring: **(32, 17)**, (36, 21) before decision 32
+///   ((32, 25) before decision 26 made each charge a load and a store, 34
+///   in total before 24, 38 before 21, 40 before 19). Send 9, was 12 (the
+///   driver and transfer charges are one `advance_pair`, three operations
+///   unobserved where two charges were six; the wire's pair, under which
+///   the frame is counted on its sender's link, one time read, the
+///   mailbox's pair and its `pending` add); drain 4 (the `pending` probe,
+///   the lock pair, the `pending` store); schedule 3 (the drain is handed
+///   over as one run, as `plan_epoch` does since decision 27, under one
+///   lock pair, and the head published); the deadline probe 1, was 2 (a
+///   load of the published head, not a lock pair); fire 10, was 8 with 8
+///   locked and is now 6 locked (the head load, the queue's one pair and
+///   its head store around the delivery, the NIC's pair, under which the
+///   frame joins the ring, the interrupt post's pair and its pending-count
+///   store, and the head load that finds nothing else due, where the
+///   queue's second pair stood); receive 5, was 8 (the NIC's pair, under
+///   which the pop and the rx count are one critical section, and the
+///   `advance_pair`).
+/// * A drain of N frames delivered as one run: **(7, 4)** whatever N — the
+///   drain's 4, one timer-queue lock pair and the head store — where
+///   scheduling each envelope took one pair per frame. (6, 4) before
+///   decision 32 published the head.
+/// * One netin pass over a host's three NICs costs **6** locked operations
+///   — one lock pair per ring — whether the burst is 1 frame or 16:
+///   `Nic::receive_burst` pops and counts a whole ring under one pair,
+///   where a `receive` loop paid a pair per frame and one more to find the
+///   ring empty. The one-frame pass is (9, 6); each further frame adds its
+///   three-operation `advance_pair` and nothing locked.
 #[test]
 fn the_frame_hop_stays_within_its_lock_budget() {
     let timer = marginal_steps("budget-timer", |n| {
@@ -881,13 +896,14 @@ fn the_frame_hop_stays_within_its_lock_budget() {
     });
     assert_eq!(
         timer,
-        (6, 6),
+        (8, 4),
         "facade operations per timer scheduled and fired"
     );
 
     let hop = marginal_steps("budget-frame-hop", |n| {
         let board = MulticoreBoard::new();
         let (a, b) = (board.new_host(1), board.new_host(1));
+        let mut ring = VecDeque::new();
         for _ in 0..n {
             a.ethernet
                 .send(b.endpoint(), (&b"frame"[..]).into())
@@ -895,11 +911,12 @@ fn the_frame_hop_stays_within_its_lock_budget() {
             b.timers.schedule_run(b.mailbox.drain());
             let due = b.timers.next_deadline().expect("the frame is in flight");
             assert_eq!(b.timers.fire_due(due), 1);
-            assert!(b.ethernet.receive().is_some(), "delivered");
+            assert_eq!(b.ethernet.receive_burst(&mut ring, |_| {}), 1, "delivered");
+            ring.clear();
         }
         assert_eq!(board.ethernet.stats(), (n, 0));
     });
-    assert_eq!(hop, (36, 21), "facade operations per frame hop");
+    assert_eq!(hop, (32, 17), "facade operations per frame hop");
 
     // A drain of N frames, as the planner delivers it: the drain's four
     // operations and one timer-queue lock pair for the whole run, not one
@@ -935,11 +952,54 @@ fn the_frame_hop_stays_within_its_lock_budget() {
     for n in [2, 16] {
         assert_eq!(drain(n), drain(1), "a drain of {n} frames");
     }
-    assert_eq!(drain(1), (6, 4), "facade operations per drain delivered");
+    assert_eq!(drain(1), (7, 4), "facade operations per drain delivered");
+
+    // One netin pass over a host's three NICs, as the protocol thread
+    // makes it: a burst drain of each ring. Frames take turns on the three
+    // media, so a burst of 16 fills every ring and a burst of 1 only the
+    // Ethernet one.
+    let pass = |n: usize| {
+        let frames = move |read: bool| {
+            move || {
+                let board = MulticoreBoard::new();
+                let (a, b) = (board.new_host(1), board.new_host(1));
+                for i in 0..n {
+                    [&a.ethernet, &a.atm, &a.t3][i % 3]
+                        .send(b.endpoint(), (&b"frame"[..]).into())
+                        .expect("within the MTU");
+                }
+                b.timers.schedule_run(b.mailbox.drain());
+                assert_eq!(b.timers.fire_due(Nanos::MAX - 1), n);
+                if read {
+                    let mut ring = VecDeque::new();
+                    let taken: usize = [&b.ethernet, &b.atm, &b.t3]
+                        .iter()
+                        .map(|nic| nic.receive_burst(&mut ring, |_| {}))
+                        .sum();
+                    assert_eq!(taken, n, "the pass takes every frame");
+                }
+            }
+        };
+        let (left, read) = (
+            steps(Box::new(frames(false))),
+            steps(Box::new(frames(true))),
+        );
+        (read.0 - left.0, read.1 - left.1)
+    };
+    let (one, sixteen) = (pass(1), pass(16));
+    assert_eq!(
+        one.1, sixteen.1,
+        "locked operations per netin pass: {one:?} for one frame, {sixteen:?} for 16"
+    );
+    assert_eq!(one, (9, 6), "facade operations per one-frame netin pass");
 }
 
-/// A slice's budget (DESIGN.md decisions 24 and 26): one slice of a
-/// run-to-completion strand that yields is **(27, 11)** facade operations.
+/// A slice's budget (DESIGN.md decisions 24, 26 and 32): one slice of a
+/// run-to-completion strand that yields is **(25, 7)** facade operations.
+/// It was (27, 11) before decision 32: the executor's timer pump locked
+/// the queue to find nothing due, where it now loads its published head,
+/// and its interrupt pump locked its list of interrupt lines, where it now
+/// walks a registry with loads (one, for an executor with no line).
 /// It was (30, 12) before decision 26 and 32 in total before 24, when
 /// `run_until` took the executor's state lock once to dequeue the strand
 /// and once to mark it Running. Decision 26 made the switch charge a store
@@ -966,13 +1026,20 @@ fn a_slice_stays_within_its_lock_budget() {
         assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(exec.switches(), n + 1, "one slice per yield, and the last");
     });
-    assert_eq!(slice, (27, 11), "facade operations per slice");
+    assert_eq!(slice, (25, 7), "facade operations per slice");
 }
 
 /// The planner's budget (DESIGN.md decision 22): one epoch of a 12-shard
 /// board on which only shard 0 has anything to do — one timer, armed every
-/// `10·L`, so each fires in an epoch of its own — is **(58, 34)** facade
-/// operations: (58, 36) before DESIGN.md decision 26 made the idle skip a
+/// `10·L`, so each fires in an epoch of its own — is **(58, 12)** facade
+/// operations. It was (58, 34) before DESIGN.md decision 32 published the
+/// timer queue's head deadline and the interrupt line's pending count and
+/// made the executor's list of lines a registry read with loads: eleven
+/// lock pairs of shard 0's pumps and horizon reads that found nothing
+/// (its timer pump, its interrupt pump and the list around it, its idle
+/// deadline probe and its horizon) became loads — more of them than
+/// there were locked operations, so the total is where it was — and the
+/// armed timer's schedule and fire each store the head they move. (58, 36) before decision 26 made the idle skip a
 /// load and a store where it was a load and a compare-exchange, and 157 in
 /// total at the parent of the PR that wrote this budget. The
 /// planner keeps every shard's local horizon and re-reads only the shard it
@@ -997,7 +1064,7 @@ fn an_epoch_reads_only_the_shards_that_ran() {
         assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(mc.stats().epochs, n, "one epoch per timer");
     });
-    assert_eq!(epoch, (58, 34), "facade operations per epoch");
+    assert_eq!(epoch, (58, 12), "facade operations per epoch");
 }
 
 /// Two concurrent draws on one armed fault site must take distinct draw

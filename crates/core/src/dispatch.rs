@@ -252,7 +252,7 @@ impl<A> GuardSpec<A> {
 }
 
 /// Combines the results of all executed synchronous handlers.
-type Reducer<R> = Arc<dyn Fn(Vec<R>) -> R + Send + Sync>;
+type Reducer<R> = Arc<dyn Fn(HandlerResults<R>) -> R + Send + Sync>;
 
 /// One asynchronous handler invocation, handed to the dispatcher's
 /// asynchronous runner (`spin_sched::install_async_runner` wires one).
@@ -429,14 +429,20 @@ impl AtomicEventStats {
 /// lookup. The tables are only ever looked up, never iterated, so nothing
 /// observable depends on the hash; their keys are the guard values that
 /// installed handlers chose, which the event owner already authorizes.
+/// Other tables keyed by small integers and only looked up — the net
+/// layer's per-packet address map — use it for the same reason.
 #[derive(Default)]
-struct KeyHasher(u64);
+pub struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.write_u64(self.0 ^ u64::from(b));
         }
+    }
+
+    fn write_u32(&mut self, k: u32) {
+        self.write_u64(u64::from(k));
     }
 
     fn write_u64(&mut self, k: u64) {
@@ -618,6 +624,66 @@ impl Deref for Selection {
     }
 }
 
+/// Every synchronous result of one raise, in the order its handlers ran:
+/// what an event's reducer combines ([`EventOwner::set_reducer`]). It reads
+/// as a slice and iterates by value, as the `Vec` it replaces did, and it
+/// holds one result without the heap, so the common reduced raise — a
+/// primary handler alone, as on `SendPacket` — allocates nothing; a second
+/// result moves both to a `Vec`. One is the inline capacity because a
+/// slice of a generic `R` needs its values side by side, and without
+/// `unsafe` only an `Option` holds one in place.
+#[derive(Debug)]
+pub struct HandlerResults<R> {
+    /// The result, while there is only one.
+    one: Option<R>,
+    /// Every result, once there are two.
+    many: Vec<R>,
+}
+
+impl<R> Default for HandlerResults<R> {
+    fn default() -> Self {
+        HandlerResults {
+            one: None,
+            many: Vec::new(),
+        }
+    }
+}
+
+impl<R> HandlerResults<R> {
+    fn push(&mut self, r: R) {
+        if self.many.is_empty() {
+            let Some(first) = self.one.take() else {
+                self.one = Some(r);
+                return;
+            };
+            self.many.reserve(4);
+            self.many.push(first);
+        }
+        self.many.push(r);
+    }
+}
+
+impl<R> Deref for HandlerResults<R> {
+    type Target = [R];
+
+    fn deref(&self) -> &[R] {
+        if self.many.is_empty() {
+            self.one.as_slice()
+        } else {
+            &self.many
+        }
+    }
+}
+
+impl<R> IntoIterator for HandlerResults<R> {
+    type Item = R;
+    type IntoIter = std::iter::Chain<std::option::IntoIter<R>, std::vec::IntoIter<R>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.one.into_iter().chain(self.many)
+    }
+}
+
 /// The immutable part of an event's published record: everything a
 /// dispatch needs, built once per mutation instead of once per raise. It
 /// shares its entries with the write side and with every other plan that
@@ -675,7 +741,7 @@ impl<A, R> RaisePlan<A, R> {
 struct SlowAcc<R> {
     /// Every synchronous result, for the reducer — `Some` iff the plan has
     /// one; the default reduction keeps only `last`.
-    reduced: Option<Vec<R>>,
+    reduced: Option<HandlerResults<R>>,
     /// "The result of the final handler executed".
     last: Option<R>,
     guard_evals: u64,
@@ -1667,7 +1733,7 @@ where
             &owned
         };
         let mut acc = SlowAcc::<R> {
-            reduced: plan.reducer.as_ref().map(|_| Vec::new()),
+            reduced: plan.reducer.as_ref().map(|_| HandlerResults::default()),
             last: None,
             guard_evals: 0,
             elided: 0,
@@ -2079,11 +2145,27 @@ where
     /// (install/uninstall from a handler, fast-path demotion after a
     /// panic) is observed by the next call, not by later items of this
     /// burst.
+    ///
+    /// The results cost a `Vec` per call; a raiser that drops them raises
+    /// through [`Event::raise_burst`] instead.
     pub fn raise_batch(&self, batch: Vec<A>) -> Vec<Result<R, DispatchError>> {
         let call = Raise::enter(&self.dispatcher.inner, self, true);
         let out = batch.into_iter().map(|args| call.item(args)).collect();
         call.settle();
         out
+    }
+
+    /// [`Event::raise_batch`] for a raiser that wants no results: the same
+    /// snapshot, per-item charges and batched counters, the results
+    /// dropped as each item returns instead of collected. It takes any
+    /// iterator, so a raiser that keeps its burst buffer across calls
+    /// drains it in (`buffer.drain(..)`) and allocates nothing per burst.
+    pub fn raise_burst(&self, batch: impl IntoIterator<Item = A>) {
+        let call = Raise::enter(&self.dispatcher.inner, self, true);
+        for args in batch {
+            let _ = call.item(args);
+        }
+        call.settle();
     }
 
     /// Closes the quiesce gate: subsequent raises park in the bounded
@@ -2346,7 +2428,7 @@ where
     // uncharged: owner control-plane operation; only raises are metered.
     pub fn set_reducer(
         &self,
-        reduce: impl Fn(Vec<R>) -> R + Send + Sync + 'static,
+        reduce: impl Fn(HandlerResults<R>) -> R + Send + Sync + 'static,
     ) -> Result<(), DispatchError> {
         self.event.live()?.edit(|ws| {
             ws.reducer = Some(Arc::new(reduce));

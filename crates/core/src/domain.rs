@@ -37,7 +37,6 @@ pub struct ResolveReport {
 
 struct DomainInner {
     name: String,
-    provenance: Provenance,
     exports: RwLock<Vec<Interface>>,
     /// Imports not yet patched.
     unresolved: Mutex<Vec<ImportDecl>>,
@@ -66,7 +65,6 @@ impl Domain {
         Ok(Domain {
             inner: Arc::new(DomainInner {
                 name: objfile.module,
-                provenance: objfile.provenance,
                 exports: RwLock::new(objfile.exports),
                 unresolved: Mutex::new(objfile.imports),
                 children: RwLock::new(Vec::new()),
@@ -81,7 +79,6 @@ impl Domain {
         Domain {
             inner: Arc::new(DomainInner {
                 name: module.to_string(),
-                provenance: Provenance::CompilerSigned,
                 exports: RwLock::new(interfaces),
                 unresolved: Mutex::new(Vec::new()),
                 children: RwLock::new(Vec::new()),
@@ -92,11 +89,6 @@ impl Domain {
     /// The domain's name.
     pub fn name(&self) -> &str {
         &self.inner.name
-    }
-
-    /// How the domain's code was trusted.
-    pub fn provenance(&self) -> Provenance {
-        self.inner.provenance
     }
 
     /// Resolves the **target**'s undefined symbols against the **source**'s
@@ -169,7 +161,6 @@ impl Domain {
         Ok(Domain {
             inner: Arc::new(DomainInner {
                 name: name.to_string(),
-                provenance: Provenance::CompilerSigned,
                 exports: RwLock::new(Vec::new()),
                 unresolved: Mutex::new(Vec::new()),
                 children: RwLock::new(domains.to_vec()),
@@ -319,8 +310,7 @@ mod tests {
             Err(CoreError::UnsafeObjectFile { .. })
         ));
         let f = ObjectFile::unsigned("driver", vec![]).assert_safe();
-        let d = Domain::create(f).unwrap();
-        assert_eq!(d.provenance(), Provenance::AssertedSafe);
+        assert!(Domain::create(f).is_ok(), "an asserted-safe file links");
     }
 
     #[test]

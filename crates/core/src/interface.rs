@@ -39,7 +39,7 @@ impl Symbol {
     }
 
     /// The exported Rust type's name (diagnostics only).
-    pub fn type_name(&self) -> &'static str {
+    pub(crate) fn type_name(&self) -> &'static str {
         self.type_name
     }
 
@@ -100,7 +100,7 @@ impl Interface {
     }
 
     /// Looks up a symbol by name.
-    pub fn symbol(&self, name: &str) -> Option<&Symbol> {
+    pub(crate) fn symbol(&self, name: &str) -> Option<&Symbol> {
         self.symbols.iter().find(|s| s.name() == name)
     }
 

@@ -39,8 +39,8 @@ mod quota;
 pub use capability::{ExternRef, ExternTable};
 pub use dispatch::{
     AsyncInvocation, Constraints, Dispatcher, Event, EventOwner, EventStats, GatedEvent, Guard,
-    GuardSpec, Handler, HandlerId, HandlerMode, HoldStats, InstallDecision, InstallRequest,
-    InstallSpec, KeyFn, RebindReceipt,
+    GuardSpec, Handler, HandlerId, HandlerMode, HandlerResults, HoldStats, InstallDecision,
+    InstallRequest, InstallSpec, KeyFn, KeyHasher, RebindReceipt,
 };
 pub use domain::{Domain, ResolveReport};
 pub use error::{CoreError, DispatchError, SymbolConflict};
@@ -53,7 +53,7 @@ pub use identity::{Identity, IdentityKind};
 pub use interface::{Interface, Symbol};
 pub use kernel::{Kernel, SysResult, Syscall};
 pub use nameserver::{Authorizer, NameServer, ServiceRef};
-pub use objfile::{ImportSlot, ObjectFile, ObjectFileBuilder, Provenance};
+pub use objfile::{ImportSlot, ObjectFile, ObjectFileBuilder};
 pub use quota::{
     post_with_backpressure, BackoffPolicy, PostOutcome, QuotaBreach, QuotaCell, QuotaLedger,
     QuotaSnapshot, QuotaSpec, QuotaState, QuotaVerdict,

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 /// How an object file came to be trusted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Provenance {
+pub(crate) enum Provenance {
     /// Produced by the safe-language toolchain (the builder).
     CompilerSigned,
     /// Foreign code whose safety the kernel asserted (discouraged).
@@ -130,7 +130,7 @@ impl ObjectFile {
     }
 
     /// The file's trust provenance.
-    pub fn provenance(&self) -> Provenance {
+    pub(crate) fn provenance(&self) -> Provenance {
         self.provenance
     }
 

@@ -4,8 +4,8 @@
 //! never confuse objects.
 
 use proptest::prelude::*;
-use spin_core::{Dispatcher, ExternTable, Identity};
-use std::sync::Arc;
+use spin_core::{Dispatcher, ExternTable, HandlerResults, Identity};
+use std::sync::{Arc, Mutex};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -43,6 +43,47 @@ proptest! {
         owner.set_reducer(|rs| rs.into_iter().sum()).expect("fresh");
         let expected: u64 = results.iter().sum();
         prop_assert_eq!(ev.raise(value), Ok(expected));
+    }
+
+    /// A reducer's results hold the first inline and spill to a `Vec`
+    /// from the second: over zero to a dozen results, as a slice and by
+    /// value, the reducer sees what a `Vec` of the results in handler
+    /// order held, and an order-sensitive fold returns what it returned.
+    #[test]
+    fn a_reducer_sees_the_results_a_vec_held(
+        addends in prop::collection::vec(0u64..1000, 0..12),
+        value in 0u64..1000,
+    ) {
+        let d = Dispatcher::unmetered();
+        let (ev, owner) = d.define::<u64, u64>("E", Identity::kernel("m"));
+        for &addend in &addends {
+            ev.install(Identity::extension("h"), move |x: &u64| x + addend).expect("allowed");
+        }
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = seen.clone();
+        owner.set_reducer(move |rs: HandlerResults<u64>| {
+            let slice = rs.to_vec();
+            let (len, first) = (rs.len(), rs.first().copied());
+            let by_value: Vec<u64> = rs.into_iter().collect();
+            seen2.lock().unwrap().push((slice, len, first, by_value.clone()));
+            by_value.into_iter().fold(0, |acc, r| acc.wrapping_mul(31).wrapping_add(r))
+        }).expect("fresh");
+
+        let results: Vec<u64> = addends.iter().map(|a| value + a).collect();
+        let fold = results.iter().fold(0u64, |acc, r| acc.wrapping_mul(31).wrapping_add(*r));
+        match ev.raise(value) {
+            Ok(out) => prop_assert_eq!(out, fold),
+            Err(_) => prop_assert!(results.is_empty(), "no handler ran only when none is installed"),
+        }
+        let seen = seen.lock().unwrap().clone();
+        if results.is_empty() {
+            prop_assert!(seen.is_empty(), "a raise with no result never reduces");
+        } else {
+            prop_assert_eq!(
+                seen,
+                vec![(results.clone(), results.len(), results.first().copied(), results)]
+            );
+        }
     }
 
     /// Uninstalling any subset of handlers leaves exactly the others.

@@ -29,16 +29,20 @@ use crate::rpc::AtomicRpcStats;
 use bytes::{Bytes, BytesMut};
 use spin_check::sync::{AtomicU16, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
-use spin_core::{Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn};
+use spin_core::{
+    Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn, KeyHasher,
+};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::vectors;
 use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
 use spin_sal::{Nic, NicError};
 use spin_sched::{Executor, KChannel, Step, StrandCtx};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
-/// Which attached medium a packet used.
+/// Which attached medium a packet used; its discriminant indexes the
+/// per-medium arrays of a stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Medium {
     Ethernet,
@@ -51,11 +55,14 @@ pub enum Medium {
 /// The one table of this layer that every shard shares: each transmitted
 /// packet resolves against it, from whichever worker drives the sender,
 /// and registrations happen at host set-up. Resolvers share a read lock
-/// and never block each other.
+/// and never block each other. It is only ever looked up, so it hashes an
+/// address with the dispatcher's one-multiplication [`KeyHasher`].
 #[derive(Clone, Default)]
 pub struct AddressMap {
-    entries: Arc<RwLock<HashMap<IpAddr, (Medium, WireEndpoint)>>>,
+    entries: Arc<RwLock<Routes>>,
 }
+
+type Routes = HashMap<IpAddr, (Medium, WireEndpoint), BuildHasherDefault<KeyHasher>>;
 
 impl AddressMap {
     /// An empty map.
@@ -238,7 +245,8 @@ struct NetInner {
     host: Host,
     exec: Arc<Executor>,
     addrs: AddressMap,
-    my_ips: HashMap<Medium, IpAddr>,
+    /// This host's address on each medium, indexed by [`Medium`].
+    my_ips: [IpAddr; 3],
     events: NetEvents,
     topology: Topology,
     ping_waiters: Mutex<PingWaiters>,
@@ -359,19 +367,20 @@ impl NetStack {
             ready_poller_key: KeyFn::new(|b: &ReadyBatch| b.poller),
         };
 
-        let mut my_ips = HashMap::new();
-        my_ips.insert(Medium::Ethernet, eth_ip);
-        my_ips.insert(Medium::Atm, atm_ip);
-        my_ips.insert(Medium::T3, t3_ip);
+        let my_ips = [eth_ip, atm_ip, t3_ip];
         addrs.register(eth_ip, Medium::Ethernet, host.ethernet.addr());
         addrs.register(atm_ip, Medium::Atm, host.atm.addr());
         addrs.register(t3_ip, Medium::T3, host.t3.addr());
 
         // The protocol strand: drained by NIC interrupts.
-        let nics: Vec<(Medium, Nic)> = vec![
-            (Medium::Ethernet, host.ethernet.clone()),
-            (Medium::Atm, host.atm.clone()),
-            (Medium::T3, host.t3.clone()),
+        let nics = [
+            (
+                Medium::Ethernet,
+                host.ethernet.clone(),
+                events.ether_arrived.clone(),
+            ),
+            (Medium::Atm, host.atm.clone(), events.atm_arrived.clone()),
+            (Medium::T3, host.t3.clone(), events.t3_arrived.clone()),
         ];
         let ev2 = events.clone();
         let obs: Arc<spin_check::hooks::HookSlot<ObsHook>> =
@@ -381,49 +390,54 @@ impl NetStack {
         let hub2 = ready_hub.clone();
         // Run-to-completion: like the paper's interrupt-level protocol
         // handlers it never blocks mid-burst, so it needs no thread of its
-        // own — a slice is one call on the pumping thread.
+        // own — a slice is one call on the pumping thread. Its burst
+        // buffer lives as long as it does, so a burst allocates nothing.
+        let mut ring = VecDeque::new();
+        let irqs = host.irqs.clone();
         let proto_thread =
             exec.spawn_step_on(host.id, &format!("netin-{}", host.id.0), 12, move |_| {
                 loop {
                     let mut any = false;
-                    for (medium, nic) in &nics {
-                        // Drain the ring into a burst, then deliver it as
-                        // one batched raise: the link event's plan
-                        // snapshot, obs hooks and fault draws amortize
-                        // across the burst. `nic.receive()` charges its
-                        // driver/PIO costs here, during collection, exactly
-                        // as it did when each frame was raised singly.
-                        let mut burst: Vec<LinkFrame> = Vec::new();
-                        while let Some(frame) = nic.receive() {
-                            any = true;
-                            if let Some(obs) = obs2.get() {
+                    for (medium, nic, ev) in &nics {
+                        // Take the ring in one critical section, then
+                        // deliver it as one batched raise: the link event's
+                        // plan snapshot, obs hooks and fault draws amortize
+                        // across the burst. The NIC charges each frame's
+                        // driver/PIO costs as it hands the frame over,
+                        // exactly as `receive` did when each frame was
+                        // raised singly.
+                        let obs = obs2.get();
+                        let taken = nic.receive_burst(&mut ring, |frame| {
+                            if let Some(obs) = obs {
                                 obs.trace(
                                     TraceKind::PacketRx,
                                     frame.payload.len() as u64,
                                     *medium as u64,
                                 );
                             }
-                            burst.push(LinkFrame {
+                        });
+                        if taken > 0 {
+                            any = true;
+                            ev.raise_burst(ring.drain(..).map(|frame| LinkFrame {
                                 medium: *medium,
                                 bytes: frame.payload,
-                            });
-                        }
-                        if !burst.is_empty() {
-                            let ev = match medium {
-                                Medium::Ethernet => &ev2.ether_arrived,
-                                Medium::Atm => &ev2.atm_arrived,
-                                Medium::T3 => &ev2.t3_arrived,
-                            };
-                            let _ = ev.raise_batch(burst);
+                            }));
                         }
                     }
-                    if any {
-                        // Aggregate everything the burst made ready into
-                        // one `Net.Ready` raise per poller. An idle hub
-                        // (no pollers, or nothing newly ready) raises
-                        // nothing and charges nothing.
-                        hub2.flush(&ev2.net_ready);
-                    } else {
+                    if !any {
+                        return Step::Block;
+                    }
+                    // Aggregate everything the burst made ready into one
+                    // `Net.Ready` raise per poller. An idle hub (no
+                    // pollers, or nothing newly ready) raises nothing and
+                    // charges nothing.
+                    hub2.flush(&ev2.net_ready);
+                    // Another pass only if a frame can have arrived since
+                    // this one began: every delivery posts its NIC's
+                    // interrupt, and the executor dispatches interrupts
+                    // only between slices, so an empty line proves the
+                    // rings as empty as this pass left them.
+                    if !irqs.has_pending() {
                         return Step::Block;
                     }
                 }
@@ -663,7 +677,7 @@ impl NetStack {
     /// This host's IP on a medium.
     // uncharged: accessor.
     pub fn ip_on(&self, medium: Medium) -> IpAddr {
-        self.inner.my_ips[&medium]
+        self.inner.my_ips[medium as usize]
     }
 
     /// Sends a transport segment to `dst`, running the `SendPacket`
@@ -675,7 +689,19 @@ impl NetStack {
         protocol: u8,
         segment: impl Into<BufChain>,
     ) -> Result<(), NetError> {
-        let segment = segment.into();
+        self.send_segment(dst, protocol, segment.into(), None)
+    }
+
+    /// [`NetStack::send_ip`] of a segment that may already sit in the
+    /// frame its route carries (`framed`, from [`NetStack::udp_send`]).
+    // charged: as `send_ip`.
+    fn send_segment(
+        &self,
+        dst: IpAddr,
+        protocol: u8,
+        segment: BufChain,
+        framed: Option<Framed>,
+    ) -> Result<(), NetError> {
         let verdict = self.inner.events.send_packet.raise(SendRequest {
             dst,
             protocol,
@@ -684,7 +710,8 @@ impl NetStack {
         if suppressed(&verdict) {
             return Ok(());
         }
-        self.transmit_chain(dst, protocol, &segment)
+        let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, &segment, framed)?;
+        self.hand_off(medium, |nic| nic.send(endpoint, frame))
     }
 
     /// Sends a burst of transport segments: one batched `SendPacket`
@@ -714,7 +741,7 @@ impl NetStack {
             if suppressed(&verdict) {
                 continue;
             }
-            match self.prepare_frame(dst, protocol, &chain) {
+            match self.prepare_frame(dst, protocol, &chain, None) {
                 Ok((medium, endpoint, frame)) => match per_nic.last_mut() {
                     Some((m, batch)) if *m == medium => batch.push((endpoint, frame)),
                     _ => per_nic.push((medium, vec![(endpoint, frame)])),
@@ -750,7 +777,7 @@ impl NetStack {
         protocol: u8,
         segment: &BufChain,
     ) -> Result<(), NetError> {
-        let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment)?;
+        let (medium, endpoint, frame) = self.prepare_frame(dst, protocol, segment, None)?;
         self.hand_off(medium, |nic| nic.send(endpoint, frame))
     }
 
@@ -796,7 +823,9 @@ impl NetStack {
     /// assembly and the `PacketTx` trace; the frame is counted sent only
     /// once its NIC takes it (`hand_off`). The returned frame is the one
     /// buffer this path allocates ([`frame_bytes`]); writing the segment
-    /// into it is the device-boundary copy.
+    /// into it is the device-boundary copy. A segment already written into
+    /// its frame (`framed`) is not written again while the route it was
+    /// framed for is still the route.
     // charged: assembly is uncharged; the NIC charges driver/PIO/DMA costs
     // when the frame is handed over.
     fn prepare_frame(
@@ -804,7 +833,8 @@ impl NetStack {
         dst: IpAddr,
         protocol: u8,
         segment: &BufChain,
-    ) -> Result<(Medium, WireEndpoint, Bytes), NetError> {
+        framed: Option<Framed>,
+    ) -> Result<Framed, NetError> {
         if let Some(h) = self.inner.faults.get() {
             match h.draw() {
                 Some(spin_fault::Injection::Panic) => h.fire_panic(),
@@ -818,13 +848,12 @@ impl NetStack {
             .addrs
             .resolve(dst)
             .ok_or(NetError::NoRoute { dst })?;
-        let src = self.inner.my_ips[&medium];
-        let link = (medium == Medium::Ethernet).then(|| EtherHeader {
-            src: self.nic_for(medium).addr().0,
-            dst: endpoint.0,
-            ethertype: ETHERTYPE_IPV4,
-        });
-        let frame = frame_bytes(link, src, dst, protocol, segment);
+        let frame = match framed {
+            Some((m, e, frame)) if (m, e) == (medium, endpoint) => frame,
+            _ => self.frame(medium, endpoint, dst, protocol, segment.len(), |out| {
+                segment.copy_to_slice(out)
+            }),
+        };
         if let Some(obs) = self.inner.obs.get() {
             obs.trace(TraceKind::PacketTx, frame.len() as u64, medium as u64);
         }
@@ -843,6 +872,27 @@ impl NetStack {
         send(self.nic_for(medium)).map_err(|e| NetError::TooLarge(format!("{e:?}")))
     }
 
+    /// Assembles the frame that carries a `len`-byte segment to `endpoint`
+    /// over `medium` ([`frame_bytes`]), from this host's address there.
+    // uncharged: frame assembly; the NIC charges for moving the bytes.
+    fn frame(
+        &self,
+        medium: Medium,
+        endpoint: WireEndpoint,
+        dst: IpAddr,
+        protocol: u8,
+        len: usize,
+        segment: impl FnOnce(&mut [u8]),
+    ) -> Bytes {
+        let src = self.inner.my_ips[medium as usize];
+        let link = (medium == Medium::Ethernet).then(|| EtherHeader {
+            src: self.nic_for(medium).addr().0,
+            dst: endpoint.0,
+            ethertype: ETHERTYPE_IPV4,
+        });
+        frame_bytes(link, src, dst, protocol, len, segment)
+    }
+
     fn nic_for(&self, medium: Medium) -> &Nic {
         match medium {
             Medium::Ethernet => &self.inner.host.ethernet,
@@ -852,6 +902,13 @@ impl NetStack {
     }
 
     /// Sends a UDP datagram.
+    ///
+    /// The datagram is written once, straight into the frame its route
+    /// will carry, and the segment `SendPacket` sees is that frame's tail:
+    /// one buffer per datagram, not one for the datagram and one for its
+    /// frame. Everything else is `send_ip`'s: the frame is the
+    /// same bytes, and a route that changed during the raise gets a frame
+    /// of its own.
     pub fn udp_send(
         &self,
         src_port: u16,
@@ -859,8 +916,20 @@ impl NetStack {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), NetError> {
-        let datagram = UdpHeader::encode(src_port, dst_port, payload);
-        self.send_ip(dst, proto::UDP, datagram)
+        let Some((medium, endpoint)) = self.inner.addrs.resolve(dst) else {
+            // No frame to write into: `send_ip` answers (`NoRoute`).
+            let datagram = UdpHeader::encode(src_port, dst_port, payload);
+            return self.send_ip(dst, proto::UDP, datagram);
+        };
+        let header = UdpHeader::header_bytes(src_port, dst_port, payload.len());
+        let len = header.len() + payload.len();
+        let frame = self.frame(medium, endpoint, dst, proto::UDP, len, |out| {
+            let (head, body) = out.split_at_mut(header.len());
+            head.copy_from_slice(&header);
+            body.copy_from_slice(payload);
+        });
+        let segment = BufChain::from_bytes(frame.slice(frame.len() - len..));
+        self.send_segment(dst, proto::UDP, segment, Some((medium, endpoint, frame)))
     }
 
     /// The stack-wide readiness scoreboard (see [`crate::NetPoller`]).
@@ -925,32 +994,32 @@ impl NetStack {
     }
 }
 
-/// Assembles the frame for `segment`: the link header (Ethernet only; ATM
-/// and T3 carry raw IP), the IPv4 header and the segment's bytes, written
-/// once each into the one buffer allocated here.
+/// A frame ready for its NIC: the medium and endpoint its route names, and
+/// its bytes.
+type Framed = (Medium, WireEndpoint, Bytes);
+
+/// Assembles the frame for a `len`-byte segment: the link header (Ethernet
+/// only; ATM and T3 carry raw IP), the IPv4 header and the segment's bytes,
+/// which `segment` writes, each written once into the one buffer allocated
+/// here.
 // uncharged: frame assembly; the NIC charges for moving the bytes.
 fn frame_bytes(
     link: Option<EtherHeader>,
     src: IpAddr,
     dst: IpAddr,
     protocol: u8,
-    segment: &BufChain,
+    len: usize,
+    segment: impl FnOnce(&mut [u8]),
 ) -> Bytes {
     let link_len = if link.is_some() { EtherHeader::LEN } else { 0 };
-    let mut frame = BytesMut::zeroed(link_len + Ipv4Header::LEN + segment.len());
+    let mut frame = BytesMut::zeroed(link_len + Ipv4Header::LEN + len);
     let (link_room, packet) = frame.split_at_mut(link_len);
     if let Some(ether) = link {
         link_room.copy_from_slice(&ether.header_bytes());
     }
     let (ip_room, rest) = packet.split_at_mut(Ipv4Header::LEN);
-    ip_room.copy_from_slice(&Ipv4Header::header_bytes(
-        src,
-        dst,
-        protocol,
-        64,
-        segment.len(),
-    ));
-    segment.copy_to_slice(rest);
+    ip_room.copy_from_slice(&Ipv4Header::header_bytes(src, dst, protocol, 64, len));
+    segment(rest);
     frame.freeze()
 }
 
@@ -1033,7 +1102,9 @@ mod tests {
             pieces.iter().for_each(|p| segment.append(p.clone()));
             segment.push_header(&transport);
 
-            let frame = frame_bytes(link, src, dst, protocol, &segment);
+            let frame = frame_bytes(link, src, dst, protocol, segment.len(), |out| {
+                segment.copy_to_slice(out)
+            });
 
             let mut want = Vec::new();
             if let Some(ether) = &link {
@@ -1078,8 +1149,11 @@ mod tests {
         let dst = rig.b.ip_on(Medium::Ethernet);
         let flat: BufChain = UdpHeader::encode(9, 7, b"same bytes").into();
         let chained = UdpHeader::encode_chain(9, 7, Bytes::from_static(b"same bytes"));
-        let (medium, endpoint, one) = rig.a.prepare_frame(dst, proto::UDP, &flat).unwrap();
-        let (_, _, other) = rig.a.prepare_frame(dst, proto::UDP, &chained).unwrap();
+        let (medium, endpoint, one) = rig.a.prepare_frame(dst, proto::UDP, &flat, None).unwrap();
+        let (_, _, other) = rig
+            .a
+            .prepare_frame(dst, proto::UDP, &chained, None)
+            .unwrap();
         assert_eq!(one, other);
         assert_eq!(
             (medium, endpoint),
@@ -1090,6 +1164,60 @@ mod tests {
         assert_eq!(ether.dst, endpoint.0);
         let (ip, _) = Ipv4Header::decode(&packet).unwrap();
         assert_eq!((ip.src, ip.dst), (rig.a.ip_on(Medium::Ethernet), dst));
+    }
+
+    /// `udp_send` writes the datagram into its frame before the
+    /// `SendPacket` raise; what leaves, and what the raise shows its
+    /// handlers, is what `send_ip` of the encoded datagram sent and showed
+    /// — on every medium, and when a handler moves the route mid-raise.
+    #[test]
+    fn a_datagram_written_into_its_frame_leaves_as_send_ip_sent_it() {
+        fn sent(medium: Medium, reroute: bool, framed: bool) -> (Vec<Bytes>, Vec<Bytes>) {
+            let rig = TwoHosts::new();
+            let dst = rig.b.ip_on(medium);
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let (seen2, addrs, atm) = (seen.clone(), rig.addrs.clone(), rig.host_b.atm.addr());
+            rig.a
+                .events()
+                .send_packet
+                .install(Identity::extension("peek"), move |req: &SendRequest| {
+                    seen2.lock().push(req.payload.to_bytes());
+                    if reroute {
+                        addrs.register(req.dst, Medium::Atm, atm);
+                    }
+                    SendVerdict::Transmit
+                })
+                .expect("install");
+            let payload = b"one buffer per datagram";
+            if framed {
+                rig.a.udp_send(9, dst, 7, payload).unwrap();
+            } else {
+                let datagram = UdpHeader::encode(9, 7, payload);
+                rig.a.send_ip(dst, proto::UDP, datagram).unwrap();
+            }
+            rig.board
+                .clock
+                .skip_to(rig.board.clock.now() + 1_000_000_000);
+            rig.board.timers.fire_due(rig.board.clock.now());
+            let nics = [&rig.host_b.ethernet, &rig.host_b.atm, &rig.host_b.t3];
+            let frames = nics
+                .iter()
+                .filter_map(|nic| nic.receive().map(|f| f.payload))
+                .collect();
+            let seen = std::mem::take(&mut *seen.lock());
+            (seen, frames)
+        }
+        for medium in [Medium::Ethernet, Medium::Atm, Medium::T3] {
+            for reroute in [false, true] {
+                let framed = sent(medium, reroute, true);
+                assert_eq!(framed.1.len(), 1, "{medium:?}: one frame left");
+                assert_eq!(
+                    framed,
+                    sent(medium, reroute, false),
+                    "{medium:?}, {reroute}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -99,9 +99,29 @@ impl Clock {
         if ns == 0 {
             return;
         }
+        self.add(ns);
+        self.inner.hooks.for_each(|hook| hook(ns));
+    }
+
+    /// Charges `first`, then `second`: two charges to a subscriber, and
+    /// one store of their sum when nobody subscribes — the number and
+    /// granularity of charges are then unobservable (see
+    /// [`Clock::charges_observed`]). A device's driver cost and its
+    /// transfer cost are such a pair, paid on every frame.
+    pub(crate) fn advance_pair(&self, first: Nanos, second: Nanos) {
+        if self.charges_observed() {
+            self.advance(first);
+            self.advance(second);
+        } else {
+            self.add(first + second);
+        }
+    }
+
+    /// The charge itself, for the clock's one writer.
+    #[inline]
+    fn add(&self, ns: Nanos) {
         let t = self.inner.now.load(Ordering::Relaxed); // ordering: Relaxed — one writer at a time: the last charge is this thread's own or was handed over by a lock or barrier.
         self.inner.now.store(t + ns, Ordering::Release); // ordering: Release — one writer at a time, so a store, not an RMW; pairs with now()'s Acquire.
-        self.inner.hooks.for_each(|hook| hook(ns));
     }
 
     /// Moves the clock directly to `t` without charging any context.
@@ -183,15 +203,43 @@ struct TimerState {
     /// included.
     live: usize,
     next_seq: u64,
+    /// The head's deadline as last published to [`Timers::head`]; `None`
+    /// while the heap is empty.
+    published: Option<Nanos>,
 }
 
+/// What [`Timers::head`] holds for an empty queue. A timer may be due at
+/// `Nanos::MAX` too, so only that value sends a reader to the lock.
+const NO_DEADLINE: Nanos = Nanos::MAX;
+
 impl TimerState {
-    /// Takes the head of the heap, which is due: the callback of a slot
-    /// timer (`None` if it was cancelled), or the next item of a run,
-    /// whose following item then takes the head's place in the heap.
-    fn pop_head(&mut self) -> Option<TimerFn> {
+    /// Ends every locked operation: drops cancel residue from the top of
+    /// the heap, so the head is a live timer, and publishes the head's
+    /// deadline if it moved.
+    fn settle_head(&mut self, head: &AtomicU64) {
+        while let Some(&Reverse((_, seq, index))) = self.heap.peek() {
+            if self.is_live(index, seq) {
+                break;
+            }
+            self.heap.pop();
+        }
+        let at = self.heap.peek().map(|&Reverse((at, _, _))| at);
+        if at != self.published {
+            self.published = at;
+            head.store(at.unwrap_or(NO_DEADLINE), Ordering::Release); // ordering: Release — written under the queue's lock, so the stores follow its order; pairs with the lock-free readers' Acquire.
+        }
+    }
+
+    /// Takes the head of the heap if it is due at `now`: the callback of a
+    /// slot timer (live: [`TimerState::settle_head`] ends every operation),
+    /// or the next item of a run, whose following item then takes the
+    /// head's place in the heap.
+    fn pop_due(&mut self, now: Nanos) -> Option<TimerFn> {
         let mut head = self.heap.peek_mut()?;
-        let Reverse((_, seq, index)) = *head;
+        let Reverse((at, seq, index)) = *head;
+        if at > now {
+            return None;
+        }
         if index & RUN == 0 {
             PeekMut::pop(head);
             return self.take(index, seq);
@@ -255,9 +303,32 @@ impl TimerState {
 /// ([`TimerQueue::schedule_run`]): the run keeps its items in the drain's
 /// own buffer and only its head waits in the heap, so a backlog of mail
 /// costs the heap one entry, not one per envelope (DESIGN.md decision 27).
-#[derive(Clone, Default)]
+///
+/// Every operation that moves the head publishes its deadline, so the
+/// questions asked most — is anything due, and when is the next deadline
+/// — are one load, not a lock pair ([`TimerQueue::fire_due`],
+/// [`TimerQueue::next_deadline`]).
+#[derive(Clone)]
 pub struct TimerQueue {
-    state: Arc<Mutex<TimerState>>,
+    inner: Arc<Timers>,
+}
+
+struct Timers {
+    state: Mutex<TimerState>,
+    /// The live head's deadline, or [`NO_DEADLINE`]: stored under the
+    /// lock by whichever operation moved the head, read without it.
+    head: AtomicU64,
+}
+
+impl Default for TimerQueue {
+    fn default() -> Self {
+        TimerQueue {
+            inner: Arc::new(Timers {
+                state: Mutex::default(),
+                head: AtomicU64::new(NO_DEADLINE),
+            }),
+        }
+    }
 }
 
 impl TimerQueue {
@@ -277,7 +348,7 @@ impl TimerQueue {
     /// drained envelope's action): it is queued as that box, not wrapped
     /// in a second one.
     pub fn schedule_boxed(&self, at: Nanos, f: TimerFn) -> TimerId {
-        let mut st = self.state.lock();
+        let mut st = self.inner.state.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
         let tenant = Slot {
@@ -296,6 +367,7 @@ impl TimerQueue {
         };
         st.heap.push(Reverse((at, seq, slot)));
         st.live += 1;
+        st.settle_head(&self.inner.head);
         TimerId { slot, seq }
     }
 
@@ -317,7 +389,7 @@ impl TimerQueue {
         let Some(head) = run.first().map(|env| env.deliver_at) else {
             return;
         };
-        let mut st = self.state.lock();
+        let mut st = self.inner.state.lock();
         let seq = st.next_seq;
         st.next_seq += run.len() as u64;
         st.live += run.len();
@@ -333,50 +405,54 @@ impl TimerQueue {
             }
         };
         st.heap.push(Reverse((head, seq, index | RUN)));
+        st.settle_head(&self.inner.head);
     }
 
     /// Cancels a pending timer. Returns `true` if it had not yet fired.
     pub fn cancel(&self, id: TimerId) -> bool {
+        let cancelled = {
+            let mut st = self.inner.state.lock();
+            let cancelled = st.take(id.slot, id.seq);
+            st.settle_head(&self.inner.head);
+            cancelled
+        };
         // The callback is dropped after the lock is released.
-        let cancelled = self.state.lock().take(id.slot, id.seq);
         cancelled.is_some()
     }
 
-    /// Earliest pending deadline, if any.
+    /// Earliest pending deadline, if any: one load of the published head.
     pub fn next_deadline(&self) -> Option<Nanos> {
-        let mut st = self.state.lock();
-        // Drop cancelled heap residue so the reported deadline is live.
-        while let Some(Reverse((at, seq, index))) = st.heap.peek().copied() {
-            if st.is_live(index, seq) {
-                return Some(at);
-            }
-            st.heap.pop();
+        // ordering: Acquire — pairs with settle_head's Release store.
+        match self.inner.head.load(Ordering::Acquire) {
+            NO_DEADLINE => self.inner.state.lock().published,
+            at => Some(at),
         }
-        None
     }
 
     /// Number of pending (uncancelled) timers.
     pub fn pending(&self) -> usize {
-        self.state.lock().live
+        self.inner.state.lock().live
     }
 
     /// Fires every timer whose deadline is `<= now`. Returns how many ran.
     ///
     /// Callbacks run outside the internal lock, so they may schedule or
-    /// cancel further timers.
+    /// cancel further timers. Each timer is taken under one lock pair;
+    /// whether another is due — before the first, and after each callback,
+    /// which may have scheduled one — is a load of the published head.
     pub fn fire_due(&self, now: Nanos) -> usize {
         let mut fired = 0;
-        loop {
+        // ordering: Acquire — pairs with settle_head's Release store.
+        while self.inner.head.load(Ordering::Acquire) <= now {
             let cb = {
-                let mut st = self.state.lock();
-                match st.heap.peek() {
-                    Some(&Reverse((at, _, _))) if at <= now => match st.pop_head() {
-                        Some(cb) => cb,
-                        None => continue, // cancelled
-                    },
-                    _ => break,
-                }
+                let mut st = self.inner.state.lock();
+                let cb = st.pop_due(now);
+                st.settle_head(&self.inner.head);
+                cb
             };
+            // `None`: another thread fired it, or the queue is empty and
+            // `now` is `NO_DEADLINE`.
+            let Some(cb) = cb else { break };
             cb(now);
             fired += 1;
         }
@@ -387,7 +463,7 @@ impl TimerQueue {
     /// and one per run.
     #[cfg(test)]
     fn heap_len(&self) -> usize {
-        self.state.lock().heap.len()
+        self.inner.state.lock().heap.len()
     }
 }
 

@@ -107,7 +107,8 @@ impl Disk {
     }
 
     /// The drive's geometry.
-    pub fn geometry(&self) -> &DiskGeometry {
+    #[cfg(test)]
+    pub(crate) fn geometry(&self) -> &DiskGeometry {
         &self.geometry
     }
 

@@ -49,7 +49,7 @@
 
 use crate::clock::{Nanos, TimerFn};
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Disjoint lane namespaces: one base per traffic class, plus the sender's
@@ -105,12 +105,14 @@ struct MailboxState {
     entries: Vec<Envelope>,
     /// The least `deliver_at` in `entries`.
     earliest: Option<Nanos>,
-    /// Per-lane sequence counters (program order within one sender).
-    lane_seq: HashMap<u64, u64>,
+    /// Per-lane sequence counters (program order within one sender). A
+    /// lane is a sending host on one medium, so there are a handful: an
+    /// ordered map, looked up per envelope with no hashing.
+    lane_seq: BTreeMap<u64, u64>,
     hook: Option<PostHook>,
     /// Per-lane pending counts, maintained only while a quota gate is
     /// installed (the ungated path does no occupancy bookkeeping).
-    lane_pending: HashMap<u64, u64>,
+    lane_pending: BTreeMap<u64, u64>,
     quota_gate: Option<QuotaGate>,
     /// Envelope counters, counted under the lock their path holds.
     posted: u64,
@@ -251,7 +253,7 @@ impl Mailbox {
     /// under the lock, so the gate's view is exact from the first post.
     pub fn set_quota_gate(&self, gate: impl Fn(u64, u64) -> bool + Send + Sync + 'static) {
         let mut st = self.state.lock();
-        let mut counts: HashMap<u64, u64> = HashMap::new();
+        let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for env in &st.entries {
             *counts.entry(env.lane).or_insert(0) += 1;
         }
@@ -292,7 +294,7 @@ impl Mailbox {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, HashMap};
 
     #[test]
     fn drains_in_time_lane_seq_order() {

@@ -28,7 +28,7 @@ use crate::devices::nic::{Frame, NicState};
 use crate::irq::{IrqController, IrqVector};
 use crate::mailbox::{MailAction, Mailbox};
 use spin_check::sync::Mutex;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// An address on the wire (one per attached NIC).
@@ -86,12 +86,18 @@ struct Link {
     bytes: u64,
 }
 
+/// An attached endpoint: its receiver, and its link as a sender.
+struct Attached {
+    receiver: Arc<Receiver>,
+    link: Link,
+}
+
 #[derive(Default)]
 struct WireState {
     /// Ordered, so that [`Wire::stats`] may walk it (spin-lint's D2 admits
-    /// no walk over a hash table, order-free sum or not).
-    receivers: BTreeMap<WireEndpoint, Arc<Receiver>>,
-    links: HashMap<WireEndpoint, Link>,
+    /// no walk over a hash table, order-free sum or not). A frame looks up
+    /// its sender here once, for its link and its clock, and its receiver.
+    attached: BTreeMap<WireEndpoint, Attached>,
     dropped: u64,
     /// Deterministic fault injection: called with the frame's global
     /// sequence index; `true` drops the frame on the floor.
@@ -112,21 +118,19 @@ impl WireState {
     ) -> Option<(Nanos, Arc<Receiver>)> {
         let idx = self.tx_index;
         self.tx_index += 1;
-        let link = self.links.entry(frame.src).or_default();
+        let sender = self.attached.get_mut(&frame.src);
+        let sender = sender.expect("frames are sent by attached NICs");
+        let link = &mut sender.link;
         link.frames += 1;
         link.bytes += frame.payload.len() as u64;
         if self.drop_filter.as_ref().is_some_and(|f| f(idx)) {
             self.dropped += 1;
             return None;
         }
-        let sender = self.receivers.get(&frame.src);
-        let now = sender
-            .expect("frames are sent by attached NICs")
-            .clock
-            .now();
+        let now = sender.receiver.clock.now();
         let done = link.busy_until.max(now) + tx_time;
         link.busy_until = done;
-        let to = self.receivers.get(&frame.dst).cloned();
+        let to = self.attached.get(&frame.dst).map(|a| a.receiver.clone());
         if to.is_none() {
             self.dropped += 1;
         }
@@ -157,16 +161,23 @@ impl Wire {
         }
     }
 
+    /// Attaches `receiver` at `endpoint`. An endpoint attached again keeps
+    /// its link's record.
     pub(crate) fn attach(&self, endpoint: WireEndpoint, receiver: Receiver) {
-        self.state
-            .lock()
-            .receivers
-            .insert(endpoint, Arc::new(receiver));
+        let receiver = Arc::new(receiver);
+        let mut st = self.state.lock();
+        match st.attached.get_mut(&endpoint) {
+            Some(attached) => attached.receiver = receiver,
+            None => {
+                let link = Link::default();
+                st.attached.insert(endpoint, Attached { receiver, link });
+            }
+        }
     }
 
     /// The minimum cross-shard delivery delay over this medium (its
     /// propagation): part of the conservative-PDES lookahead bound.
-    pub fn propagation(&self) -> Nanos {
+    pub(crate) fn propagation(&self) -> Nanos {
         self.propagation
     }
 
@@ -243,9 +254,9 @@ impl Wire {
     pub fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
         let delivered = st
-            .receivers
+            .attached
             .values()
-            .map(|r| r.nic.lock().delivered())
+            .map(|a| a.receiver.nic.lock().delivered())
             .sum();
         (delivered, st.dropped)
     }
@@ -253,16 +264,16 @@ impl Wire {
     /// (frames, bytes) transmitted from `endpoint`: its link's record.
     pub(crate) fn transmitted(&self, endpoint: WireEndpoint) -> (u64, u64) {
         let st = self.state.lock();
-        st.links
+        st.attached
             .get(&endpoint)
-            .map_or((0, 0), |l| (l.frames, l.bytes))
+            .map_or((0, 0), |a| (a.link.frames, a.link.bytes))
     }
 
     /// Virtual time at which the sender's link becomes free.
     #[cfg(test)]
     pub(crate) fn sender_busy_until(&self, endpoint: WireEndpoint) -> Nanos {
         let st = self.state.lock();
-        st.links.get(&endpoint).map_or(0, |l| l.busy_until)
+        st.attached.get(&endpoint).map_or(0, |a| a.link.busy_until)
     }
 }
 

@@ -252,7 +252,9 @@ pub struct Executor {
     timers: TimerQueue,
     profile: Arc<MachineProfile>,
     state: Mutex<ExecState>,
-    irqs: Mutex<Vec<IrqController>>,
+    /// The interrupt lines this executor pumps: added at set-up, walked at
+    /// every step of `run_until` and every horizon read, with loads only.
+    irqs: spin_check::hooks::HookRegistry<IrqController>,
     main_baton: Arc<Baton>,
     next_id: AtomicU64,
     /// Whether the running slice is a run-to-completion one, which may not
@@ -290,7 +292,7 @@ impl Executor {
                 ready: 0,
                 switches: 0,
             }),
-            irqs: Mutex::new(Vec::new()),
+            irqs: spin_check::hooks::HookRegistry::new(),
             main_baton: Baton::new(),
             next_id: AtomicU64::new(1),
             stepping: AtomicBool::new(false),
@@ -320,7 +322,7 @@ impl Executor {
 
     /// Registers a host's interrupt controller for pumping.
     pub fn add_irq_controller(&self, irqs: IrqController) {
-        self.irqs.lock().push(irqs);
+        self.irqs.add(irqs);
     }
 
     /// Replaces the global scheduling policy (trusted operation).
@@ -662,9 +664,9 @@ impl Executor {
             }
             // Pump completions and interrupts first: they may unblock work.
             self.timers.fire_due(self.clock.now());
-            for irqs in self.irqs.lock().iter() {
+            self.irqs.for_each(|irqs| {
                 irqs.dispatch_pending();
-            }
+            });
 
             // One critical section starts the slice: dequeue the next Ready
             // strand and mark it Running.
@@ -751,7 +753,9 @@ impl Executor {
     /// barrier (`Multicore`).
     pub(crate) fn next_event_time(&self) -> Option<Nanos> {
         let now = self.clock.now();
-        if self.state.lock().has_ready() || self.irqs.lock().iter().any(|i| i.has_pending()) {
+        let mut pending = false;
+        self.irqs.for_each(|irqs| pending |= irqs.has_pending());
+        if pending || self.state.lock().has_ready() {
             return Some(now);
         }
         self.timers.next_deadline().map(|t| t.max(now))

@@ -46,8 +46,8 @@ use parking_lot::Mutex;
 use spin_bench::storm::{digest, mix, run_to_completion, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{
-    post_with_backpressure, BackoffPolicy, Constraints, Containment, ContainmentPolicy, Identity,
-    InstallSpec, PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
+    post_with_backpressure, Constraints, Containment, ContainmentPolicy, Identity, InstallSpec,
+    PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
 };
 use spin_net::ShardRig;
 use spin_sal::Nanos;
@@ -100,6 +100,8 @@ const T_PUMP: Nanos = 30_000_000;
 /// is over budget); armed, the greedy one re-enqueues at the deferred
 /// priority whenever its domain is over budget.
 const STRAND_START: Nanos = 5_000_000;
+/// The deferred lane the greedy domain's strands are demoted to.
+const GREEDY_DEFERRED_PRIORITY: u8 = 1;
 const STRAND_CHUNKS: u64 = 120;
 const STRAND_CHUNK: Nanos = 20_000;
 
@@ -254,8 +256,6 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                 shed_after_trips: GREEDY_SHED_AFTER,
                 quarantine_after_sheds: GREEDY_QUARANTINE_AFTER,
                 max_lane_occupancy: 8,
-                deferred_priority: 1,
-                ..QuotaSpec::default()
             },
         );
         ev_greedy
@@ -323,7 +323,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
             exec0.set_quota_hook(Arc::new(move |name, base, now| {
                 if name.starts_with("greedy") && cell.deferred(now) {
                     demoted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                    cell.spec().deferred_priority
+                    GREEDY_DEFERRED_PRIORITY
                 } else {
                     base
                 }
@@ -416,7 +416,6 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                         &mailbox,
                         BULK_GAP,
                         BULK_LANE,
-                        BackoffPolicy::default(),
                         move |_now| {
                             d2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
                         },

@@ -34,7 +34,9 @@ use spin_core::{Containment, ContainmentPolicy};
 use spin_fault::{FaultPlan, Injection, SiteConfig};
 use spin_obs::DomainId;
 use spin_obs::{Ring, TraceKind, TraceRecord};
-use spin_sal::{Clock, HostId, MachineProfile, MulticoreBoard, Nanos, TimerQueue};
+use spin_sal::{
+    Clock, HostId, IrqController, IrqVector, MachineProfile, MulticoreBoard, Nanos, TimerQueue,
+};
 use spin_sched::{Executor, IdleOutcome, Multicore, Step};
 use std::collections::VecDeque;
 
@@ -465,15 +467,16 @@ fn hot_swap_race(bound: u32, burst: Option<u64>) -> spin_check::model::Report {
     })
 }
 
-/// The quota admission gate racing a concurrent budget release: with a
-/// one-slot in-flight budget held by a settled dispatch, an admit racing
-/// that dispatch's `complete` must either observe the held slot and
-/// refuse with `Throttled` (the ladder's first rung — never `Shed`), or
-/// observe the release and take the slot. The lock orders the two: the
-/// admit's check-and-take and the release are critical sections of the
-/// cell's one lock, so no interleaving admits past the budget,
-/// double-spends a release, or strands the slot. After the race the slot
-/// is free, a fresh admit succeeds, and the ledger identity holds exactly.
+/// The quota admission gate racing the release that spends the window: a
+/// settled dispatch's `complete` charges the window its whole budget,
+/// while an admit races it. The admit either observes the charge and
+/// refuses with `Throttled` (the ladder's first rung — never `Shed`), or
+/// admits before it. The lock orders the two: the admit's check-and-count
+/// and the release are critical sections of the cell's one lock, so a
+/// refusal always follows the charge that caused it, and no interleaving
+/// admits past a spent window or loses a completion. After the race
+/// nothing is in flight, the next window re-admits, and the ledger
+/// identity holds exactly.
 #[test]
 fn raise_vs_throttle_release() {
     assert_clean("throttle-release", &throttle_release_race(BOUND));
@@ -481,35 +484,39 @@ fn raise_vs_throttle_release() {
 
 fn throttle_release_race(bound: u32) -> spin_check::model::Report {
     Checker::with_bound(bound).check(|| {
+        const WINDOW: Nanos = 1_000_000;
         let ledger = QuotaLedger::new();
         let cell = ledger.register(
             "chk.tenant",
             QuotaSpec {
-                max_in_flight: 1,
-                window: 1_000_000,
+                window: WINDOW,
+                window_vt_budget: 10,
                 ..QuotaSpec::default()
             },
         );
-        assert_eq!(cell.admit(0), Ok(()), "the budget's one slot");
+        assert_eq!(cell.admit(0), Ok(()), "an unspent window admits");
         let c2 = Arc::clone(&cell);
         let t = thread::spawn(move || c2.complete(10));
         match cell.admit(0) {
-            Ok(()) => {
-                // Saw the release: the slot is ours, and only ours.
-                assert!(cell.snapshot().in_flight <= 1, "budget overspent");
-                cell.complete(5);
+            // Admitted before the charge landed.
+            Ok(()) => cell.complete(5),
+            Err(QuotaVerdict::Throttled) => {
+                let s = cell.snapshot();
+                assert_eq!(
+                    s.completed, 1,
+                    "a refusal follows the charge that spent the window"
+                );
             }
-            Err(QuotaVerdict::Throttled) => {} // saw the held slot
             Err(QuotaVerdict::Shed) => {
                 panic!("a lone throttle must stay on the ladder's first rung")
             }
         }
         t.join().expect("releaser thread");
         let s = cell.snapshot();
-        assert_eq!(s.in_flight, 0, "every admitted raise released its slot");
+        assert_eq!(s.in_flight, 0, "every admitted raise completed");
         assert_eq!(s.attempts, s.admitted + s.throttled + s.shed + s.held);
         assert_eq!(s.admitted, s.completed + s.in_flight);
-        assert_eq!(cell.admit(0), Ok(()), "released budget re-admits");
+        assert_eq!(cell.admit(WINDOW), Ok(()), "the next window re-admits");
         cell.complete(1);
     })
 }
@@ -992,6 +999,50 @@ fn the_frame_hop_stays_within_its_lock_budget() {
         "locked operations per netin pass: {one:?} for one frame, {sixteen:?} for 16"
     );
     assert_eq!(one, (9, 6), "facade operations per one-frame netin pass");
+}
+
+/// An interrupt dispatch's budget (DESIGN.md decisions 32 and 33): with a
+/// handler for each, dispatching 1, 8 and 9 pending interrupts is **(9,
+/// 2)**, **(37, 2)** and **(45, 4)** facade operations. A batch of up to
+/// eight is taken under one lock pair — the pending-count load before it,
+/// the pair, the count's store — and each interrupt costs its charge (3)
+/// and one load of its vector's handler slot; a ninth takes a second
+/// batch, and the dispatch ends on the load that finds nothing pending.
+/// The same before decision 33, when the slot's load was the load of a
+/// registration count.
+#[test]
+fn an_interrupt_dispatch_stays_within_its_budget() {
+    let steps = |scenario: Box<dyn Fn() + Send + Sync>| {
+        let report = checker().check(scenario);
+        assert_clean("budget-interrupts", &report);
+        (report.steps, report.locked)
+    };
+    let dispatch = |k: usize| {
+        let interrupts = move |dispatch: bool| {
+            move || {
+                let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
+                let irqs = IrqController::new(Clock::new(), profile);
+                assert!(irqs.register(IrqVector(2), || {}));
+                for _ in 0..k {
+                    irqs.post(IrqVector(2));
+                }
+                if dispatch {
+                    assert_eq!(irqs.dispatch_pending(), k);
+                }
+            }
+        };
+        let (posted, dispatched) = (
+            steps(Box::new(interrupts(false))),
+            steps(Box::new(interrupts(true))),
+        );
+        (dispatched.0 - posted.0, dispatched.1 - posted.1)
+    };
+    let budget = [1, 8, 9].map(|k| (k, dispatch(k)));
+    assert_eq!(
+        budget,
+        [(1, (9, 2)), (8, (37, 2)), (9, (45, 4))],
+        "facade operations per dispatch of k interrupts"
+    );
 }
 
 /// A slice's budget (DESIGN.md decisions 24, 26 and 32): one slice of a

@@ -805,7 +805,6 @@ pub struct HoldStats {
 /// them in.
 struct HoldSide<A> {
     queue: Vec<A>,
-    capacity: usize,
     stats: HoldStats,
 }
 
@@ -813,11 +812,14 @@ impl<A> Default for HoldSide<A> {
     fn default() -> Self {
         HoldSide {
             queue: Vec::new(),
-            capacity: 65_536,
             stats: HoldStats::default(),
         }
     }
 }
+
+/// How many raises one event's hold queue parks; a raise beyond it is
+/// dropped with [`DispatchError::HoldOverflow`].
+pub const HOLD_CAPACITY: usize = 65_536;
 
 /// One handler to install during an [`Event::rebind`]: the new version's
 /// replacement for the old version's handlers, applied in the same atomic
@@ -1105,7 +1107,9 @@ struct DispatcherInner {
     retired: Mutex<EventStats>,
     next_event: AtomicU64,
     next_handler: AtomicU64,
-    async_runner: RwLock<AsyncRunner>,
+    /// Runs asynchronous handlers: absent until the scheduler wires it,
+    /// and an asynchronous invocation then runs in place.
+    async_runner: spin_check::hooks::HookSlot<AsyncRunner>,
     clock: Clock,
     profile: Arc<MachineProfile>,
     /// Cross-core raise router: absent until the multicore runtime wires
@@ -1119,8 +1123,8 @@ struct DispatcherInner {
     /// until wired; a disabled plan's draw is one relaxed load.
     faults: spin_check::hooks::HookSlot<FaultHook>,
     /// Invoked — outside every dispatcher lock — for each contained
-    /// handler panic and time-bound abort.
-    fault_sink: RwLock<Option<FaultSink>>,
+    /// handler panic and time-bound abort: absent until wired.
+    fault_sink: spin_check::hooks::HookSlot<FaultSink>,
 }
 
 /// The central dispatcher.
@@ -1139,13 +1143,13 @@ impl Dispatcher {
                 retired: Mutex::new(EventStats::default()),
                 next_event: AtomicU64::new(1),
                 next_handler: AtomicU64::new(1),
-                async_runner: RwLock::new(Arc::new(|inv: AsyncInvocation| (inv.run)())),
+                async_runner: spin_check::hooks::HookSlot::new(),
                 clock,
                 profile,
                 xcall: spin_check::hooks::HookSlot::new(),
                 obs: spin_check::hooks::HookSlot::new(),
                 faults: spin_check::hooks::HookSlot::new(),
-                fault_sink: RwLock::new(None),
+                fault_sink: spin_check::hooks::HookSlot::new(),
             }),
         }
     }
@@ -1164,9 +1168,10 @@ impl Dispatcher {
 
     /// Installs the runner used for asynchronous handlers (the scheduler
     /// provides one that runs the closure on a fresh kernel strand).
+    /// Until then an asynchronous handler runs in place. One-shot.
     // uncharged: one-shot control-plane wiring.
     pub fn set_async_runner(&self, runner: AsyncRunner) {
-        *self.inner.async_runner.write() = runner;
+        let _ = self.inner.async_runner.set(runner);
     }
 
     /// Wires the observability subsystem: raises, guard outcomes and
@@ -1207,10 +1212,10 @@ impl Dispatcher {
     /// Installs the sink notified of every contained handler fault
     /// (panic or time-bound abort). Called with no dispatcher locks held,
     /// so the sink may uninstall handlers, purge installers or re-raise.
-    /// Replaces any previous sink.
-    // uncharged: control-plane wiring.
+    /// One-shot.
+    // uncharged: one-shot control-plane wiring.
     pub fn set_fault_sink(&self, sink: FaultSink) {
-        *self.inner.fault_sink.write() = Some(sink);
+        let _ = self.inner.fault_sink.set(sink);
     }
 
     /// Removes every handler installed by `who`, across all events, via
@@ -1677,7 +1682,7 @@ where
             again.settle();
             return out;
         }
-        if held.queue.len() >= held.capacity {
+        if held.queue.len() >= HOLD_CAPACITY {
             held.stats.overflowed += 1;
             return Err(DispatchError::HoldOverflow {
                 name: ev.name.to_string(),
@@ -1850,10 +1855,13 @@ where
             HandlerMode::Asynchronous => {
                 // "A handler may be asynchronous, which causes it to
                 // execute in a separate thread from the raiser."
-                let runner = self.inner.async_runner.read().clone();
                 acc.async_count += 1;
                 let args = shared.expect("a plan with an asynchronous entry shares its arguments");
-                runner(self.async_invocation(entry, args));
+                let invocation = self.async_invocation(entry, args);
+                match self.inner.async_runner.get() {
+                    Some(runner) => runner(invocation),
+                    None => (invocation.run)(),
+                }
             }
             HandlerMode::Synchronous => {
                 clock.advance(profile.handler_invoke + profile.inter_module_call);
@@ -1917,7 +1925,7 @@ where
     /// captured so a detached async invocation can carry it along.
     fn fault_report(&self, entry: &Entry<A, R>) -> FaultReport {
         FaultReport {
-            sink: self.inner.fault_sink.read().clone(),
+            sink: self.inner.fault_sink.get().cloned(),
             clock: self.inner.clock.clone(),
             event: self.ev.name.clone(),
             event_id: self.ev.id,
@@ -2242,14 +2250,6 @@ where
     // uncharged: diagnostics accessor.
     pub fn hold_stats(&self) -> Result<HoldStats, DispatchError> {
         Ok(self.live()?.held.lock().stats)
-    }
-
-    /// Bounds the hold queue (default 65 536 parked raises); raises
-    /// beyond it are dropped with [`DispatchError::HoldOverflow`].
-    // uncharged: control-plane configuration.
-    pub fn set_hold_capacity(&self, capacity: usize) -> Result<(), DispatchError> {
-        self.live()?.held.lock().capacity = capacity;
-        Ok(())
     }
 
     /// The plan generation: bumped once per republished handler set, so

@@ -40,7 +40,7 @@ pub use capability::{ExternRef, ExternTable};
 pub use dispatch::{
     AsyncInvocation, Constraints, Dispatcher, Event, EventOwner, EventStats, GatedEvent, Guard,
     GuardSpec, Handler, HandlerId, HandlerMode, HandlerResults, HoldStats, InstallDecision,
-    InstallRequest, InstallSpec, KeyFn, KeyHasher, RebindReceipt,
+    InstallRequest, InstallSpec, KeyFn, KeyHasher, RebindReceipt, HOLD_CAPACITY,
 };
 pub use domain::{Domain, ResolveReport};
 pub use error::{CoreError, DispatchError, SymbolConflict};
@@ -55,6 +55,6 @@ pub use kernel::{Kernel, SysResult, Syscall};
 pub use nameserver::{Authorizer, NameServer, ServiceRef};
 pub use objfile::{ImportSlot, ObjectFile, ObjectFileBuilder};
 pub use quota::{
-    post_with_backpressure, BackoffPolicy, PostOutcome, QuotaBreach, QuotaCell, QuotaLedger,
-    QuotaSnapshot, QuotaSpec, QuotaState, QuotaVerdict,
+    post_with_backpressure, PostOutcome, QuotaBreach, QuotaCell, QuotaLedger, QuotaSnapshot,
+    QuotaSpec, QuotaState, QuotaVerdict,
 };

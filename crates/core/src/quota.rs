@@ -13,17 +13,20 @@
 //!
 //! * **`Event::raise` / `raise_batch`** — admission control. An event
 //!   bound to a metered domain consults [`QuotaCell::admit`] before any
-//!   virtual time is charged; over-budget raises get a typed
-//!   [`DispatchError::Throttled`] (or [`DispatchError::Shed`]) instead of
-//!   queueing without bound.
+//!   virtual time is charged; a raise past the window's virtual-time
+//!   budget gets a typed [`DispatchError::Throttled`] (or
+//!   [`DispatchError::Shed`]) instead of queueing without bound. Raises
+//!   in flight are counted, not bounded.
 //! * **`spin_sal::Mailbox::post`** — bounded per-lane occupancy. A quota
 //!   gate refuses posts past the budget; the sender side retries through
-//!   [`post_with_backpressure`], charging a doubling, capped virtual-time
-//!   penalty per refused attempt (the `net::rpc` backoff shape).
+//!   [`post_with_backpressure`], charging a doubling virtual-time penalty
+//!   per refused attempt (the `net::rpc` backoff shape: 50 µs doubling,
+//!   four attempts).
 //! * **`sched::executor`** — a window-based virtual-time throttle. A
-//!   domain that burns its window budget is *demoted* to a deferred
-//!   priority lane ([`QuotaCell::deferred`]) rather than starved; the
-//!   next window restores it.
+//!   domain that burns its window budget is *demoted* rather than
+//!   starved: while [`QuotaCell::deferred`] says so, the executor's quota
+//!   hook enqueues its strands at a deferred priority of the hook's
+//!   choosing; the next window restores it.
 //!
 //! Escalation reuses the containment ladder: repeated throttle trips in
 //! one window move the domain to **shedding** (deterministic drops with a
@@ -65,12 +68,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Declarative per-domain budgets. A field of `0` means *unlimited* (that
 /// axis is unmetered); the default spec meters nothing, so registering a
-/// domain is free until a budget is set.
+/// domain is free until a budget is set. Raises in flight are counted
+/// (`QuotaSnapshot::in_flight`) but not bounded: admission refuses on the
+/// window, never on concurrency.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct QuotaSpec {
-    /// Concurrent raises admitted (in-flight between admission and
-    /// completion).
-    pub max_in_flight: u64,
     /// Pending mailbox envelopes per lane owned by the domain.
     pub max_lane_occupancy: u64,
     /// The budget window (virtual nanoseconds). `0` disables window
@@ -86,8 +88,6 @@ pub struct QuotaSpec {
     /// Sheds while shedding that escalate to quarantine. `0` = never
     /// quarantine.
     pub quarantine_after_sheds: u32,
-    /// The deferred executor lane an over-window domain is demoted to.
-    pub deferred_priority: u8,
 }
 
 /// Where a domain sits on the escalation ladder.
@@ -241,7 +241,7 @@ impl QuotaCell {
     }
 
     /// Admission control for one raise at virtual time `now`. `Ok(())`
-    /// takes an in-flight slot the caller must release with
+    /// counts the raise in flight until the caller completes it with
     /// [`QuotaCell::complete`]; `Err` is a refusal already counted on the
     /// ladder. Pure function of virtual-time state — no clock charge.
     pub fn admit(&self, now: Nanos) -> Result<(), QuotaVerdict> {
@@ -268,8 +268,7 @@ impl QuotaCell {
             // window is charged to that window, not the discarded one.
             self.roll(&mut st.window, now);
             st.window.vt = st.window.vt.saturating_add(delay);
-            let max = self.spec.max_in_flight;
-            if forced || self.restricted(&st.window) || (max > 0 && st.counts.in_flight >= max) {
+            if forced || self.restricted(&st.window) {
                 Some(self.ladder_refuse(&mut st))
             } else {
                 st.counts.admitted += 1;
@@ -286,8 +285,8 @@ impl QuotaCell {
         }
     }
 
-    /// Releases the in-flight slot taken by a successful [`admit`] and
-    /// charges `vt` of synchronous dispatch virtual time to the window.
+    /// Completes a raise admitted by [`admit`] and charges `vt` of
+    /// synchronous dispatch virtual time to the window.
     ///
     /// [`admit`]: QuotaCell::admit
     pub fn complete(&self, vt: Nanos) {
@@ -595,27 +594,13 @@ impl QuotaLedger {
     }
 }
 
-/// Sender-side deterministic backpressure for a quota-gated mailbox lane:
+/// [`post_with_backpressure`]'s penalty for the first refused attempt:
 /// the capped doubling backoff of `net::rpc`, in virtual time.
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffPolicy {
-    /// Penalty charged for the first refused attempt.
-    pub base_penalty: Nanos,
-    /// Penalties double per refusal up to this cap.
-    pub max_penalty: Nanos,
-    /// Post attempts (initial + retries) before the post is shed.
-    pub attempts: u32,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        BackoffPolicy {
-            base_penalty: 50_000,   // 50 µs
-            max_penalty: 1_000_000, // 1 ms
-            attempts: 4,
-        }
-    }
-}
+const BASE_PENALTY: Nanos = 50_000;
+/// Penalties double per refusal up to this cap.
+const MAX_PENALTY: Nanos = 1_000_000;
+/// Post attempts (initial + retries) before the post is shed.
+const ATTEMPTS: u32 = 4;
 
 /// Outcome of [`post_with_backpressure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -630,22 +615,21 @@ pub enum PostOutcome {
 /// Posts `action` for delivery `deliver_gap` after the current virtual
 /// time, honouring the domain's lane-occupancy budget with capped
 /// exponential backoff: each refused attempt charges the *sender* a
-/// doubling virtual-time penalty (the `net::rpc` retry shape) and
-/// re-probes. Deterministic: the outcome is a pure function of virtual
-/// time and mailbox state.
+/// doubling virtual-time penalty (the `net::rpc` retry shape) — 50, 100,
+/// 200 and 400 µs — and re-probes; the fourth refusal sheds the post.
+/// Deterministic: the outcome is a pure function of virtual time and
+/// mailbox state.
 pub fn post_with_backpressure(
     cell: &QuotaCell,
     clock: &Clock,
     mailbox: &Mailbox,
     deliver_gap: Nanos,
     lane: u64,
-    policy: BackoffPolicy,
     action: impl FnOnce(Nanos) + Send + 'static,
 ) -> PostOutcome {
-    let attempts = policy.attempts.max(1);
-    let mut penalty = policy.base_penalty;
+    let mut penalty = BASE_PENALTY;
     let mut action = Some(action);
-    for attempt in 1..=attempts {
+    for attempt in 1..=ATTEMPTS {
         if cell.admit_post(mailbox.lane_pending(lane)) {
             let a = action.take().expect("action unconsumed until first post");
             if mailbox.post(clock.now() + deliver_gap, lane, a) {
@@ -659,10 +643,10 @@ pub fn post_with_backpressure(
         // Refused, and counted: the sender pays the penalty and retries
         // later.
         clock.advance(penalty);
-        penalty = (penalty * 2).min(policy.max_penalty.max(policy.base_penalty));
+        penalty = (penalty * 2).min(MAX_PENALTY);
     }
     cell.note_mail_shed();
-    PostOutcome::Shed { attempts }
+    PostOutcome::Shed { attempts: ATTEMPTS }
 }
 
 #[cfg(test)]
@@ -673,26 +657,6 @@ mod tests {
         let ledger = QuotaLedger::new();
         let cell = ledger.register("tenant", spec);
         (ledger, cell)
-    }
-
-    #[test]
-    fn in_flight_budget_throttles_and_releases() {
-        let (_l, cell) = metered(QuotaSpec {
-            max_in_flight: 2,
-            ..QuotaSpec::default()
-        });
-        assert_eq!(cell.admit(0), Ok(()));
-        assert_eq!(cell.admit(0), Ok(()));
-        assert_eq!(cell.admit(0), Err(QuotaVerdict::Throttled));
-        cell.complete(10);
-        assert_eq!(cell.admit(0), Ok(()));
-        let s = cell.snapshot();
-        assert_eq!(s.attempts, 4);
-        assert_eq!(s.admitted, 3);
-        assert_eq!(s.throttled, 1);
-        assert_eq!(s.in_flight, 2);
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.attempts, s.admitted + s.throttled + s.shed + s.held);
     }
 
     #[test]
@@ -713,13 +677,14 @@ mod tests {
     #[test]
     fn ladder_escalates_throttle_to_shed_to_quarantine() {
         let (_l, cell) = metered(QuotaSpec {
-            max_in_flight: 1,
             window: 1_000_000,
+            window_vt_budget: 100,
             shed_after_trips: 2,
             quarantine_after_sheds: 2,
             ..QuotaSpec::default()
         });
-        assert_eq!(cell.admit(0), Ok(())); // holds the only slot
+        assert_eq!(cell.admit(0), Ok(()));
+        cell.complete(100); // spends the window's budget
         assert_eq!(cell.admit(1), Err(QuotaVerdict::Throttled)); // trip 1
         assert_eq!(cell.state(1), QuotaState::Normal);
         assert_eq!(cell.admit(2), Err(QuotaVerdict::Throttled)); // trip 2 → shedding
@@ -756,36 +721,35 @@ mod tests {
     }
 
     #[test]
-    fn backpressure_charges_capped_doubling_penalties() {
+    fn backpressure_charges_doubling_penalties_then_sheds() {
         let (_l, cell) = metered(QuotaSpec {
             max_lane_occupancy: 1,
             ..QuotaSpec::default()
         });
         let clock = Clock::new();
+        let charges = Arc::new(Mutex::new(Vec::new()));
+        let seen = charges.clone();
+        clock.add_advance_hook(Box::new(move |ns| seen.lock().push(ns)));
         let mb = Mailbox::new();
-        let policy = BackoffPolicy {
-            base_penalty: 10,
-            max_penalty: 30,
-            attempts: 3,
-        };
         assert_eq!(
-            post_with_backpressure(&cell, &clock, &mb, 5, 7, policy, |_| {}),
+            post_with_backpressure(&cell, &clock, &mb, 5, 7, |_| {}),
             PostOutcome::Posted { attempts: 1 }
         );
-        // Lane full: 3 refused probes charge 10 + 20 + 30 (capped) ns.
-        let before = clock.now();
+        // Lane full: the refused probes charge 50, 100, 200 and 400 µs,
+        // and the fourth refusal sheds the post.
         assert_eq!(
-            post_with_backpressure(&cell, &clock, &mb, 5, 7, policy, |_| {}),
-            PostOutcome::Shed { attempts: 3 }
+            post_with_backpressure(&cell, &clock, &mb, 5, 7, |_| {}),
+            PostOutcome::Shed { attempts: 4 }
         );
-        assert_eq!(clock.now() - before, 60);
+        assert_eq!(*charges.lock(), [50_000, 100_000, 200_000, 400_000]);
+        assert_eq!(clock.now(), 750_000);
         let s = cell.snapshot();
-        assert_eq!(s.mail_refused, 3);
+        assert_eq!(s.mail_refused, 4);
         assert_eq!(s.mail_shed, 1);
         // Draining the lane releases the budget.
         let _ = mb.drain();
         assert_eq!(
-            post_with_backpressure(&cell, &clock, &mb, 5, 7, policy, |_| {}),
+            post_with_backpressure(&cell, &clock, &mb, 5, 7, |_| {}),
             PostOutcome::Posted { attempts: 1 }
         );
     }
@@ -798,14 +762,14 @@ mod tests {
         let a2 = ledger.register(
             "a",
             QuotaSpec {
-                max_in_flight: 99,
+                window: 99,
                 ..QuotaSpec::default()
             },
         );
         assert_eq!(a.ord(), 0);
         assert_eq!(b.ord(), 1);
         assert_eq!(a2.ord(), 0);
-        assert_eq!(a2.spec().max_in_flight, 0, "second spec ignored");
+        assert_eq!(a2.spec().window, 0, "second spec ignored");
         assert_eq!(ledger.cells().len(), 2);
         assert!(ledger.get("b").is_some());
         assert!(ledger.get("c").is_none());

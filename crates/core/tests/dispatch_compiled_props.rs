@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use spin_core::{
     Constraints, DispatchError, Dispatcher, Event, EventStats, GuardSpec, HandlerMode, HoldStats,
-    Identity, InstallDecision, KeyFn, QuotaLedger, QuotaSpec,
+    Identity, InstallDecision, KeyFn, QuotaLedger, QuotaSpec, HOLD_CAPACITY,
 };
 use spin_obs::TraceRecord;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -340,7 +340,7 @@ proptest! {
     /// `raise_batch` returns item-for-item what looped `raise` returns
     /// and charges the same virtual time, for any burst — also when a
     /// quota budget refuses part of the burst, and when a closed quiesce
-    /// gate parks all of it.
+    /// gate parks all of it (overflow: the property below).
     #[test]
     fn batched_raises_match_looped_raises(
         models in prop::collection::vec(guard_model(), 1..8),
@@ -448,40 +448,6 @@ proptest! {
         prop_assert_eq!(&*logs[0].lock().expect("log"), &burst);
         prop_assert_eq!(&*logs[1].lock().expect("log"), &burst);
 
-        // Quiesced behind a two-slot hold queue: the burst overflows it
-        // mid-way exactly where the loop does, and the hold counters —
-        // kept under the hold lock — cannot tell the two apart.
-        let (batched, _) = build_rig(&models, true);
-        let (looped, _) = build_rig(&models, true);
-        for rig in [&batched, &looped] {
-            rig.ev.set_hold_capacity(2).expect("alive");
-            rig.ev.quiesce().expect("alive");
-        }
-        let got = batched.ev.raise_batch(burst.clone());
-        let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
-        prop_assert_eq!(&got, &want);
-        let parked = burst.len().min(2) as u64;
-        let overflowed = burst.len() as u64 - parked;
-        for (i, result) in got.iter().enumerate() {
-            if i < 2 {
-                prop_assert!(matches!(result, Err(DispatchError::Held { .. })));
-            } else {
-                prop_assert!(matches!(result, Err(DispatchError::HoldOverflow { .. })));
-            }
-        }
-        let parked_stats = HoldStats { held: parked, replayed: 0, overflowed };
-        prop_assert_eq!(batched.ev.hold_stats(), Ok(parked_stats));
-        prop_assert_eq!(looped.ev.hold_stats(), Ok(parked_stats));
-        prop_assert_eq!(batched.ev.resume(), Ok(parked));
-        prop_assert_eq!(looped.ev.resume(), Ok(parked));
-        let replayed_stats = HoldStats { replayed: parked, ..parked_stats };
-        prop_assert_eq!(batched.ev.hold_stats(), Ok(replayed_stats));
-        prop_assert_eq!(looped.ev.hold_stats(), Ok(replayed_stats));
-        prop_assert_eq!(
-            batched.d.stats(&batched.ev).expect("stats"),
-            looped.d.stats(&looped.ev).expect("stats")
-        );
-
         // Demotion mid-run: a lone primary is the direct call until it
         // panics — once, on `trip` — and the walk from the next snapshot
         // on. The burst is raised twice; a burst keeps the snapshot it
@@ -517,5 +483,62 @@ proptest! {
         // walk runs the primary: the raises that were not direct calls.
         prop_assert_eq!(bs.raises - bs.fast_path_raises, bs.handlers_run);
         prop_assert_eq!(ls.raises - ls.fast_path_raises, ls.handlers_run);
+    }
+}
+
+proptest! {
+    // Each case parks and replays a full hold queue, 65 536 raises, on
+    // each side.
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A burst that finds the hold queue two slots short of
+    /// `HOLD_CAPACITY` overflows it mid-way exactly where looped raises
+    /// do, and the hold counters — kept under the hold lock — cannot tell
+    /// the two apart.
+    #[test]
+    fn a_burst_overflows_the_hold_queue_where_looped_raises_do(
+        models in prop::collection::vec(guard_model(), 1..8),
+        burst in prop::collection::vec(0u64..40, 1..16),
+        reducer in any::<bool>(),
+        async_slot in 0usize..12,
+        crowd in 0usize..12,
+        obs in any::<bool>(),
+    ) {
+        let async_slot = Some(async_slot).filter(|&i| i < models.len());
+        let shape = Shape { reducer, async_slot, obs };
+        let (mut models, mut burst) = (models, burst);
+        add_crowd(&mut models, &mut burst, crowd);
+        const FREE: usize = 2;
+        let (batched, _) = build_rig(&models, true, shape);
+        let (looped, _) = build_rig(&models, true, shape);
+        for rig in [&batched, &looped] {
+            rig.ev.quiesce().expect("alive");
+            let filler = rig.ev.raise_batch(vec![0; HOLD_CAPACITY - FREE]);
+            prop_assert!(filler.iter().all(|r| matches!(r, Err(DispatchError::Held { .. }))));
+        }
+        let got = batched.ev.raise_batch(burst.clone());
+        let want: Vec<_> = burst.iter().map(|&v| looped.ev.raise(v)).collect();
+        prop_assert_eq!(&got, &want);
+        let parked = (HOLD_CAPACITY - FREE + burst.len().min(FREE)) as u64;
+        let overflowed = burst.len().saturating_sub(FREE) as u64;
+        for (i, result) in got.iter().enumerate() {
+            if i < FREE {
+                prop_assert!(matches!(result, Err(DispatchError::Held { .. })));
+            } else {
+                prop_assert!(matches!(result, Err(DispatchError::HoldOverflow { .. })));
+            }
+        }
+        let parked_stats = HoldStats { held: parked, replayed: 0, overflowed };
+        prop_assert_eq!(batched.ev.hold_stats(), Ok(parked_stats));
+        prop_assert_eq!(looped.ev.hold_stats(), Ok(parked_stats));
+        prop_assert_eq!(batched.ev.resume(), Ok(parked));
+        prop_assert_eq!(looped.ev.resume(), Ok(parked));
+        let replayed_stats = HoldStats { replayed: parked, ..parked_stats };
+        prop_assert_eq!(batched.ev.hold_stats(), Ok(replayed_stats));
+        prop_assert_eq!(looped.ev.hold_stats(), Ok(replayed_stats));
+        prop_assert_eq!(
+            batched.d.stats(&batched.ev).expect("stats"),
+            looped.d.stats(&looped.ev).expect("stats")
+        );
     }
 }

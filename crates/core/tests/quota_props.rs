@@ -14,7 +14,6 @@ use spin_core::{
 };
 use std::sync::Arc;
 
-const MAX_IN_FLIGHT: u64 = 2;
 const WINDOW: u64 = 1_000;
 const VT_BUDGET: u64 = 100;
 const SHED_AFTER_TRIPS: u32 = 2;
@@ -30,7 +29,6 @@ const OP_RELEASE: u8 = 4;
 
 fn spec() -> QuotaSpec {
     QuotaSpec {
-        max_in_flight: MAX_IN_FLIGHT,
         window: WINDOW,
         window_vt_budget: VT_BUDGET,
         shed_after_trips: SHED_AFTER_TRIPS,
@@ -118,7 +116,7 @@ impl Model {
     fn admit(&mut self) -> Result<(), QuotaVerdict> {
         self.attempts += 1;
         self.roll();
-        let over = self.state != 0 || self.vt >= VT_BUDGET || self.in_flight >= MAX_IN_FLIGHT;
+        let over = self.state != 0 || self.vt >= VT_BUDGET;
         if over {
             Err(self.ladder_refuse().0)
         } else {
@@ -226,12 +224,7 @@ proptest! {
         let d = Dispatcher::unmetered();
         let clock = d.clock().clone();
         let ledger = QuotaLedger::new();
-        // No concurrency in this test, so the in-flight axis never
-        // refuses; the window budget does all the throttling.
-        let cell = ledger.register(
-            "tenant",
-            QuotaSpec { max_in_flight: 0, ..spec() },
-        );
+        let cell = ledger.register("tenant", spec());
         let (ev, owner) = d.define::<(), u64>("Q", Identity::kernel("k"));
         let clk = clock.clone();
         owner

@@ -12,7 +12,7 @@
 //! between them, outside the clock's one-writer contract (DESIGN.md
 //! decision 26), so that clock may lose a charge; nothing here reads it.
 
-use spin_core::{Constraints, DispatchError, Dispatcher, Identity, InstallSpec};
+use spin_core::{Constraints, DispatchError, Dispatcher, Identity, InstallSpec, HOLD_CAPACITY};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
@@ -40,7 +40,6 @@ fn version_spec(ident: &Identity, bump: &Arc<AtomicU64>, bias: u64) -> InstallSp
 fn concurrent_raises_survive_swap_and_rollback_churn() {
     let d = Dispatcher::unmetered();
     let (ev, _owner) = d.define::<u64, u64>("Swap.Stress", Identity::kernel("stress"));
-    ev.set_hold_capacity(256).expect("event alive");
 
     let v1 = Identity::extension("fwd-v1");
     let v2 = Identity::extension("fwd-v2");
@@ -186,28 +185,42 @@ fn hold_queue_replays_in_park_order() {
     assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3, 4]);
 }
 
-/// A full hold queue bounces raises with `HoldOverflow`; the bounced
-/// raises are dropped, not replayed.
+/// A raise that finds `HOLD_CAPACITY` raises parked bounces with
+/// `HoldOverflow`; the bounced raises are dropped, not replayed, and the
+/// hold counters close against what the raiser saw.
 #[test]
 fn hold_queue_overflow_is_bounded_and_counted() {
+    const BOUNCED: u64 = 3;
+    let capacity = HOLD_CAPACITY as u64;
     let d = Dispatcher::unmetered();
     let (ev, _owner) = d.define::<u64, u64>("Swap.Overflow", Identity::kernel("stress"));
-    ev.set_hold_capacity(2).expect("event alive");
     ev.install(Identity::extension("v1"), |x: &u64| *x)
         .expect("install");
 
     ev.quiesce().expect("event alive");
-    assert!(matches!(ev.raise(0), Err(DispatchError::Held { .. })));
-    assert!(matches!(ev.raise(1), Err(DispatchError::Held { .. })));
-    assert!(matches!(
-        ev.raise(2),
-        Err(DispatchError::HoldOverflow { .. })
-    ));
-    assert_eq!(ev.resume().expect("event alive"), 2);
+    for i in 0..capacity {
+        assert!(matches!(ev.raise(i), Err(DispatchError::Held { .. })));
+    }
+    for i in 0..BOUNCED {
+        assert!(matches!(
+            ev.raise(capacity + i),
+            Err(DispatchError::HoldOverflow { .. })
+        ));
+    }
+    assert_eq!(ev.held_len().expect("event alive"), HOLD_CAPACITY);
+    assert_eq!(ev.resume().expect("event alive"), capacity);
     let hold = ev.hold_stats().expect("event alive");
-    assert_eq!((hold.held, hold.replayed, hold.overflowed), (2, 2, 1));
+    assert_eq!(
+        (hold.held, hold.replayed, hold.overflowed),
+        (capacity, capacity, BOUNCED)
+    );
     let stats = d.stats(&ev).expect("event alive");
-    assert_eq!(stats.raises, 2, "only replayed raises completed");
+    assert_eq!(stats.raises, capacity, "only replayed raises completed");
+    assert_eq!(
+        capacity + BOUNCED,
+        (stats.raises - hold.replayed) + hold.held + hold.overflowed,
+        "hold-queue reconciliation"
+    );
 }
 
 /// A destroyed event degrades gracefully through the `GatedEvent` facade:

@@ -4,9 +4,9 @@
 //! server that does not itself cache but is built on top of a conventional
 //! caching file system avoids the double buffering problem, but is unable
 //! to control the caching policy." This cache makes the policy a
-//! first-class, replaceable object — SPIN's point — so the file system can
-//! run with LRU, with no caching at all (for servers that cache at object
-//! level), or with anything an extension supplies.
+//! first-class object its builder chooses — SPIN's point — so the file
+//! system can run with LRU, with no caching at all (for servers that cache
+//! at object level), or with anything an extension supplies.
 
 use spin_check::sync::Mutex;
 use spin_sal::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
@@ -118,17 +118,6 @@ impl BufferCache {
                 capacity_blocks,
                 stats: CacheStats::default(),
             })),
-        }
-    }
-
-    /// Swaps the caching policy (dropping current residency bookkeeping
-    /// into the new policy).
-    pub fn set_policy(&self, policy: Box<dyn CachePolicy>) {
-        let mut st = self.state.lock();
-        let resident: Vec<BlockId> = st.resident.keys().copied().collect();
-        st.policy = policy;
-        for b in resident {
-            st.policy.touch(b);
         }
     }
 
@@ -288,18 +277,5 @@ mod tests {
         });
         exec.run_until_idle();
         assert_eq!(cache.stats().hits, 1, "write-through leaves block resident");
-    }
-
-    #[test]
-    fn policy_swap_takes_effect() {
-        let (cache, exec) = rig(4, Box::new(LruPolicy::default()));
-        cache.set_policy(Box::new(NoCachePolicy));
-        let c2 = cache.clone();
-        exec.spawn("reader", move |ctx| {
-            c2.read(ctx, BlockId(1));
-            c2.read(ctx, BlockId(1));
-        });
-        exec.run_until_idle();
-        assert_eq!(cache.stats().hits, 0);
     }
 }

@@ -311,7 +311,10 @@ mod tests {
         let b = Rpc::install(&rig.b).unwrap();
         // Drop the first two requests: the call succeeds on attempt 3,
         // after 100 ms + 200 ms of backed-off waiting.
-        rig.board.ethernet.set_drop_filter(|i| i < 2);
+        let caller = rig.host_a.endpoint();
+        rig.board
+            .ethernet
+            .set_drop_filter(move |from, i| from == caller && i < 2);
         b.register("echo", |args| args.to_vec());
         let dst = rig.b_ip(Medium::Ethernet);
         let clock = rig.exec.clock().clone();
@@ -348,7 +351,7 @@ mod tests {
         )
         .unwrap();
         let _b = Rpc::install(&rig.b).unwrap();
-        rig.board.ethernet.set_drop_filter(|_| true); // dead wire
+        rig.board.ethernet.set_drop_filter(|_, _| true); // dead wire
         let dst = rig.b_ip(Medium::Ethernet);
         let got = Arc::new(Mutex::new(None));
         let g2 = got.clone();
@@ -366,9 +369,12 @@ mod tests {
     #[test]
     fn lost_requests_are_retransmitted() {
         let (rig, a, b) = rig();
-        // Drop the first two frames on the wire: the first call attempt
-        // (request) and its retry's request... then let traffic through.
-        rig.board.ethernet.set_drop_filter(|i| i < 1);
+        // Drop the caller's first frame, its first request; the retry
+        // gets through.
+        let caller = rig.host_a.endpoint();
+        rig.board
+            .ethernet
+            .set_drop_filter(move |from, i| from == caller && i < 1);
         b.register("echo", |args| args.to_vec());
         let dst = rig.b_ip(Medium::Ethernet);
         let got = Arc::new(Mutex::new(Vec::new()));

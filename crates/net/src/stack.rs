@@ -446,7 +446,8 @@ impl NetStack {
         // NIC interrupts unblock the protocol thread.
         for v in [vectors::ETHERNET, vectors::ATM, vectors::T3] {
             let e2 = exec.clone();
-            host.irqs.register(v, move || e2.unblock(proto_thread));
+            let taken = host.irqs.register(v, move || e2.unblock(proto_thread));
+            assert!(taken, "one network stack per host: {v:?} has a handler");
         }
 
         let inner = Arc::new(NetInner {
@@ -1573,7 +1574,7 @@ mod tests {
             let rig = TwoHosts::new();
             unbound(&rig.addrs);
             let wires = [&rig.board.ethernet, &rig.board.atm, &rig.board.t3];
-            wires[0].set_drop_filter(move |idx| idx % drop_every == 1);
+            wires[0].set_drop_filter(move |_, idx| idx % drop_every == 1);
             send_all(&rig.a, &rig.b, &ops);
             prop_assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
             assert_books_close(wires, (&rig.a, &rig.b), &ops);
@@ -1581,7 +1582,7 @@ mod tests {
             let rig = crate::testrig::ShardRig::new(1, 2);
             unbound(&rig.addrs);
             let wires = [&rig.board.ethernet, &rig.board.atm, &rig.board.t3];
-            wires[0].set_drop_filter(move |idx| idx % drop_every == 1);
+            wires[0].set_drop_filter(move |_, idx| idx % drop_every == 1);
             let (a, b) = (&rig.shards[0].stack, &rig.shards[1].stack);
             send_all(a, b, &ops);
             prop_assert_eq!(rig.mc.run_until_idle(), IdleOutcome::AllComplete);

@@ -807,8 +807,8 @@ mod tests {
     #[test]
     fn retransmission_recovers_from_loss() {
         let (rig, a, b) = tcp_rig();
-        // Drop every 5th frame on the Ethernet.
-        rig.board.ethernet.set_drop_filter(|i| i % 5 == 4);
+        // Drop every 5th frame each host puts on the Ethernet.
+        rig.board.ethernet.set_drop_filter(|_, i| i % 5 == 4);
         let listener = b.listen(80);
         let received = Arc::new(Mutex::new(Vec::new()));
         let r2 = received.clone();
@@ -909,7 +909,7 @@ mod tests {
             let conn = a2.connect(ctx, dst, 80).unwrap();
             // From here the wire eats every frame: the FIN is retransmitted
             // and never answered, so only the reset can end the wait.
-            wire.set_drop_filter(|_| true);
+            wire.set_drop_filter(|_, _| true);
             let exec = ctx.executor().clone();
             let reset = TcpSegment {
                 ip: crate::pkt::Ipv4Header {
@@ -968,7 +968,7 @@ mod tests {
                 o2.lock().push(a2.connect(ctx, dst, 81).err());
             }
             // Every SYN from here on is lost: the attempts time out.
-            wire.set_drop_filter(|_| true);
+            wire.set_drop_filter(|_, _| true);
             for _ in 0..2 {
                 o2.lock().push(a2.connect(ctx, dst, 80).err());
             }
@@ -1011,7 +1011,7 @@ mod tests {
         // Drops the first frame put on the Ethernet after `armed` is set.
         let armed = Arc::new(AtomicBool::new(false));
         let trigger = armed.clone();
-        rig.board.ethernet.set_drop_filter(move |_| {
+        rig.board.ethernet.set_drop_filter(move |_, _| {
             // ordering: AcqRel — pairs with the client's Release arming store.
             trigger.swap(false, Ordering::AcqRel)
         });

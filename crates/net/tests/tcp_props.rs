@@ -15,7 +15,7 @@ fn transfer_under_loss(payload: Vec<u8>, loss_modulus: u64, medium: Medium) -> V
             Medium::Atm => &rig.board.atm,
             Medium::T3 => &rig.board.t3,
         };
-        wire.set_drop_filter(move |i| i % loss_modulus == loss_modulus - 1);
+        wire.set_drop_filter(move |_, i| i % loss_modulus == loss_modulus - 1);
     }
     let tcp_a = TcpStack::install(&rig.a);
     let tcp_b = TcpStack::install(&rig.b);

@@ -13,7 +13,7 @@
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::cost::MachineProfile;
 use crate::devices::console::Console;
-use crate::devices::disk::{Disk, DiskGeometry};
+use crate::devices::disk::Disk;
 use crate::devices::nic::{Nic, NicModel};
 use crate::irq::IrqController;
 use crate::mailbox::{lanes, Mailbox};
@@ -95,7 +95,6 @@ fn build_host(
         mmu: Mmu::new(on.clock.clone(), profile.clone()),
         console: Console::new(on.clock.clone(), profile.clone()),
         disk: Disk::new(
-            DiskGeometry::default(),
             on.clock.clone(),
             on.timers.clone(),
             irqs.clone(),
@@ -319,7 +318,6 @@ mod tests {
         ] {
             assert_eq!(host.mem.frame_count(), 256);
             assert_eq!(host.mem.resident_frames(), 0);
-            assert_eq!(host.disk.geometry().blocks, DiskGeometry::default().blocks);
             assert_eq!(host.disk.resident_blocks(), 0);
         }
     }

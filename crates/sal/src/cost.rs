@@ -97,9 +97,6 @@ pub struct MachineProfile {
     pub guard_eval: u64,
     /// Dispatcher: invoking one handler (on top of the call itself).
     pub handler_invoke: u64,
-    /// Number of CPUs on the board (multicore mode shards the kernel one
-    /// executor per CPU; the shared-timeline mode ignores this).
-    pub cpus: usize,
     /// One-way latency of a cross-core call (inter-processor interrupt +
     /// mailbox write). Also the conservative-PDES lookahead floor: no
     /// cross-shard effect lands sooner than this.
@@ -136,7 +133,6 @@ impl MachineProfile {
             event_raise_base: 260,
             guard_eval: 290,
             handler_invoke: 190,
-            cpus: 4,
             xcall_latency: 2_000,
         }
     }

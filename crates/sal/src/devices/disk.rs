@@ -6,9 +6,9 @@
 //! posts the disk's interrupt vector. Blocking reads are layered on top by
 //! the file system using strands.
 //!
-//! Only written blocks hold bytes. The drive's size bounds the block
-//! numbers a request may name; it allocates nothing (DESIGN.md decision
-//! #25).
+//! Only written blocks hold bytes. The drive's size, `DISK_BLOCKS`,
+//! bounds the block numbers a request may name; it allocates nothing
+//! (DESIGN.md decision #25).
 
 use crate::clock::{Clock, Nanos, TimerQueue};
 use crate::cost::MachineProfile;
@@ -24,19 +24,9 @@ pub const BLOCK_SIZE: usize = crate::PAGE_SIZE;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BlockId(pub u64);
 
-/// Physical characteristics of the drive.
-#[derive(Debug, Clone)]
-pub struct DiskGeometry {
-    /// Total number of blocks.
-    pub blocks: u64,
-}
-
-impl Default for DiskGeometry {
-    fn default() -> Self {
-        // 1 GB drive in 8 KB blocks, like the HP C2247-300.
-        DiskGeometry { blocks: 131_072 }
-    }
-}
+/// The drive's size in blocks: 1 GB in 8 KB blocks, like the HP
+/// C2247-300.
+pub(crate) const DISK_BLOCKS: u64 = 131_072;
 
 /// A queued I/O request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,7 +57,6 @@ struct DiskState {
 #[derive(Clone)]
 pub struct Disk {
     state: Arc<Mutex<DiskState>>,
-    geometry: DiskGeometry,
     clock: Clock,
     timers: TimerQueue,
     irqs: IrqController,
@@ -78,7 +67,6 @@ pub struct Disk {
 impl Disk {
     /// Creates a zero-filled disk that posts completions on `vector`.
     pub fn new(
-        geometry: DiskGeometry,
         clock: Clock,
         timers: TimerQueue,
         irqs: IrqController,
@@ -92,7 +80,6 @@ impl Disk {
                 in_flight: 0,
                 completed: 0,
             })),
-            geometry,
             clock,
             timers,
             irqs,
@@ -104,12 +91,6 @@ impl Disk {
     /// The drive's interrupt vector.
     pub fn vector(&self) -> IrqVector {
         self.vector
-    }
-
-    /// The drive's geometry.
-    #[cfg(test)]
-    pub(crate) fn geometry(&self) -> &DiskGeometry {
-        &self.geometry
     }
 
     /// Latency model: sequential access pays only transfer; anything else
@@ -138,7 +119,7 @@ impl Disk {
             DiskRequest::Read(b) | DiskRequest::Write(b, _) => *b,
         };
         // The only bound: the sparse table would take any block number.
-        if block.0 >= self.geometry.blocks {
+        if block.0 >= DISK_BLOCKS {
             done(Err(DiskError::OutOfRange(block)));
             return;
         }
@@ -198,13 +179,12 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn rig_with(blocks: u64) -> (Disk, Clock, TimerQueue, IrqController) {
+    fn rig() -> (Disk, Clock, TimerQueue, IrqController) {
         let clock = Clock::new();
         let timers = TimerQueue::new();
         let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
         let irqs = IrqController::new(clock.clone(), profile.clone());
         let disk = Disk::new(
-            DiskGeometry { blocks },
             clock.clone(),
             timers.clone(),
             irqs.clone(),
@@ -212,10 +192,6 @@ mod tests {
             profile,
         );
         (disk, clock, timers, irqs)
-    }
-
-    fn rig() -> (Disk, Clock, TimerQueue, IrqController) {
-        rig_with(16)
     }
 
     /// Submits `req`, runs the clock past its completion and returns what
@@ -258,18 +234,18 @@ mod tests {
         let (disk, _, _, _) = rig();
         let err = Arc::new(Mutex::new(None));
         let e2 = err.clone();
-        disk.submit(DiskRequest::Read(BlockId(999)), move |r| {
+        let past = BlockId(DISK_BLOCKS + 999);
+        disk.submit(DiskRequest::Read(past), move |r| {
             *e2.lock() = Some(r.unwrap_err());
         });
-        assert_eq!(*err.lock(), Some(DiskError::OutOfRange(BlockId(999))));
+        assert_eq!(*err.lock(), Some(DiskError::OutOfRange(past)));
     }
 
-    /// The last block of the default 1 GB drive is as real as the first.
+    /// The last block of the 1 GB drive is as real as the first.
     #[test]
     fn the_last_block_of_a_default_drive_round_trips() {
-        let blocks = DiskGeometry::default().blocks;
-        let (disk, clock, timers, _) = rig_with(blocks);
-        let last = BlockId(blocks - 1);
+        let (disk, clock, timers, _) = rig();
+        let last = BlockId(DISK_BLOCKS - 1);
         let data = vec![0x5Au8; BLOCK_SIZE];
         let write = DiskRequest::Write(last, data.clone());
         assert_eq!(complete(&disk, &clock, &timers, write), Ok(Vec::new()));
@@ -277,13 +253,12 @@ mod tests {
         assert_eq!(read, Ok(data));
     }
 
-    /// A sparse table would take any block number: the geometry check is
-    /// what refuses the block one past the end of the default drive.
+    /// A sparse table would take any block number: the size check is
+    /// what refuses the block one past the end of the drive.
     #[test]
     fn the_block_past_a_default_drive_is_out_of_range() {
-        let blocks = DiskGeometry::default().blocks;
-        let (disk, clock, timers, _) = rig_with(blocks);
-        let past = BlockId(blocks);
+        let (disk, clock, timers, _) = rig();
+        let past = BlockId(DISK_BLOCKS);
         let write = DiskRequest::Write(past, vec![1; BLOCK_SIZE]);
         for req in [DiskRequest::Read(past), write] {
             let got = complete(&disk, &clock, &timers, req);
@@ -293,7 +268,7 @@ mod tests {
 
     #[test]
     fn a_fresh_drive_holds_no_block() {
-        let (disk, _, _, _) = rig_with(DiskGeometry::default().blocks);
+        let (disk, _, _, _) = rig();
         assert_eq!(disk.resident_blocks(), 0);
     }
 
@@ -332,9 +307,24 @@ mod tests {
         assert_eq!(*err.lock(), Some(DiskError::BadLength(3)));
     }
 
-    /// Block numbers run past the end of the 16-block test drive.
+    /// The blocks the requests name: the drive's first ten, its last
+    /// five and five past its end.
+    fn probed(i: u64) -> BlockId {
+        BlockId(if i < 10 { i } else { DISK_BLOCKS - 15 + i })
+    }
+
+    /// Where a probed block sits in the dense model, or `None` past the
+    /// drive's end.
+    fn dense_index(b: BlockId) -> Option<usize> {
+        match b.0 {
+            n if n < 10 => Some(n as usize),
+            n if n < DISK_BLOCKS => Some((n + 15 - DISK_BLOCKS) as usize),
+            _ => None,
+        }
+    }
+
     fn request() -> impl Strategy<Value = DiskRequest> {
-        let block = || (0..20u64).prop_map(BlockId);
+        let block = || (0..20u64).prop_map(probed);
         let len = prop_oneof![Just(BLOCK_SIZE), Just(BLOCK_SIZE), 0..BLOCK_SIZE + 2];
         prop_oneof![
             block().prop_map(DiskRequest::Read),
@@ -345,17 +335,15 @@ mod tests {
         ]
     }
 
-    /// What a dense drive of `dense.len()` zero-filled blocks answers.
+    /// What a dense drive of the fifteen probed blocks inside the drive,
+    /// zero-filled, answers.
     fn dense_answer(dense: &mut [Vec<u8>], req: DiskRequest) -> Result<Vec<u8>, DiskError> {
         match req {
-            DiskRequest::Read(b) => dense
-                .get(b.0 as usize)
-                .cloned()
+            DiskRequest::Read(b) => dense_index(b)
+                .map(|i| dense[i].clone())
                 .ok_or(DiskError::OutOfRange(b)),
             DiskRequest::Write(b, buf) => {
-                let block = dense
-                    .get_mut(b.0 as usize)
-                    .ok_or(DiskError::OutOfRange(b))?;
+                let block = &mut dense[dense_index(b).ok_or(DiskError::OutOfRange(b))?];
                 if buf.len() != BLOCK_SIZE {
                     return Err(DiskError::BadLength(buf.len()));
                 }
@@ -373,7 +361,7 @@ mod tests {
         #[test]
         fn a_sparse_drive_answers_as_a_dense_one(reqs in proptest::collection::vec(request(), 0..24)) {
             let (disk, clock, timers, _) = rig();
-            let mut dense = vec![vec![0u8; BLOCK_SIZE]; 16];
+            let mut dense = vec![vec![0u8; BLOCK_SIZE]; 15];
             let mut written = std::collections::BTreeSet::new();
             for req in reqs {
                 let want = dense_answer(&mut dense, req.clone());

@@ -8,57 +8,45 @@
 //! outside of the interrupt handler" (§5.3), which the network code in
 //! `spin-net` reproduces by having its interrupt handlers merely unblock a
 //! protocol thread.
+//!
+//! The vectors mirror a fixed motherboard wiring (`board::vectors`), and
+//! each has one write-once handler slot, set like every other hook: a
+//! second registration is refused. An interrupt reads its vector's slot —
+//! one load — when its turn comes, so a handler registered by an earlier
+//! handler is found by every interrupt after it; one whose vector has no
+//! handler then is counted dropped.
 
 use crate::clock::Clock;
 use crate::cost::MachineProfile;
+use spin_check::hooks::HookSlot;
 use spin_check::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A device interrupt vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IrqVector(pub u32);
 
-type IrqHandler = Arc<dyn Fn() + Send + Sync>;
+type IrqHandler = Box<dyn Fn() + Send + Sync>;
+
+/// Handler slots per controller: vectors `0..VECTORS`. The board wires
+/// four; a vector past the table can be posted, and is dropped.
+const VECTORS: usize = 8;
 
 /// How many pending interrupts one critical section of
 /// [`IrqController::dispatch_pending`] takes.
 const BATCH: usize = 8;
 
-/// A taken interrupt: its vector and the handler it found.
-type Taken = Option<(IrqVector, Option<IrqHandler>)>;
-
-#[derive(Default)]
-struct IrqState {
-    /// Posted vectors, oldest first.
-    pending: VecDeque<IrqVector>,
-    /// A host registers a handful of vectors, and each interrupt looks
-    /// its own up: a small ordered map, with no hashing.
-    handlers: BTreeMap<IrqVector, IrqHandler>,
-    /// Interrupts posted for vectors with no handler yet.
-    dropped: u64,
-    /// Registrations ever made, mirrored in [`Irqs::registrations`].
-    registrations: u64,
-}
-
-impl IrqState {
-    /// The handler `vector` finds now, or `None`, counted dropped.
-    fn resolve(&mut self, vector: IrqVector) -> Option<IrqHandler> {
-        let handler = self.handlers.get(&vector).cloned();
-        self.dropped += u64::from(handler.is_none());
-        handler
-    }
-}
-
 struct Irqs {
-    state: Mutex<IrqState>,
+    /// Posted vectors, oldest first.
+    pending: Mutex<VecDeque<IrqVector>>,
     /// `pending.len()`, stored under the lock by whoever changed it: the
     /// executor asks "anything pending?" at every step, and a load answers.
     queued: AtomicUsize,
-    /// `registrations`, stored under the lock by `register`: a dispatch
-    /// that loads it unchanged after a handler knows the handlers it took
-    /// are still the registered ones.
-    registrations: AtomicU64,
+    /// One write-once handler slot per vector, read with one load.
+    handlers: [HookSlot<IrqHandler>; VECTORS],
+    /// Interrupts that found no handler at their turn.
+    dropped: AtomicU64,
 }
 
 /// The interrupt controller for one simulated host.
@@ -74,31 +62,29 @@ impl IrqController {
     pub fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
         IrqController {
             inner: Arc::new(Irqs {
-                state: Mutex::default(),
+                pending: Mutex::default(),
                 queued: AtomicUsize::new(0),
-                registrations: AtomicU64::new(0),
+                handlers: std::array::from_fn(|_| HookSlot::new()),
+                dropped: AtomicU64::new(0),
             }),
             clock,
             profile,
         }
     }
 
-    /// Registers the handler for a vector, replacing any previous one.
-    pub fn register(&self, vector: IrqVector, handler: impl Fn() + Send + Sync + 'static) {
-        let mut st = self.inner.state.lock();
-        st.handlers.insert(vector, Arc::new(handler));
-        st.registrations += 1;
-        let published = &self.inner.registrations;
-        // ordering: Release — stored under the lock; pairs with dispatch_pending's Acquire load.
-        published.store(st.registrations, Ordering::Release);
+    /// Registers the handler for a vector. Returns `false`, and drops
+    /// `handler`, if the vector already has one or has no slot.
+    pub fn register(&self, vector: IrqVector, handler: impl Fn() + Send + Sync + 'static) -> bool {
+        let slot = self.inner.handlers.get(vector.0 as usize);
+        slot.is_some_and(|slot| slot.set(Box::new(handler)))
     }
 
     /// Posts an interrupt; it stays pending until dispatched.
     pub fn post(&self, vector: IrqVector) {
-        let mut st = self.inner.state.lock();
-        st.pending.push_back(vector);
+        let mut pending = self.inner.pending.lock();
+        pending.push_back(vector);
         // ordering: Release — stored under the lock; pairs with the lock-free readers' Acquire.
-        self.inner.queued.store(st.pending.len(), Ordering::Release);
+        self.inner.queued.store(pending.len(), Ordering::Release);
     }
 
     /// Whether any interrupt is pending.
@@ -111,44 +97,38 @@ impl IrqController {
     /// profile's interrupt overhead for each — one charge and one handler
     /// call per interrupt, never coalesced. Returns how many ran.
     ///
-    /// One critical section takes up to eight pending interrupts and
-    /// the handler each finds (or counts it dropped); the charges and the
-    /// handlers run outside it, so a handler may post further interrupts
-    /// — they run after those taken before them, as posting order says —
-    /// or register handlers. A registration made by a handler is seen by
-    /// every interrupt after it, as if each had found its handler only
-    /// when its turn came: the handlers still to run are looked up again.
-    /// With nothing pending, a dispatch is one load.
+    /// One critical section takes up to eight pending interrupts; the
+    /// charges and the handlers run outside it, so a handler may post
+    /// further interrupts — they run after those taken before them, as
+    /// posting order says — or register handlers, which the interrupts
+    /// after it find. With nothing pending, a dispatch is one load.
     pub fn dispatch_pending(&self) -> usize {
         let mut dispatched = 0;
-        let mut batch: [Taken; BATCH] = Default::default();
+        let mut batch = [IrqVector(0); BATCH];
         // ordering: Acquire — pairs with the Release stores made under the lock.
         while self.inner.queued.load(Ordering::Acquire) != 0 {
-            let (taken, mut seen) = {
-                let mut st = self.inner.state.lock();
-                let taken = st.pending.len().min(BATCH);
-                for slot in &mut batch[..taken] {
-                    let vector = st.pending.pop_front().expect("counted pending");
-                    *slot = Some((vector, st.resolve(vector)));
+            let taken = {
+                let mut pending = self.inner.pending.lock();
+                let taken = pending.len().min(BATCH);
+                for (slot, vector) in batch.iter_mut().zip(pending.drain(..taken)) {
+                    *slot = vector;
                 }
                 // ordering: Release — stored under the lock; pairs with the lock-free readers' Acquire.
-                self.inner.queued.store(st.pending.len(), Ordering::Release);
-                (taken, st.registrations)
+                self.inner.queued.store(pending.len(), Ordering::Release);
+                taken
             };
-            for i in 0..taken {
-                let (_, handler) = batch[i].take().expect("taken above");
+            for vector in &batch[..taken] {
                 self.clock.advance(self.profile.interrupt_overhead);
                 dispatched += 1;
-                let Some(f) = handler else { continue };
-                f();
-                // ordering: Acquire — pairs with register's Release store.
-                if self.inner.registrations.load(Ordering::Acquire) != seen {
-                    let mut st = self.inner.state.lock();
-                    seen = st.registrations;
-                    for (vector, handler) in batch[i + 1..taken].iter_mut().flatten() {
-                        st.dropped -= u64::from(handler.is_none());
-                        *handler = st.resolve(*vector);
-                    }
+                match self
+                    .inner
+                    .handlers
+                    .get(vector.0 as usize)
+                    .and_then(HookSlot::get)
+                {
+                    Some(handler) => handler(),
+                    // ordering: Relaxed — a statistic; it publishes nothing.
+                    None => _ = self.inner.dropped.fetch_add(1, Ordering::Relaxed),
                 }
             }
         }
@@ -157,7 +137,8 @@ impl IrqController {
 
     /// Number of interrupts dropped for lack of a handler.
     pub fn dropped(&self) -> u64 {
-        self.inner.state.lock().dropped
+        // ordering: Relaxed — a statistic; it publishes nothing.
+        self.inner.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -165,6 +146,7 @@ impl IrqController {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn ctl() -> IrqController {
         IrqController::new(Clock::new(), Arc::new(MachineProfile::alpha_axp_3000_400()))
@@ -176,7 +158,7 @@ mod tests {
         let log = Arc::new(Mutex::new(Vec::new()));
         for v in [1u32, 2] {
             let log = log.clone();
-            c.register(IrqVector(v), move || log.lock().push(v));
+            assert!(c.register(IrqVector(v), move || log.lock().push(v)));
         }
         c.post(IrqVector(2));
         c.post(IrqVector(1));
@@ -186,12 +168,61 @@ mod tests {
         assert!(!c.has_pending());
     }
 
+    /// A vector with no handler, inside the table or past it, is
+    /// dispatched, charged and counted dropped.
     #[test]
     fn unhandled_interrupts_are_counted() {
         let c = ctl();
+        assert!(!c.register(IrqVector(VECTORS as u32), || {}), "no slot");
+        c.post(IrqVector(3));
         c.post(IrqVector(9));
-        c.dispatch_pending();
-        assert_eq!(c.dropped(), 1);
+        assert_eq!(c.dispatch_pending(), 2);
+        assert_eq!(c.dropped(), 2);
+        assert_eq!(c.clock.now(), 2 * c.profile.interrupt_overhead);
+    }
+
+    #[test]
+    fn a_second_registration_is_refused_and_the_first_handler_keeps_running() {
+        let c = ctl();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        for (tag, registered) in [("first", true), ("second", false)] {
+            let log = log.clone();
+            assert_eq!(
+                c.register(IrqVector(2), move || log.lock().push(tag)),
+                registered
+            );
+        }
+        c.post(IrqVector(2));
+        c.post(IrqVector(2));
+        assert_eq!(c.dispatch_pending(), 2);
+        assert_eq!(*log.lock(), ["first", "first"]);
+        assert_eq!(c.dropped(), 0);
+    }
+
+    /// Interrupts of one batch find their handlers at their own turn: the
+    /// handler of the first registers one for a vector that had none, and
+    /// the later interrupts of the batch run it.
+    #[test]
+    fn a_handler_registered_mid_batch_is_found_by_the_later_interrupts_of_its_batch() {
+        let c = ctl();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let (c2, ran2) = (c.clone(), ran.clone());
+        assert!(c.register(IrqVector(1), move || {
+            let ran = ran2.clone();
+            let taken = c2.register(IrqVector(2), move || {
+                // ordering: Relaxed — test plumbing; dispatch_pending's return is the sync.
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(taken, "vector 2 had no handler");
+        }));
+        c.post(IrqVector(2));
+        c.post(IrqVector(1));
+        for _ in 0..3 {
+            c.post(IrqVector(2));
+        }
+        assert_eq!(c.dispatch_pending(), 5, "one batch");
+        assert_eq!(c.dropped(), 1, "only the interrupt before the registration");
+        assert_eq!(ran.load(Ordering::Relaxed), 3); // ordering: Relaxed — test plumbing; dispatch_pending's return is the sync.
     }
 
     #[test]
@@ -200,12 +231,12 @@ mod tests {
         let count = Arc::new(AtomicUsize::new(0));
         let c2 = c.clone();
         let count2 = count.clone();
-        c.register(IrqVector(1), move || {
+        assert!(c.register(IrqVector(1), move || {
             // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
             if count2.fetch_add(1, Ordering::Relaxed) == 0 {
                 c2.post(IrqVector(1));
             }
-        });
+        }));
         c.post(IrqVector(1));
         assert_eq!(c.dispatch_pending(), 2);
         assert_eq!(count.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
@@ -216,11 +247,23 @@ mod tests {
         let clock = Clock::new();
         let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
         let c = IrqController::new(clock.clone(), profile.clone());
-        c.register(IrqVector(1), || {});
+        assert!(c.register(IrqVector(1), || {}));
         c.post(IrqVector(1));
         c.post(IrqVector(1));
         c.dispatch_pending();
         assert_eq!(clock.now(), 2 * profile.interrupt_overhead);
+    }
+
+    /// A handler as the comparison hands it to both controllers.
+    type Handler = Arc<dyn Fn() + Send + Sync>;
+
+    /// The retired controller's state: a handler map, refusing a second
+    /// registration as the slot table does.
+    #[derive(Default)]
+    struct RetiredState {
+        pending: VecDeque<IrqVector>,
+        handlers: BTreeMap<IrqVector, Handler>,
+        dropped: u64,
     }
 
     /// The retired dispatch — one critical section per interrupt, which
@@ -228,14 +271,14 @@ mod tests {
     /// batched one is checked against.
     #[derive(Clone)]
     struct Retired {
-        state: Arc<Mutex<IrqState>>,
+        state: Arc<Mutex<RetiredState>>,
         clock: Clock,
         overhead: u64,
     }
 
     /// What the comparison drives: both controllers behind one face.
     trait Controller: Clone + Send + Sync + 'static {
-        fn register(&self, vector: IrqVector, handler: IrqHandler);
+        fn register(&self, vector: IrqVector, handler: Handler) -> bool;
         fn post(&self, vector: IrqVector);
         fn dispatch_pending(&self) -> usize;
         fn dropped(&self) -> u64;
@@ -244,7 +287,7 @@ mod tests {
     }
 
     impl Controller for IrqController {
-        fn register(&self, vector: IrqVector, handler: IrqHandler) {
+        fn register(&self, vector: IrqVector, handler: Handler) -> bool {
             IrqController::register(self, vector, move || handler())
         }
         fn post(&self, vector: IrqVector) {
@@ -265,8 +308,11 @@ mod tests {
     }
 
     impl Controller for Retired {
-        fn register(&self, vector: IrqVector, handler: IrqHandler) {
-            self.state.lock().handlers.insert(vector, handler);
+        fn register(&self, vector: IrqVector, handler: Handler) -> bool {
+            let mut st = self.state.lock();
+            let fresh = !st.handlers.contains_key(&vector);
+            st.handlers.entry(vector).or_insert(handler);
+            fresh
         }
         fn post(&self, vector: IrqVector) {
             self.state.lock().pending.push_back(vector);
@@ -279,7 +325,9 @@ mod tests {
                     let Some(vector) = st.pending.pop_front() else {
                         break;
                     };
-                    st.resolve(vector)
+                    let handler = st.handlers.get(&vector).cloned();
+                    st.dropped += u64::from(handler.is_none());
+                    handler
                 };
                 self.clock.advance(self.overhead);
                 if let Some(f) = handler {
@@ -300,8 +348,15 @@ mod tests {
         }
     }
 
-    /// Each handler call, in order: its vector, its version and the time.
-    type Log = Arc<Mutex<Vec<(u32, u32, u64)>>>;
+    /// What a run shows: each handler call, in order — its vector, its
+    /// version and the time — and each registration's vector and outcome.
+    #[derive(Default)]
+    struct Seen {
+        calls: Vec<(u32, u32, u64)>,
+        taken: Vec<(u32, bool)>,
+    }
+
+    type Log = Arc<Mutex<Seen>>;
 
     /// What the n-th handler call does besides logging itself.
     #[derive(Debug, Clone, Copy)]
@@ -309,7 +364,8 @@ mod tests {
         Nothing,
         /// Post this vector.
         Post(u32),
-        /// Register a new version of this vector's handler.
+        /// Register a handler for this vector: taken if it has none,
+        /// refused if it has.
         Register(u32),
     }
 
@@ -331,34 +387,36 @@ mod tests {
         script: &Arc<Vec<Then>>,
         log: &Log,
     ) {
-        let (c2, script, log) = (c.clone(), script.clone(), log.clone());
-        c.register(
+        let (c2, script, log2) = (c.clone(), script.clone(), log.clone());
+        let taken = c.register(
             IrqVector(vector),
             Arc::new(move || {
                 let n = {
-                    let mut log = log.lock();
-                    log.push((vector, version, c2.clock().now()));
-                    log.len() - 1
+                    let mut seen = log2.lock();
+                    seen.calls.push((vector, version, c2.clock().now()));
+                    seen.calls.len() - 1
                 };
                 match script.get(n).copied().unwrap_or(Then::Nothing) {
                     Then::Nothing => {}
                     Then::Post(v) => c2.post(IrqVector(v)),
-                    Then::Register(v) => install(&c2, v, n as u32 + 1, &script, &log),
+                    Then::Register(v) => install(&c2, v, n as u32 + 1, &script, &log2),
                 }
             }),
         );
+        log.lock().taken.push((vector, taken));
     }
 
     /// Registers handlers for the vectors in `registered`, posts `posts`,
     /// dispatches until nothing is pending, and returns everything
-    /// observable: each handler call (vector, version, time), each pass's
-    /// count, and the dropped total.
+    /// observable: each handler call (vector, version, time), each
+    /// registration's outcome, each pass's count, and the dropped total.
+    #[allow(clippy::type_complexity)]
     fn transcript<C: Controller>(
         c: C,
         registered: &[u32],
         posts: &[u32],
         script: &[Then],
-    ) -> (Vec<(u32, u32, u64)>, Vec<usize>, u64) {
+    ) -> (Vec<(u32, u32, u64)>, Vec<(u32, bool)>, Vec<usize>, u64) {
         let (script, log): (_, Log) = (Arc::new(script.to_vec()), Arc::default());
         for &v in registered {
             install(&c, v, 0, &script, &log);
@@ -370,18 +428,19 @@ mod tests {
         while c.has_pending() && passes.len() < 64 {
             passes.push(c.dispatch_pending());
         }
-        let log = std::mem::take(&mut *log.lock());
-        (log, passes, c.dropped())
+        let seen = std::mem::take(&mut *log.lock());
+        (seen.calls, seen.taken, passes, c.dropped())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
         /// The batched dispatch against the one it replaced: over random
         /// posts, with handlers that post further interrupts and register
-        /// new handlers (for their own vector or another, one with no
-        /// handler yet included) mid-dispatch, every interrupt runs the
-        /// same handler version at the same virtual time, in the same
-        /// order, and the drop count agrees.
+        /// handlers (for their own vector, refused, or for one with no
+        /// handler yet, taken) mid-dispatch, every interrupt runs the same
+        /// handler version at the same virtual time, in the same order,
+        /// every registration has the same outcome, and the drop count
+        /// agrees.
         #[test]
         fn a_batched_dispatch_runs_what_one_pop_at_a_time_ran(
             registered in proptest::collection::vec(0u32..4, 0..4),

@@ -43,7 +43,7 @@ pub use buf::BufChain;
 pub use clock::{AdvanceHookId, Clock, Nanos, TimerId, TimerQueue};
 pub use cost::{cycles, MachineProfile};
 pub use devices::console::Console;
-pub use devices::disk::{BlockId, Disk, DiskGeometry, DiskRequest, BLOCK_SIZE};
+pub use devices::disk::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
 pub use devices::nic::{Frame, IoKind, Nic, NicError, NicModel};
 pub use irq::{IrqController, IrqVector};
 pub use mailbox::{lanes, Envelope, MailFate, Mailbox};

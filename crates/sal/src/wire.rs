@@ -18,7 +18,10 @@
 //! was delivered, and the receiver's interrupt vector is posted. A filtered
 //! frame, or one for an endpoint nobody attached (after occupying the
 //! sender's link), is counted `dropped` when it is sent: `delivered +
-//! dropped` always catches up with the frames transmitted. The wire's own
+//! dropped` always catches up with the frames transmitted. The drop filter
+//! sees each frame's sender and the frame's index on that sender's link,
+//! so what it drops follows each sender's own order, whichever sender
+//! reaches the wire first. The wire's own
 //! lock guards only what senders share — the links, the drop filter,
 //! `dropped` — and is, with the mailbox's, the one lock on the hop that two
 //! shards' senders can meet on (DESIGN.md decisions 20, 21, 24).
@@ -99,11 +102,14 @@ struct WireState {
     /// its sender here once, for its link and its clock, and its receiver.
     attached: BTreeMap<WireEndpoint, Attached>,
     dropped: u64,
-    /// Deterministic fault injection: called with the frame's global
-    /// sequence index; `true` drops the frame on the floor.
-    drop_filter: Option<Box<dyn Fn(u64) -> bool + Send + Sync>>,
-    tx_index: u64,
+    /// Deterministic fault injection: called with the frame's sender and
+    /// its index on the sender's link (0 for its first frame); `true`
+    /// drops the frame on the floor.
+    drop_filter: Option<Box<DropFilter>>,
 }
+
+/// A drop filter: `(sender, index of the frame on the sender's link)`.
+type DropFilter = dyn Fn(WireEndpoint, u64) -> bool + Send + Sync;
 
 impl WireState {
     /// One frame's turn on the medium: its count on its sender's link, the
@@ -116,14 +122,13 @@ impl WireState {
         tx_time: Nanos,
         flight: Nanos,
     ) -> Option<(Nanos, Arc<Receiver>)> {
-        let idx = self.tx_index;
-        self.tx_index += 1;
         let sender = self.attached.get_mut(&frame.src);
         let sender = sender.expect("frames are sent by attached NICs");
         let link = &mut sender.link;
+        let idx = link.frames;
         link.frames += 1;
         link.bytes += frame.payload.len() as u64;
-        if self.drop_filter.as_ref().is_some_and(|f| f(idx)) {
+        if self.drop_filter.as_ref().is_some_and(|f| f(frame.src, idx)) {
             self.dropped += 1;
             return None;
         }
@@ -161,18 +166,14 @@ impl Wire {
         }
     }
 
-    /// Attaches `receiver` at `endpoint`. An endpoint attached again keeps
-    /// its link's record.
+    /// Attaches `receiver` at `endpoint`, which must be new on this wire.
     pub(crate) fn attach(&self, endpoint: WireEndpoint, receiver: Receiver) {
-        let receiver = Arc::new(receiver);
-        let mut st = self.state.lock();
-        match st.attached.get_mut(&endpoint) {
-            Some(attached) => attached.receiver = receiver,
-            None => {
-                let link = Link::default();
-                st.attached.insert(endpoint, Attached { receiver, link });
-            }
-        }
+        let attached = Attached {
+            receiver: Arc::new(receiver),
+            link: Link::default(),
+        };
+        let previous = self.state.lock().attached.insert(endpoint, attached);
+        assert!(previous.is_none(), "{endpoint:?} is attached once");
     }
 
     /// The minimum cross-shard delivery delay over this medium (its
@@ -243,9 +244,11 @@ impl Wire {
         })
     }
 
-    /// Installs a deterministic drop filter for fault injection (e.g.
-    /// "drop every 7th frame" for TCP retransmission tests).
-    pub fn set_drop_filter(&self, f: impl Fn(u64) -> bool + Send + Sync + 'static) {
+    /// Installs a deterministic drop filter for fault injection, called
+    /// with each frame's sender and its index on the sender's link (e.g.
+    /// "drop every 7th frame each host sends" for TCP retransmission
+    /// tests).
+    pub fn set_drop_filter(&self, f: impl Fn(WireEndpoint, u64) -> bool + Send + Sync + 'static) {
         self.state.lock().drop_filter = Some(Box::new(f));
     }
 
@@ -425,7 +428,7 @@ mod tests {
         for shard in [false, true] {
             let run = |one_by_one: bool| {
                 let r = rig(shard);
-                r.wire.set_drop_filter(|idx| idx == 1);
+                r.wire.set_drop_filter(|_, idx| idx == 1);
                 r.clock.advance(7_000);
                 if one_by_one {
                     burst().into_iter().for_each(|f| r.transmit([f]));

@@ -24,6 +24,8 @@
 //! clock's advance since the slice started, and the strand is descheduled
 //! at its next *safe point* ([`StrandCtx::preempt_point`], and every
 //! blocking or yielding operation) once that charge exceeds the quantum.
+//! The quantum is one constant, `QUANTUM` (1 ms of virtual time), which
+//! every executor runs with.
 //! Safe-point preemption keeps the simulation deadlock-free while
 //! preserving quantum semantics on the virtual timeline.
 
@@ -36,6 +38,10 @@ use spin_sal::{AdvanceHookId, Clock, HostId, IrqController, MachineProfile, Nano
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
+
+/// The preemption quantum: a slice that has charged more than this much
+/// virtual time is descheduled at its next safe point.
+const QUANTUM: Nanos = 1_000_000;
 
 /// Identifier of a strand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -228,7 +234,6 @@ struct Meter {
     /// at 1). Stored by the coordinator once the slice's switch is charged
     /// and cleared under the state lock when the slice ends.
     current: AtomicU64,
-    quantum: AtomicU64,
     /// The clock when the running slice began: stored just before
     /// `current`, after the switch charge and the Resume hook, so neither
     /// lands on the slice.
@@ -299,7 +304,6 @@ impl Executor {
             meter: Meter {
                 obs: spin_check::hooks::HookSlot::new(),
                 current: AtomicU64::new(0),
-                quantum: AtomicU64::new(1_000_000), // 1 ms virtual quantum
                 slice_start: AtomicU64::new(0),
             },
             obs_charges: spin_check::hooks::HookSlot::new(),
@@ -342,11 +346,6 @@ impl Executor {
         for (id, prio) in ready {
             st.policy.enqueue(id, prio);
         }
-    }
-
-    /// Sets the preemption quantum (virtual nanoseconds).
-    pub fn set_quantum(&self, ns: Nanos) {
-        self.meter.quantum.store(ns, Ordering::Relaxed); // ordering: Relaxed — consulted by the executor thread at the next safe point.
     }
 
     /// Installs transition hooks (used by `events` to raise dispatcher
@@ -954,7 +953,7 @@ impl StrandCtx {
     }
 
     /// Blocks until another context unblocks this strand: the park under
-    /// [`StrandCtx::wait`] and `TaskPackage`'s carrier.
+    /// [`StrandCtx::wait`], its one caller outside the tests.
     pub(crate) fn block(&self) {
         self.refuse_in_step("block");
         self.exec.block_current();
@@ -976,9 +975,7 @@ impl StrandCtx {
     /// expired.
     pub fn preempt_point(&self) {
         self.refuse_in_step("preempt_point");
-        let meter = &self.exec.meter;
-        // ordering: Relaxed — set before this slice began and read on the slice's own thread.
-        if meter.charge(&self.exec.clock) > meter.quantum.load(Ordering::Relaxed) {
+        if self.exec.meter.charge(&self.exec.clock) > QUANTUM {
             self.exec.yield_current();
         }
         self.check_deadline();
@@ -1159,13 +1156,12 @@ mod tests {
     #[test]
     fn quantum_preemption_round_robins_cpu_hogs() {
         let e = exec();
-        e.set_quantum(10_000);
         let log = Arc::new(Mutex::new(Vec::new()));
         for tag in ["a", "b"] {
             let log = log.clone();
             e.spawn(tag, move |ctx| {
                 for _ in 0..3 {
-                    ctx.work(15_000); // exceeds quantum every round
+                    ctx.work(QUANTUM * 3 / 2); // exceeds quantum every round
                     log.lock().push(tag);
                     ctx.preempt_point();
                 }

@@ -15,12 +15,14 @@
 //! processor arriving and leaving.
 
 use crate::events::{StrandEvents, StrandRef};
-use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::executor::{Executor, StrandCtx};
+use crate::wait::WaitQueue;
 use spin_check::sync::Mutex;
 use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::Identity;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
+use std::task::Poll;
 
 /// A schedulable task: a priority and a body.
 struct Task {
@@ -52,6 +54,8 @@ impl Ord for Task {
 struct PackageState {
     queue: BinaryHeap<Task>,
     next_seq: u64,
+    /// The carrier, while it waits for a task.
+    carrier: WaitQueue,
 }
 
 /// Statistics observed through the strand events.
@@ -69,7 +73,6 @@ pub struct PackageStats {
 pub struct TaskPackage {
     exec: Arc<Executor>,
     state: Arc<Mutex<PackageState>>,
-    carrier: StrandId,
     resumes: Arc<AtomicU64>,
     checkpoints: Arc<AtomicU64>,
     tasks_run: Arc<AtomicU64>,
@@ -87,25 +90,24 @@ impl TaskPackage {
         let state = Arc::new(Mutex::new(PackageState {
             queue: BinaryHeap::new(),
             next_seq: 0,
+            carrier: WaitQueue::default(),
         }));
         let tasks_run = Arc::new(AtomicU64::new(0));
         let st2 = state.clone();
         let tr2 = tasks_run.clone();
         let carrier = exec.spawn_on(spin_sal::HostId(0), name, priority, move |ctx| {
             loop {
-                let task = st2.lock().queue.pop();
-                match task {
-                    Some(t) => {
-                        (t.body)(ctx);
-                        tr2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-                                                             // A preemption safe point between tasks keeps the
-                                                             // package honest with the global quantum.
-                        ctx.preempt_point();
-                    }
-                    // Only this package wakes its carrier, and it does so
-                    // unconditionally: the kernel's one hand-rolled park.
-                    None => ctx.block(),
-                }
+                let task = ctx.wait(
+                    &st2,
+                    |st| &mut st.carrier,
+                    |st| st.queue.pop().map_or(Poll::Pending, Poll::Ready),
+                );
+                (task.body)(ctx);
+                tr2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+
+                // A preemption safe point between tasks keeps the package
+                // honest with the global quantum.
+                ctx.preempt_point();
             }
         });
         exec.set_daemon(carrier);
@@ -141,7 +143,6 @@ impl TaskPackage {
         Arc::new(TaskPackage {
             exec: exec.clone(),
             state,
-            carrier,
             resumes,
             checkpoints,
             tasks_run,
@@ -149,8 +150,9 @@ impl TaskPackage {
     }
 
     /// Submits a task at a priority; the package orders its own work.
+    /// Wakes the carrier only if it is waiting for a task.
     pub fn submit(&self, priority: u8, body: impl FnOnce(&StrandCtx) + Send + 'static) {
-        {
+        let wakeups = {
             let mut st = self.state.lock();
             let seq = st.next_seq;
             st.next_seq += 1;
@@ -159,8 +161,9 @@ impl TaskPackage {
                 seq,
                 body: Box::new(body),
             });
-        }
-        self.exec.unblock(self.carrier);
+            st.carrier.wake_one()
+        };
+        wakeups.unblock(&self.exec);
     }
 
     /// Event-observed statistics.
@@ -208,17 +211,16 @@ mod tests {
     #[test]
     fn the_package_observes_resume_and_checkpoint_via_events() {
         let (exec, events) = rig();
-        exec.set_quantum(20_000);
         let pkg = TaskPackage::start(&exec, &events, "app-sched", 8);
         // A competing strand forces real multiplexing.
         exec.spawn("competitor", |ctx| {
             for _ in 0..5 {
-                ctx.work(25_000);
+                ctx.work(1_250_000);
                 ctx.preempt_point();
             }
         });
         for _ in 0..5 {
-            pkg.submit(5, |ctx| ctx.work(25_000)); // each exceeds the quantum
+            pkg.submit(5, |ctx| ctx.work(1_250_000)); // each exceeds the quantum
         }
         exec.run_until_idle();
         let stats = pkg.stats();

@@ -94,14 +94,13 @@ mod tests {
             board.timers.clone(),
             board.profile.clone(),
         );
-        exec.set_quantum(50_000);
         let book = TicketBook::new();
         // Two CPU-bound strands; "rich" holds 3x the tickets of "poor".
         let mut ids = Vec::new();
         for name in ["rich", "poor"] {
             let id = exec.spawn(name, move |ctx| {
                 for _ in 0..400 {
-                    ctx.work(60_000); // one quantum per slice
+                    ctx.work(1_200_000); // one quantum per slice
                     ctx.preempt_point();
                 }
             });
@@ -129,12 +128,11 @@ mod tests {
                 board.timers.clone(),
                 board.profile.clone(),
             );
-            exec.set_quantum(10_000);
             let book = TicketBook::new();
             for i in 0..4 {
                 let id = exec.spawn(&format!("s{i}"), |ctx| {
                     for _ in 0..20 {
-                        ctx.work(15_000);
+                        ctx.work(1_500_000);
                         ctx.preempt_point();
                     }
                 });
@@ -157,17 +155,16 @@ mod tests {
             board.timers.clone(),
             board.profile.clone(),
         );
-        exec.set_quantum(10_000);
         let book = TicketBook::new();
         let small = exec.spawn("small", |ctx| {
             for _ in 0..5 {
-                ctx.work(12_000);
+                ctx.work(1_200_000);
                 ctx.preempt_point();
             }
         });
         let big = exec.spawn("big", |ctx| {
             for _ in 0..200 {
-                ctx.work(12_000);
+                ctx.work(1_200_000);
                 ctx.preempt_point();
             }
         });

@@ -19,20 +19,20 @@ struct StrandSpec {
 fn spec_strategy() -> impl Strategy<Value = StrandSpec> {
     (
         1u8..16,
-        prop::collection::vec((1_000u32..200_000, any::<bool>()), 1..6),
+        // Up to four 1 ms quanta a slice, so preemption is exercised.
+        prop::collection::vec((1_000u32..4_000_000, any::<bool>()), 1..6),
     )
         .prop_map(|(priority, slices)| StrandSpec { priority, slices })
 }
 
 /// Runs a workload and returns its observable trace.
-fn run(specs: &[StrandSpec], quantum: u64) -> (Vec<String>, u64, u64, Vec<u64>) {
+fn run(specs: &[StrandSpec]) -> (Vec<String>, u64, u64, Vec<u64>) {
     let board = SimBoard::new();
     let exec = Executor::new(
         board.clock.clone(),
         board.timers.clone(),
         board.profile.clone(),
     );
-    exec.set_quantum(quantum);
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let mut ids = Vec::new();
     for (i, spec) in specs.iter().enumerate() {
@@ -70,10 +70,9 @@ proptest! {
     #[test]
     fn runs_are_bit_identical(
         specs in prop::collection::vec(spec_strategy(), 1..6),
-        quantum in 10_000u64..500_000,
     ) {
-        let a = run(&specs, quantum);
-        let b = run(&specs, quantum);
+        let a = run(&specs);
+        let b = run(&specs);
         prop_assert_eq!(a, b);
     }
 
@@ -84,7 +83,7 @@ proptest! {
     fn cpu_accounting_is_conserved(
         specs in prop::collection::vec(spec_strategy(), 1..6),
     ) {
-        let (_, end_time, _, cpu) = run(&specs, 1_000_000);
+        let (_, end_time, _, cpu) = run(&specs);
         let declared: u64 = specs
             .iter()
             .flat_map(|s| s.slices.iter().map(|&(w, _)| w as u64))
@@ -94,7 +93,7 @@ proptest! {
         prop_assert!(total <= end_time, "accounted {total} > elapsed {end_time}");
     }
 
-    /// Strict priority: with no yields and a huge quantum, a strictly
+    /// Strict priority: with no yields and less work than a quantum, a strictly
     /// higher-priority strand finishes all its work before a lower one
     /// starts.
     #[test]
@@ -106,7 +105,7 @@ proptest! {
             StrandSpec { priority: 1, slices: vec![(lo_work, false)] },
             StrandSpec { priority: 15, slices: vec![(hi_work, false)] },
         ];
-        let (trace, _, _, _) = run(&specs, u64::MAX / 4);
+        let (trace, _, _, _) = run(&specs);
         // s1 (priority 15) must appear before s0 (priority 1).
         let hi_pos = trace.iter().position(|e| e.starts_with("s1:"));
         let lo_pos = trace.iter().position(|e| e.starts_with("s0:"));

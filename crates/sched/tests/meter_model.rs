@@ -9,7 +9,8 @@
 //! consumed. Here that book is a test-local clock subscriber, and random
 //! programs of thread strands and run-to-completion strands — `work`,
 //! `yield_now`, `sleep`, `preempt_point`, and blocking and waking through
-//! a [`WaitQueue`], under a small quantum — are run against both. Checked:
+//! a [`WaitQueue`], with charges of a few percent of the executor's 1 ms
+//! quantum up to most of it — are run against both. Checked:
 //!
 //! * a safe point yields exactly when the book's flag is set;
 //! * `cpu_time` and `host_busy` equal the book after every operation, so
@@ -48,15 +49,17 @@ enum Body {
     Step(Vec<(Vec<Nanos>, bool)>),
 }
 
+/// The executor's preemption quantum, which the book preempts on too.
+const QUANTUM: Nanos = 1_000_000;
+
 #[derive(Debug, Clone)]
 struct Program {
-    quantum: Nanos,
     /// (host, body), one per strand.
     strands: Vec<(u32, Body)>,
 }
 
 fn op() -> impl Strategy<Value = Op> {
-    let work = || (100u64..6_000).prop_map(Op::Work);
+    let work = || (15_000u64..900_000).prop_map(Op::Work);
     // Work and safe points twice as likely as the rest.
     prop_oneof![
         work(),
@@ -64,14 +67,17 @@ fn op() -> impl Strategy<Value = Op> {
         Just(Op::Preempt),
         Just(Op::Preempt),
         Just(Op::Yield),
-        (1_000u64..40_000).prop_map(Op::Sleep),
+        (150_000u64..6_000_000).prop_map(Op::Sleep),
         Just(Op::Wait),
         Just(Op::Signal),
     ]
 }
 
 fn body() -> impl Strategy<Value = Body> {
-    let slice = (prop::collection::vec(100u64..6_000, 0..4), any::<bool>());
+    let slice = (
+        prop::collection::vec(15_000u64..900_000, 0..4),
+        any::<bool>(),
+    );
     prop_oneof![
         prop::collection::vec(op(), 1..12).prop_map(Body::Thread),
         prop::collection::vec(slice, 1..5).prop_map(Body::Step),
@@ -79,11 +85,7 @@ fn body() -> impl Strategy<Value = Body> {
 }
 
 fn program() -> impl Strategy<Value = Program> {
-    (
-        1_000u64..12_000,
-        prop::collection::vec((0u32..2, body()), 1..5),
-    )
-        .prop_map(|(quantum, strands)| Program { quantum, strands })
+    prop::collection::vec((0u32..2, body()), 1..5).prop_map(|strands| Program { strands })
 }
 
 /// The retired per-charge book, kept by a clock subscriber.
@@ -148,10 +150,8 @@ fn run(p: &Program) {
         board.timers.clone(),
         board.profile.clone(),
     );
-    exec.set_quantum(p.quantum);
     let book = Arc::new(Mutex::new(Book::default()));
     let hosts: Arc<Mutex<BTreeMap<StrandId, HostId>>> = Arc::default();
-    let quantum = p.quantum;
     let (weak, book2, hosts2): (Weak<Executor>, _, _) =
         (Arc::downgrade(&exec), book.clone(), hosts.clone());
     board.clock.add_advance_hook(Box::new(move |ns| {
@@ -177,7 +177,7 @@ fn run(p: &Program) {
                         .push(format!("the clock skipped {gap} inside {id:?}'s slice"));
                 }
                 b.slice += ns;
-                if b.slice > quantum {
+                if b.slice > QUANTUM {
                     b.pending = true;
                 }
                 *b.cpu.entry(id).or_default() += ns;

@@ -29,8 +29,13 @@ while [ $# -gt 0 ]; do
 done
 
 SMOKE_DIR="$(mktemp -d)"
+# Building `perf/` (the perf-tests and perf-smoke gates) rewrites its lock
+# file; a run puts back the one it found, so it leaves the tree as it was.
+cp perf/Cargo.lock "$SMOKE_DIR/perf-Cargo.lock"
 SUMMARY=()
 summary() {
+    cmp -s "$SMOKE_DIR/perf-Cargo.lock" perf/Cargo.lock ||
+        cp "$SMOKE_DIR/perf-Cargo.lock" perf/Cargo.lock
     rm -rf "$SMOKE_DIR"
     if [ "${#SUMMARY[@]}" -gt 0 ]; then
         printf '\n%-36s %10s\n' "gate" "seconds"

@@ -230,6 +230,62 @@ fn equal_deadline_mail_fires_in_lane_order_whatever_the_host_timing() {
     assert_eq!(run(4), base, "4 workers diverged");
 }
 
+/// Two senders on different shards put their frames on one medium in the
+/// same epoch, under a drop filter that picks its victims by sender and
+/// by the frame's index on the sender's link: the same frames are lost at
+/// 1, 2 and 4 workers. The host sleeps force opposite orders on the
+/// wire's lock — at one worker shard 0 sends before shard 1, at two and
+/// four shard 0's sender sleeps and shard 1 sends first — which is what a
+/// filter fed one count for the whole medium told apart.
+#[test]
+fn a_drop_filter_loses_the_same_frames_whatever_the_lock_order() {
+    const FRAMES: u64 = 10;
+    let run = |workers: usize| -> Vec<(u16, u64)> {
+        let rig = ShardRig::new(workers, 3);
+        let medium = Medium::Ethernet;
+        rig.board.ethernet.set_drop_filter(|_, i| i % 3 == 1);
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let sink = &rig.shards[2].stack;
+        for port in [7u16, 8] {
+            let got = got.clone();
+            UdpSocket::bind_with(sink, port, "sink", move |p| {
+                let seq = u64::from_le_bytes(p.payload[..8].try_into().expect("8 bytes"));
+                got.lock().expect("no poisoning").push((port, seq));
+            })
+            .expect("bind sink");
+        }
+        let to = sink.ip_on(medium);
+        for (shard, port, nap) in [(0, 7u16, 60), (1, 8, 0)] {
+            let sender = rig.shards[shard].stack.clone();
+            rig.shards[shard].exec.spawn("sender", move |_| {
+                std::thread::sleep(Duration::from_millis(nap));
+                for seq in 0..FRAMES {
+                    sender
+                        .udp_send(port, to, port, &seq.to_le_bytes())
+                        .expect("send");
+                }
+            });
+        }
+        assert_eq!(rig.mc.run_until_idle(), IdleOutcome::AllComplete);
+        let got = got.lock().expect("no poisoning").clone();
+        got
+    };
+    let base = run(1);
+    let mut lost: Vec<(u16, u64)> = [7u16, 8]
+        .into_iter()
+        .flat_map(|port| (0..FRAMES).map(move |seq| (port, seq)))
+        .filter(|pair| !base.contains(pair))
+        .collect();
+    lost.sort_unstable();
+    let every_third = [(7, 1), (7, 4), (7, 7), (8, 1), (8, 4), (8, 7)];
+    assert_eq!(
+        lost, every_third,
+        "each sender loses its own every third frame"
+    );
+    assert_eq!(run(2), base, "2 workers diverged");
+    assert_eq!(run(4), base, "4 workers diverged");
+}
+
 /// Two open-loop senders at the two ends of a three-shard chain each push
 /// `FRAMES` datagrams through the middle shard, which forwards each flow to
 /// the far end. The senders start together and pace alike, so the middle

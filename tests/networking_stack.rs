@@ -10,7 +10,8 @@ use std::sync::Arc;
 #[test]
 fn tcp_bulk_transfer_survives_heavy_loss_on_both_directions() {
     let rig = TwoHosts::new();
-    rig.board.ethernet.set_drop_filter(|i| i % 4 == 3); // 25% loss
+    // 25% loss: every 4th frame each host sends.
+    rig.board.ethernet.set_drop_filter(|_, i| i % 4 == 3);
     let tcp_a = TcpStack::install(&rig.a);
     let tcp_b = TcpStack::install(&rig.b);
     let listener = tcp_b.listen(80);

@@ -297,7 +297,10 @@ fn every_domain_row_is_the_sum_of_its_owners_books() {
     let rpc_a = Rpc::install(&rig.a).expect("RPC on A");
     let rpc_b = Rpc::install(&rig.b).expect("RPC on B");
     rpc_b.register("echo", |args| args.to_vec());
-    rig.board.ethernet.set_drop_filter(|i| i < 2);
+    let from_a = rig.host_a.endpoint();
+    rig.board
+        .ethernet
+        .set_drop_filter(move |from, i| from == from_a && i < 2);
     let dst = rig.b.ip_on(Medium::Ethernet);
     let caller = rpc_a.clone();
     rig.exec.spawn("caller", move |ctx| {

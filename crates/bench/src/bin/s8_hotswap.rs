@@ -158,7 +158,7 @@ fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
             assert!(
                 mc.post_control(host_b.id, T_QUIESCE, move |_now| {
                     let gate = Arc::new(ev) as Arc<dyn GatedEvent>;
-                    *slot.lock() = Some(coord.begin("Forward", vec![gate]));
+                    *slot.lock() = Some(coord.begin(vec![gate]));
                 }),
                 "post quiesce phase"
             );

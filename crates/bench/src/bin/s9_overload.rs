@@ -283,7 +283,6 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                 let (served2, clk2) = (served.clone(), clk.clone());
                 coord
                     .swap(
-                        "greedy",
                         vec![Arc::new(ev.clone())],
                         &ident,
                         &(),

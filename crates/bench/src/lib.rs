@@ -173,7 +173,7 @@ impl JsonReport {
     }
 
     /// Renders the report as a JSON document.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{{");
         let _ = writeln!(out, "  \"benchmark\": \"{}\",", json_escape(&self.name));

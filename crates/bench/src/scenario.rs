@@ -159,7 +159,7 @@ impl Wiring {
 
     /// Obs accounting, the `core.dispatch` fault site and the standard
     /// containment sink.
-    pub fn wire_dispatcher(&self, d: &Dispatcher) {
+    pub(crate) fn wire_dispatcher(&self, d: &Dispatcher) {
         self.count_charges(d.clock());
         if let Some(obs) = &self.obs {
             d.set_obs(obs.domain("dispatcher"));
@@ -488,7 +488,6 @@ pub fn table6_udp(w: &Wiring, medium: Medium, mid_run_swap: bool) -> (Nanos, Eve
         let ev = &rig.b.events().udp_arrived;
         let report = coord
             .swap(
-                "Forward",
                 vec![Arc::new(ev.clone())],
                 fwd.identity(),
                 &fwd,

@@ -53,7 +53,7 @@ impl<T> HookSlot<T> {
 
     /// Whether a hook has been installed.
     #[inline]
-    pub fn is_armed(&self) -> bool {
+    pub(crate) fn is_armed(&self) -> bool {
         self.cell.get().is_some()
     }
 }

@@ -105,34 +105,6 @@ macro_rules! instrumented_atomic {
                 self.rmw(ord, move |old| old.max(v), |real, o| real.fetch_max(v, o))
             }
 
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                success: Ordering,
-                failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                match model::current_ctx() {
-                    Some(c) => {
-                        let init = self.real.load(Ordering::Relaxed) as u64;
-                        c.exec
-                            .atomic_cas(
-                                c.tid,
-                                self.id.get(),
-                                success,
-                                failure,
-                                init,
-                                current as u64,
-                                new as u64,
-                                |w| self.real.store(w as $ty, Ordering::Relaxed),
-                            )
-                            .map(|v| v as $ty)
-                            .map_err(|v| v as $ty)
-                    }
-                    None => self.real.compare_exchange(current, new, success, failure),
-                }
-            }
-
             fn rmw(
                 &self,
                 ord: Ordering,
@@ -212,7 +184,8 @@ impl AtomicBool {
         }
     }
 
-    pub fn swap(&self, v: bool, ord: Ordering) -> bool {
+    #[cfg(spin_check)]
+    pub(crate) fn swap(&self, v: bool, ord: Ordering) -> bool {
         match model::current_ctx() {
             Some(c) => {
                 let init = self.real.load(Ordering::Relaxed) as u64;
@@ -226,34 +199,6 @@ impl AtomicBool {
                 ) != 0
             }
             None => self.real.swap(v, ord),
-        }
-    }
-
-    pub fn compare_exchange(
-        &self,
-        current: bool,
-        new: bool,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<bool, bool> {
-        match model::current_ctx() {
-            Some(c) => {
-                let init = self.real.load(Ordering::Relaxed) as u64;
-                c.exec
-                    .atomic_cas(
-                        c.tid,
-                        self.id.get(),
-                        success,
-                        failure,
-                        init,
-                        current as u64,
-                        new as u64,
-                        |w| self.real.store(w != 0, Ordering::Relaxed),
-                    )
-                    .map(|v| v != 0)
-                    .map_err(|v| v != 0)
-            }
-            None => self.real.compare_exchange(current, new, success, failure),
         }
     }
 }
@@ -292,10 +237,6 @@ impl<T> Mutex<T> {
             inner: parking_lot::Mutex::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> Mutex<T> {
@@ -309,10 +250,6 @@ impl<T: ?Sized> Mutex<T> {
             ctx,
             inner: Some(self.inner.lock()),
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -411,10 +348,6 @@ impl<T> RwLock<T> {
             inner: parking_lot::RwLock::new(value),
         }
     }
-
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner()
-    }
 }
 
 impl<T: ?Sized> RwLock<T> {
@@ -440,10 +373,6 @@ impl<T: ?Sized> RwLock<T> {
             ctx,
             inner: Some(self.inner.write()),
         }
-    }
-
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut()
     }
 }
 
@@ -592,7 +521,8 @@ impl<T> OnceLock<T> {
 
     /// Empties the cell. Exclusive access is no schedule point; the cell
     /// becomes a new model object, as empty in the model as it is for real.
-    pub fn take(&mut self) -> Option<T> {
+    #[cfg(spin_check)]
+    pub(crate) fn take(&mut self) -> Option<T> {
         self.id = ObjId::new();
         self.real.take()
     }

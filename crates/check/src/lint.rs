@@ -13,7 +13,7 @@
 //! | `O1` | every `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}` site carries an `// ordering:` justification within 2 lines |
 //! | `U1` | `unsafe` only in allowlisted files, each site with a `// SAFETY:` comment within 5 lines; crate roots declare the matching lint |
 //! | `C1` | public functions in the charged hot-path modules reach a `Clock` charge or document their charging story — `// uncharged:` (zero-cost by design) or `// charged:` (the charge lands behind a call the intra-file analysis can't see) — within 6 lines |
-//! | `P1` | every plain `pub` item under `crates/*/src` is named from outside its crate (another crate's `src`, any crate's `tests`/`benches`/`examples`, a `src/bin/` file, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — unless its name is declared twice, a live item of its crate names it in its signature, or a `// paper:` comment within 2 lines marks an interface the paper or README describes |
+//! | `P1` | every plain `pub` item under `crates/*/src` is named from outside its crate (another crate's `src`, any crate's `tests`/`benches`/`examples`, a `src/bin/` file, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — and an inherent associated function without `self` as `Type::name`; unless a live item of its crate names it in its signature (an `impl` member is kept by no signature), or a `// paper:` comment within 2 lines marks an interface the paper or README describes. A name declared twice that another crate names is kept but counted as kept only by a shared name (`shared_names`; `scripts/pub_sweep.sh` lets the compiler judge those) |
 //! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples`; the root package's manifest included |
 //!
 //! Rules run over the token stream from the crate's lexer (string literals,
@@ -230,7 +230,7 @@ impl Config {
 
     /// Load `root/lint.toml`, or an empty config when absent (fixture
     /// trees choose their own policy).
-    pub fn load(root: &Path) -> Result<Config, String> {
+    pub(crate) fn load(root: &Path) -> Result<Config, String> {
         let path = root.join("lint.toml");
         if !path.is_file() {
             return Ok(Config::default());
@@ -282,6 +282,12 @@ pub struct Report {
     /// Plain `pub` items per crate, as P1 indexes them: surface growth
     /// shows up in the golden's diff.
     pub pub_items: BTreeMap<String, usize>,
+    /// Per crate, the `pub` items P1 keeps only because their name is
+    /// declared twice: the blind spot a compile-checked sweep closes.
+    pub shared_names: BTreeMap<String, usize>,
+    /// Those items, `file:line: name` (`--shared` lists them; not part of
+    /// the JSON golden).
+    pub shared: Vec<String>,
     /// Items kept by a `// paper:` exemption rather than a caller.
     pub paper_exemptions: usize,
 }
@@ -290,18 +296,20 @@ impl Report {
     /// The machine-readable report `scripts/verify.sh` diffs against
     /// `scripts/goldens/lint_report.json`. Keys sorted, counts per rule,
     /// findings fully expanded. Deliberately excludes `files_scanned`.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut counts: BTreeMap<&str, usize> = RULES.iter().map(|r| (*r, 0)).collect();
         for f in &self.findings {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
         let mut s = String::from("{\n");
-        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 2,\n");
+        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 3,\n");
         s.push_str(&format!("  \"allow_entries\": {},\n", self.allow_entries));
         let rules = json_counts(counts.iter().map(|(r, c)| (*r, *c)));
         s.push_str(&format!("  \"rules\": {rules},\n"));
         let pub_items = json_counts(self.pub_items.iter().map(|(k, c)| (k.as_str(), *c)));
         s.push_str(&format!("  \"pub_items\": {pub_items},\n"));
+        let shared = json_counts(self.shared_names.iter().map(|(k, c)| (k.as_str(), *c)));
+        s.push_str(&format!("  \"shared_names\": {shared},\n"));
         s.push_str(&format!(
             "  \"paper_exemptions\": {},\n",
             self.paper_exemptions
@@ -1069,6 +1077,8 @@ fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         allow_entries: cfg.allow.len(),
         files_scanned,
         pub_items: surface.pub_items,
+        shared_names: surface.shared_names,
+        shared: surface.shared,
         paper_exemptions: surface.paper_exemptions,
     })
 }
@@ -1085,8 +1095,13 @@ const ITEM_KINDS: [&str; 7] = ["fn", "struct", "enum", "trait", "type", "const",
 const PAPER_WINDOW: usize = 2;
 
 /// What P1 measured besides its findings: the report's surface counts.
+#[derive(Default)]
 struct Surface {
     pub_items: BTreeMap<String, usize>,
+    /// Per crate, the items kept only because their name is declared twice.
+    shared_names: BTreeMap<String, usize>,
+    /// Those items, as `file:line: name`.
+    shared: Vec<String>,
     paper_exemptions: usize,
 }
 
@@ -1098,6 +1113,12 @@ struct PubItem {
     /// The names other modules see through it.
     sig: BTreeSet<String>,
     paper: bool,
+    /// Declared in an inherent `impl`: a signature naming it names
+    /// something else (a binding, another type's member), never it.
+    in_impl: bool,
+    /// For an associated function of an inherent `impl` that takes no
+    /// `self`: its type, the only path another crate can call it by.
+    assoc_of: Option<String>,
 }
 
 /// `crates/<name>/src/..` → `Some(name)`, the library crate the file
@@ -1235,12 +1256,83 @@ fn test_mask(lx: &Lexed) -> Vec<bool> {
     mask
 }
 
+/// Index after the `<..>` generics opening at `at`, or `at` if none does.
+fn skip_generics(toks: &[Tok], at: usize) -> usize {
+    if toks.get(at).is_none_or(|t| t.text != "<") {
+        return at;
+    }
+    let mut depth = 0i32;
+    for (j, t) in toks.iter().enumerate().skip(at) {
+        match t.text.as_str() {
+            "<" => depth += 1,
+            ">" if toks[j - 1].text != "-" => {
+                depth -= 1;
+                if depth == 0 {
+                    return j + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    toks.len()
+}
+
+/// The body range and self type of every inherent `impl` block in `toks`
+/// (`impl<T> a::Queue<T> where .. {` → `Queue`); trait impls and a
+/// macro's `impl $name` are left out.
+fn inherent_impls(toks: &[Tok]) -> Vec<(Range<usize>, String)> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        let at_item = i == 0 || matches!(toks[i - 1].text.as_str(), "}" | ";" | "]" | "{");
+        if toks[i].text != "impl" || !at_item {
+            continue;
+        }
+        let mut j = skip_generics(toks, i + 1);
+        let mut ty = None;
+        while let Some(t) = toks.get(j) {
+            match t.text.as_str() {
+                "for" => ty = None,
+                "{" | "where" => break,
+                "<" => {
+                    j = skip_generics(toks, j);
+                    continue;
+                }
+                // A macro's `impl $name` has no type to resolve.
+                _ if t.kind == TokKind::Ident => {
+                    ty = (toks[j - 1].text != "$").then(|| t.text.clone());
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        let is_trait_impl = (i + 1..j).any(|k| toks[k].text == "for");
+        let Some(open) = (j..toks.len()).find(|&k| toks[k].text == "{") else {
+            break;
+        };
+        if let (Some(ty), false) = (ty, is_trait_impl) {
+            out.push((open..brace_end(toks, open), ty));
+        }
+    }
+    out
+}
+
+/// Whether the `fn` named at `name` takes `self` (`self`, `&self`,
+/// `&'a mut self`, `self: Arc<Self>`).
+fn takes_self(toks: &[Tok], name: usize) -> bool {
+    let open = skip_generics(toks, name + 1);
+    toks[open + 1..]
+        .iter()
+        .take_while(|t| !matches!(t.text.as_str(), "," | ")"))
+        .any(|t| t.text == "self")
+}
+
 /// The plain `pub` items of file `file` (`pub(..)` and `pub use` are not
 /// items of this kind; a trait impl's members carry no `pub`).
 fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
     let toks = &lx.toks;
     let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
     let mask = test_mask(lx);
+    let impls = inherent_impls(toks);
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if mask[i] || toks[i].kind != TokKind::Ident || toks[i].text != "pub" {
@@ -1272,12 +1364,18 @@ fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
                 .get(n)
                 .is_some_and(|c| c.trim().starts_with("paper:"))
         });
+        let owner = impls.iter().find(|(body, _)| body.contains(&i));
+        let assoc_of = owner
+            .filter(|_| text(kind) == "fn" && !takes_self(toks, j + 1))
+            .map(|(_, ty)| ty.clone());
         out.push(PubItem {
             name: name.text.clone(),
             file,
             line,
             sig: signature(toks, kind, j + 2),
             paper,
+            in_impl: owner.is_some(),
+            assoc_of,
         });
     }
     out
@@ -1287,13 +1385,19 @@ fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
 /// its crate — another crate's `src`, any crate's `tests`/`benches`/
 /// `examples` (its own included), a `src/bin/` file, the root package or
 /// `perf/src` — by something other than a `pub use`, which only passes a
-/// name on (a plain `use`, such as a trait import, is a use). Names
-/// declared more than once are skipped, not guessed; a type is also live
-/// when a live item of its crate names it in its signature (narrowing it
-/// would fail `private_interfaces`); a `// paper:` comment in the two
-/// lines above exempts an interface the paper or README describes.
+/// name on (a plain `use`, such as a trait import, is a use). An inherent
+/// associated function without `self` must be named as `Type::name`, the
+/// only way another crate can call it. Another name declared more than
+/// once is not guessed: if some other crate names it, every item so
+/// named is kept, and counted (with what only it keeps) as kept only by a
+/// shared name; if none does, each is a finding. A type is also live when
+/// a live item of its crate names it in its signature (narrowing it would
+/// fail `private_interfaces`), and no signature keeps an `impl` member; a
+/// `// paper:` comment in the two lines above exempts an interface the
+/// paper or README describes.
 fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> Surface {
     let mut named_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    let mut paths_in: BTreeMap<(&str, &str), BTreeSet<usize>> = BTreeMap::new();
     let mut declared: BTreeMap<&str, usize> = BTreeMap::new();
     let mut items = Vec::new();
     for (f, file) in files.iter().enumerate() {
@@ -1320,50 +1424,91 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
                     *declared.entry(n.text.as_str()).or_default() += 1;
                 }
             }
+            // `Type::name` and `Type::<T>::name`.
+            if toks.get(i + 1).is_some_and(|n| n.text == "::") {
+                let mut j = skip_generics(toks, i + 2);
+                if j > i + 2 && toks.get(j).is_some_and(|n| n.text == "::") {
+                    j += 1;
+                }
+                if let Some(n) = toks.get(j).filter(|n| n.kind == TokKind::Ident) {
+                    paths_in
+                        .entry((t.text.as_str(), n.text.as_str()))
+                        .or_default()
+                        .insert(f);
+                }
+            }
         }
         if lib_crate(&file.rel).is_some() {
             items.extend(pub_items(f, &file.lx));
         }
     }
     let krate = |f: usize| lib_crate(&files[f].rel);
-    let mut live: Vec<bool> = items
-        .iter()
-        .map(|it| {
-            it.paper
-                || declared.get(it.name.as_str()) > Some(&1)
-                || named_in[it.name.as_str()]
-                    .iter()
-                    .any(|&f| krate(f) != krate(it.file))
-        })
-        .collect();
-    // Fixpoint: a live item keeps the same-crate items its signature names.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for a in 0..items.len() {
-            if !live[a] {
-                continue;
-            }
-            for b in 0..items.len() {
-                if !live[b]
-                    && krate(items[b].file) == krate(items[a].file)
-                    && items[a].sig.contains(&items[b].name)
-                {
-                    live[b] = true;
-                    changed = true;
+    let outside = |it: &PubItem, in_files: Option<&BTreeSet<usize>>| {
+        in_files.is_some_and(|fs| fs.iter().any(|&f| krate(f) != krate(it.file)))
+    };
+    // A name declared twice that another crate names may be a use of
+    // either declaration: such an item is kept, but only by a shared name.
+    let shared_name = |it: &PubItem| {
+        it.assoc_of.is_none()
+            && declared.get(it.name.as_str()) > Some(&1)
+            && outside(it, named_in.get(it.name.as_str()))
+    };
+    // Fixpoint: a live item keeps the same-crate items its signature names
+    // (other than itself and the members of an `impl`).
+    let keep = |live: &mut Vec<bool>| {
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for a in 0..items.len() {
+                if !live[a] {
+                    continue;
+                }
+                for b in 0..items.len() {
+                    if !live[b]
+                        && a != b
+                        && !items[b].in_impl
+                        && krate(items[b].file) == krate(items[a].file)
+                        && items[a].sig.contains(&items[b].name)
+                    {
+                        live[b] = true;
+                        changed = true;
+                    }
                 }
             }
         }
-    }
-    let mut surface = Surface {
-        pub_items: BTreeMap::new(),
-        paper_exemptions: items.iter().filter(|it| it.paper).count(),
     };
-    for (it, live) in items.iter().zip(live) {
+    let mut sure: Vec<bool> = items
+        .iter()
+        .map(|it| {
+            it.paper
+                || match &it.assoc_of {
+                    Some(ty) => outside(it, paths_in.get(&(ty.as_str(), it.name.as_str()))),
+                    None => !shared_name(it) && outside(it, named_in.get(it.name.as_str())),
+                }
+        })
+        .collect();
+    keep(&mut sure);
+    let mut live: Vec<bool> = items
+        .iter()
+        .zip(&sure)
+        .map(|(it, &sure)| sure || shared_name(it))
+        .collect();
+    keep(&mut live);
+    let mut surface = Surface {
+        paper_exemptions: items.iter().filter(|it| it.paper).count(),
+        ..Surface::default()
+    };
+    for (b, it) in items.iter().enumerate() {
         let file = &files[it.file];
         let name = lib_crate(&file.rel).expect("indexed under crates/*/src");
         *surface.pub_items.entry(name.to_string()).or_default() += 1;
-        if !live && !cfg.waived("P1", &file.rel) {
+        let shared = surface.shared_names.entry(name.to_string()).or_default();
+        if live[b] && !sure[b] {
+            *shared += 1;
+            surface
+                .shared
+                .push(format!("{}:{}: {}", file.rel, it.line, it.name));
+        } else if !live[b] && !cfg.waived("P1", &file.rel) {
             findings.push(Finding {
                 file: PathBuf::from(&file.rel),
                 line: it.line,
@@ -1454,18 +1599,20 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     lint_workspace_with(root, &cfg)
 }
 
-/// The `spin-lint` CLI driver: `[--root <dir>] [--json]`, exit 0 clean /
-/// 1 findings / 2 usage-or-IO error.
+/// The `spin-lint` CLI driver: `[--root <dir>] [--json] [--shared]`, exit
+/// 0 clean / 1 findings / 2 usage-or-IO error. `--shared` lists the items
+/// P1 keeps only by a shared name instead (`scripts/pub_sweep.sh` reads it).
 pub fn cli_run(args: impl Iterator<Item = String>) -> std::process::ExitCode {
     use std::process::ExitCode;
     let tool = "spin-lint";
     let mut args = args;
     let mut root = None;
-    let mut json = false;
+    let (mut json, mut shared) = (false, false);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--root" => root = args.next().map(PathBuf::from),
             "--json" => json = true,
+            "--shared" => shared = true,
             other => {
                 eprintln!("{tool}: unknown argument `{other}`");
                 return ExitCode::from(2);
@@ -1489,6 +1636,12 @@ pub fn cli_run(args: impl Iterator<Item = String>) -> std::process::ExitCode {
     };
     match lint_workspace(&root) {
         Ok(report) => {
+            if shared {
+                for item in &report.shared {
+                    println!("{item}");
+                }
+                return ExitCode::SUCCESS;
+            }
             if json {
                 print!("{}", report.to_json());
             } else {
@@ -1711,16 +1864,67 @@ mod tests {
             allow_entries: 3,
             files_scanned: 10,
             pub_items: BTreeMap::from([("core".to_string(), 7)]),
+            shared_names: BTreeMap::from([("core".to_string(), 2)]),
+            shared: Vec::new(),
             paper_exemptions: 1,
         };
         let j = r.to_json();
         assert!(j.contains("\"allow_entries\": 3"));
         assert!(j.contains("\"findings\": []"));
         assert!(j.contains("\"pub_items\": {\"core\": 7}"));
+        assert!(j.contains("\"shared_names\": {\"core\": 2}"));
         assert!(j.contains("\"paper_exemptions\": 1"));
         assert!(
             !j.contains("files_scanned"),
             "golden must not churn on file adds"
         );
+    }
+
+    /// P1 over in-memory files: the line of each finding, and the items
+    /// counted as kept only by a shared name.
+    fn p1(files: &[(&str, &str)]) -> (Vec<usize>, Vec<String>) {
+        let files: Vec<SourceFile> = files
+            .iter()
+            .map(|(rel, text)| SourceFile {
+                rel: rel.to_string(),
+                text: text.to_string(),
+                lx: lex(text),
+            })
+            .collect();
+        let mut findings = Vec::new();
+        let surface = rule_p1(&files, &Config::default(), &mut findings);
+        (findings.iter().map(|f| f.line).collect(), surface.shared)
+    }
+
+    #[test]
+    fn a_shared_name_keeps_nothing_alive_unless_another_crate_names_it() {
+        let lib = "pub struct Ghost;\n\
+                   pub struct A;\n\
+                   impl A { pub fn make(&self) -> Ghost { Ghost } }\n\
+                   pub struct B;\n\
+                   impl B { pub fn make(&self) -> Ghost { Ghost } }\n";
+        let types = "fn t() { let _ = (k::A, k::B); }\n";
+        // Both `make`s and the `Ghost` only they return are dead.
+        let (dead, shared) = p1(&[("crates/k/src/lib.rs", lib), ("tests/t.rs", types)]);
+        assert_eq!((dead, shared.len()), (vec![1, 3, 5], 0));
+        // Once another crate calls a `make`, either may be the one called:
+        // both are kept, and so is `Ghost`, all three only by the name.
+        let calls = "fn t() { k::A.make(); let _ = k::B; }\n";
+        let (dead, shared) = p1(&[("crates/k/src/lib.rs", lib), ("tests/t.rs", calls)]);
+        assert_eq!((dead, shared.len()), (vec![], 3), "{shared:?}");
+    }
+
+    #[test]
+    fn an_associated_function_lives_only_by_its_types_path() {
+        let lib = "pub struct A;\n\
+                   impl A { pub fn new() -> A { A } }\n\
+                   pub struct B;\n\
+                   impl B { pub fn new() -> B { B } }\n\
+                   impl<T> Q<T> { pub fn empty() -> u8 { 0 } }\n\
+                   pub struct Q<T>(T);\n";
+        let calls = "fn t() { let _ = k::B::new(); let _ = k::Q::<u8>::empty(); }\n";
+        // `A::new` and `A` are dead: `new` is named outside only as `B::new`.
+        let (dead, _) = p1(&[("crates/k/src/lib.rs", lib), ("tests/t.rs", calls)]);
+        assert_eq!(dead, vec![1, 2]);
     }
 }

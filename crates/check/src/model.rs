@@ -924,10 +924,6 @@ impl Default for Checker {
 }
 
 impl Checker {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     pub fn with_bound(preemption_bound: u32) -> Self {
         Checker { preemption_bound }
     }
@@ -1034,7 +1030,7 @@ mod tests {
 
     #[test]
     fn message_passing_release_acquire_passes() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let data = Arc::new(AtomicU64::new(0));
             let flag = Arc::new(AtomicBool::new(false));
             let (d2, f2) = (data.clone(), flag.clone());
@@ -1069,11 +1065,11 @@ mod tests {
             }
             t.join().unwrap();
         };
-        let report = Checker::new().check(scenario);
+        let report = Checker::default().check(scenario);
         let failure = report.failure.expect("relaxed publish must be caught");
         assert!(failure.message.contains("stale payload"), "{failure:?}");
         assert!(!failure.seed.is_empty());
-        let replay = Checker::new().replay(&failure.seed, scenario);
+        let replay = Checker::default().replay(&failure.seed, scenario);
         let refail = replay.failure.expect("seed must reproduce the failure");
         assert_eq!(refail.message, failure.message);
         assert_eq!(replay.executions, 1, "replay runs exactly one schedule");
@@ -1083,7 +1079,7 @@ mod tests {
     fn store_buffering_weak_outcome_is_explored() {
         // Under acquire/release (no SeqCst) both loads may see zero; a
         // checker that only interleaved sequentially would never find it.
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let x = Arc::new(AtomicU64::new(0));
             let y = Arc::new(AtomicU64::new(0));
             let (x2, y2) = (x.clone(), y.clone());
@@ -1102,7 +1098,7 @@ mod tests {
 
     #[test]
     fn lost_update_without_lock_is_caught() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let n = Arc::new(AtomicU64::new(0));
             let n2 = n.clone();
             let t = thread::spawn(move || {
@@ -1122,7 +1118,7 @@ mod tests {
 
     #[test]
     fn mutex_protected_counter_passes() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let n = Arc::new(Mutex::new(0u64));
             let n2 = n.clone();
             let t = thread::spawn(move || {
@@ -1138,7 +1134,7 @@ mod tests {
 
     #[test]
     fn ab_ba_deadlock_is_detected() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let a = Arc::new(Mutex::new(()));
             let b = Arc::new(Mutex::new(()));
             let (a2, b2) = (a.clone(), b.clone());
@@ -1157,7 +1153,7 @@ mod tests {
 
     #[test]
     fn oncelock_races_settle_to_one_writer() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let cell = Arc::new(OnceLock::new());
             let c2 = cell.clone();
             let t = thread::spawn(move || c2.set(1u32).is_ok());
@@ -1198,7 +1194,7 @@ mod tests {
 
     #[test]
     fn rwlock_readers_share_writers_exclude() {
-        let report = Checker::new().check(|| {
+        let report = Checker::default().check(|| {
             let l = Arc::new(crate::instr::RwLock::new(0u64));
             let l2 = l.clone();
             let t = thread::spawn(move || {

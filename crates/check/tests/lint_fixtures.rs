@@ -108,16 +108,22 @@ fn workspace_fixture_reports_all_violations() {
 /// its own file's tests fires, so does the type only its signature names,
 /// an item only a sibling module of its crate calls, an item only
 /// `pub use` lines name (its crate root's and another crate's), and a
-/// re-exported type only its own crate names. In `clean/p1` every item is
-/// named from outside its crate — the root `tests/`, the crate's own
-/// `tests/`, a `src/bin/` file, or `perf/src` (a trait through a plain
-/// `use` import) — skipped as a colliding name, kept by the fixpoint
-/// (through a signature in another file of the crate, or a `pub` field's
-/// second type argument), or exempt by `// paper:`.
+/// re-exported type only its own crate names. Two cases the rule once
+/// skipped fire too: a method whose name is declared twice and that no
+/// other crate names, with the type only such methods return, and an
+/// associated function other crates call only as another type's
+/// same-named function. In `clean/p1` every item is named from outside
+/// its crate — the root `tests/`, the crate's own `tests/`, a `src/bin/`
+/// file, or `perf/src` (a trait through a plain `use` import), a function
+/// without `self` by its type's path — kept by a shared name another
+/// crate names (and counted as such), kept by the fixpoint (through a
+/// signature in another file of the crate, or a `pub` field's second
+/// type argument), or exempt by `// paper:`.
 #[test]
 fn p1_flags_exactly_the_unreferenced_pub_items() {
     let bad = lint_workspace(&fixture_path("bad/p1")).expect("fixture is readable");
     let (lib, relayed) = ("crates/kern/src/lib.rs", "crates/kern/src/relayed.rs");
+    let shared = "crates/kern/src/shared.rs";
     assert_eq!(
         located(&bad),
         vec![
@@ -126,6 +132,10 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
             (lib.into(), 24, "P1"),    // only a sibling module calls it
             (relayed.into(), 5, "P1"), // only `pub use`s name it
             (relayed.into(), 8, "P1"), // re-exported, named only in its crate
+            (shared.into(), 6, "P1"),  // only the shared-name methods return it
+            (shared.into(), 12, "P1"), // a name declared twice, named nowhere else
+            (shared.into(), 19, "P1"),
+            (shared.into(), 28, "P1"), // outside, only `Meter::new` is called
         ],
         "{:#?}",
         bad.findings
@@ -142,7 +152,12 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
         clean.findings
     );
     assert_eq!(clean.paper_exemptions, 1);
-    assert_eq!(clean.pub_items.get("kern"), Some(&16));
+    assert_eq!(clean.pub_items.get("kern"), Some(&18));
+    assert_eq!(
+        clean.shared_names.get("kern"),
+        Some(&2),
+        "Left::size, Right::size"
+    );
 }
 
 /// A `rule = "*"` entry waives every rule but P1: under it the wall-clock

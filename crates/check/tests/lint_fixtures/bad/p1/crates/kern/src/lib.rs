@@ -29,6 +29,10 @@ mod relayed;
 
 pub use relayed::{Internal, Relayed};
 
+mod shared;
+
+pub use shared::{Gauge, Ghost, Left, Meter};
+
 fn internal() -> Internal {
     Internal
 }

@@ -43,7 +43,7 @@ pub struct Holder {
 pub struct Second;
 
 /// Named by `tests/`; each has a `size`, declared twice in this file and
-/// so skipped, not guessed.
+/// named by `tests/`, so kept, and counted as kept only by a shared name.
 pub struct Left;
 pub struct Right;
 
@@ -63,4 +63,14 @@ impl Right {
 // paper: the fixture's described interface.
 pub fn described() -> u64 {
     3
+}
+
+/// Named by `tests/` through its path, the only way another crate can call
+/// a function that takes no `self`.
+pub struct Dial;
+
+impl Dial {
+    pub fn new() -> Dial {
+        Dial
+    }
 }

@@ -1,5 +1,5 @@
-//! The root crate's tests name `tested`, `Holder`, `Left` and `Right`,
-//! and import the `Area` trait to call its method.
+//! The root crate's tests name `tested`, `Holder`, `Left`, `Right` and
+//! `Dial::new`, and import the `Area` trait to call its method.
 
 use kern::Area;
 
@@ -9,4 +9,5 @@ fn smoke() {
     assert!(kern::Holder { pair: Ok(1) }.pair.is_ok());
     assert_eq!(kern::Left.size() + kern::Right.size(), 3);
     assert_eq!(kern::square().area(), 4);
+    let _ = kern::Dial::new();
 }

@@ -87,13 +87,9 @@ impl ExternTable {
     }
 
     /// Number of live externalized references.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.entries.lock().len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -148,7 +144,7 @@ mod tests {
         let r = t.externalize(Arc::new(1u32));
         assert_eq!(t.len(), 1);
         t.revoke(r).unwrap();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t.recover::<u32>(r).is_err());
         assert!(t.revoke(r).is_err());
     }

@@ -322,7 +322,7 @@ pub enum InstallDecision<A: ?Sized> {
 impl<A> InstallDecision<A> {
     /// Plain acceptance with defaults.
     // uncharged: pure value constructor (authorizer protocol data).
-    pub fn allow() -> Self {
+    pub(crate) fn allow() -> Self {
         InstallDecision::Allow {
             owner_guard: None,
             constraints: None,
@@ -853,12 +853,6 @@ impl<A, R> RebindReceipt<A, R> {
     pub fn installed(&self) -> &[HandlerId] {
         &self.installed
     }
-
-    /// The identity whose handlers were removed.
-    // uncharged: receipt accessor.
-    pub fn old_installer(&self) -> &Identity {
-        &self.old_installer
-    }
 }
 
 /// RAII marker counting one raise (or one posted async invocation) as
@@ -1222,7 +1216,7 @@ impl Dispatcher {
     /// the usual rebuild-and-swap republish. Returns how many handlers
     /// were dropped. This is the quarantine primitive.
     // uncharged: quarantine control plane; not on the per-raise hot path.
-    pub fn purge_installer(&self, who: &Identity) -> usize {
+    pub(crate) fn purge_installer(&self, who: &Identity) -> usize {
         // Purge in event-definition order: the quarantine path must be
         // deterministic so a fault schedule replays identically (the
         // spin-check model checker rejects divergent re-executions). The
@@ -1286,7 +1280,7 @@ impl Dispatcher {
     /// owner guard, or constrain the handler. The installer may stack
     /// additional guards of its own.
     // uncharged: handler installation is control-plane; only raises are metered.
-    pub fn install<A, R>(
+    pub(crate) fn install<A, R>(
         &self,
         ev: &Event<A, R>,
         installer: Identity,
@@ -2024,12 +2018,6 @@ where
     A: Send + Sync + 'static,
     R: Send + 'static,
 {
-    /// The event's qualified name (e.g. `"IP.PacketArrived"`).
-    // uncharged: accessor.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The event state, for the control plane — which, unlike a raise,
     /// takes no snapshot of its own: a destroyed event's handle still
     /// holds its (emptied) state, and is `UnknownEvent` here too.
@@ -2208,13 +2196,6 @@ where
         Ok(())
     }
 
-    /// Dispatches currently in flight (diagnostic; racy by nature).
-    // uncharged: diagnostics accessor.
-    pub fn in_flight(&self) -> Result<u64, DispatchError> {
-        // ordering: SeqCst — same protocol as drain_in_flight's probe.
-        Ok(self.live()?.in_flight.load(Ordering::SeqCst))
-    }
-
     /// Reopens the gate and replays every parked raise in the order it
     /// parked, so the replayed timeline is exactly the one an
     /// uninterrupted run would have dispatched. Replayed results are
@@ -2383,12 +2364,6 @@ where
     // uncharged: accessor.
     pub fn event(&self) -> &Event<A, R> {
         &self.event
-    }
-
-    /// The owning identity.
-    // uncharged: accessor.
-    pub fn identity(&self) -> &Identity {
-        &self.token
     }
 
     /// Installs the default implementation (the primary handler), bypassing

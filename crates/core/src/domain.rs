@@ -205,21 +205,6 @@ impl Domain {
             .get::<T>()
     }
 
-    /// Returns the full interface by name (own exports, then children).
-    pub fn interface(&self, name: &str) -> Option<Interface> {
-        for iface in self.inner.exports.read().iter() {
-            if iface.name() == name {
-                return Some(iface.clone());
-            }
-        }
-        for child in self.inner.children.read().iter() {
-            if let Some(i) = child.interface(name) {
-                return Some(i);
-            }
-        }
-        None
-    }
-
     /// Names of imports that are still unresolved.
     pub fn unresolved(&self) -> Vec<String> {
         self.inner

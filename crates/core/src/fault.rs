@@ -257,15 +257,6 @@ impl Containment {
         self.state.lock().faults_seen
     }
 
-    /// Lifts a quarantine (supervisor decision after a reinstall). The
-    /// trip count is reset; the domain's handlers and exports are *not*
-    /// restored — that is the supervisor's job.
-    pub fn release(&self, domain: &str) {
-        let mut st = self.state.lock();
-        st.quarantined.remove(domain);
-        st.trips.remove(domain);
-    }
-
     /// Accounts a fault contained *outside* the dispatcher — e.g. a
     /// hot-swap state transfer that panicked and was unwound by the swap
     /// coordinator. The fault is attributed to `domain` in the obs
@@ -431,9 +422,6 @@ mod tests {
         assert_eq!(c.quarantined(), vec!["flaky".to_string()]);
         assert_eq!(trips_seen.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         assert_eq!(d.handler_count(&ev).unwrap(), 1, "purged on quarantine");
-        c.release("flaky");
-        assert!(!c.is_quarantined("flaky"));
-        assert_eq!(c.trips("flaky"), 0);
     }
 
     #[test]

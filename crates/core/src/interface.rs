@@ -24,7 +24,7 @@ pub struct Symbol {
 
 impl Symbol {
     /// Wraps `value` as an exported symbol.
-    pub fn new<T: Any + Send + Sync>(name: &str, value: Arc<T>) -> Self {
+    pub(crate) fn new<T: Any + Send + Sync>(name: &str, value: Arc<T>) -> Self {
         Symbol {
             name: name.into(),
             value,
@@ -34,7 +34,7 @@ impl Symbol {
     }
 
     /// The symbol's name within its interface.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -51,7 +51,7 @@ impl Symbol {
     ///
     /// A mismatch is the paper's *type conflict* and yields an error rather
     /// than a misinterpreted pointer.
-    pub fn get<T: Any + Send + Sync>(&self) -> Result<Arc<T>, CoreError> {
+    pub(crate) fn get<T: Any + Send + Sync>(&self) -> Result<Arc<T>, CoreError> {
         self.value
             .clone()
             .downcast::<T>()
@@ -88,7 +88,7 @@ impl Interface {
     }
 
     /// The interface's global name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
@@ -104,17 +104,8 @@ impl Interface {
         self.symbols.iter().find(|s| s.name() == name)
     }
 
-    /// Recovers a symbol at its exported type.
-    pub fn get<T: Any + Send + Sync>(&self, symbol: &str) -> Result<Arc<T>, CoreError> {
-        self.symbol(symbol)
-            .ok_or_else(|| CoreError::NameNotFound {
-                name: format!("{}.{}", self.name, symbol),
-            })?
-            .get::<T>()
-    }
-
     /// All symbols, in export order.
-    pub fn symbols(&self) -> &[Symbol] {
+    pub(crate) fn symbols(&self) -> &[Symbol] {
         &self.symbols
     }
 }
@@ -122,32 +113,48 @@ impl Interface {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::Domain;
 
     struct ConsoleT {
         device: &'static str,
     }
 
+    /// A domain exporting `iface`: [`Domain::get`] is the typed lookup.
+    fn exporting(iface: Interface) -> Domain {
+        Domain::create_from_module("m", vec![iface])
+    }
+
     #[test]
     fn symbols_round_trip_at_their_type() {
-        let iface = Interface::new("ConsoleService")
-            .export("console", Arc::new(ConsoleT { device: "tga0" }))
-            .export("version", Arc::new(3u32));
-        assert_eq!(iface.get::<u32>("version").unwrap().as_ref(), &3);
-        assert_eq!(iface.get::<ConsoleT>("console").unwrap().device, "tga0");
+        let d = exporting(
+            Interface::new("ConsoleService")
+                .export("console", Arc::new(ConsoleT { device: "tga0" }))
+                .export("version", Arc::new(3u32)),
+        );
+        assert_eq!(
+            d.get::<u32>("ConsoleService", "version").unwrap().as_ref(),
+            &3
+        );
+        assert_eq!(
+            d.get::<ConsoleT>("ConsoleService", "console")
+                .unwrap()
+                .device,
+            "tga0"
+        );
     }
 
     #[test]
     fn wrong_type_is_a_type_conflict() {
-        let iface = Interface::new("I").export("x", Arc::new(1u32));
-        let err = iface.get::<u64>("x").unwrap_err();
+        let d = exporting(Interface::new("I").export("x", Arc::new(1u32)));
+        let err = d.get::<u64>("I", "x").unwrap_err();
         assert!(matches!(err, CoreError::TypeConflict { .. }));
     }
 
     #[test]
     fn missing_symbol_is_name_not_found() {
-        let iface = Interface::new("I");
+        let d = exporting(Interface::new("I"));
         assert!(matches!(
-            iface.get::<u32>("x"),
+            d.get::<u32>("I", "x"),
             Err(CoreError::NameNotFound { .. })
         ));
     }
@@ -158,6 +165,6 @@ mod tests {
             .export("x", Arc::new(1u32))
             .export("x", Arc::new(2u32));
         assert_eq!(iface.symbols().len(), 1);
-        assert_eq!(*iface.get::<u32>("x").unwrap(), 2);
+        assert_eq!(*exporting(iface).get::<u32>("I", "x").unwrap(), 2);
     }
 }

@@ -72,8 +72,6 @@ struct Registration {
     domain: Domain,
     exporter: Identity,
     authorizer: Option<Authorizer>,
-    imports: u64,
-    denials: u64,
 }
 
 /// The kernel's name → domain registry.
@@ -118,8 +116,6 @@ impl NameServer {
                 domain,
                 exporter,
                 authorizer,
-                imports: 0,
-                denials: 0,
             },
         );
         Ok(())
@@ -130,20 +126,18 @@ impl NameServer {
     /// (API v2): string lookups bypassed the interface type ids that make
     /// linking safe — [`NameServer::import_typed`] is the import surface.
     fn import_by_name(&self, name: &str, importer: &Identity) -> Result<Domain, CoreError> {
-        let mut names = self.names.lock();
-        let reg = names.get_mut(name).ok_or_else(|| CoreError::NameNotFound {
+        let names = self.names.lock();
+        let reg = names.get(name).ok_or_else(|| CoreError::NameNotFound {
             name: name.to_string(),
         })?;
         if let Some(auth) = &reg.authorizer {
             if !auth(importer) {
-                reg.denials += 1;
                 return Err(CoreError::AuthorizationDenied {
                     name: name.to_string(),
                     importer: importer.name().to_string(),
                 });
             }
         }
-        reg.imports += 1;
         Ok(reg.domain.clone())
     }
 
@@ -218,11 +212,6 @@ impl NameServer {
     pub fn names(&self) -> Vec<String> {
         self.names.lock().keys().cloned().collect()
     }
-
-    /// (successful imports, denials) for a name.
-    pub fn stats(&self, name: &str) -> Option<(u64, u64)> {
-        self.names.lock().get(name).map(|r| (r.imports, r.denials))
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +241,6 @@ mod tests {
         assert_eq!(*svc, 1);
         assert_eq!(svc.name(), "ConsoleService");
         assert_eq!(*svc.domain().get::<u32>("Console", "version").unwrap(), 1);
-        assert_eq!(ns.stats("ConsoleService"), Some((1, 0)));
     }
 
     /// The deprecated string `import` is gone; what it used to give a
@@ -272,7 +260,6 @@ mod tests {
             .unwrap();
         let d = svc.domain();
         assert_eq!(*d.get::<u32>("Console", "version").unwrap(), 1);
-        assert_eq!(ns.stats("ConsoleService"), Some((1, 0)));
     }
 
     #[test]
@@ -292,9 +279,6 @@ mod tests {
             }
             other => panic!("expected AmbiguousService, got {other:?}"),
         }
-        // Neither candidate was charged an import.
-        assert_eq!(ns.stats("A"), Some((0, 0)));
-        assert_eq!(ns.stats("B"), Some((0, 0)));
     }
 
     #[test]
@@ -323,7 +307,6 @@ mod tests {
             .import_typed::<u32>(&Identity::extension("rogue"))
             .unwrap_err();
         assert!(matches!(err, CoreError::AuthorizationDenied { .. }));
-        assert_eq!(ns.stats("Device"), Some((1, 1)));
     }
 
     #[test]

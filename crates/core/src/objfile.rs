@@ -124,11 +124,6 @@ pub struct ObjectFile {
 }
 
 impl ObjectFile {
-    /// The module name embedded in the file.
-    pub fn module(&self) -> &str {
-        &self.module
-    }
-
     /// The file's trust provenance.
     pub(crate) fn provenance(&self) -> Provenance {
         self.provenance
@@ -176,12 +171,6 @@ impl ObjectFileBuilder {
         }
     }
 
-    /// Exports an interface from the module.
-    pub fn export(mut self, interface: Interface) -> Self {
-        self.exports.push(interface);
-        self
-    }
-
     /// Declares a typed import and returns the slot the module's code will
     /// call through once linked.
     pub fn import<T: Any + Send + Sync>(&mut self, interface: &str, symbol: &str) -> ImportSlot<T> {
@@ -213,7 +202,7 @@ mod tests {
     fn builder_produces_signed_files() {
         let f = ObjectFileBuilder::new("gatekeeper").sign();
         assert_eq!(f.provenance(), Provenance::CompilerSigned);
-        assert_eq!(f.module(), "gatekeeper");
+        assert_eq!(f.module, "gatekeeper");
     }
 
     #[test]

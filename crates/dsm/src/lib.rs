@@ -459,7 +459,8 @@ impl DsmNode {
     }
 
     /// The addressing context the region lives in.
-    pub fn context(&self) -> ContextId {
+    #[cfg(test)]
+    pub(crate) fn context(&self) -> ContextId {
         self.ctx
     }
 }

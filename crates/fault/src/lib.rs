@@ -292,11 +292,6 @@ impl FaultHook {
             site: self.site.name,
         })
     }
-
-    /// The site name this hook draws for.
-    pub fn site(&self) -> &'static str {
-        self.site.name
-    }
 }
 
 #[cfg(test)]

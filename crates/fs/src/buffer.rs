@@ -79,11 +79,11 @@ impl CachePolicy for NoCachePolicy {
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub writebacks: u64,
+struct CacheStats {
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    writebacks: u64,
 }
 
 struct CacheState {
@@ -137,7 +137,7 @@ impl BufferCache {
     }
 
     /// Reads a block through the cache, blocking on a miss.
-    pub fn read(&self, ctx: &StrandCtx, block: BlockId) -> Arc<Vec<u8>> {
+    pub(crate) fn read(&self, ctx: &StrandCtx, block: BlockId) -> Arc<Vec<u8>> {
         {
             let mut st = self.state.lock();
             if let Some(data) = st.resident.get(&block).cloned() {
@@ -168,7 +168,7 @@ impl BufferCache {
     }
 
     /// Writes a block through the cache (write-through).
-    pub fn write(&self, ctx: &StrandCtx, block: BlockId, data: Vec<u8>) {
+    pub(crate) fn write(&self, ctx: &StrandCtx, block: BlockId, data: Vec<u8>) {
         assert_eq!(data.len(), BLOCK_SIZE, "partial block write");
         let shared = Arc::new(data);
         {
@@ -186,18 +186,15 @@ impl BufferCache {
     }
 
     /// Current statistics.
-    pub fn stats(&self) -> CacheStats {
+    #[cfg(test)]
+    fn stats(&self) -> CacheStats {
         self.state.lock().stats
     }
 
     /// Number of resident blocks.
-    pub fn resident(&self) -> usize {
+    #[cfg(test)]
+    fn resident(&self) -> usize {
         self.state.lock().resident.len()
-    }
-
-    /// The underlying executor (for services layering on the cache).
-    pub fn executor(&self) -> &Arc<Executor> {
-        &self.exec
     }
 }
 

@@ -325,11 +325,6 @@ impl FileSystem {
         Ok(())
     }
 
-    /// The underlying buffer cache.
-    pub fn cache(&self) -> &BufferCache {
-        &self.cache
-    }
-
     /// Free data blocks remaining.
     pub fn free_blocks(&self) -> usize {
         self.state.lock().free_blocks.len()

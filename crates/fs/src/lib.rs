@@ -19,6 +19,6 @@ mod buffer;
 mod fs;
 mod webcache;
 
-pub use buffer::{BufferCache, CachePolicy, CacheStats, LruPolicy, NoCachePolicy};
+pub use buffer::{BufferCache, CachePolicy, LruPolicy, NoCachePolicy};
 pub use fs::{FileSystem, FsError};
 pub use webcache::{HybridBySize, ObjectCacheStats, ObjectPolicy, WebCache};

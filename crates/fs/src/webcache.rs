@@ -106,15 +106,6 @@ impl WebCache {
         (obj, false)
     }
 
-    /// Invalidates an object (e.g. after a file write).
-    pub fn invalidate(&self, key: &str) {
-        let mut st = self.state.lock();
-        if let Some(old) = st.objects.remove(key) {
-            st.bytes -= old.len();
-            st.lru.retain(|k| k != key);
-        }
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> ObjectCacheStats {
         self.state.lock().stats
@@ -183,15 +174,5 @@ mod tests {
         let s = c.stats();
         assert!(s.evictions >= 1);
         assert!(c.state.lock().bytes <= 100);
-    }
-
-    #[test]
-    fn invalidate_forces_reload() {
-        let c = WebCache::new(1024, Box::new(CacheAll));
-        c.get_or_load("k", || vec![1]);
-        c.invalidate("k");
-        let (v, hit) = c.get_or_load("k", || vec![2]);
-        assert!(!hit);
-        assert_eq!(*v, vec![2]);
     }
 }

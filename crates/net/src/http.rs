@@ -85,7 +85,7 @@ impl Response {
     }
 
     /// A bare 404 (1995-style: status line only).
-    pub fn not_found() -> Response {
+    pub(crate) fn not_found() -> Response {
         Response {
             status: 404,
             headers: Vec::new(),

@@ -47,6 +47,6 @@ pub use stack::{
     AddressMap, IcmpPacket, IpPacket, LinkFrame, Medium, NetError, NetEvents, NetStack, NetStats,
     SendRequest, SendVerdict, TcpSegment, Topology, UdpPacket,
 };
-pub use tcp::{TcpConn, TcpError, TcpListenerSocket, TcpStack, TcpState};
+pub use tcp::{TcpConn, TcpError, TcpListenerSocket, TcpStack};
 pub use testrig::{RigShard, ShardRig, ThreeHosts, TwoHosts};
 pub use video::{VideoClient, VideoServer};

@@ -137,7 +137,7 @@ impl Ipv4Header {
 
     /// The 20 header bytes (checksum computed) for a payload of
     /// `payload_len` bytes.
-    pub fn header_bytes(
+    pub(crate) fn header_bytes(
         src: IpAddr,
         dst: IpAddr,
         protocol: u8,
@@ -201,7 +201,11 @@ impl UdpHeader {
 
     /// The 8 header bytes for a payload of `payload_len` bytes (the
     /// checksum, optional over the simulated wire, stays zero).
-    pub fn header_bytes(src_port: u16, dst_port: u16, payload_len: usize) -> [u8; Self::LEN] {
+    pub(crate) fn header_bytes(
+        src_port: u16,
+        dst_port: u16,
+        payload_len: usize,
+    ) -> [u8; Self::LEN] {
         let len = (Self::LEN + payload_len) as u16;
         let mut h = [0u8; Self::LEN];
         h[0..2].copy_from_slice(&src_port.to_be_bytes());
@@ -213,7 +217,7 @@ impl UdpHeader {
     /// Builds the datagram as header + shared payload, byte-identical to
     /// [`UdpHeader::encode`]: what a forwarder hands down for a payload it
     /// received.
-    pub fn encode_chain(src_port: u16, dst_port: u16, payload: Bytes) -> BufChain {
+    pub(crate) fn encode_chain(src_port: u16, dst_port: u16, payload: Bytes) -> BufChain {
         let header = Self::header_bytes(src_port, dst_port, payload.len());
         chain(&header, payload)
     }
@@ -278,7 +282,7 @@ impl TcpHeader {
     }
 
     /// The 20 header bytes (checksum and urgent pointer stay zero).
-    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+    pub(crate) fn header_bytes(&self) -> [u8; Self::LEN] {
         let mut h = [0u8; Self::LEN];
         h[0..2].copy_from_slice(&self.src_port.to_be_bytes());
         h[2..4].copy_from_slice(&self.dst_port.to_be_bytes());
@@ -292,7 +296,7 @@ impl TcpHeader {
 
     /// Builds the wire segment as header + shared payload, byte-identical
     /// to [`TcpHeader::encode`].
-    pub fn encode_chain(&self, payload: Bytes) -> BufChain {
+    pub(crate) fn encode_chain(&self, payload: Bytes) -> BufChain {
         chain(&self.header_bytes(), payload)
     }
 
@@ -334,12 +338,12 @@ impl IcmpHeader {
     pub const LEN: usize = 8;
 
     /// Serializes header + payload.
-    pub fn encode(&self, payload: &[u8]) -> Bytes {
+    pub(crate) fn encode(&self, payload: &[u8]) -> Bytes {
         packet(&self.header_bytes(), payload)
     }
 
     /// The 8 header bytes (code and checksum stay zero).
-    pub fn header_bytes(&self) -> [u8; Self::LEN] {
+    pub(crate) fn header_bytes(&self) -> [u8; Self::LEN] {
         let mut h = [0u8; Self::LEN];
         h[0] = match self.kind {
             IcmpKind::EchoRequest => 8,
@@ -351,7 +355,7 @@ impl IcmpHeader {
     }
 
     /// Parses a message into (header, payload).
-    pub fn decode(msg: &Bytes) -> Option<(IcmpHeader, Bytes)> {
+    pub(crate) fn decode(msg: &Bytes) -> Option<(IcmpHeader, Bytes)> {
         if msg.len() < Self::LEN {
             return None;
         }

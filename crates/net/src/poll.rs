@@ -62,7 +62,7 @@ pub struct ReadyHub {
 impl ReadyHub {
     /// An empty hub.
     // uncharged: constructor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -101,14 +101,14 @@ impl ReadyHub {
     }
 
     /// Whether any notes are pending.
-    // uncharged: diagnostics probe.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.pending.lock().is_empty()
     }
 }
 
 /// A source's handle back to its poller: the packet path calls
-/// [`Registration::note`] when the source becomes ready.
+/// `Registration::note` when the source becomes ready.
 pub struct Registration {
     hub: Arc<ReadyHub>,
     poller: u64,
@@ -120,7 +120,7 @@ impl Registration {
     /// Notes readiness, filtered to the registered interest (`CLOSED`
     /// always passes — end-of-stream must never be silently dropped).
     // uncharged: scoreboard write (see `ReadyHub::note`).
-    pub fn note(&self, what: u8) {
+    pub(crate) fn note(&self, what: u8) {
         let m = what & (self.mask | interest::CLOSED);
         if m != 0 {
             self.hub.note(self.poller, self.token, m);
@@ -299,7 +299,7 @@ impl NetPoller {
     /// Posts local readiness (timer ticks, user wakeups) directly into
     /// this poller, bypassing the hub (no raise, no charge).
     // uncharged: local scoreboard write; no event is raised.
-    pub fn post(&self, token: Token, mask: u8) {
+    pub(crate) fn post(&self, token: Token, mask: u8) {
         self.mark(&[(token, mask)]);
     }
 

@@ -73,13 +73,13 @@ impl AddressMap {
 
     /// Registers an address.
     // uncharged: address registration is control-plane.
-    pub fn register(&self, ip: IpAddr, medium: Medium, endpoint: WireEndpoint) {
+    pub(crate) fn register(&self, ip: IpAddr, medium: Medium, endpoint: WireEndpoint) {
         self.entries.write().insert(ip, (medium, endpoint));
     }
 
     /// Resolves an address (per-packet hot path; shared read access).
     // uncharged: lookup cost is folded into the sender's per-hop charge.
-    pub fn resolve(&self, ip: IpAddr) -> Option<(Medium, WireEndpoint)> {
+    pub(crate) fn resolve(&self, ip: IpAddr) -> Option<(Medium, WireEndpoint)> {
         self.entries.read().get(&ip).copied()
     }
 }
@@ -183,7 +183,7 @@ pub struct Topology {
 impl Topology {
     /// Records "`event` is handled by `handler`".
     // uncharged: Figure 5 diagnostics recorder.
-    pub fn note(&self, event: &str, handler: &str) {
+    pub(crate) fn note(&self, event: &str, handler: &str) {
         self.edges
             .lock()
             .push((event.to_string(), handler.to_string()));
@@ -653,7 +653,7 @@ impl NetStack {
     /// The wired observability hook, if any (measurement harnesses park
     /// their histograms in its accounting registry).
     // uncharged: accessor.
-    pub fn obs(&self) -> Option<&ObsHook> {
+    pub(crate) fn obs(&self) -> Option<&ObsHook> {
         self.inner.obs.get()
     }
 
@@ -760,7 +760,7 @@ impl NetStack {
     /// have already claimed the packet, e.g. multicast fan-out).
     // charged: frame assembly is uncharged; the NIC charges driver/PIO/DMA
     // costs on handoff.
-    pub fn transmit(
+    pub(crate) fn transmit(
         &self,
         dst: IpAddr,
         protocol: u8,
@@ -956,6 +956,7 @@ impl NetStack {
     }
 
     /// Pings `dst` with `payload_len` bytes; returns the round-trip time.
+    // paper: Figure 5, the Ping extension on `ICMP.PktArrived`.
     pub fn ping(&self, ctx: &StrandCtx, dst: IpAddr, payload_len: usize) -> Option<Nanos> {
         let ident = self.inner.host.id.0 as u16;
         let seq = self.inner.ping_seq.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.

@@ -64,7 +64,7 @@ pub enum TcpError {
 
 /// Connection states (RFC 793 subset).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpState {
+pub(crate) enum TcpState {
     SynSent,
     SynReceived,
     Established,
@@ -128,7 +128,8 @@ pub struct TcpConn {
 
 impl TcpConn {
     /// The connection's current state.
-    pub fn state(&self) -> TcpState {
+    #[cfg(test)]
+    pub(crate) fn state(&self) -> TcpState {
         self.state.lock().state
     }
 

@@ -221,18 +221,6 @@ impl ThreeHosts {
             c,
         }
     }
-
-    /// Wires an observability subsystem across the whole rig (see
-    /// [`TwoHosts::wire_obs`]).
-    pub fn wire_obs(&self, obs: &spin_obs::Obs) {
-        let clock = self.board.clock.clone();
-        obs.set_time_source(Arc::new(move || clock.now()));
-        self.exec.set_obs(obs.domain("sched"));
-        for stack in [&self.a, &self.b, &self.c] {
-            stack.set_obs(obs.domain("net"));
-        }
-        self.dispatcher.set_obs(obs.domain("dispatcher"));
-    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@ use spin_check::sync::Mutex;
 use spin_core::Identity;
 use spin_fs::FileSystem;
 use spin_sal::Nanos;
-use spin_sched::StrandId;
 use std::sync::Arc;
 
 /// The UDP port video streams use.
@@ -44,7 +43,6 @@ pub struct VideoServerStats {
 pub struct VideoServer {
     clients: Arc<Mutex<Vec<IpAddr>>>,
     stats: Arc<Mutex<VideoServerStats>>,
-    strand: StrandId,
 }
 
 impl VideoServer {
@@ -94,7 +92,7 @@ impl VideoServer {
         let st3 = stats.clone();
         let path = path.to_string();
         let frame_interval: Nanos = 1_000_000_000 / fps.max(1);
-        let strand = exec.spawn("video-server", move |ctx| {
+        exec.spawn("video-server", move |ctx| {
             let file_size = fs_size(&fs, &path);
             for frame in 0..frames {
                 let offset = (frame * frame_size as u64) % file_size.max(1);
@@ -113,11 +111,7 @@ impl VideoServer {
             }
         });
 
-        Arc::new(VideoServer {
-            clients,
-            stats,
-            strand,
-        })
+        Arc::new(VideoServer { clients, stats })
     }
 
     /// Subscribes a client address to the stream.
@@ -128,11 +122,6 @@ impl VideoServer {
     /// Server counters.
     pub fn stats(&self) -> VideoServerStats {
         *self.stats.lock()
-    }
-
-    /// The streaming strand (diagnostics).
-    pub fn strand(&self) -> StrandId {
-        self.strand
     }
 }
 

@@ -98,7 +98,7 @@ impl Obs {
     }
 
     /// Current virtual time per the installed source (0 if none).
-    pub fn now(&self) -> Nanos {
+    pub(crate) fn now(&self) -> Nanos {
         self.inner.time.get().map_or(0, |t| t())
     }
 

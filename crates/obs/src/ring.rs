@@ -65,7 +65,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Stable label used by the dump and JSON renderings.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TraceKind::EventRaise => "event_raise",
             TraceKind::HandlerRun => "handler_run",

@@ -31,7 +31,7 @@ impl<'a> Tracer<'a> {
     }
 
     /// Visits every edge in a collection of references.
-    pub fn edges<T: Trace>(&mut self, gcs: &mut [Gc<T>]) {
+    pub(crate) fn edges<T: Trace>(&mut self, gcs: &mut [Gc<T>]) {
         for gc in gcs {
             self.edge(gc);
         }

@@ -21,7 +21,7 @@ pub struct Console {
 
 impl Console {
     /// Creates an empty console.
-    pub fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub(crate) fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
         Console {
             state: Arc::new(Mutex::new(ConsoleState { output: Vec::new() })),
             clock,

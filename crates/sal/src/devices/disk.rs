@@ -49,8 +49,6 @@ pub enum DiskError {
 struct DiskState {
     blocks: BTreeMap<u64, Box<[u8]>>, // absent = still zero (never written)
     head: u64,
-    in_flight: u64,
-    completed: u64,
 }
 
 /// The simulated disk.
@@ -66,7 +64,7 @@ pub struct Disk {
 
 impl Disk {
     /// Creates a zero-filled disk that posts completions on `vector`.
-    pub fn new(
+    pub(crate) fn new(
         clock: Clock,
         timers: TimerQueue,
         irqs: IrqController,
@@ -77,8 +75,6 @@ impl Disk {
             state: Arc::new(Mutex::new(DiskState {
                 blocks: BTreeMap::new(),
                 head: 0,
-                in_flight: 0,
-                completed: 0,
             })),
             clock,
             timers,
@@ -86,11 +82,6 @@ impl Disk {
             vector,
             profile,
         }
-    }
-
-    /// The drive's interrupt vector.
-    pub fn vector(&self) -> IrqVector {
-        self.vector
     }
 
     /// Latency model: sequential access pays only transfer; anything else
@@ -133,7 +124,6 @@ impl Disk {
             let mut st = self.state.lock();
             let l = self.latency(st.head, block.0);
             st.head = block.0;
-            st.in_flight += 1;
             l
         };
         let state = self.state.clone();
@@ -143,8 +133,6 @@ impl Disk {
         self.timers.schedule_at(when, move |_| {
             let result = {
                 let mut st = state.lock();
-                st.in_flight -= 1;
-                st.completed += 1;
                 match req {
                     DiskRequest::Read(b) => Ok(match st.blocks.get(&b.0) {
                         Some(d) => d.to_vec(),
@@ -159,12 +147,6 @@ impl Disk {
             done(result);
             irqs.post(vector);
         });
-    }
-
-    /// (in-flight, completed) request counters.
-    pub fn stats(&self) -> (u64, u64) {
-        let st = self.state.lock();
-        (st.in_flight, st.completed)
     }
 
     /// How many blocks hold bytes of their own.

@@ -186,12 +186,6 @@ impl Nic {
         }
     }
 
-    /// The card model.
-    // uncharged: accessor.
-    pub fn model(&self) -> &NicModel {
-        &self.model
-    }
-
     /// This card's wire address.
     // uncharged: accessor.
     pub fn addr(&self) -> WireEndpoint {

@@ -136,7 +136,8 @@ impl IrqController {
     }
 
     /// Number of interrupts dropped for lack of a handler.
-    pub fn dropped(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn dropped(&self) -> u64 {
         // ordering: Relaxed — a statistic; it publishes nothing.
         self.inner.dropped.load(Ordering::Relaxed)
     }

@@ -241,9 +241,15 @@ impl Mailbox {
     }
 
     /// Installs a post hook (deterministic fault injection on the mailbox
-    /// edge): the hook may shift or drop each envelope.
-    pub fn set_post_hook(&self, hook: impl Fn(Nanos) -> MailFate + Send + Sync + 'static) {
-        self.state.lock().hook = Some(Box::new(hook));
+    /// edge): the hook may shift or drop each envelope. Write-once: a
+    /// second hook is refused (`false`) and the first stays.
+    pub fn set_post_hook(&self, hook: impl Fn(Nanos) -> MailFate + Send + Sync + 'static) -> bool {
+        let mut st = self.state.lock();
+        if st.hook.is_some() {
+            return false;
+        }
+        st.hook = Some(Box::new(hook));
+        true
     }
 
     /// Installs the per-lane occupancy gate (kernel resource quotas): the
@@ -251,14 +257,19 @@ impl Mailbox {
     /// returning `false` refuses the post, which is counted as dropped.
     /// Occupancy bookkeeping starts here — current entries are counted in
     /// under the lock, so the gate's view is exact from the first post.
-    pub fn set_quota_gate(&self, gate: impl Fn(u64, u64) -> bool + Send + Sync + 'static) {
+    /// Write-once: a second gate is refused (`false`) and the first stays.
+    pub fn set_quota_gate(&self, gate: impl Fn(u64, u64) -> bool + Send + Sync + 'static) -> bool {
         let mut st = self.state.lock();
+        if st.quota_gate.is_some() {
+            return false;
+        }
         let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for env in &st.entries {
             *counts.entry(env.lane).or_insert(0) += 1;
         }
         st.lane_pending = counts;
         st.quota_gate = Some(Box::new(gate));
+        true
     }
 
     /// Entries currently pending on `lane`. With a quota gate installed
@@ -335,6 +346,18 @@ mod tests {
         assert!(!mb.post(50, 0, |_| {}));
         assert!(mb.post(200, 0, |_| {}));
         assert_eq!(mb.next_deadline(), Some(1_200));
+        assert_eq!(mb.stats(), (1, 0, 1));
+    }
+
+    #[test]
+    fn a_second_hook_or_gate_is_refused_and_the_first_stays() {
+        let mb = Mailbox::new();
+        assert!(mb.set_post_hook(MailFate::Deliver));
+        assert!(!mb.set_post_hook(|_| MailFate::Drop), "a second hook");
+        assert!(mb.set_quota_gate(|_, pending| pending < 1));
+        assert!(!mb.set_quota_gate(|_, _| true), "a second gate");
+        assert!(mb.post(10, 3, |_| {}), "the first hook delivers");
+        assert!(!mb.post(20, 3, |_| {}), "the first gate refuses");
         assert_eq!(mb.stats(), (1, 0, 1));
     }
 

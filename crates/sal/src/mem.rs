@@ -18,14 +18,6 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameId(pub u32);
 
-impl FrameId {
-    /// Physical byte address of the first byte of this frame.
-    #[inline]
-    pub fn base(self) -> u64 {
-        self.0 as u64 * PAGE_SIZE as u64
-    }
-}
-
 /// A resident frame's bytes; `None` in a slot means all zeros.
 type Page = Box<[u8; PAGE_SIZE]>;
 
@@ -157,11 +149,6 @@ mod tests {
         m.zero(FrameId(1));
         m.read(FrameId(1), 10, &mut buf);
         assert_eq!(buf, [0, 0]);
-    }
-
-    #[test]
-    fn frame_base_address() {
-        assert_eq!(FrameId(3).base(), 3 * PAGE_SIZE as u64);
     }
 
     /// An untouched frame reads as zeros, but only inside the page: the

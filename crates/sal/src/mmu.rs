@@ -187,7 +187,7 @@ pub struct Mmu {
 
 impl Mmu {
     /// Creates an MMU with no addressing contexts.
-    pub fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub(crate) fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
         Mmu {
             state: Arc::new(Mutex::new(MmuState {
                 contexts: HashMap::new(),

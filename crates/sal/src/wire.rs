@@ -158,7 +158,7 @@ pub struct Wire {
 impl Wire {
     /// Creates a wire with the given one-way propagation/switch delay and
     /// mailbox lane namespace (each medium of a board gets a disjoint one).
-    pub fn new(propagation: Nanos, lane_base: u64) -> Self {
+    pub(crate) fn new(propagation: Nanos, lane_base: u64) -> Self {
         Wire {
             state: Arc::default(),
             propagation,

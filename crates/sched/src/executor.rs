@@ -982,7 +982,7 @@ impl StrandCtx {
     }
 
     /// Blocks until `target` completes.
-    pub fn join(&self, target: StrandId) {
+    pub(crate) fn join(&self, target: StrandId) {
         self.refuse_in_step("join");
         {
             let mut st = self.exec.state.lock();

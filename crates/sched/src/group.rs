@@ -70,6 +70,7 @@ pub struct PackageStats {
 }
 
 /// The user-level task package.
+// paper: §4.2, an application-specific scheduler stacked on the global one.
 pub struct TaskPackage {
     exec: Arc<Executor>,
     state: Arc<Mutex<PackageState>>,
@@ -81,6 +82,7 @@ pub struct TaskPackage {
 impl TaskPackage {
     /// Starts a package: spawns the carrier strand at `priority` and hooks
     /// the strand events (guarded to the carrier).
+    // paper: §4.2, an application-specific scheduler stacked on the global one.
     pub fn start(
         exec: &Arc<Executor>,
         events: &StrandEvents,
@@ -151,6 +153,7 @@ impl TaskPackage {
 
     /// Submits a task at a priority; the package orders its own work.
     /// Wakes the carrier only if it is waiting for a task.
+    // paper: §4.2, an application-specific scheduler stacked on the global one.
     pub fn submit(&self, priority: u8, body: impl FnOnce(&StrandCtx) + Send + 'static) {
         let wakeups = {
             let mut st = self.state.lock();
@@ -167,6 +170,7 @@ impl TaskPackage {
     }
 
     /// Event-observed statistics.
+    // paper: §4.2, an application-specific scheduler stacked on the global one.
     pub fn stats(&self) -> PackageStats {
         PackageStats {
             resumes: self.resumes.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.

@@ -23,8 +23,8 @@
 //!   kernel-thread interface used by vendor drivers ([`OsfThreads`]), and
 //!   the two user-level C-Threads structures of Table 3
 //!   ([`CThreadsImpl`], layered vs integrated);
-//! * **user-level contexts** and the protected cross-address-space call
-//!   path of Table 2 ([`UserProcess`], [`XasService`]);
+//! * the protected cross-address-space call path of Table 2
+//!   ([`measure_xas_call`]);
 //! * **per-core kernel shards**: one executor per simulated host, pumped
 //!   concurrently by real OS threads under a conservative virtual-time
 //!   barrier with deterministic cross-shard mail ([`Multicore`]).
@@ -37,7 +37,6 @@ mod events;
 mod executor;
 mod group;
 mod kthread;
-mod lottery;
 mod osf_threads;
 mod shard;
 mod sync;
@@ -52,9 +51,8 @@ pub use executor::{
 };
 pub use group::{PackageStats, TaskPackage};
 pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong};
-pub use lottery::{LotteryPolicy, TicketBook};
 pub use osf_threads::{OsfThreads, WaitChannel};
 pub use shard::{Multicore, MulticoreStats, Shard};
 pub use sync::KChannel;
-pub use user::{measure_xas_call, UserProcess, XasClient, XasService};
+pub use user::measure_xas_call;
 pub use wait::{WaitQueue, Wakeups};

@@ -26,6 +26,7 @@ pub struct OsfThreads {
 
 impl OsfThreads {
     /// Binds the package to an executor.
+    // paper: §4.2, the DEC OSF/1 kernel-thread interface (PAPER.md).
     pub fn new(exec: Arc<Executor>) -> Self {
         OsfThreads {
             exec,

@@ -64,7 +64,7 @@
 use crate::executor::{Executor, IdleOutcome};
 use spin_check::sync::{AtomicU64, Ordering};
 use spin_fault::{FaultHook, Injection};
-use spin_obs::{Obs, ObsHook, TraceKind};
+use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -182,11 +182,6 @@ impl Multicore {
         self.shards.iter().find(|s| s.host.id == host)
     }
 
-    /// The conservative lookahead in force.
-    pub fn lookahead(&self) -> Nanos {
-        self.lookahead
-    }
-
     /// Wires a dispatcher's cross-core raises (`Dispatcher::raise_on`) to
     /// the shard mailboxes: a raise targeting another shard is posted on
     /// the sender's exclusive lane and re-raised there one cross-call
@@ -234,23 +229,27 @@ impl Multicore {
     /// Installs deterministic fault injection on every mailbox post edge
     /// (the `sal.mailbox` site): delays shift delivery, failures drop the
     /// envelope, panics unwind the posting strand (contained as usual).
-    pub fn set_fault_hook(&self, hook: FaultHook) {
+    /// Write-once per mailbox: `false` if a mailbox already had a hook.
+    pub fn set_fault_hook(&self, hook: FaultHook) -> bool {
+        let mut all = true;
         for sh in &self.shards {
             let h = hook.clone();
-            sh.host.mailbox.set_post_hook(move |at| match h.draw() {
+            all &= sh.host.mailbox.set_post_hook(move |at| match h.draw() {
                 Some(Injection::Delay(ns)) => MailFate::Deliver(at + ns),
                 Some(Injection::Fail) => MailFate::Drop,
                 Some(Injection::Panic) => h.fire_panic(),
                 None => MailFate::Deliver(at),
             });
         }
+        all
     }
 
     /// Wires the observability subsystem: epochs and mailbox traffic are
     /// exposed as `spin_shard_*` metrics, each executor traces into its
     /// own `shard<N>` lane, and every drained envelope is traced. One-shot
-    /// per runtime; charges zero virtual time.
-    pub fn wire_obs(&self, obs: &Obs) {
+    /// per runtime; charges zero virtual time. Only the tests wire it.
+    #[cfg(test)]
+    pub(crate) fn wire_obs(&self, obs: &spin_obs::Obs) {
         let _ = self.obs.set(obs.domain("multicore"));
         let epochs = self.epochs.clone();
         obs.register_gauge("shard_epochs_total", move || {
@@ -817,7 +816,7 @@ mod tests {
         let b_endpoint = b.endpoint();
         let ea = mc.add_host(a);
         let _eb = mc.add_host(b);
-        let obs = Obs::new(64);
+        let obs = spin_obs::Obs::new(64);
         mc.wire_obs(&obs);
         ea.spawn("sender", move |_| {
             a_eth

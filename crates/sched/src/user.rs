@@ -1,53 +1,12 @@
-//! User-level contexts and protected communication paths (Table 2).
-//!
-//! Applications "can be written in any language and execute within their
-//! own virtual address space" (§1.2). A [`UserProcess`] owns an MMU
-//! addressing context. This module
-//! also implements the cross-address-space procedure call measured in
-//! Table 2: "SPIN's cross-address space procedure call is implemented as
+//! The protected cross-address-space procedure call measured in Table 2: "SPIN's cross-address space procedure call is implemented as
 //! an extension that uses system calls to transfer control in and out of
 //! the kernel and cross-domain procedure calls within the kernel to
 //! transfer control between address spaces."
 
-use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::executor::{Executor, StrandCtx};
 use crate::sync::KChannel;
-use spin_core::Kernel;
-use spin_sal::ContextId;
 use spin_sal::Nanos;
 use std::sync::Arc;
-
-/// A user-level application: an address space plus kernel-visible state.
-pub struct UserProcess {
-    name: String,
-    ctx_id: ContextId,
-    kernel: Kernel,
-}
-
-impl UserProcess {
-    /// Creates a process with a fresh addressing context.
-    pub fn new(kernel: &Kernel, name: &str) -> UserProcess {
-        UserProcess {
-            name: name.to_string(),
-            ctx_id: kernel.host().mmu.create_context(),
-            kernel: kernel.clone(),
-        }
-    }
-
-    /// The process name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The process's MMU addressing context.
-    pub fn context(&self) -> ContextId {
-        self.ctx_id
-    }
-
-    /// Issues a system call from this process (user→kernel→user).
-    pub fn syscall(&self, number: u64, args: [u64; 6]) -> i64 {
-        self.kernel.syscall(number, args)
-    }
-}
 
 /// A cross-address-space call service: a server process exporting one
 /// procedure that clients in other address spaces can call.
@@ -55,15 +14,14 @@ impl UserProcess {
 /// The path (both directions): system call into the kernel, cross-domain
 /// procedure call to the IPC extension, address-space switch to the
 /// server's context, and the scheduler hand-off to the server strand.
-pub struct XasService {
+struct XasService {
     requests: Arc<KChannel<(u64, Arc<KChannel<u64>>)>>,
     exec: Arc<Executor>,
-    server_strand: StrandId,
 }
 
 impl XasService {
     /// Starts a server strand running `service` for each request.
-    pub fn start(
+    fn start(
         exec: &Arc<Executor>,
         name: &str,
         service: impl Fn(u64) -> u64 + Send + 'static,
@@ -71,7 +29,7 @@ impl XasService {
         let requests: Arc<KChannel<(u64, Arc<KChannel<u64>>)>> = KChannel::new(exec.clone(), 16);
         let rq = requests.clone();
         let exec2 = exec.clone();
-        let server_strand = exec.spawn(&format!("{name}-server"), move |ctx| {
+        exec.spawn(&format!("{name}-server"), move |ctx| {
             while let Some((arg, reply)) = rq.recv(ctx) {
                 // The server runs in its own address space: entering it
                 // costs an AS switch on top of the strand hand-off.
@@ -83,12 +41,11 @@ impl XasService {
         XasService {
             requests,
             exec: exec.clone(),
-            server_strand,
         }
     }
 
     /// Creates a client handle for a process.
-    pub fn client(&self) -> XasClient {
+    fn client(&self) -> XasClient {
         XasClient {
             requests: self.requests.clone(),
             exec: self.exec.clone(),
@@ -96,26 +53,21 @@ impl XasService {
     }
 
     /// Shuts the service down.
-    pub fn stop(&self) {
+    fn stop(&self) {
         self.requests.close();
-    }
-
-    /// The server's strand (for diagnostics).
-    pub fn strand(&self) -> StrandId {
-        self.server_strand
     }
 }
 
 /// A client capability for a cross-address-space service.
 #[derive(Clone)]
-pub struct XasClient {
+struct XasClient {
     requests: Arc<KChannel<(u64, Arc<KChannel<u64>>)>>,
     exec: Arc<Executor>,
 }
 
 impl XasClient {
     /// Performs one protected cross-address-space call.
-    pub fn call(&self, ctx: &StrandCtx, arg: u64) -> Option<u64> {
+    fn call(&self, ctx: &StrandCtx, arg: u64) -> Option<u64> {
         let p = self.exec.profile().clone();
         let clock = self.exec.clock().clone();
         // Client trap into the kernel and cross-domain call to the IPC
@@ -163,24 +115,13 @@ mod tests {
     use super::*;
     use spin_sal::SimBoard;
 
-    fn rig() -> (Kernel, Arc<Executor>) {
-        let board = SimBoard::new();
-        let host = board.new_host(256);
-        let exec = Executor::for_host(&host);
-        (Kernel::boot(host), exec)
-    }
-
-    #[test]
-    fn processes_have_distinct_contexts() {
-        let (kernel, _exec) = rig();
-        let a = UserProcess::new(&kernel, "a");
-        let b = UserProcess::new(&kernel, "b");
-        assert_ne!(a.context(), b.context());
+    fn rig() -> Arc<Executor> {
+        Executor::for_host(&SimBoard::new().new_host(256))
     }
 
     #[test]
     fn xas_call_returns_the_service_result() {
-        let (_kernel, exec) = rig();
+        let exec = rig();
         let service = XasService::start(&exec, "double", |x| x * 2);
         let client = service.client();
         let got = Arc::new(spin_check::sync::Mutex::new(0u64));
@@ -195,7 +136,7 @@ mod tests {
 
     #[test]
     fn xas_call_cost_is_in_table_2_band() {
-        let (_kernel, exec) = rig();
+        let exec = rig();
         let ns = measure_xas_call(&exec);
         let us = ns as f64 / 1000.0;
         // Table 2: SPIN cross-address space call is 89 µs.
@@ -204,7 +145,7 @@ mod tests {
 
     #[test]
     fn calls_after_stop_fail_cleanly() {
-        let (_kernel, exec) = rig();
+        let exec = rig();
         let service = XasService::start(&exec, "s", |x| x);
         let client = service.client();
         service.stop();

@@ -24,13 +24,8 @@ pub struct WaitQueue {
 
 impl WaitQueue {
     /// Entries queued (a strand parked twice counts twice).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.parked.len()
-    }
-
-    /// Whether no strand is parked.
-    pub fn is_empty(&self) -> bool {
-        self.parked.is_empty()
     }
 
     /// Takes the oldest entry.
@@ -62,7 +57,7 @@ pub struct Wakeups {
 
 impl Wakeups {
     /// Whether there is nobody to wake.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.first.is_none()
     }
 

@@ -37,6 +37,7 @@
 
 #![forbid(unsafe_code)]
 
+use spin_check::hooks::HookSlot;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
 use spin_core::{panic_message, Containment, DomainFaultInfo};
 use spin_core::{DispatchError, GatedEvent, Identity};
@@ -150,9 +151,9 @@ struct CoordinatorInner {
     rolled_back: AtomicU64,
     drain_ns: AtomicU64,
     held_replayed: AtomicU64,
-    obs: Mutex<Option<ObsHook>>,
-    faults: Mutex<Option<FaultHook>>,
-    containment: Mutex<Option<Arc<Containment>>>,
+    obs: HookSlot<ObsHook>,
+    faults: HookSlot<FaultHook>,
+    containment: HookSlot<Arc<Containment>>,
 }
 
 /// A quiesced set of events between [`SwapCoordinator::begin`] and
@@ -161,20 +162,14 @@ struct CoordinatorInner {
 /// traffic arriving at later virtual instants before committing, which is
 /// exactly how the mid-storm benchmark fills the hold queue.
 pub struct SwapSession {
-    domain: String,
     gates: Vec<Arc<dyn GatedEvent>>,
     /// The virtual instant at which every gate was closed and drained.
     gated_at: Nanos,
 }
 
 impl SwapSession {
-    /// The domain under swap.
-    pub fn domain(&self) -> &str {
-        &self.domain
-    }
-
     /// Raises currently parked across this session's hold queues.
-    pub fn held_len(&self) -> u64 {
+    pub(crate) fn held_len(&self) -> u64 {
         self.gates.iter().map(|g| g.held_len() as u64).sum()
     }
 
@@ -202,17 +197,20 @@ impl SwapCoordinator {
                 rolled_back: AtomicU64::new(0),
                 drain_ns: AtomicU64::new(0),
                 held_replayed: AtomicU64::new(0),
-                obs: Mutex::new(None),
-                faults: Mutex::new(None),
-                containment: Mutex::new(None),
+                obs: HookSlot::new(),
+                faults: HookSlot::new(),
+                containment: HookSlot::new(),
             }),
         }
     }
 
     /// Wires phase tracing (the `swap` obs domain) and registers the
-    /// `spin_swap_*` gauges on the `/metrics` route.
-    pub fn wire_obs(&self, obs: &Obs) {
-        *self.inner.obs.lock() = Some(obs.domain("swap"));
+    /// `spin_swap_*` gauges on the `/metrics` route. Write-once: a second
+    /// wiring is refused (`false`), so no gauge is registered twice.
+    pub fn wire_obs(&self, obs: &Obs) -> bool {
+        if !self.inner.obs.set(obs.domain("swap")) {
+            return false;
+        }
         type GaugeRead = fn(&CoordinatorInner) -> &AtomicU64;
         let gauges: [(&str, GaugeRead); 5] = [
             ("swap_attempted_total", |i| &i.attempted),
@@ -226,19 +224,22 @@ impl SwapCoordinator {
             // ordering: Relaxed — monotonic statistic; render takes a snapshot, not a sync point.
             obs.register_gauge(name, move || read(&inner).load(Ordering::Relaxed));
         }
+        true
     }
 
     /// Arms deterministic fault injection at [`SITE_SWAP`] (one draw per
     /// swap attempt, made at the start of the transfer phase).
-    pub fn set_fault_hook(&self, plan: &FaultPlan) {
-        *self.inner.faults.lock() = Some(plan.hook(SITE_SWAP));
+    /// Write-once: `false` if a hook was already armed (it stays).
+    pub fn set_fault_hook(&self, plan: &FaultPlan) -> bool {
+        self.inner.faults.set(plan.hook(SITE_SWAP))
     }
 
     /// Wires rollback fault attribution: a rolled-back swap is noted
     /// against the old domain via
-    /// [`Containment::note_external_fault`].
-    pub fn set_containment(&self, containment: &Arc<Containment>) {
-        *self.inner.containment.lock() = Some(containment.clone());
+    /// [`Containment::note_external_fault`]. Write-once: `false` if one
+    /// was already wired (it stays).
+    pub fn set_containment(&self, containment: &Arc<Containment>) -> bool {
+        self.inner.containment.set(containment.clone())
     }
 
     /// Counter snapshot.
@@ -254,7 +255,7 @@ impl SwapCoordinator {
     }
 
     fn trace(&self, phase: SwapPhase, b: u64) {
-        if let Some(hook) = self.inner.obs.lock().as_ref() {
+        if let Some(hook) = self.inner.obs.get() {
             hook.trace(TraceKind::SwapPhase, phase as u64, b);
         }
     }
@@ -265,7 +266,7 @@ impl SwapCoordinator {
     ///
     /// Must not be called from inside a handler of one of the gated
     /// events — the drain would wait on the caller's own raise.
-    pub fn begin(&self, domain: &str, gates: Vec<Arc<dyn GatedEvent>>) -> SwapSession {
+    pub fn begin(&self, gates: Vec<Arc<dyn GatedEvent>>) -> SwapSession {
         self.inner.attempted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         self.trace(SwapPhase::Quiesce, gates.len() as u64);
         for g in &gates {
@@ -275,7 +276,6 @@ impl SwapCoordinator {
             let _ = g.drain_in_flight();
         }
         SwapSession {
-            domain: domain.to_string(),
             gates,
             gated_at: self.inner.clock.now(),
         }
@@ -307,7 +307,7 @@ impl SwapCoordinator {
         // One deterministic draw per attempt: Panic unwinds inside the
         // containment below, Delay charges virtual time against the
         // bound, Fail aborts the transfer outright.
-        let injection = self.inner.faults.lock().as_ref().and_then(|h| h.draw());
+        let injection = self.inner.faults.get().and_then(|h| h.draw());
         if matches!(injection, Some(Injection::Fail)) {
             return self.rollback(
                 &session,
@@ -320,7 +320,7 @@ impl SwapCoordinator {
             self.inner.clock.advance(ns);
         }
         let fire = if matches!(injection, Some(Injection::Panic)) {
-            self.inner.faults.lock().clone()
+            self.inner.faults.get()
         } else {
             None
         };
@@ -384,10 +384,8 @@ impl SwapCoordinator {
     /// — the whole protocol at one virtual instant. The hold queue only
     /// fills if raisers race concurrently; drivers that park traffic
     /// between phases should use the split API.
-    #[allow(clippy::too_many_arguments)]
     pub fn swap<Old, New>(
         &self,
-        domain: &str,
         gates: Vec<Arc<dyn GatedEvent>>,
         old_identity: &Identity,
         old: &Old,
@@ -395,7 +393,7 @@ impl SwapCoordinator {
         time_bound: Option<Nanos>,
         rebind: impl FnOnce(New) -> Vec<UndoAction>,
     ) -> Result<SwapReport, SwapError> {
-        let session = self.begin(domain, gates);
+        let session = self.begin(gates);
         self.complete(session, old_identity, old, transfer, time_bound, rebind)
     }
 
@@ -421,7 +419,7 @@ impl SwapCoordinator {
             .held_replayed
             .fetch_add(replayed, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         self.inner.rolled_back.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        if let Some(containment) = self.inner.containment.lock().clone() {
+        if let Some(containment) = self.inner.containment.get() {
             containment.note_external_fault(old_identity);
         }
         Err(err)
@@ -555,7 +553,7 @@ mod tests {
         coord.wire_obs(&obs);
 
         assert_eq!(ev.raise(1), Ok(2));
-        let session = coord.begin("fwd", vec![Arc::new(ev.clone())]);
+        let session = coord.begin(vec![Arc::new(ev.clone())]);
         assert!(matches!(ev.raise(5), Err(DispatchError::Held { .. })));
         assert_eq!(session.held_len(), 1);
 
@@ -592,6 +590,44 @@ mod tests {
     }
 
     #[test]
+    fn a_second_hook_or_wiring_is_refused_and_the_first_stays() {
+        let (clock, d, ev, owner_id, v1) = rig();
+        let coord = SwapCoordinator::new(clock);
+        let obs = Obs::new(64);
+        assert!(coord.wire_obs(&obs));
+        assert!(!coord.wire_obs(&Obs::new(64)), "a second wiring");
+        let panics = FaultPlan::new(7);
+        panics.configure(SITE_SWAP, SiteConfig::panic_always());
+        assert!(coord.set_fault_hook(&panics));
+        assert!(!coord.set_fault_hook(&FaultPlan::new(8)), "a second hook");
+        let containment = Containment::install(&d, None, ContainmentPolicy::default());
+        assert!(coord.set_containment(&containment));
+        let other = Containment::install(&d, None, ContainmentPolicy::default());
+        assert!(!coord.set_containment(&other), "a second containment");
+        // The first hook fires and the first containment is charged.
+        let session = coord.begin(vec![Arc::new(ev.clone())]);
+        let err = coord
+            .complete(
+                session,
+                &v1,
+                &0u32,
+                |_| unreachable!("the first hook panics before the transfer"),
+                None,
+                |_: u32| rebind_to_v2(&ev, &owner_id, &v1, 100),
+            )
+            .unwrap_err();
+        assert!(matches!(err, SwapError::TransferPanicked { .. }));
+        assert_eq!(containment.faults_seen(), 1);
+        assert_eq!(other.faults_seen(), 0);
+        // The first wiring's gauges, registered once.
+        let page = obs.render_prometheus();
+        let rows = page
+            .lines()
+            .filter(|l| l.starts_with("spin_swap_rolled_back_total"));
+        assert_eq!(rows.collect::<Vec<_>>(), ["spin_swap_rolled_back_total 1"]);
+    }
+
+    #[test]
     fn injected_transfer_panic_rolls_back_to_old_version() {
         let (clock, d, ev, owner_id, v1) = rig();
         let coord = SwapCoordinator::new(clock);
@@ -601,7 +637,7 @@ mod tests {
         let containment = Containment::install(&d, None, ContainmentPolicy::default());
         coord.set_containment(&containment);
 
-        let session = coord.begin("fwd", vec![Arc::new(ev.clone())]);
+        let session = coord.begin(vec![Arc::new(ev.clone())]);
         assert!(matches!(ev.raise(5), Err(DispatchError::Held { .. })));
         let err = coord
             .complete(
@@ -629,7 +665,6 @@ mod tests {
         let blocks = |_: &u32| -> u32 { std::panic::panic_any(BlockedInStep { op: "sleep" }) };
         let err = SwapCoordinator::new(clock)
             .swap(
-                "fwd",
                 vec![Arc::new(ev.clone())],
                 &v1,
                 &0u32,
@@ -648,7 +683,6 @@ mod tests {
         let coord = SwapCoordinator::new(clock.clone());
         let err = coord
             .swap(
-                "fwd",
                 vec![Arc::new(ev.clone())],
                 &v1,
                 &0u32,
@@ -689,7 +723,6 @@ mod tests {
         coord.set_fault_hook(&plan);
         let err = coord
             .swap(
-                "fwd",
                 vec![Arc::new(ev.clone())],
                 &v1,
                 &0u32,

@@ -21,6 +21,5 @@ mod pipe;
 mod proc;
 mod server;
 
-pub use pipe::Pipe;
 pub use proc::Pid;
 pub use server::{UnixError, UnixServer, SYSCALL_BASE};

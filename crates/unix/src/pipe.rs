@@ -5,7 +5,7 @@ use spin_sched::{Executor, KChannel, StrandCtx};
 use std::sync::Arc;
 
 /// A pipe: a bounded byte stream with reference-counted ends.
-pub struct Pipe {
+pub(crate) struct Pipe {
     chunks: Arc<KChannel<Vec<u8>>>,
     readers: AtomicU32,
     writers: AtomicU32,
@@ -15,7 +15,7 @@ pub struct Pipe {
 
 impl Pipe {
     /// Creates a pipe with one reader and one writer reference.
-    pub fn new(exec: Arc<Executor>) -> Arc<Pipe> {
+    pub(crate) fn new(exec: Arc<Executor>) -> Arc<Pipe> {
         Arc::new(Pipe {
             chunks: KChannel::new(exec, 16),
             readers: AtomicU32::new(1),
@@ -53,7 +53,7 @@ impl Pipe {
 
     /// Writes `data` (blocking when full). Returns bytes written, or
     /// `None` on a broken pipe.
-    pub fn write(&self, ctx: &StrandCtx, data: &[u8]) -> Option<usize> {
+    pub(crate) fn write(&self, ctx: &StrandCtx, data: &[u8]) -> Option<usize> {
         // ordering: Relaxed — EOF probe; the condvar recheck under the mutex decides.
         if self.readers.load(Ordering::Relaxed) == 0 {
             return None; // EPIPE
@@ -70,7 +70,7 @@ impl Pipe {
 
     /// Reads up to `max` bytes (blocking while empty). `Some(empty)` is
     /// EOF (all writers gone).
-    pub fn read(&self, ctx: &StrandCtx, max: usize) -> Vec<u8> {
+    pub(crate) fn read(&self, ctx: &StrandCtx, max: usize) -> Vec<u8> {
         let mut out = Vec::new();
         {
             let mut res = self.residue.lock();

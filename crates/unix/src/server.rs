@@ -13,10 +13,9 @@
 use crate::pipe::Pipe;
 use crate::proc::{Fd, Pid, Proc, ProcState};
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU32, AtomicU64, Ordering};
+use spin_check::sync::{AtomicU32, Ordering};
 use spin_core::{Identity, Kernel};
 use spin_fs::{FileSystem, FsError};
-use spin_obs::{ObsHook, TraceKind};
 use spin_sal::Protection;
 use spin_sched::{Executor, StrandCtx};
 use spin_vm::{UnixAsExtension, VmError};
@@ -60,20 +59,6 @@ struct ServerState {
     procs: BTreeMap<Pid, Proc>,
 }
 
-/// Stable call numbers used when tracing server calls (the `a` word of a
-/// `SyscallTrap` record from the unix domain).
-mod calls {
-    pub(super) const FORK: u64 = 1;
-    pub(super) const EXIT: u64 = 2;
-    pub(super) const WAITPID: u64 = 3;
-    pub(super) const SBRK: u64 = 4;
-    pub(super) const OPEN: u64 = 5;
-    pub(super) const CLOSE: u64 = 6;
-    pub(super) const PIPE: u64 = 8;
-    pub(super) const WRITE: u64 = 9;
-    pub(super) const READ: u64 = 10;
-}
-
 /// The UNIX server.
 #[derive(Clone)]
 pub struct UnixServer {
@@ -82,11 +67,6 @@ pub struct UnixServer {
     fs: FileSystem,
     state: Arc<Mutex<ServerState>>,
     next_pid: Arc<AtomicU32>,
-    /// Observability hook (unix domain): absent until wired; server calls
-    /// then pay one atomic load each.
-    obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
-    /// Server calls made: the unix domain's `syscalls` row.
-    calls: Arc<AtomicU64>,
 }
 
 impl UnixServer {
@@ -106,8 +86,6 @@ impl UnixServer {
                 procs: BTreeMap::new(),
             })),
             next_pid: Arc::new(AtomicU32::new(1)),
-            obs: Arc::new(spin_check::hooks::HookSlot::new()),
-            calls: Arc::new(AtomicU64::new(0)),
         };
         // getpid(pid) and brk-query are pure register calls; install them
         // in the server's band as the paper's server does.
@@ -136,24 +114,6 @@ impl UnixServer {
         server
     }
 
-    /// Wires the observability subsystem: server calls are traced and
-    /// counted to the unix domain. One-shot; charges zero virtual time.
-    pub fn set_obs(&self, hook: ObsHook) {
-        if self.obs.set(hook.clone()) {
-            let book = self.calls.clone();
-            hook.read(move |t| t.syscalls += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        }
-    }
-
-    /// Counts and traces one server call (see [`calls`]).
-    #[inline]
-    fn note(&self, call: u64, pid: Pid) {
-        self.calls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        if let Some(obs) = self.obs.get() {
-            obs.trace(TraceKind::SyscallTrap, call, pid.0 as u64);
-        }
-    }
-
     /// Creates the initial process (the paper's server boots `init`).
     pub fn spawn_init(&self) -> Pid {
         let pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
@@ -168,7 +128,6 @@ impl UnixServer {
     /// `fork`: a child with a copy-on-write image of the parent and
     /// duplicated descriptors.
     pub fn fork(&self, parent: Pid) -> Result<Pid, UnixError> {
-        self.note(calls::FORK, parent);
         let child_pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
         let (child_space, fds) = {
             let st = self.state.lock();
@@ -192,7 +151,6 @@ impl UnixServer {
 
     /// `exit`: become a zombie and wake any waiting parent.
     pub fn exit(&self, pid: Pid, status: i32) {
-        self.note(calls::EXIT, pid);
         let (waiters, fds) = {
             let mut st = self.state.lock();
             let (parent, fds) = match st.procs.get_mut(&pid) {
@@ -224,7 +182,6 @@ impl UnixServer {
 
     /// `waitpid(-1)`: blocks until any child of `parent` exits; reaps it.
     pub fn waitpid(&self, ctx: &StrandCtx, parent: Pid) -> Result<(Pid, i32), UnixError> {
-        self.note(calls::WAITPID, parent);
         ctx.wait(
             &self.state,
             |st| &mut st.procs.get_mut(&parent).expect("polled above").waiters,
@@ -256,7 +213,6 @@ impl UnixServer {
     /// `brk`-style allocation: extends the process image by `pages`,
     /// returning the base address.
     pub fn sbrk(&self, pid: Pid, pages: u64) -> Result<u64, UnixError> {
-        self.note(calls::SBRK, pid);
         let space = {
             let st = self.state.lock();
             st.procs
@@ -296,7 +252,6 @@ impl UnixServer {
 
     /// `open` (creating if absent).
     pub fn open(&self, pid: Pid, path: &str) -> Result<i32, UnixError> {
-        self.note(calls::OPEN, pid);
         if self.fs.size_of(path).is_err() {
             self.fs.create(path)?;
         }
@@ -310,7 +265,6 @@ impl UnixServer {
 
     /// `close`.
     pub fn close(&self, pid: Pid, fd: i32) -> Result<(), UnixError> {
-        self.note(calls::CLOSE, pid);
         let f = {
             let mut st = self.state.lock();
             let p = st.procs.get_mut(&pid).ok_or(UnixError::NoSuchProcess)?;
@@ -322,7 +276,6 @@ impl UnixServer {
 
     /// `pipe`: returns (read fd, write fd).
     pub fn pipe(&self, pid: Pid) -> Result<(i32, i32), UnixError> {
-        self.note(calls::PIPE, pid);
         let pipe = Pipe::new(self.exec.clone());
         let mut st = self.state.lock();
         let p = st.procs.get_mut(&pid).ok_or(UnixError::NoSuchProcess)?;
@@ -339,7 +292,6 @@ impl UnixServer {
         fd: i32,
         data: &[u8],
     ) -> Result<usize, UnixError> {
-        self.note(calls::WRITE, pid);
         let f = {
             let st = self.state.lock();
             st.procs
@@ -381,7 +333,6 @@ impl UnixServer {
         fd: i32,
         max: usize,
     ) -> Result<Vec<u8>, UnixError> {
-        self.note(calls::READ, pid);
         let f = {
             let st = self.state.lock();
             st.procs

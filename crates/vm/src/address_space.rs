@@ -36,13 +36,6 @@ pub struct UnixAddressSpace {
     segments: Mutex<Vec<Segment>>,
 }
 
-impl UnixAddressSpace {
-    /// The underlying translation context.
-    pub fn context(&self) -> ContextId {
-        self.ctx
-    }
-}
-
 /// A copy-on-write share: one frame referenced by several spaces.
 struct CowShare {
     frame: spin_sal::FrameId,

@@ -26,13 +26,6 @@ pub struct MachTask {
     regions: Mutex<HashMap<u64, TaskRegion>>,
 }
 
-impl MachTask {
-    /// The task's translation context.
-    pub fn context(&self) -> ContextId {
-        self.ctx
-    }
-}
-
 /// The Mach-task extension.
 #[derive(Clone)]
 pub struct MachTaskExtension {
@@ -44,6 +37,7 @@ pub struct MachTaskExtension {
 
 impl MachTaskExtension {
     /// Installs the extension over the core services.
+    // paper: §4.1, the Mach task interface (PAPER.md: "Mach tasks").
     pub fn install(
         trans: TranslationService,
         phys: PhysAddrService,
@@ -91,7 +85,9 @@ impl MachTaskExtension {
         self.phys
             .deallocate(&region.phys)
             .map_err(|_| VmError::Stale)?;
-        Ok(())
+        self.virt
+            .deallocate(&region.virt)
+            .map_err(|_| VmError::Stale)
     }
 
     /// `vm_protect` over a whole region.
@@ -171,5 +167,10 @@ mod tests {
         assert!(e.vm_read(&task, base, &mut buf).is_err());
         assert!(e.vm_deallocate(&task, base).is_err());
         assert_eq!(task.regions.lock().len(), 0);
+        assert_eq!(
+            e.vm_allocate(&task, 1).unwrap(),
+            base,
+            "the range is reused"
+        );
     }
 }

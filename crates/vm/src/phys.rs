@@ -61,7 +61,7 @@ impl PhysRegion {
     }
 
     /// Whether the capability is still valid.
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.live.load(Ordering::Acquire) // ordering: Acquire — pairs with the teardown swap's release half.
     }
 

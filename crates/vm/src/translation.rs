@@ -300,7 +300,7 @@ impl TranslationService {
     /// `Translation.ExamineMapping`: the installed PTE for `va`, if any.
     /// This is the paper's `Dirty` query path (Table 4) — a direct service
     /// call that neither OSF/1 nor Mach can express.
-    pub fn examine(&self, ctx: ContextId, va: u64) -> Result<Option<Pte>, VmError> {
+    pub(crate) fn examine(&self, ctx: ContextId, va: u64) -> Result<Option<Pte>, VmError> {
         self.clock
             .advance(self.profile.inter_module_call + self.profile.pmap_op);
         self.mmu

@@ -38,17 +38,12 @@ impl VirtRegion {
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.pages * PAGE_SIZE as u64
     }
 
-    /// Whether the region is empty (never true for allocated regions).
-    pub fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
     /// One past the last virtual address.
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.base + self.len()
     }
 
@@ -63,7 +58,7 @@ impl VirtRegion {
     }
 
     /// Whether the capability is still valid.
-    pub fn is_live(&self) -> bool {
+    pub(crate) fn is_live(&self) -> bool {
         self.live.load(Ordering::Acquire) // ordering: Acquire — pairs with the teardown swap's release half.
     }
 }
@@ -141,7 +136,7 @@ impl VirtAddrService {
 
     /// `VirtAddr.Deallocate`: invalidates the capability and recycles the
     /// range.
-    pub fn deallocate(&self, region: &Arc<VirtRegion>) -> Result<(), VirtError> {
+    pub(crate) fn deallocate(&self, region: &Arc<VirtRegion>) -> Result<(), VirtError> {
         // ordering: AcqRel — exactly one unmapper wins and owns the teardown.
         if !region.live.swap(false, Ordering::AcqRel) {
             return Err(VirtError::StaleCapability);

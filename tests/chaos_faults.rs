@@ -356,7 +356,6 @@ fn swap_storm(seed: u64) -> (u64, u64, Vec<(String, u64)>) {
     for attempt in 0..ATTEMPTS {
         let next = bias + 1;
         match coord.swap(
-            "svc",
             vec![Arc::new(ev.clone())],
             &svc,
             &bias,
@@ -456,7 +455,6 @@ fn domain_fault_triggers_fallback_swap_on_pump() {
     sup.register_fallback("flaky-ext", move || {
         coord2
             .swap(
-                "flaky-ext",
                 vec![Arc::new(ev2.clone())],
                 &flaky2,
                 &(),

@@ -4,11 +4,10 @@
 //! messages, virtual memory is extended through the external pager
 //! interface, and cross-address-space RPC takes the optimized
 //! message path of \[Draves 94\]. As with the OSF/1 model, rows are
-//! *composed* from the shared [`MachineProfile`] primitives plus
+//! *composed* from the shared [`Cost`] primitives plus
 //! Mach-specific structural constants.
 
-use spin_sal::{MachineProfile, Nanos};
-use std::sync::Arc;
+use spin_sal::{Cost, Nanos};
 
 /// Mach-specific structural constants (nanoseconds).
 mod c {
@@ -37,35 +36,27 @@ mod c {
     pub(super) const VM_UNPROTECT_PER_PAGE: u64 = 2_000;
 }
 
-/// The Mach 3.0 model over a machine profile.
-#[derive(Clone)]
-pub struct MachModel {
-    p: Arc<MachineProfile>,
-}
+/// The Mach 3.0 model over the machine's [`Cost`] table.
+#[derive(Debug, Clone, Copy)]
+pub struct MachModel;
 
 impl MachModel {
-    /// Builds the model.
-    pub fn new(profile: Arc<MachineProfile>) -> MachModel {
-        MachModel { p: profile }
-    }
-
     // ---- Table 2 ----
 
     /// The null system call (≈7 µs).
     pub fn null_syscall(&self) -> Nanos {
-        self.p.syscall_round_trip() + c::SYSCALL_EXTRA
+        crate::syscall_round_trip() + c::SYSCALL_EXTRA
     }
 
     /// Cross-address-space call via optimized messages (≈104 µs): a
     /// mach_msg send, a hand-off switch with AS change, and the reply.
     pub fn cross_address_space_call(&self) -> Nanos {
-        let p = &self.p;
-        let one_way = p.trap_entry
+        let one_way = Cost::TrapEntry.ns()
             + c::MACH_MSG
-            + p.sched_decision
-            + p.context_switch
-            + p.as_switch
-            + p.trap_exit;
+            + Cost::SchedDecision.ns()
+            + Cost::ContextSwitch.ns()
+            + Cost::AsSwitch.ns()
+            + Cost::TrapExit.ns();
         2 * one_way
     }
 
@@ -73,27 +64,27 @@ impl MachModel {
 
     /// Kernel-thread Fork-Join (≈101 µs).
     pub fn kernel_fork_join(&self) -> Nanos {
-        let p = &self.p;
-        c::KTHREAD_CREATE + 2 * (p.sched_decision + p.context_switch) + 2 * p.sync_op
+        c::KTHREAD_CREATE
+            + 2 * (Cost::SchedDecision.ns() + Cost::ContextSwitch.ns())
+            + 2 * Cost::SyncOp.ns()
     }
 
     /// Kernel-thread Ping-Pong (≈71 µs): each direction is a kernel entry,
     /// a message hand-off into the scheduler and a reply-port message.
     pub fn kernel_ping_pong(&self) -> Nanos {
-        let p = &self.p;
-        2 * (p.trap_entry
-            + p.trap_exit
+        2 * (Cost::TrapEntry.ns()
+            + Cost::TrapExit.ns()
             + 2 * c::MACH_MSG
-            + p.sync_op
-            + p.sched_decision
-            + p.context_switch)
+            + Cost::SyncOp.ns()
+            + Cost::SchedDecision.ns()
+            + Cost::ContextSwitch.ns())
     }
 
     /// C-Threads user Fork-Join (≈338 µs).
     pub fn user_fork_join(&self) -> Nanos {
         self.kernel_fork_join()
             + c::CTHREAD_CREATE_EXTRA
-            + self.p.user_thread_setup
+            + Cost::UserThreadSetup.ns()
             + 2 * self.null_syscall()
     }
 
@@ -107,7 +98,7 @@ impl MachModel {
 
     /// Trap (≈185 µs): exception message to the handler.
     pub fn vm_trap(&self) -> Nanos {
-        self.p.trap_entry + self.p.tlb_fill + c::EXCEPTION_MSG
+        Cost::TrapEntry.ns() + Cost::TlbFill.ns() + c::EXCEPTION_MSG
     }
 
     /// Fault (≈415 µs): exception message plus an external-pager round
@@ -115,9 +106,9 @@ impl MachModel {
     pub fn vm_fault(&self) -> Nanos {
         self.vm_trap()
             + c::PAGER_ROUND_TRIP
-            + self.p.context_switch
-            + self.p.trap_exit
-            + self.p.tlb_fill
+            + Cost::ContextSwitch.ns()
+            + Cost::TrapExit.ns()
+            + Cost::TlbFill.ns()
     }
 
     /// Prot1 (≈106 µs): vm_protect through a message interface.
@@ -154,7 +145,7 @@ mod tests {
     use super::*;
 
     fn model() -> MachModel {
-        MachModel::new(Arc::new(MachineProfile::alpha_axp_3000_400()))
+        MachModel
     }
 
     fn us(ns: Nanos) -> f64 {

@@ -3,15 +3,14 @@
 //! The paper compares SPIN against "DEC OSF/1 V2.1 which is a monolithic
 //! operating system" on identical hardware. We cannot run OSF/1; instead,
 //! every comparison operation is *composed* from the same
-//! [`MachineProfile`] primitives the SPIN paths charge, plus a small set
+//! [`Cost`] primitives the SPIN paths charge, plus a small set
 //! of OSF/1-specific structural constants (documented inline with their
 //! calibration source). The point of the model is that OSF/1's numbers
 //! come from its *structure* — fixed syscall dispatch, user-level services
 //! behind sockets, signal-based fault reflection, per-page mprotect — not
 //! from per-row fudging.
 
-use spin_sal::{MachineProfile, Nanos};
-use std::sync::Arc;
+use spin_sal::{Cost, Nanos};
 
 /// OSF/1-specific structural constants (nanoseconds).
 mod c {
@@ -40,23 +39,16 @@ mod c {
     pub(super) const MPROTECT_PER_PAGE: u64 = 10_000;
 }
 
-/// The OSF/1 model over a machine profile.
-#[derive(Clone)]
-pub struct Osf1Model {
-    p: Arc<MachineProfile>,
-}
+/// The OSF/1 model over the machine's [`Cost`] table.
+#[derive(Debug, Clone, Copy)]
+pub struct Osf1Model;
 
 impl Osf1Model {
-    /// Builds the model.
-    pub fn new(profile: Arc<MachineProfile>) -> Osf1Model {
-        Osf1Model { p: profile }
-    }
-
     // ---- Table 2: protected communication ----
 
     /// The null system call: trap, fixed dispatcher, return (≈5 µs).
     pub fn null_syscall(&self) -> Nanos {
-        self.p.syscall_round_trip()
+        crate::syscall_round_trip()
     }
 
     /// Cross-address-space call via "sockets and SUN RPC" (≈845 µs):
@@ -64,15 +56,14 @@ impl Osf1Model {
     /// RPC marshal), a process wakeup with context and AS switch, and a
     /// socket read (syscall + socket layer + copy + unmarshal).
     pub fn cross_address_space_call(&self) -> Nanos {
-        let p = &self.p;
-        let one_way = p.syscall_round_trip()          // write(2)
+        let one_way = crate::syscall_round_trip() // write(2)
             + c::SOCKET_OP
             + c::SUNRPC_MARSHAL
             + c::PROC_WAKEUP
-            + p.sched_decision
-            + p.context_switch
-            + p.as_switch
-            + p.syscall_round_trip()                  // read(2) on the peer
+            + Cost::SchedDecision.ns()
+            + Cost::ContextSwitch.ns()
+            + Cost::AsSwitch.ns()
+            + crate::syscall_round_trip() // read(2) on the peer
             + c::SOCKET_OP
             + c::SUNRPC_MARSHAL;
         2 * one_way
@@ -83,17 +74,16 @@ impl Osf1Model {
     /// Kernel-thread Fork-Join (≈198 µs): heavyweight creation plus the
     /// schedule/terminate/join switches.
     pub fn kernel_fork_join(&self) -> Nanos {
-        let p = &self.p;
         c::KTHREAD_CREATE
-            + 2 * (p.sched_decision + p.context_switch)
-            + 2 * p.sync_op
+            + 2 * (Cost::SchedDecision.ns() + Cost::ContextSwitch.ns())
+            + 2 * Cost::SyncOp.ns()
             + c::PROC_WAKEUP
     }
 
     /// Kernel-thread Ping-Pong (≈21 µs): two sleep/wakeup switches.
     pub fn kernel_ping_pong(&self) -> Nanos {
-        let p = &self.p;
-        2 * (p.sync_op + p.sched_decision + p.context_switch) + 2 * p.sync_op * 2
+        2 * (Cost::SyncOp.ns() + Cost::SchedDecision.ns() + Cost::ContextSwitch.ns())
+            + 2 * Cost::SyncOp.ns() * 2
     }
 
     /// P-threads user Fork-Join (≈1230 µs): library descriptor setup over
@@ -101,7 +91,7 @@ impl Osf1Model {
     pub fn user_fork_join(&self) -> Nanos {
         self.kernel_fork_join()
             + c::PTHREAD_CREATE_EXTRA
-            + 2 * self.p.user_thread_setup
+            + 2 * Cost::UserThreadSetup.ns()
             + 4 * self.null_syscall()
     }
 
@@ -115,13 +105,13 @@ impl Osf1Model {
 
     /// Trap: fault to user handler via signal delivery (≈260 µs).
     pub fn vm_trap(&self) -> Nanos {
-        self.p.trap_entry + self.p.tlb_fill + c::SIGNAL_UPCALL
+        Cost::TrapEntry.ns() + Cost::TlbFill.ns() + c::SIGNAL_UPCALL
     }
 
     /// Fault: full perceived latency — signal out, mprotect in the
     /// handler, sigreturn and retry (≈329 µs).
     pub fn vm_fault(&self) -> Nanos {
-        self.vm_trap() + self.vm_prot1() + self.p.trap_exit + self.p.tlb_fill
+        self.vm_trap() + self.vm_prot1() + Cost::TrapExit.ns() + Cost::TlbFill.ns()
     }
 
     /// Prot1: one mprotect call (≈45 µs).
@@ -157,7 +147,7 @@ impl Osf1Model {
     /// process sending or receiving one packet of `len` bytes): syscall,
     /// socket layer, copy across the user/kernel boundary, wakeup.
     fn user_packet_overhead(&self, len: usize) -> Nanos {
-        self.null_syscall() + c::SOCKET_OP + self.p.copy(len) + c::PROC_WAKEUP
+        self.null_syscall() + c::SOCKET_OP + crate::copy(len) + c::PROC_WAKEUP
     }
 
     /// UDP round-trip latency as measured SPIN RTT plus four user-level
@@ -173,7 +163,7 @@ impl Osf1Model {
     pub fn receive_bandwidth_mbps(&self, spin_mbps: f64, packet: usize) -> f64 {
         let spin_per_packet_ns = packet as f64 * 8.0 * 1e3 / spin_mbps;
         let extra =
-            (self.null_syscall() + c::SOCKET_OP + self.p.copy(packet) / 4 + c::PROC_WAKEUP) as f64;
+            (self.null_syscall() + c::SOCKET_OP + crate::copy(packet) / 4 + c::PROC_WAKEUP) as f64;
         let osf_per_packet_ns = spin_per_packet_ns + extra;
         packet as f64 * 8.0 * 1e3 / osf_per_packet_ns
     }
@@ -191,7 +181,7 @@ impl Osf1Model {
     /// Video server: CPU to read one frame — read(2) plus the copy from
     /// the page cache to user space (per frame, shared across clients).
     pub fn video_read_cpu(&self, frame_bytes: usize) -> Nanos {
-        self.null_syscall() + self.p.copy(frame_bytes)
+        self.null_syscall() + crate::copy(frame_bytes)
     }
 
     /// Video server: CPU to send one packet to one client — send(2), the
@@ -200,10 +190,10 @@ impl Osf1Model {
     /// fan-out sharing).
     pub fn video_send_cpu(&self, packet_bytes: usize, driver_ns: Nanos) -> Nanos {
         self.null_syscall()
-            + self.p.copy(packet_bytes)
+            + crate::copy(packet_bytes)
             + c::SOCKET_OP
             + driver_ns
-            + self.p.dma_setup
+            + Cost::DmaSetup.ns()
     }
 
     /// Web server request latency: the paper reports "about 8 ms per
@@ -220,7 +210,7 @@ mod tests {
     use super::*;
 
     fn model() -> Osf1Model {
-        Osf1Model::new(Arc::new(MachineProfile::alpha_axp_3000_400()))
+        Osf1Model
     }
 
     fn us(ns: Nanos) -> f64 {

@@ -14,8 +14,7 @@ use spin_baseline::Osf1Model;
 use spin_bench::JsonReport;
 use spin_fs::{BufferCache, FileSystem, LruPolicy};
 use spin_net::{Medium, TwoHosts, VideoClient, VideoServer};
-use spin_sal::{HostId, MachineProfile};
-use std::sync::Arc;
+use spin_sal::HostId;
 
 /// ~3 Mb/s per stream: 30 frames/s of 12.5 KB.
 const FRAME: usize = 12_500;
@@ -63,7 +62,7 @@ fn osf1_utilization(model: &Osf1Model, clients: u32) -> f64 {
 }
 
 fn main() {
-    let model = Osf1Model::new(Arc::new(MachineProfile::alpha_axp_3000_400()));
+    let model = Osf1Model;
     println!("\nFigure 6: video server CPU utilization vs client streams (T3, DMA)");
     println!("===================================================================");
     println!(

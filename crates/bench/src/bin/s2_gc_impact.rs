@@ -9,16 +9,11 @@
 use spin_bench::{render_table, us, JsonReport, Row};
 use spin_core::{Dispatcher, Identity};
 use spin_rt::{GcError, KernelHeap};
-use spin_sal::{Clock, MachineProfile};
 use spin_vm::VmWorkbench;
-use std::sync::Arc;
 
 fn dispatch_cost() -> u64 {
-    let clock = Clock::new();
-    let d = Dispatcher::new(
-        clock.clone(),
-        Arc::new(MachineProfile::alpha_axp_3000_400()),
-    );
+    let d = Dispatcher::unmetered();
+    let clock = d.clock().clone();
     let (ev, owner) = d.define::<(), ()>("Null", Identity::kernel("bench"));
     owner.set_primary(|_| ()).expect("fresh");
     let t0 = clock.now();

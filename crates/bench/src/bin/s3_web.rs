@@ -11,7 +11,6 @@ use spin_baseline::Osf1Model;
 use spin_bench::{render_table, JsonReport, Row};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_net::{http_get, HttpServer, Medium, TcpStack, TwoHosts};
-use spin_sal::MachineProfile;
 use std::sync::Arc;
 
 fn main() {
@@ -56,7 +55,7 @@ fn main() {
     let t = times.lock();
     let uncached_ms = t[0] as f64 / 1e6;
     let cached_ms = t[1..].iter().sum::<u64>() as f64 / (t.len() - 1) as f64 / 1e6;
-    let model = Osf1Model::new(Arc::new(MachineProfile::alpha_axp_3000_400()));
+    let model = Osf1Model;
     let osf_ms = model.web_request((cached_ms * 1e6) as u64, 3_000) as f64 / 1e6;
 
     let rows = vec![

@@ -42,7 +42,7 @@ const CLIENT_PORT: u16 = 9000;
 /// Storm size: one packet per [`SEND_GAP`] of virtual time.
 const STORM: u64 = 24_000;
 const SEND_GAP: Nanos = 1_000;
-/// Each send also charges the profile's real protocol cost (~80 µs), so
+/// Each send also charges the cost table's real protocol cost (~80 µs), so
 /// the 24 000-packet storm spans ~1.9 s of virtual time. The gate closes
 /// 200 ms in and commits at 1.5 s: well over 10 000 packets (plus the
 /// echo replies in flight) arrive into the closed gate and park.

@@ -50,7 +50,7 @@ use spin_core::{
     PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
 };
 use spin_net::ShardRig;
-use spin_sal::Nanos;
+use spin_sal::{Cost, Nanos};
 use spin_sched::MulticoreStats;
 use spin_swap::{SwapCoordinator, SwapSupervisor, UndoAction};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -177,7 +177,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         owner
             .set_primary(move |sent| {
                 lat.lock().push(clk.now() - sent);
-                clk.advance(TENANT_WORK);
+                clk.charge(Cost::Work, TENANT_WORK);
             })
             .expect("fresh tenant event");
         tenant_events.push(ev);
@@ -190,7 +190,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         slow_owner
             .set_primary(move |_sent| {
                 served.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                clk.advance(SLOW_WORK);
+                clk.charge(Cost::Work, SLOW_WORK);
             })
             .expect("fresh slow event");
     }
@@ -209,7 +209,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         ev_greedy
             .install(greedy_ident.clone(), move |_sent: &u64| {
                 served.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                clk.advance(GREEDY_WORK);
+                clk.charge(Cost::Work, GREEDY_WORK);
             })
             .expect("install greedy v1");
     }
@@ -297,7 +297,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                                         installer: ident2.clone(),
                                         handler: Arc::new(move |_sent: &u64| {
                                             served2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                                            clk2.advance(DEGRADED_WORK);
+                                            clk2.charge(Cost::Work, DEGRADED_WORK);
                                         }),
                                         guards: Vec::new(),
                                         constraints: Constraints::default(),

@@ -8,13 +8,10 @@
 use spin_baseline::{MachModel, Osf1Model};
 use spin_bench::scenario::{in_kernel_call, syscall, xas, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_sal::MachineProfile;
-use std::sync::Arc;
 
 fn main() {
-    let p = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let osf1 = Osf1Model::new(p.clone());
-    let mach = MachModel::new(p);
+    let osf1 = Osf1Model;
+    let mach = MachModel;
     let bare = Wiring::bare();
 
     let rows = vec![

@@ -6,7 +6,7 @@
 
 use spin_baseline::{MachModel, Osf1Model};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_sal::{MachineProfile, SimBoard};
+use spin_sal::SimBoard;
 use spin_sched::{
     measure_fork_join, measure_kernel_fork_join, measure_kernel_ping_pong, measure_ping_pong,
     CThreadsImpl, Executor,
@@ -15,17 +15,12 @@ use std::sync::Arc;
 
 fn exec() -> Arc<Executor> {
     let board = SimBoard::new();
-    Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    )
+    Executor::on(board.clock.clone(), board.timers.clone())
 }
 
 fn main() {
-    let p = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let osf1 = Osf1Model::new(p.clone());
-    let mach = MachModel::new(p);
+    let osf1 = Osf1Model;
+    let mach = MachModel;
 
     let rows = vec![
         Row::new(

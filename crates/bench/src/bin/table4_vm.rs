@@ -8,13 +8,10 @@
 use spin_baseline::{MachModel, Osf1Model};
 use spin_bench::scenario::{table4_vm, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_sal::MachineProfile;
-use std::sync::Arc;
 
 fn main() {
-    let p = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let osf1 = Osf1Model::new(p.clone());
-    let mach = MachModel::new(p);
+    let osf1 = Osf1Model;
+    let mach = MachModel;
 
     let [dirty, fault, trap, prot1, prot100, unprot100, appel1, appel2] =
         table4_vm(&Wiring::bare());

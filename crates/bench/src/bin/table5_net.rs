@@ -8,12 +8,9 @@
 use spin_baseline::Osf1Model;
 use spin_bench::scenario::{table5_net, Table5, Wiring, ATM_BW_PAYLOAD, ETH_BW_PAYLOAD};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_sal::MachineProfile;
-use std::sync::Arc;
 
 fn main() {
-    let p = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let osf1 = Osf1Model::new(p);
+    let osf1 = Osf1Model;
 
     let Table5 {
         eth_rtt: spin_eth_rtt,

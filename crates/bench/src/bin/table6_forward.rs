@@ -8,12 +8,9 @@
 use spin_baseline::Osf1Model;
 use spin_bench::scenario::{table6_forward, Wiring};
 use spin_bench::{render_table, us, JsonReport, Row};
-use spin_sal::MachineProfile;
-use std::sync::Arc;
 
 fn main() {
-    let p = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let osf1 = Osf1Model::new(p);
+    let osf1 = Osf1Model;
 
     // (label, SPIN paper µs, OSF/1 paper µs), in `table6_forward`'s order.
     let paper = [

@@ -21,7 +21,7 @@ use spin_net::{
     TwoHosts, UdpPacket, UdpSocket,
 };
 use spin_obs::Obs;
-use spin_sal::{Clock, MachineProfile, Nanos, SimBoard, PAGE_SHIFT};
+use spin_sal::{Clock, Nanos, SimBoard, PAGE_SHIFT};
 use spin_sched::{measure_xas_call, Executor};
 use spin_swap::{SwapCoordinator, UndoAction};
 use spin_vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService, VmWorkbench};
@@ -278,9 +278,8 @@ impl Wiring {
 /// Table 2, "protected in-kernel call": ns per raise of a one-handler
 /// event.
 pub fn in_kernel_call(w: &Wiring) -> Nanos {
-    let clock = Clock::new();
-    let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-    let d = Dispatcher::new(clock.clone(), profile);
+    let d = Dispatcher::unmetered();
+    let clock = d.clock().clone();
     w.wire_dispatcher(&d);
     let (ev, owner) = d.define::<(), ()>("Null", Identity::kernel("bench"));
     owner.set_primary(|_| ()).expect("fresh");
@@ -352,15 +351,10 @@ fn pager_demand(w: &Wiring) -> Nanos {
     let board = SimBoard::new();
     let host = board.new_host(128);
     let exec = Executor::for_host(&host);
-    let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
+    let disp = Dispatcher::on(board.clock.clone());
     w.wire_exec(&exec);
     w.wire_dispatcher(&disp);
-    let trans = TranslationService::new(
-        host.mmu.clone(),
-        board.clock.clone(),
-        board.profile.clone(),
-        &disp,
-    );
+    let trans = TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp);
     if let Some(obs) = &w.obs {
         trans.set_obs(obs.domain("vm"));
     }
@@ -705,7 +699,7 @@ mod tests {
 
     /// An executor no longer subscribes to its clock, so with nothing else
     /// wired the dispatcher's compiled walk charges a run of misses in one
-    /// `advance`. A counting subscriber makes every charge observed, and
+    /// charge. A counting subscriber makes every charge observed, and
     /// the walk charges them one by one: the totals, and so every virtual
     /// number, must be the same.
     #[test]

@@ -13,7 +13,7 @@
 //!   only: an append-only chain of write-once nodes, so
 //!   [`HookRegistry::for_each`] takes no lock, bumps no refcount and
 //!   allocates nothing, and each hook runs with no lock held. `is_armed()`
-//!   is one load of the live count. `Clock::advance` pays this on every
+//!   is one load of the live count. `Clock::charge` pays this on every
 //!   charge of every packet, which is why it is not an `RwLock<Arc<Vec>>`
 //!   (three locked read-modify-writes per walk) any more — see DESIGN.md
 //!   decision 18.

@@ -391,11 +391,11 @@ const BENIGN_METHODS: [&str; 8] = [
     "clone",
 ];
 /// Calls that constitute "reaching a Clock charge" for rule C1: a direct
-/// virtual-time advance, or a raise (every raise charges
-/// `event_raise_base` inside the dispatcher).
+/// virtual-time charge, or a raise (every raise charges
+/// `EventRaiseBase` inside the dispatcher).
 const CHARGE_CALLS: [&str; 6] = [
-    "advance",
-    "advance_pair",
+    "charge",
+    "charge_all",
     "raise",
     "raise_batch",
     "raise_burst",
@@ -908,7 +908,7 @@ const HINT_O1: &str = "add an `// ordering:` comment (same line or the 2 above) 
 const HINT_U1_WHERE: &str =
     "unsafe lives only in lint.toml-allowlisted islands; move it there or make it safe";
 const HINT_U1_WHY: &str = "add a `// SAFETY:` comment (same line or the 5 above) proving the claim";
-const HINT_C1: &str = "hot-path API must charge the Clock (advance/raise) or carry an \
+const HINT_C1: &str = "hot-path API must charge the Clock (charge/raise) or carry an \
     `// uncharged:` (zero-cost by design) / `// charged:` (charge is behind a call) justification";
 
 // ---------------------------------------------------------------------------
@@ -1186,11 +1186,14 @@ fn fn_header_end(toks: &[Tok], from: usize) -> usize {
 /// to its value, a struct's header and `pub` fields, any other item whole.
 fn signature(toks: &[Tok], kind: usize, from: usize) -> BTreeSet<String> {
     let end = item_end(toks, from);
+    // A name followed by a lone `:` is a binding — a parameter, field or
+    // generic — and names no item.
     let names = |range: Range<usize>| {
-        toks[range]
-            .iter()
-            .filter(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
+        range
+            .filter(|&j| {
+                toks[j].kind == TokKind::Ident && toks.get(j + 1).is_none_or(|n| n.text != ":")
+            })
+            .map(|j| toks[j].text.clone())
     };
     match toks[kind].text.as_str() {
         "fn" => names(kind..fn_header_end(toks, from)).collect(),
@@ -1826,7 +1829,7 @@ mod tests {
         cfg.charged_modules.push("crates/net/src/stack.rs".into());
         let src = "impl S {\n\
                    pub fn send(&self) { self.push() }\n\
-                   fn push(&self) { self.clock.advance(10); }\n\
+                   fn push(&self) { self.clock.charge(Cost::Work, 10); }\n\
                    pub fn stats(&self) -> u64 { self.count }\n\
                    /// Docs.\n\
                    // uncharged: pure accessor, no packet moves\n\

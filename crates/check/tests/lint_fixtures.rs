@@ -112,7 +112,9 @@ fn workspace_fixture_reports_all_violations() {
 /// skipped fire too: a method whose name is declared twice and that no
 /// other crate names, with the type only such methods return, and an
 /// associated function other crates call only as another type's
-/// same-named function. In `clean/p1` every item is named from outside
+/// same-named function, and a function and a type that a live item's
+/// signature mentions only as a parameter, field or generic name. In
+/// `clean/p1` every item is named from outside
 /// its crate — the root `tests/`, the crate's own `tests/`, a `src/bin/`
 /// file, or `perf/src` (a trait through a plain `use` import), a function
 /// without `self` by its type's path — kept by a shared name another
@@ -124,9 +126,12 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
     let bad = lint_workspace(&fixture_path("bad/p1")).expect("fixture is readable");
     let (lib, relayed) = ("crates/kern/src/lib.rs", "crates/kern/src/relayed.rs");
     let shared = "crates/kern/src/shared.rs";
+    let binding = "crates/kern/src/binding.rs";
     assert_eq!(
         located(&bad),
         vec![
+            (binding.into(), 9, "P1"),  // only bindings are called `start`
+            (binding.into(), 14, "P1"), // only a generic is called `Probe`
             (lib.into(), 11, "P1"),
             (lib.into(), 16, "P1"),
             (lib.into(), 24, "P1"),    // only a sibling module calls it

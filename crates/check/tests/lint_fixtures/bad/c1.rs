@@ -1,6 +1,6 @@
 //! C1 fixture (linted as a charged module): `stats` neither charges the
 //! clock nor documents its story (must fire on line 9, and only there);
-//! `send` is clean — it reaches `advance` through `push`.
+//! `send` is clean — it reaches `charge` through `push`.
 
 pub fn send(clock: &Clock) {
     push(clock);
@@ -11,5 +11,5 @@ pub fn stats() -> u64 {
 }
 
 fn push(clock: &Clock) {
-    clock.advance(1);
+    clock.charge(Cost::Work, 1);
 }

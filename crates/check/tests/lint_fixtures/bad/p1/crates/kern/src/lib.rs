@@ -33,6 +33,10 @@ mod shared;
 
 pub use shared::{Gauge, Ghost, Left, Meter};
 
+mod binding;
+
+pub use binding::{launch, start, Carrier, Probe};
+
 fn internal() -> Internal {
     Internal
 }

@@ -3,7 +3,7 @@
 //! its charging story.
 
 pub fn send(clock: &Clock) {
-    clock.advance(1);
+    clock.charge(Cost::Work, 1);
 }
 
 pub fn forward(clock: &Clock) {

@@ -120,7 +120,7 @@
 //! match still charges one `guard_eval` (its failing key guard), exactly
 //! as a sequential walk would, and in the same per-entry order, so every
 //! virtual-time output is byte-identical whether guards are structured or
-//! opaque. Consecutive misses are charged as one batched `Clock::advance`
+//! opaque. Consecutive misses are charged as one batched `Clock::charge`
 //! only when nobody can observe the difference (no clock advance hooks, no
 //! obs tracing); otherwise the charges are replayed one by one.
 //!
@@ -145,7 +145,7 @@ use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
-use spin_sal::{Clock, HostId, MachineProfile, Nanos};
+use spin_sal::{Clock, Cost, HostId, MachineProfile, Nanos};
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -1105,7 +1105,6 @@ struct DispatcherInner {
     /// and an asynchronous invocation then runs in place.
     async_runner: spin_check::hooks::HookSlot<AsyncRunner>,
     clock: Clock,
-    profile: Arc<MachineProfile>,
     /// Cross-core raise router: absent until the multicore runtime wires
     /// it, and the local-raise fast path is then a single atomic load.
     xcall: spin_check::hooks::HookSlot<XcallRouter>,
@@ -1128,9 +1127,16 @@ pub struct Dispatcher {
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher charging costs to `clock` per `profile`.
+    /// Retired: [`Dispatcher::on`] with an ignored profile. Only `perf/`
+    /// still calls it; porting that package to `Cost` deletes it.
     // uncharged: construction is control-plane, not the measured dispatch path.
-    pub fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub fn new(clock: Clock, _profile: Arc<MachineProfile>) -> Self {
+        Self::on(clock)
+    }
+
+    /// Creates a dispatcher charging costs to `clock`.
+    // uncharged: construction is control-plane, not the measured dispatch path.
+    pub fn on(clock: Clock) -> Self {
         Dispatcher {
             inner: Arc::new(DispatcherInner {
                 events: Mutex::new(BTreeMap::new()),
@@ -1139,7 +1145,6 @@ impl Dispatcher {
                 next_handler: AtomicU64::new(1),
                 async_runner: spin_check::hooks::HookSlot::new(),
                 clock,
-                profile,
                 xcall: spin_check::hooks::HookSlot::new(),
                 obs: spin_check::hooks::HookSlot::new(),
                 faults: spin_check::hooks::HookSlot::new(),
@@ -1151,7 +1156,7 @@ impl Dispatcher {
     /// A dispatcher with a private clock (unit tests, examples).
     // uncharged: test/example constructor.
     pub fn unmetered() -> Self {
-        Self::new(Clock::new(), Arc::new(MachineProfile::alpha_axp_3000_400()))
+        Self::on(Clock::new())
     }
 
     /// The clock costs are charged to.
@@ -1440,8 +1445,8 @@ impl Dispatcher {
             Some(router) if router.home != target => {
                 // The sender pays the posting cost; the flight time is
                 // virtual and charged to nobody's CPU.
-                self.inner.clock.advance(self.inner.profile.sync_op);
-                let deliver_at = self.inner.clock.now() + self.inner.profile.xcall_latency;
+                self.inner.clock.charge(Cost::SyncOp, 1);
+                let deliver_at = self.inner.clock.now() + Cost::XcallLatency.ns();
                 let ev = ev.clone();
                 (router.post)(
                     target,
@@ -1697,7 +1702,6 @@ where
     /// virtual-time charges happen here.
     fn dispatch(&self, plan: &RaisePlan<A, R>, args: A) -> Result<R, DispatchError> {
         let (ev, state, obs) = (self.ev, &self.ev.state, self.obs);
-        let profile = &self.inner.profile;
         let clock = &self.inner.clock;
         let stats = &state.stats;
 
@@ -1706,7 +1710,7 @@ where
         // Still unwind-isolated: the first panic demotes the handler off
         // this path for good.
         if plan.fast {
-            clock.advance(profile.inter_module_call);
+            clock.charge(Cost::InterModuleCall, 1);
             let entry = &plan.entries[0];
             return self.contained(entry, &args).map_err(|kind| {
                 count(&stats.handler_faults, 1);
@@ -1720,7 +1724,7 @@ where
             });
         }
 
-        clock.advance(profile.event_raise_base);
+        clock.charge(Cost::EventRaiseBase, 1);
         // Handlers borrow the arguments from this frame; only invocations
         // that may outlive it (asynchronous entries) need them shared.
         let (owned, shared);
@@ -1746,7 +1750,7 @@ where
         // indexed entries and the scan list joins them in install order; a
         // plan with no groups walks its scan list — every entry — as it
         // stands. Missed indexed entries still charge their failing key
-        // guard — batched into one `advance` only when nobody can see the
+        // guard — batched into one charge only when nobody can see the
         // granularity (no obs tracing, no clock advance hooks); otherwise
         // replayed one by one so the trace stream and hook firings match a
         // sequential walk exactly.
@@ -1762,7 +1766,7 @@ where
                 }
             } else {
                 acc.guard_evals += m;
-                clock.advance(m * profile.guard_eval);
+                clock.charge(Cost::GuardEval, m);
             }
         };
         let compiled = !c.groups.is_empty();
@@ -1816,7 +1820,7 @@ where
     /// outcome — a predicate call, or the constant the dispatch table has
     /// already proved.
     fn guard(&self, acc: &mut SlowAcc<R>, outcome: impl FnOnce() -> bool) -> bool {
-        self.inner.clock.advance(self.inner.profile.guard_eval);
+        self.inner.clock.charge(Cost::GuardEval, 1);
         acc.guard_evals += 1;
         let ok = outcome();
         if let Some(obs) = self.obs {
@@ -1838,7 +1842,6 @@ where
         acc: &mut SlowAcc<R>,
     ) {
         let (ev, obs) = (self.ev, self.obs);
-        let profile = &self.inner.profile;
         let clock = &self.inner.clock;
         for guard in &entry.guards[skip_guards..] {
             if !self.guard(acc, || guard.eval(args)) {
@@ -1858,7 +1861,7 @@ where
                 }
             }
             HandlerMode::Synchronous => {
-                clock.advance(profile.handler_invoke + profile.inter_module_call);
+                clock.charge_all([(Cost::HandlerInvoke, 1), (Cost::InterModuleCall, 1)]);
                 let t0 = clock.now();
                 match self.contained(entry, args) {
                     Ok(r) => {
@@ -1902,7 +1905,7 @@ where
         catch_unwind(AssertUnwindSafe(|| {
             match faults.and_then(|h| h.draw()) {
                 Some(Injection::Panic) => faults.expect("drawn").fire_panic(),
-                Some(Injection::Delay(ns)) => self.inner.clock.advance(ns),
+                Some(Injection::Delay(ns)) => self.inner.clock.charge(Cost::Injected, ns),
                 Some(Injection::Fail) | None => {}
             }
             (entry.handler)(args)
@@ -2463,13 +2466,12 @@ mod tests {
     #[test]
     fn fast_path_costs_one_inter_module_call() {
         let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let d = Dispatcher::new(clock.clone(), profile.clone());
+        let d = Dispatcher::on(clock.clone());
         let (ev, owner) = d.define::<(), ()>("Null", Identity::kernel("k"));
         owner.set_primary(|_| ()).unwrap();
         let t0 = clock.now();
         ev.raise(()).unwrap();
-        assert_eq!(clock.now() - t0, profile.inter_module_call);
+        assert_eq!(clock.now() - t0, Cost::InterModuleCall.ns());
     }
 
     #[test]
@@ -2603,8 +2605,7 @@ mod tests {
     #[test]
     fn time_bounded_handlers_are_aborted() {
         let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let d = Dispatcher::new(clock.clone(), profile);
+        let d = Dispatcher::on(clock.clone());
         let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
         owner.set_primary(|_| 1).unwrap();
         owner
@@ -2618,7 +2619,7 @@ mod tests {
             .unwrap();
         let clock2 = clock.clone();
         ev.install(Identity::extension("slow"), move |_| {
-            clock2.advance(50_000); // simulated runaway handler
+            clock2.charge(Cost::Work, 50_000); // simulated runaway handler
             1_000_000
         })
         .unwrap();
@@ -2744,8 +2745,7 @@ mod tests {
     #[test]
     fn dispatch_cost_scales_linearly_with_guards() {
         let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let d = Dispatcher::new(clock.clone(), profile.clone());
+        let d = Dispatcher::on(clock.clone());
         let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
         owner.set_primary(|_| 0).unwrap();
         for _ in 0..50 {
@@ -2755,10 +2755,10 @@ mod tests {
         let t0 = clock.now();
         ev.raise(()).unwrap();
         let cost = clock.now() - t0;
-        let expected = profile.event_raise_base
-            + 50 * profile.guard_eval
-            + profile.handler_invoke
-            + profile.inter_module_call;
+        let expected = Cost::EventRaiseBase.ns()
+            + 50 * Cost::GuardEval.ns()
+            + Cost::HandlerInvoke.ns()
+            + Cost::InterModuleCall.ns();
         assert_eq!(cost, expected);
     }
 

@@ -367,6 +367,7 @@ mod tests {
     use super::*;
     use crate::dispatch::Dispatcher;
     use spin_check::sync::{AtomicU32, Ordering};
+    use spin_sal::Cost;
 
     fn panicky_dispatcher() -> (Dispatcher, Event<u32, u32>, Arc<Containment>) {
         let d = Dispatcher::unmetered();
@@ -473,7 +474,7 @@ mod tests {
         ev.install(Identity::extension("slowburn"), |_| panic!("x"))
             .unwrap();
         ev.raise(()).unwrap();
-        clock.advance(1_000); // the first strike ages out of the window
+        clock.charge(Cost::Work, 1_000); // the first strike ages out of the window
         ev.raise(()).unwrap();
         assert_eq!(c.trips("slowburn"), 0, "strikes were never concurrent");
         assert_eq!(d.handler_count(&ev).unwrap(), 2);

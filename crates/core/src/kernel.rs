@@ -26,7 +26,7 @@ use spin_check::sync::Mutex;
 use spin_check::sync::{Arc, AtomicU64, Ordering};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_rt::KernelHeap;
-use spin_sal::Host;
+use spin_sal::{Cost, Host};
 use std::ops::Range;
 
 /// Arguments of a system-call trap.
@@ -67,7 +67,7 @@ pub struct Kernel {
 impl Kernel {
     /// Boots a kernel on `host`.
     pub fn boot(host: Host) -> Kernel {
-        let dispatcher = Dispatcher::new(host.clock.clone(), host.profile.clone());
+        let dispatcher = Dispatcher::on(host.clock.clone());
         let nameserver = NameServer::new();
         let spin_public = Domain::combine("SpinPublic", &[]).expect("empty combine");
         let (trap_syscall, _owner) =
@@ -231,19 +231,18 @@ impl Kernel {
     /// The user→kernel→user system-call path: charges the trap crossing
     /// and raises `Trap.SystemCall`.
     pub fn syscall(&self, number: u64, args: [u64; 6]) -> SysResult {
-        let profile = &self.inner.host.profile;
         let clock = &self.inner.host.clock;
         self.inner.syscalls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
         if let Some(obs) = self.inner.obs.get() {
             obs.trace(TraceKind::SyscallTrap, number, 0);
         }
-        clock.advance(profile.trap_entry);
+        clock.charge(Cost::TrapEntry, 1);
         let result = self
             .inner
             .trap_syscall
             .raise(Syscall { number, args })
             .unwrap_or(ENOSYS);
-        clock.advance(profile.trap_exit);
+        clock.charge(Cost::TrapExit, 1);
         result
     }
 }

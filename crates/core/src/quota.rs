@@ -62,7 +62,7 @@ use spin_check::hooks::HookSlot;
 use spin_check::sync::{Arc, Mutex, Weak};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{Obs, ObsHook, TraceKind};
-use spin_sal::{Clock, Mailbox, Nanos};
+use spin_sal::{Clock, Cost, Mailbox, Nanos};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -641,7 +641,7 @@ pub fn post_with_backpressure(
         }
         // Refused, and counted: the sender pays the penalty and retries
         // later.
-        clock.advance(penalty);
+        clock.charge(Cost::Penalty, penalty);
         penalty *= 2;
     }
     cell.note_mail_shed();
@@ -728,7 +728,7 @@ mod tests {
         let clock = Clock::new();
         let charges = Arc::new(Mutex::new(Vec::new()));
         let seen = charges.clone();
-        clock.add_advance_hook(Box::new(move |ns| seen.lock().push(ns)));
+        clock.add_advance_hook(Box::new(move |charge| seen.lock().push(charge)));
         let mb = Mailbox::new();
         assert_eq!(
             post_with_backpressure(&cell, &clock, &mb, 5, 7, |_| {}),
@@ -740,7 +740,14 @@ mod tests {
             post_with_backpressure(&cell, &clock, &mb, 5, 7, |_| {}),
             PostOutcome::Shed { attempts: 4 }
         );
-        assert_eq!(*charges.lock(), [50_000, 100_000, 200_000, 400_000]);
+        let penalty = |ns| spin_sal::Charge {
+            cost: Cost::Penalty,
+            ns,
+        };
+        assert_eq!(
+            *charges.lock(),
+            [50_000, 100_000, 200_000, 400_000].map(penalty)
+        );
         assert_eq!(clock.now(), 750_000);
         let s = cell.snapshot();
         assert_eq!(s.mail_refused, 4);

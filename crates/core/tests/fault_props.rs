@@ -115,7 +115,7 @@ proptest! {
                         unreachable!("panic_always never declines")
                     }
                     MODE_SLOW => {
-                        clk.advance(BOUND + 1);
+                        clk.charge(spin_sal::Cost::Work, BOUND + 1);
                         2
                     }
                     _ => 1,

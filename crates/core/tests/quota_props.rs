@@ -229,7 +229,7 @@ proptest! {
         let clk = clock.clone();
         owner
             .set_primary(move |_| {
-                clk.advance(COMPLETE_VT);
+                clk.charge(spin_sal::Cost::Work, COMPLETE_VT);
                 7
             })
             .expect("fresh event");
@@ -258,7 +258,7 @@ proptest! {
                         }
                     }
                 }
-                _ => clock.advance(ADVANCE),
+                _ => clock.charge(spin_sal::Cost::Work, ADVANCE),
             }
             m.check(&cell);
         }

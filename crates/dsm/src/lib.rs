@@ -484,20 +484,12 @@ mod tests {
     fn dsm_rig(pages: u64) -> DsmRig {
         let rig = TwoHosts::new();
         let _ = AddressMap::new();
-        let disp_a = Dispatcher::new(rig.board.clock.clone(), rig.board.profile.clone());
-        let disp_b = Dispatcher::new(rig.board.clock.clone(), rig.board.profile.clone());
-        let trans_a = TranslationService::new(
-            rig.host_a.mmu.clone(),
-            rig.board.clock.clone(),
-            rig.board.profile.clone(),
-            &disp_a,
-        );
-        let trans_b = TranslationService::new(
-            rig.host_b.mmu.clone(),
-            rig.board.clock.clone(),
-            rig.board.profile.clone(),
-            &disp_b,
-        );
+        let disp_a = Dispatcher::on(rig.board.clock.clone());
+        let disp_b = Dispatcher::on(rig.board.clock.clone());
+        let trans_a =
+            TranslationService::new(rig.host_a.mmu.clone(), rig.board.clock.clone(), &disp_a);
+        let trans_b =
+            TranslationService::new(rig.host_b.mmu.clone(), rig.board.clock.clone(), &disp_b);
         let phys_a = PhysAddrService::new(rig.host_a.mem.clone(), &disp_a);
         let phys_b = PhysAddrService::new(rig.host_b.mem.clone(), &disp_b);
         let virt = spin_vm::VirtAddrService::new();
@@ -555,18 +547,10 @@ mod tests {
     fn sharded_dsm(pages: u64, workers: usize) -> ShardedDsm {
         let rig = spin_net::ShardRig::new(workers, 2);
         let (a, b) = (&rig.shards[0], &rig.shards[1]);
-        let trans_a = TranslationService::new(
-            a.host.mmu.clone(),
-            a.host.clock.clone(),
-            a.host.profile.clone(),
-            &a.dispatcher,
-        );
-        let trans_b = TranslationService::new(
-            b.host.mmu.clone(),
-            b.host.clock.clone(),
-            b.host.profile.clone(),
-            &b.dispatcher,
-        );
+        let trans_a =
+            TranslationService::new(a.host.mmu.clone(), a.host.clock.clone(), &a.dispatcher);
+        let trans_b =
+            TranslationService::new(b.host.mmu.clone(), b.host.clock.clone(), &b.dispatcher);
         let phys_a = PhysAddrService::new(a.host.mem.clone(), &a.dispatcher);
         let phys_b = PhysAddrService::new(b.host.mem.clone(), &b.dispatcher);
         let virt = spin_vm::VirtAddrService::new();

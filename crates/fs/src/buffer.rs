@@ -9,7 +9,7 @@
 //! at object level), or with anything an extension supplies.
 
 use spin_check::sync::Mutex;
-use spin_sal::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
+use spin_sal::{BlockId, Cost, Disk, DiskRequest, BLOCK_SIZE};
 use spin_sched::{Executor, KChannel, StrandCtx};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -133,7 +133,7 @@ impl BufferCache {
     /// Charges the CPU cost of moving `n` bytes to/from a caller's buffer
     /// (callers that consume block data byte-for-byte account the copy).
     pub(crate) fn charge_copy(&self, n: usize) {
-        self.exec.clock().advance(self.exec.profile().copy(n));
+        self.exec.clock().charge(Cost::CopyByte, n as u64);
     }
 
     /// Reads a block through the cache, blocking on a miss.

@@ -34,7 +34,7 @@ use spin_core::{
 };
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::vectors;
-use spin_sal::{BufChain, Host, Nanos, WireEndpoint};
+use spin_sal::{BufChain, Cost, Host, Nanos, WireEndpoint};
 use spin_sal::{Nic, NicError};
 use spin_sched::{Executor, KChannel, Step, StrandCtx};
 use std::collections::{HashMap, VecDeque};
@@ -839,7 +839,9 @@ impl NetStack {
         if let Some(h) = self.inner.faults.get() {
             match h.draw() {
                 Some(spin_fault::Injection::Panic) => h.fire_panic(),
-                Some(spin_fault::Injection::Delay(ns)) => self.inner.exec.clock().advance(ns),
+                Some(spin_fault::Injection::Delay(ns)) => {
+                    self.inner.exec.clock().charge(Cost::Injected, ns)
+                }
                 Some(spin_fault::Injection::Fail) => return Err(NetError::Faulted { dst }),
                 None => {}
             }

@@ -35,14 +35,10 @@ impl TwoHosts {
         let board = SimBoard::new();
         let host_a = board.new_host(256);
         let host_b = board.new_host(256);
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
         exec.add_irq_controller(host_a.irqs.clone());
         exec.add_irq_controller(host_b.irqs.clone());
-        let dispatcher = Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let dispatcher = Dispatcher::on(board.clock.clone());
         let addrs = AddressMap::new();
         let a = NetStack::install(
             &host_a,
@@ -131,7 +127,7 @@ impl ShardRig {
         let shards = (1..=shards)
             .zip(hosts)
             .map(|(n, (host, exec))| {
-                let dispatcher = Dispatcher::new(host.clock.clone(), host.profile.clone());
+                let dispatcher = Dispatcher::on(host.clock.clone());
                 mc.wire_dispatcher(&dispatcher, host.id);
                 let stack = NetStack::install(
                     &host,
@@ -187,12 +183,8 @@ impl ThreeHosts {
     pub fn new() -> ThreeHosts {
         let board = SimBoard::new();
         let hosts: Vec<Host> = (0..3).map(|_| board.new_host(256)).collect();
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
-        let dispatcher = Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        let dispatcher = Dispatcher::on(board.clock.clone());
         let addrs = AddressMap::new();
         let mut stacks = Vec::new();
         for (i, host) in hosts.iter().enumerate() {

@@ -19,7 +19,7 @@ use crate::stack::{NetStack, SendRequest, SendVerdict};
 use spin_check::sync::Mutex;
 use spin_core::Identity;
 use spin_fs::FileSystem;
-use spin_sal::Nanos;
+use spin_sal::{Cost, Nanos};
 use std::sync::Arc;
 
 /// The UDP port video streams use.
@@ -147,12 +147,12 @@ impl VideoClient {
         let stats = Arc::new(Mutex::new(VideoClientStats::default()));
         let st2 = stats.clone();
         let clock = stack.executor().clock().clone();
-        let profile = stack.executor().profile().clone();
         crate::socket::UdpSocket::bind_with(stack, VIDEO_PORT, "Video", move |p| {
             // Decompress...
-            clock.advance(p.payload.len() as u64 * DECOMPRESS_NS_PER_BYTE_X100 / 100);
+            let len = p.payload.len() as u64;
+            clock.charge(Cost::Work, len * DECOMPRESS_NS_PER_BYTE_X100 / 100);
             // ...and write to the frame buffer.
-            clock.advance(profile.copy(p.payload.len()));
+            clock.charge(Cost::CopyByte, len);
             let mut s = st2.lock();
             s.packets += 1;
             s.bytes += p.payload.len() as u64;

@@ -21,7 +21,7 @@
 //! clock, and nothing counts on a subsystem's hot path: a domain's totals
 //! are read when `/metrics` renders. Trace points in the instrumented
 //! crates gate on a single relaxed atomic load (the same `has_hook`
-//! pattern as `Clock::advance`), so every table and scaling series in
+//! pattern as `Clock::charge`), so every table and scaling series in
 //! EXPERIMENTS.md is byte-identical with the recorder on or off —
 //! enforced by `obs_invariance` in `spin-bench` and by
 //! `scripts/verify.sh`.

@@ -46,21 +46,15 @@ pub enum TraceKind {
     PacketTx = 7,
     /// A syscall trapped into the kernel (`a` = syscall number).
     SyscallTrap = 8,
-    /// A cross-shard envelope was drained for delivery (`a` = lane,
-    /// `b` = virtual delivery time).
-    MailDeliver = 9,
-    /// The multicore barrier opened an epoch (`a` = the epoch's global
-    /// virtual time).
-    ShardEpoch = 10,
     /// A hot-swap protocol phase was entered (`a` = phase ordinal:
     /// 0 quiesce, 1 transfer, 2 rebind, 3 resume, 4 committed,
     /// 5 rolled back; `b` = phase-specific count — raises held at
     /// quiesce, raises replayed at resume, plan generation at rebind).
-    SwapPhase = 11,
+    SwapPhase = 9,
     /// A domain crossed a resource-quota escalation boundary (`a` =
     /// ledger ordinal of the domain, `b` = escalation level: 1 throttle
     /// trip, 2 entered shedding, 3 quarantined).
-    QuotaBreach = 12,
+    QuotaBreach = 10,
 }
 
 impl TraceKind {
@@ -76,8 +70,6 @@ impl TraceKind {
             TraceKind::PacketRx => "packet_rx",
             TraceKind::PacketTx => "packet_tx",
             TraceKind::SyscallTrap => "syscall_trap",
-            TraceKind::MailDeliver => "mail_deliver",
-            TraceKind::ShardEpoch => "shard_epoch",
             TraceKind::SwapPhase => "swap_phase",
             TraceKind::QuotaBreach => "quota_breach",
         }

@@ -1,5 +1,5 @@
-//! Assembling the simulated testbed: a board (the media and the machine
-//! profile) and hosts (CPU-local hardware).
+//! Assembling the simulated testbed: a board (the media) and hosts
+//! (CPU-local hardware).
 //!
 //! The paper's experiments run on one or two DEC Alpha workstations joined
 //! by Ethernet and ATM. There are two boards and one way to build a host.
@@ -11,7 +11,7 @@
 //! the workstation around it comes from one builder.
 
 use crate::clock::{Clock, Nanos, TimerQueue};
-use crate::cost::MachineProfile;
+use crate::cost::{Cost, MachineProfile};
 use crate::devices::console::Console;
 use crate::devices::disk::Disk;
 use crate::devices::nic::{Nic, NicModel};
@@ -59,7 +59,6 @@ struct Timeline {
 /// Wire addresses are deterministic: host *i* gets endpoint *i* on every
 /// medium.
 fn build_host(
-    profile: &Arc<MachineProfile>,
     media: [&Wire; 3],
     next_host: &Mutex<u32>,
     memory_frames: usize,
@@ -71,7 +70,7 @@ fn build_host(
         *n += 1;
         id
     };
-    let irqs = IrqController::new(on.clock.clone(), profile.clone());
+    let irqs = IrqController::new(on.clock.clone());
     let nic = |model: NicModel, wire: &Wire, vector| {
         let port = Receiver {
             nic: Arc::default(),
@@ -80,26 +79,19 @@ fn build_host(
             clock: on.clock.clone(),
             sink: on.sink.clone(),
         };
-        Nic::new(
-            model,
-            WireEndpoint(id.0),
-            wire.clone(),
-            profile.clone(),
-            port,
-        )
+        Nic::new(model, WireEndpoint(id.0), wire.clone(), port)
     };
     let [ethernet, atm, t3] = media;
     Host {
         id,
         mem: PhysMem::new(memory_frames),
-        mmu: Mmu::new(on.clock.clone(), profile.clone()),
-        console: Console::new(on.clock.clone(), profile.clone()),
+        mmu: Mmu::new(on.clock.clone()),
+        console: Console::new(on.clock.clone()),
         disk: Disk::new(
             on.clock.clone(),
             on.timers.clone(),
             irqs.clone(),
             vectors::DISK,
-            profile.clone(),
         ),
         ethernet: nic(NicModel::lance_ethernet(), ethernet, vectors::ETHERNET),
         atm: nic(NicModel::fore_atm(), atm, vectors::ATM),
@@ -107,7 +99,7 @@ fn build_host(
         irqs,
         clock: on.clock,
         timers: on.timers,
-        profile: profile.clone(),
+        profile: Arc::new(MachineProfile::alpha_axp_3000_400()),
         mailbox: on.mailbox,
     }
 }
@@ -117,6 +109,8 @@ fn build_host(
 pub struct SimBoard {
     pub clock: Clock,
     pub timers: TimerQueue,
+    /// Retired: carries nothing; only `perf/` still reads it, and porting
+    /// that package to [`Cost`] deletes it.
     pub profile: Arc<MachineProfile>,
     /// The Ethernet segment joining all hosts.
     pub ethernet: Wire,
@@ -128,7 +122,7 @@ pub struct SimBoard {
 }
 
 impl SimBoard {
-    /// Creates a board with the paper's machine profile.
+    /// Creates a board of the paper's machines.
     pub fn new() -> Self {
         let (ethernet, atm, t3) = media();
         SimBoard {
@@ -152,7 +146,7 @@ impl SimBoard {
             sink: Sink::Timers(self.timers.clone()),
         };
         let media = [&self.ethernet, &self.atm, &self.t3];
-        build_host(&self.profile, media, &self.next_host, memory_frames, on)
+        build_host(media, &self.next_host, memory_frames, on)
     }
 }
 
@@ -172,7 +166,6 @@ impl Default for SimBoard {
 /// shards.
 #[derive(Clone)]
 pub struct MulticoreBoard {
-    pub profile: Arc<MachineProfile>,
     /// The Ethernet segment joining all hosts.
     pub ethernet: Wire,
     /// The ATM switch joining all hosts.
@@ -183,11 +176,10 @@ pub struct MulticoreBoard {
 }
 
 impl MulticoreBoard {
-    /// Creates a multicore board with the paper's machine profile.
+    /// Creates a multicore board of the paper's machines.
     pub fn new() -> Self {
         let (ethernet, atm, t3) = media();
         MulticoreBoard {
-            profile: Arc::new(MachineProfile::alpha_axp_3000_400()),
             ethernet,
             atm,
             t3,
@@ -199,8 +191,8 @@ impl MulticoreBoard {
     /// cross-shard effect (cross-core call vs. the fastest wire). No mail
     /// posted by a shard at time `t` can be due before `t + lookahead()`.
     pub fn lookahead(&self) -> Nanos {
-        self.profile
-            .xcall_latency
+        Cost::XcallLatency
+            .ns()
             .min(self.ethernet.propagation())
             .min(self.atm.propagation())
             .min(self.t3.propagation())
@@ -217,7 +209,7 @@ impl MulticoreBoard {
             sink: Sink::Mailbox(mailbox),
         };
         let media = [&self.ethernet, &self.atm, &self.t3];
-        build_host(&self.profile, media, &self.next_host, memory_frames, on)
+        build_host(media, &self.next_host, memory_frames, on)
     }
 }
 
@@ -241,6 +233,8 @@ pub struct Host {
     pub irqs: IrqController,
     pub clock: Clock,
     pub timers: TimerQueue,
+    /// Retired: carries nothing; only `perf/` still reads it, and porting
+    /// that package to [`Cost`] deletes it.
     pub profile: Arc<MachineProfile>,
     /// Inbound cross-shard messages (multicore mode; empty and unused on a
     /// shared-timeline [`SimBoard`]).

@@ -1,21 +1,20 @@
 //! The global virtual clock and the discrete-event timer queue.
 //!
 //! All simulated time in the reproduction lives on a single timeline. The
-//! currently-running simulated context advances the clock by calling
-//! [`Clock::advance`] with a cost drawn from the
-//! [`MachineProfile`](crate::MachineProfile); asynchronous completions (disk
-//! interrupts, packet arrivals, preemption ticks) are closures scheduled on
-//! the [`TimerQueue`] and fired by the executor when the clock passes their
-//! deadline.
+//! currently-running simulated context charges the clock by calling
+//! [`Clock::charge`] with a kind from the [`Cost`] table; asynchronous
+//! completions (disk interrupts, packet arrivals, preemption ticks) are
+//! closures scheduled on the [`TimerQueue`] and fired by the executor when
+//! the clock passes their deadline.
 //!
-//! Advance hooks let a layer observe every charge: the observability
-//! subsystem subscribes one to account the scheduler domain's CPU time,
-//! and a traced benchmark round subscribes a counter. The executor in
-//! `spin-sched` does not subscribe: it reads the clock where a slice
-//! starts and where its charge is wanted, and preempts at safe points on
-//! that difference — how the paper's preemptive kernel ("the kernel is
-//! preemptive, ensuring that a handler cannot take over the processor",
-//! §3.2) is reproduced deterministically.
+//! Advance hooks let a layer observe every charge, as a [`Charge`] that
+//! names its kind: the observability subsystem subscribes one to account
+//! the scheduler domain's CPU time, and a traced benchmark round
+//! subscribes a counter. The executor in `spin-sched` does not subscribe:
+//! it reads the clock where a slice starts and where its charge is wanted,
+//! and preempts at safe points on that difference — how the paper's
+//! preemptive kernel ("the kernel is preemptive, ensuring that a handler
+//! cannot take over the processor", §3.2) is reproduced deterministically.
 //!
 //! **One writer at a time.** A clock has one writer at a time, and
 //! successive writers are ordered by a lock or barrier the kernel already
@@ -30,7 +29,7 @@
 //! 4. a `SimBoard`'s hosts share one clock, and they share one executor
 //!    too.
 //!
-//! So [`Clock::advance`] — the one primitive every layer of the packet
+//! So [`Clock::charge`] — the one primitive every layer of the packet
 //! path pays, many times per packet, with an atomics budget (DESIGN.md
 //! decision 18) — is a load and a Release store, no locked instruction,
 //! then a walk of the subscribers that only loads. A charge on an
@@ -40,6 +39,7 @@
 //! checks the contract itself. Two writers with no hand-off between them
 //! may lose a charge.
 
+use crate::cost::Cost;
 use crate::mailbox::Envelope;
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
@@ -51,8 +51,17 @@ use std::sync::Arc;
 /// Virtual nanoseconds since simulation boot.
 pub type Nanos = u64;
 
-/// Observer invoked after every clock advance with the amount charged.
-pub(crate) type AdvanceHook = Box<dyn Fn(Nanos) + Send + Sync>;
+/// One charge as an advance hook sees it: its kind and what it added.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Charge {
+    /// The kind charged.
+    pub cost: Cost,
+    /// The virtual ns it added: its count times `cost.ns()`.
+    pub ns: Nanos,
+}
+
+/// Observer invoked after every non-zero charge.
+pub(crate) type AdvanceHook = Box<dyn Fn(Charge) + Send + Sync>;
 
 /// Handle to an installed advance hook, usable for removal.
 pub type AdvanceHookId = spin_check::hooks::HookId;
@@ -91,30 +100,46 @@ impl Clock {
         self.inner.now.load(Ordering::Acquire) // ordering: Acquire — pairs with the one writer's Release store: a time read orders after the charge that produced it.
     }
 
-    /// Advances the clock by `ns`, charging the running context.
+    /// Charges `n` units of `cost` (`n × cost.ns()`) to the running
+    /// context.
     ///
-    /// Advance hooks (if installed) run after the time is added. The
-    /// caller must be the clock's one writer (see [`Clock`]).
-    pub fn advance(&self, ns: Nanos) {
-        if ns == 0 {
+    /// Advance hooks (if installed) run after the time is added; a charge
+    /// of zero ns calls none. The caller must be the clock's one writer
+    /// (see [`Clock`]).
+    pub fn charge(&self, cost: Cost, n: u64) {
+        let charge = Charge {
+            cost,
+            ns: n * cost.ns(),
+        };
+        if charge.ns == 0 {
             return;
         }
-        self.add(ns);
-        self.inner.hooks.for_each(|hook| hook(ns));
+        self.add(charge.ns);
+        self.inner.hooks.for_each(|hook| hook(charge));
     }
 
-    /// Charges `first`, then `second`: two charges to a subscriber, and
-    /// one store of their sum when nobody subscribes — the number and
-    /// granularity of charges are then unobservable (see
+    /// Charges each `(cost, n)` in order: one charge apiece to a
+    /// subscriber, and one store of their sum when nobody subscribes — the
+    /// number and granularity of charges are then unobservable (see
     /// [`Clock::charges_observed`]). A device's driver cost and its
-    /// transfer cost are such a pair, paid on every frame.
-    pub(crate) fn advance_pair(&self, first: Nanos, second: Nanos) {
+    /// transfer cost are such a pair, paid on every frame. Inlined and
+    /// taken by value, so that a site's constant kinds fold into its sum.
+    #[inline]
+    pub fn charge_all<const N: usize>(&self, charges: [(Cost, u64); N]) {
         if self.charges_observed() {
-            self.advance(first);
-            self.advance(second);
+            for (cost, n) in charges {
+                self.charge(cost, n);
+            }
         } else {
-            self.add(first + second);
+            self.add(charges.iter().map(|&(cost, n)| n * cost.ns()).sum());
         }
+    }
+
+    /// Retired: charges `ns` as [`Cost::Work`]. Only the wall-clock
+    /// benchmark package (`perf/`) still calls it; porting that package to
+    /// [`Clock::charge`] deletes it.
+    pub fn advance(&self, ns: Nanos) {
+        self.charge(Cost::Work, ns);
     }
 
     /// The charge itself, for the clock's one writer.
@@ -124,7 +149,8 @@ impl Clock {
         self.inner.now.store(t + ns, Ordering::Release); // ordering: Release — one writer at a time, so a store, not an RMW; pairs with now()'s Acquire.
     }
 
-    /// Moves the clock directly to `t` without charging any context.
+    /// Moves the clock directly to `t` without charging any context: idle
+    /// time is no cost.
     ///
     /// Used by the executor when the system is idle and the next work item
     /// is a timer in the future. Does nothing if `t` is in the past. The
@@ -478,26 +504,86 @@ mod tests {
     fn clock_advances_and_skips() {
         let c = Clock::new();
         assert_eq!(c.now(), 0);
-        c.advance(100);
+        c.charge(Cost::Work, 100);
         assert_eq!(c.now(), 100);
+        c.charge(Cost::SyncOp, 2);
+        assert_eq!(c.now(), 100 + 2 * Cost::SyncOp.ns());
         c.skip_to(50); // past: no-op
-        assert_eq!(c.now(), 100);
-        c.skip_to(500);
-        assert_eq!(c.now(), 500);
+        assert_eq!(c.now(), 1_400);
+        c.skip_to(1_500);
+        assert_eq!(c.now(), 1_500);
+    }
+
+    /// Every charge a hook sees, in order.
+    fn log_charges(c: &Clock) -> Arc<Mutex<Vec<Charge>>> {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l2 = log.clone();
+        c.add_advance_hook(Box::new(move |charge| l2.lock().push(charge)));
+        log
     }
 
     #[test]
     fn advance_hook_sees_every_charge() {
         let c = Clock::new();
-        let total = Arc::new(AtomicU64::new(0));
-        let t2 = total.clone();
-        c.add_advance_hook(Box::new(move |ns| {
-            t2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        }));
-        c.advance(30);
-        c.advance(0); // zero charges do not invoke the hook
-        c.advance(12);
-        assert_eq!(total.load(Ordering::Relaxed), 42); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        let log = log_charges(&c);
+        c.charge(Cost::Work, 30);
+        c.charge(Cost::GuardEval, 2);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                Charge {
+                    cost: Cost::Work,
+                    ns: 30
+                },
+                Charge {
+                    cost: Cost::GuardEval,
+                    ns: 2 * Cost::GuardEval.ns()
+                },
+            ]
+        );
+    }
+
+    #[test]
+    fn a_zero_charge_calls_no_hook() {
+        let c = Clock::new();
+        let log = log_charges(&c);
+        c.charge(Cost::Work, 0);
+        c.charge(Cost::GuardEval, 0);
+        c.charge_all([(Cost::Injected, 0), (Cost::SyncOp, 1)]);
+        assert_eq!(
+            *log.lock(),
+            vec![Charge {
+                cost: Cost::SyncOp,
+                ns: 650
+            }]
+        );
+        assert_eq!(c.now(), 650);
+    }
+
+    #[test]
+    fn a_pair_is_observed_as_two_kinds_and_stored_once_unobserved() {
+        let pair = [(Cost::HandlerInvoke, 1), (Cost::InterModuleCall, 1)];
+        let ns = Cost::HandlerInvoke.ns() + Cost::InterModuleCall.ns();
+        let observed = Clock::new();
+        let log = log_charges(&observed);
+        observed.charge_all(pair);
+        assert_eq!(
+            *log.lock(),
+            vec![
+                Charge {
+                    cost: Cost::HandlerInvoke,
+                    ns: Cost::HandlerInvoke.ns()
+                },
+                Charge {
+                    cost: Cost::InterModuleCall,
+                    ns: Cost::InterModuleCall.ns()
+                },
+            ]
+        );
+        assert_eq!(observed.now(), ns);
+        let quiet = Clock::new();
+        quiet.charge_all(pair);
+        assert_eq!(quiet.now(), ns, "the same time either way");
     }
 
     #[test]
@@ -509,14 +595,14 @@ mod tests {
         let exec_total = Arc::new(AtomicU64::new(0));
         let obs_total = Arc::new(AtomicU64::new(0));
         let (e2, o2) = (exec_total.clone(), obs_total.clone());
-        let exec_id = c.add_advance_hook(Box::new(move |ns| {
-            e2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        let exec_id = c.add_advance_hook(Box::new(move |charge| {
+            e2.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         }));
-        let obs_id = c.add_advance_hook(Box::new(move |ns| {
-            o2.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        let obs_id = c.add_advance_hook(Box::new(move |charge| {
+            o2.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         }));
         for ns in [30, 0, 12, 1, 999] {
-            c.advance(ns);
+            c.charge(Cost::Work, ns);
         }
         assert_eq!(exec_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         assert_eq!(obs_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
@@ -524,11 +610,11 @@ mod tests {
         // Removal is per-subscription: the survivor keeps observing.
         assert!(c.remove_advance_hook(obs_id));
         assert!(!c.remove_advance_hook(obs_id));
-        c.advance(8);
+        c.charge(Cost::Work, 8);
         assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         assert_eq!(obs_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
         assert!(c.remove_advance_hook(exec_id));
-        c.advance(5); // no subscribers: single relaxed-flag check, no calls
+        c.charge(Cost::Work, 5); // no subscribers: single relaxed-flag check, no calls
         assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
     }
 

@@ -1,4 +1,4 @@
-//! Machine cost profile for the simulated DEC Alpha AXP 3000/400.
+//! The cost table of the simulated DEC Alpha AXP 3000/400.
 //!
 //! The paper measured SPIN on 133 MHz Alpha workstations (74 SPECint 92,
 //! 64 MB memory, 512 KB unified external cache, HP C2247-300 disk, 10 Mb/s
@@ -7,6 +7,10 @@
 //! kernel, and the OSF/1 and Mach baselines in `spin-baseline`) compose the
 //! *same* primitives differently, so the comparisons in Tables 2-6 reflect
 //! structural differences, not per-system fudge factors.
+//!
+//! There is one machine, so the table is a constant: [`Cost::ns`] is a
+//! `const fn`, and every charge names its kind
+//! ([`Clock::charge`](crate::Clock::charge)).
 //!
 //! Calibration sources, all from the paper itself:
 //!
@@ -17,149 +21,158 @@
 //! * the minimum round trip is "roughly 250 µs on Ethernet and 100 µs on
 //!   ATM" (§5.3), which bounds wire plus interrupt costs.
 
-/// Nanoseconds per CPU cycle at 133 MHz.
-const CYCLE_NS: f64 = 7.52;
+use crate::clock::Nanos;
 
-/// Converts a cycle count to virtual nanoseconds on the 133 MHz Alpha.
-#[inline]
-pub fn cycles(n: u64) -> u64 {
-    (n as f64 * CYCLE_NS) as u64
-}
-
-/// Primitive hardware and compiler costs, in virtual nanoseconds.
+/// One kind of virtual time: a calibrated primitive of the machine, a
+/// fitted cost, or an amount its charge names.
 ///
-/// All simulated work is charged through one of these fields; the profile is
-/// therefore the single calibration point of the reproduction. See the
-/// module documentation for the sources of each value.
-#[derive(Debug, Clone)]
-pub struct MachineProfile {
+/// [`Cost::ns`] is the price of one unit. A calibrated primitive's unit
+/// is one occurrence, except [`Cost::CopyByte`] and [`Cost::PioByte`],
+/// whose unit is a byte. A kind whose amount its charge names
+/// ([`Cost::NicDriver`], [`Cost::Work`], [`Cost::Injected`],
+/// [`Cost::Penalty`]) is priced at 1 ns per unit, so its count is the
+/// nanoseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Cost {
     /// A call across a module/interface boundary. The paper notes its
     /// Modula-3 compiler made these "roughly twice as slow" as intra-module
     /// calls; this is also the cost of a protected in-kernel call (0.13 µs).
-    pub inter_module_call: u64,
+    InterModuleCall,
     /// Entering the kernel on a trap (mode switch, register save, PAL code).
-    pub trap_entry: u64,
+    TrapEntry,
     /// Returning from the kernel to user mode.
-    pub trap_exit: u64,
+    TrapExit,
     /// A fixed, table-driven system-call dispatch (the OSF/1 and Mach path
     /// from trap handler to the C system-call routine).
-    pub fixed_syscall_dispatch: u64,
+    FixedSyscallDispatch,
     /// Saving one processor context and loading another (registers + stack).
-    pub context_switch: u64,
+    ContextSwitch,
     /// One scheduling decision (queue manipulation + policy).
-    pub sched_decision: u64,
+    SchedDecision,
     /// Synchronization primitive (lock/unlock or signal) on this CPU.
-    pub sync_op: u64,
+    SyncOp,
     /// Creating a kernel thread context (stack carve-out, queue insert).
-    pub thread_create: u64,
+    ThreadCreate,
     /// Switching address spaces (ASN change plus the cache/TLB disturbance
     /// it causes on this machine). Dominates cross-address-space calls.
-    pub as_switch: u64,
+    AsSwitch,
     /// Setting up a user-level thread context (stack, descriptor).
-    pub user_thread_setup: u64,
+    UserThreadSetup,
     /// Filling one TLB entry after a miss (software miss handler).
-    pub tlb_fill: u64,
+    TlbFill,
     /// Installing, removing or changing one page-table entry.
-    pub pte_update: u64,
+    PteUpdate,
     /// Invalidating one TLB entry.
-    pub tlb_invalidate: u64,
+    TlbInvalidate,
     /// One pmap-level page operation beyond the raw PTE write (physical
     /// map lookup, attribute bookkeeping). Calibrated to Table 4's SPIN
     /// Prot100 (213 µs ⇒ ~2 µs/page inclusive).
-    pub pmap_op: u64,
+    PmapOp,
     /// Fixed per-call work of a VM service operation reached from an
     /// application-specific syscall (capability validation, region
     /// lookup). Calibrated to Table 4's SPIN Prot1 (16 µs).
-    pub vm_call_fixed: u64,
+    VmCallFixed,
     /// Saving fault state before dispatching a translation-fault event
     /// (registers, fault address bookkeeping).
-    pub vm_fault_save: u64,
+    VmFaultSave,
     /// Copying one byte memory-to-memory (~33 MB/s for uncached streaming
     /// data on this machine's 512 KB external cache).
-    pub copy_per_byte_ns_x100: u64,
+    CopyByte,
     /// Moving one byte over programmed I/O (word-at-a-time to the FORE card;
     /// limits usable ATM bandwidth to ~53 Mb/s).
-    pub pio_per_byte_ns_x100: u64,
+    PioByte,
     /// Setting up one DMA transfer (descriptor write + doorbell).
-    pub dma_setup: u64,
+    DmaSetup,
     /// Fielding one device interrupt (dispatch to the handler, EOI).
-    pub interrupt_overhead: u64,
+    InterruptOverhead,
     /// Disk: average seek time.
-    pub disk_seek: u64,
+    DiskSeek,
     /// Disk: average rotational delay (5400 RPM class).
-    pub disk_rotation: u64,
+    DiskRotation,
     /// Disk: transfer of one 8 KB block at ~4 MB/s.
-    pub disk_block_transfer: u64,
+    DiskBlockTransfer,
     /// Dispatcher: fixed cost of an event raise that cannot use the
     /// direct-call fast path (handler list lookup).
-    pub event_raise_base: u64,
+    EventRaiseBase,
     /// Dispatcher: evaluating one guard predicate.
-    pub guard_eval: u64,
+    GuardEval,
     /// Dispatcher: invoking one handler (on top of the call itself).
-    pub handler_invoke: u64,
+    HandlerInvoke,
     /// One-way latency of a cross-core call (inter-processor interrupt +
     /// mailbox write). Also the conservative-PDES lookahead floor: no
     /// cross-shard effect lands sooner than this.
-    pub xcall_latency: u64,
+    XcallLatency,
+    /// Fitted, not calibrated: no paper row names it. The user-level
+    /// descriptor bookkeeping an integrated C-Threads operation pays on
+    /// top of its system-call crossing, fitted so Table 3's integrated
+    /// rows land near the paper's.
+    CThreadsIntegratedOp,
+    /// Fitted, not calibrated: no paper row names it. What a layered
+    /// C-Threads operation pays on top of its two crossings: 25 µs of
+    /// library bookkeeping plus half a [`Cost::UserThreadSetup`], fitted
+    /// so Table 3's layered rows land near the paper's.
+    CThreadsLayeredOp,
+    /// A NIC driver's per-frame work; the amount is the adapter model's
+    /// (`NicModel`), in ns.
+    NicDriver,
+    /// Not calibrated: a workload's own compute, in ns.
+    Work,
+    /// Not calibrated: a fault plan's injected delay, in ns.
+    Injected,
+    /// Not calibrated: quota backpressure, in ns.
+    Penalty,
 }
 
-impl MachineProfile {
-    /// The paper's testbed: a DEC Alpha AXP 3000/400 at 133 MHz.
-    pub fn alpha_axp_3000_400() -> Self {
-        MachineProfile {
-            inter_module_call: 130, // 0.13 µs (Table 2)
-            trap_entry: 1_700,
-            trap_exit: 1_700,
-            fixed_syscall_dispatch: 1_600, // OSF/1: 5 µs total syscall
-            context_switch: 5_200,
-            sched_decision: 900,
-            sync_op: 650,
-            thread_create: 6_000,
-            as_switch: 34_000,
-            user_thread_setup: 45_000,
-            tlb_fill: 400,
-            pte_update: 500,
-            tlb_invalidate: 300,
-            pmap_op: 1_200,
-            vm_call_fixed: 9_000,
-            vm_fault_save: 2_500,
-            copy_per_byte_ns_x100: 3_000, // 30 ns/byte ≈ 33 MB/s streaming
-            pio_per_byte_ns_x100: 15_000, // 150 ns/byte ≈ 53 Mb/s cap
-            dma_setup: 2_000,
-            interrupt_overhead: 4_000,
-            disk_seek: 10_000_000,
-            disk_rotation: 5_500_000,
-            disk_block_transfer: 2_000_000, // 8 KB at ~4 MB/s
-            event_raise_base: 260,
-            guard_eval: 290,
-            handler_invoke: 190,
-            xcall_latency: 2_000,
+impl Cost {
+    /// The price of one unit of this kind, in virtual ns.
+    pub const fn ns(self) -> Nanos {
+        match self {
+            Cost::InterModuleCall => 130, // 0.13 µs (Table 2)
+            Cost::TrapEntry => 1_700,
+            Cost::TrapExit => 1_700,
+            Cost::FixedSyscallDispatch => 1_600, // OSF/1: 5 µs total syscall
+            Cost::ContextSwitch => 5_200,
+            Cost::SchedDecision => 900,
+            Cost::SyncOp => 650,
+            Cost::ThreadCreate => 6_000,
+            Cost::AsSwitch => 34_000,
+            Cost::UserThreadSetup => 45_000,
+            Cost::TlbFill => 400,
+            Cost::PteUpdate => 500,
+            Cost::TlbInvalidate => 300,
+            Cost::PmapOp => 1_200,
+            Cost::VmCallFixed => 9_000,
+            Cost::VmFaultSave => 2_500,
+            Cost::CopyByte => 30, // ≈ 33 MB/s streaming
+            Cost::PioByte => 150, // ≈ 53 Mb/s cap
+            Cost::DmaSetup => 2_000,
+            Cost::InterruptOverhead => 4_000,
+            Cost::DiskSeek => 10_000_000,
+            Cost::DiskRotation => 5_500_000,
+            Cost::DiskBlockTransfer => 2_000_000, // 8 KB at ~4 MB/s
+            Cost::EventRaiseBase => 260,
+            Cost::GuardEval => 290,
+            Cost::HandlerInvoke => 190,
+            Cost::XcallLatency => 2_000,
+            Cost::CThreadsIntegratedOp => 15_000,
+            Cost::CThreadsLayeredOp => 25_000 + Cost::UserThreadSetup.ns() / 2,
+            Cost::NicDriver | Cost::Work | Cost::Injected | Cost::Penalty => 1,
         }
     }
-
-    /// Cost of copying `n` bytes memory-to-memory.
-    #[inline]
-    pub fn copy(&self, n: usize) -> u64 {
-        (n as u64 * self.copy_per_byte_ns_x100) / 100
-    }
-
-    /// CPU cost of pushing `n` bytes through programmed I/O.
-    #[inline]
-    pub(crate) fn pio(&self, n: usize) -> u64 {
-        (n as u64 * self.pio_per_byte_ns_x100) / 100
-    }
-
-    /// Cost of a full user→kernel→user round trip with a fixed dispatcher
-    /// (the conventional null system call, minus the work itself).
-    #[inline]
-    pub fn syscall_round_trip(&self) -> u64 {
-        self.trap_entry + self.fixed_syscall_dispatch + self.trap_exit
-    }
 }
 
-impl Default for MachineProfile {
-    fn default() -> Self {
-        Self::alpha_axp_3000_400()
+/// Retired: the machine is [`Cost`]'s constant table, and this zero-sized
+/// value carries nothing. It stays only because the wall-clock benchmark
+/// package (`perf/`) still names it; porting that package to `Cost`
+/// deletes it.
+#[derive(Debug, Clone, Copy)]
+pub struct MachineProfile;
+
+impl MachineProfile {
+    /// The paper's testbed, a DEC Alpha AXP 3000/400 at 133 MHz — the only
+    /// machine there is. Porting `perf/` to `Cost` deletes this.
+    pub fn alpha_axp_3000_400() -> Self {
+        MachineProfile
     }
 }
 
@@ -167,38 +180,96 @@ impl Default for MachineProfile {
 mod tests {
     use super::*;
 
+    /// Every variant, in declaration order.
+    const ALL: [Cost; 33] = [
+        Cost::InterModuleCall,
+        Cost::TrapEntry,
+        Cost::TrapExit,
+        Cost::FixedSyscallDispatch,
+        Cost::ContextSwitch,
+        Cost::SchedDecision,
+        Cost::SyncOp,
+        Cost::ThreadCreate,
+        Cost::AsSwitch,
+        Cost::UserThreadSetup,
+        Cost::TlbFill,
+        Cost::PteUpdate,
+        Cost::TlbInvalidate,
+        Cost::PmapOp,
+        Cost::VmCallFixed,
+        Cost::VmFaultSave,
+        Cost::CopyByte,
+        Cost::PioByte,
+        Cost::DmaSetup,
+        Cost::InterruptOverhead,
+        Cost::DiskSeek,
+        Cost::DiskRotation,
+        Cost::DiskBlockTransfer,
+        Cost::EventRaiseBase,
+        Cost::GuardEval,
+        Cost::HandlerInvoke,
+        Cost::XcallLatency,
+        Cost::CThreadsIntegratedOp,
+        Cost::CThreadsLayeredOp,
+        Cost::NicDriver,
+        Cost::Work,
+        Cost::Injected,
+        Cost::Penalty,
+    ];
+
+    /// Whether the charge, not the table, names the amount.
+    fn named_by_charge(c: Cost) -> bool {
+        matches!(
+            c,
+            Cost::NicDriver | Cost::Work | Cost::Injected | Cost::Penalty
+        )
+    }
+
     #[test]
-    fn cycle_conversion_matches_clock_rate() {
-        // 133 MHz => 133 cycles per microsecond.
-        assert_eq!(cycles(133), 1000);
+    fn every_calibrated_cost_is_priced() {
+        for (i, &c) in ALL.iter().enumerate() {
+            assert_eq!(c as usize, i, "ALL lists {c:?} out of order");
+            if named_by_charge(c) {
+                assert_eq!(c.ns(), 1, "{c:?} is priced per ns");
+            } else {
+                assert!(c.ns() > 0, "{c:?} is free");
+            }
+        }
+        assert_eq!(
+            ALL.len(),
+            Cost::Penalty as usize + 1,
+            "a variant is missing"
+        );
+        assert_eq!(ALL.iter().filter(|&&c| !named_by_charge(c)).count(), 29);
     }
 
     #[test]
     fn in_kernel_call_is_paper_value() {
-        let p = MachineProfile::alpha_axp_3000_400();
         // Table 2: protected in-kernel call is 0.13 µs.
-        assert_eq!(p.inter_module_call, 130);
+        assert_eq!(Cost::InterModuleCall.ns(), 130);
     }
 
     #[test]
     fn osf1_syscall_near_five_microseconds() {
-        let p = MachineProfile::alpha_axp_3000_400();
-        let us = p.syscall_round_trip() as f64 / 1000.0;
+        let ns = Cost::TrapEntry.ns() + Cost::FixedSyscallDispatch.ns() + Cost::TrapExit.ns();
+        let us = ns as f64 / 1000.0;
         assert!((4.5..5.5).contains(&us), "got {us} µs");
     }
 
     #[test]
     fn pio_throughput_is_pio_limited() {
-        let p = MachineProfile::alpha_axp_3000_400();
         // 150 ns/byte ≈ 6.7 MB/s ≈ 53 Mb/s, the paper's usable ATM cap.
-        let mbps = 8.0 * 1e9 / (p.pio(1_000_000) as f64);
+        let mbps = 8.0 * 1e9 / ((1_000_000 * Cost::PioByte.ns()) as f64);
         assert!((48.0..58.0).contains(&mbps), "got {mbps} Mb/s");
     }
 
     #[test]
     fn copy_cost_scales_linearly() {
-        let p = MachineProfile::alpha_axp_3000_400();
-        assert_eq!(p.copy(0), 0);
-        assert_eq!(p.copy(200), 2 * p.copy(100));
+        let copy = |n: u64| n * Cost::CopyByte.ns();
+        assert_eq!(copy(0), 0);
+        assert_eq!(copy(200), 2 * copy(100));
+        // The per-byte price is the retired per-100-bytes figure, exactly.
+        assert_eq!(copy(100), 3_000);
+        assert_eq!(100 * Cost::PioByte.ns(), 15_000);
     }
 }

@@ -1,7 +1,7 @@
 //! The console device: a simulated serial console, output only.
 
 use crate::clock::Clock;
-use crate::cost::MachineProfile;
+use crate::cost::Cost;
 use spin_check::sync::Mutex;
 use std::sync::Arc;
 
@@ -16,22 +16,20 @@ struct ConsoleState {
 pub struct Console {
     state: Arc<Mutex<ConsoleState>>,
     clock: Clock,
-    profile: Arc<MachineProfile>,
 }
 
 impl Console {
     /// Creates an empty console.
-    pub(crate) fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub(crate) fn new(clock: Clock) -> Self {
         Console {
             state: Arc::new(Mutex::new(ConsoleState { output: Vec::new() })),
             clock,
-            profile,
         }
     }
 
     /// Writes a whole string.
     pub fn put_str(&self, s: &str) {
-        self.clock.advance(self.profile.pio(s.len()));
+        self.clock.charge(Cost::PioByte, s.len() as u64);
         self.state.lock().output.extend_from_slice(s.as_bytes());
     }
 
@@ -46,7 +44,7 @@ mod tests {
     use super::*;
 
     fn console() -> Console {
-        Console::new(Clock::new(), Arc::new(MachineProfile::alpha_axp_3000_400()))
+        Console::new(Clock::new())
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (DESIGN.md decision #25).
 
 use crate::clock::{Clock, Nanos, TimerQueue};
-use crate::cost::MachineProfile;
+use crate::cost::Cost;
 use crate::irq::{IrqController, IrqVector};
 use spin_check::sync::Mutex;
 use std::collections::BTreeMap;
@@ -59,7 +59,6 @@ pub struct Disk {
     timers: TimerQueue,
     irqs: IrqController,
     vector: IrqVector,
-    profile: Arc<MachineProfile>,
 }
 
 impl Disk {
@@ -69,7 +68,6 @@ impl Disk {
         timers: TimerQueue,
         irqs: IrqController,
         vector: IrqVector,
-        profile: Arc<MachineProfile>,
     ) -> Self {
         Disk {
             state: Arc::new(Mutex::new(DiskState {
@@ -80,18 +78,17 @@ impl Disk {
             timers,
             irqs,
             vector,
-            profile,
         }
     }
 
     /// Latency model: sequential access pays only transfer; anything else
     /// pays an average seek plus half a rotation.
     fn latency(&self, head: u64, target: u64) -> Nanos {
-        let p = &self.profile;
+        let transfer = Cost::DiskBlockTransfer.ns();
         if target == head || target == head + 1 {
-            p.disk_block_transfer
+            transfer
         } else {
-            p.disk_seek + p.disk_rotation / 2 + p.disk_block_transfer
+            Cost::DiskSeek.ns() + Cost::DiskRotation.ns() / 2 + transfer
         }
     }
 
@@ -164,15 +161,8 @@ mod tests {
     fn rig() -> (Disk, Clock, TimerQueue, IrqController) {
         let clock = Clock::new();
         let timers = TimerQueue::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let irqs = IrqController::new(clock.clone(), profile.clone());
-        let disk = Disk::new(
-            clock.clone(),
-            timers.clone(),
-            irqs.clone(),
-            IrqVector(3),
-            profile,
-        );
+        let irqs = IrqController::new(clock.clone());
+        let disk = Disk::new(clock.clone(), timers.clone(), irqs.clone(), IrqVector(3));
         (disk, clock, timers, irqs)
     }
 

@@ -8,7 +8,7 @@
 //! configuration); DMA costs only a fixed descriptor setup.
 
 use crate::clock::Clock;
-use crate::cost::MachineProfile;
+use crate::cost::Cost;
 use crate::wire::{Outbound, Receiver, Wire, WireEndpoint};
 use bytes::Bytes;
 use spin_check::sync::Mutex;
@@ -158,7 +158,6 @@ pub struct Nic {
     wire: Wire,
     state: Arc<Mutex<NicState>>,
     clock: Clock,
-    profile: Arc<MachineProfile>,
 }
 
 impl Nic {
@@ -167,13 +166,7 @@ impl Nic {
     /// frames post, the host's clock, and the sink that carries frames to
     /// their arrival instant.
     // uncharged: constructor.
-    pub(crate) fn new(
-        model: NicModel,
-        addr: WireEndpoint,
-        wire: Wire,
-        profile: Arc<MachineProfile>,
-        port: Receiver,
-    ) -> Self {
+    pub(crate) fn new(model: NicModel, addr: WireEndpoint, wire: Wire, port: Receiver) -> Self {
         let (state, clock) = (port.nic.clone(), port.clock.clone());
         wire.attach(addr, port);
         Nic {
@@ -182,7 +175,6 @@ impl Nic {
             wire,
             state,
             clock,
-            profile,
         }
     }
 
@@ -243,13 +235,14 @@ impl Nic {
 
     /// Charges the driver, then moving `len` bytes across the card (PIO
     /// cards burn CPU per byte, in both directions): two charges, one
-    /// store when nobody observes charges ([`Clock::advance_pair`]).
+    /// store when nobody observes charges ([`Clock::charge_all`]).
     fn charge_io(&self, len: usize) {
         let io = match self.model.io {
-            IoKind::Pio => self.profile.pio(len),
-            IoKind::Dma => self.profile.dma_setup,
+            IoKind::Pio => (Cost::PioByte, len as u64),
+            IoKind::Dma => (Cost::DmaSetup, 1),
         };
-        self.clock.advance_pair(self.model.driver_ns, io);
+        self.clock
+            .charge_all([(Cost::NicDriver, self.model.driver_ns), io]);
     }
 
     /// Pulls the next received frame, charging the driver and the inbound
@@ -312,9 +305,8 @@ mod tests {
     fn rig(model: NicModel) -> (Nic, Nic, Clock, TimerQueue, IrqController) {
         let clock = Clock::new();
         let timers = TimerQueue::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
         let wire = Wire::new(1_000, 0);
-        let irqs = IrqController::new(clock.clone(), profile.clone());
+        let irqs = IrqController::new(clock.clone());
         let nic = |model: NicModel, addr, vector| {
             let port = Receiver {
                 nic: Arc::default(),
@@ -323,13 +315,7 @@ mod tests {
                 clock: clock.clone(),
                 sink: Sink::Timers(timers.clone()),
             };
-            Nic::new(
-                model,
-                WireEndpoint(addr),
-                wire.clone(),
-                profile.clone(),
-                port,
-            )
+            Nic::new(model, WireEndpoint(addr), wire.clone(), port)
         };
         let (a, b) = (nic(model.clone(), 1, 10), nic(model, 2, 11));
         (a, b, clock, timers, irqs)
@@ -425,7 +411,12 @@ mod tests {
     /// What a reader of `b` saw: each frame's length and the time it was
     /// handed over, every charge a subscriber saw (when one is
     /// subscribed), the clock at the end and `b`'s counters.
-    type Reading = (Vec<(usize, u64)>, Vec<u64>, u64, (u64, u64, u64, u64));
+    type Reading = (
+        Vec<(usize, u64)>,
+        Vec<crate::Charge>,
+        u64,
+        (u64, u64, u64, u64),
+    );
 
     /// Sends bursts of frames of the given sizes from `a` to `b`, delivers
     /// each burst, and reads it off `b` with `receive_burst` (one buffer
@@ -440,7 +431,7 @@ mod tests {
         let charges = Arc::new(Mutex::new(Vec::new()));
         if observed {
             let charges = charges.clone();
-            clock.add_advance_hook(Box::new(move |ns| charges.lock().push(ns)));
+            clock.add_advance_hook(Box::new(move |charge| charges.lock().push(charge)));
         }
         let (mut handed, mut seen) = (Vec::new(), Vec::new());
         let mut buffer = VecDeque::new();

@@ -2,8 +2,8 @@
 //!
 //! Devices *post* interrupts (typically from a timer callback when a disk
 //! operation or packet delivery completes); the executor *dispatches* them
-//! to registered handlers at safe points, charging the interrupt overhead
-//! from the machine profile. Handlers run in interrupt context — in SPIN
+//! to registered handlers at safe points, charging
+//! [`Cost::InterruptOverhead`] for each. Handlers run in interrupt context — in SPIN
 //! "protocol processing is done by a separately scheduled kernel thread
 //! outside of the interrupt handler" (§5.3), which the network code in
 //! `spin-net` reproduces by having its interrupt handlers merely unblock a
@@ -17,7 +17,7 @@
 //! handler then is counted dropped.
 
 use crate::clock::Clock;
-use crate::cost::MachineProfile;
+use crate::cost::Cost;
 use spin_check::hooks::HookSlot;
 use spin_check::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
@@ -54,12 +54,11 @@ struct Irqs {
 pub struct IrqController {
     inner: Arc<Irqs>,
     clock: Clock,
-    profile: Arc<MachineProfile>,
 }
 
 impl IrqController {
     /// Creates a controller with no handlers.
-    pub fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub fn new(clock: Clock) -> Self {
         IrqController {
             inner: Arc::new(Irqs {
                 pending: Mutex::default(),
@@ -68,7 +67,6 @@ impl IrqController {
                 dropped: AtomicU64::new(0),
             }),
             clock,
-            profile,
         }
     }
 
@@ -94,7 +92,7 @@ impl IrqController {
     }
 
     /// Dispatches all pending interrupts in posting order, charging the
-    /// profile's interrupt overhead for each — one charge and one handler
+    /// interrupt overhead for each — one charge and one handler
     /// call per interrupt, never coalesced. Returns how many ran.
     ///
     /// One critical section takes up to eight pending interrupts; the
@@ -118,7 +116,7 @@ impl IrqController {
                 taken
             };
             for vector in &batch[..taken] {
-                self.clock.advance(self.profile.interrupt_overhead);
+                self.clock.charge(Cost::InterruptOverhead, 1);
                 dispatched += 1;
                 match self
                     .inner
@@ -150,7 +148,7 @@ mod tests {
     use std::collections::BTreeMap;
 
     fn ctl() -> IrqController {
-        IrqController::new(Clock::new(), Arc::new(MachineProfile::alpha_axp_3000_400()))
+        IrqController::new(Clock::new())
     }
 
     #[test]
@@ -179,7 +177,7 @@ mod tests {
         c.post(IrqVector(9));
         assert_eq!(c.dispatch_pending(), 2);
         assert_eq!(c.dropped(), 2);
-        assert_eq!(c.clock.now(), 2 * c.profile.interrupt_overhead);
+        assert_eq!(c.clock.now(), 2 * Cost::InterruptOverhead.ns());
     }
 
     #[test]
@@ -246,13 +244,12 @@ mod tests {
     #[test]
     fn dispatch_charges_interrupt_overhead() {
         let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let c = IrqController::new(clock.clone(), profile.clone());
+        let c = IrqController::new(clock.clone());
         assert!(c.register(IrqVector(1), || {}));
         c.post(IrqVector(1));
         c.post(IrqVector(1));
         c.dispatch_pending();
-        assert_eq!(clock.now(), 2 * profile.interrupt_overhead);
+        assert_eq!(clock.now(), 2 * Cost::InterruptOverhead.ns());
     }
 
     /// A handler as the comparison hands it to both controllers.
@@ -274,7 +271,6 @@ mod tests {
     struct Retired {
         state: Arc<Mutex<RetiredState>>,
         clock: Clock,
-        overhead: u64,
     }
 
     /// What the comparison drives: both controllers behind one face.
@@ -330,7 +326,7 @@ mod tests {
                     st.dropped += u64::from(handler.is_none());
                     handler
                 };
-                self.clock.advance(self.overhead);
+                self.clock.charge(Cost::InterruptOverhead, 1);
                 if let Some(f) = handler {
                     f();
                 }
@@ -448,12 +444,10 @@ mod tests {
             posts in proptest::collection::vec(0u32..4, 0..24),
             script in proptest::collection::vec(then(), 0..32),
         ) {
-            let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-            let new = IrqController::new(Clock::new(), profile.clone());
+            let new = IrqController::new(Clock::new());
             let old = Retired {
                 state: Arc::default(),
                 clock: Clock::new(),
-                overhead: profile.interrupt_overhead,
             };
             prop_assert_eq!(
                 transcript(new, &registered, &posts, &script),

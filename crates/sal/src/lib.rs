@@ -8,9 +8,9 @@
 //! simulation of that machine:
 //!
 //! * a global **virtual clock** ([`Clock`]) that all simulated work advances,
-//! * a **machine cost profile** ([`MachineProfile`]) calibrated to the paper's
+//! * a constant **cost table** ([`Cost`]) calibrated to the paper's
 //!   hardware, so higher layers charge for traps, copies, context switches,
-//!   wire time and disk time in a structurally faithful way,
+//!   wire time and disk time by name, in a structurally faithful way,
 //! * **physical memory** ([`PhysMem`]) and an **MMU** ([`Mmu`]) with page
 //!   tables, protection bits and a TLB,
 //! * **devices**: a console, a seek-model disk, and three network interfaces
@@ -40,8 +40,8 @@ mod wire;
 
 pub use board::{vectors, Host, HostId, MulticoreBoard, SimBoard};
 pub use buf::BufChain;
-pub use clock::{AdvanceHookId, Clock, Nanos, TimerId, TimerQueue};
-pub use cost::{cycles, MachineProfile};
+pub use clock::{AdvanceHookId, Charge, Clock, Nanos, TimerId, TimerQueue};
+pub use cost::{Cost, MachineProfile};
 pub use devices::console::Console;
 pub use devices::disk::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
 pub use devices::nic::{Frame, IoKind, Nic, NicError, NicModel};

@@ -3,11 +3,11 @@
 //!
 //! This is the hardware that the `Translation` service in `spin-vm` drives.
 //! The sal interface matches the paper's description — "install a page table
-//! entry" — and every operation charges the machine profile for PTE updates,
+//! entry" — and every operation charges the [`Cost`] table for PTE updates,
 //! TLB fills and invalidations.
 
 use crate::clock::Clock;
-use crate::cost::MachineProfile;
+use crate::cost::Cost;
 use crate::mem::FrameId;
 use crate::PAGE_SHIFT;
 use spin_check::sync::Mutex;
@@ -176,18 +176,17 @@ struct MmuState {
 
 /// The simulated MMU for one host.
 ///
-/// Clones share state. All mutating operations charge the machine profile
+/// Clones share state. All mutating operations charge the [`Cost`] table
 /// through the shared clock.
 #[derive(Clone)]
 pub struct Mmu {
     state: Arc<Mutex<MmuState>>,
     clock: Clock,
-    profile: Arc<MachineProfile>,
 }
 
 impl Mmu {
     /// Creates an MMU with no addressing contexts.
-    pub(crate) fn new(clock: Clock, profile: Arc<MachineProfile>) -> Self {
+    pub(crate) fn new(clock: Clock) -> Self {
         Mmu {
             state: Arc::new(Mutex::new(MmuState {
                 contexts: HashMap::new(),
@@ -195,7 +194,6 @@ impl Mmu {
                 next_ctx: 1,
             })),
             clock,
-            profile,
         }
     }
 
@@ -205,7 +203,7 @@ impl Mmu {
         let id = ContextId(st.next_ctx);
         st.next_ctx += 1;
         st.contexts.insert(id, PageTable::default());
-        self.clock.advance(self.profile.pte_update);
+        self.clock.charge(Cost::PteUpdate, 1);
         id
     }
 
@@ -216,7 +214,7 @@ impl Mmu {
             .remove(&ctx)
             .ok_or(MmuFault::NoSuchContext(ctx))?;
         st.tlb.invalidate_context(ctx);
-        self.clock.advance(self.profile.tlb_invalidate);
+        self.clock.charge(Cost::TlbInvalidate, 1);
         Ok(())
     }
 
@@ -243,7 +241,7 @@ impl Mmu {
             },
         );
         st.tlb.invalidate(ctx, vpn);
-        self.clock.advance(self.profile.pte_update);
+        self.clock.charge(Cost::PteUpdate, 1);
         Ok(())
     }
 
@@ -257,7 +255,7 @@ impl Mmu {
         let old = table.entries.remove(&vpn);
         st.tlb.invalidate(ctx, vpn);
         self.clock
-            .advance(self.profile.pte_update + self.profile.tlb_invalidate);
+            .charge_all([(Cost::PteUpdate, 1), (Cost::TlbInvalidate, 1)]);
         Ok(old)
     }
 
@@ -273,7 +271,7 @@ impl Mmu {
                 pte.prot = prot;
                 st.tlb.invalidate(ctx, vpn);
                 self.clock
-                    .advance(self.profile.pte_update + self.profile.tlb_invalidate);
+                    .charge_all([(Cost::PteUpdate, 1), (Cost::TlbInvalidate, 1)]);
                 Ok(())
             }
             None => Err(MmuFault::Miss {
@@ -320,7 +318,7 @@ impl Mmu {
             });
         }
         // TLB miss: walk the table and charge the fill.
-        self.clock.advance(self.profile.tlb_fill);
+        self.clock.charge(Cost::TlbFill, 1);
         let table = st.contexts.get_mut(&ctx).expect("checked above");
         match table.entries.get_mut(&vpn) {
             Some(pte) => {
@@ -350,7 +348,7 @@ mod tests {
     use super::*;
 
     fn mmu() -> Mmu {
-        Mmu::new(Clock::new(), Arc::new(MachineProfile::alpha_axp_3000_400()))
+        Mmu::new(Clock::new())
     }
 
     #[test]

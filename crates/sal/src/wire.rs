@@ -283,7 +283,7 @@ impl Wire {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost::MachineProfile;
+    use crate::cost::Cost;
     use bytes::Bytes;
 
     /// Endpoint 1 sends, endpoint 2 receives through the sink under test.
@@ -298,9 +298,8 @@ mod tests {
 
     fn rig(shard: bool) -> Rig {
         let (clock, timers, mailbox) = (Clock::new(), TimerQueue::new(), Mailbox::new());
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
         let wire = Wire::new(1_000, 0);
-        let irqs = IrqController::new(clock.clone(), profile);
+        let irqs = IrqController::new(clock.clone());
         let attach = |endpoint, vector| {
             let rx: Arc<Mutex<NicState>> = Arc::default();
             let sink = if shard {
@@ -429,7 +428,7 @@ mod tests {
             let run = |one_by_one: bool| {
                 let r = rig(shard);
                 r.wire.set_drop_filter(|_, idx| idx == 1);
-                r.clock.advance(7_000);
+                r.clock.charge(Cost::Work, 7_000);
                 if one_by_one {
                     burst().into_iter().for_each(|f| r.transmit([f]));
                 } else {

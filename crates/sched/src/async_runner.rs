@@ -44,12 +44,8 @@ mod tests {
     #[test]
     fn async_handlers_run_on_their_own_strand_after_the_raise() {
         let board = SimBoard::new();
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
-        let disp = spin_core::Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        let disp = spin_core::Dispatcher::on(board.clock.clone());
         install_async_runner(&exec, &disp);
 
         let (ev, owner) = disp.define::<(), u32>("E", Identity::kernel("k"));
@@ -90,12 +86,8 @@ mod tests {
     #[test]
     fn async_handlers_past_their_time_bound_are_aborted_mid_flight() {
         let board = SimBoard::new();
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
-        let disp = spin_core::Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        let disp = spin_core::Dispatcher::on(board.clock.clone());
         install_async_runner(&exec, &disp);
         let (ev, owner) = disp.define::<(), ()>("E", Identity::kernel("k"));
         owner.set_primary(|_| ()).unwrap();
@@ -142,12 +134,8 @@ mod tests {
     #[test]
     fn a_slow_async_handler_does_not_delay_the_raiser() {
         let board = SimBoard::new();
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
-        let disp = spin_core::Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        let disp = spin_core::Dispatcher::on(board.clock.clone());
         install_async_runner(&exec, &disp);
         let (ev, owner) = disp.define::<(), ()>("E", Identity::kernel("k"));
         owner.set_primary(|_| ()).unwrap();
@@ -163,7 +151,7 @@ mod tests {
         let clock = board.clock.clone();
         let c2 = clock.clone();
         ev.install(Identity::extension("slow-monitor"), move |_| {
-            c2.advance(50_000_000); // 50 ms of monitor work
+            c2.charge(spin_sal::Cost::Work, 50_000_000); // 50 ms of monitor work
         })
         .unwrap();
         let raise_cost = Arc::new(Mutex::new(0u64));

@@ -23,7 +23,8 @@
 
 use crate::executor::{Executor, StrandCtx, StrandId};
 use crate::sync::{KCondition, KMutex};
-use spin_sal::Nanos;
+use spin_sal::{Cost, Nanos};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which C-Threads structure to use.
@@ -48,49 +49,41 @@ impl CThreads {
         CThreads { exec, style }
     }
 
-    /// One user→kernel→user crossing (the extension's system call).
-    fn crossing(&self) -> Nanos {
-        let p = self.exec.profile();
-        p.trap_entry
-            + p.event_raise_base
-            + p.guard_eval
-            + p.handler_invoke
-            + p.inter_module_call
-            + p.trap_exit
-    }
-
     /// Charge the cost of one C-Threads operation reaching its
-    /// implementation. Both structures pay user-level descriptor
-    /// bookkeeping on top of the crossing; the layered library pays it
-    /// twice (its own state plus the Mach-interface extension's).
+    /// implementation: its user→kernel→user crossings (the extension's
+    /// system call) and the user-level descriptor bookkeeping both
+    /// structures pay on top of them. The layered library crosses twice —
+    /// library bookkeeping, then through the Mach-interface extension (a
+    /// second dispatch inside the kernel), plus an extra crossing for
+    /// state the library must read back — and pays its bookkeeping twice
+    /// (its own state plus the Mach-interface extension's).
     fn charge_op(&self) {
-        let p = self.exec.profile();
-        match self.style {
-            CThreadsImpl::Integrated => {
-                self.exec.clock().advance(self.crossing() + 15_000);
-            }
-            CThreadsImpl::Layered => {
-                // Library bookkeeping, then through the Mach-interface
-                // extension (a second dispatch inside the kernel), plus an
-                // extra crossing for state the library must read back.
-                self.exec
-                    .clock()
-                    .advance(2 * self.crossing() + p.user_thread_setup / 2 + 25_000);
-            }
-        }
+        let (crossings, bookkeeping) = match self.style {
+            CThreadsImpl::Integrated => (1, Cost::CThreadsIntegratedOp),
+            CThreadsImpl::Layered => (2, Cost::CThreadsLayeredOp),
+        };
+        self.exec.clock().charge_all([
+            (Cost::TrapEntry, crossings),
+            (Cost::EventRaiseBase, crossings),
+            (Cost::GuardEval, crossings),
+            (Cost::HandlerInvoke, crossings),
+            (Cost::InterModuleCall, crossings),
+            (Cost::TrapExit, crossings),
+            (bookkeeping, 1),
+        ]);
     }
 
     /// `cthread_fork`: creates a user thread.
     fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
-        let p = self.exec.profile();
         self.charge_op();
         // Both structures must build a user context (stack, descriptor);
         // the layered library builds its own descriptor *and* a kernel
         // thread underneath.
-        match self.style {
-            CThreadsImpl::Integrated => self.exec.clock().advance(p.user_thread_setup),
-            CThreadsImpl::Layered => self.exec.clock().advance(2 * p.user_thread_setup),
-        }
+        let contexts = match self.style {
+            CThreadsImpl::Integrated => 1,
+            CThreadsImpl::Layered => 2,
+        };
+        self.exec.clock().charge(Cost::UserThreadSetup, contexts);
         self.exec.spawn(name, f)
     }
 
@@ -182,20 +175,29 @@ pub fn measure_fork_join(style: CThreadsImpl, exec: &Arc<Executor>) -> Nanos {
 /// Measured Ping-Pong time (one mutual signal/block round trip), in
 /// virtual nanoseconds per round — the Table 3 workload.
 pub fn measure_ping_pong(style: CThreadsImpl, exec: &Arc<Executor>) -> Nanos {
-    const ROUNDS: u64 = 32;
+    let window = ping_pong_window(style, exec);
+    (window.end - window.start) / PING_PONG_ROUNDS
+}
+
+/// Rounds in one C-Threads Ping-Pong measurement.
+const PING_PONG_ROUNDS: u64 = 32;
+
+/// Runs the C-Threads Ping-Pong workload: the virtual-time window of its
+/// [`PING_PONG_ROUNDS`] rounds, as the pinging thread saw it.
+fn ping_pong_window(style: CThreadsImpl, exec: &Arc<Executor>) -> Range<Nanos> {
     let pkg = CThreads::new(exec.clone(), style);
     let m = Arc::new(pkg.mutex());
     let c = Arc::new(pkg.condition());
     let turn = Arc::new(spin_check::sync::Mutex::new(0u64));
-    let elapsed = Arc::new(spin_check::sync::Mutex::new(0u64));
+    let window = Arc::new(spin_check::sync::Mutex::new(0..0));
     let clock = exec.clock().clone();
     for i in 0..2u64 {
         let (pkg, m, c, turn) = (pkg.clone(), m.clone(), c.clone(), turn.clone());
-        let (clock, elapsed) = (clock.clone(), elapsed.clone());
+        let (clock, window) = (clock.clone(), window.clone());
         pkg.clone()
             .fork(if i == 0 { "ping" } else { "pong" }, move |ctx| {
                 let t0 = clock.now();
-                for _ in 0..ROUNDS {
+                for _ in 0..PING_PONG_ROUNDS {
                     m.lock(ctx);
                     while *turn.lock() % 2 != i {
                         c.wait(ctx, &m);
@@ -205,27 +207,24 @@ pub fn measure_ping_pong(style: CThreadsImpl, exec: &Arc<Executor>) -> Nanos {
                     m.unlock(ctx);
                 }
                 if i == 0 {
-                    *elapsed.lock() = clock.now() - t0;
+                    *window.lock() = t0..clock.now();
                 }
             });
     }
     exec.run_until_idle();
-    let total = *elapsed.lock();
-    total / ROUNDS
+    let w = window.lock().clone();
+    w
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spin_sal::SimBoard;
+    use spin_sal::{Charge, SimBoard};
+    use std::collections::BTreeMap;
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
-        Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        )
+        Executor::on(board.clock.clone(), board.timers.clone())
     }
 
     #[test]
@@ -251,6 +250,61 @@ mod tests {
             lay_pp > int_pp,
             "layered ping-pong ({lay_pp}) should cost more than integrated ({int_pp})"
         );
+    }
+
+    /// Every virtual ns of each SPIN Ping-Pong row of Table 3 is charged by
+    /// name: over the measured window, the charges a hook sees, summed per
+    /// [`Cost`], add up to the window, and the window over its rounds is
+    /// the row.
+    #[test]
+    fn each_ping_pong_row_is_the_sum_of_its_named_charges() {
+        type Run = fn(&Arc<Executor>) -> Range<Nanos>;
+        type Row = fn(&Arc<Executor>) -> Nanos;
+        let rows: [(Run, Row, u64); 3] = [
+            (
+                crate::kthread::kernel_ping_pong_window,
+                crate::kthread::measure_kernel_ping_pong,
+                crate::kthread::KERNEL_PING_PONG_ROUNDS,
+            ),
+            (
+                |e| ping_pong_window(CThreadsImpl::Layered, e),
+                |e| measure_ping_pong(CThreadsImpl::Layered, e),
+                PING_PONG_ROUNDS,
+            ),
+            (
+                |e| ping_pong_window(CThreadsImpl::Integrated, e),
+                |e| measure_ping_pong(CThreadsImpl::Integrated, e),
+                PING_PONG_ROUNDS,
+            ),
+        ];
+        for (run, row, rounds) in rows {
+            let e = exec();
+            let charges = Arc::new(spin_check::sync::Mutex::new(Vec::new()));
+            let (log, clock) = (charges.clone(), e.clock().clone());
+            e.clock().add_advance_hook(Box::new(move |charge: Charge| {
+                log.lock().push((clock.now(), charge));
+            }));
+            let window = run(&e);
+            let mut tally: BTreeMap<Cost, Nanos> = BTreeMap::new();
+            for &(end, charge) in charges.lock().iter() {
+                let start = end - charge.ns;
+                if start >= window.start && end <= window.end {
+                    *tally.entry(charge.cost).or_default() += charge.ns;
+                } else {
+                    assert!(
+                        end <= window.start || start >= window.end,
+                        "{charge:?} straddles"
+                    );
+                }
+            }
+            let window_ns = window.end - window.start;
+            assert_eq!(tally.values().sum::<Nanos>(), window_ns, "{tally:?}");
+            assert_eq!(
+                window_ns / rounds,
+                row(&exec()),
+                "observing moves no number"
+            );
+        }
     }
 
     #[test]

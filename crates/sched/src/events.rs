@@ -90,12 +90,8 @@ mod tests {
 
     fn rig() -> (Arc<Executor>, Dispatcher, StrandEvents) {
         let board = SimBoard::new();
-        let exec = Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        );
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        let disp = Dispatcher::on(board.clock.clone());
         let events = StrandEvents::attach(&exec, &disp);
         (exec, disp, events)
     }

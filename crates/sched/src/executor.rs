@@ -34,7 +34,9 @@ use spin_check::sync::{Condvar, Mutex};
 use spin_core::{BlockedInStep, DeadlineExceeded};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
-use spin_sal::{AdvanceHookId, Clock, HostId, IrqController, MachineProfile, Nanos, TimerQueue};
+use spin_sal::{
+    AdvanceHookId, Clock, Cost, HostId, IrqController, MachineProfile, Nanos, TimerQueue,
+};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
@@ -255,7 +257,6 @@ pub struct Executor {
     me: Weak<Executor>,
     clock: Clock,
     timers: TimerQueue,
-    profile: Arc<MachineProfile>,
     state: Mutex<ExecState>,
     /// The interrupt lines this executor pumps: added at set-up, walked at
     /// every step of `run_until` and every horizon read, with loads only.
@@ -284,13 +285,18 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Creates an executor on the shared timeline.
-    pub fn new(clock: Clock, timers: TimerQueue, profile: Arc<MachineProfile>) -> Arc<Executor> {
+    /// Retired: [`Executor::on`] with an ignored profile. Only `perf/`
+    /// still calls it; porting that package to `Cost` deletes it.
+    pub fn new(clock: Clock, timers: TimerQueue, _profile: Arc<MachineProfile>) -> Arc<Executor> {
+        Self::on(clock, timers)
+    }
+
+    /// Creates an executor on `clock`'s timeline, firing `timers`.
+    pub fn on(clock: Clock, timers: TimerQueue) -> Arc<Executor> {
         Arc::new_cyclic(|me| Executor {
             me: me.clone(),
             clock,
             timers,
-            profile,
             state: Mutex::new(ExecState {
                 strands: BTreeMap::new(),
                 policy: Box::new(RoundRobinPriority::default()),
@@ -315,11 +321,7 @@ impl Executor {
 
     /// Convenience: an executor for a single simulated host.
     pub fn for_host(host: &spin_sal::Host) -> Arc<Executor> {
-        let exec = Executor::new(
-            host.clock.clone(),
-            host.timers.clone(),
-            host.profile.clone(),
-        );
+        let exec = Executor::on(host.clock.clone(), host.timers.clone());
         exec.add_irq_controller(host.irqs.clone());
         exec
     }
@@ -373,8 +375,8 @@ impl Executor {
         if self.meter.obs.set(hook.clone()) {
             let cpu_ns = Arc::new(AtomicU64::new(0));
             let charged = cpu_ns.clone();
-            let id = self.clock.add_advance_hook(Box::new(move |ns| {
-                charged.fetch_add(ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            let id = self.clock.add_advance_hook(Box::new(move |charge| {
+                charged.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
             }));
             let _ = self.obs_charges.set(id);
             let me = self.me.clone();
@@ -490,7 +492,7 @@ impl Executor {
         deadline: Arc<AtomicU64>,
         body: Body,
     ) -> StrandId {
-        self.clock.advance(self.profile.thread_create);
+        self.clock.charge(Cost::ThreadCreate, 1);
         let id = StrandId(self.next_id.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
         let mut st = self.state.lock();
         st.strands.insert(
@@ -522,7 +524,7 @@ impl Executor {
         if let Some(h) = self.faults.get() {
             match h.draw() {
                 Some(Injection::Panic) => h.fire_panic(),
-                Some(Injection::Delay(ns)) => self.clock.advance(ns),
+                Some(Injection::Delay(ns)) => self.clock.charge(Cost::Injected, ns),
                 Some(Injection::Fail) | None => {}
             }
         }
@@ -591,7 +593,7 @@ impl Executor {
         if let Some(h) = self.hooks.get() {
             (h.unblock)(id);
         }
-        self.clock.advance(self.profile.sync_op);
+        self.clock.charge(Cost::SyncOp, 1);
         let mut st = self.state.lock();
         self.make_ready(&mut st, id);
     }
@@ -612,7 +614,7 @@ impl Executor {
         if let Some(h) = self.hooks.get() {
             (h.block)(cur);
         }
-        self.clock.advance(self.profile.sync_op);
+        self.clock.charge(Cost::SyncOp, 1);
     }
 
     /// Blocks the calling strand until [`Executor::unblock`].
@@ -693,7 +695,7 @@ impl Executor {
                     // No strand is current yet, so the switch's charge does
                     // not land on the slice's quantum.
                     self.clock
-                        .advance(self.profile.sched_decision + self.profile.context_switch);
+                        .charge_all([(Cost::SchedDecision, 1), (Cost::ContextSwitch, 1)]);
                     if let Some(h) = self.hooks.get() {
                         (h.resume)(id);
                     }
@@ -851,11 +853,6 @@ impl Executor {
         &self.clock
     }
 
-    /// The executor's machine profile.
-    pub fn profile(&self) -> &Arc<MachineProfile> {
-        &self.profile
-    }
-
     /// The executor's timer queue.
     pub fn timers(&self) -> &TimerQueue {
         &self.timers
@@ -997,7 +994,7 @@ impl StrandCtx {
 
     /// Charges simulated CPU work to this strand.
     pub fn work(&self, ns: Nanos) {
-        self.exec.clock.advance(ns);
+        self.exec.clock.charge(Cost::Work, ns);
         self.check_deadline();
     }
 }
@@ -1009,11 +1006,7 @@ mod tests {
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
-        Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        )
+        Executor::on(board.clock.clone(), board.timers.clone())
     }
 
     #[test]
@@ -1032,20 +1025,16 @@ mod tests {
         let obs = spin_obs::Obs::new(16);
         let hook = obs.domain("sched");
         for _ in 0..3 {
-            let e = Executor::new(
-                board.clock.clone(),
-                board.timers.clone(),
-                board.profile.clone(),
-            );
+            let e = Executor::on(board.clock.clone(), board.timers.clone());
             e.set_obs(hook.clone());
             assert!(board.clock.charges_observed());
-            board.clock.advance(7);
+            board.clock.charge(Cost::Work, 7);
         }
         let cpu_ns = || obs.accounting().tally(hook.domain).cpu_virtual_ns;
         let charged = cpu_ns();
         assert_eq!(charged, 21, "each executor saw the charge made in its life");
         assert!(!board.clock.charges_observed(), "nobody is subscribed");
-        board.clock.advance(1_000);
+        board.clock.charge(Cost::Work, 1_000);
         assert_eq!(
             cpu_ns(),
             charged,
@@ -1371,7 +1360,7 @@ mod tests {
         let joiner = e.spawn("joiner", move |ctx| ctx.join(worker));
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert!(!e.panicked(worker));
-        let sync_op = e.profile().sync_op;
+        let sync_op = Cost::SyncOp.ns();
         assert_eq!(
             e.cpu_time(worker),
             700 + 3_000 + sync_op + 2_000 + 1_000,

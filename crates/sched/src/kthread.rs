@@ -7,6 +7,8 @@
 
 use crate::executor::{Executor, StrandCtx, StrandId};
 use crate::sync::{KCondition, KMutex};
+use spin_sal::Nanos;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The Modula-3 `Thread` interface, bound to an executor.
@@ -64,19 +66,28 @@ pub fn measure_kernel_fork_join(exec: &Arc<Executor>) -> u64 {
 /// signal/block round trip between two threads. Returns virtual
 /// nanoseconds per round.
 pub fn measure_kernel_ping_pong(exec: &Arc<Executor>) -> u64 {
-    const ROUNDS: u64 = 64;
+    let window = kernel_ping_pong_window(exec);
+    (window.end - window.start) / KERNEL_PING_PONG_ROUNDS
+}
+
+/// Rounds in one kernel-thread Ping-Pong measurement.
+pub(crate) const KERNEL_PING_PONG_ROUNDS: u64 = 64;
+
+/// Runs the kernel-thread Ping-Pong workload: the virtual-time window of
+/// its [`KERNEL_PING_PONG_ROUNDS`] rounds, as the pinging thread saw it.
+pub(crate) fn kernel_ping_pong_window(exec: &Arc<Executor>) -> Range<Nanos> {
     let t = M3Threads::new(exec.clone());
     let clock = exec.clock().clone();
     let m = t.mutex();
     let c = t.condition();
     let turn = Arc::new(spin_check::sync::Mutex::new(0u64));
-    let elapsed = Arc::new(spin_check::sync::Mutex::new(0u64));
+    let window = Arc::new(spin_check::sync::Mutex::new(0..0));
     for i in 0..2u64 {
         let (m, c, turn) = (m.clone(), c.clone(), turn.clone());
-        let (clock, elapsed) = (clock.clone(), elapsed.clone());
+        let (clock, window) = (clock.clone(), window.clone());
         t.fork(if i == 0 { "ping" } else { "pong" }, move |ctx| {
             let t0 = clock.now();
-            for _ in 0..ROUNDS {
+            for _ in 0..KERNEL_PING_PONG_ROUNDS {
                 m.lock(ctx);
                 while *turn.lock() % 2 != i {
                     c.wait(ctx, &m);
@@ -86,13 +97,13 @@ pub fn measure_kernel_ping_pong(exec: &Arc<Executor>) -> u64 {
                 m.unlock(ctx);
             }
             if i == 0 {
-                *elapsed.lock() = clock.now() - t0;
+                *window.lock() = t0..clock.now();
             }
         });
     }
     exec.run_until_idle();
-    let total = *elapsed.lock();
-    total / ROUNDS
+    let w = window.lock().clone();
+    w
 }
 
 #[cfg(test)]
@@ -104,11 +115,7 @@ mod tests {
 
     fn pkg() -> M3Threads {
         let board = SimBoard::new();
-        M3Threads::new(Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        ))
+        M3Threads::new(Executor::on(board.clock.clone(), board.timers.clone()))
     }
 
     #[test]

@@ -85,11 +85,7 @@ mod tests {
 
     fn pkg() -> OsfThreads {
         let board = SimBoard::new();
-        OsfThreads::new(Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        ))
+        OsfThreads::new(Executor::on(board.clock.clone(), board.timers.clone()))
     }
 
     #[test]

@@ -64,7 +64,6 @@
 use crate::executor::{Executor, IdleOutcome};
 use spin_check::sync::{AtomicU64, Ordering};
 use spin_fault::{FaultHook, Injection};
-use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -141,7 +140,6 @@ pub struct Multicore {
     lookahead: Nanos,
     epochs: Arc<AtomicU64>,
     shard_runs: Arc<AtomicU64>,
-    obs: spin_check::hooks::HookSlot<ObsHook>,
 }
 
 impl Multicore {
@@ -158,7 +156,6 @@ impl Multicore {
             lookahead,
             epochs: Arc::new(AtomicU64::new(0)),
             shard_runs: Arc::new(AtomicU64::new(0)),
-            obs: spin_check::hooks::HookSlot::new(),
         }
     }
 
@@ -245,12 +242,11 @@ impl Multicore {
     }
 
     /// Wires the observability subsystem: epochs and mailbox traffic are
-    /// exposed as `spin_shard_*` metrics, each executor traces into its
-    /// own `shard<N>` lane, and every drained envelope is traced. One-shot
-    /// per runtime; charges zero virtual time. Only the tests wire it.
+    /// exposed as `spin_shard_*` metrics, and each executor traces into its
+    /// own `shard<N>` lane. Charges zero virtual time. Only the tests wire
+    /// it.
     #[cfg(test)]
     pub(crate) fn wire_obs(&self, obs: &spin_obs::Obs) {
-        let _ = self.obs.set(obs.domain("multicore"));
         let epochs = self.epochs.clone();
         obs.register_gauge("shard_epochs_total", move || {
             epochs.load(Ordering::Relaxed) // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -439,10 +435,6 @@ impl Multicore {
             return Some(IdleOutcome::DeadlineReached);
         }
         self.epochs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        let obs = self.obs.get();
-        if let Some(obs) = obs {
-            obs.trace(TraceKind::ShardEpoch, gvt, 0);
-        }
         fill_grants(next, gvt, self.lookahead, deadline, plan);
         assert!(!plan.is_empty(), "the GVT shard always qualifies");
         // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
@@ -450,13 +442,7 @@ impl Multicore {
             .fetch_add(plan.len() as u64, Ordering::Relaxed);
         for &(idx, _) in plan.iter() {
             let sh = &self.shards[idx];
-            let run = sh.host.mailbox.drain();
-            if let Some(obs) = obs {
-                for env in &run {
-                    obs.trace(TraceKind::MailDeliver, env.lane, env.deliver_at);
-                }
-            }
-            sh.host.timers.schedule_run(run);
+            sh.host.timers.schedule_run(sh.host.mailbox.drain());
         }
         None
     }
@@ -844,8 +830,8 @@ mod tests {
             let mut mc = Multicore::new(workers, board.lookahead());
             let a = board.new_host(16);
             let b = board.new_host(16);
-            let disp_a = spin_core::Dispatcher::new(a.clock.clone(), a.profile.clone());
-            let disp_b = spin_core::Dispatcher::new(b.clock.clone(), b.profile.clone());
+            let disp_a = spin_core::Dispatcher::on(a.clock.clone());
+            let disp_b = spin_core::Dispatcher::on(b.clock.clone());
             let a_id = a.id;
             let b_id = b.id;
             let ea = mc.add_host(a);

@@ -13,7 +13,7 @@
 use crate::executor::{Executor, StrandCtx, StrandId};
 use crate::wait::{woken_once, WaitQueue, Wakeups};
 use spin_check::sync::Mutex;
-use spin_sal::Nanos;
+use spin_sal::{Cost, Nanos};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::task::Poll;
@@ -43,7 +43,7 @@ impl KMutex {
 
     /// Acquires the mutex, blocking the strand while contended.
     pub(crate) fn lock(&self, ctx: &StrandCtx) {
-        self.exec.clock().advance(self.exec.profile().sync_op);
+        self.exec.clock().charge(Cost::SyncOp, 1);
         ctx.wait(
             &self.state,
             |st| &mut st.waiters,
@@ -64,7 +64,7 @@ impl KMutex {
     /// Panics if the calling strand does not hold the mutex — that is an
     /// extension bug the trusted package refuses to hide.
     pub(crate) fn unlock(&self, ctx: &StrandCtx) {
-        self.exec.clock().advance(self.exec.profile().sync_op);
+        self.exec.clock().charge(Cost::SyncOp, 1);
         let next = {
             let mut st = self.state.lock();
             assert_eq!(st.owner, Some(ctx.id()), "unlock by non-owner");
@@ -269,11 +269,7 @@ mod tests {
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
-        Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        )
+        Executor::on(board.clock.clone(), board.timers.clone())
     }
 
     #[test]
@@ -441,7 +437,7 @@ mod tests {
 
     #[test]
     fn a_wait_refused_in_a_step_leaves_nothing_queued() {
-        let sync_op = exec().profile().sync_op;
+        let sync_op = Cost::SyncOp.ns();
 
         let e = exec();
         let m = KMutex::new(e.clone());

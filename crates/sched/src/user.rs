@@ -5,7 +5,7 @@
 
 use crate::executor::{Executor, StrandCtx};
 use crate::sync::KChannel;
-use spin_sal::Nanos;
+use spin_sal::{Cost, Nanos};
 use std::sync::Arc;
 
 /// A cross-address-space call service: a server process exporting one
@@ -33,7 +33,7 @@ impl XasService {
             while let Some((arg, reply)) = rq.recv(ctx) {
                 // The server runs in its own address space: entering it
                 // costs an AS switch on top of the strand hand-off.
-                exec2.clock().advance(exec2.profile().as_switch);
+                exec2.clock().charge(Cost::AsSwitch, 1);
                 let result = service(arg);
                 reply.send(ctx, result);
             }
@@ -68,20 +68,19 @@ struct XasClient {
 impl XasClient {
     /// Performs one protected cross-address-space call.
     fn call(&self, ctx: &StrandCtx, arg: u64) -> Option<u64> {
-        let p = self.exec.profile().clone();
         let clock = self.exec.clock().clone();
         // Client trap into the kernel and cross-domain call to the IPC
         // extension.
-        clock.advance(p.trap_entry + p.inter_module_call);
+        clock.charge_all([(Cost::TrapEntry, 1), (Cost::InterModuleCall, 1)]);
         let reply: Arc<KChannel<u64>> = KChannel::new(self.exec.clone(), 1);
         if !self.requests.send(ctx, (arg, reply.clone())) {
-            clock.advance(p.trap_exit);
+            clock.charge(Cost::TrapExit, 1);
             return None;
         }
         let result = reply.recv(ctx);
         // Return path: switch back to the client's address space and
         // return to user mode.
-        clock.advance(p.as_switch + p.trap_exit);
+        clock.charge_all([(Cost::AsSwitch, 1), (Cost::TrapExit, 1)]);
         result
     }
 }

@@ -28,11 +28,7 @@ fn spec_strategy() -> impl Strategy<Value = StrandSpec> {
 /// Runs a workload and returns its observable trace.
 fn run(specs: &[StrandSpec]) -> (Vec<String>, u64, u64, Vec<u64>) {
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
     let log: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let mut ids = Vec::new();
     for (i, spec) in specs.iter().enumerate() {

@@ -145,16 +145,13 @@ fn compare(exec: &Executor, book: &Mutex<Book>, me: StrandId, host: HostId, at: 
 
 fn run(p: &Program) {
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
     let book = Arc::new(Mutex::new(Book::default()));
     let hosts: Arc<Mutex<BTreeMap<StrandId, HostId>>> = Arc::default();
     let (weak, book2, hosts2): (Weak<Executor>, _, _) =
         (Arc::downgrade(&exec), book.clone(), hosts.clone());
-    board.clock.add_advance_hook(Box::new(move |ns| {
+    board.clock.add_advance_hook(Box::new(move |charge| {
+        let ns = charge.ns;
         let Some(exec) = weak.upgrade() else { return };
         let now = exec.clock().now();
         let mut b = book2.lock();
@@ -303,11 +300,7 @@ proptest! {
 #[test]
 fn an_executor_leaves_its_clock_unobserved_until_obs_is_wired() {
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
     assert!(!board.clock.charges_observed());
     let obs = spin_obs::Obs::new(16);
     exec.set_obs(obs.domain("sched"));

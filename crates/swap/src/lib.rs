@@ -43,7 +43,7 @@ use spin_core::{panic_message, Containment, DomainFaultInfo};
 use spin_core::{DispatchError, GatedEvent, Identity};
 use spin_fault::{FaultHook, FaultPlan, Injection, SITE_SWAP};
 use spin_obs::{Obs, ObsHook, TraceKind};
-use spin_sal::{Clock, Nanos};
+use spin_sal::{Clock, Cost, Nanos};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -317,7 +317,7 @@ impl SwapCoordinator {
             );
         }
         if let Some(Injection::Delay(ns)) = injection {
-            self.inner.clock.advance(ns);
+            self.inner.clock.charge(Cost::Injected, ns);
         }
         let fire = if matches!(injection, Some(Injection::Panic)) {
             self.inner.faults.get()
@@ -505,12 +505,10 @@ mod tests {
     use spin_core::ContainmentPolicy;
     use spin_core::{BlockedInStep, Constraints, DispatchError, Dispatcher, Event, InstallSpec};
     use spin_fault::SiteConfig;
-    use spin_sal::MachineProfile;
 
     fn rig() -> (Clock, Dispatcher, Event<u32, u32>, Identity, Identity) {
-        let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let d = Dispatcher::new(clock.clone(), profile);
+        let d = Dispatcher::unmetered();
+        let clock = d.clock().clone();
         let owner_id = Identity::kernel("net");
         let (ev, _owner) = d.define::<u32, u32>("Swap.Packet", owner_id.clone());
         let v1 = Identity::extension("fwd-v1");
@@ -690,7 +688,7 @@ mod tests {
                 Some(10),
                 |bias| {
                     // A slow warm-up inside the rebind blows the budget.
-                    clock.advance(5_000);
+                    clock.charge(Cost::Work, 5_000);
                     rebind_to_v2(&ev, &owner_id, &v1, bias)
                 },
             )
@@ -743,9 +741,7 @@ mod tests {
 
     #[test]
     fn supervisor_defers_fallback_to_pump() {
-        let clock = Clock::new();
-        let profile = Arc::new(MachineProfile::alpha_axp_3000_400());
-        let d = Dispatcher::new(clock, profile);
+        let d = Dispatcher::unmetered();
         let containment = Containment::install(&d, None, ContainmentPolicy::default());
         let sup = SwapSupervisor::install(&containment).unwrap();
         let ran = Arc::new(AtomicU64::new(0));

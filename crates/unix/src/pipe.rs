@@ -101,11 +101,7 @@ mod tests {
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
-        Executor::new(
-            board.clock.clone(),
-            board.timers.clone(),
-            board.profile.clone(),
-        )
+        Executor::on(board.clock.clone(), board.timers.clone())
     }
 
     #[test]

@@ -120,14 +120,9 @@ mod tests {
     fn ext() -> MachTaskExtension {
         let board = SimBoard::new();
         let host = board.new_host(64);
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let disp = Dispatcher::on(board.clock.clone());
         MachTaskExtension::install(
-            TranslationService::new(
-                host.mmu.clone(),
-                board.clock.clone(),
-                board.profile.clone(),
-                &disp,
-            ),
+            TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp),
             PhysAddrService::new(host.mem.clone(), &disp),
             VirtAddrService::new(),
             host.mem.clone(),

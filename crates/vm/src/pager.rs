@@ -15,8 +15,8 @@ use spin_check::hooks::HookSlot;
 use spin_check::sync::Mutex;
 use spin_core::Identity;
 use spin_fault::{FaultHook, Injection};
-use spin_sal::ContextId;
 use spin_sal::{BlockId, Disk, DiskRequest};
+use spin_sal::{ContextId, Cost};
 use spin_sal::{Protection, PAGE_SHIFT};
 use spin_sched::{Executor, KChannel};
 use std::sync::Arc;
@@ -74,7 +74,7 @@ impl DiskPager {
                     if let Some(h) = fault_hook.get() {
                         match h.draw() {
                             Some(Injection::Panic) => h.fire_panic(),
-                            Some(Injection::Delay(ns)) => exec.clock().advance(ns),
+                            Some(Injection::Delay(ns)) => exec.clock().charge(Cost::Injected, ns),
                             Some(Injection::Fail) => return FaultAction::Fail,
                             None => {}
                         }
@@ -148,13 +148,8 @@ mod tests {
         let board = SimBoard::new();
         let host = board.new_host(128);
         let exec = Executor::for_host(&host);
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
-        let trans = TranslationService::new(
-            host.mmu.clone(),
-            board.clock.clone(),
-            board.profile.clone(),
-            &disp,
-        );
+        let disp = Dispatcher::on(board.clock.clone());
+        let trans = TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp);
         let phys = PhysAddrService::new(host.mem.clone(), &disp);
         let virt = VirtAddrService::new();
 

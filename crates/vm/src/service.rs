@@ -27,12 +27,7 @@ impl VmService {
         let dispatcher = kernel.dispatcher();
         let phys = PhysAddrService::new(host.mem.clone(), dispatcher);
         let virt = VirtAddrService::new();
-        let trans = TranslationService::new(
-            host.mmu.clone(),
-            host.clock.clone(),
-            host.profile.clone(),
-            dispatcher,
-        );
+        let trans = TranslationService::new(host.mmu.clone(), host.clock.clone(), dispatcher);
         kernel.publish(Interface::new("PhysAddr").export("service", Arc::new(phys.clone())));
         kernel.publish(Interface::new("VirtAddr").export("service", Arc::new(virt.clone())));
         kernel.publish(Interface::new("Translation").export("service", Arc::new(trans.clone())));

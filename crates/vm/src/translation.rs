@@ -23,7 +23,7 @@ use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::{Dispatcher, Event, EventOwner, Identity};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Access, ContextId, MmuFault, Pte};
-use spin_sal::{Clock, FrameId, MachineProfile, Mmu, Protection, PAGE_SHIFT};
+use spin_sal::{Clock, Cost, FrameId, Mmu, Protection, PAGE_SHIFT};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -99,7 +99,6 @@ struct TransState {
 pub struct TranslationService {
     mmu: Mmu,
     clock: Clock,
-    profile: Arc<MachineProfile>,
     state: Arc<Mutex<TransState>>,
     events: TranslationEvents,
     /// Keeps the primary-implementation capabilities alive (and private).
@@ -115,12 +114,7 @@ pub struct TranslationService {
 impl TranslationService {
     /// Creates the service over a host MMU and defines the fault events.
     // uncharged: service construction is control-plane.
-    pub fn new(
-        mmu: Mmu,
-        clock: Clock,
-        profile: Arc<MachineProfile>,
-        dispatcher: &Dispatcher,
-    ) -> TranslationService {
+    pub fn new(mmu: Mmu, clock: Clock, dispatcher: &Dispatcher) -> TranslationService {
         let ident = Identity::kernel("Translation");
         let (pnp, pnp_o) = dispatcher
             .define::<FaultInfo, FaultAction>("Translation.PageNotPresent", ident.clone());
@@ -142,7 +136,6 @@ impl TranslationService {
         TranslationService {
             mmu,
             clock,
-            profile,
             state: Arc::new(Mutex::new(TransState {
                 contexts: HashMap::new(),
                 rmap: BTreeMap::new(),
@@ -302,7 +295,7 @@ impl TranslationService {
     /// call that neither OSF/1 nor Mach can express.
     pub(crate) fn examine(&self, ctx: ContextId, va: u64) -> Result<Option<Pte>, VmError> {
         self.clock
-            .advance(self.profile.inter_module_call + self.profile.pmap_op);
+            .charge_all([(Cost::InterModuleCall, 1), (Cost::PmapOp, 1)]);
         self.mmu
             .examine(ctx, va >> PAGE_SHIFT)
             .map_err(|_| VmError::NoSuchContext)
@@ -310,7 +303,7 @@ impl TranslationService {
 
     /// Changes the protection of one page.
     pub fn protect_page(&self, ctx: ContextId, va: u64, prot: Protection) -> Result<(), VmError> {
-        self.clock.advance(self.profile.pmap_op);
+        self.clock.charge(Cost::PmapOp, 1);
         self.mmu
             .protect(ctx, va >> PAGE_SHIFT, prot)
             .map_err(|e| match e {
@@ -402,7 +395,7 @@ impl TranslationService {
                     }
                     // Enter the kernel trap path and dispatch to handlers.
                     self.clock
-                        .advance(self.profile.trap_entry + self.profile.vm_fault_save);
+                        .charge_all([(Cost::TrapEntry, 1), (Cost::VmFaultSave, 1)]);
                     let ev = match kind {
                         FaultKind::PageNotPresent => &self.events.page_not_present,
                         FaultKind::BadAddress => &self.events.bad_address,
@@ -410,12 +403,12 @@ impl TranslationService {
                     };
                     let action = ev.raise(info).unwrap_or(FaultAction::Fail);
                     if action == FaultAction::Fail {
-                        self.clock.advance(self.profile.trap_exit);
+                        self.clock.charge(Cost::TrapExit, 1);
                         return Err(VmError::Unresolved { info, kind });
                     }
                     // Resume the faulting thread and retry the access.
                     self.clock
-                        .advance(self.profile.context_switch + self.profile.trap_exit);
+                        .charge_all([(Cost::ContextSwitch, 1), (Cost::TrapExit, 1)]);
                 }
             }
         }
@@ -437,7 +430,7 @@ impl TranslationService {
             let off = spin_sal::page_offset(addr);
             let n = (spin_sal::PAGE_SIZE - off).min(buf.len() - done);
             mem.read(frame, off, &mut buf[done..done + n]);
-            self.clock.advance(self.profile.copy(n));
+            self.clock.charge(Cost::CopyByte, n as u64);
             done += n;
         }
         Ok(())
@@ -458,7 +451,7 @@ impl TranslationService {
             let off = spin_sal::page_offset(addr);
             let n = (spin_sal::PAGE_SIZE - off).min(buf.len() - done);
             mem.write(frame, off, &buf[done..done + n]);
-            self.clock.advance(self.profile.copy(n));
+            self.clock.charge(Cost::CopyByte, n as u64);
             done += n;
         }
         Ok(())
@@ -488,14 +481,9 @@ mod tests {
     fn rig() -> Rig {
         let board = SimBoard::new();
         let host = board.new_host(64);
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
+        let disp = Dispatcher::on(board.clock.clone());
         Rig {
-            trans: TranslationService::new(
-                host.mmu.clone(),
-                board.clock.clone(),
-                board.profile.clone(),
-                &disp,
-            ),
+            trans: TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp),
             phys: PhysAddrService::new(host.mem.clone(), &disp),
             virt: VirtAddrService::new(),
             mem: host.mem.clone(),

@@ -25,14 +25,13 @@ use crate::virt::{VirtAddrService, VirtRegion};
 use spin_check::sync::Mutex;
 use spin_core::{Dispatcher, Identity};
 use spin_sal::{Access, ContextId};
-use spin_sal::{Clock, MachineProfile, Nanos, PhysMem, Protection, SimBoard, PAGE_SHIFT};
+use spin_sal::{Clock, Cost, Nanos, PhysMem, Protection, SimBoard, PAGE_SHIFT};
 use std::sync::Arc;
 
 /// A rigged kernel with a 100-page application region, for the Table 4
 /// measurements.
 pub struct VmWorkbench {
     pub clock: Clock,
-    pub profile: Arc<MachineProfile>,
     pub trans: TranslationService,
     pub phys: PhysAddrService,
     pub virt: VirtAddrService,
@@ -57,13 +56,8 @@ impl VmWorkbench {
     pub fn new() -> VmWorkbench {
         let board = SimBoard::new();
         let host = board.new_host(256);
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
-        let trans = TranslationService::new(
-            host.mmu.clone(),
-            board.clock.clone(),
-            board.profile.clone(),
-            &disp,
-        );
+        let disp = Dispatcher::on(board.clock.clone());
+        let trans = TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp);
         let phys = PhysAddrService::new(host.mem.clone(), &disp);
         let virt = VirtAddrService::new();
         let ctx = trans.create();
@@ -76,7 +70,6 @@ impl VmWorkbench {
             .unwrap();
         VmWorkbench {
             clock: board.clock.clone(),
-            profile: board.profile.clone(),
             trans,
             phys,
             virt,
@@ -93,23 +86,22 @@ impl VmWorkbench {
 
     /// The application-specific system-call crossing (user → extension).
     fn syscall_crossing(&self) {
-        let p = &self.profile;
-        self.clock.advance(
-            p.trap_entry
-                + p.event_raise_base
-                + p.guard_eval
-                + p.handler_invoke
-                + p.inter_module_call,
-        );
+        self.clock.charge_all([
+            (Cost::TrapEntry, 1),
+            (Cost::EventRaiseBase, 1),
+            (Cost::GuardEval, 1),
+            (Cost::HandlerInvoke, 1),
+            (Cost::InterModuleCall, 1),
+        ]);
     }
 
     fn syscall_return(&self) {
-        self.clock.advance(self.profile.trap_exit);
+        self.clock.charge(Cost::TrapExit, 1);
     }
 
     /// Per-call VM service entry work (capability and region validation).
     fn vm_entry(&self) {
-        self.clock.advance(self.profile.vm_call_fixed);
+        self.clock.charge(Cost::VmCallFixed, 1);
     }
 
     /// **Dirty**: query the dirty state of a page from an extension.
@@ -126,7 +118,6 @@ impl VmWorkbench {
             .unwrap();
         let entered = Arc::new(Mutex::new(0u64));
         let (e2, clock2) = (entered.clone(), self.clock.clone());
-        let profile2 = self.profile.clone();
         let trans2 = self.trans.clone();
         let va = self.page(1);
         let id = self
@@ -138,7 +129,7 @@ impl VmWorkbench {
                 move |i: &FaultInfo| i.va == va,
                 move |i: &FaultInfo| {
                     *e2.lock() = clock2.now();
-                    clock2.advance(profile2.vm_call_fixed);
+                    clock2.charge(Cost::VmCallFixed, 1);
                     trans2
                         .protect_page(i.ctx, i.va, Protection::READ_WRITE)
                         .unwrap();
@@ -160,7 +151,7 @@ impl VmWorkbench {
             .protect_page(self.ctx, va, Protection::NONE)
             .unwrap();
         let trans2 = self.trans.clone();
-        let (clock2, profile2) = (self.clock.clone(), self.profile.clone());
+        let clock2 = self.clock.clone();
         self.trans
             .events()
             .protection_fault
@@ -168,7 +159,7 @@ impl VmWorkbench {
                 Identity::extension("faultbench"),
                 move |i: &FaultInfo| i.va == va,
                 move |i: &FaultInfo| {
-                    clock2.advance(profile2.vm_call_fixed);
+                    clock2.charge(Cost::VmCallFixed, 1);
                     trans2
                         .protect_page(i.ctx, i.va, Protection::READ_WRITE)
                         .unwrap();
@@ -232,7 +223,7 @@ impl VmWorkbench {
             .protect_page(self.ctx, va, Protection::NONE)
             .unwrap();
         let trans2 = self.trans.clone();
-        let (clock2, profile2) = (self.clock.clone(), self.profile.clone());
+        let clock2 = self.clock.clone();
         self.trans
             .events()
             .protection_fault
@@ -240,7 +231,7 @@ impl VmWorkbench {
                 Identity::extension("appel1"),
                 move |i: &FaultInfo| i.va == va,
                 move |i: &FaultInfo| {
-                    clock2.advance(2 * profile2.vm_call_fixed);
+                    clock2.charge(Cost::VmCallFixed, 2);
                     trans2
                         .protect_page(i.ctx, i.va, Protection::READ_WRITE)
                         .unwrap();
@@ -260,7 +251,7 @@ impl VmWorkbench {
         let base = self.region.base();
         let end = base + (BENCH_PAGES << PAGE_SHIFT);
         let trans2 = self.trans.clone();
-        let (clock2, profile2) = (self.clock.clone(), self.profile.clone());
+        let clock2 = self.clock.clone();
         self.trans
             .events()
             .protection_fault
@@ -268,7 +259,7 @@ impl VmWorkbench {
                 Identity::extension("appel2"),
                 move |i: &FaultInfo| i.va >= base && i.va < end,
                 move |i: &FaultInfo| {
-                    clock2.advance(profile2.vm_call_fixed);
+                    clock2.charge(Cost::VmCallFixed, 1);
                     trans2
                         .protect_page(i.ctx, i.va, Protection::READ_WRITE)
                         .unwrap();

@@ -20,14 +20,9 @@ struct Rig {
 fn rig() -> Rig {
     let board = SimBoard::new();
     let host = board.new_host(256);
-    let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
+    let disp = Dispatcher::on(board.clock.clone());
     Rig {
-        trans: TranslationService::new(
-            host.mmu.clone(),
-            board.clock.clone(),
-            board.profile.clone(),
-            &disp,
-        ),
+        trans: TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp),
         phys: PhysAddrService::new(host.mem.clone(), &disp),
         virt: VirtAddrService::new(),
     }
@@ -137,8 +132,8 @@ proptest! {
         let r = rig();
         let board = SimBoard::new();
         let host = board.new_host(64);
-        let disp = Dispatcher::new(board.clock.clone(), board.profile.clone());
-        let trans = TranslationService::new(host.mmu.clone(), board.clock.clone(), board.profile.clone(), &disp);
+        let disp = Dispatcher::on(board.clock.clone());
+        let trans = TranslationService::new(host.mmu.clone(), board.clock.clone(), &disp);
         let phys = PhysAddrService::new(host.mem.clone(), &disp);
         let virt = VirtAddrService::new();
         let ctx = trans.create();

@@ -42,12 +42,8 @@ impl SchedulerPolicy for ShortestJobFirst {
 
 fn main() {
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
-    let dispatcher = Dispatcher::new(board.clock.clone(), board.profile.clone());
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
+    let dispatcher = Dispatcher::on(board.clock.clone());
     let events = StrandEvents::attach(&exec, &dispatcher);
 
     // A profiler extension observes every Resume through the dispatcher.

@@ -11,20 +11,10 @@ use spin_os::vm::{PhysAddrService, TranslationService, VirtAddrService};
 
 fn main() {
     let rig = TwoHosts::new();
-    let disp_a = Dispatcher::new(rig.board.clock.clone(), rig.board.profile.clone());
-    let disp_b = Dispatcher::new(rig.board.clock.clone(), rig.board.profile.clone());
-    let trans_a = TranslationService::new(
-        rig.host_a.mmu.clone(),
-        rig.board.clock.clone(),
-        rig.board.profile.clone(),
-        &disp_a,
-    );
-    let trans_b = TranslationService::new(
-        rig.host_b.mmu.clone(),
-        rig.board.clock.clone(),
-        rig.board.profile.clone(),
-        &disp_b,
-    );
+    let disp_a = Dispatcher::on(rig.board.clock.clone());
+    let disp_b = Dispatcher::on(rig.board.clock.clone());
+    let trans_a = TranslationService::new(rig.host_a.mmu.clone(), rig.board.clock.clone(), &disp_a);
+    let trans_b = TranslationService::new(rig.host_b.mmu.clone(), rig.board.clock.clone(), &disp_b);
     let phys_a = PhysAddrService::new(rig.host_a.mem.clone(), &disp_a);
     let phys_b = PhysAddrService::new(rig.host_b.mem.clone(), &disp_b);
     let virt = VirtAddrService::new();

@@ -21,7 +21,7 @@ use spin_os::fault::{
 };
 use spin_os::net::{Medium, TwoHosts};
 use spin_os::obs::Obs;
-use spin_os::sal::{SimBoard, PAGE_SHIFT};
+use spin_os::sal::{Cost, SimBoard, PAGE_SHIFT};
 use spin_os::swap::{SwapCoordinator, SwapError, SwapSupervisor, UndoAction};
 use spin_os::vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,7 +142,6 @@ fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>) {
     let trans = TranslationService::new(
         rig.host_a.mmu.clone(),
         rig.board.clock.clone(),
-        rig.board.profile.clone(),
         kernel.dispatcher(),
     );
     let phys = PhysAddrService::new(rig.host_a.mem.clone(), kernel.dispatcher());
@@ -526,7 +525,7 @@ fn quota_storm(seed: u64) -> (Vec<SiteReport>, QuotaSnapshot, Vec<String>) {
     let clock = board.clock.clone();
     owner
         .set_primary(move |x| {
-            clock.advance(3_000);
+            clock.charge(Cost::Work, 3_000);
             *x
         })
         .expect("fresh event");
@@ -550,7 +549,7 @@ fn quota_storm(seed: u64) -> (Vec<SiteReport>, QuotaSnapshot, Vec<String>) {
             Err(e) => panic!("a quota refusal must be typed, got: {e}"),
         }
         // Idle time between raises lets windows roll and shedding decay.
-        board.clock.advance(2_000);
+        board.clock.charge(Cost::Work, 2_000);
     }
     plan.set_enabled(false);
     let report = plan.report();

@@ -86,9 +86,7 @@ fn utilization_orders_spin_under_osf1_model() {
     let elapsed = rig.exec.clock().now() - t0;
     let spin_util = rig.exec.host_busy(HostId(0)) as f64 / elapsed as f64;
 
-    let model = spin_os::baseline::Osf1Model::new(std::sync::Arc::new(
-        spin_os::sal::MachineProfile::alpha_axp_3000_400(),
-    ));
+    let model = spin_os::baseline::Osf1Model;
     let t3 = spin_os::sal::NicModel::t3_dma().driver_ns;
     let osf_per_second =
         30 * model.video_read_cpu(12_500) + 30 * 8 * 2 * model.video_send_cpu(8_000, t3);

@@ -7,7 +7,7 @@
 use parking_lot::Mutex;
 use spin_os::core::{Constraints, HandlerMode, Identity, InstallDecision, Kernel};
 use spin_os::rt::GcError;
-use spin_os::sal::SimBoard;
+use spin_os::sal::{Cost, SimBoard};
 use spin_os::sched::{Executor, IdleOutcome, WaitQueue};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -37,7 +37,7 @@ fn a_runaway_handler_is_aborted_and_other_handlers_still_run() {
         .unwrap();
     let clock = k.host().clock.clone();
     ev.install(Identity::extension("runaway"), move |_| {
-        clock.advance(5_000_000); // 5 ms of "spinning"
+        clock.charge(Cost::Work, 5_000_000); // 5 ms of "spinning"
         999
     })
     .unwrap();
@@ -62,11 +62,7 @@ fn a_thread_package_ignoring_unblock_only_harms_its_own_application() {
     // that a particular user-level thread is runnable, but only the
     // application using the thread package will be affected."
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
 
     // The victim application waits on its (buggy) package, which never
     // wakes it.
@@ -94,11 +90,7 @@ fn a_thread_package_ignoring_unblock_only_harms_its_own_application() {
 #[test]
 fn a_panicking_extension_strand_does_not_take_down_the_system() {
     let board = SimBoard::new();
-    let exec = Executor::new(
-        board.clock.clone(),
-        board.timers.clone(),
-        board.profile.clone(),
-    );
+    let exec = Executor::on(board.clock.clone(), board.timers.clone());
     let bad = exec.spawn("buggy-extension", |_| panic!("index out of bounds"));
     let good_done = Arc::new(AtomicU32::new(0));
     let g2 = good_done.clone();

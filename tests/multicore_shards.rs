@@ -24,8 +24,8 @@ fn cross_shard_raises_race_handler_churn_deterministically() {
         let a = board.new_host(16);
         let b = board.new_host(16);
         let (a_id, b_id) = (a.id, b.id);
-        let disp_a = Dispatcher::new(a.clock.clone(), a.profile.clone());
-        let disp_b = Dispatcher::new(b.clock.clone(), b.profile.clone());
+        let disp_a = Dispatcher::on(a.clock.clone());
+        let disp_b = Dispatcher::on(b.clock.clone());
         let ea = mc.add_host(a);
         let eb = mc.add_host(b);
         mc.wire_dispatcher(&disp_a, a_id);
@@ -122,8 +122,8 @@ fn mailbox_delay_injection_stays_worker_count_invariant() {
         let a = board.new_host(16);
         let b = board.new_host(16);
         let (a_id, b_id) = (a.id, b.id);
-        let disp_a = Dispatcher::new(a.clock.clone(), a.profile.clone());
-        let disp_b = Dispatcher::new(b.clock.clone(), b.profile.clone());
+        let disp_a = Dispatcher::on(a.clock.clone());
+        let disp_b = Dispatcher::on(b.clock.clone());
         let ea = mc.add_host(a);
         let _eb = mc.add_host(b);
         mc.wire_dispatcher(&disp_a, a_id);
@@ -190,7 +190,7 @@ fn equal_deadline_mail_fires_in_lane_order_whatever_the_host_timing() {
         let shards: Vec<_> = (0..6)
             .map(|_| {
                 let host = board.new_host(16);
-                let disp = Dispatcher::new(host.clock.clone(), host.profile.clone());
+                let disp = Dispatcher::on(host.clock.clone());
                 (host.id, disp, mc.add_host(host))
             })
             .collect();

@@ -9,6 +9,7 @@ use spin_os::fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache
 use spin_os::net::UdpHeader;
 use spin_os::net::{http_get, install_metrics, proto, HttpServer, Medium, Rpc, TcpStack, TwoHosts};
 use spin_os::obs::Obs;
+use spin_os::sal::Cost;
 use spin_os::vm::VmWorkbench;
 use std::sync::Arc;
 
@@ -140,7 +141,7 @@ fn quota_gauges_scrape_end_to_end() {
     let clock = rig.board.clock.clone();
     owner
         .set_primary(move |x| {
-            clock.advance(100);
+            clock.charge(Cost::Work, 100);
             *x
         })
         .expect("fresh event");

@@ -17,7 +17,7 @@
 use spin_check::model::Checker;
 use spin_check::sync::{Arc, AtomicU64, Mutex, Ordering};
 use spin_check::thread;
-use spin_sal::{Envelope, Nanos, TimerQueue};
+use spin_sal::{Mailbox, Nanos, TimerQueue};
 
 const BOUND: u32 = 2;
 
@@ -118,9 +118,9 @@ fn logging(
     Box::new(move |_| log.lock().push(tag))
 }
 
-/// A run of mail scheduled by one thread while another cancels a slot timer
-/// and fires the queue ([`TimerQueue::schedule_run`], DESIGN.md decision
-/// 27): under every bound-2 interleaving each run item fires exactly once,
+/// A run of mail drained onto the queue by one thread while another cancels
+/// a slot timer and fires the queue ([`Mailbox::drain_onto`], DESIGN.md
+/// decisions 27 and 36): under every bound-2 interleaving each run item fires exactly once,
 /// the cancelled timer never does, and what fires fires in `(deadline,
 /// seq)` order — the run's items in run order, and the bystander, due at the
 /// run's later deadline but scheduled first, before the run's items due
@@ -133,19 +133,13 @@ fn a_run_scheduled_while_the_queue_fires_fires_each_item_once() {
         let (cancelled, log) = <(Arc<AtomicU64>, Arc<Mutex<Vec<&'static str>>>)>::default();
         let id = q.schedule_at(10, counting(&cancelled));
         q.schedule_boxed(10, logging(&log, "bystander"));
-        let run = [(5, "r0"), (10, "r1"), (10, "r2")]
-            .into_iter()
-            .enumerate()
-            .map(|(seq, (deliver_at, tag))| Envelope {
-                deliver_at,
-                lane: 0,
-                seq: seq as u64,
-                action: logging(&log, tag),
-            })
-            .collect();
+        let mailbox = Mailbox::new();
+        for (deliver_at, tag) in [(5, "r0"), (10, "r1"), (10, "r2")] {
+            assert!(mailbox.post(deliver_at, 0, logging(&log, tag)));
+        }
 
         let q2 = q.clone();
-        let scheduler = thread::spawn(move || q2.schedule_run(run));
+        let scheduler = thread::spawn(move || mailbox.drain_onto(&q2));
         assert!(q.cancel(id), "the slot timer was pending");
         let first_pass = q.fire_due(10);
         scheduler.join().expect("scheduler");

@@ -56,10 +56,13 @@ pub enum Medium {
 /// packet resolves against it, from whichever worker drives the sender,
 /// and registrations happen at host set-up. Resolvers share a read lock
 /// and never block each other. It is only ever looked up, so it hashes an
-/// address with the dispatcher's one-multiplication [`KeyHasher`].
+/// address with the dispatcher's one-multiplication [`KeyHasher`]. Every
+/// registration moves its version, so a sender that resolved a route can
+/// tell with one load that the route still holds.
 #[derive(Clone, Default)]
 pub struct AddressMap {
     entries: Arc<RwLock<Routes>>,
+    version: Arc<AtomicU64>,
 }
 
 type Routes = HashMap<IpAddr, (Medium, WireEndpoint), BuildHasherDefault<KeyHasher>>;
@@ -74,7 +77,16 @@ impl AddressMap {
     /// Registers an address.
     // uncharged: address registration is control-plane.
     pub(crate) fn register(&self, ip: IpAddr, medium: Medium, endpoint: WireEndpoint) {
-        self.entries.write().insert(ip, (medium, endpoint));
+        let mut entries = self.entries.write();
+        entries.insert(ip, (medium, endpoint));
+        self.version.fetch_add(1, Ordering::Release); // ordering: Release — moved under the write lock, after the insert; pairs with `version`'s Acquire.
+    }
+
+    /// How many registrations the map has seen: a route resolved after this
+    /// was read holds for as long as it does not move.
+    // uncharged: one load.
+    pub(crate) fn version(&self) -> u64 {
+        self.version.load(Ordering::Acquire) // ordering: Acquire — pairs with `register`'s Release.
     }
 
     /// Resolves an address (per-packet hot path; shared read access).
@@ -418,10 +430,24 @@ impl NetStack {
                         });
                         if taken > 0 {
                             any = true;
-                            ev.raise_burst(ring.drain(..).map(|frame| LinkFrame {
-                                medium: *medium,
-                                bytes: frame.payload,
+                            // The raise takes a frame when it is done with
+                            // the one before, whose buffer then goes back
+                            // to the NIC if nothing the raise ran kept a
+                            // handle on it (DESIGN.md decision 36): the
+                            // burst's later frames may be answered in it.
+                            let mut passed = None;
+                            ev.raise_burst(ring.drain(..).map(|frame| {
+                                if let Some(done) = passed.replace(frame.payload.clone()) {
+                                    nic.recycle(done);
+                                }
+                                LinkFrame {
+                                    medium: *medium,
+                                    bytes: frame.payload,
+                                }
                             }));
+                            if let Some(done) = passed {
+                                nic.recycle(done);
+                            }
                         }
                     }
                     if !any {
@@ -701,7 +727,7 @@ impl NetStack {
         dst: IpAddr,
         protocol: u8,
         segment: BufChain,
-        framed: Option<Framed>,
+        framed: Option<Routed>,
     ) -> Result<(), NetError> {
         let verdict = self.inner.events.send_packet.raise(SendRequest {
             dst,
@@ -823,10 +849,12 @@ impl NetStack {
     /// Per-frame transmit bookkeeping: fault draw, route resolution, frame
     /// assembly and the `PacketTx` trace; the frame is counted sent only
     /// once its NIC takes it (`hand_off`). The returned frame is the one
-    /// buffer this path allocates ([`frame_bytes`]); writing the segment
-    /// into it is the device-boundary copy. A segment already written into
-    /// its frame (`framed`) is not written again while the route it was
-    /// framed for is still the route.
+    /// buffer this path uses ([`frame_bytes`]), its NIC's spare one when
+    /// one fits; writing the segment into it is the device-boundary copy.
+    /// A segment already written into its frame (`framed`) is not written
+    /// again while the route it was framed for is still the route, and
+    /// that route is not resolved again unless the address map has moved
+    /// since.
     // charged: assembly is uncharged; the NIC charges driver/PIO/DMA costs
     // when the frame is handed over.
     fn prepare_frame(
@@ -834,7 +862,7 @@ impl NetStack {
         dst: IpAddr,
         protocol: u8,
         segment: &BufChain,
-        framed: Option<Framed>,
+        framed: Option<Routed>,
     ) -> Result<Framed, NetError> {
         if let Some(h) = self.inner.faults.get() {
             match h.draw() {
@@ -846,16 +874,21 @@ impl NetStack {
                 None => {}
             }
         }
-        let (medium, endpoint) = self
-            .inner
-            .addrs
-            .resolve(dst)
-            .ok_or(NetError::NoRoute { dst })?;
-        let frame = match framed {
-            Some((m, e, frame)) if (m, e) == (medium, endpoint) => frame,
-            _ => self.frame(medium, endpoint, dst, protocol, segment.len(), |out| {
-                segment.copy_to_slice(out)
-            }),
+        let addrs = &self.inner.addrs;
+        let (medium, endpoint, frame) = match framed {
+            // Nothing was registered since the frame was written.
+            Some(routed) if routed.version == addrs.version() => routed.framed,
+            framed => {
+                let (medium, endpoint) = addrs.resolve(dst).ok_or(NetError::NoRoute { dst })?;
+                let kept = framed.map(|routed| routed.framed);
+                kept.filter(|(m, e, _)| (*m, *e) == (medium, endpoint))
+                    .unwrap_or_else(|| {
+                        let write = |out: &mut [u8]| segment.copy_to_slice(out);
+                        let frame =
+                            self.frame(medium, endpoint, dst, protocol, segment.len(), write);
+                        (medium, endpoint, frame)
+                    })
+            }
         };
         if let Some(obs) = self.inner.obs.get() {
             obs.trace(TraceKind::PacketTx, frame.len() as u64, medium as u64);
@@ -888,12 +921,14 @@ impl NetStack {
         segment: impl FnOnce(&mut [u8]),
     ) -> Bytes {
         let src = self.inner.my_ips[medium as usize];
+        let nic = self.nic_for(medium);
         let link = (medium == Medium::Ethernet).then(|| EtherHeader {
-            src: self.nic_for(medium).addr().0,
+            src: nic.addr().0,
             dst: endpoint.0,
             ethertype: ETHERTYPE_IPV4,
         });
-        frame_bytes(link, src, dst, protocol, len, segment)
+        let buffer = |len| nic.frame_buffer(len);
+        frame_bytes(buffer, link, src, dst, protocol, len, segment)
     }
 
     fn nic_for(&self, medium: Medium) -> &Nic {
@@ -919,6 +954,7 @@ impl NetStack {
         dst_port: u16,
         payload: &[u8],
     ) -> Result<(), NetError> {
+        let version = self.inner.addrs.version();
         let Some((medium, endpoint)) = self.inner.addrs.resolve(dst) else {
             // No frame to write into: `send_ip` answers (`NoRoute`).
             let datagram = UdpHeader::encode(src_port, dst_port, payload);
@@ -932,7 +968,8 @@ impl NetStack {
             body.copy_from_slice(payload);
         });
         let segment = BufChain::from_bytes(frame.slice(frame.len() - len..));
-        self.send_segment(dst, proto::UDP, segment, Some((medium, endpoint, frame)))
+        let framed = (medium, endpoint, frame);
+        self.send_segment(dst, proto::UDP, segment, Some(Routed { version, framed }))
     }
 
     /// The stack-wide readiness scoreboard (see [`crate::NetPoller`]).
@@ -1002,12 +1039,21 @@ impl NetStack {
 /// its bytes.
 type Framed = (Medium, WireEndpoint, Bytes);
 
+/// A frame written before its `SendPacket` raise, for the route the address
+/// map gave at `version`.
+struct Routed {
+    version: u64,
+    framed: Framed,
+}
+
 /// Assembles the frame for a `len`-byte segment: the link header (Ethernet
 /// only; ATM and T3 carry raw IP), the IPv4 header and the segment's bytes,
-/// which `segment` writes, each written once into the one buffer allocated
-/// here.
+/// which `segment` writes, each written once into the one buffer `buffer`
+/// gives for the frame's length. Every byte of the frame is written here,
+/// so a recycled buffer is not cleared first.
 // uncharged: frame assembly; the NIC charges for moving the bytes.
 fn frame_bytes(
+    buffer: impl FnOnce(usize) -> BytesMut,
     link: Option<EtherHeader>,
     src: IpAddr,
     dst: IpAddr,
@@ -1016,7 +1062,9 @@ fn frame_bytes(
     segment: impl FnOnce(&mut [u8]),
 ) -> Bytes {
     let link_len = if link.is_some() { EtherHeader::LEN } else { 0 };
-    let mut frame = BytesMut::zeroed(link_len + Ipv4Header::LEN + len);
+    let total = link_len + Ipv4Header::LEN + len;
+    let mut frame = buffer(total);
+    frame.resize(total, 0);
     let (link_room, packet) = frame.split_at_mut(link_len);
     if let Some(ether) = link {
         link_room.copy_from_slice(&ether.header_bytes());
@@ -1054,6 +1102,7 @@ mod tests {
     use crate::socket::UdpSocket;
     use crate::testrig::TwoHosts;
     use proptest::prelude::*;
+    use spin_sal::SPARE_FRAMES;
     use spin_sched::IdleOutcome;
 
     proptest! {
@@ -1106,7 +1155,7 @@ mod tests {
             pieces.iter().for_each(|p| segment.append(p.clone()));
             segment.push_header(&transport);
 
-            let frame = frame_bytes(link, src, dst, protocol, segment.len(), |out| {
+            let frame = frame_bytes(BytesMut::zeroed, link, src, dst, protocol, segment.len(), |out| {
                 segment.copy_to_slice(out)
             });
 
@@ -1222,6 +1271,97 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Sends `count` datagrams of `len` bytes from `a` to `b`'s `port`
+    /// over Ethernet, one at a time, each delivered and answered before
+    /// the next leaves; the payload of datagram `i` is `i` in every byte.
+    fn send_one_by_one(rig: &TwoHosts, port: u16, count: usize, len: usize) {
+        let dst = rig.b.ip_on(Medium::Ethernet);
+        for i in 0..count {
+            rig.a.udp_send(9, dst, port, &vec![i as u8; len]).unwrap();
+            assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        }
+    }
+
+    /// A frame's buffer is reused only once nobody else can see it: datagrams
+    /// a queue-mode socket holds keep their bytes, and their buffers, while
+    /// 1 000 more frames of the same size pass through the same NIC, each
+    /// answered from that NIC's spare buffers.
+    #[test]
+    fn a_queued_datagram_keeps_its_buffer_while_frames_pass() {
+        const LEN: usize = 64;
+        let rig = TwoHosts::new();
+        let queued = UdpSocket::bind(&rig.b, 5, "queue", 64).unwrap();
+        let b = rig.b.clone();
+        let _echo = UdpSocket::bind_with(&rig.b, 7, "echo", move |p| {
+            b.udp_send(7, p.ip.src, p.header.src_port, &p.payload)
+                .unwrap();
+        })
+        .unwrap();
+        let echoed = Arc::new(Mutex::new(Vec::new()));
+        let log = echoed.clone();
+        let _sink = UdpSocket::bind_with(&rig.a, 9, "sink", move |p| {
+            log.lock().push(p.payload.as_ptr() as usize)
+        })
+        .unwrap();
+        send_one_by_one(&rig, 5, 32, LEN);
+        let held: Vec<UdpPacket> = std::iter::from_fn(|| queued.try_recv()).collect();
+        assert_eq!(held.len(), 32);
+        send_one_by_one(&rig, 7, 1_000, LEN);
+        assert_eq!(echoed.lock().len(), 1_000, "every datagram came back");
+        for (i, p) in held.iter().enumerate() {
+            assert_eq!(
+                &p.payload[..],
+                &[i as u8; LEN][..],
+                "datagram {i} was overwritten"
+            );
+            let at = p.payload.as_ptr() as usize;
+            assert!(
+                !echoed.lock().contains(&at),
+                "datagram {i}'s buffer carried an echo"
+            );
+        }
+    }
+
+    /// An echo of 10 000 datagrams runs on the buffers its two NICs keep:
+    /// the frames arriving at either end come in at most `SPARE_FRAMES`
+    /// buffers per NIC. Each round also allocates two buffers the size of a
+    /// frame's allocation and keeps them, which takes whatever the
+    /// allocator just freed — so a frame that was freed and allocated
+    /// again would come back at a new address here, not at the old one.
+    /// They are filled with a non-zero byte: a zeroed allocation may take
+    /// another path through the allocator than the one freed frames wait
+    /// on.
+    #[test]
+    fn an_echo_reuses_a_bounded_set_of_frame_buffers() {
+        const LEN: usize = 32;
+        let rig = TwoHosts::new();
+        let buffers = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let (seen, b) = (buffers.clone(), rig.b.clone());
+        let _echo = UdpSocket::bind_with(&rig.b, 7, "echo", move |p| {
+            seen.lock().insert(p.payload.as_ptr() as usize);
+            b.udp_send(7, p.ip.src, p.header.src_port, &p.payload)
+                .unwrap();
+        })
+        .unwrap();
+        let seen = buffers.clone();
+        let _sink = UdpSocket::bind_with(&rig.a, 9, "sink", move |p| {
+            seen.lock().insert(p.payload.as_ptr() as usize);
+        })
+        .unwrap();
+        // An `Arc<[u8]>` frame buffer's allocation: two counts, then the frame.
+        let frame = udp_frame_len(Medium::Ethernet, LEN);
+        let mut decoys = Vec::new();
+        for _ in 0..10_000 {
+            send_one_by_one(&rig, 7, 1, LEN);
+            decoys.extend((0..2).map(|_| vec![1u8; frame + 2 * size_of::<usize>()]));
+        }
+        let distinct = buffers.lock().len();
+        assert!(
+            (1..=2 * SPARE_FRAMES).contains(&distinct),
+            "{distinct} frame buffers for 20 000 frames"
+        );
     }
 
     #[test]

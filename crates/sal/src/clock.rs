@@ -4,8 +4,9 @@
 //! currently-running simulated context charges the clock by calling
 //! [`Clock::charge`] with a kind from the [`Cost`] table; asynchronous
 //! completions (disk interrupts, packet arrivals, preemption ticks) are
-//! closures scheduled on the [`TimerQueue`] and fired by the executor when
-//! the clock passes their deadline.
+//! deliveries scheduled on the [`TimerQueue`] — a packet arrival as the
+//! frame and its receiver, anything else as a closure — and fired by the
+//! executor when the clock passes their deadline.
 //!
 //! Advance hooks let a layer observe every charge, as a [`Charge`] that
 //! names its kind: the observability subsystem subscribes one to account
@@ -40,7 +41,9 @@
 //! may lose a charge.
 
 use crate::cost::Cost;
-use crate::mailbox::Envelope;
+use crate::devices::nic::Frame;
+use crate::mailbox::Mail;
+use crate::wire::Receiver;
 use spin_check::hooks::HookRegistry;
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
 use std::cmp::Reverse;
@@ -200,11 +203,40 @@ pub struct TimerId {
 /// A boxed timer callback: fired with the virtual time it ran at.
 pub(crate) type TimerFn = Box<dyn FnOnce(Nanos) + Send>;
 
-/// One slab entry. `seq` names the tenant; the callback is there until the
+/// What a timer or a mail envelope does when it fires: a frame's arrival at
+/// its receiver, held as data, or a call. A frame names its receiver by the
+/// `Arc` its route resolved to, so firing it takes no lock of the wire's;
+/// only calls — cross-core raises, control-plane posts, plain timers — are
+/// boxed (DESIGN.md decision 36).
+pub(crate) enum Delivery {
+    Frame { frame: Frame, to: Arc<Receiver> },
+    Call(TimerFn),
+}
+
+impl Delivery {
+    /// Fires the delivery at virtual time `now`.
+    pub(crate) fn fire(self, now: Nanos) {
+        match self {
+            Delivery::Frame { frame, to } => to.deliver(frame),
+            Delivery::Call(call) => call(now),
+        }
+    }
+
+    /// The delivery as a callable, for [`crate::Mailbox::drain`]'s
+    /// envelopes: a frame is boxed here, on that path only.
+    pub(crate) fn into_call(self) -> TimerFn {
+        match self {
+            Delivery::Call(call) => call,
+            frame => Box::new(move |now| frame.fire(now)),
+        }
+    }
+}
+
+/// One slab entry. `seq` names the tenant; the delivery is there until the
 /// timer fires or is cancelled, and the slot is free again from then on.
 struct Slot {
     seq: u64,
-    callback: Option<TimerFn>,
+    callback: Option<Delivery>,
 }
 
 /// A heap entry's index with this bit set names a run, not a slot.
@@ -221,9 +253,11 @@ struct TimerState {
     /// Callbacks, found by index: no hashing on schedule, fire or cancel.
     slots: Vec<Slot>,
     free: Vec<u32>,
-    /// What is left of each run, in order; an exhausted run's index is
-    /// free for the next.
-    runs: Vec<std::vec::IntoIter<Envelope>>,
+    /// What is left of each run, last to fire first: a run fires by popping
+    /// its buffer's tail. An exhausted run's buffer stays here, empty and
+    /// at its capacity, and its index is free for the next run, whose
+    /// mailbox takes the buffer in exchange ([`TimerQueue::schedule_mail`]).
+    runs: Vec<Vec<Mail>>,
     free_runs: Vec<u32>,
     /// Timers scheduled and neither fired nor cancelled, run items
     /// included.
@@ -260,7 +294,7 @@ impl TimerState {
     /// slot timer (live: [`TimerState::settle_head`] ends every operation),
     /// or the next item of a run, whose following item then takes the
     /// head's place in the heap.
-    fn pop_due(&mut self, now: Nanos) -> Option<TimerFn> {
+    fn pop_due(&mut self, now: Nanos) -> Option<Delivery> {
         let mut head = self.heap.peek_mut()?;
         let Reverse((at, seq, index)) = *head;
         if at > now {
@@ -271,25 +305,25 @@ impl TimerState {
             return self.take(index, seq);
         }
         let run = &mut self.runs[(index & !RUN) as usize];
-        let item = run.next().expect("a run in the heap has an item left");
-        match run.as_slice().first() {
+        let item = run.pop().expect("a run in the heap has an item left");
+        match run.last() {
             // The run's next item has the next seq and no earlier deadline,
             // so it sifts down from where its predecessor was.
             Some(next) => *head = Reverse((next.deliver_at, seq + 1, index)),
+            // The emptied buffer stays, for the next drain to fill.
             None => {
                 PeekMut::pop(head);
-                *run = Default::default(); // frees the drain's buffer
                 self.free_runs.push(index & !RUN);
             }
         }
         self.live -= 1;
-        Some(item.action)
+        Some(item.delivery)
     }
 
-    /// Takes the callback of timer (`slot`, `seq`) and frees the slot —
+    /// Takes the delivery of timer (`slot`, `seq`) and frees the slot —
     /// `None` if that timer has fired or been cancelled already, whoever
     /// holds the slot now.
-    fn take(&mut self, slot: u32, seq: u64) -> Option<TimerFn> {
+    fn take(&mut self, slot: u32, seq: u64) -> Option<Delivery> {
         let entry = self.slots.get_mut(slot as usize)?;
         if entry.seq != seq {
             return None;
@@ -316,19 +350,22 @@ impl TimerState {
 /// Deadlines are absolute virtual times. Entries with equal deadlines fire
 /// in scheduling order, making multi-host experiments reproducible.
 ///
-/// A timer's order lives in a binary heap and its callback in a slab slot
+/// A timer's order lives in a binary heap and its delivery in a slab slot
 /// the heap entry and the [`TimerId`] both name, so scheduling, firing and
 /// cancelling hash nothing and — once the heap and the slab have grown to
-/// the number of timers in flight — allocate nothing beyond the callback's
-/// own box. A slot is reused as soon as its timer fires or is cancelled;
+/// the number of timers in flight — allocate nothing beyond a callback's
+/// own box; a frame's arrival has none. A slot is reused as soon as its timer fires or is cancelled;
 /// the sequence number in the id and in the heap entry is the generation
 /// check that keeps a stale id, or a cancelled timer's heap residue, from
 /// touching the next tenant.
 ///
 /// A drained mailbox is ordered already, so it is scheduled as one run
-/// ([`TimerQueue::schedule_run`]): the run keeps its items in the drain's
+/// ([`crate::Mailbox::drain_onto`]): the run keeps its items in the drain's
 /// own buffer and only its head waits in the heap, so a backlog of mail
 /// costs the heap one entry, not one per envelope (DESIGN.md decision 27).
+/// The mailbox gets an exhausted run's emptied buffer in exchange, so once
+/// the buffers have grown to the traffic a drain allocates nothing
+/// (DESIGN.md decision 36).
 ///
 /// Every operation that moves the head publishes its deadline, so the
 /// questions asked most — is anything due, and when is the next deadline
@@ -374,12 +411,19 @@ impl TimerQueue {
     /// drained envelope's action): it is queued as that box, not wrapped
     /// in a second one.
     pub fn schedule_boxed(&self, at: Nanos, f: TimerFn) -> TimerId {
+        self.schedule(at, Delivery::Call(f))
+    }
+
+    /// Schedules `delivery` to fire when the clock reaches `at`: the one
+    /// way in for a slot timer. A frame delivery is queued as the data it
+    /// is, with no box.
+    pub(crate) fn schedule(&self, at: Nanos, delivery: Delivery) -> TimerId {
         let mut st = self.inner.state.lock();
         let seq = st.next_seq;
         st.next_seq += 1;
         let tenant = Slot {
             seq,
-            callback: Some(f),
+            callback: Some(delivery),
         };
         let slot = match st.free.pop() {
             Some(slot) => {
@@ -397,39 +441,33 @@ impl TimerQueue {
         TimerId { slot, seq }
     }
 
-    /// Schedules a run of mail: each envelope's action fires when the
-    /// clock reaches its `deliver_at`, exactly as if each had been passed
-    /// to [`TimerQueue::schedule_boxed`] in order — the run takes the next
-    /// `run.len()` sequence numbers, so equal deadlines fire in run order
-    /// and after every timer scheduled before it. Run items are not
-    /// cancellable.
+    /// Schedules a drained mailbox's `mail` as one run and leaves in `mail`
+    /// an exhausted run's emptied buffer, or an empty `Vec` if no run is
+    /// exhausted: the buffer the mailbox fills next.
     ///
-    /// The deadlines must never decrease along the run (a drain's order).
-    /// The run is kept as the buffer it came in, and only its head waits
-    /// in the heap.
-    pub fn schedule_run(&self, run: Vec<Envelope>) {
-        assert!(
-            run.is_sorted_by_key(|env| env.deliver_at),
-            "a run's deadlines never decrease"
-        );
-        let Some(head) = run.first().map(|env| env.deliver_at) else {
+    /// `mail` fires from its tail, so its deadlines never increase from
+    /// front to back (a drain's order, reversed). Each item fires when the
+    /// clock reaches its `deliver_at`, exactly as if each had been passed to
+    /// [`TimerQueue::schedule`] from the tail — the run takes the next
+    /// `mail.len()` sequence numbers, so equal deadlines fire in that order
+    /// and after every timer scheduled before it. Run items are not
+    /// cancellable, and only the run's head waits in the heap.
+    pub(crate) fn schedule_mail(&self, mail: &mut Vec<Mail>) {
+        let Some(head) = mail.last().map(|m| m.deliver_at) else {
             return;
         };
         let mut st = self.inner.state.lock();
         let seq = st.next_seq;
-        st.next_seq += run.len() as u64;
-        st.live += run.len();
-        let run = run.into_iter();
+        st.next_seq += mail.len() as u64;
+        st.live += mail.len();
         let index = match st.free_runs.pop() {
-            Some(index) => {
-                st.runs[index as usize] = run;
-                index
-            }
+            Some(index) => index,
             None => {
-                st.runs.push(run);
+                st.runs.push(Vec::new());
                 (st.runs.len() - 1) as u32
             }
         };
+        std::mem::swap(&mut st.runs[index as usize], mail);
         st.heap.push(Reverse((head, seq, index | RUN)));
         st.settle_head(&self.inner.head);
     }
@@ -479,7 +517,7 @@ impl TimerQueue {
             // `None`: another thread fired it, or the queue is empty and
             // `now` is `NO_DEADLINE`.
             let Some(cb) = cb else { break };
-            cb(now);
+            cb.fire(now);
             fired += 1;
         }
         fired
@@ -496,9 +534,17 @@ impl TimerQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::Envelope;
     use proptest::prelude::*;
     use spin_check::sync::AtomicUsize;
     use std::collections::HashMap;
+
+    /// Schedules `run`, in firing order, as a drain hands it over.
+    fn schedule_run(q: &TimerQueue, run: Vec<Envelope>) {
+        assert!(run.is_sorted_by_key(|env| env.deliver_at));
+        let mut mail = run.into_iter().rev().map(Mail::from).collect();
+        q.schedule_mail(&mut mail);
+    }
 
     #[test]
     fn clock_advances_and_skips() {
@@ -687,9 +733,9 @@ mod tests {
                 action: Box::new(tagged(tag)),
             })
             .collect();
-        q.schedule_run(run);
+        schedule_run(&q, run);
         q.schedule_at(20, tagged("after"));
-        q.schedule_run(Vec::new());
+        schedule_run(&q, Vec::new());
         assert_eq!((q.pending(), q.next_deadline()), (6, Some(10)));
         assert_eq!(q.fire_due(20), 5);
         assert_eq!(q.next_deadline(), Some(30));
@@ -719,7 +765,7 @@ mod tests {
                 }
             })
             .collect();
-        q.schedule_run(run);
+        schedule_run(&q, run);
         assert_eq!((q.heap_len(), q.pending()), (1, ITEMS as usize));
         assert_eq!(q.fire_due(ITEMS), ITEMS as usize);
         let seen = seen.lock();
@@ -805,7 +851,7 @@ mod tests {
             self.schedule_boxed(at, f)
         }
         fn schedule_run(&self, run: Vec<Envelope>) {
-            TimerQueue::schedule_run(self, run)
+            schedule_run(self, run)
         }
         fn cancel(&self, id: TimerId) -> bool {
             TimerQueue::cancel(self, id)

@@ -10,10 +10,17 @@
 use crate::clock::Clock;
 use crate::cost::Cost;
 use crate::wire::{Outbound, Receiver, Wire, WireEndpoint};
-use bytes::Bytes;
-use spin_check::sync::Mutex;
+use bytes::{Bytes, BytesMut};
+use spin_check::sync::{AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
 use std::sync::Arc;
+
+/// Frame buffers a NIC keeps for reuse ([`Nic::recycle`]), at most.
+pub const SPARE_FRAMES: usize = 8;
+
+/// The largest buffer a NIC keeps, in bytes: an Ethernet frame with room
+/// to spare, so a NIC holds at most 16 KB of spare buffers.
+const SPARE_CAPACITY: usize = 2048;
 
 /// How the card moves bytes between memory and the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,48 +112,121 @@ pub enum NicError {
     TooLarge { len: usize, mtu: usize },
 }
 
-/// A NIC's one locked state, shared by the wire's `Receiver` for it (which
-/// fills the ring) and the `Nic` (which drains it): the receive ring and
-/// the frames and bytes ever taken off it, counted in the critical section
-/// that takes them. What the NIC transmitted is its link's record on the
-/// wire (`Wire::transmitted`), and what was delivered into the ring is
+/// A NIC's one locked state: the receive ring, the frames and bytes ever
+/// taken off it, counted in the critical section that takes them, and the
+/// spare frame buffers. What the NIC transmitted is its link's record on
+/// the wire (`Wire::transmitted`), and what was delivered into the ring is
 /// what was taken off it plus what is still on it — each fact has one
 /// book.
 #[derive(Default)]
-pub(crate) struct NicState {
+struct NicState {
     frames: VecDeque<Frame>,
     rx_frames: u64,
     rx_bytes: u64,
+    /// Buffers of consumed frames, nobody else's any more: at most
+    /// [`SPARE_FRAMES`], none larger than [`SPARE_CAPACITY`].
+    spare: Vec<BytesMut>,
 }
 
-impl NicState {
-    /// A delivery: the frame joins the ring.
-    pub(crate) fn push(&mut self, frame: Frame) {
-        self.frames.push_back(frame);
+/// What the wire's `Receiver` for a NIC (which fills the ring) and the
+/// `Nic` (which drains it) share: the locked state, and beside it the
+/// ring's length and the number of spare buffers, each stored under the
+/// lock whenever it changes, so that an empty ring, an empty spare list
+/// and a full one each cost one load and no lock.
+#[derive(Default)]
+pub(crate) struct NicCell {
+    state: Mutex<NicState>,
+    queued: AtomicUsize,
+    spares: AtomicUsize,
+}
+
+impl NicCell {
+    /// Publishes the ring's length; called with the state locked.
+    fn publish(&self, st: &NicState) {
+        self.queued.store(st.frames.len(), Ordering::Release); // ordering: Release — stored under the state lock, so the stores follow its order; pairs with the lock-free readers' Acquire.
     }
 
-    /// One way off the ring: the pop and its count.
-    pub(crate) fn pop(&mut self) -> Option<Frame> {
-        let frame = self.frames.pop_front()?;
-        self.rx_frames += 1;
-        self.rx_bytes += frame.payload.len() as u64;
+    /// Whether the ring looked empty at the last delivery or drain.
+    fn looks_empty(&self) -> bool {
+        self.queued.load(Ordering::Acquire) == 0 // ordering: Acquire — pairs with `publish`: a non-zero length is followed by the frames under the lock.
+    }
+
+    /// A delivery: the frame joins the ring.
+    pub(crate) fn push(&self, frame: Frame) {
+        let mut st = self.state.lock();
+        st.frames.push_back(frame);
+        self.publish(&st);
+    }
+
+    /// Frames ever delivered into the ring.
+    pub(crate) fn delivered(&self) -> u64 {
+        let st = self.state.lock();
+        st.rx_frames + st.frames.len() as u64
+    }
+
+    /// One way off the ring: the pop and its count. An empty ring is a
+    /// load.
+    pub(crate) fn pop(&self) -> Option<Frame> {
+        if self.looks_empty() {
+            return None;
+        }
+        let mut st = self.state.lock();
+        let frame = st.frames.pop_front()?;
+        st.rx_frames += 1;
+        st.rx_bytes += frame.payload.len() as u64;
+        self.publish(&st);
         Some(frame)
     }
 
     /// The other: the whole ring and its count, appended to `into`. The
     /// ring keeps its buffer, so each buffer grows to its high-water mark
-    /// once.
-    fn pop_all(&mut self, into: &mut VecDeque<Frame>) {
-        for frame in self.frames.drain(..) {
-            self.rx_frames += 1;
-            self.rx_bytes += frame.payload.len() as u64;
+    /// once. An empty ring is a load.
+    fn pop_all(&self, into: &mut VecDeque<Frame>) {
+        if self.looks_empty() {
+            return;
+        }
+        let mut guard = self.state.lock();
+        let st = &mut *guard;
+        for frame in st.frames.drain(..) {
+            st.rx_frames += 1;
+            st.rx_bytes += frame.payload.len() as u64;
             into.push_back(frame);
         }
+        self.publish(st);
     }
 
-    /// Frames ever delivered into the ring.
-    pub(crate) fn delivered(&self) -> u64 {
-        self.rx_frames + self.frames.len() as u64
+    /// How many spare buffers the NIC held when the list last changed.
+    fn spares(&self) -> usize {
+        self.spares.load(Ordering::Acquire) // ordering: Acquire — pairs with the Release stores under the state lock; a stale count only sends a caller to the lock, or past one spare.
+    }
+
+    /// The smallest spare buffer that holds `len` bytes, if one does.
+    fn take_spare(&self, len: usize) -> Option<BytesMut> {
+        if self.spares() == 0 {
+            return None;
+        }
+        let mut st = self.state.lock();
+        let fits = st
+            .spare
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.capacity() >= len);
+        let (at, _) = fits.min_by_key(|(_, b)| b.capacity())?;
+        let buffer = st.spare.swap_remove(at);
+        self.spares.store(st.spare.len(), Ordering::Release); // ordering: Release — stored under the state lock; pairs with `spares`.
+        Some(buffer)
+    }
+
+    /// Keeps `buffer` if there is room; hands it back, to be dropped once
+    /// the lock is released, if not.
+    fn keep_spare(&self, buffer: BytesMut) -> Result<(), BytesMut> {
+        let mut st = self.state.lock();
+        if st.spare.len() == SPARE_FRAMES {
+            return Err(buffer);
+        }
+        st.spare.push(buffer);
+        self.spares.store(st.spare.len(), Ordering::Release); // ordering: Release — stored under the state lock; pairs with `spares`.
+        Ok(())
     }
 }
 
@@ -156,7 +236,7 @@ pub struct Nic {
     model: NicModel,
     addr: WireEndpoint,
     wire: Wire,
-    state: Arc<Mutex<NicState>>,
+    cell: Arc<NicCell>,
     clock: Clock,
 }
 
@@ -167,13 +247,13 @@ impl Nic {
     /// their arrival instant.
     // uncharged: constructor.
     pub(crate) fn new(model: NicModel, addr: WireEndpoint, wire: Wire, port: Receiver) -> Self {
-        let (state, clock) = (port.nic.clone(), port.clock.clone());
+        let (cell, clock) = (port.nic.clone(), port.clock.clone());
         wire.attach(addr, port);
         Nic {
             model,
             addr,
             wire,
-            state,
+            cell,
             clock,
         }
     }
@@ -251,13 +331,14 @@ impl Nic {
     /// [`Nic::receive_burst`], which pays this lock pair once per burst
     /// instead of once per frame and once more to find the ring empty.
     pub fn receive(&self) -> Option<Frame> {
-        let frame = self.state.lock().pop()?;
+        let frame = self.cell.pop()?;
         self.charge_io(frame.payload.len());
         Some(frame)
     }
 
     /// Takes every frame waiting on the ring onto the back of `burst`,
-    /// popped and counted under one lock pair, then charges each frame's
+    /// popped and counted under one lock pair — none if the ring's
+    /// published length is zero — then charges each frame's
     /// driver and inbound copy and shows it to `each`, in ring order: the
     /// charges, counts and order of
     /// `while let Some(f) = nic.receive() { each(&f); burst.push_back(f) }`.
@@ -269,7 +350,7 @@ impl Nic {
         mut each: impl FnMut(&Frame),
     ) -> usize {
         let start = burst.len();
-        self.state.lock().pop_all(burst);
+        self.cell.pop_all(burst);
         for frame in burst.range(start..) {
             self.charge_io(frame.payload.len());
             each(frame);
@@ -277,10 +358,11 @@ impl Nic {
         burst.len() - start
     }
 
-    /// Number of frames waiting in the receive queue.
+    /// Number of frames waiting in the receive queue: one load of the
+    /// ring's published length.
     // uncharged: diagnostics accessor.
     pub fn rx_pending(&self) -> usize {
-        self.state.lock().frames.len()
+        self.cell.queued.load(Ordering::Acquire) // ordering: Acquire — pairs with `NicCell::publish`.
     }
 
     /// (tx frames, tx bytes, rx frames, rx bytes): the transmit half is
@@ -288,9 +370,47 @@ impl Nic {
     // uncharged: diagnostics accessor.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         let (tx_frames, tx_bytes) = self.wire.transmitted(self.addr);
-        let st = self.state.lock();
+        let st = self.cell.state.lock();
         (tx_frames, tx_bytes, st.rx_frames, st.rx_bytes)
     }
+
+    /// A buffer for a `len`-byte frame: the smallest spare one that holds
+    /// it, or a new one. Its contents are unspecified: the caller writes
+    /// every byte it keeps.
+    // uncharged: host bookkeeping; the frame's charges are paid when it is
+    // sent.
+    pub fn frame_buffer(&self, len: usize) -> BytesMut {
+        match self.cell.take_spare(len) {
+            Some(buffer) => buffer,
+            None => fresh_buffer(len),
+        }
+    }
+
+    /// Gives a consumed frame's buffer back to this NIC for
+    /// [`Nic::frame_buffer`]: it is kept if `frame` is the last handle on
+    /// it — the check is [`Bytes::try_into_mut`], so a buffer anybody else
+    /// can still read is never written again — while the NIC holds fewer
+    /// than [`SPARE_FRAMES`], and if it is no larger than an Ethernet frame
+    /// needs.
+    // uncharged: host bookkeeping.
+    pub fn recycle(&self, frame: Bytes) {
+        if self.cell.spares() == SPARE_FRAMES {
+            return;
+        }
+        if let Ok(buffer) = frame.try_into_mut() {
+            if buffer.capacity() <= SPARE_CAPACITY {
+                let _ = self.cell.keep_spare(buffer);
+            }
+        }
+    }
+}
+
+/// The miss path of [`Nic::frame_buffer`]: a new, zero-filled buffer. Kept
+/// out of line, so that the send path's frames stay as deep as they were.
+#[cold]
+#[inline(never)]
+fn fresh_buffer(len: usize) -> BytesMut {
+    BytesMut::zeroed(len)
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ pub use clock::{AdvanceHookId, Charge, Clock, Nanos, TimerId, TimerQueue};
 pub use cost::{Cost, MachineProfile};
 pub use devices::console::Console;
 pub use devices::disk::{BlockId, Disk, DiskRequest, BLOCK_SIZE};
-pub use devices::nic::{Frame, IoKind, Nic, NicError, NicModel};
+pub use devices::nic::{Frame, IoKind, Nic, NicError, NicModel, SPARE_FRAMES};
 pub use irq::{IrqController, IrqVector};
 pub use mailbox::{lanes, Envelope, MailFate, Mailbox};
 pub use mem::{FrameId, PhysMem};

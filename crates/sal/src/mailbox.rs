@@ -12,15 +12,18 @@
 //! lock acquisition each envelope takes the same step — post hook, quota
 //! gate, lane sequence number, append — so a batch is exactly its
 //! envelopes posted in order.
-//! An envelope's action is boxed once, by whoever posts it, and that box is
-//! what the drain hands on ([`Envelope::action`]) and the destination's
-//! timer queue fires: nothing re-wraps it on the way.
+//! An envelope carries a delivery: a frame and the receiver it arrives at,
+//! held as data, or a call boxed once by whoever posts it. That delivery is
+//! what the destination's timer queue fires; nothing re-wraps it on the way,
+//! and a frame is never boxed (DESIGN.md decision 36).
 //!
 //! A post appends its envelope to a plain `Vec` and keeps the earliest
 //! delivery time beside it; the drain sorts the batch once, into the total
 //! order below, and that sorted buffer is what the destination's timer
-//! queue keeps as one run ([`crate::TimerQueue::schedule_run`]): a frame
-//! is ordered once between its post and its fire (DESIGN.md decision 27).
+//! queue keeps as one run ([`Mailbox::drain_onto`]): a frame is ordered
+//! once between its post and its fire (DESIGN.md decision 27). The mailbox
+//! takes an exhausted run's emptied buffer in exchange, so the buffers
+//! stop growing once they fit the traffic.
 //!
 //! Everything is one locked `MailboxState`, counters included: a post
 //! and a drain count themselves under the lock they hold anyway. The one
@@ -47,8 +50,9 @@
 //! whatever the host had let the peers post so far, and equal-instant
 //! envelopes from two lanes would then fire in drain-batch order.
 
-use crate::clock::{Nanos, TimerFn};
+use crate::clock::{Delivery, Nanos, TimerFn, TimerQueue};
 use spin_check::sync::{AtomicU64, Mutex, Ordering};
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -79,9 +83,6 @@ pub enum MailFate {
     Drop,
 }
 
-/// A boxed delivery action: fired with the delivery time on the
-/// destination shard — by its timer queue, which takes it as the box it is.
-pub(crate) type MailAction = TimerFn;
 type PostHook = Box<dyn Fn(Nanos) -> MailFate + Send + Sync>;
 /// Per-lane occupancy gate (kernel resource quotas): consulted on every
 /// post with `(lane, entries already pending on that lane)`; returning
@@ -95,14 +96,41 @@ pub struct Envelope {
     pub deliver_at: Nanos,
     pub lane: u64,
     pub seq: u64,
-    pub action: MailAction,
+    pub action: TimerFn,
+}
+
+/// An admitted envelope as the mailbox and a timer queue's run hold it.
+pub(crate) struct Mail {
+    pub(crate) deliver_at: Nanos,
+    lane: u64,
+    seq: u64,
+    pub(crate) delivery: Delivery,
+}
+
+impl Mail {
+    /// The envelope's place in the total order.
+    fn key(&self) -> (Nanos, u64, u64) {
+        (self.deliver_at, self.lane, self.seq)
+    }
+}
+
+#[cfg(test)]
+impl From<Envelope> for Mail {
+    fn from(env: Envelope) -> Mail {
+        Mail {
+            deliver_at: env.deliver_at,
+            lane: env.lane,
+            seq: env.seq,
+            delivery: Delivery::Call(env.action),
+        }
+    }
 }
 
 #[derive(Default)]
 struct MailboxState {
     /// Admitted envelopes in admission order; the drain sorts them into
     /// the total order `(deliver_at, lane, seq)` — see the module docs.
-    entries: Vec<Envelope>,
+    entries: Vec<Mail>,
     /// The least `deliver_at` in `entries`.
     earliest: Option<Nanos>,
     /// Per-lane sequence counters (program order within one sender). A
@@ -125,7 +153,7 @@ impl MailboxState {
     /// quota gate may refuse it, and an accepted envelope takes its lane's
     /// next sequence number and its place in the total order.
     #[inline] // as a call of its own a lone `post` measured ×1.10
-    fn admit(&mut self, deliver_at: Nanos, lane: u64, action: MailAction) -> bool {
+    fn admit(&mut self, deliver_at: Nanos, lane: u64, delivery: Delivery) -> bool {
         let deliver_at = match self.hook.as_ref().map(|h| h(deliver_at)) {
             Some(MailFate::Drop) => return false,
             Some(MailFate::Deliver(at)) => at,
@@ -139,11 +167,11 @@ impl MailboxState {
             *occupancy += 1;
         }
         let seq = self.lane_seq.entry(lane).or_insert(0);
-        self.entries.push(Envelope {
+        self.entries.push(Mail {
             deliver_at,
             lane,
             seq: *seq,
-            action,
+            delivery,
         });
         *seq += 1;
         self.earliest = Some(self.earliest.map_or(deliver_at, |at| at.min(deliver_at)));
@@ -179,7 +207,7 @@ impl Mailbox {
         lane: u64,
         action: impl FnOnce(Nanos) + Send + 'static,
     ) -> bool {
-        self.post_all([(deliver_at, lane, Box::new(action) as MailAction)]) == 1
+        self.post_all([(deliver_at, lane, Delivery::Call(Box::new(action)))]) == 1
     }
 
     /// The one way in: admits each envelope in order under one lock
@@ -188,12 +216,12 @@ impl Mailbox {
     /// and returns how many were accepted.
     pub(crate) fn post_all(
         &self,
-        entries: impl IntoIterator<Item = (Nanos, u64, MailAction)>,
+        entries: impl IntoIterator<Item = (Nanos, u64, Delivery)>,
     ) -> usize {
         let mut st = self.state.lock();
         let mut accepted = 0u64;
-        for (deliver_at, lane, action) in entries {
-            if st.admit(deliver_at, lane, action) {
+        for (deliver_at, lane, delivery) in entries {
+            if st.admit(deliver_at, lane, delivery) {
                 accepted += 1;
             } else {
                 st.dropped += 1;
@@ -214,14 +242,36 @@ impl Mailbox {
         self.state.lock().earliest
     }
 
-    /// Drains every pending envelope in `(deliver_at, lane, seq)` order.
+    /// Drains every pending envelope onto `timers` as one run, in
+    /// `(deliver_at, lane, seq)` order, and keeps the emptied buffer of one
+    /// of `timers`' exhausted runs to fill next.
     ///
-    /// Called by the epoch coordinator at the barrier, which hands the
-    /// result to the local timer queue as one run
-    /// ([`crate::TimerQueue::schedule_run`]): the run's sequence numbers
-    /// follow this order, so equal deadlines fire in `(lane, seq)` order.
-    /// The keys are unique, so the sort's result does not depend on the
-    /// order the posts arrived in; it runs after the lock is released.
+    /// Called by the epoch coordinator at the barrier: the run takes the
+    /// timer queue's next sequence numbers in this order, so equal
+    /// deadlines fire in `(lane, seq)` order. The keys are unique, so the
+    /// sort's result does not depend on the order the posts arrived in. It
+    /// sorts under the mailbox's lock and hands over under the timer
+    /// queue's, taken inside it — the lock order is mailbox → timer queue
+    /// — which the coordinator can afford: no shard posts while it drains.
+    pub fn drain_onto(&self, timers: &TimerQueue) {
+        // ordering: Acquire — pairs with the Release in `post`; an empty probe means nothing to drain.
+        if self.pending.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        let mut st = self.state.lock();
+        // The run fires from its tail: last in the order first in the buffer.
+        st.entries.sort_unstable_by_key(|m| Reverse(m.key()));
+        st.earliest = None;
+        st.lane_pending.clear();
+        st.drained += st.entries.len() as u64;
+        timers.schedule_mail(&mut st.entries);
+        self.pending.store(0, Ordering::Release); // ordering: Release — the drain emptied the queue under the lock; publish before the next probe.
+    }
+
+    /// Drains every pending envelope in `(deliver_at, lane, seq)` order, each
+    /// delivery as a callable [`Envelope::action`]: what a caller that fires
+    /// envelopes itself takes. A frame's delivery is boxed here, so the
+    /// kernel's own drain is [`Mailbox::drain_onto`].
     pub fn drain(&self) -> Vec<Envelope> {
         // ordering: Acquire — pairs with the Release in `post`; an empty probe means nothing to drain.
         if self.pending.load(Ordering::Acquire) == 0 {
@@ -236,8 +286,15 @@ impl Mailbox {
             self.pending.store(0, Ordering::Release); // ordering: Release — the drain emptied the queue under the lock; publish before the next probe.
             out
         };
-        out.sort_unstable_by_key(|env| (env.deliver_at, env.lane, env.seq));
-        out
+        out.sort_unstable_by_key(Mail::key);
+        out.into_iter()
+            .map(|m| Envelope {
+                deliver_at: m.deliver_at,
+                lane: m.lane,
+                seq: m.seq,
+                action: m.delivery.into_call(),
+            })
+            .collect()
     }
 
     /// Installs a post hook (deterministic fault injection on the mailbox
@@ -406,7 +463,7 @@ mod tests {
         let b = Mailbox::new();
         b.post_all(
             seq.iter()
-                .map(|&(at, lane, s)| (at, lane, Box::new(tag(&log_b, s)) as MailAction)),
+                .map(|&(at, lane, s)| (at, lane, Delivery::Call(Box::new(tag(&log_b, s))))),
         );
         assert_eq!(a.stats(), b.stats(), "before the drain");
         for lane in [2, 7, 9] {
@@ -445,7 +502,7 @@ mod tests {
         let accepted = batched.post_all(
             entries
                 .iter()
-                .map(|&(at, lane)| (at, lane, Box::new(|_| {}) as MailAction)),
+                .map(|&(at, lane)| (at, lane, Delivery::Call(Box::new(|_| {})))),
         );
         assert_eq!(accepted, 2);
         assert_eq!(batched.stats(), (2, 0, 2));
@@ -465,7 +522,7 @@ mod tests {
     /// lock and no `pending` mirror.
     #[derive(Default)]
     struct Retired {
-        entries: BTreeMap<(Nanos, u64, u64), MailAction>,
+        entries: BTreeMap<(Nanos, u64, u64), TimerFn>,
         lane_seq: HashMap<u64, u64>,
         hook: Option<PostHook>,
         lane_pending: HashMap<u64, u64>,
@@ -476,7 +533,7 @@ mod tests {
     }
 
     impl Retired {
-        fn post(&mut self, deliver_at: Nanos, lane: u64, action: MailAction) -> bool {
+        fn post(&mut self, deliver_at: Nanos, lane: u64, action: TimerFn) -> bool {
             let deliver_at = match self.hook.as_ref().map(|h| h(deliver_at)) {
                 Some(MailFate::Drop) => {
                     self.dropped += 1;
@@ -542,6 +599,8 @@ mod tests {
         Post(Nanos, u64),
         PostAll(Vec<(Nanos, u64)>),
         Drain,
+        /// The kernel's drain: onto a timer queue, which is then fired.
+        DrainOnto,
         NextDeadline,
         LanePending(u64),
         Stats,
@@ -577,6 +636,7 @@ mod tests {
             one(),
             proptest::collection::vec(post(), 0..8).prop_map(MailOp::PostAll),
             Just(MailOp::Drain),
+            Just(MailOp::DrainOnto),
             Just(MailOp::NextDeadline),
             (0u64..6).prop_map(MailOp::LanePending),
             Just(MailOp::Stats),
@@ -587,13 +647,16 @@ mod tests {
 
     /// Runs `ops` on both mailboxes and returns the two transcripts: every
     /// return value, and for each drain the keys it returned and the tags
-    /// of the posts whose actions they are.
+    /// of the posts whose actions they are. A drain onto a timer queue is
+    /// logged as the tags its run fired, in order, against the reference
+    /// draining and running its envelopes.
     fn mail_transcripts(ops: &[MailOp]) -> (Vec<String>, Vec<String>) {
         let mb = Mailbox::new();
+        let timers = TimerQueue::new();
         let mut old = Retired::default();
         let (mut new_log, mut old_log) = (Vec::new(), Vec::new());
         let ran = Arc::new(Mutex::new(Vec::new()));
-        let action = |tag: usize| -> MailAction {
+        let action = |tag: usize| -> TimerFn {
             let ran = ran.clone();
             Box::new(move |_| ran.lock().push(tag))
         };
@@ -607,6 +670,8 @@ mod tests {
                 std::mem::take(&mut *ran.lock())
             )
         };
+        let fired =
+            |ran: &Arc<Mutex<Vec<usize>>>| format!("fired {:?}", std::mem::take(&mut *ran.lock()));
         let mut tag = 0;
         for op in ops {
             let (new, old) = match op {
@@ -623,7 +688,7 @@ mod tests {
                         posts
                             .iter()
                             .zip(tags.clone())
-                            .map(|(&(at, lane), tag)| (at, lane, action(tag))),
+                            .map(|(&(at, lane), tag)| (at, lane, Delivery::Call(action(tag)))),
                     );
                     let old = posts
                         .iter()
@@ -633,6 +698,15 @@ mod tests {
                     (format!("post_all -> {new}"), format!("post_all -> {old}"))
                 }
                 MailOp::Drain => (drained(mb.drain()), drained(old.drain())),
+                MailOp::DrainOnto => {
+                    mb.drain_onto(&timers);
+                    timers.fire_due(Nanos::MAX - 1);
+                    let new = fired(&ran);
+                    for env in old.drain() {
+                        (env.action)(env.deliver_at);
+                    }
+                    (new, fired(&ran))
+                }
                 MailOp::NextDeadline => (
                     format!("next_deadline -> {:?}", mb.next_deadline()),
                     format!("next_deadline -> {:?}", old.next_deadline()),
@@ -682,6 +756,28 @@ mod tests {
             let (new, old) = mail_transcripts(&ops);
             prop_assert_eq!(new, old);
         }
+    }
+
+    /// A drain hands its buffer to the timer queue as a run and takes back
+    /// the buffer of a run that has fired out, so once both have grown to
+    /// the traffic, posts and drains allocate nothing: the mailbox fills
+    /// two buffers in turn.
+    #[test]
+    fn a_drain_fills_the_buffer_its_last_run_emptied() {
+        let (mb, timers) = (Mailbox::new(), TimerQueue::new());
+        let mut filled = Vec::new();
+        for round in 0..6 {
+            for i in 0..64 {
+                mb.post(round * 100 + i, i % 3, |_| {});
+            }
+            filled.push(mb.state.lock().entries.as_ptr());
+            mb.drain_onto(&timers);
+            assert_eq!(timers.fire_due(round * 100 + 99), 64);
+        }
+        assert_eq!(&filled[2..4], &filled[4..6], "two buffers, in turn");
+        assert_ne!(filled[2], filled[3]);
+        assert_eq!(filled[2], filled[0], "the first drain's buffer came back");
+        assert_eq!(mb.stats(), (6 * 64, 6 * 64, 0));
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! *sink* that carries a frame to its arrival instant — the host's
 //! [`TimerQueue`] on a shared-timeline `SimBoard`, the host's [`Mailbox`]
 //! when the host is a `MulticoreBoard` shard. There is one receiver table,
-//! one [`Wire::transmit`] and one delivery action; the sink is the only
-//! thing the two boards differ in.
+//! one [`Wire::transmit`] and one delivery, a frame and the `Arc` of its
+//! receiver held as data; the sink is the only thing the two boards differ
+//! in.
 //!
 //! Transmission is serialized per sender (a 10 Mb/s Ethernet can only push
 //! one frame at a time), so saturating workloads see real queueing delay —
@@ -22,14 +23,18 @@
 //! sees each frame's sender and the frame's index on that sender's link,
 //! so what it drops follows each sender's own order, whichever sender
 //! reaches the wire first. The wire's own
-//! lock guards only what senders share — the links, the drop filter,
-//! `dropped` — and is, with the mailbox's, the one lock on the hop that two
-//! shards' senders can meet on (DESIGN.md decisions 20, 21, 24).
+//! lock guards what senders share — the links, the drop filter,
+//! `dropped` — and the receiver table, and is, with the mailbox's, the one
+//! lock on the hop that two shards' senders can meet on (DESIGN.md
+//! decisions 20, 21, 24). A transmission hands its frames to their sinks
+//! under it, borrowing each sink from the table, so that a frame's
+//! delivery owns the one receiver `Arc` its route cloned: the lock order
+//! is wire → mailbox or timer queue (DESIGN.md decision 36).
 
-use crate::clock::{Clock, Nanos, TimerQueue};
-use crate::devices::nic::{Frame, NicState};
+use crate::clock::{Clock, Delivery, Nanos, TimerQueue};
+use crate::devices::nic::{Frame, NicCell};
 use crate::irq::{IrqController, IrqVector};
-use crate::mailbox::{MailAction, Mailbox};
+use crate::mailbox::Mailbox;
 use spin_check::sync::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -50,8 +55,8 @@ pub(crate) enum Sink {
 
 /// One attached NIC, as the wire sees it.
 pub(crate) struct Receiver {
-    /// The NIC's one locked state: a delivery pushes onto its ring.
-    pub nic: Arc<Mutex<NicState>>,
+    /// The NIC's ring and its published length: a delivery pushes onto it.
+    pub nic: Arc<NicCell>,
     pub irqs: IrqController,
     pub vector: IrqVector,
     /// The host's clock: wire time for everything this endpoint sends.
@@ -59,16 +64,21 @@ pub(crate) struct Receiver {
     pub sink: Sink,
 }
 
-/// A frame on its way through [`Wire::transmit`]. The caller's array or
-/// `Vec` of these is the only storage a transmission uses: the wire
-/// resolves each frame's route in place and then moves the frame into its
-/// delivery action.
+impl Receiver {
+    /// A frame's arrival: it joins the ring, and the NIC's interrupt is
+    /// posted.
+    pub(crate) fn deliver(&self, frame: Frame) {
+        self.nic.push(frame);
+        self.irqs.post(self.vector);
+    }
+}
+
+/// A frame on its way through [`Wire::transmit`], with its size on the
+/// wire.
 pub(crate) struct Outbound {
     frame: Frame,
     /// Size on the wire in bits, framing included.
     bits_on_wire: u64,
-    /// Arrival instant and receiver, once resolved; `None` = dropped.
-    route: Option<(Nanos, Arc<Receiver>)>,
 }
 
 impl Outbound {
@@ -76,31 +86,28 @@ impl Outbound {
         Outbound {
             frame,
             bits_on_wire,
-            route: None,
         }
     }
 }
 
-/// One sender's link: when it is next free, and what it has transmitted.
-#[derive(Default)]
+/// One sender's link: its host's clock (wire time for everything it
+/// sends), when it is next free, and what it has transmitted.
 struct Link {
+    clock: Clock,
     busy_until: Nanos,
     frames: u64,
     bytes: u64,
 }
 
-/// An attached endpoint: its receiver, and its link as a sender.
-struct Attached {
-    receiver: Arc<Receiver>,
-    link: Link,
-}
-
 #[derive(Default)]
 struct WireState {
-    /// Ordered, so that [`Wire::stats`] may walk it (spin-lint's D2 admits
-    /// no walk over a hash table, order-free sum or not). A frame looks up
-    /// its sender here once, for its link and its clock, and its receiver.
-    attached: BTreeMap<WireEndpoint, Attached>,
+    /// Ordered, so that [`Wire::stats`] may walk them (spin-lint's D2
+    /// admits no walk over a hash table, order-free sum or not). A frame
+    /// looks up its sender's link once and its receiver once. The two are
+    /// separate tables so that a transmission can borrow its receivers'
+    /// sinks while it updates the links.
+    links: BTreeMap<WireEndpoint, Link>,
+    receivers: BTreeMap<WireEndpoint, Arc<Receiver>>,
     dropped: u64,
     /// Deterministic fault injection: called with the frame's sender and
     /// its index on the sender's link (0 for its first frame); `true`
@@ -111,36 +118,36 @@ struct WireState {
 /// A drop filter: `(sender, index of the frame on the sender's link)`.
 type DropFilter = dyn Fn(WireEndpoint, u64) -> bool + Send + Sync;
 
-impl WireState {
-    /// One frame's turn on the medium: its count on its sender's link, the
-    /// drop filter, `tx_time` on the link, and — `flight` after it has left
-    /// — its arrival at its receiver. `None`: the frame was dropped, and
-    /// counted.
-    fn route(
-        &mut self,
-        frame: &Frame,
-        tx_time: Nanos,
-        flight: Nanos,
-    ) -> Option<(Nanos, Arc<Receiver>)> {
-        let sender = self.attached.get_mut(&frame.src);
-        let sender = sender.expect("frames are sent by attached NICs");
-        let link = &mut sender.link;
-        let idx = link.frames;
-        link.frames += 1;
-        link.bytes += frame.payload.len() as u64;
-        if self.drop_filter.as_ref().is_some_and(|f| f(frame.src, idx)) {
-            self.dropped += 1;
-            return None;
-        }
-        let now = sender.receiver.clock.now();
-        let done = link.busy_until.max(now) + tx_time;
-        link.busy_until = done;
-        let to = self.attached.get(&frame.dst).map(|a| a.receiver.clone());
-        if to.is_none() {
-            self.dropped += 1;
-        }
-        Some((done + flight, to?))
+/// One frame's turn on the medium: its count on its sender's link, the drop
+/// filter, `tx_time` on the link, and — `flight` after it has left — its
+/// arrival at its receiver. `None`: the frame was dropped, and counted.
+/// The receivers are borrowed, not the whole state, so that the caller may
+/// keep a receiver's sink borrowed across frames.
+fn route<'r>(
+    links: &mut BTreeMap<WireEndpoint, Link>,
+    receivers: &'r BTreeMap<WireEndpoint, Arc<Receiver>>,
+    dropped: &mut u64,
+    drop_filter: Option<&DropFilter>,
+    frame: &Frame,
+    tx_time: Nanos,
+    flight: Nanos,
+) -> Option<(Nanos, &'r Arc<Receiver>)> {
+    let link = links.get_mut(&frame.src);
+    let link = link.expect("frames are sent by attached NICs");
+    let idx = link.frames;
+    link.frames += 1;
+    link.bytes += frame.payload.len() as u64;
+    if drop_filter.is_some_and(|f| f(frame.src, idx)) {
+        *dropped += 1;
+        return None;
     }
+    let done = link.busy_until.max(link.clock.now()) + tx_time;
+    link.busy_until = done;
+    let to = receivers.get(&frame.dst);
+    if to.is_none() {
+        *dropped += 1;
+    }
+    Some((done + flight, to?))
 }
 
 /// The shared medium.
@@ -168,12 +175,16 @@ impl Wire {
 
     /// Attaches `receiver` at `endpoint`, which must be new on this wire.
     pub(crate) fn attach(&self, endpoint: WireEndpoint, receiver: Receiver) {
-        let attached = Attached {
-            receiver: Arc::new(receiver),
-            link: Link::default(),
+        let link = Link {
+            clock: receiver.clock.clone(),
+            busy_until: 0,
+            frames: 0,
+            bytes: 0,
         };
-        let previous = self.state.lock().attached.insert(endpoint, attached);
+        let mut st = self.state.lock();
+        let previous = st.receivers.insert(endpoint, Arc::new(receiver));
         assert!(previous.is_none(), "{endpoint:?} is attached once");
+        st.links.insert(endpoint, link);
     }
 
     /// The minimum cross-shard delivery delay over this medium (its
@@ -190,58 +201,61 @@ impl Wire {
     /// A burst is exactly its frames transmitted one by one in order —
     /// drop filter, link serialization, arrival time, mailbox lane — with
     /// the state lock taken once and consecutive frames for one mailbox
-    /// posted as one batch. Nothing here allocates but the one box per
-    /// delivery action: a lone frame (`Nic::send`'s one-element array)
-    /// reaches its sink without touching the heap otherwise.
-    pub(crate) fn transmit<B>(&self, mut frames: B, bandwidth_bps: u64, staging_ns: Nanos)
-    where
-        B: AsMut<[Outbound]> + IntoIterator<Item = Outbound>,
-    {
-        // Phase 1 (one lock): serialize each frame on its sender's link
-        // and resolve its destination.
-        {
-            let mut st = self.state.lock();
-            for out in frames.as_mut() {
-                let tx_time = out.bits_on_wire.saturating_mul(1_000_000_000) / bandwidth_bps.max(1);
-                out.route = st.route(&out.frame, tx_time, self.propagation + staging_ns);
-            }
-        }
-        // Phase 2 (no lock): give each arrival to its receiver's sink, in
-        // frame order (equal-deadline timers fire FIFO; a mailbox lane's
-        // seq is its post order).
+    /// posted as one batch. Nothing here allocates: each frame travels to
+    /// its arrival instant as a [`Delivery::Frame`], moving the receiver
+    /// `Arc` its route cloned, through the mailbox and the timer queue.
+    pub(crate) fn transmit(
+        &self,
+        frames: impl IntoIterator<Item = Outbound>,
+        bandwidth_bps: u64,
+        staging_ns: Nanos,
+    ) {
+        let flight = self.propagation + staging_ns;
+        let mut guard = self.state.lock();
+        let WireState {
+            links,
+            receivers,
+            dropped,
+            drop_filter,
+        } = &mut *guard;
+        let (receivers, filter) = (&*receivers, drop_filter.as_deref());
         let mut due = frames
             .into_iter()
-            .filter_map(|out| out.route.map(|(arrival, to)| (arrival, out.frame, to)))
+            .filter_map(|out| {
+                let tx_time = out.bits_on_wire.saturating_mul(1_000_000_000) / bandwidth_bps.max(1);
+                let route = route(
+                    links, receivers, dropped, filter, &out.frame, tx_time, flight,
+                );
+                route.map(|(arrival, to)| (arrival, out.frame, to))
+            })
             .peekable();
+        // Each arrival goes to its receiver's sink in frame order
+        // (equal-deadline timers fire FIFO; a mailbox lane's seq is its
+        // post order).
         while let Some((arrival, frame, to)) = due.next() {
+            let delivery = |frame| Delivery::Frame {
+                frame,
+                to: Arc::clone(to),
+            };
             match &to.sink {
                 Sink::Timers(timers) => {
-                    timers.schedule_boxed(arrival, Self::delivery(frame, to.clone()));
+                    timers.schedule(arrival, delivery(frame));
                 }
                 // This frame and the frames right behind it for the same
-                // mailbox are one batch, boxed as the mailbox takes them.
+                // mailbox are one batch.
                 Sink::Mailbox(mailbox) => {
                     let behind = std::iter::from_fn(|| {
-                        let (arrival, frame, _) = due.next_if(|d| Arc::ptr_eq(&d.2, &to))?;
+                        let (arrival, frame, _) = due.next_if(|d| Arc::ptr_eq(d.2, to))?;
                         Some((arrival, frame))
                     });
                     let run = std::iter::once((arrival, frame)).chain(behind);
                     mailbox.post_all(run.map(|(arrival, frame)| {
                         let lane = self.lane_base + frame.src.0 as u64;
-                        (arrival, lane, Self::delivery(frame, to.clone()))
+                        (arrival, lane, delivery(frame))
                     }));
                 }
             }
         }
-    }
-
-    /// The one delivery action, boxed once: it travels as this box through
-    /// the mailbox and the timer queue to its arrival instant.
-    fn delivery(frame: Frame, to: Arc<Receiver>) -> MailAction {
-        Box::new(move |_: Nanos| {
-            to.nic.lock().push(frame);
-            to.irqs.post(to.vector);
-        })
     }
 
     /// Installs a deterministic drop filter for fault injection, called
@@ -256,27 +270,23 @@ impl Wire {
     /// receivers' rings, where they are kept.
     pub fn stats(&self) -> (u64, u64) {
         let st = self.state.lock();
-        let delivered = st
-            .attached
-            .values()
-            .map(|a| a.receiver.nic.lock().delivered())
-            .sum();
+        let delivered = st.receivers.values().map(|r| r.nic.delivered()).sum();
         (delivered, st.dropped)
     }
 
     /// (frames, bytes) transmitted from `endpoint`: its link's record.
     pub(crate) fn transmitted(&self, endpoint: WireEndpoint) -> (u64, u64) {
         let st = self.state.lock();
-        st.attached
+        st.links
             .get(&endpoint)
-            .map_or((0, 0), |a| (a.link.frames, a.link.bytes))
+            .map_or((0, 0), |link| (link.frames, link.bytes))
     }
 
     /// Virtual time at which the sender's link becomes free.
     #[cfg(test)]
     pub(crate) fn sender_busy_until(&self, endpoint: WireEndpoint) -> Nanos {
         let st = self.state.lock();
-        st.attached.get(&endpoint).map_or(0, |a| a.link.busy_until)
+        st.links.get(&endpoint).map_or(0, |link| link.busy_until)
     }
 }
 
@@ -293,7 +303,7 @@ mod tests {
         timers: TimerQueue,
         mailbox: Mailbox,
         irqs: IrqController,
-        rx: Arc<Mutex<NicState>>,
+        rx: Arc<NicCell>,
     }
 
     fn rig(shard: bool) -> Rig {
@@ -301,7 +311,7 @@ mod tests {
         let wire = Wire::new(1_000, 0);
         let irqs = IrqController::new(clock.clone());
         let attach = |endpoint, vector| {
-            let rx: Arc<Mutex<NicState>> = Arc::default();
+            let rx: Arc<NicCell> = Arc::default();
             let sink = if shard {
                 Sink::Mailbox(mailbox.clone())
             } else {
@@ -343,14 +353,11 @@ mod tests {
         /// order) and then every timer; returns `(arrival, payload)` in
         /// `rx` order.
         fn arrivals(&self) -> Vec<(Nanos, Bytes)> {
-            for env in self.mailbox.drain() {
-                self.timers.schedule_at(env.deliver_at, env.action);
-            }
+            self.mailbox.drain_onto(&self.timers);
             let mut out = Vec::new();
             while let Some(at) = self.timers.next_deadline() {
                 self.timers.fire_due(at);
-                let mut rx = self.rx.lock();
-                out.extend(std::iter::from_fn(|| rx.pop()).map(|f| (at, f.payload)));
+                out.extend(std::iter::from_fn(|| self.rx.pop()).map(|f| (at, f.payload)));
             }
             out
         }
@@ -374,10 +381,10 @@ mod tests {
         r.transmit([frame(&[0u8; 125])]);
         r.clock.skip_to(100_999);
         r.timers.fire_due(r.clock.now());
-        assert_eq!(r.rx.lock().delivered(), 0, "too early");
+        assert_eq!(r.rx.delivered(), 0, "too early");
         r.clock.skip_to(101_000);
         r.timers.fire_due(r.clock.now());
-        assert_eq!(r.rx.lock().delivered(), 1);
+        assert_eq!(r.rx.delivered(), 1);
         assert!(r.irqs.has_pending());
     }
 
@@ -391,7 +398,7 @@ mod tests {
         assert_eq!(r.wire.sender_busy_until(WireEndpoint(1)), 200_000);
         r.clock.skip_to(201_000);
         r.timers.fire_due(r.clock.now());
-        assert_eq!(r.rx.lock().delivered(), 2);
+        assert_eq!(r.rx.delivered(), 2);
     }
 
     #[test]

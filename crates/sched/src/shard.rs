@@ -442,7 +442,7 @@ impl Multicore {
             .fetch_add(plan.len() as u64, Ordering::Relaxed);
         for &(idx, _) in plan.iter() {
             let sh = &self.shards[idx];
-            sh.host.timers.schedule_run(sh.host.mailbox.drain());
+            sh.host.mailbox.drain_onto(&sh.host.timers);
         }
         None
     }

@@ -3,7 +3,7 @@
 //!
 //! Each binary in `src/bin/` reproduces one artifact (see DESIGN.md §3 for
 //! the index) and prints a paper-vs-measured table. The measured Table
-//! 2/4/5/6 and §5.5 workloads are defined once, in [`scenario`], for the
+//! 2/3/4/5/6 and §5.5 workloads are defined once, in [`scenario`], for the
 //! bins and the invariance matrix alike. Criterion benches in
 //! `benches/` measure the *real* (wall-clock) overhead of the dispatcher,
 //! linker and collector, independent of the virtual-time calibration.

@@ -1,5 +1,5 @@
-//! The scenario kit: the single definition of every measured Table 2/4/5/6
-//! and §5.5 workload, each taking one [`Wiring`].
+//! The scenario kit: the single definition of every measured Table
+//! 2/3/4/5/6 and §5.5 workload, each taking one [`Wiring`].
 //!
 //! The golden-gated bins call these with [`Wiring::bare`]; the invariance
 //! matrix (`tests/invariance_matrix.rs`) calls the same functions over the
@@ -22,7 +22,7 @@ use spin_net::{
 };
 use spin_obs::Obs;
 use spin_sal::{Clock, Nanos, SimBoard, PAGE_SHIFT};
-use spin_sched::{measure_xas_call, Executor};
+use spin_sched::{measure_fork_join, measure_ping_pong, measure_xas_call, Executor, ThreadPackage};
 use spin_swap::{SwapCoordinator, UndoAction};
 use spin_vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService, VmWorkbench};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -316,6 +316,22 @@ pub fn xas(w: &Wiring) -> Nanos {
     let exec = Executor::for_host(&host);
     w.wire_exec(&exec);
     measure_xas_call(&exec)
+}
+
+/// Table 3's SPIN rows: Fork-Join, then Ping-Pong, each for the packages
+/// of [`ThreadPackage::ALL`] (kernel, layered, integrated). A fresh board
+/// and executor per measurement.
+pub fn table3_threads(w: &Wiring) -> [[Nanos; 3]; 2] {
+    let ops: [fn(ThreadPackage, &Arc<Executor>) -> Nanos; 2] =
+        [measure_fork_join, measure_ping_pong];
+    ops.map(|op| {
+        ThreadPackage::ALL.map(|pkg| {
+            let board = SimBoard::new();
+            let exec = Executor::on(board.clock.clone(), board.timers.clone());
+            w.wire_exec(&exec);
+            op(pkg, &exec)
+        })
+    })
 }
 
 /// Table 4's SPIN rows, in the paper's order: Dirty, Fault, Trap, Prot1,
@@ -642,6 +658,11 @@ pub fn suite(w: &Wiring) -> Vec<(String, u64)> {
         ("table2.syscall".to_string(), syscall(w)),
         ("table2.xas".to_string(), xas(w)),
     ];
+    for (op, row) in ["fork_join", "ping_pong"].iter().zip(table3_threads(w)) {
+        for (pkg, ns) in ["kernel", "layered", "integrated"].iter().zip(row) {
+            out.push((format!("table3.{op}.{pkg}"), ns));
+        }
+    }
     let vm_ops = [
         "dirty",
         "fault",

@@ -14,7 +14,7 @@
 //! | `U1` | `unsafe` only in allowlisted files, each site with a `// SAFETY:` comment within 5 lines; crate roots declare the matching lint |
 //! | `C1` | public functions in the charged hot-path modules reach a `Clock` charge or document their charging story — `// uncharged:` (zero-cost by design) or `// charged:` (the charge lands behind a call the intra-file analysis can't see) — within 6 lines |
 //! | `P1` | every plain `pub` item under `crates/*/src` is named from outside its crate (another crate's `src`, any crate's `tests`/`benches`/`examples`, a `src/bin/` file, the root crate's, or `perf/src`) outside a `pub use` — a re-export is not a use — and an inherent associated function without `self` as `Type::name`; unless a live item of its crate names it in its signature (an `impl` member is kept by no signature), or a `// paper:` comment within 2 lines marks an interface the paper or README describes. A name declared twice that another crate names is kept but counted as kept only by a shared name (`shared_names`; `scripts/pub_sweep.sh` lets the compiler judge those) |
-//! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples`; the root package's manifest included |
+//! | `P2` | every `[dependencies]` crate is named by its crate's `src`, every `[dev-dependencies]` crate by its `src`, `tests`, `benches` or `examples`; the root package's manifest included; every `[workspace.dependencies]` entry is inherited (`workspace = true`) by a member or the root package |
 //!
 //! Rules run over the token stream from the crate's lexer (string literals,
 //! comments and lifetimes can't fool them), across `crates/*/src` plus the
@@ -964,10 +964,14 @@ fn rel_path(root: &Path, file: &Path) -> String {
 
 /// Every `crates/<name>` directory, sorted.
 fn crate_dirs(root: &Path) -> std::io::Result<Vec<PathBuf>> {
-    let crates_dir = root.join("crates");
+    subdirs(&root.join("crates"))
+}
+
+/// Every directory directly under `dir` (none if it is missing), sorted.
+fn subdirs(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut dirs = Vec::new();
-    if crates_dir.is_dir() {
-        dirs = std::fs::read_dir(&crates_dir)?
+    if dir.is_dir() {
+        dirs = std::fs::read_dir(dir)?
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .map(|e| e.path())
@@ -1034,6 +1038,7 @@ fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
             rule_p2(root, &manifest, &files, cfg, &mut findings)?;
         }
     }
+    rule_p2_workspace(root, cfg, &mut findings)?;
     // U1 crate-root check: every crate must pin its unsafe posture. A
     // crate containing an allowlisted unsafe island declares
     // `#![deny(unsafe_op_in_unsafe_fn)]`; every other crate forbids
@@ -1528,7 +1533,8 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
 /// P2: every `[dependencies]` entry of a crate is named by its `src`, and
 /// every `[dev-dependencies]` entry by its `src`, `tests`, `benches` or
 /// `examples` (`spin-core` is written `spin_core`). The root package's
-/// manifest is read the same way, its directories unprefixed.
+/// manifest is read the same way, its directories unprefixed; its
+/// `[workspace.dependencies]` are [`rule_p2_workspace`]'s.
 fn rule_p2(
     root: &Path,
     manifest: &Path,
@@ -1556,24 +1562,11 @@ fn rule_p2(
     let src = names(&["src"]);
     let all = names(&["src", "tests", "benches", "examples"]);
     let text = std::fs::read_to_string(manifest)?;
-    let mut section = "";
-    for (n, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            section = line;
-            continue;
-        }
+    for (section, n, raw, dep) in manifest_entries(&text) {
         let (named, detail, hint) = match section {
             "[dependencies]" => (&src, "unused-dependency", HINT_P2),
             "[dev-dependencies]" => (&all, "unused-dev-dependency", HINT_P2_DEV),
             _ => continue,
-        };
-        let Some(dep) = line
-            .split(['=', '.', ' '])
-            .next()
-            .filter(|d| !d.is_empty() && !d.starts_with('#'))
-        else {
-            continue;
         };
         if !named.contains(dep.replace('-', "_").as_str()) {
             findings.push(Finding {
@@ -1589,9 +1582,84 @@ fn rule_p2(
     Ok(())
 }
 
+/// Each entry of a manifest as `(section header, line index, raw line,
+/// declared name)`: the name is what precedes a line's first `=`, `.` or
+/// space.
+fn manifest_entries(text: &str) -> Vec<(&str, usize, &str, &str)> {
+    let mut section = "";
+    let mut entries = Vec::new();
+    for (n, raw) in text.lines().enumerate() {
+        let line = raw.trim();
+        if line.starts_with('[') {
+            section = line;
+        } else if let Some(name) = line
+            .split(['=', '.', ' '])
+            .next()
+            .filter(|d| !d.is_empty() && !d.starts_with('#'))
+        {
+            entries.push((section, n, raw, name));
+        }
+    }
+    entries
+}
+
+/// P2 over the root manifest's `[workspace.dependencies]`: an entry that
+/// neither the root package nor a member its `members` line names (`dir`
+/// or `dir/*`) inherits with `workspace = true` is unused.
+fn rule_p2_workspace(
+    root: &Path,
+    cfg: &Config,
+    findings: &mut Vec<Finding>,
+) -> std::io::Result<()> {
+    let manifest = root.join("Cargo.toml");
+    if !manifest.is_file() || cfg.waived("P2", "Cargo.toml") {
+        return Ok(());
+    }
+    let text = std::fs::read_to_string(&manifest)?;
+    let mut members = vec![root.to_path_buf()];
+    let patterns = text.lines().find(|l| l.trim_start().starts_with("members"));
+    for pattern in patterns.unwrap_or("").split('"').skip(1).step_by(2) {
+        match pattern.strip_suffix("/*") {
+            Some(prefix) => members.extend(subdirs(&root.join(prefix))?),
+            None => members.push(root.join(pattern)),
+        }
+    }
+    let mut inherited = BTreeSet::new();
+    for member in members.iter().map(|m| m.join("Cargo.toml")) {
+        if !member.is_file() {
+            continue;
+        }
+        let member_text = std::fs::read_to_string(member)?;
+        for (section, _, raw, dep) in manifest_entries(&member_text) {
+            let spaced: String = raw.split_whitespace().collect();
+            if section.ends_with("dependencies]")
+                && section != "[workspace.dependencies]"
+                && spaced.contains("workspace=true")
+            {
+                inherited.insert(dep.to_string());
+            }
+        }
+    }
+    for (section, n, raw, dep) in manifest_entries(&text) {
+        if section == "[workspace.dependencies]" && !inherited.contains(dep) {
+            findings.push(Finding {
+                file: PathBuf::from("Cargo.toml"),
+                line: n + 1,
+                rule: "P2",
+                detail: "unused-workspace-dependency",
+                excerpt: raw.into(),
+                hint: HINT_P2_WORKSPACE,
+            });
+        }
+    }
+    Ok(())
+}
+
 const HINT_P1: &str = "nothing outside this crate names it: delete it, or narrow it to private \
     or pub(crate); a `// paper:` comment exempts only an interface PAPER.md or README.md describes";
 const HINT_P2: &str = "the crate's src never names this dependency: drop it from [dependencies]";
+const HINT_P2_WORKSPACE: &str =
+    "no member manifest inherits this entry with `workspace = true`: drop it from [workspace.dependencies]";
 const HINT_P2_DEV: &str =
     "no src, test, bench or example names this dev-dependency: drop it from [dev-dependencies]";
 

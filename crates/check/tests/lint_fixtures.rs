@@ -85,7 +85,9 @@ fn clean_fixtures_are_silent() {
 /// `#![forbid(unsafe_code)]`, and P2 flags the dependency the crate's `src`
 /// never names, but not the dev-dependency only its `tests/` name. P2 reads
 /// the root package's manifest too: the root `src` names `kern`, and
-/// nothing at the root names its `proptest` dev-dependency.
+/// nothing at the root names its `proptest` dev-dependency. Of the root's
+/// `[workspace.dependencies]`, `kern` inherits `proptest`, and no member
+/// inherits `unused-shim`.
 #[test]
 fn workspace_fixture_reports_all_violations() {
     let report = lint_workspace(&fixture_path("ws_bad")).expect("fixture is readable");
@@ -94,6 +96,7 @@ fn workspace_fixture_reports_all_violations() {
         located(&report),
         vec![
             ("Cargo.toml".into(), 10, "P2"),            // the root's proptest
+            ("Cargo.toml".into(), 17, "P2"),            // unused-shim, never inherited
             ("crates/kern/Cargo.toml".into(), 8, "P2"), // unused-dep
             (lib.clone(), 1, "U1"),                     // missing #![forbid(unsafe_code)]
             (lib.clone(), 2, "D1"),                     // thread_rng

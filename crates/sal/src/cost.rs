@@ -39,24 +39,39 @@ pub enum Cost {
     /// calls; this is also the cost of a protected in-kernel call (0.13 µs).
     InterModuleCall,
     /// Entering the kernel on a trap (mode switch, register save, PAL code).
+    /// Came with the seed. With `TrapExit` and `FixedSyscallDispatch` it is
+    /// OSF/1's 5 µs null system call (Table 2); with `TrapExit` and the
+    /// four dispatcher kinds, SPIN's 4.27 µs (Table 2: 4). No row fixes
+    /// the split between entry and exit.
     TrapEntry,
-    /// Returning from the kernel to user mode.
+    /// Returning from the kernel to user mode. Came with the seed; the
+    /// other half of [`Cost::TrapEntry`]'s Table 2 sums.
     TrapExit,
     /// A fixed, table-driven system-call dispatch (the OSF/1 and Mach path
     /// from trap handler to the C system-call routine).
     FixedSyscallDispatch,
     /// Saving one processor context and loading another (registers + stack).
+    /// Came with the seed; with `SchedDecision` and `SyncOp` calibrated to
+    /// Table 3's SPIN kernel Ping-Pong, 17 µs: a round pays about 2, 2 and
+    /// 12 of them (19.7 µs). No row fixes the split among the three.
     ContextSwitch,
-    /// One scheduling decision (queue manipulation + policy).
+    /// One scheduling decision (queue manipulation + policy). Came with the
+    /// seed; see [`Cost::ContextSwitch`].
     SchedDecision,
-    /// Synchronization primitive (lock/unlock or signal) on this CPU.
+    /// Synchronization primitive (lock/unlock or signal) on this CPU. Came
+    /// with the seed; see [`Cost::ContextSwitch`].
     SyncOp,
     /// Creating a kernel thread context (stack carve-out, queue insert).
+    /// Came with the seed; no row fixes it alone. With 2 switches, 2
+    /// decisions and 1 sync op it is SPIN kernel Fork-Join, 18.85 µs
+    /// (Table 3: 22).
     ThreadCreate,
     /// Switching address spaces (ASN change plus the cache/TLB disturbance
     /// it causes on this machine). Dominates cross-address-space calls.
     AsSwitch,
-    /// Setting up a user-level thread context (stack, descriptor).
+    /// Setting up a user-level thread context (stack, descriptor). Came
+    /// with the seed; no row traces it. It is 45 of integrated C-Threads
+    /// Fork-Join's 102.39 µs (Table 3: 111), 90 of layered's 220.93 (262).
     UserThreadSetup,
     /// Filling one TLB entry after a miss (software miss handler).
     TlbFill,
@@ -92,11 +107,18 @@ pub enum Cost {
     /// Disk: transfer of one 8 KB block at ~4 MB/s.
     DiskBlockTransfer,
     /// Dispatcher: fixed cost of an event raise that cannot use the
-    /// direct-call fast path (handler list lookup).
+    /// direct-call fast path (handler list lookup). Came with the seed; no
+    /// row fixes it alone: one of the six kinds of SPIN's Table 2 system
+    /// call (see [`Cost::TrapEntry`]).
     EventRaiseBase,
-    /// Dispatcher: evaluating one guard predicate.
+    /// Dispatcher: evaluating one guard predicate. Came with the seed; a
+    /// Table 2 system-call kind. 50 false guards add 14.5 µs to §5.5's
+    /// round trip (paper: 20 µs, 565 → 585).
     GuardEval,
-    /// Dispatcher: invoking one handler (on top of the call itself).
+    /// Dispatcher: invoking one handler (on top of the call itself). Came
+    /// with the seed; a Table 2 system-call kind. 50 true guards add 50 of
+    /// it and of `InterModuleCall`, 16 µs, to §5.5's round trip (paper:
+    /// 52 µs, 585 → 637).
     HandlerInvoke,
     /// One-way latency of a cross-core call (inter-processor interrupt +
     /// mailbox write). Also the conservative-PDES lookahead floor: no

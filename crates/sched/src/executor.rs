@@ -199,6 +199,18 @@ impl ExecState {
         );
         self.ready > 0
     }
+
+    /// Names of blocked non-daemon strands, sorted.
+    fn blocked_strands(&self) -> Vec<String> {
+        let mut v: Vec<String> = self
+            .strands
+            .values()
+            .filter(|i| i.state == RunState::Blocked && !i.daemon)
+            .map(|i| i.name.clone())
+            .collect();
+        v.sort();
+        v
+    }
 }
 
 /// Hooks raised around scheduling transitions so stacked schedulers and
@@ -727,13 +739,7 @@ impl Executor {
                             self.clock.skip_to(t.max(self.clock.now()));
                         }
                         None => {
-                            let st = self.state.lock();
-                            let blocked: Vec<String> = st
-                                .strands
-                                .values()
-                                .filter(|i| i.state == RunState::Blocked && !i.daemon)
-                                .map(|i| i.name.clone())
-                                .collect();
+                            let blocked = self.state.lock().blocked_strands();
                             return if blocked.is_empty() {
                                 IdleOutcome::AllComplete
                             } else {
@@ -767,15 +773,7 @@ impl Executor {
     /// system deadlock is decided by the multicore barrier, which also sees
     /// in-flight cross-shard mail.
     pub(crate) fn blocked_strands(&self) -> Vec<String> {
-        let st = self.state.lock();
-        let mut v: Vec<String> = st
-            .strands
-            .values()
-            .filter(|i| i.state == RunState::Blocked && !i.daemon)
-            .map(|i| i.name.clone())
-            .collect();
-        v.sort();
-        v
+        self.state.lock().blocked_strands()
     }
 
     /// Marks a strand as a daemon: it may remain blocked forever without

@@ -18,11 +18,12 @@
 //! * the **global scheduler**: "a round-robin, preemptive, priority
 //!   policy", replaceable through [`Executor::set_policy`] as a trusted
 //!   operation;
-//! * **thread packages** built directly on strands: the trusted in-kernel
-//!   Modula-3 package ([`measure_kernel_fork_join`]), the DEC OSF/1
-//!   kernel-thread interface used by vendor drivers ([`OsfThreads`]), and
-//!   the two user-level C-Threads structures of Table 3
-//!   ([`CThreadsImpl`], layered vs integrated);
+//! * **thread packages** built directly on strands: the three SPIN
+//!   packages of Table 3 as one model that differs only in each
+//!   operation's path ([`ThreadPackage`]: the trusted in-kernel Modula-3
+//!   package, and user-level C-Threads layered vs integrated, measured by
+//!   [`measure_fork_join`] and [`measure_ping_pong`]), and the DEC OSF/1
+//!   kernel-thread interface used by vendor drivers ([`OsfThreads`]);
 //! * the protected cross-address-space call path of Table 2
 //!   ([`measure_xas_call`]);
 //! * **per-core kernel shards**: one executor per simulated host, pumped
@@ -36,7 +37,6 @@ mod cthreads;
 mod events;
 mod executor;
 mod group;
-mod kthread;
 mod osf_threads;
 mod shard;
 mod sync;
@@ -44,13 +44,12 @@ mod user;
 mod wait;
 
 pub use async_runner::install_async_runner;
-pub use cthreads::{measure_fork_join, measure_ping_pong, CThreadsImpl};
+pub use cthreads::{measure_fork_join, measure_ping_pong, ThreadPackage};
 pub use events::{StrandEvents, StrandRef};
 pub use executor::{
     Executor, IdleOutcome, SchedQuotaHook, SchedulerPolicy, Step, StrandCtx, StrandId,
 };
 pub use group::{PackageStats, TaskPackage};
-pub use kthread::{measure_kernel_fork_join, measure_kernel_ping_pong};
 pub use osf_threads::{OsfThreads, WaitChannel};
 pub use shard::{Multicore, MulticoreStats, Shard};
 pub use sync::KChannel;

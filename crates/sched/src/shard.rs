@@ -533,7 +533,7 @@ fn fill_grants(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use spin_sal::MulticoreBoard;
+    use spin_sal::{MulticoreBoard, SimBoard};
 
     /// The grant rule as first written — a filtered min over the peers for
     /// every shard — kept as the reference [`fill_grants`] must equal.
@@ -675,6 +675,27 @@ mod tests {
         assert!(base > 5_000, "fired on shard 1 after the post");
         assert_eq!(cross_shard_action(2, true), base, "2 workers diverged");
         assert_eq!(cross_shard_action(4, true), base, "4 workers diverged");
+    }
+
+    /// A single executor and a multicore board name the same deadlocked
+    /// strands in the same, sorted, order — not in spawn order.
+    #[test]
+    fn a_deadlock_names_its_strands_sorted_on_one_executor_and_on_shards() {
+        let spawn_stuck = |exec: &Arc<Executor>| {
+            for name in ["zeta", "alpha"] {
+                exec.spawn(name, |ctx| ctx.block());
+            }
+        };
+        let sorted = IdleOutcome::Deadlock {
+            blocked: vec!["alpha".to_string(), "zeta".to_string()],
+        };
+        let board = SimBoard::new();
+        let exec = Executor::on(board.clock.clone(), board.timers.clone());
+        spawn_stuck(&exec);
+        assert_eq!(exec.run_until_idle(), sorted, "one executor");
+        let (_board, mc) = rig(1, 1);
+        spawn_stuck(&mc.shards()[0].exec);
+        assert_eq!(mc.run_until_idle(), sorted, "one shard");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 use parking_lot::Mutex;
 use spin_bench::storm::{digest, mix, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
+use spin_check::sync::Counter;
 use spin_core::{QuotaLedger, QuotaSnapshot, QuotaSpec};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_net::{
@@ -42,7 +43,6 @@ use spin_net::{
 };
 use spin_sal::Nanos;
 use spin_sched::{IdleOutcome, MulticoreStats};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -148,11 +148,11 @@ struct VirtualOutputs {
 
 #[derive(Default)]
 struct Counters {
-    ok: AtomicU64,
-    shed: AtomicU64,
-    other: AtomicU64,
-    slow: AtomicU64,
-    connect_failed: AtomicU64,
+    ok: Counter,
+    shed: Counter,
+    other: Counter,
+    slow: Counter,
+    connect_failed: Counter,
 }
 
 fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
@@ -217,7 +217,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
 
     // Warmup: fault the two files through the object cache before the
     // storm, so no storm request ever blocks the server strand on disk.
-    let warm_ok = Arc::new(AtomicU64::new(0));
+    let warm_ok = Arc::new(Counter::default());
     {
         let tcp = tcps[1].clone();
         let wk = warm_ok.clone();
@@ -232,7 +232,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
                 }
                 conn.close(ctx);
                 if parse_status(&resp) == 200 {
-                    wk.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                    wk.add(1);
                 }
             }
         });
@@ -261,7 +261,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
                     let conn = match tcp.connect(ctx, server_ip, SERVER_PORT) {
                         Ok(c) => c,
                         Err(_) => {
-                            ctr2.connect_failed.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                            ctr2.connect_failed.add(1);
                             continue;
                         }
                     };
@@ -270,7 +270,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
                         ctx.sleep(SLOW_HOLD);
                         while conn.recv(ctx).is_some() {}
                         conn.close(ctx);
-                        ctr2.slow.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                        ctr2.slow.add(1);
                     } else {
                         let req = format!("GET {} HTTP/1.0\r\n\r\n", path_of(seq));
                         let _ = conn.send(ctx, req.as_bytes());
@@ -284,7 +284,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
                             503 => &ctr2.shed,
                             _ => &ctr2.other,
                         };
-                        bucket.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                        bucket.add(1);
                         lat2.lock().push(clock.now() - t0);
                     }
                 }
@@ -302,15 +302,15 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
         .zip(&counters)
         .map(|(lat, c)| ShardOut {
             latency: digest(&lat.lock()),
-            ok: c.ok.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            shed: c.shed.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            other: c.other.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            slow: c.slow.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            ok: c.ok.get(),
+            shed: c.shed.get(),
+            other: c.other.get(),
+            slow: c.slow.get(),
         })
         .collect();
     for (n, (s, c)) in shards_out.iter().zip(&counters).enumerate() {
         assert_eq!(
-            c.connect_failed.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            c.connect_failed.get(),
             0,
             "shard {n}: every connect must succeed"
         );
@@ -339,11 +339,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
         "the idle sweep reaps exactly the slowloris population"
     );
     assert_eq!(ok + shed + slow, total);
-    assert_eq!(
-        warm_ok.load(Ordering::Relaxed),
-        2,
-        "warmup faulted both files"
-    ); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+    assert_eq!(warm_ok.get(), 2, "warmup faulted both files");
 
     // Quota ledger reconciliation (PR-8's identity, held exact).
     let quota = cell.snapshot();

@@ -22,7 +22,6 @@ use spin_bench::{render_table, us, JsonReport, Row};
 use spin_net::{Forwarder, Medium, ShardRig};
 use spin_sal::Nanos;
 use spin_sched::MulticoreStats;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const CHAINS: u64 = 4;
@@ -64,17 +63,14 @@ fn run(workers: usize) -> (VirtualOutputs, f64) {
         let (b, cstk) = (&chain[1].stack, &chain[2].stack);
 
         forwarders.push(Forwarder::install_udp(b, 7, cstk.ip_on(Medium::Ethernet)));
-        let echo_sum = Arc::new(AtomicU64::new(0));
+        let echo_sum = Arc::new(Mutex::new(0u64));
         let es = echo_sum.clone();
         let c2 = cstk.clone();
         spin_net::UdpSocket::bind_with(cstk, 7, "echo", move |p| {
             // xor-fold is order-independent, so the sum is deterministic
             // even though handler ordering across packets is not a
             // contract here.
-            es.fetch_xor(
-                burn(p.payload.len() as u64 ^ 0x9e37_79b9, ECHO_BURN),
-                Ordering::Relaxed, // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            );
+            *es.lock() ^= burn(p.payload.len() as u64 ^ 0x9e37_79b9, ECHO_BURN);
             let _ = c2.udp_send(7, p.ip.src, p.header.src_port, &p.payload);
         })
         .expect("bind echo");
@@ -108,7 +104,7 @@ fn run(workers: usize) -> (VirtualOutputs, f64) {
             .iter()
             .map(|(res, echo)| {
                 let (sum, rtt) = *res.lock();
-                (sum, echo.load(Ordering::Relaxed), rtt) // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                (sum, *echo.lock(), rtt)
             })
             .collect(),
         clocks: rig.clocks(),

@@ -34,7 +34,6 @@ use spin_net::{Forwarder, Medium, ShardRig};
 use spin_sal::Nanos;
 use spin_sched::MulticoreStats;
 use spin_swap::{SwapCoordinator, SwapReport, SwapSession, UndoAction};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 const ECHO_PORT: u16 = 7;
@@ -80,6 +79,25 @@ struct VirtualOutputs {
     generation: u64,
 }
 
+/// What one UDP endpoint saw: packets, an order-independent checksum of
+/// their sequence numbers, the round-trip times summed and the last
+/// arrival (the client's; the echo leaves the times at 0).
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    count: u64,
+    xor: u64,
+    rtt_sum: Nanos,
+    last: Nanos,
+}
+
+impl Tally {
+    fn note(&mut self, seq: u64, rtt: Nanos) {
+        self.count += 1;
+        self.xor ^= mix(seq);
+        self.rtt_sum += rtt;
+    }
+}
+
 fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
     let rig = ShardRig::new(workers, 3);
     let mc = &rig.mc;
@@ -95,34 +113,27 @@ fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
     let target = c.ip_on(medium);
     let fwd = Arc::new(Forwarder::install_udp(&b, ECHO_PORT, target));
 
-    let echo_count = Arc::new(AtomicU64::new(0));
-    let echo_xor = Arc::new(AtomicU64::new(0));
+    let echoes: Arc<Mutex<Tally>> = Arc::default();
     {
-        let (cnt, xor, c2) = (echo_count.clone(), echo_xor.clone(), c.clone());
+        let (tally, c2) = (echoes.clone(), c.clone());
         spin_net::UdpSocket::bind_with(&c, ECHO_PORT, "echo", move |p| {
             let seq = u64::from_le_bytes(p.payload[0..8].try_into().unwrap());
-            cnt.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            xor.fetch_xor(mix(seq), Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            tally.lock().note(seq, 0);
             let _ = c2.udp_send(ECHO_PORT, p.ip.src, p.header.src_port, &p.payload);
         })
         .expect("bind echo");
     }
 
-    let reply_count = Arc::new(AtomicU64::new(0));
-    let reply_xor = Arc::new(AtomicU64::new(0));
-    let rtt_sum = Arc::new(AtomicU64::new(0));
-    let last_reply = Arc::new(AtomicU64::new(0));
+    let replies: Arc<Mutex<Tally>> = Arc::default();
     {
-        let (cnt, xor) = (reply_count.clone(), reply_xor.clone());
-        let (rtt, last) = (rtt_sum.clone(), last_reply.clone());
+        let tally = replies.clone();
         let clock = host_a.clock.clone();
         spin_net::UdpSocket::bind_with(&a, CLIENT_PORT, "client", move |p| {
             let seq = u64::from_le_bytes(p.payload[0..8].try_into().unwrap());
             let sent = u64::from_le_bytes(p.payload[8..16].try_into().unwrap());
-            cnt.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            xor.fetch_xor(mix(seq), Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            rtt.fetch_add(clock.now() - sent, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            last.fetch_max(clock.now(), Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            let mut tally = tally.lock();
+            tally.note(seq, clock.now() - sent);
+            tally.last = tally.last.max(clock.now());
         })
         .expect("bind client");
     }
@@ -220,8 +231,9 @@ fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
 
     // Zero drop: every packet echoed, every echo returned, the hold queue
     // reconciles exactly and the commit really happened mid-storm.
-    assert_eq!(echo_count.load(Ordering::Relaxed), STORM); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-    assert_eq!(reply_count.load(Ordering::Relaxed), STORM); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+    let (echoes, replies) = (*echoes.lock(), *replies.lock());
+    assert_eq!(echoes.count, STORM);
+    assert_eq!(replies.count, STORM);
     assert_eq!(hold.replayed, hold.held, "resume drained the hold queue");
     assert_eq!(hold.overflowed, 0, "the hold queue never overflowed");
     assert_eq!(ev.held_len().expect("event alive"), 0);
@@ -242,16 +254,16 @@ fn run(workers: usize, swap: bool) -> (VirtualOutputs, f64) {
 
     let virt = VirtualOutputs {
         sem: Semantics {
-            echo_count: echo_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            echo_xor: echo_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            reply_count: reply_count.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-            reply_xor: reply_xor.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            echo_count: echoes.count,
+            echo_xor: echoes.xor,
+            reply_count: replies.count,
+            reply_xor: replies.xor,
             forwarded: fwd_stats.forwarded,
             replies: fwd_stats.replies,
             flows: fwd_stats.flows,
         },
-        rtt_sum: rtt_sum.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        last_reply: last_reply.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        rtt_sum: replies.rtt_sum,
+        last_reply: replies.last,
         clocks: rig.clocks(),
         barrier: mc.stats(),
         held: hold.held,

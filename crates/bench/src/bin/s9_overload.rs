@@ -45,6 +45,7 @@
 use parking_lot::Mutex;
 use spin_bench::storm::{digest, mix, run_to_completion, sweep_workers, LatencyDigest};
 use spin_bench::{render_table, us, JsonReport, Row};
+use spin_check::sync::Counter;
 use spin_core::{
     post_with_backpressure, Constraints, Containment, ContainmentPolicy, Identity, InstallSpec,
     PostOutcome, QuotaLedger, QuotaSnapshot, QuotaSpec,
@@ -53,7 +54,6 @@ use spin_net::ShardRig;
 use spin_sal::{Cost, Nanos};
 use spin_sched::MulticoreStats;
 use spin_swap::{SwapCoordinator, SwapSupervisor, UndoAction};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Well-behaved tenant shards (1..=TENANTS on the board).
@@ -183,13 +183,13 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         tenant_events.push(ev);
     }
 
-    let slow_served = Arc::new(AtomicU64::new(0));
+    let slow_served = Arc::new(Counter::default());
     let (ev_slow, slow_owner) = d0.define::<u64, ()>("Work.Slow", svc.clone());
     {
         let (served, clk) = (slow_served.clone(), clock0.clone());
         slow_owner
             .set_primary(move |_sent| {
-                served.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                served.add(1);
                 clk.charge(Cost::Work, SLOW_WORK);
             })
             .expect("fresh slow event");
@@ -199,7 +199,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
     // plus the heavy handler installed under the greedy *extension*
     // identity — the thing quarantine purges and the fallback replaces.
     let greedy_ident = Identity::extension("greedy");
-    let greedy_heavy = Arc::new(AtomicU64::new(0));
+    let greedy_heavy = Arc::new(Counter::default());
     let (ev_greedy, greedy_owner) = d0.define::<u64, ()>("Work.Greedy", svc.clone());
     greedy_owner
         .set_primary(|_| ())
@@ -208,7 +208,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         let (served, clk) = (greedy_heavy.clone(), clock0.clone());
         ev_greedy
             .install(greedy_ident.clone(), move |_sent: &u64| {
-                served.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                served.add(1);
                 clk.charge(Cost::Work, GREEDY_WORK);
             })
             .expect("install greedy v1");
@@ -217,11 +217,11 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
     // The quota ledger, escalation ladder and fallback swap — armed only.
     let ledger = QuotaLedger::new();
     let mut cells = Vec::new();
-    let demoted = Arc::new(AtomicU64::new(0));
-    let pumped = Arc::new(AtomicU64::new(0));
-    let quarantined_at_pump = Arc::new(AtomicBool::new(false));
+    let demoted = Arc::new(Counter::default());
+    // (quarantined, pumped) as the supervisor pump found them.
+    let at_pump: Arc<Mutex<(bool, u64)>> = Arc::default();
     let coord = SwapCoordinator::new(clock0.clone());
-    let greedy_degraded = Arc::new(AtomicU64::new(0));
+    let greedy_degraded = Arc::new(Counter::default());
     if armed {
         for (t, ev) in tenant_events.iter().enumerate() {
             let cell = ledger.register(
@@ -296,7 +296,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                                     vec![InstallSpec {
                                         installer: ident2.clone(),
                                         handler: Arc::new(move |_sent: &u64| {
-                                            served2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                                            served2.add(1);
                                             clk2.charge(Cost::Work, DEGRADED_WORK);
                                         }),
                                         guards: Vec::new(),
@@ -321,7 +321,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
             let (cell, demoted) = (cell_greedy.clone(), demoted.clone());
             exec0.set_quota_hook(Arc::new(move |name, base, now| {
                 if name.starts_with("greedy") && cell.deferred(now) {
-                    demoted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                    demoted.add(1);
                     GREEDY_DEFERRED_PRIORITY
                 } else {
                     base
@@ -333,12 +333,11 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         // exact virtual instant — totally ordered with the storm.
         {
             let (sup, cell, clk) = (sup.clone(), cell_greedy.clone(), clock0.clone());
-            let (pumped, quarantined) = (pumped.clone(), quarantined_at_pump.clone());
+            let at_pump = at_pump.clone();
             let containment = containment.clone();
             assert!(
                 mc.post_control(host0.id, T_PUMP, move |_now| {
-                    quarantined.store(containment.is_quarantined("greedy"), Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                    pumped.store(sup.pump() as u64, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                    *at_pump.lock() = (containment.is_quarantined("greedy"), sup.pump() as u64);
                     cell.release(clk.now());
                 }),
                 "post supervisor pump"
@@ -352,8 +351,8 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
 
     // Server-shard strands: equal priority, equal work. Armed, the
     // greedy one is demoted behind the sweeper for the storm's duration.
-    let cruncher_done = Arc::new(AtomicU64::new(0));
-    let sweeper_done = Arc::new(AtomicU64::new(0));
+    let cruncher_done: Arc<Mutex<Nanos>> = Arc::default();
+    let sweeper_done: Arc<Mutex<Nanos>> = Arc::default();
     for (name, done) in [
         ("greedy-cruncher", cruncher_done.clone()),
         ("svc-sweeper", sweeper_done.clone()),
@@ -367,7 +366,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                 // the strand through the executor's quota hook.
                 ctx.preempt_point();
             }
-            done.store(clk.now(), Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+            *done.lock() = clk.now();
         });
     }
 
@@ -385,9 +384,9 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         });
     }
 
-    let bulk_posted = Arc::new(AtomicU64::new(0));
-    let bulk_shed = Arc::new(AtomicU64::new(0));
-    let bulk_delivered = Arc::new(AtomicU64::new(0));
+    let bulk_posted = Arc::new(Counter::default());
+    let bulk_shed = Arc::new(Counter::default());
+    let bulk_delivered = Arc::new(Counter::default());
     if storm {
         // The greedy flood (and, armed, the bulk-mail burst against the
         // lane gate first — sender-side backpressure in action).
@@ -416,12 +415,12 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                         BULK_GAP,
                         BULK_LANE,
                         move |_now| {
-                            d2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                            d2.add(1);
                         },
                     );
                     match out {
-                        PostOutcome::Posted { .. } => posted.fetch_add(1, Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-                        PostOutcome::Shed { .. } => shed.fetch_add(1, Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+                        PostOutcome::Posted { .. } => posted.add(1),
+                        PostOutcome::Shed { .. } => shed.add(1),
                     };
                 }
             }
@@ -463,19 +462,20 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
     }
 
     let tenant = digest(&tenant_latencies.lock());
+    let (quarantined_at_pump, pumped) = *at_pump.lock();
     let virt = VirtualOutputs {
         tenant,
-        slow_served: slow_served.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        greedy_heavy: greedy_heavy.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        greedy_degraded: greedy_degraded.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        bulk_posted: bulk_posted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        bulk_shed: bulk_shed.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        bulk_delivered: bulk_delivered.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        demoted: demoted.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        cruncher_done: cruncher_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        sweeper_done: sweeper_done.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        pumped: pumped.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
-        quarantined_at_pump: quarantined_at_pump.load(Ordering::Relaxed), // ordering: Relaxed — read after run_until_idle returns; the barrier join is the sync point.
+        slow_served: slow_served.get(),
+        greedy_heavy: greedy_heavy.get(),
+        greedy_degraded: greedy_degraded.get(),
+        bulk_posted: bulk_posted.get(),
+        bulk_shed: bulk_shed.get(),
+        bulk_delivered: bulk_delivered.get(),
+        demoted: demoted.get(),
+        cruncher_done: *cruncher_done.lock(),
+        sweeper_done: *sweeper_done.lock(),
+        pumped,
+        quarantined_at_pump,
         swaps_committed: coord.stats().committed,
         snapshots,
         clocks: rig.clocks(),

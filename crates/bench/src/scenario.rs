@@ -9,6 +9,7 @@
 //! wired but idle fails the matrix, whichever other features sit beside it.
 
 use parking_lot::Mutex;
+use spin_check::sync::Counter;
 use spin_core::{
     Containment, ContainmentPolicy, Dispatcher, Event, EventStats, Identity, Kernel, QuotaLedger,
     QuotaSpec,
@@ -73,8 +74,8 @@ pub struct Wiring {
     pub obs: Option<Obs>,
     /// Fault injection hooks plus the containment sink.
     pub faults: Option<FaultPlan>,
-    /// Unlimited quota cells on the hot events, the scheduler quota hook
-    /// and a gated mailbox lane.
+    /// Unlimited quota cells on the hot events and the scheduler quota
+    /// hook.
     pub quota: Option<QuotaWiring>,
     /// An idle swap coordinator over each network rig.
     pub swap: Option<SwapWiring>,
@@ -85,7 +86,7 @@ pub struct Wiring {
     /// executor's clock, as `perf/`'s traced rounds install: it makes each
     /// charge observed one by one, so the dispatcher's compiled walk stops
     /// coalescing its misses. Set only by this module's tests.
-    charges: Option<Arc<AtomicU64>>,
+    charges: Option<Arc<Counter>>,
 }
 
 impl Wiring {
@@ -185,7 +186,8 @@ impl Wiring {
         if let Some(q) = &self.quota {
             let calls = q.hook_calls.clone();
             exec.set_quota_hook(Arc::new(move |_name, base, _now| {
-                calls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; read after run_until_idle returns.
+                // ordering: Relaxed — `tests/invariance_matrix.rs` loads it after the run's join, its only reader.
+                calls.fetch_add(1, Ordering::Relaxed);
                 base
             }));
         }
@@ -230,7 +232,7 @@ impl Wiring {
         if let Some(counter) = &self.charges {
             let counter = counter.clone();
             clock.add_advance_hook(Box::new(move |_| {
-                counter.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — a statistic read after the suite returns.
+                counter.add(1);
             }));
         }
     }
@@ -248,19 +250,12 @@ impl Wiring {
         coord
     }
 
-    /// The two-workstation rig, fully wired. With quota wired, host A's
-    /// mailbox lane 0 is gated by an unlimited cell: the gate's probe runs
-    /// on every post to that lane and must cost nothing.
+    /// The two-workstation rig, fully wired.
     fn two_hosts(&self) -> TwoHosts {
         let rig = TwoHosts::new();
         self.wire_exec(&rig.exec);
         self.wire_dispatcher(&rig.dispatcher);
         self.wire_stacks(&[("a", &rig.a), ("b", &rig.b)]);
-        if let Some(q) = &self.quota {
-            let cell = q.ledger.register("mail-a", QuotaSpec::default());
-            q.ledger
-                .install_mailbox_gate(&rig.host_a.mailbox, vec![(0, cell)]);
-        }
         rig
     }
 
@@ -725,7 +720,7 @@ mod tests {
     /// number, must be the same.
     #[test]
     fn a_counting_clock_subscriber_moves_no_virtual_number() {
-        let counter = Arc::new(AtomicU64::new(0));
+        let counter = Arc::new(Counter::default());
         let mut bare_counted = Wiring::bare();
         bare_counted.charges = Some(counter.clone());
         let keyed = Wiring::new(None, None, false, false, true);
@@ -733,7 +728,7 @@ mod tests {
         keyed_counted.charges = Some(counter.clone());
         assert_eq!(suite(&bare_counted), suite(&Wiring::bare()));
         assert_eq!(suite(&keyed_counted), suite(&keyed));
-        let counted = counter.load(Ordering::Relaxed); // ordering: Relaxed — read after the suites return.
+        let counted = counter.get();
         assert!(counted > 0, "the subscriber counted");
     }
 }

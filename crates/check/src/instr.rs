@@ -143,8 +143,6 @@ macro_rules! instrumented_atomic {
 }
 
 instrumented_atomic!(AtomicU64, std::sync::atomic::AtomicU64, u64);
-instrumented_atomic!(AtomicU32, std::sync::atomic::AtomicU32, u32);
-instrumented_atomic!(AtomicU16, std::sync::atomic::AtomicU16, u16);
 instrumented_atomic!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
 
 /// Model-aware drop-in for `std::sync::atomic::AtomicBool`.

@@ -4,15 +4,18 @@
 //! The SPIN paper's safety argument (§2, "enforced modularity") says
 //! extensions cannot violate memory safety or interface boundaries. After
 //! PRs 1–3 moved the dispatcher, the obs flight recorder and the containment
-//! breaker onto lock-free fast paths, that argument rests on roughly two
-//! hundred hand-placed atomic-ordering sites. This crate makes those sites
-//! checkable instead of merely reviewable:
+//! breaker onto lock-free fast paths, that argument rests on about eighty
+//! hand-placed atomic-ordering sites in the kernel crates, each naming the
+//! pairing it relies on; every count that publishes nothing is one
+//! [`sync::Counter`], argued once. This crate makes those sites checkable
+//! instead of merely reviewable:
 //!
 //! - [`sync`] is a facade over the sync primitives the concurrency-critical
 //!   crates use. In a normal build it literally re-exports
 //!   `std::sync::atomic` / `parking_lot` / `std::sync` types — zero cost,
-//!   byte-identical codegen, verified by the bench goldens. Under
-//!   `--cfg spin_check` it swaps in the instrumented types from [`instr`].
+//!   byte-identical codegen, verified by the bench goldens — plus the
+//!   `Counter` built on them. Under `--cfg spin_check` it swaps in the
+//!   instrumented types from [`instr`].
 //! - [`model`] is a loom-style bounded-DFS explorer: real OS threads are
 //!   serialized through a token-passing scheduler, every instrumented
 //!   operation is a schedule point, weak-memory visibility is modeled with

@@ -288,6 +288,10 @@ pub struct Report {
     /// Those items, `file:line: name` (`--shared` lists them; not part of
     /// the JSON golden).
     pub shared: Vec<String>,
+    /// `Ordering::` sites per crate under `crates/<name>/src`, its bins
+    /// and tests included: each argues a memory ordering by hand, so a
+    /// new one shows up in the golden's diff as a new `pub` item does.
+    pub ordering_sites: BTreeMap<String, usize>,
     /// Items kept by a `// paper:` exemption rather than a caller.
     pub paper_exemptions: usize,
 }
@@ -302,7 +306,7 @@ impl Report {
             *counts.entry(f.rule).or_insert(0) += 1;
         }
         let mut s = String::from("{\n");
-        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 3,\n");
+        s.push_str("  \"tool\": \"spin-lint\",\n  \"schema\": 4,\n");
         s.push_str(&format!("  \"allow_entries\": {},\n", self.allow_entries));
         let rules = json_counts(counts.iter().map(|(r, c)| (*r, *c)));
         s.push_str(&format!("  \"rules\": {rules},\n"));
@@ -310,6 +314,8 @@ impl Report {
         s.push_str(&format!("  \"pub_items\": {pub_items},\n"));
         let shared = json_counts(self.shared_names.iter().map(|(k, c)| (k.as_str(), *c)));
         s.push_str(&format!("  \"shared_names\": {shared},\n"));
+        let sites = json_counts(self.ordering_sites.iter().map(|(k, c)| (k.as_str(), *c)));
+        s.push_str(&format!("  \"ordering_sites\": {sites},\n"));
         s.push_str(&format!(
             "  \"paper_exemptions\": {},\n",
             self.paper_exemptions
@@ -752,22 +758,9 @@ impl<'a> FileLint<'a> {
 
     // O1: atomic orderings need written justifications.
     fn rule_o1(&mut self) {
-        const ORDS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-        let hits: Vec<usize> = {
-            let lx = self.lx;
-            (0..lx.toks.len())
-                .filter(|&i| {
-                    lx.toks[i].text == "Ordering"
-                        && lx.toks.get(i + 1).map(|t| t.text.as_str()) == Some("::")
-                        && lx
-                            .toks
-                            .get(i + 2)
-                            .is_some_and(|t| ORDS.contains(&t.text.as_str()))
-                })
-                .map(|i| lx.toks[i].line)
-                .filter(|&line| !self.lx.justified(line - 1, ORDERING_WINDOW, "ordering:"))
-                .collect()
-        };
+        let hits: Vec<usize> = ordering_sites(self.lx)
+            .filter(|&line| !self.lx.justified(line - 1, ORDERING_WINDOW, "ordering:"))
+            .collect();
         for line in hits {
             self.emit(line, "O1", "unjustified-ordering", HINT_O1);
         }
@@ -904,6 +897,23 @@ const HINT_D2: &str =
     "hash iteration order is nondeterministic: use BTreeMap/BTreeSet, or collect and sort";
 const HINT_F1: &str =
     "import via spin_check::sync so --cfg spin_check can instrument this primitive";
+/// The line of each `Ordering::{Relaxed,Acquire,Release,AcqRel,SeqCst}`
+/// token sequence: a site O1 wants justified and `ordering_sites` counts.
+/// A comment or a string naming one is no token sequence, so no site.
+fn ordering_sites(lx: &Lexed) -> impl Iterator<Item = usize> + '_ {
+    const ORDS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
+    (0..lx.toks.len())
+        .filter(|&i| {
+            lx.toks[i].text == "Ordering"
+                && lx.toks.get(i + 1).map(|t| t.text.as_str()) == Some("::")
+                && lx
+                    .toks
+                    .get(i + 2)
+                    .is_some_and(|t| ORDS.contains(&t.text.as_str()))
+        })
+        .map(|i| lx.toks[i].line)
+}
+
 const HINT_O1: &str = "add an `// ordering:` comment (same line or the 2 above) naming the pairing";
 const HINT_U1_WHERE: &str =
     "unsafe lives only in lint.toml-allowlisted islands; move it there or make it safe";
@@ -1018,8 +1028,12 @@ fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
     let mut files = read_tree(root, &linted)?;
     let files_scanned = files.len();
     let mut findings = Vec::new();
+    let mut ordering: BTreeMap<String, usize> = BTreeMap::new();
     for f in &files {
         lint_lexed(&f.rel, &f.lx, &f.text, cfg, &mut findings);
+        if let ["crates", name, "src", ..] = f.rel.split('/').collect::<Vec<_>>()[..] {
+            *ordering.entry(name.to_string()).or_default() += ordering_sites(&f.lx).count();
+        }
     }
     let mut readers: Vec<PathBuf> = Vec::new();
     for c in &crates {
@@ -1084,6 +1098,7 @@ fn lint_workspace_with(root: &Path, cfg: &Config) -> std::io::Result<Report> {
         pub_items: surface.pub_items,
         shared_names: surface.shared_names,
         shared: surface.shared,
+        ordering_sites: ordering,
         paper_exemptions: surface.paper_exemptions,
     })
 }
@@ -1336,10 +1351,9 @@ fn takes_self(toks: &[Tok], name: usize) -> bool {
 
 /// The plain `pub` items of file `file` (`pub(..)` and `pub use` are not
 /// items of this kind; a trait impl's members carry no `pub`).
-fn pub_items(file: usize, lx: &Lexed) -> Vec<PubItem> {
+fn pub_items(file: usize, lx: &Lexed, mask: &[bool]) -> Vec<PubItem> {
     let toks = &lx.toks;
     let text = |j: usize| toks.get(j).map_or("", |t| t.text.as_str());
-    let mask = test_mask(lx);
     let impls = inherent_impls(toks);
     let mut out = Vec::new();
     for i in 0..toks.len() {
@@ -1410,6 +1424,9 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
     let mut items = Vec::new();
     for (f, file) in files.iter().enumerate() {
         let toks = &file.lx.toks;
+        // A declaration inside `#[cfg(test)]` is not another item of that
+        // name: a test helper must not make a `pub` item a shared name.
+        let mask = test_mask(&file.lx);
         // A `pub use` re-exports and does not use: nothing between it and
         // its `;` counts as a reference.
         let mut reexport = false;
@@ -1427,7 +1444,7 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
                 continue;
             }
             named_in.entry(t.text.as_str()).or_default().insert(f);
-            if ITEM_KINDS.contains(&t.text.as_str()) {
+            if !mask[i] && ITEM_KINDS.contains(&t.text.as_str()) {
                 if let Some(n) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
                     *declared.entry(n.text.as_str()).or_default() += 1;
                 }
@@ -1447,7 +1464,7 @@ fn rule_p1(files: &[SourceFile], cfg: &Config, findings: &mut Vec<Finding>) -> S
             }
         }
         if lib_crate(&file.rel).is_some() {
-            items.extend(pub_items(f, &file.lx));
+            items.extend(pub_items(f, &file.lx, &mask));
         }
     }
     let krate = |f: usize| lib_crate(&files[f].rel);
@@ -1871,6 +1888,15 @@ mod tests {
         assert_eq!(f[0].rule, "O1");
     }
 
+    /// What `ordering_sites` counts: the token sequence, not its text in a
+    /// comment, a doc comment or a string.
+    #[test]
+    fn a_comment_or_string_naming_an_ordering_is_no_site() {
+        let src = "// Ordering::Relaxed\n/// Ordering::SeqCst\nlet s = \"Ordering::Relaxed\";\n\
+                   x.load(Ordering::Acquire); // ordering: the one site\n";
+        assert_eq!(ordering_sites(&lex(src)).collect::<Vec<_>>(), [4]);
+    }
+
     #[test]
     fn u1_allowlist_still_requires_safety() {
         let mut cfg = Config::default();
@@ -1937,6 +1963,7 @@ mod tests {
             pub_items: BTreeMap::from([("core".to_string(), 7)]),
             shared_names: BTreeMap::from([("core".to_string(), 2)]),
             shared: Vec::new(),
+            ordering_sites: BTreeMap::from([("core".to_string(), 5)]),
             paper_exemptions: 1,
         };
         let j = r.to_json();
@@ -1944,6 +1971,7 @@ mod tests {
         assert!(j.contains("\"findings\": []"));
         assert!(j.contains("\"pub_items\": {\"core\": 7}"));
         assert!(j.contains("\"shared_names\": {\"core\": 2}"));
+        assert!(j.contains("\"ordering_sites\": {\"core\": 5}"));
         assert!(j.contains("\"paper_exemptions\": 1"));
         assert!(
             !j.contains("files_scanned"),

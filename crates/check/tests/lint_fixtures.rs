@@ -168,6 +168,27 @@ fn p1_flags_exactly_the_unreferenced_pub_items() {
     );
 }
 
+/// A declaration inside `#[cfg(test)]` is not a second item of its name.
+/// In `clean/p1_tests`, `user`'s test module declares a helper named like
+/// `kern::tally`, which `user` calls: `tally` is kept by that caller, not
+/// counted as kept only by a shared name.
+#[test]
+fn a_test_helper_does_not_make_a_shared_name() {
+    let report = lint_workspace(&fixture_path("clean/p1_tests")).expect("fixture is readable");
+    assert!(
+        report.findings.is_empty(),
+        "false positives {:#?}",
+        report.findings
+    );
+    assert_eq!(report.pub_items.get("kern"), Some(&1));
+    assert_eq!(
+        report.shared_names.get("kern"),
+        Some(&0),
+        "{:?}",
+        report.shared
+    );
+}
+
 /// A `rule = "*"` entry waives every rule but P1: under it the wall-clock
 /// read is silent, and a `pub` item nothing outside its crate names is
 /// still a finding.

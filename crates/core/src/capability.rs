@@ -11,13 +11,13 @@
 //! stale index yields an error, never a misinterpreted object.
 
 use crate::error::CoreError;
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU64, Ordering};
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-static NEXT_TABLE: AtomicU64 = AtomicU64::new(1);
+static NEXT_TABLE: Counter = Counter::new(1);
 
 /// An opaque handle given to user level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,7 +30,7 @@ pub struct ExternRef {
 pub struct ExternTable {
     id: u64,
     entries: Mutex<HashMap<u64, Arc<dyn Any + Send + Sync>>>,
-    next: AtomicU64,
+    next: Counter,
 }
 
 impl Default for ExternTable {
@@ -43,15 +43,15 @@ impl ExternTable {
     /// Creates a table with a process-unique id.
     pub fn new() -> Self {
         ExternTable {
-            id: NEXT_TABLE.fetch_add(1, Ordering::Relaxed), // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+            id: NEXT_TABLE.fetch_add(1),
             entries: Mutex::new(HashMap::new()),
-            next: AtomicU64::new(1),
+            next: Counter::new(1),
         }
     }
 
     /// Externalizes a kernel reference, returning the index to pass out.
     pub fn externalize<T: Any + Send + Sync>(&self, value: Arc<T>) -> ExternRef {
-        let index = self.next.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let index = self.next.fetch_add(1);
         self.entries.lock().insert(index, value);
         ExternRef {
             table: self.id,

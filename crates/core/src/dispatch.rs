@@ -141,7 +141,7 @@ use crate::fault::{panic_message, DeadlineExceeded, FaultKind, FaultSink, Handle
 use crate::identity::Identity;
 use crate::quota::QuotaCell;
 use spin_check::sync::Arc;
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use spin_check::sync::{AtomicBool, AtomicU64, Counter, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
@@ -159,7 +159,7 @@ pub type Handler<A, R> = Arc<dyn Fn(&A) -> R + Send + Sync>;
 pub type Guard<A> = Arc<dyn Fn(&A) -> bool + Send + Sync>;
 
 /// Global identity allocator for [`KeyFn`]s.
-static NEXT_KEYFN: AtomicU64 = AtomicU64::new(1);
+static NEXT_KEYFN: Counter = Counter::new(1);
 
 /// A key-extraction function with identity.
 ///
@@ -193,7 +193,7 @@ impl<A> KeyFn<A> {
     // uncharged: constructor; key extraction runs inside the already-charged raise path.
     pub fn new(f: impl Fn(&A) -> u64 + Send + Sync + 'static) -> KeyFn<A> {
         KeyFn {
-            id: NEXT_KEYFN.fetch_add(1, Ordering::Relaxed), // ordering: Relaxed — allocates a unique id; the value carrying it is published separately.
+            id: NEXT_KEYFN.fetch_add(1),
             f: Arc::new(f),
         }
     }
@@ -389,36 +389,36 @@ impl EventStats {
 
 /// Lock-free counters backing [`EventStats`].
 #[derive(Default)]
-struct AtomicEventStats {
+struct EventCounts {
     /// Raises that took the walk. A call settles its raises into this or
     /// into `fast_path_raises` — one counter, by its plan's `fast` flag —
     /// and [`EventStats::raises`] is their sum.
-    slow_raises: AtomicU64,
-    fast_path_raises: AtomicU64,
-    guard_evaluations: AtomicU64,
-    handlers_run: AtomicU64,
-    handlers_aborted: AtomicU64,
-    async_dispatches: AtomicU64,
-    handler_faults: AtomicU64,
-    compiled_raises: AtomicU64,
-    guards_elided: AtomicU64,
-    batched_raises: AtomicU64,
+    slow_raises: Counter,
+    fast_path_raises: Counter,
+    guard_evaluations: Counter,
+    handlers_run: Counter,
+    handlers_aborted: Counter,
+    async_dispatches: Counter,
+    handler_faults: Counter,
+    compiled_raises: Counter,
+    guards_elided: Counter,
+    batched_raises: Counter,
 }
 
-impl AtomicEventStats {
+impl EventCounts {
     fn snapshot(&self) -> EventStats {
-        let fast_path_raises = self.fast_path_raises.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        let fast_path_raises = self.fast_path_raises.get();
         EventStats {
-            raises: fast_path_raises + self.slow_raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            raises: fast_path_raises + self.slow_raises.get(),
             fast_path_raises,
-            guard_evaluations: self.guard_evaluations.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            handlers_run: self.handlers_run.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            handlers_aborted: self.handlers_aborted.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            async_dispatches: self.async_dispatches.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            handler_faults: self.handler_faults.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            compiled_raises: self.compiled_raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            guards_elided: self.guards_elided.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            batched_raises: self.batched_raises.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            guard_evaluations: self.guard_evaluations.get(),
+            handlers_run: self.handlers_run.get(),
+            handlers_aborted: self.handlers_aborted.get(),
+            async_dispatches: self.async_dispatches.get(),
+            handler_faults: self.handler_faults.get(),
+            compiled_raises: self.compiled_raises.get(),
+            guards_elided: self.guards_elided.get(),
+            batched_raises: self.batched_raises.get(),
         }
     }
 }
@@ -925,7 +925,7 @@ struct EventState<A, R> {
     /// The published record (see [`Published`]). Taken after `write` or
     /// `held`, never before either.
     plan: RwLock<Published<A, R>>,
-    stats: AtomicEventStats,
+    stats: EventCounts,
     /// Dispatches currently between snapshot and settle, plus async
     /// invocations posted but not finished (see [`FlightGuard`]).
     in_flight: AtomicU64,
@@ -1099,8 +1099,8 @@ struct DispatcherInner {
     events: Mutex<BTreeMap<u64, Arc<dyn AnyEventState>>>,
     /// What destroyed events counted, folded in under the `events` lock.
     retired: Mutex<EventStats>,
-    next_event: AtomicU64,
-    next_handler: AtomicU64,
+    next_event: Counter,
+    next_handler: Counter,
     /// Runs asynchronous handlers: absent until the scheduler wires it,
     /// and an asynchronous invocation then runs in place.
     async_runner: spin_check::hooks::HookSlot<AsyncRunner>,
@@ -1141,8 +1141,8 @@ impl Dispatcher {
             inner: Arc::new(DispatcherInner {
                 events: Mutex::new(BTreeMap::new()),
                 retired: Mutex::new(EventStats::default()),
-                next_event: AtomicU64::new(1),
-                next_handler: AtomicU64::new(1),
+                next_event: Counter::new(1),
+                next_handler: Counter::new(1),
                 async_runner: spin_check::hooks::HookSlot::new(),
                 clock,
                 xcall: spin_check::hooks::HookSlot::new(),
@@ -1247,7 +1247,7 @@ impl Dispatcher {
         A: Send + Sync + 'static,
         R: Send + 'static,
     {
-        let id = self.inner.next_event.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let id = self.inner.next_event.fetch_add(1);
         let name: Arc<str> = name.into();
         let ws = WriteSide::default();
         let state: Arc<EventState<A, R>> = Arc::new(EventState {
@@ -1258,7 +1258,7 @@ impl Dispatcher {
                 generation: 0,
             }),
             write: Mutex::new(ws),
-            stats: AtomicEventStats::default(),
+            stats: EventCounts::default(),
             in_flight: AtomicU64::new(0),
             held: Mutex::new(HoldSide::default()),
         });
@@ -1371,7 +1371,7 @@ impl Dispatcher {
     /// one place an [`Entry`] is built.
     fn new_entry<A, R>(&self, spec: InstallSpec<A, R>, is_primary: bool) -> Arc<Entry<A, R>> {
         Arc::new(Entry {
-            id: HandlerId(self.inner.next_handler.fetch_add(1, Ordering::Relaxed)), // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+            id: HandlerId(self.inner.next_handler.fetch_add(1)),
             handler: spec.handler,
             guards: spec.guards,
             constraints: spec.constraints,
@@ -1522,15 +1522,6 @@ impl Dispatcher {
     }
 }
 
-/// Adds to a monotonic statistic. Most of a raise's counters move by zero
-/// on most raises, and a `lock xadd` of zero costs what one of one does.
-#[inline]
-fn count(counter: &AtomicU64, n: u64) {
-    if n != 0 {
-        counter.fetch_add(n, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-    }
-}
-
 /// One `raise` or `raise_batch` call in progress: what the call resolves
 /// once and every item of it borrows. [`Raise::enter`] is the only place
 /// one is built and [`Raise::item`] the only way a raise is dispatched.
@@ -1648,9 +1639,9 @@ where
         } else {
             &stats.slow_raises
         };
-        count(raises, n);
+        raises.add(n);
         if self.batched {
-            count(&stats.batched_raises, n);
+            stats.batched_raises.add(n);
         }
     }
 
@@ -1713,7 +1704,7 @@ where
             clock.charge(Cost::InterModuleCall, 1);
             let entry = &plan.entries[0];
             return self.contained(entry, &args).map_err(|kind| {
-                count(&stats.handler_faults, 1);
+                stats.handler_faults.add(1);
                 // Demote immediately: rebuild the plan (the entry's fault
                 // flag is set) so the very next raise takes the slow path.
                 let _ = state.edit(|_| Ok(()));
@@ -1796,14 +1787,14 @@ where
         }
         charge_misses(&mut acc, c.misses_in(cursor, plan.entries.len()));
 
-        count(&stats.guard_evaluations, acc.guard_evals);
-        count(&stats.handlers_run, acc.run);
-        count(&stats.handlers_aborted, acc.aborted);
-        count(&stats.async_dispatches, acc.async_count);
-        count(&stats.handler_faults, acc.faulted);
+        stats.guard_evaluations.add(acc.guard_evals);
+        stats.handlers_run.add(acc.run);
+        stats.handlers_aborted.add(acc.aborted);
+        stats.async_dispatches.add(acc.async_count);
+        stats.handler_faults.add(acc.faulted);
         if compiled {
-            count(&stats.compiled_raises, 1);
-            count(&stats.guards_elided, acc.elided);
+            stats.compiled_raises.add(1);
+            stats.guards_elided.add(acc.elided);
         }
 
         let out = match plan.reducer.as_ref().zip(acc.reduced) {
@@ -1959,7 +1950,7 @@ where
                         Some(b) if elapsed > b => {
                             // Finished, but late (async results are never
                             // reduced, so there is nothing to discard).
-                            count(&state.stats.handlers_aborted, 1);
+                            state.stats.handlers_aborted.add(1);
                             Some(FaultKind::TimeBound { bound: b, elapsed })
                         }
                         _ => None,
@@ -1967,14 +1958,14 @@ where
                     Err(payload) if payload.downcast_ref::<DeadlineExceeded>().is_some() => {
                         // The executor unwound the strand at its deadline:
                         // an abort, not an organic fault.
-                        count(&state.stats.handlers_aborted, 1);
+                        state.stats.handlers_aborted.add(1);
                         Some(FaultKind::TimeBound {
                             bound: bound.unwrap_or(0),
                             elapsed,
                         })
                     }
                     Err(payload) => {
-                        count(&state.stats.handler_faults, 1);
+                        state.stats.handler_faults.add(1);
                         entry.fault_flag.store(true, Ordering::Relaxed); // ordering: Relaxed — demotion hint; the plan-rebuild lock is the real barrier.
                         Some(FaultKind::Panic {
                             message: panic_message(payload.as_ref()),
@@ -2446,7 +2437,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spin_check::sync::AtomicUsize;
 
     fn disp() -> Dispatcher {
         Dispatcher::unmetered()
@@ -2580,7 +2570,7 @@ mod tests {
         let d = disp();
         let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
         owner.set_primary(|_| 7).unwrap();
-        let ran = Arc::new(AtomicUsize::new(0));
+        let ran = Arc::new(Counter::default());
         let ran2 = ran.clone();
         // Owner constrains this installer to asynchronous execution.
         owner
@@ -2593,12 +2583,12 @@ mod tests {
             })
             .unwrap();
         ev.install(Identity::extension("monitor"), move |_| {
-            ran2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            ran2.add(1);
             99
         })
         .unwrap();
         assert_eq!(ev.raise(()), Ok(7), "async results are not reduced");
-        assert_eq!(ran.load(Ordering::Relaxed), 1, "default runner is inline"); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(ran.get(), 1, "default runner is inline");
         assert_eq!(d.stats(&ev).unwrap().async_dispatches, 1);
     }
 
@@ -2637,15 +2627,15 @@ mod tests {
             panic!("extension bug")
         })
         .unwrap();
-        let sibling_ran = Arc::new(AtomicUsize::new(0));
+        let sibling_ran = Arc::new(Counter::default());
         let s2 = sibling_ran.clone();
         ev.install(Identity::extension("sibling"), move |_| {
-            s2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            s2.add(1);
             7
         })
         .unwrap();
         assert_eq!(ev.raise(()), Ok(7), "the sibling's result stands");
-        assert_eq!(sibling_ran.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(sibling_ran.get(), 1);
         let stats = d.stats(&ev).unwrap();
         assert_eq!(stats.handler_faults, 1);
         assert_eq!(stats.handlers_run, 2, "primary and sibling completed");
@@ -2681,11 +2671,11 @@ mod tests {
     fn a_fast_path_panic_demotes_the_handler_for_good() {
         let d = disp();
         let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
-        let calls = Arc::new(AtomicUsize::new(0));
+        let calls = Arc::new(Counter::default());
         let c2 = calls.clone();
         owner
             .set_primary(move |_| -> u32 {
-                c2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                c2.add(1);
                 panic!("primary bug")
             })
             .unwrap();
@@ -2706,7 +2696,7 @@ mod tests {
         let s2 = d.stats(&ev).unwrap();
         assert_eq!(s2.fast_path_raises, 1, "no fast-path raise after demotion");
         assert_eq!(s2.handler_faults, 2);
-        assert_eq!(calls.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(calls.get(), 2);
     }
 
     #[test]
@@ -3039,7 +3029,7 @@ mod tests {
         let stats = d.stats(&ev).unwrap();
         assert_eq!(stats.fast_path_raises, 2, "the restored v1 stays demoted");
         assert_eq!(stats.handler_faults, 2);
-        // ordering: Relaxed — test plumbing; the raises above are sequential.
+        // ordering: Relaxed — the flag was stored by the raises above, on this thread.
         assert!(plan_entries(&ev)[0].fault_flag.load(Ordering::Relaxed));
     }
 
@@ -3050,12 +3040,11 @@ mod tests {
         let d = disp();
         let (ev, owner) = d.define::<(), u32>("E", Identity::kernel("k"));
         let ev2 = ev.clone();
-        let installed = Arc::new(AtomicUsize::new(0));
+        let installed = Arc::new(Counter::default());
         let installed2 = installed.clone();
         owner
             .set_primary(move |_| {
-                // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-                if installed2.swap(1, Ordering::Relaxed) == 0 {
+                if installed2.fetch_add(1) == 0 {
                     ev2.install(Identity::extension("late"), |_| 99).unwrap();
                 }
                 1

@@ -366,7 +366,7 @@ impl Containment {
 mod tests {
     use super::*;
     use crate::dispatch::Dispatcher;
-    use spin_check::sync::{AtomicU32, Ordering};
+    use spin_check::sync::Counter;
     use spin_sal::Cost;
 
     fn panicky_dispatcher() -> (Dispatcher, Event<u32, u32>, Arc<Containment>) {
@@ -403,11 +403,11 @@ mod tests {
     #[test]
     fn repeated_trips_quarantine_the_domain_and_raise_domain_fault() {
         let (d, ev, c) = panicky_dispatcher();
-        let trips_seen = Arc::new(AtomicU32::new(0));
+        let trips_seen = Arc::new(Counter::default());
         let t2 = trips_seen.clone();
         c.domain_fault_event()
             .install(Identity::extension("supervisor"), move |info| {
-                t2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                t2.add(1);
                 assert_eq!(info.domain, "flaky");
             })
             .unwrap();
@@ -421,7 +421,7 @@ mod tests {
         assert_eq!(c.trips("flaky"), 2);
         assert!(c.is_quarantined("flaky"));
         assert_eq!(c.quarantined(), vec!["flaky".to_string()]);
-        assert_eq!(trips_seen.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(trips_seen.get(), 2);
         assert_eq!(d.handler_count(&ev).unwrap(), 1, "purged on quarantine");
     }
 

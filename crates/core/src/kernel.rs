@@ -23,7 +23,7 @@ use crate::identity::Identity;
 use crate::nameserver::NameServer;
 use crate::objfile::{ObjectFile, Provenance};
 use spin_check::sync::Mutex;
-use spin_check::sync::{Arc, AtomicU64, Ordering};
+use spin_check::sync::{Arc, Counter};
 use spin_obs::{Obs, ObsHook, TraceKind};
 use spin_rt::KernelHeap;
 use spin_sal::{Cost, Host};
@@ -49,9 +49,9 @@ struct KernelInner {
     heap: KernelHeap,
     spin_public: Domain,
     trap_syscall: Event<Syscall, SysResult>,
-    asserted_safe: AtomicU64,
+    asserted_safe: Counter,
     /// System calls trapped: the kernel domain's `syscalls` row.
-    syscalls: Arc<AtomicU64>,
+    syscalls: Arc<Counter>,
     extensions: Mutex<Vec<Domain>>,
     /// Observability hook (kernel domain): absent until wired via
     /// [`Kernel::install_obs`]; the trap path then pays one atomic load.
@@ -87,8 +87,8 @@ impl Kernel {
                 heap: KernelHeap::new(),
                 spin_public,
                 trap_syscall,
-                asserted_safe: AtomicU64::new(0),
-                syscalls: Arc::new(AtomicU64::new(0)),
+                asserted_safe: Counter::default(),
+                syscalls: Arc::default(),
                 extensions: Mutex::new(Vec::new()),
                 obs: spin_check::hooks::HookSlot::new(),
             }),
@@ -118,7 +118,7 @@ impl Kernel {
         let kernel = obs.domain("kernel");
         if self.inner.obs.set(kernel.clone()) {
             let book = self.inner.syscalls.clone();
-            kernel.read(move |t| t.syscalls += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            kernel.read(move |t| t.syscalls += book.get());
         }
 
         let (snapshot, snap_owner) = self
@@ -193,7 +193,7 @@ impl Kernel {
     /// to be fully resolved before it is registered.
     pub fn load_extension(&self, objfile: ObjectFile) -> Result<Domain, CoreError> {
         if objfile.provenance() == Provenance::AssertedSafe {
-            self.inner.asserted_safe.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            self.inner.asserted_safe.add(1);
         }
         let domain = Domain::create(objfile)?;
         Domain::resolve(&self.inner.spin_public, &domain)?;
@@ -205,7 +205,7 @@ impl Kernel {
     /// How many object files were trusted by assertion rather than by the
     /// compiler (the paper tracks these as disproportionate bug sources).
     pub fn asserted_safe_count(&self) -> u64 {
-        self.inner.asserted_safe.load(Ordering::Relaxed) // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.asserted_safe.get()
     }
 
     /// Creates a fresh externalized-reference table for an application.
@@ -232,7 +232,7 @@ impl Kernel {
     /// and raises `Trap.SystemCall`.
     pub fn syscall(&self, number: u64, args: [u64; 6]) -> SysResult {
         let clock = &self.inner.host.clock;
-        self.inner.syscalls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.syscalls.add(1);
         if let Some(obs) = self.inner.obs.get() {
             obs.trace(TraceKind::SyscallTrap, number, 0);
         }

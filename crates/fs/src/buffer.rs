@@ -77,20 +77,10 @@ impl CachePolicy for NoCachePolicy {
     }
 }
 
-/// Cache statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct CacheStats {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    writebacks: u64,
-}
-
 struct CacheState {
     resident: BTreeMap<BlockId, Arc<Vec<u8>>>,
     policy: Box<dyn CachePolicy>,
     capacity_blocks: usize,
-    stats: CacheStats,
 }
 
 /// The buffer cache over one disk.
@@ -116,7 +106,6 @@ impl BufferCache {
                 resident: BTreeMap::new(),
                 policy,
                 capacity_blocks,
-                stats: CacheStats::default(),
             })),
         }
     }
@@ -141,11 +130,9 @@ impl BufferCache {
         {
             let mut st = self.state.lock();
             if let Some(data) = st.resident.get(&block).cloned() {
-                st.stats.hits += 1;
                 st.policy.touch(block);
                 return data;
             }
-            st.stats.misses += 1;
         }
         let data = Arc::new(self.wait_disk(ctx, DiskRequest::Read(block)));
         let mut st = self.state.lock();
@@ -154,7 +141,6 @@ impl BufferCache {
                 match st.policy.victim() {
                     Some(v) => {
                         st.resident.remove(&v);
-                        st.stats.evictions += 1;
                     }
                     None => break,
                 }
@@ -173,7 +159,6 @@ impl BufferCache {
         let shared = Arc::new(data);
         {
             let mut st = self.state.lock();
-            st.stats.writebacks += 1;
             if st.policy.admit(block) {
                 st.resident.insert(block, shared.clone());
                 st.policy.touch(block);
@@ -183,12 +168,6 @@ impl BufferCache {
             }
         }
         let _ = self.wait_disk(ctx, DiskRequest::Write(block, shared.as_ref().clone()));
-    }
-
-    /// Current statistics.
-    #[cfg(test)]
-    fn stats(&self) -> CacheStats {
-        self.state.lock().stats
     }
 
     /// Number of resident blocks.
@@ -201,6 +180,7 @@ impl BufferCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spin_check::sync::Mutex;
     use spin_sal::SimBoard;
 
     fn rig(capacity: usize, policy: Box<dyn CachePolicy>) -> (BufferCache, Arc<Executor>) {
@@ -211,68 +191,74 @@ mod tests {
         (cache, exec)
     }
 
-    #[test]
-    fn reads_are_cached_under_lru() {
-        let (cache, exec) = rig(4, Box::new(LruPolicy::default()));
-        let c2 = cache.clone();
+    /// Reads `block` and says whether the cache held it: a hit takes no
+    /// virtual time, a miss waits for the disk.
+    fn hit(cache: &BufferCache, ctx: &StrandCtx, block: u64) -> bool {
+        let t0 = ctx.executor().clock().now();
+        cache.read(ctx, BlockId(block));
+        ctx.executor().clock().now() == t0
+    }
+
+    /// Reads `blocks` in order from one strand: which reads were hits.
+    fn hits(cache: &BufferCache, exec: &Arc<Executor>, blocks: &'static [u64]) -> Vec<bool> {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let (c2, s2) = (cache.clone(), seen.clone());
         exec.spawn("reader", move |ctx| {
-            c2.read(ctx, BlockId(1));
-            c2.read(ctx, BlockId(1));
-            c2.read(ctx, BlockId(2));
+            for &b in blocks {
+                let h = hit(&c2, ctx, b);
+                s2.lock().push(h);
+            }
         });
         exec.run_until_idle();
-        let s = cache.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
-        assert_eq!(cache.resident(), 2);
+        let seen = seen.lock().clone();
+        seen
     }
 
     #[test]
+    fn reads_are_cached_under_lru() {
+        let (cache, exec) = rig(4, Box::new(LruPolicy::default()));
+        assert_eq!(hits(&cache, &exec, &[1, 1, 2]), [false, true, false]);
+        assert_eq!(cache.resident(), 2);
+    }
+
+    /// Four misses admitted into two blocks: two evictions.
+    #[test]
     fn lru_evicts_the_oldest() {
         let (cache, exec) = rig(2, Box::new(LruPolicy::default()));
-        let c2 = cache.clone();
-        exec.spawn("reader", move |ctx| {
-            c2.read(ctx, BlockId(1));
-            c2.read(ctx, BlockId(2));
-            c2.read(ctx, BlockId(1)); // touch 1: now 2 is oldest
-            c2.read(ctx, BlockId(3)); // evicts 2
-            c2.read(ctx, BlockId(1)); // still a hit
-            c2.read(ctx, BlockId(2)); // miss: was evicted (and evicts 3)
-        });
-        exec.run_until_idle();
-        let s = cache.stats();
-        assert_eq!(s.evictions, 2);
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.misses, 4);
+        assert_eq!(
+            hits(&cache, &exec, &[1, 2, 1, 3, 1, 2]),
+            // 1 and 2 miss; touching 1 leaves 2 oldest, so 3 evicts 2; 1
+            // still hits; 2 misses again (and evicts 3).
+            [false, false, true, false, true, false]
+        );
+        assert_eq!(cache.resident(), 2);
     }
 
     #[test]
     fn no_cache_policy_always_misses() {
         let (cache, exec) = rig(4, Box::new(NoCachePolicy));
-        let c2 = cache.clone();
-        exec.spawn("reader", move |ctx| {
-            c2.read(ctx, BlockId(1));
-            c2.read(ctx, BlockId(1));
-        });
-        exec.run_until_idle();
-        let s = cache.stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 2);
+        assert_eq!(hits(&cache, &exec, &[1, 1]), [false, false]);
         assert_eq!(cache.resident(), 0);
     }
 
     #[test]
     fn write_then_read_hits_cache_and_persists() {
         let (cache, exec) = rig(4, Box::new(LruPolicy::default()));
-        let c2 = cache.clone();
+        let seen = Arc::new(Mutex::new(None));
+        let (c2, s2) = (cache.clone(), seen.clone());
         exec.spawn("writer", move |ctx| {
             let mut data = vec![0u8; BLOCK_SIZE];
             data[7] = 42;
             c2.write(ctx, BlockId(5), data);
-            let back = c2.read(ctx, BlockId(5));
-            assert_eq!(back[7], 42);
+            let resident = hit(&c2, ctx, 5);
+            *s2.lock() = Some((resident, c2.read(ctx, BlockId(5))[7]));
         });
         exec.run_until_idle();
-        assert_eq!(cache.stats().hits, 1, "write-through leaves block resident");
+        let seen = *seen.lock();
+        assert_eq!(
+            seen,
+            Some((true, 42)),
+            "write-through leaves block resident"
+        );
     }
 }

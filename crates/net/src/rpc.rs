@@ -14,8 +14,8 @@
 use crate::pkt::IpAddr;
 use crate::stack::NetStack;
 use bytes::{Bytes, BytesMut};
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::DispatchError;
 use spin_sal::Nanos;
 use spin_sched::{KChannel, StrandCtx};
@@ -63,11 +63,12 @@ pub struct RpcStats {
     pub timeouts: u64,
 }
 
+/// The counts behind [`RpcStats`], shared with the stack's obs reader.
 #[derive(Default)]
-pub(crate) struct AtomicRpcStats {
-    calls: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    timeouts: AtomicU64,
+pub(crate) struct RpcCounts {
+    calls: Counter,
+    pub(crate) retries: Counter,
+    timeouts: Counter,
 }
 
 /// RPC errors.
@@ -95,9 +96,9 @@ pub struct Rpc {
     stack: NetStack,
     procedures: Arc<Mutex<HashMap<String, Procedure>>>,
     pending: Arc<Mutex<PendingCalls>>,
-    next_id: Arc<AtomicU64>,
+    next_id: Arc<Counter>,
     config: RpcConfig,
-    stats: Arc<AtomicRpcStats>,
+    stats: Arc<RpcCounts>,
 }
 
 impl Rpc {
@@ -112,9 +113,9 @@ impl Rpc {
             stack: stack.clone(),
             procedures: Arc::new(Mutex::new(HashMap::new())),
             pending: Arc::new(Mutex::new(HashMap::new())),
-            next_id: Arc::new(AtomicU64::new(1)),
+            next_id: Arc::new(Counter::new(1)),
             config,
-            stats: Arc::new(AtomicRpcStats::default()),
+            stats: Arc::new(RpcCounts::default()),
         };
         stack.bind_rpc(rpc.stats.clone());
         let rpc2 = rpc.clone();
@@ -127,9 +128,9 @@ impl Rpc {
     /// Cumulative call/retry counters.
     pub fn stats(&self) -> RpcStats {
         RpcStats {
-            calls: self.stats.calls.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            retries: self.stats.retries.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            timeouts: self.stats.timeouts.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            calls: self.stats.calls.get(),
+            retries: self.stats.retries.get(),
+            timeouts: self.stats.timeouts.get(),
         }
     }
 
@@ -185,7 +186,7 @@ impl Rpc {
         name: &str,
         args: &[u8],
     ) -> Result<Vec<u8>, RpcError> {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let id = self.next_id.fetch_add(1);
         let ch = KChannel::new(self.stack.executor().clone(), 1);
         self.pending.lock().insert(id, ch.clone());
 
@@ -197,12 +198,12 @@ impl Rpc {
         b.extend_from_slice(args);
         let request = b.freeze();
 
-        self.stats.calls.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.stats.calls.add(1);
         let result = (|| {
             let mut timeout = self.config.base_timeout;
             for attempt in 0..self.config.attempts {
                 if attempt > 0 {
-                    self.stats.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    self.stats.retries.add(1);
                 }
                 let _ = self.stack.udp_send(RPC_PORT, dst, RPC_PORT, &request);
                 // Either the reply or the timeout wakes us.
@@ -220,7 +221,7 @@ impl Rpc {
                     None => continue, // retransmit
                 }
             }
-            self.stats.timeouts.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            self.stats.timeouts.add(1);
             Err(RpcError::Timeout)
         })();
         self.pending.lock().remove(&id);

@@ -25,9 +25,9 @@ use crate::pkt::{
     ETHERTYPE_IPV4,
 };
 use crate::poll::{ReadyBatch, ReadyHub};
-use crate::rpc::AtomicRpcStats;
+use crate::rpc::RpcCounts;
 use bytes::{Bytes, BytesMut};
-use spin_check::sync::{AtomicU16, AtomicU64, Ordering};
+use spin_check::sync::{AtomicU64, Counter, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_core::{
     Constraints, Dispatcher, Event, HandlerMode, Identity, InstallDecision, KeyFn, KeyHasher,
@@ -262,12 +262,12 @@ struct NetInner {
     events: NetEvents,
     topology: Topology,
     ping_waiters: Mutex<PingWaiters>,
-    ping_seq: AtomicU16,
+    ping_seq: Counter,
     /// The one count this layer keeps itself: retries scheduled.
-    retries: AtomicU64,
+    retries: Counter,
     /// The books of the RPC packages bound to this stack, whose
     /// retransmits the net domain reads beside the stack's retries.
-    rpcs: Mutex<Vec<Arc<AtomicRpcStats>>>,
+    rpcs: Mutex<Vec<Arc<RpcCounts>>>,
     /// Observability hook (net domain): absent until wired; the per-frame
     /// paths then pay one atomic load each.
     obs: Arc<spin_check::hooks::HookSlot<ObsHook>>,
@@ -280,7 +280,7 @@ struct NetInner {
     /// each inbound burst.
     ready_hub: Arc<ReadyHub>,
     /// Poller id allocator (`Net.Ready` demux keys).
-    next_poller: AtomicU64,
+    next_poller: Counter,
     /// Per-poller `time_bound` grants (see the `Net.Ready` authorizer).
     poller_bounds: Arc<Mutex<HashMap<String, Nanos>>>,
 }
@@ -484,13 +484,13 @@ impl NetStack {
             events,
             topology: Topology::default(),
             ping_waiters: Mutex::new(HashMap::new()),
-            ping_seq: AtomicU16::new(1),
-            retries: AtomicU64::new(0),
+            ping_seq: Counter::new(1),
+            retries: Counter::default(),
             rpcs: Mutex::new(Vec::new()),
             obs,
             faults: Arc::new(spin_check::hooks::HookSlot::new()),
             ready_hub,
-            next_poller: AtomicU64::new(1),
+            next_poller: Counter::new(1),
             poller_bounds,
         });
         let stack = NetStack { inner };
@@ -650,7 +650,7 @@ impl NetStack {
             let book = Arc::downgrade(&self.inner);
             hook.read(move |t| {
                 if let Some(net) = book.upgrade() {
-                    let load = |r: &Arc<AtomicRpcStats>| r.retries.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    let load = |r: &Arc<RpcCounts>| r.retries.get();
                     let rpc_retries: u64 = net.rpcs.lock().iter().map(load).sum();
                     let s = NetStack { inner: net }.stats();
                     t.packets_sent += s.frames_out;
@@ -665,7 +665,7 @@ impl NetStack {
 
     /// Binds an RPC package's book to this stack (see [`NetStack::stats`]).
     // uncharged: control-plane wiring.
-    pub(crate) fn bind_rpc(&self, book: Arc<AtomicRpcStats>) {
+    pub(crate) fn bind_rpc(&self, book: Arc<RpcCounts>) {
         self.inner.rpcs.lock().push(book);
     }
 
@@ -832,7 +832,7 @@ impl NetStack {
         if self.transmit_chain(dst, protocol, &segment).is_ok() || retries == RETRY_MAX {
             return; // sent, or budget exhausted: drop, as a datagram service may
         }
-        self.inner.retries.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.retries.add(1);
         let at = self.inner.exec.clock().now() + delay;
         let me = self.clone();
         self.inner.exec.timers().schedule_at(at, move |_| {
@@ -981,7 +981,7 @@ impl NetStack {
     /// Allocates a fresh poller id (`Net.Ready` demux key).
     // uncharged: control-plane id allocation.
     pub(crate) fn alloc_poller_id(&self) -> u64 {
-        self.inner.next_poller.fetch_add(1, Ordering::Relaxed) // ordering: Relaxed — allocates a unique id; the poller carrying it is published separately.
+        self.inner.next_poller.fetch_add(1)
     }
 
     /// Grants a `time_bound` to the named poller's `Net.Ready` handler;
@@ -998,7 +998,7 @@ impl NetStack {
     // paper: Figure 5, the Ping extension on `ICMP.PktArrived`.
     pub fn ping(&self, ctx: &StrandCtx, dst: IpAddr, payload_len: usize) -> Option<Nanos> {
         let ident = self.inner.host.id.0 as u16;
-        let seq = self.inner.ping_seq.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let seq = self.inner.ping_seq.fetch_add(1) as u16;
         let ch = KChannel::new(self.inner.exec.clone(), 1);
         self.inner
             .ping_waiters
@@ -1021,7 +1021,7 @@ impl NetStack {
     pub fn stats(&self) -> NetStats {
         let host = &self.inner.host;
         let mut stats = NetStats {
-            retries: self.inner.retries.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            retries: self.inner.retries.get(),
             ..NetStats::default()
         };
         for nic in [&host.ethernet, &host.atm, &host.t3] {

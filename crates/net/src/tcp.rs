@@ -22,8 +22,8 @@ use crate::pkt::{proto, IpAddr, TcpFlags, TcpHeader};
 use crate::poll::{interest, Pollable, ReadyQueue, Registration};
 use crate::stack::{NetStack, TcpSegment};
 use bytes::Bytes;
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU32, Ordering};
 use spin_core::Identity;
 use spin_sal::{BufChain, Nanos};
 use spin_sched::{Executor, StrandCtx, WaitQueue};
@@ -540,8 +540,8 @@ pub struct TcpStack {
     stack: NetStack,
     exec: Arc<Executor>,
     tables: Arc<Mutex<Tables>>,
-    next_port: Arc<AtomicU32>,
-    isn: Arc<AtomicU32>,
+    next_port: Arc<Counter>,
+    isn: Arc<Counter>,
 }
 
 impl TcpStack {
@@ -552,8 +552,8 @@ impl TcpStack {
             stack: stack.clone(),
             exec: stack.executor().clone(),
             tables: Arc::default(),
-            next_port: Arc::new(AtomicU32::new(0)),
-            isn: Arc::new(AtomicU32::new(1_000)),
+            next_port: Arc::default(),
+            isn: Arc::new(Counter::new(1_000)),
         };
         let tcp2 = tcp.clone();
         stack
@@ -615,9 +615,9 @@ impl TcpStack {
         dst: IpAddr,
         port: u16,
     ) -> Result<Arc<TcpConn>, TcpError> {
-        let n = self.next_port.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let n = self.next_port.fetch_add(1) as u32;
         let local_port = EPHEMERAL_BASE + (n % EPHEMERAL_SPAN) as u16;
-        let isn = self.isn.fetch_add(64_000, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let isn = self.isn.fetch_add(64_000) as u32;
         let key = ConnKey {
             local_port,
             peer: dst,
@@ -677,7 +677,7 @@ impl TcpStack {
         if seg.header.flags.syn && !seg.header.flags.ack {
             if let Some(listener) = tables.listeners.get(&key.local_port).cloned() {
                 // Passive open: SYN-RECEIVED, send SYN-ACK.
-                let isn = self.isn.fetch_add(64_000, Ordering::Relaxed); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+                let isn = self.isn.fetch_add(64_000) as u32;
                 let rcv_nxt = seg.header.seq.wrapping_add(1);
                 let conn = self.new_conn(key, TcpState::SynReceived, isn.wrapping_add(1), rcv_nxt);
                 tables.conns.insert(key, conn.clone());
@@ -733,7 +733,7 @@ mod tests {
     use crate::poll::NetPoller;
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
-    use spin_check::sync::AtomicBool;
+    use spin_check::sync::{AtomicBool, Ordering};
     use spin_sched::IdleOutcome;
 
     fn tcp_rig() -> (TwoHosts, TcpStack, TcpStack) {

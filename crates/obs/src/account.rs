@@ -289,6 +289,7 @@ impl Accounting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spin_check::sync::Counter;
 
     #[test]
     fn registration_is_dense_and_idempotent() {
@@ -330,19 +331,16 @@ mod tests {
         let acc = Accounting::default();
         let id = acc.register("vm");
         assert_eq!(acc.tally(id).activity(), 0);
-        let book = Arc::new(AtomicU64::new(3));
+        let book = Arc::new(Counter::new(3));
         let b2 = book.clone();
-        acc.add_reader(
-            id,
-            Arc::new(move |t: &mut Tally| t.vm_faults += b2.load(Ordering::Relaxed)), // ordering: Relaxed — test plumbing; single-threaded.
-        );
+        acc.add_reader(id, Arc::new(move |t: &mut Tally| t.vm_faults += b2.get()));
         acc.add_reader(id, Arc::new(|t: &mut Tally| t.vm_faults += 1));
         acc.add_reader(
             acc.register("vm"),
             Arc::new(|t: &mut Tally| t.cpu_virtual_ns += 100),
         );
         assert_eq!(acc.tally(id).vm_faults, 4);
-        book.fetch_add(2, Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
+        book.add(2);
         let tally = acc.tally(id);
         assert_eq!(tally.activity(), 106, "read at each reading, not copied");
         let rows = tally.rows();

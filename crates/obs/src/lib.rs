@@ -201,17 +201,17 @@ impl ObsHook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spin_check::sync::AtomicU64;
+    use spin_check::sync::Counter;
 
     #[test]
     fn hooks_stamp_domain_and_time() {
         let obs = Obs::new(8);
-        let t = Arc::new(AtomicU64::new(0));
+        let t = Arc::new(Counter::default());
         let t2 = t.clone();
-        obs.set_time_source(Arc::new(move || t2.load(Ordering::Acquire))); // ordering: test plumbing; mirrors the production pairing under test.
+        obs.set_time_source(Arc::new(move || t2.get()));
         let net = obs.domain("net");
         assert_eq!(net.domain, DomainId::NET);
-        t.store(777, Ordering::Release); // ordering: test plumbing; mirrors the production pairing under test.
+        t.add(777);
         net.trace(TraceKind::PacketTx, 60, 0);
         let recs = obs.ring().drain();
         assert_eq!(recs.len(), 1);
@@ -224,13 +224,13 @@ mod tests {
     fn recording_toggle_gates_the_ring_but_not_accounting() {
         let obs = Obs::new(8);
         let hook = obs.domain("vm");
-        let faults = Arc::new(AtomicU64::new(0));
+        let faults = Arc::new(Counter::default());
         let book = faults.clone();
-        hook.read(move |t| t.vm_faults += book.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; single-threaded.
+        hook.read(move |t| t.vm_faults += book.get());
         obs.set_recording(false);
         assert!(!obs.is_recording());
         hook.trace(TraceKind::VmFault, 0x1000, 1);
-        faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; single-threaded.
+        faults.add(1);
         assert_eq!(obs.ring().pushed(), 0);
         assert_eq!(obs.accounting().tally(hook.domain).vm_faults, 1);
         obs.set_recording(true);

@@ -536,7 +536,7 @@ mod tests {
     use super::*;
     use crate::mailbox::Envelope;
     use proptest::prelude::*;
-    use spin_check::sync::AtomicUsize;
+    use spin_check::sync::Counter;
     use std::collections::HashMap;
 
     /// Schedules `run`, in firing order, as a drain hands it over.
@@ -638,30 +638,30 @@ mod tests {
         // subscriber (the observability layer) silently evicted the
         // executor's quantum accounting.
         let c = Clock::new();
-        let exec_total = Arc::new(AtomicU64::new(0));
-        let obs_total = Arc::new(AtomicU64::new(0));
+        let exec_total = Arc::new(Counter::default());
+        let obs_total = Arc::new(Counter::default());
         let (e2, o2) = (exec_total.clone(), obs_total.clone());
         let exec_id = c.add_advance_hook(Box::new(move |charge| {
-            e2.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            e2.add(charge.ns);
         }));
         let obs_id = c.add_advance_hook(Box::new(move |charge| {
-            o2.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            o2.add(charge.ns);
         }));
         for ns in [30, 0, 12, 1, 999] {
             c.charge(Cost::Work, ns);
         }
-        assert_eq!(exec_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        assert_eq!(obs_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(exec_total.get(), 1042);
+        assert_eq!(obs_total.get(), 1042);
 
         // Removal is per-subscription: the survivor keeps observing.
         assert!(c.remove_advance_hook(obs_id));
         assert!(!c.remove_advance_hook(obs_id));
         c.charge(Cost::Work, 8);
-        assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-        assert_eq!(obs_total.load(Ordering::Relaxed), 1042); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(exec_total.get(), 1050);
+        assert_eq!(obs_total.get(), 1042);
         assert!(c.remove_advance_hook(exec_id));
         c.charge(Cost::Work, 5); // no subscribers: single relaxed-flag check, no calls
-        assert_eq!(exec_total.load(Ordering::Relaxed), 1050); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(exec_total.get(), 1050);
     }
 
     #[test]
@@ -680,35 +680,35 @@ mod tests {
     #[test]
     fn cancelled_timers_do_not_fire() {
         let q = TimerQueue::new();
-        let count = Arc::new(AtomicUsize::new(0));
+        let count = Arc::new(Counter::default());
         let c2 = count.clone();
         let id = q.schedule_at(5, move |_| {
-            c2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            c2.add(1);
         });
         assert!(q.cancel(id));
         assert!(!q.cancel(id));
         assert_eq!(q.fire_due(100), 0);
-        assert_eq!(count.load(Ordering::Relaxed), 0); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(count.get(), 0);
         assert_eq!(q.next_deadline(), None);
     }
 
     #[test]
     fn callbacks_may_reschedule() {
         let q = TimerQueue::new();
-        let count = Arc::new(AtomicUsize::new(0));
+        let count = Arc::new(Counter::default());
         let c2 = count.clone();
         let q2 = q.clone();
         q.schedule_at(10, move |now| {
-            c2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            c2.add(1);
             let c3 = c2.clone();
             q2.schedule_at(now + 10, move |_| {
-                c3.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                c3.add(1);
             });
         });
         q.fire_due(10);
-        assert_eq!(count.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(count.get(), 1);
         q.fire_due(20);
-        assert_eq!(count.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(count.get(), 2);
     }
 
     /// A run fires as its items scheduled one by one would: in deadline
@@ -791,12 +791,12 @@ mod tests {
     #[test]
     fn a_stale_id_cannot_cancel_the_slots_next_tenant() {
         let q = TimerQueue::new();
-        let ran = Arc::new(AtomicUsize::new(0));
+        let ran = Arc::new(Counter::default());
         let first = q.schedule_at(10, |_| panic!("cancelled"));
         assert!(q.cancel(first));
         let r2 = ran.clone();
         let tenant = q.schedule_at(20, move |_| {
-            r2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            r2.add(1);
         });
         assert_eq!(tenant.slot, first.slot, "the vacated slot is reused");
         assert_ne!(tenant, first);
@@ -805,7 +805,7 @@ mod tests {
         assert_eq!(q.fire_due(15), 0, "residue at 10 is not the tenant");
         assert_eq!(q.next_deadline(), Some(20));
         assert_eq!(q.fire_due(20), 1);
-        assert_eq!(ran.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(ran.get(), 1);
 
         // The same after a fire: the fired timer's id is stale too.
         let next = q.schedule_at(30, |_| {});

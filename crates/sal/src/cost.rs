@@ -48,7 +48,9 @@ pub enum Cost {
     /// other half of [`Cost::TrapEntry`]'s Table 2 sums.
     TrapExit,
     /// A fixed, table-driven system-call dispatch (the OSF/1 and Mach path
-    /// from trap handler to the C system-call routine).
+    /// from trap handler to the C system-call routine). Checked against
+    /// Table 2's DEC OSF/1 system call: with the two trap kinds it is that
+    /// row's 5 µs exactly (Mach's 7 µs adds a fixed extra of its own).
     FixedSyscallDispatch,
     /// Saving one processor context and loading another (registers + stack).
     /// Came with the seed; with `SchedDecision` and `SyncOp` calibrated to
@@ -68,16 +70,25 @@ pub enum Cost {
     ThreadCreate,
     /// Switching address spaces (ASN change plus the cache/TLB disturbance
     /// it causes on this machine). Dominates cross-address-space calls.
+    /// Came with the seed; Table 2's three cross-address-space rows check
+    /// it and none fixes it alone: SPIN's call pays two (86.33 µs against
+    /// the paper's 89), and the Mach and OSF/1 models pay it too.
     AsSwitch,
     /// Setting up a user-level thread context (stack, descriptor). Came
     /// with the seed; no row traces it. It is 45 of integrated C-Threads
     /// Fork-Join's 102.39 µs (Table 3: 111), 90 of layered's 220.93 (262).
     UserThreadSetup,
-    /// Filling one TLB entry after a miss (software miss handler).
+    /// Filling one TLB entry after a miss (software miss handler). Came
+    /// with the seed; no row fixes it alone: the OSF/1 and Mach models of
+    /// Table 4's Trap and Fault rows pay one each, beside larger fixed
+    /// costs of their own.
     TlbFill,
-    /// Installing, removing or changing one page-table entry.
+    /// Installing, removing or changing one page-table entry. Checked
+    /// against Table 4's SPIN Prot100 (213 µs): a page pays this,
+    /// `TlbInvalidate` and `PmapOp`, 2 µs together, which that row fixes;
+    /// the split among the three came with the seed.
     PteUpdate,
-    /// Invalidating one TLB entry.
+    /// Invalidating one TLB entry. See [`Cost::PteUpdate`].
     TlbInvalidate,
     /// One pmap-level page operation beyond the raw PTE write (physical
     /// map lookup, attribute bookkeeping). Calibrated to Table 4's SPIN
@@ -88,23 +99,41 @@ pub enum Cost {
     /// lookup). Calibrated to Table 4's SPIN Prot1 (16 µs).
     VmCallFixed,
     /// Saving fault state before dispatching a translation-fault event
-    /// (registers, fault address bookkeeping).
+    /// (registers, fault address bookkeeping). Came with the seed; no row
+    /// fixes it alone: Table 4's SPIN Trap (5.79 µs against the paper's
+    /// 7) and Fault (24.09 against 29) each pay one, after a trap entry.
     VmFaultSave,
     /// Copying one byte memory-to-memory (~33 MB/s for uncached streaming
-    /// data on this machine's 512 KB external cache).
+    /// data on this machine's 512 KB external cache). Came with the seed;
+    /// the paper states no copy rate, and no row fixes it alone: guest
+    /// memory reads and writes, the buffer cache's callers and the video
+    /// server (Figure 6) pay it per byte.
     CopyByte,
     /// Moving one byte over programmed I/O (word-at-a-time to the FORE card;
-    /// limits usable ATM bandwidth to ~53 Mb/s).
+    /// limits usable ATM bandwidth to ~53 Mb/s). Checked against §5.3's
+    /// PIO-limited ATM bandwidth of roughly 53 Mb/s, which it is (8 bits
+    /// per 150 ns); Table 5's ATM rows pay it per byte (SPIN 23.9 Mb/s
+    /// against the paper's 33).
     PioByte,
-    /// Setting up one DMA transfer (descriptor write + doorbell).
+    /// Setting up one DMA transfer (descriptor write + doorbell). Came with
+    /// the seed; no row fixes it alone: Table 5's Ethernet rows pay one per
+    /// frame.
     DmaSetup,
-    /// Fielding one device interrupt (dispatch to the handler, EOI).
+    /// Fielding one device interrupt (dispatch to the handler, EOI). Came
+    /// with the seed; no row fixes it alone: every Table 5 latency row pays
+    /// it, bounded by §5.3's minimum round trip (≈ 250 µs on Ethernet,
+    /// 100 µs on ATM).
     InterruptOverhead,
-    /// Disk: average seek time.
+    /// Disk: average seek time. Came with the seed as an HP C2247-class
+    /// drive's; the paper times no disk operation, so no row checks it or
+    /// the two disk kinds below. Figure 6's and the web server's cold
+    /// reads pay all three.
     DiskSeek,
-    /// Disk: average rotational delay (5400 RPM class).
+    /// Disk: average rotational delay (5400 RPM class: half a turn). See
+    /// [`Cost::DiskSeek`].
     DiskRotation,
-    /// Disk: transfer of one 8 KB block at ~4 MB/s.
+    /// Disk: transfer of one 8 KB block at ~4 MB/s. See
+    /// [`Cost::DiskSeek`].
     DiskBlockTransfer,
     /// Dispatcher: fixed cost of an event raise that cannot use the
     /// direct-call fast path (handler list lookup). Came with the seed; no
@@ -122,7 +151,9 @@ pub enum Cost {
     HandlerInvoke,
     /// One-way latency of a cross-core call (inter-processor interrupt +
     /// mailbox write). Also the conservative-PDES lookahead floor: no
-    /// cross-shard effect lands sooner than this.
+    /// cross-shard effect lands sooner than this. Not a paper number: the
+    /// paper measured a uniprocessor. It came with the per-core shards,
+    /// and no row checks it.
     XcallLatency,
     /// Fitted, not calibrated: no paper row names it. The user-level
     /// descriptor bookkeeping an integrated C-Threads operation pays on

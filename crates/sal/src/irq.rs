@@ -14,12 +14,12 @@
 //! second registration is refused. An interrupt reads its vector's slot —
 //! one load — when its turn comes, so a handler registered by an earlier
 //! handler is found by every interrupt after it; one whose vector has no
-//! handler then is counted dropped.
+//! handler then is charged and dispatched to nothing.
 
 use crate::clock::Clock;
 use crate::cost::Cost;
 use spin_check::hooks::HookSlot;
-use spin_check::sync::{AtomicU64, AtomicUsize, Mutex, Ordering};
+use spin_check::sync::{AtomicUsize, Mutex, Ordering};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -45,8 +45,6 @@ struct Irqs {
     queued: AtomicUsize,
     /// One write-once handler slot per vector, read with one load.
     handlers: [HookSlot<IrqHandler>; VECTORS],
-    /// Interrupts that found no handler at their turn.
-    dropped: AtomicU64,
 }
 
 /// The interrupt controller for one simulated host.
@@ -64,7 +62,6 @@ impl IrqController {
                 pending: Mutex::default(),
                 queued: AtomicUsize::new(0),
                 handlers: std::array::from_fn(|_| HookSlot::new()),
-                dropped: AtomicU64::new(0),
             }),
             clock,
         }
@@ -118,26 +115,13 @@ impl IrqController {
             for vector in &batch[..taken] {
                 self.clock.charge(Cost::InterruptOverhead, 1);
                 dispatched += 1;
-                match self
-                    .inner
-                    .handlers
-                    .get(vector.0 as usize)
-                    .and_then(HookSlot::get)
-                {
-                    Some(handler) => handler(),
-                    // ordering: Relaxed — a statistic; it publishes nothing.
-                    None => _ = self.inner.dropped.fetch_add(1, Ordering::Relaxed),
+                let slot = self.inner.handlers.get(vector.0 as usize);
+                if let Some(handler) = slot.and_then(HookSlot::get) {
+                    handler();
                 }
             }
         }
         dispatched
-    }
-
-    /// Number of interrupts dropped for lack of a handler.
-    #[cfg(test)]
-    pub(crate) fn dropped(&self) -> u64 {
-        // ordering: Relaxed — a statistic; it publishes nothing.
-        self.inner.dropped.load(Ordering::Relaxed)
     }
 }
 
@@ -145,6 +129,7 @@ impl IrqController {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use spin_check::sync::Counter;
     use std::collections::BTreeMap;
 
     fn ctl() -> IrqController {
@@ -168,16 +153,21 @@ mod tests {
     }
 
     /// A vector with no handler, inside the table or past it, is
-    /// dispatched, charged and counted dropped.
+    /// dispatched and charged, and runs nothing: the dispatch counts three
+    /// interrupts and one handler call.
     #[test]
     fn unhandled_interrupts_are_counted() {
         let c = ctl();
         assert!(!c.register(IrqVector(VECTORS as u32), || {}), "no slot");
+        let calls = Arc::new(Counter::default());
+        let calls2 = calls.clone();
+        assert!(c.register(IrqVector(1), move || calls2.add(1)));
         c.post(IrqVector(3));
         c.post(IrqVector(9));
-        assert_eq!(c.dispatch_pending(), 2);
-        assert_eq!(c.dropped(), 2);
-        assert_eq!(c.clock.now(), 2 * Cost::InterruptOverhead.ns());
+        c.post(IrqVector(1));
+        assert_eq!(c.dispatch_pending(), 3);
+        assert_eq!(calls.get(), 1, "the two unhandled interrupts ran nothing");
+        assert_eq!(c.clock.now(), 3 * Cost::InterruptOverhead.ns());
     }
 
     #[test]
@@ -195,22 +185,21 @@ mod tests {
         c.post(IrqVector(2));
         assert_eq!(c.dispatch_pending(), 2);
         assert_eq!(*log.lock(), ["first", "first"]);
-        assert_eq!(c.dropped(), 0);
     }
 
     /// Interrupts of one batch find their handlers at their own turn: the
     /// handler of the first registers one for a vector that had none, and
-    /// the later interrupts of the batch run it.
+    /// the later interrupts of the batch run it. Of the five dispatched, the
+    /// one before the registration runs nothing.
     #[test]
     fn a_handler_registered_mid_batch_is_found_by_the_later_interrupts_of_its_batch() {
         let c = ctl();
-        let ran = Arc::new(AtomicUsize::new(0));
+        let ran = Arc::new(Counter::default());
         let (c2, ran2) = (c.clone(), ran.clone());
         assert!(c.register(IrqVector(1), move || {
             let ran = ran2.clone();
             let taken = c2.register(IrqVector(2), move || {
-                // ordering: Relaxed — test plumbing; dispatch_pending's return is the sync.
-                ran.fetch_add(1, Ordering::Relaxed);
+                ran.add(1);
             });
             assert!(taken, "vector 2 had no handler");
         }));
@@ -220,25 +209,23 @@ mod tests {
             c.post(IrqVector(2));
         }
         assert_eq!(c.dispatch_pending(), 5, "one batch");
-        assert_eq!(c.dropped(), 1, "only the interrupt before the registration");
-        assert_eq!(ran.load(Ordering::Relaxed), 3); // ordering: Relaxed — test plumbing; dispatch_pending's return is the sync.
+        assert_eq!(ran.get(), 3);
     }
 
     #[test]
     fn handlers_may_post_more_interrupts() {
         let c = ctl();
-        let count = Arc::new(AtomicUsize::new(0));
+        let count = Arc::new(Counter::default());
         let c2 = c.clone();
         let count2 = count.clone();
         assert!(c.register(IrqVector(1), move || {
-            // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-            if count2.fetch_add(1, Ordering::Relaxed) == 0 {
+            if count2.fetch_add(1) == 0 {
                 c2.post(IrqVector(1));
             }
         }));
         c.post(IrqVector(1));
         assert_eq!(c.dispatch_pending(), 2);
-        assert_eq!(count.load(Ordering::Relaxed), 2); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(count.get(), 2);
     }
 
     #[test]
@@ -261,7 +248,6 @@ mod tests {
     struct RetiredState {
         pending: VecDeque<IrqVector>,
         handlers: BTreeMap<IrqVector, Handler>,
-        dropped: u64,
     }
 
     /// The retired dispatch — one critical section per interrupt, which
@@ -278,7 +264,6 @@ mod tests {
         fn register(&self, vector: IrqVector, handler: Handler) -> bool;
         fn post(&self, vector: IrqVector);
         fn dispatch_pending(&self) -> usize;
-        fn dropped(&self) -> u64;
         fn has_pending(&self) -> bool;
         fn clock(&self) -> &Clock;
     }
@@ -292,9 +277,6 @@ mod tests {
         }
         fn dispatch_pending(&self) -> usize {
             IrqController::dispatch_pending(self)
-        }
-        fn dropped(&self) -> u64 {
-            IrqController::dropped(self)
         }
         fn has_pending(&self) -> bool {
             IrqController::has_pending(self)
@@ -322,9 +304,7 @@ mod tests {
                     let Some(vector) = st.pending.pop_front() else {
                         break;
                     };
-                    let handler = st.handlers.get(&vector).cloned();
-                    st.dropped += u64::from(handler.is_none());
-                    handler
+                    st.handlers.get(&vector).cloned()
                 };
                 self.clock.charge(Cost::InterruptOverhead, 1);
                 if let Some(f) = handler {
@@ -333,9 +313,6 @@ mod tests {
                 dispatched += 1;
             }
             dispatched
-        }
-        fn dropped(&self) -> u64 {
-            self.state.lock().dropped
         }
         fn has_pending(&self) -> bool {
             !self.state.lock().pending.is_empty()
@@ -406,14 +383,15 @@ mod tests {
     /// Registers handlers for the vectors in `registered`, posts `posts`,
     /// dispatches until nothing is pending, and returns everything
     /// observable: each handler call (vector, version, time), each
-    /// registration's outcome, each pass's count, and the dropped total.
+    /// registration's outcome and each pass's count (the interrupts that
+    /// ran no handler are the passes' sum less the calls).
     #[allow(clippy::type_complexity)]
     fn transcript<C: Controller>(
         c: C,
         registered: &[u32],
         posts: &[u32],
         script: &[Then],
-    ) -> (Vec<(u32, u32, u64)>, Vec<(u32, bool)>, Vec<usize>, u64) {
+    ) -> (Vec<(u32, u32, u64)>, Vec<(u32, bool)>, Vec<usize>) {
         let (script, log): (_, Log) = (Arc::new(script.to_vec()), Arc::default());
         for &v in registered {
             install(&c, v, 0, &script, &log);
@@ -426,7 +404,7 @@ mod tests {
             passes.push(c.dispatch_pending());
         }
         let seen = std::mem::take(&mut *log.lock());
-        (seen.calls, seen.taken, passes, c.dropped())
+        (seen.calls, seen.taken, passes)
     }
 
     proptest! {
@@ -436,8 +414,8 @@ mod tests {
         /// handlers (for their own vector, refused, or for one with no
         /// handler yet, taken) mid-dispatch, every interrupt runs the same
         /// handler version at the same virtual time, in the same order,
-        /// every registration has the same outcome, and the drop count
-        /// agrees.
+        /// every registration has the same outcome, and so as many
+        /// interrupts run no handler.
         #[test]
         fn a_batched_dispatch_runs_what_one_pop_at_a_time_ran(
             registered in proptest::collection::vec(0u32..4, 0..4),

@@ -37,7 +37,7 @@ pub fn install_async_runner(exec: &Arc<Executor>, dispatcher: &Dispatcher) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spin_check::sync::{AtomicU64, Mutex, Ordering};
+    use spin_check::sync::{Counter, Mutex};
     use spin_core::{Constraints, HandlerMode, Identity, InstallDecision};
     use spin_sal::SimBoard;
 
@@ -100,14 +100,14 @@ mod tests {
                 }),
             })
             .unwrap();
-        let progressed = Arc::new(AtomicU64::new(0));
+        let progressed = Arc::new(Counter::default());
         let p2 = progressed.clone();
         let e2 = exec.clone();
         ev.install(Identity::extension("runaway"), move |_| {
             let ctx = e2.current_ctx().expect("async handlers run on strands");
             for _ in 0..1000 {
                 ctx.work(1_000_000); // 1 ms per round: the deadline unwinds it
-                p2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                p2.add(1);
             }
         })
         .unwrap();
@@ -126,7 +126,7 @@ mod tests {
             "a deadline unwind is an abort, not a fault"
         );
         assert!(
-            progressed.load(Ordering::Relaxed) < 1000, // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            progressed.get() < 1000,
             "the handler was stopped mid-flight, not after it returned"
         );
     }

@@ -29,7 +29,7 @@
 //! Safe-point preemption keeps the simulation deadlock-free while
 //! preserving quantum semantics on the virtual timeline.
 
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use spin_check::sync::{AtomicBool, AtomicU64, Counter, Ordering};
 use spin_check::sync::{Condvar, Mutex};
 use spin_core::{BlockedInStep, DeadlineExceeded};
 use spin_fault::{FaultHook, Injection};
@@ -274,7 +274,7 @@ pub struct Executor {
     /// every step of `run_until` and every horizon read, with loads only.
     irqs: spin_check::hooks::HookRegistry<IrqController>,
     main_baton: Arc<Baton>,
-    next_id: AtomicU64,
+    next_id: Counter,
     /// Whether the running slice is a run-to-completion one, which may not
     /// give up the processor mid-call.
     stepping: AtomicBool,
@@ -317,7 +317,7 @@ impl Executor {
             }),
             irqs: spin_check::hooks::HookRegistry::new(),
             main_baton: Baton::new(),
-            next_id: AtomicU64::new(1),
+            next_id: Counter::new(1),
             stepping: AtomicBool::new(false),
             meter: Meter {
                 obs: spin_check::hooks::HookSlot::new(),
@@ -385,15 +385,15 @@ impl Executor {
     /// clock, so its charges become observed one by one.
     pub fn set_obs(&self, hook: ObsHook) {
         if self.meter.obs.set(hook.clone()) {
-            let cpu_ns = Arc::new(AtomicU64::new(0));
+            let cpu_ns = Arc::new(Counter::default());
             let charged = cpu_ns.clone();
             let id = self.clock.add_advance_hook(Box::new(move |charge| {
-                charged.fetch_add(charge.ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                charged.add(charge.ns);
             }));
             let _ = self.obs_charges.set(id);
             let me = self.me.clone();
             hook.read(move |t| {
-                t.cpu_virtual_ns += cpu_ns.load(Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                t.cpu_virtual_ns += cpu_ns.get();
                 t.context_switches += me.upgrade().map_or(0, |exec| exec.switches());
             });
         }
@@ -505,7 +505,7 @@ impl Executor {
         body: Body,
     ) -> StrandId {
         self.clock.charge(Cost::ThreadCreate, 1);
-        let id = StrandId(self.next_id.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let id = StrandId(self.next_id.fetch_add(1));
         let mut st = self.state.lock();
         st.strands.insert(
             id,
@@ -1010,11 +1010,11 @@ mod tests {
     #[test]
     fn strands_run_to_completion() {
         let e = exec();
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Arc::new(Counter::default());
         let f2 = flag.clone();
-        e.spawn("worker", move |_| f2.store(true, Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        e.spawn("worker", move |_| f2.add(1));
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(flag.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(flag.get(), 1);
     }
 
     #[test]
@@ -1198,23 +1198,21 @@ mod tests {
     #[test]
     fn spawn_from_within_a_strand() {
         let e = exec();
-        let flag = Arc::new(AtomicBool::new(false));
+        let flag = Arc::new(Counter::default());
         let f2 = flag.clone();
         e.spawn("parent", move |ctx| {
             let f3 = f2.clone();
-            let child = ctx
-                .executor()
-                .spawn("child", move |_| f3.store(true, Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            let child = ctx.executor().spawn("child", move |_| f3.add(1));
             ctx.join(child);
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(flag.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(flag.get(), 1);
     }
 
     #[test]
     fn deadline_unwinds_the_strand_at_a_safe_point() {
         let e = exec();
-        let reached_end = Arc::new(AtomicBool::new(false));
+        let reached_end = Arc::new(Counter::default());
         let r2 = reached_end.clone();
         let clock = e.clock().clone();
         let s = e.spawn("bounded", move |ctx| {
@@ -1222,13 +1220,13 @@ mod tests {
             for _ in 0..100 {
                 ctx.work(400_000); // the deadline check unwinds on round 3
             }
-            r2.store(true, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            r2.add(1);
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(!reached_end.load(Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-                                                       // The unwind escaped the strand body, so the strand is marked
-                                                       // panicked (an async handler's containment wrapper would have
-                                                       // caught it first and classified it as an abort).
+        assert_eq!(reached_end.get(), 0);
+        // The unwind escaped the strand body, so the strand is marked
+        // panicked (an async handler's containment wrapper would have
+        // caught it first and classified it as an abort).
         assert!(e.panicked(s));
     }
 
@@ -1242,12 +1240,12 @@ mod tests {
             spin_fault::SiteConfig::panic_always(),
         );
         e.set_fault_hook(hook);
-        let ran = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(Counter::default());
         let r2 = ran.clone();
-        let s = e.spawn("victim", move |_| r2.store(true, Ordering::Relaxed)); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        let s = e.spawn("victim", move |_| r2.add(1));
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert!(e.panicked(s), "the injected panic hit the strand");
-        assert!(!ran.load(Ordering::Relaxed), "the body never ran"); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(ran.get(), 0, "the body never ran");
         assert_eq!(plan.injected_panics(), 1);
     }
 
@@ -1417,15 +1415,15 @@ mod tests {
             spin_fault::SiteConfig::panic_always(),
         );
         e.set_fault_hook(plan.hook(spin_fault::SITE_SCHED));
-        let ran = Arc::new(AtomicBool::new(false));
+        let ran = Arc::new(Counter::default());
         let r2 = ran.clone();
         let victim = spawn_step(&e, "victim", move |_| {
-            r2.store(true, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            r2.add(1);
             Step::Block
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert!(e.panicked(victim) && e.is_done(victim));
-        assert!(!ran.load(Ordering::Relaxed), "the body never ran"); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(ran.get(), 0, "the body never ran");
         assert_eq!(plan.injected_panics(), 1);
         // The pump — this very thread — carries on with later strands.
         plan.set_enabled(false);

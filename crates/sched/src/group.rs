@@ -17,8 +17,8 @@
 use crate::events::{StrandEvents, StrandRef};
 use crate::executor::{Executor, StrandCtx};
 use crate::wait::WaitQueue;
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::Identity;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -74,9 +74,9 @@ pub struct PackageStats {
 pub struct TaskPackage {
     exec: Arc<Executor>,
     state: Arc<Mutex<PackageState>>,
-    resumes: Arc<AtomicU64>,
-    checkpoints: Arc<AtomicU64>,
-    tasks_run: Arc<AtomicU64>,
+    resumes: Arc<Counter>,
+    checkpoints: Arc<Counter>,
+    tasks_run: Arc<Counter>,
 }
 
 impl TaskPackage {
@@ -94,7 +94,7 @@ impl TaskPackage {
             next_seq: 0,
             carrier: WaitQueue::default(),
         }));
-        let tasks_run = Arc::new(AtomicU64::new(0));
+        let tasks_run = Arc::new(Counter::default());
         let st2 = state.clone();
         let tr2 = tasks_run.clone();
         let carrier = exec.spawn_on(spin_sal::HostId(0), name, priority, move |ctx| {
@@ -105,7 +105,7 @@ impl TaskPackage {
                     |st| st.queue.pop().map_or(Poll::Pending, Poll::Ready),
                 );
                 (task.body)(ctx);
-                tr2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                tr2.add(1);
 
                 // A preemption safe point between tasks keeps the package
                 // honest with the global quantum.
@@ -116,8 +116,8 @@ impl TaskPackage {
 
         // Observe our carrier's Checkpoint/Resume through the dispatcher,
         // guarded to strands we hold a capability for (just the carrier).
-        let resumes = Arc::new(AtomicU64::new(0));
-        let checkpoints = Arc::new(AtomicU64::new(0));
+        let resumes = Arc::new(Counter::default());
+        let checkpoints = Arc::new(Counter::default());
         let (r2, c2) = (resumes.clone(), checkpoints.clone());
         let me = carrier;
         events
@@ -126,7 +126,7 @@ impl TaskPackage {
                 Identity::extension(name),
                 move |s: &StrandRef| s.0 == me,
                 move |_| {
-                    r2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    r2.add(1);
                 },
             )
             .expect("install resume observer");
@@ -137,7 +137,7 @@ impl TaskPackage {
                 Identity::extension(name),
                 move |s: &StrandRef| s.0 == me,
                 move |_| {
-                    c2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    c2.add(1);
                 },
             )
             .expect("install checkpoint observer");
@@ -173,9 +173,9 @@ impl TaskPackage {
     // paper: §4.2, an application-specific scheduler stacked on the global one.
     pub fn stats(&self) -> PackageStats {
         PackageStats {
-            resumes: self.resumes.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            checkpoints: self.checkpoints.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            tasks_run: self.tasks_run.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            resumes: self.resumes.get(),
+            checkpoints: self.checkpoints.get(),
+            tasks_run: self.tasks_run.get(),
         }
     }
 }

@@ -62,7 +62,7 @@
 //! rollback.
 
 use crate::executor::{Executor, IdleOutcome};
-use spin_check::sync::{AtomicU64, Ordering};
+use spin_check::sync::{AtomicU64, Counter, Ordering};
 use spin_fault::{FaultHook, Injection};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -138,8 +138,8 @@ pub struct Multicore {
     shards: Vec<Shard>,
     workers: usize,
     lookahead: Nanos,
-    epochs: Arc<AtomicU64>,
-    shard_runs: Arc<AtomicU64>,
+    epochs: Arc<Counter>,
+    shard_runs: Arc<Counter>,
 }
 
 impl Multicore {
@@ -154,8 +154,8 @@ impl Multicore {
             shards: Vec::new(),
             workers,
             lookahead,
-            epochs: Arc::new(AtomicU64::new(0)),
-            shard_runs: Arc::new(AtomicU64::new(0)),
+            epochs: Arc::default(),
+            shard_runs: Arc::default(),
         }
     }
 
@@ -248,9 +248,7 @@ impl Multicore {
     #[cfg(test)]
     pub(crate) fn wire_obs(&self, obs: &spin_obs::Obs) {
         let epochs = self.epochs.clone();
-        obs.register_gauge("shard_epochs_total", move || {
-            epochs.load(Ordering::Relaxed) // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        });
+        obs.register_gauge("shard_epochs_total", move || epochs.get());
         let boxes: Vec<spin_sal::Mailbox> = self
             .shards
             .iter()
@@ -286,8 +284,8 @@ impl Multicore {
     /// Counters for the run so far.
     pub fn stats(&self) -> MulticoreStats {
         let mut s = MulticoreStats {
-            epochs: self.epochs.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            shard_runs: self.shard_runs.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            epochs: self.epochs.get(),
+            shard_runs: self.shard_runs.get(),
             ..Default::default()
         };
         for sh in &self.shards {
@@ -434,12 +432,10 @@ impl Multicore {
         if gvt >= deadline {
             return Some(IdleOutcome::DeadlineReached);
         }
-        self.epochs.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.epochs.add(1);
         fill_grants(next, gvt, self.lookahead, deadline, plan);
         assert!(!plan.is_empty(), "the GVT shard always qualifies");
-        // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.shard_runs
-            .fetch_add(plan.len() as u64, Ordering::Relaxed);
+        self.shard_runs.add(plan.len() as u64);
         for &(idx, _) in plan.iter() {
             let sh = &self.shards[idx];
             sh.host.mailbox.drain_onto(&sh.host.timers);
@@ -533,6 +529,7 @@ fn fill_grants(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use spin_check::sync::Mutex;
     use spin_sal::{MulticoreBoard, SimBoard};
 
     /// The grant rule as first written — a filtered min over the peers for
@@ -635,14 +632,14 @@ mod tests {
     fn cross_shard_action(workers: usize, legal: bool) -> Nanos {
         let (board, mc) = rig(workers, 2);
         let mc = Arc::new(mc);
-        let fired = Arc::new(AtomicU64::new(0));
+        let fired = Arc::new(Mutex::new(0));
         let (a, b) = (&mc.shards()[0].host, &mc.shards()[1].host);
         let (clock_a, clock_b, timers_b) = (a.clock.clone(), b.clock.clone(), b.timers.clone());
         let (f, target, l, runtime) = (fired.clone(), b.id, board.lookahead(), Arc::downgrade(&mc));
         mc.shards()[0].exec.spawn("poster", move |ctx| {
             ctx.work(5_000);
             let at = clock_a.now() + l;
-            let action = move |_| f.store(clock_b.now(), Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            let action = move |_| *f.lock() = clock_b.now();
             if legal {
                 assert!(runtime
                     .upgrade()
@@ -653,7 +650,8 @@ mod tests {
             }
         });
         assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-        fired.load(Ordering::Relaxed) // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        let fired = *fired.lock();
+        fired
     }
 
     /// The planner re-reads only the shards it ran (DESIGN.md #22); a debug
@@ -701,14 +699,14 @@ mod tests {
     #[test]
     fn single_shard_degenerates_to_run_until_idle() {
         let (_board, mc) = rig(1, 1);
-        let done = Arc::new(AtomicU64::new(0));
+        let done = Arc::new(Counter::default());
         let d = done.clone();
         mc.shards()[0].exec.spawn("solo", move |ctx| {
             ctx.work(10_000);
-            d.store(1, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            d.add(1);
         });
         assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-        assert_eq!(done.load(Ordering::Relaxed), 1); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+        assert_eq!(done.get(), 1);
     }
 
     /// Cross-shard ping over the wire: virtual arrival identical at 1, 2
@@ -731,7 +729,7 @@ mod tests {
                     .send(b_endpoint, bytes::Bytes::from_static(b"ping"))
                     .expect("fits mtu");
             });
-            let got = Arc::new(AtomicU64::new(0));
+            let got = Arc::new(Mutex::new(0));
             let g = got.clone();
             let clock_b = eb.clock().clone();
             eb.spawn("receiver", move |ctx| {
@@ -740,15 +738,12 @@ mod tests {
                 }
                 let f = b_nic.receive().expect("pending frame");
                 assert_eq!(&f.payload[..], b"ping");
-                g.store(clock_b.now(), Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                *g.lock() = clock_b.now();
             });
             assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
             let st = mc.stats();
-            (
-                got.load(Ordering::Relaxed), // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
-                eb.clock().now(),
-                st.mail_posted,
-            )
+            let got = *got.lock();
+            (got, eb.clock().now(), st.mail_posted)
         };
         let base = run(1);
         assert!(base.0 > 0, "frame arrived");
@@ -768,18 +763,19 @@ mod tests {
             let id = host.id;
             let exec = mc.add_host(host);
             exec.spawn("busy", |ctx| ctx.work(100_000));
-            let fired = Arc::new(AtomicU64::new(0));
+            let fired = Arc::new(Mutex::new(0));
             let f = fired.clone();
             let clock = exec.clock().clone();
             assert!(mc.post_control(id, 40_000, move |_| {
-                f.store(clock.now(), Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                *f.lock() = clock.now();
             }));
             assert!(
                 !mc.post_control(HostId(999), 40_000, |_| {}),
                 "unknown host is refused"
             );
             assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-            fired.load(Ordering::Relaxed) // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            let fired = *fired.lock();
+            fired
         };
         let base = run(1);
         assert!(base >= 40_000, "control action ran at its virtual instant");
@@ -861,11 +857,11 @@ mod tests {
             mc.wire_dispatcher(&disp_b, b_id);
             let (ev, owner) =
                 disp_b.define::<u64, u64>("Shard.Pokes", spin_core::Identity::kernel("b"));
-            let hits = Arc::new(AtomicU64::new(0));
+            let hits = Arc::new(Counter::default());
             let h = hits.clone();
             owner
                 .set_primary(move |x| {
-                    h.fetch_add(*x, Ordering::Relaxed); // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+                    h.add(*x);
                     *x
                 })
                 .expect("primary");
@@ -881,7 +877,7 @@ mod tests {
             });
             let _ = (eb, disp_b);
             assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
-            (hits.load(Ordering::Relaxed), mc.stats().mail_posted) // ordering: Relaxed — test plumbing; the join/assert sequencing is the sync.
+            (hits.get(), mc.stats().mail_posted)
         };
         let base = run(1);
         assert_eq!(run(2), base);

@@ -38,7 +38,7 @@
 #![forbid(unsafe_code)]
 
 use spin_check::hooks::HookSlot;
-use spin_check::sync::{AtomicU64, Mutex, Ordering};
+use spin_check::sync::{Counter, Mutex};
 use spin_core::{panic_message, Containment, DomainFaultInfo};
 use spin_core::{DispatchError, GatedEvent, Identity};
 use spin_fault::{FaultHook, FaultPlan, Injection, SITE_SWAP};
@@ -146,11 +146,11 @@ pub struct SwapStats {
 
 struct CoordinatorInner {
     clock: Clock,
-    attempted: AtomicU64,
-    committed: AtomicU64,
-    rolled_back: AtomicU64,
-    drain_ns: AtomicU64,
-    held_replayed: AtomicU64,
+    attempted: Counter,
+    committed: Counter,
+    rolled_back: Counter,
+    drain_ns: Counter,
+    held_replayed: Counter,
     obs: HookSlot<ObsHook>,
     faults: HookSlot<FaultHook>,
     containment: HookSlot<Arc<Containment>>,
@@ -192,11 +192,11 @@ impl SwapCoordinator {
         SwapCoordinator {
             inner: Arc::new(CoordinatorInner {
                 clock,
-                attempted: AtomicU64::new(0),
-                committed: AtomicU64::new(0),
-                rolled_back: AtomicU64::new(0),
-                drain_ns: AtomicU64::new(0),
-                held_replayed: AtomicU64::new(0),
+                attempted: Counter::default(),
+                committed: Counter::default(),
+                rolled_back: Counter::default(),
+                drain_ns: Counter::default(),
+                held_replayed: Counter::default(),
                 obs: HookSlot::new(),
                 faults: HookSlot::new(),
                 containment: HookSlot::new(),
@@ -211,7 +211,7 @@ impl SwapCoordinator {
         if !self.inner.obs.set(obs.domain("swap")) {
             return false;
         }
-        type GaugeRead = fn(&CoordinatorInner) -> &AtomicU64;
+        type GaugeRead = fn(&CoordinatorInner) -> &Counter;
         let gauges: [(&str, GaugeRead); 5] = [
             ("swap_attempted_total", |i| &i.attempted),
             ("swap_committed_total", |i| &i.committed),
@@ -221,8 +221,7 @@ impl SwapCoordinator {
         ];
         for (name, read) in gauges {
             let inner = self.inner.clone();
-            // ordering: Relaxed — monotonic statistic; render takes a snapshot, not a sync point.
-            obs.register_gauge(name, move || read(&inner).load(Ordering::Relaxed));
+            obs.register_gauge(name, move || read(&inner).get());
         }
         true
     }
@@ -246,11 +245,11 @@ impl SwapCoordinator {
     pub fn stats(&self) -> SwapStats {
         let i = &self.inner;
         SwapStats {
-            attempted: i.attempted.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            committed: i.committed.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            rolled_back: i.rolled_back.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            drain_virtual_ns: i.drain_ns.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-            held_replayed: i.held_replayed.load(Ordering::Relaxed), // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            attempted: i.attempted.get(),
+            committed: i.committed.get(),
+            rolled_back: i.rolled_back.get(),
+            drain_virtual_ns: i.drain_ns.get(),
+            held_replayed: i.held_replayed.get(),
         }
     }
 
@@ -267,7 +266,7 @@ impl SwapCoordinator {
     /// Must not be called from inside a handler of one of the gated
     /// events — the drain would wait on the caller's own raise.
     pub fn begin(&self, gates: Vec<Arc<dyn GatedEvent>>) -> SwapSession {
-        self.inner.attempted.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.attempted.add(1);
         self.trace(SwapPhase::Quiesce, gates.len() as u64);
         for g in &gates {
             let _ = g.quiesce();
@@ -367,11 +366,9 @@ impl SwapCoordinator {
         self.trace(SwapPhase::Resume, held);
         let replayed = session.resume_all();
         let drain_ns = self.inner.clock.now().saturating_sub(session.gated_at);
-        self.inner.drain_ns.fetch_add(drain_ns, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.inner
-            .held_replayed
-            .fetch_add(replayed, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.inner.committed.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.drain_ns.add(drain_ns);
+        self.inner.held_replayed.add(replayed);
+        self.inner.committed.add(1);
         self.trace(SwapPhase::Committed, replayed);
         Ok(SwapReport {
             held,
@@ -415,10 +412,8 @@ impl SwapCoordinator {
             undo();
         }
         let replayed = session.resume_all();
-        self.inner
-            .held_replayed
-            .fetch_add(replayed, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
-        self.inner.rolled_back.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+        self.inner.held_replayed.add(replayed);
+        self.inner.rolled_back.add(1);
         if let Some(containment) = self.inner.containment.get() {
             containment.note_external_fault(old_identity);
         }
@@ -744,10 +739,10 @@ mod tests {
         let d = Dispatcher::unmetered();
         let containment = Containment::install(&d, None, ContainmentPolicy::default());
         let sup = SwapSupervisor::install(&containment).unwrap();
-        let ran = Arc::new(AtomicU64::new(0));
+        let ran = Arc::new(Counter::default());
         let ran2 = ran.clone();
         sup.register_fallback("bad-ext", move || {
-            ran2.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — test counter.
+            ran2.add(1);
         });
 
         containment
@@ -769,10 +764,10 @@ mod tests {
             })
             .unwrap();
         // Nothing runs inside the raise; the fallback waits for the pump.
-        assert_eq!(ran.load(Ordering::Relaxed), 0); // ordering: Relaxed — test counter.
+        assert_eq!(ran.get(), 0);
         assert_eq!(sup.pending(), vec!["bad-ext", "no-fallback"]);
         assert_eq!(sup.pump(), 1);
-        assert_eq!(ran.load(Ordering::Relaxed), 1); // ordering: Relaxed — test counter.
+        assert_eq!(ran.get(), 1);
         assert!(sup.pending().is_empty());
         assert_eq!(sup.pump(), 0);
     }

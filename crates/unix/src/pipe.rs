@@ -1,14 +1,14 @@
 //! UNIX pipes over the kernel channel primitive.
 
-use spin_check::sync::{AtomicU32, Mutex, Ordering};
+use spin_check::sync::{AtomicUsize, Mutex, Ordering};
 use spin_sched::{Executor, KChannel, StrandCtx};
 use std::sync::Arc;
 
 /// A pipe: a bounded byte stream with reference-counted ends.
 pub(crate) struct Pipe {
     chunks: Arc<KChannel<Vec<u8>>>,
-    readers: AtomicU32,
-    writers: AtomicU32,
+    readers: AtomicUsize,
+    writers: AtomicUsize,
     /// Residual bytes from a partially-consumed chunk.
     residue: Mutex<Vec<u8>>,
 }
@@ -18,8 +18,8 @@ impl Pipe {
     pub(crate) fn new(exec: Arc<Executor>) -> Arc<Pipe> {
         Arc::new(Pipe {
             chunks: KChannel::new(exec, 16),
-            readers: AtomicU32::new(1),
-            writers: AtomicU32::new(1),
+            readers: AtomicUsize::new(1),
+            writers: AtomicUsize::new(1),
             residue: Mutex::new(Vec::new()),
         })
     }

@@ -12,8 +12,8 @@
 
 use crate::pipe::Pipe;
 use crate::proc::{Fd, Pid, Proc, ProcState};
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU32, Ordering};
 use spin_core::{Identity, Kernel};
 use spin_fs::{FileSystem, FsError};
 use spin_sal::Protection;
@@ -66,7 +66,7 @@ pub struct UnixServer {
     vm: UnixAsExtension,
     fs: FileSystem,
     state: Arc<Mutex<ServerState>>,
-    next_pid: Arc<AtomicU32>,
+    next_pid: Arc<Counter>,
 }
 
 impl UnixServer {
@@ -85,7 +85,7 @@ impl UnixServer {
             state: Arc::new(Mutex::new(ServerState {
                 procs: BTreeMap::new(),
             })),
-            next_pid: Arc::new(AtomicU32::new(1)),
+            next_pid: Arc::new(Counter::new(1)),
         };
         // getpid(pid) and brk-query are pure register calls; install them
         // in the server's band as the paper's server does.
@@ -116,7 +116,7 @@ impl UnixServer {
 
     /// Creates the initial process (the paper's server boots `init`).
     pub fn spawn_init(&self) -> Pid {
-        let pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let pid = Pid(self.next_pid.fetch_add(1) as u32);
         let space = self.vm.create();
         self.state
             .lock()
@@ -128,7 +128,7 @@ impl UnixServer {
     /// `fork`: a child with a copy-on-write image of the parent and
     /// duplicated descriptors.
     pub fn fork(&self, parent: Pid) -> Result<Pid, UnixError> {
-        let child_pid = Pid(self.next_pid.fetch_add(1, Ordering::Relaxed)); // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+        let child_pid = Pid(self.next_pid.fetch_add(1) as u32);
         let (child_space, fds) = {
             let st = self.state.lock();
             let p = st.procs.get(&parent).ok_or(UnixError::NoSuchProcess)?;

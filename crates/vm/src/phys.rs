@@ -17,7 +17,7 @@
 //! [`PhysAddrService::reclaim`].
 
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicBool, AtomicU64, Ordering};
+use spin_check::sync::{AtomicBool, Counter, Ordering};
 use spin_core::{Dispatcher, Event, Identity};
 use spin_sal::{FrameId, PhysMem};
 use std::sync::Arc;
@@ -116,7 +116,7 @@ struct FreeList {
 pub struct PhysAddrService {
     mem: PhysMem,
     state: Arc<Mutex<FreeList>>,
-    next_id: Arc<AtomicU64>,
+    next_id: Arc<Counter>,
     /// `PhysAddr.Reclaim`.
     pub reclaim_event: Event<ReclaimRequest, Arc<PhysRegion>>,
 }
@@ -136,7 +136,7 @@ impl PhysAddrService {
         PhysAddrService {
             mem,
             state: Arc::new(Mutex::new(FreeList { free })),
-            next_id: Arc::new(AtomicU64::new(1)),
+            next_id: Arc::new(Counter::new(1)),
             reclaim_event,
         }
     }
@@ -161,7 +161,7 @@ impl PhysAddrService {
             self.mem.zero(f);
         }
         Ok(Arc::new(PhysRegion {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed), // ordering: Relaxed — allocates a unique id; the handle carrying it is published separately.
+            id: self.next_id.fetch_add(1),
             frames,
             live: AtomicBool::new(true),
         }))

@@ -18,8 +18,8 @@
 use crate::phys::{PhysError, PhysRegion};
 use crate::virt::VirtRegion;
 use spin_check::hooks::HookSlot;
+use spin_check::sync::Counter;
 use spin_check::sync::Mutex;
-use spin_check::sync::{AtomicU64, Ordering};
 use spin_core::{Dispatcher, Event, EventOwner, Identity};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Access, ContextId, MmuFault, Pte};
@@ -108,7 +108,7 @@ pub struct TranslationService {
     /// path then pays one atomic load. Charges zero virtual time.
     obs: Arc<HookSlot<ObsHook>>,
     /// Faults delivered to handlers: the vm domain's `vm_faults` row.
-    faults: Arc<AtomicU64>,
+    faults: Arc<Counter>,
 }
 
 impl TranslationService {
@@ -147,7 +147,7 @@ impl TranslationService {
             },
             owners: Arc::new((pnp_o, bad_o, prot_o)),
             obs: Arc::new(HookSlot::new()),
-            faults: Arc::new(AtomicU64::new(0)),
+            faults: Arc::default(),
         }
     }
 
@@ -163,7 +163,7 @@ impl TranslationService {
     pub fn set_obs(&self, hook: ObsHook) {
         if self.obs.set(hook.clone()) {
             let book = self.faults.clone();
-            hook.read(move |t| t.vm_faults += book.load(Ordering::Relaxed)); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+            hook.read(move |t| t.vm_faults += book.get());
         }
     }
 
@@ -389,7 +389,7 @@ impl TranslationService {
                     if attempt == 1 {
                         return Err(VmError::Unresolved { info, kind });
                     }
-                    self.faults.fetch_add(1, Ordering::Relaxed); // ordering: Relaxed — monotonic statistic; readers take a snapshot, not a sync point.
+                    self.faults.add(1);
                     if let Some(obs) = self.obs.get() {
                         obs.trace(TraceKind::VmFault, va, kind as u64);
                     }

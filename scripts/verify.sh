@@ -113,18 +113,17 @@ emits() {
     done
 }
 
-# golden <bin> <name> [extra]: BENCH_<name>.json holds virtual-time numbers
+# golden <bin> <name> [again]: BENCH_<name>.json holds virtual-time numbers
 # only and must match the checked-in golden byte for byte — the cost-model
 # invariant: no instrumentation, containment, shard, swap or quota
 # machinery may move a reported number. The storm bins also exit nonzero
 # on a dropped packet, an unreconciled ledger or any divergence between
-# 1, 2 and 4 workers. `extra` names a second, wall-clock report that must
-# be emitted but is never diffed; `again` names a wrapper (`one_cpu`) under
-# which the bin is run and diffed a second time.
+# 1, 2 and 4 workers. `again` names a wrapper (`one_cpu`) under which the
+# bin is run and diffed a second time.
 golden() {
-    local bin="$1" name="$2" extra="${3:-}" again="${4:-}" pin
+    local bin="$1" name="$2" again="${3:-}" pin
     for pin in "" $again; do
-        PIN="$pin" emits "$bin" "BENCH_$name.json" ${extra:+"BENCH_$extra.json"}
+        PIN="$pin" emits "$bin" "BENCH_$name.json"
         diff -u "scripts/goldens/BENCH_$name.json" "$SMOKE_DIR/BENCH_$name.json" || {
             echo "verify: $bin diverged from scripts/goldens/BENCH_$name.json" >&2
             return 1
@@ -136,8 +135,9 @@ golden() {
 # facade, O1 ordering justifications, U1 unsafe containment, C1 charge
 # coverage, P1 dead `pub` surface, P2 unused dependencies) must report
 # zero findings, and its machine-readable report (with the per-crate
-# `pub`-item counts) must match the golden byte for byte — so an
-# allowlist entry, or surface growth, can never slip in silently. P1 is
+# `pub`-item and `Ordering::`-site counts) must match the golden byte for
+# byte — so an allowlist entry, surface growth or a new hand-argued
+# memory ordering can never slip in silently. P1 is
 # the ratchet: a new `pub` item that nothing outside its crate names,
 # and no `// paper:` line keeps, is a finding.
 lint_gate() {
@@ -196,7 +196,7 @@ perf_smoke() {
 }
 gate perf-smoke perf_smoke
 
-# bin:golden[:extra[:again]]. table1_sizes counts source lines and
+# bin:golden[:again]. table1_sizes counts source lines and
 # s7_multicore reports wall-clock speedup, so neither has a golden; they
 # only have to run clean and emit.
 for pair in \
@@ -208,12 +208,12 @@ for pair in \
     fig5_stack:fig5_stack \
     fig6_video:fig6_video \
     s3_web:s3_web \
-    s1_dispatcher_scaling:s1_dispatcher_scaling:dispatch_compiled \
+    s1_dispatcher_scaling:s1_dispatcher_scaling \
     s8_hotswap:hotswap \
-    s9_overload:overload::one_cpu \
+    s9_overload:overload:one_cpu \
     s10_webscale:webscale; do
-    IFS=: read -r bin name extra again <<<"$pair"
-    gate "golden:$bin" golden "$bin" "$name" "$extra" "$again"
+    IFS=: read -r bin name again <<<"$pair"
+    gate "golden:$bin" golden "$bin" "$name" "$again"
 done
 # The eight examples put real frames on the wire and self-assert; clippy
 # compiles them and nothing else runs them.

@@ -217,12 +217,11 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
 
     // Warmup: fault the two files through the object cache before the
     // storm, so no storm request ever blocks the server strand on disk.
-    let warm_ok = Arc::new(Counter::default());
-    {
+    let warmup = {
         let tcp = tcps[1].clone();
-        let wk = warm_ok.clone();
         shards[1].exec.spawn("warmup", move |ctx| {
             ctx.sleep(WARM_AT);
+            let mut ok = 0;
             for path in ["/f6", "/f7"] {
                 let conn = tcp.connect(ctx, server_ip, SERVER_PORT).expect("warm up");
                 let _ = conn.send(ctx, format!("GET {path} HTTP/1.0\r\n\r\n").as_bytes());
@@ -232,11 +231,12 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
                 }
                 conn.close(ctx);
                 if parse_status(&resp) == 200 {
-                    wk.add(1);
+                    ok += 1;
                 }
             }
-        });
-    }
+            ok
+        })
+    };
 
     // The storm: per-shard 64-strand pools; strand s owns connection
     // indices s, s+POOL, s+2·POOL, …
@@ -339,7 +339,7 @@ fn run(workers: usize, per_shard: u64) -> VirtualOutputs {
         "the idle sweep reaps exactly the slowloris population"
     );
     assert_eq!(ok + shed + slow, total);
-    assert_eq!(warm_ok.get(), 2, "warmup faulted both files");
+    assert_eq!(warmup.join().ok(), Some(2), "warmup faulted both files");
 
     // Quota ledger reconciliation (PR-8's identity, held exact).
     let quota = cell.snapshot();

@@ -6,7 +6,6 @@
 //! DEC OSF/1 that relies on the operating system's caching file system
 //! takes about 8 milliseconds per request for the same cached file."
 
-use parking_lot::Mutex;
 use spin_baseline::Osf1Model;
 use spin_bench::{render_table, JsonReport, Row};
 use spin_fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
@@ -41,18 +40,20 @@ fn main() {
 
     let dst = rig.b.ip_on(Medium::Ethernet);
     let clock = rig.exec.clock().clone();
-    let times = Arc::new(Mutex::new(Vec::new()));
-    let t2 = times.clone();
-    rig.exec.spawn("browser", move |ctx| {
-        for _ in 0..4 {
-            let t0 = clock.now();
-            http_get(ctx, &tcp_a, dst, 80, "/page.html").expect("200");
-            t2.lock().push(clock.now() - t0);
-        }
+    let browser = rig.exec.spawn("browser", move |ctx| {
+        (0..4)
+            .map(|_| {
+                let t0 = clock.now();
+                http_get(ctx, &tcp_a, dst, 80, "/page.html").expect("200");
+                clock.now() - t0
+            })
+            .collect::<Vec<_>>()
     });
     rig.exec.run_until_idle();
 
-    let t = times.lock();
+    let t = browser
+        .join()
+        .expect("the browser returns its request times");
     let uncached_ms = t[0] as f64 / 1e6;
     let cached_ms = t[1..].iter().sum::<u64>() as f64 / (t.len() - 1) as f64 / 1e6;
     let model = Osf1Model;

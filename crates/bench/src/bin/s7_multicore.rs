@@ -78,9 +78,7 @@ fn run(workers: usize) -> (VirtualOutputs, f64) {
         let reply = spin_net::UdpSocket::bind(&a, 9000, "client", 4).expect("bind client");
         let b_ip = b.ip_on(Medium::Ethernet);
         let clock = host_a.clock.clone();
-        let result: Arc<Mutex<(u64, Nanos)>> = Arc::new(Mutex::new((0, 0)));
-        let r2 = result.clone();
-        exec_a.spawn("client", move |ctx| {
+        let client = exec_a.spawn("client", move |ctx| {
             a.udp_send(9000, b_ip, 7, &[0u8; 16]).unwrap();
             reply.recv(ctx); // warm-up
             let mut sum = 0u64;
@@ -93,17 +91,17 @@ fn run(workers: usize) -> (VirtualOutputs, f64) {
                 reply.recv(ctx);
                 rtt += clock.now() - t0;
             }
-            *r2.lock() = (sum, rtt / ROUNDS);
+            (sum, rtt / ROUNDS)
         });
-        chains.push((result, echo_sum));
+        chains.push((client, echo_sum));
     }
 
     let wall_ms = run_to_completion(&rig.mc);
     let virt = VirtualOutputs {
         chains: chains
-            .iter()
-            .map(|(res, echo)| {
-                let (sum, rtt) = *res.lock();
+            .into_iter()
+            .map(|(client, echo)| {
+                let (sum, rtt) = client.join().expect("the client returns");
                 (sum, *echo.lock(), rtt)
             })
             .collect(),

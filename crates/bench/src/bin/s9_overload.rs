@@ -351,12 +351,7 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
 
     // Server-shard strands: equal priority, equal work. Armed, the
     // greedy one is demoted behind the sweeper for the storm's duration.
-    let cruncher_done: Arc<Mutex<Nanos>> = Arc::default();
-    let sweeper_done: Arc<Mutex<Nanos>> = Arc::default();
-    for (name, done) in [
-        ("greedy-cruncher", cruncher_done.clone()),
-        ("svc-sweeper", sweeper_done.clone()),
-    ] {
+    let [cruncher, sweeper] = ["greedy-cruncher", "svc-sweeper"].map(|name| {
         let clk = clock0.clone();
         exec0.spawn(name, move |ctx| {
             ctx.sleep(STRAND_START);
@@ -366,9 +361,9 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
                 // the strand through the executor's quota hook.
                 ctx.preempt_point();
             }
-            *done.lock() = clk.now();
-        });
-    }
+            clk.now()
+        })
+    });
 
     // Tenant senders: heavy-tailed storms of timestamped raises.
     for t in 0..TENANTS {
@@ -472,8 +467,8 @@ fn run(workers: usize, scenario: Scenario) -> (VirtualOutputs, f64) {
         bulk_shed: bulk_shed.get(),
         bulk_delivered: bulk_delivered.get(),
         demoted: demoted.get(),
-        cruncher_done: *cruncher_done.lock(),
-        sweeper_done: *sweeper_done.lock(),
+        cruncher_done: cruncher.join().expect("the cruncher finishes"),
+        sweeper_done: sweeper.join().expect("the sweeper finishes"),
         pumped,
         quarantined_at_pump,
         swaps_committed: coord.stats().committed,

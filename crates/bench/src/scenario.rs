@@ -23,10 +23,11 @@ use spin_net::{
 };
 use spin_obs::Obs;
 use spin_sal::{Clock, Nanos, SimBoard, PAGE_SHIFT};
-use spin_sched::{measure_fork_join, measure_ping_pong, measure_xas_call, Executor, ThreadPackage};
+use spin_sched::{
+    measure_fork_join, measure_ping_pong, measure_xas_call, Executor, IdleOutcome, ThreadPackage,
+};
 use spin_swap::{SwapCoordinator, UndoAction};
 use spin_vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService, VmWorkbench};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The echo port every UDP workload serves on; a watcher guarding
@@ -44,7 +45,7 @@ const RTT_ROUNDS: u32 = 16;
 /// count of how often the pass-through scheduler hook was consulted.
 pub struct QuotaWiring {
     pub ledger: QuotaLedger,
-    pub hook_calls: Arc<AtomicU64>,
+    pub hook_calls: Arc<Counter>,
 }
 
 /// The swap half of a [`Wiring`]: every idle [`SwapCoordinator`] the kit
@@ -115,7 +116,7 @@ impl Wiring {
             }
             QuotaWiring {
                 ledger,
-                hook_calls: Arc::new(AtomicU64::new(0)),
+                hook_calls: Arc::new(Counter::default()),
             }
         });
         Wiring {
@@ -186,8 +187,7 @@ impl Wiring {
         if let Some(q) = &self.quota {
             let calls = q.hook_calls.clone();
             exec.set_quota_hook(Arc::new(move |_name, base, _now| {
-                // ordering: Relaxed — `tests/invariance_matrix.rs` loads it after the run's join, its only reader.
-                calls.fetch_add(1, Ordering::Relaxed);
+                calls.add(1);
                 base
             }));
         }
@@ -389,9 +389,7 @@ fn pager_demand(w: &Wiring) -> Nanos {
     let clock = exec.clock().clone();
     let mem = host.mem.clone();
     let base = region.base();
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = out.clone();
-    exec.spawn("reader", move |_| {
+    let reader = exec.spawn("reader", move |_| {
         let t0 = clock.now();
         let mut buf = [0u8; 1];
         for p in 0..PAGES {
@@ -399,11 +397,10 @@ fn pager_demand(w: &Wiring) -> Nanos {
                 .read(ctx, base + (p << PAGE_SHIFT), &mut buf, &mem)
                 .expect("page in");
         }
-        *o2.lock() = clock.now() - t0;
+        clock.now() - t0
     });
     exec.run_until_idle();
-    let elapsed = *out.lock();
-    elapsed
+    reader.join().expect("the reader returns its elapsed time")
 }
 
 /// Table 5's SPIN rows: 16-byte UDP round trips (ns) and reliable receive
@@ -449,9 +446,7 @@ fn ping(
     rounds: u64,
 ) -> Nanos {
     let (client, reply, clock) = (client.clone(), reply.clone(), exec.clock().clone());
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = out.clone();
-    exec.spawn("driver", move |ctx| {
+    let driver = exec.spawn("driver", move |ctx| {
         let t0 = clock.now();
         for _ in 0..rounds {
             client
@@ -459,11 +454,12 @@ fn ping(
                 .expect("send ping");
             reply.recv(ctx);
         }
-        *o2.lock() = (clock.now() - t0) / rounds;
+        (clock.now() - t0) / rounds
     });
     exec.run_until_idle();
-    let rtt = *out.lock();
-    rtt
+    driver
+        .join()
+        .expect("the driver returns its mean round trip")
 }
 
 /// Table 6, UDP: the client on A sends to the in-stack forwarder on B,
@@ -541,13 +537,13 @@ fn table6_tcp(w: &Wiring, medium: Medium) -> Nanos {
                     break;
                 }
             }
+            // Answer the client's FIN, or its close never returns.
+            conn.close(ctx);
         }
     });
     let b_ip = rig.b.ip_on(medium);
     let clock = rig.exec.clock().clone();
-    let out = Arc::new(Mutex::new(0u64));
-    let o2 = out.clone();
-    rig.exec.spawn("client", move |ctx| {
+    let client = rig.exec.spawn("client", move |ctx| {
         let conn = tcp_a.connect(ctx, b_ip, 80).expect("splice handshake");
         conn.send(ctx, &[0u8; 16]).unwrap();
         conn.recv(ctx); // warm-up
@@ -556,12 +552,14 @@ fn table6_tcp(w: &Wiring, medium: Medium) -> Nanos {
             conn.send(ctx, &[0u8; 16]).unwrap();
             conn.recv(ctx);
         }
-        *o2.lock() = (clock.now() - t0) / PING_ROUNDS;
+        let rtt = (clock.now() - t0) / PING_ROUNDS;
         conn.close(ctx);
+        rtt
     });
-    rig.exec.run_until_idle();
-    let rtt = *out.lock();
-    rtt
+    assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+    client
+        .join()
+        .expect("the client returns its mean round trip")
 }
 
 /// Table 6's SPIN rows in the paper's order: TCP Ethernet, TCP ATM, UDP

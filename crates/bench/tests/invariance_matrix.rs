@@ -18,7 +18,6 @@ use spin_fault::{
 };
 use spin_net::Medium;
 use spin_obs::Obs;
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 
 const OBS: u32 = 1;
@@ -147,7 +146,7 @@ fn assert_non_trivial(w: &Wiring) {
             "{label}: metered events saw only {attempts} admission attempts"
         );
         assert!(
-            q.hook_calls.load(Ordering::Relaxed) > 0, // ordering: Relaxed — read after run_until_idle returns; the executor join is the sync point.
+            q.hook_calls.get() > 0,
             "{label}: the scheduler quota hook was never consulted"
         );
         for cell in cells {

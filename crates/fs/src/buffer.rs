@@ -244,19 +244,17 @@ mod tests {
     #[test]
     fn write_then_read_hits_cache_and_persists() {
         let (cache, exec) = rig(4, Box::new(LruPolicy::default()));
-        let seen = Arc::new(Mutex::new(None));
-        let (c2, s2) = (cache.clone(), seen.clone());
-        exec.spawn("writer", move |ctx| {
+        let c2 = cache.clone();
+        let writer = exec.spawn("writer", move |ctx| {
             let mut data = vec![0u8; BLOCK_SIZE];
             data[7] = 42;
             c2.write(ctx, BlockId(5), data);
             let resident = hit(&c2, ctx, 5);
-            *s2.lock() = Some((resident, c2.read(ctx, BlockId(5))[7]));
+            (resident, c2.read(ctx, BlockId(5))[7])
         });
         exec.run_until_idle();
-        let seen = *seen.lock();
         assert_eq!(
-            seen,
+            writer.join().ok(),
             Some((true, 42)),
             "write-through leaves block resident"
         );

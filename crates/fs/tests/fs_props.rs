@@ -3,12 +3,10 @@
 //! (caching must never change observable contents).
 
 use proptest::prelude::*;
-use spin_check::sync::Mutex;
 use spin_fs::{BufferCache, FileSystem, LruPolicy, NoCachePolicy};
 use spin_sal::SimBoard;
 use spin_sched::Executor;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 fn run_fs<R: Send + 'static>(
     cache_blocks: usize,
@@ -25,15 +23,10 @@ fn run_fs<R: Send + 'static>(
     };
     let cache = BufferCache::new(host.disk.clone(), exec.clone(), cache_blocks, policy);
     let fs = FileSystem::format(cache, 0, 600);
-    let out: Arc<Mutex<Option<R>>> = Arc::new(Mutex::new(None));
-    let o2 = out.clone();
-    exec.spawn("fsdriver", move |ctx| {
-        *o2.lock() = Some(f(ctx, fs));
-    });
+    let driver = exec.spawn("fsdriver", move |ctx| f(ctx, fs));
     let outcome = exec.run_until_idle();
     assert_eq!(outcome, spin_sched::IdleOutcome::AllComplete);
-    let r = out.lock().take().expect("driver ran");
-    r
+    driver.join().expect("driver ran")
 }
 
 #[derive(Debug, Clone)]

@@ -459,19 +459,16 @@ mod tests {
             conn.close(ctx);
         });
         let b_ip = rig.b.ip_on(Medium::Ethernet);
-        let done = Arc::new(Mutex::new(false));
-        let d2 = done.clone();
-        rig.exec.spawn("client", move |ctx| {
+        let client = rig.exec.spawn("client", move |ctx| {
             let conn = tcp_a
                 .connect(ctx, b_ip, 80)
                 .expect("handshake through forwarder");
             conn.send(ctx, b"GET /").unwrap();
             let reply = conn.recv(ctx).expect("reply");
-            assert_eq!(&reply[..], b"200 OK");
             conn.close(ctx);
-            *d2.lock() = true;
+            reply
         });
         rig.exec.run_until_idle();
-        assert!(*done.lock());
+        assert_eq!(&client.join().unwrap()[..], b"200 OK");
     }
 }

@@ -320,7 +320,7 @@ impl HttpServer {
                 }
             }
         });
-        exec.set_daemon(daemon);
+        exec.set_daemon(daemon.id());
         server
     }
 
@@ -513,13 +513,11 @@ mod tests {
     fn get_serves_file_content() {
         let (rig, tcp_a, server) = web_rig();
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(None));
-        let g2 = got.clone();
-        rig.exec.spawn("client", move |ctx| {
-            *g2.lock() = http_get(ctx, &tcp_a, dst, 80, "/index.html");
+        let client = rig.exec.spawn("client", move |ctx| {
+            http_get(ctx, &tcp_a, dst, 80, "/index.html")
         });
         rig.exec.run_until_idle();
-        let (status, body) = got.lock().clone().expect("response");
+        let (status, body) = client.join().unwrap().expect("response");
         assert_eq!(status, "HTTP/1.0 200 OK");
         assert_eq!(body, b"<html>SPIN</html>");
         assert_eq!(server.stats().ok, 1);
@@ -529,13 +527,11 @@ mod tests {
     fn missing_files_are_404() {
         let (rig, tcp_a, server) = web_rig();
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(None));
-        let g2 = got.clone();
-        rig.exec.spawn("client", move |ctx| {
-            *g2.lock() = http_get(ctx, &tcp_a, dst, 80, "/nope");
-        });
+        let client = rig
+            .exec
+            .spawn("client", move |ctx| http_get(ctx, &tcp_a, dst, 80, "/nope"));
         rig.exec.run_until_idle();
-        let (status, _) = got.lock().clone().expect("response");
+        let (status, _) = client.join().unwrap().expect("response");
         assert!(status.contains("404"));
         assert_eq!(server.stats().not_found, 1);
     }

@@ -250,14 +250,12 @@ mod tests {
             total.to_be_bytes().to_vec()
         });
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(0u64));
-        let g2 = got.clone();
-        rig.exec.spawn("caller", move |ctx| {
+        let caller = rig.exec.spawn("caller", move |ctx| {
             let reply = a.call(ctx, dst, "sum", &[1, 2, 3]).unwrap();
-            *g2.lock() = u64::from_be_bytes(reply.try_into().unwrap());
+            u64::from_be_bytes(reply.try_into().unwrap())
         });
         rig.exec.run_until_idle();
-        assert_eq!(*got.lock(), 6);
+        assert_eq!(caller.join().unwrap(), 6);
     }
 
     #[test]
@@ -266,18 +264,17 @@ mod tests {
         b.register("echo", |args| args.to_vec());
         let dst = rig.b_ip(Medium::Ethernet);
         let clock = rig.exec.clock().clone();
-        let elapsed = Arc::new(Mutex::new(0));
-        let e2 = elapsed.clone();
-        rig.exec.spawn("caller", move |ctx| {
+        let caller = rig.exec.spawn("caller", move |ctx| {
             let t0 = clock.now();
-            assert_eq!(a.call(ctx, dst, "echo", b"ping").unwrap(), b"ping");
-            *e2.lock() = clock.now() - t0;
+            let reply = a.call(ctx, dst, "echo", b"ping");
+            (reply, clock.now() - t0)
         });
         assert_eq!(
             rig.exec.run_until_idle(),
             spin_sched::IdleOutcome::AllComplete
         );
-        let e = *elapsed.lock();
+        let (reply, e) = caller.join().unwrap();
+        assert_eq!(reply.unwrap(), b"ping");
         assert!(e < RPC_TIMEOUT / 100, "one round trip, not a timeout: {e}");
     }
 
@@ -285,14 +282,12 @@ mod tests {
     fn unknown_procedure_is_reported() {
         let (rig, a, _b) = rig();
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(None));
-        let g2 = got.clone();
-        rig.exec.spawn("caller", move |ctx| {
-            *g2.lock() = Some(a.call(ctx, dst, "nope", &[]));
-        });
+        let caller = rig
+            .exec
+            .spawn("caller", move |ctx| a.call(ctx, dst, "nope", &[]));
         rig.exec.run_until_idle();
         assert_eq!(
-            got.lock().clone().unwrap(),
+            caller.join().unwrap(),
             Err(RpcError::NoProcedure("nope".to_string()))
         );
     }
@@ -319,13 +314,11 @@ mod tests {
         b.register("echo", |args| args.to_vec());
         let dst = rig.b_ip(Medium::Ethernet);
         let clock = rig.exec.clock().clone();
-        let elapsed = Arc::new(Mutex::new(0u64));
-        let e2 = elapsed.clone();
         let a2 = a.clone();
-        rig.exec.spawn("caller", move |ctx| {
+        let caller = rig.exec.spawn("caller", move |ctx| {
             let t0 = clock.now();
             a2.call(ctx, dst, "echo", b"degraded").unwrap();
-            *e2.lock() = clock.now() - t0;
+            clock.now() - t0
         });
         rig.exec.run_until_idle();
         let stats = a.stats();
@@ -334,7 +327,7 @@ mod tests {
         assert_eq!(stats.timeouts, 0);
         // Two timed-out waits, 100 ms and then a doubled 200 ms, and then
         // the reply to the third attempt wakes the caller.
-        let e = *elapsed.lock();
+        let e = caller.join().unwrap();
         assert!(e >= 300_000_000, "backoff doubled the second wait, got {e}");
         assert!(e < 400_000_000, "the reply ended the third wait, got {e}");
     }
@@ -354,14 +347,12 @@ mod tests {
         let _b = Rpc::install(&rig.b).unwrap();
         rig.board.ethernet.set_drop_filter(|_, _| true); // dead wire
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(None));
-        let g2 = got.clone();
         let a2 = a.clone();
-        rig.exec.spawn("caller", move |ctx| {
-            *g2.lock() = Some(a2.call(ctx, dst, "echo", b"x"));
-        });
+        let caller = rig
+            .exec
+            .spawn("caller", move |ctx| a2.call(ctx, dst, "echo", b"x"));
         rig.exec.run_until_idle();
-        assert_eq!(got.lock().clone().unwrap(), Err(RpcError::Timeout));
+        assert_eq!(caller.join().unwrap(), Err(RpcError::Timeout));
         let stats = a.stats();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.timeouts, 1);
@@ -378,12 +369,10 @@ mod tests {
             .set_drop_filter(move |from, i| from == caller && i < 1);
         b.register("echo", |args| args.to_vec());
         let dst = rig.b_ip(Medium::Ethernet);
-        let got = Arc::new(Mutex::new(Vec::new()));
-        let g2 = got.clone();
-        rig.exec.spawn("caller", move |ctx| {
-            *g2.lock() = a.call(ctx, dst, "echo", b"persist").unwrap();
-        });
+        let caller = rig
+            .exec
+            .spawn("caller", move |ctx| a.call(ctx, dst, "echo", b"persist"));
         rig.exec.run_until_idle();
-        assert_eq!(&got.lock()[..], b"persist");
+        assert_eq!(caller.join().unwrap().unwrap(), b"persist");
     }
 }

@@ -754,44 +754,41 @@ mod tests {
             conn.send(ctx, b"pong").unwrap();
         });
         let dst = rig.b_ip(Medium::Ethernet);
-        let done = Arc::new(Mutex::new(false));
-        let d2 = done.clone();
-        rig.exec.spawn("client", move |ctx| {
+        let client = rig.exec.spawn("client", move |ctx| {
             let conn = a.connect(ctx, dst, 80).expect("handshake");
-            assert_eq!(conn.state(), TcpState::Established);
+            let state = conn.state();
             conn.send(ctx, b"ping").unwrap();
-            let reply = conn.recv(ctx).expect("reply");
-            assert_eq!(&reply[..], b"pong");
-            *d2.lock() = true;
+            (state, conn.recv(ctx).expect("reply"))
         });
-        rig.exec.run_until_idle();
-        assert!(*done.lock());
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        let (state, reply) = client.join().unwrap();
+        assert_eq!(state, TcpState::Established);
+        assert_eq!(&reply[..], b"pong");
     }
 
     #[test]
     fn connect_to_closed_port_is_refused() {
         let (rig, a, _b) = tcp_rig();
         let dst = rig.b_ip(Medium::Ethernet);
-        let result = Arc::new(Mutex::new(None));
-        let r2 = result.clone();
-        rig.exec.spawn("client", move |ctx| {
-            *r2.lock() = Some(a.connect(ctx, dst, 81).err());
-        });
-        rig.exec.run_until_idle();
-        assert_eq!(result.lock().clone().flatten(), Some(TcpError::Refused));
+        let client = rig
+            .exec
+            .spawn("client", move |ctx| a.connect(ctx, dst, 81).err());
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(client.join().unwrap(), Some(TcpError::Refused));
     }
 
     #[test]
     fn bulk_transfer_is_ordered_and_complete() {
         let (rig, a, b) = tcp_rig();
         let listener = b.listen(80);
-        let received = Arc::new(Mutex::new(Vec::new()));
-        let r2 = received.clone();
-        rig.exec.spawn("server", move |ctx| {
+        let server = rig.exec.spawn("server", move |ctx| {
             let conn = listener.accept(ctx).expect("client");
+            let mut received = Vec::new();
             while let Some(chunk) = conn.recv(ctx) {
-                r2.lock().extend_from_slice(&chunk);
+                received.extend_from_slice(&chunk);
             }
+            conn.close(ctx);
+            received
         });
         let dst = rig.b_ip(Medium::Atm);
         let payload: Vec<u8> = (0..20_000).map(|i| (i % 241) as u8).collect();
@@ -801,8 +798,8 @@ mod tests {
             conn.send(ctx, &p2).unwrap();
             conn.close(ctx);
         });
-        rig.exec.run_until_idle();
-        assert_eq!(*received.lock(), payload);
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(server.join().unwrap(), payload);
     }
 
     #[test]
@@ -811,34 +808,35 @@ mod tests {
         // Drop every 5th frame each host puts on the Ethernet.
         rig.board.ethernet.set_drop_filter(|_, i| i % 5 == 4);
         let listener = b.listen(80);
-        let received = Arc::new(Mutex::new(Vec::new()));
-        let r2 = received.clone();
-        rig.exec.spawn("server", move |ctx| {
+        let server = rig.exec.spawn("server", move |ctx| {
             let conn = listener.accept(ctx).expect("client");
+            let mut received = Vec::new();
             while let Some(chunk) = conn.recv(ctx) {
-                r2.lock().extend_from_slice(&chunk);
+                received.extend_from_slice(&chunk);
             }
+            conn.close(ctx);
+            received
         });
         let dst = rig.b_ip(Medium::Ethernet);
         let payload: Vec<u8> = (0..10_000).map(|i| (i % 199) as u8).collect();
         let p2 = payload.clone();
-        let retx = Arc::new(Mutex::new(0u64));
-        let rt2 = retx.clone();
-        rig.exec.spawn("client", move |ctx| {
+        let client = rig.exec.spawn("client", move |ctx| {
             let conn = a.connect(ctx, dst, 80).unwrap();
             conn.send(ctx, &p2).unwrap();
             // Give retransmissions time to drain before closing.
             ctx.sleep(2 * RTO * (SYN_RETRIES as u64));
-            *rt2.lock() = conn.retransmissions();
+            let retx = conn.retransmissions();
             conn.close(ctx);
+            retx
         });
-        rig.exec.run_until_idle();
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(
-            *received.lock(),
+            server.join().unwrap(),
             payload,
             "all data must arrive despite loss"
         );
-        assert!(*retx.lock() > 0, "loss must have forced retransmission");
+        let retx = client.join().unwrap();
+        assert!(retx > 0, "loss must have forced retransmission");
     }
 
     #[test]
@@ -904,9 +902,7 @@ mod tests {
         let _listener = b.listen(80);
         let (src, dst) = (rig.a.ip_on(Medium::Ethernet), rig.b_ip(Medium::Ethernet));
         let (stack, wire, a2) = (rig.a.clone(), rig.board.ethernet.clone(), a.clone());
-        let released = Arc::new(Mutex::new(None));
-        let r2 = released.clone();
-        rig.exec.spawn("client", move |ctx| {
+        let client = rig.exec.spawn("client", move |ctx| {
             let conn = a2.connect(ctx, dst, 80).unwrap();
             // From here the wire eats every frame: the FIN is retransmitted
             // and never answered, so only the reset can end the wait.
@@ -938,10 +934,10 @@ mod tests {
                 let _ = stack.events().tcp_arrived.raise(reset);
             });
             conn.close(ctx);
-            *r2.lock() = Some((conn.state(), exec.clock().now() - t0));
+            (conn.state(), exec.clock().now() - t0)
         });
         assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
-        let (state, waited) = released.lock().expect("close returned");
+        let (state, waited) = client.join().expect("close returned");
         assert_eq!(state, TcpState::Closed);
         assert!(waited >= RESET_AFTER, "released after {waited} ns");
         assert_eq!(a.tables.lock().conns.len(), 0, "the reset reaped it");
@@ -959,27 +955,28 @@ mod tests {
         });
         let dst = rig.b_ip(Medium::Ethernet);
         let (a2, wire) = (a.clone(), rig.board.ethernet.clone());
-        let outcomes = Arc::new(Mutex::new(Vec::new()));
-        let o2 = outcomes.clone();
         let client = rig.exec.spawn("client", move |ctx| {
+            let mut outcomes = Vec::new();
             for _ in 0..3 {
                 let conn = a2.connect(ctx, dst, 80).expect("listening");
                 conn.send(ctx, b"hello").unwrap();
                 conn.close(ctx);
-                o2.lock().push(a2.connect(ctx, dst, 81).err());
+                outcomes.push(a2.connect(ctx, dst, 81).err());
             }
             // Every SYN from here on is lost: the attempts time out.
             wire.set_drop_filter(|_, _| true);
             for _ in 0..2 {
-                o2.lock().push(a2.connect(ctx, dst, 80).err());
+                outcomes.push(a2.connect(ctx, dst, 80).err());
             }
+            outcomes
         });
         // The server strand is left in `accept`; the client must finish.
         rig.exec.run_until_idle();
-        assert!(rig.exec.is_done(client) && !rig.exec.panicked(client));
+        assert!(client.is_finished());
+        let outcomes = client.join().expect("the client finished cleanly");
         let (refused, timed_out) = (Some(TcpError::Refused), Some(TcpError::Timeout));
         let expect = [&refused, &refused, &refused, &timed_out, &timed_out];
-        assert!(outcomes.lock().iter().eq(expect), "{outcomes:?}");
+        assert!(outcomes.iter().eq(expect), "{outcomes:?}");
         assert_eq!(
             (a.tables.lock().conns.len(), b.tables.lock().conns.len()),
             (0, 0)
@@ -1020,11 +1017,10 @@ mod tests {
         rig.exec.spawn("server", move |ctx| {
             let conn = listener.accept(ctx).expect("client");
             while conn.recv(ctx).is_some() {}
+            conn.close(ctx);
         });
         let dst = rig.b_ip(Medium::Ethernet);
-        let seen = Arc::new(Mutex::new(None));
-        let s2 = seen.clone();
-        rig.exec.spawn("client", move |ctx| {
+        let client = rig.exec.spawn("client", move |ctx| {
             let conn = a.connect(ctx, dst, 80).unwrap();
             // A loss-free burst first, so slow start opens the window past
             // the eight segments the lossy one puts in flight.
@@ -1040,12 +1036,13 @@ mod tests {
                 ctx.sleep(10_000);
             }
             let st = conn.state.lock();
-            *s2.lock() = Some((st.cwnd, st.ssthresh, st.snd_nxt.wrapping_sub(st.snd_una)));
+            let seen = (st.cwnd, st.ssthresh, st.snd_nxt.wrapping_sub(st.snd_una));
             drop(st);
             conn.close(ctx);
+            seen
         });
-        rig.exec.run_until_idle();
-        let (cwnd, ssthresh, in_flight) = seen.lock().expect("the RTO fired");
+        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        let (cwnd, ssthresh, in_flight) = client.join().expect("the RTO fired");
         assert_eq!(
             in_flight, BURST as u32,
             "nothing acknowledged past the hole"

@@ -7,7 +7,7 @@
 //! production one — each asynchronous invocation runs on a fresh kernel
 //! strand.
 
-use crate::executor::Executor;
+use crate::executor::{Executor, Strand};
 use spin_core::{AsyncInvocation, Dispatcher};
 use std::sync::Arc;
 
@@ -24,14 +24,21 @@ use std::sync::Arc;
 pub fn install_async_runner(exec: &Arc<Executor>, dispatcher: &Dispatcher) {
     let exec = exec.clone();
     dispatcher.set_async_runner(Arc::new(move |inv: AsyncInvocation| {
-        let clock = exec.clock().clone();
-        exec.spawn("async-handler", move |ctx| {
-            if let Some(bound) = inv.time_bound {
-                ctx.set_deadline(clock.now().saturating_add(bound));
-            }
-            (inv.run)();
-        });
+        spawn_invocation(&exec, inv);
     }));
+}
+
+/// Runs one asynchronous invocation on a fresh strand. The invocation
+/// contains its handler's unwinds, a deadline's included, so the strand
+/// finishes with `Ok`.
+fn spawn_invocation(exec: &Arc<Executor>, inv: AsyncInvocation) -> Strand<()> {
+    let clock = exec.clock().clone();
+    exec.spawn("async-handler", move |ctx| {
+        if let Some(bound) = inv.time_bound {
+            ctx.set_deadline(clock.now().saturating_add(bound));
+        }
+        (inv.run)();
+    })
 }
 
 #[cfg(test)]
@@ -88,7 +95,12 @@ mod tests {
         let board = SimBoard::new();
         let exec = Executor::on(board.clock.clone(), board.timers.clone());
         let disp = spin_core::Dispatcher::on(board.clock.clone());
-        install_async_runner(&exec, &disp);
+        // The runner `install_async_runner` wires, keeping each handle.
+        let handlers = Arc::new(Mutex::new(Vec::new()));
+        let (e2, h2) = (exec.clone(), handlers.clone());
+        disp.set_async_runner(Arc::new(move |inv: AsyncInvocation| {
+            h2.lock().push(spawn_invocation(&e2, inv));
+        }));
         let (ev, owner) = disp.define::<(), ()>("E", Identity::kernel("k"));
         owner.set_primary(|_| ()).unwrap();
         owner
@@ -129,6 +141,11 @@ mod tests {
             progressed.get() < 1000,
             "the handler was stopped mid-flight, not after it returned"
         );
+        let handler = handlers.lock().pop().expect("one invocation ran");
+        assert!(
+            handler.join().is_ok(),
+            "the deadline's unwind was contained in the handler"
+        );
     }
 
     #[test]
@@ -154,18 +171,16 @@ mod tests {
             c2.charge(spin_sal::Cost::Work, 50_000_000); // 50 ms of monitor work
         })
         .unwrap();
-        let raise_cost = Arc::new(Mutex::new(0u64));
-        let r2 = raise_cost.clone();
-        exec.spawn("raiser", move |_| {
+        let raiser = exec.spawn("raiser", move |_| {
             let t0 = clock.now();
             ev.raise(()).unwrap();
-            *r2.lock() = clock.now() - t0;
+            clock.now() - t0
         });
-        exec.run_until_idle();
+        assert_eq!(exec.run_until_idle(), crate::IdleOutcome::AllComplete);
+        let raise_cost = raiser.join().unwrap();
         assert!(
-            *raise_cost.lock() < 1_000_000,
-            "raise cost {} must not include the 50 ms handler",
-            raise_cost.lock()
+            raise_cost < 1_000_000,
+            "raise cost {raise_cost} must not include the 50 ms handler"
         );
     }
 }

@@ -24,7 +24,7 @@
 //!
 //! Table 3: Fork-Join 22, 262 and 111 µs; Ping-Pong 17, 159 and 85 µs.
 
-use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::executor::{Executor, Strand, StrandCtx};
 use crate::sync::{KCondition, KMutex};
 use spin_sal::{Cost, Nanos};
 use std::ops::Range;
@@ -105,7 +105,11 @@ impl CThreads {
     /// `Thread.Fork` / `cthread_fork`. A user-level package builds a user
     /// context per layer: the layered library its own descriptor *and* a
     /// kernel thread underneath.
-    fn fork(&self, name: &str, f: impl FnOnce(&StrandCtx) + Send + 'static) -> StrandId {
+    fn fork<T: Send + 'static>(
+        &self,
+        name: &str,
+        f: impl FnOnce(&StrandCtx) -> T + Send + 'static,
+    ) -> Strand<T> {
         if let Some((layers, _)) = self.pkg.user_path() {
             self.charge_op();
             self.exec.clock().charge(Cost::UserThreadSetup, layers);
@@ -113,10 +117,12 @@ impl CThreads {
         self.exec.spawn(name, f)
     }
 
-    /// `Thread.Join` / `cthread_join`.
-    fn join(&self, ctx: &StrandCtx, target: StrandId) {
+    /// `Thread.Join` / `cthread_join`: waits for `child` and hands back
+    /// what it returned.
+    fn join<T: 'static>(&self, ctx: &StrandCtx, child: Strand<T>) -> std::thread::Result<T> {
         self.charge_op();
-        ctx.join(target);
+        ctx.join(child.id());
+        child.join()
     }
 
     /// Allocates a mutex.
@@ -191,18 +197,15 @@ pub fn measure_fork_join(pkg: ThreadPackage, exec: &Arc<Executor>) -> Nanos {
 /// join, as the forking thread saw it.
 fn fork_join_window(pkg: ThreadPackage, exec: &Arc<Executor>) -> Range<Nanos> {
     let pkg = CThreads::new(exec.clone(), pkg);
-    let window = Arc::new(spin_check::sync::Mutex::new(0..0));
-    let w2 = window.clone();
     let clock = exec.clock().clone();
-    exec.spawn("driver", move |ctx| {
+    let driver = exec.spawn("driver", move |ctx| {
         let t0 = clock.now();
         let child = pkg.fork("child", |_| {});
-        pkg.join(ctx, child);
-        *w2.lock() = t0..clock.now();
+        pkg.join(ctx, child).expect("the child returns");
+        t0..clock.now()
     });
     exec.run_until_idle();
-    let w = window.lock().clone();
-    w
+    driver.join().expect("the driver returns its window")
 }
 
 /// Measured Ping-Pong time (one mutual signal/block round trip), in
@@ -220,11 +223,9 @@ fn ping_pong_window(pkg: ThreadPackage, rounds: u64, exec: &Arc<Executor>) -> Ra
     let m = Arc::new(pkg.mutex());
     let c = Arc::new(pkg.condition());
     let turn = Arc::new(spin_check::sync::Mutex::new(0u64));
-    let window = Arc::new(spin_check::sync::Mutex::new(0..0));
     let clock = exec.clock().clone();
-    for i in 0..2u64 {
-        let (m, c, turn) = (m.clone(), c.clone(), turn.clone());
-        let (clock, window) = (clock.clone(), window.clone());
+    let [ping, _pong] = [0, 1u64].map(|i| {
+        let (m, c, turn, clock) = (m.clone(), c.clone(), turn.clone(), clock.clone());
         pkg.fork(if i == 0 { "ping" } else { "pong" }, move |ctx| {
             let t0 = clock.now();
             for _ in 0..rounds {
@@ -236,14 +237,11 @@ fn ping_pong_window(pkg: ThreadPackage, rounds: u64, exec: &Arc<Executor>) -> Ra
                 c.signal(ctx);
                 m.unlock(ctx);
             }
-            if i == 0 {
-                *window.lock() = t0..clock.now();
-            }
-        });
-    }
+            t0..clock.now()
+        })
+    });
     exec.run_until_idle();
-    let w = window.lock().clone();
-    w
+    ping.join().expect("ping returns its window")
 }
 
 #[cfg(test)]
@@ -268,12 +266,16 @@ mod tests {
             let t2 = t.clone();
             t.fork("parent", move |ctx| {
                 let l3 = l2.clone();
-                let child = t2.fork("child", move |_| l3.lock().push("child"));
-                t2.join(ctx, child);
+                let child = t2.fork("child", move |_| {
+                    l3.lock().push("child");
+                    "joined"
+                });
+                let joined = t2.join(ctx, child).expect("the child returns");
+                l2.lock().push(joined);
                 l2.lock().push("parent");
             });
             assert_eq!(t.exec.run_until_idle(), IdleOutcome::AllComplete, "{pkg:?}");
-            assert_eq!(*log.lock(), vec!["child", "parent"], "{pkg:?}");
+            assert_eq!(*log.lock(), vec!["child", "joined", "parent"], "{pkg:?}");
         }
     }
 

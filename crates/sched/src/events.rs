@@ -108,7 +108,7 @@ mod tests {
             .unwrap();
         }
         let e2 = exec.clone();
-        let target = exec.spawn("sleeper", |ctx| ctx.block());
+        let target = exec.spawn("sleeper", |ctx| ctx.block()).id();
         exec.spawn("waker", move |_| e2.unblock(target));
         exec.run_until_idle();
         let l = log.lock();
@@ -140,8 +140,8 @@ mod tests {
         let seen = Arc::new(Mutex::new(Vec::new()));
 
         let e2 = exec.clone();
-        let mine = exec.spawn("mine", |ctx| ctx.block());
-        let other = exec.spawn("other", |ctx| ctx.block());
+        let mine = exec.spawn("mine", |ctx| ctx.block()).id();
+        let other = exec.spawn("other", |ctx| ctx.block()).id();
 
         // The app-specific package owns only `mine`.
         let mut owned = HashSet::new();

@@ -37,7 +37,9 @@ use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{
     AdvanceHookId, Clock, Cost, HostId, IrqController, MachineProfile, Nanos, TimerQueue,
 };
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Weak};
 
@@ -52,12 +54,93 @@ pub struct StrandId(pub u64);
 /// Why [`Executor::run_until_idle`] returned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IdleOutcome {
-    /// Every strand ran to completion.
+    /// Every strand ran to completion and none panicked.
     AllComplete,
     /// Runnable work remains but the deadline was reached.
     DeadlineReached,
+    /// Nothing is left to run and these strands (sorted by name) finished
+    /// with a panic their handles have not yet read. Ranked ahead of
+    /// `Deadlock`: a strand stranded by a panicked peer reports the panic.
+    Panicked { strands: Vec<String> },
     /// No strand is runnable, no timer is pending, yet strands are blocked.
     Deadlock { blocked: Vec<String> },
+}
+
+impl IdleOutcome {
+    /// The outcome of a run with nothing left to do, given the names of
+    /// its panicked and its blocked non-daemon strands.
+    pub(crate) fn idle(mut panicked: Vec<String>, mut blocked: Vec<String>) -> IdleOutcome {
+        if !panicked.is_empty() {
+            panicked.sort();
+            IdleOutcome::Panicked { strands: panicked }
+        } else if !blocked.is_empty() {
+            blocked.sort();
+            IdleOutcome::Deadlock { blocked }
+        } else {
+            IdleOutcome::AllComplete
+        }
+    }
+}
+
+/// What a finished strand's body left: its value, boxed (no allocation
+/// for `()`), or the payload of the panic that ended it.
+type Output = std::thread::Result<Box<dyn Any + Send>>;
+
+/// A spawned strand: its id, and once it has finished the value its body
+/// returned or the panic that ended it — Modula-3's `Thread.Join` (§4.2)
+/// and `std::thread::JoinHandle` after the run. Holds its executor weakly,
+/// so a handle kept inside a strand's own body makes no cycle.
+pub struct Strand<T> {
+    exec: Weak<Executor>,
+    id: StrandId,
+    out: PhantomData<fn() -> T>,
+}
+
+impl<T: 'static> Strand<T> {
+    /// The strand's id.
+    pub fn id(&self) -> StrandId {
+        self.id
+    }
+
+    /// Whether the strand has finished, with a value or a panic.
+    pub fn is_finished(&self) -> bool {
+        self.exec().state.lock().strands[&self.id].state == RunState::Done
+    }
+
+    /// What the strand's body returned, or `Err` with the payload of the
+    /// panic that ended it. Reading a panic takes it off the executor's
+    /// books, so later runs no longer report it as
+    /// [`IdleOutcome::Panicked`].
+    ///
+    /// # Panics
+    /// If the strand has not finished: a handle is read after the run
+    /// that finished its strand, never from inside one.
+    pub fn join(self) -> std::thread::Result<T> {
+        let out = self
+            .exec()
+            .state
+            .lock()
+            .strands
+            .get_mut(&self.id)
+            .and_then(|i| i.output.take());
+        let out = out.unwrap_or_else(|| panic!("strand {:?} read before it finished", self.id));
+        out.map(|v| {
+            *v.downcast::<T>()
+                .expect("a strand's output has its body's type")
+        })
+    }
+
+    fn exec(&self) -> Arc<Executor> {
+        self.exec
+            .upgrade()
+            .expect("a strand's handle outlives its executor")
+    }
+}
+
+impl<T> From<Strand<T>> for StrandId {
+    fn from(strand: Strand<T>) -> StrandId {
+        strand.id
+    }
 }
 
 /// A pluggable scheduling policy: the paper's *global scheduler*.
@@ -167,7 +250,8 @@ struct StrandInfo {
     /// the clock's advance since `Meter::slice_start`.
     cpu_ns: Nanos,
     joiners: Vec<StrandId>,
-    panicked: bool,
+    /// Set when the strand finishes, taken by its handle's read.
+    output: Option<Output>,
     /// Daemons (device threads, protocol threads) may stay blocked forever
     /// without counting as deadlock or preventing completion.
     daemon: bool,
@@ -198,18 +282,6 @@ impl ExecState {
             "ready count drifted from the strand table"
         );
         self.ready > 0
-    }
-
-    /// Names of blocked non-daemon strands, sorted.
-    fn blocked_strands(&self) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .strands
-            .values()
-            .filter(|i| i.state == RunState::Blocked && !i.daemon)
-            .map(|i| i.name.clone())
-            .collect();
-        v.sort();
-        v
     }
 }
 
@@ -424,22 +496,23 @@ impl Executor {
     }
 
     /// Spawns a strand on host 0 at priority 8.
-    pub fn spawn(
+    pub fn spawn<T: Send + 'static>(
         self: &Arc<Self>,
         name: &str,
-        f: impl FnOnce(&StrandCtx) + Send + 'static,
-    ) -> StrandId {
+        f: impl FnOnce(&StrandCtx) -> T + Send + 'static,
+    ) -> Strand<T> {
         self.spawn_on(HostId(0), name, 8, f)
     }
 
-    /// Spawns a strand on a host at a priority.
-    pub fn spawn_on(
+    /// Spawns a strand on a host at a priority. Its handle reads what `f`
+    /// returned, or the panic that ended it, once the strand has finished.
+    pub fn spawn_on<T: Send + 'static>(
         self: &Arc<Self>,
         host: HostId,
         name: &str,
         priority: u8,
-        f: impl FnOnce(&StrandCtx) + Send + 'static,
-    ) -> StrandId {
+        f: impl FnOnce(&StrandCtx) -> T + Send + 'static,
+    ) -> Strand<T> {
         let baton = Baton::new();
         let deadline = Arc::new(AtomicU64::new(u64::MAX));
         let body = Body::Thread(baton.clone());
@@ -459,10 +532,10 @@ impl Executor {
                     exec.draw_entry_fault();
                     f(&ctx)
                 }));
-                exec.finish_current(result.is_err());
+                exec.finish_current(result);
             })
             .expect("spawn strand thread");
-        id
+        self.handle(id)
     }
 
     /// Spawns a run-to-completion strand: no OS thread; each slice is one
@@ -479,7 +552,7 @@ impl Executor {
         name: &str,
         priority: u8,
         mut f: impl FnMut(&StrandCtx) -> Step + Send + 'static,
-    ) -> StrandId {
+    ) -> Strand<()> {
         let mut entered = false;
         let deadline = Arc::new(AtomicU64::new(u64::MAX));
         let body = Body::Step(Arc::new(Stepper {
@@ -492,7 +565,16 @@ impl Executor {
             })),
             deadline: deadline.clone(),
         }));
-        self.admit(host, name, priority, deadline, body)
+        let id = self.admit(host, name, priority, deadline, body);
+        self.handle(id)
+    }
+
+    fn handle<T>(&self, id: StrandId) -> Strand<T> {
+        Strand {
+            exec: self.me.clone(),
+            id,
+            out: PhantomData,
+        }
     }
 
     /// Registers a new strand, Ready, and charges its creation.
@@ -517,7 +599,7 @@ impl Executor {
                 body,
                 cpu_ns: 0,
                 joiners: Vec::new(),
-                panicked: false,
+                output: None,
                 daemon: false,
                 deadline,
             },
@@ -530,8 +612,8 @@ impl Executor {
 
     /// The `sched.executor` injection site: drawn once, on a strand's
     /// first slice, while it is current and inside its containment
-    /// `catch_unwind`, so an injected panic marks this strand panicked
-    /// without taking down the simulation.
+    /// `catch_unwind`, so an injected panic finishes this strand with
+    /// `Err` without taking down the simulation.
     fn draw_entry_fault(&self) {
         if let Some(h) = self.faults.get() {
             match h.draw() {
@@ -545,9 +627,9 @@ impl Executor {
     /// Ends the running slice, whichever kind of strand ran it: settles the
     /// slice's charge into the strand's CPU time, moves the
     /// strand to `to` (back on the ready queue for Ready, waking joiners
-    /// for Done) and leaves no strand current. Returns a thread strand's
-    /// baton, which it parks on next.
-    fn leave_current(&self, to: RunState, panicked: bool) -> Option<Arc<Baton>> {
+    /// for Done, whose `output` is then `Some`) and leaves no strand
+    /// current. Returns a thread strand's baton, which it parks on next.
+    fn leave_current(&self, to: RunState, output: Option<Output>) -> Option<Arc<Baton>> {
         let mut st = self.state.lock();
         let cur = StrandId(self.meter.current.swap(0, Ordering::Relaxed)); // ordering: Relaxed — written under the state lock by the thread that ran the slice; the next reader is ordered by the baton or is this thread.
         let charge = self.meter.charge(&self.clock);
@@ -556,7 +638,7 @@ impl Executor {
             .get_mut(&cur)
             .expect("a slice ends on the current strand");
         info.state = to;
-        info.panicked = panicked;
+        info.output = output;
         info.cpu_ns += charge;
         let baton = match &info.body {
             Body::Thread(baton) => Some(baton.clone()),
@@ -579,9 +661,14 @@ impl Executor {
         baton
     }
 
-    /// Strand termination: wake joiners, return control to the coordinator.
-    fn finish_current(&self, panicked: bool) {
-        self.leave_current(RunState::Done, panicked);
+    /// Strand termination: keep the output for the handle, wake joiners,
+    /// return control to the coordinator. Out of line, so that boxing the
+    /// output adds nothing to the strand's entry frame, which stays on
+    /// the stack under the whole body.
+    #[inline(never)]
+    fn finish_current<T: Send + 'static>(&self, result: std::thread::Result<T>) {
+        let output = result.map(|value| Box::new(value) as Box<dyn Any + Send>);
+        self.leave_current(RunState::Done, Some(output));
         self.main_baton.signal();
         // Thread exits; the OS thread is never reused.
     }
@@ -613,7 +700,7 @@ impl Executor {
     /// Returns control to the coordinator; the calling strand keeps `state`.
     fn switch_out(&self, new_state: RunState) {
         let my_baton = self
-            .leave_current(new_state, false)
+            .leave_current(new_state, None)
             .expect("only thread strands switch out mid-body");
         self.main_baton.signal();
         my_baton.wait();
@@ -640,7 +727,7 @@ impl Executor {
     }
 
     /// One slice of a run-to-completion strand, on this (the pumping)
-    /// thread. A panic escaping the body finishes the strand as panicked,
+    /// thread. A panic escaping the body finishes the strand with `Err`,
     /// as it does a thread strand.
     fn run_step(&self, id: StrandId, body: &Stepper) {
         let ctx = StrandCtx {
@@ -651,20 +738,26 @@ impl Executor {
         self.stepping.store(true, Ordering::Relaxed); // ordering: Relaxed — read back by this thread, from inside the call below.
         let step = catch_unwind(AssertUnwindSafe(|| (*body.f.lock())(&ctx)));
         self.stepping.store(false, Ordering::Relaxed); // ordering: Relaxed — thread strands read it only after a baton hand-off from this thread.
-        let (to, panicked) = match step {
+        let (to, output) = match step {
             Ok(Step::Block) => {
                 self.note_block(id);
-                (RunState::Blocked, false)
+                (RunState::Blocked, None)
             }
-            Ok(Step::Yield) => (RunState::Ready, false),
-            Ok(Step::Done) => (RunState::Done, false),
-            Err(_) => (RunState::Done, true),
+            Ok(Step::Yield) => (RunState::Ready, None),
+            Ok(Step::Done) => (
+                RunState::Done,
+                Some(Ok(Box::new(()) as Box<dyn Any + Send>)),
+            ),
+            Err(panic) => (RunState::Done, Some(Err(panic))),
         };
-        self.leave_current(to, panicked);
+        self.leave_current(to, output);
     }
 
     /// Runs the simulation until every strand completes, a deadline is hit,
-    /// or the system deadlocks. Must be called from outside any strand.
+    /// or the system deadlocks. Must be called from outside any strand. A
+    /// run with nothing left to do whose strands include one that panicked
+    /// (and whose handle has not read it) returns
+    /// [`IdleOutcome::Panicked`], never `AllComplete`.
     pub fn run_until_idle(&self) -> IdleOutcome {
         self.run_until(Nanos::MAX)
     }
@@ -739,12 +832,8 @@ impl Executor {
                             self.clock.skip_to(t.max(self.clock.now()));
                         }
                         None => {
-                            let blocked = self.state.lock().blocked_strands();
-                            return if blocked.is_empty() {
-                                IdleOutcome::AllComplete
-                            } else {
-                                IdleOutcome::Deadlock { blocked }
-                            };
+                            let (panicked, blocked) = self.stuck_strands();
+                            return IdleOutcome::idle(panicked, blocked);
                         }
                     }
                 }
@@ -768,40 +857,29 @@ impl Executor {
         self.timers.next_deadline().map(|t| t.max(now))
     }
 
-    /// Names of blocked non-daemon strands (sorted). A shard that is idle
-    /// with a non-empty list is deadlocked *locally*; whether that is a
-    /// system deadlock is decided by the multicore barrier, which also sees
+    /// Names of the panicked strands no handle has read and of the
+    /// blocked non-daemon strands, in table order. A shard that is idle with a
+    /// blocked strand is deadlocked *locally*; whether that is a system
+    /// deadlock is decided by the multicore barrier, which also sees
     /// in-flight cross-shard mail.
-    pub(crate) fn blocked_strands(&self) -> Vec<String> {
-        self.state.lock().blocked_strands()
+    pub(crate) fn stuck_strands(&self) -> (Vec<String>, Vec<String>) {
+        let (mut panicked, mut blocked) = (Vec::new(), Vec::new());
+        for i in self.state.lock().strands.values() {
+            if matches!(i.output, Some(Err(_))) {
+                panicked.push(i.name.clone());
+            } else if i.state == RunState::Blocked && !i.daemon {
+                blocked.push(i.name.clone());
+            }
+        }
+        (panicked, blocked)
     }
 
     /// Marks a strand as a daemon: it may remain blocked forever without
     /// being reported as deadlocked (device and protocol service threads).
-    pub fn set_daemon(&self, id: StrandId) {
-        if let Some(info) = self.state.lock().strands.get_mut(&id) {
+    pub fn set_daemon(&self, strand: impl Into<StrandId>) {
+        if let Some(info) = self.state.lock().strands.get_mut(&strand.into()) {
             info.daemon = true;
         }
-    }
-
-    /// Whether a strand has finished.
-    pub fn is_done(&self, id: StrandId) -> bool {
-        self.state
-            .lock()
-            .strands
-            .get(&id)
-            .map(|i| i.state == RunState::Done)
-            .unwrap_or(false)
-    }
-
-    /// Whether a strand panicked.
-    pub fn panicked(&self, id: StrandId) -> bool {
-        self.state
-            .lock()
-            .strands
-            .get(&id)
-            .map(|i| i.panicked)
-            .unwrap_or(false)
     }
 
     /// The running slice's strand, host and so-far-unsettled charge.
@@ -815,7 +893,8 @@ impl Executor {
     }
 
     /// Virtual CPU time consumed by a strand, its running slice included.
-    pub fn cpu_time(&self, id: StrandId) -> Nanos {
+    pub fn cpu_time(&self, strand: impl Into<StrandId>) -> Nanos {
+        let id = strand.into();
         let st = self.state.lock();
         let settled = st.strands.get(&id).map(|i| i.cpu_ns).unwrap_or(0);
         match self.live_slice(&st) {
@@ -914,7 +993,8 @@ impl StrandCtx {
     /// This is how the dispatcher's `time_bound` constraint is enforced
     /// *during* an asynchronous handler rather than only after it returns;
     /// the dispatcher's containment wrapper catches the unwind and counts
-    /// it as an abort, so the strand itself is not marked panicked.
+    /// it as an abort, so the strand itself finishes with `Ok`. An unwind
+    /// that escapes the strand's own body finishes it with `Err`.
     pub(crate) fn set_deadline(&self, at: Nanos) {
         self.deadline.store(at, Ordering::Relaxed); // ordering: Relaxed — read back on the executor thread at safepoints.
     }
@@ -932,7 +1012,7 @@ impl StrandCtx {
     /// state change — by unwinding with [`BlockedInStep`]. Raised from a
     /// handler, the dispatcher's containment books it as that handler's
     /// fault and the slice carries on; raised from the strand's own body,
-    /// it finishes the strand as panicked.
+    /// it finishes the strand with `Err`.
     pub(crate) fn refuse_in_step(&self, op: &'static str) {
         // ordering: Relaxed — set by the thread now running the slice, or cleared before the baton reached this strand.
         if self.exec.stepping.load(Ordering::Relaxed) {
@@ -1010,11 +1090,65 @@ mod tests {
     #[test]
     fn strands_run_to_completion() {
         let e = exec();
-        let flag = Arc::new(Counter::default());
-        let f2 = flag.clone();
-        e.spawn("worker", move |_| f2.add(1));
+        let worker = e.spawn("worker", move |_| 7);
+        assert!(!worker.is_finished());
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert_eq!(flag.get(), 1);
+        assert!(worker.is_finished());
+        assert_eq!(worker.join().ok(), Some(7));
+    }
+
+    #[test]
+    #[should_panic(expected = "read before it finished")]
+    fn a_handle_read_before_its_strand_finished_panics() {
+        let e = exec();
+        let _ = e.spawn("worker", |_| 7).join();
+    }
+
+    #[test]
+    fn a_failed_assertion_in_a_strand_is_the_runs_outcome() {
+        let e = exec();
+        let checked = e.spawn("checker", |ctx| {
+            ctx.work(1_000);
+            assert!(
+                ctx.executor().clock().now() == 0,
+                "a planted false assertion"
+            );
+        });
+        let fine = e.spawn("fine", |_| ());
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["checker".to_string()]
+            }
+        );
+        let payload = checked.join().expect_err("the assertion failed");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"a planted false assertion")
+        );
+        assert!(fine.join().is_ok());
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::AllComplete,
+            "a panic its handle has read is no longer reported"
+        );
+    }
+
+    #[test]
+    fn a_panic_ranks_ahead_of_the_deadlock_it_causes() {
+        let e = exec();
+        let e2 = e.clone();
+        let waiter = e.spawn("waiter", |ctx| ctx.block()).id();
+        e.spawn("waker", move |_| {
+            assert_eq!(e2.switches(), 0, "the waiter ran first");
+            e2.unblock(waiter);
+        });
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["waker".to_string()]
+            }
+        );
     }
 
     #[test]
@@ -1074,11 +1208,13 @@ mod tests {
         let e = exec();
         let log = Arc::new(Mutex::new(Vec::new()));
         let l1 = log.clone();
-        let blocked = e.spawn("blocked", move |ctx| {
-            l1.lock().push("before");
-            ctx.block();
-            l1.lock().push("after");
-        });
+        let blocked = e
+            .spawn("blocked", move |ctx| {
+                l1.lock().push("before");
+                ctx.block();
+                l1.lock().push("after");
+            })
+            .id();
         let l2 = log.clone();
         let e2 = e.clone();
         e.spawn("waker", move |_| {
@@ -1104,10 +1240,12 @@ mod tests {
         let e = exec();
         let log = Arc::new(Mutex::new(Vec::new()));
         let l1 = log.clone();
-        let child = e.spawn("child", move |ctx| {
-            ctx.sleep(1000);
-            l1.lock().push("child done");
-        });
+        let child = e
+            .spawn("child", move |ctx| {
+                ctx.sleep(1000);
+                l1.lock().push("child done");
+            })
+            .id();
         let l2 = log.clone();
         e.spawn("parent", move |ctx| {
             ctx.join(child);
@@ -1171,15 +1309,19 @@ mod tests {
                 ctx.yield_now();
                 ctx.work(ns);
             });
-            (HostId(host), id)
+            (HostId(host), id.id())
         });
         e.run_until_idle();
-        assert_eq!(e.cpu_time(s), 5_000);
+        assert_eq!(e.cpu_time(s.id()), 5_000);
         // A host's CPU time is its strands' CPU time, summed.
         for host in [0, 1, 2, 3].map(HostId) {
             let mine = strands.iter().filter(|(h, _)| *h == host);
             let sum: Nanos = mine.map(|&(_, id)| e.cpu_time(id)).sum::<Nanos>()
-                + if host == HostId(0) { e.cpu_time(s) } else { 0 };
+                + if host == HostId(0) {
+                    e.cpu_time(s.id())
+                } else {
+                    0
+                };
             assert_eq!(e.host_busy(host), sum, "{host:?}");
         }
         assert_eq!(e.host_busy(HostId(1)), 20_000);
@@ -1190,9 +1332,14 @@ mod tests {
         let e = exec();
         let s = e.spawn("bad", |_| panic!("extension bug"));
         let ok = e.spawn("good", |_| {});
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(e.panicked(s));
-        assert!(!e.panicked(ok));
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["bad".to_string()]
+            }
+        );
+        assert!(s.join().is_err());
+        assert!(ok.join().is_ok());
     }
 
     #[test]
@@ -1203,7 +1350,7 @@ mod tests {
         e.spawn("parent", move |ctx| {
             let f3 = f2.clone();
             let child = ctx.executor().spawn("child", move |_| f3.add(1));
-            ctx.join(child);
+            ctx.join(child.id());
         });
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
         assert_eq!(flag.get(), 1);
@@ -1222,12 +1369,18 @@ mod tests {
             }
             r2.add(1);
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["bounded".to_string()]
+            }
+        );
         assert_eq!(reached_end.get(), 0);
-        // The unwind escaped the strand body, so the strand is marked
-        // panicked (an async handler's containment wrapper would have
-        // caught it first and classified it as an abort).
-        assert!(e.panicked(s));
+        // The unwind escaped the strand body, so the strand finished with
+        // it (an async handler's containment wrapper would have caught it
+        // first and classified it as an abort).
+        let unwound = s.join().expect_err("the deadline unwound the body");
+        assert!(unwound.downcast_ref::<DeadlineExceeded>().is_some());
     }
 
     #[test]
@@ -1243,8 +1396,13 @@ mod tests {
         let ran = Arc::new(Counter::default());
         let r2 = ran.clone();
         let s = e.spawn("victim", move |_| r2.add(1));
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(e.panicked(s), "the injected panic hit the strand");
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["victim".to_string()]
+            }
+        );
+        assert!(s.join().is_err(), "the injected panic hit the strand");
         assert_eq!(ran.get(), 0, "the body never ran");
         assert_eq!(plan.injected_panics(), 1);
     }
@@ -1267,7 +1425,7 @@ mod tests {
         e: &Executor,
         name: &str,
         f: impl FnMut(&StrandCtx) -> Step + Send + 'static,
-    ) -> StrandId {
+    ) -> Strand<()> {
         e.spawn_step_on(HostId(0), name, 8, f)
     }
 
@@ -1346,19 +1504,19 @@ mod tests {
         } else {
             e.spawn("worker", as_thread(body))
         };
+        let worker_id = worker.id();
         let e2 = e.clone();
         let waker = e.spawn("waker", move |ctx| {
             ctx.work(500);
-            e2.unblock(worker);
+            e2.unblock(worker_id);
             ctx.yield_now();
             ctx.work(250);
         });
-        let joiner = e.spawn("joiner", move |ctx| ctx.join(worker));
+        let joiner = e.spawn("joiner", move |ctx| ctx.join(worker_id));
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(!e.panicked(worker));
         let sync_op = Cost::SyncOp.ns();
         assert_eq!(
-            e.cpu_time(worker),
+            e.cpu_time(worker.id()),
             700 + 3_000 + sync_op + 2_000 + 1_000,
             "entry delay once, the three slices, and the Block-time sync_op"
         );
@@ -1366,7 +1524,7 @@ mod tests {
         let hooks = hooks.lock().clone();
         Observed {
             clock: e.clock().now(),
-            cpu: [worker, waker, joiner].map(|s| e.cpu_time(s)).to_vec(),
+            cpu: vec![e.cpu_time(worker), e.cpu_time(waker), e.cpu_time(joiner)],
             host_busy: e.host_busy(HostId(0)),
             switches: e.switches(),
             hooks,
@@ -1421,15 +1579,21 @@ mod tests {
             r2.add(1);
             Step::Block
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(e.panicked(victim) && e.is_done(victim));
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["victim".to_string()]
+            }
+        );
+        assert!(victim.is_finished());
+        assert!(victim.join().is_err());
         assert_eq!(ran.get(), 0, "the body never ran");
         assert_eq!(plan.injected_panics(), 1);
         // The pump — this very thread — carries on with later strands.
         plan.set_enabled(false);
         let later = spawn_step(&e, "later", |_| Step::Done);
         assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(e.is_done(later) && !e.panicked(later));
+        assert!(later.join().is_ok());
     }
 
     #[test]
@@ -1444,7 +1608,8 @@ mod tests {
             }
             l1.lock().push("stepper done");
             Step::Done
-        });
+        })
+        .id();
         let l2 = log.clone();
         e.spawn("parent", move |ctx| {
             ctx.executor().unblock(stepper);
@@ -1493,27 +1658,54 @@ mod tests {
         for (name, op) in ops {
             let e = exec();
             let hooks = log_hooks(&e);
-            let refused = Arc::new(Mutex::new(None));
-            let r2 = refused.clone();
+            // Raised from the strand's own body, the refusal finishes it.
             let s = spawn_step(&e, "stepper", move |ctx| {
-                let before = ctx.executor().clock().now();
-                let unwound = catch_unwind(AssertUnwindSafe(|| op(ctx))).expect_err("refused");
-                let payload = unwound
-                    .downcast_ref::<BlockedInStep>()
-                    .expect("typed payload");
-                *r2.lock() = Some((payload.op, ctx.executor().clock().now() - before));
+                op(ctx);
                 Step::Done
             });
-            assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-            assert_eq!(*refused.lock(), Some((name, 0)), "named, nothing charged");
-            assert!(!e.panicked(s), "the body caught it and carried on");
+            let id = s.id();
+            assert_eq!(
+                e.run_until_idle(),
+                IdleOutcome::Panicked {
+                    strands: vec!["stepper".to_string()]
+                }
+            );
+            assert_eq!(e.cpu_time(s.id()), 0, "{name} charged nothing");
+            let unwound = s.join().expect_err("refused");
+            let payload = unwound
+                .downcast_ref::<BlockedInStep>()
+                .expect("typed payload");
+            assert_eq!(payload.op, name, "named");
             assert_eq!(
                 *hooks.lock(),
-                vec![("resume", s), ("checkpoint", s)],
+                vec![("resume", id), ("checkpoint", id)],
                 "{name}"
             );
             assert_eq!(e.timers().next_deadline(), None, "{name} armed no timer");
         }
+    }
+
+    #[test]
+    fn a_refusal_inside_a_handler_is_contained_there() {
+        let e = exec();
+        let disp = spin_core::Dispatcher::on(e.clock().clone());
+        let (ev, _owner) = disp.define::<(), ()>("E", spin_core::Identity::kernel("k"));
+        let e2 = e.clone();
+        ev.install(spin_core::Identity::extension("sleepy"), move |_| {
+            e2.current_ctx().expect("raised on a strand").sleep(1_000);
+        })
+        .unwrap();
+        let ev2 = ev.clone();
+        let s = spawn_step(&e, "stepper", move |_| {
+            let _ = ev2.raise(());
+            Step::Done
+        });
+        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        assert!(
+            s.join().is_ok(),
+            "the refusal ended the handler, not the strand"
+        );
+        assert_eq!(disp.stats(&ev).unwrap().handler_faults, 1);
     }
 
     #[test]
@@ -1538,11 +1730,13 @@ mod tests {
         let probe = |ctx: &StrandCtx| {
             ctx.executor().next_event_time();
         };
-        let blocker = e.spawn("blocker", move |ctx| {
-            probe(ctx);
-            ctx.block();
-            probe(ctx);
-        });
+        let blocker = e
+            .spawn("blocker", move |ctx| {
+                probe(ctx);
+                ctx.block();
+                probe(ctx);
+            })
+            .id();
         assert_eq!(e.next_event_time(), Some(e.clock().now()));
         e.unblock(blocker); // already Ready: must not count twice
         e.next_event_time();

@@ -112,6 +112,7 @@ impl TaskPackage {
                 ctx.preempt_point();
             }
         });
+        let carrier = carrier.id();
         exec.set_daemon(carrier);
 
         // Observe our carrier's Checkpoint/Resume through the dispatcher,

@@ -6,7 +6,11 @@
 //!   on the virtual timeline (a real OS thread per strand that may block,
 //!   an inline call per slice for run-to-completion strands, exactly one
 //!   running at a time, preemption at safe points when the quantum
-//!   expires);
+//!   expires). [`Executor::spawn`] returns a [`Strand`] handle, Modula-3's
+//!   `Thread.Join`: read after the run, it holds what the body returned or
+//!   the panic that ended it. The executor contains a strand's panic like
+//!   an extension fault, and a run that leaves one unread returns
+//!   [`IdleOutcome::Panicked`], never `AllComplete`;
 //! * **one way to wait** ([`WaitQueue`], [`StrandCtx::wait`]): every
 //!   blocking wait in the kernel polls its state under that state's lock
 //!   and parks on a queue inside it, so a wakeup cannot be lost and a
@@ -47,7 +51,7 @@ pub use async_runner::install_async_runner;
 pub use cthreads::{measure_fork_join, measure_ping_pong, ThreadPackage};
 pub use events::{StrandEvents, StrandRef};
 pub use executor::{
-    Executor, IdleOutcome, SchedQuotaHook, SchedulerPolicy, Step, StrandCtx, StrandId,
+    Executor, IdleOutcome, SchedQuotaHook, SchedulerPolicy, Step, Strand, StrandCtx, StrandId,
 };
 pub use group::{PackageStats, TaskPackage};
 pub use osf_threads::{OsfThreads, WaitChannel};

@@ -7,7 +7,7 @@
 //! directly on strands — "the implementations of these interfaces are built
 //! directly from strands and not layered on top of others".
 
-use crate::executor::{Executor, StrandCtx, StrandId};
+use crate::executor::{Executor, Strand, StrandCtx};
 use crate::wait::{woken_once, WaitQueue};
 use spin_check::sync::Mutex;
 use std::collections::HashMap;
@@ -40,7 +40,7 @@ impl OsfThreads {
         &self,
         name: &str,
         f: impl FnOnce(&StrandCtx) + Send + 'static,
-    ) -> StrandId {
+    ) -> Strand<()> {
         self.exec.spawn(name, f)
     }
 

@@ -454,19 +454,16 @@ impl Multicore {
     }
 
     /// All shards idle and no mail in flight: done. Blocked non-daemon
-    /// strands now really are deadlocked — nothing can ever wake them.
+    /// strands now really are deadlocked — nothing can ever wake them —
+    /// unless a strand on any shard panicked, which ranks first.
     fn final_outcome(&self) -> IdleOutcome {
-        let mut blocked: Vec<String> = self
-            .shards
-            .iter()
-            .flat_map(|sh| sh.exec.blocked_strands())
-            .collect();
-        blocked.sort();
-        if blocked.is_empty() {
-            IdleOutcome::AllComplete
-        } else {
-            IdleOutcome::Deadlock { blocked }
+        let (mut panicked, mut blocked) = (Vec::new(), Vec::new());
+        for sh in &self.shards {
+            let (p, b) = sh.exec.stuck_strands();
+            panicked.extend(p);
+            blocked.extend(b);
         }
+        IdleOutcome::idle(panicked, blocked)
     }
 }
 
@@ -729,27 +726,80 @@ mod tests {
                     .send(b_endpoint, bytes::Bytes::from_static(b"ping"))
                     .expect("fits mtu");
             });
-            let got = Arc::new(Mutex::new(0));
-            let g = got.clone();
             let clock_b = eb.clock().clone();
-            eb.spawn("receiver", move |ctx| {
+            let receiver = eb.spawn("receiver", move |ctx| {
                 while b_nic.rx_pending() == 0 {
                     ctx.sleep(50_000);
                 }
                 let f = b_nic.receive().expect("pending frame");
                 assert_eq!(&f.payload[..], b"ping");
-                *g.lock() = clock_b.now();
+                clock_b.now()
             });
             assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
             let st = mc.stats();
-            let got = *got.lock();
-            (got, eb.clock().now(), st.mail_posted)
+            (receiver.join().unwrap(), eb.clock().now(), st.mail_posted)
         };
         let base = run(1);
         assert!(base.0 > 0, "frame arrived");
         assert!(base.2 >= 1, "travelled via the mailbox");
         assert_eq!(run(2), base, "2 workers diverged");
         assert_eq!(run(4), base, "4 workers diverged");
+    }
+
+    /// What each shard's strand returns reaches its handle, identically
+    /// at 1, 2 and 4 workers.
+    #[test]
+    fn a_strands_value_reaches_its_handle_at_every_worker_count() {
+        let run = |workers: usize| -> Vec<(u64, Nanos, Nanos)> {
+            let board = MulticoreBoard::new();
+            let mut mc = Multicore::new(workers, board.lookahead());
+            let strands: Vec<_> = (1..=3u64)
+                .map(|n| {
+                    let exec = mc.add_host(board.new_host(16));
+                    exec.spawn(&format!("s{n}"), move |ctx| {
+                        ctx.sleep(n * 20_000);
+                        ctx.work(n * 3_000);
+                        let exec = ctx.executor();
+                        (n, exec.clock().now(), exec.cpu_time(ctx.id()))
+                    })
+                })
+                .collect();
+            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+            strands.into_iter().map(|s| s.join().unwrap()).collect()
+        };
+        let base = run(1);
+        assert_eq!(base.len(), 3);
+        assert!(base.iter().all(|&(n, now, _)| now >= n * 23_000));
+        assert_eq!(run(2), base, "2 workers diverged");
+        assert_eq!(run(4), base, "4 workers diverged");
+    }
+
+    /// A strand that panics on each shard is named once, the names
+    /// sorted across shards, at 1 and 2 workers.
+    #[test]
+    fn a_panic_on_each_shard_is_named_once() {
+        for workers in [1, 2] {
+            let board = MulticoreBoard::new();
+            let mut mc = Multicore::new(workers, board.lookahead());
+            let ea = mc.add_host(board.new_host(16));
+            let eb = mc.add_host(board.new_host(16));
+            eb.spawn("a-on-b", |ctx| {
+                ctx.work(3_000);
+                panic!("a failure on shard b")
+            });
+            ea.spawn("b-on-a", |ctx| {
+                ctx.sleep(9_000);
+                panic!("a failure on shard a")
+            });
+            ea.spawn("fine", |ctx| ctx.work(1_000));
+            assert_eq!(
+                mc.run_until_idle(),
+                IdleOutcome::Panicked {
+                    strands: vec!["a-on-b".to_string(), "b-on-a".to_string()]
+                },
+                "{workers} workers"
+            );
+        }
     }
 
     /// A control action posted mid-run fires at its virtual deliver time

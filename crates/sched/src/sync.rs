@@ -265,7 +265,6 @@ mod tests {
     use crate::executor::{IdleOutcome, Step};
     use spin_core::BlockedInStep;
     use spin_sal::{HostId, SimBoard};
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn exec() -> Arc<Executor> {
         let board = SimBoard::new();
@@ -409,29 +408,30 @@ mod tests {
         wait: impl FnOnce(&StrandCtx) + Send + 'static,
         wake: impl FnOnce(&StrandCtx) + Send + 'static,
     ) -> (Option<&'static str>, Nanos) {
-        let charged = Arc::new(Mutex::new(None));
-        let c2 = charged.clone();
-        e.spawn("waker", move |ctx| {
+        let waker = e.spawn("waker", move |ctx| {
             setup(ctx);
             ctx.yield_now();
             let clock = ctx.executor().clock().clone();
             let t0 = clock.now();
             wake(ctx);
-            *c2.lock() = Some(clock.now() - t0);
+            clock.now() - t0
         });
-        let refused = Arc::new(Mutex::new(None));
-        let r2 = refused.clone();
+        // The refusal escapes the slice and finishes the stepper, so no
+        // wake can run it again.
         let mut wait = Some(wait);
         let stepper = e.spawn_step_on(HostId(0), "stepper", 8, move |ctx| {
-            let wait = wait.take().expect("the stepper runs one slice");
-            let unwound = catch_unwind(AssertUnwindSafe(|| wait(ctx))).expect_err("refused");
-            *r2.lock() = unwound.downcast_ref::<BlockedInStep>().map(|b| b.op);
+            wait.take().expect("the stepper runs one slice")(ctx);
             Step::Done
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(!e.panicked(stepper), "no wake ran the stepper again");
-        let charged = charged.lock().expect("the waker ran");
-        let refused = *refused.lock();
+        assert_eq!(
+            e.run_until_idle(),
+            IdleOutcome::Panicked {
+                strands: vec!["stepper".to_string()]
+            }
+        );
+        let charged = waker.join().expect("the waker ran");
+        let unwound = stepper.join().expect_err("refused");
+        let refused = unwound.downcast_ref::<BlockedInStep>().map(|b| b.op);
         (refused, charged)
     }
 

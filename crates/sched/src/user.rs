@@ -92,26 +92,25 @@ pub fn measure_xas_call(exec: &Arc<Executor>) -> Nanos {
     let service = XasService::start(exec, "null", |x| x);
     let client = service.client();
     let clock = exec.clock().clone();
-    let elapsed = Arc::new(spin_check::sync::Mutex::new(0u64));
-    let e2 = elapsed.clone();
-    exec.spawn("client", move |ctx| {
+    let client = exec.spawn("client", move |ctx| {
         // Warm up the server strand.
         client.call(ctx, 0);
         let t0 = clock.now();
         for i in 0..CALLS {
             client.call(ctx, i);
         }
-        *e2.lock() = (clock.now() - t0) / CALLS;
+        let elapsed = (clock.now() - t0) / CALLS;
         service.stop();
+        elapsed
     });
     exec.run_until_idle();
-    let r = *elapsed.lock();
-    r
+    client.join().expect("the client returns its mean call")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::IdleOutcome;
     use spin_sal::SimBoard;
 
     fn rig() -> Arc<Executor> {
@@ -123,14 +122,13 @@ mod tests {
         let exec = rig();
         let service = XasService::start(&exec, "double", |x| x * 2);
         let client = service.client();
-        let got = Arc::new(spin_check::sync::Mutex::new(0u64));
-        let g2 = got.clone();
-        exec.spawn("client", move |ctx| {
-            *g2.lock() = client.call(ctx, 21).expect("service alive");
+        let got = exec.spawn("client", move |ctx| {
+            let got = client.call(ctx, 21);
             service.stop();
+            got
         });
-        exec.run_until_idle();
-        assert_eq!(*got.lock(), 42);
+        assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(got.join().unwrap(), Some(42));
     }
 
     #[test]
@@ -148,12 +146,8 @@ mod tests {
         let service = XasService::start(&exec, "s", |x| x);
         let client = service.client();
         service.stop();
-        let got = Arc::new(spin_check::sync::Mutex::new(Some(0u64)));
-        let g2 = got.clone();
-        exec.spawn("client", move |ctx| {
-            *g2.lock() = client.call(ctx, 1);
-        });
-        exec.run_until_idle();
-        assert_eq!(*got.lock(), None);
+        let got = exec.spawn("client", move |ctx| client.call(ctx, 1));
+        assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
+        assert_eq!(got.join().unwrap(), None);
     }
 }

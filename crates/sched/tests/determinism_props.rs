@@ -53,7 +53,7 @@ fn run(specs: &[StrandSpec]) -> (Vec<String>, u64, u64, Vec<u64>) {
     }
     let outcome = exec.run_until_idle();
     assert_eq!(outcome, IdleOutcome::AllComplete);
-    let cpu: Vec<u64> = ids.iter().map(|&id| exec.cpu_time(id)).collect();
+    let cpu: Vec<u64> = ids.iter().map(|id| exec.cpu_time(id.id())).collect();
     let trace = log.lock().clone();
     (trace, exec.clock().now(), exec.switches(), cpu)
 }

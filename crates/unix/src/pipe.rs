@@ -153,12 +153,8 @@ mod tests {
         let pipe = Pipe::new(e.clone());
         pipe.drop_reader();
         let p2 = pipe.clone();
-        let result = Arc::new(Mutex::new(Some(0usize)));
-        let r2 = result.clone();
-        e.spawn("writer", move |ctx| {
-            *r2.lock() = p2.write(ctx, b"x");
-        });
+        let writer = e.spawn("writer", move |ctx| p2.write(ctx, b"x"));
         e.run_until_idle();
-        assert_eq!(*result.lock(), None);
+        assert_eq!(writer.join().unwrap(), None);
     }
 }

@@ -458,21 +458,27 @@ mod tests {
     fn files_read_and_write_through_descriptors() {
         let r = rig();
         let srv = r.server.clone();
-        r.exec.spawn("app", move |ctx| {
+        // `open` creates a missing file, not a missing directory: the
+        // file lives in the root.
+        let app = r.exec.spawn("app", move |ctx| {
             let p = srv.spawn_init();
-            let fd = srv.open(p, "/etc/motd").unwrap();
-            assert_eq!(srv.write(ctx, p, fd, b"welcome to SPIN").unwrap(), 15);
+            let fd = srv.open(p, "/motd").unwrap();
+            let written = srv.write(ctx, p, fd, b"welcome to SPIN").unwrap();
             srv.close(p, fd).unwrap();
-            let fd = srv.open(p, "/etc/motd").unwrap();
-            assert_eq!(srv.read(ctx, p, fd, 7).unwrap(), b"welcome");
-            assert_eq!(srv.read(ctx, p, fd, 100).unwrap(), b" to SPIN");
+            let fd = srv.open(p, "/motd").unwrap();
+            let reads = [7, 100].map(|n| srv.read(ctx, p, fd, n).unwrap());
             srv.close(p, fd).unwrap();
-            assert!(matches!(srv.read(ctx, p, fd, 1), Err(UnixError::BadFd)));
+            (written, reads, srv.read(ctx, p, fd, 1))
         });
         assert_eq!(
             r.exec.run_until_idle(),
             spin_sched::IdleOutcome::AllComplete
         );
+        let (written, [first, rest], closed) = app.join().expect("the app finishes");
+        assert_eq!(written, 15);
+        assert_eq!(first, b"welcome");
+        assert_eq!(rest, b" to SPIN");
+        assert!(matches!(closed, Err(UnixError::BadFd)));
     }
 
     #[test]

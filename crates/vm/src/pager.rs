@@ -189,23 +189,21 @@ mod tests {
         let mem = host.mem.clone();
         let trans2 = trans.clone();
         let base = region.base();
-        let ok = Arc::new(Mutex::new(false));
-        let ok2 = ok.clone();
-        exec2.spawn("app", move |_| {
+        let app = exec2.spawn("app", move |_| {
             let mut buf = [0u8; 1];
             trans2.read(ctx_id, base, &mut buf, &mem).unwrap();
-            assert_eq!(buf, [0xAA]);
+            let first = buf[0];
             trans2
                 .read(ctx_id, base + BLOCK_SIZE as u64, &mut buf, &mem)
                 .unwrap();
-            assert_eq!(buf, [0xBB]);
+            let second = buf[0];
             // Second touch: already resident, no new fault.
             trans2.read(ctx_id, base, &mut buf, &mem).unwrap();
-            *ok2.lock() = true;
+            [first, second, buf[0]]
         });
         let outcome = exec2.run_until_idle();
         assert_eq!(outcome, spin_sched::IdleOutcome::AllComplete);
-        assert!(*ok.lock());
+        assert_eq!(app.join().ok(), Some([0xAA, 0xBB, 0xAA]));
         let stats = pager.stats();
         assert_eq!(stats.faults, 2, "one fault per page, none on re-touch");
         assert_eq!(stats.pages_read, 2);

@@ -66,10 +66,12 @@ fn main() {
         ("short", 500_000),
     ] {
         let order2 = order.clone();
-        let id = exec.spawn(name, move |ctx| {
-            ctx.work(work);
-            order2.lock().push(name);
-        });
+        let id = exec
+            .spawn(name, move |ctx| {
+                ctx.work(work);
+                order2.lock().push(name);
+            })
+            .id();
         declared.lock().insert(id, work);
         ids.push(id);
     }

@@ -83,19 +83,14 @@ fn main() {
 
     // Read the final value from A.
     let final_value = {
-        let mut b = [0u8; 8];
-        let done = std::sync::Arc::new(parking_lot::Mutex::new(0u64));
-        let d2 = done.clone();
         let (ta, ma) = (trans_a.clone(), rig.host_a.mem.clone());
-        rig.exec.spawn("final-read", move |_| {
+        let reader = rig.exec.spawn("final-read", move |_| {
             let mut buf = [0u8; 8];
             ta.read(ctx_a, base, &mut buf, &ma).unwrap();
-            *d2.lock() = u64::from_be_bytes(buf);
+            u64::from_be_bytes(buf)
         });
         rig.exec.run_until_idle();
-        let v = *done.lock();
-        b[..].copy_from_slice(&v.to_be_bytes());
-        v
+        reader.join().expect("the final read returns")
     };
     println!("final counter: {final_value} (expected {})", 2 * TURNS);
     println!("node A stats: {:?}", node_a.stats());

@@ -98,12 +98,15 @@ one_cpu() {
 }
 
 # emits <bin> <file...>: runs a bench bin with --json in the scratch dir
-# (under $PIN, if set) and requires each named report to be written.
+# (under $PIN, if set) and requires each named report to be written. The
+# run is bounded by $LIMIT seconds (120 unless the caller sets it; each
+# limit is at least five times the bin's measured time), so a deadlocked
+# bin names its gate instead of idling forever.
 emits() {
     local bin="$1"
     shift
-    (cd "$SMOKE_DIR" && ${PIN:-} cargo run -q --release --manifest-path "$OLDPWD/Cargo.toml" \
-        -p spin-bench --bin "$bin" -- --json >/dev/null)
+    (cd "$SMOKE_DIR" && ${PIN:-} bounded "${LIMIT:-120}" cargo run -q --release \
+        --manifest-path "$OLDPWD/Cargo.toml" -p spin-bench --bin "$bin" -- --json >/dev/null)
     local file
     for file in "$@"; do
         test -s "$SMOKE_DIR/$file" || {
@@ -196,9 +199,10 @@ perf_smoke() {
 }
 gate perf-smoke perf_smoke
 
-# bin:golden[:again]. table1_sizes counts source lines and
+# bin:golden[:again[:limit]]. table1_sizes counts source lines and
 # s7_multicore reports wall-clock speedup, so neither has a golden; they
-# only have to run clean and emit.
+# only have to run clean and emit. A bin without a limit gets emits'
+# 120 s; s10_webscale's 10⁶-connection sweep has taken up to 707 s.
 for pair in \
     table2_comm:table2_comm \
     table3_threads:table3_threads \
@@ -211,9 +215,9 @@ for pair in \
     s1_dispatcher_scaling:s1_dispatcher_scaling \
     s8_hotswap:hotswap \
     s9_overload:overload:one_cpu \
-    s10_webscale:webscale; do
-    IFS=: read -r bin name again <<<"$pair"
-    gate "golden:$bin" golden "$bin" "$name" "$again"
+    s10_webscale:webscale::3600; do
+    IFS=: read -r bin name again limit <<<"$pair"
+    LIMIT="$limit" gate "golden:$bin" golden "$bin" "$name" "$again"
 done
 # The eight examples put real frames on the wire and self-assert; clippy
 # compiles them and nothing else runs them.

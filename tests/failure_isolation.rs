@@ -71,20 +71,15 @@ fn a_thread_package_ignoring_unblock_only_harms_its_own_application() {
         ctx.wait(&package, |q| q, |_| Poll::<()>::Pending)
     });
     // An unrelated application gets on with its life.
-    let healthy_done = Arc::new(AtomicU32::new(0));
-    let h2 = healthy_done.clone();
-    exec.spawn("healthy-app", move |ctx| {
-        ctx.sleep(1_000_000);
-        h2.fetch_add(1, Ordering::Relaxed);
-    });
+    let healthy = exec.spawn("healthy-app", move |ctx| ctx.sleep(1_000_000));
     match exec.run_until_idle() {
         IdleOutcome::Deadlock { blocked } => {
             assert_eq!(blocked, vec!["victim-app".to_string()]);
         }
         other => panic!("expected only the victim stuck, got {other:?}"),
     }
-    assert_eq!(healthy_done.load(Ordering::Relaxed), 1);
-    assert!(!exec.is_done(victim));
+    assert!(healthy.join().is_ok());
+    assert!(!victim.is_finished());
 }
 
 #[test]
@@ -92,19 +87,15 @@ fn a_panicking_extension_strand_does_not_take_down_the_system() {
     let board = SimBoard::new();
     let exec = Executor::on(board.clock.clone(), board.timers.clone());
     let bad = exec.spawn("buggy-extension", |_| panic!("index out of bounds"));
-    let good_done = Arc::new(AtomicU32::new(0));
-    let g2 = good_done.clone();
-    exec.spawn("core-service", move |ctx| {
-        ctx.sleep(100);
-        g2.fetch_add(1, Ordering::Relaxed);
-    });
-    assert_eq!(exec.run_until_idle(), IdleOutcome::AllComplete);
-    assert!(exec.panicked(bad), "the failure is recorded");
+    let good = exec.spawn("core-service", move |ctx| ctx.sleep(100));
     assert_eq!(
-        good_done.load(Ordering::Relaxed),
-        1,
-        "everyone else survives"
+        exec.run_until_idle(),
+        IdleOutcome::Panicked {
+            strands: vec!["buggy-extension".to_string()]
+        }
     );
+    assert!(bad.join().is_err(), "the failure is recorded");
+    assert!(good.join().is_ok(), "everyone else survives");
 }
 
 #[test]
@@ -124,7 +115,7 @@ fn leaked_memory_from_a_dead_extension_is_reclaimed() {
         panic!("extension dies holding 1000 objects");
     });
     board_exec.run_until_idle();
-    assert!(board_exec.panicked(ext));
+    assert!(ext.join().is_err());
     // The extension is gone; its references die with it.
     let refs: Vec<_> = std::mem::take(&mut *leaked.lock());
     drop(refs);

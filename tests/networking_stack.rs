@@ -5,6 +5,7 @@
 use parking_lot::Mutex;
 use spin_os::fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_os::net::{http_get, ActiveMessages, HttpServer, Medium, Rpc, TcpStack, TwoHosts};
+use spin_os::sched::IdleOutcome;
 use std::sync::Arc;
 
 #[test]
@@ -15,13 +16,14 @@ fn tcp_bulk_transfer_survives_heavy_loss_on_both_directions() {
     let tcp_a = TcpStack::install(&rig.a);
     let tcp_b = TcpStack::install(&rig.b);
     let listener = tcp_b.listen(80);
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let r2 = received.clone();
-    rig.exec.spawn("server", move |ctx| {
+    let server = rig.exec.spawn("server", move |ctx| {
         let conn = listener.accept(ctx).expect("client arrives despite loss");
+        let mut received = Vec::new();
         while let Some(chunk) = conn.recv(ctx) {
-            r2.lock().extend_from_slice(&chunk);
+            received.extend_from_slice(&chunk);
         }
+        conn.close(ctx);
+        received
     });
     let dst = rig.b.ip_on(Medium::Ethernet);
     let payload: Vec<u8> = (0..30_000).map(|i| (i % 251) as u8).collect();
@@ -32,8 +34,8 @@ fn tcp_bulk_transfer_survives_heavy_loss_on_both_directions() {
         ctx.sleep(3_000_000_000); // let retransmissions drain
         conn.close(ctx);
     });
-    rig.exec.run_until_idle();
-    assert_eq!(*received.lock(), payload);
+    assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+    assert_eq!(server.join().unwrap(), payload);
 }
 
 #[test]
@@ -50,15 +52,14 @@ fn rpc_and_active_messages_share_the_stack_without_interference() {
     am_b.register(1, move |_, _, _| *h2.lock() += 1);
 
     let dst = rig.b.ip_on(Medium::Ethernet);
-    let rpc_result = Arc::new(Mutex::new(Vec::new()));
-    let rr2 = rpc_result.clone();
-    rig.exec.spawn("mixed-client", move |ctx| {
+    let client = rig.exec.spawn("mixed-client", move |ctx| {
         am_a.send(dst, 1, [0; 4], b"");
-        *rr2.lock() = rpc_a.call(ctx, dst, "upper", b"spin").unwrap();
+        let reply = rpc_a.call(ctx, dst, "upper", b"spin");
         am_a.send(dst, 1, [0; 4], b"");
+        reply
     });
     rig.exec.run_until_idle();
-    assert_eq!(&rpc_result.lock()[..], b"SPIN");
+    assert_eq!(client.join().unwrap().unwrap(), b"SPIN");
     assert_eq!(*am_hits.lock(), 2);
     let _ = am_b;
 }

@@ -3,7 +3,6 @@
 //! server, whose body is produced by raising the kernel's `Obs.Snapshot`
 //! event — observability dogfooding the paper's own machinery.
 
-use parking_lot::Mutex;
 use spin_os::core::{Dispatcher, Identity, Kernel};
 use spin_os::fs::{BufferCache, FileSystem, HybridBySize, NoCachePolicy, WebCache};
 use spin_os::net::UdpHeader;
@@ -72,14 +71,12 @@ fn metrics_endpoint_reports_every_instrumented_subsystem() {
 
     // Generate net + sched traffic, then scrape.
     let dst = rig.b.ip_on(Medium::Ethernet);
-    let got = Arc::new(Mutex::new(None));
-    let g2 = got.clone();
-    rig.exec.spawn("scraper", move |ctx| {
-        *g2.lock() = http_get(ctx, &tcp_a, dst, 80, "/metrics");
+    let scraper = rig.exec.spawn("scraper", move |ctx| {
+        http_get(ctx, &tcp_a, dst, 80, "/metrics")
     });
     rig.exec.run_until_idle();
 
-    let (status, body) = got.lock().clone().expect("scrape completed");
+    let (status, body) = scraper.join().unwrap().expect("scrape completed");
     assert_eq!(status, "HTTP/1.0 200 OK");
     let body = String::from_utf8(body).expect("utf-8 exposition");
 
@@ -186,14 +183,12 @@ fn quota_gauges_scrape_end_to_end() {
     let server = HttpServer::start(&rig.b, &tcp_b, fs, cache, 80);
     install_metrics(&server, snapshot);
     let dst = rig.b.ip_on(Medium::Ethernet);
-    let got = Arc::new(Mutex::new(None));
-    let g2 = got.clone();
-    rig.exec.spawn("scraper", move |ctx| {
-        *g2.lock() = http_get(ctx, &tcp_a, dst, 80, "/metrics");
+    let scraper = rig.exec.spawn("scraper", move |ctx| {
+        http_get(ctx, &tcp_a, dst, 80, "/metrics")
     });
     rig.exec.run_until_idle();
 
-    let (status, body) = got.lock().clone().expect("scrape completed");
+    let (status, body) = scraper.join().unwrap().expect("scrape completed");
     assert_eq!(status, "HTTP/1.0 200 OK");
     let body = String::from_utf8(body).expect("utf-8 exposition");
 

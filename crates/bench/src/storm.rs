@@ -3,7 +3,7 @@
 //! 1/2/4-worker sweep with its byte-identity assertion.
 
 use spin_sal::Nanos;
-use spin_sched::{IdleOutcome, Multicore};
+use spin_sched::Multicore;
 use std::fmt::Debug;
 use std::time::Instant;
 
@@ -55,7 +55,7 @@ pub fn digest(latencies: &[Nanos]) -> LatencyDigest {
 /// milliseconds it took.
 pub fn run_to_completion(mc: &Multicore) -> f64 {
     let t0 = Instant::now();
-    assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+    mc.run_until_idle();
     t0.elapsed().as_secs_f64() * 1e3
 }
 

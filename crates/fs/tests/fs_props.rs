@@ -24,8 +24,7 @@ fn run_fs<R: Send + 'static>(
     let cache = BufferCache::new(host.disk.clone(), exec.clone(), cache_blocks, policy);
     let fs = FileSystem::format(cache, 0, 600);
     let driver = exec.spawn("fsdriver", move |ctx| f(ctx, fs));
-    let outcome = exec.run_until_idle();
-    assert_eq!(outcome, spin_sched::IdleOutcome::AllComplete);
+    exec.run_until_idle();
     driver.join().expect("driver ran")
 }
 

@@ -448,19 +448,23 @@ mod tests {
     fn close_wakes_a_blocked_reader_and_notes_closed_per_call() {
         let rig = TwoHosts::new();
         let (q, hub) = watched_queue(&rig);
-        let got = Arc::new(Mutex::new(None));
-        let (q2, g2) = (q.clone(), got.clone());
-        rig.exec
-            .spawn("reader", move |ctx| *g2.lock() = Some(q2.recv(ctx)));
-        assert!(matches!(
-            rig.exec.run_until_idle(),
-            IdleOutcome::Deadlock { .. }
-        ));
-        assert_eq!(*got.lock(), None, "blocked on the empty queue");
+        let q2 = q.clone();
+        let reader = rig.exec.spawn("reader", move |ctx| q2.recv(ctx));
+        assert_eq!(
+            rig.exec.run_until(Nanos::MAX),
+            IdleOutcome::Deadlock {
+                blocked: vec!["reader".to_string()]
+            },
+            "blocked on the empty queue"
+        );
         q.close();
         assert_eq!(noted(&hub), [((1, 7), interest::CLOSED)]);
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
-        assert_eq!(*got.lock(), Some(None), "woken to the end of the stream");
+        rig.exec.run_until_idle();
+        assert_eq!(
+            reader.join().ok(),
+            Some(None),
+            "woken to the end of the stream"
+        );
         q.close();
         assert_eq!(noted(&hub), [((1, 7), interest::CLOSED)], "one per call");
     }
@@ -483,7 +487,7 @@ mod tests {
             ctx.yield_now(); // both waiters run: "first" drains token 1
             p.post(2, interest::READABLE);
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         assert_eq!(
             *got.lock(),
             [
@@ -507,12 +511,12 @@ mod tests {
         let panicked = IdleOutcome::Panicked {
             strands: vec!["stepper".to_string()],
         };
-        assert_eq!(rig.exec.run_until_idle(), panicked);
+        assert_eq!(rig.exec.run_until(Nanos::MAX), panicked);
         let clock = rig.exec.clock();
         let t0 = clock.now();
         poller.post(1, interest::READABLE);
         assert_eq!(clock.now(), t0, "the post woke nobody");
-        assert_eq!(rig.exec.run_until_idle(), panicked);
+        assert_eq!(rig.exec.run_until(Nanos::MAX), panicked);
         let unwound = stepper.join().expect_err("refused");
         let refused = unwound.downcast_ref::<BlockedInStep>().map(|b| b.op);
         assert_eq!(refused, Some("wait"));

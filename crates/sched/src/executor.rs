@@ -82,6 +82,17 @@ impl IdleOutcome {
     }
 }
 
+/// The outcome of a run to idle, which must be `AllComplete`: the check
+/// both `run_until_idle`s make.
+#[track_caller]
+pub(crate) fn completed(outcome: IdleOutcome) -> IdleOutcome {
+    assert!(
+        outcome == IdleOutcome::AllComplete,
+        "run did not complete: {outcome:?}"
+    );
+    outcome
+}
+
 /// What a finished strand's body left: its value, boxed (no allocation
 /// for `()`), or the payload of the panic that ended it.
 type Output = std::thread::Result<Box<dyn Any + Send>>;
@@ -100,11 +111,6 @@ impl<T: 'static> Strand<T> {
     /// The strand's id.
     pub fn id(&self) -> StrandId {
         self.id
-    }
-
-    /// Whether the strand has finished, with a value or a panic.
-    pub fn is_finished(&self) -> bool {
-        self.exec().state.lock().strands[&self.id].state == RunState::Done
     }
 
     /// What the strand's body returned, or `Err` with the payload of the
@@ -753,16 +759,26 @@ impl Executor {
         self.leave_current(to, output);
     }
 
-    /// Runs the simulation until every strand completes, a deadline is hit,
-    /// or the system deadlocks. Must be called from outside any strand. A
-    /// run with nothing left to do whose strands include one that panicked
-    /// (and whose handle has not read it) returns
-    /// [`IdleOutcome::Panicked`], never `AllComplete`.
+    /// Runs the simulation until nothing is left to do, and checks that
+    /// every strand completed. Must be called from outside any strand.
+    /// This is the one place that decides a run finished: a rig that
+    /// expects another outcome calls [`Executor::run_until`] with
+    /// `Nanos::MAX` and asserts that outcome by name.
+    ///
+    /// # Panics
+    /// With the outcome in the message (`run did not complete: ...`) unless
+    /// it is [`IdleOutcome::AllComplete`]: a strand that panicked and whose
+    /// handle has not read it, or a non-daemon strand left blocked.
+    #[track_caller]
     pub fn run_until_idle(&self) -> IdleOutcome {
-        self.run_until(Nanos::MAX)
+        completed(self.run_until(Nanos::MAX))
     }
 
-    /// Like [`Executor::run_until_idle`] with a virtual-time deadline.
+    /// Runs the simulation until every strand completes, a deadline is hit,
+    /// or the system deadlocks, and returns why it stopped. A run with
+    /// nothing left to do whose strands include one that panicked (and
+    /// whose handle has not read it) returns [`IdleOutcome::Panicked`],
+    /// never `AllComplete`.
     pub fn run_until(&self, deadline: Nanos) -> IdleOutcome {
         loop {
             if self.clock.now() >= deadline {
@@ -1091,9 +1107,7 @@ mod tests {
     fn strands_run_to_completion() {
         let e = exec();
         let worker = e.spawn("worker", move |_| 7);
-        assert!(!worker.is_finished());
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
-        assert!(worker.is_finished());
+        e.run_until_idle();
         assert_eq!(worker.join().ok(), Some(7));
     }
 
@@ -1116,7 +1130,7 @@ mod tests {
         });
         let fine = e.spawn("fine", |_| ());
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["checker".to_string()]
             }
@@ -1127,11 +1141,26 @@ mod tests {
             Some(&"a planted false assertion")
         );
         assert!(fine.join().is_ok());
-        assert_eq!(
-            e.run_until_idle(),
-            IdleOutcome::AllComplete,
-            "a panic its handle has read is no longer reported"
-        );
+        // Read off its handle, the panic no longer fails a run.
+        e.run_until_idle();
+    }
+
+    #[test]
+    #[should_panic(expected = "run did not complete: Panicked { strands: [\"bad\"] }")]
+    fn a_run_to_idle_with_a_panicked_strand_fails_its_rig() {
+        let e = exec();
+        e.spawn("bad", |_| panic!("extension bug"));
+        e.spawn("good", |_| ());
+        e.run_until_idle();
+    }
+
+    #[test]
+    #[should_panic(expected = "run did not complete: Deadlock { blocked: [\"stuck\"] }")]
+    fn a_run_to_idle_with_a_blocked_strand_fails_its_rig() {
+        let e = exec();
+        e.spawn("stuck", |ctx| ctx.block());
+        e.spawn("fine", |ctx| ctx.work(1_000));
+        e.run_until_idle();
     }
 
     #[test]
@@ -1144,7 +1173,7 @@ mod tests {
             e2.unblock(waiter);
         });
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["waker".to_string()]
             }
@@ -1221,7 +1250,7 @@ mod tests {
             l2.lock().push("waking");
             e2.unblock(blocked);
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*log.lock(), vec!["before", "waking", "after"]);
     }
 
@@ -1251,7 +1280,7 @@ mod tests {
             ctx.join(child);
             l2.lock().push("parent done");
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*log.lock(), vec!["child done", "parent done"]);
     }
 
@@ -1259,10 +1288,12 @@ mod tests {
     fn deadlock_is_detected_and_named() {
         let e = exec();
         e.spawn("stuck", |ctx| ctx.block());
-        match e.run_until_idle() {
-            IdleOutcome::Deadlock { blocked } => assert_eq!(blocked, vec!["stuck".to_string()]),
-            other => panic!("expected deadlock, got {other:?}"),
-        }
+        assert_eq!(
+            e.run_until(Nanos::MAX),
+            IdleOutcome::Deadlock {
+                blocked: vec!["stuck".to_string()]
+            }
+        );
     }
 
     #[test]
@@ -1333,7 +1364,7 @@ mod tests {
         let s = e.spawn("bad", |_| panic!("extension bug"));
         let ok = e.spawn("good", |_| {});
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["bad".to_string()]
             }
@@ -1352,7 +1383,7 @@ mod tests {
             let child = ctx.executor().spawn("child", move |_| f3.add(1));
             ctx.join(child.id());
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(flag.get(), 1);
     }
 
@@ -1370,7 +1401,7 @@ mod tests {
             r2.add(1);
         });
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["bounded".to_string()]
             }
@@ -1397,7 +1428,7 @@ mod tests {
         let r2 = ran.clone();
         let s = e.spawn("victim", move |_| r2.add(1));
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["victim".to_string()]
             }
@@ -1513,7 +1544,7 @@ mod tests {
             ctx.work(250);
         });
         let joiner = e.spawn("joiner", move |ctx| ctx.join(worker_id));
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         let sync_op = Cost::SyncOp.ns();
         assert_eq!(
             e.cpu_time(worker.id()),
@@ -1559,7 +1590,7 @@ mod tests {
                 Step::Done
             }
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(e.switches(), 4);
         assert_eq!(plan.report()[0].hits, 1);
     }
@@ -1580,19 +1611,18 @@ mod tests {
             Step::Block
         });
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["victim".to_string()]
             }
         );
-        assert!(victim.is_finished());
         assert!(victim.join().is_err());
         assert_eq!(ran.get(), 0, "the body never ran");
         assert_eq!(plan.injected_panics(), 1);
         // The pump — this very thread — carries on with later strands.
         plan.set_enabled(false);
         let later = spawn_step(&e, "later", |_| Step::Done);
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert!(later.join().is_ok());
     }
 
@@ -1616,7 +1646,7 @@ mod tests {
             ctx.join(stepper);
             l2.lock().push("parent done");
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*log.lock(), vec!["stepper done", "parent done"]);
     }
 
@@ -1641,7 +1671,7 @@ mod tests {
                 ctx.yield_now();
             }
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*log.lock(), vec!["a", "b", "a", "b", "a", "b"]);
     }
 
@@ -1665,7 +1695,7 @@ mod tests {
             });
             let id = s.id();
             assert_eq!(
-                e.run_until_idle(),
+                e.run_until(Nanos::MAX),
                 IdleOutcome::Panicked {
                     strands: vec!["stepper".to_string()]
                 }
@@ -1700,7 +1730,7 @@ mod tests {
             let _ = ev2.raise(());
             Step::Done
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert!(
             s.join().is_ok(),
             "the refusal ended the handler, not the strand"
@@ -1757,7 +1787,7 @@ mod tests {
                 _ => Step::Done,
             }
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(e.next_event_time(), None, "every strand left Ready");
         assert_eq!(e.switches(), 2 + 2 + 2, "stale entries were skipped");
     }
@@ -1781,7 +1811,7 @@ mod tests {
             Step::Done
         });
         assert_eq!(e.host_busy(HostId(0)), 0, "nothing ran yet");
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*seen.lock(), vec![(5_000, 5_000), (7_000, 12_000)]);
         assert_eq!(e.host_busy(HostId(0)), 12_000, "settled once, not twice");
     }

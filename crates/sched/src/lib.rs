@@ -9,8 +9,11 @@
 //!   expires). [`Executor::spawn`] returns a [`Strand`] handle, Modula-3's
 //!   `Thread.Join`: read after the run, it holds what the body returned or
 //!   the panic that ended it. The executor contains a strand's panic like
-//!   an extension fault, and a run that leaves one unread returns
-//!   [`IdleOutcome::Panicked`], never `AllComplete`;
+//!   an extension fault but does not hide it: [`Executor::run_until_idle`]
+//!   is the one place that decides a run finished, and it panics, naming
+//!   the outcome, unless every strand completed. A rig that expects a
+//!   panicked or deadlocked strand runs with [`Executor::run_until`] and
+//!   asserts [`IdleOutcome::Panicked`] or `Deadlock` by name;
 //! * **one way to wait** ([`WaitQueue`], [`StrandCtx::wait`]): every
 //!   blocking wait in the kernel polls its state under that state's lock
 //!   and parks on a queue inside it, so a wakeup cannot be lost and a

@@ -61,7 +61,7 @@
 //! explains why this conservative barrier was chosen over optimistic
 //! rollback.
 
-use crate::executor::{Executor, IdleOutcome};
+use crate::executor::{completed, Executor, IdleOutcome};
 use spin_check::sync::{AtomicU64, Counter, Ordering};
 use spin_fault::{FaultHook, Injection};
 use spin_sal::{lanes, Host, HostId, MailFate, Nanos};
@@ -297,11 +297,17 @@ impl Multicore {
         s
     }
 
-    /// Runs every shard to completion. See [`Executor::run_until_idle`];
-    /// `Deadlock` here aggregates blocked non-daemon strands across all
-    /// shards, and is only reported when no cross-shard mail can save them.
+    /// Runs every shard to completion and checks that every strand
+    /// completed, as [`Executor::run_until_idle`] does.
+    ///
+    /// # Panics
+    /// With the outcome in the message unless it is
+    /// [`IdleOutcome::AllComplete`]. `Deadlock` here aggregates blocked
+    /// non-daemon strands across all shards, and is only reported when no
+    /// cross-shard mail can save them.
+    #[track_caller]
     pub fn run_until_idle(&self) -> IdleOutcome {
-        self.run_until(Nanos::MAX)
+        completed(self.run_until(Nanos::MAX))
     }
 
     /// [`Multicore::run_until_idle`] with a global virtual-time deadline.
@@ -646,7 +652,7 @@ mod tests {
                 timers_b.schedule_at(at, action);
             }
         });
-        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        mc.run_until_idle();
         let fired = *fired.lock();
         fired
     }
@@ -687,10 +693,10 @@ mod tests {
         let board = SimBoard::new();
         let exec = Executor::on(board.clock.clone(), board.timers.clone());
         spawn_stuck(&exec);
-        assert_eq!(exec.run_until_idle(), sorted, "one executor");
+        assert_eq!(exec.run_until(Nanos::MAX), sorted, "one executor");
         let (_board, mc) = rig(1, 1);
         spawn_stuck(&mc.shards()[0].exec);
-        assert_eq!(mc.run_until_idle(), sorted, "one shard");
+        assert_eq!(mc.run_until(Nanos::MAX), sorted, "one shard");
     }
 
     #[test]
@@ -702,7 +708,7 @@ mod tests {
             ctx.work(10_000);
             d.add(1);
         });
-        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        mc.run_until_idle();
         assert_eq!(done.get(), 1);
     }
 
@@ -735,7 +741,7 @@ mod tests {
                 assert_eq!(&f.payload[..], b"ping");
                 clock_b.now()
             });
-            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+            mc.run_until_idle();
             let st = mc.stats();
             (receiver.join().unwrap(), eb.clock().now(), st.mail_posted)
         };
@@ -764,7 +770,7 @@ mod tests {
                     })
                 })
                 .collect();
-            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+            mc.run_until_idle();
             strands.into_iter().map(|s| s.join().unwrap()).collect()
         };
         let base = run(1);
@@ -793,12 +799,37 @@ mod tests {
             });
             ea.spawn("fine", |ctx| ctx.work(1_000));
             assert_eq!(
-                mc.run_until_idle(),
+                mc.run_until(Nanos::MAX),
                 IdleOutcome::Panicked {
                     strands: vec!["a-on-b".to_string(), "b-on-a".to_string()]
                 },
                 "{workers} workers"
             );
+        }
+    }
+
+    /// A 2-shard run to idle that leaves a strand on shard 1 panicked or
+    /// blocked fails its rig, naming the outcome, at 1 and 2 workers.
+    #[test]
+    fn a_run_to_idle_that_leaves_a_strand_unfinished_fails_its_rig() {
+        let panics: fn(&crate::StrandCtx) = |_| panic!("bug");
+        let cases = [
+            (panics, r#"Panicked { strands: ["s"] }"#),
+            (|ctx| ctx.block(), r#"Deadlock { blocked: ["s"] }"#),
+        ];
+        for (body, outcome) in cases {
+            for workers in [1, 2] {
+                let (_board, mc) = rig(workers, 2);
+                mc.shards()[0].exec.spawn("fine", |ctx| ctx.work(1_000));
+                mc.shards()[1].exec.spawn("s", body);
+                let panic = catch_unwind(AssertUnwindSafe(|| mc.run_until_idle()))
+                    .expect_err("the run did not complete");
+                assert_eq!(
+                    panic.downcast_ref::<String>(),
+                    Some(&format!("run did not complete: {outcome}")),
+                    "{workers} workers"
+                );
+            }
         }
     }
 
@@ -823,7 +854,7 @@ mod tests {
                 !mc.post_control(HostId(999), 40_000, |_| {}),
                 "unknown host is refused"
             );
-            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+            mc.run_until_idle();
             let fired = *fired.lock();
             fired
         };
@@ -854,7 +885,7 @@ mod tests {
                 .send(b_endpoint, bytes::Bytes::from_static(b"doomed"))
                 .expect("fits mtu");
         });
-        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        mc.run_until_idle();
         assert_eq!(b_nic.rx_pending(), 0, "the envelope was dropped");
         assert_eq!(mc.stats().mail_dropped, 1);
     }
@@ -876,7 +907,7 @@ mod tests {
                 .send(b_endpoint, bytes::Bytes::from_static(b"m"))
                 .expect("fits mtu");
         });
-        assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+        mc.run_until_idle();
         let text = obs.render_prometheus();
         for needle in [
             "spin_shard_epochs_total",
@@ -926,7 +957,7 @@ mod tests {
                 }
             });
             let _ = (eb, disp_b);
-            assert_eq!(mc.run_until_idle(), IdleOutcome::AllComplete);
+            mc.run_until_idle();
             (hits.get(), mc.stats().mail_posted)
         };
         let base = run(1);

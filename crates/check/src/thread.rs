@@ -64,10 +64,13 @@ where
     }
 }
 
-/// Yield a schedule point (no-op outside a model run beyond the OS hint).
+/// Yield from a spin-wait: in a model run the token passes to another
+/// thread that can run, if one can, without spending a preemption, so a
+/// waiter cannot starve the thread it waits for (no-op outside a model run
+/// beyond the OS hint).
 pub fn yield_now() {
     match model::current_ctx() {
-        Some(c) => c.exec.yield_now(c.tid),
+        Some(c) => c.exec.spin(c.tid),
         None => std::thread::yield_now(),
     }
 }

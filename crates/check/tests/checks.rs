@@ -193,9 +193,10 @@ fn quiesce_destroy_race(bound: u32) -> spin_check::model::Report {
     })
 }
 
-/// The four raise-prologue models once more at preemption bound 3 — what
+/// The six raise-prologue models once more at preemption bound 3 — what
 /// folding the event's status into one published record was the
-/// precondition for (ROADMAP item 1) — and the two quota-cell models,
+/// precondition for (ROADMAP item 1), the last two the cached snapshot's
+/// (DESIGN.md decision 41) — and the two quota-cell models,
 /// which one lock per cell made small enough to join them — and the
 /// clock's one-writer hand-off, on which every charge relies.
 /// `scripts/verify.sh` selects this test by name as `gate spin-check-b3`,
@@ -208,6 +209,8 @@ fn raise_prologue_models_at_bound3() {
     assert_clean("quiesce-then-destroy@3", &quiesce_destroy_race(3));
     assert_clean("hot-swap-gate@3", &hot_swap_race(3, None));
     assert_clean("hot-swap-gate-burst@3", &hot_swap_race(3, Some(2)));
+    assert_clean("cached-hot-swap@3", &cached_hot_swap_race(3));
+    assert_clean("cached-destroy@3", &cached_destroy_race(3));
     assert_clean("throttle-release@3", &throttle_release_race(3));
     assert_clean("ledger-books@3", &ledger_books_race(3));
 }
@@ -372,10 +375,10 @@ fn breaker_trip_and_quarantine_vs_concurrent_raises() {
 /// item that finds the gate reopened between the burst's gate load and
 /// `park`'s re-check.
 ///
-/// `drain_in_flight` is exercised only after the raiser joins: its spin
-/// loop terminates under every *fair* schedule, but bounded DFS explores
-/// unfair ones too, where a spinning drain would never yield to the
-/// raiser it waits for.
+/// `drain_in_flight` is exercised here only after the raiser joins, and
+/// each raise is its thread's first, so a miss;
+/// `a_cached_raise_never_runs_the_old_handler_after_the_drain` drains
+/// while a raise that hits its thread's cache runs.
 #[test]
 fn raise_vs_quiesce_rebind_resume() {
     assert_clean("hot-swap-gate", &hot_swap_race(BOUND, None));
@@ -462,6 +465,115 @@ fn hot_swap_race(bound: u32, burst: Option<u64>) -> spin_check::model::Report {
                 "every burst item is delivered through the burst or parked"
             ),
         }
+    })
+}
+
+/// A raise served from its thread's snapshot cache racing the hot swap
+/// (DESIGN.md decision 41). One thread raises twice. Once the first
+/// raise has filled its cache, the other thread runs `quiesce` →
+/// `drain_in_flight` → `rebind` → `resume` against the second, which hits
+/// the cache while the record's stamp is unchanged; the drain spins while
+/// that raise may be in flight (a model thread's spin-wait hands the token
+/// on, see `spin_check::thread::yield_now`). A hit takes
+/// no lock, so what keeps it out of the swap is the in-flight count: a
+/// raise the drain did not wait for acquires the quiescer's stamp through
+/// it, misses, and parks. The old handler reads whether the drain has
+/// returned and answers 106 if so: it must never. The `spin_check_mutant`
+/// build closes the gate without a fresh stamp and is caught by this
+/// scenario (`tests/mutants.rs`).
+#[test]
+fn a_cached_raise_never_runs_the_old_handler_after_the_drain() {
+    assert_clean("cached-hot-swap", &cached_hot_swap_race(BOUND));
+}
+
+fn cached_hot_swap_race(bound: u32) -> spin_check::model::Report {
+    Checker::with_bound(bound).check(|| {
+        let d = Dispatcher::unmetered();
+        let (ev, _owner) = d.define::<u64, u64>("chk.cachedswap", Identity::kernel("chk"));
+        let v1 = Identity::extension("v1");
+        let drained = Arc::new(AtomicBool::new(false));
+        let late = Arc::clone(&drained);
+        ev.install(v1.clone(), move |x: &u64| {
+            // ordering: Relaxed — the model offers every store made so far; a hit that runs after the drain can read `true`.
+            *x + 1 + 100 * u64::from(late.load(Ordering::Relaxed))
+        })
+        .expect("install v1");
+
+        let filled = Arc::new(AtomicU64::new(0));
+        let (ev2, filled2) = (ev.clone(), Arc::clone(&filled));
+        let t = thread::spawn(move || {
+            let first = ev2.raise(5);
+            filled2.store(1, Ordering::Release); // ordering: Release — the quiescer's wait below reads it.
+            [first, ev2.raise(5)]
+        });
+        // The swap starts once the first raise has filled the raiser's cache;
+        // the wait steps aside for the raiser and spends no preemption.
+        // ordering: Acquire — reads the raiser's Release store; a read-modify-write, so the wait sees it.
+        while filled.fetch_add(0, Ordering::Acquire) == 0 {
+            thread::yield_now();
+        }
+        ev.quiesce().expect("event alive");
+        ev.drain_in_flight().expect("event alive");
+        drained.store(true, Ordering::Relaxed); // ordering: Relaxed — read only by the handler, which the model lets see any store.
+        ev.rebind(
+            &v1,
+            &v1,
+            vec![InstallSpec {
+                installer: Identity::extension("v2"),
+                handler: std::sync::Arc::new(|x: &u64| *x + 2),
+                guards: Vec::new(),
+                constraints: Constraints::default(),
+            }],
+        )
+        .expect("rebind v1 -> v2");
+        let replayed = ev.resume().expect("event alive");
+
+        let raised = t.join().expect("raiser thread");
+        let mut parked = 0;
+        for item in &raised {
+            match item {
+                Ok(6) | Ok(7) => {}
+                Err(DispatchError::Held { .. }) => parked += 1,
+                Ok(106) => panic!("the old handler ran after the drain returned"),
+                other => panic!("a cached raise racing a hot swap leaked: {other:?}"),
+            }
+        }
+        assert_eq!(replayed, parked, "a parked raise is replayed by resume");
+    })
+}
+
+/// A raise served from its thread's snapshot cache racing `destroy`: the
+/// first raise fills the cache, the second hits it unless the tombstone's
+/// stamp is already visible. Each settles to the old plan's result or to
+/// `UnknownEvent` — a cached plan the destroy has dropped fails its `Weak`
+/// upgrade and the raise takes the locked read — and once one raise has
+/// seen the tombstone the next cannot find the plan again.
+#[test]
+fn a_cached_raise_racing_destroy_settles_to_its_plan_or_unknown_event() {
+    assert_clean("cached-destroy", &cached_destroy_race(BOUND));
+}
+
+fn cached_destroy_race(bound: u32) -> spin_check::model::Report {
+    Checker::with_bound(bound).check(|| {
+        let d = Dispatcher::unmetered();
+        let (ev, owner) = d.define::<u64, u64>("chk.cacheddestroy", Identity::kernel("chk"));
+        owner.set_primary(|_| 7).expect("fresh event");
+        let t = thread::spawn(move || {
+            owner.destroy().expect("owner destroys once");
+        });
+        let first = ev.raise(0);
+        let second = ev.raise(0);
+        for r in [&first, &second] {
+            assert!(
+                matches!(r, Ok(7) | Err(DispatchError::UnknownEvent { .. })),
+                "a cached raise during destroy leaked: {r:?}"
+            );
+        }
+        assert!(
+            first == Ok(7) || second != Ok(7),
+            "a raise found the plan after another saw the tombstone: {second:?}"
+        );
+        t.join().expect("destroyer thread");
     })
 }
 
@@ -737,20 +849,27 @@ fn marginal_steps(name: &str, scenario: fn(u64)) -> (u64, u64) {
 /// that load, so each charge adds one to a total and takes one locked
 /// operation out.
 ///
-/// * A fast-path raise: **(10, 5)**, (9, 6) before decision 26 (10 in
-///   total at the parent of the PR that wrote this budget). In-flight count
-///   up; record read-locked and released; obs and fault hook slots loaded;
-///   one raise counter; the clock's charge; in-flight count down. Gone:
-///   the second raise counter.
+/// Every raise after the first finds its plan in the thread's snapshot
+/// cache (DESIGN.md decision 41), so the marginal raise is a hit: the
+/// record's stamp load where the read lock and its release stood. The
+/// `Weak` upgrade and its drop are `Arc` traffic, unseen here.
+///
+/// * A fast-path raise: **(9, 3)**, (10, 5) before decision 41, (9, 6)
+///   before decision 26 (10 in total at the parent of the PR that wrote
+///   this budget). In-flight count up; the record's stamp loaded; obs and
+///   fault hook slots loaded; one raise counter; the clock's charge;
+///   in-flight count down. Gone: the second raise counter, the read lock
+///   pair.
 /// * A keyed raise — two handlers keyed on 5 and 6, raised with 5, so one
-///   table hit and one miss: **(26, 9)**, (22, 13) before decision 26 (25 in
-///   total at that parent). The same prologue and epilogue (7); four
-///   charges at three operations each (raise base, the hit's guard, the
-///   handler invocation, the miss's guard) and one `charges_observed` load
-///   before the miss; two time reads around the handler for its time
-///   bound; and the four walk counters that moved (guard evaluations,
-///   handlers run, compiled raises, guards elided). Gone: the three
-///   counters that moved by zero (aborted, asynchronous, faulted).
+///   table hit and one miss: **(25, 7)**, (26, 9) before decision 41,
+///   (22, 13) before decision 26 (25 in total at that parent). The same
+///   prologue and epilogue (6); four charges at three operations each
+///   (raise base, the hit's guard, the handler invocation, the miss's
+///   guard) and one `charges_observed` load before the miss; two time
+///   reads around the handler for its time bound; and the four walk
+///   counters that moved (guard evaluations, handlers run, compiled
+///   raises, guards elided). Gone: the three counters that moved by zero
+///   (aborted, asynchronous, faulted).
 #[test]
 fn a_raise_stays_within_its_budget() {
     fn raises(ev: &spin_core::Event<u64, u64>, n: u64) {
@@ -765,7 +884,7 @@ fn a_raise_stays_within_its_budget() {
         raises(&ev, n);
         assert_eq!(d.stats(&ev).expect("alive").fast_path_raises, n);
     });
-    assert_eq!(fast, (10, 5), "facade operations per fast-path raise");
+    assert_eq!(fast, (9, 3), "facade operations per fast-path raise");
 
     let keyed = marginal_steps("budget-keyed-raise", |n| {
         let d = Dispatcher::unmetered();
@@ -779,13 +898,14 @@ fn a_raise_stays_within_its_budget() {
         let stats = d.stats(&ev).expect("alive");
         assert_eq!((stats.compiled_raises, stats.guards_elided), (n, 2 * n));
     });
-    assert_eq!(keyed, (26, 9), "facade operations per keyed-hit raise");
+    assert_eq!(keyed, (25, 7), "facade operations per keyed-hit raise");
 }
 
 /// A metered raise's budget (DESIGN.md decision 21): a fast-path raise of
-/// an event bound to an unlimited quota cell is **(18, 9)** facade
-/// operations — (17, 10) before decision 26 made its charge a store, 24 in
-/// total at the parent of PR 26. The raise's own (above); 3 time reads —
+/// an event bound to an unlimited quota cell is **(17, 7)** facade
+/// operations — (18, 9) before decision 41 took the read lock pair out of
+/// a cached snapshot, (17, 10) before decision 26 made its charge a store,
+/// 24 in total at the parent of PR 26. The raise's own (above); 3 time reads —
 /// the admission's `now` and the two that bracket the dispatch for the
 /// window's charge (ISSUE 26 counted two of the three and so predicted
 /// 23 → 16; the −7 is as it predicted); `admit` 3, was 7 — the fault
@@ -811,7 +931,7 @@ fn a_metered_raise_stays_within_its_budget() {
     });
     assert_eq!(
         metered,
-        (18, 9),
+        (17, 7),
         "facade operations per metered fast-path raise"
     );
 }

@@ -3,7 +3,7 @@
 //!
 //! Build with `RUSTFLAGS="--cfg spin_check --cfg spin_check_mutant"` (and
 //! its own `CARGO_TARGET_DIR`, e.g. `target/spin-check-mutant`). That cfg
-//! plants two known-wrong publication orders in the kernel:
+//! plants three known-wrong publication orders in the kernel:
 //!
 //! 1. `core::dispatch::Dispatcher::destroy` publishes twice — the
 //!    cleared plan, then the tombstone — a racing raise can snapshot the
@@ -13,6 +13,9 @@
 //!    before its node is linked — a reader can see the registry armed
 //!    (`Clock::charges_observed`) and then walk a chain that does not
 //!    hold the hook yet.
+//! 3. `core::dispatch::Event::quiesce` closes the gate without a fresh
+//!    stamp — a raise whose thread cached the open record's plan hits it
+//!    after the drain returned and runs the old handler.
 //!
 //! Each test runs the same scenario as the corresponding trunk check in
 //! `tests/checks.rs`, asserts the checker reports a failure with a
@@ -28,9 +31,9 @@
 
 use spin_check::hooks::HookRegistry;
 use spin_check::model::Checker;
-use spin_check::sync::Arc;
+use spin_check::sync::{Arc, AtomicBool, AtomicU64, Ordering};
 use spin_check::thread;
-use spin_core::{DispatchError, Dispatcher, Identity};
+use spin_core::{Constraints, DispatchError, Dispatcher, Identity, InstallSpec};
 
 const BOUND: u32 = 2;
 
@@ -47,6 +50,54 @@ fn destroy_scenario() {
         other => panic!("raise during destroy leaked: {other:?}"),
     }
     t.join().expect("destroyer thread");
+}
+
+fn cached_hot_swap_scenario() {
+    let d = Dispatcher::unmetered();
+    let (ev, _owner) = d.define::<u64, u64>("chk.cachedswap", Identity::kernel("chk"));
+    let v1 = Identity::extension("v1");
+    let drained = Arc::new(AtomicBool::new(false));
+    let late = Arc::clone(&drained);
+    ev.install(v1.clone(), move |x: &u64| {
+        // ordering: Relaxed — the model offers every store made so far; a hit that runs after the drain can read `true`.
+        *x + 1 + 100 * u64::from(late.load(Ordering::Relaxed))
+    })
+    .expect("install v1");
+    let filled = Arc::new(AtomicU64::new(0));
+    let (ev2, filled2) = (ev.clone(), Arc::clone(&filled));
+    let t = thread::spawn(move || {
+        let first = ev2.raise(5);
+        filled2.store(1, Ordering::Release); // ordering: Release — the quiescer's wait below reads it.
+        [first, ev2.raise(5)]
+    });
+    // The swap starts once the first raise has filled the raiser's cache;
+    // the wait steps aside for the raiser and spends no preemption.
+    // ordering: Acquire — reads the raiser's Release store; a read-modify-write, so the wait sees it.
+    while filled.fetch_add(0, Ordering::Acquire) == 0 {
+        thread::yield_now();
+    }
+    ev.quiesce().expect("event alive");
+    ev.drain_in_flight().expect("event alive");
+    drained.store(true, Ordering::Relaxed); // ordering: Relaxed — read only by the handler, which the model lets see any store.
+    ev.rebind(
+        &v1,
+        &v1,
+        vec![InstallSpec {
+            installer: Identity::extension("v2"),
+            handler: std::sync::Arc::new(|x: &u64| *x + 2),
+            guards: Vec::new(),
+            constraints: Constraints::default(),
+        }],
+    )
+    .expect("rebind v1 -> v2");
+    ev.resume().expect("event alive");
+    for item in t.join().expect("raiser thread") {
+        match item {
+            Ok(6) | Ok(7) | Err(DispatchError::Held { .. }) => {}
+            Ok(106) => panic!("the old handler ran after the drain returned"),
+            other => panic!("a cached raise racing a hot swap leaked: {other:?}"),
+        }
+    }
 }
 
 fn registry_scenario() {
@@ -93,6 +144,11 @@ fn assert_caught(name: &str, scenario: fn()) {
 #[test]
 fn destroyed_flag_after_plan_clear_mutant_is_caught() {
     assert_caught("destroy-mutant", destroy_scenario);
+}
+
+#[test]
+fn quiesce_without_a_fresh_stamp_mutant_is_caught() {
+    assert_caught("stamp-mutant", cached_hot_swap_scenario);
 }
 
 #[test]

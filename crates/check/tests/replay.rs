@@ -43,8 +43,11 @@ use spin_core::{DispatchError, Dispatcher, Identity};
 /// gone — after the snapshot, where this schedule no longer looks; and
 /// `destroy` now empties the state it ends, taking the write-side lock
 /// before it publishes the tombstone, so the losing schedule is one
-/// decision longer.
-const PINNED_SEED: &str = "pb2-0-0-1-1-1-1-1-0";
+/// decision longer. A raise that misses its thread's snapshot cache loads
+/// the record's stamp before it takes the lock and again under it
+/// (DESIGN.md decision 41), so the losing schedule is one decision longer
+/// again.
+const PINNED_SEED: &str = "pb2-0-0-0-1-1-1-1-1-0";
 
 const HARVEST: &str = "HARVEST: raise lost the race";
 

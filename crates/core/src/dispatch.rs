@@ -39,9 +39,11 @@
 //! 1. **One prologue per call** (`Raise::enter`). The [`Event`] handle
 //!    holds the event state — no global table, no lock, no refcount. The
 //!    call counts itself in flight and takes **one snapshot** of the
-//!    event's published record (`Published`, below) — one refcount
-//!    increment under a read lock, never a deep copy, and raisers never
-//!    block other raisers — and loads the obs/fault hooks.
+//!    event's published record (`Published`, below) — from the thread's
+//!    snapshot cache while the record's stamp is the one it was cached
+//!    under (a `Weak` upgrade, no lock), otherwise one refcount increment
+//!    under a read lock; never a deep copy, and raisers never block other
+//!    raisers — and loads the obs/fault hooks.
 //! 2. **One step per item** (`Raise::item`): answer a tombstone with
 //!    [`DispatchError::UnknownEvent`], park behind a closed gate, pass
 //!    admission control, count, trace, dispatch, release the admission. A
@@ -69,6 +71,15 @@
 //! each raise reads it exactly once, so no raise can combine one moment's
 //! gate with another moment's plan: there is no seam between independently
 //! published facts to reason about.
+//!
+//! Every publish goes through `EventState::publish`, which gives the
+//! record a fresh stamp, unique in the process. A raise keeps the plans it
+//! read in a small per-thread cache keyed by stamp (DESIGN.md decision
+//! 41): while the stamp is unchanged the record is too, so the cached plan
+//! is the published one and the raise skips the lock. Only an open, live
+//! record is cached, so a hit never parks and never answers a tombstone.
+//! The cache holds its plans weakly: a plan, and the handlers only it
+//! holds, still dies with the last raise that snapshotted it.
 //!
 //! The write side is as single: install, uninstall, rebind, restore,
 //! purge and reducer each hand `EventState::edit` a change to the handler
@@ -140,12 +151,13 @@ use crate::error::DispatchError;
 use crate::fault::{panic_message, DeadlineExceeded, FaultKind, FaultSink, HandlerFault};
 use crate::identity::Identity;
 use crate::quota::QuotaCell;
-use spin_check::sync::Arc;
+use spin_check::sync::{Arc, Weak};
 use spin_check::sync::{AtomicBool, AtomicU64, Counter, Ordering};
 use spin_check::sync::{Mutex, RwLock};
 use spin_fault::{FaultHook, Injection};
 use spin_obs::{ObsHook, TraceKind};
 use spin_sal::{Clock, Cost, HostId, MachineProfile, Nanos};
+use std::any::Any;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -875,13 +887,16 @@ impl<A, R> InFlight for EventState<A, R> {
 impl<S: Deref<Target: InFlight>> FlightGuard<S> {
     fn enter(state: S) -> Self {
         // The quiesce protocol pairs increment-then-snapshot (here, then
-        // `Raise::enter`) with publish-then-load-count (`Event::quiesce`,
-        // then `Event::drain_in_flight`), and the record's lock orders the
-        // pair: a snapshot that precedes the publish leaves its increment
-        // visible to the drain, and one that follows it sees the closed
-        // gate and parks. Either way no raise slips past the drain.
-        // ordering: SeqCst — kept from the lock-free gate: the hot-swap models drain only after the raiser has joined, so spin-check cannot vouch for anything weaker.
-        state.in_flight().fetch_add(1, Ordering::SeqCst);
+        // `EventState::snapshot`) with publish-then-count (`Event::quiesce`,
+        // then `Event::drain_in_flight`). On a miss the record's lock
+        // orders the pair; on a hit the two read-modify-writes of this
+        // count do: whichever comes second reads the first. A drain that
+        // comes second sees this raise in flight and waits it out; an
+        // increment that comes second acquires the drain's release, and
+        // with it the quiescer's new stamp, so the snapshot misses, takes
+        // the lock, and parks. Either way no raise slips past the drain.
+        // ordering: Acquire — pairs with the drain's release read-modify-write (see above); checked by `a_cached_raise_never_runs_the_old_handler_after_the_drain`.
+        state.in_flight().fetch_add(1, Ordering::Acquire);
         FlightGuard(state)
     }
 }
@@ -896,8 +911,10 @@ impl<S: Deref<Target: InFlight>> Drop for FlightGuard<S> {
 
 /// An event's published record: the one fact a raise reads, once, to know
 /// what state its event is in. Writers change it under the write lock of
-/// [`EventState::plan`]; a raise copies what it needs out under the read
-/// lock — one refcount bump — and never looks at the event again.
+/// [`EventState::plan`], each through [`EventState::publish`], which
+/// stamps the change; a raise takes it from its thread's snapshot cache
+/// while the stamp is unchanged, or copies what it needs out under the
+/// read lock — one refcount bump — and never looks at the event again.
 struct Published<A, R> {
     /// What a raise dispatches against; `None` is the tombstone `destroy`
     /// leaves, which nothing ever replaces.
@@ -925,6 +942,10 @@ struct EventState<A, R> {
     /// The published record (see [`Published`]). Taken after `write` or
     /// `held`, never before either.
     plan: RwLock<Published<A, R>>,
+    /// The record's version, fresh from [`NEXT_STAMP`] at every publish:
+    /// unique in the process, so a stamp alone names one event and one
+    /// version of its record. What a raise checks its cached snapshot by.
+    stamp: AtomicU64,
     stats: EventCounts,
     /// Dispatches currently between snapshot and settle, plus async
     /// invocations posted but not finished (see [`FlightGuard`]).
@@ -934,6 +955,26 @@ struct EventState<A, R> {
 }
 
 impl<A, R> EventState<A, R> {
+    /// The one way to write the published record: `write` changes it
+    /// under the write lock, and the change takes a fresh stamp with it,
+    /// so no thread's cached snapshot of the old record matches again.
+    fn publish<T>(&self, write: impl FnOnce(&mut Published<A, R>) -> T) -> T {
+        let mut published = self.plan.write();
+        let out = write(&mut published);
+        // ordering: Relaxed — under the record's lock, which orders it for a miss; a hit that must see it acquires it through the in-flight count (see `FlightGuard::enter`).
+        self.stamp.store(NEXT_STAMP.fetch_add(1), Ordering::Relaxed);
+        out
+    }
+
+    /// The locked read a snapshot miss takes: the record, and the stamp it
+    /// was published under.
+    fn read(&self) -> (Snapshot<A, R>, u64) {
+        let published = self.plan.read();
+        // ordering: Relaxed — read under the record's lock, which orders it after every publish it reflects.
+        let stamp = self.stamp.load(Ordering::Relaxed);
+        ((published.plan.clone(), published.gated), stamp)
+    }
+
     /// The one write path for the handler set: locks the write side,
     /// applies `change` and — if it went through — publishes the rebuilt
     /// [`RaisePlan`], bumping the generation. An `Err` from `change` means
@@ -964,15 +1005,14 @@ impl<A, R> EventState<A, R> {
         // after it is released: raisers wait out a pointer store, never a
         // guard-set compilation or a handler's destruction.
         let plan = RaisePlan::build(ws);
-        let mut published = self.plan.write();
-        match published.plan.take() {
+        self.publish(|published| match published.plan.take() {
             Some(old) => {
                 published.plan = Some(plan);
                 published.generation += edits;
                 Ok(old)
             }
             None => Err(std::mem::take(ws)),
-        }
+        })
     }
 
     /// Ends the event: publishes the tombstone — one publish, after which
@@ -986,7 +1026,7 @@ impl<A, R> EventState<A, R> {
     fn release(&self) -> Released<A, R> {
         let (plan, ws) = {
             let mut ws = self.write.lock();
-            let plan = self.plan.write().plan.take();
+            let plan = self.publish(|published| published.plan.take());
             (plan, std::mem::take(&mut *ws))
         };
         // After the tombstone: a parker that takes the hold lock from here
@@ -994,6 +1034,77 @@ impl<A, R> EventState<A, R> {
         let parked = std::mem::take(&mut self.held.lock().queue);
         (plan, ws, parked)
     }
+}
+
+impl<A, R> EventState<A, R>
+where
+    A: Send + Sync + 'static,
+    R: Send + 'static,
+{
+    /// A raise's one reading of the published record. While the record's
+    /// stamp is the one this thread cached its plan under, the plan is
+    /// the cached one: a `Weak` upgrade, no lock. Otherwise — a miss, a
+    /// plan already dropped, or a thread tearing down its locals — it is
+    /// the locked read, cached again if the gate is open and the event
+    /// live. Out of line, so the lookup's frame stays off the raise's.
+    #[inline(never)]
+    fn snapshot(&self) -> Snapshot<A, R> {
+        // ordering: Relaxed — a raise that must see a quiescer's stamp acquired it through the in-flight count (see `FlightGuard::enter`); any other stamp it reads names a record some moment of the raise saw.
+        let stamp = self.stamp.load(Ordering::Relaxed);
+        let cached = |snaps: &Snapshots| {
+            let (_, weak) = snaps.iter().find(|(s, _)| *s == stamp)?;
+            weak.upgrade()?.downcast::<RaisePlan<A, R>>().ok()
+        };
+        let looked_up = SNAPSHOTS.try_with(|cell| {
+            let mut snaps = cell.take().unwrap_or_else(|| {
+                Box::new(std::array::from_fn(|_| {
+                    (0, Weak::<()>::new() as Weak<dyn Any + Send + Sync>)
+                }))
+            });
+            let out = match cached(&snaps) {
+                Some(plan) => (Some(plan), false),
+                None => {
+                    let (out, stamp) = self.read();
+                    if let (Some(plan), false) = &out {
+                        snaps.rotate_right(1);
+                        snaps[0] = (stamp, Arc::downgrade(plan) as Weak<dyn Any + Send + Sync>);
+                    }
+                    out
+                }
+            };
+            cell.set(Some(snaps));
+            out
+        });
+        looked_up.unwrap_or_else(|_| self.read().0)
+    }
+}
+
+/// One reading of the published record: the plan (`None` on a tombstone)
+/// and the quiesce gate.
+type Snapshot<A, R> = (Option<Arc<RaisePlan<A, R>>>, bool);
+
+/// Allocates record stamps (see [`EventState::stamp`]). Stamps start at 1,
+/// so an empty cache slot (stamp 0) matches nothing.
+static NEXT_STAMP: Counter = Counter::new(1);
+
+/// How many snapshots a thread keeps.
+const CACHED: usize = 8;
+
+/// A thread's recent snapshots, newest first: each a stamp and the plan
+/// the record held under it. Held weakly: a cached plan keeps no closure
+/// alive — only a raise in flight keeps the plan it snapshotted — and an
+/// uninstalled handler dies when its last plan does, whatever other
+/// threads cached it. Typed `Any` so one cache holds every event's plan;
+/// a stamp names one event, so the downcast of a match always succeeds.
+type Snapshots = [(u64, Weak<dyn Any + Send + Sync>); CACHED];
+
+thread_local! {
+    /// This thread's snapshot cache, boxed: static thread-locals sit at the
+    /// top of every thread's stack, and the strands' stacks end a few
+    /// dozen bytes under a page edge (DESIGN.md decision 41), so the cache
+    /// costs each thread one pointer there and one small allocation once
+    /// it raises.
+    static SNAPSHOTS: Cell<Option<Box<Snapshots>>> = const { Cell::new(None) };
 }
 
 /// What a destroyed event gave up: its last plan, its write side and the
@@ -1257,6 +1368,7 @@ impl Dispatcher {
                 gated: false,
                 generation: 0,
             }),
+            stamp: AtomicU64::new(NEXT_STAMP.fetch_add(1)),
             write: Mutex::new(ws),
             stats: EventCounts::default(),
             in_flight: AtomicU64::new(0),
@@ -1560,11 +1672,10 @@ where
         // whose publish the snapshot missed will see the count and wait
         // for the dispatch to settle (see `FlightGuard::enter`).
         let flight = FlightGuard::enter(&*ev.state);
-        // The snapshot: one refcount bump; handlers run outside any lock
-        // (they may install/uninstall or re-raise).
-        let published = ev.state.plan.read();
-        let (plan, gated) = (published.plan.clone(), published.gated);
-        drop(published);
+        // The snapshot: a `Weak` upgrade on a hit, one refcount bump under
+        // the read lock on a miss; handlers run outside any lock (they may
+        // install/uninstall or re-raise).
+        let (plan, gated) = ev.state.snapshot();
         Raise {
             inner,
             ev,
@@ -2034,15 +2145,22 @@ where
     ///
     /// This is the hot path, and it has a budget (DESIGN.md decision 18,
     /// pinned by `spin-check`'s `a_raise_stays_within_its_budget` at
-    /// (10, 5) facade operations, total and locked). It copies no handler
-    /// and takes no mutex; on the direct-call path it makes seven locked
-    /// read-modify-writes — the in-flight count up and down, the record's
-    /// read lock taken and released, the plan's refcount up and down
-    /// (together: the snapshot; `Arc` traffic, which the facade does not
-    /// see) and one raise counter. The clock charge is a load and a store
-    /// (DESIGN.md decision 26). Unless the plan holds an asynchronous
-    /// handler or a reducer or the key selects more than a handful of
-    /// entries, it makes no heap allocation.
+    /// (9, 3) facade operations, total and locked). It copies no handler
+    /// and takes no mutex. On the direct-call path, when the thread's
+    /// snapshot cache holds the event's current plan (DESIGN.md decision
+    /// 41), it makes five locked read-modify-writes: the in-flight count
+    /// up and down, the plan's `Weak` upgrade and the drop of what it
+    /// gave (together with a load of the record's stamp: the snapshot;
+    /// `Arc` traffic, which the facade does not see) and one raise
+    /// counter. A miss — the first raise of an event on a thread, and the
+    /// first after each write of its record — makes the seven it made
+    /// before the cache (the record's read lock taken and released and the
+    /// plan's refcount up and down, in place of the upgrade and its drop)
+    /// and two more when it fills the cache: the `Weak` it stores and the
+    /// one it evicts. The clock charge is a load and a store (DESIGN.md
+    /// decision 26). Unless the plan holds an asynchronous handler or a
+    /// reducer or the key selects more than a handful of entries, it makes
+    /// no heap allocation.
     pub fn raise(&self, args: A) -> Result<R, DispatchError> {
         Raise::enter(&self.dispatcher.inner, self, false).item(args)
     }
@@ -2167,11 +2285,22 @@ where
     /// drain, transfer/rebind at a deterministic virtual instant, resume.
     // uncharged: hot-swap control plane.
     pub fn quiesce(&self) -> Result<(), DispatchError> {
-        // Publish-then-load-count against the raise path's increment-
-        // then-snapshot: every snapshot taken after this write parks, and
-        // every one taken before it is already counted in flight (see
+        // Publish-then-count against the raise path's increment-then-
+        // snapshot: every snapshot taken after this write parks, and every
+        // one taken before it is already counted in flight (see
         // `FlightGuard::enter`).
-        self.live()?.plan.write().gated = true;
+        let state = self.live()?;
+        // Planted bug for the model checker (`--cfg spin_check_mutant`):
+        // closing the gate without a fresh stamp lets a raise whose thread
+        // cached the open record's plan hit it and run the old handler
+        // after the drain returned. The cached-hot-swap check must catch
+        // this.
+        #[cfg(spin_check_mutant)]
+        {
+            state.plan.write().gated = true;
+        }
+        #[cfg(not(spin_check_mutant))]
+        state.publish(|published| published.gated = true);
         Ok(())
     }
 
@@ -2183,8 +2312,11 @@ where
     // uncharged: hot-swap control plane.
     pub fn drain_in_flight(&self) -> Result<(), DispatchError> {
         let state = self.live()?;
-        // ordering: SeqCst — pairs with FlightGuard's SeqCst increment (see FlightGuard::enter) and observes its Release decrement.
-        while state.in_flight.load(Ordering::SeqCst) != 0 {
+        // A read-modify-write, not a load: whichever of it and a raise's
+        // increment comes second reads the first, which a load racing the
+        // increment would not (see `FlightGuard::enter`).
+        // ordering: AcqRel — Release publishes the quiescer's stamp to a later increment, Acquire observes a raise's Release decrement.
+        while state.in_flight.fetch_add(0, Ordering::AcqRel) != 0 {
             spin_check::thread::yield_now();
         }
         Ok(())
@@ -2204,7 +2336,7 @@ where
             // parker acquiring the lock after us re-reads an open gate
             // and dispatches itself; one that got in before us is in the
             // queue we take.
-            state.plan.write().gated = false;
+            state.publish(|published| published.gated = false);
             held.stats.replayed += held.queue.len() as u64;
             std::mem::take(&mut held.queue)
         };

@@ -530,3 +530,62 @@ fn a_replaced_plan_drops_outside_the_record_lock() {
     );
     assert_eq!(ev.raise(1), Ok(1));
 }
+
+/// A thread that raised an event keeps none of its handlers alive after
+/// it stops raising. The raiser caches its snapshots, but weakly: an
+/// uninstalled handler's closure is dropped when the last plan holding it
+/// goes, and a destroyed event's when its tombstone is published, while
+/// the thread that raised them is alive, idle and never raises again. A
+/// cache that held its plans strongly would keep both closures, and every
+/// `Arc` they captured, until the thread raised something else or exited.
+#[test]
+fn an_idle_raiser_keeps_no_dropped_handler_alive() {
+    let d = Dispatcher::unmetered();
+    let (ev, owner) = d.define::<u64, u64>("Stress.IdleRaiser", Identity::kernel("stress"));
+    let primary_probe = Arc::new(());
+    let held = Arc::clone(&primary_probe);
+    owner
+        .set_primary(move |x| {
+            let _captured = &held;
+            *x
+        })
+        .expect("fresh event");
+    let ext_probe = Arc::new(());
+    let held = Arc::clone(&ext_probe);
+    let ext = Identity::extension("idle");
+    let id = ev
+        .install(ext.clone(), move |x| {
+            let _captured = &held;
+            *x + 1
+        })
+        .expect("install allowed");
+
+    let (raised_tx, raised_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let raiser_ev = ev.clone();
+    let raiser = thread::spawn(move || {
+        for i in 0..8 {
+            assert_eq!(raiser_ev.raise(i), Ok(i + 1));
+        }
+        drop(raiser_ev);
+        raised_tx.send(()).expect("main thread waits");
+        release_rx.recv().expect("main thread releases");
+    });
+    raised_rx.recv().expect("raiser raised");
+
+    d.uninstall(&ev, id, &ext).expect("uninstall own handler");
+    assert_eq!(
+        Arc::strong_count(&ext_probe),
+        1,
+        "an idle raiser kept an uninstalled handler alive"
+    );
+    owner.destroy().expect("owner destroys once");
+    assert_eq!(
+        Arc::strong_count(&primary_probe),
+        1,
+        "an idle raiser kept a destroyed event's handler alive"
+    );
+
+    release_tx.send(()).expect("raiser waits");
+    raiser.join().expect("raiser thread");
+}
